@@ -54,6 +54,12 @@ type CacheEngineStats struct {
 	ArenaUtilization float64
 	// Slabs is the allocated slab count (0 for the LRU engine).
 	Slabs int
+	// FreeSlots is the arena slots ready for reuse; LimboSlots the evicted
+	// slots still waiting for the leases that may read them to end (both 0
+	// for the LRU engine). Limbo that keeps growing means leases are not
+	// being released.
+	FreeSlots  int
+	LimboSlots int
 }
 
 // tableCache is the serving path's view of a per-table DRAM cache. Both
@@ -76,8 +82,6 @@ type tableCache interface {
 	// and returns the encoded bytes. The view is only guaranteed stable
 	// while a Lease is held (see StableViews).
 	GetRaw(id uint32) (raw []byte, wasPrefetched, ok bool)
-	// Contains reports residency without touching recency.
-	Contains(id uint32) bool
 	// Insert caches id at queue position pos, all under the owning shard's
 	// lock: it aborts if guard's value no longer equals want (the table
 	// mutated since the caller read its bytes), or if prefetched is set and
@@ -180,8 +184,6 @@ func (e *lruEngine) GetRaw(id uint32) (raw []byte, wasPrefetched, ok bool) {
 	return raw, wasPrefetched, ok
 }
 
-func (e *lruEngine) Contains(id uint32) bool { return e.c.Contains(id) }
-
 func (e *lruEngine) Insert(id uint32, vec []float32, raw []byte, rawOwned bool, pos float64, prefetched bool, guard *atomic.Uint64, want uint64) bool {
 	inserted := false
 	if !rawOwned {
@@ -249,8 +251,6 @@ func (e *arenaEngine) GetRaw(id uint32) (raw []byte, wasPrefetched, ok bool) {
 	return e.c.Get(id)
 }
 
-func (e *arenaEngine) Contains(id uint32) bool { return e.c.Contains(id) }
-
 func (e *arenaEngine) Insert(id uint32, _ []float32, raw []byte, _ bool, pos float64, prefetched bool, guard *atomic.Uint64, want uint64) bool {
 	// The arena copies raw regardless of ownership and never stores the
 	// decoded vector.
@@ -273,5 +273,7 @@ func (e *arenaEngine) EngineStats() CacheEngineStats {
 		ArenaBytes:       st.ArenaBytes,
 		ArenaUtilization: st.Utilization,
 		Slabs:            st.Slabs,
+		FreeSlots:        st.FreeSlots,
+		LimboSlots:       st.LimboSlots,
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // buildTestTables creates small aligned tables + traces for store tests.
-func buildTestTables(t *testing.T, numTables, vectorsPerTable, queries int) ([]*table.Table, []*trace.Trace) {
+func buildTestTables(t testing.TB, numTables, vectorsPerTable, queries int) ([]*table.Table, []*trace.Trace) {
 	t.Helper()
 	tables := make([]*table.Table, numTables)
 	traces := make([]*trace.Trace, numTables)

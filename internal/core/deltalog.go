@@ -601,9 +601,17 @@ func (s *Store) UpdateLogStats() UpdateLogStats {
 // bytes of updates not yet compacted into the block image, tagged with the
 // seq that wrote them (so compaction can tell "unchanged since I snapshotted"
 // from "updated again meanwhile"). Entries' byte slices are immutable.
+//
+// n mirrors len(m), written under mu: the serving path probes the overlay
+// for every missed id and every prefetch candidate, and between compactions
+// of a table nobody updates the overlay is empty, so get and contains answer
+// "absent" from one atomic load without touching the lock. A reader that
+// loads 0 while a put is in flight is ordered before that put, exactly as if
+// it had won the lock first.
 type deltaOverlay struct {
 	mu sync.RWMutex
 	m  map[uint32]overlayEntry
+	n  atomic.Int64
 }
 
 type overlayEntry struct {
@@ -617,6 +625,9 @@ func newDeltaOverlay() *deltaOverlay {
 
 // get returns the overlaid bytes for id, or nil.
 func (o *deltaOverlay) get(id uint32) []byte {
+	if o.n.Load() == 0 {
+		return nil
+	}
 	o.mu.RLock()
 	e, ok := o.m[id]
 	o.mu.RUnlock()
@@ -628,6 +639,9 @@ func (o *deltaOverlay) get(id uint32) []byte {
 
 // contains reports whether id is overlaid (the block image's copy is stale).
 func (o *deltaOverlay) contains(id uint32) bool {
+	if o.n.Load() == 0 {
+		return false
+	}
 	o.mu.RLock()
 	_, ok := o.m[id]
 	o.mu.RUnlock()
@@ -637,15 +651,11 @@ func (o *deltaOverlay) contains(id uint32) bool {
 func (o *deltaOverlay) put(id uint32, raw []byte, seq uint64) {
 	o.mu.Lock()
 	o.m[id] = overlayEntry{raw: raw, seq: seq}
+	o.n.Store(int64(len(o.m)))
 	o.mu.Unlock()
 }
 
-func (o *deltaOverlay) size() int {
-	o.mu.RLock()
-	n := len(o.m)
-	o.mu.RUnlock()
-	return n
-}
+func (o *deltaOverlay) size() int { return int(o.n.Load()) }
 
 // snapshot copies the overlay map (entry slices are shared, immutable).
 func (o *deltaOverlay) snapshot() map[uint32]overlayEntry {
@@ -665,6 +675,7 @@ func (o *deltaOverlay) deleteIfSeq(id uint32, seq uint64) {
 	o.mu.Lock()
 	if e, ok := o.m[id]; ok && e.seq == seq {
 		delete(o.m, id)
+		o.n.Store(int64(len(o.m)))
 	}
 	o.mu.Unlock()
 }
@@ -675,5 +686,6 @@ func (o *deltaOverlay) deleteIfSeq(id uint32, seq uint64) {
 func (o *deltaOverlay) clear() {
 	o.mu.Lock()
 	clear(o.m)
+	o.n.Store(0)
 	o.mu.Unlock()
 }

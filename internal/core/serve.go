@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -272,25 +273,39 @@ func (st *storeTable) cacheInsert(ts *tableState, id uint32, vec []float32, raw 
 	return ts.cache.Insert(id, vec, raw, rawOwned, pos, prefetched, &st.epoch, epoch)
 }
 
-// admitBlock offers every not-yet-cached vector of the freshly read block to
-// the admission policy, caching the ones it admits (decoding them only when
-// the engine stores decoded vectors). requested reports IDs that were
-// explicitly asked for in this operation (they are cached separately and
-// must not be double-counted as prefetches).
-func (st *storeTable) admitBlock(ts *tableState, buf []byte, epoch uint64, members []uint32, requested func(uint32) bool) {
+// missRef is one requested vector that missed the cache: its position in the
+// operation's output, and (in serveBatch's pass 2) the block that holds it.
+type missRef struct {
+	pos   int
+	id    uint32
+	block int
+}
+
+// admitBlock offers the vectors of the freshly read block to the admission
+// policy and caches the ones it admits (decoding them only when the engine
+// stores decoded vectors). requested lists the block's vectors that were
+// explicitly asked for in this operation: they are cached separately and
+// must not be double-counted as prefetches. The policy verdict comes first —
+// for the deployed ThresholdAdmit it is one array read and it rejects most
+// candidates — and an admitted candidate costs one cache probe: the guarded
+// insert itself refuses an id that is already resident.
+func (st *storeTable) admitBlock(ts *tableState, buf []byte, epoch uint64, members []uint32, requested []missRef) {
 	needDec := ts.cache.NeedsDecoded()
+candidates:
 	for mslot, other := range members {
-		if requested(other) || ts.cache.Contains(other) {
+		admit, pos := ts.policy.AdmitPrefetch(other)
+		if !admit {
 			continue
+		}
+		for _, ref := range requested {
+			if ref.id == other {
+				continue candidates
+			}
 		}
 		if st.overlay != nil && st.overlay.contains(other) {
 			// The block image's copy of an overlaid vector is stale; its
 			// authoritative bytes are served from the overlay until
 			// compaction, so never cache the image's decode.
-			continue
-		}
-		admit, pos := ts.policy.AdmitPrefetch(other)
-		if !admit {
 			continue
 		}
 		raw := buf[mslot*st.vecBytes : (mslot+1)*st.vecBytes]
@@ -547,7 +562,7 @@ func (st *storeTable) lookup(device *nvm.Device, id uint32, tr *StageTrace) ([]f
 	// Prefetch co-located vectors that pass the admission policy.
 	if ts.prefetch && ts.policy != nil {
 		members := ts.layout.BlockMembers(block, nil)
-		st.admitBlock(ts, buf, epoch, members, func(other uint32) bool { return other == id })
+		st.admitBlock(ts, buf, epoch, members, []missRef{{id: id}})
 	}
 	return want, nil
 }
@@ -610,10 +625,6 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 	// out to every position. Counter semantics are unchanged: every instance
 	// still counts as a lookup and inherits its unique id's hit/miss
 	// classification, exactly as when each instance probed the cache itself.
-	type missRef struct {
-		pos int
-		id  uint32
-	}
 	var missed []missRef
 	// Duplicate detection stays allocation-free for typical batch sizes (a
 	// linear scan of the ids already seen); only large batches pay for a
@@ -721,6 +732,9 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 		if tr != nil {
 			tr.Misses++
 		}
+		if missed == nil {
+			missed = make([]missRef, 0, len(ids)-i)
+		}
 		missed = append(missed, missRef{pos: i, id: id})
 	}
 	if len(missed) == 0 {
@@ -729,23 +743,24 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 
 	// Pass 2: one NVM read per distinct block; decode all requested vectors
 	// from it and apply the usual prefetch admission to the rest. Blocks are
-	// processed in ascending order so a batch's cache effects are
-	// deterministic. The whole pass holds the rewrite lock shared so the
-	// layout used for grouping and decoding matches the bytes on NVM.
+	// processed in ascending order, and a block's vectors in batch order, so
+	// a batch's cache effects are deterministic: the stable sort below gives
+	// both. The whole pass holds the rewrite lock shared so the layout used
+	// for grouping and decoding matches the bytes on NVM.
 	st.rewriteMu.RLock()
 	defer st.rewriteMu.RUnlock()
 	ts = st.loadState()
 	needDec := ts.cache.NeedsDecoded()
-	missesByBlock := make(map[int][]missRef)
-	for _, ref := range missed {
-		block := ts.layout.BlockOf(ref.id)
-		missesByBlock[block] = append(missesByBlock[block], ref)
+	for i := range missed {
+		missed[i].block = ts.layout.BlockOf(missed[i].id)
 	}
-	blocks := make([]int, 0, len(missesByBlock))
-	for block := range missesByBlock {
-		blocks = append(blocks, block)
+	slices.SortStableFunc(missed, func(a, b missRef) int { return cmp.Compare(a.block, b.block) })
+	abs := make([]int, 0, len(missed))
+	for i, ref := range missed {
+		if i == 0 || ref.block != missed[i-1].block {
+			abs = append(abs, st.blockBase+ref.block)
+		}
 	}
-	sort.Ints(blocks)
 
 	// One batched device read covers every missed block: the reads overlap
 	// at the device (and collapse into offset I/O on the file backend)
@@ -753,20 +768,16 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 	// buffers so the steady-state miss path stays allocation-free.
 	var batch []byte
 	switch {
-	case len(blocks) == 1:
+	case len(abs) == 1:
 		bufp := getBlockBuf()
 		defer putBlockBuf(bufp)
 		batch = *bufp
-	case len(blocks) <= batchBufBlocks:
+	case len(abs) <= batchBufBlocks:
 		bufp := batchBufPool.Get().(*[]byte)
 		defer batchBufPool.Put(bufp)
-		batch = (*bufp)[:len(blocks)*nvm.BlockSize]
+		batch = (*bufp)[:len(abs)*nvm.BlockSize]
 	default:
-		batch = make([]byte, len(blocks)*nvm.BlockSize)
-	}
-	abs := make([]int, len(blocks))
-	for i, block := range blocks {
-		abs[i] = st.blockBase + block
+		batch = make([]byte, len(abs)*nvm.BlockSize)
 	}
 	epoch := st.epoch.Load()
 	lat, wait, coalesced, epoch, err := st.readBlocksMiss(device, abs, batch, epoch)
@@ -775,9 +786,23 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 	}
 	st.observeMissIO(lat, wait, tr)
 
+	// A raw request's misses are copied off the block images into one buffer
+	// per batch, handed out as capacity-limited sub-slices. (The lru engine
+	// keeps owned raw bytes by reference, so there the cached entries of one
+	// batch share this backing array until the last of them is evicted.)
+	var rawOut []byte
+	if outRaw != nil {
+		rawOut = make([]byte, 0, len(missed)*st.vecBytes)
+	}
 	var members []uint32
-	for bi, block := range blocks {
-		refs := missesByBlock[block]
+	for bi, lo := 0, 0; lo < len(missed); bi++ {
+		block := missed[lo].block
+		hi := lo + 1
+		for hi < len(missed) && missed[hi].block == block {
+			hi++
+		}
+		refs := missed[lo:hi]
+		lo = hi
 		buf := batch[bi*nvm.BlockSize : (bi+1)*nvm.BlockSize]
 		if coalesced != nil && coalesced[bi] {
 			st.coalescedReads.Inc(uint64(block))
@@ -788,7 +813,6 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 			}
 		}
 
-		requested := make(map[uint32]struct{}, len(refs))
 		for _, ref := range refs {
 			if st.overlay != nil {
 				// Updated between the pass-1 overlay probe and this block
@@ -805,7 +829,6 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 						st.observeDecode(decStart, tr)
 						out[ref.pos] = dec
 					}
-					requested[ref.id] = struct{}{}
 					continue
 				}
 			}
@@ -823,21 +846,19 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 				st.observeDecode(decStart, tr)
 			}
 			if outRaw != nil {
-				rawCopy := append(make([]byte, 0, st.vecBytes), rawSlot...)
+				off := len(rawOut)
+				rawOut = append(rawOut, rawSlot...)
+				rawCopy := rawOut[off:len(rawOut):len(rawOut)]
 				outRaw[ref.pos] = rawCopy
 				st.cacheInsert(ts, ref.id, dec, rawCopy, true, 0, false, epoch)
 			} else {
 				out[ref.pos] = dec
 				st.cacheInsert(ts, ref.id, dec, rawSlot, false, 0, false, epoch)
 			}
-			requested[ref.id] = struct{}{}
 		}
 		if ts.prefetch && ts.policy != nil {
 			members = ts.layout.BlockMembers(block, members[:0])
-			st.admitBlock(ts, buf, epoch, members, func(other uint32) bool {
-				_, ok := requested[other]
-				return ok
-			})
+			st.admitBlock(ts, buf, epoch, members, refs)
 		}
 	}
 	// Fan the deduplicated miss decodes back out to the repeated positions.

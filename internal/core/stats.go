@@ -32,12 +32,16 @@ type TableStats struct {
 	// Config.CacheEngine); the fields below are its byte accounting. The
 	// arena engine reports exact resident fp16 payload bytes, allocated slab
 	// bytes and their ratio; the LRU engine reports decoded payload bytes
-	// with no arenas (ArenaBytes and Slabs stay 0).
+	// with no arenas (ArenaBytes, Slabs, FreeSlots and LimboSlots stay 0).
+	// CacheFreeSlots are arena slots ready for reuse, CacheLimboSlots evicted
+	// slots waiting out the leases that may still read them.
 	CacheEngine           string
 	CacheBytesResident    int64
 	CacheArenaBytes       int64
 	CacheArenaUtilization float64
 	CacheSlabs            int
+	CacheFreeSlots        int
+	CacheLimboSlots       int
 	Threshold             uint32
 	Prefetching           bool
 	// Policy names the admission policy currently serving prefetches
@@ -93,6 +97,8 @@ func (s *Store) Stats() []TableStats {
 		ts.CacheArenaBytes = es.ArenaBytes
 		ts.CacheArenaUtilization = es.ArenaUtilization
 		ts.CacheSlabs = es.Slabs
+		ts.CacheFreeSlots = es.FreeSlots
+		ts.CacheLimboSlots = es.LimboSlots
 		if st.overlay != nil {
 			ts.OverlayEntries = st.overlay.size()
 		}

@@ -143,7 +143,11 @@ func TestFileStoreDirectAlignmentInvariants(t *testing.T) {
 		}
 	}
 	// Crash (no clean close) and reopen in direct mode: the replay path must
-	// obey the invariant too.
+	// obey the invariant too. A real crash takes the ring's GC goroutine with
+	// it; here it must be stopped first, because a watermark write in flight
+	// keeps the descriptor — and its flock — open past Close, and the reopen
+	// below then finds the file locked.
+	s.ring.stop()
 	s.f.Close()
 	r, err := OpenFileStore(path, FileStoreOptions{Direct: true})
 	if err != nil {

@@ -189,6 +189,14 @@ func TestRingJournalFullPinnedByFailedWrite(t *testing.T) {
 	if err := s.WriteBlock(0, fillBlock(0x01)); err != nil {
 		t.Fatal(err)
 	}
+	// On a ring this small the write above already made a quarter of it
+	// retirable and kicked the background GC, whose watermark pwrite would
+	// use up one of the two armed writes if it landed after the arming.
+	// Retire here instead: gc waits out a background run in flight, and a
+	// later one finds nothing left to retire and writes nothing.
+	if err := s.ring.gc(); err != nil {
+		t.Fatal(err)
+	}
 	// Tear the in-place write of block 1 (pwrite 1 = journal append, pwrite
 	// 2 = in-place): its record pins the GC head.
 	s.failAfterWrites(2)

@@ -157,6 +157,10 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		perTable(func(ts core.TableStats) float64 { return ts.CacheArenaUtilization }))
 	r.Register("bandana_table_cache_slabs", "gauge", "Allocated cache arena slabs per table (0 on the lru engine).",
 		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheSlabs) }))
+	r.Register("bandana_table_cache_free_slots", "gauge", "Cache arena slots ready for reuse per table (0 on the lru engine).",
+		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheFreeSlots) }))
+	r.Register("bandana_table_cache_limbo_slots", "gauge", "Evicted cache arena slots waiting for reader leases to end per table (0 on the lru engine); steady growth means leases are not released.",
+		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheLimboSlots) }))
 	r.Register("bandana_cache_engine_info", "gauge", "Cache engine descriptor (value is always 1).", func() []metrics.Sample {
 		stats := s.scrapeStore().Stats()
 		engine := ""

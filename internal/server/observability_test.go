@@ -79,6 +79,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"bandana_table_lookups_total{table=\"tA\"} 517",
 		"bandana_http_requests_total",
 		"bandana_device_blocks_read_total",
+		"bandana_table_cache_free_slots{table=\"tA\"}",
+		"bandana_table_cache_limbo_slots{table=\"tA\"}",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)

@@ -3,6 +3,14 @@ package vcache
 // CheckInvariants exposes the internal consistency checker to tests.
 func (c *Cache) CheckInvariants() error { return c.checkInvariants() }
 
+// Contains reports whether id is cached, without affecting recency.
+func (c *Cache) Contains(id uint32) bool {
+	s := c.shardOf(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.idxFind(id) != nilIdx
+}
+
 // LimboLen returns the number of slots waiting out the lease grace period,
 // for reclamation tests.
 func (c *Cache) LimboLen() int {
@@ -11,6 +19,19 @@ func (c *Cache) LimboLen() int {
 		s := &c.shards[i]
 		s.mu.Lock()
 		n += len(s.limbo) - s.limboHead
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// LimboCap returns the total capacity of the shards' limbo backing arrays,
+// for bounding the limbo's memory in tests.
+func (c *Cache) LimboCap() int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += cap(s.limbo)
 		s.mu.Unlock()
 	}
 	return n

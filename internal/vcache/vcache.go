@@ -20,7 +20,21 @@
 // segmented LRU with positional insertion (AddAt) and rebalancing cascade,
 // the same eviction order — so the two engines produce identical
 // hit/miss/eviction sequences for identical operation streams. The
-// equivalence suite in internal/core pins this.
+// randomized order tests here and the equivalence suite in internal/core
+// pin this.
+//
+// # Recency list
+//
+// Only the behaviour is lru's, not the structure. lru.Cache keeps one list
+// per segment, so cascading an overflow through its 16 segments unlinks and
+// relinks an entry at every step. Here each shard has a single MRU→LRU list
+// and a segment is a consecutive run of it, described by head/tail cursors
+// and a size. The tail of segment i already sits directly in front of
+// segment i+1's head, so "move it to the head of segment i+1" moves the
+// boundary instead of the entry: two cursor updates and the entry's segment
+// tag, no relinking. Inserting into an empty segment finds its neighbours
+// through the adjacent non-empty segments' cursors; unlinking an entry fixes
+// the cursors of the segment that owns it.
 //
 // # View lifetime and leases
 //
@@ -36,6 +50,12 @@
 // a fresh slot and parks the old one, so a leased view is immutable for the
 // lease's lifetime.
 //
+// The limbo is a FIFO consumed from the front. Under steady miss traffic
+// leases overlap and it never drains, so its consumed prefix is compacted
+// away whenever it outgrows the live part: the limbo's memory is
+// proportional to the evictions inside one lease grace window, not to the
+// evictions since start-up.
+//
 // Decode-on-hit paths that want a heap-safe []float32 instead of a view use
 // GetFunc, which runs the caller's closure under the shard lock; the closure
 // copies/decodes and the result needs no lease.
@@ -43,6 +63,7 @@ package vcache
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -100,16 +121,20 @@ type shard struct {
 
 	// Open-addressing index with linear probing and backward-shift deletion.
 	// Each word packs slot<<32 | id; a word with slot == nilIdx is empty.
-	idx     []uint64
-	idxMask uint32
+	// idxMask wraps a probe position, idxShift maps an id to its home (see
+	// home); both follow len(idx), a power of two.
+	idx      []uint64
+	idxMask  uint32
+	idxShift uint
 
 	// Payload arenas: slabs of slotsPerSlab fixed-size slots each, allocated
 	// lazily. meta is indexed by slot and grows as slots are minted.
 	slabs [][]byte
 	meta  []slotMeta
 
-	// free holds immediately reusable slots; limbo holds evicted slots
-	// waiting out the lease grace period (FIFO from limboHead).
+	// free holds immediately reusable slots; limbo[limboHead:] holds evicted
+	// slots waiting out the lease grace period, oldest first (park compacts
+	// the consumed prefix away).
 	free      []uint32
 	limbo     []limboSlot
 	limboHead int
@@ -132,8 +157,7 @@ type Options struct {
 	// Segments is the positional segment count per shard, clamped to
 	// [1, shard capacity]; 0 selects DefaultSegments.
 	Segments int
-	// Hash routes an id to its shard (low bits) and to its home index
-	// position within the shard (high 32 bits). nil selects a splitmix
+	// Hash routes an id to its shard (low bits). nil selects a splitmix
 	// finalizer. For engine equivalence, pass the same hash the lru engine
 	// shards with.
 	Hash func(uint32) uint64
@@ -257,7 +281,7 @@ func (s *shard) init(capacity, segments int) {
 		s.segs[i] = segment{head: nilIdx, tail: nilIdx}
 	}
 	s.idx = newIndex(capacity)
-	s.idxMask = uint32(len(s.idx) - 1)
+	s.idxMask, s.idxShift = uint32(len(s.idx)-1), indexShift(s.idx)
 }
 
 // newIndex allocates an empty probe table sized for capacity entries at
@@ -273,6 +297,9 @@ func newIndex(capacity int) []uint64 {
 	}
 	return idx
 }
+
+// indexShift is the home() shift for a probe table of len(idx) entries.
+func indexShift(idx []uint64) uint { return uint(33 - bits.Len32(uint32(len(idx)))) }
 
 // NumShards returns the shard count.
 func (c *Cache) NumShards() int { return len(c.shards) }
@@ -295,8 +322,8 @@ func (c *Cache) Len() int {
 	return n
 }
 
-func (c *Cache) shardOf(h uint64) *shard {
-	return &c.shards[h&c.shardMask]
+func (c *Cache) shardOf(id uint32) *shard {
+	return &c.shards[c.hash(id)&c.shardMask]
 }
 
 // Lease marks the start of a request that will hold arena views (Get/GetRaw
@@ -336,11 +363,17 @@ func (s *shard) payload(c *Cache, slot uint32) []byte {
 
 // ---- open-addressing index ----
 
-func home(h uint64, mask uint32) uint32 { return uint32(h>>32) & mask }
+// home is id's first probe position in a table of 1<<(32-shift) entries. It
+// mixes the id itself (Fibonacci hashing: the top bits of id times 2^32/phi)
+// instead of reusing Options.Hash, which only routes ids to shards:
+// backward-shift deletion and index growth recompute the home of every entry
+// they move, and an inlined multiply there is what keeps an eviction from
+// costing a chain of indirect hash calls.
+func home(id uint32, shift uint) uint32 { return (id * 0x9E3779B1) >> shift }
 
 // idxFind returns the slot stored for id, or nilIdx.
-func (s *shard) idxFind(id uint32, h uint64) uint32 {
-	i := home(h, s.idxMask)
+func (s *shard) idxFind(id uint32) uint32 {
+	i := home(id, s.idxShift)
 	for {
 		e := s.idx[i]
 		if uint32(e>>32) == nilIdx {
@@ -354,8 +387,8 @@ func (s *shard) idxFind(id uint32, h uint64) uint32 {
 }
 
 // idxInsert adds (id -> slot); id must not be present.
-func (s *shard) idxInsert(id, slot uint32, h uint64) {
-	i := home(h, s.idxMask)
+func (s *shard) idxInsert(id, slot uint32) {
+	i := home(id, s.idxShift)
 	for uint32(s.idx[i]>>32) != nilIdx {
 		i = (i + 1) & s.idxMask
 	}
@@ -363,8 +396,8 @@ func (s *shard) idxInsert(id, slot uint32, h uint64) {
 }
 
 // idxUpdate rewrites id's slot in place (relocation on value replace).
-func (s *shard) idxUpdate(id, slot uint32, h uint64) {
-	i := home(h, s.idxMask)
+func (s *shard) idxUpdate(id, slot uint32) {
+	i := home(id, s.idxShift)
 	for uint32(s.idx[i]) != id || uint32(s.idx[i]>>32) == nilIdx {
 		i = (i + 1) & s.idxMask
 	}
@@ -373,8 +406,8 @@ func (s *shard) idxUpdate(id, slot uint32, h uint64) {
 
 // idxDelete removes id using backward-shift deletion, which keeps probe
 // chains dense (no tombstones, no periodic rebuilds).
-func (s *shard) idxDelete(c *Cache, id uint32, h uint64) {
-	i := home(h, s.idxMask)
+func (s *shard) idxDelete(id uint32) {
+	i := home(id, s.idxShift)
 	for {
 		e := s.idx[i]
 		if uint32(e>>32) == nilIdx {
@@ -395,7 +428,7 @@ func (s *shard) idxDelete(c *Cache, id uint32, h uint64) {
 		if uint32(e>>32) == nilIdx {
 			break
 		}
-		k := home(c.hash(uint32(e)), s.idxMask)
+		k := home(uint32(e), s.idxShift)
 		if (j-k)&s.idxMask >= (j-i)&s.idxMask {
 			s.idx[i] = e
 			i = j
@@ -405,72 +438,104 @@ func (s *shard) idxDelete(c *Cache, id uint32, h uint64) {
 }
 
 // growIndex rebuilds the probe table for a larger capacity.
-func (s *shard) growIndex(c *Cache, capacity int) {
+func (s *shard) growIndex(capacity int) {
 	next := newIndex(capacity)
 	if len(next) <= len(s.idx) {
 		return
 	}
-	mask := uint32(len(next) - 1)
+	mask, shift := uint32(len(next)-1), indexShift(next)
 	for _, e := range s.idx {
 		if uint32(e>>32) == nilIdx {
 			continue
 		}
-		i := home(c.hash(uint32(e)), mask)
+		i := home(uint32(e), shift)
 		for uint32(next[i]>>32) != nilIdx {
 			i = (i + 1) & mask
 		}
 		next[i] = e
 	}
-	s.idx = next
-	s.idxMask = mask
+	s.idx, s.idxMask, s.idxShift = next, mask, shift
 }
 
 // ---- intrusive segmented recency list ----
+//
+// One list per shard with the segments as consecutive runs of it (see the
+// package comment), so prev/next links cross segment boundaries: the prev of
+// a segment's head is the tail of the nearest non-empty segment before it.
 
+// pushFront links slot in as the new head of segment seg.
 func (s *shard) pushFront(seg int, slot uint32) {
 	sg := &s.segs[seg]
-	m := &s.meta[slot]
-	m.segflags = m.segflags&^segMask | uint32(seg)
-	m.prev = nilIdx
-	m.next = sg.head
-	if sg.head != nilIdx {
-		s.meta[sg.head].prev = slot
-	}
-	sg.head = slot
-	if sg.tail == nilIdx {
+	prev, next := nilIdx, sg.head
+	if next != nilIdx {
+		prev = s.meta[next].prev
+	} else {
+		// Empty segment: its place in the list is between the adjacent
+		// non-empty segments.
+		for i := seg - 1; i >= 0 && prev == nilIdx; i-- {
+			prev = s.segs[i].tail
+		}
+		for i := seg + 1; i < len(s.segs) && next == nilIdx; i++ {
+			next = s.segs[i].head
+		}
 		sg.tail = slot
 	}
+	m := &s.meta[slot]
+	m.segflags = m.segflags&^segMask | uint32(seg)
+	m.prev, m.next = prev, next
+	if prev != nilIdx {
+		s.meta[prev].next = slot
+	}
+	if next != nilIdx {
+		s.meta[next].prev = slot
+	}
+	sg.head = slot
 	sg.size++
 }
 
+// listRemove unlinks slot and fixes its segment's cursors.
 func (s *shard) listRemove(slot uint32) {
 	m := &s.meta[slot]
 	sg := &s.segs[m.segflags&segMask]
+	sg.size--
+	if sg.size == 0 {
+		sg.head, sg.tail = nilIdx, nilIdx
+	} else if sg.head == slot {
+		sg.head = m.next
+	} else if sg.tail == slot {
+		sg.tail = m.prev
+	}
 	if m.prev != nilIdx {
 		s.meta[m.prev].next = m.next
-	} else {
-		sg.head = m.next
 	}
 	if m.next != nilIdx {
 		s.meta[m.next].prev = m.prev
-	} else {
-		sg.tail = m.prev
 	}
 	m.prev, m.next = nilIdx, nilIdx
-	sg.size--
 }
 
 // rebalance cascades overflow from earlier segments into later ones so each
 // segment holds at most ceil(capacity/segments) entries — the positional
-// interpretation of segments stays stable. Mirrors lru.Cache.rebalance.
+// interpretation of segments stays stable. The tail of segment i already
+// sits directly in front of segment i+1's run (or where that run would be),
+// so moving it there changes the two segment records and the entry's
+// segment tag, and no link.
 func (s *shard) rebalance() {
 	target := (s.capacity + len(s.segs) - 1) / len(s.segs)
 	for i := 0; i < len(s.segs)-1; i++ {
-		sg := &s.segs[i]
+		sg, nx := &s.segs[i], &s.segs[i+1]
+		// size > target >= 1, so the victim's prev is in segment i too.
 		for sg.size > target {
 			victim := sg.tail
-			s.listRemove(victim)
-			s.pushFront(i+1, victim)
+			m := &s.meta[victim]
+			sg.tail = m.prev
+			sg.size--
+			m.segflags = m.segflags&^segMask | uint32(i+1)
+			nx.head = victim
+			if nx.tail == nilIdx {
+				nx.tail = victim
+			}
+			nx.size++
 		}
 	}
 }
@@ -497,10 +562,6 @@ func (s *shard) alloc(c *Cache) uint32 {
 		}
 		if e >= ls.epoch+2 {
 			s.limboHead++
-			if s.limboHead == len(s.limbo) {
-				s.limbo = s.limbo[:0]
-				s.limboHead = 0
-			}
 			return ls.slot
 		}
 	}
@@ -525,6 +586,16 @@ func (s *shard) park(c *Cache, slot uint32) {
 		s.free = append(s.free, slot)
 		return
 	}
+	// alloc consumes limbo from limboHead and a steady flow of evictions never
+	// lets it drain, so drop the consumed prefix once it is at least as long
+	// as the live part: amortized one element copied per park, and the
+	// backing array stays within a small multiple of the most slots ever
+	// waiting at once.
+	if dead := s.limboHead; dead > 0 && dead >= len(s.limbo)-dead {
+		n := copy(s.limbo, s.limbo[dead:])
+		s.limbo = s.limbo[:n]
+		s.limboHead = 0
+	}
 	s.limbo = append(s.limbo, limboSlot{slot: slot, epoch: c.epoch.Load()})
 	c.tryAdvance()
 }
@@ -540,7 +611,7 @@ func (s *shard) evictOne(c *Cache) (uint32, bool) {
 		victim := sg.tail
 		id := s.meta[victim].id
 		s.listRemove(victim)
-		s.idxDelete(c, id, c.hash(id))
+		s.idxDelete(id)
 		s.park(c, victim)
 		s.used--
 		return id, true
@@ -577,11 +648,10 @@ func (c *Cache) Add(id uint32, payload []byte, prefetched bool) (uint32, bool) {
 // intact) and it moves to the requested position. Returns the evicted id
 // and true if the insertion evicted an entry.
 func (c *Cache) AddAt(id uint32, payload []byte, pos float64, prefetched bool) (uint32, bool) {
-	h := c.hash(id)
-	s := c.shardOf(h)
+	s := c.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.addAt(c, id, payload, pos, prefetched, h)
+	return s.addAt(c, id, payload, pos, prefetched)
 }
 
 // AddAtGuard is AddAt fused with the serving path's insert guards, all under
@@ -590,27 +660,26 @@ func (c *Cache) AddAt(id uint32, payload []byte, pos float64, prefetched bool) (
 // prefetched is set and id is already cached (a concurrent lookup cached it
 // as a requested entry; do not demote it).
 func (c *Cache) AddAtGuard(id uint32, payload []byte, pos float64, prefetched bool, guard *atomic.Uint64, want uint64) bool {
-	h := c.hash(id)
-	s := c.shardOf(h)
+	s := c.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if guard != nil && guard.Load() != want {
 		return false
 	}
-	if prefetched && s.idxFind(id, h) != nilIdx {
+	if prefetched && s.idxFind(id) != nilIdx {
 		return false
 	}
-	s.addAt(c, id, payload, pos, prefetched, h)
+	s.addAt(c, id, payload, pos, prefetched)
 	return true
 }
 
-func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetched bool, h uint64) (uint32, bool) {
+func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetched bool) (uint32, bool) {
 	if len(payload) != c.slotBytes {
 		panic(fmt.Sprintf("vcache: payload is %d bytes, slot size is %d", len(payload), c.slotBytes))
 	}
 	seg := segOf(pos, len(s.segs))
 
-	if slot := s.idxFind(id, h); slot != nilIdx {
+	if slot := s.idxFind(id); slot != nilIdx {
 		cur := s.payload(c, slot)
 		if !bytesEqual(cur, payload) {
 			// Never overwrite a slot a lease may be reading: relocate.
@@ -621,7 +690,7 @@ func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetch
 			m.segflags = s.meta[slot].segflags // seg rewritten by pushFront below
 			s.listRemove(slot)
 			s.park(c, slot)
-			s.idxUpdate(id, next, h)
+			s.idxUpdate(id, next)
 			slot = next
 		} else {
 			s.listRemove(slot)
@@ -645,7 +714,7 @@ func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetch
 	if prefetched {
 		m.segflags = prefetchedBit
 	}
-	s.idxInsert(id, slot, h)
+	s.idxInsert(id, slot)
 	s.pushFront(seg, slot)
 	s.used++
 
@@ -675,10 +744,9 @@ func bytesEqual(a, b []byte) bool {
 // the flag was set. The caller must hold a lease (see Lease) for as long as
 // it reads the view. Allocation-free.
 func (c *Cache) Get(id uint32) (payload []byte, wasPrefetched, ok bool) {
-	h := c.hash(id)
-	s := c.shardOf(h)
+	s := c.shardOf(id)
 	s.mu.Lock()
-	slot := s.idxFind(id, h)
+	slot := s.idxFind(id)
 	if slot == nilIdx {
 		s.mu.Unlock()
 		return nil, false, false
@@ -699,10 +767,9 @@ func (c *Cache) Get(id uint32) (payload []byte, wasPrefetched, ok bool) {
 // The result needs no lease. Promotes and clears the prefetched flag exactly
 // like Get.
 func (c *Cache) GetFunc(id uint32, fn func(payload []byte, wasPrefetched bool)) bool {
-	h := c.hash(id)
-	s := c.shardOf(h)
+	s := c.shardOf(id)
 	s.mu.Lock()
-	slot := s.idxFind(id, h)
+	slot := s.idxFind(id)
 	if slot == nilIdx {
 		s.mu.Unlock()
 		return false
@@ -723,10 +790,9 @@ func (c *Cache) GetFunc(id uint32, fn func(payload []byte, wasPrefetched bool)) 
 // flag — the coalesced-miss reuse probe of the serving path. Reports whether
 // fn ran.
 func (c *Cache) GetRequestedFunc(id uint32, fn func(payload []byte)) bool {
-	h := c.hash(id)
-	s := c.shardOf(h)
+	s := c.shardOf(id)
 	s.mu.Lock()
-	slot := s.idxFind(id, h)
+	slot := s.idxFind(id)
 	if slot == nilIdx {
 		s.mu.Unlock()
 		return false
@@ -743,28 +809,17 @@ func (c *Cache) GetRequestedFunc(id uint32, fn func(payload []byte)) bool {
 	return served
 }
 
-// Contains reports whether id is cached, without affecting recency.
-func (c *Cache) Contains(id uint32) bool {
-	h := c.hash(id)
-	s := c.shardOf(h)
-	s.mu.Lock()
-	ok := s.idxFind(id, h) != nilIdx
-	s.mu.Unlock()
-	return ok
-}
-
 // Remove deletes id and reports whether it was present.
 func (c *Cache) Remove(id uint32) bool {
-	h := c.hash(id)
-	s := c.shardOf(h)
+	s := c.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	slot := s.idxFind(id, h)
+	slot := s.idxFind(id)
 	if slot == nilIdx {
 		return false
 	}
 	s.listRemove(slot)
-	s.idxDelete(c, id, h)
+	s.idxDelete(id)
 	s.park(c, slot)
 	s.used--
 	return true
@@ -788,7 +843,7 @@ func (c *Cache) Resize(capacity int) int {
 		}
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.growIndex(c, sc)
+		s.growIndex(sc)
 		s.capacity = sc
 		for s.used > s.capacity {
 			s.evictOne(c)
@@ -858,12 +913,21 @@ func (c *Cache) ShardKeys(i int) []uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	keys := make([]uint32, 0, s.used)
-	for seg := range s.segs {
-		for slot := s.segs[seg].head; slot != nilIdx; slot = s.meta[slot].next {
-			keys = append(keys, s.meta[slot].id)
-		}
+	for slot := s.listHead(); slot != nilIdx; slot = s.meta[slot].next {
+		keys = append(keys, s.meta[slot].id)
 	}
 	return keys
+}
+
+// listHead returns the shard's MRU slot: the head of the first non-empty
+// segment.
+func (s *shard) listHead() uint32 {
+	for i := range s.segs {
+		if h := s.segs[i].head; h != nilIdx {
+			return h
+		}
+	}
+	return nilIdx
 }
 
 // checkInvariants validates internal consistency; exposed to tests via
@@ -872,7 +936,7 @@ func (c *Cache) checkInvariants() error {
 	for si := range c.shards {
 		s := &c.shards[si]
 		s.mu.Lock()
-		err := s.checkInvariants(c, si)
+		err := s.checkInvariants(si)
 		s.mu.Unlock()
 		if err != nil {
 			return err
@@ -881,41 +945,50 @@ func (c *Cache) checkInvariants() error {
 	return nil
 }
 
-func (s *shard) checkInvariants(c *Cache, si int) error {
+func (s *shard) checkInvariants(si int) error {
 	total := 0
 	seen := make(map[uint32]bool)
+	// Walk the one list segment by segment: each segment's run starts where
+	// the previous non-empty segment's run ended.
+	prev, slot := nilIdx, s.listHead()
 	for i := range s.segs {
 		sg := &s.segs[i]
-		n := 0
-		prev := nilIdx
-		for slot := sg.head; slot != nilIdx; slot = s.meta[slot].next {
+		if sg.size == 0 {
+			if sg.head != nilIdx || sg.tail != nilIdx {
+				return fmt.Errorf("shard %d: empty segment %d has cursors (%d, %d)", si, i, sg.head, sg.tail)
+			}
+			continue
+		}
+		if sg.head != slot {
+			return fmt.Errorf("shard %d: segment %d head is slot %d, list continues at slot %d", si, i, sg.head, slot)
+		}
+		for n := 0; n < sg.size; n++ {
+			if slot == nilIdx {
+				return fmt.Errorf("shard %d: list ends %d entries into segment %d of size %d", si, n, i, sg.size)
+			}
 			m := &s.meta[slot]
 			if int(m.segflags&segMask) != i {
 				return fmt.Errorf("shard %d: slot %d records segment %d but lives in %d", si, slot, m.segflags&segMask, i)
 			}
 			if m.prev != prev {
-				return fmt.Errorf("shard %d: slot %d prev link broken", si, slot)
+				return fmt.Errorf("shard %d: slot %d prev link is %d, want %d", si, slot, m.prev, prev)
 			}
-			if got := s.idxFind(m.id, c.hash(m.id)); got != slot {
+			if got := s.idxFind(m.id); got != slot {
 				return fmt.Errorf("shard %d: id %d indexed to slot %d, listed in slot %d", si, m.id, got, slot)
 			}
 			if seen[m.id] {
 				return fmt.Errorf("shard %d: id %d listed twice", si, m.id)
 			}
 			seen[m.id] = true
-			prev = slot
-			n++
-			if n > s.used+1 {
-				return fmt.Errorf("shard %d: cycle in segment %d", si, i)
-			}
+			prev, slot = slot, m.next
 		}
 		if prev != sg.tail {
-			return fmt.Errorf("shard %d: segment %d tail mismatch", si, i)
+			return fmt.Errorf("shard %d: segment %d tail is slot %d, run ends at slot %d", si, i, sg.tail, prev)
 		}
-		if n != sg.size {
-			return fmt.Errorf("shard %d: segment %d size %d, counted %d", si, i, sg.size, n)
-		}
-		total += n
+		total += sg.size
+	}
+	if slot != nilIdx {
+		return fmt.Errorf("shard %d: list continues at slot %d past the last segment", si, slot)
 	}
 	if total != s.used {
 		return fmt.Errorf("shard %d: segments hold %d entries, used records %d", si, total, s.used)

@@ -3,6 +3,7 @@ package vcache_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -350,12 +351,17 @@ func TestEquivalenceRandomized(t *testing.T) {
 // compareState asserts identical per-shard exact MRU->LRU key sequences.
 func compareState(t *testing.T, step int, vc *vcache.Cache, ref *lruRef) {
 	t.Helper()
-	if vc.Len() != ref.s.Len() {
-		t.Fatalf("step %d: Len %d vs %d", step, vc.Len(), ref.s.Len())
+	compareOrder(t, step, vc, ref.s)
+}
+
+func compareOrder[V any](t *testing.T, step int, vc *vcache.Cache, ref *lru.Sharded[uint32, V]) {
+	t.Helper()
+	if vc.Len() != ref.Len() {
+		t.Fatalf("step %d: Len %d vs %d", step, vc.Len(), ref.Len())
 	}
 	// lru.Sharded has no per-shard key dump; reconstruct via ForEachShard.
 	var refKeys [][]uint32
-	ref.s.ForEachShard(func(c *lru.Cache[uint32, byte]) {
+	ref.ForEachShard(func(c *lru.Cache[uint32, V]) {
 		refKeys = append(refKeys, c.Keys())
 	})
 	for i := 0; i < vc.NumShards(); i++ {
@@ -370,6 +376,158 @@ func compareState(t *testing.T, step int, vc *vcache.Cache, ref *lruRef) {
 					step, i, j, got[j], want[j], got, want)
 			}
 		}
+	}
+}
+
+// refEntry is the reference model's value for TestOrderEquivalenceEveryOp: the
+// generation byte plus the prefetched flag vcache keeps in its slot metadata.
+type refEntry struct {
+	gen byte
+	pre bool
+}
+
+// TestOrderEquivalenceEveryOp is TestEquivalenceRandomized aimed at the
+// single-list/boundary-cursor structure: inserts land at the head of every
+// segment, promotions come from Get and GetRequestedFunc, capacities drop
+// below the segment count and grow back, and sparse phases (a handful of
+// keys in a large, mostly empty shard) leave runs of empty segments between
+// occupied ones. Exact per-shard MRU→LRU order against lru.Sharded and the
+// structural invariants are checked after every single operation.
+func TestOrderEquivalenceEveryOp(t *testing.T) {
+	for _, cfg := range []struct {
+		capacity, shards int
+	}{
+		{1, 1}, {3, 1}, {16, 1}, {40, 1}, {64, 4}, {257, 16},
+	} {
+		t.Run(fmt.Sprintf("cap%d_shards%d", cfg.capacity, cfg.shards), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(cfg.capacity)*131 + int64(cfg.shards)))
+			vc := newTestCache(cfg.capacity, cfg.shards)
+			ref := lru.NewSharded[uint32, *refEntry](cfg.capacity, cfg.shards, testHash)
+			gens := make(map[uint32]byte)
+			capacity := cfg.capacity
+
+			resize := func(step, target int) {
+				got, want := vc.Resize(target), ref.Resize(target)
+				if got != want {
+					t.Fatalf("step %d: Resize(%d) = %d vs %d", step, target, got, want)
+				}
+				capacity = got
+			}
+			denseKeys := uint32(cfg.capacity * 3)
+			keySpace := denseKeys
+			for step := 0; step < 6000; step++ {
+				if step%500 == 0 {
+					// Alternate dense phases (key space 3x capacity: every
+					// segment full, constant eviction) with sparse ones: shrink
+					// to two entries per shard at most, grow well past the
+					// original capacity and touch only a few keys, so most
+					// segments between the occupied ones stay empty.
+					if step/500%2 == 1 {
+						resize(step, 2*vc.NumShards())
+						resize(step, cfg.capacity*4)
+						keySpace = uint32(vc.NumShards()*3 + 1)
+					} else {
+						resize(step, cfg.capacity)
+						keySpace = denseKeys
+					}
+				}
+				id := rng.Uint32() % keySpace
+				switch op := rng.Intn(16); {
+				case op < 6: // AddAt at the head of a chosen segment
+					pos := (float64(rng.Intn(vcache.DefaultSegments)) + 0.5) / vcache.DefaultSegments
+					pre := rng.Intn(3) == 0
+					gens[id]++
+					vc.AddAt(id, payloadFor(id, gens[id]), pos, pre)
+					ref.AddAt(id, &refEntry{gen: gens[id], pre: pre}, pos)
+				case op < 10: // Get: promote, clear the prefetched flag
+					var vGen byte
+					var vPre bool
+					vOK := vc.GetFunc(id, func(p []byte, pre bool) { vGen, vPre = p[4], pre })
+					e, rOK := ref.Get(id)
+					if vOK != rOK {
+						t.Fatalf("step %d: Get(%d) hit mismatch: vcache %v, lru %v", step, id, vOK, rOK)
+					}
+					if rOK {
+						if vGen != e.gen || vPre != e.pre {
+							t.Fatalf("step %d: Get(%d) = (gen %d, pre %v), lru (gen %d, pre %v)", step, id, vGen, vPre, e.gen, e.pre)
+						}
+						e.pre = false
+					}
+				case op < 12: // GetRequestedFunc: promote, serve only requested entries
+					served := vc.GetRequestedFunc(id, func([]byte) {})
+					e, rOK := ref.Get(id)
+					if want := rOK && !e.pre; served != want {
+						t.Fatalf("step %d: GetRequestedFunc(%d) served %v, want %v", step, id, served, want)
+					}
+				case op < 14: // Remove
+					if got, want := vc.Remove(id), ref.Remove(id); got != want {
+						t.Fatalf("step %d: Remove(%d) = %v vs %v", step, id, got, want)
+					}
+				case op == 14 && step%7 == 0: // Resize down, often below the segment count
+					resize(step, 1+rng.Intn(capacity))
+				case op == 15 && step%7 == 0: // Resize up
+					resize(step, capacity+1+rng.Intn(cfg.capacity*2))
+				}
+				compareOrder(t, step, vc, ref)
+				if err := vc.CheckInvariants(); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			}
+		})
+	}
+}
+
+// TestLimboBounded pins the limbo's memory bound: with overlapping leases
+// always outstanding the limbo never drains, and a million evictions must
+// leave its backing array within a small multiple of the shard capacity and
+// the post-GC heap flat.
+func TestLimboBounded(t *testing.T) {
+	const capacity = 1024
+	c := newTestCache(capacity, 1)
+	payload := payloadFor(0, 0)
+	id := uint32(0)
+	for ; id < capacity; id++ {
+		c.Add(id, payload, false)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// Every iteration takes the next lease before releasing the previous
+	// one, then evicts 64 entries inside the overlap.
+	evict := func(n int) {
+		release := c.Lease()
+		for i := 0; i < n; i += 64 {
+			next := c.Lease()
+			release()
+			release = next
+			for j := 0; j < 64; j++ {
+				c.Add(id, payload, false)
+				id++
+			}
+		}
+		release()
+	}
+	evict(100_000)
+	if c.LimboLen() == 0 {
+		t.Fatal("limbo is empty: the test no longer keeps leases overlapping")
+	}
+	before := heap()
+	evict(900_000)
+	after := heap()
+	if got := c.LimboCap(); got > 4*capacity {
+		t.Fatalf("cap(limbo) = %d after 1M evictions, want <= %d", got, 4*capacity)
+	}
+	if m := c.MintedSlots(); m > 2*capacity {
+		t.Fatalf("minted %d slots for a capacity-%d cache", m, capacity)
+	}
+	if after > before+256<<10 {
+		t.Fatalf("post-GC heap grew %d bytes over 900k evictions", after-before)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -522,4 +680,64 @@ func BenchmarkHit(b *testing.B) {
 			s.Get(uint32(i) & (1<<16 - 1))
 		}
 	})
+}
+
+// benchCache returns a full 64k-entry cache of 128-byte slots (the serving
+// path's fp16 vector size at dim 64) and its resident keys in shuffled order.
+func benchCache(b *testing.B) (*vcache.Cache, []uint32) {
+	c := vcache.New(vcache.Options{Capacity: 1 << 16, SlotBytes: 128, Shards: 8, Hash: testHash})
+	p := make([]byte, 128)
+	for id := uint32(0); id < 1<<17; id++ {
+		c.Add(id, p, false)
+	}
+	var keys []uint32
+	for i := 0; i < c.NumShards(); i++ {
+		keys = append(keys, c.ShardKeys(i)...)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	return c, keys
+}
+
+// BenchmarkAddAtFull is the cost of one cache fill: insert a new id into a
+// full cache (evict, park, allocate, copy, link, rebalance), at the MRU end
+// as a requested vector and mid-queue as an admitted prefetch. Leases rotate
+// every 64 inserts with one always outstanding, as on the raw serving path,
+// so evicted slots go through the limbo.
+func BenchmarkAddAtFull(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		pos  float64
+	}{{"mru", 0}, {"mid", 0.5}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, _ := benchCache(b)
+			p := make([]byte, 128)
+			release := c.Lease()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%64 == 0 {
+					next := c.Lease()
+					release()
+					release = next
+				}
+				c.AddAt(uint32(1<<17+i), p, bc.pos, false)
+			}
+			release()
+		})
+	}
+}
+
+// BenchmarkGetPromote is a hit on an entry anywhere in a full cache's queue:
+// unlink, relink at the MRU end and cascade one boundary per segment crossed.
+func BenchmarkGetPromote(b *testing.B) {
+	c, keys := benchCache(b)
+	release := c.Lease()
+	defer release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := c.Get(keys[i%len(keys)]); !ok {
+			b.Fatal("miss on resident key")
+		}
+	}
 }
