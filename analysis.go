@@ -147,11 +147,14 @@ type SimulationResult = sim.Result
 type SimulationComparison = sim.Comparison
 
 // SimulateCache replays a trace against a layout, cache size and admission
-// policy, counting NVM block reads.
+// policy, counting NVM block reads. The replay is the store's batch
+// algorithm: one trace query is one LookupBatch (misses cost one block read
+// per distinct block), and against a store with Config.CacheShards 1 its
+// counters equal the store's Stats.
 func SimulateCache(tr *Trace, cfg SimulationConfig) SimulationResult { return sim.Replay(tr, cfg) }
 
-// CompareToBaseline runs both the configured policy and the no-prefetch
-// baseline and reports the effective bandwidth increase.
+// CompareToBaseline runs both the configured policy and the same replay with
+// prefetching off and reports the effective bandwidth increase.
 func CompareToBaseline(tr *Trace, cfg SimulationConfig) SimulationComparison {
 	return sim.Compare(tr, cfg)
 }

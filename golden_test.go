@@ -20,7 +20,13 @@ import (
 // eviction order), not policy regressions.
 //
 // Golden values (seed 1, scale 0.001): baseline 0.54/0.48, trained
-// 0.58/0.49.
+// 0.46/0.29 at 6387/14972 block reads. The trained hit ratios sit BELOW the
+// baseline's on purpose: the tuner minimises block reads, not misses, and at
+// these 600-vector caches it picks threshold 0 on both tables — more of each
+// block read is admitted, fewer requested vectors stay resident, and the
+// misses that causes land in blocks the batch already reads. What the paper
+// optimises is therefore pinned beside the hit ratios: trained block reads
+// per table.
 //
 // The matrix crosses backends with both cache engines: the engines promise
 // identical hit/miss/eviction behaviour (Config.CacheEngine is a pure
@@ -100,10 +106,16 @@ func runGoldenQuickstart(t *testing.T, backend, engine string) {
 		t.Fatal(err)
 	}
 	trained := serve()
-	checkHitRate("trained", trained, []float64{0.58, 0.49})
+	checkHitRate("trained", trained, []float64{0.46, 0.29})
 
 	// Training must actually pay off: fewer NVM block reads for the same
-	// workload on every table (the paper's effective-bandwidth win).
+	// workload on every table (the paper's effective-bandwidth win), and the
+	// count itself is a golden (same 2% slack as the hit ratios).
+	for i, want := range []int64{6387, 14972} {
+		if got := trained[i].BlockReads; math.Abs(float64(got-want)) > tol*float64(want) {
+			t.Errorf("trained %s block reads = %d, want %d±%.0f%%", trained[i].Name, got, want, 100*tol)
+		}
+	}
 	for i := range trained {
 		if trained[i].BlockReads >= baseline[i].BlockReads {
 			t.Errorf("table %s: block reads did not improve (%d -> %d)",

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"bandana/internal/alloc"
-	"bandana/internal/cache"
 	"bandana/internal/kmeans"
 	"bandana/internal/layout"
 	"bandana/internal/mrc"
@@ -467,17 +466,7 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 				errs[i] = fmt.Errorf("core: table %q: %w", st.name, err)
 				return
 			}
-			enable := choice.Threshold != sim.DisablePrefetch && choice.MiniatureGain >= opts.MinPrefetchGain
-			st.mutateState(func(ts *tableState) {
-				ts.counts = analyses[i].counts
-				ts.threshold = choice.Threshold
-				ts.prefetch = enable
-				if enable {
-					ts.policy = cache.ThresholdAdmit{Counts: analyses[i].counts, Threshold: choice.Threshold}
-				} else {
-					ts.policy = nil
-				}
-			})
+			st.installChoice(analyses[i].counts, choice, opts.MinPrefetchGain)
 			report.Tables[i].Threshold = choice.Threshold
 			report.Tables[i].MiniatureGain = choice.MiniatureGain
 		}(i, st)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -416,9 +418,10 @@ func TestFileBackendRejectsCorruptState(t *testing.T) {
 	}
 }
 
-// Version-1 state files (written before the CRC trailer existed) must still
+// Version-1 state files (written before the CRC trailer existed) and
+// version-2 files (before the tuner's prediction was persisted) must still
 // decode.
-func TestStateVersion1StillAccepted(t *testing.T) {
+func TestOlderStateVersionsStillAccepted(t *testing.T) {
 	tables, _ := buildTestTables(t, 1, 256, 5)
 	s, err := Open(Config{Tables: tables, Seed: 1})
 	if err != nil {
@@ -442,6 +445,19 @@ func TestStateVersion1StillAccepted(t *testing.T) {
 	}
 	if len(saved) != 1 || saved[0].name != tables[0].Name {
 		t.Fatalf("v1 decode wrong: %+v", saved)
+	}
+
+	// Version 2 (CRC trailer, no tuner prediction): drop the untrained
+	// table's two zero predictions (one varint byte each) and re-seal.
+	v2 := append([]byte(nil), v1[:len(v1)-2]...)
+	v2[len(stateMagic)] = 2
+	v2 = binary.LittleEndian.AppendUint32(v2, crc32.Checksum(v2, manifestCRCTable))
+	saved, err = decodeSavedStates(bytes.NewReader(v2))
+	if err != nil {
+		t.Fatalf("v2 state rejected: %v", err)
+	}
+	if len(saved) != 1 || saved[0].name != tables[0].Name || saved[0].cacheCap == 0 {
+		t.Fatalf("v2 decode wrong: %+v", saved)
 	}
 }
 

@@ -182,7 +182,9 @@ type TrainOptions struct {
 	// is derived from the vector size (nvm.BlockSize / vectorBytes).
 	BlockVectors int
 	// Thresholds are the candidate prefetch-admission thresholds evaluated
-	// by the miniature caches. Defaults to sim.DefaultThresholds.
+	// by the miniature caches. Nil derives them per table from the training
+	// trace's access counts (sim.AdaptiveThresholds: 0 and the 50th, 75th,
+	// 90th and 95th percentiles of the non-zero counts).
 	Thresholds []uint32
 	// MiniCacheSampling is the miniature-cache sampling rate. The paper
 	// uses 0.001 at production scale; the default here is 0.01 which suits

@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"bandana/internal/nvm"
+	"bandana/internal/sim"
 	"bandana/internal/table"
 	"bandana/internal/trace"
 )
@@ -283,6 +285,63 @@ func TestTrainSkipOptions(t *testing.T) {
 	st := s.Stats()[0]
 	if st.Prefetching {
 		t.Fatalf("threshold tuning skipped, prefetching should stay off")
+	}
+}
+
+// TestTrainTurnsPrefetchingOffWhenTunerSaysOff: when every candidate
+// threshold loses to no-prefetch, Train must serve prefetch-free exactly as
+// AdaptNow does — no policy installed, Prefetching false — instead of an
+// admit-nothing policy that still walks every block read's members.
+func TestTrainTurnsPrefetchingOffWhenTunerSaysOff(t *testing.T) {
+	// One hot vector per block (identity layout, partitioning skipped) plus
+	// a scan that touches every other vector once: each block read offers 31
+	// once-accessed neighbours, and admitting them (count > 0) flushes the
+	// hot set out of the small cache.
+	const vectors, hot = 2048, 64
+	tables, _ := buildTestTables(t, 1, vectors, 1)
+	tr := &trace.Trace{TableName: tables[0].Name, NumVectors: vectors}
+	rng := rand.New(rand.NewSource(1))
+	cold := uint32(0)
+	for q := 0; q < 900; q++ {
+		query := trace.Query{
+			uint32(rng.Intn(hot)) * 32, uint32(rng.Intn(hot)) * 32, uint32(rng.Intn(hot)) * 32,
+		}
+		for k := 0; k < 2; k++ {
+			cold++
+			if cold%32 == 0 {
+				cold++
+			}
+			query = append(query, cold%vectors)
+		}
+		tr.Queries = append(tr.Queries, query)
+	}
+
+	s, err := Open(testBackendConfig(t, Config{Tables: tables, DRAMBudgetVectors: 96, Seed: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rep, err := s.Train([]*trace.Trace{tr}, TrainOptions{
+		SkipPartitioning: true, MiniCacheSampling: 1, Thresholds: []uint32{0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tables[0].Threshold != sim.DisablePrefetch {
+		t.Fatalf("tuner chose threshold %d (gain %.3f); the trace was built so prefetching loses",
+			rep.Tables[0].Threshold, rep.Tables[0].MiniatureGain)
+	}
+	for _, q := range tr.Queries {
+		if _, err := s.LookupBatch(0, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()[0]
+	if st.Prefetching || st.Policy != "" || st.PrefetchAdds != 0 {
+		t.Fatalf("prefetching must be off: Prefetching=%v Policy=%q PrefetchAdds=%d", st.Prefetching, st.Policy, st.PrefetchAdds)
+	}
+	if st.PredictedHitRate <= 0 || st.PredictedLookupsPerBlockRead < 1 {
+		t.Fatalf("the no-prefetch prediction should be kept: %.3f / %.3f", st.PredictedHitRate, st.PredictedLookupsPerBlockRead)
 	}
 }
 

@@ -7,24 +7,30 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"bandana/internal/cache"
 	"bandana/internal/layout"
+	"bandana/internal/sim"
 )
 
 // Training a store (SHP partitioning + threshold tuning) is expensive and in
 // production happens offline, on a schedule decoupled from serving. SaveState
 // and LoadState persist the trained state — per-table placement order, access
-// counts, admission threshold and cache allocation — so that a freshly opened
-// store can adopt a previous training run without repeating it.
+// counts, admission threshold (with the tuner's prediction for it) and cache
+// allocation — so that a freshly opened store can adopt a previous training
+// run without repeating it.
 
 const stateMagic = "BNDSTATE"
 
 // stateVersion 2 appended a CRC-32C trailer over the whole payload so a
 // corrupted-but-decodable state file (e.g. bit rot flipping a varint into
 // another valid permutation) fails loudly at load instead of silently
-// serving wrong vectors after a reopen.
-const stateVersion = 2
+// serving wrong vectors after a reopen. stateVersion 3 appended, per table,
+// the tuner's prediction for the threshold it chose (hit ratio and lookups
+// per block read, as float64 bits), so a reopened store still reports
+// predicted next to observed.
+const stateVersion = 3
 
 // SaveState serialises the store's trained state (placements, access counts,
 // thresholds, cache allocations). Embedding values are not included: they
@@ -98,6 +104,11 @@ func (s *Store) SaveState(w io.Writer) error {
 		if err := writeUvarint(uint64(cacheCap)); err != nil {
 			return err
 		}
+		for _, f := range []float64{state.predicted.HitRate, state.predicted.LookupsPerBlockRead} {
+			if err := writeUvarint(math.Float64bits(f)); err != nil {
+				return err
+			}
+		}
 	}
 	if err := bw.Flush(); err != nil {
 		return err
@@ -139,6 +150,7 @@ type savedTable struct {
 	threshold uint32
 	prefetch  bool
 	cacheCap  int
+	predicted sim.Prediction // zero in files older than version 3
 }
 
 // decodeSavedStates parses a SaveState stream into per-table entries without
@@ -157,9 +169,9 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Version 1 files (no CRC trailer) are still accepted so state dumps
-	// written before the trailer was added keep loading.
-	if version != 1 && version != stateVersion {
+	// Older files are still accepted so state dumps written before the CRC
+	// trailer (version 1) or the predictions (version 2) keep loading.
+	if version < 1 || version > stateVersion {
 		return nil, fmt.Errorf("core: unsupported state version %d", version)
 	}
 	numTables, err := binary.ReadUvarint(br)
@@ -239,6 +251,18 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 			return nil, err
 		}
 		sv.cacheCap = int(cacheCap)
+		if version >= 3 {
+			for _, f := range []*float64{&sv.predicted.HitRate, &sv.predicted.LookupsPerBlockRead} {
+				bits, err := binary.ReadUvarint(br)
+				if err != nil {
+					return nil, err
+				}
+				*f = math.Float64frombits(bits)
+				if math.IsNaN(*f) || math.IsInf(*f, 0) || *f < 0 {
+					return nil, fmt.Errorf("core: table %q: implausible prediction %v", sv.name, *f)
+				}
+			}
+		}
 		saved = append(saved, sv)
 	}
 	// The payload hash must match the trailer (read past the hashed
@@ -264,6 +288,7 @@ func savedStateMutator(l *layout.Layout, sv savedTable) func(*tableState) {
 		ts.layout = l
 		ts.counts = sv.counts
 		ts.threshold = sv.threshold
+		ts.predicted = sv.predicted
 		// Only the threshold policy is persistable (the state format stores
 		// counts + threshold, not arbitrary policy objects). A saved state
 		// with prefetching on but no counts — e.g. a store that was running

@@ -65,6 +65,12 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 		if st1[i].CacheVectors != st2[i].CacheVectors {
 			t.Fatalf("table %d: cache %d != %d", i, st1[i].CacheVectors, st2[i].CacheVectors)
 		}
+		if st1[i].PredictedHitRate <= 0 || st1[i].PredictedHitRate != st2[i].PredictedHitRate ||
+			st1[i].PredictedLookupsPerBlockRead != st2[i].PredictedLookupsPerBlockRead {
+			t.Fatalf("table %d: tuner prediction %.4f/%.4f restored as %.4f/%.4f", i,
+				st1[i].PredictedHitRate, st1[i].PredictedLookupsPerBlockRead,
+				st2[i].PredictedHitRate, st2[i].PredictedLookupsPerBlockRead)
+		}
 		if st1[i].BlockReads != st2[i].BlockReads {
 			t.Fatalf("table %d: block reads %d != %d (placement not restored faithfully)",
 				i, st1[i].BlockReads, st2[i].BlockReads)

@@ -44,6 +44,15 @@ type TableStats struct {
 	CacheLimboSlots       int
 	Threshold             uint32
 	Prefetching           bool
+	// PredictedHitRate and PredictedLookupsPerBlockRead are what the
+	// miniature cache that chose Threshold/Prefetching expected (0 until a
+	// tuner has run, or after SetAdmissionPolicy). The tuner replays the
+	// store's own batch algorithm, so a gap to the observed HitRate and
+	// Lookups/BlockReads means the workload drifted from the tuning trace
+	// (or, below a few hundred cached vectors, miniature-cache noise), not
+	// that the model differs from the store.
+	PredictedHitRate             float64
+	PredictedLookupsPerBlockRead float64
 	// Policy names the admission policy currently serving prefetches
 	// (empty when prefetching is off).
 	Policy string
@@ -91,6 +100,8 @@ func (s *Store) Stats() []TableStats {
 			QueueWaitLatency: st.queueWaitLatency.Snapshot(),
 			DecodeLatency:    st.decodeLatency.Snapshot(),
 		}
+		ts.PredictedHitRate = state.predicted.HitRate
+		ts.PredictedLookupsPerBlockRead = state.predicted.LookupsPerBlockRead
 		es := state.cache.EngineStats()
 		ts.CacheEngine = es.Engine
 		ts.CacheBytesResident = es.BytesResident

@@ -11,6 +11,7 @@ import (
 	"bandana/internal/lru"
 	"bandana/internal/metrics"
 	"bandana/internal/nvm"
+	"bandana/internal/sim"
 	"bandana/internal/table"
 	"bandana/internal/trace"
 )
@@ -136,6 +137,10 @@ type tableState struct {
 	threshold uint32   // prefetch admission threshold (counts must exceed it)
 	prefetch  bool     // whether prefetching is enabled (set by Train)
 	policy    cache.AdmissionPolicy
+	// predicted is what the miniature cache that chose threshold/prefetch
+	// expects this table to serve (zero until a tuner has run); the live
+	// counterparts are hits/lookups and lookups/blockReads.
+	predicted sim.Prediction
 	cache     tableCache
 	cacheCap  int
 }
@@ -482,6 +487,7 @@ func (s *Store) SetAdmissionPolicy(tableIdx int, p cache.AdmissionPolicy) error 
 	st.mutateState(func(ts *tableState) {
 		ts.policy = p
 		ts.prefetch = p != nil
+		ts.predicted = sim.Prediction{} // no tuner vouched for p
 	})
 	return nil
 }

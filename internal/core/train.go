@@ -196,11 +196,6 @@ func (s *Store) trainTable(i int, tr *trace.Trace, opts TrainOptions, report *Tr
 	err error
 }) {
 	st := s.tables[i]
-	if tr.NumVectors != st.src.NumVectors() {
-		out.err = fmt.Errorf("core: table %q: trace covers %d vectors, table has %d",
-			st.name, tr.NumVectors, st.src.NumVectors())
-		return out
-	}
 	rep := &report.Tables[i]
 	rep.Name = st.name
 	rep.TrainingQueries = len(tr.Queries)
@@ -260,38 +255,52 @@ func (s *Store) trainTable(i int, tr *trace.Trace, opts TrainOptions, report *Tr
 }
 
 // tuneTable chooses the prefetch-admission threshold for one table with
-// miniature caches and enables prefetching.
+// miniature caches and installs the verdict.
 func (s *Store) tuneTable(i int, tr *trace.Trace, opts TrainOptions, report *TrainReport) error {
 	st := s.tables[i]
 	snap := st.loadState()
-	l := snap.layout
-	counts := snap.counts
-	cacheCap := snap.cacheCap
 
 	choice, err := sim.TuneThreshold(tr, sim.TunerConfig{
-		Layout:       l,
-		Counts:       counts,
-		CacheVectors: cacheCap,
+		Layout:       snap.layout,
+		Counts:       snap.counts,
+		CacheVectors: snap.cacheCap,
 		SamplingRate: opts.MiniCacheSampling,
 		Thresholds:   opts.Thresholds,
 	})
 	if err != nil {
 		return fmt.Errorf("core: table %q: %w", st.name, err)
 	}
-	// Install the tuned threshold as an admission policy — the same
-	// cache.ThresholdAdmit implementation the miniature-cache simulation
-	// just evaluated, so serving behaves exactly as simulated.
-	st.mutateState(func(ts *tableState) {
-		ts.threshold = choice.Threshold
-		ts.prefetch = true
-		ts.policy = cache.ThresholdAdmit{Counts: counts, Threshold: choice.Threshold}
-	})
+	st.installChoice(snap.counts, choice, 0)
 
 	rep := &report.Tables[i]
 	rep.Threshold = choice.Threshold
 	rep.MiniatureGain = choice.MiniatureGain
 	if rep.CacheVectors == 0 {
-		rep.CacheVectors = cacheCap
+		rep.CacheVectors = snap.cacheCap
 	}
 	return nil
+}
+
+// installChoice publishes a tuner verdict for one table, for Train and the
+// adaptation loop alike. Prefetching goes on when the tuner found a
+// threshold that beats no-prefetch by at least minGain: the policy installed
+// is the same cache.ThresholdAdmit the miniature caches just replayed through
+// the store's own batch algorithm (see package sim), so serving behaves
+// exactly as simulated. Otherwise it goes off — no policy at all, so a block
+// read pays neither the member walk nor the admission calls. Either way the
+// state keeps the prediction that matches what will serve.
+func (st *storeTable) installChoice(counts []uint32, choice sim.ThresholdChoice, minGain float64) {
+	enable := choice.Threshold != sim.DisablePrefetch && choice.MiniatureGain >= minGain
+	st.mutateState(func(ts *tableState) {
+		ts.counts = counts
+		ts.threshold = choice.Threshold
+		ts.prefetch = enable
+		if enable {
+			ts.policy = cache.ThresholdAdmit{Counts: counts, Threshold: choice.Threshold}
+			ts.predicted = choice.Predicted
+		} else {
+			ts.policy = nil
+			ts.predicted = choice.NoPrefetch
+		}
+	})
 }

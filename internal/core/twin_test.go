@@ -1,0 +1,110 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"bandana/internal/cache"
+	"bandana/internal/sim"
+	"bandana/internal/trace"
+)
+
+// TestReplayIsTheStore holds sim.Replay and the serving path together: one
+// trace replayed through the simulator at full size and served by a store
+// with one cache shard must produce EQUAL block reads, hits, misses, prefetch
+// admissions and prefetch hits, on both cache engines and under every kind
+// of admission policy. The miniature caches tune the threshold on this
+// replay, so any drift between the two programs is a tuning error; this test
+// is what keeps "serving behaves exactly as simulated" true.
+func TestReplayIsTheStore(t *testing.T) {
+	const vectors = 4096
+	tables, traces := buildTestTables(t, 1, vectors, 900)
+	train, eval := traces[0].Split(0.5)
+
+	// Exercise the corners of the batch algorithm: repeated ids inside a
+	// query (repeats of a hit and of a miss inherit the first probe's class)
+	// and one-id queries (served by Store.Lookup, not the batch path).
+	serve := &trace.Trace{TableName: eval.TableName, NumVectors: eval.NumVectors}
+	for i, q := range eval.Queries {
+		q = append(trace.Query(nil), q...)
+		switch {
+		case i%5 == 0:
+			q = q[:1]
+		case i%3 == 0:
+			q = append(q, q[0], q[len(q)/2], q[0])
+		}
+		serve.Queries = append(serve.Queries, q)
+	}
+
+	for _, engine := range []string{CacheEngineLRU, CacheEngineArena} {
+		t.Run(engine, func(t *testing.T) {
+			s, err := Open(testBackendConfig(t, Config{
+				Tables:            tables,
+				DRAMBudgetVectors: 300,
+				Seed:              7,
+				CacheShards:       1,
+				CacheEngine:       engine,
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			// SHP layout and access counts, no tuned policy: the policies
+			// under test are installed explicitly below.
+			if _, err := s.Train([]*trace.Trace{train}, TrainOptions{SkipThresholdTuning: true}); err != nil {
+				t.Fatal(err)
+			}
+			st := s.tables[0]
+			snap := st.loadState()
+			if got := snap.cache.NumShards(); got != 1 {
+				t.Fatalf("store has %d cache shards, want 1", got)
+			}
+
+			cands := sim.AdaptiveThresholds(snap.counts)
+			if len(cands) < 3 {
+				t.Fatalf("want at least 3 candidate thresholds, got %v", cands)
+			}
+			policies := []cache.AdmissionPolicy{
+				cache.NoPrefetch{},
+				cache.AlwaysAdmit{Position: 0.5},
+			}
+			for _, th := range cands[:3] {
+				policies = append(policies, cache.ThresholdAdmit{Counts: snap.counts, Threshold: th})
+			}
+
+			for _, p := range policies {
+				name := p.Name()
+				if ta, ok := p.(cache.ThresholdAdmit); ok {
+					name = fmt.Sprintf("%s/%d", name, ta.Threshold)
+				}
+				st.resizeCache(snap.cacheCap) // fresh, empty cache
+				if err := s.SetAdmissionPolicy(0, p); err != nil {
+					t.Fatal(err)
+				}
+				s.ResetStats()
+				for _, q := range serve.Queries {
+					if len(q) == 1 {
+						_, err = s.Lookup(0, q[0])
+					} else {
+						_, err = s.LookupBatchRaw(0, q)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				got := s.Stats()[0]
+				want := sim.Replay(serve, sim.Config{Layout: snap.layout, CacheVectors: snap.cacheCap, Policy: p})
+				if want.BlockReads == 0 || want.Hits == 0 || (name != "no-prefetch" && want.PrefetchHits == 0) {
+					t.Fatalf("%s: degenerate replay %+v", name, want)
+				}
+				if got.Lookups != want.Lookups || got.Hits != want.Hits || got.Misses != want.Misses ||
+					got.BlockReads != want.BlockReads || got.PrefetchAdds != want.PrefetchesAdmitted ||
+					got.PrefetchHits != want.PrefetchHits {
+					t.Errorf("%s: store and replay diverge\n store:  lookups=%d hits=%d misses=%d blockReads=%d prefetchAdds=%d prefetchHits=%d\n replay: lookups=%d hits=%d misses=%d blockReads=%d prefetchAdds=%d prefetchHits=%d",
+						name, got.Lookups, got.Hits, got.Misses, got.BlockReads, got.PrefetchAdds, got.PrefetchHits,
+						want.Lookups, want.Hits, want.Misses, want.BlockReads, want.PrefetchesAdmitted, want.PrefetchHits)
+				}
+			}
+		})
+	}
+}

@@ -28,8 +28,9 @@ type endToEndConfig struct {
 
 // endToEndGains runs the full Bandana pipeline — SHP placement, DRAM
 // allocation across tables, miniature-cache threshold tuning — and returns
-// the per-table effective bandwidth increase over the baseline policy
-// (original layout, same per-table cache, no prefetching).
+// the per-table effective bandwidth increase over the paper's baseline
+// policy (original layout, same per-table cache, no prefetching, one block
+// read per missed vector — paperGain).
 func (r *Runner) endToEndGains(cfg endToEndConfig) ([]float64, []int, error) {
 	n := r.env.NumTables()
 	if cfg.numTables > 0 && cfg.numTables < n {
@@ -95,7 +96,7 @@ func (r *Runner) endToEndGains(cfg endToEndConfig) ([]float64, []int, error) {
 			Policy: cache.ThresholdAdmit{Counts: counts, Threshold: choice.Threshold},
 		})
 		baseline := sim.ReplayBaseline(eval, idL, cacheSize, nil)
-		gains[i] = sim.EffectiveBandwidthIncrease(bandanaRes, baseline)
+		gains[i] = paperGain(bandanaRes, baseline)
 	}
 	return gains, allocRes.Vectors[:n], nil
 }

@@ -15,6 +15,7 @@ import (
 	"bandana/internal/core"
 	"bandana/internal/metrics"
 	"bandana/internal/table"
+	"bandana/internal/trace"
 	"bandana/internal/wire"
 )
 
@@ -81,6 +82,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"bandana_device_blocks_read_total",
 		"bandana_table_cache_free_slots{table=\"tA\"}",
 		"bandana_table_cache_limbo_slots{table=\"tA\"}",
+		"bandana_table_prefetch_adds_total{table=\"tA\"} 0\n",
+		"bandana_table_effective_bandwidth{table=\"tA\"} ",
+		"bandana_table_predicted_hit_ratio{table=\"tA\"} 0\n",
+		"bandana_table_predicted_lookups_per_block_read{table=\"tA\"} 0\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
@@ -94,6 +99,58 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if strings.Contains(out, "bandana_stage_duration_us_count{stage=\"serialize\"} 0\n") {
 		t.Errorf("serialize stage count is zero:\n%s", grepLines(out, "serialize"))
+	}
+}
+
+// TestMetricsPredictedNextToObserved trains the store and checks that the
+// tuner's prediction and the prefetch counters it is judged by surface on
+// /metrics (strictly valid) and in /v1/stats.
+func TestMetricsPredictedNextToObserved(t *testing.T) {
+	ts, srv := newObsServer(t)
+	tr := trace.GenerateTable(trace.Profile{
+		Name: "tA", NumVectors: 2048, AvgLookups: 16, CompulsoryMissFrac: 0.05,
+		Locality: 0.9, CommunitySize: 64, ReuseSkew: 3, Seed: 3,
+	}, 400)
+	if _, err := srv.CurrentStore().Train([]*trace.Trace{tr}, core.TrainOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range tr.Queries[:100] {
+		postJSON(t, ts.URL+"/v1/batch", batchRequest{Table: "tA", IDs: q}, nil)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := metrics.ValidateExposition(io.TeeReader(resp.Body, &buf)); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, buf.String())
+	}
+	out := buf.String()
+	for _, name := range []string{
+		"bandana_table_predicted_hit_ratio",
+		"bandana_table_predicted_lookups_per_block_read",
+		"bandana_table_prefetch_adds_total",
+		"bandana_table_effective_bandwidth",
+	} {
+		series := name + "{table=\"tA\"} "
+		if !strings.Contains(out, series) || strings.Contains(out, series+"0\n") {
+			t.Errorf("%s missing or zero after Train + traffic:\n%s", name, grepLines(out, name))
+		}
+	}
+
+	var stats struct {
+		Tables []core.TableStats `json:"tables"`
+	}
+	getJSON(t, ts.URL+"/v1/stats", &stats)
+	if len(stats.Tables) != 1 {
+		t.Fatalf("stats has %d tables", len(stats.Tables))
+	}
+	got := stats.Tables[0]
+	if got.PredictedHitRate <= 0 || got.PredictedLookupsPerBlockRead < 1 || got.PrefetchAdds == 0 || got.EffectiveBandwidth <= 0 {
+		t.Errorf("/v1/stats: predicted %.3f / %.3f, prefetchAdds %d, effective bandwidth %.3f",
+			got.PredictedHitRate, got.PredictedLookupsPerBlockRead, got.PrefetchAdds, got.EffectiveBandwidth)
 	}
 }
 

@@ -1,8 +1,31 @@
 // Package sim replays embedding lookup traces against a physical layout, a
 // DRAM cache and an admission policy, and reports the metric the whole paper
 // is built around: the number of 4 KB NVM block reads needed to serve the
-// trace, expressed as an *effective bandwidth increase* over the baseline
-// policy (one block read per missed vector, no prefetching).
+// trace, expressed as an *effective bandwidth increase* over the same replay
+// with prefetching off.
+//
+// The replay is the store's batch algorithm (core's serveBatch), step for
+// step, so what it predicts is what the store serves:
+//
+//   - One trace query is one batch (Store.LookupBatch; a one-id query is
+//     Store.Lookup). Every id counts as a lookup and reaches the policy's
+//     OnAccess; each unique id probes the cache once and repeats inherit its
+//     hit/miss class.
+//   - The batch's misses are grouped by block and cost one block read per
+//     distinct block — same-batch co-location is free with or without
+//     prefetching. Per block, in ascending block order: the requested ids
+//     enter at the MRU position in batch order, then the block's other
+//     members, in slot order, are offered to the admission policy and the
+//     admitted non-resident ones enter at the policy's position.
+//   - Against a store with one cache shard (Config.CacheShards: 1) serving
+//     the same queries one at a time, BlockReads, Hits, Misses,
+//     PrefetchesAdmitted and PrefetchHits are equal, on either cache engine
+//     (core's TestReplayIsTheStore holds the two together). A store with more
+//     shards splits the capacity into per-shard LRU queues; that split is the
+//     only remaining difference between simulated and served counters.
+//
+// The paper's own baseline — one block read per missed vector, no
+// prefetching — is the no-prefetch replay's Misses (see ReplayBaseline).
 //
 // The same replay engine, fed with a spatially sampled subset of the
 // vectors and a proportionally scaled-down cache, implements the
@@ -11,7 +34,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"bandana/internal/cache"
@@ -28,7 +53,7 @@ type Config struct {
 	// unlimited.
 	CacheVectors int
 	// Policy decides admission of prefetched vectors. Nil means
-	// cache.NoPrefetch (the baseline policy).
+	// cache.NoPrefetch (prefetching off).
 	Policy cache.AdmissionPolicy
 	// Filter, when non-nil, restricts the simulation to the sampled subset
 	// of vectors for which it returns true (miniature caches). Lookups to
@@ -39,60 +64,102 @@ type Config struct {
 
 // Result summarises one simulation run.
 type Result struct {
-	Policy             string
-	Lookups            int64
-	Hits               int64
-	Misses             int64
+	Policy  string
+	Lookups int64
+	Hits    int64
+	// Misses counts lookups that were not served from the cache. With
+	// prefetching off it is also the paper's baseline cost: one block read
+	// per missed vector.
+	Misses int64
+	// BlockReads counts distinct blocks read per query, summed over the
+	// trace — what the store's batch path issues.
 	BlockReads         int64
 	PrefetchesAdmitted int64
 	PrefetchHits       int64
 	HitRate            float64
-	// UsefulBytesPerBlockRead is the average number of requested vector
-	// bytes served per 4 KB block read, assuming the layout's block size
-	// and 128 B vectors; it is a direct measure of effective bandwidth.
+	// VectorsPerBlockRead is the average number of lookups served per 4 KB
+	// block read; it is a direct measure of effective bandwidth.
 	VectorsPerBlockRead float64
 }
 
-// Replay runs the simulation over the trace and returns its result.
+// missRef is one unique id of the current query that missed the cache.
+type missRef struct {
+	id    uint32
+	block int
+}
+
+// Replay runs the simulation over the trace and returns its result. See the
+// package comment for the algorithm and its equivalence with the store.
 func Replay(tr *trace.Trace, cfg Config) Result {
 	policy := cfg.Policy
 	if policy == nil {
 		policy = cache.NoPrefetch{}
 	}
+	l := cfg.Layout
 	c := cache.NewCache(cfg.CacheVectors)
 	res := Result{Policy: policy.Name()}
 
-	// prefetched tracks vectors currently cached that were admitted as
-	// prefetches and have not yet been requested; used to attribute hits to
-	// prefetching.
-	prefetched := make(map[uint32]struct{})
+	// Per-id state, indexed by id so a query costs no map or set allocation.
+	// seen[id] is 2*q for a hit and 2*q+1 for a miss of the unique probe in
+	// query number q (1-based), anything smaller when id has not occurred in
+	// the current query. prefetched[id] marks a resident vector that entered
+	// as a prefetch and has not been requested since; it is only read on a
+	// hit, which a stale mark of an evicted vector cannot reach before the
+	// next insert rewrites it.
+	seen := make([]uint32, l.NumVectors())
+	prefetched := make([]bool, l.NumVectors())
 
+	var missed []missRef
 	var members []uint32
-	for _, q := range tr.Queries {
+	for qi, q := range tr.Queries {
+		hitStamp := 2 * uint32(qi+1)
+		missStamp := hitStamp + 1
+
+		// Pass 1: count, probe each unique id once, collect the misses.
+		missed = missed[:0]
 		for _, id := range q {
 			if cfg.Filter != nil && !cfg.Filter(id) {
 				continue
 			}
 			res.Lookups++
 			policy.OnAccess(id)
-			if c.Touch(id) {
+			switch seen[id] {
+			case hitStamp:
 				res.Hits++
-				if _, wasPrefetch := prefetched[id]; wasPrefetch {
+				continue
+			case missStamp:
+				res.Misses++
+				continue
+			}
+			if c.Touch(id) {
+				seen[id] = hitStamp
+				res.Hits++
+				if prefetched[id] {
 					res.PrefetchHits++
-					delete(prefetched, id)
+					prefetched[id] = false
 				}
 				continue
 			}
+			seen[id] = missStamp
 			res.Misses++
-			res.BlockReads++
-			block := cfg.Layout.BlockOf(id)
-			c.Insert(id, 0)
-			delete(prefetched, id)
+			missed = append(missed, missRef{id: id, block: l.BlockOf(id)})
+		}
 
-			members = cfg.Layout.BlockMembers(block, members[:0])
+		// Pass 2: one read per distinct missed block, ascending; a block's
+		// requested ids fill in batch order (the sort is stable).
+		slices.SortStableFunc(missed, func(a, b missRef) int { return cmp.Compare(a.block, b.block) })
+		for lo := 0; lo < len(missed); {
+			block := missed[lo].block
+			res.BlockReads++
+			for ; lo < len(missed) && missed[lo].block == block; lo++ {
+				c.Insert(missed[lo].id, 0)
+				prefetched[missed[lo].id] = false
+			}
+			members = l.BlockMembers(block, members[:0])
 			for _, other := range members {
-				if other == id {
-					continue
+				admit, pos := policy.AdmitPrefetch(other)
+				if !admit || seen[other] == missStamp {
+					continue // rejected, or one of this read's requested ids
 				}
 				if cfg.Filter != nil && !cfg.Filter(other) {
 					continue
@@ -100,12 +167,8 @@ func Replay(tr *trace.Trace, cfg Config) Result {
 				if c.Contains(other) {
 					continue
 				}
-				admit, pos := policy.AdmitPrefetch(other)
-				if !admit {
-					continue
-				}
 				c.Insert(other, pos)
-				prefetched[other] = struct{}{}
+				prefetched[other] = true
 				res.PrefetchesAdmitted++
 			}
 		}
@@ -119,8 +182,10 @@ func Replay(tr *trace.Trace, cfg Config) Result {
 	return res
 }
 
-// ReplayBaseline runs the baseline policy (no prefetching) with the same
-// layout, cache size and filter.
+// ReplayBaseline replays with prefetching off — the store before
+// SetAdmissionPolicy/Train, and what a tuner verdict of DisablePrefetch must
+// be compared with — at the same layout, cache size and filter. Its Misses
+// is the paper's baseline: one block read per missed vector.
 func ReplayBaseline(tr *trace.Trace, l *layout.Layout, cacheVectors int, filter func(uint32) bool) Result {
 	return Replay(tr, Config{Layout: l, CacheVectors: cacheVectors, Policy: cache.NoPrefetch{}, Filter: filter})
 }
@@ -192,8 +257,20 @@ type TunerConfig struct {
 	// Figure 14).
 	SamplingRate float64
 	// Thresholds are the candidate admission thresholds; defaults to
-	// {0, 5, 10, 15, 20}.
+	// AdaptiveThresholds(Counts).
 	Thresholds []uint32
+}
+
+// Prediction is what a miniature cache expects the store to measure: the
+// live counterparts are hits/lookups and lookups/block reads of the table's
+// serving counters.
+type Prediction struct {
+	HitRate             float64
+	LookupsPerBlockRead float64
+}
+
+func predictionOf(r Result) Prediction {
+	return Prediction{HitRate: r.HitRate, LookupsPerBlockRead: r.VectorsPerBlockRead}
 }
 
 // ThresholdChoice is the outcome of a miniature-cache tuning run.
@@ -206,6 +283,12 @@ type ThresholdChoice struct {
 	PerThreshold map[uint32]float64
 	// SampledLookups is the number of lookups that survived sampling.
 	SampledLookups int64
+	// Predicted is the miniature simulation's outcome at the chosen
+	// threshold, NoPrefetch its outcome with prefetching off (the two are
+	// equal when Threshold is DisablePrefetch). A caller that overrules the
+	// choice and serves prefetch-free should expect NoPrefetch.
+	Predicted  Prediction
+	NoPrefetch Prediction
 }
 
 // DefaultThresholds are the candidate admission thresholds explored by the
@@ -302,7 +385,11 @@ func TuneThreshold(tr *trace.Trace, cfg TunerConfig) (ThresholdChoice, error) {
 	}
 
 	baseline := ReplayBaseline(tr, cfg.Layout, miniCache, filter)
-	choice := ThresholdChoice{PerThreshold: make(map[uint32]float64, len(thresholds)), SampledLookups: baseline.Lookups}
+	choice := ThresholdChoice{
+		PerThreshold:   make(map[uint32]float64, len(thresholds)),
+		SampledLookups: baseline.Lookups,
+		NoPrefetch:     predictionOf(baseline),
+	}
 	best := -1.0
 	first := true
 	for _, t := range thresholds {
@@ -318,12 +405,14 @@ func TuneThreshold(tr *trace.Trace, cfg TunerConfig) (ThresholdChoice, error) {
 			best = gain
 			choice.Threshold = t
 			choice.MiniatureGain = gain
+			choice.Predicted = predictionOf(res)
 			first = false
 		}
 	}
 	if best < 0 {
 		choice.Threshold = DisablePrefetch
 		choice.MiniatureGain = 0
+		choice.Predicted = choice.NoPrefetch
 	}
 	return choice, nil
 }

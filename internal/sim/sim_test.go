@@ -45,7 +45,7 @@ func shpLayout(t *testing.T, tr *trace.Trace) *layout.Layout {
 	return l
 }
 
-func TestReplayBaselineCountsBlocksPerMiss(t *testing.T) {
+func TestReplayBaselineCountsBlocksPerQuery(t *testing.T) {
 	tr := &trace.Trace{
 		TableName:  "t",
 		NumVectors: 128,
@@ -56,10 +56,11 @@ func TestReplayBaselineCountsBlocksPerMiss(t *testing.T) {
 	if res.Lookups != 8 {
 		t.Fatalf("lookups = %d", res.Lookups)
 	}
-	// Unlimited cache: misses = unique vectors = 5, block reads = 5
-	// (baseline reads one block per miss, no prefetch benefit).
-	if res.Misses != 5 || res.BlockReads != 5 {
-		t.Fatalf("misses=%d blockReads=%d, want 5/5", res.Misses, res.BlockReads)
+	// Unlimited cache: misses = unique vectors = 5 — the paper's baseline of
+	// one block read per missed vector — while the batch path reads each
+	// query's distinct blocks once: 2 block reads, prefetching or not.
+	if res.Misses != 5 || res.BlockReads != 2 {
+		t.Fatalf("misses=%d blockReads=%d, want 5/2", res.Misses, res.BlockReads)
 	}
 	if res.Hits != 3 {
 		t.Fatalf("hits = %d", res.Hits)
@@ -82,18 +83,89 @@ func TestReplayWithPrefetchUnlimitedCacheReadsFewerBlocks(t *testing.T) {
 	if with.BlockReads != 1 {
 		t.Fatalf("block reads = %d, want 1", with.BlockReads)
 	}
+	// Prefetching off: one read per query (each query stays in one block),
+	// and 7 misses — the paper's per-vector baseline.
 	base := ReplayBaseline(tr, l, 0, nil)
-	if base.BlockReads != 7 {
-		t.Fatalf("baseline block reads = %d, want 7 (unique vectors)", base.BlockReads)
+	if base.BlockReads != 3 || base.Misses != 7 {
+		t.Fatalf("baseline blockReads=%d misses=%d, want 3/7 (queries/unique vectors)", base.BlockReads, base.Misses)
 	}
-	if inc := EffectiveBandwidthIncrease(with, base); inc < 5.9 {
-		t.Fatalf("effective bandwidth increase = %.2f, want ~6", inc)
+	if inc := EffectiveBandwidthIncrease(with, base); inc != 2 {
+		t.Fatalf("effective bandwidth increase = %.2f, want 2", inc)
 	}
-	if with.PrefetchesAdmitted == 0 {
-		t.Fatalf("prefetches should have been admitted")
+	if with.PrefetchesAdmitted != 29 {
+		t.Fatalf("prefetches admitted = %d, want 29 (the block minus the 3 requested ids)", with.PrefetchesAdmitted)
 	}
-	if with.PrefetchHits == 0 {
-		t.Fatalf("later lookups should hit prefetched vectors")
+	if with.PrefetchHits != 4 {
+		t.Fatalf("prefetch hits = %d, want 4", with.PrefetchHits)
+	}
+}
+
+// TestReplayBatchSemantics pins the corners of the batch algorithm the replay
+// shares with the store's serveBatch, on an identity layout of 32-vector
+// blocks.
+func TestReplayBatchSemantics(t *testing.T) {
+	even := func(id uint32) bool { return id%2 == 0 }
+	cases := []struct {
+		name    string
+		queries []trace.Query
+		cache   int
+		policy  cache.AdmissionPolicy
+		filter  func(uint32) bool
+		want    Result
+	}{
+		{
+			// Repeats inherit the class of the unique probe: three misses of 5
+			// in the first query (no second probe finds it cached), hits in
+			// the second.
+			name:    "repeated ids in a query",
+			queries: []trace.Query{{5, 5, 7, 5}, {5, 5, 40}},
+			want:    Result{Lookups: 7, Hits: 2, Misses: 5, BlockReads: 2},
+		},
+		{
+			// The requested ids of a block read are not prefetch candidates:
+			// 30 admissions, and re-reading 0 and 1 are plain hits while 2 is
+			// a prefetch hit, once.
+			name:    "requested id is also a prefetch candidate",
+			queries: []trace.Query{{0, 1}, {0, 1, 2}, {2}},
+			policy:  cache.AlwaysAdmit{},
+			want:    Result{Lookups: 6, Hits: 4, Misses: 2, BlockReads: 1, PrefetchesAdmitted: 30, PrefetchHits: 1},
+		},
+		{
+			// A 2-vector cache: the block's prefetches evict its own requested
+			// ids, which still must not come back as prefetches of that read.
+			name:    "requested id evicted by its own block's prefetches",
+			queries: []trace.Query{{0, 1}},
+			cache:   2,
+			policy:  cache.AlwaysAdmit{},
+			want:    Result{Lookups: 2, Misses: 2, BlockReads: 1, PrefetchesAdmitted: 30},
+		},
+		{
+			// The filter drops the odd half of the block: odd lookups are
+			// skipped and odd members are never admitted.
+			name:    "filter drops part of a block",
+			queries: []trace.Query{{0, 1, 2}, {4, 3}},
+			policy:  cache.AlwaysAdmit{},
+			filter:  even,
+			want:    Result{Lookups: 3, Hits: 1, Misses: 2, BlockReads: 1, PrefetchesAdmitted: 14, PrefetchHits: 1},
+		},
+		{
+			// Two blocks missed by one query cost two reads however the ids
+			// interleave; the second query's misses share one.
+			name:    "misses grouped by block",
+			queries: []trace.Query{{33, 0, 34, 1}, {70, 71, 72}},
+			want:    Result{Lookups: 7, Misses: 7, BlockReads: 3},
+		},
+	}
+	l := layout.Identity(128, 32)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &trace.Trace{TableName: "t", NumVectors: 128, Queries: tc.queries}
+			got := Replay(tr, Config{Layout: l, CacheVectors: tc.cache, Policy: tc.policy, Filter: tc.filter})
+			got.Policy, got.HitRate, got.VectorsPerBlockRead = "", 0, 0
+			if got != tc.want {
+				t.Fatalf("got  %+v\nwant %+v", got, tc.want)
+			}
+		})
 	}
 }
 
