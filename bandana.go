@@ -38,9 +38,8 @@
 //   - Serving counters are striped across cache lines and aggregated on
 //     Stats; NVM block reads are issued outside all locks so misses overlap
 //     at the device.
-//   - Returned vectors are read-only views shared with the cache. They
-//     remain valid until the vector is overwritten by UpdateVector, but
-//     callers must copy a vector before modifying it.
+//   - Returned vectors are copies the caller owns; the cache keeps fp16
+//     payloads in pointer-free arenas and decodes on the way out.
 //   - UpdateVector is safe to call concurrently with lookups; updates to
 //     the same table serialize with each other (read-modify-write of the
 //     shared 4 KB block).
@@ -137,18 +136,6 @@ const (
 	// BackendFile stores blocks in a durable journaled file under
 	// Config.DataDir.
 	BackendFile = core.BackendFile
-)
-
-// Cache engine selection for Config.CacheEngine. Both engines implement
-// identical caching semantics (hit ratios and eviction sequences do not
-// change with this switch); they differ in memory representation.
-const (
-	// CacheEngineLRU is the classic per-entry heap representation with
-	// stable zero-alloc float views.
-	CacheEngineLRU = core.CacheEngineLRU
-	// CacheEngineArena (the default) stores fp16 payloads in pointer-free
-	// slab arenas: ~2.5x less heap per cached vector and no GC scan cost.
-	CacheEngineArena = core.CacheEngineArena
 )
 
 // SyncMode selects the file backend's durability mode (Config.Sync).

@@ -87,7 +87,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		stateOut = flag.String("save-state", "", "write the trained state to this file before serving")
 		shards   = flag.Int("shards", 0, "cache lock shards per table (0 = auto from GOMAXPROCS)")
-		cacheEng = flag.String("cache-engine", "", "DRAM cache engine: vcache (pointer-free fp16 slab arenas, the default) or lru (per-entry heap objects with stable float views)")
 		backend  = flag.String("backend", core.BackendMem, "block store backend: mem or file")
 		dataDir  = flag.String("data-dir", "", "data directory for the file backend (reused across runs)")
 		syncStr  = flag.String("sync", "periodic", "file backend durability: none, periodic or always")
@@ -166,7 +165,6 @@ func main() {
 			DataDir:      *dataDir,
 			Sync:         syncMode,
 			Direct:       *direct,
-			CacheEngine:  *cacheEng,
 			PollInterval: *replicaPoll,
 		})
 		if err != nil {
@@ -198,7 +196,6 @@ func main() {
 		DRAMBudgetVectors: *budget,
 		Seed:              *seed,
 		CacheShards:       *shards,
-		CacheEngine:       *cacheEng,
 		Backend:           *backend,
 		DataDir:           *dataDir,
 		Sync:              syncMode,

@@ -24,8 +24,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"bandana/internal/core"
 	"bandana/internal/iosched"
@@ -59,50 +57,23 @@ type jsonOutput struct {
 	// UpdateSweep is the write-path comparison of --mode update-sweep:
 	// journaled block RMW vs append-only delta-log updates/sec.
 	UpdateSweep *updateSweepResult `json:"updateSweep,omitempty"`
-	// CacheSweep is the engine comparison of --mode cache-sweep: heap
-	// bytes per cached vector, hit latency, allocs/op and GC pauses for
-	// the lru vs vcache cache engines across population sizes.
-	CacheSweep *cacheSweepResult `json:"cacheSweep,omitempty"`
 }
 
 // validateFlags rejects flag combinations before any backing store is
 // created. ioQDSet/ioCoalesceSet report explicitly passed flags.
-func validateFlags(mode string, ioQD int, ioQDSet, ioCoalesceSet, cacheEntriesSet bool) error {
+func validateFlags(mode string, ioQD int, ioQDSet, ioCoalesceSet bool) error {
 	switch mode {
-	case "qd", "load", "qd-sweep", "serve-sweep", "update-sweep", "cache-sweep":
+	case "qd", "load", "qd-sweep", "serve-sweep", "update-sweep":
 	default:
-		return fmt.Errorf("unknown mode %q (want qd, load, qd-sweep, serve-sweep, update-sweep or cache-sweep)", mode)
+		return fmt.Errorf("unknown mode %q (want qd, load, qd-sweep, serve-sweep or update-sweep)", mode)
 	}
 	if mode != "qd-sweep" && (ioQDSet || ioCoalesceSet) {
 		return fmt.Errorf("--io-qd/--io-coalesce configure the I/O scheduler and are only meaningful with --mode qd-sweep (mode %q drives the device directly)", mode)
-	}
-	if mode != "cache-sweep" && cacheEntriesSet {
-		return fmt.Errorf("--cache-entries is only meaningful with --mode cache-sweep")
 	}
 	if ioQD < 0 || ioQD > iosched.MaxTargetQueueDepth {
 		return fmt.Errorf("--io-qd %d out of range [0,%d]", ioQD, iosched.MaxTargetQueueDepth)
 	}
 	return nil
-}
-
-// parseCacheEntries parses the --cache-entries list ("1000000,4000000").
-func parseCacheEntries(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("--cache-entries: bad population %q (want positive integers, comma-separated)", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("--cache-entries: empty population list")
-	}
-	return out, nil
 }
 
 // sanitizeCurve replaces non-finite latencies (saturated points) with -1 so
@@ -143,7 +114,6 @@ func main() {
 		direct      = flag.Bool("direct", false, "open block files with O_DIRECT (file backend and update-sweep; falls back to buffered I/O where unsupported)")
 		ioQD        = flag.Int("io-qd", 0, "qd-sweep: measure this single target queue depth instead of the 1/4/8/16/32 sweep")
 		ioCoalesce  = flag.Bool("io-coalesce", true, "qd-sweep: coalesce concurrent reads of the same block")
-		cacheSizes  = flag.String("cache-entries", "1000000,4000000,16000000", "cache-sweep: comma-separated cache populations (entries)")
 		jsonOut     = flag.String("json", "", "also write machine-readable results to this file")
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
@@ -156,48 +126,9 @@ func main() {
 	// leave a file store opened (and its temp dir leaked via os.Exit).
 	flagSet := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { flagSet[f.Name] = true })
-	if err := validateFlags(*mode, *ioQD, flagSet["io-qd"], flagSet["io-coalesce"], flagSet["cache-entries"]); err != nil {
+	if err := validateFlags(*mode, *ioQD, flagSet["io-qd"], flagSet["io-coalesce"]); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-
-	// cache-sweep compares the DRAM cache engines in-process; no device or
-	// store is involved.
-	if *mode == "cache-sweep" {
-		populations, err := parseCacheEntries(*cacheSizes)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		res, err := runCacheSweep(cacheSweepOptions{Populations: populations, Seed: *seed})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("cache engine sweep, dim %d (fp16, %d B payload), %d shards, %d uniform gets per point\n\n",
-			res.Dim, res.SlotBytes, res.Shards, res.GetsPerPoint)
-		fmt.Printf("%-10s %-10s %-18s %-12s %-12s %-16s %-14s\n",
-			"engine", "entries", "heap bytes/entry", "hit ns/op", "allocs/op", "gc pause p99 (us)", "gc cycle (ms)")
-		for _, p := range res.Points {
-			for _, leg := range []cacheSweepLeg{p.LRU, p.Arena} {
-				fmt.Printf("%-10s %-10d %-18.1f %-12.1f %-12.3f %-16.1f %-14.1f\n",
-					leg.Engine, leg.Entries, leg.HeapBytesPerEntry, leg.HitNSOp,
-					leg.AllocsPerOp, leg.GCPauseP99US, leg.GCCycleMS)
-			}
-			fmt.Printf("%-10s %-10d heap reduction %.2fx, hit speed %.2fx\n", "->", p.Entries, p.HeapReduction, p.HitSpeedRatio)
-		}
-		if *jsonOut != "" {
-			out := jsonOutput{
-				Benchmark: "nvmbench", Mode: *mode, Backend: "none",
-				Seed: *seed, CacheSweep: res,
-			}
-			if err := writeJSONFile(*jsonOut, out); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("\nresults written to %s\n", *jsonOut)
-		}
-		return
 	}
 
 	// serve-sweep benchmarks a full store behind the serving transports, not

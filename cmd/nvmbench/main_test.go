@@ -12,31 +12,27 @@ import (
 // queue depths.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
-		name            string
-		mode            string
-		ioQD            int
-		ioQDSet         bool
-		ioCoalesceSet   bool
-		cacheEntriesSet bool
-		wantErr         string
+		name          string
+		mode          string
+		ioQD          int
+		ioQDSet       bool
+		ioCoalesceSet bool
+		wantErr       string
 	}{
 		{name: "qd default", mode: "qd"},
 		{name: "load", mode: "load"},
 		{name: "qd-sweep default", mode: "qd-sweep"},
 		{name: "qd-sweep with depth", mode: "qd-sweep", ioQD: 8, ioQDSet: true},
 		{name: "qd-sweep coalesce off", mode: "qd-sweep", ioCoalesceSet: true},
-		{name: "cache-sweep default", mode: "cache-sweep"},
-		{name: "cache-sweep with entries", mode: "cache-sweep", cacheEntriesSet: true},
 		{name: "unknown mode", mode: "warp", wantErr: "unknown mode"},
 		{name: "io-qd in qd mode", mode: "qd", ioQD: 8, ioQDSet: true, wantErr: "only meaningful with --mode qd-sweep"},
 		{name: "io-coalesce in load mode", mode: "load", ioCoalesceSet: true, wantErr: "only meaningful with --mode qd-sweep"},
-		{name: "cache-entries in qd mode", mode: "qd", cacheEntriesSet: true, wantErr: "only meaningful with --mode cache-sweep"},
 		{name: "negative io-qd", mode: "qd-sweep", ioQD: -2, ioQDSet: true, wantErr: "out of range"},
 		{name: "huge io-qd", mode: "qd-sweep", ioQD: iosched.MaxTargetQueueDepth + 1, ioQDSet: true, wantErr: "out of range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateFlags(tc.mode, tc.ioQD, tc.ioQDSet, tc.ioCoalesceSet, tc.cacheEntriesSet)
+			err := validateFlags(tc.mode, tc.ioQD, tc.ioQDSet, tc.ioCoalesceSet)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -50,59 +46,5 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
 			}
 		})
-	}
-}
-
-func TestParseCacheEntries(t *testing.T) {
-	got, err := parseCacheEntries(" 1000, 4000000 ,16000000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{1000, 4000000, 16000000}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	for _, bad := range []string{"", ",", "0", "-5", "1e6", "abc"} {
-		if _, err := parseCacheEntries(bad); err == nil {
-			t.Errorf("parseCacheEntries(%q): expected error", bad)
-		}
-	}
-}
-
-// TestCacheSweepSmall runs the full cache-sweep measurement at a toy
-// population so the measurement plumbing (heap accounting, GC pause
-// histogram delta, alloc counting) stays exercised by `go test`.
-func TestCacheSweepSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cache sweep runs millions of gets")
-	}
-	res, err := runCacheSweep(cacheSweepOptions{Populations: []int{20000}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 1 {
-		t.Fatalf("got %d points, want 1", len(res.Points))
-	}
-	p := res.Points[0]
-	for _, leg := range []cacheSweepLeg{p.LRU, p.Arena} {
-		if leg.HeapBytesPerEntry <= 0 {
-			t.Errorf("%s: heap bytes/entry = %v, want > 0", leg.Engine, leg.HeapBytesPerEntry)
-		}
-		if leg.HitNSOp <= 0 {
-			t.Errorf("%s: hit ns/op = %v, want > 0", leg.Engine, leg.HitNSOp)
-		}
-		// The hit path of both engines is allocation-free; the budget
-		// tolerates incidental runtime allocations during the window.
-		if leg.AllocsPerOp > 0.01 {
-			t.Errorf("%s: allocs/op = %v, want ~0", leg.Engine, leg.AllocsPerOp)
-		}
-	}
-	if p.HeapReduction < 1 {
-		t.Errorf("heap reduction = %.2fx, want vcache smaller than lru", p.HeapReduction)
 	}
 }

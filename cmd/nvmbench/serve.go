@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"sync"
 	"time"
@@ -318,4 +320,63 @@ func measureServePoint(fn func([]uint32) ([][]float32, error), batch, requests, 
 		p.P999BatchLatencyUS = latencies[(len(latencies)*999)/1000]
 	}
 	return p, nil
+}
+
+// readMallocs returns the cumulative heap allocation count.
+func readMallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+// readGCPauses snapshots the cumulative /gc/pauses:seconds histogram.
+func readGCPauses() *rtmetrics.Float64Histogram {
+	sample := []rtmetrics.Sample{{Name: "/gc/pauses:seconds"}}
+	rtmetrics.Read(sample)
+	if sample[0].Value.Kind() != rtmetrics.KindFloat64Histogram {
+		return nil
+	}
+	h := sample[0].Value.Float64Histogram()
+	// Copy: the runtime may reuse the returned buckets on the next Read.
+	return &rtmetrics.Float64Histogram{
+		Counts:  append([]uint64(nil), h.Counts...),
+		Buckets: append([]float64(nil), h.Buckets...),
+	}
+}
+
+// gcPauseP99US computes the p99 pause in microseconds from the histogram
+// delta between two cumulative snapshots. Returns 0 when no pause occurred
+// in the window (or the metric is unsupported).
+func gcPauseP99US(before, after *rtmetrics.Float64Histogram) float64 {
+	if before == nil || after == nil || len(after.Counts) != len(before.Counts) {
+		return 0
+	}
+	var total uint64
+	delta := make([]uint64, len(after.Counts))
+	for i := range delta {
+		delta[i] = after.Counts[i] - before.Counts[i]
+		total += delta[i]
+	}
+	if total == 0 {
+		return 0
+	}
+	target := uint64(float64(total)*0.99 + 0.5)
+	if target > total {
+		target = total
+	}
+	var cum uint64
+	for i, d := range delta {
+		cum += d
+		if cum >= target && d > 0 {
+			// Bucket i spans (Buckets[i], Buckets[i+1]]; report the upper
+			// bound. The first/last buckets can be infinite — fall back to
+			// the finite edge.
+			hi := after.Buckets[i+1]
+			if math.IsInf(hi, 0) || math.IsNaN(hi) {
+				hi = after.Buckets[i]
+			}
+			return hi * 1e6
+		}
+	}
+	return 0
 }

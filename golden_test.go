@@ -28,20 +28,16 @@ import (
 // optimises is therefore pinned beside the hit ratios: trained block reads
 // per table.
 //
-// The matrix crosses backends with both cache engines: the engines promise
-// identical hit/miss/eviction behaviour (Config.CacheEngine is a pure
-// representation switch), so the goldens must hold bit-for-bit on each.
+// The goldens must hold bit-for-bit on both backends.
 func TestGoldenQuickstartHitRatios(t *testing.T) {
 	for _, backend := range []string{bandana.BackendMem, bandana.BackendFile} {
-		for _, engine := range []string{bandana.CacheEngineLRU, bandana.CacheEngineArena} {
-			t.Run(backend+"/"+engine, func(t *testing.T) {
-				runGoldenQuickstart(t, backend, engine)
-			})
-		}
+		t.Run(backend, func(t *testing.T) {
+			runGoldenQuickstart(t, backend)
+		})
 	}
 }
 
-func runGoldenQuickstart(t *testing.T, backend, engine string) {
+func runGoldenQuickstart(t *testing.T, backend string) {
 	profiles := bandana.DefaultProfiles(0.001)[:2]
 	workload := bandana.GenerateWorkload(profiles, 1200)
 	tables := make([]*bandana.Table, len(profiles))
@@ -55,7 +51,7 @@ func runGoldenQuickstart(t *testing.T, backend, engine string) {
 		})
 		tables[i] = g.Table
 	}
-	cfg := bandana.Config{Tables: tables, DRAMBudgetVectors: 1200, Seed: 1, CacheEngine: engine}
+	cfg := bandana.Config{Tables: tables, DRAMBudgetVectors: 1200, Seed: 1}
 	if backend == bandana.BackendFile {
 		cfg.Backend = bandana.BackendFile
 		cfg.DataDir = filepath.Join(t.TempDir(), "store")

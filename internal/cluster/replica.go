@@ -64,9 +64,6 @@ type ReplicaOptions struct {
 	// Direct opens the imported block files with O_DIRECT where the
 	// filesystem supports it (see core.Config.Direct).
 	Direct bool
-	// CacheEngine selects the DRAM cache representation of the serving
-	// store (see core.Config.CacheEngine). Empty = the default engine.
-	CacheEngine string
 	// PollInterval is how often Run checks the primary's snapshot seq.
 	// Defaults to 2s.
 	PollInterval time.Duration
@@ -428,7 +425,6 @@ func (r *Replica) openSnapshot(dir string, seq uint64) (*core.Store, error) {
 		DataDir:            dir,
 		Sync:               r.opts.Sync,
 		Direct:             r.opts.Direct,
-		CacheEngine:        r.opts.CacheEngine,
 		ReadOnly:           true,
 		InitialSnapshotSeq: seq,
 		// The replica keeps its own update log so replicated records are

@@ -291,38 +291,57 @@ func TestAdaptationResizeKeepsWorkingSet(t *testing.T) {
 	}
 }
 
-// TestLookupHitZeroAllocWithRecorder pins the serving-path cost of
-// recording: a cache-hit Lookup must stay allocation-free while the
-// adaptation recorder is installed (Record1 keeps the one-ID buffer on the
-// stack). Pinned on the LRU engine, whose float hits return a shared slice;
-// the arena engine decodes a fresh vector per float hit by design (its
-// zero-alloc contract covers the raw path and is pinned in internal/vcache's
-// TestHitPathZeroAlloc).
-func TestLookupHitZeroAllocWithRecorder(t *testing.T) {
+// TestFloatHitAllocs pins what the float API pays over the raw path on cache
+// hits, with the adaptation recorder off and on: a Lookup allocates exactly
+// the vector it returns (the batch-of-one arrays stay on the stack and Record
+// copies the ids it samples into its own ring), and a 64-id LookupBatch a
+// handful of slices — one backing array for all its vectors, not one each.
+func TestFloatHitAllocs(t *testing.T) {
 	tables, _ := buildTestTables(t, 1, 1024, 10)
-	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 256, Seed: 1, CacheEngine: CacheEngineLRU})
+	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 1024, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// A small recorder ring so the warmup below touches every slot: each
-	// ring slot heap-allocates its reusable ID buffer on FIRST use (bounded
-	// by ring capacity, amortized to zero); steady state must be
-	// allocation-free.
+	batch := make([]uint32, 64)
+	for i := range batch {
+		batch[i] = uint32(3 * i)
+	}
+	check := func(recording string) {
+		t.Helper()
+		lookup := func() {
+			if _, err := s.Lookup(0, 7); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lookupBatch := func() {
+			if _, err := s.LookupBatch(0, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 200; i++ { // warm the cache and every recorder ring slot
+			lookup()
+			lookupBatch()
+		}
+		before := s.Stats()[0].Misses
+		one := testing.AllocsPerRun(1000, lookup)
+		many := testing.AllocsPerRun(100, lookupBatch)
+		if missed := s.Stats()[0].Misses - before; missed != 0 {
+			t.Fatalf("recording %s: %d misses on the hit path under test", recording, missed)
+		}
+		if one != 1 {
+			t.Fatalf("recording %s: cache-hit Lookup allocates %.0f times per op, want 1", recording, one)
+		}
+		if many > 8 {
+			t.Fatalf("recording %s: all-hit 64-id LookupBatch allocates %.0f times per op, want <= 8", recording, many)
+		}
+	}
+	check("off")
+	// A small recorder ring so the warmup touches every slot: each ring slot
+	// heap-allocates its reusable ID buffer on FIRST use (bounded by ring
+	// capacity, amortized to zero).
 	if err := s.StartAdaptation(AdaptOptions{MinQueries: 16, RecorderQueries: 64, RecorderStripes: 4}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ { // warm the cache and every ring slot
-		if _, err := s.Lookup(0, 7); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := s.Lookup(0, 7); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("cache-hit lookup allocates %.1f times per op with recording on, want 0", allocs)
-	}
+	check("on")
 }

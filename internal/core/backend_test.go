@@ -21,9 +21,6 @@ import (
 // BANDANA_TEST_IOSCHED=on additionally routes the suite's miss paths
 // through the async I/O scheduler (the CI matrix's scheduler-on leg), which
 // must be behaviorally invisible to every test that passes with it off.
-// BANDANA_TEST_CACHE overrides the cache engine ("lru" or "vcache") for
-// tests that do not pin one themselves — both engines must pass the whole
-// suite unchanged.
 func testBackendConfig(t *testing.T, cfg Config) Config {
 	t.Helper()
 	switch os.Getenv("BANDANA_TEST_BACKEND") {
@@ -41,9 +38,6 @@ func testBackendConfig(t *testing.T, cfg Config) Config {
 	}
 	if testIOSchedEnabled() {
 		cfg.IOSched.Enabled = true
-	}
-	if cfg.CacheEngine == "" {
-		cfg.CacheEngine = os.Getenv("BANDANA_TEST_CACHE")
 	}
 	return cfg
 }

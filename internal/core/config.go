@@ -75,13 +75,6 @@ type Config struct {
 	// less lock contention at a small cost in LRU fidelity. Defaults to
 	// DefaultCacheShards (derived from GOMAXPROCS).
 	CacheShards int
-	// CacheEngine selects the DRAM cache representation: CacheEngineArena
-	// (the default; pointer-free fp16 slab arenas, ~2.5x less heap per
-	// cached vector and no GC scan cost) or CacheEngineLRU (the classic
-	// per-entry heap representation with stable zero-alloc float views).
-	// Both engines implement identical caching semantics — hit ratios and
-	// eviction sequences do not change with this switch.
-	CacheEngine string
 	// ReadOnly opens the store in read-only mode: every mutator of the
 	// servable image (UpdateVector, Train, LoadState, Persist, the
 	// adaptation engine) fails with ErrReadOnly, while serving and cache
@@ -96,11 +89,11 @@ type Config struct {
 	InitialSnapshotSeq uint64
 	// IOSched configures the unified asynchronous block I/O scheduler
 	// (internal/iosched) on the store's read path. Disabled by default:
-	// misses then read the device inline, exactly as before.
+	// misses then read the device inline.
 	IOSched IOSchedOptions
 	// UpdateLog configures the write-optimized update path (delta overlay +
 	// append-only update log, see deltalog.go). Disabled by default: updates
-	// then read-modify-write their NVM block as before.
+	// then patch their NVM block in place.
 	UpdateLog UpdateLogOptions
 }
 

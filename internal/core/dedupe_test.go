@@ -6,9 +6,9 @@ import (
 
 // TestLookupBatchDedupesRepeatedIDs sends a power-law-style batch where hot
 // ids repeat many times and checks (a) every position gets the right
-// vector, (b) repeated positions share the deduplicated decode, and (c) the
-// counter semantics match the pre-dedupe behaviour: every instance counts
-// as a lookup and inherits its unique id's hit/miss classification.
+// vector, (b) repeated positions of one id decode to equal vectors, and (c)
+// every instance counts as a lookup and inherits its unique id's hit/miss
+// classification.
 func TestLookupBatchDedupesRepeatedIDs(t *testing.T) {
 	tables, _ := buildTestTables(t, 1, 512, 60)
 	s, err := Open(testBackendConfig(t, Config{Tables: tables, DRAMBudgetVectors: 64, Seed: 1}))
@@ -35,10 +35,11 @@ func TestLookupBatchDedupesRepeatedIDs(t *testing.T) {
 			t.Fatalf("position %d (id %d): wrong vector", i, id)
 		}
 	}
-	// Duplicates of one missed id share the same decoded slice — the fan-out
-	// is a copy of the slice header, not a second decode.
-	if &vecs[0][0] != &vecs[1][0] {
-		t.Fatal("duplicate positions of a missed id should share the decoded slice")
+	// Duplicates of one missed id are fanned out from a single block read.
+	for i, id := range ids {
+		if id == ids[0] && !vecsEqual(vecs[i], vecs[0]) {
+			t.Fatalf("position %d: duplicate of id %d decoded to a different vector", i, id)
+		}
 	}
 
 	st := s.Stats()[0]
@@ -46,8 +47,8 @@ func TestLookupBatchDedupesRepeatedIDs(t *testing.T) {
 	if st.Lookups != int64(2*len(ids)) {
 		t.Fatalf("lookups = %d, want %d", st.Lookups, 2*len(ids))
 	}
-	// All batch instances were cold: every instance counts as a miss (the
-	// pre-dedupe accounting), so the verification pass is all hits.
+	// All batch instances were cold: every instance counts as a miss, so
+	// the verification pass is all hits.
 	if st.Misses != int64(len(ids)) {
 		t.Fatalf("misses = %d, want %d (each instance inherits its id's classification)", st.Misses, len(ids))
 	}

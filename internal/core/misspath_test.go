@@ -3,8 +3,8 @@ package core
 import "testing"
 
 // newMissPathStore opens a trained single-table store over the mem backend
-// with the I/O scheduler on and the arena engine — the deployed miss path:
-// SHP layout, threshold admission, batched reads through the scheduler. The
+// with the I/O scheduler on — the deployed miss path: SHP layout, threshold
+// admission, batched reads through the scheduler. The
 // cache holds 256 of the 32,768 vectors, so a batch of ids not served
 // recently is all misses.
 func newMissPathStore(tb testing.TB) *Store {
@@ -14,7 +14,6 @@ func newMissPathStore(tb testing.TB) *Store {
 		Tables:            tables,
 		DRAMBudgetVectors: 256,
 		Seed:              1,
-		CacheEngine:       CacheEngineArena,
 		IOSched:           IOSchedOptions{Enabled: true},
 	})
 	if err != nil {
@@ -89,10 +88,60 @@ func TestMissBatchAllocBound(t *testing.T) {
 	}
 }
 
-// TestTableStatsCacheSlots checks the arena's slot accounting reaches
-// TableStats: evictions under outstanding leases park their slots in limbo,
-// evictions with no lease anywhere free them. The lru engine has no arenas
-// and reports 0 for both.
+// TestOverlayHitRawBatchAllocBound pins what a raw batch pays for ids served
+// from the delta overlay: the overlay's bytes are handed out as they are, so
+// nothing is allocated per id. A one-shard, one-vector cache evicts each
+// overlaid id as soon as the next is served, which keeps every id of every
+// batch on the overlay path.
+func TestOverlayHitRawBatchAllocBound(t *testing.T) {
+	tables, _ := buildTestTables(t, 1, 1024, 10)
+	s, err := Open(Config{
+		Tables:            tables,
+		DRAMBudgetVectors: 1,
+		Seed:              1,
+		CacheShards:       1,
+		UpdateLog:         UpdateLogOptions{Enabled: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ids := make([]uint32, dedupeScanThreshold)
+	vec := make([]float32, 64)
+	for i := range ids {
+		ids[i] = uint32(10 + 3*i)
+		vec[0] = float32(i)
+		if err := s.UpdateVector(0, ids[i], vec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func() {
+		out, release, err := s.LookupBatchRawLeased(0, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[len(ids)-1] == nil {
+			t.Fatal("short result")
+		}
+		release()
+	}
+	run()
+	before := s.Stats()[0]
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, run)
+	after := s.Stats()[0]
+	if got, want := after.DeltaHits-before.DeltaHits, int64((runs+1)*len(ids)); got != want {
+		t.Fatalf("%d of %d lookups were overlay hits: not the path under test", got, want)
+	}
+	// The result slice, plus the cache's amortized limbo growth.
+	if allocs > 2 {
+		t.Fatalf("raw batch of %d overlay-resident ids allocates %.1f times, want <= 2", len(ids), allocs)
+	}
+}
+
+// TestTableStatsCacheSlots checks the arena's accounting reaches TableStats:
+// resident bytes inside allocated slab bytes, evictions under outstanding
+// leases parked in limbo, and evictions with no lease anywhere freed at once.
 func TestTableStatsCacheSlots(t *testing.T) {
 	s := newMissPathStore(t)
 	batches := coldBatches(s)
@@ -108,29 +157,25 @@ func TestTableStatsCacheSlots(t *testing.T) {
 	if st.CacheLimboSlots == 0 {
 		t.Fatalf("no limbo slots reported with 16 leases outstanding over %d evicting misses", st.Misses)
 	}
+	if st.CacheBytesResident != int64(st.CacheUsed*s.tables[0].vecBytes) || st.CacheArenaBytes < st.CacheBytesResident || st.CacheSlabs == 0 {
+		t.Fatalf("arena byte accounting inconsistent: used %d, resident %d B, arena %d B, %d slabs",
+			st.CacheUsed, st.CacheBytesResident, st.CacheArenaBytes, st.CacheSlabs)
+	}
 	for _, release := range releases {
 		release()
 	}
-	// With no lease anywhere (the float path takes none) an evicted slot is
-	// free at once.
-	if _, err := s.LookupBatch(0, batches[16]); err != nil {
-		t.Fatal(err)
-	}
-	if after := s.Stats()[0]; after.CacheFreeSlots == 0 {
-		t.Fatal("no free slots reported after lease-free evictions")
-	}
-
-	tables, _ := buildTestTables(t, 1, 1024, 10)
-	lru, err := Open(Config{Tables: tables, DRAMBudgetVectors: 64, Seed: 1, CacheEngine: CacheEngineLRU})
+	// With no lease anywhere, a slot that leaves the cache is free at once:
+	// updating a cached vector invalidates its entry.
+	id := batches[15][63]
+	vec, err := s.Lookup(0, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lru.Close()
-	if _, err := lru.LookupBatchRaw(0, []uint32{1, 2, 3}); err != nil {
+	if err := s.UpdateVector(0, id, vec); err != nil {
 		t.Fatal(err)
 	}
-	if st := lru.Stats()[0]; st.CacheLimboSlots != 0 || st.CacheFreeSlots != 0 {
-		t.Fatalf("lru engine reports arena slots: free %d, limbo %d", st.CacheFreeSlots, st.CacheLimboSlots)
+	if after := s.Stats()[0]; after.CacheFreeSlots == 0 {
+		t.Fatal("no free slot reported after a lease-free invalidation")
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 	"bandana/internal/table"
 )
 
-// This file is the serving engine: the lock-free-read lookup paths, the
-// cache interaction helpers and the single-vector update path. Everything
+// This file is the serving path: the lookup APIs, the one read routine they
+// all run (serveBatch) and the single-vector update path. Everything
 // here operates on a tableState snapshot loaded once per operation; the
 // mutating layers (train.go, rewrite.go, adapt.go) publish new snapshots
 // through the atomic state pointer, so serving never blocks on them.
@@ -27,7 +27,7 @@ const batchBufBlocks = 8
 // by linear scan (no allocation); larger batches use a map.
 const dedupeScanThreshold = 32
 
-// batchBufPool recycles the multi-block read buffers of lookupBatch.
+// batchBufPool recycles the multi-block read buffers of serveBatch.
 var batchBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, batchBufBlocks*nvm.BlockSize)
@@ -35,9 +35,8 @@ var batchBufPool = sync.Pool{
 	},
 }
 
-// Lookup returns the embedding vector id of table tableIdx. The returned
-// slice is a read-only view shared with the cache; it stays valid until the
-// vector is updated, but must not be modified by the caller.
+// Lookup returns the embedding vector id of table tableIdx, decoded into a
+// slice the caller owns.
 func (s *Store) Lookup(tableIdx int, id uint32) ([]float32, error) {
 	st, err := s.tableAt(tableIdx)
 	if err != nil {
@@ -59,41 +58,29 @@ func (s *Store) LookupByName(name string, id uint32) ([]float32, error) {
 // Lookups that miss the cache are grouped by NVM block, so a batch that hits
 // k distinct blocks issues exactly k block reads regardless of how many of
 // its vectors live in each block — the batched analogue of the paper's
-// prefetching. Returned slices follow the same read-only contract as Lookup.
+// prefetching. The returned vectors are caller-owned and share one backing
+// array per batch.
 func (s *Store) LookupBatch(tableIdx int, ids []uint32) ([][]float32, error) {
 	st, err := s.tableAt(tableIdx)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]float32, len(ids))
-	if err := st.serveBatch(s.device, ids, out, nil, nil, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return st.lookupBatch(s.device, ids, nil)
 }
 
 // LookupBatchRaw is LookupBatch without the decode: each returned slice is
-// the vector's fp16 encoding, handed straight off the cached copy or the
-// block image — the zero-decode read path of the binary wire protocol. It
-// runs the full serving machinery (counters, admission, prefetch, cache
-// fill), so a raw lookup warms the cache for float lookups and vice versa.
-// Returned slices are owned by the caller when the store runs the arena
-// cache engine (copied out of the arenas before return) and are read-only
-// views with Lookup's lifetime contract under the LRU engine; servers on
-// the hot path use LookupBatchRawLeased to skip the copy.
-//
-// Raw bytes are a valid fp16 encoding of the served value, decode-identical
-// to the block image; under the LRU engine a hit on a float-cached entry is
-// re-encoded, which quiets NaN payloads.
+// the vector's fp16 encoding, byte-identical to the cached copy or the block
+// image — the read path of the binary wire protocol. Float and raw lookups
+// are the same serving routine (counters, admission, prefetch, cache fill),
+// so each warms the cache for the other. Returned slices are owned by the
+// caller (copied out of the cache arenas before return); servers on the hot
+// path use LookupBatchRawLeased to skip the copy.
 func (s *Store) LookupBatchRaw(tableIdx int, ids []uint32) ([][]byte, error) {
 	out, release, err := s.LookupBatchRawLeased(tableIdx, ids)
 	if err != nil {
 		return nil, err
 	}
-	st := s.tables[tableIdx]
-	if !st.loadState().cache.StableViews() {
-		copyRawViews(out)
-	}
+	copyRawViews(out)
 	release()
 	return out, nil
 }
@@ -109,11 +96,8 @@ func (s *Store) LookupBatchRawLeased(tableIdx int, ids []uint32) ([][]byte, func
 		return nil, nil, err
 	}
 	out := make([][]byte, len(ids))
-	var release func()
-	if err := st.serveBatch(s.device, ids, nil, out, nil, &release); err != nil {
-		if release != nil {
-			release()
-		}
+	release, err := st.serveBatch(s.device, ids, out, nil)
+	if err != nil {
 		return nil, nil, err
 	}
 	return out, release, nil
@@ -165,6 +149,10 @@ type Request [][]uint32
 // ServeRequest resolves every lookup of a request, returning the embeddings
 // grouped by table.
 func (s *Store) ServeRequest(req Request) ([][][]float32, error) {
+	return s.serveRequest(req, nil)
+}
+
+func (s *Store) serveRequest(req Request, tr *StageTrace) ([][][]float32, error) {
 	if len(req) > len(s.tables) {
 		return nil, fmt.Errorf("core: request has %d tables, store has %d", len(req), len(s.tables))
 	}
@@ -173,7 +161,7 @@ func (s *Store) ServeRequest(req Request) ([][][]float32, error) {
 		if len(ids) == 0 {
 			continue
 		}
-		vecs, err := s.LookupBatch(ti, ids)
+		vecs, err := s.tables[ti].lookupBatch(s.device, ids, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -229,50 +217,6 @@ func (s *Store) UpdateVectorRaw(tableIdx int, id uint32, raw []byte) error {
 	return err
 }
 
-// cacheGet serves a cache hit for id, clearing the prefetched flag and
-// updating counters. It returns the cached vector or nil on a miss. h is
-// hashID(id), shared between shard routing and counter striping.
-func (st *storeTable) cacheGet(ts *tableState, id uint32, h uint64) []float32 {
-	out, wasPrefetch, ok := ts.cache.GetFloat(id)
-	if !ok {
-		return nil
-	}
-	st.hits.Inc(h)
-	if wasPrefetch {
-		st.prefetchHits.Inc(h)
-	}
-	return out
-}
-
-// cacheGetRaw is cacheGet for the raw-fp16 read path: it returns the
-// entry's fp16 view. Under the arena engine the view points into a slab and
-// is only valid while the operation's lease is held; the LRU engine's views
-// are stable heap slices (re-encoded once, lazily, on the first raw hit of
-// a float-cached entry).
-func (st *storeTable) cacheGetRaw(ts *tableState, id uint32, h uint64) []byte {
-	out, wasPrefetch, ok := ts.cache.GetRaw(id)
-	if !ok {
-		return nil
-	}
-	st.hits.Inc(h)
-	if wasPrefetch {
-		st.prefetchHits.Inc(h)
-	}
-	return out
-}
-
-// cacheInsert caches a vector at queue position pos unless the table was
-// mutated since epoch was read from st.epoch (in which case the bytes may be
-// stale — the engine checks under the shard lock). Requested vectors pass
-// pos 0 and prefetched=false; admitted prefetches carry the policy's
-// position. raw is the vector's fp16 encoding (every call site has it at
-// hand); rawOwned reports that the bytes are immutable and heap-stable
-// rather than a view of a recycled block buffer. vec may be nil when the
-// engine does not need the decode (see tableCache.NeedsDecoded).
-func (st *storeTable) cacheInsert(ts *tableState, id uint32, vec []float32, raw []byte, rawOwned bool, pos float64, prefetched bool, epoch uint64) bool {
-	return ts.cache.Insert(id, vec, raw, rawOwned, pos, prefetched, &st.epoch, epoch)
-}
-
 // missRef is one requested vector that missed the cache: its position in the
 // operation's output, and (in serveBatch's pass 2) the block that holds it.
 type missRef struct {
@@ -282,15 +226,13 @@ type missRef struct {
 }
 
 // admitBlock offers the vectors of the freshly read block to the admission
-// policy and caches the ones it admits (decoding them only when the engine
-// stores decoded vectors). requested lists the block's vectors that were
-// explicitly asked for in this operation: they are cached separately and
-// must not be double-counted as prefetches. The policy verdict comes first —
-// for the deployed ThresholdAdmit it is one array read and it rejects most
-// candidates — and an admitted candidate costs one cache probe: the guarded
-// insert itself refuses an id that is already resident.
+// policy and caches the fp16 bytes of the ones it admits. requested lists the
+// block's vectors that were explicitly asked for in this operation: they are
+// cached separately and must not be double-counted as prefetches. The policy
+// verdict comes first — for the deployed ThresholdAdmit it is one array read
+// and it rejects most candidates — and an admitted candidate costs one cache
+// probe: the guarded insert itself refuses an id that is already resident.
 func (st *storeTable) admitBlock(ts *tableState, buf []byte, epoch uint64, members []uint32, requested []missRef) {
-	needDec := ts.cache.NeedsDecoded()
 candidates:
 	for mslot, other := range members {
 		admit, pos := ts.policy.AdmitPrefetch(other)
@@ -305,26 +247,24 @@ candidates:
 		if st.overlay != nil && st.overlay.contains(other) {
 			// The block image's copy of an overlaid vector is stale; its
 			// authoritative bytes are served from the overlay until
-			// compaction, so never cache the image's decode.
+			// compaction, so never cache the image's.
 			continue
 		}
 		raw := buf[mslot*st.vecBytes : (mslot+1)*st.vecBytes]
-		var dec []float32
-		if needDec {
-			dec = make([]float32, st.dim)
-			fp16.DecodeSlice(dec, raw)
-		}
-		if st.cacheInsert(ts, other, dec, raw, false, pos, true, epoch) {
+		if ts.cache.AddAtGuard(other, raw, pos, true, &st.epoch, epoch) {
 			st.prefetchAdds.Inc(hashID(other))
 		}
 	}
 }
 
-// readBlockMiss reads one absolute device block on the miss path: through
-// the I/O scheduler as a demand read when the store has one (coalescing
-// with concurrent misses for the same block, batching with independent
-// ones), inline otherwise. The caller must hold st.rewriteMu shared and
-// must have loaded epoch from st.epoch BEFORE calling.
+// readBlocksMiss reads a set of distinct absolute device blocks on the miss
+// path: through the I/O scheduler as demand reads when the store has one
+// (coalescing with concurrent misses for the same block, batching with
+// independent ones), inline otherwise. It returns the slowest read's latency
+// and, when the scheduler served any block from someone else's device read,
+// a per-block coalesced mask (nil otherwise). The caller must hold
+// st.rewriteMu shared and must have loaded epoch from st.epoch BEFORE
+// calling.
 //
 // Freshness: the epoch rides along as the read's tag. A read that attached
 // to an already-issued device read (Late) may receive bytes snapshotted
@@ -334,33 +274,8 @@ candidates:
 // monotonic, so leaderTag == current epoch proves no NVM write to this
 // table landed anywhere between the leader's epoch load (which precedes
 // the device read) and now, making the bytes current; any write in between
-// leaves leaderTag behind the current epoch and forces a re-read. Returns
-// the epoch the bytes are consistent with.
-func (st *storeTable) readBlockMiss(device *nvm.Device, abs int, buf []byte, epoch uint64) (lat, wait float64, coalesced bool, outEpoch uint64, err error) {
-	if st.sched == nil {
-		lat, err = device.ReadBlock(abs, buf)
-		return lat, 0, false, epoch, err
-	}
-	for {
-		res, err := st.sched.ReadBlock(abs, buf, iosched.Demand, epoch)
-		if err != nil {
-			return 0, 0, false, epoch, err
-		}
-		if res.Late && res.LeaderTag != st.epoch.Load() {
-			epoch = st.epoch.Load()
-			continue
-		}
-		return res.LatencyUS, res.WaitUS, res.Coalesced, epoch, nil
-	}
-}
-
-// readBlocksMiss is readBlockMiss for a set of distinct absolute blocks
-// (the batched miss path). It returns the slowest read's latency and, when
-// the scheduler served any block from someone else's device read, a
-// per-block coalesced mask (nil otherwise). The same leader-tag freshness
-// contract applies (see readBlockMiss): if any block was served Late by a
-// leader whose tag no longer matches the current epoch, the whole set is
-// re-submitted.
+// leaves leaderTag behind the current epoch and forces the whole set to be
+// re-submitted. Returns the epoch the bytes are consistent with.
 func (st *storeTable) readBlocksMiss(device *nvm.Device, abs []int, dst []byte, epoch uint64) (lat, wait float64, coalesced []bool, outEpoch uint64, err error) {
 	if st.sched == nil {
 		lat, err = device.ReadBlocks(abs, dst)
@@ -418,199 +333,86 @@ func (st *storeTable) observeMissIO(lat, wait float64, tr *StageTrace) {
 	}
 }
 
-// observeDecode records one requested-vector fp16 decode that started at
-// start into the table's decode-stage histogram and the optional trace.
-func (st *storeTable) observeDecode(start time.Time, tr *StageTrace) {
-	d := usSince(start)
-	st.decodeLatency.Observe(d)
-	if tr != nil {
-		tr.DecodeUS += d
+// decodeViews decodes the fp16 views of one operation into a single backing
+// array (vector i at [i*dim, (i+1)*dim)). When timed, the whole decode is one
+// sample of the decode stage. The caller still holds the lease the views
+// were served under.
+func (st *storeTable) decodeViews(views [][]byte, timed bool, tr *StageTrace) []float32 {
+	var start time.Time
+	if timed {
+		start = time.Now()
 	}
+	flat := make([]float32, len(views)*st.dim)
+	for i, v := range views {
+		fp16.DecodeSlice(flat[i*st.dim:(i+1)*st.dim], v)
+	}
+	if timed {
+		d := usSince(start)
+		st.decodeLatency.Observe(d)
+		if tr != nil {
+			tr.DecodeUS += d
+		}
+	}
+	return flat
 }
 
-// lookup serves one vector read for this table. tr, when non-nil,
-// accumulates the per-stage latency breakdown (and forces the sampled
-// probe-stage timer on).
+// lookup serves one vector read: a batch of one, decoded. The one-element
+// arrays stay on the stack, so a cache hit allocates only the vector it
+// returns. The decode stage is timed only under a trace: two clock reads and
+// a histogram update would cost half as much again as the hit itself.
 func (st *storeTable) lookup(device *nvm.Device, id uint32, tr *StageTrace) ([]float32, error) {
-	if int(id) >= st.src.NumVectors() {
-		return nil, fmt.Errorf("core: table %q: %w: %d", st.name, table.ErrBadVector, id)
-	}
-	ts := st.loadState()
-	h := hashID(id)
-	nth := st.lookups.Inc(h)
-	if tr != nil {
-		tr.Lookups++
-	}
-	if r := st.recorder.Load(); r != nil {
-		r.Record1(id)
-	}
-	if ts.policy != nil {
-		ts.policy.OnAccess(id)
-	}
-	// The probe stage is timed on a sampled subset of lookups (always under
-	// a trace): two time.Now calls would be a measurable tax on the ~120 ns
-	// all-DRAM hit path, and a sampled probe histogram answers the same
-	// operator question. The decision reuses the lookup counter's returned
-	// value (see StripedCounter.Inc), which is free.
-	probeTimed := tr != nil || nth&probeSampleMask == 1
-	var probeStart time.Time
-	if probeTimed {
-		probeStart = time.Now()
-	}
-	out := st.cacheGet(ts, id, h)
-	if probeTimed {
-		d := usSince(probeStart)
-		st.probeLatency.Observe(d)
-		if tr != nil {
-			tr.ProbeUS += d
-		}
-	}
-	if out != nil {
-		if tr != nil {
-			tr.Hits++
-		}
-		return out, nil
-	}
-	if st.overlay != nil {
-		// Probe the delta overlay before the miss path: an updated vector's
-		// authoritative bytes live here until compaction folds them into the
-		// block image (whose copy is stale). The epoch is loaded BEFORE the
-		// overlay read so a concurrent newer update — overlay put, then epoch
-		// bump, then cache invalidate — can never let this older decode be
-		// cached past its invalidation.
-		epoch := st.epoch.Load()
-		if raw := st.overlay.get(id); raw != nil {
-			st.hits.Inc(h)
-			st.deltaHits.Inc(h)
-			if tr != nil {
-				tr.Hits++
-			}
-			decStart := time.Now()
-			dec := make([]float32, st.dim)
-			fp16.DecodeSlice(dec, raw)
-			st.observeDecode(decStart, tr)
-			st.cacheInsert(ts, id, dec, raw, true, 0, false, epoch)
-			return dec, nil
-		}
-	}
-	st.misses.Inc(h)
-	if tr != nil {
-		tr.Misses++
-	}
-
-	// Hold the rewrite lock shared for the block read + decode: under it,
-	// the published layout is guaranteed to match the bytes on NVM.
-	// Independent misses still overlap at the device (shared mode), and a
-	// goroutine waiting on the I/O scheduler still holds its read lock, so
-	// in-flight reads drain before a rewrite's exclusive acquisition.
-	st.rewriteMu.RLock()
-	defer st.rewriteMu.RUnlock()
-	ts = st.loadState()
-	epoch := st.epoch.Load()
-	block := ts.layout.BlockOf(id)
-	bufp := getBlockBuf()
-	defer putBlockBuf(bufp)
-	buf := *bufp
-	lat, wait, coalesced, epoch, err := st.readBlockMiss(device, st.blockBase+block, buf, epoch)
+	ids := [1]uint32{id}
+	var view [1][]byte
+	release, err := st.serveBatch(device, ids[:], view[:], tr)
 	if err != nil {
-		return nil, fmt.Errorf("core: table %q: %w", st.name, err)
+		return nil, err
 	}
-	if coalesced {
-		// This miss shared another miss's device read. The leader has
-		// usually decoded and cached the vector already: reuse it (one
-		// device read, one decode, fan-out to all waiters). Counters are
-		// final at this point — the lookup was already classified a miss.
-		st.coalescedReads.Inc(h)
-		if got, served := ts.cache.GetRequested(id); served {
-			st.observeMissIO(lat, wait, tr)
-			return got, nil
-		}
-	} else {
-		st.blockReads.Inc(h)
-		if tr != nil {
-			tr.BlockReads++
-		}
-	}
-	st.observeMissIO(lat, wait, tr)
-
-	if st.overlay != nil {
-		// Updated between the overlay probe above and this block read: the
-		// image bytes just decoded are stale. Serve the overlay's and do not
-		// cache the image's — the epoch guard alone cannot catch this case,
-		// because a delta update moves the epoch without touching NVM, so the
-		// post-update block re-read that makes write-through safe here still
-		// returns pre-update bytes.
-		if oraw := st.overlay.get(id); oraw != nil {
-			decStart := time.Now()
-			dec := make([]float32, st.dim)
-			fp16.DecodeSlice(dec, oraw)
-			st.observeDecode(decStart, tr)
-			return dec, nil
-		}
-	}
-
-	// Decode the requested vector once; the cache and the caller share the
-	// same immutable slice.
-	decStart := time.Now()
-	slot := ts.layout.SlotOf(id)
-	rawSlot := buf[slot*st.vecBytes : (slot+1)*st.vecBytes]
-	want := make([]float32, st.dim)
-	fp16.DecodeSlice(want, rawSlot)
-	st.observeDecode(decStart, tr)
-	st.cacheInsert(ts, id, want, rawSlot, false, 0, false, epoch)
-
-	// Prefetch co-located vectors that pass the admission policy.
-	if ts.prefetch && ts.policy != nil {
-		members := ts.layout.BlockMembers(block, nil)
-		st.admitBlock(ts, buf, epoch, members, []missRef{{id: id}})
-	}
-	return want, nil
+	vec := st.decodeViews(view[:], tr != nil, tr)
+	release()
+	return vec, nil
 }
 
-// serveBatch serves a set of vector reads, grouping cache misses by NVM
-// block so that each distinct block is read only once per batch. Exactly
-// one of out (decoded float32 views) and outRaw (fp16 views, the wire
-// protocol's zero-decode read path) is non-nil; both modes share the full
-// serving machinery — counters, dedupe, admission, prefetch, cache fill —
-// and differ only in what they hand back. tr, when non-nil, accumulates the
-// per-stage latency breakdown.
+// lookupBatch serves a batch of vector reads decoded to float32: each
+// returned vector is a capacity-limited window of one backing array.
+func (st *storeTable) lookupBatch(device *nvm.Device, ids []uint32, tr *StageTrace) ([][]float32, error) {
+	views := make([][]byte, len(ids))
+	release, err := st.serveBatch(device, ids, views, tr)
+	if err != nil {
+		return nil, err
+	}
+	flat := st.decodeViews(views, true, tr)
+	release()
+	out := make([][]float32, len(ids))
+	for i := range out {
+		out[i] = flat[i*st.dim : (i+1)*st.dim : (i+1)*st.dim]
+	}
+	return out, nil
+}
+
+// serveBatch is the store's one read routine. It fills out — len(ids)
+// entries, all nil on entry — with the fp16 encoding of each id, grouping
+// cache misses by NVM block so that each distinct block is read only once
+// per batch, and runs the full serving machinery: counters, dedupe,
+// admission, prefetch, cache fill. tr, when non-nil, accumulates the
+// per-stage latency breakdown (and forces the sampled probe-stage timer on).
 //
-// Raw mode hands out cache views whose lifetime may be bounded by a lease
-// (the arena engine's slab views; see tableCache.StableViews): release must
-// be non-nil in raw mode, and serveBatch stores the operation's lease
-// release into it — even when it fails — which the caller must invoke once
-// it no longer reads the returned views. Only pass-1 cache hits hand out
-// leased views (overlay bytes are heap-stable and pass-2 block decodes are
-// fresh copies), so the single lease taken before pass 1 covers everything.
-func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float32, outRaw [][]byte, tr *StageTrace, release *func()) error {
+// Cache hits are handed out as views into the cache's arenas, valid only
+// under the lease serveBatch takes before its first probe: on success the
+// caller must invoke the returned release once it no longer reads out (it is
+// nil on error). Only pass-1 cache hits hand out leased views (overlay bytes
+// are heap-stable and pass-2 results are fresh copies), so that one lease
+// covers everything.
+func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]byte, tr *StageTrace) (release func(), err error) {
 	for _, id := range ids {
 		if int(id) >= st.src.NumVectors() {
-			return fmt.Errorf("core: table %q: %w: %d", st.name, table.ErrBadVector, id)
-		}
-	}
-	// have/copyPos abstract over the two output modes so the dedupe and
-	// backfill logic below stays single-sourced.
-	have := func(i int) bool {
-		if outRaw != nil {
-			return outRaw[i] != nil
-		}
-		return out[i] != nil
-	}
-	copyPos := func(dst, src int) {
-		if outRaw != nil {
-			outRaw[dst] = outRaw[src]
-		} else {
-			out[dst] = out[src]
+			return nil, fmt.Errorf("core: table %q: %w: %d", st.name, table.ErrBadVector, id)
 		}
 	}
 	ts := st.loadState()
-	if outRaw != nil {
-		// Lease the cache for the raw views handed out below. Pass 2 may
-		// reload the state snapshot, but a swapped-in cache never contributes
-		// views to this operation's output (pass 2 only inserts), so leasing
-		// the pass-1 cache is sufficient.
-		*release = ts.cache.Lease()
-	}
+	// Pass 2 may reload the state snapshot, but a swapped-in cache never
+	// contributes views to this operation's output (pass 2 only inserts), so
+	// leasing the pass-1 cache is sufficient.
+	release = ts.cache.Lease()
 	// One batch is one co-access set ("query" in the paper's terms): record
 	// it whole so the adaptation engine sees the hypergraph SHP needs, not
 	// just a flat ID stream.
@@ -621,15 +423,13 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 	// Pass 1: serve cache hits and collect misses. Real batches are
 	// power-law — the same hot id often appears many times in one request —
 	// so repeated ids are deduplicated here: each unique id is resolved
-	// (cache probe, block decode) exactly once and the result is fanned back
-	// out to every position. Counter semantics are unchanged: every instance
-	// still counts as a lookup and inherits its unique id's hit/miss
-	// classification, exactly as when each instance probed the cache itself.
+	// (cache probe, block read) exactly once and the result is fanned back
+	// out to every position. Every instance still counts as a lookup and
+	// inherits its unique id's hit/miss classification.
 	var missed []missRef
 	// Duplicate detection stays allocation-free for typical batch sizes (a
 	// linear scan of the ids already seen); only large batches pay for a
-	// map. This keeps the warm all-hit path — which previously allocated
-	// nothing in pass 1 — from picking up a map allocation per call.
+	// map, which keeps the warm all-hit path from allocating in pass 1.
 	var firstPos map[uint32]int
 	if len(ids) > dedupeScanThreshold {
 		firstPos = make(map[uint32]int, len(ids))
@@ -657,12 +457,12 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 			ts.policy.OnAccess(id)
 		}
 		if j, ok := firstOf(i, id); ok {
-			if have(j) {
+			if out[j] != nil {
 				st.hits.Inc(h)
 				if tr != nil {
 					tr.Hits++
 				}
-				copyPos(i, j)
+				out[i] = out[j]
 			} else {
 				st.misses.Inc(h)
 				if tr != nil {
@@ -675,23 +475,17 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 		if firstPos != nil {
 			firstPos[id] = i
 		}
-		// Per-unique-id probe timing, sampled exactly like lookup() so batch
-		// and single-lookup probes land in one comparable histogram.
+		// The probe stage is timed on a sampled subset of unique ids (always
+		// under a trace): two time.Now calls would be a measurable tax on the
+		// ~120 ns all-DRAM hit path, and a sampled probe histogram answers the
+		// same operator question. The decision reuses the lookup counter's
+		// returned value (see StripedCounter.Inc), which is free.
 		probeTimed := tr != nil || nth&probeSampleMask == 1
 		var probeStart time.Time
 		if probeTimed {
 			probeStart = time.Now()
 		}
-		var hit bool
-		if outRaw != nil {
-			if got := st.cacheGetRaw(ts, id, h); got != nil {
-				outRaw[i] = got
-				hit = true
-			}
-		} else if got := st.cacheGet(ts, id, h); got != nil {
-			out[i] = got
-			hit = true
-		}
+		view, wasPrefetch, hit := ts.cache.Get(id)
 		if probeTimed {
 			d := usSince(probeStart)
 			st.probeLatency.Observe(d)
@@ -700,14 +494,23 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 			}
 		}
 		if hit {
+			out[i] = view
+			st.hits.Inc(h)
+			if wasPrefetch {
+				st.prefetchHits.Inc(h)
+			}
 			if tr != nil {
 				tr.Hits++
 			}
 			continue
 		}
 		if st.overlay != nil {
-			// Same overlay-before-miss probe as lookup(), same epoch-first
-			// ordering (see there).
+			// Probe the delta overlay before the miss path: an updated vector's
+			// authoritative bytes live here until compaction folds them into the
+			// block image (whose copy is stale). The epoch is loaded BEFORE the
+			// overlay read so a concurrent newer update — overlay put, then epoch
+			// bump, then cache invalidate — can never let these older bytes be
+			// cached past their invalidation.
 			epoch := st.epoch.Load()
 			if raw := st.overlay.get(id); raw != nil {
 				st.hits.Inc(h)
@@ -715,16 +518,8 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 				if tr != nil {
 					tr.Hits++
 				}
-				decStart := time.Now()
-				dec := make([]float32, st.dim)
-				fp16.DecodeSlice(dec, raw)
-				st.observeDecode(decStart, tr)
-				if outRaw != nil {
-					outRaw[i] = raw
-				} else {
-					out[i] = dec
-				}
-				st.cacheInsert(ts, id, dec, raw, true, 0, false, epoch)
+				out[i] = raw
+				ts.cache.AddAtGuard(id, raw, 0, false, &st.epoch, epoch)
 				continue
 			}
 		}
@@ -738,19 +533,21 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 		missed = append(missed, missRef{pos: i, id: id})
 	}
 	if len(missed) == 0 {
-		return nil
+		return release, nil
 	}
 
-	// Pass 2: one NVM read per distinct block; decode all requested vectors
-	// from it and apply the usual prefetch admission to the rest. Blocks are
+	// Pass 2: one NVM read per distinct block; copy all requested vectors
+	// out of it and apply the usual prefetch admission to the rest. Blocks are
 	// processed in ascending order, and a block's vectors in batch order, so
 	// a batch's cache effects are deterministic: the stable sort below gives
 	// both. The whole pass holds the rewrite lock shared so the layout used
-	// for grouping and decoding matches the bytes on NVM.
+	// for grouping and slot lookup matches the bytes on NVM. Independent
+	// misses still overlap at the device (shared mode), and a goroutine
+	// waiting on the I/O scheduler still holds its read lock, so in-flight
+	// reads drain before a rewrite's exclusive acquisition.
 	st.rewriteMu.RLock()
 	defer st.rewriteMu.RUnlock()
 	ts = st.loadState()
-	needDec := ts.cache.NeedsDecoded()
 	for i := range missed {
 		missed[i].block = ts.layout.BlockOf(missed[i].id)
 	}
@@ -782,18 +579,14 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 	epoch := st.epoch.Load()
 	lat, wait, coalesced, epoch, err := st.readBlocksMiss(device, abs, batch, epoch)
 	if err != nil {
-		return fmt.Errorf("core: table %q: %w", st.name, err)
+		release()
+		return nil, fmt.Errorf("core: table %q: %w", st.name, err)
 	}
 	st.observeMissIO(lat, wait, tr)
 
-	// A raw request's misses are copied off the block images into one buffer
-	// per batch, handed out as capacity-limited sub-slices. (The lru engine
-	// keeps owned raw bytes by reference, so there the cached entries of one
-	// batch share this backing array until the last of them is evicted.)
-	var rawOut []byte
-	if outRaw != nil {
-		rawOut = make([]byte, 0, len(missed)*st.vecBytes)
-	}
+	// The misses are copied off the block images into one buffer per batch,
+	// handed out as capacity-limited sub-slices.
+	rawOut := make([]byte, 0, len(missed)*st.vecBytes)
 	var members []uint32
 	for bi, lo := 0, 0; lo < len(missed); bi++ {
 		block := missed[lo].block
@@ -816,56 +609,34 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 		for _, ref := range refs {
 			if st.overlay != nil {
 				// Updated between the pass-1 overlay probe and this block
-				// read: serve the overlay bytes and skip the cache fill (the
-				// image's decode is stale and the epoch guard cannot catch a
-				// delta update, which never touches NVM — see lookup()).
+				// read: serve the overlay bytes and skip the cache fill. The
+				// image's copy is stale and the epoch guard alone cannot
+				// catch this case, because a delta update moves the epoch
+				// without touching NVM, so the post-update block re-read that
+				// makes write-through safe here still returns pre-update
+				// bytes.
 				if oraw := st.overlay.get(ref.id); oraw != nil {
-					if outRaw != nil {
-						outRaw[ref.pos] = oraw
-					} else {
-						decStart := time.Now()
-						dec := make([]float32, st.dim)
-						fp16.DecodeSlice(dec, oraw)
-						st.observeDecode(decStart, tr)
-						out[ref.pos] = dec
-					}
+					out[ref.pos] = oraw
 					continue
 				}
 			}
 			slot := ts.layout.SlotOf(ref.id)
-			rawSlot := buf[slot*st.vecBytes : (slot+1)*st.vecBytes]
-			// A raw request copies the fp16 bytes straight off the block
-			// image — no decode-encode round trip on what it returns. The
-			// decode is skipped entirely when neither the caller (raw mode)
-			// nor the engine (fp16 arenas) needs it.
-			var dec []float32
-			if outRaw == nil || needDec {
-				decStart := time.Now()
-				dec = make([]float32, st.dim)
-				fp16.DecodeSlice(dec, rawSlot)
-				st.observeDecode(decStart, tr)
-			}
-			if outRaw != nil {
-				off := len(rawOut)
-				rawOut = append(rawOut, rawSlot...)
-				rawCopy := rawOut[off:len(rawOut):len(rawOut)]
-				outRaw[ref.pos] = rawCopy
-				st.cacheInsert(ts, ref.id, dec, rawCopy, true, 0, false, epoch)
-			} else {
-				out[ref.pos] = dec
-				st.cacheInsert(ts, ref.id, dec, rawSlot, false, 0, false, epoch)
-			}
+			off := len(rawOut)
+			rawOut = append(rawOut, buf[slot*st.vecBytes:(slot+1)*st.vecBytes]...)
+			rawCopy := rawOut[off:len(rawOut):len(rawOut)]
+			out[ref.pos] = rawCopy
+			ts.cache.AddAtGuard(ref.id, rawCopy, 0, false, &st.epoch, epoch)
 		}
 		if ts.prefetch && ts.policy != nil {
 			members = ts.layout.BlockMembers(block, members[:0])
 			st.admitBlock(ts, buf, epoch, members, refs)
 		}
 	}
-	// Fan the deduplicated miss decodes back out to the repeated positions.
+	// Fan the deduplicated miss results back out to the repeated positions.
 	for _, d := range dupMisses {
-		copyPos(d[0], d[1])
+		out[d[0]] = out[d[1]]
 	}
-	return nil
+	return release, nil
 }
 
 // updateRaw is the write-through (no update log) single-vector update: a

@@ -28,14 +28,13 @@ type TableStats struct {
 	CacheVectors   int
 	CacheUsed      int
 	CacheShards    int
-	// CacheEngine names the cache representation serving this table (see
-	// Config.CacheEngine); the fields below are its byte accounting. The
-	// arena engine reports exact resident fp16 payload bytes, allocated slab
-	// bytes and their ratio; the LRU engine reports decoded payload bytes
-	// with no arenas (ArenaBytes, Slabs, FreeSlots and LimboSlots stay 0).
-	// CacheFreeSlots are arena slots ready for reuse, CacheLimboSlots evicted
-	// slots waiting out the leases that may still read them.
-	CacheEngine           string
+	// Byte accounting of the table's arena cache (internal/vcache):
+	// CacheBytesResident is the exact fp16 payload bytes of resident
+	// entries, CacheArenaBytes the allocated slab bytes,
+	// CacheArenaUtilization their ratio. CacheFreeSlots are arena slots
+	// ready for reuse, CacheLimboSlots evicted slots waiting out the leases
+	// that may still read them; limbo that keeps growing means leases are
+	// not being released.
 	CacheBytesResident    int64
 	CacheArenaBytes       int64
 	CacheArenaUtilization float64
@@ -91,8 +90,6 @@ func (s *Store) Stats() []TableStats {
 			PrefetchAdds:     st.prefetchAdds.Value(),
 			PrefetchHits:     st.prefetchHits.Value(),
 			CacheVectors:     state.cacheCap,
-			CacheUsed:        state.cache.Len(),
-			CacheShards:      state.cache.NumShards(),
 			Threshold:        state.threshold,
 			Prefetching:      state.prefetch,
 			Latency:          st.lookupLatency.Snapshot(),
@@ -102,14 +99,15 @@ func (s *Store) Stats() []TableStats {
 		}
 		ts.PredictedHitRate = state.predicted.HitRate
 		ts.PredictedLookupsPerBlockRead = state.predicted.LookupsPerBlockRead
-		es := state.cache.EngineStats()
-		ts.CacheEngine = es.Engine
-		ts.CacheBytesResident = es.BytesResident
-		ts.CacheArenaBytes = es.ArenaBytes
-		ts.CacheArenaUtilization = es.ArenaUtilization
-		ts.CacheSlabs = es.Slabs
-		ts.CacheFreeSlots = es.FreeSlots
-		ts.CacheLimboSlots = es.LimboSlots
+		cs := state.cache.Stats()
+		ts.CacheUsed = cs.Entries
+		ts.CacheShards = cs.Shards
+		ts.CacheBytesResident = cs.BytesResident
+		ts.CacheArenaBytes = cs.ArenaBytes
+		ts.CacheArenaUtilization = cs.Utilization
+		ts.CacheSlabs = cs.Slabs
+		ts.CacheFreeSlots = cs.FreeSlots
+		ts.CacheLimboSlots = cs.LimboSlots
 		if st.overlay != nil {
 			ts.OverlayEntries = st.overlay.size()
 		}

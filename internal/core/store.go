@@ -8,12 +8,12 @@ import (
 	"bandana/internal/cache"
 	"bandana/internal/iosched"
 	"bandana/internal/layout"
-	"bandana/internal/lru"
 	"bandana/internal/metrics"
 	"bandana/internal/nvm"
 	"bandana/internal/sim"
 	"bandana/internal/table"
 	"bandana/internal/trace"
+	"bandana/internal/vcache"
 )
 
 // Store is a Bandana embedding store: NVM-resident tables with DRAM caches.
@@ -23,8 +23,7 @@ import (
 // by vector-ID hash with per-shard locks, the trained state is published
 // through an atomic pointer (reads take no lock at all), serving counters
 // are striped across cache lines, and NVM block reads happen outside any
-// lock. Returned vectors are read-only views shared with the cache; callers
-// that need to modify one must copy it first.
+// lock. Returned vectors are copies the caller owns.
 type Store struct {
 	device     *nvm.Device
 	ownsDevice bool
@@ -81,26 +80,6 @@ func (s *Store) RecoveredMigration() bool { return s.recoveredMigration }
 func getBlockBuf() *[]byte  { return nvm.GetBlockBuf() }
 func putBlockBuf(b *[]byte) { nvm.PutBlockBuf(b) }
 
-// cachedVec is one cache entry: the decoded vector plus whether it entered
-// the cache via prefetch and has not been requested yet (used to attribute
-// hits to prefetching). The flag is mutated in place under the owning
-// shard's lock; the vector itself is immutable once cached.
-//
-// raw is the vector's fp16 encoding, served zero-decode by the binary wire
-// protocol's read path. It is filled from the block image when a raw lookup
-// misses, or built lazily (one re-encode, under the shard lock) when a raw
-// lookup hits an entry cached by the float path; entries never served raw
-// pay nothing. Once set it is immutable, like vec.
-type cachedVec struct {
-	vec        []float32
-	raw        []byte
-	prefetched bool
-}
-
-// vecCache is the per-table DRAM cache: vector ID -> decoded vector,
-// sharded for concurrent access.
-type vecCache = lru.Sharded[uint32, *cachedVec]
-
 // hashID mixes a vector ID into a well-distributed 64-bit hash
 // (splitmix-style finalizer). The same hash routes a lookup to its cache
 // shard and to its counter stripe.
@@ -113,8 +92,15 @@ func hashID(id uint32) uint64 {
 	return x ^ (x >> 31)
 }
 
-func newVecCache(capacity, shards int) *vecCache {
-	return lru.NewSharded[uint32, *cachedVec](capacity, shards, hashID)
+// newTableCache builds one table's DRAM cache: capacity fp16 vectors of
+// vecBytes each, sharded by the same hash that stripes the serving counters.
+func newTableCache(capacity, shards, vecBytes int) *vcache.Cache {
+	return vcache.New(vcache.Options{
+		Capacity:  capacity,
+		SlotBytes: vecBytes,
+		Shards:    shards,
+		Hash:      hashID,
+	})
 }
 
 // counterStripes is the stripe count for the per-table serving counters.
@@ -141,7 +127,7 @@ type tableState struct {
 	// expects this table to serve (zero until a tuner has run); the live
 	// counterparts are hits/lookups and lookups/blockReads.
 	predicted sim.Prediction
-	cache     tableCache
+	cache     *vcache.Cache
 	cacheCap  int
 }
 
@@ -157,7 +143,6 @@ type storeTable struct {
 	blockBase    int // first device block of this table
 	numBlocks    int
 	shards       int
-	engine       string // canonical cache engine name (see cacheengine.go)
 
 	// state is the published trained state; the serving path loads it once
 	// per operation. stateMu serializes mutators (Train, LoadState,
@@ -324,10 +309,6 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, spans []tableSpan) (*
 	if shards <= 0 {
 		shards = DefaultCacheShards()
 	}
-	engine, err := normalizeCacheEngine(cfg.CacheEngine)
-	if err != nil {
-		return nil, err
-	}
 
 	s := &Store{
 		device:     device,
@@ -379,7 +360,6 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, spans []tableSpan) (*
 			blockBase:        spans[i].base,
 			numBlocks:        spans[i].blocks,
 			shards:           shards,
-			engine:           engine,
 			lookups:          metrics.NewStripedCounter(counterStripes),
 			hits:             metrics.NewStripedCounter(counterStripes),
 			deltaHits:        metrics.NewStripedCounter(counterStripes),
@@ -397,7 +377,7 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, spans []tableSpan) (*
 		st.state.Store(&tableState{
 			layout:   layout.Identity(t.NumVectors(), spans[i].blockVectors),
 			cacheCap: perTable,
-			cache:    newTableCache(engine, perTable, shards, t.Dim),
+			cache:    newTableCache(perTable, shards, t.VectorBytes()),
 		})
 		if s.deltaLog != nil {
 			st.overlay = newDeltaOverlay()
@@ -507,7 +487,7 @@ func (st *storeTable) resizeCache(capacity int) {
 	}
 	st.mutateState(func(ts *tableState) {
 		ts.cacheCap = capacity
-		ts.cache = newTableCache(st.engine, capacity, st.shards, st.dim)
+		ts.cache = newTableCache(capacity, st.shards, st.vecBytes)
 	})
 }
 

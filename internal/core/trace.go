@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // StageTrace accumulates the per-stage latency decomposition of one serving
 // operation (all times in microseconds). A caller that wants a per-request
@@ -67,52 +64,11 @@ func (s *Store) LookupBatchTraced(tableIdx int, ids []uint32, tr *StageTrace) ([
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]float32, len(ids))
-	if err := st.serveBatch(s.device, ids, out, nil, tr, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// LookupBatchRawTraced is LookupBatchRaw with a per-stage latency breakdown
-// accumulated into tr (which must be non-nil). Like LookupBatchRaw, the
-// returned slices are caller-owned copies under the arena engine.
-func (s *Store) LookupBatchRawTraced(tableIdx int, ids []uint32, tr *StageTrace) ([][]byte, error) {
-	st, err := s.tableAt(tableIdx)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(ids))
-	var release func()
-	if err := st.serveBatch(s.device, ids, nil, out, tr, &release); err != nil {
-		if release != nil {
-			release()
-		}
-		return nil, err
-	}
-	if !st.loadState().cache.StableViews() {
-		copyRawViews(out)
-	}
-	release()
-	return out, nil
+	return st.lookupBatch(s.device, ids, tr)
 }
 
 // ServeRequestTraced is ServeRequest with a per-stage latency breakdown
 // accumulated into tr (which must be non-nil) across all tables.
 func (s *Store) ServeRequestTraced(req Request, tr *StageTrace) ([][][]float32, error) {
-	if len(req) > len(s.tables) {
-		return nil, fmt.Errorf("core: request has %d tables, store has %d", len(req), len(s.tables))
-	}
-	out := make([][][]float32, len(req))
-	for ti, ids := range req {
-		if len(ids) == 0 {
-			continue
-		}
-		vecs, err := s.LookupBatchTraced(ti, ids, tr)
-		if err != nil {
-			return nil, err
-		}
-		out[ti] = vecs
-	}
-	return out, nil
+	return s.serveRequest(req, tr)
 }

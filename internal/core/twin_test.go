@@ -12,7 +12,7 @@ import (
 // TestReplayIsTheStore holds sim.Replay and the serving path together: one
 // trace replayed through the simulator at full size and served by a store
 // with one cache shard must produce EQUAL block reads, hits, misses, prefetch
-// admissions and prefetch hits, on both cache engines and under every kind
+// admissions and prefetch hits, through every read API and under every kind
 // of admission policy. The miniature caches tune the threshold on this
 // replay, so any drift between the two programs is a tuning error; this test
 // is what keeps "serving behaves exactly as simulated" true.
@@ -23,7 +23,7 @@ func TestReplayIsTheStore(t *testing.T) {
 
 	// Exercise the corners of the batch algorithm: repeated ids inside a
 	// query (repeats of a hit and of a miss inherit the first probe's class)
-	// and one-id queries (served by Store.Lookup, not the batch path).
+	// and one-id queries.
 	serve := &trace.Trace{TableName: eval.TableName, NumVectors: eval.NumVectors}
 	for i, q := range eval.Queries {
 		q = append(trace.Query(nil), q...)
@@ -36,14 +36,36 @@ func TestReplayIsTheStore(t *testing.T) {
 		serve.Queries = append(serve.Queries, q)
 	}
 
-	for _, engine := range []string{CacheEngineLRU, CacheEngineArena} {
-		t.Run(engine, func(t *testing.T) {
+	// Raw, float and single lookups are one routine: each driver must land
+	// on the replay's counters exactly.
+	drivers := []struct {
+		name  string
+		serve func(s *Store, q trace.Query) error
+	}{
+		{"LookupBatchRaw", func(s *Store, q trace.Query) error {
+			_, err := s.LookupBatchRaw(0, q)
+			return err
+		}},
+		{"LookupBatch", func(s *Store, q trace.Query) error {
+			_, err := s.LookupBatch(0, q)
+			return err
+		}},
+		{"Lookup", func(s *Store, q trace.Query) error {
+			if len(q) != 1 {
+				_, err := s.LookupBatchRaw(0, q)
+				return err
+			}
+			_, err := s.Lookup(0, q[0])
+			return err
+		}},
+	}
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
 			s, err := Open(testBackendConfig(t, Config{
 				Tables:            tables,
 				DRAMBudgetVectors: 300,
 				Seed:              7,
 				CacheShards:       1,
-				CacheEngine:       engine,
 			}))
 			if err != nil {
 				t.Fatal(err)
@@ -83,12 +105,7 @@ func TestReplayIsTheStore(t *testing.T) {
 				}
 				s.ResetStats()
 				for _, q := range serve.Queries {
-					if len(q) == 1 {
-						_, err = s.Lookup(0, q[0])
-					} else {
-						_, err = s.LookupBatchRaw(0, q)
-					}
-					if err != nil {
+					if err := d.serve(s, q); err != nil {
 						t.Fatal(err)
 					}
 				}

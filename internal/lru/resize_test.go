@@ -1,9 +1,6 @@
 package lru
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestCacheResizeShrinkEvictsLRU(t *testing.T) {
 	var evicted []int
@@ -71,73 +68,5 @@ func TestCacheResizeClampsToOne(t *testing.T) {
 	}
 	if !c.Contains(2) {
 		t.Fatal("MRU key should survive a shrink to 1")
-	}
-}
-
-func TestShardedResizeRedistributes(t *testing.T) {
-	s := NewSharded[uint32, int](64, 4, nil)
-	for i := uint32(0); i < 64; i++ {
-		s.AddAt(i, int(i), 0)
-	}
-	if got := s.Resize(20); got != 20 {
-		t.Fatalf("Resize returned %d, want 20", got)
-	}
-	if s.Cap() != 20 {
-		t.Fatalf("Cap = %d, want 20", s.Cap())
-	}
-	if s.Len() > 20 {
-		t.Fatalf("Len %d exceeds new capacity 20", s.Len())
-	}
-	if s.Len() == 0 {
-		t.Fatal("shrink dropped the whole cache; eviction must be incremental")
-	}
-	// Growing back accepts new items again.
-	s.Resize(64)
-	for i := uint32(100); i < 164; i++ {
-		s.AddAt(i, int(i), 0)
-	}
-	if s.Len() > 64 {
-		t.Fatalf("Len %d exceeds capacity 64 after regrow", s.Len())
-	}
-}
-
-func TestShardedResizeClampsToShardCount(t *testing.T) {
-	s := NewSharded[uint32, int](64, 8, nil)
-	if got := s.Resize(3); got != s.NumShards() {
-		t.Fatalf("Resize(3) = %d, want clamp to shard count %d", got, s.NumShards())
-	}
-}
-
-func TestShardedResizeConcurrentWithServing(t *testing.T) {
-	s := NewSharded[uint32, uint32](512, 8, nil)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := uint32((w*1000 + i) % 900)
-				if v, ok := s.Get(k); ok && v != k {
-					t.Errorf("Get(%d) = %d", k, v)
-					return
-				}
-				s.Add(k, k)
-			}
-		}(w)
-	}
-	sizes := []int{64, 1024, 16, 512, 128, 2048, 8, 700}
-	for _, n := range sizes {
-		s.Resize(n)
-	}
-	close(stop)
-	wg.Wait()
-	if s.Len() > s.Cap() {
-		t.Fatalf("Len %d over capacity %d after concurrent resizes", s.Len(), s.Cap())
 	}
 }

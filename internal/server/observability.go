@@ -159,24 +159,16 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheUsed) }))
 	r.Register("bandana_table_cache_bytes_resident", "gauge", "Payload bytes resident in the cache per table (byte accounting, not entry counts).",
 		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheBytesResident) }))
-	r.Register("bandana_table_cache_arena_bytes", "gauge", "Allocated cache slab-arena bytes per table (0 on the lru engine).",
+	r.Register("bandana_table_cache_arena_bytes", "gauge", "Allocated cache slab-arena bytes per table.",
 		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheArenaBytes) }))
-	r.Register("bandana_table_cache_arena_utilization", "gauge", "Resident payload bytes over allocated arena bytes per table (0 on the lru engine).",
+	r.Register("bandana_table_cache_arena_utilization", "gauge", "Resident payload bytes over allocated arena bytes per table.",
 		perTable(func(ts core.TableStats) float64 { return ts.CacheArenaUtilization }))
-	r.Register("bandana_table_cache_slabs", "gauge", "Allocated cache arena slabs per table (0 on the lru engine).",
+	r.Register("bandana_table_cache_slabs", "gauge", "Allocated cache arena slabs per table.",
 		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheSlabs) }))
-	r.Register("bandana_table_cache_free_slots", "gauge", "Cache arena slots ready for reuse per table (0 on the lru engine).",
+	r.Register("bandana_table_cache_free_slots", "gauge", "Cache arena slots ready for reuse per table.",
 		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheFreeSlots) }))
-	r.Register("bandana_table_cache_limbo_slots", "gauge", "Evicted cache arena slots waiting for reader leases to end per table (0 on the lru engine); steady growth means leases are not released.",
+	r.Register("bandana_table_cache_limbo_slots", "gauge", "Evicted cache arena slots waiting for reader leases to end per table; steady growth means leases are not released.",
 		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheLimboSlots) }))
-	r.Register("bandana_cache_engine_info", "gauge", "Cache engine descriptor (value is always 1).", func() []metrics.Sample {
-		stats := s.scrapeStore().Stats()
-		engine := ""
-		if len(stats) > 0 {
-			engine = stats[0].CacheEngine
-		}
-		return metrics.CounterSample(metrics.L("engine", engine), 1)
-	})
 
 	// NVM device + block-store backend.
 	r.Register("bandana_device_info", "gauge", "Device backend descriptor (value is always 1).", func() []metrics.Sample {

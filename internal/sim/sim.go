@@ -19,7 +19,7 @@
 //     admitted non-resident ones enter at the policy's position.
 //   - Against a store with one cache shard (Config.CacheShards: 1) serving
 //     the same queries one at a time, BlockReads, Hits, Misses,
-//     PrefetchesAdmitted and PrefetchHits are equal, on either cache engine
+//     PrefetchesAdmitted and PrefetchHits are equal through every read API
 //     (core's TestReplayIsTheStore holds the two together). A store with more
 //     shards splits the capacity into per-shard LRU queues; that split is the
 //     only remaining difference between simulated and served counters.

@@ -99,15 +99,6 @@ func (r *Recorder) Record(ids []uint32) {
 	st.mu.Unlock()
 }
 
-// Record1 records a single-ID query without forcing the caller to build a
-// slice: the one-element buffer lives on the caller's stack (Record copies
-// IDs and never retains the argument), keeping the cache-hit lookup path
-// allocation-free while recording is on.
-func (r *Recorder) Record1(id uint32) {
-	buf := [1]uint32{id}
-	r.Record(buf[:])
-}
-
 // Len returns the number of queries currently held (at most the configured
 // capacity).
 func (r *Recorder) Len() int {

@@ -1,11 +1,11 @@
 // Package vcache implements a pointer-free, arena-backed vector cache: the
 // DRAM tier of the store with zero heap objects per cached entry.
 //
-// The classic LRU engine (internal/lru with *cachedVec values) costs ~100+
-// bytes of pointer-bearing overhead per 128-byte fp16 vector — a map entry,
-// a heap-allocated list node, a value struct and two slice headers — and
-// every GC cycle scans all of it. At tens of millions of cached vectors that
-// scan time dominates GC pauses and steals CPU from the ~120 ns hit path.
+// A cache of heap entries (a map entry, a list node, a value struct and its
+// slice headers per vector) costs ~100+ bytes of pointer-bearing overhead per
+// 128-byte fp16 vector, and every GC cycle scans all of it. At tens of
+// millions of cached vectors that scan time dominates GC pauses and steals
+// CPU from the ~120 ns hit path.
 //
 // vcache stores the fp16 payloads themselves in large slab arenas (one slot
 // class per table, slot size = the table's vector size), indexes them with
@@ -15,13 +15,12 @@
 // per-entry overhead is ~16 B of metadata plus ~11 B of index, and the GC
 // sees no per-entry pointers at all.
 //
-// Semantics mirror internal/lru exactly — the same sharding (hash-routed,
-// power-of-two shard count, exact capacity split), the same per-shard
-// segmented LRU with positional insertion (AddAt) and rebalancing cascade,
-// the same eviction order — so the two engines produce identical
-// hit/miss/eviction sequences for identical operation streams. The
-// randomized order tests here and the equivalence suite in internal/core
-// pin this.
+// The cache is sharded (hash-routed, power-of-two shard count, exact
+// capacity split) and each shard is internal/lru's segmented LRU: positional
+// insertion (AddAt) with a rebalancing cascade, and the same eviction order
+// as an lru.Cache of the shard's capacity — the reference the simulator
+// tunes admission on. The randomized order tests here pin that, operation by
+// operation.
 //
 // # Recency list
 //
@@ -38,8 +37,8 @@
 //
 // # View lifetime and leases
 //
-// Get/GetRaw return read-only views directly into the arenas (the zero-copy
-// raw/bwp serving path). A slot freed by eviction is eventually reused, so a
+// Get returns read-only views directly into the arenas (the store's zero-copy
+// serving path). A slot freed by eviction is eventually reused, so a
 // view must not outlive its request. Readers bracket a request with
 // release := c.Lease(); ... release(), and reclamation is epoch-based: an
 // evicted slot is parked in a limbo list stamped with the current lease
@@ -56,9 +55,9 @@
 // proportional to the evictions inside one lease grace window, not to the
 // evictions since start-up.
 //
-// Decode-on-hit paths that want a heap-safe []float32 instead of a view use
-// GetFunc, which runs the caller's closure under the shard lock; the closure
-// copies/decodes and the result needs no lease.
+// Callers that want a copy instead of a view use GetFunc, which runs their
+// closure under the shard lock; the closure copies or decodes and the result
+// needs no lease.
 package vcache
 
 import (
@@ -152,14 +151,13 @@ type Options struct {
 	SlotBytes int
 	// Shards is the requested shard count, rounded up to a power of two and
 	// halved until it does not exceed Capacity (every shard holds at least
-	// one entry); <= 0 selects one shard. Identical to lru.NewSharded.
+	// one entry); <= 0 selects one shard.
 	Shards int
 	// Segments is the positional segment count per shard, clamped to
 	// [1, shard capacity]; 0 selects DefaultSegments.
 	Segments int
 	// Hash routes an id to its shard (low bits). nil selects a splitmix
-	// finalizer. For engine equivalence, pass the same hash the lru engine
-	// shards with.
+	// finalizer.
 	Hash func(uint32) uint64
 }
 
@@ -326,7 +324,7 @@ func (c *Cache) shardOf(id uint32) *shard {
 	return &c.shards[c.hash(id)&c.shardMask]
 }
 
-// Lease marks the start of a request that will hold arena views (Get/GetRaw
+// Lease marks the start of a request that will hold arena views (Get
 // results). The returned release function must be called when the request is
 // done with every view it obtained; it is safe to call from another
 // goroutine. Lease/release are two atomic adds — no allocation, no lock.
@@ -575,9 +573,8 @@ func (s *shard) alloc(c *Cache) uint32 {
 }
 
 // park retires a slot that is no longer reachable through the index. If no
-// lease is active anywhere it goes straight back to the free list (the
-// common case for stores serving float lookups); otherwise it waits out the
-// epoch grace period in limbo. The caller must have removed the slot from
+// lease is active anywhere it goes straight back to the free list;
+// otherwise it waits out the epoch grace period in limbo. The caller must have removed the slot from
 // the index before calling (under this shard's lock), which is what makes
 // the counters-both-zero fast path sound: any lease acquired after the
 // check starts cannot find the slot anymore.
@@ -785,30 +782,6 @@ func (c *Cache) GetFunc(id uint32, fn func(payload []byte, wasPrefetched bool)) 
 	return true
 }
 
-// GetRequestedFunc promotes id if present (like Get) but hands its payload
-// to fn only when the entry was NOT prefetch-inserted, without clearing the
-// flag — the coalesced-miss reuse probe of the serving path. Reports whether
-// fn ran.
-func (c *Cache) GetRequestedFunc(id uint32, fn func(payload []byte)) bool {
-	s := c.shardOf(id)
-	s.mu.Lock()
-	slot := s.idxFind(id)
-	if slot == nilIdx {
-		s.mu.Unlock()
-		return false
-	}
-	s.listRemove(slot)
-	s.pushFront(0, slot)
-	s.rebalance()
-	served := false
-	if s.meta[slot].segflags&prefetchedBit == 0 {
-		fn(s.payload(c, slot))
-		served = true
-	}
-	s.mu.Unlock()
-	return served
-}
-
 // Remove deletes id and reports whether it was present.
 func (c *Cache) Remove(id uint32) bool {
 	s := c.shardOf(id)
@@ -825,11 +798,11 @@ func (c *Cache) Remove(id uint32) bool {
 	return true
 }
 
-// Resize changes the total capacity in place with the same exact split and
-// per-shard incremental eviction as lru.Sharded.Resize: entries outside the
-// evicted overflow survive, so a live cache rebalances without losing its
-// working set. Capacity is clamped to one entry per shard; returns the
-// recorded capacity.
+// Resize changes the total capacity in place with the same exact split as
+// New and incremental per-shard eviction: entries outside the evicted
+// overflow survive, so a live cache rebalances without losing its working
+// set. Capacity is clamped to one entry per shard; returns the recorded
+// capacity.
 func (c *Cache) Resize(capacity int) int {
 	n := len(c.shards)
 	if capacity < n {

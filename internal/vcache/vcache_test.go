@@ -82,25 +82,12 @@ func TestPrefetchedFlag(t *testing.T) {
 	c := newTestCache(64, 1)
 	c.Add(1, payloadFor(1, 0), true)
 
-	// GetRequestedFunc must promote but not serve a prefetched entry, and
-	// must not clear the flag.
-	served := c.GetRequestedFunc(1, func([]byte) { t.Fatal("served a prefetched entry") })
-	if served {
-		t.Fatal("GetRequestedFunc reported served")
-	}
-
 	// Get clears the flag and reports it was set.
 	if _, pre, ok := c.Get(1); !ok || !pre {
 		t.Fatalf("Get = (_, %v, %v), want prefetched hit", pre, ok)
 	}
 	if _, pre, _ := c.Get(1); pre {
 		t.Fatal("prefetched flag not cleared")
-	}
-
-	// Now GetRequestedFunc serves it.
-	ran := false
-	if !c.GetRequestedFunc(1, func([]byte) { ran = true }) || !ran {
-		t.Fatal("GetRequestedFunc did not serve a requested entry")
 	}
 
 	// Re-adding with prefetched=false on an existing prefetched entry
@@ -276,17 +263,55 @@ func TestStats(t *testing.T) {
 	}
 }
 
-// lruRef wraps lru.Sharded as the reference model: values are generation
-// bytes so update semantics are observable.
-type lruRef struct {
-	s *lru.Sharded[uint32, byte]
+// refShards is the reference model the order tests compare against: one
+// lru.Cache per shard, with vcache's shard routing and capacity split (a
+// power-of-two shard count clamped to the capacity, the remainder going to
+// the first shards). The tests are single-goroutine, so it takes no locks.
+type refShards[V any] []*lru.Cache[uint32, V]
+
+func newRefShards[V any](capacity, shards int) refShards[V] {
+	n := 1
+	for n < shards {
+		n <<= 1
+	}
+	for n > capacity {
+		n >>= 1
+	}
+	r := make(refShards[V], n)
+	for i := range r {
+		r[i] = lru.New[uint32, V](shardCap(capacity, n, i))
+	}
+	return r
 }
 
-// TestEquivalenceRandomized drives vcache and lru.Sharded with identical
-// randomized op streams (Add/AddAt/Get/Remove/Resize) and asserts identical
-// contents, sizes and exact per-shard MRU->LRU key order after every
-// operation batch. This is the engine-equivalence contract the serving
-// goldens rely on.
+// shardCap is shard i's share of capacity split over n shards.
+func shardCap(capacity, n, i int) int {
+	c := capacity / n
+	if i < capacity%n {
+		c++
+	}
+	return c
+}
+
+func (r refShards[V]) of(id uint32) *lru.Cache[uint32, V] {
+	return r[testHash(id)&uint64(len(r)-1)]
+}
+
+func (r refShards[V]) Resize(capacity int) int {
+	if capacity < len(r) {
+		capacity = len(r)
+	}
+	for i, c := range r {
+		c.Resize(shardCap(capacity, len(r), i))
+	}
+	return capacity
+}
+
+// TestEquivalenceRandomized drives vcache and per-shard lru.Caches with
+// identical randomized op streams (Add/AddAt/Get/Remove/Resize) and asserts
+// identical contents, sizes and exact per-shard MRU->LRU key order after
+// every operation batch. lru.Cache is what sim.Replay tunes admission on, so
+// this is the contract that keeps the store serving what was simulated.
 func TestEquivalenceRandomized(t *testing.T) {
 	for _, cfg := range []struct {
 		capacity, shards int
@@ -296,9 +321,9 @@ func TestEquivalenceRandomized(t *testing.T) {
 		t.Run(fmt.Sprintf("cap%d_shards%d", cfg.capacity, cfg.shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(cfg.capacity)*31 + int64(cfg.shards)))
 			vc := newTestCache(cfg.capacity, cfg.shards)
-			ref := &lruRef{lru.NewSharded[uint32, byte](cfg.capacity, cfg.shards, testHash)}
-			if vc.NumShards() != ref.s.NumShards() {
-				t.Fatalf("shard counts differ: %d vs %d", vc.NumShards(), ref.s.NumShards())
+			ref := newRefShards[byte](cfg.capacity, cfg.shards)
+			if vc.NumShards() != len(ref) {
+				t.Fatalf("shard counts differ: %d vs %d", vc.NumShards(), len(ref))
 			}
 
 			keySpace := uint32(cfg.capacity * 3)
@@ -311,15 +336,15 @@ func TestEquivalenceRandomized(t *testing.T) {
 					pos := rng.Float64()
 					gens[id]++
 					vc.AddAt(id, payloadFor(id, gens[id]), pos, false)
-					ref.s.AddAt(id, gens[id], pos)
+					ref.of(id).AddAt(id, gens[id], pos)
 				case op < 6: // Add at MRU
 					gens[id]++
 					vc.Add(id, payloadFor(id, gens[id]), false)
-					ref.s.Add(id, gens[id])
+					ref.of(id).Add(id, gens[id])
 				case op < 9: // Get
 					var vGen byte
 					vOK := vc.GetFunc(id, func(p []byte, _ bool) { vGen = p[4] })
-					rGen, rOK := ref.s.Get(id)
+					rGen, rOK := ref.of(id).Get(id)
 					if vOK != rOK {
 						t.Fatalf("step %d: Get(%d) hit mismatch: vcache %v, lru %v", step, id, vOK, rOK)
 					}
@@ -328,17 +353,17 @@ func TestEquivalenceRandomized(t *testing.T) {
 					}
 				case op == 9 && step%97 == 0: // occasional Resize
 					target := 1 + rng.Intn(cfg.capacity*2)
-					if got, want := vc.Resize(target), ref.s.Resize(target); got != want {
+					if got, want := vc.Resize(target), ref.Resize(target); got != want {
 						t.Fatalf("step %d: Resize(%d) = %d vs %d", step, target, got, want)
 					}
 				default: // Remove
-					if got, want := vc.Remove(id), ref.s.Remove(id); got != want {
+					if got, want := vc.Remove(id), ref.of(id).Remove(id); got != want {
 						t.Fatalf("step %d: Remove(%d) = %v vs %v", step, id, got, want)
 					}
 				}
 
 				if step%200 == 0 || step == 3999 {
-					compareState(t, step, vc, ref)
+					compareOrder(t, step, vc, ref)
 					if err := vc.CheckInvariants(); err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
@@ -348,25 +373,12 @@ func TestEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// compareState asserts identical per-shard exact MRU->LRU key sequences.
-func compareState(t *testing.T, step int, vc *vcache.Cache, ref *lruRef) {
+// compareOrder asserts identical per-shard exact MRU->LRU key sequences.
+func compareOrder[V any](t *testing.T, step int, vc *vcache.Cache, ref refShards[V]) {
 	t.Helper()
-	compareOrder(t, step, vc, ref.s)
-}
-
-func compareOrder[V any](t *testing.T, step int, vc *vcache.Cache, ref *lru.Sharded[uint32, V]) {
-	t.Helper()
-	if vc.Len() != ref.Len() {
-		t.Fatalf("step %d: Len %d vs %d", step, vc.Len(), ref.Len())
-	}
-	// lru.Sharded has no per-shard key dump; reconstruct via ForEachShard.
-	var refKeys [][]uint32
-	ref.ForEachShard(func(c *lru.Cache[uint32, V]) {
-		refKeys = append(refKeys, c.Keys())
-	})
-	for i := 0; i < vc.NumShards(); i++ {
+	for i, c := range ref {
 		got := vc.ShardKeys(i)
-		want := refKeys[i]
+		want := c.Keys()
 		if len(got) != len(want) {
 			t.Fatalf("step %d shard %d: %d keys vs %d", step, i, len(got), len(want))
 		}
@@ -388,11 +400,11 @@ type refEntry struct {
 
 // TestOrderEquivalenceEveryOp is TestEquivalenceRandomized aimed at the
 // single-list/boundary-cursor structure: inserts land at the head of every
-// segment, promotions come from Get and GetRequestedFunc, capacities drop
-// below the segment count and grow back, and sparse phases (a handful of
-// keys in a large, mostly empty shard) leave runs of empty segments between
-// occupied ones. Exact per-shard MRU→LRU order against lru.Sharded and the
-// structural invariants are checked after every single operation.
+// segment, promotions come from Get, capacities drop below the segment
+// count and grow back, and sparse phases (a handful of keys in a large,
+// mostly empty shard) leave runs of empty segments between occupied ones.
+// Exact per-shard MRU→LRU order against lru.Cache and the structural
+// invariants are checked after every single operation.
 func TestOrderEquivalenceEveryOp(t *testing.T) {
 	for _, cfg := range []struct {
 		capacity, shards int
@@ -402,7 +414,7 @@ func TestOrderEquivalenceEveryOp(t *testing.T) {
 		t.Run(fmt.Sprintf("cap%d_shards%d", cfg.capacity, cfg.shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(cfg.capacity)*131 + int64(cfg.shards)))
 			vc := newTestCache(cfg.capacity, cfg.shards)
-			ref := lru.NewSharded[uint32, *refEntry](cfg.capacity, cfg.shards, testHash)
+			ref := newRefShards[*refEntry](cfg.capacity, cfg.shards)
 			gens := make(map[uint32]byte)
 			capacity := cfg.capacity
 
@@ -438,12 +450,12 @@ func TestOrderEquivalenceEveryOp(t *testing.T) {
 					pre := rng.Intn(3) == 0
 					gens[id]++
 					vc.AddAt(id, payloadFor(id, gens[id]), pos, pre)
-					ref.AddAt(id, &refEntry{gen: gens[id], pre: pre}, pos)
-				case op < 10: // Get: promote, clear the prefetched flag
+					ref.of(id).AddAt(id, &refEntry{gen: gens[id], pre: pre}, pos)
+				case op < 12: // Get: promote, clear the prefetched flag
 					var vGen byte
 					var vPre bool
 					vOK := vc.GetFunc(id, func(p []byte, pre bool) { vGen, vPre = p[4], pre })
-					e, rOK := ref.Get(id)
+					e, rOK := ref.of(id).Get(id)
 					if vOK != rOK {
 						t.Fatalf("step %d: Get(%d) hit mismatch: vcache %v, lru %v", step, id, vOK, rOK)
 					}
@@ -453,14 +465,8 @@ func TestOrderEquivalenceEveryOp(t *testing.T) {
 						}
 						e.pre = false
 					}
-				case op < 12: // GetRequestedFunc: promote, serve only requested entries
-					served := vc.GetRequestedFunc(id, func([]byte) {})
-					e, rOK := ref.Get(id)
-					if want := rOK && !e.pre; served != want {
-						t.Fatalf("step %d: GetRequestedFunc(%d) served %v, want %v", step, id, served, want)
-					}
 				case op < 14: // Remove
-					if got, want := vc.Remove(id), ref.Remove(id); got != want {
+					if got, want := vc.Remove(id), ref.of(id).Remove(id); got != want {
 						t.Fatalf("step %d: Remove(%d) = %v vs %v", step, id, got, want)
 					}
 				case op == 14 && step%7 == 0: // Resize down, often below the segment count
@@ -606,9 +612,8 @@ func TestResizeUnderConcurrentServing(t *testing.T) {
 	}
 }
 
-// TestHitPathZeroAlloc is the CI alloc-regression gate: the raw hit path of
-// BOTH engines must not allocate. For vcache that is Get under a
-// pre-acquired lease; for lru.Sharded it is Get on a cached value.
+// TestHitPathZeroAlloc is the CI alloc-regression gate: the hit path — Get
+// under a pre-acquired lease — must not allocate.
 func TestHitPathZeroAlloc(t *testing.T) {
 	t.Run("vcache", func(t *testing.T) {
 		// Capacity 8x the population so hash imbalance never evicts: every
@@ -635,22 +640,6 @@ func TestHitPathZeroAlloc(t *testing.T) {
 			t.Fatalf("Lease allocates %v allocs/op, want 0", leaseAllocs)
 		}
 	})
-	t.Run("lru", func(t *testing.T) {
-		s := lru.NewSharded[uint32, []byte](8192, 8, testHash)
-		for id := uint32(0); id < 1024; id++ {
-			s.Add(id, payloadFor(id, 0))
-		}
-		id := uint32(0)
-		allocs := testing.AllocsPerRun(1000, func() {
-			if _, ok := s.Get(id % 1024); !ok {
-				t.Fatal("miss on resident key")
-			}
-			id++
-		})
-		if allocs != 0 {
-			t.Fatalf("lru hit path allocates %v allocs/op, want 0", allocs)
-		}
-	})
 }
 
 func BenchmarkHit(b *testing.B) {
@@ -666,18 +655,6 @@ func BenchmarkHit(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c.Get(uint32(i) & (1<<16 - 1))
-		}
-	})
-	b.Run("lru", func(b *testing.B) {
-		s := lru.NewSharded[uint32, []byte](1<<16, 8, testHash)
-		p := make([]byte, 128)
-		for id := uint32(0); id < 1<<16; id++ {
-			s.Add(id, p)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Get(uint32(i) & (1<<16 - 1))
 		}
 	})
 }
