@@ -36,13 +36,24 @@
 //     published through an atomic pointer: readers take no lock, and Train,
 //     LoadState or SetAdmissionPolicy can run while the store serves.
 //   - Serving counters are striped across cache lines and aggregated on
-//     Stats; NVM block reads are issued outside all locks so misses overlap
-//     at the device.
+//     Stats; NVM block reads are issued outside all locks, through an I/O
+//     scheduler that coalesces concurrent misses of one block and batches
+//     independent ones toward the device's saturation queue depth.
 //   - Returned vectors are copies the caller owns; the cache keeps fp16
 //     payloads in pointer-free arenas and decodes on the way out.
 //   - UpdateVector is safe to call concurrently with lookups; updates to
-//     the same table serialize with each other (read-modify-write of the
-//     shared 4 KB block).
+//     the same table serialize with each other.
+//
+// # Update lifecycle
+//
+// A vector changes one way: UpdateVector appends one record to the update
+// log and parks the new bytes in a DRAM overlay that serving consults ahead
+// of the block image. A background compactor folds the overlay into the
+// image — one journaled block write per dirty block, however many of its
+// vectors changed — and trims the log; the device's write counters move
+// then, not at the update (CompactDeltas forces it). Every store therefore
+// runs two goroutines, the compactor and the I/O scheduler's dispatcher, and
+// every Open needs a Close to stop them.
 //
 // # Prefetch admission policies
 //
@@ -76,7 +87,7 @@ type Store = core.Store
 // Config configures Open.
 type Config = core.Config
 
-// IOSchedOptions configures the asynchronous block I/O scheduler
+// IOSchedOptions tunes the asynchronous block I/O scheduler
 // (Config.IOSched): miss-path reads are coalesced per block and batched
 // toward a target NVM queue depth, with demand reads always dispatched
 // before background ones.

@@ -56,21 +56,18 @@ import (
 )
 
 // validateIOFlags checks the --io-* flag combination before a store is
-// opened. qdSet/coalesceSet/windowSet report whether the operator passed
-// the corresponding flag explicitly (flag.Visit); replica reports
-// --replica-of mode.
-func validateIOFlags(qd int, window time.Duration, qdSet, coalesceSet, windowSet, replica bool) error {
-	if replica && (qdSet || coalesceSet || windowSet) {
-		return fmt.Errorf("--io-qd/--io-coalesce/--io-window are incompatible with --replica-of: a replica bootstraps read-only snapshots and swaps the served store wholesale on every re-sync, so a per-store scheduler configuration cannot be honored")
+// opened. qdSet/windowSet report whether the operator passed the
+// corresponding flag explicitly (flag.Visit); replica reports --replica-of
+// mode.
+func validateIOFlags(qd int, window time.Duration, qdSet, windowSet, replica bool) error {
+	if replica && (qdSet || windowSet) {
+		return fmt.Errorf("--io-qd/--io-window are incompatible with --replica-of: a replica bootstraps read-only snapshots and swaps the served store wholesale on every re-sync, so a per-store scheduler configuration cannot be honored")
 	}
 	if qd < 0 || qd > iosched.MaxTargetQueueDepth {
 		return fmt.Errorf("--io-qd %d out of range [0,%d]", qd, iosched.MaxTargetQueueDepth)
 	}
 	if window < 0 {
 		return fmt.Errorf("--io-window %s is negative", window)
-	}
-	if qd == 0 && (coalesceSet || windowSet) {
-		return fmt.Errorf("--io-coalesce/--io-window have no effect without --io-qd > 0 (the I/O scheduler is off)")
 	}
 	return nil
 }
@@ -99,11 +96,8 @@ func main() {
 		adaptStrategy = flag.String("adapt-strategy", core.RelayoutSHP, "re-layout strategy: shp or kmeans")
 		adaptSample   = flag.Int("adapt-sample", 1, "record 1 in N queries for adaptation (higher = cheaper)")
 
-		ioQD       = flag.Int("io-qd", 0, "target NVM queue depth for the async I/O scheduler: miss-path reads are coalesced and batched toward this depth (0 = scheduler off, reads issue inline)")
-		ioCoalesce = flag.Bool("io-coalesce", true, "coalesce concurrent reads of the same NVM block into one device read (requires --io-qd > 0)")
-		ioWindow   = flag.Duration("io-window", 0, "max time a queued read waits for its batch to fill toward --io-qd (requires --io-qd > 0; 0 dispatches immediately)")
-
-		updateLog = flag.Bool("update-log", true, "write-optimized update path: vector updates append to an in-DRAM delta log (one log write per update) that replicas tail incrementally; off = every update read-modify-writes its 4KB block through the journal")
+		ioQD     = flag.Int("io-qd", 0, "target NVM queue depth of the async I/O scheduler: miss-path reads are coalesced and batched toward this depth (0 = default 8)")
+		ioWindow = flag.Duration("io-window", 0, "max time a queued read waits for its batch to fill toward --io-qd (0 dispatches immediately)")
 
 		replicaOf   = flag.String("replica-of", "", "bootstrap from this primary's snapshot stream and serve read-only (requires --data-dir)")
 		replicaPoll = flag.Duration("replica-poll", 2*time.Second, "how often a replica polls the primary's snapshot seq")
@@ -121,7 +115,7 @@ func main() {
 	ioFlagSet := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { ioFlagSet[f.Name] = true })
 	if err := validateIOFlags(*ioQD, *ioWindow,
-		ioFlagSet["io-qd"], ioFlagSet["io-coalesce"], ioFlagSet["io-window"], *replicaOf != ""); err != nil {
+		ioFlagSet["io-qd"], ioFlagSet["io-window"], *replicaOf != ""); err != nil {
 		log.Fatal(err)
 	}
 	if *tables < 1 {
@@ -145,15 +139,11 @@ func main() {
 		// A replica serves its primary's snapshot read-only: flags that
 		// would generate, train or adapt local state have nothing to act
 		// on. Reject them loudly rather than silently dropping them.
-		// --update-log is also rejected: the replica path enables its own
-		// update log unconditionally (it is how replicated records are
-		// re-logged and replayed).
 		incompatible := map[string]bool{
 			"scale": true, "tables": true, "requests": true, "dram": true,
 			"train": true, "save-state": true, "backend": true, "drift": true,
 			"adapt": true, "adapt-relayout": true, "adapt-budget": true,
 			"adapt-strategy": true, "adapt-sample": true, "seed": true, "shards": true,
-			"update-log": true,
 		}
 		flag.Visit(func(f *flag.Flag) {
 			if incompatible[f.Name] {
@@ -200,17 +190,7 @@ func main() {
 		DataDir:           *dataDir,
 		Sync:              syncMode,
 		Direct:            *direct,
-		IOSched: core.IOSchedOptions{
-			Enabled:    *ioQD > 0,
-			QueueDepth: *ioQD,
-			Window:     *ioWindow,
-			NoCoalesce: !*ioCoalesce,
-		},
-		UpdateLog: core.UpdateLogOptions{Enabled: *updateLog},
-	}
-	if *ioQD > 0 {
-		log.Printf("I/O scheduler enabled: target queue depth %d, coalescing %v, accumulation window %s",
-			*ioQD, *ioCoalesce, *ioWindow)
+		IOSched:           core.IOSchedOptions{QueueDepth: *ioQD, Window: *ioWindow},
 	}
 
 	// Online adaptation: with --adapt the server records a sampled window of
@@ -361,6 +341,9 @@ func serve(store *core.Store, addr, wireAddr string, adaptOpts *core.AdaptOption
 		log.Printf("online adaptation enabled: epoch every %s, re-layout every %d epoch(s), strategy %s",
 			adaptOpts.Interval, adaptOpts.RelayoutEvery, adaptOpts.RelayoutStrategy)
 	}
+	sched, _ := store.IOSchedStats()
+	log.Printf("I/O scheduler: target queue depth %d, accumulation window %s",
+		sched.TargetQueueDepth, time.Duration(sched.WindowUS*float64(time.Microsecond)))
 	srv := server.New(store)
 	if slowMS > 0 {
 		srv.SetSlowRequestThreshold(time.Duration(slowMS) * time.Millisecond)

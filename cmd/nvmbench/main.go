@@ -12,8 +12,6 @@
 //	nvmbench --mode qd-sweep            # scheduler miss-path sweep at QD 1/4/8/16/32
 //	nvmbench --mode qd-sweep --io-qd 8  # single depth instead of the sweep
 //	nvmbench --mode qd-sweep --io-coalesce=false --backend file
-//	nvmbench --mode serve-sweep         # bwp vs HTTP/JSON serving throughput
-//	nvmbench --mode update-sweep        # journaled-RMW vs delta-log vector updates/sec
 //	nvmbench --mode qd --json out.json  # machine-readable results (CI artifacts)
 package main
 
@@ -25,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"bandana/internal/core"
 	"bandana/internal/iosched"
 	"bandana/internal/nvm"
 	"bandana/internal/version"
@@ -51,21 +48,15 @@ type jsonOutput struct {
 	// miss-path throughput (in simulated device time) per target queue
 	// depth.
 	MissPathQDSweep []iosched.SweepResult `json:"missPathQDSweep,omitempty"`
-	// ServeSweep is the end-to-end serving comparison of --mode serve-sweep:
-	// local vs bwp vs HTTP/JSON lookup throughput per batch size.
-	ServeSweep *serveSweepResult `json:"serveSweep,omitempty"`
-	// UpdateSweep is the write-path comparison of --mode update-sweep:
-	// journaled block RMW vs append-only delta-log updates/sec.
-	UpdateSweep *updateSweepResult `json:"updateSweep,omitempty"`
 }
 
 // validateFlags rejects flag combinations before any backing store is
 // created. ioQDSet/ioCoalesceSet report explicitly passed flags.
 func validateFlags(mode string, ioQD int, ioQDSet, ioCoalesceSet bool) error {
 	switch mode {
-	case "qd", "load", "qd-sweep", "serve-sweep", "update-sweep":
+	case "qd", "load", "qd-sweep":
 	default:
-		return fmt.Errorf("unknown mode %q (want qd, load, qd-sweep, serve-sweep or update-sweep)", mode)
+		return fmt.Errorf("unknown mode %q (want qd, load or qd-sweep)", mode)
 	}
 	if mode != "qd-sweep" && (ioQDSet || ioCoalesceSet) {
 		return fmt.Errorf("--io-qd/--io-coalesce configure the I/O scheduler and are only meaningful with --mode qd-sweep (mode %q drives the device directly)", mode)
@@ -102,16 +93,16 @@ func writeJSONFile(path string, v any) error {
 
 func main() {
 	var (
-		mode        = flag.String("mode", "qd", "benchmark mode: qd (raw-device queue depth sweep), load (latency vs throughput), qd-sweep (scheduler miss-path sweep), serve-sweep (bwp vs HTTP/JSON serving) or update-sweep (journaled-RMW vs delta-log updates)")
-		jobs        = flag.Int("jobs", 4, "concurrent jobs (qd and serve-sweep modes)")
-		ops         = flag.Int("ops", 500, "reads per worker (qd, qd-sweep and serve-sweep modes)")
+		mode        = flag.String("mode", "qd", "benchmark mode: qd (raw-device queue depth sweep), load (latency vs throughput) or qd-sweep (scheduler miss-path sweep)")
+		jobs        = flag.Int("jobs", 4, "concurrent jobs (qd mode)")
+		ops         = flag.Int("ops", 500, "reads per worker (qd and qd-sweep modes)")
 		blocks      = flag.Int("blocks", 8192, "device size in 4 KB blocks")
 		vectorSize  = flag.Int("vector", 128, "vector size in bytes (load mode baseline)")
 		seed        = flag.Int64("seed", 1, "random seed")
 		backend     = flag.String("backend", "mem", "block store backend: mem or file")
 		dataDir     = flag.String("data-dir", "", "directory for the file backend's block file (default: temp dir)")
 		syncStr     = flag.String("sync", "none", "file backend durability: none, periodic or always")
-		direct      = flag.Bool("direct", false, "open block files with O_DIRECT (file backend and update-sweep; falls back to buffered I/O where unsupported)")
+		direct      = flag.Bool("direct", false, "open block files with O_DIRECT (file backend; falls back to buffered I/O where unsupported)")
 		ioQD        = flag.Int("io-qd", 0, "qd-sweep: measure this single target queue depth instead of the 1/4/8/16/32 sweep")
 		ioCoalesce  = flag.Bool("io-coalesce", true, "qd-sweep: coalesce concurrent reads of the same block")
 		jsonOut     = flag.String("json", "", "also write machine-readable results to this file")
@@ -129,80 +120,6 @@ func main() {
 	if err := validateFlags(*mode, *ioQD, flagSet["io-qd"], flagSet["io-coalesce"]); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-
-	// serve-sweep benchmarks a full store behind the serving transports, not
-	// the raw block device; it builds its own store and returns early.
-	if *mode == "serve-sweep" {
-		if *backend != core.BackendMem && *backend != core.BackendFile {
-			fmt.Fprintf(os.Stderr, "unknown backend %q\n", *backend)
-			os.Exit(2)
-		}
-		res, err := runServeSweep(serveSweepOptions{
-			Backend: *backend, DataDir: *dataDir, Sync: *syncStr,
-			Seed: *seed, Requests: *ops, Jobs: *jobs,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("serving sweep, %s backend, %d vectors x dim %d (fp16), %d concurrent clients\n",
-			*backend, res.Vectors, res.Dim, res.Concurrent)
-		fmt.Printf("byte-identical across local/bwp/http: %v\n\n", res.ByteIdentical)
-		fmt.Printf("%-10s %-8s %-10s %-16s %-20s %-18s %-18s\n",
-			"transport", "batch", "requests", "vectors/sec", "mean batch lat (us)", "p99 batch lat (us)", "p999 batch lat (us)")
-		for _, p := range res.Points {
-			fmt.Printf("%-10s %-8d %-10d %-16.0f %-20.1f %-18.1f %-18.1f\n",
-				p.Transport, p.Batch, p.Requests, p.VectorsPerSec, p.MeanBatchLatencyUS, p.P99BatchLatencyUS, p.P999BatchLatencyUS)
-		}
-		fmt.Printf("\nbwp speedup vs HTTP/JSON at batch 64: %.2fx\n", res.BwpSpeedupAtBatch64)
-		if *jsonOut != "" {
-			out := jsonOutput{
-				Benchmark: "nvmbench", Mode: *mode, Backend: *backend,
-				Jobs: *jobs, Ops: *ops, Seed: *seed, ServeSweep: res,
-			}
-			if err := writeJSONFile(*jsonOut, out); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("results written to %s\n", *jsonOut)
-		}
-		return
-	}
-
-	// update-sweep compares the two vector-update write paths on the file
-	// backend; like serve-sweep it owns its stores and returns early.
-	if *mode == "update-sweep" {
-		res, err := runUpdateSweep(updateSweepOptions{
-			DataDir: *dataDir, Sync: *syncStr, Direct: *direct,
-			Seed: *seed, Updates: *ops * 40, Jobs: *jobs,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("update sweep, file backend, %d tables x %d vectors, dim %d (fp16), %d concurrent writers\n",
-			res.Tables, res.Vectors, res.Dim, res.Concurrent)
-		fmt.Printf("byte-identical final images across both paths: %v\n\n", res.ByteIdentical)
-		fmt.Printf("%-14s %-10s %-16s %-18s %-16s %-16s\n",
-			"path", "updates", "updates/sec", "mean lat (us)", "journal writes", "bytes written")
-		for _, leg := range []updateLeg{res.Journaled, res.DeltaLog} {
-			fmt.Printf("%-14s %-10d %-16.0f %-18.2f %-16d %-16d\n",
-				leg.Path, leg.Updates, leg.UpdatesPerSec, leg.MeanLatencyUS, leg.JournalWrites, leg.BytesWritten)
-		}
-		fmt.Printf("\ndelta-log speedup vs journaled RMW: %.2fx\n", res.Speedup)
-		if *jsonOut != "" {
-			out := jsonOutput{
-				Benchmark: "nvmbench", Mode: *mode, Backend: core.BackendFile,
-				Jobs: *jobs, Ops: *ops * 40, Seed: *seed, UpdateSweep: res,
-			}
-			if err := writeJSONFile(*jsonOut, out); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("results written to %s\n", *jsonOut)
-		}
-		return
 	}
 
 	var store nvm.BlockStore

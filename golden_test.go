@@ -2,7 +2,6 @@ package bandana_test
 
 import (
 	"math"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -55,12 +54,6 @@ func runGoldenQuickstart(t *testing.T, backend string) {
 	if backend == bandana.BackendFile {
 		cfg.Backend = bandana.BackendFile
 		cfg.DataDir = filepath.Join(t.TempDir(), "store")
-	}
-	// The CI matrix's scheduler-on leg replays the goldens through the
-	// async I/O scheduler: single-threaded serving never coalesces, so the
-	// hit ratios (and every counter) must be bit-for-bit unchanged.
-	if v := os.Getenv("BANDANA_TEST_IOSCHED"); v == "on" || v == "1" {
-		cfg.IOSched = bandana.IOSchedOptions{Enabled: true}
 	}
 	store, err := bandana.Open(cfg)
 	if err != nil {

@@ -18,17 +18,26 @@ import (
 	"bandana/internal/nvm"
 	"bandana/internal/server"
 	"bandana/internal/table"
+	"bandana/internal/trace"
 )
 
 // buildClusterStore builds a small two-table store, honouring the
 // BANDANA_TEST_BACKEND matrix the rest of the repo's suites use.
 func buildClusterStore(t *testing.T, seed int64) *core.Store {
 	t.Helper()
+	return buildSizedClusterStore(t, seed, 2048)
+}
+
+// buildSizedClusterStore is buildClusterStore with a chosen table size (the
+// incremental-follow tests need a primary large enough that the transfer-size
+// claim is measurable).
+func buildSizedClusterStore(t *testing.T, seed int64, vectorsPerTable int) *core.Store {
+	t.Helper()
 	tables := make([]*table.Table, 2)
 	for i := range tables {
 		name := fmt.Sprintf("t%d", i)
 		g := table.Generate(name, table.GenerateOptions{
-			NumVectors: 2048, Dim: 64, NumClusters: 32, Seed: seed + int64(i),
+			NumVectors: vectorsPerTable, Dim: 64, NumClusters: 32, Seed: seed + int64(i),
 		})
 		tables[i] = g.Table
 	}
@@ -541,8 +550,12 @@ func TestReplicaResumesTornStream(t *testing.T) {
 	}
 }
 
-// TestReplicaFollowsSeqAdvance mutates the primary after bootstrap and
-// checks the polling loop re-syncs and swaps the new image in.
+// TestReplicaFollowsSeqAdvance advances the primary after bootstrap by a
+// structural mutation — a Train, which changes placement and invalidates the
+// update-log window, so no stream of vector records can carry a follower
+// across it — and checks the polling loop full re-syncs and swaps the new
+// image in. (Plain vector updates are tailed without a swap; see
+// incremental_test.go.)
 func TestReplicaFollowsSeqAdvance(t *testing.T) {
 	primary := buildClusterStore(t, 23)
 	node := httptest.NewServer(server.New(primary).Handler())
@@ -552,16 +565,30 @@ func TestReplicaFollowsSeqAdvance(t *testing.T) {
 	srv := server.New(first)
 	// Swapped-out stores are closed by the server; the final one is ours.
 	defer func() { srv.CurrentStore().Close() }()
-	go rep.Run(srv.SwapStore)
+	var swaps atomic.Int64
+	go rep.Run(func(next *core.Store) {
+		swaps.Add(1)
+		srv.SwapStore(next)
+	})
 	defer rep.Stop()
 
-	// Mutate the primary: the snapshot seq advances and the replica must
-	// converge on the new bytes.
+	// An update, then the Train: the re-synced image must carry both the new
+	// bytes and the new layout.
 	updated := make([]float32, 64)
 	for i := range updated {
 		updated[i] = float32(i) + 0.5
 	}
 	if err := primary.UpdateVector(0, 42, updated); err != nil {
+		t.Fatal(err)
+	}
+	traces := make([]*trace.Trace, 2)
+	for i := range traces {
+		traces[i] = trace.GenerateTable(trace.Profile{
+			Name: fmt.Sprintf("t%d", i), NumVectors: 2048, AvgLookups: 16, CompulsoryMissFrac: 0.05,
+			Locality: 0.9, CommunitySize: 64, ReuseSkew: 3, Seed: int64(3 + i),
+		}, 100)
+	}
+	if _, err := primary.Train(traces, core.TrainOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := primary.Lookup(0, 42)
@@ -570,21 +597,20 @@ func TestReplicaFollowsSeqAdvance(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		got, err := srv.CurrentStore().Lookup(0, 42)
-		if err == nil {
-			match := len(got) == len(want)
-			for k := 0; match && k < len(want); k++ {
-				match = got[k] == want[k]
-			}
-			if match {
-				break
-			}
-		}
+	for swaps.Load() == 0 || rep.ActiveSeq() != primary.SnapshotSeq() {
 		if time.Now().After(deadline) {
-			t.Fatalf("replica never converged on the primary's update (replica stats: %+v)", rep.Stats())
+			t.Fatalf("replica never re-synced across the primary's Train (replica stats: %+v)", rep.Stats())
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+	got, err := srv.CurrentStore().Lookup(0, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("re-synced replica serves wrong bytes for the updated vector at [%d]", k)
+		}
 	}
 	if rep.Stats().Syncs < 2 {
 		t.Fatalf("expected at least 2 syncs (bootstrap + follow), got %d", rep.Stats().Syncs)

@@ -2,64 +2,23 @@ package cluster
 
 import (
 	"bytes"
-	"fmt"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"bandana/internal/core"
-	"bandana/internal/nvm"
 	"bandana/internal/server"
-	"bandana/internal/table"
 )
 
-// buildUpdateLogStore builds a primary large enough that the incremental
-// path's transfer-size claim is measurable, with the update log enabled.
-func buildUpdateLogStore(t *testing.T, seed int64, vectorsPerTable int) *core.Store {
-	t.Helper()
-	tables := make([]*table.Table, 2)
-	for i := range tables {
-		g := table.Generate(fmt.Sprintf("t%d", i), table.GenerateOptions{
-			NumVectors: vectorsPerTable, Dim: 64, NumClusters: 32, Seed: seed + int64(i),
-		})
-		tables[i] = g.Table
-	}
-	cfg := core.Config{
-		Tables: tables, DRAMBudgetVectors: 256, Seed: seed,
-		UpdateLog: core.UpdateLogOptions{Enabled: true},
-	}
-	switch os.Getenv("BANDANA_TEST_BACKEND") {
-	case core.BackendFile:
-		cfg.Backend = core.BackendFile
-		cfg.DataDir = filepath.Join(t.TempDir(), "store")
-	case core.BackendFile + "-direct":
-		dir := t.TempDir()
-		if !nvm.DirectIOSupported(dir) {
-			t.Skipf("skipping: filesystem at %s rejects O_DIRECT", dir)
-		}
-		cfg.Backend = core.BackendFile
-		cfg.DataDir = filepath.Join(dir, "store")
-		cfg.Direct = true
-	}
-	s, err := core.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
-}
-
 // TestReplicaIncrementalFollow is the regression test for the full-image
-// re-sync bug: with the update log on, a replica following a primary under a
-// continuous UpdateVector stream must converge by tailing update records —
+// re-sync bug: a replica following a primary under a continuous UpdateVector
+// stream must converge by tailing update records —
 // no snapshot re-download, no store swap, no 409 restart loop — and the
 // catch-up must transfer under 1% of what a full image sync would.
 func TestReplicaIncrementalFollow(t *testing.T) {
 	const vectorsPerTable = 65536 // 2 tables x 65536 x 128 B = 16 MB image
-	primary := buildUpdateLogStore(t, 41, vectorsPerTable)
+	primary := buildSizedClusterStore(t, 41, vectorsPerTable)
 	node := httptest.NewServer(server.New(primary).Handler())
 	defer node.Close()
 

@@ -418,7 +418,10 @@ func (r *Replica) pruneBelow(active uint64) {
 // openSnapshot serves an imported snapshot dir read-only. The store
 // inherits the replicated seq, so what this node reports downstream (its
 // own /v1/replica/seq, the router's lag probes, chained replicas) is the
-// primary's image identity rather than a local counter.
+// primary's image identity rather than a local counter. Its own update log
+// re-logs replicated records at the primary's seqs: lookups merge the
+// overlay, a restart replays the tail, and chained followers can tail this
+// node in turn.
 func (r *Replica) openSnapshot(dir string, seq uint64) (*core.Store, error) {
 	return core.Open(core.Config{
 		Backend:            core.BackendFile,
@@ -427,11 +430,6 @@ func (r *Replica) openSnapshot(dir string, seq uint64) (*core.Store, error) {
 		Direct:             r.opts.Direct,
 		ReadOnly:           true,
 		InitialSnapshotSeq: seq,
-		// The replica keeps its own update log so replicated records are
-		// re-logged at the primary's seqs: lookups merge the overlay, a
-		// restart replays the tail, and chained followers can tail this
-		// node in turn.
-		UpdateLog: core.UpdateLogOptions{Enabled: true},
 	})
 }
 

@@ -18,9 +18,6 @@ import (
 // "file" switches to the durable backend over a per-test temp dir;
 // "file-direct" additionally opens the block file with O_DIRECT (tests are
 // skipped with a notice where the filesystem rejects it).
-// BANDANA_TEST_IOSCHED=on additionally routes the suite's miss paths
-// through the async I/O scheduler (the CI matrix's scheduler-on leg), which
-// must be behaviorally invisible to every test that passes with it off.
 func testBackendConfig(t *testing.T, cfg Config) Config {
 	t.Helper()
 	switch os.Getenv("BANDANA_TEST_BACKEND") {
@@ -36,9 +33,6 @@ func testBackendConfig(t *testing.T, cfg Config) Config {
 		cfg.DataDir = filepath.Join(dir, "store")
 		cfg.Direct = true
 	}
-	if testIOSchedEnabled() {
-		cfg.IOSched.Enabled = true
-	}
 	return cfg
 }
 
@@ -47,12 +41,6 @@ func testBackendConfig(t *testing.T, cfg Config) Config {
 // leg exercises them too.
 func testDirect() bool {
 	return os.Getenv("BANDANA_TEST_BACKEND") == BackendFile+"-direct"
-}
-
-// testIOSchedEnabled reports whether the suite runs its scheduler-on leg.
-func testIOSchedEnabled() bool {
-	v := os.Getenv("BANDANA_TEST_IOSCHED")
-	return v == "on" || v == "1"
 }
 
 func vecsEqual(a, b []float32) bool {
@@ -467,5 +455,37 @@ func TestPersistRequiresDataDir(t *testing.T) {
 	}
 	if s.DataDir() != "" {
 		t.Fatal("mem store reports a data dir")
+	}
+}
+
+// TestCloseTwice: Close stops two goroutines every store runs (compactor,
+// I/O dispatcher) by closing a stop channel, so a second Close — a deferred
+// one after an explicit one, a test cleanup after a crash simulation — must
+// be a no-op that returns what the first call returned, not a panic.
+func TestCloseTwice(t *testing.T) {
+	for _, backend := range []string{BackendMem, BackendFile} {
+		t.Run(backend, func(t *testing.T) {
+			tables, _ := buildTestTables(t, 1, 256, 5)
+			cfg := Config{Tables: tables, Seed: 1}
+			if backend == BackendFile {
+				cfg.Backend = BackendFile
+				cfg.DataDir = filepath.Join(t.TempDir(), "store")
+				cfg.Direct = testDirect()
+			}
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.UpdateVector(0, 7, testVec(64, 1)); err != nil {
+				t.Fatal(err)
+			}
+			first := s.Close()
+			if first != nil {
+				t.Fatalf("first Close: %v", first)
+			}
+			if again := s.Close(); again != first {
+				t.Fatalf("second Close returned %v, first returned %v", again, first)
+			}
+		})
 	}
 }

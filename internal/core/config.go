@@ -14,8 +14,17 @@
 //     hit-rate curves, and picks each table's prefetch-admission threshold
 //     with miniature-cache simulations.
 //  3. Lookup / LookupBatch serve embedding reads: cache hits are free,
-//     misses read one 4 KB NVM block and admit co-located vectors whose
-//     training-time access count exceeds the table's threshold.
+//     misses read one 4 KB NVM block — through the I/O scheduler, which
+//     coalesces concurrent misses of a block and batches independent ones
+//     toward the device's saturation queue depth — and admit co-located
+//     vectors whose training-time access count exceeds the table's
+//     threshold.
+//  4. UpdateVector appends one record to the update log and parks the new
+//     bytes in a DRAM overlay served ahead of the block image; a background
+//     compactor folds the overlay into the image (the device's write
+//     counters move then; CompactDeltas forces it) and trims the log.
+//  5. Close stops the compactor and the scheduler's dispatcher — two
+//     goroutines every store runs, so every Open needs one.
 package core
 
 import (
@@ -87,26 +96,22 @@ type Config struct {
 	// replica sets it to the seq of the snapshot it imported, so the seq it
 	// reports downstream is the primary's, not its own boot time.
 	InitialSnapshotSeq uint64
-	// IOSched configures the unified asynchronous block I/O scheduler
-	// (internal/iosched) on the store's read path. Disabled by default:
-	// misses then read the device inline.
+	// IOSched tunes the asynchronous block I/O scheduler (internal/iosched)
+	// every miss-path and background read goes through.
 	IOSched IOSchedOptions
-	// UpdateLog configures the write-optimized update path (delta overlay +
-	// append-only update log, see deltalog.go). Disabled by default: updates
-	// then patch their NVM block in place.
+	// UpdateLog tunes the update path (delta overlay + append-only update
+	// log, see deltalog.go).
 	UpdateLog UpdateLogOptions
 }
 
-// IOSchedOptions configures the store's block I/O scheduler. When enabled,
-// demand misses, batched misses and background read-modify-write reads are
+// IOSchedOptions tunes the store's block I/O scheduler. Demand misses,
+// batched misses and background read-modify-write reads are
 // submitted to a per-device queue that coalesces concurrent reads of the
 // same block into one device read and accumulates independent reads into
 // batches sized toward QueueDepth — the queue depth at which NVM delivers
 // its bandwidth — while always dispatching demand reads before background
 // ones.
 type IOSchedOptions struct {
-	// Enabled turns the scheduler on.
-	Enabled bool
 	// QueueDepth is the target dispatch batch size; 0 uses the iosched
 	// default (8, the paper's device saturation depth).
 	QueueDepth int
@@ -114,8 +119,6 @@ type IOSchedOptions struct {
 	// toward QueueDepth; 0 dispatches whatever is queued immediately, so
 	// isolated reads at low load pay no added latency.
 	Window time.Duration
-	// NoCoalesce disables same-block coalescing (for A/B measurement).
-	NoCoalesce bool
 }
 
 // DefaultCacheShards returns the default shard count for table caches: the

@@ -1,10 +1,12 @@
-// The write-optimized update path: instead of a journaled read-modify-write
-// of the containing 4 KB block (three device writes per updated vector), an
-// update appends one fixed-framing record to an update log and parks the new
-// bytes in an in-DRAM per-table overlay. Serving merges the overlay in front
-// of the block image; a background compactor folds accumulated overlay
-// entries into the image (amortizing many updates per block RMW) and trims
-// the log. The log doubles as the replication feed: every record carries the
+// The update path, the only way a vector changes: a journaled
+// read-modify-write of the containing 4 KB block would cost three device
+// writes per updated vector, so an update instead appends one fixed-framing
+// record to an update log and parks the new bytes in an in-DRAM per-table
+// overlay. Serving merges the overlay in front of the block image; a
+// background compactor (one goroutine per store, stopped by Close) folds
+// accumulated overlay entries into the image — amortizing many updates per
+// block RMW; this is when the device's write counters move — and trims the
+// log. The log doubles as the replication feed: every record carries the
 // snapshot seq its update committed at, so a replica that served seq N asks
 // for "everything after N" and applies exactly the changed vectors instead of
 // re-importing the whole image (see Store.UpdatesSince and
@@ -33,13 +35,8 @@ import (
 // UpdateLogFileName is the append-only update log inside a data dir.
 const UpdateLogFileName = "updates.log"
 
-// UpdateLogOptions configures the delta-overlay update path.
+// UpdateLogOptions tunes the update log's compaction and retention.
 type UpdateLogOptions struct {
-	// Enabled turns the update log on: UpdateVector appends one log record
-	// and populates the DRAM overlay instead of read-modify-writing the
-	// containing NVM block. Off by default — updates then write through to
-	// NVM exactly as before.
-	Enabled bool
 	// CompactAfter triggers a background compaction once this many records
 	// have accumulated beyond the retention tail. 0 uses the default (4096).
 	CompactAfter int
@@ -534,9 +531,6 @@ func (l *deltaLog) since(since uint64, maxRecords, maxBytes int) (recs []UpdateR
 
 // UpdateLogStats is a snapshot of the update log's counters.
 type UpdateLogStats struct {
-	// Enabled is false when the store updates by block read-modify-write
-	// (Config.UpdateLog off); every other field is then zero.
-	Enabled bool `json:"enabled"`
 	// Records / MemBytes describe the retained in-memory window.
 	Records  int   `json:"records"`
 	MemBytes int64 `json:"memBytes"`
@@ -566,16 +560,11 @@ type UpdateLogStats struct {
 	RecoveredRecords int64 `json:"recoveredRecords"`
 }
 
-// UpdateLogStats reports the update log's state; Enabled is false (and the
-// rest zero) when the store runs without one.
+// UpdateLogStats reports the update log's state.
 func (s *Store) UpdateLogStats() UpdateLogStats {
 	l := s.deltaLog
-	if l == nil {
-		return UpdateLogStats{}
-	}
 	l.mu.Lock()
 	out := UpdateLogStats{
-		Enabled:          true,
 		Records:          len(l.records),
 		MemBytes:         l.memBytes,
 		BaseSeq:          l.baseSeq,
@@ -590,9 +579,7 @@ func (s *Store) UpdateLogStats() UpdateLogStats {
 	out.Invalidations = l.invalidations.Load()
 	out.FallbackWrites = l.fallbacks.Load()
 	for _, st := range s.tables {
-		if st.overlay != nil {
-			out.OverlayEntries += st.overlay.size()
-		}
+		out.OverlayEntries += st.overlay.size()
 	}
 	return out
 }

@@ -70,7 +70,6 @@ func TestDeltaUpdateServing(t *testing.T) {
 		Tables:            tables,
 		DRAMBudgetVectors: 256,
 		Seed:              1,
-		UpdateLog:         UpdateLogOptions{Enabled: true},
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +124,7 @@ func TestDeltaUpdateServing(t *testing.T) {
 		t.Fatalf("overlay entries = %d, want %d", st.OverlayEntries, len(ids))
 	}
 	ls := s.UpdateLogStats()
-	if !ls.Enabled || ls.Appends != int64(len(ids)) {
+	if ls.Appends != int64(len(ids)) {
 		t.Fatalf("update log stats: %+v, want %d appends", ls, len(ids))
 	}
 	// The other table's counters and overlay are untouched.
@@ -134,45 +133,63 @@ func TestDeltaUpdateServing(t *testing.T) {
 	}
 }
 
-// TestDeltaOnOffEquivalence runs the same update+lookup workload with the
-// update log on and off; results must be indistinguishable.
+// TestDeltaOnOffEquivalence checks the update path against a plain
+// map[id]vector model in both states a vector can be served from: straight
+// after the updates (overlay-served) and after CompactDeltas has folded the
+// overlay away (image-served). Every id of the table — updated or not — must
+// read back the model's vector in both.
 func TestDeltaOnOffEquivalence(t *testing.T) {
-	tablesA, _ := buildTestTables(t, 1, 1024, 10)
-	tablesB, _ := buildTestTables(t, 1, 1024, 10)
-	on, err := Open(Config{Tables: tablesA, DRAMBudgetVectors: 128, Seed: 3,
-		UpdateLog: UpdateLogOptions{Enabled: true}})
+	tables, _ := buildTestTables(t, 1, 1024, 10)
+	// The store's source table takes every update; the model starts from an
+	// identically generated pristine copy.
+	pristine, _ := buildTestTables(t, 1, 1024, 10)
+	model := make(map[uint32][]float32, 1024)
+	for id := uint32(0); id < 1024; id++ {
+		v, err := pristine[0].Vector(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model[id] = v
+	}
+	s, err := Open(testBackendConfig(t, Config{Tables: tables, DRAMBudgetVectors: 128, Seed: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer on.Close()
-	off, err := Open(Config{Tables: tablesB, DRAMBudgetVectors: 128, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer off.Close()
+	defer s.Close()
 
 	for i := uint32(0); i < 300; i++ {
 		id := (i * 37) % 1024
-		vec := testVec(64, i)
-		if err := on.UpdateVector(0, id, vec); err != nil {
-			t.Fatal(err)
-		}
-		if err := off.UpdateVector(0, id, vec); err != nil {
+		model[id] = testVec(64, i)
+		if err := s.UpdateVector(0, id, model[id]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for id := uint32(0); id < 1024; id++ {
-		a, err := on.Lookup(0, id)
-		if err != nil {
-			t.Fatal(err)
+	checkAll := func(state string) {
+		t.Helper()
+		for id := uint32(0); id < 1024; id++ {
+			got, err := s.Lookup(0, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !vecsEqual(got, model[id]) {
+				t.Fatalf("%s: id %d diverges from the model", state, id)
+			}
 		}
-		b, err := off.Lookup(0, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !vecsEqual(a, b) {
-			t.Fatalf("id %d diverges between update-log on and off", id)
-		}
+	}
+	checkAll("overlay-served")
+	overlayHits := s.Stats()[0].DeltaHits
+	if overlayHits == 0 {
+		t.Fatal("no lookup was served from the overlay before compaction")
+	}
+	if err := s.CompactDeltas(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.UpdateLogStats().OverlayEntries; n != 0 {
+		t.Fatalf("overlay holds %d entries after compaction, want 0", n)
+	}
+	checkAll("image-served")
+	if got := s.Stats()[0].DeltaHits; got != overlayHits {
+		t.Fatalf("%d lookups hit the overlay after compaction emptied it", got-overlayHits)
 	}
 }
 
@@ -188,7 +205,6 @@ func TestDeltaCompaction(t *testing.T) {
 		Tables:            tables,
 		DRAMBudgetVectors: 128,
 		Seed:              1,
-		UpdateLog:         UpdateLogOptions{Enabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,8 +242,7 @@ func TestDeltaCompaction(t *testing.T) {
 	}
 	// The compacted image is durable: a reopen (Tables nil) serves the
 	// updated bytes from the block file alone.
-	s2, err := Open(Config{Backend: BackendFile, DataDir: dir,
-		UpdateLog: UpdateLogOptions{Enabled: true}})
+	s2, err := Open(Config{Backend: BackendFile, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +264,10 @@ func TestUpdateLogCrashReplay(t *testing.T) {
 	tables, _ := buildTestTables(t, 1, 1024, 10)
 	dir := filepath.Join(t.TempDir(), "store")
 	s, err := Open(Config{
-		Backend:   BackendFile,
-		DataDir:   dir,
-		Tables:    tables,
-		Seed:      1,
-		UpdateLog: UpdateLogOptions{Enabled: true},
+		Backend: BackendFile,
+		DataDir: dir,
+		Tables:  tables,
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -278,8 +292,7 @@ func TestUpdateLogCrashReplay(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, UpdateLogFileName)); err != nil {
 		t.Fatalf("update log should survive close: %v", err)
 	}
-	s2, err := Open(Config{Backend: BackendFile, DataDir: dir,
-		UpdateLog: UpdateLogOptions{Enabled: true}})
+	s2, err := Open(Config{Backend: BackendFile, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,11 +330,10 @@ func TestReopenSeqMonotonic(t *testing.T) {
 	tables, _ := buildTestTables(t, 1, 1024, 10)
 	dir := filepath.Join(t.TempDir(), "store")
 	s, err := Open(Config{
-		Backend:   BackendFile,
-		DataDir:   dir,
-		Tables:    tables,
-		Seed:      1,
-		UpdateLog: UpdateLogOptions{Enabled: true},
+		Backend: BackendFile,
+		DataDir: dir,
+		Tables:  tables,
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -338,8 +350,7 @@ func TestReopenSeqMonotonic(t *testing.T) {
 
 	// Reopen immediately — almost always within the same wall-clock second,
 	// the case the boot stamp cannot disambiguate on its own.
-	s2, err := Open(Config{Backend: BackendFile, DataDir: dir,
-		UpdateLog: UpdateLogOptions{Enabled: true}})
+	s2, err := Open(Config{Backend: BackendFile, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +402,6 @@ func TestReplicaReopenInheritsSeq(t *testing.T) {
 		rep, err := Open(Config{
 			Backend: BackendFile, DataDir: dir, ReadOnly: true,
 			InitialSnapshotSeq: snap.Seq,
-			UpdateLog:          UpdateLogOptions{Enabled: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -450,7 +460,7 @@ func TestDeltaConcurrentUpdatesAndLookups(t *testing.T) {
 	s, err := Open(testBackendConfig(t, Config{
 		Tables: tables, DRAMBudgetVectors: 256, Seed: 5,
 		// A tiny window keeps background compactions firing mid-stream.
-		UpdateLog: UpdateLogOptions{Enabled: true, CompactAfter: 64, RetainRecords: 256},
+		UpdateLog: UpdateLogOptions{CompactAfter: 64, RetainRecords: 256},
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -528,8 +538,7 @@ func TestDeltaConcurrentUpdatesAndLookups(t *testing.T) {
 // endpoint builds on.
 func TestUpdatesSinceWindow(t *testing.T) {
 	tables, traces := buildTestTables(t, 1, 1024, 10)
-	s, err := Open(Config{Tables: tables, Seed: 1,
-		UpdateLog: UpdateLogOptions{Enabled: true}})
+	s, err := Open(Config{Tables: tables, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,8 +599,7 @@ func TestUpdatesSinceWindow(t *testing.T) {
 // K·recordBytes, under 1% of the full block image.
 func TestUpdateCatchUpTransferSize(t *testing.T) {
 	tables, _ := buildTestTables(t, 4, 65536, 10)
-	s, err := Open(Config{Tables: tables, Seed: 1,
-		UpdateLog: UpdateLogOptions{Enabled: true}})
+	s, err := Open(Config{Tables: tables, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,20 +19,11 @@ import (
 // raw must be exactly st.vecBytes long (callers validate). owned says the
 // slice was freshly allocated for this call and may be retained (UpdateVector
 // encodes into one); a caller-owned slice is copied before the overlay and
-// the log capture it. Without an update log it is the classic journaled
-// read-modify-write; with one, the update costs one log append plus DRAM
-// work, and the block image is repaired later by compaction. Returns the
+// the log capture it. An update costs one log append plus DRAM work (overlay
+// put, cache invalidation); the block image — and the device's write
+// counters — catch up when compaction folds the overlay in. Returns the
 // snapshot seq this update committed at.
 func (s *Store) applyUpdate(st *storeTable, id uint32, raw []byte, owned bool) (uint64, error) {
-	if s.deltaLog == nil {
-		if err := st.updateRaw(s.device, id, raw); err != nil {
-			return 0, err
-		}
-		// The committed image changed: replicas polling the snapshot seq
-		// must see it move so they can re-sync the new bytes.
-		return s.bumpSnapshotSeq(), nil
-	}
-
 	st.updateMu.Lock()
 	defer st.updateMu.Unlock()
 	if err := st.src.SetRaw(id, raw); err != nil {
@@ -55,9 +46,9 @@ func (s *Store) applyUpdate(st *storeTable, id uint32, raw []byte, owned bool) (
 		s.deltaLog.invalidate(s.snapSeq.Load())
 	}
 	st.overlay.put(id, cp, seq)
-	// Epoch before the cache removal, exactly like the write-through path: a
-	// miss that decoded the (now stale) block image before this update
-	// cannot re-cache its bytes after the removal.
+	// Epoch before the cache removal: a miss that decoded the (now stale)
+	// block image before this update cannot re-cache its bytes after the
+	// removal.
 	st.epoch.Add(1)
 	st.loadState().cache.Remove(id)
 	if needCompact || st.overlay.size() >= s.deltaLog.compactAfter {
@@ -75,8 +66,8 @@ func (s *Store) requestCompaction() {
 	}
 }
 
-// compactLoop is the background compactor goroutine (one per store with an
-// update log); Close stops it before tearing down the scheduler and device.
+// compactLoop is the background compactor goroutine (one per store); Close
+// stops it before tearing down the scheduler and device.
 func (s *Store) compactLoop() {
 	defer close(s.compactDone)
 	for {
@@ -95,12 +86,8 @@ func (s *Store) compactLoop() {
 // (amortizing all accumulated updates of a block into one journaled
 // read-modify-write), makes the result durable, and trims the update log to
 // its retention tail. It runs in the background automatically; call it
-// directly to bound the overlay before e.g. measuring the device. No-op
-// without an update log.
+// directly to bound the overlay before e.g. measuring the device.
 func (s *Store) CompactDeltas() error {
-	if s.deltaLog == nil {
-		return nil
-	}
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 	// Every record with seq <= through is guaranteed to be covered by the
@@ -135,9 +122,6 @@ func (s *Store) CompactDeltas() error {
 // compaction ran keeps its newer overlay entry). Returns how many entries
 // were folded.
 func (s *Store) compactTable(st *storeTable) (int, error) {
-	if st.overlay == nil {
-		return 0, nil
-	}
 	// Lock order (updateMu -> rewriteMu) matches rewriteTable. The snapshot
 	// happens under updateMu so it includes every update the caller's
 	// `through` seq observed; rewriteMu stays held shared across the writes
@@ -173,27 +157,23 @@ func (s *Store) compactTable(st *storeTable) (int, error) {
 		abs := st.blockBase + b
 		// Background (prefetch-class) reads: compaction must never starve
 		// foreground lookups of device bandwidth.
-		if st.sched != nil {
-			for {
-				res, err := st.sched.ReadBlock(abs, buf, iosched.Prefetch, minEpoch)
-				if err != nil {
-					return 0, fmt.Errorf("core: table %q: %w", st.name, err)
-				}
-				// Freshness: a Late read may carry bytes snapshotted before
-				// an earlier NVM write to this table; every such write
-				// bumped the epoch before minEpoch was loaded (we hold
-				// rewriteMu shared and compactions serialize on compactMu),
-				// so only a leader tag from BEFORE minEpoch can be stale.
-				// Delta updates bump the epoch without touching NVM, so the
-				// comparison is < (not !=): fresh leaders always carry tags
-				// >= minEpoch and the retry terminates under update load.
-				if res.Late && res.LeaderTag < minEpoch {
-					continue
-				}
-				break
+		for {
+			res, err := st.sched.ReadBlock(abs, buf, iosched.Prefetch, minEpoch)
+			if err != nil {
+				return 0, fmt.Errorf("core: table %q: %w", st.name, err)
 			}
-		} else if _, err := s.device.ReadBlock(abs, buf); err != nil {
-			return 0, fmt.Errorf("core: table %q: %w", st.name, err)
+			// Freshness: a Late read may carry bytes snapshotted before an
+			// earlier NVM write to this table; every such write bumped the
+			// epoch before minEpoch was loaded (we hold rewriteMu shared and
+			// compactions serialize on compactMu), so only a leader tag from
+			// BEFORE minEpoch can be stale. Delta updates bump the epoch
+			// without touching NVM, so the comparison is < (not !=): fresh
+			// leaders always carry tags >= minEpoch and the retry terminates
+			// under update load.
+			if res.Late && res.LeaderTag < minEpoch {
+				continue
+			}
+			break
 		}
 		for _, id := range byBlock[b] {
 			slot := ts.layout.SlotOf(id)
@@ -216,13 +196,10 @@ func (s *Store) compactTable(st *storeTable) (int, error) {
 // UpdatesSince returns up to maxRecords logged updates with seq > since (also
 // bounded by maxBytes of framed payload; <=0 uses defaults), in commit order.
 // upTo is the seq of the last returned record — a follower that applies the
-// batch has exactly the primary's image at upTo. ok is false when the store
-// has no update log or since lies outside the retained window (compacted
-// away, or from a different history): the follower must full-sync.
+// batch has exactly the primary's image at upTo. ok is false when since lies
+// outside the retained window (compacted away, or from a different history):
+// the follower must full-sync.
 func (s *Store) UpdatesSince(since uint64, maxRecords, maxBytes int) (recs []UpdateRecord, upTo uint64, ok bool) {
-	if s.deltaLog == nil {
-		return nil, 0, false
-	}
 	if maxRecords <= 0 {
 		maxRecords = 1 << 16
 	}
@@ -244,10 +221,9 @@ func advanceSeq(seq *atomic.Uint64, to uint64) {
 
 // ApplyReplicatedUpdates applies update records streamed from a primary to a
 // read-only replica store, in order: each record's bytes go to the source
-// table and the DRAM overlay (or, without an update log, read-modify-write
-// through to NVM), the cached copy is invalidated, and the store's snapshot
-// seq advances to the record's — published only after the record is applied
-// (and appended to this store's own log, when it has one), so a downstream
+// table, this store's own log and the DRAM overlay, the cached copy is
+// invalidated, and the store's snapshot seq advances to the record's —
+// published only after the record is applied and logged, so a downstream
 // follower that observes the seq can always fetch through it. Records'
 // payloads are retained; callers must not modify them after the call.
 //
@@ -281,11 +257,6 @@ func (s *Store) ApplyReplicatedUpdates(recs []UpdateRecord) error {
 }
 
 func (s *Store) applyReplicatedOne(st *storeTable, rec UpdateRecord) error {
-	if s.deltaLog == nil || st.overlay == nil {
-		// No log on this store: write through (updateRaw takes updateMu and
-		// maintains src + NVM + cache itself).
-		return st.updateRaw(s.device, rec.ID, rec.Raw)
-	}
 	st.updateMu.Lock()
 	defer st.updateMu.Unlock()
 	if err := st.src.SetRaw(rec.ID, rec.Raw); err != nil {

@@ -250,7 +250,7 @@ func reopenDir(cfg Config) (*Store, error) {
 	// mid-replay just replays again next open, and records at or below the
 	// watermark are never applied (their blocks are already durable, possibly
 	// with newer compacted values). The log file is consumed here and
-	// recreated fresh by buildStore when the update log is (still) enabled.
+	// recreated fresh by buildStore.
 	bases := make([]int, len(entries))
 	for i, e := range entries {
 		bases[i] = e.blockBase
@@ -300,9 +300,7 @@ func reopenDir(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.deltaLog != nil {
-		s.deltaLog.recovered = int64(replayed)
-	}
+	s.deltaLog.recovered = int64(replayed)
 	// The store owns fs (via the device) from here on: later error paths
 	// must close it through s.Close so the I/O scheduler stops too.
 	closeOnErr = nil
@@ -529,12 +527,9 @@ func (s *Store) Persist() error {
 	if err := s.device.Flush(); err != nil {
 		return err
 	}
-	if s.deltaLog != nil {
-		// Same durability point for the update log: under the periodic-sync
-		// modes, Persist is where "everything so far survives a crash".
-		return s.deltaLog.fsync()
-	}
-	return nil
+	// Same durability point for the update log: under the periodic-sync
+	// modes, Persist is where "everything so far survives a crash".
+	return s.deltaLog.fsync()
 }
 
 // DataDir returns the persistence directory of a file-backed store ("" for

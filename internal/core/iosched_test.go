@@ -43,7 +43,6 @@ func TestMissStormCoalescesToOneDeviceRead(t *testing.T) {
 		Device: dev,
 		Seed:   1,
 		IOSched: IOSchedOptions{
-			Enabled:    true,
 			QueueDepth: 64,
 			Window:     300 * time.Millisecond,
 		},
@@ -96,10 +95,7 @@ func TestMissStormCoalescesToOneDeviceRead(t *testing.T) {
 	if ds := s.DeviceStats(); ds.CoalescedReads != storm-1 {
 		t.Fatalf("device coalesced=%d, want %d", ds.CoalescedReads, storm-1)
 	}
-	ios, ok := s.IOSchedStats()
-	if !ok {
-		t.Fatal("IOSchedStats reports scheduler off")
-	}
+	ios, _ := s.IOSchedStats()
 	if ios.DeviceReads != 1 || ios.Coalesced != storm-1 {
 		t.Fatalf("iosched stats %+v", ios)
 	}
@@ -115,10 +111,11 @@ func TestMissStormCoalescesToOneDeviceRead(t *testing.T) {
 }
 
 // TestSchedulerOnOffEquivalence trains and serves the identical workload on
-// four stores — {mem, file} x {scheduler on, scheduler off} — and asserts
-// they are indistinguishable: same vectors, same hit ratios, same counters.
-// Single-threaded serving never coalesces, so the scheduler must be a pure
-// transport change.
+// four stores — {mem, file} x {one read per dispatch, batches of up to 8
+// accumulated over 1ms} — and asserts they are indistinguishable: same
+// vectors, same hit ratios, same counters. Single-threaded serving never
+// coalesces, so the scheduler's depth and window must be invisible to
+// everything but latency.
 func TestSchedulerOnOffEquivalence(t *testing.T) {
 	tables, traces := buildTestTables(t, 2, 2048, 150)
 
@@ -127,14 +124,16 @@ func TestSchedulerOnOffEquivalence(t *testing.T) {
 		cfg  Config
 	}
 	variants := []variant{
-		{"mem-off", Config{Tables: tables, DRAMBudgetVectors: 256, Seed: 7}},
-		{"mem-on", Config{Tables: tables, DRAMBudgetVectors: 256, Seed: 7,
-			IOSched: IOSchedOptions{Enabled: true, QueueDepth: 8, Window: time.Millisecond}}},
-		{"file-off", Config{Tables: tables, DRAMBudgetVectors: 256, Seed: 7,
-			Backend: BackendFile, DataDir: filepath.Join(t.TempDir(), "off")}},
-		{"file-on", Config{Tables: tables, DRAMBudgetVectors: 256, Seed: 7,
-			Backend: BackendFile, DataDir: filepath.Join(t.TempDir(), "on"),
-			IOSched: IOSchedOptions{Enabled: true, QueueDepth: 8, Window: time.Millisecond}}},
+		{"mem-qd1", Config{Tables: tables, DRAMBudgetVectors: 256, Seed: 7,
+			IOSched: IOSchedOptions{QueueDepth: 1}}},
+		{"mem-qd8", Config{Tables: tables, DRAMBudgetVectors: 256, Seed: 7,
+			IOSched: IOSchedOptions{QueueDepth: 8, Window: time.Millisecond}}},
+		{"file-qd1", Config{Tables: tables, DRAMBudgetVectors: 256, Seed: 7,
+			Backend: BackendFile, DataDir: filepath.Join(t.TempDir(), "qd1"),
+			IOSched: IOSchedOptions{QueueDepth: 1}}},
+		{"file-qd8", Config{Tables: tables, DRAMBudgetVectors: 256, Seed: 7,
+			Backend: BackendFile, DataDir: filepath.Join(t.TempDir(), "qd8"),
+			IOSched: IOSchedOptions{QueueDepth: 8, Window: time.Millisecond}}},
 	}
 
 	stores := make([]*Store, len(variants))
@@ -175,7 +174,7 @@ func TestSchedulerOnOffEquivalence(t *testing.T) {
 	}
 
 	ref := stores[0].Stats()
-	for vi := 1; vi < len(stores); vi++ {
+	for vi := range stores {
 		got := stores[vi].Stats()
 		for i := range ref {
 			if ref[i].Lookups != got[i].Lookups || ref[i].Hits != got[i].Hits ||
@@ -204,7 +203,6 @@ func TestUpdateVectorVisibleWithScheduler(t *testing.T) {
 		Tables: tables,
 		Seed:   3,
 		IOSched: IOSchedOptions{
-			Enabled:    true,
 			QueueDepth: 8,
 			Window:     200 * time.Microsecond,
 		},
@@ -261,25 +259,12 @@ func TestUpdateVectorVisibleWithScheduler(t *testing.T) {
 func TestIOSchedConfigValidation(t *testing.T) {
 	tables, _ := buildTestTables(t, 1, 256, 5)
 	for _, opts := range []IOSchedOptions{
-		{Enabled: true, QueueDepth: -4},
-		{Enabled: true, QueueDepth: 100000},
-		{Enabled: true, Window: -time.Second},
+		{QueueDepth: -4},
+		{QueueDepth: 100000},
+		{Window: -time.Second},
 	} {
 		if _, err := Open(Config{Tables: tables, Seed: 1, IOSched: opts}); err == nil {
 			t.Fatalf("options %+v accepted", opts)
 		}
-	}
-}
-
-// TestStatsReportSchedulerOff: stores without a scheduler report it.
-func TestStatsReportSchedulerOff(t *testing.T) {
-	tables, _ := buildTestTables(t, 1, 256, 5)
-	s, err := Open(Config{Tables: tables, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, ok := s.IOSchedStats(); ok {
-		t.Fatal("scheduler reported on for a plain store")
 	}
 }

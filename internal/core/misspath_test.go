@@ -3,10 +3,9 @@ package core
 import "testing"
 
 // newMissPathStore opens a trained single-table store over the mem backend
-// with the I/O scheduler on — the deployed miss path: SHP layout, threshold
-// admission, batched reads through the scheduler. The
-// cache holds 256 of the 32,768 vectors, so a batch of ids not served
-// recently is all misses.
+// — the deployed miss path: SHP layout, threshold admission, batched reads
+// through the scheduler. The cache holds 256 of the 32,768 vectors, so a
+// batch of ids not served recently is all misses.
 func newMissPathStore(tb testing.TB) *Store {
 	tb.Helper()
 	tables, traces := buildTestTables(tb, 1, 32768, 300)
@@ -14,7 +13,6 @@ func newMissPathStore(tb testing.TB) *Store {
 		Tables:            tables,
 		DRAMBudgetVectors: 256,
 		Seed:              1,
-		IOSched:           IOSchedOptions{Enabled: true},
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -100,7 +98,6 @@ func TestOverlayHitRawBatchAllocBound(t *testing.T) {
 		DRAMBudgetVectors: 1,
 		Seed:              1,
 		CacheShards:       1,
-		UpdateLog:         UpdateLogOptions{Enabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -66,11 +66,9 @@ func (s *Store) rewriteTable(st *storeTable, mutate func(*tableState)) error {
 			return fmt.Errorf("core: table %q block %d: %w", st.name, b, err)
 		}
 	}
-	if st.overlay != nil {
-		// The image was just rendered from src, which includes every overlaid
-		// value: the overlay has nothing left to shadow.
-		st.overlay.clear()
-	}
+	// The image was just rendered from src, which includes every overlaid
+	// value: the overlay has nothing left to shadow.
+	st.overlay.clear()
 	return nil
 }
 
@@ -210,21 +208,17 @@ func (s *Store) installLayout(st *storeTable, newLayout *layout.Layout, img []by
 		if rerr != nil {
 			return errors.Join(err, fmt.Errorf("%w: table %q: %v", errMigrationRollbackFailed, st.name, rerr))
 		}
-		if st.overlay != nil {
-			// The rollback rendered the old image from src, which includes
-			// every overlaid value. (On a FAILED rollback the overlay is kept:
-			// the on-NVM bytes are suspect and the overlay still shadows the
-			// freshest values for serving.)
-			st.overlay.clear()
-		}
+		// The rollback rendered the old image from src, which includes every
+		// overlaid value. (On a FAILED rollback the overlay is kept: the
+		// on-NVM bytes are suspect and the overlay still shadows the freshest
+		// values for serving.)
+		st.overlay.clear()
 		return err
 	}
 	st.mutateState(func(ts *tableState) {
 		ts.layout = newLayout
 	})
-	if st.overlay != nil {
-		// Same as rewriteTable: img came from src, the overlay is subsumed.
-		st.overlay.clear()
-	}
+	// Same as rewriteTable: img came from src, the overlay is subsumed.
+	st.overlay.clear()
 	return nil
 }

@@ -42,7 +42,7 @@ func (s *Store) Lookup(tableIdx int, id uint32) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return st.lookup(s.device, id, nil)
+	return st.lookup(id, nil)
 }
 
 // LookupByName is Lookup with a table name.
@@ -65,7 +65,7 @@ func (s *Store) LookupBatch(tableIdx int, ids []uint32) ([][]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return st.lookupBatch(s.device, ids, nil)
+	return st.lookupBatch(ids, nil)
 }
 
 // LookupBatchRaw is LookupBatch without the decode: each returned slice is
@@ -96,7 +96,7 @@ func (s *Store) LookupBatchRawLeased(tableIdx int, ids []uint32) ([][]byte, func
 		return nil, nil, err
 	}
 	out := make([][]byte, len(ids))
-	release, err := st.serveBatch(s.device, ids, out, nil)
+	release, err := st.serveBatch(ids, out, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -161,7 +161,7 @@ func (s *Store) serveRequest(req Request, tr *StageTrace) ([][][]float32, error)
 		if len(ids) == 0 {
 			continue
 		}
-		vecs, err := s.tables[ti].lookupBatch(s.device, ids, tr)
+		vecs, err := s.tables[ti].lookupBatch(ids, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -172,10 +172,10 @@ func (s *Store) serveRequest(req Request, tr *StageTrace) ([][][]float32, error)
 
 // UpdateVector overwrites the embedding of vector id in table tableIdx
 // (e.g. after periodic re-training of the model) and invalidates the cached
-// copy. Without an update log the write read-modify-writes the containing
-// NVM block; with one (Config.UpdateLog) it appends a single log record and
-// is served from the DRAM overlay until compaction folds it into the image
-// (see deltalog.go).
+// copy. The update appends a single log record and is served from the DRAM
+// overlay until background compaction folds it into the block image, which
+// is when the device's write counters move (CompactDeltas forces it; see
+// deltalog.go).
 func (s *Store) UpdateVector(tableIdx int, id uint32, vec []float32) error {
 	_, err := s.UpdateVectorSeq(tableIdx, id, vec)
 	return err
@@ -244,7 +244,7 @@ candidates:
 				continue candidates
 			}
 		}
-		if st.overlay != nil && st.overlay.contains(other) {
+		if st.overlay.contains(other) {
 			// The block image's copy of an overlaid vector is stale; its
 			// authoritative bytes are served from the overlay until
 			// compaction, so never cache the image's.
@@ -258,13 +258,12 @@ candidates:
 }
 
 // readBlocksMiss reads a set of distinct absolute device blocks on the miss
-// path: through the I/O scheduler as demand reads when the store has one
-// (coalescing with concurrent misses for the same block, batching with
-// independent ones), inline otherwise. It returns the slowest read's latency
-// and, when the scheduler served any block from someone else's device read,
-// a per-block coalesced mask (nil otherwise). The caller must hold
-// st.rewriteMu shared and must have loaded epoch from st.epoch BEFORE
-// calling.
+// path, as demand reads through the I/O scheduler (coalescing with concurrent
+// misses for the same block, batching with independent ones). It returns the
+// slowest read's service latency and queue wait and, when the scheduler
+// served any block from someone else's device read, a per-block coalesced
+// mask (nil otherwise). The caller must hold st.rewriteMu shared and must
+// have loaded epoch from st.epoch BEFORE calling.
 //
 // Freshness: the epoch rides along as the read's tag. A read that attached
 // to an already-issued device read (Late) may receive bytes snapshotted
@@ -276,11 +275,7 @@ candidates:
 // the device read) and now, making the bytes current; any write in between
 // leaves leaderTag behind the current epoch and forces the whole set to be
 // re-submitted. Returns the epoch the bytes are consistent with.
-func (st *storeTable) readBlocksMiss(device *nvm.Device, abs []int, dst []byte, epoch uint64) (lat, wait float64, coalesced []bool, outEpoch uint64, err error) {
-	if st.sched == nil {
-		lat, err = device.ReadBlocks(abs, dst)
-		return lat, 0, nil, epoch, err
-	}
+func (st *storeTable) readBlocksMiss(abs []int, dst []byte, epoch uint64) (lat, wait float64, coalesced []bool, outEpoch uint64, err error) {
 	for {
 		results, err := st.sched.ReadBlocks(abs, dst, iosched.Demand, epoch)
 		if err != nil {
@@ -318,15 +313,12 @@ func (st *storeTable) readBlocksMiss(device *nvm.Device, abs []int, dst []byte, 
 }
 
 // observeMissIO records the wait/service decomposition of one miss-path
-// device read into the table's stage histograms and the optional trace.
-// LatencyUS (service) keeps its historical meaning in lookupLatency; the
-// queue-wait component is only meaningful (and only recorded) when reads go
-// through the I/O scheduler.
+// device read into the table's stage histograms and the optional trace:
+// device service time in lookupLatency, scheduler queue wait in
+// queueWaitLatency.
 func (st *storeTable) observeMissIO(lat, wait float64, tr *StageTrace) {
 	st.lookupLatency.Observe(lat)
-	if st.sched != nil {
-		st.queueWaitLatency.Observe(wait)
-	}
+	st.queueWaitLatency.Observe(wait)
 	if tr != nil {
 		tr.ServiceUS += lat
 		tr.QueueWaitUS += wait
@@ -360,10 +352,10 @@ func (st *storeTable) decodeViews(views [][]byte, timed bool, tr *StageTrace) []
 // arrays stay on the stack, so a cache hit allocates only the vector it
 // returns. The decode stage is timed only under a trace: two clock reads and
 // a histogram update would cost half as much again as the hit itself.
-func (st *storeTable) lookup(device *nvm.Device, id uint32, tr *StageTrace) ([]float32, error) {
+func (st *storeTable) lookup(id uint32, tr *StageTrace) ([]float32, error) {
 	ids := [1]uint32{id}
 	var view [1][]byte
-	release, err := st.serveBatch(device, ids[:], view[:], tr)
+	release, err := st.serveBatch(ids[:], view[:], tr)
 	if err != nil {
 		return nil, err
 	}
@@ -374,9 +366,9 @@ func (st *storeTable) lookup(device *nvm.Device, id uint32, tr *StageTrace) ([]f
 
 // lookupBatch serves a batch of vector reads decoded to float32: each
 // returned vector is a capacity-limited window of one backing array.
-func (st *storeTable) lookupBatch(device *nvm.Device, ids []uint32, tr *StageTrace) ([][]float32, error) {
+func (st *storeTable) lookupBatch(ids []uint32, tr *StageTrace) ([][]float32, error) {
 	views := make([][]byte, len(ids))
-	release, err := st.serveBatch(device, ids, views, tr)
+	release, err := st.serveBatch(ids, views, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +394,7 @@ func (st *storeTable) lookupBatch(device *nvm.Device, ids []uint32, tr *StageTra
 // nil on error). Only pass-1 cache hits hand out leased views (overlay bytes
 // are heap-stable and pass-2 results are fresh copies), so that one lease
 // covers everything.
-func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]byte, tr *StageTrace) (release func(), err error) {
+func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (release func(), err error) {
 	for _, id := range ids {
 		if int(id) >= st.src.NumVectors() {
 			return nil, fmt.Errorf("core: table %q: %w: %d", st.name, table.ErrBadVector, id)
@@ -504,24 +496,22 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]byte,
 			}
 			continue
 		}
-		if st.overlay != nil {
-			// Probe the delta overlay before the miss path: an updated vector's
-			// authoritative bytes live here until compaction folds them into the
-			// block image (whose copy is stale). The epoch is loaded BEFORE the
-			// overlay read so a concurrent newer update — overlay put, then epoch
-			// bump, then cache invalidate — can never let these older bytes be
-			// cached past their invalidation.
-			epoch := st.epoch.Load()
-			if raw := st.overlay.get(id); raw != nil {
-				st.hits.Inc(h)
-				st.deltaHits.Inc(h)
-				if tr != nil {
-					tr.Hits++
-				}
-				out[i] = raw
-				ts.cache.AddAtGuard(id, raw, 0, false, &st.epoch, epoch)
-				continue
+		// Probe the delta overlay before the miss path: an updated vector's
+		// authoritative bytes live here until compaction folds them into the
+		// block image (whose copy is stale). The epoch is loaded BEFORE the
+		// overlay read so a concurrent newer update — overlay put, then epoch
+		// bump, then cache invalidate — can never let these older bytes be
+		// cached past their invalidation.
+		epoch := st.epoch.Load()
+		if raw := st.overlay.get(id); raw != nil {
+			st.hits.Inc(h)
+			st.deltaHits.Inc(h)
+			if tr != nil {
+				tr.Hits++
 			}
+			out[i] = raw
+			ts.cache.AddAtGuard(id, raw, 0, false, &st.epoch, epoch)
+			continue
 		}
 		st.misses.Inc(h)
 		if tr != nil {
@@ -577,7 +567,7 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]byte,
 		batch = make([]byte, len(abs)*nvm.BlockSize)
 	}
 	epoch := st.epoch.Load()
-	lat, wait, coalesced, epoch, err := st.readBlocksMiss(device, abs, batch, epoch)
+	lat, wait, coalesced, epoch, err := st.readBlocksMiss(abs, batch, epoch)
 	if err != nil {
 		release()
 		return nil, fmt.Errorf("core: table %q: %w", st.name, err)
@@ -607,18 +597,14 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]byte,
 		}
 
 		for _, ref := range refs {
-			if st.overlay != nil {
-				// Updated between the pass-1 overlay probe and this block
-				// read: serve the overlay bytes and skip the cache fill. The
-				// image's copy is stale and the epoch guard alone cannot
-				// catch this case, because a delta update moves the epoch
-				// without touching NVM, so the post-update block re-read that
-				// makes write-through safe here still returns pre-update
-				// bytes.
-				if oraw := st.overlay.get(ref.id); oraw != nil {
-					out[ref.pos] = oraw
-					continue
-				}
+			// Updated between the pass-1 overlay probe and this block read:
+			// serve the overlay bytes and skip the cache fill. The image's
+			// copy is stale and the epoch guard alone cannot catch this case:
+			// an update moves the epoch without touching NVM, so a block
+			// re-read after it still returns pre-update bytes.
+			if oraw := st.overlay.get(ref.id); oraw != nil {
+				out[ref.pos] = oraw
+				continue
 			}
 			slot := ts.layout.SlotOf(ref.id)
 			off := len(rawOut)
@@ -637,38 +623,4 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]byte,
 		out[d[0]] = out[d[1]]
 	}
 	return release, nil
-}
-
-// updateRaw is the write-through (no update log) single-vector update: a
-// journaled sub-block patch of the vector's slot. raw must be exactly
-// vecBytes long (callers validate). It is also the replica apply path for
-// stores without an overlay.
-func (st *storeTable) updateRaw(device *nvm.Device, id uint32, raw []byte) error {
-	// Serialize concurrent updates of the table: two patches of the same
-	// slot must not interleave, and SetRaw/device order must be stable.
-	st.updateMu.Lock()
-	defer st.updateMu.Unlock()
-	if err := st.src.SetRaw(id, raw); err != nil {
-		return fmt.Errorf("core: table %q: %w", st.name, err)
-	}
-	ts := st.loadState()
-
-	// Patch exactly the vector's bytes inside its containing block. The
-	// earlier read-modify-write here had to fetch the whole block first —
-	// and carefully fence against coalesced reads returning a stale image,
-	// because writing a stale pre-image back would silently revert every
-	// other slot in the block. The patch write needs no pre-image, so the
-	// lost-update hazard (and the read, and its device bandwidth) is gone
-	// structurally: a vector update is one journal append plus one
-	// sub-block write on the file backend.
-	block := ts.layout.BlockOf(id)
-	slot := ts.layout.SlotOf(id)
-	if err := device.WriteBlockPatch(st.blockBase+block, slot*st.vecBytes, raw); err != nil {
-		return fmt.Errorf("core: table %q: %w", st.name, err)
-	}
-	// Bump the epoch before invalidating so that a concurrent miss that
-	// read the block before the write cannot re-cache the stale vector.
-	st.epoch.Add(1)
-	ts.cache.Remove(id)
-	return nil
 }

@@ -74,20 +74,14 @@ func initialSnapshotSeq(override uint64) uint64 {
 	return uint64(time.Now().Unix()) << 20
 }
 
-// bumpSnapshotSeq records a committed mutation of the servable image and
-// returns the seq it committed at.
-func (s *Store) bumpSnapshotSeq() uint64 { return s.snapSeq.Add(1) }
-
 // noteStructuralMutation records a committed mutation that changed more than
 // individual vectors (Train, LoadState, adaptation epochs): the seq advances
 // AND the update-log window resets, so followers tailing vector records
 // full-sync across the change instead of streaming through a layout or
 // cache-state transition no record can express.
 func (s *Store) noteStructuralMutation() {
-	s.bumpSnapshotSeq()
-	if s.deltaLog != nil {
-		s.deltaLog.invalidate(s.snapSeq.Load())
-	}
+	s.snapSeq.Add(1)
+	s.deltaLog.invalidate(s.snapSeq.Load())
 }
 
 // Snapshot is a self-contained, CRC-protected image of a store: everything a

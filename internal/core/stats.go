@@ -21,7 +21,7 @@ type TableStats struct {
 	BlockReads     int64
 	// CoalescedReads counts misses served by another miss's device read
 	// (I/O scheduler singleflight): the lookup paid a miss but the device
-	// did not pay a block read. Always 0 with the scheduler off.
+	// did not pay a block read.
 	CoalescedReads int64
 	PrefetchAdds   int64
 	PrefetchHits   int64
@@ -66,9 +66,9 @@ type TableStats struct {
 	// Stage latency decomposition (all microseconds). ProbeLatency is the
 	// DRAM cache/overlay probe, timed on a sampled subset of lookups (~1/64,
 	// always under a slow-request trace). QueueWaitLatency is time miss
-	// reads spent queued in the I/O scheduler before dispatch (empty with
-	// the scheduler off). DecodeLatency is requested-vector fp16 decode
-	// time (prefetch admission decodes excluded).
+	// reads spent queued in the I/O scheduler before dispatch.
+	// DecodeLatency is requested-vector fp16 decode time (prefetch
+	// admission decodes excluded).
 	ProbeLatency     metrics.Snapshot
 	QueueWaitLatency metrics.Snapshot
 	DecodeLatency    metrics.Snapshot
@@ -108,9 +108,7 @@ func (s *Store) Stats() []TableStats {
 		ts.CacheSlabs = cs.Slabs
 		ts.CacheFreeSlots = cs.FreeSlots
 		ts.CacheLimboSlots = cs.LimboSlots
-		if st.overlay != nil {
-			ts.OverlayEntries = st.overlay.size()
-		}
+		ts.OverlayEntries = st.overlay.size()
 		if state.policy != nil {
 			ts.Policy = state.policy.Name()
 		}

@@ -27,9 +27,8 @@ import (
 type Store struct {
 	device     *nvm.Device
 	ownsDevice bool
-	// sched is the unified async block I/O scheduler all miss-path and
-	// background reads are submitted to; nil when Config.IOSched is
-	// disabled (reads then go to the device inline).
+	// sched is the async block I/O scheduler all miss-path and background
+	// reads are submitted to.
 	sched  *iosched.Scheduler
 	tables []*storeTable
 	byName map[string]int
@@ -59,9 +58,8 @@ type Store struct {
 	// whose copy and rollback both failed: the pending migration record is
 	// the repair and must not be disturbed before the next open.
 	migrationPoisoned atomic.Bool
-	// deltaLog is the append-only update log of the write-optimized update
-	// path; nil when Config.UpdateLog is off (updates then read-modify-write
-	// through to NVM).
+	// deltaLog is the append-only update log every vector update goes
+	// through (see deltalog.go).
 	deltaLog *deltaLog
 	// compactMu serializes compactions (the background worker and direct
 	// CompactDeltas calls); compactCh/compactStop/compactDone run the worker.
@@ -69,6 +67,10 @@ type Store struct {
 	compactCh   chan struct{}
 	compactStop chan struct{}
 	compactDone chan struct{}
+	// closeOnce makes Close idempotent; closeErr is what the first call
+	// returned.
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // RecoveredMigration reports whether opening this store redid a background
@@ -166,7 +168,7 @@ type storeTable struct {
 	// image goes stale relative to the overlay).
 	epoch atomic.Uint64
 	// overlay shadows the block image with the raw bytes of updates not yet
-	// compacted into it; nil when the store runs without an update log.
+	// compacted into it.
 	overlay *deltaOverlay
 
 	// recorder captures a sampled window of the live access stream for the
@@ -174,8 +176,8 @@ type storeTable struct {
 	// adaptation is off.
 	recorder atomic.Pointer[trace.Recorder]
 
-	// sched mirrors Store.sched (nil = scheduler off) so the per-table
-	// serving paths can submit reads without reaching back to the store.
+	// sched mirrors Store.sched so the per-table serving paths can submit
+	// reads without reaching back to the store.
 	sched *iosched.Scheduler
 
 	// Serving counters, striped across cache lines so concurrent lookups
@@ -192,7 +194,7 @@ type storeTable struct {
 	// lookupLatency is the device-service component of miss reads (the
 	// historical "lookup latency"); the histograms below decompose the rest
 	// of a lookup's time. probeLatency is sampled (see probeSampleMask),
-	// queueWaitLatency is only fed when the I/O scheduler is on, and
+	// queueWaitLatency is the scheduler's queue wait of miss reads, and
 	// decodeLatency covers requested-vector fp16 decodes.
 	lookupLatency    *metrics.Histogram
 	probeLatency     *metrics.Histogram
@@ -281,8 +283,8 @@ func openMem(cfg Config) (*Store, error) {
 	}
 	if err := s.writeAllTables(); err != nil {
 		// Close the store, not just the device: the I/O scheduler's
-		// dispatcher must stop too. A caller-supplied device stays open
-		// (Close only closes owned devices), matching the old behaviour.
+		// dispatcher and the compactor must stop too. A caller-supplied
+		// device stays open (Close only closes owned devices).
 		s.Close()
 		return nil, err
 	}
@@ -318,32 +320,24 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, spans []tableSpan) (*
 		dataDir:    cfg.DataDir,
 		readOnly:   cfg.ReadOnly,
 	}
-	if cfg.IOSched.Enabled {
-		sched, err := iosched.New(device, iosched.Config{
-			QueueDepth: cfg.IOSched.QueueDepth,
-			Window:     cfg.IOSched.Window,
-			NoCoalesce: cfg.IOSched.NoCoalesce,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.sched = sched
+	sched, err := iosched.New(device, iosched.Config{
+		QueueDepth: cfg.IOSched.QueueDepth,
+		Window:     cfg.IOSched.Window,
+	})
+	if err != nil {
+		return nil, err
 	}
+	s.sched = sched
 	s.snapSeq.Store(initialSnapshotSeq(cfg.InitialSnapshotSeq))
-	if cfg.UpdateLog.Enabled {
-		// The log window anchors at the initial seq: the first update gets
-		// seq base+1, so a follower that bootstrapped the image at `base` can
-		// tail from there. A file-backed store mirrors the log on disk for
-		// crash recovery (reopen replays and removes any previous log before
-		// reaching this point).
-		l, err := newDeltaLog(cfg.UpdateLog, s.snapSeq.Load(), cfg.DataDir, cfg.Sync == nvm.SyncAlways)
-		if err != nil {
-			if s.sched != nil {
-				s.sched.Close()
-			}
-			return nil, err
-		}
-		s.deltaLog = l
+	// The log window anchors at the initial seq: the first update gets seq
+	// base+1, so a follower that bootstrapped the image at `base` can tail
+	// from there. A file-backed store mirrors the log on disk for crash
+	// recovery (reopen replays and removes any previous log before reaching
+	// this point).
+	s.deltaLog, err = newDeltaLog(cfg.UpdateLog, s.snapSeq.Load(), cfg.DataDir, cfg.Sync == nvm.SyncAlways)
+	if err != nil {
+		sched.Close()
+		return nil, err
 	}
 	perTable := budget / len(cfg.Tables)
 	if perTable < 1 {
@@ -373,47 +367,43 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, spans []tableSpan) (*
 			queueWaitLatency: newStageHistogram(),
 			decodeLatency:    newStageHistogram(),
 			sched:            s.sched,
+			overlay:          newDeltaOverlay(),
 		}
 		st.state.Store(&tableState{
 			layout:   layout.Identity(t.NumVectors(), spans[i].blockVectors),
 			cacheCap: perTable,
 			cache:    newTableCache(perTable, shards, t.VectorBytes()),
 		})
-		if s.deltaLog != nil {
-			st.overlay = newDeltaOverlay()
-		}
 		s.tables = append(s.tables, st)
 		s.byName[t.Name] = i
 	}
-	if s.deltaLog != nil {
-		s.compactCh = make(chan struct{}, 1)
-		s.compactStop = make(chan struct{})
-		s.compactDone = make(chan struct{})
-		go s.compactLoop()
-	}
+	s.compactCh = make(chan struct{}, 1)
+	s.compactStop = make(chan struct{})
+	s.compactDone = make(chan struct{})
+	go s.compactLoop()
 	return s, nil
 }
 
-// Close stops the adaptation engine (if running), drains and stops the I/O
-// scheduler, and releases the store's resources (and the device if the
-// store created it).
+// Close stops the adaptation engine (if running), the background compactor
+// and the I/O scheduler's dispatcher, and releases the store's resources (and
+// the device if the store created it). Every Open needs one Close: the last
+// two are goroutines every store runs. Calling it again is harmless and
+// returns the first call's error.
 func (s *Store) Close() error {
+	s.closeOnce.Do(func() { s.closeErr = s.close() })
+	return s.closeErr
+}
+
+func (s *Store) close() error {
 	s.StopAdaptation()
-	if s.deltaLog != nil {
-		// The compactor uses the scheduler and the device; it must be fully
-		// stopped before either goes away.
-		close(s.compactStop)
-		<-s.compactDone
-	}
-	if s.sched != nil {
-		// Drain before the device goes away: queued reads complete, late
-		// submitters get ErrClosed instead of racing a closed device.
-		s.sched.Close()
-	}
-	var logErr error
-	if s.deltaLog != nil {
-		logErr = s.deltaLog.close()
-	}
+	// The compactor uses the scheduler and the device; it must be fully
+	// stopped before either goes away.
+	close(s.compactStop)
+	<-s.compactDone
+	// Drain before the device goes away: queued reads complete, late
+	// submitters get ErrClosed instead of racing a closed device.
+	s.sched.Close()
+	logErr := s.deltaLog.close()
 	if s.ownsDevice {
 		if err := s.device.Close(); err != nil {
 			return err
@@ -425,12 +415,11 @@ func (s *Store) Close() error {
 // Device exposes the underlying NVM device (for stats and experiments).
 func (s *Store) Device() *nvm.Device { return s.device }
 
-// IOSchedStats returns a snapshot of the I/O scheduler's counters; ok is
-// false when the store runs without a scheduler.
+// IOSchedStats returns a snapshot of the I/O scheduler's counters. ok is
+// always true — every store has a scheduler; the second result survives only
+// because bench/ (which this repo's PRs may not edit outside a benchmark PR)
+// compiles against it.
 func (s *Store) IOSchedStats() (st iosched.Stats, ok bool) {
-	if s.sched == nil {
-		return iosched.Stats{}, false
-	}
 	return s.sched.Stats(), true
 }
 

@@ -12,7 +12,7 @@ type StageTrace struct {
 	// ProbeUS is time spent probing the DRAM cache (and delta overlay).
 	ProbeUS float64
 	// QueueWaitUS is time the request's miss reads spent queued in the I/O
-	// scheduler before dispatch (0 when the store reads the device inline).
+	// scheduler before dispatch.
 	QueueWaitUS float64
 	// ServiceUS is simulated device time of the request's miss reads (the
 	// slowest batch member per dispatch, summed over dispatches).
@@ -54,7 +54,7 @@ func (s *Store) LookupTraced(tableIdx int, id uint32, tr *StageTrace) ([]float32
 	if err != nil {
 		return nil, err
 	}
-	return st.lookup(s.device, id, tr)
+	return st.lookup(id, tr)
 }
 
 // LookupBatchTraced is LookupBatch with a per-stage latency breakdown
@@ -64,7 +64,7 @@ func (s *Store) LookupBatchTraced(tableIdx int, ids []uint32, tr *StageTrace) ([
 	if err != nil {
 		return nil, err
 	}
-	return st.lookupBatch(s.device, ids, tr)
+	return st.lookupBatch(ids, tr)
 }
 
 // ServeRequestTraced is ServeRequest with a per-stage latency breakdown

@@ -219,10 +219,9 @@ type Scheduler struct {
 
 // Stats is a snapshot of scheduler counters.
 type Stats struct {
-	// TargetQueueDepth, WindowUS and Coalesce echo the configuration.
+	// TargetQueueDepth and WindowUS echo the configuration.
 	TargetQueueDepth int
 	WindowUS         float64
-	Coalesce         bool
 	// DemandReads / PrefetchReads count submitted reads per class
 	// (including coalesced ones).
 	DemandReads   int64
@@ -651,7 +650,6 @@ func (s *Scheduler) Stats() Stats {
 	st := Stats{
 		TargetQueueDepth: s.cfg.QueueDepth,
 		WindowUS:         float64(s.cfg.Window) / float64(time.Microsecond),
-		Coalesce:         !s.cfg.NoCoalesce,
 		DemandReads:      s.submitted[Demand].Load(),
 		PrefetchReads:    s.submitted[Prefetch].Load(),
 		DeviceReads:      s.deviceReads.Load(),

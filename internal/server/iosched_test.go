@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -10,16 +11,16 @@ import (
 	"bandana/internal/table"
 )
 
-// TestStatsIOSchedSection: a store with the I/O scheduler enabled reports
-// its configuration and counters under the "iosched" stats section, and the
-// device section carries the batching counters.
+// TestStatsIOSchedSection: a store reports its I/O scheduler's effective
+// configuration and counters under the "iosched" stats section, the device
+// section carries the batching counters, and an update reaches the device
+// only when compaction folds it in.
 func TestStatsIOSchedSection(t *testing.T) {
 	g := table.Generate("tA", table.GenerateOptions{NumVectors: 512, Dim: 16, NumClusters: 8, Seed: 1})
 	store, err := core.Open(core.Config{
 		Tables: []*table.Table{g.Table},
 		Seed:   1,
 		IOSched: core.IOSchedOptions{
-			Enabled:    true,
 			QueueDepth: 16,
 			Window:     500 * time.Microsecond,
 		},
@@ -44,10 +45,7 @@ func TestStatsIOSchedSection(t *testing.T) {
 		t.Fatalf("stats status %d", code)
 	}
 	io := out.IOSched
-	if !io.Enabled {
-		t.Fatalf("iosched section reports disabled: %+v", io)
-	}
-	if io.TargetQueueDepth != 16 || io.AccumulationWindowUS != 500 || !io.Coalesce {
+	if io.TargetQueueDepth != 16 || io.AccumulationWindowUS != 500 {
 		t.Fatalf("iosched config not echoed: %+v", io)
 	}
 	if io.DemandReads != 3 || io.DeviceReads != 3 || io.Batches == 0 {
@@ -63,32 +61,58 @@ func TestStatsIOSchedSection(t *testing.T) {
 		t.Fatalf("device queue-depth counters: %+v", out.Device)
 	}
 
-	// An update is a journaled sub-block patch: it issues no device read at
-	// all (the old read-modify-write routed one through the background
-	// class), so the scheduler's read counters must not move.
-	if err := store.UpdateVector(0, 9, make([]float32, 16)); err != nil {
+	// An update is a log append plus DRAM work: the overlay serves it, and
+	// neither the scheduler's read counters nor the device's write counters
+	// move until compaction folds it into the block image.
+	written := out.Device.BlocksWritten
+	updateAndLookup(t, store, ts.URL, 9)
+	if code := getJSON(t, ts.URL+"/v1/stats", &out); code != http.StatusOK {
+		t.Fatalf("stats status %d", code)
+	}
+	if out.Tables[0].DeltaHits != 1 || out.UpdateLog.OverlayEntries != 1 {
+		t.Fatalf("update not served from the overlay: deltaHits=%d %+v", out.Tables[0].DeltaHits, out.UpdateLog)
+	}
+	if out.IOSched.PrefetchReads != 0 || out.IOSched.DemandReads != 3 || out.Device.BlocksWritten != written {
+		t.Fatalf("update touched the device before compaction: %+v %+v", out.IOSched, out.Device)
+	}
+
+	// Compaction read-modify-writes the one dirty block: its read goes
+	// through the scheduler's background class, its write to the device.
+	if err := store.CompactDeltas(); err != nil {
 		t.Fatal(err)
 	}
 	if code := getJSON(t, ts.URL+"/v1/stats", &out); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
-	if out.IOSched.PrefetchReads != 0 || out.IOSched.DemandReads != 3 {
-		t.Fatalf("update issued device reads (want none: it is a sub-block patch): %+v", out.IOSched)
+	if out.IOSched.PrefetchReads != 1 || out.IOSched.DemandReads != 3 {
+		t.Fatalf("compaction read not in the background class: %+v", out.IOSched)
 	}
-	if out.Device.PatchWrites != 1 {
-		t.Fatalf("update not counted as a patch write: %+v", out.Device)
+	if out.Device.BlocksWritten != written+1 {
+		t.Fatalf("compaction wrote %d blocks, want 1: %+v", out.Device.BlocksWritten-written, out.Device)
+	}
+	if out.UpdateLog.OverlayEntries != 0 || out.UpdateLog.Compactions != 1 {
+		t.Fatalf("overlay not drained by compaction: %+v", out.UpdateLog)
 	}
 }
 
-// TestStatsIOSchedDisabled: the section is present but reports disabled for
-// a plain store.
-func TestStatsIOSchedDisabled(t *testing.T) {
-	ts, _ := newTestServer(t)
-	var out statsResponse
-	if code := getJSON(t, ts.URL+"/v1/stats", &out); code != http.StatusOK {
-		t.Fatalf("status %d", code)
+// updateAndLookup overwrites vector id of table tA (dim 16) and checks that
+// an HTTP lookup serves the new value.
+func updateAndLookup(t *testing.T, store *core.Store, url string, id uint32) {
+	t.Helper()
+	vec := make([]float32, 16)
+	for i := range vec {
+		vec[i] = 2
 	}
-	if out.IOSched.Enabled || out.IOSched.DemandReads != 0 {
-		t.Fatalf("iosched section for a scheduler-less store: %+v", out.IOSched)
+	if err := store.UpdateVector(0, id, vec); err != nil {
+		t.Fatal(err)
+	}
+	var got lookupResponse
+	if code := getJSON(t, fmt.Sprintf("%s/v1/lookup?table=tA&id=%d", url, id), &got); code != http.StatusOK {
+		t.Fatalf("lookup status %d", code)
+	}
+	for i, x := range got.Vector {
+		if x != vec[i] {
+			t.Fatalf("updated vector not served: %v", got.Vector)
+		}
 	}
 }

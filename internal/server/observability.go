@@ -215,21 +215,9 @@ func (s *Server) buildRegistry() *metrics.Registry {
 	})
 
 	// I/O scheduler.
-	r.Register("bandana_iosched_enabled", "gauge", "1 when the async I/O scheduler is configured.", func() []metrics.Sample {
-		st, ok := s.scrapeStore().IOSchedStats()
-		_ = st
-		v := 0.0
-		if ok {
-			v = 1
-		}
-		return metrics.CounterSample(nil, v)
-	})
 	ioschedSamples := func(f func(st iosched.Stats) []metrics.Sample) metrics.GatherFunc {
 		return func() []metrics.Sample {
-			st, ok := s.scrapeStore().IOSchedStats()
-			if !ok {
-				return nil
-			}
+			st, _ := s.scrapeStore().IOSchedStats()
 			return f(st)
 		}
 	}
@@ -267,14 +255,6 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		}))
 
 	// Update log (delta path).
-	r.Register("bandana_updatelog_enabled", "gauge", "1 when the delta update log is on.", func() []metrics.Sample {
-		st := s.scrapeStore().UpdateLogStats()
-		v := 0.0
-		if st.Enabled {
-			v = 1
-		}
-		return metrics.CounterSample(nil, v)
-	})
 	r.Register("bandana_updatelog_records", "gauge", "Update records retained in the in-memory window.", func() []metrics.Sample {
 		return metrics.CounterSample(nil, float64(s.scrapeStore().UpdateLogStats().Records))
 	})
@@ -286,6 +266,12 @@ func (s *Server) buildRegistry() *metrics.Registry {
 	})
 	r.Register("bandana_updatelog_compactions_total", "counter", "Overlay folds into the block image.", func() []metrics.Sample {
 		return metrics.CounterSample(nil, float64(s.scrapeStore().UpdateLogStats().Compactions))
+	})
+	r.Register("bandana_updatelog_compact_failures_total", "counter", "Background compactions that returned an error.", func() []metrics.Sample {
+		return metrics.CounterSample(nil, float64(s.scrapeStore().UpdateLogStats().CompactFailures))
+	})
+	r.Register("bandana_updatelog_overlay_entries", "gauge", "Updated vectors served from the DRAM overlay, not yet compacted into the block image.", func() []metrics.Sample {
+		return metrics.CounterSample(nil, float64(s.scrapeStore().UpdateLogStats().OverlayEntries))
 	})
 
 	// Wire (bwp) listener.

@@ -430,19 +430,13 @@ type statsResponse struct {
 }
 
 // ioschedStats is the JSON rendering of the async block I/O scheduler's
-// counters (documented in the README's /v1/stats schema). All counters are
-// zero when the scheduler is disabled.
+// counters (documented in the README's /v1/stats schema).
 type ioschedStats struct {
-	// Enabled is false when the store reads the device inline (no
-	// scheduler was configured).
-	Enabled bool `json:"enabled"`
-	// TargetQueueDepth, AccumulationWindowUS and Coalesce echo the
-	// configuration; they are always emitted (no omitempty) because their
-	// zero values — window 0, coalescing off — are meaningful settings an
-	// operator A/B-testing the scheduler must be able to read back.
+	// TargetQueueDepth and AccumulationWindowUS echo the effective
+	// configuration; they are always emitted (no omitempty) because window 0
+	// is a meaningful setting an operator must be able to read back.
 	TargetQueueDepth     int     `json:"targetQueueDepth"`
 	AccumulationWindowUS float64 `json:"accumulationWindowUS"`
-	Coalesce             bool    `json:"coalesce"`
 	// DemandReads/PrefetchReads count submitted reads per priority class.
 	DemandReads   int64 `json:"demandReads"`
 	PrefetchReads int64 `json:"prefetchReads"`
@@ -468,15 +462,10 @@ type ioschedStats struct {
 }
 
 func renderIOSchedStats(store *core.Store) ioschedStats {
-	st, ok := store.IOSchedStats()
-	if !ok {
-		return ioschedStats{}
-	}
+	st, _ := store.IOSchedStats()
 	return ioschedStats{
-		Enabled:              true,
 		TargetQueueDepth:     st.TargetQueueDepth,
 		AccumulationWindowUS: st.WindowUS,
-		Coalesce:             st.Coalesce,
 		DemandReads:          st.DemandReads,
 		PrefetchReads:        st.PrefetchReads,
 		DeviceReads:          st.DeviceReads,

@@ -177,20 +177,35 @@ func TestStatsFileBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	// Bulk ingest bypasses the journal; a single-vector update is the
-	// journaled path and must show up in the counter.
-	if err := store.UpdateVector(0, 1, make([]float32, 16)); err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(New(store).Handler())
 	t.Cleanup(ts.Close)
 
+	// Bulk ingest bypasses the journal, and so does an update until it is
+	// compacted: it is one update-log append, served from the overlay.
+	updateAndLookup(t, store, ts.URL, 1)
 	var out statsResponse
 	if code := getJSON(t, ts.URL+"/v1/stats", &out); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if out.Device.Backend != "file" {
 		t.Fatalf("backend = %q, want file", out.Device.Backend)
+	}
+	if out.Tables[0].DeltaHits != 1 || out.UpdateLog.OverlayEntries != 1 || out.UpdateLog.Appends != 1 {
+		t.Fatalf("update not served from the overlay: deltaHits=%d %+v", out.Tables[0].DeltaHits, out.UpdateLog)
+	}
+	if out.Device.JournalWrites != 0 {
+		t.Fatalf("update reached the block journal before compaction: %+v", out.Device)
+	}
+
+	// Compaction is the journaled path: one block read-modify-write.
+	if err := store.CompactDeltas(); err != nil {
+		t.Fatal(err)
+	}
+	if code := getJSON(t, ts.URL+"/v1/stats", &out); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	if out.UpdateLog.OverlayEntries != 0 {
+		t.Fatalf("overlay not drained by compaction: %+v", out.UpdateLog)
 	}
 	if out.Device.JournalWrites == 0 {
 		t.Fatalf("journal writes not reported: %+v", out.Device)

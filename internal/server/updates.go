@@ -11,9 +11,9 @@
 //	        X-Bandana-Chunk-Crc32c CRC-32C of the response body
 //	    An empty 200 with Upto == From means the follower is caught up.
 //	    410 Gone means `since` is outside the retained update window (it was
-//	    compacted away, a structural mutation reset the window, or the store
-//	    has no update log): the follower must bootstrap a full snapshot,
-//	    whose seq re-enters the window.
+//	    compacted away, or a structural mutation reset the window): the
+//	    follower must bootstrap a full snapshot, whose seq re-enters the
+//	    window.
 //
 //	POST /v1/update  {"table": "...", "id": N, "vector": [...]}
 //	    single-vector update (the HTTP twin of the wire protocol's OpUpdate);
