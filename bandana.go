@@ -127,17 +127,12 @@ type AdaptationStats = core.AdaptationStats
 // TableAdaptationStats is the per-table part of AdaptationStats.
 type TableAdaptationStats = core.TableAdaptationStats
 
-// Background re-layout strategies for AdaptOptions.RelayoutStrategy.
-const (
-	RelayoutSHP    = core.RelayoutSHP
-	RelayoutKMeans = core.RelayoutKMeans
-)
-
 // Open creates a Store from a Config: it sizes the NVM device, writes every
 // table to it and starts serving lookups with per-table LRU caches (no
-// prefetching until Train is called). With Config.Backend == BackendFile the
-// blocks live in a durable journaled file under Config.DataDir and reopening
-// the directory restores tables and trained state without retraining.
+// prefetching until Train is called). The store does not retain
+// Config.Tables. With Config.Backend == BackendFile the blocks live in a
+// durable journaled file under Config.DataDir and reopening the directory
+// (Tables nil) serves the same vectors and trained state without retraining.
 func Open(cfg Config) (*Store, error) { return core.Open(cfg) }
 
 // Backend selection for Config.Backend.

@@ -93,7 +93,6 @@ func main() {
 		adaptEvery    = flag.Duration("adapt", 0, "online adaptation epoch interval (e.g. 30s); 0 disables adaptation")
 		adaptRelayout = flag.Int("adapt-relayout", 4, "run the background re-layout pass every N adaptation epochs (0 = never)")
 		adaptBudget   = flag.Int("adapt-budget", 0, "max NVM blocks migrated per adaptation epoch (0 = unlimited)")
-		adaptStrategy = flag.String("adapt-strategy", core.RelayoutSHP, "re-layout strategy: shp or kmeans")
 		adaptSample   = flag.Int("adapt-sample", 1, "record 1 in N queries for adaptation (higher = cheaper)")
 
 		ioQD     = flag.Int("io-qd", 0, "target NVM queue depth of the async I/O scheduler: miss-path reads are coalesced and batched toward this depth (0 = default 8)")
@@ -143,7 +142,7 @@ func main() {
 			"scale": true, "tables": true, "requests": true, "dram": true,
 			"train": true, "save-state": true, "backend": true, "drift": true,
 			"adapt": true, "adapt-relayout": true, "adapt-budget": true,
-			"adapt-strategy": true, "adapt-sample": true, "seed": true, "shards": true,
+			"adapt-sample": true, "seed": true, "shards": true,
 		}
 		flag.Visit(func(f *flag.Flag) {
 			if incompatible[f.Name] {
@@ -202,7 +201,6 @@ func main() {
 			Interval:            *adaptEvery,
 			RelayoutEvery:       *adaptRelayout,
 			RelayoutBlockBudget: *adaptBudget,
-			RelayoutStrategy:    *adaptStrategy,
 			SampleEvery:         *adaptSample,
 		}
 	}
@@ -338,8 +336,8 @@ func serve(store *core.Store, addr, wireAddr string, adaptOpts *core.AdaptOption
 			store.Close()
 			log.Fatal(err)
 		}
-		log.Printf("online adaptation enabled: epoch every %s, re-layout every %d epoch(s), strategy %s",
-			adaptOpts.Interval, adaptOpts.RelayoutEvery, adaptOpts.RelayoutStrategy)
+		log.Printf("online adaptation enabled: epoch every %s, re-layout every %d epoch(s)",
+			adaptOpts.Interval, adaptOpts.RelayoutEvery)
 	}
 	sched, _ := store.IOSchedStats()
 	log.Printf("I/O scheduler: target queue depth %d, accumulation window %s",

@@ -2,9 +2,8 @@
 // loops at runtime. Train (train.go) runs the loops once, offline, from a
 // trace file; this file runs the same loops — hit-rate curves via sampled
 // stack distances, greedy DRAM allocation, miniature-cache threshold
-// tuning, SHP/k-means re-partitioning — continuously, from a bounded window
-// of the *live* access stream captured by per-table recorders on the
-// serving path. Every decision is published through the same atomic state
+// tuning, SHP re-partitioning — continuously, from a bounded window of the
+// *live* access stream captured by per-table recorders on the serving path. Every decision is published through the same atomic state
 // pointer serving already reads, caches are resized in place (incremental
 // eviction, no cold restart), and layout changes go through the
 // crash-recoverable live migration protocol (rewrite.go / migration.go), so
@@ -19,7 +18,6 @@ import (
 	"time"
 
 	"bandana/internal/alloc"
-	"bandana/internal/kmeans"
 	"bandana/internal/layout"
 	"bandana/internal/mrc"
 	"bandana/internal/shp"
@@ -28,26 +26,13 @@ import (
 )
 
 // ErrAdaptationRunning is returned by StartAdaptation when the engine is
-// already started; callers (e.g. the HTTP layer) can distinguish this
-// conflict from an options-validation error.
+// already started.
 var ErrAdaptationRunning = errors.New("core: adaptation already started (StopAdaptation first)")
 
 // ErrAdaptationNotStarted is returned by AdaptNow when no engine is
 // installed (StartAdaptation has not run, or StopAdaptation tore it down —
 // possibly concurrently with the AdaptNow call).
 var ErrAdaptationNotStarted = errors.New("core: adaptation not started")
-
-// Relayout strategies for AdaptOptions.RelayoutStrategy.
-const (
-	// RelayoutSHP re-partitions with the Social Hash Partitioner over the
-	// recorded co-access hypergraph, warm-started from the current layout
-	// (the paper's supervised partitioner, §4.3.2).
-	RelayoutSHP = "shp"
-	// RelayoutKMeans re-partitions by embedding similarity with two-stage
-	// K-means (the paper's unsupervised fallback, §4.1) — useful when the
-	// recorded window is too thin to carry co-access signal.
-	RelayoutKMeans = "kmeans"
-)
 
 // AdaptOptions configures the online adaptation engine.
 type AdaptOptions struct {
@@ -85,7 +70,10 @@ type AdaptOptions struct {
 	// pollution, so it demands a margin. Defaults to 0.15.
 	MinPrefetchGain float64
 	// RelayoutEvery runs the background re-layout pass every N epochs; 0
-	// disables re-layout (allocation and thresholds still adapt).
+	// disables re-layout (allocation and thresholds still adapt). The pass
+	// re-partitions with the Social Hash Partitioner over the recorded
+	// co-access hypergraph, warm-started from the current layout (the
+	// paper's supervised partitioner, §4.3.2).
 	RelayoutEvery int
 	// RelayoutMinGain is the minimum relative fanout improvement (on the
 	// recorded queries) required before a table is migrated; below it the
@@ -95,8 +83,6 @@ type AdaptOptions struct {
 	// one epoch (tables beyond the budget wait for a later epoch); 0 means
 	// unlimited.
 	RelayoutBlockBudget int
-	// RelayoutStrategy selects RelayoutSHP (default) or RelayoutKMeans.
-	RelayoutStrategy string
 	// SHPIterations bounds the warm-started refinement; incremental runs
 	// need far fewer than a cold Train. Defaults to 6.
 	SHPIterations int
@@ -105,7 +91,7 @@ type AdaptOptions struct {
 	Parallelism int
 }
 
-func (o *AdaptOptions) defaults() error {
+func (o *AdaptOptions) defaults() {
 	if o.RecorderQueries <= 0 {
 		o.RecorderQueries = 4096
 	}
@@ -136,15 +122,6 @@ func (o *AdaptOptions) defaults() error {
 	if o.Parallelism <= 0 {
 		o.Parallelism = 4
 	}
-	switch o.RelayoutStrategy {
-	case "":
-		o.RelayoutStrategy = RelayoutSHP
-	case RelayoutSHP, RelayoutKMeans:
-	default:
-		return fmt.Errorf("core: unknown relayout strategy %q (want %q or %q)",
-			o.RelayoutStrategy, RelayoutSHP, RelayoutKMeans)
-	}
-	return nil
 }
 
 // adapter is the runtime state of the adaptation engine.
@@ -187,9 +164,7 @@ func (s *Store) StartAdaptation(opts AdaptOptions) error {
 	if err := s.checkWritable(); err != nil {
 		return err
 	}
-	if err := opts.defaults(); err != nil {
-		return err
-	}
+	opts.defaults()
 	a := &adapter{
 		opts:           opts,
 		baseLookups:    make([]int64, len(s.tables)),
@@ -341,7 +316,7 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 		if r == nil {
 			continue
 		}
-		tr := r.Snapshot(st.name, st.src.NumVectors())
+		tr := r.Snapshot(st.name, st.numVectors)
 		rep.RecordedQueries = len(tr.Queries)
 		rep.RecordedLookups = tr.Lookups()
 		if len(tr.Queries) < opts.MinQueries {
@@ -393,7 +368,7 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 		demands = append(demands, alloc.TableDemand{
 			Name:       st.name,
 			HRC:        analyses[i].hrc,
-			MaxVectors: st.src.NumVectors(),
+			MaxVectors: st.numVectors,
 			MinVectors: st.blockVectors,
 		})
 		demandIdx = append(demandIdx, i)
@@ -516,32 +491,17 @@ func (s *Store) maybeRelayout(st *storeTable, tr *trace.Trace, opts AdaptOptions
 	}
 	cur := st.loadState().layout
 
-	var candidate *layout.Layout
-	switch opts.RelayoutStrategy {
-	case RelayoutKMeans:
-		order, err := kmeans.OrderTable(st.src, st.blockVectors, kmeans.TwoStageOptions{Seed: s.seed + int64(st.index)})
-		if err != nil {
-			return false, 0, 0, fmt.Errorf("core: table %q: %w", st.name, err)
-		}
-		l, err := layout.FromOrder(order, st.blockVectors)
-		if err != nil {
-			return false, 0, 0, fmt.Errorf("core: table %q: %w", st.name, err)
-		}
-		candidate = l
-	default: // RelayoutSHP
-		res, err := shp.Repartition(cur.Order(), queries, shp.Options{
-			BlockVectors: st.blockVectors,
-			Iterations:   opts.SHPIterations,
-			Seed:         s.seed + int64(st.index),
-		})
-		if err != nil {
-			return false, 0, 0, fmt.Errorf("core: table %q: %w", st.name, err)
-		}
-		l, err := layout.FromOrder(res.Order, st.blockVectors)
-		if err != nil {
-			return false, 0, 0, fmt.Errorf("core: table %q: %w", st.name, err)
-		}
-		candidate = l
+	res, err := shp.Repartition(cur.Order(), queries, shp.Options{
+		BlockVectors: st.blockVectors,
+		Iterations:   opts.SHPIterations,
+		Seed:         s.seed + int64(st.index),
+	})
+	if err != nil {
+		return false, 0, 0, fmt.Errorf("core: table %q: %w", st.name, err)
+	}
+	candidate, err := layout.FromOrder(res.Order, st.blockVectors)
+	if err != nil {
+		return false, 0, 0, fmt.Errorf("core: table %q: %w", st.name, err)
 	}
 
 	before := cur.AverageFanout(queries)

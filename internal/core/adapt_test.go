@@ -182,9 +182,6 @@ func TestStartAdaptationLifecycle(t *testing.T) {
 	if err := s.StartAdaptation(AdaptOptions{}); err == nil {
 		t.Fatal("double StartAdaptation should error")
 	}
-	if err := s.StartAdaptation(AdaptOptions{RelayoutStrategy: "bogus"}); err == nil {
-		t.Fatal("bad relayout strategy should error")
-	}
 
 	// Two epochs: the first re-partitions the tables, the second tunes
 	// thresholds against the partitioned layout (where prefetching pays).

@@ -42,23 +42,25 @@ const (
 	// process.
 	BackendMem = "mem"
 	// BackendFile stores blocks in a durable journaled file under
-	// Config.DataDir; tables and trained state survive restarts.
+	// Config.DataDir; vectors and trained state survive restarts.
 	BackendFile = "file"
 )
 
 // Config configures a Store.
 type Config struct {
-	// Tables are the embedding tables to store. Their contents are copied
-	// onto the NVM device by Open. Must be nil when reopening an already
-	// initialized DataDir: the tables are restored from disk.
+	// Tables are the embedding tables to store. Open copies their contents
+	// onto the NVM device and keeps no reference to them: the caller may
+	// drop or reuse them afterwards, and updates never touch them. Must be
+	// nil when reopening an already initialized DataDir: the vectors are
+	// already on disk, and reopen restores only the tables' geometry.
 	Tables []*table.Table
 	// Backend selects the block store backing the NVM device when Device is
 	// nil: BackendMem (default) or BackendFile.
 	Backend string
 	// DataDir is the directory holding the file backend's block file,
 	// manifest and trained state (required for BackendFile). Opening an
-	// initialized directory restores tables, placement and caching from disk
-	// without retraining.
+	// initialized directory restores geometry, placement and caching from
+	// disk without reading a data block or retraining.
 	DataDir string
 	// Sync selects the file backend's durability mode (nvm.SyncNone,
 	// nvm.SyncPeriodic or nvm.SyncAlways).
@@ -137,36 +139,18 @@ func DefaultCacheShards() int {
 	return shards
 }
 
-func (c *Config) validate() error {
-	if len(c.Tables) == 0 {
-		return fmt.Errorf("core: no tables configured")
-	}
-	seen := make(map[string]bool, len(c.Tables))
+// geometry validates Config.Tables and returns their shapes placed on the
+// device (see placeTables) plus the device size in blocks.
+func (c *Config) geometry() ([]tableGeom, int, error) {
+	geoms := make([]tableGeom, len(c.Tables))
 	for i, t := range c.Tables {
 		if t == nil {
-			return fmt.Errorf("core: table %d is nil", i)
+			return nil, 0, fmt.Errorf("core: table %d is nil", i)
 		}
-		if t.NumVectors() == 0 {
-			return fmt.Errorf("core: table %q is empty", t.Name)
-		}
-		if t.VectorBytes() > nvm.BlockSize {
-			return fmt.Errorf("core: table %q vector size %d exceeds NVM block size %d",
-				t.Name, t.VectorBytes(), nvm.BlockSize)
-		}
-		if seen[t.Name] {
-			return fmt.Errorf("core: duplicate table name %q", t.Name)
-		}
-		seen[t.Name] = true
+		geoms[i] = tableGeom{name: t.Name, dim: t.Dim, numVectors: t.NumVectors()}
 	}
-	return nil
-}
-
-func (c *Config) totalVectors() int {
-	n := 0
-	for _, t := range c.Tables {
-		n += t.NumVectors()
-	}
-	return n
+	total, err := placeTables(geoms)
+	return geoms, total, err
 }
 
 // TrainOptions configures Store.Train.

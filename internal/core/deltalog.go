@@ -186,6 +186,8 @@ type deltaLog struct {
 	records []UpdateRecord
 	baseSeq uint64
 	lastSeq uint64
+	// resetSeq is the seq the window was last reset at (see truncate).
+	resetSeq uint64
 	// memBytes is the framed size of the retained records (observability).
 	memBytes int64
 
@@ -353,21 +355,31 @@ func (l *deltaLog) appendLocked(rec UpdateRecord) error {
 // invalidate empties the window and re-anchors it at cur (the snapshot seq
 // after a structural mutation): followers whose seq predates the mutation
 // fall off the window and full-sync, which is exactly right — the mutation
-// changed more than any stream of vector records can express.
+// changed more than any stream of vector records can express. The on-disk
+// mirror is left alone: it is the crash-recovery copy of every overlay entry,
+// and a structural mutation folds in only the overlays of the tables it
+// rewrites. The records it keeps for those replay as the values their
+// rewritten blocks already hold (replay goes through the persisted layout).
 func (l *deltaLog) invalidate(cur uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.resetLocked(cur)
 	l.invalidations.Add(1)
+}
+
+// appendFailed handles an update whose mirror append failed (failing or full
+// disk): the update still commits — the overlay holds and serves it — but its
+// durability degrades to the next successful compaction. The window resets at
+// cur so followers full-sync instead of tailing across the hole, and the
+// mirror is rewritten (best effort) so a torn record in its middle cannot
+// hide the records appended after it from a replay.
+func (l *deltaLog) appendFailed(cur uint64) {
+	l.fallbacks.Add(1)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.resetLocked(cur)
+	l.invalidations.Add(1)
 	if l.f != nil {
-		// Best-effort: rewrite the mirror as an empty log compacted through
-		// cur. The structural mutator has already made the image durable
-		// (rewrite marker / migration protocols), so dropped records are
-		// covered; a failed rewrite leaves stale records that replay would
-		// skip only partially — rewriteLocked errors are therefore surfaced
-		// via lastSeq staying authoritative in memory, and the reopen-time
-		// replay guard (records below the header watermark are skipped)
-		// keeps disk staleness harmless once the next truncate succeeds.
 		_ = l.rewriteLocked(cur)
 	}
 }
@@ -377,6 +389,7 @@ func (l *deltaLog) resetLocked(cur uint64) {
 	l.baseSeq = cur
 	l.lastSeq = cur
 	l.memBytes = 0
+	l.resetSeq = cur
 }
 
 // logRewriteSlack bounds how far the on-disk mirror may outgrow the retained
@@ -424,7 +437,9 @@ func (l *deltaLog) truncate(through uint64) error {
 	if l.f == nil {
 		return nil
 	}
-	if l.diskBytes > l.memBytes+logRewriteSlack {
+	// The rewrite is built from the window, so it must wait while the mirror
+	// may hold a record past through that a window reset dropped from memory.
+	if l.diskBytes > l.memBytes+logRewriteSlack && l.resetSeq <= through {
 		return l.rewriteLocked(through)
 	}
 	// In-place header update: buffered appends land past the header at f's
@@ -644,6 +659,10 @@ func (o *deltaOverlay) put(id uint32, raw []byte, seq uint64) {
 
 func (o *deltaOverlay) size() int { return int(o.n.Load()) }
 
+// overlayEntryBytes is what one overlay entry holds besides its payload: the
+// map key and the entry struct (the map's bucket slack is not counted).
+const overlayEntryBytes = 4 + 24 + 8
+
 // snapshot copies the overlay map (entry slices are shared, immutable).
 func (o *deltaOverlay) snapshot() map[uint32]overlayEntry {
 	o.mu.RLock()
@@ -668,8 +687,8 @@ func (o *deltaOverlay) deleteIfSeq(id uint32, seq uint64) {
 }
 
 // clear empties the overlay. Callers guarantee the block image already holds
-// every overlaid value (whole-table rewrites render from the authoritative
-// source tables, which updates always write).
+// every overlaid value (installImage: the image it just put in place was
+// rendered with the overlay laid over the blocks, updates excluded since).
 func (o *deltaOverlay) clear() {
 	o.mu.Lock()
 	clear(o.m)

@@ -319,6 +319,42 @@ func TestUpdateLogCrashReplay(t *testing.T) {
 	}
 }
 
+// TestUpdateLogSurvivesStructuralMutation: Train rewrites (and folds the
+// overlay of) only the tables it has a trace for, so resetting the follower
+// window for it must not drop the on-disk records that are the only durable
+// copy of another table's uncompacted updates.
+func TestUpdateLogSurvivesStructuralMutation(t *testing.T) {
+	tables, traces := buildTestTables(t, 2, 1024, 40)
+	dir := filepath.Join(t.TempDir(), "store")
+	s, err := Open(Config{Backend: BackendFile, DataDir: dir, Tables: tables, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := testVec(64, 9)
+	if err := s.UpdateVector(1, 5, vec); err != nil {
+		t.Fatal(err)
+	}
+	traces[1] = nil // table 1 rides along untouched
+	if _, err := s.Train(traces, TrainOptions{SHPIterations: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := s.UpdatesSince(s.SnapshotSeq()-2, 0, 0); ok {
+		t.Fatal("followers can tail across a Train")
+	}
+	// Crash before any compaction: Close keeps the log file as it is.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Config{Backend: BackendFile, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got, err := s2.Lookup(1, 5); err != nil || !vecsEqual(got, vec) {
+		t.Fatalf("the update of the untrained table did not survive Train + crash (err %v)", err)
+	}
+}
+
 // TestReopenSeqMonotonic pins the seq contract across a restart: a reopened
 // store must never report a snapshot seq below one it already handed out.
 // The boot stamp alone has one-second granularity, so a same-second reopen

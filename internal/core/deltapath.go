@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"bandana/internal/iosched"
-	"bandana/internal/table"
 )
 
 // This file is the delta update path and its two consumers: the background
@@ -24,11 +23,11 @@ import (
 // counters — catch up when compaction folds the overlay in. Returns the
 // snapshot seq this update committed at.
 func (s *Store) applyUpdate(st *storeTable, id uint32, raw []byte, owned bool) (uint64, error) {
+	if err := st.checkID(id); err != nil {
+		return 0, err
+	}
 	st.updateMu.Lock()
 	defer st.updateMu.Unlock()
-	if err := st.src.SetRaw(id, raw); err != nil {
-		return 0, fmt.Errorf("core: table %q: %w", st.name, err)
-	}
 	// The overlay and the log retain the bytes indefinitely; a slice the
 	// caller may reuse must not be captured.
 	cp := raw
@@ -37,13 +36,7 @@ func (s *Store) applyUpdate(st *storeTable, id uint32, raw []byte, owned bool) (
 	}
 	seq, needCompact, err := s.deltaLog.append(&s.snapSeq, uint32(st.index), id, cp)
 	if err != nil {
-		// The on-disk mirror rejected the append (failing/full disk). The
-		// update still commits — src holds it and the overlay serves it —
-		// but its durability degrades to the next successful compaction,
-		// and the log window resets so followers full-sync instead of
-		// tailing across the hole.
-		s.deltaLog.fallbacks.Add(1)
-		s.deltaLog.invalidate(s.snapSeq.Load())
+		s.deltaLog.appendFailed(s.snapSeq.Load())
 	}
 	st.overlay.put(id, cp, seq)
 	// Epoch before the cache removal: a miss that decoded the (now stale)
@@ -122,13 +115,13 @@ func (s *Store) CompactDeltas() error {
 // compaction ran keeps its newer overlay entry). Returns how many entries
 // were folded.
 func (s *Store) compactTable(st *storeTable) (int, error) {
-	// Lock order (updateMu -> rewriteMu) matches rewriteTable. The snapshot
-	// happens under updateMu so it includes every update the caller's
-	// `through` seq observed; rewriteMu stays held shared across the writes
-	// so no whole-table rewrite can interleave — a rewrite renders the image
-	// from src (which already includes these values) and clears the overlay,
-	// and patching its fresh image with this snapshot afterwards would
-	// resurrect older bytes.
+	// Lock order (updateMu -> rewriteMu) matches the rewrite layer. The
+	// snapshot happens under updateMu so it includes every update the
+	// caller's `through` seq observed; rewriteMu stays held shared across the
+	// writes so no whole-table install can interleave — its image already
+	// carries these values (renderImage lays the overlay over the blocks) and
+	// it clears the overlay, so patching the fresh image with this snapshot
+	// afterwards would write older bytes, at the old layout's slots, over it.
 	st.updateMu.Lock()
 	st.rewriteMu.RLock()
 	snap := st.overlay.snapshot()
@@ -220,12 +213,12 @@ func advanceSeq(seq *atomic.Uint64, to uint64) {
 }
 
 // ApplyReplicatedUpdates applies update records streamed from a primary to a
-// read-only replica store, in order: each record's bytes go to the source
-// table, this store's own log and the DRAM overlay, the cached copy is
-// invalidated, and the store's snapshot seq advances to the record's —
-// published only after the record is applied and logged, so a downstream
-// follower that observes the seq can always fetch through it. Records'
-// payloads are retained; callers must not modify them after the call.
+// read-only replica store, in order: each record's bytes go to this store's
+// own log and the DRAM overlay, the cached copy is invalidated, and the
+// store's snapshot seq advances to the record's — published only after the
+// record is applied and logged, so a downstream follower that observes the
+// seq can always fetch through it. Records' payloads are retained; callers
+// must not modify them after the call.
 //
 // It deliberately bypasses the ReadOnly gate — that gate exists so local
 // mutations cannot diverge a replica from its primary, and replicated
@@ -243,32 +236,26 @@ func (s *Store) ApplyReplicatedUpdates(recs []UpdateRecord) error {
 		if len(rec.Raw) != st.vecBytes {
 			return fmt.Errorf("core: table %q: replicated update carries %d bytes, want %d", st.name, len(rec.Raw), st.vecBytes)
 		}
-		if int(rec.ID) >= st.src.NumVectors() {
-			return fmt.Errorf("core: table %q: %w: %d", st.name, table.ErrBadVector, rec.ID)
+		if err := st.checkID(rec.ID); err != nil {
+			return err
 		}
 	}
 	for _, rec := range recs {
-		if err := s.applyReplicatedOne(s.tables[rec.Table], rec); err != nil {
-			return err
-		}
+		s.applyReplicatedOne(s.tables[rec.Table], rec)
 		advanceSeq(&s.snapSeq, rec.Seq)
 	}
 	return nil
 }
 
-func (s *Store) applyReplicatedOne(st *storeTable, rec UpdateRecord) error {
+func (s *Store) applyReplicatedOne(st *storeTable, rec UpdateRecord) {
 	st.updateMu.Lock()
 	defer st.updateMu.Unlock()
-	if err := st.src.SetRaw(rec.ID, rec.Raw); err != nil {
-		return fmt.Errorf("core: table %q: %w", st.name, err)
-	}
 	// Re-log the record with the primary's seq: this replica's own log then
 	// serves the same seq->record contract downstream (chained replication),
 	// and a crash replays the tail exactly like on a primary.
 	needCompact, err := s.deltaLog.appendRecord(rec)
 	if err != nil {
-		s.deltaLog.fallbacks.Add(1)
-		s.deltaLog.invalidate(rec.Seq)
+		s.deltaLog.appendFailed(rec.Seq)
 	}
 	st.overlay.put(rec.ID, rec.Raw, rec.Seq)
 	st.epoch.Add(1)
@@ -276,5 +263,4 @@ func (s *Store) applyReplicatedOne(st *storeTable, rec UpdateRecord) error {
 	if needCompact || st.overlay.size() >= s.deltaLog.compactAfter {
 		s.requestCompaction()
 	}
-	return nil
 }

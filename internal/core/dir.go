@@ -8,10 +8,10 @@
 // The manifest is written last (via temp file + rename) when a directory is
 // initialized, so a half-written data dir is simply re-initialized on the
 // next Open. Reopening an initialized directory replays the block file's
-// journal, rebuilds the in-memory tables from the block image using the
-// persisted layout, and installs the trained state without rewriting a
-// single block — a restarted server serves identical vectors without
-// retraining.
+// journal and installs the manifest's geometry and the persisted layouts and
+// trained state over it without reading or rewriting a single data block
+// (only a leftover update log or migration record touches blocks) — a
+// restarted server serves identical vectors without retraining.
 package core
 
 import (
@@ -26,7 +26,6 @@ import (
 
 	"bandana/internal/layout"
 	"bandana/internal/nvm"
-	"bandana/internal/table"
 )
 
 const (
@@ -51,16 +50,6 @@ const (
 )
 
 var manifestCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// manifestEntry records one table's geometry and block span.
-type manifestEntry struct {
-	name         string
-	dim          int
-	numVectors   int
-	blockVectors int
-	numBlocks    int
-	blockBase    int
-}
 
 // DirInitialized reports whether dir holds an initialized file-backed store
 // (i.e. a committed manifest).
@@ -90,25 +79,25 @@ func initDir(cfg Config) (*Store, error) {
 	if len(cfg.Tables) == 0 {
 		return nil, fmt.Errorf("core: data dir %q is not initialized and no tables were provided", cfg.DataDir)
 	}
-	if err := cfg.validate(); err != nil {
+	geoms, totalBlocks, err := cfg.geometry()
+	if err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: create data dir: %w", err)
 	}
-	spans, totalBlocks := computeSpans(cfg.Tables)
 	fs, err := nvm.CreateFileStore(filepath.Join(cfg.DataDir, BlocksFileName), totalBlocks,
 		nvm.FileStoreOptions{Sync: cfg.Sync, Direct: cfg.Direct})
 	if err != nil {
 		return nil, err
 	}
 	device := nvm.NewDevice(nvm.DeviceConfig{Store: fs, Seed: cfg.Seed})
-	s, err := buildStore(cfg, device, true, spans)
+	s, err := buildStore(cfg, device, true, geoms, nil)
 	if err != nil {
 		device.Close()
 		return nil, err
 	}
-	err = s.writeAllTables()
+	err = s.writeTables(cfg.Tables)
 	if err == nil {
 		err = s.Persist() // baseline state: identity layout, no prefetching
 	}
@@ -122,8 +111,9 @@ func initDir(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// reopenDir restores a store from an initialized data dir without rewriting
-// blocks or retraining.
+// reopenDir restores a store from an initialized data dir without reading or
+// rewriting data blocks (unless a crash left an update log or a migration to
+// finish) and without retraining.
 func reopenDir(cfg Config) (*Store, error) {
 	if cfg.Tables != nil {
 		return nil, fmt.Errorf("core: data dir %q is already initialized; reopen with Tables == nil (vectors are restored from disk)", cfg.DataDir)
@@ -150,9 +140,29 @@ func reopenDir(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("core: manifest expects %d blocks, block file has %d", totalBlocks, fs.NumBlocks())
 	}
 
+	// The manifest's spans must be the ones the shapes place: every offset
+	// below is derived from them.
+	geoms := make([]tableGeom, len(entries))
+	for i, e := range entries {
+		geoms[i] = tableGeom{name: e.name, dim: e.dim, numVectors: e.numVectors}
+	}
+	derivedTotal, err := placeTables(geoms)
+	if err != nil {
+		return nil, err
+	}
+	if derivedTotal != totalBlocks {
+		return nil, fmt.Errorf("core: manifest geometry is internally inconsistent (%d vs %d blocks)",
+			derivedTotal, totalBlocks)
+	}
+	for i, e := range entries {
+		if geoms[i] != e {
+			return nil, fmt.Errorf("core: table %q: manifest span does not match derived layout", e.name)
+		}
+	}
+
 	// A committed-but-unfinished background migration (the previous process
 	// died between the migration record commit and its cleanup) is redone
-	// now, before the tables are rebuilt: the staged image is bulk-copied
+	// now, before the update log is replayed: the staged image is bulk-copied
 	// into the table's block range, and the recorded placement overrides
 	// whatever the state file says for that table. Unlike the rewrite
 	// marker, this never refuses the reopen — the staged image makes the
@@ -168,10 +178,10 @@ func reopenDir(cfg Config) (*Store, error) {
 		_ = os.Remove(filepath.Join(cfg.DataDir, MigrationImageName))
 	}
 	if mig != nil {
-		var entry *manifestEntry
-		for i := range entries {
-			if entries[i].name == mig.table {
-				entry = &entries[i]
+		var entry *tableGeom
+		for i := range geoms {
+			if geoms[i].name == mig.table {
+				entry = &geoms[i]
 				break
 			}
 		}
@@ -204,58 +214,34 @@ func reopenDir(cfg Config) (*Store, error) {
 		return nil, err
 	}
 
-	// Rebuild each table's vectors from the block image, through the
-	// persisted layout (block slot -> vector ID).
-	tables := make([]*table.Table, len(entries))
-	layouts := make([]*layout.Layout, len(entries))
-	buf := make([]byte, nvm.BlockSize)
-	var members []uint32
-	for i, e := range entries {
-		tbl := table.New(e.name, e.numVectors, e.dim)
-		l := layout.Identity(e.numVectors, e.blockVectors)
-		if ord, ok := migOrder[e.name]; ok {
+	// The persisted layouts (block slot -> vector ID) the block image is
+	// placed under; a table never trained is in ID order.
+	layouts := make([]*layout.Layout, len(geoms))
+	for i, g := range geoms {
+		order := saved[g.name].order
+		if ord, ok := migOrder[g.name]; ok {
 			// The redone migration's placement wins over the (possibly
 			// stale) state file for this table.
-			if l, err = layout.FromOrder(ord, e.blockVectors); err != nil {
-				return nil, fmt.Errorf("core: table %q: %w", e.name, err)
-			}
-		} else if sv, ok := saved[e.name]; ok && len(sv.order) > 0 {
-			if len(sv.order) != e.numVectors {
-				return nil, fmt.Errorf("core: table %q: state covers %d vectors, manifest says %d",
-					e.name, len(sv.order), e.numVectors)
-			}
-			if l, err = layout.FromOrder(sv.order, e.blockVectors); err != nil {
-				return nil, fmt.Errorf("core: table %q: %w", e.name, err)
-			}
+			order = ord
+		} else if len(order) > 0 && len(order) != g.numVectors {
+			return nil, fmt.Errorf("core: table %q: state covers %d vectors, manifest says %d",
+				g.name, len(order), g.numVectors)
 		}
-		vb := tbl.VectorBytes()
-		for b := 0; b < e.numBlocks; b++ {
-			if err := fs.ReadBlock(e.blockBase+b, buf); err != nil {
-				return nil, fmt.Errorf("core: table %q block %d: %w", e.name, b, err)
-			}
-			members = l.BlockMembers(b, members[:0])
-			for slot, id := range members {
-				if err := tbl.SetRaw(id, buf[slot*vb:(slot+1)*vb]); err != nil {
-					return nil, fmt.Errorf("core: table %q block %d: %w", e.name, b, err)
-				}
-			}
+		if len(order) == 0 {
+			layouts[i] = layout.Identity(g.numVectors, g.blockVectors)
+		} else if layouts[i], err = layout.FromOrder(order, g.blockVectors); err != nil {
+			return nil, fmt.Errorf("core: table %q: %w", g.name, err)
 		}
-		tables[i] = tbl
-		layouts[i] = l
 	}
 
-	// Replay the update log's tail over the rebuilt tables and the block
-	// image: updates past the compacted-through watermark may exist only in
-	// the log (the delta path never wrote their blocks). Idempotent — a crash
-	// mid-replay just replays again next open, and records at or below the
-	// watermark are never applied (their blocks are already durable, possibly
-	// with newer compacted values). The log file is consumed here and
-	// recreated fresh by buildStore.
-	bases := make([]int, len(entries))
-	for i, e := range entries {
-		bases[i] = e.blockBase
-	}
-	replayed, logSeq, err := replayUpdateLog(cfg.DataDir, fs, tables, layouts, bases)
+	// Replay the update log's tail over the block image: updates past the
+	// compacted-through watermark may exist only in the log (the delta path
+	// never wrote their blocks). Idempotent — a crash mid-replay just replays
+	// again next open, and records at or below the watermark are never applied
+	// (their blocks are already durable, possibly with newer compacted
+	// values). The log file is consumed here and recreated fresh by
+	// buildStore.
+	replayed, logSeq, err := replayUpdateLog(cfg.DataDir, fs, geoms, layouts)
 	if err != nil {
 		return nil, err
 	}
@@ -280,23 +266,8 @@ func reopenDir(cfg Config) (*Store, error) {
 	}
 	cfg.InitialSnapshotSeq = base
 
-	cfg.Tables = tables
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	spans, derivedTotal := computeSpans(tables)
-	if derivedTotal != totalBlocks {
-		return nil, fmt.Errorf("core: manifest geometry is internally inconsistent (%d vs %d blocks)",
-			derivedTotal, totalBlocks)
-	}
-	for i, e := range entries {
-		if spans[i].base != e.blockBase || spans[i].blocks != e.numBlocks || spans[i].blockVectors != e.blockVectors {
-			return nil, fmt.Errorf("core: table %q: manifest span does not match derived layout", e.name)
-		}
-	}
-
 	device := nvm.NewDevice(nvm.DeviceConfig{Store: fs, Seed: cfg.Seed})
-	s, err := buildStore(cfg, device, true, spans)
+	s, err := buildStore(cfg, device, true, geoms, layouts)
 	if err != nil {
 		return nil, err
 	}
@@ -320,13 +291,6 @@ func reopenDir(cfg Config) (*Store, error) {
 	// layout, then drop the migration record. A crash anywhere before the
 	// record is removed simply redoes the (idempotent) copy next time.
 	if mig != nil {
-		if _, ok := saved[mig.table]; !ok {
-			// No trained state for the migrated table (possible only if the
-			// state file was deleted out-of-band): still publish the
-			// migrated layout, which is what the blocks now hold.
-			idx := s.byName[mig.table]
-			s.tables[idx].mutateState(func(ts *tableState) { ts.layout = layouts[idx] })
-		}
 		if err := s.Persist(); err != nil {
 			s.Close()
 			return nil, fmt.Errorf("core: persist recovered migration: %w", err)
@@ -340,17 +304,17 @@ func reopenDir(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// replayUpdateLog folds a leftover update log into the freshly rebuilt tables
-// and the on-disk block image, then consumes the file. Records at or below
-// the log's compacted-through watermark are skipped — their effects are
-// already durable in the image, possibly overwritten by newer compacted
-// values, so re-applying them could regress vectors. Survivor records are
-// applied in seq order (later updates of the same vector win) and their
-// blocks are rewritten journaled and flushed BEFORE the log is removed, so a
-// crash at any point just replays again. Returns how many records were
-// applied and the highest seq the log covered (watermark included) — the
-// reopened store's snapshot seq must not fall below it.
-func replayUpdateLog(dir string, fs *nvm.FileStore, tables []*table.Table, layouts []*layout.Layout, bases []int) (int, uint64, error) {
+// replayUpdateLog folds a leftover update log into the on-disk block image,
+// then consumes the file. Records at or below the log's compacted-through
+// watermark are skipped — their effects are already durable in the image,
+// possibly overwritten by newer compacted values, so re-applying them could
+// regress vectors. Survivor records are grouped by block and patched in in
+// log (= seq) order, so later updates of the same vector win; each dirty block
+// is one journaled read-modify-write, and the device is flushed BEFORE the log
+// is removed, so a crash at any point just replays again. Returns how many
+// records were applied and the highest seq the log covered (watermark
+// included) — the reopened store's snapshot seq must not fall below it.
+func replayUpdateLog(dir string, fs *nvm.FileStore, geoms []tableGeom, layouts []*layout.Layout) (int, uint64, error) {
 	path := filepath.Join(dir, UpdateLogFileName)
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -369,50 +333,39 @@ func replayUpdateLog(dir string, fs *nvm.FileStore, tables []*table.Table, layou
 			maxSeq = rec.Seq
 		}
 	}
-	type dirtyBlock struct{ table, block int }
-	dirty := make(map[dirtyBlock]struct{})
+	dirty := make(map[int][]UpdateRecord) // device block -> its survivors, in log order
 	applied := 0
 	for _, rec := range recs {
 		if rec.Seq <= through {
 			continue
 		}
-		if int(rec.Table) >= len(tables) {
-			return 0, 0, fmt.Errorf("core: update log references table %d, manifest has %d", rec.Table, len(tables))
+		if int(rec.Table) >= len(geoms) {
+			return 0, 0, fmt.Errorf("core: update log references table %d, manifest has %d", rec.Table, len(geoms))
 		}
-		tbl := tables[rec.Table]
-		if len(rec.Raw) != tbl.VectorBytes() {
+		g := geoms[rec.Table]
+		if len(rec.Raw) != g.vecBytes() {
 			return 0, 0, fmt.Errorf("core: update log: table %q record carries %d bytes, want %d",
-				tbl.Name, len(rec.Raw), tbl.VectorBytes())
+				g.name, len(rec.Raw), g.vecBytes())
 		}
-		if int(rec.ID) >= tbl.NumVectors() {
+		if int(rec.ID) >= g.numVectors {
 			return 0, 0, fmt.Errorf("core: update log: table %q record targets vector %d of %d",
-				tbl.Name, rec.ID, tbl.NumVectors())
+				g.name, rec.ID, g.numVectors)
 		}
-		if err := tbl.SetRaw(rec.ID, rec.Raw); err != nil {
-			return 0, 0, fmt.Errorf("core: update log: table %q: %w", tbl.Name, err)
-		}
-		dirty[dirtyBlock{int(rec.Table), layouts[rec.Table].BlockOf(rec.ID)}] = struct{}{}
+		abs := g.blockBase + layouts[rec.Table].BlockOf(rec.ID)
+		dirty[abs] = append(dirty[abs], rec)
 		applied++
 	}
 	if applied > 0 {
 		buf := make([]byte, nvm.BlockSize)
-		var members []uint32
-		for db := range dirty {
-			tbl, l := tables[db.table], layouts[db.table]
-			vb := tbl.VectorBytes()
-			for i := range buf {
-				buf[i] = 0
+		for abs, patches := range dirty {
+			if err := fs.ReadBlock(abs, buf); err != nil {
+				return 0, 0, fmt.Errorf("core: update log: block %d: %w", abs, err)
 			}
-			members = l.BlockMembers(db.block, members[:0])
-			for slot, id := range members {
-				vraw, err := tbl.Raw(id)
-				if err != nil {
-					return 0, 0, fmt.Errorf("core: update log: table %q: %w", tbl.Name, err)
-				}
-				copy(buf[slot*vb:], vraw)
+			for _, rec := range patches {
+				copy(buf[layouts[rec.Table].SlotOf(rec.ID)*len(rec.Raw):], rec.Raw)
 			}
-			if err := fs.WriteBlock(bases[db.table]+db.block, buf); err != nil {
-				return 0, 0, fmt.Errorf("core: update log: table %q block %d: %w", tbl.Name, db.block, err)
+			if err := fs.WriteBlock(abs, buf); err != nil {
+				return 0, 0, fmt.Errorf("core: update log: block %d: %w", abs, err)
 			}
 		}
 		if err := fs.Flush(); err != nil {
@@ -554,7 +507,7 @@ func manifestBytes(s *Store, totalBlocks int) []byte {
 		writeUvarint(uint64(len(st.name)))
 		payload.WriteString(st.name)
 		writeUvarint(uint64(st.dim))
-		writeUvarint(uint64(st.src.NumVectors()))
+		writeUvarint(uint64(st.numVectors))
 		writeUvarint(uint64(st.blockVectors))
 		writeUvarint(uint64(st.numBlocks))
 		writeUvarint(uint64(st.blockBase))
@@ -581,7 +534,7 @@ func writeManifest(dir string, s *Store, totalBlocks int) error {
 }
 
 // readManifest loads and verifies a data dir's manifest.
-func readManifest(dir string) ([]manifestEntry, int, error) {
+func readManifest(dir string) ([]tableGeom, int, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestFileName))
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: read manifest: %w", err)
@@ -590,7 +543,7 @@ func readManifest(dir string) ([]manifestEntry, int, error) {
 }
 
 // parseManifest decodes and verifies a manifest.bnd payload.
-func parseManifest(raw []byte) ([]manifestEntry, int, error) {
+func parseManifest(raw []byte) ([]tableGeom, int, error) {
 	if len(raw) < len(manifestMagic)+4 {
 		return nil, 0, fmt.Errorf("core: manifest too short (%d bytes)", len(raw))
 	}
@@ -617,9 +570,9 @@ func parseManifest(raw []byte) ([]manifestEntry, int, error) {
 	if numTables == 0 || numTables > 1<<16 {
 		return nil, 0, fmt.Errorf("core: implausible manifest table count %d", numTables)
 	}
-	entries := make([]manifestEntry, 0, numTables)
+	entries := make([]tableGeom, 0, numTables)
 	for i := uint64(0); i < numTables; i++ {
-		var e manifestEntry
+		var e tableGeom
 		nameLen, err := readUvarint()
 		if err != nil {
 			return nil, 0, err

@@ -211,7 +211,7 @@ func readMigrationRecord(dir string) (*migrationRecord, error) {
 // it verifies the staged image against the record and bulk-writes it into
 // the table's block range. Idempotent — safe to crash and redo any number
 // of times. The caller installs the recorded layout and persists state.
-func redoMigration(dir string, rec *migrationRecord, fs *nvm.FileStore, e manifestEntry) error {
+func redoMigration(dir string, rec *migrationRecord, fs *nvm.FileStore, e tableGeom) error {
 	img, err := os.ReadFile(filepath.Join(dir, MigrationImageName))
 	if err != nil {
 		return fmt.Errorf("core: read staged migration image: %w", err)

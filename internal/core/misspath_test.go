@@ -5,13 +5,17 @@ import "testing"
 // newMissPathStore opens a trained single-table store over the mem backend
 // — the deployed miss path: SHP layout, threshold admission, batched reads
 // through the scheduler. The cache holds 256 of the 32,768 vectors, so a
-// batch of ids not served recently is all misses.
+// batch of ids not served recently is all misses. CacheShards is pinned (to
+// what a 2-core host derives): the default grows with GOMAXPROCS, and a
+// 256-entry cache split 256 ways makes every fill an eviction with its own
+// allocations — the bounds below would then measure the host, not the code.
 func newMissPathStore(tb testing.TB) *Store {
 	tb.Helper()
 	tables, traces := buildTestTables(tb, 1, 32768, 300)
 	s, err := Open(Config{
 		Tables:            tables,
 		DRAMBudgetVectors: 256,
+		CacheShards:       8,
 		Seed:              1,
 	})
 	if err != nil {

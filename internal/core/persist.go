@@ -332,9 +332,9 @@ func (s *Store) LoadState(r io.Reader) error {
 			return fmt.Errorf("core: state references unknown table %q", sv.name)
 		}
 		st := s.tables[idx]
-		if len(sv.order) != st.src.NumVectors() {
+		if len(sv.order) != st.numVectors {
 			return fmt.Errorf("core: table %q: state has %d vectors, table has %d",
-				sv.name, len(sv.order), st.src.NumVectors())
+				sv.name, len(sv.order), st.numVectors)
 		}
 		l, err := layout.FromOrder(sv.order, st.blockVectors)
 		if err != nil {
@@ -352,7 +352,7 @@ func (s *Store) LoadState(r io.Reader) error {
 		return err
 	}
 	for i, sv := range saved {
-		if err := s.rewriteTable(sts[i], savedStateMutator(layouts[i], sv)); err != nil {
+		if err := s.rewriteTable(sts[i], layouts[i], savedStateMutator(layouts[i], sv)); err != nil {
 			return err
 		}
 		if sv.cacheCap > 0 {

@@ -9,113 +9,95 @@ import (
 )
 
 // This file is the rewrite layer: every path that changes which bytes live
-// in a table's NVM block range. Whole-table rewrites (rewriteTable) hold the
-// table's rewrite lock for the duration and are crash-protected by the
+// in a table's NVM block range after the first Open wrote them. There is one
+// producer of block images (renderImage: the table's current blocks with the
+// overlay laid over them, rearranged under a layout) and one installer
+// (installImage: copy into place, publish, roll back on failure). Whole-table
+// rewrites (rewriteTable: Train, LoadState) are crash-protected by the
 // rewrite.dirty marker; live background migrations (relayoutTable) stage the
-// new image first and hold the lock only while copying it into place, with
-// their own recoverable commit protocol (see migration.go).
+// image first with their own recoverable commit protocol (see migration.go).
+// Both keep serving misses until the copy-into-place.
 
-// writeAllTables writes every table's blocks to the device in the currently
-// published layout (identity after buildStore).
-func (s *Store) writeAllTables() error {
-	for _, st := range s.tables {
-		if err := s.rewriteTable(st, nil); err != nil {
-			return err
-		}
-	}
-	return nil
+// renderBatch is how many blocks renderImage reads per device dispatch.
+const renderBatch = 64
+
+// slotOffset is the byte offset of vector id inside a table image under l.
+func (st *storeTable) slotOffset(l *layout.Layout, id uint32) int {
+	return l.BlockOf(id)*nvm.BlockSize + l.SlotOf(id)*st.vecBytes
 }
 
-// rewriteTable atomically installs a state mutation (usually a new layout)
-// and rewrites the table's NVM block range to match it. It excludes
-// concurrent vector updates (updateMu) and miss-path block reads
-// (rewriteMu), so the serving path never decodes a block with the wrong
-// layout: a miss holding rewriteMu shared sees either the old layout with
-// the old bytes or the new layout with the new bytes.
-func (s *Store) rewriteTable(st *storeTable, mutate func(*tableState)) error {
-	st.updateMu.Lock()
-	defer st.updateMu.Unlock()
-	st.rewriteMu.Lock()
-	defer st.rewriteMu.Unlock()
-	if mutate != nil {
-		st.mutateState(mutate)
-	}
-	st.epoch.Add(1)
-	defer st.epoch.Add(1)
-	l := st.loadState().layout
-	bufp := getBlockBuf()
-	defer putBlockBuf(bufp)
-	buf := *bufp
-	var members []uint32
-	for b := 0; b < st.numBlocks; b++ {
-		for i := range buf {
-			buf[i] = 0
-		}
-		members = l.BlockMembers(b, members[:0])
-		for slot, id := range members {
-			raw, err := st.src.Raw(id)
-			if err != nil {
-				return fmt.Errorf("core: table %q: %w", st.name, err)
-			}
-			copy(buf[slot*st.vecBytes:], raw)
-		}
-		// Bulk path: a whole-table rewrite is not block-wise crash-atomic
-		// anyway (the rewrite marker / manifest is the commit point), so
-		// skip the per-block write-ahead journal.
-		if err := s.device.WriteBlockBulk(st.blockBase+b, buf); err != nil {
-			return fmt.Errorf("core: table %q block %d: %w", st.name, b, err)
-		}
-	}
-	// The image was just rendered from src, which includes every overlaid
-	// value: the overlay has nothing left to shadow.
-	st.overlay.clear()
-	return nil
-}
-
-// buildTableImage renders the table's full block image under layout l from
-// the authoritative source vectors. Callers must hold st.updateMu so the
-// image cannot go stale against concurrent vector updates.
-func buildTableImage(st *storeTable, l *layout.Layout) ([]byte, error) {
-	img := make([]byte, st.numBlocks*nvm.BlockSize)
-	if err := buildTableImageInto(st, l, img); err != nil {
-		return nil, err
-	}
-	return img, nil
-}
-
-// buildTableImageInto is buildTableImage writing into a caller-supplied
-// zero-filled buffer of st.numBlocks*nvm.BlockSize bytes (the snapshot
-// exporter renders every table into one contiguous device image). Slots
-// without a vector are left as they are, so a dirty buffer would leak its
-// previous contents into the image.
-func buildTableImageInto(st *storeTable, l *layout.Layout, img []byte) error {
+// renderImage fills img (zeroed, st.numBlocks*nvm.BlockSize bytes) with the
+// table's current contents placed under layout l: it reads the table's block
+// range from the device, lays the overlay's values over it, and moves every
+// vector to its slot in l. It also returns cur, the same contents under the
+// published layout — what a failed install writes back; when l is the
+// published layout nothing moves and cur is img.
+//
+// Callers hold st.updateMu, and the overlay is snapshotted BEFORE the first
+// block is read: with updates excluded the overlay can only shrink, and the
+// compactor drops an entry only after its block write landed, so every value
+// is found in the snapshot or in the blocks read afterwards, and the
+// snapshot's copy (the newest) wins. The reads go to the device directly:
+// they are not lookups and never touch the table's serving counters.
+func (s *Store) renderImage(st *storeTable, l *layout.Layout, img []byte) (cur []byte, err error) {
 	if len(img) != st.numBlocks*nvm.BlockSize {
-		return fmt.Errorf("core: table %q: image buffer is %d bytes, want %d",
+		return nil, fmt.Errorf("core: table %q: image buffer is %d bytes, want %d",
 			st.name, len(img), st.numBlocks*nvm.BlockSize)
 	}
-	var members []uint32
-	for b := 0; b < st.numBlocks; b++ {
-		buf := img[b*nvm.BlockSize : (b+1)*nvm.BlockSize]
-		members = l.BlockMembers(b, members[:0])
-		for slot, id := range members {
-			raw, err := st.src.Raw(id)
-			if err != nil {
-				return fmt.Errorf("core: table %q: %w", st.name, err)
-			}
-			copy(buf[slot*st.vecBytes:], raw)
+	published := st.loadState().layout
+	snap := st.overlay.snapshot()
+	cur = img
+	if l != published {
+		cur = make([]byte, len(img))
+	}
+	idxs := make([]int, 0, renderBatch)
+	for b := 0; b < st.numBlocks; b += len(idxs) {
+		idxs = idxs[:0]
+		for i := b; i < st.numBlocks && len(idxs) < renderBatch; i++ {
+			idxs = append(idxs, st.blockBase+i)
+		}
+		if _, err := s.device.ReadBlocks(idxs, cur[b*nvm.BlockSize:]); err != nil {
+			return nil, fmt.Errorf("core: table %q: render image: %w", st.name, err)
 		}
 	}
-	return nil
+	for id, e := range snap {
+		copy(cur[st.slotOffset(published, id):], e.raw)
+	}
+	if l != published {
+		for id := uint32(0); int(id) < st.numVectors; id++ {
+			from := st.slotOffset(published, id)
+			copy(img[st.slotOffset(l, id):], cur[from:from+st.vecBytes])
+		}
+	}
+	return cur, nil
+}
+
+// rewriteTable installs a state mutation that carries a new layout l and
+// rewrites the table's NVM block range to match it (Train, LoadState).
+// Vector updates are excluded throughout (updateMu); misses keep reading
+// blocks while the image is rendered and wait only for the copy.
+func (s *Store) rewriteTable(st *storeTable, l *layout.Layout, mutate func(*tableState)) error {
+	st.updateMu.Lock()
+	defer st.updateMu.Unlock()
+	img := make([]byte, st.numBlocks*nvm.BlockSize)
+	cur, err := s.renderImage(st, l, img)
+	if err != nil {
+		return err
+	}
+	// No flush: the rewrite marker stays until Persist has flushed the device
+	// and written the matching state file.
+	return s.installImage(st, img, cur, false, mutate)
 }
 
 // relayoutTable migrates one table to a new physical layout while the store
-// keeps serving — the zero-downtime counterpart of rewriteTable:
+// keeps serving — rewriteTable with a commit protocol that survives a crash
+// at any instant instead of refusing the next open:
 //
-//   - the new image is built (and, on the file backend, staged durably with
-//     a committed migration record — see migration.go) WITHOUT the rewrite
-//     lock, so concurrent misses keep reading blocks throughout;
+//   - the new image is rendered (and, on the file backend, staged durably
+//     with a committed migration record — see migration.go) WITHOUT the
+//     rewrite lock, so concurrent misses keep reading blocks throughout;
 //   - only the final copy-into-place holds the rewrite lock exclusively,
-//     and it is one contiguous bulk write instead of per-block writes;
+//     and it is one contiguous bulk write;
 //   - cache hits are never blocked at any point, and cached vectors stay
 //     valid across the swap (the cache is keyed by vector ID, which a
 //     layout change does not alter).
@@ -124,8 +106,9 @@ func buildTableImageInto(st *storeTable, l *layout.Layout, img []byte) error {
 // staged image cannot go stale. Callers must hold s.mutateMu: the staging
 // protocol supports one migration at a time.
 //
-// Memory: the migration materializes the table's full block image in RAM
-// (it is also what gets staged to disk); at very large table sizes a
+// Memory: the migration reads the table's block range from the device and
+// materializes the old and the new image in RAM for its duration (the new
+// one is also what gets staged to disk); at very large table sizes a
 // streaming variant (incremental CRC into migration.img, chunked copy-in)
 // would bound this to a few MB — the protocol does not depend on the image
 // being resident.
@@ -136,7 +119,8 @@ func (s *Store) relayoutTable(st *storeTable, newLayout *layout.Layout) error {
 	st.updateMu.Lock()
 	defer st.updateMu.Unlock()
 
-	img, err := buildTableImage(st, newLayout)
+	img := make([]byte, st.numBlocks*nvm.BlockSize)
+	cur, err := s.renderImage(st, newLayout, img)
 	if err != nil {
 		return err
 	}
@@ -146,7 +130,8 @@ func (s *Store) relayoutTable(st *storeTable, newLayout *layout.Layout) error {
 		}
 		migrationStage("staged")
 	}
-	if err := s.installLayout(st, newLayout, img); err != nil {
+	err = s.installImage(st, img, cur, true, func(ts *tableState) { ts.layout = newLayout })
+	if err != nil {
 		if s.dataDir != "" {
 			if errors.Is(err, errMigrationRollbackFailed) {
 				// The data region may hold a torn image; keep the committed
@@ -174,51 +159,48 @@ func (s *Store) relayoutTable(st *storeTable, newLayout *layout.Layout) error {
 	return nil
 }
 
-// errMigrationRollbackFailed marks a migration whose copy AND rollback both
+// errMigrationRollbackFailed marks an install whose copy AND rollback both
 // failed: the table's on-NVM bytes are suspect and only the staged
 // migration record (redone at the next open) can repair them.
 var errMigrationRollbackFailed = errors.New("core: migration rollback failed")
 
-// installLayout copies the new block image into place and then publishes
-// newLayout, all under the table's exclusive rewrite lock — the only window
-// in which concurrent misses wait. The copy strictly precedes the publish,
-// and a failed copy is rolled back by rewriting the old layout's image from
-// the authoritative source vectors (the caller holds updateMu, so the
-// source cannot move), so on every exit the published layout matches the
-// bytes on NVM — a partial bulk write never serves mis-mapped vectors. If
-// even the rollback write fails the storage is genuinely broken; the joined
-// error propagates and, on the file backend, the committed migration record
-// redoes the copy exactly at the next open. The epoch bump keeps in-flight
-// misses that decoded under the old layout from caching stale vectors.
-func (s *Store) installLayout(st *storeTable, newLayout *layout.Layout, img []byte) error {
+// installImage copies a rendered block image into place and then publishes
+// the state mutation that goes with it (the image's layout), all under the
+// table's exclusive rewrite lock — the only window in which concurrent misses
+// wait: a miss holding the lock shared sees either the old layout with the
+// old bytes or the new layout with the new bytes. The copy strictly precedes
+// the publish, and a failed copy is rolled back by writing cur — the range's
+// contents under the still-published layout, as renderImage read them — so on
+// every exit the published layout matches the bytes on NVM and a partial bulk
+// write never serves mis-mapped vectors. If even the rollback write fails the
+// storage is genuinely broken; the joined error propagates and, for a
+// migration on the file backend, the committed record redoes the copy exactly
+// at the next open. flush makes the copy durable before the publish (the
+// migration protocol's ordering). The epoch bump keeps in-flight misses that
+// decoded under the old layout from caching stale vectors. The caller holds
+// st.updateMu.
+func (s *Store) installImage(st *storeTable, img, cur []byte, flush bool, mutate func(*tableState)) error {
 	st.rewriteMu.Lock()
 	defer st.rewriteMu.Unlock()
 	st.epoch.Add(1)
 	defer st.epoch.Add(1)
 	err := s.device.WriteBlocksBulk(st.blockBase, img)
-	if err == nil {
+	if err == nil && flush {
 		err = s.device.Flush()
 	}
 	if err != nil {
-		err = fmt.Errorf("core: table %q migration copy: %w", st.name, err)
-		oldImg, rerr := buildTableImage(st, st.loadState().layout)
-		if rerr == nil {
-			rerr = s.device.WriteBlocksBulk(st.blockBase, oldImg)
-		}
-		if rerr != nil {
+		err = fmt.Errorf("core: table %q: install image: %w", st.name, err)
+		// cur carries every overlaid value too, but the overlay is left alone:
+		// its entries equal what cur holds, and on a FAILED rollback they still
+		// shadow the freshest values over the suspect bytes.
+		if rerr := s.device.WriteBlocksBulk(st.blockBase, cur); rerr != nil {
 			return errors.Join(err, fmt.Errorf("%w: table %q: %v", errMigrationRollbackFailed, st.name, rerr))
 		}
-		// The rollback rendered the old image from src, which includes every
-		// overlaid value. (On a FAILED rollback the overlay is kept: the
-		// on-NVM bytes are suspect and the overlay still shadows the freshest
-		// values for serving.)
-		st.overlay.clear()
 		return err
 	}
-	st.mutateState(func(ts *tableState) {
-		ts.layout = newLayout
-	})
-	// Same as rewriteTable: img came from src, the overlay is subsumed.
+	st.mutateState(mutate)
+	// img was rendered with the overlay laid over the blocks, and updates have
+	// been excluded since: the overlay has nothing left to shadow.
 	st.overlay.clear()
 	return nil
 }

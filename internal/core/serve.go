@@ -10,7 +10,6 @@ import (
 	"bandana/internal/fp16"
 	"bandana/internal/iosched"
 	"bandana/internal/nvm"
-	"bandana/internal/table"
 )
 
 // This file is the serving path: the lookup APIs, the one read routine they
@@ -217,6 +216,14 @@ func (s *Store) UpdateVectorRaw(tableIdx int, id uint32, raw []byte) error {
 	return err
 }
 
+// checkID rejects a vector id outside the table.
+func (st *storeTable) checkID(id uint32) error {
+	if int(id) >= st.numVectors {
+		return fmt.Errorf("core: table %q: vector id out of range: %d (table has %d)", st.name, id, st.numVectors)
+	}
+	return nil
+}
+
 // missRef is one requested vector that missed the cache: its position in the
 // operation's output, and (in serveBatch's pass 2) the block that holds it.
 type missRef struct {
@@ -396,8 +403,8 @@ func (st *storeTable) lookupBatch(ids []uint32, tr *StageTrace) ([][]float32, er
 // covers everything.
 func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (release func(), err error) {
 	for _, id := range ids {
-		if int(id) >= st.src.NumVectors() {
-			return nil, fmt.Errorf("core: table %q: %w: %d", st.name, table.ErrBadVector, id)
+		if err := st.checkID(id); err != nil {
+			return nil, err
 		}
 	}
 	ts := st.loadState()

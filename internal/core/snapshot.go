@@ -3,14 +3,15 @@
 // an image into a fresh data dir (for a replica bootstrapping from the
 // stream).
 //
-// An export is the store's committed contents rendered from the
-// authoritative in-memory tables under the same locks the migration staging
-// machinery uses (mutateMu excludes Train/LoadState/migrations, every
-// table's updateMu excludes vector updates), so it can never observe a
-// half-rewritten table. The manifest and trained state use the exact on-disk
-// formats of a file-backed data dir, which makes the import side trivial:
-// write the block image through the journal-bypass bulk-load path, drop the
-// state file, and commit the manifest last — the same protocol initDir uses.
+// An export is the store's committed contents — each table's block range
+// read from the device with the overlay laid over it (renderImage) — taken
+// under the same locks the migration staging machinery uses (mutateMu
+// excludes Train/LoadState/migrations, every table's updateMu excludes vector
+// updates), so it can never observe a half-rewritten table. The manifest and
+// trained state use the exact on-disk formats of a file-backed data dir,
+// which makes the import side trivial: write the block image through the
+// journal-bypass bulk-load path, drop the state file, and commit the manifest
+// last — the same protocol initDir uses.
 //
 // Exports are identified by a snapshot sequence number that advances on
 // every committed mutation of the servable image (UpdateVector, Train,
@@ -110,8 +111,11 @@ func (sn *Snapshot) TotalBlocks() int { return len(sn.Blocks) / nvm.BlockSize }
 // table's update lock while building the image — the same exclusion the
 // background-migration staging machinery relies on — so concurrent Train,
 // LoadState, UpdateVector or re-layout migrations can never tear the export.
-// Serving (lookups, cache fills) is not blocked at any point: the image is
-// rendered from the authoritative in-memory tables, not from the device.
+// Serving (lookups, cache fills) is not blocked at any point: the export
+// reads the device next to the misses (one pass over every table's range,
+// outside the I/O scheduler and the serving counters) and takes no rewrite
+// lock; a concurrent compaction only moves values the export already took
+// from the overlay.
 func (s *Store) ExportSnapshot() (*Snapshot, error) {
 	s.mutateMu.Lock()
 	defer s.mutateMu.Unlock()
@@ -127,7 +131,7 @@ func (s *Store) ExportSnapshot() (*Snapshot, error) {
 	blocks := make([]byte, totalBlocks*nvm.BlockSize)
 	for _, st := range s.tables {
 		dst := blocks[st.blockBase*nvm.BlockSize : (st.blockBase+st.numBlocks)*nvm.BlockSize]
-		if err := buildTableImageInto(st, st.loadState().layout, dst); err != nil {
+		if _, err := s.renderImage(st, st.loadState().layout, dst); err != nil {
 			return nil, err
 		}
 	}

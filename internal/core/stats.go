@@ -41,8 +41,11 @@ type TableStats struct {
 	CacheSlabs            int
 	CacheFreeSlots        int
 	CacheLimboSlots       int
-	Threshold             uint32
-	Prefetching           bool
+	// DRAM attributes the table's resident heap to the structures that hold
+	// it, computed from their lengths.
+	DRAM        TableDRAM
+	Threshold   uint32
+	Prefetching bool
 	// PredictedHitRate and PredictedLookupsPerBlockRead are what the
 	// miniature cache that chose Threshold/Prefetching expected (0 until a
 	// tuner has run, or after SetAdmissionPolicy). The tuner replays the
@@ -72,6 +75,24 @@ type TableStats struct {
 	ProbeLatency     metrics.Snapshot
 	QueueWaitLatency metrics.Snapshot
 	DecodeLatency    metrics.Snapshot
+}
+
+// TableDRAM is the heap one table keeps resident, by component, in bytes.
+// The vectors themselves are not among them: they live on the device.
+type TableDRAM struct {
+	// Layout is the placement order and its inverse (8 B per vector).
+	Layout int64
+	// Counts is the per-vector access counts the admission policy reads
+	// (4 B per vector once trained).
+	Counts int64
+	// Overlay is the payloads and entries of updates not yet compacted.
+	Overlay int64
+	// CacheArena is the cache's slabs; CacheIndex its slot metadata and
+	// probe tables.
+	CacheArena int64
+	CacheIndex int64
+	// Recorder is the adaptation engine's access window (0 while it is off).
+	Recorder int64
 }
 
 // Stats returns per-table serving statistics.
@@ -109,6 +130,16 @@ func (s *Store) Stats() []TableStats {
 		ts.CacheFreeSlots = cs.FreeSlots
 		ts.CacheLimboSlots = cs.LimboSlots
 		ts.OverlayEntries = st.overlay.size()
+		ts.DRAM = TableDRAM{
+			Layout:     state.layout.SizeBytes(),
+			Counts:     4 * int64(len(state.counts)),
+			Overlay:    int64(ts.OverlayEntries) * int64(st.vecBytes+overlayEntryBytes),
+			CacheArena: cs.ArenaBytes,
+			CacheIndex: cs.MetaBytes + cs.IndexBytes,
+		}
+		if r := st.recorder.Load(); r != nil {
+			ts.DRAM.Recorder = r.SizeBytes()
+		}
 		if state.policy != nil {
 			ts.Policy = state.policy.Name()
 		}

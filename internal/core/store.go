@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"bandana/internal/cache"
+	"bandana/internal/fp16"
 	"bandana/internal/iosched"
 	"bandana/internal/layout"
 	"bandana/internal/metrics"
@@ -138,7 +139,7 @@ type storeTable struct {
 	// Immutable after Open.
 	index        int
 	name         string
-	src          *table.Table // authoritative copy used for rewrites/updates
+	numVectors   int
 	dim          int
 	vecBytes     int
 	blockVectors int
@@ -152,17 +153,17 @@ type storeTable struct {
 	state   atomic.Pointer[tableState]
 	stateMu sync.Mutex
 
-	// updateMu serializes read-modify-write vector updates (which would
-	// otherwise lose writes to the shared block) and excludes them from
-	// whole-table rewrites (rewriteTable takes it too).
+	// updateMu serializes vector updates and excludes them from whole-table
+	// rewrites, re-layouts and snapshot exports, which hold it from the
+	// overlay snapshot they render from until the image is in place.
 	updateMu sync.Mutex
 	// rewriteMu guards the invariant that the published layout matches the
-	// bytes on NVM: rewriteTable holds it exclusively while installing a
-	// new layout and rewriting the blocks; the miss path holds it shared
-	// while reading a block and decoding slots from it. Cache hits and
-	// state snapshots never touch it.
+	// bytes on NVM: installImage holds it exclusively while copying a new
+	// image into place and publishing its layout; the miss path and the
+	// compactor hold it shared while reading a block and decoding or
+	// patching slots in it. Cache hits and state snapshots never touch it.
 	rewriteMu sync.RWMutex
-	// epoch is bumped by every NVM mutation (UpdateVector, rewriteTable)
+	// epoch is bumped by every NVM mutation (compaction, installImage)
 	// so that an in-flight miss does not cache a vector decoded from a
 	// block read before the mutation. Delta updates bump it too (the block
 	// image goes stale relative to the overlay).
@@ -216,36 +217,62 @@ func (st *storeTable) mutateState(fn func(*tableState)) {
 	st.stateMu.Unlock()
 }
 
-// tableSpan is one table's contiguous block range on the device.
-type tableSpan struct{ base, blocks, blockVectors int }
+// tableGeom is one table's shape and block span: what the manifest records,
+// and all a store keeps of a table besides its blocks on the device.
+type tableGeom struct {
+	name         string
+	dim          int
+	numVectors   int
+	blockVectors int
+	numBlocks    int
+	blockBase    int
+}
 
-// computeSpans lays the tables out as contiguous block ranges and returns
-// the spans plus the total device size in blocks. The layout is a pure
-// function of the table geometries, so a reopened file-backed store derives
-// identical spans from its manifest.
-func computeSpans(tables []*table.Table) ([]tableSpan, int) {
-	spans := make([]tableSpan, len(tables))
-	next := 0
-	for i, t := range tables {
-		bv := nvm.BlockSize / t.VectorBytes()
-		if bv < 1 {
-			bv = 1
-		}
-		blocks := (t.NumVectors() + bv - 1) / bv
-		spans[i] = tableSpan{base: next, blocks: blocks, blockVectors: bv}
-		next += blocks
+func (g tableGeom) vecBytes() int { return g.dim * fp16.ByteSize }
+
+// placeTables validates the tables' shapes (name, dim, numVectors) and lays
+// them out as contiguous block ranges, filling in each span; it returns the
+// total device size in blocks. The placement is a pure function of the
+// shapes, so a reopened file-backed store derives identical spans from its
+// manifest.
+func placeTables(geoms []tableGeom) (int, error) {
+	if len(geoms) == 0 {
+		return 0, fmt.Errorf("core: no tables configured")
 	}
-	return spans, next
+	seen := make(map[string]bool, len(geoms))
+	next := 0
+	for i := range geoms {
+		g := &geoms[i]
+		if g.numVectors <= 0 || g.dim <= 0 {
+			return 0, fmt.Errorf("core: table %q is empty", g.name)
+		}
+		if g.vecBytes() > nvm.BlockSize {
+			return 0, fmt.Errorf("core: table %q vector size %d exceeds NVM block size %d",
+				g.name, g.vecBytes(), nvm.BlockSize)
+		}
+		if seen[g.name] {
+			return 0, fmt.Errorf("core: duplicate table name %q", g.name)
+		}
+		seen[g.name] = true
+		g.blockVectors = nvm.BlockSize / g.vecBytes()
+		g.numBlocks = (g.numVectors + g.blockVectors - 1) / g.blockVectors
+		g.blockBase = next
+		next += g.numBlocks
+	}
+	return next, nil
 }
 
 // Open creates a Store, sizes (or adopts) the NVM device, writes every table
 // to NVM in its original order and sets up per-table caches with an even
 // split of the DRAM budget. Prefetching is disabled until Train is called.
+// The store keeps no reference to Config.Tables: once Open returns, the block
+// image on the device (plus the overlay of not-yet-compacted updates) is the
+// only copy of a vector it holds.
 //
 // With Config.Backend == BackendFile the blocks live in a durable journaled
 // file under Config.DataDir: the first Open writes the tables to disk, and
-// later Opens of the same directory restore tables, placement and trained
-// state without rewriting or retraining (see Persist).
+// later Opens of the same directory restore geometry, placement and trained
+// state without reading, rewriting or retraining anything (see Persist).
 func Open(cfg Config) (*Store, error) {
 	switch cfg.Backend {
 	case "", BackendMem:
@@ -262,10 +289,10 @@ func Open(cfg Config) (*Store, error) {
 
 // openMem is the RAM-backed (or caller-supplied-device) open path.
 func openMem(cfg Config) (*Store, error) {
-	if err := cfg.validate(); err != nil {
+	geoms, totalBlocks, err := cfg.geometry()
+	if err != nil {
 		return nil, err
 	}
-	spans, totalBlocks := computeSpans(cfg.Tables)
 	device := cfg.Device
 	owns := false
 	if device == nil {
@@ -274,14 +301,14 @@ func openMem(cfg Config) (*Store, error) {
 	} else if device.NumBlocks() < totalBlocks {
 		return nil, fmt.Errorf("core: device has %d blocks, need %d", device.NumBlocks(), totalBlocks)
 	}
-	s, err := buildStore(cfg, device, owns, spans)
+	s, err := buildStore(cfg, device, owns, geoms, nil)
 	if err != nil {
 		if owns {
 			device.Close()
 		}
 		return nil, err
 	}
-	if err := s.writeAllTables(); err != nil {
+	if err := s.writeTables(cfg.Tables); err != nil {
 		// Close the store, not just the device: the I/O scheduler's
 		// dispatcher and the compactor must stop too. A caller-supplied
 		// device stays open (Close only closes owned devices).
@@ -291,20 +318,49 @@ func openMem(cfg Config) (*Store, error) {
 	return s, nil
 }
 
+// writeTables streams the caller's tables onto the device in ID order — the
+// identity layout buildStore publishes for a new store. It is the first of
+// the two producers of block images (renderImage is the other) and the only
+// place the store reads vectors from Config.Tables. Bulk path: the manifest
+// (file backend) or Open's return (mem) is the commit point, so the per-block
+// write-ahead journal is skipped.
+func (s *Store) writeTables(tables []*table.Table) error {
+	bufp := getBlockBuf()
+	defer putBlockBuf(bufp)
+	buf := *bufp
+	for i, st := range s.tables {
+		for b := 0; b < st.numBlocks; b++ {
+			clear(buf)
+			first := b * st.blockVectors
+			for slot := 0; slot < st.blockVectors && first+slot < st.numVectors; slot++ {
+				raw, err := tables[i].Raw(uint32(first + slot))
+				if err != nil {
+					return fmt.Errorf("core: table %q: %w", st.name, err)
+				}
+				copy(buf[slot*st.vecBytes:], raw)
+			}
+			if err := s.device.WriteBlockBulk(st.blockBase+b, buf); err != nil {
+				return fmt.Errorf("core: table %q block %d: %w", st.name, b, err)
+			}
+		}
+	}
+	return nil
+}
+
 // buildStore assembles the Store skeleton (per-table state, caches,
 // counters) over an existing device without touching the device contents.
-func buildStore(cfg Config, device *nvm.Device, owns bool, spans []tableSpan) (*Store, error) {
-	// validate rejects an empty table list, but the budget split below
-	// divides by the table count — keep an explicit guard so a future
-	// validate change cannot turn this into a panic.
-	if len(cfg.Tables) == 0 {
-		return nil, fmt.Errorf("core: config has no tables")
+// layouts[i] is the placement table i's blocks already hold; nil means every
+// table is in ID order (a new store).
+func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, layouts []*layout.Layout) (*Store, error) {
+	totalVectors := 0
+	for _, g := range geoms {
+		totalVectors += g.numVectors
 	}
 	budget := cfg.DRAMBudgetVectors
 	if budget <= 0 {
-		budget = cfg.totalVectors() / 20
-		if budget < len(cfg.Tables) {
-			budget = len(cfg.Tables)
+		budget = totalVectors / 20
+		if budget < len(geoms) {
+			budget = len(geoms)
 		}
 	}
 	shards := cfg.CacheShards
@@ -315,7 +371,7 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, spans []tableSpan) (*
 	s := &Store{
 		device:     device,
 		ownsDevice: owns,
-		byName:     make(map[string]int, len(cfg.Tables)),
+		byName:     make(map[string]int, len(geoms)),
 		seed:       cfg.Seed,
 		dataDir:    cfg.DataDir,
 		readOnly:   cfg.ReadOnly,
@@ -339,20 +395,22 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, spans []tableSpan) (*
 		sched.Close()
 		return nil, err
 	}
-	perTable := budget / len(cfg.Tables)
+	// placeTables rejected an empty table list, so the split cannot divide
+	// by zero.
+	perTable := budget / len(geoms)
 	if perTable < 1 {
 		perTable = 1
 	}
-	for i, t := range cfg.Tables {
+	for i, g := range geoms {
 		st := &storeTable{
 			index:            i,
-			name:             t.Name,
-			src:              t,
-			dim:              t.Dim,
-			vecBytes:         t.VectorBytes(),
-			blockVectors:     spans[i].blockVectors,
-			blockBase:        spans[i].base,
-			numBlocks:        spans[i].blocks,
+			name:             g.name,
+			numVectors:       g.numVectors,
+			dim:              g.dim,
+			vecBytes:         g.vecBytes(),
+			blockVectors:     g.blockVectors,
+			blockBase:        g.blockBase,
+			numBlocks:        g.numBlocks,
 			shards:           shards,
 			lookups:          metrics.NewStripedCounter(counterStripes),
 			hits:             metrics.NewStripedCounter(counterStripes),
@@ -369,13 +427,19 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, spans []tableSpan) (*
 			sched:            s.sched,
 			overlay:          newDeltaOverlay(),
 		}
+		var l *layout.Layout
+		if layouts != nil {
+			l = layouts[i]
+		} else {
+			l = layout.Identity(g.numVectors, g.blockVectors)
+		}
 		st.state.Store(&tableState{
-			layout:   layout.Identity(t.NumVectors(), spans[i].blockVectors),
+			layout:   l,
 			cacheCap: perTable,
-			cache:    newTableCache(perTable, shards, t.VectorBytes()),
+			cache:    newTableCache(perTable, shards, st.vecBytes),
 		})
 		s.tables = append(s.tables, st)
-		s.byName[t.Name] = i
+		s.byName[g.name] = i
 	}
 	s.compactCh = make(chan struct{}, 1)
 	s.compactStop = make(chan struct{})

@@ -1,0 +1,140 @@
+package core
+
+import (
+	"bytes"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"bandana/internal/fp16"
+	"bandana/internal/table"
+	"bandana/internal/trace"
+)
+
+// TestUpdateLeavesCallerTablesAlone pins that Open copies Config.Tables onto
+// the device and lets go of them: an update changes what the store serves,
+// never the table object the caller still owns.
+func TestUpdateLeavesCallerTablesAlone(t *testing.T) {
+	eachBackend(t, func(t *testing.T, cfg Config) {
+		tables, _ := buildTestTables(t, 1, 512, 10)
+		cfg.Tables = tables
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+
+		orig := make([][]byte, 2)
+		for id := range orig {
+			raw, err := tables[0].Raw(uint32(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			orig[id] = bytes.Clone(raw)
+		}
+		vec := testVec(tables[0].Dim, 7)
+		updated := fp16.EncodeSlice(nil, vec)
+		if err := s.UpdateVector(0, 0, vec); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.UpdateVectorRaw(0, 1, updated); err != nil {
+			t.Fatal(err)
+		}
+		check := func(when string) {
+			t.Helper()
+			got, err := s.LookupBatchRaw(0, []uint32{0, 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := range orig {
+				if !bytes.Equal(got[id], updated) {
+					t.Fatalf("%s: lookup(%d) does not return the update", when, id)
+				}
+				if raw, _ := tables[0].Raw(uint32(id)); !bytes.Equal(raw, orig[id]) {
+					t.Fatalf("%s: the caller's table changed at vector %d", when, id)
+				}
+			}
+		}
+		check("from the overlay")
+		if err := s.CompactDeltas(); err != nil {
+			t.Fatal(err)
+		}
+		check("from the block image")
+	})
+}
+
+// heapInuse is the heap in use once everything unreachable has been
+// collected.
+func heapInuse() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapInuse)
+}
+
+// TestStoreHoldsNoTableCopy is the heap gate on Bandana's premise: a store in
+// front of N vectors holds its cache budget plus per-vector metadata in DRAM,
+// not the vectors — neither after Open + Train over caller tables nor after a
+// reopen, which must not read a single data block to come up.
+func TestStoreHoldsNoTableCopy(t *testing.T) {
+	const vectors, dim = 1 << 16, 64 // 8 MiB of fp16 vectors
+	const tableBytes = vectors * dim * fp16.ByteSize
+	base := heapInuse()
+
+	p := trace.Profile{Name: "big", NumVectors: vectors, AvgLookups: 20, Locality: 0.9, CommunitySize: 64, ReuseSkew: 3, Seed: 5}
+	tables := []*table.Table{table.Generate(p.Name, table.GenerateOptions{NumVectors: vectors, Dim: dim, Seed: 5}).Table}
+	traces := []*trace.Trace{trace.GenerateTable(p, 400)}
+	cfg := Config{
+		Backend:           BackendFile,
+		DataDir:           filepath.Join(t.TempDir(), "store"),
+		Direct:            testDirect(),
+		DRAMBudgetVectors: vectors / 20,
+		CacheShards:       8,
+		Seed:              5,
+	}
+	cfg.Tables = tables
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	if _, err := s.Train(traces, TrainOptions{SHPIterations: 2, MiniCacheSampling: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := tables[0].Raw(vectors - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = bytes.Clone(want)
+	tables, traces, cfg.Tables = nil, nil, nil
+
+	grown := heapInuse() - base
+	t.Logf("after Open + Train: heap grew %.2f x the table's %d bytes", float64(grown)/tableBytes, tableBytes)
+	if grown >= tableBytes/2 {
+		t.Fatalf("store holds %d bytes of heap over an %d-byte table after Open + Train, want < half", grown, tableBytes)
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reads := s.DeviceStats().BlocksRead; reads != 0 {
+		t.Fatalf("reopen read %d data blocks with no update log or migration pending", reads)
+	}
+	grown = heapInuse() - base
+	t.Logf("after reopen: heap grew %.2f x the table's bytes", float64(grown)/tableBytes)
+	if grown >= tableBytes/2 {
+		t.Fatalf("store holds %d bytes of heap over an %d-byte table after reopen, want < half", grown, tableBytes)
+	}
+	got, err := s.LookupBatchRaw(0, []uint32{vectors - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[0], want) {
+		t.Fatal("reopened store serves the wrong bytes")
+	}
+}

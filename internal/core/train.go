@@ -56,9 +56,9 @@ func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, e
 	// Validate the traces before mutating anything, so a bad input cannot
 	// leave the data dir flagged as interrupted (see the marker below).
 	for i, tr := range traces {
-		if tr != nil && tr.NumVectors != s.tables[i].src.NumVectors() {
+		if tr != nil && tr.NumVectors != s.tables[i].numVectors {
 			return nil, fmt.Errorf("core: table %q: trace covers %d vectors, table has %d",
-				s.tables[i].name, tr.NumVectors, s.tables[i].src.NumVectors())
+				s.tables[i].name, tr.NumVectors, s.tables[i].numVectors)
 		}
 	}
 
@@ -131,7 +131,7 @@ func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, e
 		demands = append(demands, alloc.TableDemand{
 			Name:       st.name,
 			HRC:        results[i].hrc,
-			MaxVectors: st.src.NumVectors(),
+			MaxVectors: st.numVectors,
 			MinVectors: st.blockVectors,
 		})
 		demandIdx = append(demandIdx, i)
@@ -214,7 +214,7 @@ func (s *Store) trainTable(i int, tr *trace.Trace, opts TrainOptions, report *Tr
 		for qi, q := range tr.Queries {
 			queries[qi] = q
 		}
-		res, err := shp.Partition(st.src.NumVectors(), queries, shp.Options{
+		res, err := shp.Partition(st.numVectors, queries, shp.Options{
 			BlockVectors: blockVectors,
 			Iterations:   opts.SHPIterations,
 			Seed:         s.seed + int64(i),
@@ -236,7 +236,7 @@ func (s *Store) trainTable(i int, tr *trace.Trace, opts TrainOptions, report *Tr
 	// Install the new layout and rewrite the table's NVM blocks — one
 	// atomic step with respect to concurrent lookups and updates.
 	rewroteAny.Store(true)
-	if err := s.rewriteTable(st, func(ts *tableState) {
+	if err := s.rewriteTable(st, newLayout, func(ts *tableState) {
 		ts.layout = newLayout
 		ts.counts = counts
 	}); err != nil {

@@ -22,31 +22,3 @@ func (t TableDataset) At(i int, dst []float32) {
 	// passes indices below Len().
 	_ = t.Table.VectorInto(dst, uint32(i))
 }
-
-// OrderTable is the unsupervised re-partition entry point: it clusters a
-// table's embedding vectors with two-stage K-means sized so that each leaf
-// cluster roughly fills one NVM block of blockVectors vectors, and returns
-// the resulting placement order. This is the paper's §4.1 fallback for
-// when no (or too little) query signal is available — co-accessed vectors
-// tend to be close in embedding space, so similarity grouping approximates
-// co-access grouping without a trace.
-func OrderTable(t *table.Table, blockVectors int, opts TwoStageOptions) ([]uint32, error) {
-	if blockVectors < 1 {
-		blockVectors = 1
-	}
-	n := t.NumVectors()
-	if opts.TotalSubClusters <= 0 {
-		opts.TotalSubClusters = (n + blockVectors - 1) / blockVectors
-	}
-	if opts.CoarseClusters <= 0 {
-		opts.CoarseClusters = opts.TotalSubClusters / 16
-		if opts.CoarseClusters < 1 {
-			opts.CoarseClusters = 1
-		}
-	}
-	res, err := TwoStage(TableDataset{Table: t}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return OrderByCluster(res.Assignments), nil
-}

@@ -82,6 +82,10 @@ func FromOrder(order []uint32, blockVectors int) (*Layout, error) {
 // NumVectors returns the number of vectors placed.
 func (l *Layout) NumVectors() int { return len(l.order) }
 
+// SizeBytes returns the heap the layout holds: the placement order and its
+// inverse, four bytes per vector each.
+func (l *Layout) SizeBytes() int64 { return 4 * int64(len(l.order)+len(l.posOf)) }
+
 // BlockVectors returns the number of vectors per block.
 func (l *Layout) BlockVectors() int { return l.blockVectors }
 

@@ -58,15 +58,12 @@ func TestAdaptEndpoint(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK || body["enabled"] != true {
 		t.Fatalf("start: %d %v", resp2.StatusCode, body)
 	}
-	// Double start conflicts; an invalid option is the client's fault.
+	// Double start conflicts.
 	if resp, _ := postAdapt(t, ts.URL, `{"action":"start"}`); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("double start = %d, want 409", resp.StatusCode)
 	}
 	if resp, _ := postAdapt(t, ts.URL, `{"action":"stop"}`); resp.StatusCode != http.StatusOK {
 		t.Fatal("stop failed")
-	}
-	if resp, _ := postAdapt(t, ts.URL, `{"action":"start","relayoutStrategy":"bogus"}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad strategy = %d, want 400", resp.StatusCode)
 	}
 	if resp, _ := postAdapt(t, ts.URL, `{"action":"start","minQueries":8}`); resp.StatusCode != http.StatusOK {
 		t.Fatal("restart failed")

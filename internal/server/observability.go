@@ -169,6 +169,22 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheFreeSlots) }))
 	r.Register("bandana_table_cache_limbo_slots", "gauge", "Evicted cache arena slots waiting for reader leases to end per table; steady growth means leases are not released.",
 		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheLimboSlots) }))
+	r.Register("bandana_table_dram_bytes", "gauge", "Heap a table keeps resident, by component (layout, counts, overlay, cache_arena, cache_index, recorder), computed from lengths at scrape time; the vectors themselves are on the device.",
+		func() []metrics.Sample {
+			var out []metrics.Sample
+			for _, ts := range s.scrapeStore().Stats() {
+				for _, c := range []struct {
+					name  string
+					bytes int64
+				}{
+					{"layout", ts.DRAM.Layout}, {"counts", ts.DRAM.Counts}, {"overlay", ts.DRAM.Overlay},
+					{"cache_arena", ts.DRAM.CacheArena}, {"cache_index", ts.DRAM.CacheIndex}, {"recorder", ts.DRAM.Recorder},
+				} {
+					out = append(out, metrics.Sample{Labels: metrics.L("table", ts.Name, "component", c.name), Value: float64(c.bytes)})
+				}
+			}
+			return out
+		})
 
 	// NVM device + block-store backend.
 	r.Register("bandana_device_info", "gauge", "Device backend descriptor (value is always 1).", func() []metrics.Sample {

@@ -86,9 +86,22 @@ func TestMetricsEndpoint(t *testing.T) {
 		"bandana_table_effective_bandwidth{table=\"tA\"} ",
 		"bandana_table_predicted_hit_ratio{table=\"tA\"} 0\n",
 		"bandana_table_predicted_lookups_per_block_read{table=\"tA\"} 0\n",
+		// DRAM attribution: 2048 vectors x (order + inverse) x 4 B, nothing
+		// trained, updated or recorded yet, and a cache that has filled.
+		"bandana_table_dram_bytes{table=\"tA\",component=\"layout\"} 16384\n",
+		"bandana_table_dram_bytes{table=\"tA\",component=\"counts\"} 0\n",
+		"bandana_table_dram_bytes{table=\"tA\",component=\"overlay\"} 0\n",
+		"bandana_table_dram_bytes{table=\"tA\",component=\"cache_arena\"} ",
+		"bandana_table_dram_bytes{table=\"tA\",component=\"cache_index\"} ",
+		"bandana_table_dram_bytes{table=\"tA\",component=\"recorder\"} 0\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	for _, component := range []string{"cache_arena", "cache_index"} {
+		if strings.Contains(out, "bandana_table_dram_bytes{table=\"tA\",component=\""+component+"\"} 0\n") {
+			t.Errorf("%s bytes are zero after 512 lookups", component)
 		}
 	}
 	if strings.Contains(out, "bandana_stage_duration_us_count{table=\"tA\",stage=\"device_service\"} 0\n") {

@@ -655,11 +655,10 @@ type adaptRequest struct {
 	IntervalMS int64  `json:"intervalMS"`
 	// Optional tuning knobs for "start"; zero values use the engine
 	// defaults.
-	MinQueries          int    `json:"minQueries"`
-	RelayoutEvery       int    `json:"relayoutEvery"`
-	RelayoutBlockBudget int    `json:"relayoutBlockBudget"`
-	RelayoutStrategy    string `json:"relayoutStrategy"`
-	SampleEvery         int    `json:"sampleEvery"`
+	MinQueries          int `json:"minQueries"`
+	RelayoutEvery       int `json:"relayoutEvery"`
+	RelayoutBlockBudget int `json:"relayoutBlockBudget"`
+	SampleEvery         int `json:"sampleEvery"`
 }
 
 func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
@@ -676,18 +675,13 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 			MinQueries:          req.MinQueries,
 			RelayoutEvery:       req.RelayoutEvery,
 			RelayoutBlockBudget: req.RelayoutBlockBudget,
-			RelayoutStrategy:    req.RelayoutStrategy,
 			SampleEvery:         req.SampleEvery,
 		})
 		if err != nil {
 			// Engine-already-running is a conflict, a read-only store
-			// (replica) is forbidden; anything else is an
-			// options-validation problem the client must fix.
-			status := http.StatusBadRequest
-			switch {
-			case errors.Is(err, core.ErrAdaptationRunning):
-				status = http.StatusConflict
-			case errors.Is(err, core.ErrReadOnly):
+			// (replica) is forbidden.
+			status := http.StatusConflict
+			if errors.Is(err, core.ErrReadOnly) {
 				status = http.StatusForbidden
 			}
 			writeError(w, status, "%v", err)

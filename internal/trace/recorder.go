@@ -112,6 +112,22 @@ func (r *Recorder) Len() int {
 	return n
 }
 
+// SizeBytes returns the heap the recorder holds: the ring slots plus the ID
+// buffers they keep (buffers survive Reset, so capacities are counted).
+func (r *Recorder) SizeBytes() int64 {
+	var n int64
+	for i := range r.stripes {
+		st := &r.stripes[i]
+		st.mu.Lock()
+		n += int64(len(st.queries)) * 32 // seq + slice header
+		for _, q := range st.queries {
+			n += int64(cap(q.ids)) * 4
+		}
+		st.mu.Unlock()
+	}
+	return n
+}
+
 // Offered returns the total number of queries offered to Record since the
 // recorder was created or last Reset, sampled or not.
 func (r *Recorder) Offered() uint64 { return r.seq.Load() }
