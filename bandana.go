@@ -55,6 +55,18 @@
 // runs two goroutines, the compactor and the I/O scheduler's dispatcher, and
 // every Open needs a Close to stop them.
 //
+// # Layout changes
+//
+// A table's placement changes one way, whoever asks — Train, LoadState or the
+// adaptation engine's background re-layout: the new placement and everything
+// tuned for it are computed first, against the serving store but without
+// touching it, and then each table is installed on its own. On a file-backed
+// store an install stages the table's new block image and a redo record
+// before it overwrites a block, so a process killed at any instant reopens
+// with every table on exactly its old or its new placement, every vector and
+// every acknowledged update intact; a failure while computing leaves the
+// store untouched. Lookups are served throughout.
+//
 // # Prefetch admission policies
 //
 // The admission policies of §4.3 (AlwaysAdmit, ShadowAdmit, ShadowPosition,
@@ -81,7 +93,8 @@ const Version = "1.0.0"
 const BlockSize = nvm.BlockSize
 
 // Store is a Bandana embedding store. See the package documentation for the
-// lifecycle (Open -> Train -> Lookup).
+// lifecycle (Open -> Train -> Lookup) and for what Train, LoadState and
+// Persist leave on disk when the process dies in the middle of one.
 type Store = core.Store
 
 // Config configures Open.

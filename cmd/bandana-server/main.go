@@ -238,7 +238,7 @@ func main() {
 		log.Printf("journal recovery replayed %d block write(s) from the previous run", rec)
 	}
 	if store.RecoveredMigration() {
-		log.Printf("redid a background re-layout interrupted by the previous process")
+		log.Printf("redid the layout install of table %q interrupted by the previous process", store.RecoveredMigrationTable())
 	}
 	if *train {
 		log.Printf("--train ignored: a reopened data dir serves its persisted state (train at init time with 'bandana init --train')")

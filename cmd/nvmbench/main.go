@@ -11,7 +11,7 @@
 //	nvmbench --mode load --vector 128   # latency vs load (Figure 5)
 //	nvmbench --mode qd-sweep            # scheduler miss-path sweep at QD 1/4/8/16/32
 //	nvmbench --mode qd-sweep --io-qd 8  # single depth instead of the sweep
-//	nvmbench --mode qd-sweep --io-coalesce=false --backend file
+//	nvmbench --mode qd-sweep --backend file
 //	nvmbench --mode qd --json out.json  # machine-readable results (CI artifacts)
 package main
 
@@ -40,7 +40,6 @@ type jsonOutput struct {
 	Ops        int                          `json:"opsPerWorker,omitempty"`
 	VectorSize int                          `json:"vectorBytes,omitempty"`
 	Seed       int64                        `json:"seed"`
-	Coalesce   bool                         `json:"coalesce"`
 	QueueDepth []nvm.FioResult              `json:"queueDepthSweep,omitempty"`
 	Baseline   []nvm.ThroughputLatencyPoint `json:"baselineCurve,omitempty"`
 	FullBlock  []nvm.ThroughputLatencyPoint `json:"fullBlockCurve,omitempty"`
@@ -51,15 +50,15 @@ type jsonOutput struct {
 }
 
 // validateFlags rejects flag combinations before any backing store is
-// created. ioQDSet/ioCoalesceSet report explicitly passed flags.
-func validateFlags(mode string, ioQD int, ioQDSet, ioCoalesceSet bool) error {
+// created. ioQDSet reports whether --io-qd was passed explicitly.
+func validateFlags(mode string, ioQD int, ioQDSet bool) error {
 	switch mode {
 	case "qd", "load", "qd-sweep":
 	default:
 		return fmt.Errorf("unknown mode %q (want qd, load or qd-sweep)", mode)
 	}
-	if mode != "qd-sweep" && (ioQDSet || ioCoalesceSet) {
-		return fmt.Errorf("--io-qd/--io-coalesce configure the I/O scheduler and are only meaningful with --mode qd-sweep (mode %q drives the device directly)", mode)
+	if mode != "qd-sweep" && ioQDSet {
+		return fmt.Errorf("--io-qd configures the I/O scheduler and is only meaningful with --mode qd-sweep (mode %q drives the device directly)", mode)
 	}
 	if ioQD < 0 || ioQD > iosched.MaxTargetQueueDepth {
 		return fmt.Errorf("--io-qd %d out of range [0,%d]", ioQD, iosched.MaxTargetQueueDepth)
@@ -104,7 +103,6 @@ func main() {
 		syncStr     = flag.String("sync", "none", "file backend durability: none, periodic or always")
 		direct      = flag.Bool("direct", false, "open block files with O_DIRECT (file backend; falls back to buffered I/O where unsupported)")
 		ioQD        = flag.Int("io-qd", 0, "qd-sweep: measure this single target queue depth instead of the 1/4/8/16/32 sweep")
-		ioCoalesce  = flag.Bool("io-coalesce", true, "qd-sweep: coalesce concurrent reads of the same block")
 		jsonOut     = flag.String("json", "", "also write machine-readable results to this file")
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
@@ -115,9 +113,9 @@ func main() {
 	}
 	// Validate flags before creating any backing store, so a typo does not
 	// leave a file store opened (and its temp dir leaked via os.Exit).
-	flagSet := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { flagSet[f.Name] = true })
-	if err := validateFlags(*mode, *ioQD, flagSet["io-qd"], flagSet["io-coalesce"]); err != nil {
+	ioQDSet := false
+	flag.Visit(func(f *flag.Flag) { ioQDSet = ioQDSet || f.Name == "io-qd" })
+	if err := validateFlags(*mode, *ioQD, ioQDSet); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -175,7 +173,6 @@ func main() {
 		sweepOpts := iosched.SweepOptions{
 			Depths:       depths,
 			OpsPerWorker: *ops,
-			NoCoalesce:   !*ioCoalesce,
 			Seed:         *seed,
 		}
 		results, err := iosched.MissPathSweep(device, sweepOpts)
@@ -183,9 +180,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		out.Ops, out.Coalesce = *ops, *ioCoalesce
+		out.Ops = *ops
 		out.MissPathQDSweep = results
-		fmt.Printf("scheduler miss-path sweep, %s backend, coalesce=%v, device %s\n\n", *backend, *ioCoalesce, device)
+		fmt.Printf("scheduler miss-path sweep, %s backend, device %s\n\n", *backend, device)
 		fmt.Printf("%-12s %-10s %-12s %-12s %-20s %-18s\n",
 			"target qd", "workers", "reads", "avg batch", "mean batch lat (us)", "sim throughput (GB/s)")
 		for _, r := range results {

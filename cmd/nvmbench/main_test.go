@@ -12,27 +12,24 @@ import (
 // queue depths.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
-		name          string
-		mode          string
-		ioQD          int
-		ioQDSet       bool
-		ioCoalesceSet bool
-		wantErr       string
+		name    string
+		mode    string
+		ioQD    int
+		ioQDSet bool
+		wantErr string
 	}{
 		{name: "qd default", mode: "qd"},
 		{name: "load", mode: "load"},
 		{name: "qd-sweep default", mode: "qd-sweep"},
 		{name: "qd-sweep with depth", mode: "qd-sweep", ioQD: 8, ioQDSet: true},
-		{name: "qd-sweep coalesce off", mode: "qd-sweep", ioCoalesceSet: true},
 		{name: "unknown mode", mode: "warp", wantErr: "unknown mode"},
 		{name: "io-qd in qd mode", mode: "qd", ioQD: 8, ioQDSet: true, wantErr: "only meaningful with --mode qd-sweep"},
-		{name: "io-coalesce in load mode", mode: "load", ioCoalesceSet: true, wantErr: "only meaningful with --mode qd-sweep"},
 		{name: "negative io-qd", mode: "qd-sweep", ioQD: -2, ioQDSet: true, wantErr: "out of range"},
 		{name: "huge io-qd", mode: "qd-sweep", ioQD: iosched.MaxTargetQueueDepth + 1, ioQDSet: true, wantErr: "out of range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateFlags(tc.mode, tc.ioQD, tc.ioQDSet, tc.ioCoalesceSet)
+			err := validateFlags(tc.mode, tc.ioQD, tc.ioQDSet)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

@@ -5,9 +5,9 @@
 // tuning, SHP re-partitioning — continuously, from a bounded window of the
 // *live* access stream captured by per-table recorders on the serving path. Every decision is published through the same atomic state
 // pointer serving already reads, caches are resized in place (incremental
-// eviction, no cold restart), and layout changes go through the
-// crash-recoverable live migration protocol (rewrite.go / migration.go), so
-// the store tunes itself under load without ever blocking its readers.
+// eviction, no cold restart), and layout changes go through the same
+// crash-recoverable install Train uses (rewrite.go / migration.go), so the
+// store tunes itself under load without ever blocking its readers.
 package core
 
 import (
@@ -441,7 +441,9 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 				errs[i] = fmt.Errorf("core: table %q: %w", st.name, err)
 				return
 			}
-			st.installChoice(analyses[i].counts, choice, opts.MinPrefetchGain)
+			st.mutateState(func(ts *tableState) {
+				applyChoice(ts, analyses[i].counts, choice, opts.MinPrefetchGain)
+			})
 			report.Tables[i].Threshold = choice.Threshold
 			report.Tables[i].MiniatureGain = choice.MiniatureGain
 		}(i, st)

@@ -3,13 +3,18 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"bandana/internal/layout"
 	"bandana/internal/nvm"
+	"bandana/internal/trace"
 )
 
 // testBackendConfig adjusts cfg to the backend selected by the
@@ -334,10 +339,11 @@ func TestFileBackendRejectsCorruptManifest(t *testing.T) {
 	}
 }
 
-// TestFileBackendInterruptedRewriteDetected: a data dir whose previous
-// process died during a whole-table rewrite (Train/LoadState) carries the
-// rewrite marker and must refuse to reopen rather than decode a stale
-// layout; a completed rewrite cycle must clear the marker.
+// TestFileBackendInterruptedRewriteDetected: a completed Train leaves
+// neither the rewrite marker older versions bracketed it with nor migration
+// files behind; a data dir that does carry the marker — an older version died
+// rewriting a table in place — must refuse to reopen rather than decode torn
+// blocks under a stale layout.
 func TestFileBackendInterruptedRewriteDetected(t *testing.T) {
 	tables, traces := buildTestTables(t, 1, 512, 40)
 	dir := filepath.Join(t.TempDir(), "store")
@@ -348,13 +354,13 @@ func TestFileBackendInterruptedRewriteDetected(t *testing.T) {
 	if _, err := s.Train(traces, TrainOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	// A clean Train cycle leaves no marker behind.
-	if _, err := os.Stat(filepath.Join(dir, rewriteMarkerName)); !os.IsNotExist(err) {
-		t.Fatalf("rewrite marker still present after Train: %v", err)
+	for _, name := range []string{rewriteMarkerName, MigrationManifestName, MigrationImageName} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("%s present after a completed Train: %v", name, err)
+		}
 	}
 	s.Close()
 
-	// Simulate a crash mid-rewrite: the marker exists, state is stale.
 	if err := os.WriteFile(filepath.Join(dir, rewriteMarkerName), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -369,6 +375,109 @@ func TestFileBackendInterruptedRewriteDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Close()
+}
+
+// readFailStore is a MemStore whose batched reads fail while armed for a
+// block at or past failFrom (0: never).
+type readFailStore struct {
+	*nvm.MemStore
+	failFrom atomic.Int64
+}
+
+func (f *readFailStore) ReadBlocks(idxs []int, dst []byte) error {
+	if from := f.failFrom.Load(); from > 0 {
+		for _, idx := range idxs {
+			if int64(idx) >= from {
+				return fmt.Errorf("injected read failure at block %d", idx)
+			}
+		}
+	}
+	return f.MemStore.ReadBlocks(idxs, dst)
+}
+
+// TestTrainComputeFailureTouchesNothing: Train computes first and commits
+// after. A failure while computing (SHP rejecting the second table's trace)
+// leaves the device, the data dir and the trained state exactly as they
+// were; a failure in the second table's install (its render cannot read the
+// blocks) returns the error with the first table on its new layout, the
+// second on its old one, and both serving every vector.
+func TestTrainComputeFailureTouchesNothing(t *testing.T) {
+	tables, traces := buildTestTables(t, 2, 512, 40)
+
+	t.Run("compute", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "store")
+		s, err := Open(Config{Tables: tables, Backend: BackendFile, DataDir: dir, Seed: 1, Direct: testDirect()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.UpdateVector(1, 7, make([]float32, tables[1].Dim)); err != nil {
+			t.Fatal(err)
+		}
+		snapshot := func() (written int64, listing string, state []byte) {
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				info, err := e.Info()
+				if err != nil {
+					t.Fatal(err)
+				}
+				listing += fmt.Sprintf("%s %d\n", e.Name(), info.Size())
+			}
+			var buf bytes.Buffer
+			if err := s.SaveState(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return s.DeviceStats().BlocksWritten, listing, buf.Bytes()
+		}
+		written, listing, state := snapshot()
+
+		bad := *traces[1]
+		bad.Queries = append(append([]trace.Query(nil), bad.Queries...), trace.Query{uint32(bad.NumVectors)})
+		if _, err := s.Train([]*trace.Trace{traces[0], &bad}, TrainOptions{}); err == nil {
+			t.Fatal("Train accepted a query for a vector outside the table")
+		}
+		written2, listing2, state2 := snapshot()
+		if written2 != written {
+			t.Fatalf("failed Train wrote %d blocks", written2-written)
+		}
+		if listing2 != listing {
+			t.Fatalf("failed Train changed the data dir:\n%s\nwas:\n%s", listing2, listing)
+		}
+		if !bytes.Equal(state2, state) {
+			t.Fatal("failed Train changed the trained state")
+		}
+	})
+
+	t.Run("install", func(t *testing.T) {
+		blocks := 0
+		for _, tbl := range tables {
+			blocks += tbl.SizeBytes() / nvm.BlockSize
+		}
+		fs := &readFailStore{MemStore: nvm.NewMemStore(blocks)}
+		s, err := Open(Config{Tables: tables, Seed: 1, Device: nvm.NewDevice(nvm.DeviceConfig{Store: fs})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		old := [2]*layout.Layout{s.tables[0].loadState().layout, s.tables[1].loadState().layout}
+
+		fs.failFrom.Store(int64(s.tables[1].blockBase))
+		_, err = s.Train(traces, TrainOptions{})
+		fs.failFrom.Store(0)
+		if err == nil || !strings.Contains(err.Error(), "injected read failure") {
+			t.Fatalf("Train = %v, want the injected render failure", err)
+		}
+		if s.tables[0].loadState().layout == old[0] {
+			t.Fatal("table 0 was installed before the failure but is still on its old layout")
+		}
+		if s.tables[1].loadState().layout != old[1] {
+			t.Fatal("table 1's install failed but its layout changed")
+		}
+		verifyStoreMatchesTables(t, s, tables)
+	})
 }
 
 // A corrupted state.bnd must fail the reopen loudly (CRC trailer) — a
@@ -400,10 +509,10 @@ func TestFileBackendRejectsCorruptState(t *testing.T) {
 	}
 }
 
-// Version-1 state files (written before the CRC trailer existed) and
-// version-2 files (before the tuner's prediction was persisted) must still
-// decode.
-func TestOlderStateVersionsStillAccepted(t *testing.T) {
+// State files of versions 1 (no CRC trailer) and 2 (no tuner prediction) are
+// no longer read: the decoder names the version instead of guessing at a
+// layout nothing writes any more.
+func TestOlderStateVersionsRejected(t *testing.T) {
 	tables, _ := buildTestTables(t, 1, 256, 5)
 	s, err := Open(Config{Tables: tables, Seed: 1})
 	if err != nil {
@@ -414,32 +523,19 @@ func TestOlderStateVersionsStillAccepted(t *testing.T) {
 	if err := s.SaveState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the version varint (single byte, right after the 8-byte
-	// magic) to 1 and strip the v2 trailer.
-	v1 := append([]byte(nil), buf.Bytes()[:buf.Len()-4]...)
-	if v1[len(stateMagic)] != stateVersion {
-		t.Fatalf("unexpected version byte %d", v1[len(stateMagic)])
+	if buf.Bytes()[len(stateMagic)] != stateVersion {
+		t.Fatalf("unexpected version byte %d", buf.Bytes()[len(stateMagic)])
 	}
-	v1[len(stateMagic)] = 1
-	saved, err := decodeSavedStates(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 state rejected: %v", err)
-	}
-	if len(saved) != 1 || saved[0].name != tables[0].Name {
-		t.Fatalf("v1 decode wrong: %+v", saved)
-	}
-
-	// Version 2 (CRC trailer, no tuner prediction): drop the untrained
-	// table's two zero predictions (one varint byte each) and re-seal.
-	v2 := append([]byte(nil), v1[:len(v1)-2]...)
-	v2[len(stateMagic)] = 2
-	v2 = binary.LittleEndian.AppendUint32(v2, crc32.Checksum(v2, manifestCRCTable))
-	saved, err = decodeSavedStates(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatalf("v2 state rejected: %v", err)
-	}
-	if len(saved) != 1 || saved[0].name != tables[0].Name || saved[0].cacheCap == 0 {
-		t.Fatalf("v2 decode wrong: %+v", saved)
+	for _, version := range []byte{1, 2, stateVersion + 1} {
+		// The version varint is the single byte right after the 8-byte
+		// magic; re-seal so only the version is wrong.
+		old := append([]byte(nil), buf.Bytes()[:buf.Len()-4]...)
+		old[len(stateMagic)] = version
+		old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(old, manifestCRCTable))
+		_, err := decodeSavedStates(bytes.NewReader(old))
+		if err == nil || !strings.Contains(err.Error(), "unsupported state version") {
+			t.Fatalf("version %d: decode = %v, want unsupported state version", version, err)
+		}
 	}
 }
 

@@ -39,13 +39,11 @@ const (
 	manifestMagic   = "BNDMANI1"
 	manifestVersion = 1
 
-	// rewriteMarkerName flags an in-progress multi-block layout rewrite
-	// (Train / LoadState). Single-block writes are protected by the block
-	// file's journal, but a whole-table rewrite is only crash-consistent as
-	// a unit: the marker is created before the first block is rewritten and
-	// removed after the matching state file is persisted, so a data dir
-	// whose previous process died mid-rewrite is refused instead of being
-	// decoded with a stale layout.
+	// rewriteMarkerName is the file older versions created before Train or
+	// LoadState rewrote a table in place and removed once the matching state
+	// file was persisted. Nothing creates it any more (layout changes commit
+	// through the staged redo protocol, see migration.go); a dir that still
+	// has one was torn by a process of that vintage dying mid-rewrite.
 	rewriteMarkerName = "rewrite.dirty"
 )
 
@@ -119,7 +117,7 @@ func reopenDir(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("core: data dir %q is already initialized; reopen with Tables == nil (vectors are restored from disk)", cfg.DataDir)
 	}
 	if _, err := os.Stat(filepath.Join(cfg.DataDir, rewriteMarkerName)); err == nil {
-		return nil, fmt.Errorf("core: data dir %q has an interrupted layout rewrite (the previous process died during Train or LoadState); re-initialize the directory or restore it from a backup", cfg.DataDir)
+		return nil, fmt.Errorf("core: data dir %q has an interrupted layout rewrite (an older version died during Train or LoadState); re-initialize the directory or restore it from a backup", cfg.DataDir)
 	}
 	entries, totalBlocks, err := readManifest(cfg.DataDir)
 	if err != nil {
@@ -160,13 +158,12 @@ func reopenDir(cfg Config) (*Store, error) {
 		}
 	}
 
-	// A committed-but-unfinished background migration (the previous process
-	// died between the migration record commit and its cleanup) is redone
-	// now, before the update log is replayed: the staged image is bulk-copied
+	// A committed-but-unfinished layout install (the previous process died
+	// between the migration record commit and its cleanup) is redone now,
+	// before the update log is replayed: the staged image is bulk-copied
 	// into the table's block range, and the recorded placement overrides
-	// whatever the state file says for that table. Unlike the rewrite
-	// marker, this never refuses the reopen — the staged image makes the
-	// redo exact (see migration.go).
+	// whatever the state file says for that table. This never refuses the
+	// reopen — the staged image makes the redo exact (see migration.go).
 	mig, err := readMigrationRecord(cfg.DataDir)
 	if err != nil {
 		return nil, err
@@ -275,16 +272,11 @@ func reopenDir(cfg Config) (*Store, error) {
 	// The store owns fs (via the device) from here on: later error paths
 	// must close it through s.Close so the I/O scheduler stops too.
 	closeOnErr = nil
-	// Install the persisted trained state WITHOUT rewriting: the block image
-	// on disk already matches the persisted layouts.
-	for i, st := range s.tables {
-		sv, ok := saved[st.name]
-		if !ok {
-			continue
-		}
-		st.mutateState(savedStateMutator(layouts[i], sv))
-		if sv.cacheCap > 0 {
-			st.resizeCache(sv.cacheCap)
+	// Publish the persisted trained state over the layouts buildStore was
+	// given: the block image on disk already matches them.
+	for _, st := range s.tables {
+		if sv, ok := saved[st.name]; ok {
+			st.mutateState(st.applySaved(sv))
 		}
 	}
 	// Finish a redone migration: persist the state file with the migrated
@@ -299,7 +291,7 @@ func reopenDir(cfg Config) (*Store, error) {
 			s.Close()
 			return nil, err
 		}
-		s.recoveredMigration = true
+		s.recoveredMigration = mig.table
 	}
 	return s, nil
 }
@@ -411,8 +403,8 @@ func atomicWriteFile(dir, name string, write func(io.Writer) error) error {
 
 // syncDir fsyncs a directory so entry mutations (create/rename/remove) are
 // durable and ordered with respect to later ones — without it, power loss
-// can reorder a state-file rename against a marker removal and reopen a dir
-// whose blocks and persisted layout disagree.
+// can reorder a state-file rename against the migration record's removal and
+// reopen a dir whose blocks and persisted layout disagree.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -425,48 +417,11 @@ func syncDir(dir string) error {
 	return err
 }
 
-// markDirMutation durably creates the rewrite marker before a multi-block
-// layout rewrite begins. No-op for mem-backed stores.
-func (s *Store) markDirMutation() error {
-	if s.dataDir == "" {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(s.dataDir, rewriteMarkerName))
-	if err != nil {
-		return fmt.Errorf("core: mark rewrite: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("core: mark rewrite: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("core: mark rewrite: %w", err)
-	}
-	if err := syncDir(s.dataDir); err != nil {
-		return fmt.Errorf("core: mark rewrite: %w", err)
-	}
-	return nil
-}
-
-// clearDirMutation removes the rewrite marker once the rewritten blocks and
-// the matching state file are both durable.
-func (s *Store) clearDirMutation() error {
-	if s.dataDir == "" {
-		return nil
-	}
-	if err := os.Remove(filepath.Join(s.dataDir, rewriteMarkerName)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("core: clear rewrite marker: %w", err)
-	}
-	if err := syncDir(s.dataDir); err != nil {
-		return fmt.Errorf("core: clear rewrite marker: %w", err)
-	}
-	return nil
-}
-
 // Persist writes the store's trained state to its data dir (atomically, via
-// temp file + rename) and flushes the block file. Train and LoadState call
-// it automatically on file-backed stores; call it manually after
-// SetAdmissionPolicy or cache-resize changes that should survive a restart.
+// temp file + rename) and flushes the block file. Every layout install
+// (Train, LoadState, re-layout) and adaptation epoch calls it on a
+// file-backed store; call it manually after SetAdmissionPolicy changes that
+// should survive a restart.
 func (s *Store) Persist() error {
 	if err := s.checkWritable(); err != nil {
 		return err

@@ -1,12 +1,8 @@
-// Live background re-layout ("migration"): installing a new physical block
-// layout for one table while the store keeps serving, with a commit protocol
-// that survives kill -9 at any instant.
-//
-// The offline rewrite path (Train / LoadState) uses the rewrite.dirty
-// marker: a crash mid-rewrite makes the data dir refuse to reopen, which is
-// acceptable for an operator-driven retrain but not for a background loop
-// that runs unattended. Migration therefore generalizes the manifest commit
-// idea into a redo protocol:
+// The commit protocol of a layout install ("migration"): giving one table a
+// new physical block layout — from Train, LoadState or adaptation's
+// re-layout, see installLayout in rewrite.go — while the store keeps serving,
+// such that kill -9 at any instant costs nothing. It generalizes the manifest
+// commit idea into a redo protocol:
 //
 //  1. The full new block image of the table is staged to migration.img
 //     (temp file + fsync + rename).
@@ -20,8 +16,10 @@
 // A crash before step 2 leaves at most an orphan staging file: the store
 // reopens with the old layout (blocks were never touched). A crash after
 // step 2 reopens by *redoing* steps 3-4 from the staged image — which is
-// idempotent — so the store always lands on exactly the old or exactly the
-// new layout, never a torn mix, and no reopen is ever refused.
+// idempotent — so the table always lands on exactly the old or exactly the
+// new layout, never a torn mix, and no reopen is ever refused. What rides
+// along with the layout in a Train or LoadState (counts, threshold, cache
+// split) reopens as the last persisted state file has it.
 package core
 
 import (
@@ -30,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -39,8 +38,8 @@ import (
 
 const (
 	// MigrationManifestName is the migration commit record inside a data
-	// dir; its presence means a background re-layout must be redone from
-	// the staged image on the next open.
+	// dir; its presence means a layout install must be redone from the
+	// staged image on the next open.
 	MigrationManifestName = "migration.bnd"
 	// MigrationImageName is the staged new block image of the migrating
 	// table.
@@ -139,7 +138,7 @@ func removeMigrationFiles(dir string) error {
 	return syncDir(dir)
 }
 
-// readMigrationRecord decodes and verifies dir's migration.bnd. It returns
+// readMigrationRecord reads and verifies dir's migration.bnd. It returns
 // (nil, nil) when no migration is pending.
 func readMigrationRecord(dir string) (*migrationRecord, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, MigrationManifestName))
@@ -149,6 +148,11 @@ func readMigrationRecord(dir string) (*migrationRecord, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: read migration manifest: %w", err)
 	}
+	return decodeMigrationRecord(raw)
+}
+
+// decodeMigrationRecord decodes and verifies the bytes of a migration.bnd.
+func decodeMigrationRecord(raw []byte) (*migrationRecord, error) {
 	if len(raw) < len(migrationMagic)+4 {
 		return nil, fmt.Errorf("core: migration manifest too short (%d bytes)", len(raw))
 	}
@@ -171,8 +175,8 @@ func readMigrationRecord(dir string) (*migrationRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("core: implausible migration name length %d", nameLen)
+	if nameLen > uint64(br.Len()) {
+		return nil, fmt.Errorf("core: migration name length %d exceeds the record", nameLen)
 	}
 	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, name); err != nil {
@@ -183,27 +187,34 @@ func readMigrationRecord(dir string) (*migrationRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	if orderLen > 1<<32 {
-		return nil, fmt.Errorf("core: implausible migration order length %d", orderLen)
+	// Every entry takes at least one byte, so a length that fits what is left
+	// of the record is safe to allocate.
+	if orderLen > uint64(br.Len()) {
+		return nil, fmt.Errorf("core: migration order length %d exceeds the record", orderLen)
 	}
-	rec.order = make([]uint32, 0, min(orderLen, 1<<16))
-	for i := uint64(0); i < orderLen; i++ {
+	rec.order = make([]uint32, orderLen)
+	for i := range rec.order {
 		v, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
-		rec.order = append(rec.order, uint32(v))
+		if v > math.MaxUint32 {
+			return nil, fmt.Errorf("core: migration order entry %d is not a vector id", v)
+		}
+		rec.order[i] = uint32(v)
 	}
 	imgLen, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
-	rec.imageLen = int64(imgLen)
 	imgCRC, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
-	rec.imageCRC = uint32(imgCRC)
+	if imgLen > math.MaxInt64 || imgCRC > math.MaxUint32 {
+		return nil, fmt.Errorf("core: implausible migration image length %d or checksum %d", imgLen, imgCRC)
+	}
+	rec.imageLen, rec.imageCRC = int64(imgLen), uint32(imgCRC)
 	return rec, nil
 }
 

@@ -48,6 +48,7 @@ type storeModel struct {
 	// adaptation epoch did to some of the tables in between.
 	pending   int64
 	relayouts int
+	crashes   int // installs abandoned mid-protocol and recovered by a reopen
 }
 
 // randomVector returns a vector of small integers (exact in fp16, never NaN)
@@ -234,6 +235,58 @@ func (m *storeModel) reopen(clean bool) {
 	} else if err := m.s.Persist(); err != nil { // fsync the log tail
 		m.t.Fatal(err)
 	}
+	m.closeAndOpen()
+}
+
+// crashInstall abandons a Train or LoadState at a random stage of a random
+// table's install, the way kill -9 would leave the data dir, and reopens it:
+// no Persist, the migration files and the state file as that stage left them.
+// (Close only hands the file lock back and writes out the update log's
+// buffer, which a process with Sync always on would have done per update.)
+func (m *storeModel) crashInstall() {
+	stages := []string{"image-staged", "staged", "installed", "persisted"}
+	stage := stages[m.rng.Intn(len(stages))]
+	nth := 1 + m.rng.Intn(len(m.want))
+	type abandoned struct{}
+	migrationCrashHook = func(s string) {
+		if s != stage {
+			return
+		}
+		if nth--; nth == 0 {
+			panic(abandoned{})
+		}
+	}
+	crashed := func() (crashed bool) {
+		defer func() {
+			migrationCrashHook = nil
+			if r := recover(); r != nil {
+				if _, ok := r.(abandoned); !ok {
+					panic(r)
+				}
+				crashed = true
+			}
+		}()
+		if m.rng.Intn(2) == 0 {
+			m.train()
+		} else {
+			m.loadState()
+		}
+		return false
+	}()
+	if !crashed {
+		return // fewer installs than nth: the operation completed
+	}
+	m.crashes++
+	m.closeAndOpen()
+	if got, want := m.s.RecoveredMigration(), stage != "image-staged"; got != want {
+		m.t.Fatalf("crash at %q: RecoveredMigration = %v, want %v", stage, got, want)
+	}
+	m.checkAll(m.s)
+}
+
+// closeAndOpen closes the store and opens its data dir again, expecting the
+// update log to replay exactly the updates since the last compaction.
+func (m *storeModel) closeAndOpen() {
 	if err := m.s.Close(); err != nil {
 		m.t.Fatal(err)
 	}
@@ -310,9 +363,13 @@ func runStoreModel(t *testing.T, cfg Config, seed int64, steps int) {
 			adapted = true
 		case die < 91:
 			m.replicate()
-		default:
+		case die < 96:
 			if cfg.Backend == BackendFile {
 				m.reopen(rng.Intn(2) == 0)
+			}
+		default:
+			if cfg.Backend == BackendFile {
+				m.crashInstall()
 			}
 		}
 		// A random sample after every step, whatever it was.
@@ -322,6 +379,9 @@ func runStoreModel(t *testing.T, cfg Config, seed int64, steps int) {
 	m.checkAll(m.s)
 	if adapted && m.relayouts == 0 {
 		t.Fatal("no adaptation epoch migrated a table: the re-layout path went untested")
+	}
+	if cfg.Backend == BackendFile && !testing.Short() && m.crashes == 0 {
+		t.Fatal("no install was abandoned mid-protocol: the redo path went untested")
 	}
 }
 

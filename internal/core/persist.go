@@ -23,13 +23,13 @@ import (
 
 const stateMagic = "BNDSTATE"
 
-// stateVersion 2 appended a CRC-32C trailer over the whole payload so a
-// corrupted-but-decodable state file (e.g. bit rot flipping a varint into
-// another valid permutation) fails loudly at load instead of silently
-// serving wrong vectors after a reopen. stateVersion 3 appended, per table,
-// the tuner's prediction for the threshold it chose (hit ratio and lookups
-// per block read, as float64 bits), so a reopened store still reports
-// predicted next to observed.
+// stateVersion 3 is the only one read or written: per table the placement
+// order, access counts, threshold, prefetch flag, cache allocation and the
+// tuner's prediction for the threshold it chose (hit ratio and lookups per
+// block read, as float64 bits), then a CRC-32C trailer over the whole payload
+// so a corrupted-but-decodable file (e.g. bit rot flipping a varint into
+// another valid permutation) fails loudly at load instead of silently serving
+// wrong vectors after a reopen.
 const stateVersion = 3
 
 // SaveState serialises the store's trained state (placements, access counts,
@@ -150,7 +150,7 @@ type savedTable struct {
 	threshold uint32
 	prefetch  bool
 	cacheCap  int
-	predicted sim.Prediction // zero in files older than version 3
+	predicted sim.Prediction
 }
 
 // decodeSavedStates parses a SaveState stream into per-table entries without
@@ -169,9 +169,7 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Older files are still accepted so state dumps written before the CRC
-	// trailer (version 1) or the predictions (version 2) keep loading.
-	if version < 1 || version > stateVersion {
+	if version != stateVersion {
 		return nil, fmt.Errorf("core: unsupported state version %d", version)
 	}
 	numTables, err := binary.ReadUvarint(br)
@@ -196,7 +194,7 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 		return string(b), nil
 	}
 
-	saved := make([]savedTable, 0, numTables)
+	saved := make([]savedTable, 0, min(numTables, 1<<8)) // capped like the lengths below
 	for ti := 0; ti < int(numTables); ti++ {
 		var sv savedTable
 		sv.name, err = readString()
@@ -251,41 +249,36 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 			return nil, err
 		}
 		sv.cacheCap = int(cacheCap)
-		if version >= 3 {
-			for _, f := range []*float64{&sv.predicted.HitRate, &sv.predicted.LookupsPerBlockRead} {
-				bits, err := binary.ReadUvarint(br)
-				if err != nil {
-					return nil, err
-				}
-				*f = math.Float64frombits(bits)
-				if math.IsNaN(*f) || math.IsInf(*f, 0) || *f < 0 {
-					return nil, fmt.Errorf("core: table %q: implausible prediction %v", sv.name, *f)
-				}
+		for _, f := range []*float64{&sv.predicted.HitRate, &sv.predicted.LookupsPerBlockRead} {
+			bits, err := binary.ReadUvarint(br)
+			if err != nil {
+				return nil, err
+			}
+			*f = math.Float64frombits(bits)
+			if math.IsNaN(*f) || math.IsInf(*f, 0) || *f < 0 {
+				return nil, fmt.Errorf("core: table %q: implausible prediction %v", sv.name, *f)
 			}
 		}
 		saved = append(saved, sv)
 	}
 	// The payload hash must match the trailer (read past the hashed
-	// stream, straight from the underlying reader). v1 files predate the
-	// trailer.
-	if version >= 2 {
-		sum := br.h.Sum32()
-		var crc [4]byte
-		if _, err := io.ReadFull(raw, crc[:]); err != nil {
-			return nil, fmt.Errorf("core: read state checksum: %w", err)
-		}
-		if binary.LittleEndian.Uint32(crc[:]) != sum {
-			return nil, fmt.Errorf("core: state checksum mismatch (file corrupt)")
-		}
+	// stream, straight from the underlying reader).
+	sum := br.h.Sum32()
+	var crc [4]byte
+	if _, err := io.ReadFull(raw, crc[:]); err != nil {
+		return nil, fmt.Errorf("core: read state checksum: %w", err)
+	}
+	if binary.LittleEndian.Uint32(crc[:]) != sum {
+		return nil, fmt.Errorf("core: state checksum mismatch (file corrupt)")
 	}
 	return saved, nil
 }
 
-// savedStateMutator returns the tableState mutation that installs sv's
-// trained fields over layout l.
-func savedStateMutator(l *layout.Layout, sv savedTable) func(*tableState) {
+// applySaved returns the tableState mutation that installs sv's trained
+// fields (everything but the layout, which the caller places the blocks
+// under) — for LoadState and for a reopen alike.
+func (st *storeTable) applySaved(sv savedTable) func(*tableState) {
 	return func(ts *tableState) {
-		ts.layout = l
 		ts.counts = sv.counts
 		ts.threshold = sv.threshold
 		ts.predicted = sv.predicted
@@ -301,14 +294,20 @@ func savedStateMutator(l *layout.Layout, sv savedTable) func(*tableState) {
 		} else {
 			ts.policy = nil
 		}
+		if sv.cacheCap > 0 {
+			st.freshCache(ts, sv.cacheCap)
+		}
 	}
 }
 
 // LoadState restores state produced by SaveState into a store opened over
 // the same tables (matched by name and size). It installs the saved
-// placement (rewriting the NVM blocks), access counts, thresholds and cache
-// allocations, and enables prefetching where the saved state had it enabled.
-// A file-backed store persists the restored state to its data dir.
+// placement (moving the vectors on NVM to it), access counts, thresholds and
+// cache allocations, and enables prefetching where the saved state had it
+// enabled. Like Train it computes first — the whole state is decoded and
+// checked against the store before anything changes — and then commits each
+// table through installLayout, which on a file-backed store also persists
+// the restored state and survives a crash at any instant.
 func (s *Store) LoadState(r io.Reader) error {
 	if err := s.checkWritable(); err != nil {
 		return err
@@ -320,12 +319,7 @@ func (s *Store) LoadState(r io.Reader) error {
 	if len(saved) != len(s.tables) {
 		return fmt.Errorf("core: state has %d tables, store has %d", len(saved), len(s.tables))
 	}
-	// Validate the whole state against the store BEFORE mutating anything:
-	// once the rewrite marker is set a failure leaves the data dir flagged
-	// as interrupted, which must only happen when blocks may actually have
-	// been rewritten.
-	layouts := make([]*layout.Layout, len(saved))
-	sts := make([]*storeTable, len(saved))
+	installs := make([]layoutInstall, len(saved))
 	for i, sv := range saved {
 		idx, ok := s.byName[sv.name]
 		if !ok {
@@ -340,33 +334,9 @@ func (s *Store) LoadState(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("core: table %q: %w", sv.name, err)
 		}
-		layouts[i] = l
-		sts[i] = st
+		installs[i] = layoutInstall{st: st, layout: l, mutate: st.applySaved(sv)}
 	}
-	// Like Train, this rewrites whole tables: serialize against other
-	// whole-store mutators and flag the data dir until the blocks and the
-	// matching state file are both durable.
 	s.mutateMu.Lock()
 	defer s.mutateMu.Unlock()
-	if err := s.markDirMutation(); err != nil {
-		return err
-	}
-	for i, sv := range saved {
-		if err := s.rewriteTable(sts[i], layouts[i], savedStateMutator(layouts[i], sv)); err != nil {
-			return err
-		}
-		if sv.cacheCap > 0 {
-			sts[i].resizeCache(sv.cacheCap)
-		}
-	}
-	if s.dataDir != "" {
-		if err := s.Persist(); err != nil {
-			return err
-		}
-		if err := s.clearDirMutation(); err != nil {
-			return err
-		}
-	}
-	s.noteStructuralMutation()
-	return nil
+	return s.installLayouts(installs)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"bandana/internal/layout"
 	"bandana/internal/nvm"
@@ -11,12 +12,12 @@ import (
 // This file is the rewrite layer: every path that changes which bytes live
 // in a table's NVM block range after the first Open wrote them. There is one
 // producer of block images (renderImage: the table's current blocks with the
-// overlay laid over them, rearranged under a layout) and one installer
-// (installImage: copy into place, publish, roll back on failure). Whole-table
-// rewrites (rewriteTable: Train, LoadState) are crash-protected by the
-// rewrite.dirty marker; live background migrations (relayoutTable) stage the
-// image first with their own recoverable commit protocol (see migration.go).
-// Both keep serving misses until the copy-into-place.
+// overlay laid over them, rearranged under a layout), one installer
+// (installImage: copy into place, publish, roll back on failure) and one
+// commit protocol around them (installLayout: stage the image and a redo
+// record first, see migration.go), so a crash at any instant reopens to
+// exactly the old or the new layout. Serving continues until the
+// copy-into-place.
 
 // renderBatch is how many blocks renderImage reads per device dispatch.
 const renderBatch = 64
@@ -72,26 +73,35 @@ func (s *Store) renderImage(st *storeTable, l *layout.Layout, img []byte) (cur [
 	return cur, nil
 }
 
-// rewriteTable installs a state mutation that carries a new layout l and
-// rewrites the table's NVM block range to match it (Train, LoadState).
-// Vector updates are excluded throughout (updateMu); misses keep reading
-// blocks while the image is rendered and wait only for the copy.
-func (s *Store) rewriteTable(st *storeTable, l *layout.Layout, mutate func(*tableState)) error {
-	st.updateMu.Lock()
-	defer st.updateMu.Unlock()
-	img := make([]byte, st.numBlocks*nvm.BlockSize)
-	cur, err := s.renderImage(st, l, img)
-	if err != nil {
-		return err
-	}
-	// No flush: the rewrite marker stays until Persist has flushed the device
-	// and written the matching state file.
-	return s.installImage(st, img, cur, false, mutate)
+// layoutInstall is one table's computed layout change, ready to commit: the
+// layout its blocks move to and the rest of the trained state published with
+// it (nil when only the layout changes).
+type layoutInstall struct {
+	st     *storeTable
+	layout *layout.Layout
+	mutate func(*tableState)
 }
 
-// relayoutTable migrates one table to a new physical layout while the store
-// keeps serving — rewriteTable with a commit protocol that survives a crash
-// at any instant instead of refusing the next open:
+// installLayouts commits computed layout changes one table at a time. A
+// failure leaves the tables before it on their new layout and the rest on
+// their old one — each install is atomic on its own. Callers hold s.mutateMu.
+func (s *Store) installLayouts(installs []layoutInstall) error {
+	for i, in := range installs {
+		if err := s.installLayout(in.st, in.layout, in.mutate); err != nil {
+			if i > 0 {
+				s.noteStructuralMutation() // the earlier tables did change
+			}
+			return err
+		}
+	}
+	s.noteStructuralMutation()
+	return nil
+}
+
+// installLayout moves one table to layout l and publishes mutate's changes to
+// its trained state with it, while the store keeps serving. It is the only
+// way a table's layout changes — Train, LoadState and adaptation's re-layout
+// all compute first and commit here — and it survives a crash at any instant:
 //
 //   - the new image is rendered (and, on the file backend, staged durably
 //     with a committed migration record — see migration.go) WITHOUT the
@@ -102,41 +112,47 @@ func (s *Store) rewriteTable(st *storeTable, l *layout.Layout, mutate func(*tabl
 //     valid across the swap (the cache is keyed by vector ID, which a
 //     layout change does not alter).
 //
-// Vector updates are excluded for the whole migration (updateMu) so the
-// staged image cannot go stale. Callers must hold s.mutateMu: the staging
-// protocol supports one migration at a time.
+// Vector updates are excluded for the whole install (updateMu) so the staged
+// image cannot go stale. Callers must hold s.mutateMu: the staging protocol
+// supports one install at a time.
 //
-// Memory: the migration reads the table's block range from the device and
+// Memory: the install reads the table's block range from the device and
 // materializes the old and the new image in RAM for its duration (the new
 // one is also what gets staged to disk); at very large table sizes a
 // streaming variant (incremental CRC into migration.img, chunked copy-in)
 // would bound this to a few MB — the protocol does not depend on the image
 // being resident.
-func (s *Store) relayoutTable(st *storeTable, newLayout *layout.Layout) error {
+func (s *Store) installLayout(st *storeTable, l *layout.Layout, mutate func(*tableState)) error {
 	if s.migrationPoisoned.Load() {
-		return fmt.Errorf("core: table %q: migrations disabled after an earlier failed rollback (restart to recover)", st.name)
+		return fmt.Errorf("core: table %q: layout installs disabled after an earlier failed install (restart to recover)", st.name)
 	}
 	st.updateMu.Lock()
 	defer st.updateMu.Unlock()
 
 	img := make([]byte, st.numBlocks*nvm.BlockSize)
-	cur, err := s.renderImage(st, newLayout, img)
+	cur, err := s.renderImage(st, l, img)
 	if err != nil {
 		return err
 	}
+	start := time.Now()
 	if s.dataDir != "" {
-		if err := s.stageMigration(st, newLayout, img); err != nil {
+		if err := s.stageMigration(st, l, img); err != nil {
 			return err
 		}
 		migrationStage("staged")
 	}
-	err = s.installImage(st, img, cur, true, func(ts *tableState) { ts.layout = newLayout })
+	err = s.installImage(st, img, cur, func(ts *tableState) {
+		ts.layout = l
+		if mutate != nil {
+			mutate(ts)
+		}
+	})
 	if err != nil {
 		if s.dataDir != "" {
 			if errors.Is(err, errMigrationRollbackFailed) {
 				// The data region may hold a torn image; keep the committed
 				// record (the next open redoes the copy exactly) and refuse
-				// further migrations in this process.
+				// further installs in this process.
 				s.migrationPoisoned.Store(true)
 			} else if cerr := s.clearMigration(); cerr != nil {
 				// Rollback restored the old bytes, so the record must not
@@ -149,14 +165,25 @@ func (s *Store) relayoutTable(st *storeTable, newLayout *layout.Layout) error {
 	migrationStage("installed")
 	if s.dataDir != "" {
 		if err := s.Persist(); err != nil {
-			return fmt.Errorf("core: persist migrated state: %w", err)
+			// The blocks are on the new layout and the state file still names
+			// the old one: the committed record is all that tells the next
+			// open which is right, and a later install would remove it.
+			s.migrationPoisoned.Store(true)
+			return fmt.Errorf("core: table %q: persist installed layout: %w", st.name, err)
 		}
 		migrationStage("persisted")
 		if err := s.clearMigration(); err != nil {
 			return err
 		}
 	}
+	st.layoutInstalls.Add(1)
+	s.lastInstallNS.Store(int64(time.Since(start)))
 	return nil
+}
+
+// relayoutTable installs a change of layout alone (adaptation's re-layout).
+func (s *Store) relayoutTable(st *storeTable, l *layout.Layout) error {
+	return s.installLayout(st, l, nil)
 }
 
 // errMigrationRollbackFailed marks an install whose copy AND rollback both
@@ -175,17 +202,17 @@ var errMigrationRollbackFailed = errors.New("core: migration rollback failed")
 // write never serves mis-mapped vectors. If even the rollback write fails the
 // storage is genuinely broken; the joined error propagates and, for a
 // migration on the file backend, the committed record redoes the copy exactly
-// at the next open. flush makes the copy durable before the publish (the
-// migration protocol's ordering). The epoch bump keeps in-flight misses that
-// decoded under the old layout from caching stale vectors. The caller holds
-// st.updateMu.
-func (s *Store) installImage(st *storeTable, img, cur []byte, flush bool, mutate func(*tableState)) error {
+// at the next open. The copy is flushed before the publish, so the state file
+// persisted afterwards never names a layout whose bytes are not durable. The
+// epoch bump keeps in-flight misses that decoded under the old layout from
+// caching stale vectors. The caller holds st.updateMu.
+func (s *Store) installImage(st *storeTable, img, cur []byte, mutate func(*tableState)) error {
 	st.rewriteMu.Lock()
 	defer st.rewriteMu.Unlock()
 	st.epoch.Add(1)
 	defer st.epoch.Add(1)
 	err := s.device.WriteBlocksBulk(st.blockBase, img)
-	if err == nil && flush {
+	if err == nil {
 		err = s.device.Flush()
 	}
 	if err != nil {

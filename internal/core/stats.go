@@ -46,6 +46,9 @@ type TableStats struct {
 	DRAM        TableDRAM
 	Threshold   uint32
 	Prefetching bool
+	// LayoutInstalls counts the layout installs this table completed (one
+	// per Train or LoadState that covered it, one per adaptation re-layout).
+	LayoutInstalls int64
 	// PredictedHitRate and PredictedLookupsPerBlockRead are what the
 	// miniature cache that chose Threshold/Prefetching expected (0 until a
 	// tuner has run, or after SetAdmissionPolicy). The tuner replays the
@@ -113,6 +116,7 @@ func (s *Store) Stats() []TableStats {
 			CacheVectors:     state.cacheCap,
 			Threshold:        state.threshold,
 			Prefetching:      state.prefetch,
+			LayoutInstalls:   st.layoutInstalls.Load(),
 			Latency:          st.lookupLatency.Snapshot(),
 			ProbeLatency:     st.probeLatency.Snapshot(),
 			QueueWaitLatency: st.queueWaitLatency.Snapshot(),

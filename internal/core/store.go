@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"bandana/internal/cache"
 	"bandana/internal/fp16"
@@ -37,9 +38,12 @@ type Store struct {
 	// dataDir is the persistence directory of a file-backed store ("" for
 	// the mem backend); Persist writes the trained state there.
 	dataDir string
-	// recoveredMigration records that this reopen redid a committed
-	// background re-layout that the previous process did not finish.
-	recoveredMigration bool
+	// recoveredMigration names the table whose committed layout install the
+	// previous process did not finish and this reopen redid ("" when none).
+	recoveredMigration string
+	// lastInstallNS is how long the most recent layout install took, from
+	// staging the rendered image to clearing the migration record.
+	lastInstallNS atomic.Int64
 	// readOnly rejects every mutator of the servable image (Config.ReadOnly;
 	// how a replica serves a bootstrapped snapshot).
 	readOnly bool
@@ -48,16 +52,16 @@ type Store struct {
 	// snapshot.go).
 	snapSeq atomic.Uint64
 	// mutateMu serializes whole-store mutators (Train, LoadState, AdaptNow
-	// and the background migrations it drives) against each other — they
-	// rewrite tables and share the single rewrite-marker / migration /
-	// state-file commit protocols, which are not reentrant. Serving never
-	// takes it.
+	// and the layout installs they drive) against each other — they rewrite
+	// tables and share the migration / state-file commit protocol, which is
+	// not reentrant. Serving never takes it.
 	mutateMu sync.Mutex
 	// adapt is the online adaptation engine; nil until StartAdaptation.
 	adapt atomic.Pointer[adapter]
-	// migrationPoisoned disables further background migrations after one
-	// whose copy and rollback both failed: the pending migration record is
-	// the repair and must not be disturbed before the next open.
+	// migrationPoisoned disables further layout installs after one whose
+	// copy and rollback both failed, or whose state persist failed: the
+	// pending migration record is the repair and must not be disturbed
+	// before the next open.
 	migrationPoisoned atomic.Bool
 	// deltaLog is the append-only update log every vector update goes
 	// through (see deltalog.go).
@@ -74,9 +78,18 @@ type Store struct {
 	closeErr  error
 }
 
-// RecoveredMigration reports whether opening this store redid a background
-// re-layout interrupted by a crash of the previous process.
-func (s *Store) RecoveredMigration() bool { return s.recoveredMigration }
+// RecoveredMigration reports whether opening this store redid a layout
+// install (Train, LoadState or a background re-layout) interrupted by a crash
+// of the previous process; RecoveredMigrationTable names the table.
+func (s *Store) RecoveredMigration() bool        { return s.recoveredMigration != "" }
+func (s *Store) RecoveredMigrationTable() string { return s.recoveredMigration }
+
+// LastLayoutInstall is how long the most recent layout install took, from
+// staging the rendered image to clearing the migration record (0 before the
+// first).
+func (s *Store) LastLayoutInstall() time.Duration {
+	return time.Duration(s.lastInstallNS.Load())
+}
 
 // getBlockBuf / putBlockBuf recycle 4 KB block buffers (shared with
 // internal/nvm's pool) so the miss path does not allocate one per NVM read.
@@ -148,8 +161,8 @@ type storeTable struct {
 	shards       int
 
 	// state is the published trained state; the serving path loads it once
-	// per operation. stateMu serializes mutators (Train, LoadState,
-	// resizeCache, SetAdmissionPolicy), never readers.
+	// per operation. stateMu serializes mutators (installImage,
+	// resizeCacheLive, SetAdmissionPolicy), never readers.
 	state   atomic.Pointer[tableState]
 	stateMu sync.Mutex
 
@@ -201,6 +214,9 @@ type storeTable struct {
 	probeLatency     *metrics.Histogram
 	queueWaitLatency *metrics.Histogram
 	decodeLatency    *metrics.Histogram
+
+	// layoutInstalls counts completed installLayout calls.
+	layoutInstalls atomic.Int64
 }
 
 // loadState returns the current trained-state snapshot.
@@ -532,16 +548,10 @@ func (s *Store) tableAt(i int) (*storeTable, error) {
 	return s.tables[i], nil
 }
 
-// resizeCache replaces the table's cache with a fresh one of the given
-// capacity (losing its contents).
-func (st *storeTable) resizeCache(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	st.mutateState(func(ts *tableState) {
-		ts.cacheCap = capacity
-		ts.cache = newTableCache(capacity, st.shards, st.vecBytes)
-	})
+// freshCache gives ts a new, empty cache of the given capacity.
+func (st *storeTable) freshCache(ts *tableState, capacity int) {
+	ts.cacheCap = capacity
+	ts.cache = newTableCache(capacity, st.shards, st.vecBytes)
 }
 
 // resizeCacheLive changes the table's cache capacity in place with

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"bandana/internal/alloc"
 	"bandana/internal/cache"
@@ -40,9 +38,29 @@ type TableTrainReport struct {
 	MiniatureGain float64
 }
 
+// trainPlan is what Train computed for one table before anything is
+// committed: the state its install publishes.
+type trainPlan struct {
+	layout *layout.Layout
+	counts []uint32
+	hrc    *mrc.HRC
+	// cacheCap is the DRAM allocation; choice is the tuner's verdict (nil:
+	// tuning was skipped, threshold and policy stay as they are).
+	cacheCap int
+	choice   *sim.ThresholdChoice
+}
+
 // Train partitions, allocates and tunes the store using per-table training
 // traces. traces[i] corresponds to table i; a nil entry leaves that table
 // untouched (identity layout, even-split cache, no prefetching).
+//
+// It computes first and commits after: SHP, access counts, hit-rate curves,
+// the DRAM allocation and the admission thresholds are all worked out
+// against the computed layouts without touching the device or the published
+// state, so a failure there leaves the store exactly as it was. Only then is
+// each trained table installed, one at a time, through installLayout — on the
+// file backend a crash at any instant reopens with every table on exactly its
+// old or its new layout, and no vector or acknowledged update is lost.
 func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, error) {
 	if err := s.checkWritable(); err != nil {
 		return nil, err
@@ -52,9 +70,6 @@ func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, e
 	}
 	opts.defaults()
 	report := &TrainReport{Tables: make([]TableTrainReport, len(s.tables))}
-
-	// Validate the traces before mutating anything, so a bad input cannot
-	// leave the data dir flagged as interrupted (see the marker below).
 	for i, tr := range traces {
 		if tr != nil && tr.NumVectors != s.tables[i].numVectors {
 			return nil, fmt.Errorf("core: table %q: trace covers %d vectors, table has %d",
@@ -62,141 +77,139 @@ func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, e
 		}
 	}
 
-	// Whole-store mutators are serialized: two concurrent Trains (or a
-	// Train racing a LoadState) would race the rewrite marker and persist
-	// protocol below.
+	// Whole-store mutators are serialized: the plans below are computed
+	// against the published state, and the install protocol supports one
+	// install at a time.
 	s.mutateMu.Lock()
 	defer s.mutateMu.Unlock()
 
-	// Training rewrites whole tables, which is only crash-consistent as a
-	// unit on the file backend: set the rewrite marker first so a crash
-	// before the new state is persisted makes the data dir refuse to reopen
-	// with a stale layout. Cleared after Persist below — or on an error
-	// path, provided no table was actually rewritten yet (rewroteAny), so a
-	// pure compute failure cannot brick a still-consistent data dir.
-	if err := s.markDirMutation(); err != nil {
-		return nil, err
-	}
-	var rewroteAny atomic.Bool
-	failErr := func(err error) (*TrainReport, error) {
-		if !rewroteAny.Load() {
-			if cerr := s.clearDirMutation(); cerr != nil {
-				return nil, errors.Join(err, cerr)
+	// forEachTrained runs fn for every table with a trace, opts.Parallelism
+	// at a time, and returns the first error in table order.
+	forEachTrained := func(fn func(i int) error) error {
+		errs := make([]error, len(s.tables))
+		sem := make(chan struct{}, opts.Parallelism)
+		var wg sync.WaitGroup
+		for i := range s.tables {
+			if traces[i] == nil {
+				continue
+			}
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(i int) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				errs[i] = fn(i)
+			}(i)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
 			}
 		}
+		return nil
+	}
+
+	// Phase 1 (parallel across tables): partition with SHP, compute access
+	// counts and hit-rate curves.
+	plans := make([]*trainPlan, len(s.tables))
+	err := forEachTrained(func(i int) error {
+		var err error
+		plans[i], err = s.planTable(i, traces[i], opts, &report.Tables[i])
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 
-	// Phase 1 (parallel across tables): partition with SHP, rewrite NVM,
-	// compute access counts and hit-rate curves.
-	type phase1 struct {
-		hrc *mrc.HRC
-		err error
-	}
-	results := make([]phase1, len(s.tables))
-	sem := make(chan struct{}, opts.Parallelism)
-	var wg sync.WaitGroup
-	for i := range s.tables {
-		if traces[i] == nil {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i] = s.trainTable(i, traces[i], opts, report, &rewroteAny)
-		}(i)
-	}
-	wg.Wait()
-	for i := range results {
-		if results[i].err != nil {
-			return failErr(results[i].err)
-		}
-	}
-
-	// Phase 2: allocate the DRAM budget across tables using the hit-rate
-	// curves (tables without a trace keep their current allocation and are
-	// excluded from the optimisation).
+	// Phase 2: allocate the DRAM budget across the trained tables using the
+	// hit-rate curves (tables without a trace keep their current allocation
+	// and are excluded from the optimisation).
 	budget := 0
 	var demands []alloc.TableDemand
 	var demandIdx []int
 	for i, st := range s.tables {
-		cacheCap := st.loadState().cacheCap
-		budget += cacheCap
-		if traces[i] == nil || results[i].hrc == nil {
-			budget -= cacheCap // keep their share reserved as-is
+		if plans[i] == nil {
 			continue
 		}
+		budget += st.loadState().cacheCap
 		demands = append(demands, alloc.TableDemand{
 			Name:       st.name,
-			HRC:        results[i].hrc,
+			HRC:        plans[i].hrc,
 			MaxVectors: st.numVectors,
 			MinVectors: st.blockVectors,
 		})
 		demandIdx = append(demandIdx, i)
 	}
-	if len(demands) > 0 && budget > 0 {
+	if len(demands) > 0 { // every cache holds at least one vector, so budget > 0
 		allocRes, err := alloc.Allocate(demands, alloc.Options{TotalVectors: budget})
 		if err != nil {
-			return failErr(fmt.Errorf("core: DRAM allocation: %w", err))
+			return nil, fmt.Errorf("core: DRAM allocation: %w", err)
 		}
 		for di, ti := range demandIdx {
-			s.tables[ti].resizeCache(allocRes.Vectors[di])
+			plans[ti].cacheCap = max(allocRes.Vectors[di], 1)
 			report.Tables[ti].CacheVectors = allocRes.Vectors[di]
 		}
 	}
 
 	// Phase 3 (parallel): tune the prefetch-admission threshold per table
-	// with miniature caches at the allocated cache size.
+	// with miniature caches over the computed layout, at the allocated cache
+	// size.
 	if !opts.SkipThresholdTuning {
-		var wg2 sync.WaitGroup
-		errs := make([]error, len(s.tables))
-		for i := range s.tables {
-			if traces[i] == nil {
-				continue
-			}
-			wg2.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg2.Done()
-				defer func() { <-sem }()
-				errs[i] = s.tuneTable(i, traces[i], opts, report)
-			}(i)
-		}
-		wg2.Wait()
-		for _, err := range errs {
+		err := forEachTrained(func(i int) error {
+			p := plans[i]
+			choice, err := sim.TuneThreshold(traces[i], sim.TunerConfig{
+				Layout:       p.layout,
+				Counts:       p.counts,
+				CacheVectors: p.cacheCap,
+				SamplingRate: opts.MiniCacheSampling,
+				Thresholds:   opts.Thresholds,
+			})
 			if err != nil {
-				return failErr(err)
+				return fmt.Errorf("core: table %q: %w", s.tables[i].name, err)
 			}
-		}
-	}
-	// A file-backed store persists the trained state alongside the (already
-	// rewritten) blocks, so a restart serves the trained layout without
-	// retraining.
-	if s.dataDir != "" {
-		if err := s.Persist(); err != nil {
-			return nil, fmt.Errorf("core: persist trained state: %w", err)
-		}
-		if err := s.clearDirMutation(); err != nil {
+			p.choice = &choice
+			rep := &report.Tables[i]
+			rep.Threshold = choice.Threshold
+			rep.MiniatureGain = choice.MiniatureGain
+			if rep.CacheVectors == 0 {
+				rep.CacheVectors = p.cacheCap
+			}
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
-	s.noteStructuralMutation()
+
+	// Phase 4 (serial): commit. Each install also persists the state file on
+	// a file-backed store, so a restart serves the trained layout without
+	// retraining.
+	var installs []layoutInstall
+	for i, st := range s.tables {
+		p := plans[i]
+		if p == nil {
+			continue
+		}
+		installs = append(installs, layoutInstall{st: st, layout: p.layout, mutate: func(ts *tableState) {
+			ts.counts = p.counts
+			st.freshCache(ts, p.cacheCap)
+			if p.choice != nil {
+				applyChoice(ts, p.counts, *p.choice, 0)
+			}
+		}})
+	}
+	if err := s.installLayouts(installs); err != nil {
+		return nil, err
+	}
 	return report, nil
 }
 
-// trainTable runs SHP for one table, rewrites its NVM blocks and computes
-// its access statistics. It fills the per-table report entry and returns the
-// hit-rate curve for the allocation phase. rewroteAny is set just before the
-// first NVM mutation so Train's error paths know whether the data dir is
-// still pristine.
-func (s *Store) trainTable(i int, tr *trace.Trace, opts TrainOptions, report *TrainReport, rewroteAny *atomic.Bool) (out struct {
-	hrc *mrc.HRC
-	err error
-}) {
+// planTable runs SHP for one table and computes its access statistics,
+// touching neither the device nor the published state. It fills the
+// per-table report entry.
+func (s *Store) planTable(i int, tr *trace.Trace, opts TrainOptions, rep *TableTrainReport) (*trainPlan, error) {
 	st := s.tables[i]
-	rep := &report.Tables[i]
 	rep.Name = st.name
 	rep.TrainingQueries = len(tr.Queries)
 	rep.TrainingLookups = tr.Lookups()
@@ -206,9 +219,7 @@ func (s *Store) trainTable(i int, tr *trace.Trace, opts TrainOptions, report *Tr
 		blockVectors = opts.BlockVectors
 	}
 
-	counts := tr.AccessCounts()
-
-	newLayout := st.loadState().layout
+	p := &trainPlan{layout: st.loadState().layout, counts: tr.AccessCounts()}
 	if !opts.SkipPartitioning {
 		queries := make([][]uint32, len(tr.Queries))
 		for qi, q := range tr.Queries {
@@ -220,28 +231,14 @@ func (s *Store) trainTable(i int, tr *trace.Trace, opts TrainOptions, report *Tr
 			Seed:         s.seed + int64(i),
 		})
 		if err != nil {
-			out.err = fmt.Errorf("core: table %q: %w", st.name, err)
-			return out
+			return nil, fmt.Errorf("core: table %q: %w", st.name, err)
 		}
 		rep.InitialFanout = res.InitialFanout
 		rep.FinalFanout = res.FinalFanout
-		l, err := layout.FromOrder(res.Order, st.blockVectors)
+		p.layout, err = layout.FromOrder(res.Order, st.blockVectors)
 		if err != nil {
-			out.err = fmt.Errorf("core: table %q: %w", st.name, err)
-			return out
+			return nil, fmt.Errorf("core: table %q: %w", st.name, err)
 		}
-		newLayout = l
-	}
-
-	// Install the new layout and rewrite the table's NVM blocks — one
-	// atomic step with respect to concurrent lookups and updates.
-	rewroteAny.Store(true)
-	if err := s.rewriteTable(st, newLayout, func(ts *tableState) {
-		ts.layout = newLayout
-		ts.counts = counts
-	}); err != nil {
-		out.err = err
-		return out
 	}
 
 	// Hit-rate curve for the DRAM allocator, from (sampled) stack
@@ -250,38 +247,11 @@ func (s *Store) trainTable(i int, tr *trace.Trace, opts TrainOptions, report *Tr
 	for _, q := range tr.Queries {
 		flat = append(flat, q...)
 	}
-	out.hrc = mrc.SampledStackDistances(flat, opts.HRCSampling).HitRateCurve()
-	return out
+	p.hrc = mrc.SampledStackDistances(flat, opts.HRCSampling).HitRateCurve()
+	return p, nil
 }
 
-// tuneTable chooses the prefetch-admission threshold for one table with
-// miniature caches and installs the verdict.
-func (s *Store) tuneTable(i int, tr *trace.Trace, opts TrainOptions, report *TrainReport) error {
-	st := s.tables[i]
-	snap := st.loadState()
-
-	choice, err := sim.TuneThreshold(tr, sim.TunerConfig{
-		Layout:       snap.layout,
-		Counts:       snap.counts,
-		CacheVectors: snap.cacheCap,
-		SamplingRate: opts.MiniCacheSampling,
-		Thresholds:   opts.Thresholds,
-	})
-	if err != nil {
-		return fmt.Errorf("core: table %q: %w", st.name, err)
-	}
-	st.installChoice(snap.counts, choice, 0)
-
-	rep := &report.Tables[i]
-	rep.Threshold = choice.Threshold
-	rep.MiniatureGain = choice.MiniatureGain
-	if rep.CacheVectors == 0 {
-		rep.CacheVectors = snap.cacheCap
-	}
-	return nil
-}
-
-// installChoice publishes a tuner verdict for one table, for Train and the
+// applyChoice writes a tuner verdict for one table into ts, for Train and the
 // adaptation loop alike. Prefetching goes on when the tuner found a
 // threshold that beats no-prefetch by at least minGain: the policy installed
 // is the same cache.ThresholdAdmit the miniature caches just replayed through
@@ -289,18 +259,16 @@ func (s *Store) tuneTable(i int, tr *trace.Trace, opts TrainOptions, report *Tra
 // exactly as simulated. Otherwise it goes off — no policy at all, so a block
 // read pays neither the member walk nor the admission calls. Either way the
 // state keeps the prediction that matches what will serve.
-func (st *storeTable) installChoice(counts []uint32, choice sim.ThresholdChoice, minGain float64) {
+func applyChoice(ts *tableState, counts []uint32, choice sim.ThresholdChoice, minGain float64) {
 	enable := choice.Threshold != sim.DisablePrefetch && choice.MiniatureGain >= minGain
-	st.mutateState(func(ts *tableState) {
-		ts.counts = counts
-		ts.threshold = choice.Threshold
-		ts.prefetch = enable
-		if enable {
-			ts.policy = cache.ThresholdAdmit{Counts: counts, Threshold: choice.Threshold}
-			ts.predicted = choice.Predicted
-		} else {
-			ts.policy = nil
-			ts.predicted = choice.NoPrefetch
-		}
-	})
+	ts.counts = counts
+	ts.threshold = choice.Threshold
+	ts.prefetch = enable
+	if enable {
+		ts.policy = cache.ThresholdAdmit{Counts: counts, Threshold: choice.Threshold}
+		ts.predicted = choice.Predicted
+	} else {
+		ts.policy = nil
+		ts.predicted = choice.NoPrefetch
+	}
 }

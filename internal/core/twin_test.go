@@ -99,7 +99,7 @@ func TestReplayIsTheStore(t *testing.T) {
 				if ta, ok := p.(cache.ThresholdAdmit); ok {
 					name = fmt.Sprintf("%s/%d", name, ta.Threshold)
 				}
-				st.resizeCache(snap.cacheCap) // fresh, empty cache
+				st.mutateState(func(ts *tableState) { st.freshCache(ts, snap.cacheCap) }) // empty cache
 				if err := s.SetAdmissionPolicy(0, p); err != nil {
 					t.Fatal(err)
 				}

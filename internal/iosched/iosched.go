@@ -93,9 +93,6 @@ type Config struct {
 	// traffic. A non-zero window trades bounded added latency for fuller
 	// batches (useful under sustained load and in benchmarks).
 	Window time.Duration
-	// NoCoalesce disables same-block coalescing (for A/B measurement;
-	// coalescing is on by default).
-	NoCoalesce bool
 	// gate, when non-nil, is called by the dispatcher after assembling each
 	// batch and before issuing it to the device — a test hook that makes
 	// concurrency tests deterministic. Set via WithGate (export_test.go).
@@ -361,39 +358,35 @@ func (s *Scheduler) submit(block int, dst []byte, pri Priority, tag uint64) (*op
 		return nil, ReadResult{}, ErrClosed
 	}
 	s.submitted[pri].Add(1)
-	if !s.cfg.NoCoalesce {
-		if existing, ok := s.pending[block]; ok {
-			existing.refs.Add(1)
-			late := existing.issued
-			if existing.buf == nil {
-				// First waiter: materialize the shared result buffer the
-				// dispatcher will fill alongside the leader's dst. Allocating
-				// it here (under mu, while the op is still in the pending
-				// map) guarantees the dispatcher sees it before fan-out.
-				existing.buf = nvm.GetBlockBuf()
-			}
-			// A demand read coalescing onto a queued prefetch read must not
-			// inherit its low urgency: promote the shared op.
-			if !existing.issued && pri < existing.pri {
-				s.promoteLocked(existing, pri)
-			}
-			leaderTag := existing.tag
-			s.mu.Unlock()
-			s.coalesced.Add(1)
-			if late {
-				s.coalescedLate.Add(1)
-			}
-			// Surface the coalesced read in the device's stats section next
-			// to the batch counters it complements.
-			s.device.NoteCoalescedRead()
-			return existing, ReadResult{Coalesced: true, Late: late, LeaderTag: leaderTag}, nil
+	if existing, ok := s.pending[block]; ok {
+		existing.refs.Add(1)
+		late := existing.issued
+		if existing.buf == nil {
+			// First waiter: materialize the shared result buffer the
+			// dispatcher will fill alongside the leader's dst. Allocating
+			// it here (under mu, while the op is still in the pending
+			// map) guarantees the dispatcher sees it before fan-out.
+			existing.buf = nvm.GetBlockBuf()
 		}
+		// A demand read coalescing onto a queued prefetch read must not
+		// inherit its low urgency: promote the shared op.
+		if !existing.issued && pri < existing.pri {
+			s.promoteLocked(existing, pri)
+		}
+		leaderTag := existing.tag
+		s.mu.Unlock()
+		s.coalesced.Add(1)
+		if late {
+			s.coalescedLate.Add(1)
+		}
+		// Surface the coalesced read in the device's stats section next
+		// to the batch counters it complements.
+		s.device.NoteCoalescedRead()
+		return existing, ReadResult{Coalesced: true, Late: late, LeaderTag: leaderTag}, nil
 	}
 	o := &op{block: block, pri: pri, tag: tag, dst: dst, done: make(chan struct{}), enqueued: time.Now()}
 	o.refs.Store(1)
-	if !s.cfg.NoCoalesce {
-		s.pending[block] = o
-	}
+	s.pending[block] = o
 	s.queues[pri] = append(s.queues[pri], o)
 	s.mu.Unlock()
 	select {
@@ -560,8 +553,7 @@ func (s *Scheduler) issue(batch []*op) {
 	bufp := nvm.GetBatchBuf(len(batch))
 	// One batch in flight at a time: submissions arriving while this read
 	// runs queue up and form the next batch, so the synchronous device
-	// call is the cheapest correct dispatch. Overlapping multiple batches
-	// (via nvm's ReadBlocksAsync) would plug in here.
+	// call is the cheapest correct dispatch.
 	lat, err := s.device.ReadBlocks(idxs, *bufp)
 
 	// Freeze the waiter set before fanning results out: once the ops leave

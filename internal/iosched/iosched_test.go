@@ -183,31 +183,6 @@ func TestQueuedCoalescing(t *testing.T) {
 	}
 }
 
-// TestNoCoalesceDisablesSharing verifies the A/B switch: with NoCoalesce,
-// every read reaches the device.
-func TestNoCoalesceDisablesSharing(t *testing.T) {
-	dev, cs := newTestDevice(t, 16)
-	s := mustNew(t, dev, Config{QueueDepth: 4, Window: 20 * time.Millisecond, NoCoalesce: true})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, nvm.BlockSize)
-			if _, err := s.ReadBlock(3, buf, Demand, 0); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := cs.blocksRead.Load(); got != 8 {
-		t.Fatalf("%d device reads with coalescing off, want 8", got)
-	}
-	if st := s.Stats(); st.Coalesced != 0 {
-		t.Fatalf("coalesced %d with coalescing off", st.Coalesced)
-	}
-}
-
 // TestDemandDispatchedBeforePrefetch pins the priority invariant: when
 // demand and prefetch reads are queued together, every demand read is
 // dispatched in an earlier-or-equal batch than every prefetch read.

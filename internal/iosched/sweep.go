@@ -45,10 +45,6 @@ type SweepOptions struct {
 	// Window is the scheduler accumulation window (0 = 2ms, generous so
 	// batches fill deterministically rather than depending on timing).
 	Window time.Duration
-	// NoCoalesce disables coalescing. The sweep draws blocks nearly
-	// uniformly, so coalescing is rare either way; disabling it makes
-	// DeviceReads == Ops exactly.
-	NoCoalesce bool
 	// Seed drives the random block choice.
 	Seed int64
 }
@@ -90,7 +86,6 @@ func MissPathSweep(device *nvm.Device, opts SweepOptions) ([]SweepResult, error)
 		sched, err := New(device, Config{
 			QueueDepth: depth,
 			Window:     window,
-			NoCoalesce: opts.NoCoalesce,
 		})
 		if err != nil {
 			return nil, err

@@ -1,7 +1,6 @@
 package nvm
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -47,40 +46,6 @@ func TestBatchCounters(t *testing.T) {
 	st = d.Stats()
 	if st.ReadBatches != 0 || st.CoalescedReads != 0 || st.MaxQueueDepth != 0 || st.AvgReadBatch != 0 {
 		t.Fatalf("counters survived reset: %+v", st)
-	}
-}
-
-// TestReadBlocksAsync verifies the async submission API delivers the same
-// bytes and accounting as the synchronous path.
-func TestReadBlocksAsync(t *testing.T) {
-	d := NewDevice(DeviceConfig{NumBlocks: 16, Seed: 1})
-	defer d.Close()
-	want := make([]byte, BlockSize)
-	for i := range want {
-		want[i] = byte(i * 7)
-	}
-	if err := d.WriteBlock(3, want); err != nil {
-		t.Fatal(err)
-	}
-
-	dst := make([]byte, 2*BlockSize)
-	res := <-d.ReadBlocksAsync([]int{3, 3}, dst)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.LatencyUS <= 0 {
-		t.Fatalf("latency %v", res.LatencyUS)
-	}
-	if !bytes.Equal(dst[:BlockSize], want) || !bytes.Equal(dst[BlockSize:], want) {
-		t.Fatal("async read returned wrong bytes")
-	}
-	if st := d.Stats(); st.BlocksRead != 2 || st.ReadBatches != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-
-	// Errors propagate through the channel.
-	if res := <-d.ReadBlocksAsync([]int{999}, dst); res.Err == nil {
-		t.Fatal("out-of-range async read succeeded")
 	}
 }
 

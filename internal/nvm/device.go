@@ -40,8 +40,6 @@ type Device struct {
 
 	blocksRead     metrics.Counter
 	blocksWritten  metrics.Counter
-	patchWrites    metrics.Counter
-	patchBytes     metrics.Counter
 	readBatches    metrics.Counter
 	coalescedReads metrics.Counter
 	readLatency    *metrics.Histogram
@@ -158,33 +156,6 @@ func (d *Device) ReadBlocks(idxs []int, dst []byte) (latencyUS float64, err erro
 	return latencyUS, nil
 }
 
-// BatchResult carries the completion of an asynchronously submitted batch
-// read.
-type BatchResult struct {
-	// LatencyUS is the simulated completion time of the batch's slowest
-	// read.
-	LatencyUS float64
-	Err       error
-}
-
-// ReadBlocksAsync is the device's asynchronous submission API: it starts a
-// batched read of idxs into dst and returns immediately; the completion
-// arrives on the returned channel (buffered, so the device never blocks on
-// a slow receiver). dst must stay untouched until the result is received.
-// It exists for callers that overlap a batch read with other work —
-// notably a future multi-batch-in-flight I/O scheduler dispatcher; the
-// current single-batch dispatcher (internal/iosched) uses the synchronous
-// ReadBlocks, which is equivalent and cheaper when the completion is
-// awaited immediately.
-func (d *Device) ReadBlocksAsync(idxs []int, dst []byte) <-chan BatchResult {
-	ch := make(chan BatchResult, 1)
-	go func() {
-		lat, err := d.ReadBlocks(idxs, dst)
-		ch <- BatchResult{LatencyUS: lat, Err: err}
-	}()
-	return ch
-}
-
 // WriteBlock writes src as block idx.
 func (d *Device) WriteBlock(idx int, src []byte) error {
 	if err := d.store.WriteBlock(idx, src); err != nil {
@@ -192,31 +163,6 @@ func (d *Device) WriteBlock(idx int, src []byte) error {
 	}
 	d.blocksWritten.Inc()
 	return nil
-}
-
-// WriteBlockPatch updates len(p) bytes of block idx at byte offset off
-// through the store's journaled sub-block path when it has one (PatchWriter),
-// falling back to a read-modify-write of the whole block. This is the
-// single-vector update path: callers must serialize concurrent patches of the
-// same bytes (core's per-table update mutex does), but patches of disjoint
-// byte ranges are safe to issue concurrently on PatchWriter stores.
-func (d *Device) WriteBlockPatch(idx, off int, p []byte) error {
-	if pw, ok := d.store.(PatchWriter); ok {
-		if err := pw.WriteBlockPatch(idx, off, p); err != nil {
-			return err
-		}
-		d.patchWrites.Inc()
-		d.patchBytes.Add(int64(len(p)))
-		return nil
-	}
-	bufp := GetBlockBuf()
-	defer PutBlockBuf(bufp)
-	buf := *bufp
-	if err := d.store.ReadBlock(idx, buf); err != nil {
-		return err
-	}
-	copy(buf[off:], p)
-	return d.WriteBlock(idx, buf)
 }
 
 // WriteBlockBulk writes src as block idx through the backing store's
@@ -277,13 +223,9 @@ func (d *Device) Close() error { return d.store.Close() }
 type Stats struct {
 	BlocksRead    int64
 	BlocksWritten int64
-	// PatchWrites counts journaled sub-block patch writes (single-vector
-	// updates); their bytes land in BytesWritten at patch size, not block
-	// size — the device-level write volume stays honest.
-	PatchWrites  int64
-	BytesRead    int64
-	BytesWritten int64
-	ReadLatency  metrics.Snapshot
+	BytesRead     int64
+	BytesWritten  int64
+	ReadLatency   metrics.Snapshot
 	// ReadsSubmitted is the total read intents served: blocks actually
 	// read from the device plus reads coalesced onto another read's I/O.
 	ReadsSubmitted int64
@@ -315,9 +257,8 @@ func (d *Device) Stats() Stats {
 	s := Stats{
 		BlocksRead:     br,
 		BlocksWritten:  bw,
-		PatchWrites:    d.patchWrites.Value(),
 		BytesRead:      br * BlockSize,
-		BytesWritten:   bw*BlockSize + d.patchBytes.Value(),
+		BytesWritten:   bw * BlockSize,
 		ReadLatency:    d.readLatency.Snapshot(),
 		ReadsSubmitted: br + coalesced,
 		ReadBatches:    d.readBatches.Value(),
@@ -341,8 +282,6 @@ func (d *Device) Stats() Stats {
 func (d *Device) ResetStats() {
 	d.blocksRead.Reset()
 	d.blocksWritten.Reset()
-	d.patchWrites.Reset()
-	d.patchBytes.Reset()
 	d.readBatches.Reset()
 	d.coalescedReads.Reset()
 	d.maxInflight.Store(0)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,7 +83,7 @@ func TestFileStoreDirectAlignmentInvariants(t *testing.T) {
 	unalignedDst := make([]byte, BlockSize+1)[1:] // deliberately misaligned caller buffer
 	for op := 0; op < 300; op++ {
 		idx := rng.Intn(numBlocks)
-		switch rng.Intn(6) {
+		switch rng.Intn(5) {
 		case 0, 1:
 			src := make([]byte, BlockSize)
 			rng.Read(src)
@@ -110,19 +111,6 @@ func TestFileStoreDirectAlignmentInvariants(t *testing.T) {
 			for i := 0; i < n; i++ {
 				shadow[idx+i] = append([]byte(nil), src[i*BlockSize:(i+1)*BlockSize]...)
 			}
-		case 5: // journaled sub-block patch from an unaligned caller slice
-			off := rng.Intn(BlockSize - 1)
-			p := make([]byte, 1+rng.Intn(BlockSize-off)+1)[1:]
-			rng.Read(p)
-			if err := s.WriteBlockPatch(idx, off, p); err != nil {
-				t.Fatal(err)
-			}
-			want, ok := shadow[idx]
-			if !ok {
-				want = make([]byte, BlockSize) // blocks start zeroed
-				shadow[idx] = want
-			}
-			copy(want[off:], p)
 		case 4:
 			want, ok := shadow[idx]
 			if !ok {
@@ -210,52 +198,11 @@ func TestFileStoreWriteBlockExactlyTwoPwrites(t *testing.T) {
 	}
 }
 
-// The update path's pin: a steady-state journaled WriteBlockPatch is also
-// exactly 2 pwrites — 1 sub-page ring append (header+payload only) + 1
-// sub-block in-place write — and the in-place write is patch-sized, not a
-// full page.
-func TestFileStorePatchWriteExactlyTwoPwrites(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "nvm.bnd")
-	s, err := CreateFileStore(path, 64, FileStoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	var pwrites, pwriteBytes atomic.Int64
-	s.ioCheck = func(op string, off int64, p []byte) {
-		if op == "pwrite" {
-			pwrites.Add(1)
-			pwriteBytes.Add(int64(len(p)))
-		}
-	}
-	const n = 20
-	const patchLen = 128
-	p := make([]byte, patchLen)
-	for i := 0; i < n; i++ {
-		p[0] = byte(i)
-		if err := s.WriteBlockPatch(i%s.NumBlocks(), 256, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.ioCheck = nil
-	if got := pwrites.Load(); got != 2*n {
-		t.Fatalf("%d patch writes issued %d pwrites, want exactly %d (1 append + 1 in-place each)", n, got, 2*n)
-	}
-	// Buffered mode persists only header+payload of the append span plus the
-	// patch bytes in place: far below a page per pwrite.
-	if got, max := pwriteBytes.Load(), int64(n)*(ringHdrBytes+2*patchLen); got > max {
-		t.Fatalf("%d patch writes moved %d bytes through pwrite, want <= %d (sub-page appends)", n, got, max)
-	}
-	st := s.BackendStats()
-	if st.JournalWrites != n || st.DataWrites != n {
-		t.Fatalf("stats JournalWrites=%d DataWrites=%d, want %d each", st.JournalWrites, st.DataWrites, n)
-	}
-}
-
-// A torn in-place patch write must be repaired from its ring record at the
-// next open, exactly like a torn full-block write.
-func TestFileStorePatchCrashRecovery(t *testing.T) {
+// A ring that still holds a sub-block patch record — a kind older versions
+// journaled single-vector updates with — is refused at open with an error
+// that says so: the record may be the only copy of an acknowledged update, so
+// the scan neither skips it nor takes it for the tail.
+func TestRingJournalRejectsPatchRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nvm.bnd")
 	s, err := CreateFileStore(path, 8, FileStoreOptions{})
 	if err != nil {
@@ -264,66 +211,20 @@ func TestFileStorePatchCrashRecovery(t *testing.T) {
 	if err := s.WriteBlock(3, fillBlock(0xAA)); err != nil {
 		t.Fatal(err)
 	}
-	patch := bytes.Repeat([]byte{0x5A}, 200)
-	if err := s.WriteBlockPatch(3, 1000, patch); err != nil {
+	// The old encoding: patchFlag | block<<12 | byte offset, payload = the
+	// patched bytes.
+	if _, err := s.ring.append(patchFlag|3<<12|1000, bytes.Repeat([]byte{0x5A}, 200)); err != nil {
 		t.Fatal(err)
 	}
-	// Tear the next patch's in-place write (pwrite #1 is its ring append).
-	torn := bytes.Repeat([]byte{0xC3}, 200)
-	s.failAfterWrites(2)
-	if err := s.WriteBlockPatch(3, 3000, torn); err == nil {
-		t.Fatal("expected injected write fault")
+	if err := s.WriteBlock(4, fillBlock(0xBB)); err != nil { // the chain goes on past it
+		t.Fatal(err)
 	}
-	s.f.Close() // crash
+	s.ring.stop()
+	s.f.Close() // crash: the record is still live in the ring
 
-	r, err := OpenFileStore(path, FileStoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := r.BackendStats().RecoveredRecords; got < 1 {
-		t.Fatalf("recovered %d records, want >= 1", got)
-	}
-	want := fillBlock(0xAA)
-	copy(want[1000:], patch)
-	copy(want[3000:], torn)
-	dst := make([]byte, BlockSize)
-	if err := r.ReadBlock(3, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, want) {
-		t.Fatal("torn in-place patch not repaired from the ring record")
-	}
-}
-
-// A bulk (unjournaled) overwrite tombstones live patch records of its blocks
-// before the bulk bytes land: a crash right after must not replay a stale
-// patch over the new image.
-func TestFileStorePatchSupersededByBulkWrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "nvm.bnd")
-	s, err := CreateFileStore(path, 8, FileStoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteBlockPatch(2, 100, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteBlockUnjournaled(2, fillBlock(0x11)); err != nil {
-		t.Fatal(err)
-	}
-	s.f.Close() // crash before any GC retired the patch record
-
-	r, err := OpenFileStore(path, FileStoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	dst := make([]byte, BlockSize)
-	if err := r.ReadBlock(2, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, fillBlock(0x11)) {
-		t.Fatal("stale patch record replayed over a newer bulk write")
+	_, err = OpenFileStore(path, FileStoreOptions{})
+	if err == nil || !strings.Contains(err.Error(), "written by an older version") {
+		t.Fatalf("open = %v, want a refusal naming the older version's patch record", err)
 	}
 }
 

@@ -614,56 +614,6 @@ func (s *FileStore) WriteBlock(idx int, src []byte) error {
 	return nil
 }
 
-// WriteBlockPatch implements PatchWriter: a journaled sub-block write. The
-// patch bytes land in the ring as a one-page patch record, then in place as a
-// sub-block pwrite (buffered) or an aligned read-modify-write of the
-// containing block (direct — O_DIRECT cannot issue sub-page writes). This is
-// the single-vector update path: a 128-byte embedding update costs one 4 KB
-// journal append plus one tiny in-place write, instead of a block read plus
-// two full-page writes. Crash guarantees match WriteBlock — a valid patch
-// record REDOes over the block image in sequence order, repairing a torn
-// in-place patch; a torn append rolls back.
-func (s *FileStore) WriteBlockPatch(idx, off int, p []byte) error {
-	if idx < 0 || idx >= s.n {
-		return fmt.Errorf("nvm: block %d out of range [0,%d)", idx, s.n)
-	}
-	if off < 0 || len(p) == 0 || off+len(p) > BlockSize {
-		return fmt.Errorf("nvm: patch [%d,%d) outside block", off, off+len(p))
-	}
-
-	seq, err := s.ring.append(patchTargetOf(idx, off), p)
-	if err != nil {
-		return err
-	}
-
-	base := s.dataOff + int64(idx)*BlockSize
-	lock := &s.locks[idx%blockStripes]
-	lock.Lock()
-	if s.direct {
-		bp := GetBlockBuf()
-		buf := *bp
-		if err = s.readAt(buf, base); err == nil {
-			copy(buf[off:], p)
-			err = s.writeAt(buf, base)
-		}
-		PutBlockBuf(bp)
-	} else {
-		err = s.writeAt(p, base+int64(off))
-	}
-	lock.Unlock()
-	if err != nil {
-		// As in WriteBlock: the record is now the only good copy of these
-		// bytes — it pins the GC head until the next open replays it. (A
-		// later full-block write of idx supersedes it; a later patch does
-		// not, since it may cover different bytes.)
-		s.ring.fail(seq)
-		return fmt.Errorf("nvm: block patch write: %w", err)
-	}
-	s.dataWrites.Add(1)
-	s.ring.complete(seq)
-	return nil
-}
-
 // WriteBlockUnjournaled implements BulkWriter: it writes a block in place
 // with no write-ahead journal record, which makes bulk loads (initial table
 // ingest, whole-table layout rewrites) one pwrite per block instead of two.
@@ -755,23 +705,12 @@ func (s *FileStore) replayJournal() error {
 	}
 	if len(applies) > 0 {
 		// Record payloads sit at +36 bytes inside the aligned ring image,
-		// so bounce each through an aligned block buffer for the REDO. Patch
-		// records read-modify-write their block: sequence order means the
-		// image they patch already includes every earlier record.
+		// so bounce each through an aligned block buffer for the REDO.
 		bp := GetBlockBuf()
 		buf := *bp
 		for _, a := range applies {
-			base := s.dataOff + int64(a.target)*BlockSize
-			if len(a.data) == BlockSize && a.off == 0 {
-				copy(buf, a.data)
-			} else {
-				if err := s.readAt(buf, base); err != nil {
-					PutBlockBuf(bp)
-					return fmt.Errorf("nvm: replay block %d: %w", a.target, err)
-				}
-				copy(buf[a.off:], a.data)
-			}
-			if err := s.writeAt(buf, base); err != nil {
+			copy(buf, a.data)
+			if err := s.writeAt(buf, s.dataOff+int64(a.target)*BlockSize); err != nil {
 				PutBlockBuf(bp)
 				return fmt.Errorf("nvm: replay block %d: %w", a.target, err)
 			}

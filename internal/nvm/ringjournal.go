@@ -22,8 +22,7 @@ import (
 //
 //	magic   [8]  "BNDJRNL2"
 //	seq     [8]  strictly increasing, every record (including pads) takes one
-//	target  [8]  data block index, a patchFlag-encoded (block, offset) pair,
-//	             or padTarget / skipTarget
+//	target  [8]  data block index, or padTarget / skipTarget
 //	dataLen [4]
 //	dataCRC [4]  CRC-32C of the payload (block records only)
 //	hdrCRC  [4]  CRC-32C of the 32 bytes above
@@ -86,39 +85,11 @@ const (
 	padTarget  = ^uint64(0)
 	skipTarget = ^uint64(0) - 1
 
-	// patchFlag marks a sub-block patch record: target = patchFlag |
-	// block<<12 | byte offset within the block, and the payload is the
-	// dataLen patched bytes rather than a whole block image. Patch records
-	// REDO by read-modify-writing the target block in sequence order — the
-	// journaled single-vector update path costs a one-page append plus a
-	// sub-block in-place write instead of two full pages plus one.
+	// patchFlag marked the target of a sub-block patch record, a kind older
+	// versions journaled single-vector updates with. Nothing writes one any
+	// more; the scan refuses a ring that still holds one (see recover).
 	patchFlag = uint64(1) << 62
 )
-
-// patchTargetOf encodes a (block, byte offset) pair as a patch-record target.
-func patchTargetOf(idx, off int) uint64 {
-	return patchFlag | uint64(idx)<<12 | uint64(off)
-}
-
-// isPatchTarget reports whether t addresses a sub-block patch (pad and skip
-// markers carry the flag bit but are their own record kinds).
-func isPatchTarget(t uint64) bool {
-	return t&patchFlag != 0 && t != padTarget && t != skipTarget
-}
-
-// patchTargetBlockOff decodes a patch-record target.
-func patchTargetBlockOff(t uint64) (idx, off int) {
-	return int((t &^ patchFlag) >> 12), int(t & (BlockSize - 1))
-}
-
-// targetBlock maps any replayable record target to its data block index.
-func targetBlock(t uint64) uint64 {
-	if isPatchTarget(t) {
-		b, _ := patchTargetBlockOff(t)
-		return uint64(b)
-	}
-	return t
-}
 
 // recSpan is the ring footprint of a record with a dataLen-byte payload.
 func recSpan(dataLen int) int64 {
@@ -220,9 +191,8 @@ func (r *ringJournal) append(target uint64, data []byte) (uint64, error) {
 	r.encodeHdr(r.img[off:], seq, target, len(data), crc32.Checksum(data, castagnoli))
 	copy(r.img[off+ringHdrBytes:], data)
 	// Persist only header+payload: the span's tail padding is never read by
-	// the scan (its content is don't-care), so a sub-block patch record
-	// costs a ~200-byte pwrite instead of a full page. O_DIRECT cannot
-	// issue sub-page writes, so direct mode lands the whole aligned span.
+	// the scan (its content is don't-care). O_DIRECT cannot issue sub-page
+	// writes, so direct mode lands the whole aligned span.
 	wlen := int64(ringHdrBytes + len(data))
 	if r.s.direct {
 		wlen = need
@@ -321,7 +291,7 @@ func (r *ringJournal) supersedeFailed(block uint64, afterSeq uint64) error {
 		return nil
 	}
 	for _, rec := range r.pending {
-		if rec.failed && rec.target != skipTarget && targetBlock(rec.target) == block && rec.seq < afterSeq {
+		if rec.failed && rec.target == block && rec.seq < afterSeq {
 			if err := r.tombstoneLocked(rec); err != nil {
 				return fmt.Errorf("nvm: retire superseded record: %w", err)
 			}
@@ -346,7 +316,7 @@ func (r *ringJournal) supersedeRange(base, n int) error {
 		if rec.target == padTarget || rec.target == skipTarget {
 			continue
 		}
-		if b := targetBlock(rec.target); b >= lo && b < hi {
+		if rec.target >= lo && rec.target < hi {
 			if err := r.tombstoneLocked(rec); err != nil {
 				return fmt.Errorf("nvm: retire superseded record: %w", err)
 			}
@@ -431,12 +401,10 @@ func (r *ringJournal) writeWatermark(gen uint64, headOff int64, headSeq uint64) 
 	return nil
 }
 
-// ringApply is one REDO from recovery: a valid journaled block image (off 0,
-// BlockSize bytes) or a sub-block patch (off + data within the block).
+// ringApply is one REDO from recovery: a valid journaled block image.
 type ringApply struct {
 	target int
-	off    int    // byte offset within the block (0 for full-block records)
-	data   []byte // view into the ring image
+	data   []byte // BlockSize bytes, a view into the ring image
 }
 
 // recover loads the ring image, picks the newest valid watermark, and scans
@@ -507,16 +475,10 @@ scan:
 		switch {
 		case target == padTarget || target == skipTarget:
 			// pad: wrap filler; skip: tombstoned by a superseding write
-		case isPatchTarget(target):
-			blk, poff := patchTargetBlockOff(target)
-			if dataLen == 0 || poff+dataLen > BlockSize || blk >= numBlocks {
-				return nil, fmt.Errorf("nvm: ring journal seq %d: implausible patch record (block %d, off %d, %d bytes)", exp, blk, poff, dataLen)
-			}
-			data := r.img[off+ringHdrBytes : off+ringHdrBytes+int64(dataLen)]
-			if crc32.Checksum(data, castagnoli) != binary.LittleEndian.Uint32(hdr[28:]) {
-				break scan // torn append payload: roll back
-			}
-			applies = append(applies, ringApply{target: blk, off: poff, data: data})
+		case target&patchFlag != 0:
+			// Neither skipped nor taken for the tail: the record may be the
+			// only copy of an update an older version acknowledged.
+			return nil, fmt.Errorf("nvm: ring journal seq %d: sub-block patch record written by an older version; open and cleanly close the store with that version first", exp)
 		default:
 			if dataLen != BlockSize || target >= uint64(numBlocks) {
 				return nil, fmt.Errorf("nvm: ring journal seq %d: implausible record (target %d, %d bytes)", exp, target, dataLen)

@@ -31,20 +31,9 @@ type Flusher interface {
 // bulk-load write path (FileStore). Use it only when crash-atomicity is
 // provided at a higher level — a torn unjournaled write leaves a mixed
 // block, so the caller must be able to detect the interruption and redo the
-// whole load (see core's manifest / rewrite-marker commit points).
+// whole load (see core's manifest / migration-record commit points).
 type BulkWriter interface {
 	WriteBlockUnjournaled(idx int, src []byte) error
-}
-
-// PatchWriter is implemented by block stores with a journaled sub-block
-// write path: WriteBlockPatch updates len(p) bytes of block idx starting at
-// byte offset off, with the same crash guarantees as WriteBlock but without
-// the caller having to read, patch and rewrite the whole block. It is the
-// single-vector update path — on the file backend a patch costs one journal
-// append plus one sub-block pwrite instead of a block read plus two
-// full-page writes.
-type PatchWriter interface {
-	WriteBlockPatch(idx, off int, p []byte) error
 }
 
 // RangeBulkWriter is implemented by block stores that can install a
@@ -68,7 +57,7 @@ type BackendStats struct {
 	// (page-cache-bypassing) I/O after auto-negotiation.
 	DirectIO bool
 	// JournalWrites counts write-ahead journal records appended (file only;
-	// one per WriteBlock or WriteBlockPatch).
+	// one per WriteBlock).
 	JournalWrites int64
 	// JournalBytesAppended counts bytes appended to the ring journal,
 	// including record headers, alignment padding and wrap pads (file only).
@@ -81,7 +70,7 @@ type BackendStats struct {
 	// retirement (file only).
 	RingUtilization float64
 	// DataWrites counts journaled in-place data-region writes (file only;
-	// one per successful WriteBlock or WriteBlockPatch — with JournalWrites
+	// one per successful WriteBlock — with JournalWrites
 	// this pins the 2-pwrites-per-write steady state).
 	DataWrites int64
 	// FailedWriteRecords counts journal records pinned by a failed in-place
@@ -167,20 +156,6 @@ func (s *MemStore) WriteBlock(idx int, src []byte) error {
 	for i := off + len(src); i < off+BlockSize; i++ {
 		s.data[i] = 0
 	}
-	s.mu.Unlock()
-	return nil
-}
-
-// WriteBlockPatch implements PatchWriter: an in-place sub-block copy.
-func (s *MemStore) WriteBlockPatch(idx, off int, p []byte) error {
-	if idx < 0 || idx >= s.n {
-		return fmt.Errorf("nvm: block %d out of range [0,%d)", idx, s.n)
-	}
-	if off < 0 || len(p) == 0 || off+len(p) > BlockSize {
-		return fmt.Errorf("nvm: patch [%d,%d) outside block", off, off+len(p))
-	}
-	s.mu.Lock()
-	copy(s.data[idx*BlockSize+off:], p)
 	s.mu.Unlock()
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -51,6 +52,11 @@ func TestAdaptEndpoint(t *testing.T) {
 	// Bad action fails.
 	if resp, _ := postAdapt(t, ts.URL, `{"action":"bogus"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus action accepted: %d", resp.StatusCode)
+	}
+	// So does a field the endpoint does not know, by name, and nothing starts.
+	resp, body := postAdapt(t, ts.URL, `{"action":"start","relayoutStrategy":"kmeans"}`)
+	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "relayoutStrategy") {
+		t.Fatalf("removed field: %d %v, want 400 naming it", resp.StatusCode, body)
 	}
 
 	// Start in manual mode (no interval).

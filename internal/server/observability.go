@@ -204,8 +204,6 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		func(st *core.Store) float64 { return float64(st.DeviceStats().BlocksRead) })
 	deviceCounter("bandana_device_blocks_written_total", "NVM blocks written.",
 		func(st *core.Store) float64 { return float64(st.DeviceStats().BlocksWritten) })
-	deviceCounter("bandana_device_patch_writes_total", "Journaled sub-block patch writes.",
-		func(st *core.Store) float64 { return float64(st.DeviceStats().PatchWrites) })
 	deviceCounter("bandana_device_bytes_read_total", "Bytes read from NVM.",
 		func(st *core.Store) float64 { return float64(st.DeviceStats().BytesRead) })
 	deviceCounter("bandana_device_reads_submitted_total", "Read intents submitted to the device layer.",
@@ -339,6 +337,20 @@ func (s *Server) buildRegistry() *metrics.Registry {
 	})
 	r.Register("bandana_store_swaps_total", "counter", "SwapStore calls (replica re-syncs).", func() []metrics.Sample {
 		return metrics.CounterSample(nil, float64(s.swaps.Value()))
+	})
+	r.Register("bandana_store_recovered_migration", "gauge", "1 when opening the store redid a layout install the previous process died in.", func() []metrics.Sample {
+		v := 0.0
+		if s.scrapeStore().RecoveredMigration() {
+			v = 1
+		}
+		return metrics.CounterSample(nil, v)
+	})
+
+	// Layout installs (Train, LoadState, adaptation re-layout).
+	r.Register("bandana_layout_installs_total", "counter", "Completed layout installs per table.",
+		perTable(func(ts core.TableStats) float64 { return float64(ts.LayoutInstalls) }))
+	r.Register("bandana_layout_install_seconds", "gauge", "Duration of the last layout install, from staging the rendered image to clearing the migration record (seconds).", func() []metrics.Sample {
+		return metrics.CounterSample(nil, s.scrapeStore().LastLayoutInstall().Seconds())
 	})
 
 	// Adaptation engine.

@@ -94,6 +94,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"bandana_table_dram_bytes{table=\"tA\",component=\"cache_arena\"} ",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"cache_index\"} ",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"recorder\"} 0\n",
+		// No layout was installed, and this open had none to redo.
+		"bandana_layout_installs_total{table=\"tA\"} 0\n",
+		"bandana_layout_install_seconds 0\n",
+		"bandana_store_recovered_migration 0\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
@@ -151,6 +155,11 @@ func TestMetricsPredictedNextToObserved(t *testing.T) {
 		if !strings.Contains(out, series) || strings.Contains(out, series+"0\n") {
 			t.Errorf("%s missing or zero after Train + traffic:\n%s", name, grepLines(out, name))
 		}
+	}
+	// The Train was one layout install of the table, and it took time.
+	if !strings.Contains(out, "bandana_layout_installs_total{table=\"tA\"} 1\n") ||
+		!strings.Contains(out, "bandana_layout_install_seconds ") || strings.Contains(out, "bandana_layout_install_seconds 0\n") {
+		t.Errorf("layout install series wrong after one Train:\n%s", grepLines(out, "bandana_layout_install"))
 	}
 
 	var stats struct {

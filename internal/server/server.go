@@ -561,11 +561,8 @@ type serverStats struct {
 }
 
 type deviceStats struct {
-	BlocksRead    int64 `json:"blocksRead"`
-	BlocksWritten int64 `json:"blocksWritten"`
-	// PatchWrites counts journaled sub-block patch writes (single-vector
-	// updates, which no longer rewrite whole blocks).
-	PatchWrites   int64   `json:"patchWrites"`
+	BlocksRead    int64   `json:"blocksRead"`
+	BlocksWritten int64   `json:"blocksWritten"`
 	BytesRead     int64   `json:"bytesRead"`
 	DriveWrites   float64 `json:"driveWrites"`
 	EnduranceDWPD float64 `json:"enduranceDWPD"`
@@ -605,7 +602,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Device: deviceStats{
 			BlocksRead:           dev.BlocksRead,
 			BlocksWritten:        dev.BlocksWritten,
-			PatchWrites:          dev.PatchWrites,
 			BytesRead:            dev.BytesRead,
 			DriveWrites:          dev.DriveWrites,
 			EnduranceDWPD:        dev.EnduranceDWPD,
@@ -663,7 +659,11 @@ type adaptRequest struct {
 
 func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	var req adaptRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// Unknown fields are errors: a client still sending a removed knob must
+	// hear that it was ignored, not silently get the default behaviour.
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return
 	}
