@@ -9,13 +9,12 @@ import (
 )
 
 // The benchmarks below regenerate the paper's tables and figures (one bench
-// per artefact) at a reduced scale, plus ablation benches for the design
-// choices called out in DESIGN.md. Run them with:
+// per artefact) at a reduced scale, plus ablation benches for SHP iterations,
+// the admission policy and the stack-distance estimator. Run them with:
 //
 //	go test -bench=. -benchmem
 //
-// Use cmd/bandana for the full-scale reference run recorded in
-// EXPERIMENTS.md.
+// Use cmd/bandana (`bandana run --all`) for the full-scale run.
 
 // benchRunner is shared across benchmarks so that the expensive artefacts
 // (workload generation, SHP training) are built once and reused; each bench

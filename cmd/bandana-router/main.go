@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -90,8 +91,13 @@ func main() {
 		handler = mux
 		log.Printf("pprof profiling handlers enabled under /debug/pprof/")
 	}
+	// Listen before announcing, so the line below names the bound address
+	// (--addr :0 picks a free port).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	httpServer := &http.Server{
-		Addr:              *addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
@@ -104,8 +110,8 @@ func main() {
 	}()
 
 	fmt.Printf("bandana-router listening on %s (%d nodes, hedge after %s)\n",
-		*addr, len(cfg.Nodes), *hedgeAfter)
-	if err := httpServer.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		ln.Addr(), len(cfg.Nodes), *hedgeAfter)
+	if err := httpServer.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
 }

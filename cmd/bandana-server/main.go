@@ -341,7 +341,7 @@ func serve(store *core.Store, addr, wireAddr string, adaptOpts *core.AdaptOption
 	}
 	sched, _ := store.IOSchedStats()
 	log.Printf("I/O scheduler: target queue depth %d, accumulation window %s",
-		sched.TargetQueueDepth, time.Duration(sched.WindowUS*float64(time.Microsecond)))
+		sched.TargetQueueDepth, time.Duration(sched.AccumulationWindowUS*float64(time.Microsecond)))
 	srv := server.New(store)
 	if slowMS > 0 {
 		srv.SetSlowRequestThreshold(time.Duration(slowMS) * time.Millisecond)
@@ -362,8 +362,7 @@ func serve(store *core.Store, addr, wireAddr string, adaptOpts *core.AdaptOption
 			srv.SwapStore(next)
 		})
 		// Expose how the replica is following (incremental batches vs full
-		// re-syncs, restart backoff, stall flag) for operators and the
-		// cluster smoke test.
+		// re-syncs, restart backoff, stall flag) for operators.
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /v1/replica/stats", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")

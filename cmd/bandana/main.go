@@ -11,8 +11,8 @@
 //	bandana run --all --quick         # reduced sizes (smoke test)
 //	bandana init --data-dir /var/lib/bandana --scale 0.001 --train
 //
-// Scale flags let you trade fidelity for runtime; see DESIGN.md for how the
-// default scale maps to the paper's table sizes.
+// Scale flags trade fidelity for runtime: --scale is the table size relative
+// to the paper's 10-20M-vector tables (Table 1).
 package main
 
 import (
@@ -47,11 +47,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
-	case "adapt-bench":
-		if err := adaptBenchCmd(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -69,10 +64,6 @@ commands:
   run [flags]         run experiments
   init [flags]        write (and optionally train) a durable data dir that
                       bandana-server --backend=file reopens without retraining
-  adapt-bench [flags] drift benchmark: online adaptation vs the static
-                      even-split baseline on a hot-set-rotation workload
-                      (--adapt epoch interval, --adapt-budget migration
-                      budget, --drift rotation period, --json results file)
   version             print the build version
 
 run flags:

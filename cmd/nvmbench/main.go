@@ -1,18 +1,15 @@
 // Command nvmbench runs Fio-style micro-benchmarks against the simulated NVM
 // device: a queue-depth sweep of 4 KB random reads (the paper's Figure 2),
-// a latency-vs-throughput curve for the baseline 128 B-per-block policy
-// versus full 4 KB reads (Figure 5), and a miss-path sweep that drives the
-// async I/O scheduler (internal/iosched) at a range of target queue depths
-// to show what batching buys the serving path.
+// and a latency-vs-throughput curve for the baseline 128 B-per-block policy
+// versus full 4 KB reads (Figure 5). Both drive the device directly; the I/O
+// scheduler's batching is measured on the serving path by bench/.
 //
 // Usage:
 //
 //	nvmbench --mode qd                  # raw-device queue depth sweep (Figure 2)
+//	nvmbench --mode qd --backend file   # same over the journaled file store
 //	nvmbench --mode load --vector 128   # latency vs load (Figure 5)
-//	nvmbench --mode qd-sweep            # scheduler miss-path sweep at QD 1/4/8/16/32
-//	nvmbench --mode qd-sweep --io-qd 8  # single depth instead of the sweep
-//	nvmbench --mode qd-sweep --backend file
-//	nvmbench --mode qd --json out.json  # machine-readable results (CI artifacts)
+//	nvmbench --mode qd --json out.json  # machine-readable results
 package main
 
 import (
@@ -23,14 +20,11 @@ import (
 	"os"
 	"path/filepath"
 
-	"bandana/internal/iosched"
 	"bandana/internal/nvm"
 	"bandana/internal/version"
 )
 
-// jsonOutput is the machine-readable result file written by --json; CI
-// uploads it as a BENCH_*.json artifact so the perf trajectory is recorded
-// run over run.
+// jsonOutput is the machine-readable result file written by --json.
 type jsonOutput struct {
 	Benchmark  string                       `json:"benchmark"`
 	Mode       string                       `json:"mode"`
@@ -43,27 +37,15 @@ type jsonOutput struct {
 	QueueDepth []nvm.FioResult              `json:"queueDepthSweep,omitempty"`
 	Baseline   []nvm.ThroughputLatencyPoint `json:"baselineCurve,omitempty"`
 	FullBlock  []nvm.ThroughputLatencyPoint `json:"fullBlockCurve,omitempty"`
-	// MissPathQDSweep is the scheduler-mediated sweep of --mode qd-sweep:
-	// miss-path throughput (in simulated device time) per target queue
-	// depth.
-	MissPathQDSweep []iosched.SweepResult `json:"missPathQDSweep,omitempty"`
 }
 
-// validateFlags rejects flag combinations before any backing store is
-// created. ioQDSet reports whether --io-qd was passed explicitly.
-func validateFlags(mode string, ioQD int, ioQDSet bool) error {
+// validateFlags rejects an unknown mode before any backing store is created.
+func validateFlags(mode string) error {
 	switch mode {
-	case "qd", "load", "qd-sweep":
-	default:
-		return fmt.Errorf("unknown mode %q (want qd, load or qd-sweep)", mode)
+	case "qd", "load":
+		return nil
 	}
-	if mode != "qd-sweep" && ioQDSet {
-		return fmt.Errorf("--io-qd configures the I/O scheduler and is only meaningful with --mode qd-sweep (mode %q drives the device directly)", mode)
-	}
-	if ioQD < 0 || ioQD > iosched.MaxTargetQueueDepth {
-		return fmt.Errorf("--io-qd %d out of range [0,%d]", ioQD, iosched.MaxTargetQueueDepth)
-	}
-	return nil
+	return fmt.Errorf("unknown mode %q (want qd or load)", mode)
 }
 
 // sanitizeCurve replaces non-finite latencies (saturated points) with -1 so
@@ -92,9 +74,9 @@ func writeJSONFile(path string, v any) error {
 
 func main() {
 	var (
-		mode        = flag.String("mode", "qd", "benchmark mode: qd (raw-device queue depth sweep), load (latency vs throughput) or qd-sweep (scheduler miss-path sweep)")
+		mode        = flag.String("mode", "qd", "benchmark mode: qd (raw-device queue depth sweep) or load (latency vs throughput)")
 		jobs        = flag.Int("jobs", 4, "concurrent jobs (qd mode)")
-		ops         = flag.Int("ops", 500, "reads per worker (qd and qd-sweep modes)")
+		ops         = flag.Int("ops", 500, "reads per worker (qd mode)")
 		blocks      = flag.Int("blocks", 8192, "device size in 4 KB blocks")
 		vectorSize  = flag.Int("vector", 128, "vector size in bytes (load mode baseline)")
 		seed        = flag.Int64("seed", 1, "random seed")
@@ -102,7 +84,6 @@ func main() {
 		dataDir     = flag.String("data-dir", "", "directory for the file backend's block file (default: temp dir)")
 		syncStr     = flag.String("sync", "none", "file backend durability: none, periodic or always")
 		direct      = flag.Bool("direct", false, "open block files with O_DIRECT (file backend; falls back to buffered I/O where unsupported)")
-		ioQD        = flag.Int("io-qd", 0, "qd-sweep: measure this single target queue depth instead of the 1/4/8/16/32 sweep")
 		jsonOut     = flag.String("json", "", "also write machine-readable results to this file")
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
@@ -113,9 +94,7 @@ func main() {
 	}
 	// Validate flags before creating any backing store, so a typo does not
 	// leave a file store opened (and its temp dir leaked via os.Exit).
-	ioQDSet := false
-	flag.Visit(func(f *flag.Flag) { ioQDSet = ioQDSet || f.Name == "io-qd" })
-	if err := validateFlags(*mode, *ioQD, ioQDSet); err != nil {
+	if err := validateFlags(*mode); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -165,30 +144,6 @@ func main() {
 		Blocks: *blocks, Seed: *seed,
 	}
 	switch *mode {
-	case "qd-sweep":
-		depths := iosched.DefaultSweepDepths
-		if *ioQD > 0 {
-			depths = []int{*ioQD}
-		}
-		sweepOpts := iosched.SweepOptions{
-			Depths:       depths,
-			OpsPerWorker: *ops,
-			Seed:         *seed,
-		}
-		results, err := iosched.MissPathSweep(device, sweepOpts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		out.Ops = *ops
-		out.MissPathQDSweep = results
-		fmt.Printf("scheduler miss-path sweep, %s backend, device %s\n\n", *backend, device)
-		fmt.Printf("%-12s %-10s %-12s %-12s %-20s %-18s\n",
-			"target qd", "workers", "reads", "avg batch", "mean batch lat (us)", "sim throughput (GB/s)")
-		for _, r := range results {
-			fmt.Printf("%-12d %-10d %-12d %-12.2f %-20.1f %-18.2f\n",
-				r.TargetQueueDepth, r.Workers, r.Ops, r.AvgBatchSize, r.MeanBatchLatencyUS, r.SimThroughputGBs)
-		}
 	case "qd":
 		fmt.Printf("4 KB random reads, %d jobs, device %s\n\n", *jobs, device)
 		fmt.Printf("%-12s %-18s %-18s %-18s %-16s\n", "queue depth", "mean latency (us)", "p99 latency (us)", "p999 latency (us)", "bandwidth (GB/s)")

@@ -33,15 +33,7 @@ func buildClusterStore(t *testing.T, seed int64) *core.Store {
 // claim is measurable).
 func buildSizedClusterStore(t *testing.T, seed int64, vectorsPerTable int) *core.Store {
 	t.Helper()
-	tables := make([]*table.Table, 2)
-	for i := range tables {
-		name := fmt.Sprintf("t%d", i)
-		g := table.Generate(name, table.GenerateOptions{
-			NumVectors: vectorsPerTable, Dim: 64, NumClusters: 32, Seed: seed + int64(i),
-		})
-		tables[i] = g.Table
-	}
-	cfg := core.Config{Tables: tables, DRAMBudgetVectors: 256, Seed: seed}
+	cfg := core.Config{Tables: clusterTables(seed, vectorsPerTable), DRAMBudgetVectors: 256, Seed: seed}
 	switch os.Getenv("BANDANA_TEST_BACKEND") {
 	case core.BackendFile:
 		cfg.Backend = core.BackendFile
@@ -61,6 +53,20 @@ func buildSizedClusterStore(t *testing.T, seed int64, vectorsPerTable int) *core
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// clusterTables generates the two tables ("t0", "t1", dim 64) every cluster
+// test store holds; equal seeds give equal vectors.
+func clusterTables(seed int64, vectorsPerTable int) []*table.Table {
+	tables := make([]*table.Table, 2)
+	for i := range tables {
+		name := fmt.Sprintf("t%d", i)
+		g := table.Generate(name, table.GenerateOptions{
+			NumVectors: vectorsPerTable, Dim: 64, NumClusters: 32, Seed: seed + int64(i),
+		})
+		tables[i] = g.Table
+	}
+	return tables
 }
 
 // countingNode wraps a node server and counts the /v1/batch requests it

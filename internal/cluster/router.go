@@ -50,9 +50,6 @@ type RouterOptions struct {
 	// node; excess requests wait (within NodeTimeout) instead of piling
 	// onto a struggling box. Defaults to 128.
 	MaxInflightPerNode int
-	// ProbeTimeout bounds the per-node health/stats probes of /v1/stats.
-	// Defaults to 1s.
-	ProbeTimeout time.Duration
 	// Transport overrides the HTTP transport (tests inject failures here);
 	// nil uses a pooled transport sized for MaxInflightPerNode.
 	Transport http.RoundTripper
@@ -67,9 +64,6 @@ func (o *RouterOptions) defaults() {
 	}
 	if o.MaxInflightPerNode <= 0 {
 		o.MaxInflightPerNode = 128
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = time.Second
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"sync"
+	"time"
 
 	"bandana/internal/metrics"
 )
@@ -115,9 +116,12 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	routerJSON(w, http.StatusOK, out)
 }
 
+// probeTimeout bounds one node's health/stats probe under /v1/stats.
+const probeTimeout = time.Second
+
 // probeNode fills the live fields of one node's stats row.
 func (rt *Router) probeNode(ctx context.Context, n *Node, ns *NodeStats) {
-	ctx, cancel := context.WithTimeout(ctx, rt.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.Addr+"/v1/stats", nil)
 	if err != nil {

@@ -53,9 +53,6 @@ type AdaptOptions struct {
 	// is reserved, so a warming table is never starved by the optimiser).
 	// Defaults to 64.
 	MinQueries int
-	// HRCSampling is the SHARDS sampling rate for hit-rate curves.
-	// Defaults to 0.1.
-	HRCSampling float64
 	// MiniCacheSampling is the miniature-cache sampling rate for threshold
 	// tuning. Defaults to 0.01.
 	MiniCacheSampling float64
@@ -86,9 +83,6 @@ type AdaptOptions struct {
 	// SHPIterations bounds the warm-started refinement; incremental runs
 	// need far fewer than a cold Train. Defaults to 6.
 	SHPIterations int
-	// Parallelism bounds how many tables are analysed/tuned concurrently.
-	// Defaults to 4.
-	Parallelism int
 }
 
 func (o *AdaptOptions) defaults() {
@@ -104,9 +98,6 @@ func (o *AdaptOptions) defaults() {
 	if o.MinQueries <= 0 {
 		o.MinQueries = 64
 	}
-	if o.HRCSampling <= 0 {
-		o.HRCSampling = 0.1
-	}
 	if o.MiniCacheSampling <= 0 {
 		o.MiniCacheSampling = 0.01
 	}
@@ -118,9 +109,6 @@ func (o *AdaptOptions) defaults() {
 	}
 	if o.SHPIterations <= 0 {
 		o.SHPIterations = 6
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = 4
 	}
 }
 
@@ -289,6 +277,19 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 		return nil, ErrAdaptationNotStarted
 	}
 
+	// An epoch can change cache allocations, thresholds and (via re-layout)
+	// the physical placement — all part of the image a replica streams, so
+	// the snapshot seq moves once per committed epoch and the update-log
+	// window resets (no stream of vector records can express a re-layout).
+	// A re-layout commits table by table, so an epoch that fails after one
+	// did change the image and must say so too.
+	mutated := false
+	defer func() {
+		if mutated {
+			s.noteStructuralMutation()
+		}
+	}()
+
 	opts := a.opts
 	epoch := a.epochs.Load() + 1
 	report := &AdaptEpochReport{Epoch: epoch, Tables: make([]TableAdaptReport, len(s.tables))}
@@ -307,7 +308,7 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 		hrc    *mrc.HRC
 	}
 	analyses := make([]analysis, len(s.tables))
-	sem := make(chan struct{}, opts.Parallelism)
+	sem := make(chan struct{}, adaptParallelism)
 	var wg sync.WaitGroup
 	for i, st := range s.tables {
 		rep := &report.Tables[i]
@@ -345,7 +346,7 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 				tr:     tr,
 				tuneTr: evalTr,
 				counts: trainTr.AccessCounts(),
-				hrc:    mrc.SampledStackDistances(flat, opts.HRCSampling).HitRateCurve(),
+				hrc:    mrc.SampledStackDistances(flat, hrcSampling).HitRateCurve(),
 			}
 		}(i)
 	}
@@ -406,6 +407,7 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 			rep := &report.Tables[i]
 			rep.FanoutBefore, rep.FanoutAfter = before, after
 			if migrated {
+				mutated = true
 				rep.Relayout = true
 				blocksLeft -= st.numBlocks
 				a.relayouts.Add(1)
@@ -474,11 +476,7 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 	a.lastEpochNS.Store(int64(report.Duration))
 	a.epochs.Store(epoch)
 	a.lastErr.Store(nil) // a completed epoch supersedes any earlier failure
-	// An epoch can change cache allocations, thresholds and (via migration)
-	// the physical layout — all part of the image a replica streams, so the
-	// snapshot seq moves once per committed epoch (and the update-log window
-	// resets: no stream of vector records can express a relayout).
-	s.noteStructuralMutation()
+	mutated = true
 	return report, nil
 }
 
@@ -513,7 +511,7 @@ func (s *Store) maybeRelayout(st *storeTable, tr *trace.Trace, opts AdaptOptions
 	}
 	a := s.adapt.Load()
 	migStart := time.Now()
-	if err := s.relayoutTable(st, candidate); err != nil {
+	if err := s.installLayout(st, candidate, nil); err != nil {
 		return false, before, after, err
 	}
 	if a != nil {

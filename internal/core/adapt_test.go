@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"bandana/internal/nvm"
 	"bandana/internal/table"
 	"bandana/internal/trace"
 )
@@ -341,4 +343,53 @@ func TestFloatHitAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("on")
+}
+
+// TestFailedEpochAfterRelayoutMovesSeq: an epoch re-lays tables out one
+// install at a time, so one that fails on the second table has already
+// changed the image. The snapshot seq must move and the update-log window
+// reset exactly as after a completed epoch — a follower tailing vector
+// records across the re-layout would otherwise keep an image the primary no
+// longer has — and both tables keep serving every vector.
+func TestFailedEpochAfterRelayoutMovesSeq(t *testing.T) {
+	tables, traces := buildTestTables(t, 2, 1024, 120)
+	blocks := 0
+	for _, tbl := range tables {
+		blocks += tbl.SizeBytes() / nvm.BlockSize
+	}
+	fs := &readFailStore{MemStore: nvm.NewMemStore(blocks)}
+	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 128, Seed: 1,
+		Device: nvm.NewDevice(nvm.DeviceConfig{Store: fs})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.StartAdaptation(AdaptOptions{
+		MinQueries: 16, RelayoutEvery: 1, RelayoutMinGain: 0.01, SHPIterations: 8,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	servePhase(t, s, traces, 0, 120)
+	oldLayout := s.tables[0].loadState().layout
+	oldSeq := s.SnapshotSeq()
+	if _, _, ok := s.UpdatesSince(oldSeq, 0, 0); !ok {
+		t.Fatal("the update-log window does not reach the current seq before the epoch")
+	}
+
+	fs.failFrom.Store(int64(s.tables[1].blockBase)) // table 2's render cannot read its blocks
+	_, err = s.AdaptNow()
+	fs.failFrom.Store(0)
+	if err == nil || !strings.Contains(err.Error(), "injected read failure") {
+		t.Fatalf("AdaptNow = %v, want the injected render failure", err)
+	}
+	if s.tables[0].loadState().layout == oldLayout {
+		t.Fatal("table 0 was not re-laid out before the failure; the test exercises nothing")
+	}
+	if s.SnapshotSeq() <= oldSeq {
+		t.Fatalf("snapshot seq stayed at %d although table 0's re-layout committed", oldSeq)
+	}
+	if _, _, ok := s.UpdatesSince(oldSeq, 0, 0); ok {
+		t.Fatal("the update-log window still spans a committed re-layout")
+	}
+	verifyStoreMatchesTables(t, s, tables)
 }

@@ -153,6 +153,17 @@ func (c *Config) geometry() ([]tableGeom, int, error) {
 	return geoms, total, err
 }
 
+// hrcSampling is the SHARDS spatial sampling rate Train and the adaptation
+// loop use when estimating a table's hit-rate curve for DRAM allocation.
+const hrcSampling = 0.1
+
+// trainParallelism and adaptParallelism bound how many tables Train and an
+// adaptation epoch analyse and tune concurrently.
+const (
+	trainParallelism = 8
+	adaptParallelism = 4
+)
+
 // TrainOptions configures Store.Train.
 type TrainOptions struct {
 	// SHPIterations is the number of refinement iterations per bisection
@@ -170,18 +181,12 @@ type TrainOptions struct {
 	// uses 0.001 at production scale; the default here is 0.01 which suits
 	// the scaled-down tables used in tests and examples.
 	MiniCacheSampling float64
-	// HRCSampling is the spatial sampling rate used when estimating each
-	// table's hit-rate curve for DRAM allocation. Defaults to 0.1.
-	HRCSampling float64
 	// SkipPartitioning keeps the existing (identity) layout and only tunes
 	// caching. Used by ablation experiments.
 	SkipPartitioning bool
 	// SkipThresholdTuning keeps the default threshold (admit nothing) and
 	// only re-partitions.
 	SkipThresholdTuning bool
-	// Parallelism bounds how many tables are trained concurrently.
-	// Defaults to the number of tables.
-	Parallelism int
 }
 
 func (o *TrainOptions) defaults() {
@@ -190,11 +195,5 @@ func (o *TrainOptions) defaults() {
 	}
 	if o.MiniCacheSampling <= 0 {
 		o.MiniCacheSampling = 0.01
-	}
-	if o.HRCSampling <= 0 {
-		o.HRCSampling = 0.1
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = 8
 	}
 }

@@ -427,7 +427,7 @@ func versionOf(vec []float32, id uint32) (int, error) {
 
 // TestCompactionRelayoutExportUnderUpdates runs the interleaving the
 // overlay-before-blocks rule of renderImage exists for: CompactDeltas loops
-// while relayoutTable and ExportSnapshot render images, all under update
+// while installLayout and ExportSnapshot render images, all under update
 // load. Every vector a lookup serves or a snapshot carries must be a whole
 // version of the right vector, no older than the last update that had
 // returned before the read began and no newer than the last that had started
@@ -518,7 +518,7 @@ func TestCompactionRelayoutExportUnderUpdates(t *testing.T) {
 			defer foreground.Done()
 			for i := 0; i < rounds; i++ {
 				s.mutateMu.Lock()
-				err := s.relayoutTable(st, layout.Random(n, st.blockVectors, int64(i)))
+				err := s.installLayout(st, layout.Random(n, st.blockVectors, int64(i)), nil)
 				s.mutateMu.Unlock()
 				if err != nil {
 					t.Error(err)

@@ -181,11 +181,6 @@ func (s *Store) installLayout(st *storeTable, l *layout.Layout, mutate func(*tab
 	return nil
 }
 
-// relayoutTable installs a change of layout alone (adaptation's re-layout).
-func (s *Store) relayoutTable(st *storeTable, l *layout.Layout) error {
-	return s.installLayout(st, l, nil)
-}
-
 // errMigrationRollbackFailed marks an install whose copy AND rollback both
 // failed: the table's on-NVM bytes are suspect and only the staged
 // migration record (redone at the next open) can repair them.

@@ -48,7 +48,7 @@ func usSince(start time.Time) float64 {
 }
 
 // LookupTraced is Lookup with a per-stage latency breakdown accumulated into
-// tr (which must be non-nil).
+// tr; a nil tr is the untraced Lookup.
 func (s *Store) LookupTraced(tableIdx int, id uint32, tr *StageTrace) ([]float32, error) {
 	st, err := s.tableAt(tableIdx)
 	if err != nil {
@@ -58,7 +58,7 @@ func (s *Store) LookupTraced(tableIdx int, id uint32, tr *StageTrace) ([]float32
 }
 
 // LookupBatchTraced is LookupBatch with a per-stage latency breakdown
-// accumulated into tr (which must be non-nil).
+// accumulated into tr; a nil tr is the untraced LookupBatch.
 func (s *Store) LookupBatchTraced(tableIdx int, ids []uint32, tr *StageTrace) ([][]float32, error) {
 	st, err := s.tableAt(tableIdx)
 	if err != nil {
@@ -68,7 +68,8 @@ func (s *Store) LookupBatchTraced(tableIdx int, ids []uint32, tr *StageTrace) ([
 }
 
 // ServeRequestTraced is ServeRequest with a per-stage latency breakdown
-// accumulated into tr (which must be non-nil) across all tables.
+// accumulated into tr across all tables; a nil tr is the untraced
+// ServeRequest.
 func (s *Store) ServeRequestTraced(req Request, tr *StageTrace) ([][][]float32, error) {
 	return s.serveRequest(req, tr)
 }

@@ -83,11 +83,11 @@ func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, e
 	s.mutateMu.Lock()
 	defer s.mutateMu.Unlock()
 
-	// forEachTrained runs fn for every table with a trace, opts.Parallelism
+	// forEachTrained runs fn for every table with a trace, trainParallelism
 	// at a time, and returns the first error in table order.
 	forEachTrained := func(fn func(i int) error) error {
 		errs := make([]error, len(s.tables))
-		sem := make(chan struct{}, opts.Parallelism)
+		sem := make(chan struct{}, trainParallelism)
 		var wg sync.WaitGroup
 		for i := range s.tables {
 			if traces[i] == nil {
@@ -247,7 +247,7 @@ func (s *Store) planTable(i int, tr *trace.Trace, opts TrainOptions, rep *TableT
 	for _, q := range tr.Queries {
 		flat = append(flat, q...)
 	}
-	p.hrc = mrc.SampledStackDistances(flat, opts.HRCSampling).HitRateCurve()
+	p.hrc = mrc.SampledStackDistances(flat, hrcSampling).HitRateCurve()
 	return p, nil
 }
 

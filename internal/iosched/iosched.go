@@ -216,37 +216,39 @@ type Scheduler struct {
 
 // Stats is a snapshot of scheduler counters.
 type Stats struct {
-	// TargetQueueDepth and WindowUS echo the configuration.
-	TargetQueueDepth int
-	WindowUS         float64
+	// TargetQueueDepth and AccumulationWindowUS echo the effective
+	// configuration; always emitted, because window 0 is a meaningful
+	// setting an operator must be able to read back.
+	TargetQueueDepth     int     `json:"targetQueueDepth"`
+	AccumulationWindowUS float64 `json:"accumulationWindowUS"`
 	// DemandReads / PrefetchReads count submitted reads per class
 	// (including coalesced ones).
-	DemandReads   int64
-	PrefetchReads int64
+	DemandReads   int64 `json:"demandReads"`
+	PrefetchReads int64 `json:"prefetchReads"`
 	// DeviceReads counts reads that reached the device (batch members).
-	DeviceReads int64
+	DeviceReads int64 `json:"deviceReads"`
 	// Batches counts device dispatches; AvgBatchSize = DeviceReads/Batches.
-	Batches      int64
-	AvgBatchSize float64
-	MaxBatchSize int64
+	Batches      int64   `json:"batches"`
+	AvgBatchSize float64 `json:"avgBatchSize"`
+	MaxBatchSize int64   `json:"maxBatchSize"`
 	// Coalesced counts reads served by another read's device I/O;
 	// CoalescedLate is the subset that attached after the device read was
 	// already issued.
-	Coalesced     int64
-	CoalescedLate int64
+	Coalesced     int64 `json:"coalesced"`
+	CoalescedLate int64 `json:"coalescedLate"`
 	// Rejected counts reads refused because the scheduler was closed.
-	Rejected int64
+	Rejected int64 `json:"rejected"`
 	// QueuedNow is the instantaneous submission-queue length.
-	QueuedNow int
+	QueuedNow int `json:"queuedNow"`
 	// SimBusyUS is the accumulated simulated device busy time across all
 	// dispatched batches — the denominator of simulated-time throughput.
-	SimBusyUS float64
+	SimBusyUS float64 `json:"simBusyUS"`
 	// QueueWait summarizes wall-clock submission-to-dispatch time per read
 	// (microseconds); Service summarizes simulated device time per
-	// dispatched batch. QueueWait + Service decompose the total miss-path
-	// I/O latency.
-	QueueWait metrics.Snapshot
-	Service   metrics.Snapshot
+	// dispatched batch (its count is Batches, not DeviceReads). QueueWait +
+	// Service decompose the total miss-path I/O latency.
+	QueueWait metrics.Snapshot `json:"queueWaitUS"`
+	Service   metrics.Snapshot `json:"serviceUS"`
 }
 
 // New creates a scheduler over device and starts its dispatcher. Close must
@@ -640,20 +642,20 @@ func (s *Scheduler) Stats() Stats {
 	queued := s.queuedLocked()
 	s.mu.Unlock()
 	st := Stats{
-		TargetQueueDepth: s.cfg.QueueDepth,
-		WindowUS:         float64(s.cfg.Window) / float64(time.Microsecond),
-		DemandReads:      s.submitted[Demand].Load(),
-		PrefetchReads:    s.submitted[Prefetch].Load(),
-		DeviceReads:      s.deviceReads.Load(),
-		Batches:          s.batches.Load(),
-		MaxBatchSize:     s.maxBatch.Load(),
-		Coalesced:        s.coalesced.Load(),
-		CoalescedLate:    s.coalescedLate.Load(),
-		Rejected:         s.rejected.Load(),
-		QueuedNow:        queued,
-		SimBusyUS:        math.Float64frombits(s.simBusyUS.Load()),
-		QueueWait:        s.queueWait.Snapshot(),
-		Service:          s.service.Snapshot(),
+		TargetQueueDepth:     s.cfg.QueueDepth,
+		AccumulationWindowUS: float64(s.cfg.Window) / float64(time.Microsecond),
+		DemandReads:          s.submitted[Demand].Load(),
+		PrefetchReads:        s.submitted[Prefetch].Load(),
+		DeviceReads:          s.deviceReads.Load(),
+		Batches:              s.batches.Load(),
+		MaxBatchSize:         s.maxBatch.Load(),
+		Coalesced:            s.coalesced.Load(),
+		CoalescedLate:        s.coalescedLate.Load(),
+		Rejected:             s.rejected.Load(),
+		QueuedNow:            queued,
+		SimBusyUS:            math.Float64frombits(s.simBusyUS.Load()),
+		QueueWait:            s.queueWait.Snapshot(),
+		Service:              s.service.Snapshot(),
 	}
 	if st.Batches > 0 {
 		st.AvgBatchSize = float64(st.DeviceReads) / float64(st.Batches)

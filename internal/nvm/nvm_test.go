@@ -342,6 +342,10 @@ func TestQueueDepthSweepMonotoneBandwidth(t *testing.T) {
 			t.Fatalf("latency should grow (roughly) with queue depth")
 		}
 	}
+	// Figure 2's point, strictly: depth 8 buys bandwidth over depth 1.
+	if last := rows[len(rows)-1]; last.BandwidthGBs <= rows[0].BandwidthGBs {
+		t.Fatalf("QD8 bandwidth %.3f GB/s not above QD1 %.3f GB/s", last.BandwidthGBs, rows[0].BandwidthGBs)
+	}
 }
 
 func TestThroughputLatencyCurveBaselineVsFull(t *testing.T) {

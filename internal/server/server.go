@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"bandana/internal/core"
+	"bandana/internal/iosched"
 	"bandana/internal/metrics"
 	"bandana/internal/wire"
 )
@@ -312,16 +313,13 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	store := s.store(r)
-	rt := s.reqTrace(r)
-	var vec []float32
-	if tr := stageTrace(rt); tr != nil {
-		var idx int
-		if idx, err = store.TableIndex(tableName); err == nil {
-			vec, err = store.LookupTraced(idx, uint32(id), tr)
-		}
-	} else {
-		vec, err = store.LookupByName(tableName, uint32(id))
+	idx, err := store.TableIndex(tableName)
+	if err != nil {
+		writeError(w, http.StatusNotFound, "%v", err)
+		return
 	}
+	rt := s.reqTrace(r)
+	vec, err := store.LookupTraced(idx, uint32(id), stageTrace(rt))
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
@@ -362,12 +360,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt := s.reqTrace(r)
-	var vecs [][]float32
-	if tr := stageTrace(rt); tr != nil {
-		vecs, err = store.LookupBatchTraced(idx, req.IDs, tr)
-	} else {
-		vecs, err = store.LookupBatch(idx, req.IDs)
-	}
+	vecs, err := store.LookupBatchTraced(idx, req.IDs, stageTrace(rt))
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
@@ -401,13 +394,7 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt := s.reqTrace(r)
-	var out [][][]float32
-	var err error
-	if tr := stageTrace(rt); tr != nil {
-		out, err = s.store(r).ServeRequestTraced(core.Request(req.Lookups), tr)
-	} else {
-		out, err = s.store(r).ServeRequest(core.Request(req.Lookups))
-	}
+	out, err := s.store(r).ServeRequestTraced(core.Request(req.Lookups), stageTrace(rt))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -420,65 +407,13 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 type statsResponse struct {
 	Tables     []core.TableStats    `json:"tables"`
 	Device     deviceStats          `json:"device"`
-	IOSched    ioschedStats         `json:"iosched"`
+	IOSched    iosched.Stats        `json:"iosched"`
 	Wire       wireStats            `json:"wire"`
 	Server     serverStats          `json:"server"`
 	Store      storeStats           `json:"store"`
 	UpdateLog  core.UpdateLogStats  `json:"updateLog"`
 	Runtime    metrics.RuntimeStats `json:"runtime"`
 	Adaptation adaptationStats      `json:"adaptation"`
-}
-
-// ioschedStats is the JSON rendering of the async block I/O scheduler's
-// counters (documented in the README's /v1/stats schema).
-type ioschedStats struct {
-	// TargetQueueDepth and AccumulationWindowUS echo the effective
-	// configuration; they are always emitted (no omitempty) because window 0
-	// is a meaningful setting an operator must be able to read back.
-	TargetQueueDepth     int     `json:"targetQueueDepth"`
-	AccumulationWindowUS float64 `json:"accumulationWindowUS"`
-	// DemandReads/PrefetchReads count submitted reads per priority class.
-	DemandReads   int64 `json:"demandReads"`
-	PrefetchReads int64 `json:"prefetchReads"`
-	// DeviceReads counts reads that reached the device; Batches counts
-	// device dispatches (AvgBatchSize = DeviceReads / Batches).
-	DeviceReads  int64   `json:"deviceReads"`
-	Batches      int64   `json:"batches"`
-	AvgBatchSize float64 `json:"avgBatchSize"`
-	MaxBatchSize int64   `json:"maxBatchSize"`
-	// Coalesced counts reads served from another read's device I/O;
-	// CoalescedLate is the subset that attached after issue.
-	Coalesced     int64 `json:"coalesced"`
-	CoalescedLate int64 `json:"coalescedLate"`
-	// QueuedNow is the instantaneous submission-queue length; SimBusyUS the
-	// accumulated simulated device busy time.
-	QueuedNow int     `json:"queuedNow"`
-	SimBusyUS float64 `json:"simBusyUS"`
-	// QueueWait summarises per-read time spent queued before dispatch;
-	// Service summarises per-dispatch simulated device time (its count is
-	// Batches, not DeviceReads). Both in microseconds.
-	QueueWait metrics.Snapshot `json:"queueWaitUS"`
-	Service   metrics.Snapshot `json:"serviceUS"`
-}
-
-func renderIOSchedStats(store *core.Store) ioschedStats {
-	st, _ := store.IOSchedStats()
-	return ioschedStats{
-		TargetQueueDepth:     st.TargetQueueDepth,
-		AccumulationWindowUS: st.WindowUS,
-		DemandReads:          st.DemandReads,
-		PrefetchReads:        st.PrefetchReads,
-		DeviceReads:          st.DeviceReads,
-		Batches:              st.Batches,
-		AvgBatchSize:         st.AvgBatchSize,
-		MaxBatchSize:         st.MaxBatchSize,
-		Coalesced:            st.Coalesced,
-		CoalescedLate:        st.CoalescedLate,
-		QueuedNow:            st.QueuedNow,
-		SimBusyUS:            st.SimBusyUS,
-		QueueWait:            st.QueueWait,
-		Service:              st.Service,
-	}
 }
 
 // storeStats describes the served store itself (as opposed to its tables or
@@ -597,6 +532,7 @@ type deviceStats struct {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	store := s.store(r)
 	dev := store.DeviceStats()
+	sched, _ := store.IOSchedStats()
 	writeJSON(w, http.StatusOK, statsResponse{
 		Tables: store.Stats(),
 		Device: deviceStats{
@@ -621,7 +557,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Flushes:              dev.Store.Flushes,
 			RecoveredRecords:     dev.Store.RecoveredRecords,
 		},
-		IOSched: renderIOSchedStats(store),
+		IOSched: sched,
 		Wire:    s.renderWireStats(),
 		Server: serverStats{
 			Requests:  s.requests.Value(),
