@@ -102,7 +102,7 @@ func EvenSplitDRAM(demands []TableDemand, totalVectors int) *AllocateResult {
 }
 
 // AdmissionPolicy decides whether (and where in the eviction queue) a
-// prefetched vector is cached. The same implementations drive both the
+// prefetched vector is cached, and where a requested one is. The same implementations drive both the
 // trace simulator (SimulateCache) and the live serving path: install one on
 // a running store with Store.SetAdmissionPolicy. Implementations must be
 // safe for concurrent use.
@@ -122,9 +122,10 @@ func NewShadowAdmission(shadowVectors int, position float64) AdmissionPolicy {
 	return cache.NewShadowAdmit(shadowVectors, position)
 }
 
-// NewThresholdAdmission returns the policy Bandana deploys: admit a
-// prefetched vector only if its training-time access count exceeds the
-// threshold. Store.Train tunes and installs it automatically.
+// NewThresholdAdmission returns the policy Bandana deploys, with its demand
+// gate off: admit a prefetched vector only if its training-time access count
+// exceeds the threshold. Store.Train tunes and installs it, both thresholds,
+// automatically.
 func NewThresholdAdmission(counts []uint32, threshold uint32) AdmissionPolicy {
 	return cache.ThresholdAdmit{Counts: counts, Threshold: threshold}
 }

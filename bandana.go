@@ -67,12 +67,14 @@
 // every acknowledged update intact; a failure while computing leaves the
 // store untouched. Lookups are served throughout.
 //
-// # Prefetch admission policies
+// # Admission policies
 //
 // The admission policies of §4.3 (AlwaysAdmit, ShadowAdmit, ShadowPosition,
 // ThresholdAdmit) are a single set of implementations shared by the trace
 // simulator and the live store. Train installs the tuned ThresholdAdmit
-// automatically; SetAdmissionPolicy swaps in any other policy at runtime.
+// automatically — a prefetch threshold for a block's neighbours and a demand
+// threshold below which a requested vector is cached on probation instead of
+// at the MRU end; SetAdmissionPolicy swaps in any other policy at runtime.
 //
 // The subpackages under internal/ implement the substrates (NVM device
 // model, trace generation, partitioners, cache simulation); this package

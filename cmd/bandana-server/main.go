@@ -286,8 +286,8 @@ func openAndMaybeTrain(cfg core.Config, workload *trace.Workload, train bool, re
 			return nil, err
 		}
 		for _, tr := range report.Tables {
-			log.Printf("  %-10s fanout %.1f -> %.1f, cache %d vectors, threshold %d",
-				tr.Name, tr.InitialFanout, tr.FinalFanout, tr.CacheVectors, tr.Threshold)
+			log.Printf("  %-10s fanout %.1f -> %.1f (floor %.1f), cache %d vectors, %s",
+				tr.Name, tr.InitialFanout, tr.FinalFanout, tr.FanoutFloor, tr.CacheVectors, tr.Thresholds())
 		}
 		log.Printf("training finished in %s", time.Since(start).Round(time.Millisecond))
 		if dir := store.DataDir(); dir != "" {

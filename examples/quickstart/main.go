@@ -81,8 +81,8 @@ func main() {
 	}
 	fmt.Println("\n== training decisions ==")
 	for _, tr := range report.Tables {
-		fmt.Printf("  %-8s fanout %.1f -> %.1f, cache %d vectors, admission threshold %d\n",
-			tr.Name, tr.InitialFanout, tr.FinalFanout, tr.CacheVectors, tr.Threshold)
+		fmt.Printf("  %-8s fanout %.1f -> %.1f (floor %.1f), cache %d vectors, %s\n",
+			tr.Name, tr.InitialFanout, tr.FinalFanout, tr.FanoutFloor, tr.CacheVectors, tr.Thresholds())
 	}
 
 	fmt.Println("\n== after training ==")

@@ -13,19 +13,29 @@ import (
 // request synthetic workload, train on a 60% prefix and serve the 40%
 // suffix. The trained hit ratios are the paper-relevant outcome of the whole
 // pipeline — SHP placement, DRAM allocation, miniature-cache threshold
-// tuning, prefetch admission — so a silent change in any of those layers
-// shows up here. Everything is seeded, so the expected values are exact
+// tuning, prefetch and demand admission — so a silent change in any of those
+// layers shows up here. Everything is seeded, so the expected values are exact
 // today; the tolerance absorbs deliberate small reshuffles (e.g. sharded-LRU
 // eviction order), not policy regressions.
 //
 // Golden values (seed 1, scale 0.001): baseline 0.54/0.48, trained
-// 0.46/0.29 at 6387/14972 block reads. The trained hit ratios sit BELOW the
-// baseline's on purpose: the tuner minimises block reads, not misses, and at
-// these 600-vector caches it picks threshold 0 on both tables — more of each
-// block read is admitted, fewer requested vectors stay resident, and the
-// misses that causes land in blocks the batch already reads. What the paper
-// optimises is therefore pinned beside the hit ratios: trained block reads
-// per table.
+// 0.64/0.59 at 5099/13389 block reads. What the paper optimises is block
+// reads, so they are pinned per table beside the hit ratios. At these
+// 600-vector caches the tuner picks prefetch threshold 10 with demand
+// threshold 12 on table 1 and, on table 2, no prefetching at all with demand
+// threshold 34: keeping the ids training saw often resident is worth more
+// there than anything a block's neighbours bring.
+//
+// Moved on purpose by ISSUE 24, from 0.46/0.29 at 6387/14972 (prefetch
+// threshold 0 on both tables, which admitted so much of every block read
+// that the hit ratios sat below the untrained baseline's):
+//   - SHP splitting on block boundaries (the 10,000-vector tables cut at
+//     n/2 ended in leaves of 19-20 vectors that the 32-vector blocks
+//     straddled): 0.58/0.30 at 5846/14641, thresholds unchanged;
+//   - the demand threshold, tuned at the 64-vector miniature floor:
+//     0.64/0.30 at 5104/14641 (table 1 gated, none found for table 2);
+//   - the miniature floor at 128 vectors, where the tuner finds table 2's
+//     gate and drops its prefetching: 0.64/0.59 at 5099/13389.
 //
 // The goldens must hold bit-for-bit on both backends.
 func TestGoldenQuickstartHitRatios(t *testing.T) {
@@ -95,12 +105,12 @@ func runGoldenQuickstart(t *testing.T, backend string) {
 		t.Fatal(err)
 	}
 	trained := serve()
-	checkHitRate("trained", trained, []float64{0.46, 0.29})
+	checkHitRate("trained", trained, []float64{0.64, 0.59})
 
 	// Training must actually pay off: fewer NVM block reads for the same
 	// workload on every table (the paper's effective-bandwidth win), and the
 	// count itself is a golden (same 2% slack as the hit ratios).
-	for i, want := range []int64{6387, 14972} {
+	for i, want := range []int64{5099, 13389} {
 		if got := trained[i].BlockReads; math.Abs(float64(got-want)) > tol*float64(want) {
 			t.Errorf("trained %s block reads = %d, want %d±%.0f%%", trained[i].Name, got, want, 100*tol)
 		}
@@ -110,8 +120,8 @@ func runGoldenQuickstart(t *testing.T, backend string) {
 			t.Errorf("table %s: block reads did not improve (%d -> %d)",
 				trained[i].Name, baseline[i].BlockReads, trained[i].BlockReads)
 		}
-		if !trained[i].Prefetching {
-			t.Errorf("table %s: training did not enable prefetching", trained[i].Name)
+		if trained[i].Policy == "" {
+			t.Errorf("table %s: training installed no admission policy", trained[i].Name)
 		}
 	}
 }

@@ -2,10 +2,12 @@
 // policies for prefetched vectors studied in §4.3 of the paper.
 //
 // The cache is an LRU queue of vector IDs. Vectors that the application
-// explicitly requested are always cached (at the MRU position); vectors that
-// were merely *prefetched* — co-located in the same 4 KB NVM block as a
-// requested vector — pass through an AdmissionPolicy which decides whether
-// they enter the queue at all and at which position. The paper evaluates:
+// explicitly requested are always cached — an AdmissionPolicy only chooses
+// the queue position they enter at, the MRU end unless training says the
+// vector is cold (ThresholdAdmit's demand threshold); vectors that were
+// merely *prefetched* — co-located in the same 4 KB NVM block as a requested
+// vector — pass through the policy too, which decides whether they enter the
+// queue at all and at which position. The paper evaluates:
 //
 //   - inserting prefetched vectors at a configurable queue position
 //     (Figure 11a),
@@ -22,13 +24,15 @@ import (
 	"bandana/internal/lru"
 )
 
-// AdmissionPolicy decides the fate of prefetched vectors.
+// AdmissionPolicy decides where a vector read from NVM enters the cache: the
+// queue position of a requested one, the fate of a prefetched one.
 //
 // The interface is the contract shared by the trace simulator
 // (internal/sim) and the real serving path (internal/core): both feed the
-// policy the application's access stream via OnAccess and consult
-// AdmitPrefetch for every co-located prefetch candidate, so a policy tuned
-// in simulation behaves identically when installed in the store.
+// policy the application's access stream via OnAccess, ask DemandPosition for
+// every requested vector they fill and consult AdmitPrefetch for every
+// co-located prefetch candidate, so a policy tuned in simulation behaves
+// identically when installed in the store.
 //
 // Because the store serves lookups from many goroutines concurrently,
 // implementations must be safe for concurrent use. The stateless policies
@@ -38,6 +42,12 @@ type AdmissionPolicy interface {
 	// OnAccess is invoked for every application-requested lookup (hit or
 	// miss), allowing stateful policies to observe the true access stream.
 	OnAccess(id uint32)
+	// DemandPosition is invoked for every requested vector that missed and
+	// is about to be cached: the queue position it enters at (0 = MRU end).
+	// A requested vector is always cached and always evicts if the cache is
+	// full; the position only decides how soon it is evicted in turn if
+	// nobody asks for it again (a hit promotes it to MRU like any other).
+	DemandPosition(id uint32) float64
 	// AdmitPrefetch is invoked for every prefetch candidate (a vector
 	// sharing the block of a missed vector). It returns whether to admit
 	// the vector and the queue position to insert it at (0 = MRU end,
@@ -47,9 +57,22 @@ type AdmissionPolicy interface {
 	Name() string
 }
 
+// ProbationPosition is where a requested vector that training says is cold
+// enters the queue: the head of the last segment, whatever the segment count
+// (§4.3.1's insertion-position idea applied to demand fills). It outlives
+// about a sixteenth of the cache's insertions there instead of all of them.
+const ProbationPosition = 1.0
+
+// demandAtMRU is the demand half of every policy that only rules on
+// prefetches: a requested vector enters at the MRU end.
+type demandAtMRU struct{}
+
+// DemandPosition implements AdmissionPolicy.
+func (demandAtMRU) DemandPosition(uint32) float64 { return 0 }
+
 // NoPrefetch never admits prefetched vectors: the baseline policy in which
 // each miss caches only the requested vector.
-type NoPrefetch struct{}
+type NoPrefetch struct{ demandAtMRU }
 
 // OnAccess implements AdmissionPolicy.
 func (NoPrefetch) OnAccess(uint32) {}
@@ -64,6 +87,7 @@ func (NoPrefetch) Name() string { return "no-prefetch" }
 // Position 0 reproduces the naive "treat prefetched vectors like requested
 // ones" policy of Figure 10; other positions reproduce Figure 11a.
 type AlwaysAdmit struct {
+	demandAtMRU
 	Position float64
 }
 
@@ -81,6 +105,7 @@ func (p AlwaysAdmit) Name() string { return "always-admit" }
 // (Figure 11b). Admitted vectors are inserted at Position. Safe for
 // concurrent use: the shadow queue is guarded by an internal mutex.
 type ShadowAdmit struct {
+	demandAtMRU
 	mu       sync.Mutex
 	Shadow   *lru.Shadow[uint32]
 	Position float64
@@ -114,6 +139,7 @@ func (p *ShadowAdmit) Name() string { return "shadow-admit" }
 // position based on the shadow cache: shadow hits go to the MRU end, shadow
 // misses to AltPosition (Figure 11c). Safe for concurrent use.
 type ShadowPosition struct {
+	demandAtMRU
 	mu          sync.Mutex
 	Shadow      *lru.Shadow[uint32]
 	AltPosition float64
@@ -145,19 +171,37 @@ func (p *ShadowPosition) AdmitPrefetch(id uint32) (bool, float64) {
 // Name implements AdmissionPolicy.
 func (p *ShadowPosition) Name() string { return "shadow-position" }
 
-// ThresholdAdmit admits a prefetched vector only if it was accessed more
-// than Threshold times during the SHP training run (Figure 12). This is the
-// policy Bandana deploys; the threshold is tuned per table and cache size by
-// miniature-cache simulation (§4.3.3).
+// ThresholdAdmit is the policy Bandana deploys: one judgement — how often
+// training saw the vector — with two thresholds, both tuned per table and
+// cache size by miniature-cache simulation (§4.3.3). A prefetched vector is
+// admitted only if it was accessed more than Threshold times during the SHP
+// training run (Figure 12). A requested vector accessed fewer than
+// DemandThreshold times enters at ProbationPosition instead of the MRU end,
+// so an id training never or hardly saw cannot push out, on one touch, ids it
+// saw dozens of times; the zero DemandThreshold gates nothing.
 type ThresholdAdmit struct {
 	// Counts[id] is the number of training queries that contained id.
-	Counts    []uint32
-	Threshold uint32
-	Position  float64
+	Counts          []uint32
+	Threshold       uint32
+	DemandThreshold uint32
+	Position        float64
 }
 
 // OnAccess implements AdmissionPolicy.
 func (ThresholdAdmit) OnAccess(uint32) {}
+
+// DemandPosition implements AdmissionPolicy. An id beyond Counts was never
+// seen in training.
+func (p ThresholdAdmit) DemandPosition(id uint32) float64 {
+	var count uint32
+	if int(id) < len(p.Counts) {
+		count = p.Counts[id]
+	}
+	if count < p.DemandThreshold {
+		return ProbationPosition
+	}
+	return 0
+}
 
 // AdmitPrefetch implements AdmissionPolicy.
 func (p ThresholdAdmit) AdmitPrefetch(id uint32) (bool, float64) {

@@ -89,6 +89,63 @@ func TestThresholdAdmitPolicy(t *testing.T) {
 	}
 }
 
+// TestThresholdAdmitDemandPosition: a requested vector seen fewer than
+// DemandThreshold times in training enters on probation, any other at the MRU
+// end, and the zero threshold gates nothing — not even ids training never
+// saw.
+func TestThresholdAdmitDemandPosition(t *testing.T) {
+	counts := []uint32{0, 3, 10, 25}
+	p := ThresholdAdmit{Counts: counts, Threshold: 5, DemandThreshold: 10}
+	for id, want := range []float64{ProbationPosition, ProbationPosition, 0, 0} {
+		if got := p.DemandPosition(uint32(id)); got != want {
+			t.Errorf("count %d under demand threshold 10: position %v, want %v", counts[id], got, want)
+		}
+	}
+	if got := p.DemandPosition(99); got != ProbationPosition {
+		t.Errorf("an id beyond the counts was never seen in training: position %v, want probation", got)
+	}
+	ungated := ThresholdAdmit{Counts: counts, Threshold: 5}
+	for _, id := range []uint32{0, 1, 99} {
+		if got := ungated.DemandPosition(id); got != 0 {
+			t.Errorf("demand threshold 0 put id %d at %v", id, got)
+		}
+	}
+	for _, other := range []AdmissionPolicy{NoPrefetch{}, AlwaysAdmit{Position: 0.5}, NewShadowAdmit(4, 0), NewShadowPosition(4, 0.5)} {
+		if got := other.DemandPosition(0); got != 0 {
+			t.Errorf("%s fills a requested vector at %v, want the MRU end", other.Name(), got)
+		}
+	}
+}
+
+// TestProbationIsTheLastSegment: the probation position is the head of the
+// queue's last segment, so a probation fill is the next-but-|last segment|
+// eviction, a hit promotes it like any other entry, and it never keeps the
+// cache from evicting.
+func TestProbationIsTheLastSegment(t *testing.T) {
+	c := NewCache(32) // 16 segments of 2
+	for id := uint32(0); id < 32; id++ {
+		c.Insert(id, 0)
+	}
+	c.Insert(100, ProbationPosition) // evicts 0, the LRU id; 1 is now the tail
+	if c.Contains(0) || !c.Contains(100) || c.Len() != 32 {
+		t.Fatalf("probation fill into a full cache: holds 0 %v, holds 100 %v, len %d", c.Contains(0), c.Contains(100), c.Len())
+	}
+	c.Insert(101, ProbationPosition) // evicts 1; the last segment is now 101, 100
+	c.Insert(102, 0)                 // cascades 3 in front of them and evicts 100
+	if c.Contains(100) || !c.Contains(101) {
+		t.Fatalf("after two more fills: holds 100 %v, holds 101 %v", c.Contains(100), c.Contains(101))
+	}
+	if !c.Touch(101) {
+		t.Fatal("101 should be resident")
+	}
+	for id := uint32(200); id < 216; id++ { // 16 more fills: a probation entry would be long gone
+		c.Insert(id, 0)
+	}
+	if !c.Contains(101) {
+		t.Fatal("a hit should have promoted the probation entry to the MRU end")
+	}
+}
+
 func TestCacheLimited(t *testing.T) {
 	c := NewCache(2)
 	if c.Unlimited() {

@@ -242,9 +242,10 @@ type TableAdaptReport struct {
 	Adapted bool
 	// CacheVectors is the DRAM allocation after this epoch.
 	CacheVectors int
-	// Threshold and MiniatureGain mirror TableTrainReport.
-	Threshold     uint32
-	MiniatureGain float64
+	// Threshold, DemandThreshold and MiniatureGain mirror TableTrainReport.
+	Threshold       uint32
+	DemandThreshold uint32
+	MiniatureGain   float64
 	// Relayout reports whether the table's blocks were migrated this epoch;
 	// FanoutBefore/FanoutAfter are measured on the recorded queries.
 	Relayout         bool
@@ -447,6 +448,7 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 				applyChoice(ts, analyses[i].counts, choice, opts.MinPrefetchGain)
 			})
 			report.Tables[i].Threshold = choice.Threshold
+			report.Tables[i].DemandThreshold = choice.DemandThreshold
 			report.Tables[i].MiniatureGain = choice.MiniatureGain
 		}(i, st)
 	}
@@ -549,10 +551,12 @@ type TableAdaptationStats struct {
 	EpochLookups int64
 	EpochHits    int64
 	EpochHitRate float64
-	// CacheVectors, Threshold and Prefetching mirror the live config.
-	CacheVectors int
-	Threshold    uint32
-	Prefetching  bool
+	// CacheVectors, Threshold, DemandThreshold and Prefetching mirror the
+	// live config.
+	CacheVectors    int
+	Threshold       uint32
+	DemandThreshold uint32
+	Prefetching     bool
 	// RecordedQueries is the current recorder fill.
 	RecordedQueries int
 	// Relayouts counts this table's completed background migrations.
@@ -585,13 +589,14 @@ func (s *Store) AdaptationStats() AdaptationStats {
 	for i, st := range s.tables {
 		state := st.loadState()
 		ts := TableAdaptationStats{
-			Name:         st.name,
-			EpochLookups: st.lookups.Value() - a.baseLookups[i],
-			EpochHits:    st.hits.Value() - a.baseHits[i],
-			CacheVectors: state.cacheCap,
-			Threshold:    state.threshold,
-			Prefetching:  state.prefetch,
-			Relayouts:    a.tableRelayouts[i],
+			Name:            st.name,
+			EpochLookups:    st.lookups.Value() - a.baseLookups[i],
+			EpochHits:       st.hits.Value() - a.baseHits[i],
+			CacheVectors:    state.cacheCap,
+			Threshold:       state.threshold,
+			DemandThreshold: state.demandThreshold,
+			Prefetching:     state.prefetch,
+			Relayouts:       a.tableRelayouts[i],
 		}
 		if r := st.recorder.Load(); r != nil {
 			ts.RecordedQueries = r.Len()

@@ -393,3 +393,105 @@ func TestFailedEpochAfterRelayoutMovesSeq(t *testing.T) {
 	}
 	verifyStoreMatchesTables(t, s, tables)
 }
+
+// TestDemandGateUnderDrift bounds what the demand threshold costs when the
+// counts it reads go stale, and shows one adaptation epoch repairs it. Two
+// stores are trained alike on phase 0 of a drifting workload (the hot
+// communities rotate at the phase boundary); one then has its demand
+// threshold stripped, which is the only difference between them (it keeps
+// the prefetch verdict the tuner reached with the gate in hand). Serving
+// phase 1 with phase-0 counts, the gated store may read at most 6% more
+// blocks than the ungated one; after one AdaptNow over that traffic (the
+// ungated store is adapted too and stripped again) it reads no more.
+func TestDemandGateUnderDrift(t *testing.T) {
+	const phase = 800 // queries per drift phase
+	profiles := trace.DriftProfiles(0.001, phase)[:2]
+	traces := make([]*trace.Trace, len(profiles))
+	trains := make([]*trace.Trace, len(profiles))
+	for i, p := range profiles {
+		traces[i] = trace.GenerateTable(p, 2*phase)
+		trains[i] = traces[i].Prefix(phase)
+	}
+	open := func(gated bool) *Store {
+		tables := make([]*table.Table, len(profiles))
+		for i, p := range profiles {
+			tables[i] = table.Generate(p.Name, table.GenerateOptions{
+				NumVectors: p.NumVectors, Dim: 64, NumClusters: p.NumVectors / 64,
+				Seed: int64(i), Assignments: trace.CommunityAssignment(p),
+			}).Table
+		}
+		cfg := Config{Tables: tables, DRAMBudgetVectors: 1200, Seed: 1}
+		if gated {
+			cfg = testBackendConfig(t, cfg)
+		}
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		if _, err := s.Train(trains, TrainOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.StartAdaptation(AdaptOptions{MinQueries: 32}); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	strip := func(s *Store) {
+		for _, st := range s.tables {
+			forceDemandThreshold(st, 0)
+		}
+	}
+	blockReads := func(s *Store) (reads, probation int64) {
+		for _, st := range s.Stats() {
+			reads += st.BlockReads
+			probation += st.ProbationFills
+		}
+		return reads, probation
+	}
+	gated, ungated := open(true), open(false)
+	strip(ungated)
+	gates := 0
+	for _, st := range gated.Stats() {
+		if st.DemandThreshold > 0 {
+			gates++
+		}
+	}
+	if gates == 0 {
+		t.Fatal("training gated no table: nothing to bound")
+	}
+
+	// Phase 1, first half, on phase-0 counts.
+	for _, s := range []*Store{gated, ungated} {
+		s.ResetStats()
+		servePhase(t, s, traces, phase, phase+phase/2)
+	}
+	stale, probation := blockReads(gated)
+	plain, _ := blockReads(ungated)
+	t.Logf("stale counts: gated %d block reads (%d probation fills), ungated %d (%+.1f%%)",
+		stale, probation, plain, 100*(float64(stale)/float64(plain)-1))
+	if probation == 0 {
+		t.Fatal("the gate put nothing on probation")
+	}
+	if float64(stale) > 1.06*float64(plain) {
+		t.Errorf("stale counts cost the gated store %d block reads, over 1.06 x the ungated store's %d", stale, plain)
+	}
+
+	// One epoch over that traffic refreshes the counts the gate reads.
+	for _, s := range []*Store{gated, ungated} {
+		if _, err := s.AdaptNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	strip(ungated)
+	for _, s := range []*Store{gated, ungated} {
+		s.ResetStats()
+		servePhase(t, s, traces, phase+phase/2, 2*phase)
+	}
+	fresh, _ := blockReads(gated)
+	plain, _ = blockReads(ungated)
+	t.Logf("after AdaptNow: gated %d block reads, ungated %d (%+.1f%%)", fresh, plain, 100*(float64(fresh)/float64(plain)-1))
+	if fresh > plain {
+		t.Errorf("after one adaptation epoch the gated store reads %d blocks, the ungated one %d", fresh, plain)
+	}
+}

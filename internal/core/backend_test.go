@@ -125,7 +125,7 @@ func TestCrossBackendStoreEquivalence(t *testing.T) {
 		if ms[i].HitRate != fs[i].HitRate {
 			t.Fatalf("table %s hit ratio diverges: %v vs %v", ms[i].Name, ms[i].HitRate, fs[i].HitRate)
 		}
-		if ms[i].Threshold != fs[i].Threshold || ms[i].Prefetching != fs[i].Prefetching {
+		if ms[i].Threshold != fs[i].Threshold || ms[i].DemandThreshold != fs[i].DemandThreshold || ms[i].Prefetching != fs[i].Prefetching {
 			t.Fatalf("table %s trained state diverges", ms[i].Name)
 		}
 	}
@@ -235,8 +235,8 @@ func TestFileBackendReopenServesWithoutRetraining(t *testing.T) {
 		if rs[i].Policy != "threshold-admit" {
 			t.Fatalf("table %s: policy %q after reopen", rs[i].Name, rs[i].Policy)
 		}
-		if rs[i].Threshold != report.Tables[i].Threshold {
-			t.Fatalf("table %s: reopened threshold differs from training report", rs[i].Name)
+		if rs[i].Threshold != report.Tables[i].Threshold || rs[i].DemandThreshold != report.Tables[i].DemandThreshold {
+			t.Fatalf("table %s: reopened thresholds differ from training report", rs[i].Name)
 		}
 	}
 	if got := r.DeviceStats().Store.Backend; got != "file" {
@@ -509,8 +509,8 @@ func TestFileBackendRejectsCorruptState(t *testing.T) {
 	}
 }
 
-// State files of versions 1 (no CRC trailer) and 2 (no tuner prediction) are
-// no longer read: the decoder names the version instead of guessing at a
+// State files of versions 1 (no CRC trailer), 2 (no tuner prediction) and 3
+// (no demand threshold) are not read: the decoder names the version instead of guessing at a
 // layout nothing writes any more.
 func TestOlderStateVersionsRejected(t *testing.T) {
 	tables, _ := buildTestTables(t, 1, 256, 5)
@@ -526,7 +526,7 @@ func TestOlderStateVersionsRejected(t *testing.T) {
 	if buf.Bytes()[len(stateMagic)] != stateVersion {
 		t.Fatalf("unexpected version byte %d", buf.Bytes()[len(stateMagic)])
 	}
-	for _, version := range []byte{1, 2, stateVersion + 1} {
+	for _, version := range []byte{1, 2, 3, stateVersion + 1} {
 		// The version varint is the single byte right after the 8-byte
 		// magic; re-seal so only the version is wrong.
 		old := append([]byte(nil), buf.Bytes()[:buf.Len()-4]...)

@@ -49,6 +49,15 @@ func buildTestTables(t testing.TB, numTables, vectorsPerTable, queries int) ([]*
 	return tables, traces
 }
 
+// forceDemandThreshold sets one table's demand threshold the way a tuner
+// verdict would, for tests that need a gate whatever the tuner found.
+func forceDemandThreshold(st *storeTable, demand uint32) {
+	st.mutateState(func(ts *tableState) {
+		ts.demandThreshold = demand
+		ts.setThresholdPolicy()
+	})
+}
+
 func TestOpenValidation(t *testing.T) {
 	if _, err := Open(Config{}); err == nil {
 		t.Fatal("empty config should error")
@@ -205,6 +214,11 @@ func TestTrainEnablesPrefetchingAndImprovesEffectiveBandwidth(t *testing.T) {
 		if tr.FinalFanout > tr.InitialFanout {
 			t.Fatalf("table %d: SHP made fanout worse (%.2f -> %.2f)", i, tr.InitialFanout, tr.FinalFanout)
 		}
+		// ~20 ids a query in 32-vector blocks: perfect packing is one block
+		// a query, now and then two.
+		if tr.FanoutFloor < 1 || tr.FanoutFloor > 1.5 || tr.FanoutFloor > tr.FinalFanout {
+			t.Fatalf("table %d: packing bound %.3f under a final fanout of %.2f", i, tr.FanoutFloor, tr.FinalFanout)
+		}
 		if tr.CacheVectors <= 0 {
 			t.Fatalf("table %d: no DRAM allocated", i)
 		}
@@ -290,8 +304,10 @@ func TestTrainSkipOptions(t *testing.T) {
 
 // TestTrainTurnsPrefetchingOffWhenTunerSaysOff: when every candidate
 // threshold loses to no-prefetch, Train must serve prefetch-free exactly as
-// AdaptNow does — no policy installed, Prefetching false — instead of an
-// admit-nothing policy that still walks every block read's members.
+// AdaptNow does — Prefetching false, so no block read walks its members —
+// instead of an admit-nothing policy that still does. A hot set under a
+// one-touch scan is also the demand threshold's textbook case, so the policy
+// that stays installed is the gate alone.
 func TestTrainTurnsPrefetchingOffWhenTunerSaysOff(t *testing.T) {
 	// One hot vector per block (identity layout, partitioning skipped) plus
 	// a scan that touches every other vector once: each block read offers 31
@@ -337,8 +353,12 @@ func TestTrainTurnsPrefetchingOffWhenTunerSaysOff(t *testing.T) {
 		}
 	}
 	st := s.Stats()[0]
-	if st.Prefetching || st.Policy != "" || st.PrefetchAdds != 0 {
-		t.Fatalf("prefetching must be off: Prefetching=%v Policy=%q PrefetchAdds=%d", st.Prefetching, st.Policy, st.PrefetchAdds)
+	if st.Prefetching || st.PrefetchAdds != 0 {
+		t.Fatalf("prefetching must be off: Prefetching=%v PrefetchAdds=%d", st.Prefetching, st.PrefetchAdds)
+	}
+	if st.DemandThreshold == 0 || st.DemandThreshold != rep.Tables[0].DemandThreshold || st.ProbationFills == 0 || st.Policy == "" {
+		t.Fatalf("the scan should be gated: DemandThreshold=%d (report %d) ProbationFills=%d Policy=%q",
+			st.DemandThreshold, rep.Tables[0].DemandThreshold, st.ProbationFills, st.Policy)
 	}
 	if st.PredictedHitRate <= 0 || st.PredictedLookupsPerBlockRead < 1 {
 		t.Fatalf("the no-prefetch prediction should be kept: %.3f / %.3f", st.PredictedHitRate, st.PredictedLookupsPerBlockRead)

@@ -10,8 +10,9 @@ import (
 )
 
 // trainedDirFiles trains a small file-backed store in a temp dir and returns
-// the migration.bnd its last install committed and the state.bnd it ended on:
-// real bytes for the two decoders every Train's crash recovery depends on.
+// the migration.bnd its last install committed and the state.bnd it ended on,
+// persisted once more with a demand threshold set on every table: real bytes
+// for the two decoders every Train's crash recovery depends on.
 func trainedDirFiles(f *testing.F) (migration, state []byte) {
 	tables, traces := buildTestTables(f, 2, 256, 20)
 	dir := filepath.Join(f.TempDir(), "store")
@@ -29,6 +30,12 @@ func trainedDirFiles(f *testing.F) (migration, state []byte) {
 	}
 	defer func() { migrationCrashHook = nil }()
 	if _, err := s.Train(traces, TrainOptions{SHPIterations: 2, MiniCacheSampling: 0.5}); err != nil {
+		f.Fatal(err)
+	}
+	for _, st := range s.tables {
+		forceDemandThreshold(st, 2)
+	}
+	if err := s.Persist(); err != nil {
 		f.Fatal(err)
 	}
 	if state, err = os.ReadFile(filepath.Join(dir, StateFileName)); err != nil {

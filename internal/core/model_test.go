@@ -162,6 +162,23 @@ func (m *storeModel) train() {
 	if _, err := m.s.Train(traces, opts); err != nil {
 		m.t.Fatal(err)
 	}
+	// Half the trainings end with the demand gate on, whatever the tuner made
+	// of these few queries, so probation fills meet every operation the model
+	// mixes and the saved states carry the threshold through LoadState and
+	// reopen.
+	if m.rng.Intn(2) == 0 {
+		for tbl, tr := range traces {
+			if tr == nil {
+				continue
+			}
+			forceDemandThreshold(m.s.tables[tbl], 1+uint32(m.rng.Intn(4)))
+		}
+		if m.s.dataDir != "" {
+			if err := m.s.Persist(); err != nil {
+				m.t.Fatal(err)
+			}
+		}
+	}
 	var state bytes.Buffer
 	if err := m.s.SaveState(&state); err != nil {
 		m.t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 
-	"bandana/internal/cache"
 	"bandana/internal/layout"
 	"bandana/internal/sim"
 )
@@ -17,26 +16,26 @@ import (
 // Training a store (SHP partitioning + threshold tuning) is expensive and in
 // production happens offline, on a schedule decoupled from serving. SaveState
 // and LoadState persist the trained state — per-table placement order, access
-// counts, admission threshold (with the tuner's prediction for it) and cache
-// allocation — so that a freshly opened store can adopt a previous training
-// run without repeating it.
+// counts, the two admission thresholds (with the tuner's prediction for them)
+// and cache allocation — so that a freshly opened store can adopt a previous
+// training run without repeating it.
 
 const stateMagic = "BNDSTATE"
 
-// stateVersion 3 is the only one read or written: per table the placement
-// order, access counts, threshold, prefetch flag, cache allocation and the
-// tuner's prediction for the threshold it chose (hit ratio and lookups per
-// block read, as float64 bits), then a CRC-32C trailer over the whole payload
-// so a corrupted-but-decodable file (e.g. bit rot flipping a varint into
-// another valid permutation) fails loudly at load instead of silently serving
-// wrong vectors after a reopen.
-const stateVersion = 3
+// stateVersion 4 is the only one read or written: per table the placement
+// order, access counts, prefetch threshold, demand threshold, prefetch flag,
+// cache allocation and the tuner's prediction for the thresholds it chose
+// (hit ratio and lookups per block read, as float64 bits), then a CRC-32C
+// trailer over the whole payload so a corrupted-but-decodable file (e.g. bit
+// rot flipping a varint into another valid permutation) fails loudly at load
+// instead of silently serving wrong vectors after a reopen.
+const stateVersion = 4
 
 // SaveState serialises the store's trained state (placements, access counts,
 // thresholds, cache allocations). Embedding values are not included: they
 // belong to the model checkpoint, not to Bandana. Custom admission policies
 // installed with SetAdmissionPolicy are not persisted either — only the
-// threshold policy's inputs (counts + threshold) survive a round trip;
+// threshold policy's inputs (counts + thresholds) survive a round trip;
 // LoadState disables prefetching when they are absent.
 func (s *Store) SaveState(w io.Writer) error {
 	h := crc32.New(manifestCRCTable)
@@ -69,6 +68,7 @@ func (s *Store) SaveState(w io.Writer) error {
 		order := state.layout.Order()
 		counts := state.counts
 		threshold := state.threshold
+		demandThreshold := state.demandThreshold
 		prefetch := state.prefetch
 		cacheCap := state.cacheCap
 
@@ -92,6 +92,9 @@ func (s *Store) SaveState(w io.Writer) error {
 			}
 		}
 		if err := writeUvarint(uint64(threshold)); err != nil {
+			return err
+		}
+		if err := writeUvarint(uint64(demandThreshold)); err != nil {
 			return err
 		}
 		var pf uint64
@@ -144,13 +147,14 @@ func (c *crcByteReader) ReadByte() (byte, error) {
 
 // savedTable is one table's decoded trained state.
 type savedTable struct {
-	name      string
-	order     []uint32
-	counts    []uint32
-	threshold uint32
-	prefetch  bool
-	cacheCap  int
-	predicted sim.Prediction
+	name            string
+	order           []uint32
+	counts          []uint32
+	threshold       uint32
+	demandThreshold uint32
+	prefetch        bool
+	cacheCap        int
+	predicted       sim.Prediction
 }
 
 // decodeSavedStates parses a SaveState stream into per-table entries without
@@ -239,6 +243,11 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 			return nil, err
 		}
 		sv.threshold = uint32(threshold)
+		demandThreshold, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, err
+		}
+		sv.demandThreshold = uint32(demandThreshold)
 		prefetch, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, err
@@ -281,19 +290,20 @@ func (st *storeTable) applySaved(sv savedTable) func(*tableState) {
 	return func(ts *tableState) {
 		ts.counts = sv.counts
 		ts.threshold = sv.threshold
+		ts.demandThreshold = sv.demandThreshold
 		ts.predicted = sv.predicted
 		// Only the threshold policy is persistable (the state format stores
-		// counts + threshold, not arbitrary policy objects). A saved state
+		// counts + thresholds, not arbitrary policy objects). A saved state
 		// with prefetching on but no counts — e.g. a store that was running
 		// a custom policy installed via SetAdmissionPolicy — would reload as
-		// a policy that never admits anything, so disable prefetching
+		// a policy that never admits anything (and a demand gate without
+		// counts would put every fill on probation), so disable both
 		// instead of installing an inert one.
 		ts.prefetch = sv.prefetch && len(sv.counts) > 0
-		if ts.prefetch {
-			ts.policy = cache.ThresholdAdmit{Counts: sv.counts, Threshold: sv.threshold}
-		} else {
-			ts.policy = nil
+		if len(sv.counts) == 0 {
+			ts.demandThreshold = 0
 		}
+		ts.setThresholdPolicy()
 		if sv.cacheCap > 0 {
 			st.freshCache(ts, sv.cacheCap)
 		}

@@ -24,6 +24,9 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 	if _, err := s1.Train(trains, TrainOptions{SHPIterations: 6, MiniCacheSampling: 0.5}); err != nil {
 		t.Fatal(err)
 	}
+	// Whatever the tuner found, the round trip must carry a demand threshold
+	// that is set.
+	forceDemandThreshold(s1.tables[0], 3)
 	var buf bytes.Buffer
 	if err := s1.SaveState(&buf); err != nil {
 		t.Fatal(err)
@@ -62,6 +65,10 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 		if st1[i].Threshold != st2[i].Threshold {
 			t.Fatalf("table %d: threshold %d != %d", i, st1[i].Threshold, st2[i].Threshold)
 		}
+		if st1[i].DemandThreshold != st2[i].DemandThreshold || st1[i].ProbationFills != st2[i].ProbationFills {
+			t.Fatalf("table %d: demand threshold %d (%d probation fills) restored as %d (%d)", i,
+				st1[i].DemandThreshold, st1[i].ProbationFills, st2[i].DemandThreshold, st2[i].ProbationFills)
+		}
 		if st1[i].CacheVectors != st2[i].CacheVectors {
 			t.Fatalf("table %d: cache %d != %d", i, st1[i].CacheVectors, st2[i].CacheVectors)
 		}
@@ -75,6 +82,10 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 			t.Fatalf("table %d: block reads %d != %d (placement not restored faithfully)",
 				i, st1[i].BlockReads, st2[i].BlockReads)
 		}
+	}
+
+	if st2[0].DemandThreshold != 3 || st2[0].ProbationFills == 0 {
+		t.Fatalf("table 0: demand threshold 3 restored as %d, %d probation fills", st2[0].DemandThreshold, st2[0].ProbationFills)
 	}
 
 	// Data integrity: restored placement still returns the right vectors.

@@ -618,7 +618,16 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 			rawOut = append(rawOut, buf[slot*st.vecBytes:(slot+1)*st.vecBytes]...)
 			rawCopy := rawOut[off:len(rawOut):len(rawOut)]
 			out[ref.pos] = rawCopy
-			ts.cache.AddAtGuard(ref.id, rawCopy, 0, false, &st.epoch, epoch)
+			// A requested vector is always cached; the policy only picks
+			// where it enters the queue (probation for an id training says
+			// is cold).
+			var pos float64
+			if ts.policy != nil {
+				pos = ts.policy.DemandPosition(ref.id)
+			}
+			if ts.cache.AddAtGuard(ref.id, rawCopy, pos, false, &st.epoch, epoch) && pos > 0 {
+				st.probationFills.Inc(hashID(ref.id))
+			}
 		}
 		if ts.prefetch && ts.policy != nil {
 			members = ts.layout.BlockMembers(block, members[:0])

@@ -39,6 +39,7 @@ func TestSnapshotRoundTripServesIdenticalVectors(t *testing.T) {
 	if _, err := src.Train(traces, TrainOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	forceDemandThreshold(src.tables[0], 4) // a gate to carry, whatever the tuner found
 
 	rep := openSnapshotReplica(t, src)
 	if !rep.ReadOnly() {
@@ -63,10 +64,13 @@ func TestSnapshotRoundTripServesIdenticalVectors(t *testing.T) {
 	// The replica also restored the trained metadata, not just the bytes.
 	ss, rs := src.Stats(), rep.Stats()
 	for i := range ss {
-		if ss[i].Threshold != rs[i].Threshold || ss[i].Prefetching != rs[i].Prefetching {
-			t.Fatalf("table %s: trained state not replicated (threshold %d/%d prefetch %v/%v)",
-				ss[i].Name, ss[i].Threshold, rs[i].Threshold, ss[i].Prefetching, rs[i].Prefetching)
+		if ss[i].Threshold != rs[i].Threshold || ss[i].DemandThreshold != rs[i].DemandThreshold || ss[i].Prefetching != rs[i].Prefetching {
+			t.Fatalf("table %s: trained state not replicated (threshold %d/%d demand threshold %d/%d prefetch %v/%v)",
+				ss[i].Name, ss[i].Threshold, rs[i].Threshold, ss[i].DemandThreshold, rs[i].DemandThreshold, ss[i].Prefetching, rs[i].Prefetching)
 		}
+	}
+	if rs[0].DemandThreshold != 4 {
+		t.Fatalf("replica's demand threshold is %d, the primary's 4", rs[0].DemandThreshold)
 	}
 }
 

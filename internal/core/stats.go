@@ -25,6 +25,9 @@ type TableStats struct {
 	CoalescedReads int64
 	PrefetchAdds   int64
 	PrefetchHits   int64
+	// ProbationFills counts requested vectors the demand threshold cached on
+	// probation instead of at the MRU end.
+	ProbationFills int64
 	CacheVectors   int
 	CacheUsed      int
 	CacheShards    int
@@ -43,23 +46,29 @@ type TableStats struct {
 	CacheLimboSlots       int
 	// DRAM attributes the table's resident heap to the structures that hold
 	// it, computed from their lengths.
-	DRAM        TableDRAM
-	Threshold   uint32
-	Prefetching bool
+	DRAM TableDRAM
+	// Threshold and DemandThreshold are the two thresholds on a vector's
+	// training count: a prefetched vector is admitted when its count exceeds
+	// Threshold (while Prefetching), a requested one enters the cache on
+	// probation when its count is below DemandThreshold (0: no gate).
+	Threshold       uint32
+	DemandThreshold uint32
+	Prefetching     bool
 	// LayoutInstalls counts the layout installs this table completed (one
 	// per Train or LoadState that covered it, one per adaptation re-layout).
 	LayoutInstalls int64
 	// PredictedHitRate and PredictedLookupsPerBlockRead are what the
-	// miniature cache that chose Threshold/Prefetching expected (0 until a
-	// tuner has run, or after SetAdmissionPolicy). The tuner replays the
-	// store's own batch algorithm, so a gap to the observed HitRate and
-	// Lookups/BlockReads means the workload drifted from the tuning trace
-	// (or, below a few hundred cached vectors, miniature-cache noise), not
-	// that the model differs from the store.
+	// miniature cache that chose Threshold/DemandThreshold/Prefetching
+	// expected of exactly that configuration (0 until a tuner has run, or
+	// after SetAdmissionPolicy). The tuner replays the store's own batch
+	// algorithm, so a gap to the observed HitRate and Lookups/BlockReads
+	// means the workload drifted from the tuning trace (or, below a few
+	// hundred cached vectors, miniature-cache noise), not that the model
+	// differs from the store.
 	PredictedHitRate             float64
 	PredictedLookupsPerBlockRead float64
-	// Policy names the admission policy currently serving prefetches
-	// (empty when prefetching is off).
+	// Policy names the installed admission policy (empty when prefetching
+	// is off and no demand gate is set).
 	Policy string
 	// EffectiveBandwidth is the fraction of NVM-read bytes delivered to the
 	// application: lookups served from NVM reads (misses + prefetch hits)
@@ -113,8 +122,10 @@ func (s *Store) Stats() []TableStats {
 			CoalescedReads:   st.coalescedReads.Value(),
 			PrefetchAdds:     st.prefetchAdds.Value(),
 			PrefetchHits:     st.prefetchHits.Value(),
+			ProbationFills:   st.probationFills.Value(),
 			CacheVectors:     state.cacheCap,
 			Threshold:        state.threshold,
+			DemandThreshold:  state.demandThreshold,
 			Prefetching:      state.prefetch,
 			LayoutInstalls:   st.layoutInstalls.Load(),
 			Latency:          st.lookupLatency.Snapshot(),
@@ -173,6 +184,7 @@ func (s *Store) ResetStats() {
 		st.coalescedReads.Reset()
 		st.prefetchAdds.Reset()
 		st.prefetchHits.Reset()
+		st.probationFills.Reset()
 		st.lookupLatency.Reset()
 		st.probeLatency.Reset()
 		st.queueWaitLatency.Reset()

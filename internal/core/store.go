@@ -138,7 +138,12 @@ type tableState struct {
 	counts    []uint32 // per-vector access counts from the training trace
 	threshold uint32   // prefetch admission threshold (counts must exceed it)
 	prefetch  bool     // whether prefetching is enabled (set by Train)
-	policy    cache.AdmissionPolicy
+	// demandThreshold gates requested vectors: one whose count is below it is
+	// cached on probation instead of at the MRU end (0: no gate).
+	demandThreshold uint32
+	// policy is nil when it has nothing to decide: prefetching off and no
+	// demand gate.
+	policy cache.AdmissionPolicy
 	// predicted is what the miniature cache that chose threshold/prefetch
 	// expects this table to serve (zero until a tuner has run); the live
 	// counterparts are hits/lookups and lookups/blockReads.
@@ -205,6 +210,7 @@ type storeTable struct {
 	coalescedReads *metrics.StripedCounter
 	prefetchAdds   *metrics.StripedCounter
 	prefetchHits   *metrics.StripedCounter
+	probationFills *metrics.StripedCounter
 	// lookupLatency is the device-service component of miss reads (the
 	// historical "lookup latency"); the histograms below decompose the rest
 	// of a lookup's time. probeLatency is sampled (see probeSampleMask),
@@ -436,6 +442,7 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 			coalescedReads:   metrics.NewStripedCounter(counterStripes),
 			prefetchAdds:     metrics.NewStripedCounter(counterStripes),
 			prefetchHits:     metrics.NewStripedCounter(counterStripes),
+			probationFills:   metrics.NewStripedCounter(counterStripes),
 			lookupLatency:    metrics.NewLatencyHistogram(),
 			probeLatency:     newStageHistogram(),
 			queueWaitLatency: newStageHistogram(),
@@ -536,6 +543,7 @@ func (s *Store) SetAdmissionPolicy(tableIdx int, p cache.AdmissionPolicy) error 
 	st.mutateState(func(ts *tableState) {
 		ts.policy = p
 		ts.prefetch = p != nil
+		ts.demandThreshold = 0          // the tuned gate went with the tuned policy
 		ts.predicted = sim.Prediction{} // no tuner vouched for p
 	})
 	return nil
@@ -546,6 +554,19 @@ func (s *Store) tableAt(i int) (*storeTable, error) {
 		return nil, fmt.Errorf("core: table index %d out of range [0,%d)", i, len(s.tables))
 	}
 	return s.tables[i], nil
+}
+
+// setThresholdPolicy installs the cache.ThresholdAdmit that ts.counts,
+// threshold, prefetch and demandThreshold describe — the policy the miniature
+// caches replayed through the store's own batch algorithm (see package sim),
+// so serving behaves exactly as simulated — or no policy at all when it would
+// decide nothing, so a block read pays neither the member walk nor the
+// admission calls.
+func (ts *tableState) setThresholdPolicy() {
+	ts.policy = nil
+	if ts.prefetch || ts.demandThreshold > 0 {
+		ts.policy = cache.ThresholdAdmit{Counts: ts.counts, Threshold: ts.threshold, DemandThreshold: ts.demandThreshold}
+	}
 }
 
 // freshCache gives ts a new, empty cache of the given capacity.

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"bandana/internal/alloc"
-	"bandana/internal/cache"
 	"bandana/internal/layout"
 	"bandana/internal/mrc"
 	"bandana/internal/shp"
@@ -28,14 +27,28 @@ type TableTrainReport struct {
 	// after partitioning.
 	InitialFanout float64
 	FinalFanout   float64
+	// FanoutFloor is the packing bound FinalFanout cannot go below: the
+	// mean over the training queries of ceil(distinct ids / vectors per
+	// block), the blocks a query would touch were its ids packed perfectly.
+	FanoutFloor float64
 	// CacheVectors is the DRAM allocation chosen for this table.
 	CacheVectors int
 	// Threshold is the prefetch-admission threshold chosen by the
-	// miniature caches.
-	Threshold uint32
+	// miniature caches (sim.DisablePrefetch: prefetching stays off) and
+	// DemandThreshold the demand threshold chosen with it (0: no gate).
+	Threshold       uint32
+	DemandThreshold uint32
 	// MiniatureGain is the effective bandwidth increase predicted by the
-	// miniature cache at the chosen threshold.
+	// miniature cache at the chosen thresholds.
 	MiniatureGain float64
+}
+
+// Thresholds renders the two admission thresholds for a log line.
+func (r TableTrainReport) Thresholds() string {
+	if r.Threshold == sim.DisablePrefetch {
+		return fmt.Sprintf("prefetch off, demand threshold %d", r.DemandThreshold)
+	}
+	return fmt.Sprintf("prefetch threshold %d, demand threshold %d", r.Threshold, r.DemandThreshold)
 }
 
 // trainPlan is what Train computed for one table before anything is
@@ -152,7 +165,7 @@ func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, e
 		}
 	}
 
-	// Phase 3 (parallel): tune the prefetch-admission threshold per table
+	// Phase 3 (parallel): tune the admission thresholds per table
 	// with miniature caches over the computed layout, at the allocated cache
 	// size.
 	if !opts.SkipThresholdTuning {
@@ -171,6 +184,7 @@ func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, e
 			p.choice = &choice
 			rep := &report.Tables[i]
 			rep.Threshold = choice.Threshold
+			rep.DemandThreshold = choice.DemandThreshold
 			rep.MiniatureGain = choice.MiniatureGain
 			if rep.CacheVectors == 0 {
 				rep.CacheVectors = p.cacheCap
@@ -219,6 +233,7 @@ func (s *Store) planTable(i int, tr *trace.Trace, opts TrainOptions, rep *TableT
 		blockVectors = opts.BlockVectors
 	}
 
+	rep.FanoutFloor = fanoutFloor(tr, st.blockVectors)
 	p := &trainPlan{layout: st.loadState().layout, counts: tr.AccessCounts()}
 	if !opts.SkipPartitioning {
 		queries := make([][]uint32, len(tr.Queries))
@@ -251,24 +266,45 @@ func (s *Store) planTable(i int, tr *trace.Trace, opts TrainOptions, rep *TableT
 	return p, nil
 }
 
+// fanoutFloor is the average fanout no placement can beat on tr: a query of k
+// distinct ids touches at least ceil(k / blockVectors) blocks. Like
+// AccessCounts it passes over ids outside the table (partitioning reports
+// them).
+func fanoutFloor(tr *trace.Trace, blockVectors int) float64 {
+	if len(tr.Queries) == 0 {
+		return 0
+	}
+	lastQuery := make([]int32, tr.NumVectors) // 1-based number of the last query that named the id
+	var blocks int64
+	for qi, q := range tr.Queries {
+		distinct := 0
+		for _, id := range q {
+			if int(id) < len(lastQuery) && lastQuery[id] != int32(qi+1) {
+				lastQuery[id] = int32(qi + 1)
+				distinct++
+			}
+		}
+		blocks += int64((distinct + blockVectors - 1) / blockVectors)
+	}
+	return float64(blocks) / float64(len(tr.Queries))
+}
+
 // applyChoice writes a tuner verdict for one table into ts, for Train and the
 // adaptation loop alike. Prefetching goes on when the tuner found a
-// threshold that beats no-prefetch by at least minGain: the policy installed
-// is the same cache.ThresholdAdmit the miniature caches just replayed through
-// the store's own batch algorithm (see package sim), so serving behaves
-// exactly as simulated. Otherwise it goes off — no policy at all, so a block
-// read pays neither the member walk nor the admission calls. Either way the
-// state keeps the prediction that matches what will serve.
+// threshold whose prefetches earn at least minGain over the best
+// prefetch-free configuration; otherwise it goes off and the table serves
+// that configuration. Either way the demand threshold and the prediction kept
+// are the ones that go with what will serve.
 func applyChoice(ts *tableState, counts []uint32, choice sim.ThresholdChoice, minGain float64) {
-	enable := choice.Threshold != sim.DisablePrefetch && choice.MiniatureGain >= minGain
 	ts.counts = counts
 	ts.threshold = choice.Threshold
-	ts.prefetch = enable
-	if enable {
-		ts.policy = cache.ThresholdAdmit{Counts: counts, Threshold: choice.Threshold}
+	ts.prefetch = choice.Threshold != sim.DisablePrefetch && choice.PrefetchGain >= minGain
+	if ts.prefetch {
+		ts.demandThreshold = choice.DemandThreshold
 		ts.predicted = choice.Predicted
 	} else {
-		ts.policy = nil
+		ts.demandThreshold = choice.NoPrefetchDemandThreshold
 		ts.predicted = choice.NoPrefetch
 	}
+	ts.setThresholdPolicy()
 }

@@ -11,9 +11,9 @@ import (
 
 // TestReplayIsTheStore holds sim.Replay and the serving path together: one
 // trace replayed through the simulator at full size and served by a store
-// with one cache shard must produce EQUAL block reads, hits, misses, prefetch
-// admissions and prefetch hits, through every read API and under every kind
-// of admission policy. The miniature caches tune the threshold on this
+// with one cache shard must produce EQUAL block reads, hits, misses,
+// probation fills, prefetch admissions and prefetch hits, through every read
+// API and under every kind of admission policy, the demand gate on and off. The miniature caches tune the threshold on this
 // replay, so any drift between the two programs is a tuning error; this test
 // is what keeps "serving behaves exactly as simulated" true.
 func TestReplayIsTheStore(t *testing.T) {
@@ -93,11 +93,23 @@ func TestReplayIsTheStore(t *testing.T) {
 			for _, th := range cands[:3] {
 				policies = append(policies, cache.ThresholdAdmit{Counts: snap.counts, Threshold: th})
 			}
+			// The demand gate, under prefetching and alone.
+			gates := sim.DemandThresholds(snap.counts, snap.cacheCap)
+			if len(gates) < 2 {
+				t.Fatalf("want at least 2 candidate demand thresholds, got %v", gates)
+			}
+			for _, g := range gates {
+				policies = append(policies,
+					cache.ThresholdAdmit{Counts: snap.counts, Threshold: cands[1], DemandThreshold: g},
+					cache.ThresholdAdmit{Counts: snap.counts, Threshold: sim.DisablePrefetch, DemandThreshold: g})
+			}
 
 			for _, p := range policies {
 				name := p.Name()
+				prefetching := name != "no-prefetch"
 				if ta, ok := p.(cache.ThresholdAdmit); ok {
-					name = fmt.Sprintf("%s/%d", name, ta.Threshold)
+					name = fmt.Sprintf("%s/%d/%d", name, ta.Threshold, ta.DemandThreshold)
+					prefetching = ta.Threshold != sim.DisablePrefetch
 				}
 				st.mutateState(func(ts *tableState) { st.freshCache(ts, snap.cacheCap) }) // empty cache
 				if err := s.SetAdmissionPolicy(0, p); err != nil {
@@ -111,15 +123,20 @@ func TestReplayIsTheStore(t *testing.T) {
 				}
 				got := s.Stats()[0]
 				want := sim.Replay(serve, sim.Config{Layout: snap.layout, CacheVectors: snap.cacheCap, Policy: p})
-				if want.BlockReads == 0 || want.Hits == 0 || (name != "no-prefetch" && want.PrefetchHits == 0) {
+				gated := false
+				if ta, ok := p.(cache.ThresholdAdmit); ok {
+					gated = ta.DemandThreshold > 0
+				}
+				if want.BlockReads == 0 || want.Hits == 0 || (prefetching && want.PrefetchHits == 0) ||
+					gated != (want.ProbationFills > 0) || (gated && want.ProbationFills == want.Misses) {
 					t.Fatalf("%s: degenerate replay %+v", name, want)
 				}
 				if got.Lookups != want.Lookups || got.Hits != want.Hits || got.Misses != want.Misses ||
-					got.BlockReads != want.BlockReads || got.PrefetchAdds != want.PrefetchesAdmitted ||
-					got.PrefetchHits != want.PrefetchHits {
-					t.Errorf("%s: store and replay diverge\n store:  lookups=%d hits=%d misses=%d blockReads=%d prefetchAdds=%d prefetchHits=%d\n replay: lookups=%d hits=%d misses=%d blockReads=%d prefetchAdds=%d prefetchHits=%d",
-						name, got.Lookups, got.Hits, got.Misses, got.BlockReads, got.PrefetchAdds, got.PrefetchHits,
-						want.Lookups, want.Hits, want.Misses, want.BlockReads, want.PrefetchesAdmitted, want.PrefetchHits)
+					got.BlockReads != want.BlockReads || got.ProbationFills != want.ProbationFills ||
+					got.PrefetchAdds != want.PrefetchesAdmitted || got.PrefetchHits != want.PrefetchHits {
+					t.Errorf("%s: store and replay diverge\n store:  lookups=%d hits=%d misses=%d blockReads=%d probationFills=%d prefetchAdds=%d prefetchHits=%d\n replay: lookups=%d hits=%d misses=%d blockReads=%d probationFills=%d prefetchAdds=%d prefetchHits=%d",
+						name, got.Lookups, got.Hits, got.Misses, got.BlockReads, got.ProbationFills, got.PrefetchAdds, got.PrefetchHits,
+						want.Lookups, want.Hits, want.Misses, want.BlockReads, want.ProbationFills, want.PrefetchesAdmitted, want.PrefetchHits)
 				}
 			}
 		})

@@ -79,7 +79,7 @@ func (r *Runner) runAblationAdmission() (*Table, error) {
 		cache.AlwaysAdmit{Position: 0.7},
 		cache.NewShadowAdmit(size*3/2, 0),
 		cache.NewShadowPosition(size*3/2, 0.7),
-		cache.ThresholdAdmit{Counts: counts, Threshold: choice.Threshold},
+		cache.ThresholdAdmit{Counts: counts, Threshold: choice.Threshold, DemandThreshold: choice.DemandThreshold},
 	}
 	labels := []string{
 		"no prefetch (batch reads only)",
@@ -87,7 +87,7 @@ func (r *Runner) runAblationAdmission() (*Table, error) {
 		"admit all @ pos 0.7",
 		"shadow admission",
 		"shadow-driven position",
-		fmt.Sprintf("access threshold (t=%d, tuned)", choice.Threshold),
+		fmt.Sprintf("access thresholds (prefetch t=%d, demand t=%d, tuned)", choice.Threshold, choice.DemandThreshold),
 	}
 	baseline := sim.ReplayBaseline(eval, shpL, size, nil)
 	t := &Table{

@@ -196,7 +196,7 @@ func (r *Runner) runTable2() (*Table, error) {
 			}
 			full := sim.Replay(eval, sim.Config{
 				Layout: shpL, CacheVectors: size,
-				Policy: cache.ThresholdAdmit{Counts: counts, Threshold: choice.Threshold},
+				Policy: cache.ThresholdAdmit{Counts: counts, Threshold: choice.Threshold, DemandThreshold: choice.DemandThreshold},
 			})
 			gain := paperGain(full, baseline)
 			thLabel := itoa(int(choice.Threshold))

@@ -71,6 +71,9 @@ type Cache[K comparable, V any] struct {
 	segments []segment[K, V]
 	items    map[K]*entry[K, V]
 	onEvict  EvictFunc[K, V]
+	// spare is the node of the last eviction, kept for the next insert: a
+	// full cache then inserts without allocating.
+	spare *entry[K, V]
 }
 
 // DefaultSegments is the number of positional segments used by New.
@@ -149,7 +152,7 @@ func (c *Cache[K, V]) promote(e *entry[K, V]) {
 	c.segments[e.seg].remove(e)
 	e.seg = 0
 	c.segments[0].pushFront(e)
-	c.rebalance()
+	c.cascade(0)
 }
 
 // Add inserts key at the MRU position (or promotes and updates it if already
@@ -180,21 +183,24 @@ func (c *Cache[K, V]) AddAt(key K, value V, pos float64) (evicted K, wasEvicted 
 		c.segments[e.seg].remove(e)
 		e.seg = seg
 		c.segments[seg].pushFront(e)
-		c.rebalance()
+		c.cascade(seg)
 		return evicted, false
 	}
 
-	e := &entry[K, V]{key: key, value: value, seg: seg}
+	e := c.spare
+	if e == nil {
+		e = new(entry[K, V])
+	}
+	c.spare = nil
+	*e = entry[K, V]{key: key, value: value, seg: seg}
 	c.items[key] = e
 	c.segments[seg].pushFront(e)
 
 	if len(c.items) > c.capacity {
-		victim := c.evictOne()
-		c.rebalance()
-		return victim, true
+		evicted, wasEvicted = c.evictOne(), true
 	}
-	c.rebalance()
-	return evicted, false
+	c.cascade(seg)
+	return evicted, wasEvicted
 }
 
 // Resize changes the cache capacity, evicting LRU items one at a time (via
@@ -212,7 +218,10 @@ func (c *Cache[K, V]) Resize(capacity int) int {
 		c.evictOne()
 		evicted++
 	}
-	c.rebalance()
+	// The bound itself moved, so any segment may be over it.
+	for i := range c.segments {
+		c.cascade(i)
+	}
 	return evicted
 }
 
@@ -241,18 +250,24 @@ func (c *Cache[K, V]) evictOne() K {
 		if c.onEvict != nil {
 			c.onEvict(victim.key, victim.value)
 		}
-		return victim.key
+		key := victim.key
+		*victim = entry[K, V]{} // drop the references the node held
+		c.spare = victim
+		return key
 	}
 	var zero K
 	return zero
 }
 
-// rebalance cascades overflow from earlier segments into later ones so that
-// each segment holds at most ceil(capacity/segments) items. This keeps the
-// positional interpretation of segments stable.
-func (c *Cache[K, V]) rebalance() {
+// cascade restores the bound every segment but the last keeps — at most
+// ceil(capacity/segments) items, which is what keeps the positional
+// interpretation of segments stable — after segment `from` gained an item:
+// its overflow moves to the head of the next segment, whose overflow moves on
+// in turn, and the walk stops at the first segment still within the bound
+// (nothing after it changed).
+func (c *Cache[K, V]) cascade(from int) {
 	target := (c.capacity + len(c.segments) - 1) / len(c.segments)
-	for i := 0; i < len(c.segments)-1; i++ {
+	for i := from; i < len(c.segments)-1 && c.segments[i].size > target; i++ {
 		s := &c.segments[i]
 		for s.size > target {
 			victim := s.tail
@@ -287,8 +302,12 @@ func (c *Cache[K, V]) Clear() {
 // export_test.go.
 func (c *Cache[K, V]) checkInvariants() error {
 	total := 0
+	target := (c.capacity + len(c.segments) - 1) / len(c.segments)
 	for i := range c.segments {
 		s := &c.segments[i]
+		if i < len(c.segments)-1 && s.size > target {
+			return fmt.Errorf("segment %d holds %d items, over the bound of %d cascade keeps", i, s.size, target)
+		}
 		n := 0
 		for e := s.head; e != nil; e = e.next {
 			if e.seg != i {

@@ -147,11 +147,13 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		perTable(func(ts core.TableStats) float64 { return float64(ts.PrefetchHits) }))
 	r.Register("bandana_table_prefetch_adds_total", "counter", "Prefetched vectors admitted to the cache per table (prefetch_hits_total over this is the prefetch accuracy).",
 		perTable(func(ts core.TableStats) float64 { return float64(ts.PrefetchAdds) }))
+	r.Register("bandana_table_probation_fills_total", "counter", "Requested vectors cached on probation (head of the last queue segment) instead of at the MRU end, because their training count is below the table's demand threshold.",
+		perTable(func(ts core.TableStats) float64 { return float64(ts.ProbationFills) }))
 	r.Register("bandana_table_effective_bandwidth", "gauge", "Fraction of NVM-read bytes delivered to the application per table: (misses + prefetch hits) x vector bytes over block reads x block bytes.",
 		perTable(func(ts core.TableStats) float64 { return ts.EffectiveBandwidth }))
-	r.Register("bandana_table_predicted_hit_ratio", "gauge", "Hit ratio the miniature cache predicted for the installed admission threshold per table (0 before any tuning); compare with hits_total/lookups_total.",
+	r.Register("bandana_table_predicted_hit_ratio", "gauge", "Hit ratio the miniature cache predicted for the installed admission thresholds per table (0 before any tuning); compare with hits_total/lookups_total.",
 		perTable(func(ts core.TableStats) float64 { return ts.PredictedHitRate }))
-	r.Register("bandana_table_predicted_lookups_per_block_read", "gauge", "Lookups per NVM block read the miniature cache predicted for the installed admission threshold per table (0 before any tuning); compare with lookups_total/block_reads_total.",
+	r.Register("bandana_table_predicted_lookups_per_block_read", "gauge", "Lookups per NVM block read the miniature cache predicted for the installed admission thresholds per table (0 before any tuning); compare with lookups_total/block_reads_total.",
 		perTable(func(ts core.TableStats) float64 { return ts.PredictedLookupsPerBlockRead }))
 	r.Register("bandana_table_cache_vectors", "gauge", "Configured cache capacity (vectors) per table.",
 		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheVectors) }))

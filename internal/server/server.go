@@ -271,11 +271,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // tableInfo describes one table in the inventory response.
 type tableInfo struct {
-	Index        int    `json:"index"`
-	Name         string `json:"name"`
-	CacheVectors int    `json:"cacheVectors"`
-	Prefetching  bool   `json:"prefetching"`
-	Threshold    uint32 `json:"threshold"`
+	Index           int    `json:"index"`
+	Name            string `json:"name"`
+	CacheVectors    int    `json:"cacheVectors"`
+	Prefetching     bool   `json:"prefetching"`
+	Threshold       uint32 `json:"threshold"`
+	DemandThreshold uint32 `json:"demandThreshold"`
 }
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
@@ -283,11 +284,12 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	out := make([]tableInfo, len(stats))
 	for i, st := range stats {
 		out[i] = tableInfo{
-			Index:        i,
-			Name:         st.Name,
-			CacheVectors: st.CacheVectors,
-			Prefetching:  st.Prefetching,
-			Threshold:    st.Threshold,
+			Index:           i,
+			Name:            st.Name,
+			CacheVectors:    st.CacheVectors,
+			Prefetching:     st.Prefetching,
+			Threshold:       st.Threshold,
+			DemandThreshold: st.DemandThreshold,
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -452,6 +454,7 @@ type tableAdaptationStats struct {
 	EpochHitRate    float64 `json:"epochHitRate"`
 	CacheVectors    int     `json:"cacheVectors"`
 	Threshold       uint32  `json:"threshold"`
+	DemandThreshold uint32  `json:"demandThreshold"`
 	Prefetching     bool    `json:"prefetching"`
 	RecordedQueries int     `json:"recordedQueries"`
 	Relayouts       int64   `json:"relayouts"`
@@ -476,6 +479,7 @@ func renderAdaptationStats(st core.AdaptationStats) adaptationStats {
 			EpochHitRate:    ts.EpochHitRate,
 			CacheVectors:    ts.CacheVectors,
 			Threshold:       ts.Threshold,
+			DemandThreshold: ts.DemandThreshold,
 			Prefetching:     ts.Prefetching,
 			RecordedQueries: ts.RecordedQueries,
 			Relayouts:       ts.Relayouts,

@@ -8,19 +8,20 @@
 // of distinct blocks a query has to read (Equation 3 of the Bandana paper).
 //
 // The algorithm is recursive balanced bisection: starting from one bucket
-// holding every vector, each bucket is repeatedly split into two equal
-// halves. A split is refined with a configurable number of swap iterations:
-// each iteration computes, for every vertex, the fanout gain of moving it to
-// the other side, and then swaps the highest-gain pairs so the two sides
-// stay balanced. Recursion stops when buckets reach the target block size
-// (32 vectors for 128 B vectors in 4 KB blocks). Sibling buckets are refined
-// in parallel.
+// holding every vector, each bucket is repeatedly split into two halves of
+// whole blocks. A split is refined with a configurable number of swap
+// iterations: each iteration computes, for every vertex, the fanout gain of
+// moving it to the other side, and then swaps the highest-gain pairs so the
+// two sides stay balanced. Recursion stops when buckets reach the target
+// block size (32 vectors for 128 B vectors in 4 KB blocks), so the leaves are
+// the blocks. Sibling buckets are refined in parallel.
 package shp
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -185,16 +186,25 @@ type partitioner struct {
 	queries [][]uint32
 	opts    Options
 	levels  int
+	// localOf[id] is id's index within the bucket that currently owns it.
+	// One array serves the whole run without locking: sibling buckets own
+	// disjoint ids, a bucket's queries name only its own ids, and a bucket
+	// is bisected before either child exists.
+	localOf []int32
 }
 
-// bucket is a contiguous range of the working order slice under refinement.
+// bucket is a contiguous range of the working order slice under refinement,
+// with the training queries restricted to it: query i is
+// qids[qoff[i]:qoff[i+1]].
 type bucket struct {
 	vertices []uint32 // vector IDs in this bucket (mutated in place)
-	queries  [][]uint32
+	qids     []uint32
+	qoff     []int32
 	depth    int
 }
 
-func (p *partitioner) run() []uint32 {
+// root builds the bucket holding every vector.
+func (p *partitioner) root() *bucket {
 	var all []uint32
 	if p.opts.InitialOrder != nil {
 		// Warm start: begin from the existing placement so refinement is
@@ -213,19 +223,33 @@ func (p *partitioner) run() []uint32 {
 				appears[id] = true
 			}
 		}
-		touched := make([]uint32, 0, p.n)
-		untouched := make([]uint32, 0)
+		all = make([]uint32, 0, p.n)
 		for id := 0; id < p.n; id++ {
 			if appears[id] {
-				touched = append(touched, uint32(id))
-			} else {
-				untouched = append(untouched, uint32(id))
+				all = append(all, uint32(id))
 			}
 		}
-		all = append(touched, untouched...)
+		for id := 0; id < p.n; id++ {
+			if !appears[id] {
+				all = append(all, uint32(id))
+			}
+		}
 	}
+	lookups := 0
+	for _, q := range p.queries {
+		lookups += len(q)
+	}
+	b := &bucket{vertices: all, qids: make([]uint32, 0, lookups), qoff: make([]int32, 1, len(p.queries)+1)}
+	for _, q := range p.queries {
+		b.qids = append(b.qids, q...)
+		b.qoff = append(b.qoff, int32(len(b.qids)))
+	}
+	return b
+}
 
-	root := &bucket{vertices: all, queries: p.queries, depth: 0}
+func (p *partitioner) run() []uint32 {
+	p.localOf = make([]int32, p.n)
+	root := p.root()
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, p.opts.Workers)
 	var maxDepth int
@@ -263,16 +287,55 @@ func (p *partitioner) run() []uint32 {
 	return root.vertices
 }
 
-// bisect splits a bucket's vertices (in place) into two balanced halves with
-// minimised fanout, and returns child buckets that alias the two halves.
+// movePow[k] is 0.5^k. Refinement uses the Social Hash Partitioner's smoothed
+// move gain: for a query with cntSame co-located vertices (including v) and
+// cntOther vertices on the far side, moving v is worth
+//
+//	p^(cntSame-1) - p^cntOther        (p = 0.5)
+//
+// which reduces to the exact fanout delta when the counts are 0/1 but,
+// unlike the exact delta, still provides a gradient when queries span
+// both sides — exactly the situation at the top bisection levels.
+var movePow = func() (pow [64]float64) {
+	pow[0] = 1
+	for i := 1; i < len(pow); i++ {
+		pow[i] = pow[i-1] * 0.5
+	}
+	return pow
+}()
+
+func powAt(k int32) float64 {
+	if int(k) >= len(movePow) {
+		return 0
+	}
+	return movePow[k]
+}
+
+// splitAt is where a bucket of n > blockVectors vectors is cut: half its
+// blocks, rounded down, go left. Every cut then falls on a block boundary of
+// the final order, so the recursion's leaves are exactly the blocks
+// layout.FromOrder makes of it (only the table's last block may be partial)
+// and the fanout each bisection minimises is the fanout of those blocks.
+func splitAt(n, blockVectors int) int {
+	blocks := (n + blockVectors - 1) / blockVectors
+	return blocks / 2 * blockVectors
+}
+
+// bisect splits a bucket's vertices (in place) into two halves (see splitAt)
+// with minimised fanout, and returns child buckets that alias the two halves.
 func (p *partitioner) bisect(b *bucket) (*bucket, *bucket) {
 	n := len(b.vertices)
-	half := n / 2
+	half := splitAt(n, p.opts.BlockVectors)
+	numQueries := len(b.qoff) - 1
 
-	// Local indexing: vertex -> local position. side[i] is 0 (left) or 1.
-	localOf := make(map[uint32]int32, n)
+	// Local indexing: local[k] is the position in b.vertices of the vertex
+	// b.qids[k] names. side[i] is 0 (left) or 1.
 	for i, v := range b.vertices {
-		localOf[v] = int32(i)
+		p.localOf[v] = int32(i)
+	}
+	local := make([]int32, len(b.qids))
+	for k, id := range b.qids {
+		local[k] = p.localOf[id]
 	}
 
 	// Initial split. A warm-started run preserves the incoming arrangement
@@ -290,11 +353,11 @@ func (p *partitioner) bisect(b *bucket) (*bucket, *bucket) {
 	} else {
 		firstSeen := make([]int32, n)
 		for i := range firstSeen {
-			firstSeen[i] = int32(len(b.queries)) + int32(i%2) // unseen vertices alternate sides
+			firstSeen[i] = int32(numQueries) + int32(i%2) // unseen vertices alternate sides
 		}
-		for qi, q := range b.queries {
-			for _, id := range q {
-				if li, ok := localOf[id]; ok && firstSeen[li] >= int32(len(b.queries)) {
+		for qi := 0; qi < numQueries; qi++ {
+			for _, li := range local[b.qoff[qi]:b.qoff[qi+1]] {
+				if firstSeen[li] >= int32(numQueries) {
 					firstSeen[li] = int32(qi)
 				}
 			}
@@ -303,7 +366,7 @@ func (p *partitioner) bisect(b *bucket) (*bucket, *bucket) {
 		for i := range byFirst {
 			byFirst[i] = int32(i)
 		}
-		sort.SliceStable(byFirst, func(a, b int) bool { return firstSeen[byFirst[a]] < firstSeen[byFirst[b]] })
+		slices.SortStableFunc(byFirst, func(a, b int32) int { return cmp.Compare(firstSeen[a], firstSeen[b]) })
 		for rank, li := range byFirst {
 			if rank >= half {
 				side[li] = 1
@@ -311,50 +374,27 @@ func (p *partitioner) bisect(b *bucket) (*bucket, *bucket) {
 		}
 	}
 
-	// Restrict queries to this bucket's vertices (in local indices); drop
-	// queries with fewer than 2 local members, they cannot affect fanout.
-	local := make([][]int32, 0, len(b.queries))
-	for _, q := range b.queries {
-		var lq []int32
-		for _, id := range q {
-			if li, ok := localOf[id]; ok {
-				lq = append(lq, li)
-			}
-		}
-		if len(lq) >= 2 {
-			local = append(local, lq)
-		}
-	}
-
-	// Refinement uses the Social Hash Partitioner's smoothed move gain: for
-	// a query with cntSame co-located vertices (including v) and cntOther
-	// vertices on the far side, moving v is worth
-	//
-	//	p^(cntSame-1) - p^cntOther        (p = 0.5)
-	//
-	// which reduces to the exact fanout delta when the counts are 0/1 but,
-	// unlike the exact delta, still provides a gradient when queries span
-	// both sides — exactly the situation at the top bisection levels.
-	const moveP = 0.5
-	pow := make([]float64, 64)
-	pow[0] = 1
-	for i := 1; i < len(pow); i++ {
-		pow[i] = pow[i-1] * moveP
-	}
-	powAt := func(k int32) float64 {
-		if int(k) >= len(pow) {
-			return 0
-		}
-		return pow[k]
-	}
-
+	// Refinement is by the smoothed move gain of movePow.
 	gain := make([]float64, n)
-	for iter := 0; iter < p.opts.Iterations; iter++ {
-		for i := range gain {
-			gain[i] = 0
+	byGain := func(a, b int32) int { // descending; gains are never NaN
+		switch ga, gb := gain[a], gain[b]; {
+		case ga > gb:
+			return -1
+		case ga < gb:
+			return 1
 		}
-		// Accumulate per-vertex move gains from each query.
-		for _, q := range local {
+		return 0
+	}
+	cand := make([]int32, n)
+	for iter := 0; iter < p.opts.Iterations; iter++ {
+		clear(gain)
+		// Accumulate per-vertex move gains from each query; one with fewer
+		// than two members here cannot affect fanout.
+		for qi := 0; qi < numQueries; qi++ {
+			q := local[b.qoff[qi]:b.qoff[qi+1]]
+			if len(q) < 2 {
+				continue
+			}
 			var cnt0, cnt1 int32
 			for _, li := range q {
 				if side[li] == 0 {
@@ -371,17 +411,24 @@ func (p *partitioner) bisect(b *bucket) (*bucket, *bucket) {
 				}
 			}
 		}
-		// Candidate lists sorted by descending gain.
-		var cand0, cand1 []int32
-		for i := 0; i < n; i++ {
-			if side[i] == 0 {
-				cand0 = append(cand0, int32(i))
-			} else {
-				cand1 = append(cand1, int32(i))
+		// Candidate lists sorted by descending gain: side 0 fills cand from
+		// the front, side 1 from the back.
+		n0, n1 := 0, n
+		for i := n - 1; i >= 0; i-- {
+			if side[i] != 0 {
+				n1--
+				cand[n1] = int32(i)
 			}
 		}
-		sort.Slice(cand0, func(a, b int) bool { return gain[cand0[a]] > gain[cand0[b]] })
-		sort.Slice(cand1, func(a, b int) bool { return gain[cand1[a]] > gain[cand1[b]] })
+		for i := 0; i < n; i++ {
+			if side[i] == 0 {
+				cand[n0] = int32(i)
+				n0++
+			}
+		}
+		cand0, cand1 := cand[:n0], cand[n1:]
+		slices.SortFunc(cand0, byGain)
+		slices.SortFunc(cand1, byGain)
 
 		maxSwaps := int(p.opts.MaxSwapFraction * float64(half))
 		if maxSwaps < 1 {
@@ -401,42 +448,54 @@ func (p *partitioner) bisect(b *bucket) (*bucket, *bucket) {
 		}
 	}
 
+	// Project the queries onto the two sides, dropping those left with fewer
+	// than two members: count first, so each child gets one exact backing
+	// array.
+	var ids, qs [2]int
+	for qi := 0; qi < numQueries; qi++ {
+		var cnt [2]int
+		for _, li := range local[b.qoff[qi]:b.qoff[qi+1]] {
+			cnt[side[li]]++
+		}
+		for s, c := range cnt {
+			if c >= 2 {
+				ids[s] += c
+				qs[s]++
+			}
+		}
+	}
+	var child [2]*bucket
+	for s := range child {
+		child[s] = &bucket{qids: make([]uint32, 0, ids[s]), qoff: make([]int32, 1, qs[s]+1), depth: b.depth + 1}
+	}
+	for qi := 0; qi < numQueries; qi++ {
+		lo, hi := b.qoff[qi], b.qoff[qi+1]
+		for k := lo; k < hi; k++ {
+			c := child[side[local[k]]]
+			c.qids = append(c.qids, b.qids[k])
+		}
+		for _, c := range child {
+			if end := int32(len(c.qids)); end-c.qoff[len(c.qoff)-1] >= 2 {
+				c.qoff = append(c.qoff, end)
+			} else {
+				c.qids = c.qids[:c.qoff[len(c.qoff)-1]]
+			}
+		}
+	}
+
 	// Rearrange the vertices slice in place: side-0 vertices first.
-	left := make([]uint32, 0, half)
-	right := make([]uint32, 0, n-half)
+	moved := make([]uint32, 0, n)
 	for i, v := range b.vertices {
 		if side[i] == 0 {
-			left = append(left, v)
-		} else {
-			right = append(right, v)
+			moved = append(moved, v)
 		}
 	}
-	copy(b.vertices[:len(left)], left)
-	copy(b.vertices[len(left):], right)
-
-	lb := &bucket{vertices: b.vertices[:len(left)], queries: projectQueries(b.queries, side, localOf, 0), depth: b.depth + 1}
-	rb := &bucket{vertices: b.vertices[len(left):], queries: projectQueries(b.queries, side, localOf, 1), depth: b.depth + 1}
-	return lb, rb
-}
-
-// projectQueries restricts queries to the vertices assigned to the given
-// side, dropping queries that end up with fewer than two members.
-func projectQueries(queries [][]uint32, side []uint8, localOf map[uint32]int32, want uint8) [][]uint32 {
-	out := make([][]uint32, 0, len(queries)/2)
-	for _, q := range queries {
-		var pq []uint32
-		for _, id := range q {
-			li, ok := localOf[id]
-			if !ok {
-				continue
-			}
-			if side[li] == want {
-				pq = append(pq, id)
-			}
-		}
-		if len(pq) >= 2 {
-			out = append(out, pq)
+	for i, v := range b.vertices {
+		if side[i] != 0 {
+			moved = append(moved, v)
 		}
 	}
-	return out
+	copy(b.vertices, moved)
+	child[0].vertices, child[1].vertices = b.vertices[:half], b.vertices[half:]
+	return child[0], child[1]
 }

@@ -1,9 +1,13 @@
 package shp
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"bandana/internal/layout"
 	"bandana/internal/trace"
 )
 
@@ -178,6 +182,112 @@ func TestPartitionOnGeneratedTrace(t *testing.T) {
 	if res.FinalFanout > res.InitialFanout*0.75 {
 		t.Fatalf("SHP should cut fanout by at least 25%% on a high-locality trace: %.2f -> %.2f",
 			res.InitialFanout, res.FinalFanout)
+	}
+}
+
+// generatedQueries is a generated table's trace as the partitioner takes it.
+func generatedQueries(numVectors, requests int, seed int64) [][]uint32 {
+	tr := trace.GenerateTable(trace.Profile{
+		Name: "t", NumVectors: numVectors, AvgLookups: 20,
+		CompulsoryMissFrac: 0.05, Locality: 0.9, CommunitySize: 64, ReuseSkew: 3, Seed: seed,
+	}, requests)
+	queries := make([][]uint32, len(tr.Queries))
+	for i, q := range tr.Queries {
+		queries[i] = q
+	}
+	return queries
+}
+
+func orderHash(order []uint32) uint64 {
+	h := fnv.New64a()
+	for _, id := range order {
+		h.Write(binary.LittleEndian.AppendUint32(nil, id))
+	}
+	return h.Sum64()
+}
+
+// TestOrdersMatchMapBasedBisect pins the placement to what the partitioner
+// produced while bisect still indexed its vertices through a per-bucket map,
+// projected every query into its own slice and sorted candidates with
+// sort.Slice: the hashes below were taken from that implementation. 4,096 =
+// 32 x 2^7 vectors, so every n/2 cut is already a block boundary and
+// splitAt's alignment changes nothing here; on sizes where it does (5,000 and
+// 20,000 vectors, same seeds) the two implementations were compared with the
+// cut left at n/2 and agreed on every order, cold and warm.
+func TestOrdersMatchMapBasedBisect(t *testing.T) {
+	want := []struct{ cold, warm uint64 }{
+		{0x56442e13e1d916bd, 0x297cd42842c7e0d9},
+		{0x6324917afa5ef779, 0x42bf9b3413f077a5},
+		{0xabe7b911e33bb5d5, 0xa03736da492041c1},
+	}
+	for i, w := range want {
+		seed := int64(i + 1)
+		cold, err := Partition(4096, generatedQueries(4096, 1500, seed), Options{BlockVectors: 32, Iterations: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := orderHash(cold.Order); got != w.cold {
+			t.Errorf("seed %d: cold order hashes to %#x, the map-based bisect's to %#x", seed, got, w.cold)
+		}
+		warm, err := Repartition(cold.Order, generatedQueries(4096, 500, seed+10), Options{BlockVectors: 32, Iterations: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := orderHash(warm.Order); got != w.warm {
+			t.Errorf("seed %d: warm order hashes to %#x, the map-based bisect's to %#x", seed, got, w.warm)
+		}
+	}
+}
+
+// TestLeavesAreBlocks drives the recursion by hand over random table and
+// block sizes: every leaf must be exactly one aligned run of BlockVectors ids
+// of the final order (the last may be short), so the blocks layout.FromOrder
+// cuts are the buckets the bisections optimised, and FinalFanout is the
+// fanout of the layout a store installs.
+func TestLeavesAreBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		blockVectors := 2 + rng.Intn(40)
+		n := blockVectors + 1 + rng.Intn(3000)
+		queries := generatedQueries(n, 300, int64(trial))
+		opts := Options{BlockVectors: blockVectors, Iterations: 4}
+		opts.defaults()
+
+		p := &partitioner{n: n, queries: queries, opts: opts, localOf: make([]int32, n)}
+		var leaves [][]uint32
+		var recurse func(b *bucket)
+		recurse = func(b *bucket) {
+			if len(b.vertices) <= blockVectors {
+				leaves = append(leaves, b.vertices)
+				return
+			}
+			left, right := p.bisect(b)
+			recurse(left)
+			recurse(right)
+		}
+		recurse(p.root())
+
+		res, err := Partition(n, queries, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (n + blockVectors - 1) / blockVectors; len(leaves) != want {
+			t.Fatalf("n=%d B=%d: %d leaves, want %d blocks", n, blockVectors, len(leaves), want)
+		}
+		for i, leaf := range leaves {
+			lo := i * blockVectors
+			hi := min(lo+blockVectors, n)
+			if !slices.Equal(leaf, res.Order[lo:hi]) {
+				t.Fatalf("n=%d B=%d: leaf %d (%d ids) is not Order[%d:%d]", n, blockVectors, i, len(leaf), lo, hi)
+			}
+		}
+		l, err := layout.FromOrder(res.Order, blockVectors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := l.AverageFanout(queries); got != res.FinalFanout {
+			t.Fatalf("n=%d B=%d: FinalFanout %v, installed layout's fanout %v", n, blockVectors, res.FinalFanout, got)
+		}
 	}
 }
 

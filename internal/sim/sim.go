@@ -14,23 +14,24 @@
 //   - The batch's misses are grouped by block and cost one block read per
 //     distinct block — same-batch co-location is free with or without
 //     prefetching. Per block, in ascending block order: the requested ids
-//     enter at the MRU position in batch order, then the block's other
+//     enter in batch order at the policy's demand position (the MRU end
+//     unless the policy gates cold ids to probation), then the block's other
 //     members, in slot order, are offered to the admission policy and the
 //     admitted non-resident ones enter at the policy's position.
 //   - Against a store with one cache shard (Config.CacheShards: 1) serving
 //     the same queries one at a time, BlockReads, Hits, Misses,
-//     PrefetchesAdmitted and PrefetchHits are equal through every read API
-//     (core's TestReplayIsTheStore holds the two together). A store with more
-//     shards splits the capacity into per-shard LRU queues; that split is the
-//     only remaining difference between simulated and served counters.
+//     ProbationFills, PrefetchesAdmitted and PrefetchHits are equal through
+//     every read API (core's TestReplayIsTheStore holds the two together). A
+//     store with more shards splits the capacity into per-shard LRU queues;
+//     that split is the only remaining difference between simulated and
+//     served counters.
 //
 // The paper's own baseline — one block read per missed vector, no
 // prefetching — is the no-prefetch replay's Misses (see ReplayBaseline).
 //
 // The same replay engine, fed with a spatially sampled subset of the
 // vectors and a proportionally scaled-down cache, implements the
-// "miniature caches" of §4.3.3 that pick the per-table prefetch-admission
-// threshold.
+// "miniature caches" of §4.3.3 that pick the per-table admission thresholds.
 package sim
 
 import (
@@ -52,8 +53,9 @@ type Config struct {
 	// CacheVectors is the DRAM cache capacity in vectors; 0 means
 	// unlimited.
 	CacheVectors int
-	// Policy decides admission of prefetched vectors. Nil means
-	// cache.NoPrefetch (prefetching off).
+	// Policy decides admission of prefetched vectors and the position
+	// requested ones fill at. Nil means cache.NoPrefetch (prefetching off,
+	// every fill at the MRU end).
 	Policy cache.AdmissionPolicy
 	// Filter, when non-nil, restricts the simulation to the sampled subset
 	// of vectors for which it returns true (miniature caches). Lookups to
@@ -73,7 +75,10 @@ type Result struct {
 	Misses int64
 	// BlockReads counts distinct blocks read per query, summed over the
 	// trace — what the store's batch path issues.
-	BlockReads         int64
+	BlockReads int64
+	// ProbationFills counts requested vectors cached below the MRU end on
+	// the policy's verdict.
+	ProbationFills     int64
 	PrefetchesAdmitted int64
 	PrefetchHits       int64
 	HitRate            float64
@@ -152,7 +157,11 @@ func Replay(tr *trace.Trace, cfg Config) Result {
 			block := missed[lo].block
 			res.BlockReads++
 			for ; lo < len(missed) && missed[lo].block == block; lo++ {
-				c.Insert(missed[lo].id, 0)
+				pos := policy.DemandPosition(missed[lo].id)
+				if pos > 0 {
+					res.ProbationFills++
+				}
+				c.Insert(missed[lo].id, pos)
 				prefetched[missed[lo].id] = false
 			}
 			members = l.BlockMembers(block, members[:0])
@@ -273,22 +282,35 @@ func predictionOf(r Result) Prediction {
 	return Prediction{HitRate: r.HitRate, LookupsPerBlockRead: r.VectorsPerBlockRead}
 }
 
-// ThresholdChoice is the outcome of a miniature-cache tuning run.
+// ThresholdChoice is the outcome of a miniature-cache tuning run: the two
+// thresholds of one cache.ThresholdAdmit.
 type ThresholdChoice struct {
-	Threshold uint32
+	// Threshold is the prefetch-admission threshold (DisablePrefetch: none
+	// beat not prefetching) and DemandThreshold the demand threshold found
+	// to go with it (0: no gate beat filling every requested vector at MRU).
+	Threshold       uint32
+	DemandThreshold uint32
 	// MiniatureGain is the effective bandwidth increase observed in the
-	// miniature simulation at the chosen threshold.
+	// miniature simulation at the chosen pair, over the plain replay: no
+	// prefetching, every fill at the MRU end. PrefetchGain is the share of
+	// it prefetching earns — the chosen pair over the best prefetch-free one
+	// (NoPrefetch below); the two are equal when no gate helps.
 	MiniatureGain float64
-	// PerThreshold records the miniature gain of every candidate.
+	PrefetchGain  float64
+	// PerThreshold records the miniature gain of every candidate prefetch
+	// threshold, ungated.
 	PerThreshold map[uint32]float64
 	// SampledLookups is the number of lookups that survived sampling.
 	SampledLookups int64
-	// Predicted is the miniature simulation's outcome at the chosen
-	// threshold, NoPrefetch its outcome with prefetching off (the two are
-	// equal when Threshold is DisablePrefetch). A caller that overrules the
-	// choice and serves prefetch-free should expect NoPrefetch.
-	Predicted  Prediction
-	NoPrefetch Prediction
+	// Predicted is the miniature simulation's outcome at the chosen pair.
+	// NoPrefetch is its outcome with prefetching off and the demand
+	// threshold that serves best then, NoPrefetchDemandThreshold (the two
+	// predictions are equal when Threshold is DisablePrefetch). A caller that
+	// overrules the choice and serves prefetch-free should install that
+	// demand threshold and expect NoPrefetch.
+	Predicted                 Prediction
+	NoPrefetch                Prediction
+	NoPrefetchDemandThreshold uint32
 }
 
 // DefaultThresholds are the candidate admission thresholds explored by the
@@ -333,15 +355,53 @@ func AdaptiveThresholds(counts []uint32) []uint32 {
 // count can exceed it, so prefetching is effectively off.
 const DisablePrefetch = ^uint32(0)
 
+// DemandThresholds derives the candidate demand thresholds for a cache of
+// cacheVectors from the training-time access counts: one more than the count
+// of the id ranked 0.5x, 1x and 2x the cache size by count, so a cache that
+// could hold exactly the hottest ids of training gates the ones beyond them,
+// with one looser and one stricter alternative.
+func DemandThresholds(counts []uint32, cacheVectors int) []uint32 {
+	if len(counts) == 0 {
+		return nil
+	}
+	desc := slices.Clone(counts)
+	slices.SortFunc(desc, func(a, b uint32) int { return cmp.Compare(b, a) })
+	var out []uint32
+	for _, rank := range []int{cacheVectors / 2, cacheVectors, 2 * cacheVectors} {
+		t := desc[min(rank, len(desc)-1)] + 1
+		if !slices.Contains(out, t) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
 // minMiniCacheVectors is the smallest miniature cache the tuner will
 // simulate; below this the simulation is too small to rank thresholds, so
-// the sampling rate is raised (up to running the full cache).
-const minMiniCacheVectors = 64
+// the sampling rate is raised (up to running the full cache). A probation
+// entry lives in the last sixteenth of the queue, which at 64 vectors is four
+// entries: on the benchmark dataset (caches of 492 to 3,252 vectors) a
+// 64-vector floor serves 372.6 block reads per thousand lookups, 128 serves
+// 365.0, 256 363.4 and 512 362.9, while Train takes 0.95, 1.01, 1.33 and
+// 2.5 s against 1.2 s before the demand sweep existed. 128 is the largest
+// that leaves training no slower than it was.
+const minMiniCacheVectors = 128
 
-// TuneThreshold simulates one miniature cache per candidate threshold and
-// returns the threshold with the highest effective bandwidth increase. If
-// every candidate loses to the no-prefetch baseline, it returns
-// DisablePrefetch.
+// tuned is one replayed candidate of the tuner.
+type tuned struct {
+	threshold, demand uint32
+	res               Result
+}
+
+// TuneThreshold picks the two thresholds of a cache.ThresholdAdmit by
+// miniature-cache simulation, in two steps. First one replay per candidate
+// prefetch threshold, ungated: the one with the highest effective bandwidth
+// increase wins, or DisablePrefetch if every candidate loses to the
+// no-prefetch baseline. Then one replay per candidate demand threshold
+// (DemandThresholds) at that winner and one with prefetching off; a gate is
+// kept only where it reads strictly fewer blocks than no gate, so a table it
+// does not help is tuned exactly as if the gate did not exist. A cache that
+// holds the whole table evicts nothing and skips the second step.
 func TuneThreshold(tr *trace.Trace, cfg TunerConfig) (ThresholdChoice, error) {
 	if cfg.Layout == nil {
 		return ThresholdChoice{}, fmt.Errorf("sim: tuner requires a layout")
@@ -375,44 +435,64 @@ func TuneThreshold(tr *trace.Trace, cfg TunerConfig) (ThresholdChoice, error) {
 		// the prefetch dynamics the thresholds are being tuned for — intact,
 		// while still shrinking the lookup stream and cache by the sampling
 		// rate.
+		// Every replay asks about every id it meets, so the hash is taken
+		// once per block here, not once per lookup there.
 		blockFilter := mrc.SampleFilter(rate)
 		l := cfg.Layout
-		filter = func(id uint32) bool { return blockFilter(uint32(l.BlockOf(id))) }
+		sampled := make([]bool, l.NumBlocks())
+		for b := range sampled {
+			sampled[b] = blockFilter(uint32(b))
+		}
+		filter = func(id uint32) bool { return sampled[l.BlockOf(id)] }
 		miniCache = int(float64(cfg.CacheVectors) * rate)
 		if miniCache < 1 {
 			miniCache = 1
 		}
 	}
+	replay := func(threshold, demand uint32) tuned {
+		var policy cache.AdmissionPolicy = cache.NoPrefetch{}
+		if threshold != DisablePrefetch || demand != 0 {
+			policy = cache.ThresholdAdmit{Counts: cfg.Counts, Threshold: threshold, DemandThreshold: demand}
+		}
+		return tuned{threshold, demand, Replay(tr, Config{Layout: cfg.Layout, CacheVectors: miniCache, Policy: policy, Filter: filter})}
+	}
 
-	baseline := ReplayBaseline(tr, cfg.Layout, miniCache, filter)
+	baseline := replay(DisablePrefetch, 0)
 	choice := ThresholdChoice{
 		PerThreshold:   make(map[uint32]float64, len(thresholds)),
-		SampledLookups: baseline.Lookups,
-		NoPrefetch:     predictionOf(baseline),
+		SampledLookups: baseline.res.Lookups,
 	}
-	best := -1.0
-	first := true
-	for _, t := range thresholds {
-		res := Replay(tr, Config{
-			Layout:       cfg.Layout,
-			CacheVectors: miniCache,
-			Policy:       cache.ThresholdAdmit{Counts: cfg.Counts, Threshold: t},
-			Filter:       filter,
-		})
-		gain := EffectiveBandwidthIncrease(res, baseline)
-		choice.PerThreshold[t] = gain
-		if first || gain > best {
-			best = gain
-			choice.Threshold = t
-			choice.MiniatureGain = gain
-			choice.Predicted = predictionOf(res)
-			first = false
+	off, on := baseline, baseline
+	for i, t := range thresholds {
+		cand := replay(t, 0)
+		choice.PerThreshold[t] = EffectiveBandwidthIncrease(cand.res, baseline.res)
+		if i == 0 || cand.res.BlockReads < on.res.BlockReads {
+			on = cand
 		}
 	}
-	if best < 0 {
-		choice.Threshold = DisablePrefetch
-		choice.MiniatureGain = 0
-		choice.Predicted = choice.NoPrefetch
+	if on.res.BlockReads > off.res.BlockReads {
+		on = off
 	}
+	if cfg.CacheVectors < cfg.Layout.NumVectors() {
+		for _, d := range DemandThresholds(cfg.Counts, cfg.CacheVectors) {
+			if cand := replay(DisablePrefetch, d); cand.res.BlockReads < off.res.BlockReads {
+				off = cand
+			}
+			if on.threshold == DisablePrefetch {
+				continue
+			}
+			if cand := replay(on.threshold, d); cand.res.BlockReads < on.res.BlockReads {
+				on = cand
+			}
+		}
+	}
+	if on.res.BlockReads > off.res.BlockReads || on.threshold == DisablePrefetch {
+		on = off
+	}
+	choice.Threshold, choice.DemandThreshold = on.threshold, on.demand
+	choice.MiniatureGain = EffectiveBandwidthIncrease(on.res, baseline.res)
+	choice.PrefetchGain = EffectiveBandwidthIncrease(on.res, off.res)
+	choice.Predicted = predictionOf(on.res)
+	choice.NoPrefetch, choice.NoPrefetchDemandThreshold = predictionOf(off.res), off.demand
 	return choice, nil
 }

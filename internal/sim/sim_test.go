@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"bandana/internal/cache"
@@ -105,6 +107,15 @@ func TestReplayWithPrefetchUnlimitedCacheReadsFewerBlocks(t *testing.T) {
 // blocks.
 func TestReplayBatchSemantics(t *testing.T) {
 	even := func(id uint32) bool { return id%2 == 0 }
+	// Training saw ids 0 and 1 ten times and nothing else; scan is two
+	// blocks' worth of ids nobody asks for twice, between two reads of 0, 1.
+	hotCounts := make([]uint32, 128)
+	hotCounts[0], hotCounts[1] = 10, 10
+	scan := []trace.Query{{0, 1}, nil, nil, {0, 1}}
+	for id := uint32(32); id < 64; id++ {
+		scan[1] = append(scan[1], id)
+		scan[2] = append(scan[2], id+32)
+	}
 	cases := []struct {
 		name    string
 		queries []trace.Query
@@ -154,6 +165,25 @@ func TestReplayBatchSemantics(t *testing.T) {
 			name:    "misses grouped by block",
 			queries: []trace.Query{{33, 0, 34, 1}, {70, 71, 72}},
 			want:    Result{Lookups: 7, Misses: 7, BlockReads: 3},
+		},
+		{
+			// A 32-vector cache under the scan, gated: the 64 cold ids enter
+			// at the head of the last segment and evict one another from its
+			// tail, 0 and 1 stay where they were and hit.
+			name:    "cold scan on probation leaves the hot ids resident",
+			queries: scan,
+			cache:   32,
+			policy:  cache.ThresholdAdmit{Counts: hotCounts, Threshold: DisablePrefetch, DemandThreshold: 1},
+			want:    Result{Lookups: 68, Hits: 2, Misses: 66, BlockReads: 3, ProbationFills: 64},
+		},
+		{
+			// The same without the gate: 64 fills at the MRU end push 0 and 1
+			// out and the last query pays a fourth block read.
+			name:    "cold scan at MRU evicts the hot ids",
+			queries: scan,
+			cache:   32,
+			policy:  cache.ThresholdAdmit{Counts: hotCounts, Threshold: DisablePrefetch},
+			want:    Result{Lookups: 68, Misses: 68, BlockReads: 4},
 		},
 	}
 	l := layout.Identity(128, 32)
@@ -347,6 +377,135 @@ func TestTuneThresholdSampledTracksOracle(t *testing.T) {
 	if oracleGain > 0 && miniGain < oracleGain*0.5 {
 		t.Fatalf("miniature-cache threshold %d achieves %.3f, oracle threshold %d achieves %.3f",
 			mini.Threshold, miniGain, oracle.Threshold, oracleGain)
+	}
+}
+
+// TestDemandThresholds: the candidates are one more than the training count
+// of the id ranked 0.5x, 1x and 2x the cache size, without repeats, and a
+// rank beyond the table is its coldest id.
+func TestDemandThresholds(t *testing.T) {
+	counts := []uint32{7, 0, 50, 3, 3, 20, 0, 9} // descending: 50 20 9 7 3 3 0 0
+	for _, tc := range []struct {
+		cache int
+		want  []uint32
+	}{
+		{2, []uint32{21, 10, 4}}, // ranks 1, 2, 4
+		{4, []uint32{10, 4, 1}},  // ranks 2, 4, 8 (clamped to 7)
+		{8, []uint32{4, 1}},      // ranks 4, 8, 16: the last two are the same id
+	} {
+		if got := DemandThresholds(counts, tc.cache); !slices.Equal(got, tc.want) {
+			t.Errorf("cache of %d: candidates %v, want %v", tc.cache, got, tc.want)
+		}
+	}
+	if got := DemandThresholds(nil, 4); got != nil {
+		t.Errorf("no counts: candidates %v, want none", got)
+	}
+}
+
+// scanTrace is a hot set of `hot` ids read three at a time plus a scan that
+// touches two fresh ids per query, once each, over an identity layout where
+// every hot id has a block to itself: nothing a block read brings along is
+// worth keeping, and every scan fill at the MRU end pushes a hot id out.
+func scanTrace(vectors, hot, queries int, seed int64) *trace.Trace {
+	tr := &trace.Trace{TableName: "scan", NumVectors: vectors}
+	rng := rand.New(rand.NewSource(seed))
+	cold := uint32(0)
+	for q := 0; q < queries; q++ {
+		query := trace.Query{uint32(rng.Intn(hot)) * 32, uint32(rng.Intn(hot)) * 32, uint32(rng.Intn(hot)) * 32}
+		for k := 0; k < 2; k++ {
+			cold++
+			if cold%32 == 0 {
+				cold++
+			}
+			query = append(query, cold%uint32(vectors))
+		}
+		tr.Queries = append(tr.Queries, query)
+	}
+	return tr
+}
+
+// TestTuneThresholdFindsTheDemandGate: on a hot set under a one-touch scan
+// the tuner turns prefetching off and the gate on, predicts exactly what a
+// replay of that pair measures, and reports the gate's share of the gain —
+// all of it, prefetching earning none.
+func TestTuneThresholdFindsTheDemandGate(t *testing.T) {
+	tr := scanTrace(2048, 64, 900, 1)
+	l := layout.Identity(tr.NumVectors, 32)
+	counts := tr.AccessCounts()
+	choice, err := TuneThreshold(tr, TunerConfig{Layout: l, Counts: counts, CacheVectors: 96, SamplingRate: 1, Thresholds: []uint32{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if choice.Threshold != DisablePrefetch || choice.DemandThreshold == 0 {
+		t.Fatalf("chose prefetch threshold %d, demand threshold %d; want prefetching off and a gate", choice.Threshold, choice.DemandThreshold)
+	}
+	if choice.NoPrefetchDemandThreshold != choice.DemandThreshold || choice.NoPrefetch != choice.Predicted {
+		t.Fatalf("with prefetching off the chosen pair is the prefetch-free one: %+v", choice)
+	}
+	if choice.MiniatureGain <= 0.2 || choice.PrefetchGain != 0 {
+		t.Fatalf("gain %.3f, of which prefetching %.3f; want the gate to earn over 20%% and prefetching nothing", choice.MiniatureGain, choice.PrefetchGain)
+	}
+	full := Replay(tr, Config{Layout: l, CacheVectors: 96,
+		Policy: cache.ThresholdAdmit{Counts: counts, Threshold: choice.Threshold, DemandThreshold: choice.DemandThreshold}})
+	if got := predictionOf(full); got != choice.Predicted {
+		t.Fatalf("predicted %+v, the pair replays to %+v", choice.Predicted, got)
+	}
+	plain := ReplayBaseline(tr, l, 96, nil)
+	if got := EffectiveBandwidthIncrease(full, plain); got != choice.MiniatureGain {
+		t.Fatalf("MiniatureGain %.4f, the pair's gain over the plain replay %.4f", choice.MiniatureGain, got)
+	}
+}
+
+// TestTuneThresholdKeepsNoGateWhereItDoesNotHelp: every id is read exactly
+// twice, 50 other ids apart, and training counted them all alike, so the one
+// candidate gate puts every fill on probation. Plain LRU serves every second
+// read from a 200-vector cache; on probation the promoted, never-read-again
+// ids fill the upper segments and the second read comes too late. The choice
+// must then be exactly what the prefetch sweep alone decides (here over one
+// threshold no count passes, so block neighbours do not blur the picture) —
+// and a cache that holds the whole table must not be offered a gate at all.
+func TestTuneThresholdKeepsNoGateWhereItDoesNotHelp(t *testing.T) {
+	tr := &trace.Trace{TableName: "twice", NumVectors: 4096}
+	for i := uint32(0); i < 3000; i++ {
+		tr.Queries = append(tr.Queries, trace.Query{i})
+		if i >= 50 {
+			tr.Queries = append(tr.Queries, trace.Query{i - 50})
+		}
+	}
+	l := layout.Random(tr.NumVectors, 32, 1)
+	uniform := make([]uint32, tr.NumVectors)
+	for i := range uniform {
+		uniform[i] = 2
+	}
+	gated := Replay(tr, Config{Layout: l, CacheVectors: 200, Policy: cache.ThresholdAdmit{Counts: uniform, Threshold: DisablePrefetch, DemandThreshold: 3}})
+	if plain := ReplayBaseline(tr, l, 200, nil); gated.BlockReads <= plain.BlockReads {
+		t.Fatalf("the trace was built so the gate loses: %d block reads gated, %d plain", gated.BlockReads, plain.BlockReads)
+	}
+	if got := DemandThresholds(uniform, 200); !slices.Equal(got, []uint32{3}) {
+		t.Fatalf("candidate gates %v, want [3]", got)
+	}
+	for _, cacheVectors := range []int{200, tr.NumVectors} {
+		choice, err := TuneThreshold(tr, TunerConfig{Layout: l, Counts: uniform, CacheVectors: cacheVectors, SamplingRate: 1, Thresholds: []uint32{5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if choice.DemandThreshold != 0 || choice.NoPrefetchDemandThreshold != 0 {
+			t.Fatalf("cache of %d: demand thresholds %d/%d, want none", cacheVectors, choice.DemandThreshold, choice.NoPrefetchDemandThreshold)
+		}
+		base := ReplayBaseline(tr, l, cacheVectors, nil)
+		best, bestGain := DisablePrefetch, 0.0
+		for _, th := range []uint32{5} {
+			res := Replay(tr, Config{Layout: l, CacheVectors: cacheVectors, Policy: cache.ThresholdAdmit{Counts: uniform, Threshold: th}})
+			if g := EffectiveBandwidthIncrease(res, base); g != choice.PerThreshold[th] {
+				t.Fatalf("cache of %d: PerThreshold[%d] = %v, replay says %v", cacheVectors, th, choice.PerThreshold[th], g)
+			} else if g >= 0 && (best == DisablePrefetch || g > bestGain) {
+				best, bestGain = th, g
+			}
+		}
+		if choice.Threshold != best || choice.MiniatureGain != bestGain || choice.PrefetchGain != bestGain {
+			t.Fatalf("cache of %d: chose threshold %d at gain %v (prefetch %v), the ungated sweep says %d at %v",
+				cacheVectors, choice.Threshold, choice.MiniatureGain, choice.PrefetchGain, best, bestGain)
+		}
 	}
 }
 
