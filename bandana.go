@@ -52,8 +52,8 @@
 // image — one journaled block write per dirty block, however many of its
 // vectors changed — and trims the log; the device's write counters move
 // then, not at the update (CompactDeltas forces it). Every store therefore
-// runs two goroutines, the compactor and the I/O scheduler's dispatcher, and
-// every Open needs a Close to stop them.
+// runs a goroutine, the compactor, and every Open needs a Close to stop it
+// and to drain the I/O scheduler.
 //
 // # Layout changes
 //

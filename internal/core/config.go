@@ -23,8 +23,8 @@
 //     bytes in a DRAM overlay served ahead of the block image; a background
 //     compactor folds the overlay into the image (the device's write
 //     counters move then; CompactDeltas forces it) and trims the log.
-//  5. Close stops the compactor and the scheduler's dispatcher — two
-//     goroutines every store runs, so every Open needs one.
+//  5. Close stops the compactor — a goroutine every store runs, so every
+//     Open needs one — and drains the I/O scheduler.
 package core
 
 import (

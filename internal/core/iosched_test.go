@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"bandana/internal/fp16"
 	"bandana/internal/nvm"
+	"bandana/internal/table"
 )
 
 // readCountingStore wraps a MemStore and counts reads that actually reach
@@ -266,5 +268,66 @@ func TestIOSchedConfigValidation(t *testing.T) {
 		if _, err := Open(Config{Tables: tables, Seed: 1, IOSched: opts}); err == nil {
 			t.Fatalf("options %+v accepted", opts)
 		}
+	}
+}
+
+// TestLateStaleReadIsResubmittedOnce drives readBlocksMiss's freshness loop
+// through the token scheduler: a miss attaches to a block read its owner is
+// already issuing (Late), and an update moves the table's epoch past the
+// owner's tag before the read completes. The follower must discard the
+// shared bytes, re-submit — now as the block's own reader, under the current
+// epoch — and return; it must not spin on the stale result or hang.
+func TestLateStaleReadIsResubmittedOnce(t *testing.T) {
+	const n, dim, owner, follower, other = 256, 64, 70, 71, 200 // 70 and 71 share a block
+	tbl := table.New("v", n, dim)
+	for i := uint32(0); i < n; i++ {
+		if err := tbl.SetVector(i, versioned(dim, i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gs := &gatedStore{MemStore: nvm.NewMemStore(n * dim * fp16.ByteSize / nvm.BlockSize)}
+	s, err := Open(Config{Tables: []*table.Table{tbl}, Device: nvm.NewDevice(nvm.DeviceConfig{Store: gs})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	paused, resume := make(chan struct{}), make(chan struct{})
+	park := func() { close(paused); <-resume }
+	gs.afterRead.Store(&park)
+	lookup := func(id uint32, done chan<- error) {
+		vec, err := s.Lookup(0, id)
+		if err == nil {
+			_, err = versionOf(vec, id)
+		}
+		done <- err
+	}
+	done := make(chan error, 2)
+	go lookup(owner, done)
+	<-paused // the owner holds the token; its block is read and still pending
+	if err := s.UpdateVector(0, other, versioned(dim, other, 1)); err != nil {
+		t.Fatal(err)
+	}
+	go lookup(follower, done)
+	deadline := time.Now().Add(5 * time.Second)
+	for st, _ := s.IOSchedStats(); st.CoalescedLate != 1; st, _ = s.IOSchedStats() {
+		if time.Now().After(deadline) {
+			t.Fatal("the second miss never attached to the in-flight read")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(resume)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a lookup did not return: the re-submit loop did not terminate")
+		}
+	}
+	if st, _ := s.IOSchedStats(); st.DeviceReads != 2 || st.Coalesced != 1 {
+		t.Fatalf("%d device reads, %d coalesced: want the owner's read, one stale attach and one re-read", st.DeviceReads, st.Coalesced)
 	}
 }

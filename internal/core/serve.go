@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"bandana/internal/fp16"
@@ -18,21 +17,9 @@ import (
 // mutating layers (train.go, rewrite.go, adapt.go) publish new snapshots
 // through the atomic state pointer, so serving never blocks on them.
 
-// batchBufBlocks is the largest batched-miss read served from the pooled
-// batch buffer; rarer, larger batches fall back to a one-off allocation.
-const batchBufBlocks = 8
-
 // dedupeScanThreshold is the batch size up to which duplicate ids are found
 // by linear scan (no allocation); larger batches use a map.
 const dedupeScanThreshold = 32
-
-// batchBufPool recycles the multi-block read buffers of serveBatch.
-var batchBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, batchBufBlocks*nvm.BlockSize)
-		return &b
-	},
-}
 
 // Lookup returns the embedding vector id of table tableIdx, decoded into a
 // slice the caller owns.
@@ -558,21 +545,11 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 
 	// One batched device read covers every missed block: the reads overlap
 	// at the device (and collapse into offset I/O on the file backend)
-	// instead of being issued one by one. Small batches reuse pooled
-	// buffers so the steady-state miss path stays allocation-free.
-	var batch []byte
-	switch {
-	case len(abs) == 1:
-		bufp := getBlockBuf()
-		defer putBlockBuf(bufp)
-		batch = *bufp
-	case len(abs) <= batchBufBlocks:
-		bufp := batchBufPool.Get().(*[]byte)
-		defer batchBufPool.Put(bufp)
-		batch = (*bufp)[:len(abs)*nvm.BlockSize]
-	default:
-		batch = make([]byte, len(abs)*nvm.BlockSize)
-	}
+	// instead of being issued one by one. The scheduler reads into this
+	// buffer directly, so it is the aligned, pooled kind direct I/O needs.
+	bufp := nvm.GetBatchBuf(len(abs))
+	defer nvm.PutBatchBuf(bufp)
+	batch := *bufp
 	epoch := st.epoch.Load()
 	lat, wait, coalesced, epoch, err := st.readBlocksMiss(abs, batch, epoch)
 	if err != nil {

@@ -331,9 +331,9 @@ func openMem(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	if err := s.writeTables(cfg.Tables); err != nil {
-		// Close the store, not just the device: the I/O scheduler's
-		// dispatcher and the compactor must stop too. A caller-supplied
-		// device stays open (Close only closes owned devices).
+		// Close the store, not just the device: the compactor must stop
+		// too. A caller-supplied device stays open (Close only closes owned
+		// devices).
 		s.Close()
 		return nil, err
 	}
@@ -471,11 +471,11 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 	return s, nil
 }
 
-// Close stops the adaptation engine (if running), the background compactor
-// and the I/O scheduler's dispatcher, and releases the store's resources (and
-// the device if the store created it). Every Open needs one Close: the last
-// two are goroutines every store runs. Calling it again is harmless and
-// returns the first call's error.
+// Close stops the adaptation engine (if running) and the background
+// compactor, drains the I/O scheduler, and releases the store's resources
+// (and the device if the store created it). Every Open needs one Close: the
+// compactor is a goroutine every store runs. Calling it again is harmless
+// and returns the first call's error.
 func (s *Store) Close() error {
 	s.closeOnce.Do(func() { s.closeErr = s.close() })
 	return s.closeErr

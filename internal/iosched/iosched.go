@@ -21,11 +21,18 @@
 //     scheduled before prefetch/background reads, so background maintenance
 //     traffic can never starve the serving path.
 //
-// Submitters block until their read completes (submit-and-wait), so lock
-// protocols built around the reader — in particular core's rewrite exclusion,
-// where in-flight miss reads drain under a per-table RWMutex before a bulk
-// copy-into-place — keep working unchanged: a goroutine waiting on the
-// scheduler still holds whatever locks it held when it submitted.
+// There is no dispatcher goroutine. A submitter queues its reads and takes
+// the issue token; the submitter holding the token dispatches — batches from
+// everything queued, demand first — until its own reads have been taken, by
+// it or by an earlier holder. The others wait for the token or, having
+// coalesced, for their read. An uncontended miss never leaves its goroutine,
+// and a waiting one still holds the locks it submitted under, which core's
+// rewrite exclusion (in-flight miss reads drain under a per-table RWMutex
+// before a bulk copy-into-place) relies on.
+//
+// A batch is what the device model is told overlaps. The file backend serves
+// it as sequential preads, so the service latency reported here is the
+// model's, not the wall clock's.
 package iosched
 
 import (
@@ -93,7 +100,7 @@ type Config struct {
 	// traffic. A non-zero window trades bounded added latency for fuller
 	// batches (useful under sustained load and in benchmarks).
 	Window time.Duration
-	// gate, when non-nil, is called by the dispatcher after assembling each
+	// gate, when non-nil, is called by the token holder after assembling each
 	// batch and before issuing it to the device — a test hook that makes
 	// concurrency tests deterministic. Set via WithGate (export_test.go).
 	gate func(batchBlocks []int)
@@ -112,44 +119,43 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// op is one submitted block read. The leader (the op that owns the device
-// read) and any coalesced waiters all block on done; the dispatcher fills
-// dst (the leader's buffer) and, when waiters attached, buf, sets lat/err
-// and closes done.
+// op is one block read of a ReadBlocks call; a call's ops are one slice. An
+// op that finds no read of its block pending leads: it is queued, and the
+// token holder reads its block into dst. The others follow the pending op
+// (shared) and wait on its done channel.
 type op struct {
 	block int
 	pri   Priority
-	// tag is the leader's opaque version tag (see ReadBlock); coalesced
-	// waiters receive it as ReadResult.LeaderTag.
+	// tag is the leader's opaque version tag (see ReadBlocks); followers
+	// receive it as ReadResult.LeaderTag.
 	tag uint64
-	// dst is the leader's destination buffer, written by the dispatcher
-	// before done closes (the leader is blocked on done, so this is safe
-	// and saves a copy on the common uncoalesced path).
-	dst []byte
+	// dst is the caller's buffer from this block's position to its end: the
+	// first BlockSize bytes are this op's, the tail lets inPlace see that a
+	// batch of one call's consecutive blocks is one run of memory.
+	dst    []byte
+	shared *op // the op this one follows; nil for a leader
 
+	// done and buf exist once a follower has attached (the first makes them,
+	// under Scheduler.mu, while the op is in the pending map, so the issuer
+	// sees them): done closes when the read has completed, buf is the pooled
+	// copy of the block the followers read. refs counts the followers; the
+	// last to finish returns buf to the pool.
 	done chan struct{}
-	// buf is the pooled shared result buffer for coalesced waiters. It is
-	// allocated (under Scheduler.mu) by the first waiter to attach and
-	// stays nil on the common uncoalesced path.
-	buf *[]byte
+	buf  *[]byte
+	refs atomic.Int32
+
 	lat float64
 	err error
 
-	// issued flips (under Scheduler.mu) when the dispatcher takes the op
-	// into a batch; waiters attaching after that point are marked Late.
+	// issued flips (under Scheduler.mu) when a token holder takes the op into
+	// a batch; followers attaching after that point are marked Late.
 	issued bool
 	// skips counts dispatches that passed this op over while it headed its
 	// queue (anti-starvation accounting for the background class).
 	skips int
-	// refs counts goroutines that will read buf (leader + waiters); the
-	// last one to finish returns buf to the pool. Incremented under
-	// Scheduler.mu before done closes, decremented after.
-	refs atomic.Int32
 
 	enqueued time.Time
-	// waitUS is the time this op spent queued before the dispatcher took it
-	// into a batch (set by issue, before done closes).
-	waitUS float64
+	waitUS   float64 // enqueue to batch, set by issue
 }
 
 // ReadResult describes how one submitted read was served.
@@ -169,7 +175,7 @@ type ReadResult struct {
 	// been issued when it arrived: the returned bytes may predate writes
 	// that completed at any point before the attach. Callers with
 	// freshness requirements re-read when Late is set and LeaderTag no
-	// longer matches their current version (see ReadBlock).
+	// longer matches their current version (see ReadBlocks).
 	Late bool
 	// LeaderTag is the tag the read that actually touched the device was
 	// submitted with (the caller's own tag when Coalesced is false). A
@@ -192,25 +198,33 @@ type Scheduler struct {
 	pending map[int]*op // block -> coalescable op (queued or in flight)
 	closed  bool
 
-	wake chan struct{} // nudges the dispatcher; buffered, submitters never block
-	stop chan struct{} // closed by Close once, after marking closed
-	done chan struct{} // closed when the dispatcher exits
+	// token is the right to issue: one device batch is in flight at a time,
+	// and reads arriving meanwhile queue up to form the next. Lock order:
+	// token, then mu. batch and idxs are the holder's scratch.
+	token sync.Mutex
+	batch []*op
+	idxs  []int
+	// filled nudges a holder waiting the accumulation window out: the queue
+	// has reached the target depth, or the scheduler has closed.
+	filled chan struct{}
 
 	// Counters (atomics: hot-path increments take no lock).
-	submitted     [numPriorities]atomic.Int64
-	deviceReads   atomic.Int64
-	batches       atomic.Int64
-	maxBatch      atomic.Int64
-	coalesced     atomic.Int64
-	coalescedLate atomic.Int64
-	rejected      atomic.Int64
-	simBusyUS     atomic.Uint64 // float64 bits
+	submitted      [numPriorities]atomic.Int64
+	deviceReads    atomic.Int64
+	batches        atomic.Int64
+	bouncedBatches atomic.Int64
+	maxBatch       atomic.Int64
+	coalesced      atomic.Int64
+	coalescedLate  atomic.Int64
+	rejected       atomic.Int64
+	simBusyUS      atomic.Uint64 // float64 bits
 
-	// queueWait tracks wall-clock submission-to-dispatch time per read;
+	// queueWait tracks wall-clock submission-to-dispatch time per read, of
+	// which tokenWait (per call) is the wait to become the dispatcher;
 	// service tracks simulated device time per dispatched batch. Together
-	// they decompose the old single LatencyUS into where a miss actually
-	// spent its time: waiting for a batch slot vs on the device.
+	// they say where a miss's I/O time went: a batch slot vs the device.
 	queueWait *metrics.Histogram
+	tokenWait *metrics.Histogram
 	service   *metrics.Histogram
 }
 
@@ -231,6 +245,9 @@ type Stats struct {
 	Batches      int64   `json:"batches"`
 	AvgBatchSize float64 `json:"avgBatchSize"`
 	MaxBatchSize int64   `json:"maxBatchSize"`
+	// BouncedBatches counts dispatches that mixed callers and so went through
+	// a pooled buffer instead of being read in place.
+	BouncedBatches int64 `json:"bouncedBatches"`
 	// Coalesced counts reads served by another read's device I/O;
 	// CoalescedLate is the subset that attached after the device read was
 	// already issued.
@@ -246,13 +263,16 @@ type Stats struct {
 	// QueueWait summarizes wall-clock submission-to-dispatch time per read
 	// (microseconds); Service summarizes simulated device time per
 	// dispatched batch (its count is Batches, not DeviceReads). QueueWait +
-	// Service decompose the total miss-path I/O latency.
+	// Service decompose the total miss-path I/O latency. TokenWait is the
+	// part of QueueWait spent waiting for the issue token, one sample per
+	// call with a read of its own to dispatch.
 	QueueWait metrics.Snapshot `json:"queueWaitUS"`
+	TokenWait metrics.Snapshot `json:"tokenWaitUS"`
 	Service   metrics.Snapshot `json:"serviceUS"`
 }
 
-// New creates a scheduler over device and starts its dispatcher. Close must
-// be called to release it.
+// New creates a scheduler over device. It starts no goroutine: reads are
+// issued by the goroutines that submit them. Close drains it.
 func New(device *nvm.Device, cfg Config) (*Scheduler, error) {
 	if device == nil {
 		return nil, errors.New("iosched: nil device")
@@ -260,142 +280,138 @@ func New(device *nvm.Device, cfg Config) (*Scheduler, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	s := &Scheduler{
+	return &Scheduler{
 		device:    device,
 		cfg:       cfg,
 		pending:   make(map[int]*op),
-		wake:      make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		batch:     make([]*op, 0, cfg.QueueDepth),
+		idxs:      make([]int, cfg.QueueDepth),
+		filled:    make(chan struct{}, 1),
 		queueWait: metrics.NewLatencyHistogram(),
+		tokenWait: metrics.NewLatencyHistogram(),
 		service:   metrics.NewLatencyHistogram(),
-	}
-	go s.dispatch()
-	return s, nil
+	}, nil
 }
 
 // Config returns the scheduler's effective (normalized) configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
 
-// ReadBlock submits one block read at the given priority and waits for it.
-// The block's bytes are copied into dst (at least nvm.BlockSize long). tag
-// is an opaque caller version (e.g. a table epoch loaded before the call):
-// it travels with the read that touches the device and is handed back to
-// every coalesced waiter as ReadResult.LeaderTag, which is what lets
-// callers detect a stale Late-coalesced result exactly.
+// ReadBlock is ReadBlocks of one block.
 func (s *Scheduler) ReadBlock(block int, dst []byte, pri Priority, tag uint64) (ReadResult, error) {
-	if len(dst) < nvm.BlockSize {
-		return ReadResult{}, fmt.Errorf("iosched: destination buffer too small: %d", len(dst))
+	results, err := s.ReadBlocks([]int{block}, dst, pri, tag)
+	if results == nil {
+		return ReadResult{}, err
 	}
-	o, res, err := s.submit(block, dst, pri, tag)
-	if err != nil {
-		return res, err
-	}
-	<-o.done
-	res.LatencyUS = o.lat
-	res.WaitUS = o.waitUS
-	err = o.err
-	if err == nil && res.Coalesced {
-		// The dispatcher wrote the leader's dst directly; waiters copy out
-		// of the shared buffer their attach allocated.
-		copy(dst[:nvm.BlockSize], *o.buf)
-	}
-	s.release(o)
-	return res, err
+	return results[0], err
 }
 
-// ReadBlocks submits len(blocks) reads at the given priority and waits for
-// all of them; block blocks[i] lands in dst[i*BlockSize:]. It returns
+// ReadBlocks submits len(blocks) reads at the given priority and returns when
+// all have completed; block blocks[i] lands in dst[i*BlockSize:]. It returns
 // per-read results (aligned with blocks) and the first error, if any. The
 // reads are independent scheduler ops: they may be dispatched in one device
-// batch, split across several, or coalesce with other callers' reads. tag
-// has ReadBlock's semantics.
+// batch, split across several, or coalesce with other callers' reads. tag is
+// an opaque caller version (e.g. a table epoch loaded before the call): it
+// travels with the reads that touch the device and comes back to every read
+// coalesced onto them as ReadResult.LeaderTag, which is what lets callers
+// detect a stale Late-coalesced result exactly.
 func (s *Scheduler) ReadBlocks(blocks []int, dst []byte, pri Priority, tag uint64) ([]ReadResult, error) {
 	if len(dst) < len(blocks)*nvm.BlockSize {
 		return nil, fmt.Errorf("iosched: destination buffer too small for %d blocks: %d", len(blocks), len(dst))
 	}
-	results := make([]ReadResult, len(blocks))
-	ops := make([]*op, len(blocks))
-	var firstErr error
-	for i, b := range blocks {
-		o, res, err := s.submit(b, dst[i*nvm.BlockSize:(i+1)*nvm.BlockSize], pri, tag)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		ops[i] = o
-		results[i] = res
+	if pri < 0 || pri >= numPriorities {
+		return nil, fmt.Errorf("iosched: invalid priority %d", int(pri))
 	}
-	for i, o := range ops {
-		if o == nil {
+	results := make([]ReadResult, len(blocks))
+	ops := make([]op, len(blocks))
+	enqueued := time.Now()
+
+	// The whole call is queued (or coalesced) under one lock.
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		s.rejected.Add(int64(len(blocks)))
+		return nil, ErrClosed
+	}
+	s.submitted[pri].Add(int64(len(blocks)))
+	leaders := 0
+	for i, b := range blocks {
+		o := &ops[i]
+		if lead, ok := s.pending[b]; ok {
+			o.shared = lead
+			results[i] = s.followLocked(lead, pri)
 			continue
 		}
-		<-o.done
-		results[i].LatencyUS = o.lat
-		results[i].WaitUS = o.waitUS
-		if o.err != nil {
-			if firstErr == nil {
-				firstErr = o.err
+		o.block, o.pri, o.tag, o.enqueued = b, pri, tag, enqueued
+		o.dst = dst[i*nvm.BlockSize:]
+		s.pending[b] = o
+		s.queues[pri] = append(s.queues[pri], o)
+		results[i].LeaderTag = tag
+		leaders++
+	}
+	full := s.cfg.Window > 0 && s.queuedLocked() >= s.cfg.QueueDepth
+	s.mu.Unlock()
+	if full {
+		s.nudge()
+	}
+
+	if leaders > 0 {
+		// Dispatch until every read of this call has been taken into a batch.
+		// A batch completes before its issuer gives the token up, so a read
+		// an earlier holder took is complete by the time the token is ours.
+		s.token.Lock()
+		s.tokenWait.Observe(float64(time.Since(enqueued)) / float64(time.Microsecond))
+		queued := ops
+		s.dispatchUntil(func() bool {
+			for len(queued) > 0 && (queued[0].shared != nil || queued[0].issued) {
+				queued = queued[1:]
 			}
-		} else if results[i].Coalesced {
-			copy(dst[i*nvm.BlockSize:(i+1)*nvm.BlockSize], *o.buf)
+			return len(queued) == 0
+		})
+		s.token.Unlock()
+	}
+
+	var firstErr error
+	for i := range results {
+		lead := &ops[i]
+		if lead.shared != nil {
+			lead = lead.shared
+			<-lead.done
+			if lead.err == nil {
+				copy(dst[i*nvm.BlockSize:(i+1)*nvm.BlockSize], *lead.buf)
+			}
+			if lead.refs.Add(-1) == 0 {
+				nvm.PutBlockBuf(lead.buf)
+			}
 		}
-		s.release(o)
+		results[i].LatencyUS, results[i].WaitUS = lead.lat, lead.waitUS
+		if lead.err != nil && firstErr == nil {
+			firstErr = lead.err
+		}
 	}
 	return results, firstErr
 }
 
-// submit enqueues (or coalesces) one read. On success the caller must wait
-// on the returned op's done channel and then call release.
-func (s *Scheduler) submit(block int, dst []byte, pri Priority, tag uint64) (*op, ReadResult, error) {
-	if pri < 0 || pri >= numPriorities {
-		return nil, ReadResult{}, fmt.Errorf("iosched: invalid priority %d", int(pri))
+// followLocked attaches one read to the pending read of its block. Callers
+// hold s.mu.
+func (s *Scheduler) followLocked(lead *op, pri Priority) ReadResult {
+	lead.refs.Add(1)
+	if lead.done == nil {
+		lead.done = make(chan struct{})
+		lead.buf = nvm.GetBlockBuf()
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.rejected.Add(1)
-		return nil, ReadResult{}, ErrClosed
+	// A demand read coalescing onto a queued prefetch read must not inherit
+	// its low urgency: promote the shared op.
+	if !lead.issued && pri < lead.pri {
+		s.promoteLocked(lead, pri)
 	}
-	s.submitted[pri].Add(1)
-	if existing, ok := s.pending[block]; ok {
-		existing.refs.Add(1)
-		late := existing.issued
-		if existing.buf == nil {
-			// First waiter: materialize the shared result buffer the
-			// dispatcher will fill alongside the leader's dst. Allocating
-			// it here (under mu, while the op is still in the pending
-			// map) guarantees the dispatcher sees it before fan-out.
-			existing.buf = nvm.GetBlockBuf()
-		}
-		// A demand read coalescing onto a queued prefetch read must not
-		// inherit its low urgency: promote the shared op.
-		if !existing.issued && pri < existing.pri {
-			s.promoteLocked(existing, pri)
-		}
-		leaderTag := existing.tag
-		s.mu.Unlock()
-		s.coalesced.Add(1)
-		if late {
-			s.coalescedLate.Add(1)
-		}
-		// Surface the coalesced read in the device's stats section next
-		// to the batch counters it complements.
-		s.device.NoteCoalescedRead()
-		return existing, ReadResult{Coalesced: true, Late: late, LeaderTag: leaderTag}, nil
+	s.coalesced.Add(1)
+	if lead.issued {
+		s.coalescedLate.Add(1)
 	}
-	o := &op{block: block, pri: pri, tag: tag, dst: dst, done: make(chan struct{}), enqueued: time.Now()}
-	o.refs.Store(1)
-	s.pending[block] = o
-	s.queues[pri] = append(s.queues[pri], o)
-	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-	return o, ReadResult{LeaderTag: tag}, nil
+	// Surface the coalesced read in the device's stats section next to the
+	// batch counters it complements.
+	s.device.NoteCoalescedRead()
+	return ReadResult{Coalesced: true, Late: lead.issued, LeaderTag: lead.tag}
 }
 
 // promoteLocked moves a queued op to a more urgent priority class. Callers
@@ -412,14 +428,6 @@ func (s *Scheduler) promoteLocked(o *op, pri Priority) {
 	s.queues[pri] = append(s.queues[pri], o)
 }
 
-// release drops one reference to the op's shared result buffer, returning
-// it to the block-buffer pool when this was the last reader.
-func (s *Scheduler) release(o *op) {
-	if o.refs.Add(-1) == 0 && o.buf != nil {
-		nvm.PutBlockBuf(o.buf)
-	}
-}
-
 // queuedLocked returns the total queued op count. Callers hold s.mu.
 func (s *Scheduler) queuedLocked() int {
 	n := 0
@@ -427,6 +435,14 @@ func (s *Scheduler) queuedLocked() int {
 		n += len(q)
 	}
 	return n
+}
+
+// nudge wakes a token holder waiting the accumulation window out.
+func (s *Scheduler) nudge() {
+	select {
+	case s.filled <- struct{}{}:
+	default:
+	}
 }
 
 // prefetchStarvationSkips bounds how many consecutive dispatches may pass
@@ -437,30 +453,28 @@ func (s *Scheduler) queuedLocked() int {
 // "deferred while demand keeps arriving" must mean bounded, not forever.
 const prefetchStarvationSkips = 8
 
-// takeBatchLocked removes up to target ops from the queues, demand first,
-// and marks them issued. A background op that has been passed over by
-// prefetchStarvationSkips dispatches takes the first slot. Callers hold
-// s.mu.
-func (s *Scheduler) takeBatchLocked(target int) []*op {
-	batch := make([]*op, 0, target)
+// takeBatchLocked moves up to the target depth of ops from the queues into
+// the holder's scratch batch, demand first, and marks them issued. A
+// background op that has been passed over by prefetchStarvationSkips
+// dispatches takes the first slot. Callers hold the token and s.mu.
+func (s *Scheduler) takeBatchLocked() []*op {
+	batch := s.batch[:0]
+	take := func(pri Priority, n int) {
+		q := s.queues[pri]
+		for _, o := range q[:n] {
+			o.issued = true
+		}
+		batch = append(batch, q[:n]...)
+		// Close the gap: the queue keeps its array, so queueing never allocates.
+		rest := copy(q, q[n:])
+		clear(q[rest:])
+		s.queues[pri] = q[:rest]
+	}
 	if q := s.queues[Prefetch]; len(q) > 0 && q[0].skips >= prefetchStarvationSkips {
-		o := q[0]
-		s.queues[Prefetch] = q[1:]
-		o.issued = true
-		batch = append(batch, o)
+		take(Prefetch, 1)
 	}
 	for pri := range s.queues {
-		q := s.queues[pri]
-		for len(q) > 0 && len(batch) < target {
-			o := q[0]
-			q = q[1:]
-			o.issued = true
-			batch = append(batch, o)
-		}
-		s.queues[pri] = q
-		if len(batch) == target {
-			break
-		}
+		take(Priority(pri), min(len(s.queues[pri]), s.cfg.QueueDepth-len(batch)))
 	}
 	// The head blocks its whole FIFO queue, so aging it is enough.
 	if q := s.queues[Prefetch]; len(q) > 0 {
@@ -469,32 +483,26 @@ func (s *Scheduler) takeBatchLocked(target int) []*op {
 	return batch
 }
 
-// dispatch is the scheduler's single background goroutine: it assembles
-// batches from the submission queues and issues them to the device.
-func (s *Scheduler) dispatch() {
-	defer close(s.done)
+// dispatchUntil is the issue loop: assemble a batch from the submission
+// queues, read it, fan it out, until done — evaluated under s.mu, and false
+// only while something is queued — says stop. The caller holds the token.
+func (s *Scheduler) dispatchUntil(done func() bool) {
 	for {
 		s.mu.Lock()
-		for s.queuedLocked() == 0 {
-			closed := s.closed
+		if done() {
 			s.mu.Unlock()
-			if closed {
-				return
-			}
-			select {
-			case <-s.wake:
-			case <-s.stop:
-				// Re-check the queue: ops submitted just before Close
-				// flipped closed still drain below.
-			}
-			s.mu.Lock()
+			return
 		}
-
 		// Accumulate toward the target queue depth, but never hold the
 		// oldest read past the configured window: the window bounds added
 		// latency, it does not guarantee full batches.
-		if w := s.cfg.Window; w > 0 && !s.closed {
-			oldest := s.oldestEnqueueLocked()
+		if w := s.cfg.Window; w > 0 {
+			oldest := time.Now()
+			for _, q := range s.queues {
+				if len(q) > 0 && q[0].enqueued.Before(oldest) {
+					oldest = q[0].enqueued
+				}
+			}
 			for s.queuedLocked() < s.cfg.QueueDepth && !s.closed {
 				wait := w - time.Since(oldest)
 				if wait <= 0 {
@@ -503,48 +511,39 @@ func (s *Scheduler) dispatch() {
 				s.mu.Unlock()
 				timer := time.NewTimer(wait)
 				select {
-				case <-s.wake:
+				case <-s.filled:
 					timer.Stop()
 				case <-timer.C:
-				case <-s.stop:
-					timer.Stop()
 				}
 				s.mu.Lock()
 			}
 		}
-
-		batch := s.takeBatchLocked(s.cfg.QueueDepth)
+		batch := s.takeBatchLocked()
 		s.mu.Unlock()
-		if len(batch) > 0 {
-			s.issue(batch)
-		}
+		s.issue(batch)
 	}
 }
 
-// oldestEnqueueLocked returns the earliest enqueue time across the queues.
-// Callers hold s.mu and guarantee at least one queued op.
-func (s *Scheduler) oldestEnqueueLocked() time.Time {
-	var oldest time.Time
-	for _, q := range s.queues {
-		if len(q) > 0 && (oldest.IsZero() || q[0].enqueued.Before(oldest)) {
-			oldest = q[0].enqueued
+// inPlace returns the memory a batch can be read straight into: its ops'
+// destinations, when they are one run in batch order — which a batch of one
+// call's consecutive blocks is — and nil when they are not.
+func inPlace(batch []*op) []byte {
+	run := batch[0].dst
+	if len(run) < len(batch)*nvm.BlockSize {
+		return nil
+	}
+	for i, o := range batch[1:] {
+		if &o.dst[0] != &run[(i+1)*nvm.BlockSize] {
+			return nil
 		}
 	}
-	return oldest
+	return run[:len(batch)*nvm.BlockSize]
 }
 
-// issue sends one assembled batch to the device and fans results out to the
-// ops' waiters.
+// issue sends one assembled, non-empty batch to the device as one ReadBlocks
+// call and fans the results out. The caller holds the token.
 func (s *Scheduler) issue(batch []*op) {
-	if s.cfg.gate != nil {
-		blocks := make([]int, len(batch))
-		for i, o := range batch {
-			blocks[i] = o.block
-		}
-		s.cfg.gate(blocks)
-	}
-
-	idxs := make([]int, len(batch))
+	idxs := s.idxs[:len(batch)]
 	now := time.Now()
 	for i, o := range batch {
 		idxs[i] = o.block
@@ -552,21 +551,29 @@ func (s *Scheduler) issue(batch []*op) {
 		o.waitUS = float64(now.Sub(o.enqueued)) / float64(time.Microsecond)
 		s.queueWait.Observe(o.waitUS)
 	}
-	bufp := nvm.GetBatchBuf(len(batch))
-	// One batch in flight at a time: submissions arriving while this read
-	// runs queue up and form the next batch, so the synchronous device
-	// call is the cheapest correct dispatch.
-	lat, err := s.device.ReadBlocks(idxs, *bufp)
+	if s.cfg.gate != nil {
+		s.cfg.gate(idxs)
+	}
 
-	// Freeze the waiter set before fanning results out: once the ops leave
-	// the pending map no new waiter can attach, so every shared buffer a
-	// waiter allocated is visible (it was created under the same mutex) and
-	// gets filled below before done closes.
+	// A batch mixing callers has no one destination: it is read into a
+	// pooled buffer and copied out.
+	dst := inPlace(batch)
+	var bounce *[]byte
+	if dst == nil {
+		bounce = nvm.GetBatchBuf(len(batch))
+		defer nvm.PutBatchBuf(bounce)
+		dst = *bounce
+		s.bouncedBatches.Add(1)
+	}
+	lat, err := s.device.ReadBlocks(idxs, dst)
+
+	// Freeze the follower set before fanning results out: once the ops leave
+	// the pending map no follower can attach, so every done channel and
+	// shared buffer a follower made is visible (it was made under the same
+	// mutex) and is served below.
 	s.mu.Lock()
 	for _, o := range batch {
-		if s.pending[o.block] == o {
-			delete(s.pending, o.block)
-		}
+		delete(s.pending, o.block)
 	}
 	s.mu.Unlock()
 
@@ -575,64 +582,55 @@ func (s *Scheduler) issue(batch []*op) {
 		// One bad block (out of range, backend I/O error) must not poison
 		// the innocent reads batched with it: retry each block alone so
 		// the error lands only on the op that caused it.
-		s.retrySingly(batch, *bufp)
+		s.retrySingly(batch)
 	case err != nil:
 		batch[0].err = err
 	default:
 		for i, o := range batch {
 			o.lat = lat
-			src := (*bufp)[i*nvm.BlockSize : (i+1)*nvm.BlockSize]
-			// The leader's buffer is written directly (it is blocked on
-			// done, so this is race-free and the common uncoalesced miss
-			// pays a single copy); the shared buffer exists only when a
-			// waiter attached.
-			copy(o.dst[:nvm.BlockSize], src)
+			src := dst[i*nvm.BlockSize : (i+1)*nvm.BlockSize]
+			if bounce != nil {
+				copy(o.dst, src)
+			}
 			if o.buf != nil {
 				copy(*o.buf, src)
 			}
 		}
 		s.accountBatch(len(batch), lat)
 	}
-	nvm.PutBatchBuf(bufp)
 	for _, o := range batch {
-		close(o.done)
+		if o.done != nil {
+			close(o.done)
+		}
 	}
+	clear(batch) // the scratch outlives the call; the ops should not
 }
 
 // retrySingly re-reads every op of a failed batch individually, attributing
 // errors per block. The ops are already out of the pending map.
-func (s *Scheduler) retrySingly(batch []*op, scratch []byte) {
+func (s *Scheduler) retrySingly(batch []*op) {
 	for _, o := range batch {
-		lat, err := s.device.ReadBlock(o.block, scratch[:nvm.BlockSize])
-		o.lat, o.err = lat, err
-		if err == nil {
-			copy(o.dst[:nvm.BlockSize], scratch[:nvm.BlockSize])
+		own := o.dst[:nvm.BlockSize]
+		o.lat, o.err = s.device.ReadBlock(o.block, own)
+		if o.err == nil {
 			if o.buf != nil {
-				copy(*o.buf, scratch[:nvm.BlockSize])
+				copy(*o.buf, own)
 			}
-			s.accountBatch(1, lat)
+			s.accountBatch(1, o.lat)
 		}
 	}
 }
 
 // accountBatch records one device dispatch of n reads with the given
-// simulated completion latency.
+// simulated completion latency. The caller holds the token, so the counters
+// have one writer; they are atomics for Stats.
 func (s *Scheduler) accountBatch(n int, latUS float64) {
 	s.deviceReads.Add(int64(n))
 	s.batches.Add(1)
-	for {
-		cur := s.maxBatch.Load()
-		if int64(n) <= cur || s.maxBatch.CompareAndSwap(cur, int64(n)) {
-			break
-		}
+	if int64(n) > s.maxBatch.Load() {
+		s.maxBatch.Store(int64(n))
 	}
-	for {
-		cur := s.simBusyUS.Load()
-		next := math.Float64bits(math.Float64frombits(cur) + latUS)
-		if s.simBusyUS.CompareAndSwap(cur, next) {
-			break
-		}
-	}
+	s.simBusyUS.Store(math.Float64bits(math.Float64frombits(s.simBusyUS.Load()) + latUS))
 	s.service.Observe(latUS)
 }
 
@@ -649,12 +647,14 @@ func (s *Scheduler) Stats() Stats {
 		DeviceReads:          s.deviceReads.Load(),
 		Batches:              s.batches.Load(),
 		MaxBatchSize:         s.maxBatch.Load(),
+		BouncedBatches:       s.bouncedBatches.Load(),
 		Coalesced:            s.coalesced.Load(),
 		CoalescedLate:        s.coalescedLate.Load(),
 		Rejected:             s.rejected.Load(),
 		QueuedNow:            queued,
 		SimBusyUS:            math.Float64frombits(s.simBusyUS.Load()),
 		QueueWait:            s.queueWait.Snapshot(),
+		TokenWait:            s.tokenWait.Snapshot(),
 		Service:              s.service.Snapshot(),
 	}
 	if st.Batches > 0 {
@@ -663,17 +663,17 @@ func (s *Scheduler) Stats() Stats {
 	return st
 }
 
-// Close stops accepting new reads, lets every already-queued read complete
-// and stops the dispatcher. Reads submitted after Close fail with ErrClosed.
-// Close is idempotent and safe to call concurrently.
+// Close stops accepting reads (they fail with ErrClosed) and drains what is
+// queued: it takes the token and dispatches until the queues are empty, so
+// every accepted read has completed when it returns. It is idempotent and
+// safe to call concurrently.
 func (s *Scheduler) Close() error {
 	s.mu.Lock()
-	already := s.closed
 	s.closed = true
 	s.mu.Unlock()
-	if !already {
-		close(s.stop)
-	}
-	<-s.done
+	s.nudge()
+	s.token.Lock()
+	s.dispatchUntil(func() bool { return s.queuedLocked() == 0 })
+	s.token.Unlock()
 	return nil
 }

@@ -51,36 +51,44 @@ func GetBlockBuf() *[]byte { return blockBufPool.Get().(*[]byte) }
 // PutBlockBuf returns a buffer obtained from GetBlockBuf to the pool.
 func PutBlockBuf(b *[]byte) { blockBufPool.Put(b) }
 
-// batchBufCap is the pooled batch buffer capacity: large enough for the
-// common miss-path batch so steady state never allocates.
-const batchBufCap = 8 * BlockSize
+// batchBufClasses are the pooled batch buffer capacities in blocks: a
+// scheduler batch at the default queue depth, a typical cold miss batch
+// (≈ 17 distinct blocks) and a worst-case one.
+var batchBufClasses = [...]int{8, 32, 128}
 
-// batchBufPool recycles aligned multi-block buffers for batched reads.
-var batchBufPool = sync.Pool{
-	New: func() any {
-		b := alignedBytes(batchBufCap)
-		return &b
-	},
+// batchBufPools recycles aligned multi-block buffers, one pool per class.
+var batchBufPools [len(batchBufClasses)]sync.Pool
+
+func init() {
+	for i, blocks := range batchBufClasses {
+		batchBufPools[i].New = func() any {
+			b := alignedBytes(blocks * BlockSize)
+			return &b
+		}
+	}
 }
 
-// GetBatchBuf returns an aligned buffer sized for n blocks; release it with
-// PutBatchBuf. Buffers for more than 8 blocks are allocated (aligned) rather
-// than pooled.
+// GetBatchBuf returns an aligned buffer of n blocks; release it with
+// PutBatchBuf. Contents are undefined. Buffers for more blocks than the
+// largest class are allocated (aligned) rather than pooled.
 func GetBatchBuf(n int) *[]byte {
-	need := n * BlockSize
-	if need <= batchBufCap {
-		bp := batchBufPool.Get().(*[]byte)
-		b := (*bp)[:need]
-		return &b
+	for i, blocks := range batchBufClasses {
+		if n <= blocks {
+			bp := batchBufPools[i].Get().(*[]byte)
+			*bp = (*bp)[:n*BlockSize]
+			return bp
+		}
 	}
-	b := alignedBytes(need)
+	b := alignedBytes(n * BlockSize)
 	return &b
 }
 
-// PutBatchBuf returns a buffer obtained from GetBatchBuf to the pool.
+// PutBatchBuf returns a buffer obtained from GetBatchBuf to its pool.
 func PutBatchBuf(b *[]byte) {
-	if cap(*b) >= batchBufCap {
-		full := (*b)[:batchBufCap]
-		batchBufPool.Put(&full)
+	for i, blocks := range batchBufClasses {
+		if cap(*b) == blocks*BlockSize {
+			batchBufPools[i].Put(b)
+			return
+		}
 	}
 }

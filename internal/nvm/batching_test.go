@@ -61,4 +61,12 @@ func TestBatchBufPool(t *testing.T) {
 		t.Fatalf("len %d after regrow", len(*b))
 	}
 	PutBatchBuf(b)
+	// Size classes of 8, 32 and 128 blocks; anything larger is a one-off.
+	for _, c := range []struct{ blocks, capBlocks int }{{1, 8}, {8, 8}, {9, 32}, {17, 32}, {33, 128}, {128, 128}, {129, 129}} {
+		b := GetBatchBuf(c.blocks)
+		if len(*b) != c.blocks*BlockSize || cap(*b) != c.capBlocks*BlockSize {
+			t.Fatalf("GetBatchBuf(%d): len %d cap %d blocks, want cap %d", c.blocks, len(*b)/BlockSize, cap(*b)/BlockSize, c.capBlocks)
+		}
+		PutBatchBuf(b)
+	}
 }

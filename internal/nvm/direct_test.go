@@ -81,6 +81,7 @@ func TestFileStoreDirectAlignmentInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shadow := make(map[int][]byte)
 	unalignedDst := make([]byte, BlockSize+1)[1:] // deliberately misaligned caller buffer
+	var unalignedReads int64
 	for op := 0; op < 300; op++ {
 		idx := rng.Intn(numBlocks)
 		switch rng.Intn(5) {
@@ -121,6 +122,8 @@ func TestFileStoreDirectAlignmentInvariants(t *testing.T) {
 				bp := GetBlockBuf()
 				defer PutBlockBuf(bp)
 				dst = *bp
+			} else {
+				unalignedReads++
 			}
 			if err := s.ReadBlock(idx, dst); err != nil {
 				t.Fatal(err)
@@ -129,6 +132,9 @@ func TestFileStoreDirectAlignmentInvariants(t *testing.T) {
 				t.Fatalf("op %d: block %d content mismatch", op, idx)
 			}
 		}
+	}
+	if got := s.BackendStats().BouncedReads; got != unalignedReads || got == 0 {
+		t.Fatalf("BouncedReads = %d after %d reads into a misaligned buffer", got, unalignedReads)
 	}
 	// Crash (no clean close) and reopen in direct mode: the replay path must
 	// obey the invariant too. A real crash takes the ring's GC goroutine with

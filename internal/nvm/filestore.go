@@ -54,9 +54,10 @@ type FileStore struct {
 	ring  *ringJournal
 	locks [blockStripes]sync.RWMutex
 
-	dataWrites atomic.Int64
-	flushes    atomic.Int64
-	recovered  int64
+	dataWrites   atomic.Int64
+	flushes      atomic.Int64
+	bouncedReads atomic.Int64
+	recovered    int64
 
 	stopFlush chan struct{}
 	flushDone chan struct{}
@@ -435,10 +436,12 @@ func newFileStore(f *os.File, numBlocks int, opts FileStoreOptions, direct bool)
 
 // readAt is the single pread choke point. In direct mode an unaligned
 // destination is bounced through an aligned pool buffer; the hot read paths
-// (core block buffers, iosched batch buffers) are already aligned, so the
-// bounce is for stray callers only.
+// (core's block and batch buffers, which the scheduler reads into, and its
+// own bounce buffers) are already aligned, so the bounce is for stray
+// callers only — BackendStats.BouncedReads counts them.
 func (s *FileStore) readAt(p []byte, off int64) error {
 	if s.direct && !isAligned(p) {
+		s.bouncedReads.Add(1)
 		nb := (len(p) + BlockSize - 1) / BlockSize
 		bp := GetBatchBuf(nb)
 		defer PutBatchBuf(bp)
@@ -546,8 +549,10 @@ func (s *FileStore) ReadBlock(idx int, dst []byte) error {
 }
 
 // ReadBlocks implements BlockStore: it reads block idxs[i] into
-// dst[i*BlockSize:(i+1)*BlockSize] with one pread per block and no shared
-// lock across blocks.
+// dst[i*BlockSize:(i+1)*BlockSize] with one pread per block, one after the
+// other, and no shared lock across blocks. A batch therefore reaches the file
+// at queue depth 1 whatever depth the device model charges for it; overlapping
+// the preads belongs behind this method.
 func (s *FileStore) ReadBlocks(idxs []int, dst []byte) error {
 	if len(dst) < len(idxs)*BlockSize {
 		return fmt.Errorf("nvm: destination buffer too small for %d blocks: %d", len(idxs), len(dst))
@@ -765,6 +770,7 @@ func (s *FileStore) BackendStats() BackendStats {
 		FailedWriteRecords:   s.ring.failedRecs.Load(),
 		Flushes:              s.flushes.Load(),
 		RecoveredRecords:     s.recovered,
+		BouncedReads:         s.bouncedReads.Load(),
 	}
 }
 

@@ -80,6 +80,10 @@ type BackendStats struct {
 	Flushes int64
 	// RecoveredRecords counts journal records replayed at open (file only).
 	RecoveredRecords int64
+	// BouncedReads counts direct-mode preads whose destination was not
+	// aligned and so went through an aligned pool buffer and a copy (file
+	// only). The serving path's buffers are aligned: it stays 0 there.
+	BouncedReads int64
 }
 
 // BackendStatser is implemented by block stores that report backend

@@ -265,6 +265,14 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
 			return metrics.SummarySamples(nil, st.QueueWait)
 		}))
+	r.Register("bandana_iosched_bounced_batches_total", "counter", "Device dispatches that mixed callers and went through a bounce buffer.",
+		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
+			return metrics.CounterSample(nil, float64(st.BouncedBatches))
+		}))
+	r.Register("bandana_iosched_token_wait_us", "summary", "Per-call wait for the issue token, the part of queue wait spent waiting to dispatch (microseconds).",
+		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
+			return metrics.SummarySamples(nil, st.TokenWait)
+		}))
 	r.Register("bandana_iosched_service_us", "summary", "Per-dispatch simulated device service time (microseconds).",
 		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
 			return metrics.SummarySamples(nil, st.Service)
