@@ -115,17 +115,12 @@ func bootstrapReplica(t *testing.T, primaryURL string) (*Replica, *core.Store) {
 
 func postRouterBatch(t *testing.T, routerURL, tbl string, ids []uint32) *BatchResponse {
 	t.Helper()
-	body, _ := json.Marshal(BatchRequest{Table: tbl, IDs: ids})
-	resp, err := http.Post(routerURL+"/v1/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("router /v1/batch: %s", resp.Status)
+	status, body := rawRouterBatch(t, routerURL, tbl, ids)
+	if status != http.StatusOK {
+		t.Fatalf("router /v1/batch: status %d: %s", status, body)
 	}
 	var out BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
 	return &out

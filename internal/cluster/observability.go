@@ -25,6 +25,12 @@ func (rt *Router) metricsRegistry() *metrics.Registry {
 	r.Register("bandana_router_request_duration_us", "summary", "End-to-end router request latency (microseconds).", func() []metrics.Sample {
 		return metrics.SummarySamples(nil, rt.latency.Snapshot())
 	})
+	r.Register("bandana_router_stage_duration_us", "summary",
+		"A batch's time in the router (microseconds): gather (scatter, node service, collecting the fp16 frames), serialize (rendering and writing the JSON body).",
+		func() []metrics.Sample {
+			out := metrics.SummarySamples(metrics.L("stage", "gather"), rt.gatherUS.Snapshot())
+			return append(out, metrics.SummarySamples(metrics.L("stage", "serialize"), rt.serializeUS.Snapshot())...)
+		})
 	r.Register("bandana_router_reloads_total", "counter", "Membership reloads applied.", func() []metrics.Sample {
 		return metrics.CounterSample(nil, float64(rt.reloads.Value()))
 	})

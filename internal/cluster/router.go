@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bandana/internal/fp16"
 	"bandana/internal/metrics"
 	"bandana/internal/wire"
 )
@@ -131,6 +132,10 @@ type Router struct {
 	inflight metrics.Gauge
 	reloads  metrics.Counter
 	latency  *metrics.Histogram
+	// A batch's two stages: gather (scatter, the nodes' service, collecting
+	// their frames) and serialize (rendering and writing the JSON body).
+	gatherUS    *metrics.Histogram
+	serializeUS *metrics.Histogram
 }
 
 // NewRouter builds a router over an initial membership.
@@ -155,6 +160,9 @@ func NewRouter(cfg *Config, opts RouterOptions) (*Router, error) {
 		start:   time.Now(),
 		clients: make(map[string]*nodeClient),
 		latency: metrics.NewLatencyHistogram(),
+
+		gatherUS:    metrics.NewLatencyHistogram(),
+		serializeUS: metrics.NewLatencyHistogram(),
 	}
 	rt.state.Store(st)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealth)
@@ -224,6 +232,30 @@ func routerJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// bodyPool recycles the buffers serving responses are rendered into.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody keeps the odd multi-megabyte response (MaxBatchIDs vectors)
+// from pinning its buffer in the pool.
+const maxPooledBody = 1 << 20
+
+// writeBody sends a rendered JSON body with its length, so the response is
+// one write instead of chunks.
+func writeBody(w http.ResponseWriter, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a client that hung up is not the router's failure
+}
+
+// appendJSON appends v's encoding/json text; the serving paths use it for
+// strings and IDError records, which always marshal.
+func appendJSON(dst []byte, v any) []byte {
+	b, _ := json.Marshal(v)
+	return append(dst, b...)
+}
+
 func routerError(w http.ResponseWriter, status int, format string, args ...any) {
 	routerJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
@@ -268,6 +300,10 @@ type BatchResponse struct {
 // apart, which a cluster test pins).
 const MaxBatchIDs = 8192
 
+// errNonFinite is the per-id error for a stored vector with a NaN or an
+// infinity in it (any client can store one: updates check only the length).
+const errNonFinite = "vector holds a non-finite value JSON cannot carry"
+
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -283,53 +319,124 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := rt.state.Load()
+	start := time.Now()
+	vecs, errs := rt.gatherBatch(r.Context(), st, req.Table, req.IDs)
+	gathered := time.Now()
+	rt.gatherUS.ObserveDuration(gathered.Sub(start))
+	writeBatch(w, st, req.Table, req.IDs, vecs, errs)
+	rt.serializeUS.ObserveDuration(time.Since(gathered))
+}
 
-	// Scatter: group the ids by the primary owning their (table, id-range)
-	// partition, preserving each id's position in the request.
-	type ref struct {
-		pos int
-		id  uint32
-	}
-	groups := make(map[string][]ref)
-	owners := make(map[string]*Node)
-	for i, id := range req.IDs {
-		owner := st.ownerOf(req.Table, st.cfg.PartitionOf(id))
-		groups[owner.ID] = append(groups[owner.ID], ref{pos: i, id: id})
-		owners[owner.ID] = owner
-	}
+// ownerGroup is one primary's share of a batch: the ids it owns and their
+// positions in the request.
+type ownerGroup struct {
+	owner *Node
+	n     int // len(ids) once filled; scatter counts into it first
+	pos   []int
+	ids   []uint32
+}
 
-	// Gather: one goroutine per owner; a group failure degrades to per-id
-	// errors instead of failing the request.
-	resp := BatchResponse{Table: req.Table, Vectors: make([][]float32, len(req.IDs))}
+// scatter groups ids by the primary owning their (table, id-range)
+// partition. Two passes, count then fill, carve every group from the same
+// two arrays, so a batch costs the same allocations at any size.
+func scatter(st *routingState, table string, ids []uint32) []ownerGroup {
+	var groups []ownerGroup
+	groupOf := make([]int, len(ids))
+	for i, id := range ids {
+		owner := st.ownerOf(table, st.cfg.PartitionOf(id))
+		g := 0
+		for g < len(groups) && groups[g].owner != owner {
+			g++
+		}
+		if g == len(groups) {
+			groups = append(groups, ownerGroup{owner: owner})
+		}
+		groups[g].n++
+		groupOf[i] = g
+	}
+	pos, gids := make([]int, len(ids)), make([]uint32, len(ids))
+	off := 0
+	for g := range groups {
+		end := off + groups[g].n
+		groups[g].pos, groups[g].ids = pos[off:off:end], gids[off:off:end]
+		off = end
+	}
+	for i, id := range ids {
+		g := &groups[groupOf[i]]
+		g.pos, g.ids = append(g.pos, i), append(g.ids, id)
+	}
+	return groups
+}
+
+// gatherBatch fetches each id's raw fp16 vector into its position in the
+// request: views into the owning nodes' responses, never decoded. One
+// goroutine per owner; a group failure leaves its positions nil and degrades
+// to per-id errors instead of failing the request.
+func (rt *Router) gatherBatch(ctx context.Context, st *routingState, table string, ids []uint32) ([][]byte, []IDError) {
+	vecs := make([][]byte, len(ids))
+	var errs []IDError
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for ownerID, refs := range groups {
+	for _, g := range scatter(st, table, ids) {
 		wg.Add(1)
-		go func(owner *Node, refs []ref) {
+		go func(g ownerGroup) {
 			defer wg.Done()
-			ids := make([]uint32, len(refs))
-			for i, rf := range refs {
-				ids[i] = rf.id
-			}
-			vecs, _, err := rt.hedgedBatch(r.Context(), st, owner, req.Table, ids)
-			mu.Lock()
-			defer mu.Unlock()
+			got, _, err := rt.hedgedBatch(ctx, st, g.owner, table, g.ids)
 			if err != nil {
-				for _, rf := range refs {
-					resp.Errors = append(resp.Errors, IDError{
-						Index: rf.pos, ID: rf.id, Node: owner.ID, Error: err.Error(),
-					})
+				mu.Lock()
+				defer mu.Unlock()
+				for i, pos := range g.pos {
+					errs = append(errs, IDError{Index: pos, ID: g.ids[i], Node: g.owner.ID, Error: err.Error()})
 				}
 				return
 			}
-			for i, rf := range refs {
-				resp.Vectors[rf.pos] = vecs[i]
+			// Groups hold disjoint positions: no lock.
+			for i, pos := range g.pos {
+				vecs[pos] = got[i]
 			}
-		}(owners[ownerID], refs)
+		}(g)
 	}
 	wg.Wait()
-	sort.Slice(resp.Errors, func(i, j int) bool { return resp.Errors[i].Index < resp.Errors[j].Index })
-	routerJSON(w, http.StatusOK, resp)
+	return vecs, errs
+}
+
+// writeBatch renders and sends the /v1/batch answer, byte for byte what
+// encoding/json writes for a BatchResponse holding the decoded vectors: each
+// vector goes from fp16 bytes to JSON text through fp16.AppendJSON. A
+// vector JSON cannot carry becomes null plus a per-id error, like a vector
+// that was never fetched.
+func writeBatch(w http.ResponseWriter, st *routingState, table string, ids []uint32, vecs [][]byte, errs []IDError) {
+	bp := bodyPool.Get().(*[]byte)
+	b := append((*bp)[:0], `{"table":`...)
+	b = appendJSON(b, table)
+	b = append(b, `,"vectors":[`...)
+	for i, v := range vecs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if v == nil {
+			b = append(b, "null"...)
+			continue
+		}
+		var ok bool
+		if b, ok = fp16.AppendJSON(b, v); !ok {
+			b = append(b, "null"...)
+			owner := st.ownerOf(table, st.cfg.PartitionOf(ids[i]))
+			errs = append(errs, IDError{Index: i, ID: ids[i], Node: owner.ID, Error: errNonFinite})
+		}
+	}
+	b = append(b, ']')
+	if len(errs) > 0 {
+		sort.Slice(errs, func(i, j int) bool { return errs[i].Index < errs[j].Index })
+		b = append(b, `,"errors":`...)
+		b = appendJSON(b, errs)
+	}
+	b = append(b, "}\n"...)
+	writeBody(w, b)
+	if cap(b) <= maxPooledBody {
+		*bp = b
+		bodyPool.Put(bp)
+	}
 }
 
 // LookupResponse is the router's /v1/lookup answer (same shape as a node's).
@@ -366,19 +473,34 @@ func (rt *Router) handleLookup(w http.ResponseWriter, r *http.Request) {
 		routerError(w, http.StatusBadGateway, "node %s: %v", owner.ID, err)
 		return
 	}
-	routerJSON(w, http.StatusOK, LookupResponse{Table: tableName, ID: id, Vector: vecs[0], Node: from.ID})
+	bp := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(bp)
+	b := append((*bp)[:0], `{"table":`...)
+	b = appendJSON(b, tableName)
+	b = append(b, `,"id":`...)
+	b = strconv.AppendUint(b, id64, 10)
+	b = append(b, `,"vector":`...)
+	b, ok := fp16.AppendJSON(b, vecs[0])
+	if !ok {
+		routerError(w, http.StatusInternalServerError, "table %s id %d on node %s: %s", tableName, id, from.ID, errNonFinite)
+		return
+	}
+	b = append(b, `,"node":`...)
+	b = appendJSON(b, from.ID)
+	*bp = append(b, "}\n"...)
+	writeBody(w, *bp)
 }
 
 // hedgedBatch sends one owner's sub-batch to the owner, hedging to (or
 // failing over onto) its replicas: a hedge fires when the primary is slower
 // than HedgeAfter, a failover fires immediately when an attempt returns a
 // hard error. The first successful answer wins and cancels the rest.
-func (rt *Router) hedgedBatch(ctx context.Context, st *routingState, owner *Node, table string, ids []uint32) ([][]float32, *Node, error) {
+func (rt *Router) hedgedBatch(ctx context.Context, st *routingState, owner *Node, table string, ids []uint32) ([][]byte, *Node, error) {
 	ctx, cancel := context.WithTimeout(ctx, rt.opts.NodeTimeout)
 	defer cancel()
 
 	type attempt struct {
-		vecs [][]float32
+		vecs [][]byte
 		node *Node
 		err  error
 	}
@@ -453,9 +575,9 @@ type nodeBatchResponse struct {
 
 // postBatch issues one bounded, counted request to one node, over bwp when
 // the node advertises a wire address (falling back to HTTP on wire
-// transport failure), over HTTP otherwise. The in-flight bound covers both
-// transports.
-func (rt *Router) postBatch(ctx context.Context, n *Node, table string, ids []uint32) ([][]float32, error) {
+// transport failure), over HTTP otherwise. Either way the answer is one raw
+// fp16 vector per id. The in-flight bound covers both transports.
+func (rt *Router) postBatch(ctx context.Context, n *Node, table string, ids []uint32) ([][]byte, error) {
 	nc := rt.client(n.ID)
 	select {
 	case nc.sem <- struct{}{}:
@@ -501,24 +623,21 @@ func (rt *Router) postBatch(ctx context.Context, n *Node, table string, ids []ui
 	return rt.httpBatch(ctx, nc, n, table, ids)
 }
 
-// wireBatch sends one batch over the node's persistent bwp connection.
-func (rt *Router) wireBatch(ctx context.Context, nc *nodeClient, n *Node, table string, ids []uint32) ([][]float32, error) {
+// wireBatch sends one batch over the node's persistent bwp connection. The
+// vectors are views into the response frame, exactly as the node sent them.
+func (rt *Router) wireBatch(ctx context.Context, nc *nodeClient, n *Node, table string, ids []uint32) ([][]byte, error) {
 	c, err := nc.wireConn(n.WireAddr, rt.opts.NodeTimeout)
 	if err != nil {
 		return nil, err
 	}
-	vecs, err := c.LookupBatchF32(ctx, table, ids)
-	if err != nil {
-		return nil, err
-	}
-	if len(vecs) != len(ids) {
-		return nil, fmt.Errorf("node returned %d vectors for %d ids", len(vecs), len(ids))
-	}
-	return vecs, nil
+	_, vecs, err := c.LookupBatchRaw(ctx, table, ids)
+	return vecs, err
 }
 
-// httpBatch is the JSON transport: one POST /v1/batch to one node.
-func (rt *Router) httpBatch(ctx context.Context, nc *nodeClient, n *Node, table string, ids []uint32) ([][]float32, error) {
+// httpBatch is the JSON transport: one POST /v1/batch to one node. The floats
+// a node writes came from fp16, so encoding them back is exact and the
+// router's edge sees the same bytes the wire path would have brought.
+func (rt *Router) httpBatch(ctx context.Context, nc *nodeClient, n *Node, table string, ids []uint32) ([][]byte, error) {
 	body, err := json.Marshal(BatchRequest{Table: table, IDs: ids})
 	if err != nil {
 		return nil, err
@@ -563,5 +682,16 @@ func (rt *Router) httpBatch(ctx context.Context, nc *nodeClient, n *Node, table 
 		nc.errors.Inc()
 		return nil, fmt.Errorf("node returned %d vectors for %d ids", len(out.Vectors), len(ids))
 	}
-	return out.Vectors, nil
+	total := 0
+	for _, v := range out.Vectors {
+		total += len(v)
+	}
+	flat := make([]byte, 0, total*fp16.ByteSize)
+	vecs := make([][]byte, len(out.Vectors))
+	for i, v := range out.Vectors {
+		off := len(flat)
+		flat = fp16.EncodeSlice(flat, v)
+		vecs[i] = flat[off:len(flat):len(flat)]
+	}
+	return vecs, nil
 }

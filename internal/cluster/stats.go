@@ -57,6 +57,12 @@ type RouterStats struct {
 		Errors   int64            `json:"errors"`
 		InFlight int64            `json:"inFlight"`
 		Latency  metrics.Snapshot `json:"latencyUS"`
+		// Stages splits a batch's latency: gathering the nodes' fp16
+		// frames, and rendering and writing the JSON body.
+		Stages struct {
+			Gather    metrics.Snapshot `json:"gather"`
+			Serialize metrics.Snapshot `json:"serialize"`
+		} `json:"stagesUS"`
 	} `json:"router"`
 	Runtime metrics.RuntimeStats `json:"runtime"`
 	Nodes   []NodeStats          `json:"nodes"`
@@ -88,6 +94,8 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	out.Router.Errors = rt.errors.Value()
 	out.Router.InFlight = rt.inflight.Value()
 	out.Router.Latency = rt.latency.Snapshot()
+	out.Router.Stages.Gather = rt.gatherUS.Snapshot()
+	out.Router.Stages.Serialize = rt.serializeUS.Snapshot()
 	out.Runtime = metrics.ReadRuntime(rt.start)
 
 	// Probe every node concurrently; a dead node just reports !alive.

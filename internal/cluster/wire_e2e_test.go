@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"net"
@@ -132,7 +133,8 @@ func TestRouterSpeaksWireToNodes(t *testing.T) {
 
 // TestRouterFallsBackToHTTPWhenWireDies points a node's wireAddr at a dead
 // port: every batch must still succeed over HTTP, with the fallback counter
-// moving — nodes not (or no longer) speaking bwp degrade transparently.
+// moving — nodes not (or no longer) speaking bwp degrade transparently: the
+// fallback feeds the same edge encoder, so its body is the wire path's.
 func TestRouterFallsBackToHTTPWhenWireDies(t *testing.T) {
 	storeA := buildClusterStore(t, 43)
 	nodeA := newCountingNode(t, storeA, 0)
@@ -177,5 +179,26 @@ func TestRouterFallsBackToHTTPWhenWireDies(t *testing.T) {
 	}
 	if stats.Nodes[0].WireFallbacks == 0 {
 		t.Fatalf("fallback counter did not move: %+v", stats.Nodes[0])
+	}
+
+	// The same store behind a live bwp listener, through a second router.
+	live := newWireNode(t, storeA)
+	wireRT, err := NewRouter(&Config{
+		IDRangeSize: 64,
+		Nodes:       []Node{{ID: "node-a", Addr: live.srv.URL, WireAddr: live.wireAddr, Role: RolePrimary}},
+	}, RouterOptions{HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wireSrv := httptest.NewServer(wireRT.Handler())
+	defer wireSrv.Close()
+	ids := []uint32{1, 2, 3, 900, 64, 2047}
+	_, overHTTP := rawRouterBatch(t, routerSrv.URL, "t0", ids)
+	_, overWire := rawRouterBatch(t, wireSrv.URL, "t0", ids)
+	if live.batches.Load() != 0 {
+		t.Fatal("the live wire node was asked over HTTP")
+	}
+	if len(overWire) < 64*len(ids) || !bytes.Equal(overHTTP, overWire) {
+		t.Fatalf("fallback body differs from the wire path's\nhttp: %.200s\nwire: %.200s", overHTTP, overWire)
 	}
 }
