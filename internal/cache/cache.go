@@ -1,7 +1,8 @@
-// Package cache implements Bandana's DRAM vector cache and the admission
-// policies for prefetched vectors studied in §4.3 of the paper.
+// Package cache implements the admission policies of Bandana's DRAM vector
+// cache studied in §4.3 of the paper.
 //
-// The cache is an LRU queue of vector IDs. Vectors that the application
+// The cache itself is internal/vcache: a segmented LRU queue of vector IDs
+// that takes an insert at any queue position. Vectors that the application
 // explicitly requested are always cached — an AdmissionPolicy only chooses
 // the queue position they enter at, the MRU end unless training says the
 // vector is cold (ThresholdAdmit's demand threshold); vectors that were
@@ -18,11 +19,7 @@
 //     the SHP training run (Figure 12) — the policy Bandana adopts.
 package cache
 
-import (
-	"sync"
-
-	"bandana/internal/lru"
-)
+import "bandana/internal/vcache"
 
 // AdmissionPolicy decides where a vector read from NVM enters the cache: the
 // queue position of a requested one, the fate of a prefetched one.
@@ -37,7 +34,7 @@ import (
 // Because the store serves lookups from many goroutines concurrently,
 // implementations must be safe for concurrent use. The stateless policies
 // (NoPrefetch, AlwaysAdmit, ThresholdAdmit) are trivially safe; the
-// shadow-cache policies serialize access to their shadow queue internally.
+// shadow-cache policies' queue is a vcache, which locks internally.
 type AdmissionPolicy interface {
 	// OnAccess is invoked for every application-requested lookup (hit or
 	// miss), allowing stateful policies to observe the true access stream.
@@ -100,36 +97,42 @@ func (p AlwaysAdmit) AdmitPrefetch(uint32) (bool, float64) { return true, p.Posi
 // Name implements AdmissionPolicy.
 func (p AlwaysAdmit) Name() string { return "always-admit" }
 
+// shadow is the keys-only queue of the shadow policies, fed the requested
+// ids only: a payload-free vcache. Every insert and every promotion lands at
+// its MRU end, so it is an exact LRU whatever its segment count.
+type shadow struct{ keys *vcache.Cache }
+
+func newShadow(capacity int) shadow {
+	return shadow{keys: vcache.New(vcache.Options{Capacity: capacity})}
+}
+
+// OnAccess implements AdmissionPolicy: a shadow hit is promoted, a miss
+// inserted.
+func (s shadow) OnAccess(id uint32) {
+	if _, _, ok := s.keys.Get(id); !ok {
+		s.keys.Add(id, nil, false)
+	}
+}
+
 // ShadowAdmit admits a prefetched vector only if it currently appears in a
 // keys-only shadow cache fed by the true (prefetch-free) access stream
 // (Figure 11b). Admitted vectors are inserted at Position. Safe for
-// concurrent use: the shadow queue is guarded by an internal mutex.
+// concurrent use.
 type ShadowAdmit struct {
 	demandAtMRU
-	mu       sync.Mutex
-	Shadow   *lru.Shadow[uint32]
+	shadow
 	Position float64
 }
 
 // NewShadowAdmit builds a ShadowAdmit policy with a shadow cache of
 // shadowVectors keys.
 func NewShadowAdmit(shadowVectors int, position float64) *ShadowAdmit {
-	return &ShadowAdmit{Shadow: lru.NewShadow[uint32](shadowVectors), Position: position}
-}
-
-// OnAccess implements AdmissionPolicy.
-func (p *ShadowAdmit) OnAccess(id uint32) {
-	p.mu.Lock()
-	p.Shadow.Access(id)
-	p.mu.Unlock()
+	return &ShadowAdmit{shadow: newShadow(shadowVectors), Position: position}
 }
 
 // AdmitPrefetch implements AdmissionPolicy.
 func (p *ShadowAdmit) AdmitPrefetch(id uint32) (bool, float64) {
-	p.mu.Lock()
-	ok := p.Shadow.Contains(id)
-	p.mu.Unlock()
-	return ok, p.Position
+	return p.keys.Contains(id), p.Position
 }
 
 // Name implements AdmissionPolicy.
@@ -140,29 +143,18 @@ func (p *ShadowAdmit) Name() string { return "shadow-admit" }
 // misses to AltPosition (Figure 11c). Safe for concurrent use.
 type ShadowPosition struct {
 	demandAtMRU
-	mu          sync.Mutex
-	Shadow      *lru.Shadow[uint32]
+	shadow
 	AltPosition float64
 }
 
 // NewShadowPosition builds a ShadowPosition policy.
 func NewShadowPosition(shadowVectors int, altPosition float64) *ShadowPosition {
-	return &ShadowPosition{Shadow: lru.NewShadow[uint32](shadowVectors), AltPosition: altPosition}
-}
-
-// OnAccess implements AdmissionPolicy.
-func (p *ShadowPosition) OnAccess(id uint32) {
-	p.mu.Lock()
-	p.Shadow.Access(id)
-	p.mu.Unlock()
+	return &ShadowPosition{shadow: newShadow(shadowVectors), AltPosition: altPosition}
 }
 
 // AdmitPrefetch implements AdmissionPolicy.
 func (p *ShadowPosition) AdmitPrefetch(id uint32) (bool, float64) {
-	p.mu.Lock()
-	ok := p.Shadow.Contains(id)
-	p.mu.Unlock()
-	if ok {
+	if p.keys.Contains(id) {
 		return true, 0
 	}
 	return true, p.AltPosition
@@ -213,64 +205,3 @@ func (p ThresholdAdmit) AdmitPrefetch(id uint32) (bool, float64) {
 
 // Name implements AdmissionPolicy.
 func (p ThresholdAdmit) Name() string { return "threshold-admit" }
-
-// Cache is a fixed-capacity LRU cache of vector IDs used by the trace
-// simulator. A capacity of 0 means unlimited (every inserted vector stays).
-type Cache struct {
-	capacity  int
-	lru       *lru.Cache[uint32, struct{}]
-	unlimited map[uint32]struct{}
-}
-
-// NewCache creates a simulation cache. capacity 0 (or negative) means
-// unlimited.
-func NewCache(capacity int) *Cache {
-	c := &Cache{capacity: capacity}
-	if capacity > 0 {
-		c.lru = lru.New[uint32, struct{}](capacity)
-	} else {
-		c.unlimited = make(map[uint32]struct{})
-	}
-	return c
-}
-
-// Unlimited reports whether the cache has no capacity bound.
-func (c *Cache) Unlimited() bool { return c.lru == nil }
-
-// Len returns the number of cached vectors.
-func (c *Cache) Len() int {
-	if c.lru != nil {
-		return c.lru.Len()
-	}
-	return len(c.unlimited)
-}
-
-// Capacity returns the configured capacity (0 when unlimited).
-func (c *Cache) Capacity() int { return c.capacity }
-
-// Touch reports whether id is cached and, if so, promotes it to MRU.
-func (c *Cache) Touch(id uint32) bool {
-	if c.lru != nil {
-		return c.lru.Touch(id)
-	}
-	_, ok := c.unlimited[id]
-	return ok
-}
-
-// Contains reports whether id is cached without promoting it.
-func (c *Cache) Contains(id uint32) bool {
-	if c.lru != nil {
-		return c.lru.Contains(id)
-	}
-	_, ok := c.unlimited[id]
-	return ok
-}
-
-// Insert caches id at the given queue position (ignored when unlimited).
-func (c *Cache) Insert(id uint32, position float64) {
-	if c.lru != nil {
-		c.lru.AddAt(id, struct{}{}, position)
-		return
-	}
-	c.unlimited[id] = struct{}{}
-}

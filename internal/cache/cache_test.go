@@ -1,6 +1,10 @@
 package cache
 
-import "testing"
+import (
+	"testing"
+
+	"bandana/internal/vcache"
+)
 
 func TestNoPrefetchPolicy(t *testing.T) {
 	var p NoPrefetch
@@ -117,95 +121,77 @@ func TestThresholdAdmitDemandPosition(t *testing.T) {
 	}
 }
 
+// keysOnly is the store's cache without payloads, one shard: what sim.Replay
+// fills at the positions these policies return.
+func keysOnly(capacity int) *vcache.Cache { return vcache.New(vcache.Options{Capacity: capacity}) }
+
 // TestProbationIsTheLastSegment: the probation position is the head of the
 // queue's last segment, so a probation fill is the next-but-|last segment|
 // eviction, a hit promotes it like any other entry, and it never keeps the
 // cache from evicting.
 func TestProbationIsTheLastSegment(t *testing.T) {
-	c := NewCache(32) // 16 segments of 2
+	c := keysOnly(32) // 16 segments of 2
 	for id := uint32(0); id < 32; id++ {
-		c.Insert(id, 0)
+		c.AddAt(id, nil, 0, false)
 	}
-	c.Insert(100, ProbationPosition) // evicts 0, the LRU id; 1 is now the tail
+	c.AddAt(100, nil, ProbationPosition, false) // evicts 0, the LRU id; 1 is now the tail
 	if c.Contains(0) || !c.Contains(100) || c.Len() != 32 {
 		t.Fatalf("probation fill into a full cache: holds 0 %v, holds 100 %v, len %d", c.Contains(0), c.Contains(100), c.Len())
 	}
-	c.Insert(101, ProbationPosition) // evicts 1; the last segment is now 101, 100
-	c.Insert(102, 0)                 // cascades 3 in front of them and evicts 100
+	c.AddAt(101, nil, ProbationPosition, false) // evicts 1; the last segment is now 101, 100
+	c.AddAt(102, nil, 0, false)                 // cascades 3 in front of them and evicts 100
 	if c.Contains(100) || !c.Contains(101) {
 		t.Fatalf("after two more fills: holds 100 %v, holds 101 %v", c.Contains(100), c.Contains(101))
 	}
-	if !c.Touch(101) {
+	if _, _, ok := c.Get(101); !ok {
 		t.Fatal("101 should be resident")
 	}
 	for id := uint32(200); id < 216; id++ { // 16 more fills: a probation entry would be long gone
-		c.Insert(id, 0)
+		c.AddAt(id, nil, 0, false)
 	}
 	if !c.Contains(101) {
 		t.Fatal("a hit should have promoted the probation entry to the MRU end")
 	}
 }
 
+// TestCacheLimited: at capacity the queue evicts its LRU id, and a hit keeps
+// an id from being that one.
 func TestCacheLimited(t *testing.T) {
-	c := NewCache(2)
-	if c.Unlimited() {
-		t.Fatal("capacity 2 should not be unlimited")
+	c := keysOnly(2)
+	if c.Cap() != 2 {
+		t.Fatalf("capacity = %d", c.Cap())
 	}
-	if c.Capacity() != 2 {
-		t.Fatalf("capacity = %d", c.Capacity())
-	}
-	c.Insert(1, 0)
-	c.Insert(2, 0)
-	if !c.Touch(1) {
+	c.AddAt(1, nil, 0, false)
+	c.AddAt(2, nil, 0, false)
+	if _, _, ok := c.Get(1); !ok {
 		t.Fatal("1 should be cached")
 	}
-	c.Insert(3, 0) // evicts 2 (LRU)
+	c.AddAt(3, nil, 0, false) // evicts 2 (LRU)
 	if c.Contains(2) {
 		t.Fatal("2 should have been evicted")
 	}
 	if c.Len() != 2 {
 		t.Fatalf("len = %d", c.Len())
 	}
-	if c.Touch(99) {
+	if _, _, ok := c.Get(99); ok {
 		t.Fatal("99 was never inserted")
 	}
 }
 
-func TestCacheUnlimited(t *testing.T) {
-	c := NewCache(0)
-	if !c.Unlimited() {
-		t.Fatal("capacity 0 should be unlimited")
-	}
-	for i := uint32(0); i < 1000; i++ {
-		c.Insert(i, 0.9)
-	}
-	if c.Len() != 1000 {
-		t.Fatalf("len = %d", c.Len())
-	}
-	if !c.Contains(999) || !c.Touch(0) {
-		t.Fatal("unlimited cache must retain everything")
-	}
-	if c.Touch(5000) {
-		t.Fatal("never-inserted id reported as cached")
-	}
-}
-
+// TestCacheInsertPositionAffectsEviction: under the same pressure a vector
+// inserted near the LRU end is evicted while one inserted at the MRU end
+// survives.
 func TestCacheInsertPositionAffectsEviction(t *testing.T) {
-	c := NewCache(64)
+	c := keysOnly(64)
 	for i := uint32(0); i < 64; i++ {
-		c.Insert(i, 0)
+		c.AddAt(i, nil, 0, false)
 	}
-	// Insert one vector near the LRU end and one at the MRU end, then add
-	// pressure; the LRU-end insert should be evicted first.
-	c.Insert(1000, 0.9)
-	c.Insert(2000, 0)
+	c.AddAt(1000, nil, 0.9, false)
+	c.AddAt(2000, nil, 0, false)
 	for i := uint32(100); i < 130; i++ {
-		c.Insert(i, 0)
+		c.AddAt(i, nil, 0, false)
 	}
-	if c.Contains(1000) && !c.Contains(2000) {
-		t.Fatal("position-0.9 insert outlived position-0 insert")
-	}
-	if !c.Contains(2000) {
-		t.Fatal("MRU insert should survive modest pressure")
+	if c.Contains(1000) || !c.Contains(2000) {
+		t.Fatalf("after 30 MRU fills: position 0.9 resident %v, position 0 resident %v", c.Contains(1000), c.Contains(2000))
 	}
 }

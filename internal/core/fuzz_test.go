@@ -80,6 +80,58 @@ func FuzzMigrationRecord(f *testing.F) {
 	})
 }
 
+// updateLogFile returns the updates.log a file-backed store leaves behind
+// after a few updates and a Close: the header and every record, uncompacted.
+func updateLogFile(f *testing.F) []byte {
+	tables, _ := buildTestTables(f, 2, 256, 10)
+	dir := filepath.Join(f.TempDir(), "store")
+	s, err := Open(Config{Tables: tables, Backend: BackendFile, DataDir: dir, Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := uint32(0); i < 6; i++ {
+		if err := s.UpdateVector(int(i%2), i*7, testVec(64, i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, UpdateLogFileName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, recs, err := parseUpdateLog(raw); err != nil || len(recs) != 6 {
+		f.Fatalf("the seed log holds %d records (err %v), want the 6 updates", len(recs), err)
+	}
+	return raw
+}
+
+// sealedLogHeader returns data with its update-log header CRC made valid.
+func sealedLogHeader(data []byte) []byte {
+	if len(data) < updateLogHeaderLen {
+		return data
+	}
+	data = bytes.Clone(data)
+	binary.LittleEndian.PutUint32(data[16:], crc32.Checksum(data[:16], manifestCRCTable))
+	return data
+}
+
+// sealedRecord returns data with the CRC of the update record at its front
+// made valid, where the declared payload fits.
+func sealedRecord(data []byte) []byte {
+	if len(data) < updateRecordOverhead {
+		return data
+	}
+	body := updateRecordHeaderLen + int(binary.LittleEndian.Uint32(data))
+	if body-updateRecordHeaderLen > maxUpdatePayload || body+4 > len(data) {
+		return data
+	}
+	data = bytes.Clone(data)
+	binary.LittleEndian.PutUint32(data[body:], crc32.Checksum(data[:body], manifestCRCTable))
+	return data
+}
+
 // FuzzStateDecode does the same for the state.bnd decoder.
 func FuzzStateDecode(f *testing.F) {
 	_, state := trainedDirFiles(f)
@@ -98,6 +150,47 @@ func FuzzStateDecode(f *testing.F) {
 					t.Fatalf("%d-byte state decoded to a %d-byte name, %d-entry order, %d counts",
 						len(raw), len(sv.name), len(sv.order), len(sv.counts))
 				}
+			}
+		}
+	})
+}
+
+// FuzzUpdateLog throws arbitrary bytes, as they are and re-sealed, at the two
+// readers of update records: parseUpdateLog, which replays updates.log on
+// reopen, and the DecodeUpdateRecord loop a replica runs over a fetched
+// stream. Every record must be a frame of the bytes it came from, in order,
+// and every decoded frame must advance.
+func FuzzUpdateLog(f *testing.F) {
+	log := updateLogFile(f)
+	records := log[updateLogHeaderLen:]
+	for _, b := range [][]byte{log, log[:len(log)-3], log[:updateLogHeaderLen], records, records[:EncodedUpdateLen(128)], nil} {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, raw := range [][]byte{data, sealedLogHeader(data)} {
+			_, recs, err := parseUpdateLog(raw)
+			if err != nil {
+				continue
+			}
+			off := updateLogHeaderLen
+			for i, rec := range recs {
+				n := EncodedUpdateLen(len(rec.Raw))
+				if off+n > len(raw) || (len(rec.Raw) > 0 && &rec.Raw[0] != &raw[off+updateRecordHeaderLen]) {
+					t.Fatalf("record %d of a %d-byte log (%d payload bytes at offset %d) is not the log's next frame", i, len(raw), len(rec.Raw), off)
+				}
+				off += n
+			}
+		}
+		for _, raw := range [][]byte{data, sealedRecord(data)} {
+			for rest := raw; len(rest) > 0; {
+				rec, n, err := DecodeUpdateRecord(rest)
+				if err != nil {
+					break
+				}
+				if n <= 0 || n > len(rest) || n != EncodedUpdateLen(len(rec.Raw)) {
+					t.Fatalf("a %d-byte stream decoded a %d-byte payload consuming %d bytes", len(rest), len(rec.Raw), n)
+				}
+				rest = rest[n:]
 			}
 		}
 	})

@@ -96,27 +96,14 @@ func (s *Store) LastLayoutInstall() time.Duration {
 func getBlockBuf() *[]byte  { return nvm.GetBlockBuf() }
 func putBlockBuf(b *[]byte) { nvm.PutBlockBuf(b) }
 
-// hashID mixes a vector ID into a well-distributed 64-bit hash
-// (splitmix-style finalizer). The same hash routes a lookup to its cache
-// shard and to its counter stripe.
-func hashID(id uint32) uint64 {
-	x := uint64(id) + 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+// hashID is the hash that routes a lookup to its cache shard (vcache.Hash);
+// it picks the lookup's counter stripe too.
+func hashID(id uint32) uint64 { return vcache.Hash(id) }
 
 // newTableCache builds one table's DRAM cache: capacity fp16 vectors of
-// vecBytes each, sharded by the same hash that stripes the serving counters.
+// vecBytes each.
 func newTableCache(capacity, shards, vecBytes int) *vcache.Cache {
-	return vcache.New(vcache.Options{
-		Capacity:  capacity,
-		SlotBytes: vecBytes,
-		Shards:    shards,
-		Hash:      hashID,
-	})
+	return vcache.New(vcache.Options{Capacity: capacity, SlotBytes: vecBytes, Shards: shards})
 }
 
 // counterStripes is the stripe count for the per-table serving counters.

@@ -1,67 +1,58 @@
-package lru
+package lru_test
 
 import "testing"
 
 func TestCacheResizeShrinkEvictsLRU(t *testing.T) {
-	var evicted []int
-	c := NewSegmented[int, int](8, 4, func(k, _ int) { evicted = append(evicted, k) })
-	for i := 0; i < 8; i++ {
-		c.Add(i, i*10)
+	c := keysOnly(8)
+	for i := uint32(0); i < 8; i++ {
+		c.Add(i, nil, false)
 	}
-	if n := c.Resize(3); n != 5 {
-		t.Fatalf("Resize reported %d evictions, want 5", n)
+	if got := c.Resize(3); got != 3 {
+		t.Fatalf("Resize(3) recorded capacity %d", got)
 	}
 	if c.Len() != 3 || c.Cap() != 3 {
 		t.Fatalf("after shrink Len=%d Cap=%d, want 3/3", c.Len(), c.Cap())
 	}
-	if len(evicted) != 5 {
-		t.Fatalf("eviction callback saw %d items, want 5", len(evicted))
-	}
 	// The most recently inserted keys survive; the LRU tail went first.
-	for _, k := range []int{5, 6, 7} {
-		if !c.Contains(k) {
-			t.Fatalf("recent key %d evicted by shrink", k)
+	for i := uint32(0); i < 8; i++ {
+		if recent := i >= 5; c.Contains(i) != recent {
+			t.Fatalf("after shrinking to 3: key %d resident %v, want %v", i, !recent, recent)
 		}
 	}
-	for _, k := range evicted {
-		if k >= 5 {
-			t.Fatalf("shrink evicted recent key %d", k)
-		}
-	}
-	if err := c.CheckInvariants(); err != nil {
+	if err := checkInvariants(c); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCacheResizeGrowKeepsContents(t *testing.T) {
-	c := New[int, int](4)
-	for i := 0; i < 4; i++ {
-		c.Add(i, i)
+	c := keysOnly(4)
+	for i := uint32(0); i < 4; i++ {
+		c.Add(i, nil, false)
 	}
-	if n := c.Resize(16); n != 0 {
-		t.Fatalf("grow evicted %d items", n)
-	}
-	for i := 0; i < 4; i++ {
+	c.Resize(16)
+	for i := uint32(0); i < 4; i++ {
 		if !c.Contains(i) {
 			t.Fatalf("key %d lost on grow", i)
 		}
 	}
 	// The grown cache accepts new items up to the new capacity.
-	for i := 4; i < 16; i++ {
-		c.Add(i, i)
+	for i := uint32(4); i < 16; i++ {
+		if victim, was := c.Add(i, nil, false); was {
+			t.Fatalf("filling the grown cache evicted %d", victim)
+		}
 	}
 	if c.Len() != 16 {
 		t.Fatalf("Len after fill = %d, want 16", c.Len())
 	}
-	if err := c.CheckInvariants(); err != nil {
+	if err := checkInvariants(c); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCacheResizeClampsToOne(t *testing.T) {
-	c := New[int, int](4)
-	c.Add(1, 1)
-	c.Add(2, 2)
+	c := keysOnly(4)
+	c.Add(1, nil, false)
+	c.Add(2, nil, false)
 	c.Resize(-3)
 	if c.Cap() != 1 || c.Len() != 1 {
 		t.Fatalf("Cap=%d Len=%d, want 1/1", c.Cap(), c.Len())

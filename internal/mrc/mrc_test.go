@@ -6,7 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"bandana/internal/lru"
+	"bandana/internal/vcache"
 )
 
 func TestFenwickBasics(t *testing.T) {
@@ -83,16 +83,17 @@ func TestStackDistanceRepeatedSameKey(t *testing.T) {
 	}
 }
 
-// simulateLRUHits replays the stream through a real LRU cache of the given
-// size and counts hits — the ground truth the HRC must match.
+// simulateLRUHits replays the stream through the store's cache, keys only,
+// at the given size and counts hits — the ground truth the HRC must match.
+// Every insert and every hit lands at the MRU end, so it is an exact LRU.
 func simulateLRUHits(accesses []uint32, size int) int64 {
-	c := lru.NewSegmented[uint32, struct{}](size, 1, nil)
+	c := vcache.New(vcache.Options{Capacity: size})
 	var hits int64
 	for _, id := range accesses {
-		if c.Touch(id) {
+		if _, _, ok := c.Get(id); ok {
 			hits++
 		} else {
-			c.Add(id, struct{}{})
+			c.Add(id, nil, false)
 		}
 	}
 	return hits

@@ -18,6 +18,11 @@
 //     unless the policy gates cold ids to probation), then the block's other
 //     members, in slot order, are offered to the admission policy and the
 //     admitted non-resident ones enter at the policy's position.
+//   - The cache is the store's own: a one-shard vcache without payloads,
+//     driven by the three calls serveBatch makes — Get for the probe (a hit
+//     promotes it and reports a first hit on a prefetched entry), AddAt for a
+//     demand fill and AddAtGuard for a prefetch fill, which refuses an id
+//     already resident.
 //   - Against a store with one cache shard (Config.CacheShards: 1) serving
 //     the same queries one at a time, BlockReads, Hits, Misses,
 //     ProbationFills, PrefetchesAdmitted and PrefetchHits are equal through
@@ -44,6 +49,7 @@ import (
 	"bandana/internal/layout"
 	"bandana/internal/mrc"
 	"bandana/internal/trace"
+	"bandana/internal/vcache"
 )
 
 // Config describes one simulation run.
@@ -51,7 +57,7 @@ type Config struct {
 	// Layout maps vectors to NVM blocks.
 	Layout *layout.Layout
 	// CacheVectors is the DRAM cache capacity in vectors; 0 means
-	// unlimited.
+	// unlimited (a cache as large as the layout, which never evicts).
 	CacheVectors int
 	// Policy decides admission of prefetched vectors and the position
 	// requested ones fill at. Nil means cache.NoPrefetch (prefetching off,
@@ -101,18 +107,18 @@ func Replay(tr *trace.Trace, cfg Config) Result {
 		policy = cache.NoPrefetch{}
 	}
 	l := cfg.Layout
-	c := cache.NewCache(cfg.CacheVectors)
+	capacity := cfg.CacheVectors
+	if capacity <= 0 {
+		capacity = l.NumVectors()
+	}
+	c := vcache.New(vcache.Options{Capacity: capacity})
 	res := Result{Policy: policy.Name()}
 
 	// Per-id state, indexed by id so a query costs no map or set allocation.
 	// seen[id] is 2*q for a hit and 2*q+1 for a miss of the unique probe in
 	// query number q (1-based), anything smaller when id has not occurred in
-	// the current query. prefetched[id] marks a resident vector that entered
-	// as a prefetch and has not been requested since; it is only read on a
-	// hit, which a stale mark of an evicted vector cannot reach before the
-	// next insert rewrites it.
+	// the current query.
 	seen := make([]uint32, l.NumVectors())
-	prefetched := make([]bool, l.NumVectors())
 
 	var missed []missRef
 	var members []uint32
@@ -136,12 +142,11 @@ func Replay(tr *trace.Trace, cfg Config) Result {
 				res.Misses++
 				continue
 			}
-			if c.Touch(id) {
+			if _, wasPrefetched, ok := c.Get(id); ok {
 				seen[id] = hitStamp
 				res.Hits++
-				if prefetched[id] {
+				if wasPrefetched {
 					res.PrefetchHits++
-					prefetched[id] = false
 				}
 				continue
 			}
@@ -161,8 +166,7 @@ func Replay(tr *trace.Trace, cfg Config) Result {
 				if pos > 0 {
 					res.ProbationFills++
 				}
-				c.Insert(missed[lo].id, pos)
-				prefetched[missed[lo].id] = false
+				c.AddAt(missed[lo].id, nil, pos, false)
 			}
 			members = l.BlockMembers(block, members[:0])
 			for _, other := range members {
@@ -173,12 +177,9 @@ func Replay(tr *trace.Trace, cfg Config) Result {
 				if cfg.Filter != nil && !cfg.Filter(other) {
 					continue
 				}
-				if c.Contains(other) {
-					continue
+				if c.AddAtGuard(other, nil, pos, true, nil, 0) {
+					res.PrefetchesAdmitted++
 				}
-				c.Insert(other, pos)
-				prefetched[other] = true
-				res.PrefetchesAdmitted++
 			}
 		}
 	}

@@ -516,10 +516,51 @@ func TestDefaultThresholds(t *testing.T) {
 	}
 }
 
-func BenchmarkReplay(b *testing.B) {
+// TestReplayUnlimitedCacheKeepsEverything: CacheVectors 0 is a cache that
+// never evicts, wherever the policy fills: every vector filled on probation
+// in a first pass hits in the second.
+func TestReplayUnlimitedCacheKeepsEverything(t *testing.T) {
+	tr := &trace.Trace{TableName: "t", NumVectors: 1024}
+	for pass := 0; pass < 2; pass++ {
+		for id := uint32(0); id < 1024; id++ {
+			tr.Queries = append(tr.Queries, trace.Query{id})
+		}
+	}
+	cold := cache.ThresholdAdmit{Counts: make([]uint32, 1024), Threshold: DisablePrefetch, DemandThreshold: 1}
+	got := Replay(tr, Config{Layout: layout.Identity(1024, 32), Policy: cold})
+	if got.Misses != 1024 || got.Hits != 1024 || got.ProbationFills != 1024 {
+		t.Fatalf("two passes over 1,024 vectors: %d misses, %d hits, %d probation fills; want 1,024 each", got.Misses, got.Hits, got.ProbationFills)
+	}
+}
+
+// benchTrace is BenchmarkReplay's trace: 2,000 queries of 24 lookups on
+// average over 16,384 vectors.
+func benchTrace() *trace.Trace {
 	p := trace.Profile{Name: "b", NumVectors: 16384, AvgLookups: 24, CompulsoryMissFrac: 0.08,
 		Locality: 0.9, CommunitySize: 64, ReuseSkew: 3, Seed: 1}
-	tr := trace.GenerateTable(p, 2000)
+	return trace.GenerateTable(p, 2000)
+}
+
+// TestReplayAllocsFlatInTrace: a replay allocates its cache, its per-id
+// stamps and a few scratch slices that grow to the largest query, and
+// nothing per query, hit or fill — the tuner runs a dozen replays per table.
+func TestReplayAllocsFlatInTrace(t *testing.T) {
+	tr := benchTrace()
+	l := layout.Identity(tr.NumVectors, 32)
+	allocs := func(queries int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			Replay(tr.Prefix(queries), Config{Layout: l, CacheVectors: 1000, Policy: cache.AlwaysAdmit{}})
+		})
+	}
+	short, long := allocs(100), allocs(200)
+	t.Logf("allocations per replay: %.0f over 100 queries, %.0f over 200", short, long)
+	if short > 40 || long > short+2 || long < short-2 {
+		t.Fatalf("replay allocates %.0f times over 100 queries and %.0f over 200; want <= 40 and flat within 2", short, long)
+	}
+}
+
+func BenchmarkReplay(b *testing.B) {
+	tr := benchTrace()
 	l := layout.Identity(tr.NumVectors, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -3,14 +3,6 @@ package vcache
 // CheckInvariants exposes the internal consistency checker to tests.
 func (c *Cache) CheckInvariants() error { return c.checkInvariants() }
 
-// Contains reports whether id is cached, without affecting recency.
-func (c *Cache) Contains(id uint32) bool {
-	s := c.shardOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.idxFind(id) != nilIdx
-}
-
 // LimboLen returns the number of slots waiting out the lease grace period,
 // for reclamation tests.
 func (c *Cache) LimboLen() int {

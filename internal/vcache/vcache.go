@@ -16,24 +16,32 @@
 // sees no per-entry pointers at all.
 //
 // The cache is sharded (hash-routed, power-of-two shard count, exact
-// capacity split) and each shard is internal/lru's segmented LRU: positional
-// insertion (AddAt) with a rebalancing cascade, and the same eviction order
-// as an lru.Cache of the shard's capacity — the reference the simulator
-// tunes admission on. The randomized order tests here pin that, operation by
-// operation.
+// capacity split) and each shard is a segmented LRU. Its eviction queue is
+// cut into Segments runs (fewer if the shard holds fewer entries), and every
+// run but the last holds at most ceil(capacity/segments) entries. Inserting
+// at queue position pos in [0,1] puts an entry at the head of segment
+// floor(pos*segments) and a hit moves it to the head of segment 0; a run
+// over its bound passes its tail to the head of the next run, and a full
+// shard evicts the tail of its last non-empty run. An entry inserted at pos
+// therefore outlives about (1-pos)*capacity insertions (§4.3.1's insertion
+// position), and a cache whose every insert and hit lands at 0 is an exact
+// LRU whatever its segment count.
+//
+// It is the one segmented LRU in the product: the store serves from it, and
+// with SlotBytes 0 (keys only) sim.Replay, the shadow-cache admission
+// policies and mrc's ground truth run on it too, so what the miniature
+// caches predict is what this code does. The randomized order tests hold it
+// to a plain slice-per-segment model, operation by operation.
 //
 // # Recency list
 //
-// Only the behaviour is lru's, not the structure. lru.Cache keeps one list
-// per segment, so cascading an overflow through its 16 segments unlinks and
-// relinks an entry at every step. Here each shard has a single MRU→LRU list
-// and a segment is a consecutive run of it, described by head/tail cursors
-// and a size. The tail of segment i already sits directly in front of
-// segment i+1's head, so "move it to the head of segment i+1" moves the
-// boundary instead of the entry: two cursor updates and the entry's segment
-// tag, no relinking. Inserting into an empty segment finds its neighbours
-// through the adjacent non-empty segments' cursors; unlinking an entry fixes
-// the cursors of the segment that owns it.
+// Each shard has a single MRU→LRU list and a segment is a consecutive run of
+// it, described by head/tail cursors and a size. The tail of segment i
+// already sits directly in front of segment i+1's head, so "move it to the
+// head of segment i+1" moves the boundary instead of the entry: two cursor
+// updates and the entry's segment tag, no relinking. Inserting into an empty
+// segment finds its neighbours through the adjacent non-empty segments'
+// cursors; unlinking an entry fixes the cursors of the segment that owns it.
 //
 // # View lifetime and leases
 //
@@ -70,9 +78,9 @@ import (
 // nilIdx is the nil slot index (list terminator, empty index entry marker).
 const nilIdx = ^uint32(0)
 
-// DefaultSegments matches lru.DefaultSegments: the positional-insertion
-// segment count per shard.
-const DefaultSegments = 16
+// Segments is the positional-insertion segment count per shard (clamped to
+// the shard's capacity).
+const Segments = 16
 
 // targetSlabBytes is the preferred payload slab size. Slabs are allocated
 // lazily as shards grow, so a small cache never pays for a full slab, and a
@@ -147,25 +155,19 @@ type Options struct {
 	// Capacity is the total entry budget across all shards. Must be > 0.
 	Capacity int
 	// SlotBytes is the fixed payload size of every entry (the table's
-	// fp16 vector size). Must be > 0.
+	// fp16 vector size). 0 makes a keys-only cache: no slab is ever
+	// allocated and every view is empty. Must not be negative.
 	SlotBytes int
 	// Shards is the requested shard count, rounded up to a power of two and
 	// halved until it does not exceed Capacity (every shard holds at least
 	// one entry); <= 0 selects one shard.
 	Shards int
-	// Segments is the positional segment count per shard, clamped to
-	// [1, shard capacity]; 0 selects DefaultSegments.
-	Segments int
-	// Hash routes an id to its shard (low bits). nil selects a splitmix
-	// finalizer.
-	Hash func(uint32) uint64
 }
 
 // Cache is the sharded arena cache. Construct with New.
 type Cache struct {
 	slotBytes int
 	slabShift uint
-	hash      func(uint32) uint64
 	shardMask uint64
 	capacity  atomic.Int64
 
@@ -185,9 +187,9 @@ type paddedCount struct {
 	_ [56]byte
 }
 
-// defaultHash is a splitmix64-style finalizer (the same mixing the store
-// uses for shard routing).
-func defaultHash(id uint32) uint64 {
+// Hash is the splitmix64-style finalizer whose low bits route an id to its
+// shard. The store stripes its per-table serving counters by it too.
+func Hash(id uint32) uint64 {
 	x := uint64(id) + 0x9e3779b97f4a7c15
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -196,13 +198,13 @@ func defaultHash(id uint32) uint64 {
 	return x ^ (x >> 31)
 }
 
-// New builds a Cache. Capacity and SlotBytes must be positive.
+// New builds a Cache. Capacity must be positive and SlotBytes not negative.
 func New(opts Options) *Cache {
 	if opts.Capacity <= 0 {
 		panic(fmt.Sprintf("vcache: capacity must be positive, got %d", opts.Capacity))
 	}
-	if opts.SlotBytes <= 0 {
-		panic(fmt.Sprintf("vcache: slot size must be positive, got %d", opts.SlotBytes))
+	if opts.SlotBytes < 0 {
+		panic(fmt.Sprintf("vcache: slot size must not be negative, got %d", opts.SlotBytes))
 	}
 	shards := opts.Shards
 	if shards < 1 {
@@ -215,18 +217,9 @@ func New(opts Options) *Cache {
 	for n > opts.Capacity {
 		n >>= 1
 	}
-	hash := opts.Hash
-	if hash == nil {
-		hash = defaultHash
-	}
-	segments := opts.Segments
-	if segments <= 0 {
-		segments = DefaultSegments
-	}
 
 	c := &Cache{
 		slotBytes: opts.SlotBytes,
-		hash:      hash,
 		shardMask: uint64(n - 1),
 		shards:    make([]shard, n),
 	}
@@ -238,7 +231,7 @@ func New(opts Options) *Cache {
 	// larger than the (rounded-up) shard capacity so small caches do not
 	// allocate megabytes they can never fill.
 	per := 1
-	for per*2*opts.SlotBytes <= targetSlabBytes {
+	for opts.SlotBytes > 0 && per*2*opts.SlotBytes <= targetSlabBytes {
 		per <<= 1
 	}
 	maxShardCap := opts.Capacity/n + 1
@@ -261,20 +254,14 @@ func New(opts Options) *Cache {
 		if i < rem {
 			sc++
 		}
-		c.shards[i].init(sc, segments)
+		c.shards[i].init(sc)
 	}
 	return c
 }
 
-func (s *shard) init(capacity, segments int) {
-	if segments > capacity {
-		segments = capacity
-	}
-	if segments < 1 {
-		segments = 1
-	}
+func (s *shard) init(capacity int) {
 	s.capacity = capacity
-	s.segs = make([]segment, segments)
+	s.segs = make([]segment, min(Segments, capacity))
 	for i := range s.segs {
 		s.segs[i] = segment{head: nilIdx, tail: nilIdx}
 	}
@@ -321,7 +308,15 @@ func (c *Cache) Len() int {
 }
 
 func (c *Cache) shardOf(id uint32) *shard {
-	return &c.shards[c.hash(id)&c.shardMask]
+	return &c.shards[Hash(id)&c.shardMask]
+}
+
+// Contains reports whether id is cached, without affecting recency.
+func (c *Cache) Contains(id uint32) bool {
+	s := c.shardOf(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.idxFind(id) != nilIdx
 }
 
 // Lease marks the start of a request that will hold arena views (Get
@@ -352,8 +347,11 @@ func (c *Cache) tryAdvance() {
 }
 
 // payload returns slot's arena bytes (read-write; callers hand out read-only
-// subslices).
+// subslices), nil in a keys-only cache.
 func (s *shard) payload(c *Cache, slot uint32) []byte {
+	if c.slotBytes == 0 {
+		return nil
+	}
 	slab := s.slabs[slot>>c.slabShift]
 	off := int(slot&(1<<c.slabShift-1)) * c.slotBytes
 	return slab[off : off+c.slotBytes : off+c.slotBytes]
@@ -363,7 +361,7 @@ func (s *shard) payload(c *Cache, slot uint32) []byte {
 
 // home is id's first probe position in a table of 1<<(32-shift) entries. It
 // mixes the id itself (Fibonacci hashing: the top bits of id times 2^32/phi)
-// instead of reusing Options.Hash, which only routes ids to shards:
+// instead of reusing Hash, which only routes ids to shards:
 // backward-shift deletion and index growth recompute the home of every entry
 // they move, and an inlined multiply there is what keeps an eviction from
 // costing a chain of indirect hash calls.
@@ -565,7 +563,7 @@ func (s *shard) alloc(c *Cache) uint32 {
 	}
 	slot := s.nextSlot
 	s.nextSlot++
-	if int(slot)>>c.slabShift == len(s.slabs) {
+	if c.slotBytes > 0 && int(slot)>>c.slabShift == len(s.slabs) {
 		s.slabs = append(s.slabs, make([]byte, (1<<c.slabShift)*c.slotBytes))
 	}
 	s.meta = append(s.meta, slotMeta{prev: nilIdx, next: nilIdx})
@@ -598,7 +596,7 @@ func (s *shard) park(c *Cache, slot uint32) {
 }
 
 // evictOne removes the LRU entry of the last non-empty segment and returns
-// its id. Mirrors lru.Cache.evictOne.
+// its id.
 func (s *shard) evictOne(c *Cache) (uint32, bool) {
 	for i := len(s.segs) - 1; i >= 0; i-- {
 		sg := &s.segs[i]
@@ -618,7 +616,8 @@ func (s *shard) evictOne(c *Cache) (uint32, bool) {
 
 // ---- public operations ----
 
-// segOf maps a queue position in [0,1] to a segment exactly like lru.AddAt.
+// segOf maps a queue position, clamped to [0,1], to segment
+// floor(pos*segments), the last one for pos 1.
 func segOf(pos float64, segments int) int {
 	if pos < 0 {
 		pos = 0
@@ -879,8 +878,8 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// ShardKeys returns shard i's keys ordered MRU→LRU (segment by segment,
-// matching lru.Cache.Keys). Intended for tests and diagnostics; O(n).
+// ShardKeys returns shard i's keys ordered MRU→LRU, segment by segment.
+// Intended for tests and diagnostics; O(n).
 func (c *Cache) ShardKeys(i int) []uint32 {
 	s := &c.shards[i]
 	s.mu.Lock()

@@ -4,24 +4,15 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"bandana/internal/lru"
 	"bandana/internal/vcache"
 )
 
 const testSlot = 8 // payload bytes per entry in these tests
-
-func testHash(id uint32) uint64 {
-	x := uint64(id) + 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 func payloadFor(id uint32, gen byte) []byte {
 	p := make([]byte, testSlot)
@@ -34,12 +25,7 @@ func payloadFor(id uint32, gen byte) []byte {
 }
 
 func newTestCache(capacity, shards int) *vcache.Cache {
-	return vcache.New(vcache.Options{
-		Capacity:  capacity,
-		SlotBytes: testSlot,
-		Shards:    shards,
-		Hash:      testHash,
-	})
+	return vcache.New(vcache.Options{Capacity: capacity, SlotBytes: testSlot, Shards: shards})
 }
 
 func TestBasicAddGet(t *testing.T) {
@@ -147,7 +133,7 @@ func TestParkFastPathWithoutLeases(t *testing.T) {
 		t.Fatalf("limbo holds %d slots with no leases active", n)
 	}
 	// With no leases, evicted slots recycle. Insertion allocates before
-	// evicting (matching lru's insert-then-evict order), so at most one
+	// evicting (the queue's insert-then-evict order), so at most one
 	// transient slot above capacity is ever minted.
 	if m := c.MintedSlots(); m > 5 {
 		t.Fatalf("minted %d slots for capacity-4 cache", m)
@@ -226,7 +212,7 @@ func TestResizeShrinkGrow(t *testing.T) {
 		c.Add(id, payloadFor(id, 0), false)
 	}
 	// Hash routing is uneven, so some shards evict before others fill; the
-	// total just must never exceed capacity (exact equivalence with lru is
+	// total just must never exceed capacity (the exact per-shard order is
 	// pinned by TestEquivalenceRandomized).
 	if c.Len() > 128 || c.Len() < 100 {
 		t.Fatalf("Len after refill = %d, want (100, 128]", c.Len())
@@ -238,6 +224,42 @@ func TestResizeShrinkGrow(t *testing.T) {
 	if got := c.Resize(1); got != c.NumShards() {
 		t.Fatalf("Resize(1) = %d, want shard count %d", got, c.NumShards())
 	}
+}
+
+// TestPayloadFreeCache: with SlotBytes 0 the cache keeps keys only — no slab
+// is minted however many entries churn through it and views are empty — and
+// the prefetched flag, AddAtGuard's resident check and the invariants work as
+// with payloads. A negative slot size still panics.
+func TestPayloadFreeCache(t *testing.T) {
+	c := vcache.New(vcache.Options{Capacity: 1000, Shards: 4})
+	for id := uint32(0); id < 10_000; id++ {
+		c.AddAt(id, nil, float64(id%3)/2, false)
+	}
+	if st := c.Stats(); st.ArenaBytes != 0 || st.Slabs != 0 || st.Entries != 1000 {
+		t.Fatalf("after 10k adds: %d arena bytes in %d slabs, %d entries", st.ArenaBytes, st.Slabs, st.Entries)
+	}
+	c.AddAt(20_000, nil, 0.5, true)
+	if view, pre, ok := c.Get(20_000); !ok || !pre || len(view) != 0 {
+		t.Fatalf("Get of a prefetch fill = (%d bytes, prefetched %v, hit %v)", len(view), pre, ok)
+	}
+	if _, pre, _ := c.Get(20_000); pre {
+		t.Fatal("prefetched flag survived a hit")
+	}
+	if c.AddAtGuard(20_000, nil, 0.5, true, nil, 0) {
+		t.Fatal("prefetch fill over a resident id accepted")
+	}
+	if !c.AddAtGuard(30_000, nil, 0.5, true, nil, 0) || !c.Contains(30_000) {
+		t.Fatal("prefetch fill of a new id refused")
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("New with SlotBytes -1 did not panic")
+		}
+	}()
+	vcache.New(vcache.Options{Capacity: 8, SlotBytes: -1})
 }
 
 func TestStats(t *testing.T) {
@@ -263,13 +285,108 @@ func TestStats(t *testing.T) {
 	}
 }
 
-// refShards is the reference model the order tests compare against: one
-// lru.Cache per shard, with vcache's shard routing and capacity split (a
-// power-of-two shard count clamped to the capacity, the remainder going to
-// the first shards). The tests are single-goroutine, so it takes no locks.
-type refShards[V any] []*lru.Cache[uint32, V]
+// spec is the reference the order tests hold one shard to: the segmented LRU
+// of the package comment written as plainly as it goes — one slice per
+// segment, MRU first, ids found by linear search, and every change settled by
+// evicting the overflow and then cascading each segment's excess into the
+// next. It is single-goroutine and takes no locks.
+type spec struct {
+	capacity int
+	segs     [][]specEntry
+}
 
-func newRefShards[V any](capacity, shards int) refShards[V] {
+// specEntry is one cached id with the payload generation and the prefetched
+// flag vcache keeps for it.
+type specEntry struct {
+	id  uint32
+	gen byte
+	pre bool
+}
+
+func newSpec(capacity int) *spec {
+	return &spec{capacity: capacity, segs: make([][]specEntry, min(vcache.Segments, capacity))}
+}
+
+// take unlinks id and returns its entry.
+func (s *spec) take(id uint32) (specEntry, bool) {
+	for si, seg := range s.segs {
+		for i, e := range seg {
+			if e.id == id {
+				s.segs[si] = slices.Delete(seg, i, i+1)
+				return e, true
+			}
+		}
+	}
+	return specEntry{}, false
+}
+
+func (s *spec) len() int {
+	n := 0
+	for _, seg := range s.segs {
+		n += len(seg)
+	}
+	return n
+}
+
+// settle evicts the tail of the last non-empty segment while the shard is
+// over capacity, then moves each segment's tail to the head of the next
+// while it holds more than ceil(capacity/segments). It returns the last id
+// evicted.
+func (s *spec) settle() (victim uint32, evicted bool) {
+	for s.len() > s.capacity {
+		last := len(s.segs) - 1
+		for len(s.segs[last]) == 0 {
+			last--
+		}
+		n := len(s.segs[last])
+		victim, evicted = s.segs[last][n-1].id, true
+		s.segs[last] = s.segs[last][:n-1]
+	}
+	target := (s.capacity + len(s.segs) - 1) / len(s.segs)
+	for i := 0; i+1 < len(s.segs); i++ {
+		for n := len(s.segs[i]); n > target; n-- {
+			s.segs[i+1] = slices.Insert(s.segs[i+1], 0, s.segs[i][n-1])
+			s.segs[i] = s.segs[i][:n-1]
+		}
+	}
+	return victim, evicted
+}
+
+// addAt (re)inserts e at the head of the segment pos names.
+func (s *spec) addAt(e specEntry, pos float64) (uint32, bool) {
+	s.take(e.id)
+	seg := min(int(min(max(pos, 0), 1)*float64(len(s.segs))), len(s.segs)-1)
+	s.segs[seg] = slices.Insert(s.segs[seg], 0, e)
+	return s.settle()
+}
+
+// get returns id's entry as it was and moves it, its prefetched flag
+// cleared, to the head of segment 0.
+func (s *spec) get(id uint32) (specEntry, bool) {
+	e, ok := s.take(id)
+	if ok {
+		s.segs[0] = slices.Insert(s.segs[0], 0, specEntry{id: e.id, gen: e.gen})
+		s.settle()
+	}
+	return e, ok
+}
+
+func (s *spec) keys() []uint32 {
+	var keys []uint32
+	for _, seg := range s.segs {
+		for _, e := range seg {
+			keys = append(keys, e.id)
+		}
+	}
+	return keys
+}
+
+// specShards is one spec per shard with vcache's routing and capacity split
+// (a power-of-two shard count clamped to the capacity, the remainder going
+// to the first shards).
+type specShards []*spec
+
+func newSpecShards(capacity, shards int) specShards {
 	n := 1
 	for n < shards {
 		n <<= 1
@@ -277,9 +394,9 @@ func newRefShards[V any](capacity, shards int) refShards[V] {
 	for n > capacity {
 		n >>= 1
 	}
-	r := make(refShards[V], n)
+	r := make(specShards, n)
 	for i := range r {
-		r[i] = lru.New[uint32, V](shardCap(capacity, n, i))
+		r[i] = newSpec(shardCap(capacity, n, i))
 	}
 	return r
 }
@@ -293,25 +410,31 @@ func shardCap(capacity, n, i int) int {
 	return c
 }
 
-func (r refShards[V]) of(id uint32) *lru.Cache[uint32, V] {
-	return r[testHash(id)&uint64(len(r)-1)]
-}
+func (r specShards) of(id uint32) *spec { return r[vcache.Hash(id)&uint64(len(r)-1)] }
 
-func (r refShards[V]) Resize(capacity int) int {
-	if capacity < len(r) {
-		capacity = len(r)
-	}
-	for i, c := range r {
-		c.Resize(shardCap(capacity, len(r), i))
+func (r specShards) resize(capacity int) int {
+	capacity = max(capacity, len(r))
+	for i, s := range r {
+		s.capacity = shardCap(capacity, len(r), i)
+		s.settle()
 	}
 	return capacity
 }
 
-// TestEquivalenceRandomized drives vcache and per-shard lru.Caches with
+// checkAdd compares the eviction an AddAt reported with the spec's.
+func checkAdd(t *testing.T, step int, id, victim uint32, evicted bool, wantVictim uint32, wantEvicted bool) {
+	t.Helper()
+	if victim != wantVictim || evicted != wantEvicted {
+		t.Fatalf("step %d: AddAt(%d) evicted (%d, %v), spec (%d, %v)", step, id, victim, evicted, wantVictim, wantEvicted)
+	}
+}
+
+// TestEquivalenceRandomized drives vcache and the per-shard spec with
 // identical randomized op streams (Add/AddAt/Get/Remove/Resize) and asserts
-// identical contents, sizes and exact per-shard MRU->LRU key order after
-// every operation batch. lru.Cache is what sim.Replay tunes admission on, so
-// this is the contract that keeps the store serving what was simulated.
+// identical evictions, contents, sizes and exact per-shard MRU->LRU key
+// order after every operation batch. sim.Replay tunes admission on this
+// cache, so this is the contract that keeps it meaning what the package
+// comment says.
 func TestEquivalenceRandomized(t *testing.T) {
 	for _, cfg := range []struct {
 		capacity, shards int
@@ -321,7 +444,7 @@ func TestEquivalenceRandomized(t *testing.T) {
 		t.Run(fmt.Sprintf("cap%d_shards%d", cfg.capacity, cfg.shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(cfg.capacity)*31 + int64(cfg.shards)))
 			vc := newTestCache(cfg.capacity, cfg.shards)
-			ref := newRefShards[byte](cfg.capacity, cfg.shards)
+			ref := newSpecShards(cfg.capacity, cfg.shards)
 			if vc.NumShards() != len(ref) {
 				t.Fatalf("shard counts differ: %d vs %d", vc.NumShards(), len(ref))
 			}
@@ -335,29 +458,32 @@ func TestEquivalenceRandomized(t *testing.T) {
 				case op < 4: // AddAt at random position
 					pos := rng.Float64()
 					gens[id]++
-					vc.AddAt(id, payloadFor(id, gens[id]), pos, false)
-					ref.of(id).AddAt(id, gens[id], pos)
+					victim, evicted := vc.AddAt(id, payloadFor(id, gens[id]), pos, false)
+					wantVictim, wantEvicted := ref.of(id).addAt(specEntry{id: id, gen: gens[id]}, pos)
+					checkAdd(t, step, id, victim, evicted, wantVictim, wantEvicted)
 				case op < 6: // Add at MRU
 					gens[id]++
-					vc.Add(id, payloadFor(id, gens[id]), false)
-					ref.of(id).Add(id, gens[id])
+					victim, evicted := vc.Add(id, payloadFor(id, gens[id]), false)
+					wantVictim, wantEvicted := ref.of(id).addAt(specEntry{id: id, gen: gens[id]}, 0)
+					checkAdd(t, step, id, victim, evicted, wantVictim, wantEvicted)
 				case op < 9: // Get
 					var vGen byte
 					vOK := vc.GetFunc(id, func(p []byte, _ bool) { vGen = p[4] })
-					rGen, rOK := ref.of(id).Get(id)
+					e, rOK := ref.of(id).get(id)
 					if vOK != rOK {
-						t.Fatalf("step %d: Get(%d) hit mismatch: vcache %v, lru %v", step, id, vOK, rOK)
+						t.Fatalf("step %d: Get(%d) hit mismatch: vcache %v, spec %v", step, id, vOK, rOK)
 					}
-					if vOK && vGen != rGen {
-						t.Fatalf("step %d: Get(%d) value mismatch: gen %d vs %d", step, id, vGen, rGen)
+					if vOK && vGen != e.gen {
+						t.Fatalf("step %d: Get(%d) value mismatch: gen %d vs %d", step, id, vGen, e.gen)
 					}
 				case op == 9 && step%97 == 0: // occasional Resize
 					target := 1 + rng.Intn(cfg.capacity*2)
-					if got, want := vc.Resize(target), ref.Resize(target); got != want {
+					if got, want := vc.Resize(target), ref.resize(target); got != want {
 						t.Fatalf("step %d: Resize(%d) = %d vs %d", step, target, got, want)
 					}
 				default: // Remove
-					if got, want := vc.Remove(id), ref.of(id).Remove(id); got != want {
+					_, want := ref.of(id).take(id)
+					if got := vc.Remove(id); got != want {
 						t.Fatalf("step %d: Remove(%d) = %v vs %v", step, id, got, want)
 					}
 				}
@@ -374,28 +500,13 @@ func TestEquivalenceRandomized(t *testing.T) {
 }
 
 // compareOrder asserts identical per-shard exact MRU->LRU key sequences.
-func compareOrder[V any](t *testing.T, step int, vc *vcache.Cache, ref refShards[V]) {
+func compareOrder(t *testing.T, step int, vc *vcache.Cache, ref specShards) {
 	t.Helper()
-	for i, c := range ref {
-		got := vc.ShardKeys(i)
-		want := c.Keys()
-		if len(got) != len(want) {
-			t.Fatalf("step %d shard %d: %d keys vs %d", step, i, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("step %d shard %d pos %d: key %d vs %d (vcache %v, lru %v)",
-					step, i, j, got[j], want[j], got, want)
-			}
+	for i, s := range ref {
+		if got, want := vc.ShardKeys(i), s.keys(); !slices.Equal(got, want) {
+			t.Fatalf("step %d shard %d: vcache %v, spec %v", step, i, got, want)
 		}
 	}
-}
-
-// refEntry is the reference model's value for TestOrderEquivalenceEveryOp: the
-// generation byte plus the prefetched flag vcache keeps in its slot metadata.
-type refEntry struct {
-	gen byte
-	pre bool
 }
 
 // TestOrderEquivalenceEveryOp is TestEquivalenceRandomized aimed at the
@@ -403,8 +514,9 @@ type refEntry struct {
 // segment, promotions come from Get, capacities drop below the segment
 // count and grow back, and sparse phases (a handful of keys in a large,
 // mostly empty shard) leave runs of empty segments between occupied ones.
-// Exact per-shard MRU→LRU order against lru.Cache and the structural
-// invariants are checked after every single operation.
+// Before every operation Contains is probed, which must not promote; after
+// it the exact per-shard MRU→LRU order against the spec and the structural
+// invariants are checked.
 func TestOrderEquivalenceEveryOp(t *testing.T) {
 	for _, cfg := range []struct {
 		capacity, shards int
@@ -414,12 +526,12 @@ func TestOrderEquivalenceEveryOp(t *testing.T) {
 		t.Run(fmt.Sprintf("cap%d_shards%d", cfg.capacity, cfg.shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(cfg.capacity)*131 + int64(cfg.shards)))
 			vc := newTestCache(cfg.capacity, cfg.shards)
-			ref := newRefShards[*refEntry](cfg.capacity, cfg.shards)
+			ref := newSpecShards(cfg.capacity, cfg.shards)
 			gens := make(map[uint32]byte)
 			capacity := cfg.capacity
 
 			resize := func(step, target int) {
-				got, want := vc.Resize(target), ref.Resize(target)
+				got, want := vc.Resize(target), ref.resize(target)
 				if got != want {
 					t.Fatalf("step %d: Resize(%d) = %d vs %d", step, target, got, want)
 				}
@@ -444,29 +556,31 @@ func TestOrderEquivalenceEveryOp(t *testing.T) {
 					}
 				}
 				id := rng.Uint32() % keySpace
+				if want := slices.Contains(ref.of(id).keys(), id); vc.Contains(id) != want {
+					t.Fatalf("step %d: Contains(%d) = %v, spec %v", step, id, !want, want)
+				}
 				switch op := rng.Intn(16); {
 				case op < 6: // AddAt at the head of a chosen segment
-					pos := (float64(rng.Intn(vcache.DefaultSegments)) + 0.5) / vcache.DefaultSegments
+					pos := (float64(rng.Intn(vcache.Segments)) + 0.5) / vcache.Segments
 					pre := rng.Intn(3) == 0
 					gens[id]++
-					vc.AddAt(id, payloadFor(id, gens[id]), pos, pre)
-					ref.of(id).AddAt(id, &refEntry{gen: gens[id], pre: pre}, pos)
+					victim, evicted := vc.AddAt(id, payloadFor(id, gens[id]), pos, pre)
+					wantVictim, wantEvicted := ref.of(id).addAt(specEntry{id: id, gen: gens[id], pre: pre}, pos)
+					checkAdd(t, step, id, victim, evicted, wantVictim, wantEvicted)
 				case op < 12: // Get: promote, clear the prefetched flag
 					var vGen byte
 					var vPre bool
 					vOK := vc.GetFunc(id, func(p []byte, pre bool) { vGen, vPre = p[4], pre })
-					e, rOK := ref.of(id).Get(id)
+					e, rOK := ref.of(id).get(id)
 					if vOK != rOK {
-						t.Fatalf("step %d: Get(%d) hit mismatch: vcache %v, lru %v", step, id, vOK, rOK)
+						t.Fatalf("step %d: Get(%d) hit mismatch: vcache %v, spec %v", step, id, vOK, rOK)
 					}
-					if rOK {
-						if vGen != e.gen || vPre != e.pre {
-							t.Fatalf("step %d: Get(%d) = (gen %d, pre %v), lru (gen %d, pre %v)", step, id, vGen, vPre, e.gen, e.pre)
-						}
-						e.pre = false
+					if rOK && (vGen != e.gen || vPre != e.pre) {
+						t.Fatalf("step %d: Get(%d) = (gen %d, pre %v), spec (gen %d, pre %v)", step, id, vGen, vPre, e.gen, e.pre)
 					}
 				case op < 14: // Remove
-					if got, want := vc.Remove(id), ref.of(id).Remove(id); got != want {
+					_, want := ref.of(id).take(id)
+					if got := vc.Remove(id); got != want {
 						t.Fatalf("step %d: Remove(%d) = %v vs %v", step, id, got, want)
 					}
 				case op == 14 && step%7 == 0: // Resize down, often below the segment count
@@ -644,7 +758,7 @@ func TestHitPathZeroAlloc(t *testing.T) {
 
 func BenchmarkHit(b *testing.B) {
 	b.Run("vcache", func(b *testing.B) {
-		c := vcache.New(vcache.Options{Capacity: 1 << 16, SlotBytes: 128, Shards: 8, Hash: testHash})
+		c := vcache.New(vcache.Options{Capacity: 1 << 16, SlotBytes: 128, Shards: 8})
 		p := make([]byte, 128)
 		for id := uint32(0); id < 1<<16; id++ {
 			c.Add(id, p, false)
@@ -662,7 +776,7 @@ func BenchmarkHit(b *testing.B) {
 // benchCache returns a full 64k-entry cache of 128-byte slots (the serving
 // path's fp16 vector size at dim 64) and its resident keys in shuffled order.
 func benchCache(b *testing.B) (*vcache.Cache, []uint32) {
-	c := vcache.New(vcache.Options{Capacity: 1 << 16, SlotBytes: 128, Shards: 8, Hash: testHash})
+	c := vcache.New(vcache.Options{Capacity: 1 << 16, SlotBytes: 128, Shards: 8})
 	p := make([]byte, 128)
 	for id := uint32(0); id < 1<<17; id++ {
 		c.Add(id, p, false)

@@ -3,8 +3,50 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 )
+
+// FuzzWireRequest feeds arbitrary bytes through the server's request path:
+// header, payload, then the lookup and the update request parsers (the
+// opcode only picks which one readLoop runs, so both see every payload). An
+// accepted request must be exactly what its bytes say: a table name of at
+// most MaxTableName bytes, four payload bytes per id and none left over, and
+// an update's raw vector the payload's tail, not memory past it.
+func FuzzWireRequest(f *testing.F) {
+	f.Add(appendFrame(nil, Header{Opcode: OpLookup, ReqID: 1}, appendLookupRequest(nil, "table1", []uint32{1, 7, 42})))
+	f.Add(appendFrame(nil, Header{Opcode: OpLookup, Flags: FlagCRC, ReqID: 2}, appendLookupRequest(nil, "t", nil)))
+	f.Add(appendFrame(nil, Header{Opcode: OpUpdate, ReqID: 3}, appendUpdateRequest(nil, "table2", 9, []byte{0, 0x3c, 0, 0x40})))
+	f.Add(appendFrame(nil, Header{Opcode: OpUpdate, Flags: FlagCRC, ReqID: 4}, appendUpdateRequest(nil, strings.Repeat("x", MaxTableName), 0, nil)))
+	f.Add(appendFrame(nil, Header{Opcode: OpPing, ReqID: 5}, nil))
+
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		if len(frame) < HeaderLen {
+			return
+		}
+		h, err := parseHeader(frame[:HeaderLen])
+		if err != nil {
+			return
+		}
+		if uint64(len(frame)-HeaderLen) < uint64(h.Len) {
+			return // the stream ended inside the payload
+		}
+		payload := frame[HeaderLen : HeaderLen+int(h.Len) : HeaderLen+int(h.Len)]
+		if table, ids, err := parseLookupRequest(payload); err == nil {
+			if len(table) > MaxTableName || 2+len(table)+4+4*len(ids) != len(payload) {
+				t.Fatalf("%d-byte lookup payload parsed to a %d-byte table name and %d ids", len(payload), len(table), len(ids))
+			}
+		}
+		if table, _, raw, err := parseUpdateRequest(payload); err == nil {
+			if len(table) > MaxTableName || 2+len(table)+4+len(raw) != len(payload) {
+				t.Fatalf("%d-byte update payload parsed to a %d-byte table name and %d raw bytes", len(payload), len(table), len(raw))
+			}
+			if len(raw) > 0 && (&raw[len(raw)-1] != &payload[len(payload)-1] || cap(raw) != len(raw)) {
+				t.Fatal("raw vector is not the payload's tail")
+			}
+		}
+	})
+}
 
 // FuzzWireResponse feeds arbitrary bytes through the client's response path
 // in readLoop's order: header, payload, optional CRC trailer, then the error
