@@ -37,8 +37,8 @@
 //     LoadState or SetAdmissionPolicy can run while the store serves.
 //   - Serving counters are striped across cache lines and aggregated on
 //     Stats; NVM block reads are issued outside all locks, through an I/O
-//     scheduler that coalesces concurrent misses of one block and batches
-//     independent ones toward the device's saturation queue depth.
+//     scheduler that coalesces concurrent misses of one block and lets up
+//     to the device's saturation queue depth of callers read at once.
 //   - Returned vectors are copies the caller owns; the cache keeps fp16
 //     payloads in pointer-free arenas and decodes on the way out.
 //   - UpdateVector is safe to call concurrently with lookups; updates to
@@ -102,10 +102,9 @@ type Store = core.Store
 // Config configures Open.
 type Config = core.Config
 
-// IOSchedOptions tunes the asynchronous block I/O scheduler
-// (Config.IOSched): miss-path reads are coalesced per block and batched
-// toward a target NVM queue depth, with demand reads always dispatched
-// before background ones.
+// IOSchedOptions tunes the block I/O scheduler (Config.IOSched): miss-path
+// reads are coalesced per block and up to QueueDepth callers issue theirs at
+// once, with waiting demand reads granted a slot before background ones.
 type IOSchedOptions = core.IOSchedOptions
 
 // TrainOptions configures Store.Train.

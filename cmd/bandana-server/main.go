@@ -55,19 +55,15 @@ import (
 	"bandana/internal/version"
 )
 
-// validateIOFlags checks the --io-* flag combination before a store is
-// opened. qdSet/windowSet report whether the operator passed the
-// corresponding flag explicitly (flag.Visit); replica reports --replica-of
-// mode.
-func validateIOFlags(qd int, window time.Duration, qdSet, windowSet, replica bool) error {
-	if replica && (qdSet || windowSet) {
-		return fmt.Errorf("--io-qd/--io-window are incompatible with --replica-of: a replica bootstraps read-only snapshots and swaps the served store wholesale on every re-sync, so a per-store scheduler configuration cannot be honored")
+// validateIOFlags checks --io-qd before a store is opened. qdSet reports
+// whether the operator passed it explicitly (flag.Visit); replica reports
+// --replica-of mode.
+func validateIOFlags(qd int, qdSet, replica bool) error {
+	if replica && qdSet {
+		return fmt.Errorf("--io-qd is incompatible with --replica-of: a replica bootstraps read-only snapshots and swaps the served store wholesale on every re-sync, so a per-store scheduler configuration cannot be honored")
 	}
 	if qd < 0 || qd > iosched.MaxTargetQueueDepth {
 		return fmt.Errorf("--io-qd %d out of range [0,%d]", qd, iosched.MaxTargetQueueDepth)
-	}
-	if window < 0 {
-		return fmt.Errorf("--io-window %s is negative", window)
 	}
 	return nil
 }
@@ -95,8 +91,7 @@ func main() {
 		adaptBudget   = flag.Int("adapt-budget", 0, "max NVM blocks migrated per adaptation epoch (0 = unlimited)")
 		adaptSample   = flag.Int("adapt-sample", 1, "record 1 in N queries for adaptation (higher = cheaper)")
 
-		ioQD     = flag.Int("io-qd", 0, "target NVM queue depth of the async I/O scheduler: miss-path reads are coalesced and batched toward this depth (0 = default 8)")
-		ioWindow = flag.Duration("io-window", 0, "max time a queued read waits for its batch to fill toward --io-qd (0 dispatches immediately)")
+		ioQD = flag.Int("io-qd", 0, "NVM queue depth of the I/O scheduler: how many requests issue their misses at once — on the file backend the realised depth, since one device call is sequential preads — and the most blocks per device call (0 = default 8)")
 
 		replicaOf   = flag.String("replica-of", "", "bootstrap from this primary's snapshot stream and serve read-only (requires --data-dir)")
 		replicaPoll = flag.Duration("replica-poll", 2*time.Second, "how often a replica polls the primary's snapshot seq")
@@ -111,10 +106,9 @@ func main() {
 		fmt.Println(version.String())
 		return
 	}
-	ioFlagSet := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { ioFlagSet[f.Name] = true })
-	if err := validateIOFlags(*ioQD, *ioWindow,
-		ioFlagSet["io-qd"], ioFlagSet["io-window"], *replicaOf != ""); err != nil {
+	qdSet := false
+	flag.Visit(func(f *flag.Flag) { qdSet = qdSet || f.Name == "io-qd" })
+	if err := validateIOFlags(*ioQD, qdSet, *replicaOf != ""); err != nil {
 		log.Fatal(err)
 	}
 	if *tables < 1 {
@@ -189,7 +183,7 @@ func main() {
 		DataDir:           *dataDir,
 		Sync:              syncMode,
 		Direct:            *direct,
-		IOSched:           core.IOSchedOptions{QueueDepth: *ioQD, Window: *ioWindow},
+		IOSched:           core.IOSchedOptions{QueueDepth: *ioQD},
 	}
 
 	// Online adaptation: with --adapt the server records a sampled window of
@@ -340,8 +334,7 @@ func serve(store *core.Store, addr, wireAddr string, adaptOpts *core.AdaptOption
 			adaptOpts.Interval, adaptOpts.RelayoutEvery)
 	}
 	sched, _ := store.IOSchedStats()
-	log.Printf("I/O scheduler: target queue depth %d, accumulation window %s",
-		sched.TargetQueueDepth, time.Duration(sched.AccumulationWindowUS*float64(time.Microsecond)))
+	log.Printf("I/O scheduler: queue depth %d", sched.TargetQueueDepth)
 	srv := server.New(store)
 	if slowMS > 0 {
 		srv.SetSlowRequestThreshold(time.Duration(slowMS) * time.Millisecond)

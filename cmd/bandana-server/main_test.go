@@ -3,39 +3,33 @@ package main
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"bandana/internal/iosched"
 )
 
-// TestValidateIOFlags covers the --io-* flag combinations: each flag stands
-// alone (--io-qd 0 is the default depth, not "off"), nonsensical values are
-// rejected, and so are modes that cannot honor a scheduler configuration
-// (read-only replica bootstrap).
+// TestValidateIOFlags covers --io-qd: it stands alone (--io-qd 0 is the
+// default depth, not "off"), nonsensical values are rejected, and so is
+// replica mode, which cannot honor a scheduler configuration (read-only
+// snapshot bootstrap).
 func TestValidateIOFlags(t *testing.T) {
 	cases := []struct {
-		name      string
-		qd        int
-		window    time.Duration
-		qdSet     bool
-		windowSet bool
-		replica   bool
-		wantErr   string
+		name    string
+		qd      int
+		qdSet   bool
+		replica bool
+		wantErr string
 	}{
 		{name: "defaults", qd: 0},
 		{name: "scheduler on", qd: 8, qdSet: true},
-		{name: "window without qd", window: time.Millisecond, windowSet: true},
-		{name: "full config", qd: 16, window: time.Millisecond, qdSet: true, windowSet: true},
+		{name: "full config", qd: 16, qdSet: true},
 		{name: "negative qd", qd: -1, qdSet: true, wantErr: "out of range"},
 		{name: "huge qd", qd: iosched.MaxTargetQueueDepth + 1, qdSet: true, wantErr: "out of range"},
-		{name: "negative window", qd: 8, window: -time.Second, qdSet: true, windowSet: true, wantErr: "negative"},
 		{name: "replica with qd", qd: 8, qdSet: true, replica: true, wantErr: "incompatible with --replica-of"},
-		{name: "replica with window", windowSet: true, replica: true, wantErr: "incompatible with --replica-of"},
 		{name: "replica without io flags", replica: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateIOFlags(tc.qd, tc.window, tc.qdSet, tc.windowSet, tc.replica)
+			err := validateIOFlags(tc.qd, tc.qdSet, tc.replica)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

@@ -339,11 +339,12 @@ func TestFileBackendRejectsCorruptManifest(t *testing.T) {
 	}
 }
 
-// TestFileBackendInterruptedRewriteDetected: a completed Train leaves
-// neither the rewrite marker older versions bracketed it with nor migration
-// files behind; a data dir that does carry the marker — an older version died
-// rewriting a table in place — must refuse to reopen rather than decode torn
-// blocks under a stale layout.
+// TestFileBackendInterruptedRewriteDetected: a completed Train leaves no
+// migration files behind, and a data dir reopens whatever other files sit in
+// it — an interrupted layout install is detected by its migration record and
+// redone (TestMigrationKill9Recovery), never refused. A "rewrite.dirty" file,
+// which binaries older than the staged install protocol left, no longer
+// means anything.
 func TestFileBackendInterruptedRewriteDetected(t *testing.T) {
 	tables, traces := buildTestTables(t, 1, 512, 40)
 	dir := filepath.Join(t.TempDir(), "store")
@@ -354,27 +355,28 @@ func TestFileBackendInterruptedRewriteDetected(t *testing.T) {
 	if _, err := s.Train(traces, TrainOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{rewriteMarkerName, MigrationManifestName, MigrationImageName} {
+	for _, name := range []string{MigrationManifestName, MigrationImageName} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Fatalf("%s present after a completed Train: %v", name, err)
 		}
 	}
-	s.Close()
-
-	if err := os.WriteFile(filepath.Join(dir, rewriteMarkerName), nil, 0o644); err != nil {
+	want, err := s.Lookup(0, 7)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Config{Backend: BackendFile, DataDir: dir, Seed: 1}); err == nil {
-		t.Fatal("reopen must refuse a dir with an interrupted rewrite")
-	}
-	if err := os.Remove(filepath.Join(dir, rewriteMarkerName)); err != nil {
+	s.Close()
+
+	if err := os.WriteFile(filepath.Join(dir, "rewrite.dirty"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Open(Config{Backend: BackendFile, DataDir: dir, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Close()
+	defer r.Close()
+	if got, err := r.Lookup(0, 7); err != nil || !vecsEqual(got, want) {
+		t.Fatalf("reopened dir serves %v (%v), want %v", got, err, want)
+	}
 }
 
 // readFailStore is a MemStore whose batched reads fail while armed for a

@@ -15,8 +15,8 @@
 //     with miniature-cache simulations.
 //  3. Lookup / LookupBatch serve embedding reads: cache hits are free,
 //     misses read one 4 KB NVM block — through the I/O scheduler, which
-//     coalesces concurrent misses of a block and batches independent ones
-//     toward the device's saturation queue depth — and admit co-located
+//     coalesces concurrent misses of a block and lets independent ones
+//     overlap up to the device's saturation queue depth — and admit co-located
 //     vectors whose training-time access count exceeds the table's
 //     threshold.
 //  4. UpdateVector appends one record to the update log and parks the new
@@ -30,7 +30,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"bandana/internal/nvm"
 	"bandana/internal/table"
@@ -98,7 +97,7 @@ type Config struct {
 	// replica sets it to the seq of the snapshot it imported, so the seq it
 	// reports downstream is the primary's, not its own boot time.
 	InitialSnapshotSeq uint64
-	// IOSched tunes the asynchronous block I/O scheduler (internal/iosched)
+	// IOSched tunes the block I/O scheduler (internal/iosched)
 	// every miss-path and background read goes through.
 	IOSched IOSchedOptions
 	// UpdateLog tunes the update path (delta overlay + append-only update
@@ -107,20 +106,16 @@ type Config struct {
 }
 
 // IOSchedOptions tunes the store's block I/O scheduler. Demand misses,
-// batched misses and background read-modify-write reads are
-// submitted to a per-device queue that coalesces concurrent reads of the
-// same block into one device read and accumulates independent reads into
-// batches sized toward QueueDepth — the queue depth at which NVM delivers
-// its bandwidth — while always dispatching demand reads before background
-// ones.
+// batched misses and background read-modify-write reads go through a
+// per-device scheduler that coalesces concurrent reads of the same block
+// into one device read and lets up to QueueDepth callers — the queue depth
+// at which NVM delivers its bandwidth — issue their reads at once, granting
+// waiting demand reads a slot before background ones.
 type IOSchedOptions struct {
-	// QueueDepth is the target dispatch batch size; 0 uses the iosched
-	// default (8, the paper's device saturation depth).
+	// QueueDepth is the number of concurrent issuers and the most blocks one
+	// device call carries; 0 uses the iosched default (8, the paper's device
+	// saturation depth).
 	QueueDepth int
-	// Window bounds how long a queued read may wait for its batch to fill
-	// toward QueueDepth; 0 dispatches whatever is queued immediately, so
-	// isolated reads at low load pay no added latency.
-	Window time.Duration
 }
 
 // DefaultCacheShards returns the default shard count for table caches: the

@@ -23,6 +23,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"bandana/internal/layout"
 	"bandana/internal/nvm"
@@ -38,13 +39,6 @@ const (
 
 	manifestMagic   = "BNDMANI1"
 	manifestVersion = 1
-
-	// rewriteMarkerName is the file older versions created before Train or
-	// LoadState rewrote a table in place and removed once the matching state
-	// file was persisted. Nothing creates it any more (layout changes commit
-	// through the staged redo protocol, see migration.go); a dir that still
-	// has one was torn by a process of that vintage dying mid-rewrite.
-	rewriteMarkerName = "rewrite.dirty"
 )
 
 var manifestCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -116,10 +110,7 @@ func reopenDir(cfg Config) (*Store, error) {
 	if cfg.Tables != nil {
 		return nil, fmt.Errorf("core: data dir %q is already initialized; reopen with Tables == nil (vectors are restored from disk)", cfg.DataDir)
 	}
-	if _, err := os.Stat(filepath.Join(cfg.DataDir, rewriteMarkerName)); err == nil {
-		return nil, fmt.Errorf("core: data dir %q has an interrupted layout rewrite (an older version died during Train or LoadState); re-initialize the directory or restore it from a backup", cfg.DataDir)
-	}
-	entries, totalBlocks, err := readManifest(cfg.DataDir)
+	geoms, totalBlocks, err := readManifest(cfg.DataDir)
 	if err != nil {
 		return nil, err
 	}
@@ -136,26 +127,6 @@ func reopenDir(cfg Config) (*Store, error) {
 	}()
 	if fs.NumBlocks() != totalBlocks {
 		return nil, fmt.Errorf("core: manifest expects %d blocks, block file has %d", totalBlocks, fs.NumBlocks())
-	}
-
-	// The manifest's spans must be the ones the shapes place: every offset
-	// below is derived from them.
-	geoms := make([]tableGeom, len(entries))
-	for i, e := range entries {
-		geoms[i] = tableGeom{name: e.name, dim: e.dim, numVectors: e.numVectors}
-	}
-	derivedTotal, err := placeTables(geoms)
-	if err != nil {
-		return nil, err
-	}
-	if derivedTotal != totalBlocks {
-		return nil, fmt.Errorf("core: manifest geometry is internally inconsistent (%d vs %d blocks)",
-			derivedTotal, totalBlocks)
-	}
-	for i, e := range entries {
-		if geoms[i] != e {
-			return nil, fmt.Errorf("core: table %q: manifest span does not match derived layout", e.name)
-		}
 	}
 
 	// A committed-but-unfinished layout install (the previous process died
@@ -497,7 +468,10 @@ func readManifest(dir string) ([]tableGeom, int, error) {
 	return parseManifest(raw)
 }
 
-// parseManifest decodes and verifies a manifest.bnd payload.
+// parseManifest decodes and verifies a manifest.bnd payload. Block spans are
+// a pure function of the table shapes (placeTables) and every offset a
+// reader derives comes from them, so a manifest whose spans or device size
+// disagree with the shapes it lists is rejected.
 func parseManifest(raw []byte) ([]tableGeom, int, error) {
 	if len(raw) < len(manifestMagic)+4 {
 		return nil, 0, fmt.Errorf("core: manifest too short (%d bytes)", len(raw))
@@ -525,14 +499,14 @@ func parseManifest(raw []byte) ([]tableGeom, int, error) {
 	if numTables == 0 || numTables > 1<<16 {
 		return nil, 0, fmt.Errorf("core: implausible manifest table count %d", numTables)
 	}
-	entries := make([]tableGeom, 0, numTables)
+	entries := make([]tableGeom, 0, min(numTables, uint64(br.Len())))
 	for i := uint64(0); i < numTables; i++ {
 		var e tableGeom
 		nameLen, err := readUvarint()
 		if err != nil {
 			return nil, 0, err
 		}
-		if nameLen > 1<<16 {
+		if nameLen > 1<<16 || nameLen > uint64(br.Len()) {
 			return nil, 0, fmt.Errorf("core: implausible manifest name length %d", nameLen)
 		}
 		name := make([]byte, nameLen)
@@ -550,14 +524,22 @@ func parseManifest(raw []byte) ([]tableGeom, int, error) {
 			}
 			*dst = int(v)
 		}
-		if e.dim <= 0 || e.numVectors <= 0 || e.blockVectors <= 0 || e.numBlocks <= 0 {
-			return nil, 0, fmt.Errorf("core: manifest table %q has invalid geometry", e.name)
-		}
 		entries = append(entries, e)
 	}
 	totalBlocks, err := readUvarint()
 	if err != nil {
 		return nil, 0, err
 	}
-	return entries, int(totalBlocks), nil
+	placed := make([]tableGeom, len(entries))
+	for i, e := range entries {
+		placed[i] = tableGeom{name: e.name, dim: e.dim, numVectors: e.numVectors}
+	}
+	total, err := placeTables(placed)
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: manifest: %w", err)
+	}
+	if !slices.Equal(placed, entries) || totalBlocks != uint64(total) {
+		return nil, 0, fmt.Errorf("core: manifest block spans do not match its table shapes")
+	}
+	return entries, total, nil
 }

@@ -195,3 +195,39 @@ func FuzzUpdateLog(f *testing.F) {
 		}
 	})
 }
+
+// FuzzManifest throws arbitrary bytes, as they are and re-sealed with a valid
+// checksum, at the manifest.bnd decoder a reopen and a snapshot import trust
+// for every block offset. It must return an error or a geometry of 1–65,536
+// tables whose names fit the bytes given and whose block ranges lie inside
+// the device.
+func FuzzManifest(f *testing.F) {
+	tables, _ := buildTestTables(f, 4, 256, 5)
+	s, err := Open(Config{Tables: tables, Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer s.Close()
+	addSealedSeeds(f, manifestBytes(s, s.device.NumBlocks()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, raw := range [][]byte{data, sealed(data)} {
+			geoms, total, err := parseManifest(raw)
+			if err != nil {
+				continue
+			}
+			if len(geoms) < 1 || len(geoms) > 1<<16 {
+				t.Fatalf("accepted %d tables", len(geoms))
+			}
+			for _, g := range geoms {
+				if len(g.name) > len(raw) {
+					t.Fatalf("%d-byte manifest decoded a %d-byte name", len(raw), len(g.name))
+				}
+				if g.blockBase < 0 || g.numBlocks < 1 || g.blockBase+g.numBlocks > total ||
+					g.numBlocks*g.blockVectors < g.numVectors {
+					t.Fatalf("table %q spans blocks [%d,+%d) for %d vectors of a %d-block device",
+						g.name, g.blockBase, g.numBlocks, g.numVectors, total)
+				}
+			}
+		}
+	})
+}

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,42 +12,22 @@ import (
 	"bandana/internal/table"
 )
 
-// readCountingStore wraps a MemStore and counts reads that actually reach
-// the backing store — the ground truth for the coalescing invariant.
-type readCountingStore struct {
-	*nvm.MemStore
-	blocksRead atomic.Int64
-}
-
-func (s *readCountingStore) ReadBlock(idx int, dst []byte) error {
-	s.blocksRead.Add(1)
-	return s.MemStore.ReadBlock(idx, dst)
-}
-
-func (s *readCountingStore) ReadBlocks(idxs []int, dst []byte) error {
-	s.blocksRead.Add(int64(len(idxs)))
-	return s.MemStore.ReadBlocks(idxs, dst)
-}
-
 // TestMissStormCoalescesToOneDeviceRead pins the end-to-end coalescing
 // invariant through the full store: K goroutines missing the same vector
 // concurrently cause exactly one device block read, and every caller gets
-// the identical vector. The generous accumulation window makes the overlap
-// deterministic: the first miss parks in the submission queue while the
-// rest of the storm coalesces onto it.
+// the identical vector. A gated store makes the overlap deterministic: the
+// first miss's read parks at the device, still pending, while the rest of
+// the storm coalesces onto it.
 func TestMissStormCoalescesToOneDeviceRead(t *testing.T) {
 	const storm = 24
 	tables, _ := buildTestTables(t, 1, 512, 10)
-	cs := &readCountingStore{MemStore: nvm.NewMemStore(64)}
-	dev := nvm.NewDevice(nvm.DeviceConfig{NumBlocks: 64, Store: cs, Seed: 1})
+	gs := &gatedStore{MemStore: nvm.NewMemStore(64)}
+	dev := nvm.NewDevice(nvm.DeviceConfig{NumBlocks: 64, Store: gs, Seed: 1})
 	s, err := Open(Config{
-		Tables: tables,
-		Device: dev,
-		Seed:   1,
-		IOSched: IOSchedOptions{
-			QueueDepth: 64,
-			Window:     300 * time.Millisecond,
-		},
+		Tables:  tables,
+		Device:  dev,
+		Seed:    1,
+		IOSched: IOSchedOptions{QueueDepth: 64},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,21 +38,33 @@ func TestMissStormCoalescesToOneDeviceRead(t *testing.T) {
 	}()
 
 	const id = 137
-	cs.blocksRead.Store(0) // ignore reads issued while writing tables (none) / warmup
+	paused, resume := make(chan struct{}), make(chan struct{})
+	park := func() { close(paused); <-resume }
+	gs.afterRead.Store(&park)
 
-	start := make(chan struct{})
 	vecs := make([][]float32, storm)
 	errs := make([]error, storm)
 	var wg sync.WaitGroup
-	for i := 0; i < storm; i++ {
+	lookup := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			<-start
 			vecs[i], errs[i] = s.Lookup(0, id)
-		}(i)
+		}()
 	}
-	close(start)
+	lookup(0)
+	<-paused // the first miss's block read is in flight and still pending
+	for i := 1; i < storm; i++ {
+		lookup(i)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for ios, _ := s.IOSchedStats(); ios.Coalesced != storm-1; ios, _ = s.IOSchedStats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d misses coalesced onto the in-flight read", ios.Coalesced, storm-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(resume)
 	wg.Wait()
 
 	for i := 0; i < storm; i++ {
@@ -83,7 +75,7 @@ func TestMissStormCoalescesToOneDeviceRead(t *testing.T) {
 			t.Fatalf("caller %d received a different vector", i)
 		}
 	}
-	if got := cs.blocksRead.Load(); got != 1 {
+	if got := dev.Stats().BlocksRead; got != 1 {
 		t.Fatalf("storm of %d misses caused %d device reads, want exactly 1", storm, got)
 	}
 
@@ -107,17 +99,99 @@ func TestMissStormCoalescesToOneDeviceRead(t *testing.T) {
 	if _, err := s.Lookup(0, id); err != nil {
 		t.Fatal(err)
 	}
-	if got := cs.blocksRead.Load(); got != 1 {
+	if got := dev.Stats().BlocksRead; got != 1 {
 		t.Fatalf("cache hit read the device (%d reads)", got)
 	}
 }
 
+// TestConcurrentColdBatchesMatchSequential: two goroutines serving disjoint
+// cold 64-id batches on a file store — their misses issued at once — return
+// the table's bytes and count the same block and coalesced reads as one
+// goroutine serving the same batches in turn.
+func TestConcurrentColdBatchesMatchSequential(t *testing.T) {
+	const n, rounds = 32768, 4 // 1,024 blocks of 32 vectors
+	tables, _ := buildTestTables(t, 1, n, 10)
+	open := func(name string) *Store {
+		s, err := Open(Config{
+			Tables:            tables,
+			DRAMBudgetVectors: 512,
+			Seed:              1,
+			Backend:           BackendFile,
+			DataDir:           filepath.Join(t.TempDir(), name),
+			Direct:            testDirect(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	// Batch k of side 0 takes one vector from each of 64 blocks of the
+	// table's first half, side 1 the same from its second half (the layout
+	// is untrained, so block = id/32): every batch reads its own blocks, and
+	// neither side can hit or coalesce on what the other read.
+	batch := func(side, k int) []uint32 {
+		ids := make([]uint32, 64)
+		for i := range ids {
+			ids[i] = uint32(side*n/2 + (k*64+i)*32 + k)
+		}
+		return ids
+	}
+	check := func(ids []uint32, out [][]byte) {
+		for i, id := range ids {
+			want, err := tables[0].Raw(id)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !bytes.Equal(out[i], want) {
+				t.Errorf("vector %d: wrong bytes", id)
+				return
+			}
+		}
+	}
+	serve := func(s *Store, side, k int) {
+		ids := batch(side, k)
+		out, err := s.LookupBatchRaw(0, ids)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		check(ids, out)
+	}
+
+	seq, conc := open("seq"), open("conc")
+	for k := 0; k < rounds; k++ {
+		serve(seq, 0, k)
+		serve(seq, 1, k)
+	}
+	for k := 0; k < rounds; k++ {
+		var wg sync.WaitGroup
+		for side := 0; side < 2; side++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				serve(conc, side, k)
+			}()
+		}
+		wg.Wait()
+	}
+
+	want, got := seq.Stats()[0], conc.Stats()[0]
+	if got.Lookups != want.Lookups || got.Misses != want.Misses || got.BlockReads != want.BlockReads ||
+		got.CoalescedReads != want.CoalescedReads || got.BlockReads != rounds*2*64 {
+		t.Fatalf("concurrent %+v, sequential %+v: want the same %d block reads", got, want, rounds*2*64)
+	}
+	if ios, _ := conc.IOSchedStats(); ios.InFlight != 0 || ios.DeviceReads != got.BlockReads {
+		t.Fatalf("scheduler after the rounds: %+v", ios)
+	}
+}
+
 // TestSchedulerOnOffEquivalence trains and serves the identical workload on
-// four stores — {mem, file} x {one read per dispatch, batches of up to 8
-// accumulated over 1ms} — and asserts they are indistinguishable: same
-// vectors, same hit ratios, same counters. Single-threaded serving never
-// coalesces, so the scheduler's depth and window must be invisible to
-// everything but latency.
+// four stores — {mem, file} x {one slot and one block per device call, eight
+// of each} — and asserts they are indistinguishable: same vectors, same hit
+// ratios, same counters. Single-threaded serving never coalesces, so the
+// scheduler's depth must be invisible to everything but latency.
 func TestSchedulerOnOffEquivalence(t *testing.T) {
 	tables, traces := buildTestTables(t, 2, 2048, 150)
 
@@ -129,13 +203,13 @@ func TestSchedulerOnOffEquivalence(t *testing.T) {
 		{"mem-qd1", Config{Tables: tables, DRAMBudgetVectors: 256, Seed: 7,
 			IOSched: IOSchedOptions{QueueDepth: 1}}},
 		{"mem-qd8", Config{Tables: tables, DRAMBudgetVectors: 256, Seed: 7,
-			IOSched: IOSchedOptions{QueueDepth: 8, Window: time.Millisecond}}},
+			IOSched: IOSchedOptions{QueueDepth: 8}}},
 		{"file-qd1", Config{Tables: tables, DRAMBudgetVectors: 256, Seed: 7,
 			Backend: BackendFile, DataDir: filepath.Join(t.TempDir(), "qd1"),
 			IOSched: IOSchedOptions{QueueDepth: 1}}},
 		{"file-qd8", Config{Tables: tables, DRAMBudgetVectors: 256, Seed: 7,
 			Backend: BackendFile, DataDir: filepath.Join(t.TempDir(), "qd8"),
-			IOSched: IOSchedOptions{QueueDepth: 8, Window: time.Millisecond}}},
+			IOSched: IOSchedOptions{QueueDepth: 8}}},
 	}
 
 	stores := make([]*Store, len(variants))
@@ -202,12 +276,9 @@ func TestSchedulerOnOffEquivalence(t *testing.T) {
 func TestUpdateVectorVisibleWithScheduler(t *testing.T) {
 	tables, _ := buildTestTables(t, 1, 1024, 10)
 	s, err := Open(testBackendConfig(t, Config{
-		Tables: tables,
-		Seed:   3,
-		IOSched: IOSchedOptions{
-			QueueDepth: 8,
-			Window:     200 * time.Microsecond,
-		},
+		Tables:  tables,
+		Seed:    3,
+		IOSched: IOSchedOptions{QueueDepth: 8},
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +334,6 @@ func TestIOSchedConfigValidation(t *testing.T) {
 	for _, opts := range []IOSchedOptions{
 		{QueueDepth: -4},
 		{QueueDepth: 100000},
-		{Window: -time.Second},
 	} {
 		if _, err := Open(Config{Tables: tables, Seed: 1, IOSched: opts}); err == nil {
 			t.Fatalf("options %+v accepted", opts)

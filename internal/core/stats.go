@@ -81,7 +81,7 @@ type TableStats struct {
 	// Stage latency decomposition (all microseconds). ProbeLatency is the
 	// DRAM cache/overlay probe, timed on a sampled subset of lookups (~1/64,
 	// always under a slow-request trace). QueueWaitLatency is time miss
-	// reads spent queued in the I/O scheduler before dispatch.
+	// reads spent waiting for an I/O scheduler issue slot.
 	// DecodeLatency is requested-vector fp16 decode time (prefetch
 	// admission decodes excluded).
 	ProbeLatency     metrics.Snapshot

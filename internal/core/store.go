@@ -385,10 +385,7 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 		dataDir:    cfg.DataDir,
 		readOnly:   cfg.ReadOnly,
 	}
-	sched, err := iosched.New(device, iosched.Config{
-		QueueDepth: cfg.IOSched.QueueDepth,
-		Window:     cfg.IOSched.Window,
-	})
+	sched, err := iosched.New(device, iosched.Config{QueueDepth: cfg.IOSched.QueueDepth})
 	if err != nil {
 		return nil, err
 	}

@@ -11,11 +11,11 @@ import "time"
 type StageTrace struct {
 	// ProbeUS is time spent probing the DRAM cache (and delta overlay).
 	ProbeUS float64
-	// QueueWaitUS is time the request's miss reads spent queued in the I/O
-	// scheduler before dispatch.
+	// QueueWaitUS is time the request's miss reads spent waiting for an I/O
+	// scheduler issue slot.
 	QueueWaitUS float64
 	// ServiceUS is simulated device time of the request's miss reads (the
-	// slowest batch member per dispatch, summed over dispatches).
+	// slowest block of each scheduler call, summed over calls).
 	ServiceUS float64
 	// DecodeUS is time spent fp16-decoding requested vectors (prefetch
 	// admission decodes are not included).

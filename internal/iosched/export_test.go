@@ -1,9 +1,10 @@
 package iosched
 
-// WithGate installs a test-only dispatch gate: fn runs after each batch is
-// assembled (ops marked issued, still coalescable) and before it is issued
-// to the device. Tests use it to hold a batch in flight deterministically.
-func (c Config) WithGate(fn func(batchBlocks []int)) Config {
+// WithGate installs a test-only issue gate: fn runs before each device call,
+// with the call's blocks, once their call holds a slot (ops marked issued,
+// still coalescable). Tests use it to hold a read in flight — and with it a
+// slot — deterministically.
+func (c Config) WithGate(fn func(blocks []int)) Config {
 	c.gate = fn
 	return c
 }

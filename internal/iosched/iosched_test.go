@@ -32,9 +32,9 @@ func (s *countingStore) ReadBlocks(idxs []int, dst []byte) error {
 	return s.MemStore.ReadBlocks(idxs, dst)
 }
 
-// newTestDevice builds a device over a counting store whose blocks hold a
-// distinct pattern per block index.
-func newTestDevice(t *testing.T, numBlocks int) (*nvm.Device, *countingStore) {
+// newCountingStore returns a counting store whose blocks hold a distinct
+// pattern per block index.
+func newCountingStore(t *testing.T, numBlocks int) *countingStore {
 	t.Helper()
 	cs := &countingStore{MemStore: nvm.NewMemStore(numBlocks)}
 	for b := 0; b < numBlocks; b++ {
@@ -42,6 +42,13 @@ func newTestDevice(t *testing.T, numBlocks int) (*nvm.Device, *countingStore) {
 			t.Fatal(err)
 		}
 	}
+	return cs
+}
+
+// newTestDevice builds a device over a new counting store.
+func newTestDevice(t *testing.T, numBlocks int) (*nvm.Device, *countingStore) {
+	t.Helper()
+	cs := newCountingStore(t, numBlocks)
 	dev := nvm.NewDevice(nvm.DeviceConfig{NumBlocks: numBlocks, Store: cs, Seed: 1})
 	t.Cleanup(func() { dev.Close() })
 	return dev, cs
@@ -67,8 +74,8 @@ func mustNew(t *testing.T, dev *nvm.Device, cfg Config) *Scheduler {
 
 // TestMissStormCoalescesToOneRead pins the coalescing invariant: K
 // concurrent reads of one block cause exactly one backing-store read, and
-// every caller receives byte-identical data. The dispatch gate holds the
-// leader's batch at the device so the other K-1 readers deterministically
+// every caller receives byte-identical data. The issue gate holds the
+// leader's read at the device so the other K-1 readers deterministically
 // attach to the in-flight read.
 func TestMissStormCoalescesToOneRead(t *testing.T) {
 	const storm = 16
@@ -98,7 +105,7 @@ func TestMissStormCoalescesToOneRead(t *testing.T) {
 
 	go read(42) // leader
 	<-gateReached
-	// The leader's batch is assembled and (as far as the scheduler is
+	// The leader holds a slot and its read is (as far as the scheduler is
 	// concerned) in flight. The rest of the storm arrives now.
 	for i := 1; i < storm; i++ {
 		go read(99)
@@ -144,15 +151,17 @@ func TestMissStormCoalescesToOneRead(t *testing.T) {
 }
 
 // TestQueuedCoalescing covers the other attach path: readers that arrive
-// while the shared op is still queued (inside the accumulation window) are
-// not marked Late, and still share one device read.
+// while the shared op's call still waits for a slot are not marked Late, and
+// still share one device read.
 func TestQueuedCoalescing(t *testing.T) {
 	const storm = 8
 	dev, cs := newTestDevice(t, 64)
-	// Target depth far above what one block can supply, with a long window:
-	// the lone queued op waits, the storm coalesces onto it, one read.
-	s := mustNew(t, dev, Config{QueueDepth: 64, Window: 300 * time.Millisecond})
+	cfg, log := holdFirstRead(Config{QueueDepth: 1})
+	s := mustNew(t, dev, cfg)
 
+	var held sync.WaitGroup
+	readAsync(t, &held, s, Demand, 0) // holds the only slot at the gate
+	<-log.reached
 	var wg sync.WaitGroup
 	var lateCount atomic.Int64
 	for i := 0; i < storm; i++ {
@@ -173,227 +182,130 @@ func TestQueuedCoalescing(t *testing.T) {
 			}
 		}()
 	}
+	waitFor(t, "storm to coalesce", func() bool { return s.Stats().Coalesced == storm-1 })
+	close(log.release)
 	wg.Wait()
-	if got := cs.blocksRead.Load(); got != 1 {
-		t.Fatalf("%d device reads, want 1", got)
+	held.Wait()
+	if got := cs.blocksRead.Load(); got != 2 {
+		t.Fatalf("%d device reads, want block 0's and one of block 9", got)
 	}
 	if lateCount.Load() != 0 {
-		t.Fatalf("%d readers marked Late; window coalescing should attach before issue", lateCount.Load())
+		t.Fatalf("%d readers marked Late; coalescing onto a waiting call should attach before issue", lateCount.Load())
 	}
 }
 
 // TestDemandDispatchedBeforePrefetch pins the priority invariant: when
-// demand and prefetch reads are queued together, every demand read is
-// dispatched in an earlier-or-equal batch than every prefetch read.
+// demand and prefetch calls wait for the slot together, every demand read is
+// granted it before every prefetch read.
 func TestDemandDispatchedBeforePrefetch(t *testing.T) {
 	dev, _ := newTestDevice(t, 64)
-
-	var mu sync.Mutex
-	var dispatched [][]int
-	gateReached := make(chan struct{})
-	release := make(chan struct{})
-	first := true
-	cfg := Config{QueueDepth: 2}.WithGate(func(blocks []int) {
-		mu.Lock()
-		hold := first
-		first = false
-		dispatched = append(dispatched, append([]int(nil), blocks...))
-		mu.Unlock()
-		if hold {
-			close(gateReached)
-			<-release
-		}
-	})
+	cfg, log := holdFirstRead(Config{QueueDepth: 1})
 	s := mustNew(t, dev, cfg)
 
 	var wg sync.WaitGroup
-	readAsync := func(block int, pri Priority) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, nvm.BlockSize)
-			if _, err := s.ReadBlock(block, buf, pri, 0); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-
-	readAsync(0, Demand) // occupies the dispatcher at the gate
-	<-gateReached
-	// Enqueue prefetch traffic first, then demand: dispatch order must
-	// still put the demand blocks first.
+	readAsync(t, &wg, s, Demand, 0) // holds the slot at the gate
+	<-log.reached
+	// Queue prefetch traffic first, then demand: grant order must still put
+	// the demand blocks first.
 	for _, b := range []int{10, 11, 12, 13} {
-		readAsync(b, Prefetch)
+		readAsync(t, &wg, s, Prefetch, b)
 	}
 	for _, b := range []int{20, 21} {
-		readAsync(b, Demand)
+		readAsync(t, &wg, s, Demand, b)
 	}
 	waitFor(t, "six reads queued", func() bool { return s.Stats().QueuedNow == 6 })
-	close(release)
+	close(log.release)
 	wg.Wait()
 
-	mu.Lock()
-	defer mu.Unlock()
-	batchOf := map[int]int{}
-	for i, batch := range dispatched {
-		for _, b := range batch {
-			batchOf[b] = i
-		}
-	}
+	pos := log.positions()
 	for _, demand := range []int{20, 21} {
 		for _, prefetch := range []int{10, 11, 12, 13} {
-			if batchOf[demand] > batchOf[prefetch] {
-				t.Fatalf("demand block %d dispatched in batch %d after prefetch block %d (batch %d); order: %v",
-					demand, batchOf[demand], prefetch, batchOf[prefetch], dispatched)
+			if pos[demand] > pos[prefetch] {
+				t.Fatalf("demand block %d granted at %d after prefetch block %d (at %d); order: %v",
+					demand, pos[demand], prefetch, pos[prefetch], log.dispatched())
 			}
 		}
 	}
 }
 
 // TestPrefetchStarvationBounded: a background read passed over by many
-// consecutive demand-full dispatches must still complete within the aging
-// bound — update()'s read-modify-write awaits one of these while holding
-// updateMu, so "deferred" has to mean bounded.
+// consecutive demand grants must still complete within the aging bound —
+// update()'s read-modify-write awaits one of these while holding updateMu,
+// so "deferred" has to mean bounded.
 func TestPrefetchStarvationBounded(t *testing.T) {
 	dev, _ := newTestDevice(t, 64)
-	var mu sync.Mutex
-	var dispatched [][]int
-	gateReached := make(chan struct{})
-	release := make(chan struct{})
-	first := true
-	cfg := Config{QueueDepth: 1}.WithGate(func(blocks []int) {
-		mu.Lock()
-		hold := first
-		first = false
-		dispatched = append(dispatched, append([]int(nil), blocks...))
-		mu.Unlock()
-		if hold {
-			close(gateReached)
-			<-release
-		}
-	})
+	cfg, log := holdFirstRead(Config{QueueDepth: 1})
 	s := mustNew(t, dev, cfg)
 
 	var wg sync.WaitGroup
-	readAsync := func(block int, pri Priority) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, nvm.BlockSize)
-			if _, err := s.ReadBlock(block, buf, pri, 0); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	readAsync(0, Demand) // parks the dispatcher at the gate
-	<-gateReached
-	readAsync(50, Prefetch) // the background read under test
-	waitFor(t, "prefetch queued", func() bool { return s.Stats().PrefetchReads == 1 })
-	// A wall of demand reads that, without aging, would all dispatch first.
+	readAsync(t, &wg, s, Demand, 0) // parks the slot at the gate
+	<-log.reached
+	readAsync(t, &wg, s, Prefetch, 50) // the background read under test
+	waitFor(t, "prefetch queued", func() bool { return s.Stats().QueuedNow == 1 })
+	// A wall of demand reads that, without aging, would all be granted first.
 	for b := 1; b <= 3*prefetchStarvationSkips; b++ {
-		readAsync(b, Demand)
+		readAsync(t, &wg, s, Demand, b)
 	}
 	waitFor(t, "wall queued", func() bool { return s.Stats().QueuedNow == 3*prefetchStarvationSkips+1 })
-	close(release)
+	close(log.release)
 	wg.Wait()
 
-	mu.Lock()
-	defer mu.Unlock()
-	pos := -1
-	for i, batch := range dispatched {
-		if batch[0] == 50 {
-			pos = i
-			break
-		}
-	}
-	if pos == -1 {
-		t.Fatalf("prefetch read never dispatched: %v", dispatched)
+	pos, ok := log.positions()[50]
+	if !ok {
+		t.Fatalf("prefetch read never dispatched: %v", log.dispatched())
 	}
 	if pos > prefetchStarvationSkips+2 {
-		t.Fatalf("prefetch read starved for %d dispatches (bound %d): %v", pos, prefetchStarvationSkips, dispatched)
+		t.Fatalf("prefetch read starved for %d grants (bound %d): %v", pos, prefetchStarvationSkips, log.dispatched())
 	}
 }
 
-// TestCoalescePromotesPriority: a demand read coalescing onto a queued
-// prefetch read promotes the shared op into the demand queue.
+// TestCoalescePromotesPriority: a demand read coalescing onto a waiting
+// prefetch call promotes the call into the demand queue.
 func TestCoalescePromotesPriority(t *testing.T) {
 	dev, _ := newTestDevice(t, 64)
-	var mu sync.Mutex
-	var dispatched [][]int
-	gateReached := make(chan struct{})
-	release := make(chan struct{})
-	first := true
-	cfg := Config{QueueDepth: 1}.WithGate(func(blocks []int) {
-		mu.Lock()
-		hold := first
-		first = false
-		dispatched = append(dispatched, append([]int(nil), blocks...))
-		mu.Unlock()
-		if hold {
-			close(gateReached)
-			<-release
-		}
-	})
+	cfg, log := holdFirstRead(Config{QueueDepth: 1})
 	s := mustNew(t, dev, cfg)
 
 	var wg sync.WaitGroup
-	readAsync := func(block int, pri Priority) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, nvm.BlockSize)
-			if _, err := s.ReadBlock(block, buf, pri, 0); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	readAsync(0, Demand)
-	<-gateReached
-	readAsync(30, Prefetch) // queued at prefetch priority
+	readAsync(t, &wg, s, Demand, 0)
+	<-log.reached
+	readAsync(t, &wg, s, Prefetch, 30) // waits at prefetch priority
 	waitFor(t, "prefetch read queued", func() bool { return s.Stats().PrefetchReads == 1 && s.Stats().QueuedNow == 1 })
-	readAsync(31, Prefetch) // competing prefetch read, queued after 30
-	readAsync(30, Demand)   // coalesces onto 30 and must promote it
+	readAsync(t, &wg, s, Prefetch, 31) // competing prefetch read, queued after 30
+	readAsync(t, &wg, s, Demand, 30)   // coalesces onto 30 and must promote it
 	waitFor(t, "coalesce", func() bool { return s.Stats().Coalesced == 1 })
-	close(release)
+	close(log.release)
 	wg.Wait()
 
-	mu.Lock()
-	defer mu.Unlock()
-	// With QueueDepth 1 each batch is one block: 30 must come before 31.
-	pos := map[int]int{}
-	for i, batch := range dispatched {
-		pos[batch[0]] = i
-	}
-	if pos[30] > pos[31] {
-		t.Fatalf("promoted block 30 dispatched after prefetch block 31: %v", dispatched)
+	// With QueueDepth 1 each device call is one block: 30 must come before 31.
+	if pos := log.positions(); pos[30] > pos[31] {
+		t.Fatalf("promoted block 30 dispatched after prefetch block 31: %v", log.dispatched())
 	}
 }
 
-// TestAccumulationBatchesConcurrentReads: distinct-block reads arriving
-// within the window are dispatched as one device batch at the target depth.
+// TestAccumulationBatchesConcurrentReads: distinct-block reads from
+// concurrent callers overlap at the device, as many at once as there are
+// slots and no more.
 func TestAccumulationBatchesConcurrentReads(t *testing.T) {
-	dev, cs := newTestDevice(t, 64)
-	s := mustNew(t, dev, Config{QueueDepth: 4, Window: 300 * time.Millisecond})
+	const slots, callers = 4, 6
+	dev, ms := newMeetDevice(t, 64, slots)
+	s := mustNew(t, dev, Config{QueueDepth: slots})
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			buf := make([]byte, nvm.BlockSize)
-			if _, err := s.ReadBlock(b, buf, Demand, 0); err != nil {
-				t.Error(err)
-			} else if !bytes.Equal(buf, blockPattern(b)) {
-				t.Errorf("block %d: wrong bytes", b)
-			}
-		}(i)
+	for b := 0; b < callers; b++ {
+		readAsync(t, &wg, s, Demand, b)
 	}
 	wg.Wait()
-	if got := cs.readCalls.Load(); got != 1 {
-		t.Fatalf("4 concurrent reads used %d device dispatches, want 1 batch", got)
+	select {
+	case <-ms.met:
+	default:
+		t.Fatalf("%d concurrent reads were never in flight together", slots)
 	}
 	st := s.Stats()
-	if st.Batches != 1 || st.MaxBatchSize != 4 || st.AvgBatchSize != 4 {
-		t.Fatalf("stats %+v, want one batch of 4", st)
+	if st.MaxInFlight != slots || st.Batches != callers || st.MaxBatchSize != 1 {
+		t.Fatalf("stats %+v, want %d one-block device calls, %d in flight at most", st, callers, slots)
+	}
+	if got := dev.Stats().MaxQueueDepth; got != slots {
+		t.Fatalf("device queue depth peaked at %d, want %d", got, slots)
 	}
 }
 
@@ -419,34 +331,44 @@ func TestLowLoadDispatchesImmediately(t *testing.T) {
 	}
 }
 
-// TestErrorIsolation: one bad block in a batch must fail only its own read;
-// reads batched with it still succeed with correct data.
+// TestErrorIsolation: one bad block in a device call must fail only its own
+// read; the reads issued with it — and their followers from other calls —
+// still succeed with correct data.
 func TestErrorIsolation(t *testing.T) {
 	dev, _ := newTestDevice(t, 8)
-	s := mustNew(t, dev, Config{QueueDepth: 4, Window: 300 * time.Millisecond})
+	cfg, log := holdFirstRead(Config{QueueDepth: 4})
+	s := mustNew(t, dev, cfg)
+	owner := make(chan error, 1)
+	ownerDst := make([]byte, 4*nvm.BlockSize)
+	go func() {
+		_, err := s.ReadBlocks([]int{1, 2, 999, 3}, ownerDst, Demand, 0) // 999 is out of range
+		owner <- err
+	}()
+	<-log.reached
 	type result struct {
 		block int
 		buf   []byte
 		err   error
 	}
-	results := make(chan result, 4)
-	for _, b := range []int{1, 2, 999, 3} { // 999 is out of range
+	results := make(chan result, 3)
+	for _, b := range []int{1, 2, 3} {
 		go func(b int) {
 			buf := make([]byte, nvm.BlockSize)
 			_, err := s.ReadBlock(b, buf, Demand, 0)
 			results <- result{b, buf, err}
 		}(b)
 	}
-	for i := 0; i < 4; i++ {
+	waitFor(t, "followers attached", func() bool { return s.Stats().Coalesced == 3 })
+	close(log.release)
+	if err := <-owner; err == nil {
+		t.Fatal("out-of-range read succeeded")
+	}
+	checkBlocks(t, []int{1, 2}, ownerDst)
+	checkBlocks(t, []int{3}, ownerDst[3*nvm.BlockSize:])
+	for i := 0; i < 3; i++ {
 		r := <-results
-		if r.block == 999 {
-			if r.err == nil {
-				t.Fatal("out-of-range read succeeded")
-			}
-			continue
-		}
 		if r.err != nil {
-			t.Fatalf("block %d poisoned by batched bad read: %v", r.block, r.err)
+			t.Fatalf("block %d poisoned by a bad read in its device call: %v", r.block, r.err)
 		}
 		if !bytes.Equal(r.buf, blockPattern(r.block)) {
 			t.Fatalf("block %d: wrong bytes", r.block)
@@ -508,36 +430,32 @@ func TestWaitServiceDecomposition(t *testing.T) {
 	}
 }
 
-// TestCloseDrainsAndRejects: Close completes queued reads, then rejects new
-// submissions; it is idempotent.
+// TestCloseDrainsAndRejects: Close completes every accepted read, including
+// those still waiting for a slot, then rejects new submissions; it is
+// idempotent.
 func TestCloseDrainsAndRejects(t *testing.T) {
 	dev, _ := newTestDevice(t, 16)
-	s, err := New(dev, Config{QueueDepth: 4, Window: 50 * time.Millisecond})
+	cfg, log := holdFirstRead(Config{QueueDepth: 1})
+	s, err := New(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			buf := make([]byte, nvm.BlockSize)
-			_, err := s.ReadBlock(b, buf, Demand, 0)
-			errs <- err
-		}(i)
+	for b := 0; b < 8; b++ {
+		readAsync(t, &wg, s, Demand, b)
 	}
-	if err := s.Close(); err != nil {
+	<-log.reached
+	waitFor(t, "seven reads waiting", func() bool { return s.Stats().QueuedNow == 7 })
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	waitFor(t, "scheduler closed", func() bool {
+		_, err := s.ReadBlocks(nil, nil, Demand, 0)
+		return errors.Is(err, ErrClosed)
+	})
+	close(log.release)
+	wg.Wait() // readAsync fails the test on any error: every accepted read completed
+	if err := <-closed; err != nil {
 		t.Fatal(err)
-	}
-	wg.Wait()
-	close(errs)
-	// Reads racing Close either completed or were rejected with ErrClosed —
-	// never anything else, and never a hang (wg.Wait above).
-	for err := range errs {
-		if err != nil && !errors.Is(err, ErrClosed) {
-			t.Fatal(err)
-		}
 	}
 	buf := make([]byte, nvm.BlockSize)
 	if _, err := s.ReadBlock(1, buf, Demand, 0); !errors.Is(err, ErrClosed) {
@@ -554,7 +472,6 @@ func TestConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{QueueDepth: -1},
 		{QueueDepth: MaxTargetQueueDepth + 1},
-		{Window: -time.Second},
 	} {
 		if _, err := New(dev, cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
@@ -577,10 +494,10 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestConcurrentStress exercises the scheduler under -race: mixed
-// priorities, overlapping blocks, concurrent Stats.
+// priorities, overlapping blocks, more callers than slots, concurrent Stats.
 func TestConcurrentStress(t *testing.T) {
 	dev, _ := newTestDevice(t, 32)
-	s := mustNew(t, dev, Config{QueueDepth: 8, Window: time.Millisecond})
+	s := mustNew(t, dev, Config{QueueDepth: 4})
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {
 		wg.Add(1)
@@ -624,6 +541,9 @@ func TestConcurrentStress(t *testing.T) {
 	}
 	if st.DeviceReads+st.Coalesced != 16*200 {
 		t.Fatalf("device %d + coalesced %d != %d", st.DeviceReads, st.Coalesced, 16*200)
+	}
+	if st.InFlight != 0 || st.QueuedNow != 0 || st.MaxInFlight > 4 {
+		t.Fatalf("after the storm: %+v, want nothing held or queued and at most 4 slots ever held", st)
 	}
 }
 

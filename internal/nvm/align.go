@@ -9,7 +9,7 @@ import (
 // to be aligned to the device's logical block size. We align everything to
 // BlockSize (4 KB), which satisfies any Linux block device, and hand the same
 // aligned memory to every caller — the journaled write path, the zero-copy
-// read views, and the iosched batch buffers — so direct mode adds no bounce
+// read views, and the miss path's batch buffers — so direct mode adds no bounce
 // copies on the hot path.
 
 // alignedBytes returns a length-n slice whose backing array starts on a

@@ -2,8 +2,7 @@ package nvm
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
+	"math"
 	"sync/atomic"
 
 	"bandana/internal/metrics"
@@ -19,7 +18,8 @@ type DeviceConfig struct {
 	// Model optionally supplies the performance model; the default
 	// calibration is used when nil.
 	Model *PerformanceModel
-	// Seed seeds the latency sampler.
+	// Seed seeds the latency sampler: a device reproduces its latency
+	// sequence for a seed when one goroutine reads.
 	Seed int64
 	// EnduranceDWPD is the number of full drive writes per day the device
 	// tolerates (the paper quotes ~30). Used only for reporting.
@@ -31,9 +31,7 @@ type DeviceConfig struct {
 type Device struct {
 	store BlockStore
 	model *PerformanceModel
-
-	mu  sync.Mutex
-	rng *rand.Rand
+	noise normalSource
 
 	inflight    atomic.Int64
 	maxInflight atomic.Int64
@@ -64,7 +62,7 @@ func NewDevice(cfg DeviceConfig) *Device {
 	return &Device{
 		store:         store,
 		model:         model,
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
+		noise:         normalSource{seed: uint64(cfg.Seed)},
 		readLatency:   metrics.NewLatencyHistogram(),
 		enduranceDWPD: dwpd,
 	}
@@ -102,14 +100,41 @@ func (d *Device) ReadBlockQD(idx int, dst []byte, queueDepth int) (latencyUS flo
 	if err := d.store.ReadBlock(idx, dst); err != nil {
 		return 0, err
 	}
-	d.mu.Lock()
-	latencyUS = d.model.SampleLatencyUS(d.rng, inflight)
-	d.mu.Unlock()
+	latencyUS = d.model.latencyAtUS(d.noise.at(d.noise.take(1)), inflight)
 
 	d.blocksRead.Inc()
 	d.readBatches.Inc()
 	d.readLatency.Observe(latencyUS)
 	return latencyUS, nil
+}
+
+// normalSource is the latency model's noise: standard normal draws that
+// take no lock. Draw k is a pure function of the seed and k — Box–Muller
+// over outputs 2k and 2k+1 of the SplitMix64 stream the seed starts — and
+// readers reserve draws with one atomic add, so a device read by one
+// goroutine repeats its latency sequence for a seed.
+type normalSource struct {
+	seed  uint64
+	draws atomic.Uint64
+}
+
+// take reserves n consecutive draws and returns the index of the first.
+func (s *normalSource) take(n int) uint64 { return s.draws.Add(uint64(n)) - uint64(n) }
+
+// at returns draw k.
+func (s *normalSource) at(k uint64) float64 {
+	// Two uniforms in (0, 1]: the top 53 bits of each output, plus one.
+	u1 := float64(splitmix64(s.seed, 2*k)>>11+1) / (1 << 53)
+	u2 := float64(splitmix64(s.seed, 2*k+1)>>11+1) / (1 << 53)
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+}
+
+// splitmix64 returns output i of the SplitMix64 stream seeded with seed.
+func splitmix64(seed, i uint64) uint64 {
+	x := seed + (i+1)*0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // noteQueueDepth tracks the high-water read queue depth for Stats.
@@ -142,13 +167,12 @@ func (d *Device) ReadBlocks(idxs []int, dst []byte) (latencyUS float64, err erro
 	if err := d.store.ReadBlocks(idxs, dst); err != nil {
 		return 0, err
 	}
-	d.mu.Lock()
-	for range idxs {
-		if l := d.model.SampleLatencyUS(d.rng, inflight); l > latencyUS {
+	first := d.noise.take(len(idxs))
+	for i := range idxs {
+		if l := d.model.latencyAtUS(d.noise.at(first+uint64(i)), inflight); l > latencyUS {
 			latencyUS = l
 		}
 	}
-	d.mu.Unlock()
 
 	d.blocksRead.Add(int64(len(idxs)))
 	d.readBatches.Inc()

@@ -436,9 +436,9 @@ func newFileStore(f *os.File, numBlocks int, opts FileStoreOptions, direct bool)
 
 // readAt is the single pread choke point. In direct mode an unaligned
 // destination is bounced through an aligned pool buffer; the hot read paths
-// (core's block and batch buffers, which the scheduler reads into, and its
-// own bounce buffers) are already aligned, so the bounce is for stray
-// callers only — BackendStats.BouncedReads counts them.
+// (core's block and batch buffers, which the scheduler reads into) are
+// already aligned, so the bounce is for stray callers only —
+// BackendStats.BouncedReads counts them.
 func (s *FileStore) readAt(p []byte, off int64) error {
 	if s.direct && !isAligned(p) {
 		s.bouncedReads.Add(1)
@@ -550,9 +550,11 @@ func (s *FileStore) ReadBlock(idx int, dst []byte) error {
 
 // ReadBlocks implements BlockStore: it reads block idxs[i] into
 // dst[i*BlockSize:(i+1)*BlockSize] with one pread per block, one after the
-// other, and no shared lock across blocks. A batch therefore reaches the file
-// at queue depth 1 whatever depth the device model charges for it; overlapping
-// the preads belongs behind this method.
+// other, and no shared lock across blocks. One call therefore reaches the
+// file at queue depth 1 whatever depth the device model charges for it; the
+// file sees depth from concurrent callers — the I/O scheduler lets up to its
+// QueueDepth of them issue at once. Overlapping the preads of one call
+// belongs behind this method.
 func (s *FileStore) ReadBlocks(idxs []int, dst []byte) error {
 	if len(dst) < len(idxs)*BlockSize {
 		return fmt.Errorf("nvm: destination buffer too small for %d blocks: %d", len(idxs), len(dst))

@@ -162,6 +162,11 @@ func (m *PerformanceModel) LoadLatency(deviceGBs float64) (meanUS, p99US float64
 // lognormal distribution whose mean and P99 match the calibrated model, so
 // that latency histograms recorded by the Device have realistic tails.
 func (m *PerformanceModel) SampleLatencyUS(rng *rand.Rand, inflight int) float64 {
+	return m.latencyAtUS(rng.NormFloat64(), inflight)
+}
+
+// latencyAtUS is SampleLatencyUS given the standard normal draw z.
+func (m *PerformanceModel) latencyAtUS(z float64, inflight int) float64 {
 	if inflight < 1 {
 		inflight = 1
 	}
@@ -186,7 +191,7 @@ func (m *PerformanceModel) SampleLatencyUS(rng *rand.Rand, inflight int) float64
 		sigma = 0.01
 	}
 	mu := math.Log(mean) - sigma*sigma/2
-	return math.Exp(mu + sigma*rng.NormFloat64())
+	return math.Exp(mu + sigma*z)
 }
 
 // String summarises the model.

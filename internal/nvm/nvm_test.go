@@ -268,6 +268,8 @@ func TestDeviceReadErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestDeviceConcurrentReads: eight readers, single blocks and batches of
+// two, each drawing its modelled latencies without a shared lock.
 func TestDeviceConcurrentReads(t *testing.T) {
 	d := NewDevice(DeviceConfig{NumBlocks: 64, Seed: 2})
 	var wg sync.WaitGroup
@@ -276,18 +278,75 @@ func TestDeviceConcurrentReads(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			buf := make([]byte, BlockSize)
+			buf := make([]byte, 2*BlockSize)
 			for i := 0; i < 200; i++ {
-				if _, err := d.ReadBlock(rng.Intn(64), buf); err != nil {
+				lat, err := d.ReadBlock(rng.Intn(64), buf)
+				if err == nil && i%2 == 0 {
+					lat, err = d.ReadBlocks([]int{rng.Intn(64), rng.Intn(64)}, buf)
+				}
+				if err != nil {
 					t.Error(err)
+					return
+				}
+				if !(lat > 0) || math.IsInf(lat, 1) {
+					t.Errorf("modelled latency %g", lat)
 					return
 				}
 			}
 		}(int64(w))
 	}
 	wg.Wait()
-	if d.Stats().BlocksRead != 1600 {
+	if d.Stats().BlocksRead != 8*(200+2*100) {
 		t.Fatalf("blocks read = %d", d.Stats().BlocksRead)
+	}
+}
+
+// TestDeviceLatencySequenceIsSeeded: a device read by one goroutine repeats
+// its modelled latencies for a seed — through ReadBlock and ReadBlocks
+// alike — and another seed gives other ones. The draws behind them are
+// standard normal.
+func TestDeviceLatencySequenceIsSeeded(t *testing.T) {
+	sequence := func(seed int64) []float64 {
+		d := NewDevice(DeviceConfig{NumBlocks: 16, Seed: seed})
+		buf := make([]byte, 4*BlockSize)
+		var lats []float64
+		for i := 0; i < 50; i++ {
+			lat, err := d.ReadBlock(i%16, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lats = append(lats, lat)
+			if lat, err = d.ReadBlocks([]int{1, 5, 9, i % 16}, buf); err != nil {
+				t.Fatal(err)
+			}
+			lats = append(lats, lat)
+		}
+		return lats
+	}
+	a, b, c := sequence(7), sequence(7), sequence(8)
+	same := 0
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("seed 7 read %d: latency %g, then %g", i, a[i], b[i])
+		}
+		if a[i] == c[i] {
+			same++
+		}
+	}
+	if same > 0 {
+		t.Fatalf("seeds 7 and 8 agree on %d of %d latencies", same, len(a))
+	}
+
+	src := normalSource{seed: 1}
+	const n = 200000
+	var sum, sumSq float64
+	for k := src.take(n); k < n; k++ {
+		z := src.at(k)
+		sum += z
+		sumSq += z * z
+	}
+	if mean, variance := sum/n, sumSq/n-(sum/n)*(sum/n); math.Abs(mean) > 0.01 || math.Abs(variance-1) > 0.02 {
+		t.Fatalf("draws have mean %.4f, variance %.4f; want 0 and 1", mean, variance)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"bandana/internal/core"
 	"bandana/internal/table"
@@ -18,12 +17,9 @@ import (
 func TestStatsIOSchedSection(t *testing.T) {
 	g := table.Generate("tA", table.GenerateOptions{NumVectors: 512, Dim: 16, NumClusters: 8, Seed: 1})
 	store, err := core.Open(core.Config{
-		Tables: []*table.Table{g.Table},
-		Seed:   1,
-		IOSched: core.IOSchedOptions{
-			QueueDepth: 16,
-			Window:     500 * time.Microsecond,
-		},
+		Tables:  []*table.Table{g.Table},
+		Seed:    1,
+		IOSched: core.IOSchedOptions{QueueDepth: 16},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,8 +41,11 @@ func TestStatsIOSchedSection(t *testing.T) {
 		t.Fatalf("stats status %d", code)
 	}
 	io := out.IOSched
-	if io.TargetQueueDepth != 16 || io.AccumulationWindowUS != 500 {
+	if io.TargetQueueDepth != 16 {
 		t.Fatalf("iosched config not echoed: %+v", io)
+	}
+	if io.InFlight != 0 || io.MaxInFlight != 1 {
+		t.Fatalf("one client reading one miss at a time: in flight %d, max %d, want 0 and 1", io.InFlight, io.MaxInFlight)
 	}
 	if io.DemandReads != 3 || io.DeviceReads != 3 || io.Batches == 0 {
 		t.Fatalf("iosched counters: %+v, want 3 demand reads", io)

@@ -249,7 +249,7 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
 			return metrics.CounterSample(nil, float64(st.DeviceReads))
 		}))
-	r.Register("bandana_iosched_batches_total", "counter", "Device dispatches.",
+	r.Register("bandana_iosched_batches_total", "counter", "Device calls.",
 		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
 			return metrics.CounterSample(nil, float64(st.Batches))
 		}))
@@ -257,23 +257,23 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
 			return metrics.CounterSample(nil, float64(st.Coalesced))
 		}))
-	r.Register("bandana_iosched_queued_reads", "gauge", "Instantaneous submission-queue length.",
+	r.Register("bandana_iosched_queued_reads", "gauge", "Reads waiting for an issue slot.",
 		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
 			return metrics.CounterSample(nil, float64(st.QueuedNow))
 		}))
-	r.Register("bandana_iosched_queue_wait_us", "summary", "Per-read queue wait before dispatch (microseconds).",
+	r.Register("bandana_iosched_inflight", "gauge", "Issue slots held: callers with device reads in flight, the realised queue depth in calls.",
+		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
+			return metrics.CounterSample(nil, float64(st.InFlight))
+		}))
+	r.Register("bandana_iosched_inflight_max", "gauge", "High-water mark of issue slots held at once.",
+		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
+			return metrics.CounterSample(nil, float64(st.MaxInFlight))
+		}))
+	r.Register("bandana_iosched_queue_wait_us", "summary", "Per-read wait from submission to an issue slot (microseconds).",
 		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
 			return metrics.SummarySamples(nil, st.QueueWait)
 		}))
-	r.Register("bandana_iosched_bounced_batches_total", "counter", "Device dispatches that mixed callers and went through a bounce buffer.",
-		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
-			return metrics.CounterSample(nil, float64(st.BouncedBatches))
-		}))
-	r.Register("bandana_iosched_token_wait_us", "summary", "Per-call wait for the issue token, the part of queue wait spent waiting to dispatch (microseconds).",
-		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
-			return metrics.SummarySamples(nil, st.TokenWait)
-		}))
-	r.Register("bandana_iosched_service_us", "summary", "Per-dispatch simulated device service time (microseconds).",
+	r.Register("bandana_iosched_service_us", "summary", "Per-device-call simulated device service time (microseconds).",
 		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
 			return metrics.SummarySamples(nil, st.Service)
 		}))

@@ -3,17 +3,22 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bandana/internal/core"
 	"bandana/internal/metrics"
+	"bandana/internal/nvm"
 	"bandana/internal/table"
 	"bandana/internal/trace"
 	"bandana/internal/wire"
@@ -23,10 +28,17 @@ import (
 // slow-request logging.
 func newObsServer(t *testing.T) (*httptest.Server, *Server) {
 	t.Helper()
+	return newObsServerOn(t, nil)
+}
+
+// newObsServerOn is newObsServer over dev (nil: a device of the store's own).
+// The table is 16 blocks of 128 vectors.
+func newObsServerOn(t *testing.T, dev *nvm.Device) (*httptest.Server, *Server) {
+	t.Helper()
 	g := table.Generate("tA", table.GenerateOptions{
 		NumVectors: 2048, Dim: 16, NumClusters: 32, Seed: 1,
 	})
-	store, err := core.Open(core.Config{Tables: []*table.Table{g.Table}, DRAMBudgetVectors: 256, Seed: 1})
+	store, err := core.Open(core.Config{Tables: []*table.Table{g.Table}, DRAMBudgetVectors: 256, Seed: 1, Device: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +49,40 @@ func newObsServer(t *testing.T) (*httptest.Server, *Server) {
 	return ts, srv
 }
 
+// pairStore is a MemStore whose batched reads, while armed, each wait (up to
+// a deadline) until two of them are in flight at once.
+type pairStore struct {
+	*nvm.MemStore
+	armed  atomic.Bool
+	mu     sync.Mutex
+	inside int
+	met    chan struct{}
+}
+
+func (p *pairStore) ReadBlocks(idxs []int, dst []byte) error {
+	if p.armed.Load() {
+		p.mu.Lock()
+		if p.inside++; p.inside == 2 {
+			close(p.met)
+		}
+		p.mu.Unlock()
+		select {
+		case <-p.met:
+		case <-time.After(5 * time.Second):
+		}
+		p.mu.Lock()
+		p.inside--
+		p.mu.Unlock()
+	}
+	return p.MemStore.ReadBlocks(idxs, dst)
+}
+
 // TestMetricsEndpoint drives traffic over the HTTP path and checks the
-// exposition validates and carries non-zero stage histogram counts.
+// exposition validates and carries non-zero stage histogram counts, and that
+// two concurrent cold batches show as two issue slots held at once.
 func TestMetricsEndpoint(t *testing.T) {
-	ts, _ := newObsServer(t)
+	ps := &pairStore{MemStore: nvm.NewMemStore(16), met: make(chan struct{})}
+	ts, _ := newObsServerOn(t, nvm.NewDevice(nvm.DeviceConfig{Store: ps, Seed: 1}))
 	// Mixed traffic: hits and misses so every stage observes something.
 	for id := 0; id < 512; id++ {
 		if code := getJSON(t, ts.URL+"/v1/lookup?table=tA&id="+strconv.Itoa(id), nil); code != http.StatusOK {
@@ -48,6 +90,38 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	postJSON(t, ts.URL+"/v1/batch", batchRequest{Table: "tA", IDs: []uint32{1, 2, 3, 700, 701}}, nil)
+	// Two cold batches on blocks nothing has read yet (8 and 11), at once:
+	// each client's misses are read by its own handler, both in flight
+	// together.
+	ps.armed.Store(true)
+	var wg sync.WaitGroup
+	for _, ids := range [][]uint32{{1100, 1101, 1102}, {1500, 1501}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, err := json.Marshal(batchRequest{Table: "tA", IDs: ids})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("cold batch %v: status %d", ids, resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
+	ps.armed.Store(false)
+	select {
+	case <-ps.met:
+	default:
+		t.Fatal("the two cold batches' block reads were never in flight at once")
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -77,13 +151,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		"bandana_stage_duration_us_count{table=\"tA\",stage=\"device_service\"}",
-		"bandana_table_lookups_total{table=\"tA\"} 517",
+		"bandana_table_lookups_total{table=\"tA\"} 522",
 		"bandana_http_requests_total",
 		"bandana_device_blocks_read_total",
-		// One client, one read at a time: every miss took the token and
-		// none shared a device batch with another caller's.
-		"bandana_iosched_token_wait_us_count ",
-		"bandana_iosched_bounced_batches_total 0\n",
+		// Every read has completed: no slot is held.
+		"bandana_iosched_inflight 0\n",
+		"bandana_iosched_queue_wait_us_count ",
 		"bandana_table_cache_free_slots{table=\"tA\"}",
 		"bandana_table_cache_limbo_slots{table=\"tA\"}",
 		"bandana_table_prefetch_adds_total{table=\"tA\"} 0\n",
@@ -115,8 +188,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	if strings.Contains(out, "bandana_stage_duration_us_count{table=\"tA\",stage=\"device_service\"} 0\n") {
 		t.Errorf("device_service stage count is zero after misses:\n%s", grepLines(out, "device_service"))
 	}
-	if strings.Contains(out, "bandana_iosched_token_wait_us_count 0\n") {
-		t.Errorf("no token wait recorded after misses:\n%s", grepLines(out, "token_wait"))
+	if m := regexp.MustCompile(`(?m)^bandana_iosched_inflight_max (\d+)$`).FindStringSubmatch(out); m == nil {
+		t.Errorf("exposition has no bandana_iosched_inflight_max:\n%s", grepLines(out, "iosched"))
+	} else if n, _ := strconv.Atoi(m[1]); n < 2 {
+		t.Errorf("bandana_iosched_inflight_max %d after two concurrent cold batches, want >= 2", n)
+	}
+	for _, gone := range []string{"bandana_iosched_token_wait_us", "bandana_iosched_bounced_batches_total"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("exposition still carries %s", gone)
+		}
 	}
 	if strings.Contains(out, "bandana_stage_duration_us_count{table=\"tA\",stage=\"cache_probe\"} 0\n") {
 		t.Errorf("cache_probe stage count is zero after 512 lookups:\n%s", grepLines(out, "cache_probe"))
