@@ -39,6 +39,16 @@ func TestShadowAdmitPolicy(t *testing.T) {
 	if !admit || pos != 0.3 {
 		t.Fatalf("vector in shadow should be admitted at configured position, got %v %v", admit, pos)
 	}
+	// The shadow is an LRU of the accessed ids: a repeat access promotes,
+	// so the id not accessed longest is the one evicted.
+	for _, id := range []uint32{2, 3, 4, 1, 5} { // the 4-key shadow drops 2
+		p.OnAccess(id)
+	}
+	for id, want := range map[uint32]bool{1: true, 2: false, 3: true, 4: true, 5: true} {
+		if admit, _ := p.AdmitPrefetch(id); admit != want {
+			t.Fatalf("after accesses 1 2 3 4 1 5 to a 4-key shadow: admit(%d) = %v", id, admit)
+		}
+	}
 	// Shadow eviction: fill beyond capacity.
 	for id := uint32(10); id < 20; id++ {
 		p.OnAccess(id)

@@ -69,7 +69,7 @@ func TestLookupBatchDedupesRepeatedIDs(t *testing.T) {
 		t.Fatalf("warm duplicate batch issued %d block reads", st.BlockReads)
 	}
 
-	// Above the linear-scan threshold the map path takes over: same
+	// Above the linear-scan threshold the dedupe table takes over: same
 	// semantics on a large duplicate-heavy batch.
 	big := make([]uint32, 4*dedupeScanThreshold)
 	for i := range big {

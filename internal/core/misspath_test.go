@@ -85,9 +85,9 @@ func TestMissBatchAllocBound(t *testing.T) {
 		}
 		return allocs
 	}
-	// Measured: 10 allocs per batch — the result slice, six in serveBatch
-	// (dedupe map, miss list, block list, raw-copy buffer among them), the
-	// block-member scratch, and the scheduler call's result and op slices.
+	// Measured: 6 allocs per batch — the result slice, the block list and
+	// raw-copy buffer in serveBatch, the block-member scratch, and the
+	// scheduler call's result and op slices.
 	at16 := measure(16)
 	if at16 > 26 {
 		t.Fatalf("cold 64-id raw batch allocates %.1f times, want <= 26", at16)

@@ -3,7 +3,9 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 	"time"
 
 	"bandana/internal/fp16"
@@ -18,7 +20,8 @@ import (
 // through the atomic state pointer, so serving never blocks on them.
 
 // dedupeScanThreshold is the batch size up to which duplicate ids are found
-// by linear scan (no allocation); larger batches use a map.
+// by linear scan; larger batches use an open-addressing table in the pooled
+// batch scratch. Neither allocates.
 const dedupeScanThreshold = 32
 
 // Lookup returns the embedding vector id of table tableIdx, decoded into a
@@ -380,7 +383,7 @@ func (st *storeTable) lookupBatch(ids []uint32, tr *StageTrace) ([][]float32, er
 // cache misses by NVM block so that each distinct block is read only once
 // per batch, and runs the full serving machinery: counters, dedupe,
 // admission, prefetch, cache fill. tr, when non-nil, accumulates the
-// per-stage latency breakdown (and forces the sampled probe-stage timer on).
+// per-stage latency breakdown.
 //
 // Cache hits are handed out as views into the cache's arenas, valid only
 // under the lease serveBatch takes before its first probe: on success the
@@ -405,118 +408,106 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 	if r := st.recorder.Load(); r != nil {
 		r.Record(ids)
 	}
+	if len(ids) == 0 {
+		return release, nil
+	}
 
 	// Pass 1: serve cache hits and collect misses. Real batches are
 	// power-law — the same hot id often appears many times in one request —
-	// so repeated ids are deduplicated here: each unique id is resolved
-	// (cache probe, block read) exactly once and the result is fanned back
-	// out to every position. Every instance still counts as a lookup and
-	// inherits its unique id's hit/miss classification.
+	// so repeated ids are deduplicated first: each unique id is resolved
+	// (cache probe, block read) exactly once, into views, and the result is
+	// fanned back out to every position at the end. Every instance still
+	// counts as a lookup and inherits its unique id's hit/miss
+	// classification. Without repeats, uniq and views are ids and out. A
+	// batch of at most dedupeScanThreshold distinct ids needs no scratch.
+	uniq, views, first := ids, out, []int32(nil)
 	var missed []missRef
-	// Duplicate detection stays allocation-free for typical batch sizes (a
-	// linear scan of the ids already seen); only large batches pay for a
-	// map, which keeps the warm all-hit path from allocating in pass 1.
-	var firstPos map[uint32]int
-	if len(ids) > dedupeScanThreshold {
-		firstPos = make(map[uint32]int, len(ids))
+	if len(ids) > dedupeScanThreshold || hasRepeat(ids) {
+		sc := batchScratchPool.Get().(*batchScratch)
+		defer sc.put()
+		if u, f := sc.dedupe(ids); f != nil {
+			uniq, first = u, f
+			sc.views = grown(sc.views, len(u))
+			clear(sc.views)
+			views = sc.views
+		}
+		sc.missed = grown(sc.missed, len(uniq))
+		missed = sc.missed[:0]
 	}
-	firstOf := func(i int, id uint32) (int, bool) {
-		if firstPos != nil {
-			j, ok := firstPos[id]
-			return j, ok
-		}
-		for j := 0; j < i; j++ {
-			if ids[j] == id {
-				return j, true
-			}
-		}
-		return 0, false
-	}
-	var dupMisses [][2]int // {duplicate position, first position} to backfill
-	for i, id := range ids {
-		h := hashID(id)
-		nth := st.lookups.Inc(h)
-		if tr != nil {
-			tr.Lookups++
-		}
-		if ts.policy != nil {
+	if ts.policy != nil {
+		for _, id := range ids {
 			ts.policy.OnAccess(id)
 		}
-		if j, ok := firstOf(i, id); ok {
-			if out[j] != nil {
-				st.hits.Inc(h)
-				if tr != nil {
-					tr.Hits++
-				}
-				out[i] = out[j]
-			} else {
-				st.misses.Inc(h)
-				if tr != nil {
-					tr.Misses++
-				}
-				dupMisses = append(dupMisses, [2]int{i, j})
-			}
-			continue
-		}
-		if firstPos != nil {
-			firstPos[id] = i
-		}
-		// The probe stage is timed on a sampled subset of unique ids (always
-		// under a trace): two time.Now calls would be a measurable tax on the
-		// ~120 ns all-DRAM hit path, and a sampled probe histogram answers the
-		// same operator question. The decision reuses the lookup counter's
-		// returned value (see StripedCounter.Inc), which is free.
-		probeTimed := tr != nil || nth&probeSampleMask == 1
-		var probeStart time.Time
-		if probeTimed {
-			probeStart = time.Now()
-		}
-		view, wasPrefetch, hit := ts.cache.Get(id)
-		if probeTimed {
-			d := usSince(probeStart)
-			st.probeLatency.Observe(d)
-			if tr != nil {
-				tr.ProbeUS += d
-			}
-		}
-		if hit {
-			out[i] = view
-			st.hits.Inc(h)
-			if wasPrefetch {
-				st.prefetchHits.Inc(h)
-			}
-			if tr != nil {
-				tr.Hits++
-			}
-			continue
-		}
-		// Probe the delta overlay before the miss path: an updated vector's
-		// authoritative bytes live here until compaction folds them into the
-		// block image (whose copy is stale). The epoch is loaded BEFORE the
-		// overlay read so a concurrent newer update — overlay put, then epoch
-		// bump, then cache invalidate — can never let these older bytes be
-		// cached past their invalidation.
+	}
+	// The probe takes each cache shard's lock once for all of the batch's
+	// ids in that shard, and is timed once per batch: a clock read per id
+	// would be a measurable tax on the all-DRAM hit path.
+	var deltaHits int64
+	probeStart := time.Now()
+	prefetchHits := ts.cache.GetBatch(uniq, views, func(u int) []byte {
+		// A miss probes the delta overlay, under the shard lock, before the
+		// miss path: an updated vector's authoritative bytes live here until
+		// compaction folds them into the block image (whose copy is stale).
+		// The epoch is loaded BEFORE the overlay read so a concurrent newer
+		// update — overlay put, then epoch bump, then cache invalidate — can
+		// never let these older bytes be cached past their invalidation: a
+		// bump since means serve them but do not cache them, and a bump after
+		// the check is followed by that update's removal, which waits for
+		// this shard lock. (applyUpdate takes the overlay lock and a shard
+		// lock one after the other, never nested, so taking the overlay's
+		// read lock here cannot deadlock.)
 		epoch := st.epoch.Load()
-		if raw := st.overlay.get(id); raw != nil {
-			st.hits.Inc(h)
-			st.deltaHits.Inc(h)
-			if tr != nil {
-				tr.Hits++
+		raw := st.overlay.get(uniq[u])
+		if raw == nil {
+			return nil
+		}
+		views[u] = raw
+		deltaHits++
+		if st.epoch.Load() != epoch {
+			return nil
+		}
+		return raw
+	})
+	probeUS := usSince(probeStart)
+	st.probeLatency.Observe(probeUS / float64(len(uniq)))
+	for u, v := range views {
+		if v == nil {
+			if missed == nil {
+				missed = make([]missRef, 0, len(views)-u)
 			}
-			out[i] = raw
-			ts.cache.AddAtGuard(id, raw, 0, false, &st.epoch, epoch)
-			continue
+			missed = append(missed, missRef{pos: u, id: uniq[u]})
 		}
-		st.misses.Inc(h)
-		if tr != nil {
-			tr.Misses++
+	}
+	hits := len(ids) - len(missed)
+	if first != nil {
+		hits = 0
+		for _, u := range first {
+			if views[u] != nil {
+				hits++
+			}
 		}
-		if missed == nil {
-			missed = make([]missRef, 0, len(ids)-i)
-		}
-		missed = append(missed, missRef{pos: i, id: id})
+	}
+	// The counters move once per batch, on the stripe of its first id.
+	h := hashID(ids[0])
+	st.lookups.Add(h, int64(len(ids)))
+	st.hits.Add(h, int64(hits))
+	if misses := len(ids) - hits; misses > 0 {
+		st.misses.Add(h, int64(misses))
+	}
+	if prefetchHits > 0 {
+		st.prefetchHits.Add(h, int64(prefetchHits))
+	}
+	if deltaHits > 0 {
+		st.deltaHits.Add(h, deltaHits)
+	}
+	if tr != nil {
+		tr.Lookups += len(ids)
+		tr.Hits += hits
+		tr.Misses += len(ids) - hits
+		tr.ProbeUS += probeUS
 	}
 	if len(missed) == 0 {
+		fanOut(out, views, first)
 		return release, nil
 	}
 
@@ -587,14 +578,14 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 			// an update moves the epoch without touching NVM, so a block
 			// re-read after it still returns pre-update bytes.
 			if oraw := st.overlay.get(ref.id); oraw != nil {
-				out[ref.pos] = oraw
+				views[ref.pos] = oraw
 				continue
 			}
 			slot := ts.layout.SlotOf(ref.id)
 			off := len(rawOut)
 			rawOut = append(rawOut, buf[slot*st.vecBytes:(slot+1)*st.vecBytes]...)
 			rawCopy := rawOut[off:len(rawOut):len(rawOut)]
-			out[ref.pos] = rawCopy
+			views[ref.pos] = rawCopy
 			// A requested vector is always cached; the policy only picks
 			// where it enters the queue (probation for an id training says
 			// is cold).
@@ -611,9 +602,104 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 			st.admitBlock(ts, buf, epoch, members, refs)
 		}
 	}
-	// Fan the deduplicated miss results back out to the repeated positions.
-	for _, d := range dupMisses {
-		out[d[0]] = out[d[1]]
-	}
+	fanOut(out, views, first)
 	return release, nil
+}
+
+// fanOut hands each unique id's result to every position of the batch that
+// asked for it: out[i] = views[first[i]]. first is nil when no id repeated,
+// and views is then out itself.
+func fanOut(out, views [][]byte, first []int32) {
+	for i, u := range first {
+		out[i] = views[u]
+	}
+}
+
+// hasRepeat reports whether an id occurs more than once in ids, by linear
+// scan: for the small batches it is used on, cheaper than any table.
+func hasRepeat(ids []uint32) bool {
+	for i := 1; i < len(ids); i++ {
+		if slices.Contains(ids[:i], ids[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// batchScratch is serveBatch's working memory for a batch that repeats ids
+// or is too large to check by scan, pooled so that the hit path allocates
+// none of it.
+type batchScratch struct {
+	uniq  []uint32 // the batch's distinct ids, in first-occurrence order
+	first []int32  // first[i] is the index in uniq of ids[i]
+	views [][]byte // one result per distinct id, when ids repeat
+	// table is dedupe's open-addressing table for batches of more than
+	// dedupeScanThreshold ids: id<<32 | (index in uniq + 1), 0 when empty.
+	table  []uint64
+	missed []missRef
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// put returns sc to the pool, dropping its references to served bytes.
+func (sc *batchScratch) put() {
+	clear(sc.views)
+	batchScratchPool.Put(sc)
+}
+
+// grown returns s resized to n, reallocating only when its capacity is short.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// dedupe finds the distinct ids of ids in first-occurrence order and, for
+// each position, the index of its id among them. Both are nil when no id
+// repeats.
+func (sc *batchScratch) dedupe(ids []uint32) (uniq []uint32, first []int32) {
+	uniq, first = sc.uniq[:0], grown(sc.first, len(ids))
+	repeats := false
+	if len(ids) <= dedupeScanThreshold {
+		for i, id := range ids {
+			u := slices.Index(uniq, id)
+			if u < 0 {
+				u = len(uniq)
+				uniq = append(uniq, id)
+			} else {
+				repeats = true
+			}
+			first[i] = int32(u)
+		}
+	} else {
+		// At most half full, so probe chains stay short.
+		shift := 32 - bits.Len(uint(2*len(ids)-1))
+		mask := uint32(1)<<(32-shift) - 1
+		sc.table = grown(sc.table, int(mask)+1)
+		clear(sc.table)
+		for i, id := range ids {
+			p := (id * 0x9E3779B1) >> shift
+			for {
+				e := sc.table[p]
+				if e == 0 {
+					sc.table[p] = uint64(id)<<32 | uint64(len(uniq)+1)
+					first[i] = int32(len(uniq))
+					uniq = append(uniq, id)
+					break
+				}
+				if uint32(e>>32) == id {
+					first[i] = int32(uint32(e)) - 1
+					repeats = true
+					break
+				}
+				p = (p + 1) & mask
+			}
+		}
+	}
+	sc.uniq, sc.first = uniq, first
+	if !repeats {
+		return nil, nil
+	}
+	return uniq, first
 }

@@ -79,8 +79,8 @@ type TableStats struct {
 	// stage decomposition below.
 	Latency metrics.Snapshot
 	// Stage latency decomposition (all microseconds). ProbeLatency is the
-	// DRAM cache/overlay probe, timed on a sampled subset of lookups (~1/64,
-	// always under a slow-request trace). QueueWaitLatency is time miss
+	// DRAM cache/overlay probe, timed once per batch and observed as
+	// microseconds per distinct id probed. QueueWaitLatency is time miss
 	// reads spent waiting for an I/O scheduler issue slot.
 	// DecodeLatency is requested-vector fp16 decode time (prefetch
 	// admission decodes excluded).

@@ -188,7 +188,8 @@ type storeTable struct {
 
 	// Serving counters, striped across cache lines so concurrent lookups
 	// on different vectors do not contend; the stripe is chosen by the
-	// same hash that picks the cache shard.
+	// same hash that picks the cache shard (a batch's lookup, hit and miss
+	// counts move once, on the stripe of its first id).
 	lookups        *metrics.StripedCounter
 	hits           *metrics.StripedCounter
 	deltaHits      *metrics.StripedCounter
@@ -200,8 +201,8 @@ type storeTable struct {
 	probationFills *metrics.StripedCounter
 	// lookupLatency is the device-service component of miss reads (the
 	// historical "lookup latency"); the histograms below decompose the rest
-	// of a lookup's time. probeLatency is sampled (see probeSampleMask),
-	// queueWaitLatency is the scheduler's queue wait of miss reads, and
+	// of a lookup's time. probeLatency takes one sample per batch, the
+	// probe's microseconds per distinct id probed; queueWaitLatency is the scheduler's queue wait of miss reads, and
 	// decodeLatency covers requested-vector fp16 decodes.
 	lookupLatency    *metrics.Histogram
 	probeLatency     *metrics.Histogram

@@ -5,11 +5,11 @@ import "time"
 // StageTrace accumulates the per-stage latency decomposition of one serving
 // operation (all times in microseconds). A caller that wants a per-request
 // breakdown — the server's slow-request log — passes a zero StageTrace to a
-// *Traced lookup variant; the serving path then times every stage
-// unconditionally instead of sampling the probe stage. The struct is plain
-// data with no synchronization: one trace belongs to one request.
+// *Traced lookup variant. The struct is plain data with no synchronization:
+// one trace belongs to one request.
 type StageTrace struct {
-	// ProbeUS is time spent probing the DRAM cache (and delta overlay).
+	// ProbeUS is time spent probing the DRAM cache (and, for ids it misses,
+	// the delta overlay).
 	ProbeUS float64
 	// QueueWaitUS is time the request's miss reads spent waiting for an I/O
 	// scheduler issue slot.
@@ -27,20 +27,6 @@ type StageTrace struct {
 	Misses     int
 	BlockReads int
 }
-
-// probeSampleMask controls cache-probe stage sampling: with tracing off, the
-// probe is timed on ~1/64 of lookups so the ~120 ns all-DRAM hit path does
-// not pay two time.Now calls per request (clock reads cost tens of ns on a
-// virtualized clocksource). The sampling decision is derived from the value
-// the per-table lookup counter's atomic increment returns anyway — a stripe
-// samples its 1st, 65th, 129th... increment (== 1 after masking, so lightly
-// loaded tables still get early probe samples) — so it costs zero extra
-// instructions
-// on the hit path, unlike a random draw (measured ~15 ns/op). A stripe is
-// shared by many ids, so a hot id is sampled in proportion to its access
-// rate rather than always (or never), which a fixed per-id hash test would
-// do; that keeps the probe histogram unbiased across the key distribution.
-const probeSampleMask = 63
 
 // usSince converts the elapsed time since start to microseconds.
 func usSince(start time.Time) float64 {

@@ -225,7 +225,10 @@ type Stats struct {
 	PrefetchReads int64 `json:"prefetchReads"`
 	// DeviceReads counts reads that reached the device.
 	DeviceReads int64 `json:"deviceReads"`
-	// Batches counts device calls; AvgBatchSize = DeviceReads/Batches.
+	// Batches counts device calls; AvgBatchSize = DeviceReads/Batches. A
+	// device call is one run of a single caller's leaders (at most
+	// QueueDepth blocks), never reads of several callers merged, so
+	// AvgBatchSize is blocks per per-call run.
 	Batches      int64   `json:"batches"`
 	AvgBatchSize float64 `json:"avgBatchSize"`
 	MaxBatchSize int64   `json:"maxBatchSize"`

@@ -56,12 +56,8 @@ func NewStripedCounter(stripes int) *StripedCounter {
 	return &StripedCounter{slots: make([]paddedInt64, n), mask: uint64(n - 1)}
 }
 
-// Inc increments the stripe selected by hash and returns the stripe's new
-// value. The return value gives hot paths a free 1-in-N sampling signal
-// (e.g. new&(N-1) == 1, N a power of two — the ==1 phase fires on a stripe's
-// first increment, so low-traffic callers sample too): the add returns the sum,
-// so deriving the decision from it costs nothing, unlike a random draw.
-func (c *StripedCounter) Inc(hash uint64) int64 { return c.slots[hash&c.mask].v.Add(1) }
+// Inc increments the stripe selected by hash.
+func (c *StripedCounter) Inc(hash uint64) { c.slots[hash&c.mask].v.Add(1) }
 
 // Add increments the stripe selected by hash by delta.
 func (c *StripedCounter) Add(hash uint64, delta int64) { c.slots[hash&c.mask].v.Add(delta) }

@@ -111,7 +111,7 @@ func (s *Server) buildRegistry() *metrics.Registry {
 	// Stage decomposition: per-table store stages plus the server-side
 	// serialize stage. One family; the stage label selects the component.
 	r.Register("bandana_stage_duration_us", "summary",
-		"Per-stage serving latency decomposition (microseconds): cache_probe (sampled DRAM probe), queue_wait (I/O scheduler queue), device_service (NVM block read), decode (fp16 decode), serialize (JSON response encode).",
+		"Per-stage serving latency decomposition (microseconds): cache_probe (DRAM probe, one sample per batch: microseconds per id probed), queue_wait (I/O scheduler queue), device_service (NVM block read), decode (fp16 decode), serialize (JSON response encode).",
 		func() []metrics.Sample {
 			var out []metrics.Sample
 			for _, ts := range s.scrapeStore().Stats() {
@@ -311,6 +311,12 @@ func (s *Server) buildRegistry() *metrics.Registry {
 	})
 	r.Register("bandana_wire_conns_active", "gauge", "bwp connections currently open.", func() []metrics.Sample {
 		return metrics.CounterSample(nil, float64(s.wire.Stats().ConnsActive))
+	})
+	r.Register("bandana_wire_handlers", "gauge", "bwp request handler goroutines alive, idle ones included: each connection keeps the handlers it starts until it closes.", func() []metrics.Sample {
+		return metrics.CounterSample(nil, float64(s.wire.Stats().Handlers))
+	})
+	r.Register("bandana_wire_handlers_max", "gauge", "High-water mark of bandana_wire_handlers.", func() []metrics.Sample {
+		return metrics.CounterSample(nil, float64(s.wire.Stats().HandlersMax))
 	})
 	r.Register("bandana_wire_requests_total", "counter", "bwp request frames, by opcode.", func() []metrics.Sample {
 		var out []metrics.Sample

@@ -304,6 +304,13 @@ func TestMetricsEndpointWirePath(t *testing.T) {
 	if !strings.Contains(out, "bandana_wire_enabled 1") {
 		t.Errorf("bandana_wire_enabled not 1:\n%s", grepLines(out, "wire_enabled"))
 	}
+	// One client waiting on each response in turn: its open connection keeps
+	// the one or two handlers it started.
+	for _, series := range []string{"bandana_wire_handlers", "bandana_wire_handlers_max"} {
+		if !strings.Contains(out, series+" 1\n") && !strings.Contains(out, series+" 2\n") {
+			t.Errorf("%s not 1 or 2 with one sequential client connected:\n%s", series, grepLines(out, "wire_handlers"))
+		}
+	}
 }
 
 // TestSlowRequestLog arms a zero threshold (everything is slow) and checks

@@ -19,10 +19,10 @@
 //     members, in slot order, are offered to the admission policy and the
 //     admitted non-resident ones enter at the policy's position.
 //   - The cache is the store's own: a one-shard vcache without payloads,
-//     driven by the three calls serveBatch makes — Get for the probe (a hit
-//     promotes it and reports a first hit on a prefetched entry), AddAt for a
-//     demand fill and AddAtGuard for a prefetch fill, which refuses an id
-//     already resident.
+//     driven by the three calls serveBatch makes — GetBatch for the probe of
+//     the query's unique ids (a hit promotes and reports a first hit on a
+//     prefetched entry), AddAt for a demand fill and AddAtGuard for a
+//     prefetch fill, which refuses an id already resident.
 //   - Against a store with one cache shard (Config.CacheShards: 1) serving
 //     the same queries one at a time, BlockReads, Hits, Misses,
 //     ProbationFills, PrefetchesAdmitted and PrefetchHits are equal through
@@ -115,44 +115,50 @@ func Replay(tr *trace.Trace, cfg Config) Result {
 	res := Result{Policy: policy.Name()}
 
 	// Per-id state, indexed by id so a query costs no map or set allocation.
-	// seen[id] is 2*q for a hit and 2*q+1 for a miss of the unique probe in
-	// query number q (1-based), anything smaller when id has not occurred in
-	// the current query.
+	// seen[id] is 2*q once id has occurred in query number q (1-based), and
+	// 2*q+1 once its probe missed, anything smaller when id has not occurred
+	// in the current query.
 	seen := make([]uint32, l.NumVectors())
 
-	var missed []missRef
+	longest := 0
+	for _, q := range tr.Queries {
+		longest = max(longest, len(q))
+	}
+	kept, uniq := make([]uint32, 0, longest), make([]uint32, 0, longest)
+	missed := make([]missRef, 0, longest)
 	var members []uint32
+	var missStamp uint32
+	onMiss := func(i int) []byte {
+		id := uniq[i]
+		seen[id] = missStamp
+		missed = append(missed, missRef{id: id, block: l.BlockOf(id)})
+		return nil
+	}
 	for qi, q := range tr.Queries {
-		hitStamp := 2 * uint32(qi+1)
-		missStamp := hitStamp + 1
+		seenStamp := 2 * uint32(qi+1)
+		missStamp = seenStamp + 1
 
 		// Pass 1: count, probe each unique id once, collect the misses.
-		missed = missed[:0]
+		kept, uniq, missed = kept[:0], uniq[:0], missed[:0]
 		for _, id := range q {
 			if cfg.Filter != nil && !cfg.Filter(id) {
 				continue
 			}
-			res.Lookups++
+			kept = append(kept, id)
 			policy.OnAccess(id)
-			switch seen[id] {
-			case hitStamp:
-				res.Hits++
-				continue
-			case missStamp:
+			if seen[id] != seenStamp {
+				seen[id] = seenStamp
+				uniq = append(uniq, id)
+			}
+		}
+		res.PrefetchHits += int64(c.GetBatch(uniq, nil, onMiss))
+		res.Lookups += int64(len(kept))
+		for _, id := range kept {
+			if seen[id] == missStamp {
 				res.Misses++
-				continue
-			}
-			if _, wasPrefetched, ok := c.Get(id); ok {
-				seen[id] = hitStamp
+			} else {
 				res.Hits++
-				if wasPrefetched {
-					res.PrefetchHits++
-				}
-				continue
 			}
-			seen[id] = missStamp
-			res.Misses++
-			missed = append(missed, missRef{id: id, block: l.BlockOf(id)})
 		}
 
 		// Pass 2: one read per distinct missed block, ascending; a block's

@@ -510,16 +510,25 @@ func (s *shard) listRemove(slot uint32) {
 	m.prev, m.next = nilIdx, nilIdx
 }
 
-// rebalance cascades overflow from earlier segments into later ones so each
+// rebalance cascades overflow from segment from into later ones so each
 // segment holds at most ceil(capacity/segments) entries — the positional
 // interpretation of segments stays stable. The tail of segment i already
 // sits directly in front of segment i+1's run (or where that run would be),
 // so moving it there changes the two segment records and the entry's
 // segment tag, and no link.
-func (s *shard) rebalance() {
+//
+// Every segment but the last is within bound between operations, and an
+// insert or a promotion grows only the segment it lands in, so the cascade
+// starts there and stops at the first segment it leaves within bound: the
+// segments before and after are exactly what a walk over all of them would
+// leave. Resize, which moves the bound itself, walks them all.
+func (s *shard) rebalance(from int) {
 	target := (s.capacity + len(s.segs) - 1) / len(s.segs)
-	for i := 0; i < len(s.segs)-1; i++ {
+	for i := from; i < len(s.segs)-1; i++ {
 		sg, nx := &s.segs[i], &s.segs[i+1]
+		if sg.size <= target {
+			return
+		}
 		// size > target >= 1, so the victim's prev is in segment i too.
 		for sg.size > target {
 			victim := sg.tail
@@ -698,7 +707,7 @@ func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetch
 			m.segflags &^= prefetchedBit
 		}
 		s.pushFront(seg, slot)
-		s.rebalance()
+		s.rebalance(seg)
 		return 0, false
 	}
 
@@ -716,10 +725,10 @@ func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetch
 
 	if s.used > s.capacity {
 		victim, _ := s.evictOne(c)
-		s.rebalance()
+		s.rebalance(seg)
 		return victim, true
 	}
-	s.rebalance()
+	s.rebalance(seg)
 	return 0, false
 }
 
@@ -735,6 +744,18 @@ func bytesEqual(a, b []byte) bool {
 	return true
 }
 
+// promote is a hit: it moves slot to the head of segment 0 and clears the
+// entry's prefetched flag, reporting whether the flag was set.
+func (s *shard) promote(slot uint32) (wasPrefetched bool) {
+	m := &s.meta[slot]
+	wasPrefetched = m.segflags&prefetchedBit != 0
+	m.segflags &^= prefetchedBit
+	s.listRemove(slot)
+	s.pushFront(0, slot)
+	s.rebalance(0)
+	return wasPrefetched
+}
+
 // Get returns a read-only arena view of id's payload, promotes the entry to
 // its shard's MRU position and clears the prefetched flag, reporting whether
 // the flag was set. The caller must hold a lease (see Lease) for as long as
@@ -747,15 +768,99 @@ func (c *Cache) Get(id uint32) (payload []byte, wasPrefetched, ok bool) {
 		s.mu.Unlock()
 		return nil, false, false
 	}
-	m := &s.meta[slot]
-	wasPrefetched = m.segflags&prefetchedBit != 0
-	m.segflags &^= prefetchedBit
-	s.listRemove(slot)
-	s.pushFront(0, slot)
-	s.rebalance()
+	wasPrefetched = s.promote(slot)
 	payload = s.payload(c, slot)
 	s.mu.Unlock()
 	return payload, wasPrefetched, true
+}
+
+// GetBatch is Get for every id of ids, which must be distinct, taking each
+// shard's lock once: a shard's ids are handled in their batch order, so
+// every shard sees the operations a Get per id, in batch order, would have
+// made on it. On a hit views[i] is set to ids[i]'s view (views may be nil
+// for a caller that wants none, e.g. of a keys-only cache); on a miss
+// views[i] is left alone and, when miss is non-nil, miss(i) runs under the
+// shard's lock. A non-nil result of miss is inserted for ids[i] at the MRU
+// position as a requested entry, as AddAt(ids[i], result, 0, false) would,
+// before the shard's next id is probed. miss must not call into the cache.
+// Returns how many hits were on prefetched entries. The caller must hold a
+// lease for as long as it reads the views.
+func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) (prefetchHits int) {
+	if len(ids) == 0 {
+		return 0
+	}
+	if len(c.shards) == 1 || len(ids) == 1 {
+		s := c.shardOf(ids[0])
+		s.mu.Lock()
+		for i := range ids {
+			prefetchHits += s.probe(c, ids, views, i, miss)
+		}
+		s.mu.Unlock()
+		return prefetchHits
+	}
+	// Chain each shard's ids in batch order: heads[s] is its first,
+	// next[i] the one after i (-1 ends a chain).
+	sc := batchScratchPool.Get().(*batchScratch)
+	heads := grow(sc.heads, len(c.shards))
+	next := grow(sc.next, len(ids))
+	for i := range heads {
+		heads[i] = -1
+	}
+	for i := len(ids) - 1; i >= 0; i-- {
+		si := Hash(ids[i]) & c.shardMask
+		next[i] = heads[si]
+		heads[si] = int32(i)
+	}
+	for si, i := range heads {
+		if i < 0 {
+			continue
+		}
+		s := &c.shards[si]
+		s.mu.Lock()
+		for ; i >= 0; i = next[i] {
+			prefetchHits += s.probe(c, ids, views, int(i), miss)
+		}
+		s.mu.Unlock()
+	}
+	sc.heads, sc.next = heads, next
+	batchScratchPool.Put(sc)
+	return prefetchHits
+}
+
+// probe is GetBatch's step for ids[i], under s.mu; it returns 1 for a hit
+// on a prefetched entry.
+func (s *shard) probe(c *Cache, ids []uint32, views [][]byte, i int, miss func(int) []byte) int {
+	id := ids[i]
+	if slot := s.idxFind(id); slot != nilIdx {
+		pre := s.promote(slot)
+		if views != nil {
+			views[i] = s.payload(c, slot)
+		}
+		if pre {
+			return 1
+		}
+		return 0
+	}
+	if miss != nil {
+		if p := miss(i); p != nil {
+			s.addAt(c, id, p, 0, false)
+		}
+	}
+	return 0
+}
+
+// batchScratch is GetBatch's per-call chain scratch, pooled so a batch
+// allocates nothing.
+type batchScratch struct{ heads, next []int32 }
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// grow returns b resized to n, reallocating only when its capacity is short.
+func grow(b []int32, n int) []int32 {
+	if cap(b) < n {
+		return make([]int32, n)
+	}
+	return b[:n]
 }
 
 // GetFunc is Get with the payload handed to fn under the shard lock instead
@@ -770,12 +875,7 @@ func (c *Cache) GetFunc(id uint32, fn func(payload []byte, wasPrefetched bool)) 
 		s.mu.Unlock()
 		return false
 	}
-	m := &s.meta[slot]
-	wasPrefetched := m.segflags&prefetchedBit != 0
-	m.segflags &^= prefetchedBit
-	s.listRemove(slot)
-	s.pushFront(0, slot)
-	s.rebalance()
+	wasPrefetched := s.promote(slot)
 	fn(s.payload(c, slot), wasPrefetched)
 	s.mu.Unlock()
 	return true
@@ -820,7 +920,9 @@ func (c *Cache) Resize(capacity int) int {
 		for s.used > s.capacity {
 			s.evictOne(c)
 		}
-		s.rebalance()
+		for seg := range s.segs {
+			s.rebalance(seg)
+		}
 		s.mu.Unlock()
 	}
 	c.capacity.Store(int64(capacity))
@@ -878,17 +980,20 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// ShardKeys returns shard i's keys ordered MRU→LRU, segment by segment.
-// Intended for tests and diagnostics; O(n).
-func (c *Cache) ShardKeys(i int) []uint32 {
+// ShardKeys returns shard i's keys ordered MRU→LRU, segment by segment, and
+// each key's prefetched flag, without promoting any. Intended for tests and
+// diagnostics; O(n).
+func (c *Cache) ShardKeys(i int) (keys []uint32, prefetched []bool) {
 	s := &c.shards[i]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]uint32, 0, s.used)
+	keys = make([]uint32, 0, s.used)
+	prefetched = make([]bool, 0, s.used)
 	for slot := s.listHead(); slot != nilIdx; slot = s.meta[slot].next {
 		keys = append(keys, s.meta[slot].id)
+		prefetched = append(prefetched, s.meta[slot].segflags&prefetchedBit != 0)
 	}
-	return keys
+	return keys, prefetched
 }
 
 // listHead returns the shard's MRU slot: the head of the first non-empty

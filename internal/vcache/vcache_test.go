@@ -229,7 +229,7 @@ func TestResizeShrinkGrow(t *testing.T) {
 // TestPayloadFreeCache: with SlotBytes 0 the cache keeps keys only — no slab
 // is minted however many entries churn through it and views are empty — and
 // the prefetched flag, AddAtGuard's resident check and the invariants work as
-// with payloads. A negative slot size still panics.
+// with payloads. A negative slot size or a capacity of 0 still panics.
 func TestPayloadFreeCache(t *testing.T) {
 	c := vcache.New(vcache.Options{Capacity: 1000, Shards: 4})
 	for id := uint32(0); id < 10_000; id++ {
@@ -254,12 +254,16 @@ func TestPayloadFreeCache(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("New with SlotBytes -1 did not panic")
-		}
-	}()
-	vcache.New(vcache.Options{Capacity: 8, SlotBytes: -1})
+	for _, bad := range []vcache.Options{{Capacity: 8, SlotBytes: -1}, {Capacity: 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%+v) did not panic", bad)
+				}
+			}()
+			vcache.New(bad)
+		}()
+	}
 }
 
 func TestStats(t *testing.T) {
@@ -371,14 +375,16 @@ func (s *spec) get(id uint32) (specEntry, bool) {
 	return e, ok
 }
 
-func (s *spec) keys() []uint32 {
-	var keys []uint32
+// keys returns the ids MRU→LRU with their prefetched flags.
+func (s *spec) keys() ([]uint32, []bool) {
+	keys, pre := []uint32{}, []bool{}
 	for _, seg := range s.segs {
 		for _, e := range seg {
 			keys = append(keys, e.id)
+			pre = append(pre, e.pre)
 		}
 	}
-	return keys
+	return keys, pre
 }
 
 // specShards is one spec per shard with vcache's routing and capacity split
@@ -455,8 +461,8 @@ func TestEquivalenceRandomized(t *testing.T) {
 			for step := 0; step < 4000; step++ {
 				id := rng.Uint32() % keySpace
 				switch op := rng.Intn(10); {
-				case op < 4: // AddAt at random position
-					pos := rng.Float64()
+				case op < 4: // AddAt at random position, some outside [0, 1]: clamped to the ends
+					pos := rng.Float64()*1.5 - 0.25
 					gens[id]++
 					victim, evicted := vc.AddAt(id, payloadFor(id, gens[id]), pos, false)
 					wantVictim, wantEvicted := ref.of(id).addAt(specEntry{id: id, gen: gens[id]}, pos)
@@ -499,24 +505,29 @@ func TestEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// compareOrder asserts identical per-shard exact MRU->LRU key sequences.
+// compareOrder asserts identical per-shard exact MRU->LRU key sequences and
+// prefetched flags.
 func compareOrder(t *testing.T, step int, vc *vcache.Cache, ref specShards) {
 	t.Helper()
 	for i, s := range ref {
-		if got, want := vc.ShardKeys(i), s.keys(); !slices.Equal(got, want) {
-			t.Fatalf("step %d shard %d: vcache %v, spec %v", step, i, got, want)
+		got, gotPre := vc.ShardKeys(i)
+		want, wantPre := s.keys()
+		if !slices.Equal(got, want) || !slices.Equal(gotPre, wantPre) {
+			t.Fatalf("step %d shard %d: vcache %v %v, spec %v %v", step, i, got, gotPre, want, wantPre)
 		}
 	}
 }
 
 // TestOrderEquivalenceEveryOp is TestEquivalenceRandomized aimed at the
 // single-list/boundary-cursor structure: inserts land at the head of every
-// segment, promotions come from Get, capacities drop below the segment
-// count and grow back, and sparse phases (a handful of keys in a large,
-// mostly empty shard) leave runs of empty segments between occupied ones.
-// Before every operation Contains is probed, which must not promote; after
-// it the exact per-shard MRU→LRU order against the spec and the structural
-// invariants are checked.
+// segment, promotions come from Get and GetBatch, capacities drop below the
+// segment count and grow back, and sparse phases (a handful of keys in a
+// large, mostly empty shard) leave runs of empty segments between occupied
+// ones. A GetBatch is held to a Get per id in batch order, with its miss
+// fills inserted at the MRU end in between. Before every operation Contains
+// is probed, which must not promote; after it the exact per-shard MRU→LRU
+// order and prefetched flags against the spec and the structural invariants
+// are checked.
 func TestOrderEquivalenceEveryOp(t *testing.T) {
 	for _, cfg := range []struct {
 		capacity, shards int
@@ -556,10 +567,50 @@ func TestOrderEquivalenceEveryOp(t *testing.T) {
 					}
 				}
 				id := rng.Uint32() % keySpace
-				if want := slices.Contains(ref.of(id).keys(), id); vc.Contains(id) != want {
+				keys, _ := ref.of(id).keys()
+				if want := slices.Contains(keys, id); vc.Contains(id) != want {
 					t.Fatalf("step %d: Contains(%d) = %v, spec %v", step, id, !want, want)
 				}
-				switch op := rng.Intn(16); {
+				switch op := rng.Intn(18); {
+				case op >= 16: // GetBatch of distinct ids, some misses filled
+					ids := []uint32{id}
+					for n := rng.Intn(8); n > 0; n-- {
+						if next := rng.Uint32() % keySpace; !slices.Contains(ids, next) {
+							ids = append(ids, next)
+						}
+					}
+					fill := make([]bool, len(ids))
+					for i, id := range ids {
+						if fill[i] = rng.Intn(2) == 0; fill[i] {
+							gens[id]++
+						}
+					}
+					views := make([][]byte, len(ids))
+					release := vc.Lease() // the fills evict: keep the views' slots
+					gotPre := vc.GetBatch(ids, views, func(i int) []byte {
+						if !fill[i] {
+							return nil
+						}
+						return payloadFor(ids[i], gens[ids[i]])
+					})
+					wantPre := 0
+					for i, id := range ids {
+						e, hit := ref.of(id).get(id)
+						switch {
+						case hit && (views[i] == nil || views[i][4] != e.gen):
+							t.Fatalf("step %d: GetBatch %v: id %d hit in the spec (gen %d), view %v", step, ids, id, e.gen, views[i])
+						case !hit && views[i] != nil:
+							t.Fatalf("step %d: GetBatch %v: id %d missed in the spec, got a view", step, ids, id)
+						case hit && e.pre:
+							wantPre++
+						case !hit && fill[i]:
+							ref.of(id).addAt(specEntry{id: id, gen: gens[id]}, 0)
+						}
+					}
+					release()
+					if gotPre != wantPre {
+						t.Fatalf("step %d: GetBatch %v: %d prefetched hits, spec %d", step, ids, gotPre, wantPre)
+					}
 				case op < 6: // AddAt at the head of a chosen segment
 					pos := (float64(rng.Intn(vcache.Segments)) + 0.5) / vcache.Segments
 					pre := rng.Intn(3) == 0
@@ -726,8 +777,13 @@ func TestResizeUnderConcurrentServing(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in a -race build, whose runtime drops a
+// share of sync.Pool puts on purpose.
+var raceEnabled bool
+
 // TestHitPathZeroAlloc is the CI alloc-regression gate: the hit path — Get
-// under a pre-acquired lease — must not allocate.
+// under a pre-acquired lease, and GetBatch, whose shard chains are pooled
+// (checked without -race only) — must not allocate.
 func TestHitPathZeroAlloc(t *testing.T) {
 	t.Run("vcache", func(t *testing.T) {
 		// Capacity 8x the population so hash imbalance never evicts: every
@@ -747,6 +803,15 @@ func TestHitPathZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("vcache hit path allocates %v allocs/op, want 0", allocs)
+		}
+		ids := make([]uint32, 64)
+		for i := range ids {
+			ids[i] = uint32(i * 13)
+		}
+		views := make([][]byte, len(ids))
+		batchAllocs := testing.AllocsPerRun(1000, func() { c.GetBatch(ids, views, nil) })
+		if views[63] == nil || !raceEnabled && batchAllocs != 0 {
+			t.Fatalf("64-id GetBatch allocates %v allocs/op, want 0", batchAllocs)
 		}
 		// Lease acquire/release itself must also be allocation-free.
 		leaseAllocs := testing.AllocsPerRun(1000, func() { c.Lease()() })
@@ -783,7 +848,8 @@ func benchCache(b *testing.B) (*vcache.Cache, []uint32) {
 	}
 	var keys []uint32
 	for i := 0; i < c.NumShards(); i++ {
-		keys = append(keys, c.ShardKeys(i)...)
+		shardKeys, _ := c.ShardKeys(i)
+		keys = append(keys, shardKeys...)
 	}
 	rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 	return c, keys

@@ -36,6 +36,13 @@ type ServerStats struct {
 	ConnsActive int64 `json:"conns_active"`
 	Requests    int64 `json:"requests"`
 	Errors      int64 `json:"errors"` // error frames sent
+	// Handlers is the number of request handler goroutines alive across all
+	// connections, idle ones included, and HandlersMax its high-water mark.
+	// A connection keeps the handlers it starts until it closes, so Handlers
+	// follows the peak concurrency of the open connections, not the current
+	// load.
+	Handlers    int64 `json:"handlers"`
+	HandlersMax int64 `json:"handlers_max"`
 	// Ops breaks requests down by opcode; only opcodes that have been seen
 	// appear. Latency covers the full handle time of one request frame
 	// (parse, backend call, response encode) in microseconds.
@@ -84,9 +91,9 @@ type opMetrics struct {
 }
 
 // Server accepts bwp/1 connections and dispatches frames to a Backend.
-// Requests multiplexed on one connection are handled concurrently and
-// responses are written back as they finish, coalescing queued frames into
-// single flushes.
+// Requests multiplexed on one connection are handled concurrently, each by
+// one of the connection's handler goroutines, and responses are written back
+// as they finish, coalescing queued frames into single flushes.
 type Server struct {
 	Backend Backend
 	// MaxBatch caps ids per lookup request; 0 means DefaultMaxBatch.
@@ -96,6 +103,8 @@ type Server struct {
 	connsActive atomic.Int64
 	requests    atomic.Int64
 	errorFrames atomic.Int64
+	handlers    atomic.Int64
+	handlersMax atomic.Int64
 
 	// Per-opcode metrics are built lazily because Server is constructed as a
 	// zero value (&Server{Backend: ...}); opsOnce gives every goroutine a
@@ -123,6 +132,8 @@ func (s *Server) Stats() ServerStats {
 		ConnsActive: s.connsActive.Load(),
 		Requests:    s.requests.Load(),
 		Errors:      s.errorFrames.Load(),
+		Handlers:    s.handlers.Load(),
+		HandlersMax: s.handlersMax.Load(),
 	}
 	ops := s.opsTable()
 	for i := range ops {
@@ -174,7 +185,7 @@ func (s *Server) serveTracked(conn net.Conn) {
 func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
 
-	out := make(chan []byte, 64)
+	out := make(chan *[]byte, 64)
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
@@ -193,7 +204,24 @@ func (s *Server) ServeConn(conn net.Conn) {
 	writerWG.Wait()
 }
 
-func (s *Server) readLoop(conn net.Conn, out chan<- []byte, handlers *sync.WaitGroup) {
+// request is one well-framed request frame, handed from the read loop to a
+// handler.
+type request struct {
+	h       Header
+	payload []byte
+}
+
+// readLoop reads request frames and hands each to an idle handler of the
+// connection. The hand-off channel is unbuffered, so a send succeeds only
+// when a handler is waiting for work; when none is, the frame starts a new
+// handler, which then serves the connection until it closes. A connection
+// therefore runs as many handlers as it ever had requests in service at
+// once — a pipelining client is never blocked behind a slow request — and a
+// frame costs no goroutine start and no stack growth once its connection has
+// warmed up. Closing work on return stops the idle handlers.
+func (s *Server) readLoop(conn net.Conn, out chan<- *[]byte, handlers *sync.WaitGroup) {
+	work := make(chan request)
+	defer close(work)
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var hdr [HeaderLen]byte
 	for {
@@ -232,18 +260,38 @@ func (s *Server) readLoop(conn net.Conn, out chan<- []byte, handlers *sync.WaitG
 			continue
 		}
 		s.requests.Add(1)
-		handlers.Add(1)
-		go func() {
-			defer handlers.Done()
-			s.handle(h, payload, out)
-		}()
+		req := request{h: h, payload: payload}
+		select {
+		case work <- req:
+		default:
+			handlers.Add(1)
+			go s.handlerLoop(req, work, out, handlers)
+		}
+	}
+}
+
+// handlerLoop serves req, then every request the read loop hands it, until
+// the connection's work channel closes.
+func (s *Server) handlerLoop(req request, work <-chan request, out chan<- *[]byte, handlers *sync.WaitGroup) {
+	defer handlers.Done()
+	n := s.handlers.Add(1)
+	defer s.handlers.Add(-1)
+	for {
+		high := s.handlersMax.Load()
+		if n <= high || s.handlersMax.CompareAndSwap(high, n) {
+			break
+		}
+	}
+	s.handle(req.h, req.payload, out)
+	for req := range work {
+		s.handle(req.h, req.payload, out)
 	}
 }
 
 // handle services one request frame and queues the response, recording the
 // opcode's request count, error count, and full handle latency (parse +
 // backend call + response encode).
-func (s *Server) handle(h Header, payload []byte, out chan<- []byte) {
+func (s *Server) handle(h Header, payload []byte, out chan<- *[]byte) {
 	om := &s.opsTable()[opIndex(h.Opcode)]
 	om.requests.Add(1)
 	start := time.Now()
@@ -280,13 +328,14 @@ func (s *Server) handle(h Header, payload []byte, out chan<- []byte) {
 			failBackend(err)
 			return
 		}
-		pay := appendLookupResponse(make([]byte, 0, lookupResponseHeaderLen+len(vecs)*dim*2), dim, vecs)
+		// The vectors are copied once, from the backend's views straight
+		// into the pooled frame the writer sends.
+		frame := getFrame()
+		*frame = appendLookupFrame((*frame)[:0], resp, dim, vecs)
 		if release != nil {
-			// The vectors are serialized into pay; the backend's views are
-			// done with.
 			release()
 		}
-		out <- appendFrame(make([]byte, 0, HeaderLen+len(pay)+4), resp, pay)
+		out <- frame
 	case OpUpdate:
 		table, id, raw, err := parseUpdateRequest(payload)
 		if err != nil {
@@ -297,15 +346,22 @@ func (s *Server) handle(h Header, payload []byte, out chan<- []byte) {
 			failBackend(err)
 			return
 		}
-		out <- appendFrame(nil, resp, nil)
+		s.sendFrame(out, resp)
 	case OpPing:
-		out <- appendFrame(nil, resp, nil)
+		s.sendFrame(out, resp)
 	default:
 		fail(CodeBadRequest, "unknown opcode")
 	}
 }
 
-func (s *Server) sendBackendError(out chan<- []byte, reqID uint64, withCRC bool, err error) {
+// sendFrame queues an empty-payload response.
+func (s *Server) sendFrame(out chan<- *[]byte, h Header) {
+	frame := getFrame()
+	*frame = appendFrame((*frame)[:0], h, nil)
+	out <- frame
+}
+
+func (s *Server) sendBackendError(out chan<- *[]byte, reqID uint64, withCRC bool, err error) {
 	var werr *Error
 	if errors.As(err, &werr) {
 		s.sendError(out, reqID, withCRC, werr.Code, werr.Msg)
@@ -314,9 +370,28 @@ func (s *Server) sendBackendError(out chan<- []byte, reqID uint64, withCRC bool,
 	s.sendError(out, reqID, withCRC, CodeInternal, err.Error())
 }
 
-func (s *Server) sendError(out chan<- []byte, reqID uint64, withCRC bool, code uint16, msg string) {
+func (s *Server) sendError(out chan<- *[]byte, reqID uint64, withCRC bool, code uint16, msg string) {
 	s.errorFrames.Add(1)
-	out <- appendErrorFrame(nil, reqID, withCRC, code, msg)
+	frame := getFrame()
+	*frame = appendErrorFrame((*frame)[:0], reqID, withCRC, code, msg)
+	out <- frame
+}
+
+// framePool recycles response frame buffers: a handler encodes a frame into
+// one, and the writer returns it once the frame is copied into the
+// connection's buffered writer.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledFrame bounds the buffers kept for reuse, so one huge response
+// does not pin its buffer for the life of the process.
+const maxPooledFrame = 256 << 10
+
+func getFrame() *[]byte { return framePool.Get().(*[]byte) }
+
+func putFrame(frame *[]byte) {
+	if cap(*frame) <= maxPooledFrame {
+		framePool.Put(frame)
+	}
 }
 
 // writeLoop drains queued response frames into the connection. Frames that
@@ -325,14 +400,15 @@ func (s *Server) sendError(out chan<- []byte, reqID uint64, withCRC bool, code u
 // response is flushed immediately. After a write error it keeps draining
 // (discarding) so handlers never block, and closes the conn so the read
 // loop unblocks too.
-func (s *Server) writeLoop(conn net.Conn, out <-chan []byte) {
+func (s *Server) writeLoop(conn net.Conn, out <-chan *[]byte) {
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	var err error
 	for frame := range out {
 		for {
 			if err == nil {
-				_, err = bw.Write(frame)
+				_, err = bw.Write(*frame)
 			}
+			putFrame(frame)
 			select {
 			case next, ok := <-out:
 				if !ok {

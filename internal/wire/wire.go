@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 const (
@@ -164,17 +165,26 @@ func parseHeader(b []byte) (Header, error) {
 // appendFrame appends a complete frame (header, payload, optional CRC
 // trailer) to dst and returns the extended slice.
 func appendFrame(dst []byte, h Header, payload []byte) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, HeaderLen)...)
+	return sealFrame(append(dst, payload...), start, h)
+}
+
+// sealFrame completes the frame that begins at frame[start] and runs to the
+// end of frame: its first HeaderLen bytes become h's header, sized for the
+// payload behind them, and the CRC trailer is appended when h asks for one.
+// A payload encoded straight behind a reserved header is thus framed
+// without being copied again.
+func sealFrame(frame []byte, start int, h Header) []byte {
+	payload := frame[start+HeaderLen:]
 	h.Len = uint32(len(payload))
-	var hdr [HeaderLen]byte
-	putHeader(hdr[:], h)
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
+	putHeader(frame[start:], h)
 	if h.Flags&FlagCRC != 0 {
 		var tr [4]byte
 		binary.LittleEndian.PutUint32(tr[:], Checksum(payload))
-		dst = append(dst, tr[:]...)
+		frame = append(frame, tr[:]...)
 	}
-	return dst
+	return frame
 }
 
 // appendErrorFrame appends an error response frame for reqID to dst.
@@ -287,6 +297,15 @@ func appendLookupResponse(dst []byte, dim int, vecs [][]byte) []byte {
 		dst = append(dst, v...)
 	}
 	return dst
+}
+
+// appendLookupFrame appends a complete OpLookup response frame carrying
+// vecs, each vector's bytes copied once, into the payload behind the header.
+func appendLookupFrame(dst []byte, h Header, dim int, vecs [][]byte) []byte {
+	dst = slices.Grow(dst, HeaderLen+lookupResponseHeaderLen+len(vecs)*dim*2+4)
+	start := len(dst)
+	dst = append(dst, make([]byte, HeaderLen)...)
+	return sealFrame(appendLookupResponse(dst, dim, vecs), start, h)
 }
 
 // parseLookupResponse decodes an OpLookup response payload into per-id raw

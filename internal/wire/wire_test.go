@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -252,6 +253,112 @@ func TestConcurrentMultiplexed(t *testing.T) {
 	close(errs)
 	if err := <-errs; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHandlerReuseSequential: a client that waits for each response before
+// sending the next request keeps one handler busy at a time, so its
+// connection starts at most two handler goroutines over 1,000 lookups (the
+// second covers a handler caught between queueing its response and waiting
+// for the next request) instead of one per frame.
+func TestHandlerReuseSequential(t *testing.T) {
+	be := newMemBackend(8, "emb")
+	srv := &Server{Backend: be}
+	c := dialTest(t, startServer(t, srv), Options{})
+	ctx := testCtx(t)
+	for i := uint32(0); i < 1000; i++ {
+		if _, _, err := c.LookupBatchRaw(ctx, "emb", []uint32{i, i + 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := srv.Stats(); st.HandlersMax < 1 || st.HandlersMax > 2 || st.Handlers != st.HandlersMax {
+		t.Fatalf("1,000 sequential lookups on one connection: %d handlers alive, %d at most; want 1 or 2 started and kept", st.Handlers, st.HandlersMax)
+	}
+}
+
+// barrierBackend holds every lookup until n lookups are inside it together.
+type barrierBackend struct {
+	*memBackend
+	n int
+
+	mu     sync.Mutex
+	inside int
+	all    chan struct{}
+}
+
+func (b *barrierBackend) LookupBatchRaw(table string, ids []uint32) (int, [][]byte, func(), error) {
+	b.mu.Lock()
+	if b.inside++; b.inside == b.n {
+		close(b.all)
+	}
+	b.mu.Unlock()
+	select {
+	case <-b.all:
+		return b.memBackend.LookupBatchRaw(table, ids)
+	case <-time.After(10 * time.Second):
+		return 0, nil, nil, errors.New("lookup waited for the others in vain: requests were serialized")
+	}
+}
+
+// runPipelined sends n lookups at once over c and fails the test unless all
+// of them succeed.
+func runPipelined(t *testing.T, c *Client, n int) {
+	t.Helper()
+	ctx := testCtx(t)
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(id uint32) {
+			_, _, err := c.LookupBatchRaw(ctx, "emb", []uint32{id})
+			errs <- err
+		}(uint32(i))
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestHandlerPerPipelinedRequest: 16 requests pipelined on one connection
+// complete against a backend that lets none return until all 16 are inside
+// it, so a request never waits behind another's backend call.
+func TestHandlerPerPipelinedRequest(t *testing.T) {
+	be := &barrierBackend{memBackend: newMemBackend(8, "emb"), n: 16, all: make(chan struct{})}
+	srv := &Server{Backend: be}
+	c := dialTest(t, startServer(t, srv), Options{})
+	runPipelined(t, c, 16)
+	if st := srv.Stats(); st.HandlersMax != 16 {
+		t.Fatalf("16 concurrent requests ran on %d handlers", st.HandlersMax)
+	}
+}
+
+// TestHandlersEndWithConn: when its connection closes, every handler it
+// started exits and the goroutine count returns to where it was before the
+// client dialed.
+func TestHandlersEndWithConn(t *testing.T) {
+	be := &barrierBackend{memBackend: newMemBackend(8, "emb"), n: 16, all: make(chan struct{})}
+	srv := &Server{Backend: be}
+	addr := startServer(t, srv)
+	baseline := runtime.NumGoroutine()
+	c, err := Dial(addr, Options{DialTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runPipelined(t, c, 16)
+	if st := srv.Stats(); st.Handlers != 16 {
+		t.Fatalf("%d handlers alive on an open connection after 16 concurrent requests, want 16", st.Handlers)
+	}
+	c.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, n := srv.Stats(), runtime.NumGoroutine()
+		if st.Handlers == 0 && st.ConnsActive == 0 && n <= baseline {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after close: %d handlers, %d connections, %d goroutines (baseline %d)", st.Handlers, st.ConnsActive, n, baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
