@@ -229,7 +229,7 @@ func TestResizeShrinkGrow(t *testing.T) {
 // TestPayloadFreeCache: with SlotBytes 0 the cache keeps keys only — no slab
 // is minted however many entries churn through it and views are empty — and
 // the prefetched flag, AddAtGuard's resident check and the invariants work as
-// with payloads. A negative slot size or a capacity of 0 still panics.
+// with payloads. A negative slot size still panics.
 func TestPayloadFreeCache(t *testing.T) {
 	c := vcache.New(vcache.Options{Capacity: 1000, Shards: 4})
 	for id := uint32(0); id < 10_000; id++ {
@@ -254,15 +254,37 @@ func TestPayloadFreeCache(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []vcache.Options{{Capacity: 8, SlotBytes: -1}, {Capacity: 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New(%+v) did not panic", bad)
-				}
-			}()
-			vcache.New(bad)
-		}()
+	defer func() {
+		if recover() == nil {
+			t.Error("New with SlotBytes -1 did not panic")
+		}
+	}()
+	vcache.New(vcache.Options{Capacity: 8, SlotBytes: -1})
+}
+
+func TestNewPanicsOnBadCapacity(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New with Capacity 0 did not panic")
+		}
+	}()
+	vcache.New(vcache.Options{})
+}
+
+// TestAddAtClampsPosition: a position below 0 inserts at the MRU end, one
+// above 1 at the head of the last segment.
+func TestAddAtClampsPosition(t *testing.T) {
+	c := vcache.New(vcache.Options{Capacity: 2 * vcache.Segments}) // segments of 2
+	for id := uint32(0); id < 2*vcache.Segments; id++ {
+		c.Add(id, nil, false)
+	}
+	c.AddAt(100, nil, -5, false)
+	c.AddAt(101, nil, 7, false)
+	if keys, _ := c.ShardKeys(0); keys[0] != 100 || keys[len(keys)-2] != 101 {
+		t.Fatalf("MRU→LRU %v: want 100 first and 101 heading the last segment", keys)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
