@@ -91,7 +91,7 @@ func main() {
 		adaptBudget   = flag.Int("adapt-budget", 0, "max NVM blocks migrated per adaptation epoch (0 = unlimited)")
 		adaptSample   = flag.Int("adapt-sample", 1, "record 1 in N queries for adaptation (higher = cheaper)")
 
-		ioQD = flag.Int("io-qd", 0, "NVM queue depth of the I/O scheduler: how many requests issue their misses at once — on the file backend the realised depth, since one device call is sequential preads — and the most blocks per device call (0 = default 8)")
+		ioQD = flag.Int("io-qd", 0, "NVM queue depth of the I/O scheduler: how many requests issue their misses at once — on the file backend the realised depth, since one device call reads its blocks one after another — and the most blocks per device call (0 = default 8)")
 
 		replicaOf   = flag.String("replica-of", "", "bootstrap from this primary's snapshot stream and serve read-only (requires --data-dir)")
 		replicaPoll = flag.Duration("replica-poll", 2*time.Second, "how often a replica polls the primary's snapshot seq")

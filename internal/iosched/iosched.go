@@ -33,8 +33,9 @@
 // relies on.
 //
 // A device call is what the device model is told overlaps, and concurrent
-// calls add up in its queue depth. The file backend serves one call as
-// sequential preads, so there the realised queue depth is the number of
+// calls add up in its queue depth. The file backend serves one call block
+// by block — copies out of its mapped data region, or sequential preads
+// under O_DIRECT — so there the realised queue depth is the number of
 // concurrent issuers — Stats.InFlight, bounded by QueueDepth — and the
 // service latency reported here is the model's, not the wall clock's.
 package iosched

@@ -9,9 +9,10 @@ import (
 
 // TestCrossBackendPropertyEquivalence drives one randomized op sequence
 // (writes of random lengths, reads, and — for the file backends — periodic
-// close/reopen cycles) against MemStore, a buffered FileStore and (where the
-// filesystem supports O_DIRECT) a direct-I/O FileStore, and asserts all
-// backends expose byte-identical block images throughout and at the end.
+// close/reopen cycles) against MemStore, a buffered FileStore reading through
+// its mapping and (where the filesystem supports O_DIRECT) a direct-I/O
+// FileStore reading with pread, and asserts all backends expose
+// byte-identical block images throughout and at the end.
 func TestCrossBackendPropertyEquivalence(t *testing.T) {
 	const numBlocks = 24
 	const ops = 600
@@ -22,29 +23,42 @@ func TestCrossBackendPropertyEquivalence(t *testing.T) {
 
 	// Each file leg: path + options; reopened in place mid-sequence.
 	type fileLeg struct {
-		name  string
-		path  string
-		opts  FileStoreOptions
-		store *FileStore
+		name     string
+		path     string
+		opts     FileStoreOptions
+		readPath string
+		store    *FileStore
 	}
-	legs := []*fileLeg{
-		{name: "file", path: filepath.Join(dir, "nvm.bnd"), opts: FileStoreOptions{RingBlocks: minRingBlocks}},
-	}
+	legs := []*fileLeg{{
+		name:     "file",
+		path:     filepath.Join(dir, "nvm.bnd"),
+		opts:     FileStoreOptions{RingBlocks: minRingBlocks},
+		readPath: bufferedReadPath(),
+	}}
 	if DirectIOSupported(dir) {
 		legs = append(legs, &fileLeg{
-			name: "file-direct",
-			path: filepath.Join(dir, "nvm-direct.bnd"),
-			opts: FileStoreOptions{RingBlocks: minRingBlocks, Direct: true},
+			name:     "file-direct",
+			path:     filepath.Join(dir, "nvm-direct.bnd"),
+			opts:     FileStoreOptions{RingBlocks: minRingBlocks, Direct: true},
+			readPath: "pread",
 		})
 	} else {
 		t.Log("skipping file-direct leg: filesystem rejects O_DIRECT")
+	}
+	// Every open of a leg, the create and each reopen, must take its read path.
+	opened := func(leg *fileLeg, s *FileStore) {
+		t.Helper()
+		if got := s.BackendStats().ReadPath; got != leg.readPath {
+			t.Fatalf("%s reads by %q, want %q", leg.name, got, leg.readPath)
+		}
+		leg.store = s
 	}
 	for _, leg := range legs {
 		s, err := CreateFileStore(leg.path, numBlocks, leg.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		leg.store = s
+		opened(leg, s)
 	}
 	defer func() {
 		for _, leg := range legs {
@@ -115,7 +129,7 @@ func TestCrossBackendPropertyEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("op %d: reopen %s: %v", op, leg.name, err)
 				}
-				leg.store = s
+				opened(leg, s)
 			}
 		}
 	}

@@ -167,17 +167,24 @@ func (d *Device) ReadBlocks(idxs []int, dst []byte) (latencyUS float64, err erro
 	if err := d.store.ReadBlocks(idxs, dst); err != nil {
 		return 0, err
 	}
-	first := d.noise.take(len(idxs))
-	for i := range idxs {
-		if l := d.model.latencyAtUS(d.noise.at(first+uint64(i)), inflight); l > latencyUS {
-			latencyUS = l
-		}
-	}
+	latencyUS = d.batchLatencyUS(d.noise.take(len(idxs)), len(idxs), inflight)
 
 	d.blocksRead.Add(int64(len(idxs)))
 	d.readBatches.Inc()
 	d.readLatency.Observe(latencyUS)
 	return latencyUS, nil
+}
+
+// batchLatencyUS is the largest latency of the n reads whose noise draws
+// start at draw first. A latency is exp(mu + sigma·z) with sigma > 0, so it
+// grows with z: the largest draw gives the largest latency, and the model is
+// solved once per call instead of once per block.
+func (d *Device) batchLatencyUS(first uint64, n, inflight int) float64 {
+	z := d.noise.at(first)
+	for i := 1; i < n; i++ {
+		z = max(z, d.noise.at(first+uint64(i)))
+	}
+	return d.model.latencyAtUS(z, inflight)
 }
 
 // WriteBlock writes src as block idx.

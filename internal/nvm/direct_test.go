@@ -137,12 +137,8 @@ func TestFileStoreDirectAlignmentInvariants(t *testing.T) {
 		t.Fatalf("BouncedReads = %d after %d reads into a misaligned buffer", got, unalignedReads)
 	}
 	// Crash (no clean close) and reopen in direct mode: the replay path must
-	// obey the invariant too. A real crash takes the ring's GC goroutine with
-	// it; here it must be stopped first, because a watermark write in flight
-	// keeps the descriptor — and its flock — open past Close, and the reopen
-	// below then finds the file locked.
-	s.ring.stop()
-	s.f.Close()
+	// obey the invariant too.
+	crash(s)
 	r, err := OpenFileStore(path, FileStoreOptions{Direct: true})
 	if err != nil {
 		t.Fatal(err)
@@ -225,8 +221,7 @@ func TestRingJournalRejectsPatchRecord(t *testing.T) {
 	if err := s.WriteBlock(4, fillBlock(0xBB)); err != nil { // the chain goes on past it
 		t.Fatal(err)
 	}
-	s.ring.stop()
-	s.f.Close() // crash: the record is still live in the ring
+	crash(s) // the record is still live in the ring
 
 	_, err = OpenFileStore(path, FileStoreOptions{})
 	if err == nil || !strings.Contains(err.Error(), "written by an older version") {
@@ -318,7 +313,7 @@ func TestFileStoreDirectCrashRecovery(t *testing.T) {
 	if err := s.WriteBlock(3, fillBlock(0x55)); err == nil {
 		t.Fatal("expected injected write fault")
 	}
-	s.f.Close() // crash
+	crash(s)
 
 	r, err := OpenFileStore(path, FileStoreOptions{Direct: true})
 	if err != nil {

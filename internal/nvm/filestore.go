@@ -40,8 +40,15 @@ import (
 // journal-before-data ordering also holds across power loss; the other modes
 // guarantee consistency across process crashes only.
 //
-// Reads and writes use offset I/O (pread/pwrite) with per-block-stripe
-// RW locks, so independent blocks are accessed with no shared lock at all and
+// Writes use offset I/O (pwrite). A buffered store maps its data region
+// read-only and MAP_SHARED at open, and a block read is a copy out of that
+// mapping: the page cache is the one copy of the file, so the mapping sees
+// every pwrite once it returns, and a read costs a memmove instead of a
+// syscall. A direct store must bypass the page cache and so reads with
+// pread, as does a platform that cannot map the file (BackendStats.ReadPath
+// says which). Both paths take per-block-stripe RW locks — a read shares its
+// block's stripe, a write holds it — so a read never sees a half-written
+// block, independent blocks are accessed with no shared lock at all, and
 // concurrent reads of the same block never block each other.
 type FileStore struct {
 	f          *os.File
@@ -50,6 +57,14 @@ type FileStore struct {
 	dataOff    int64
 	sync       SyncMode
 	direct     bool
+
+	// mapping is the read-only mapping of the data region (nil: reads use
+	// pread) and data its NumBlocks*BlockSize bytes. Close drops both under
+	// every stripe lock; readers look at them under their block's stripe.
+	// readPath ("mmap" or "pread") is fixed at open.
+	mapping  []byte
+	data     []byte
+	readPath string
 
 	ring  *ringJournal
 	locks [blockStripes]sync.RWMutex
@@ -292,6 +307,7 @@ func CreateFileStore(path string, numBlocks int, opts FileStoreOptions) (*FileSt
 		f.Close()
 		return nil, fmt.Errorf("nvm: sync superblock: %w", err)
 	}
+	s.mapData()
 	s.ring.start()
 	return s, nil
 }
@@ -381,6 +397,7 @@ func OpenFileStore(path string, opts FileStoreOptions) (*FileStore, error) {
 		f.Close()
 		return nil, err
 	}
+	s.mapData()
 	s.ring.start()
 	return s, nil
 }
@@ -432,6 +449,40 @@ func newFileStore(f *os.File, numBlocks int, opts FileStoreOptions, direct bool)
 		go s.flushLoop(opts.FlushInterval)
 	}
 	return s
+}
+
+// mapData sets up the read path once the store is open: a buffered store
+// maps its data region, a direct one (whose reads must bypass the page
+// cache) or one the platform cannot map reads with pread.
+func (s *FileStore) mapData() {
+	s.readPath = "pread"
+	if s.direct {
+		return
+	}
+	s.mapping, s.data = mapRegion(s.f, s.dataOff, int64(s.n)*BlockSize)
+	if s.mapping != nil {
+		s.readPath = "mmap"
+	}
+}
+
+// unmap drops the data mapping. It takes every stripe lock first, so a read
+// in flight finishes its copy before the pages go, and a read after it finds
+// no mapping and takes the pread path instead of faulting.
+func (s *FileStore) unmap() error {
+	for i := range s.locks {
+		s.locks[i].Lock()
+	}
+	defer func() {
+		for i := range s.locks {
+			s.locks[i].Unlock()
+		}
+	}()
+	if s.mapping == nil {
+		return nil
+	}
+	err := unmapRegion(s.mapping)
+	s.mapping, s.data = nil, nil
+	return err
 }
 
 // readAt is the single pread choke point. In direct mode an unaligned
@@ -545,16 +596,20 @@ func (s *FileStore) ReadBlock(idx int, dst []byte) error {
 	lock := &s.locks[idx%blockStripes]
 	lock.RLock()
 	defer lock.RUnlock()
+	if s.data != nil {
+		copy(dst[:BlockSize], s.data[idx*BlockSize:])
+		return nil
+	}
 	return s.readAt(dst[:BlockSize], s.dataOff+int64(idx)*BlockSize)
 }
 
 // ReadBlocks implements BlockStore: it reads block idxs[i] into
-// dst[i*BlockSize:(i+1)*BlockSize] with one pread per block, one after the
-// other, and no shared lock across blocks. One call therefore reaches the
-// file at queue depth 1 whatever depth the device model charges for it; the
-// file sees depth from concurrent callers — the I/O scheduler lets up to its
-// QueueDepth of them issue at once. Overlapping the preads of one call
-// belongs behind this method.
+// dst[i*BlockSize:(i+1)*BlockSize] one block after the other, each under its
+// own stripe RLock and no shared lock across blocks. A buffered store copies
+// each block out of its mapping; a direct store issues one pread per block,
+// so one call reaches the file at queue depth 1 whatever depth the device
+// model charges for it, and the file sees depth from concurrent callers —
+// the I/O scheduler lets up to its QueueDepth of them issue at once.
 func (s *FileStore) ReadBlocks(idxs []int, dst []byte) error {
 	if len(dst) < len(idxs)*BlockSize {
 		return fmt.Errorf("nvm: destination buffer too small for %d blocks: %d", len(idxs), len(dst))
@@ -764,6 +819,7 @@ func (s *FileStore) BackendStats() BackendStats {
 	return BackendStats{
 		Backend:              "file",
 		DirectIO:             s.direct,
+		ReadPath:             s.readPath,
 		JournalWrites:        s.ring.appends.Load(),
 		JournalBytesAppended: s.ring.bytesAppended.Load(),
 		JournalGCRuns:        s.ring.gcRuns.Load(),
@@ -777,7 +833,9 @@ func (s *FileStore) BackendStats() BackendStats {
 }
 
 // Close flushes, retires completed journal records (a clean shutdown leaves
-// nothing to recover) and closes the backing file. It is idempotent.
+// nothing to recover), drops the data mapping once the reads in flight have
+// finished and closes the backing file; a read after Close fails. It is
+// idempotent.
 func (s *FileStore) Close() error {
 	s.closeOnce.Do(func() {
 		if s.stopFlush != nil {
@@ -790,6 +848,9 @@ func (s *FileStore) Close() error {
 		// (idempotent) replay work then.
 		flushErr := s.ring.gc()
 		if err := s.f.Sync(); flushErr == nil {
+			flushErr = err
+		}
+		if err := s.unmap(); flushErr == nil {
 			flushErr = err
 		}
 		s.closeErr = s.f.Close()

@@ -21,6 +21,17 @@ func fillBlock(tag byte) []byte {
 	return b
 }
 
+// crash abandons s the way a killed process would: no journal retirement,
+// no sync, no Close. What the process held goes with it — the ring's GC
+// goroutine (a watermark write in flight keeps the descriptor open), the
+// data mapping (it holds the open file) and the descriptor — so a reopen
+// can take the flock again.
+func crash(s *FileStore) {
+	s.ring.stop()
+	s.unmap()
+	s.f.Close()
+}
+
 func TestFileStorePersistsAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nvm.bnd")
 	s, err := CreateFileStore(path, 8, FileStoreOptions{})
@@ -96,7 +107,7 @@ func TestFileStoreRecoveryReplaysTornDataWrite(t *testing.T) {
 	if err := s.WriteBlock(2, newData); err == nil {
 		t.Fatal("expected injected write fault")
 	}
-	s.f.Close() // simulate the crash: no journal cleanup, no sync
+	crash(s)
 
 	r, err := OpenFileStore(path, FileStoreOptions{})
 	if err != nil {
@@ -132,7 +143,7 @@ func TestFileStoreRecoveryRollsBackTornJournalWrite(t *testing.T) {
 	if err := s.WriteBlock(2, fillBlock(0x55)); err == nil {
 		t.Fatal("expected injected write fault")
 	}
-	s.f.Close()
+	crash(s)
 
 	r, err := OpenFileStore(path, FileStoreOptions{})
 	if err != nil {
@@ -168,7 +179,7 @@ func TestFileStoreRecoveryNeverRollsBackCompletedWrites(t *testing.T) {
 	if err := s.WriteBlock(1, fillBlock(0x22)); err == nil {
 		t.Fatal("expected injected write fault")
 	}
-	s.f.Close() // crash
+	crash(s)
 
 	r, err := OpenFileStore(path, FileStoreOptions{})
 	if err != nil {
@@ -304,7 +315,7 @@ func TestFileStoreQuarantineReleasedBySupersedingWrite(t *testing.T) {
 		if err := s.WriteBlock(1, fillBlock(2)); err != nil {
 			t.Fatal(err)
 		}
-		s.f.Close() // crash without clean Close
+		crash(s)
 
 		r, err := OpenFileStore(path, FileStoreOptions{})
 		if err != nil {
@@ -337,7 +348,7 @@ func TestFileStoreBulkRewriteNotClobberedByStaleJournal(t *testing.T) {
 	if err := s.WriteBlockUnjournaled(2, fillBlock(0xBB)); err != nil { // bulk rewrite
 		t.Fatal(err)
 	}
-	s.f.Close() // crash without clean Close
+	crash(s)
 
 	r, err := OpenFileStore(path, FileStoreOptions{})
 	if err != nil {

@@ -350,6 +350,38 @@ func TestDeviceLatencySequenceIsSeeded(t *testing.T) {
 	}
 }
 
+// TestBatchLatencyIsPerBlockMaximum: solving the model once, for a call's
+// largest draw, gives bit for bit the largest of its per-block latencies at
+// every seed, batch size and depth, and a call still reserves one draw per
+// block.
+func TestBatchLatencyIsPerBlockMaximum(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3000; trial++ {
+		d := NewDevice(DeviceConfig{NumBlocks: 1, Seed: rng.Int63()})
+		n, depth, first := 1+rng.Intn(64), 1+rng.Intn(16), uint64(rng.Intn(1<<20))
+		want := 0.0
+		for i := 0; i < n; i++ {
+			want = max(want, d.model.latencyAtUS(d.noise.at(first+uint64(i)), depth))
+		}
+		if got := d.batchLatencyUS(first, n, depth); got != want {
+			t.Fatalf("seed %d, %d blocks at depth %d from draw %d: %v, per-block maximum %v",
+				d.noise.seed, n, depth, first, got, want)
+		}
+	}
+
+	d := NewDevice(DeviceConfig{NumBlocks: 8, Seed: 3})
+	buf := make([]byte, 8*BlockSize)
+	for _, n := range []int{1, 3, 8} {
+		before := d.noise.draws.Load()
+		if _, err := d.ReadBlocks([]int{0, 1, 2, 3, 4, 5, 6, 7}[:n], buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.noise.draws.Load() - before; got != uint64(n) {
+			t.Fatalf("a call of %d blocks took %d draws", n, got)
+		}
+	}
+}
+
 func TestDriveWritesAccounting(t *testing.T) {
 	d := NewDevice(DeviceConfig{NumBlocks: 4, Seed: 1, EnduranceDWPD: 10})
 	buf := make([]byte, BlockSize)

@@ -40,7 +40,7 @@ func TestRingJournalWrapRecovery(t *testing.T) {
 		// 40 block records at 8 KB each plus at least one 4 KB pad per lap.
 		t.Fatalf("JournalBytesAppended=%d suggests no pad records were written", st.JournalBytesAppended)
 	}
-	s.f.Close() // crash
+	crash(s)
 
 	r, err := OpenFileStore(path, FileStoreOptions{})
 	if err != nil {
@@ -95,7 +95,7 @@ func TestRingJournalTornWatermarkFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	newestSlot := s.ring.wmOff(2)
-	s.f.Close() // crash
+	crash(s)
 
 	// Simulate the generation-2 watermark pwrite having been torn: flip a
 	// byte inside its CRC-protected region.
@@ -155,7 +155,7 @@ func TestRingJournalGCCrash(t *testing.T) {
 		t.Fatal("expected injected fault during GC watermark write")
 	}
 	s.faultArmed.Store(false)
-	s.f.Close() // crash
+	crash(s)
 
 	r, err := OpenFileStore(path, FileStoreOptions{})
 	if err != nil {

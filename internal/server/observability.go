@@ -195,7 +195,11 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		if dev.Store.DirectIO {
 			direct = "true"
 		}
-		return metrics.CounterSample(metrics.L("backend", dev.Store.Backend, "direct_io", direct), 1)
+		labels := metrics.L("backend", dev.Store.Backend, "direct_io", direct)
+		if dev.Store.ReadPath != "" { // file backend: "mmap" or "pread"
+			labels = append(labels, metrics.Label{Key: "read_path", Value: dev.Store.ReadPath})
+		}
+		return metrics.CounterSample(labels, 1)
 	})
 	deviceCounter := func(name, help string, f func(s *core.Store) float64) {
 		r.Register(name, "counter", help, func() []metrics.Sample {

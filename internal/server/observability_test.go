@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -204,6 +206,72 @@ func TestMetricsEndpoint(t *testing.T) {
 	if strings.Contains(out, "bandana_stage_duration_us_count{stage=\"serialize\"} 0\n") {
 		t.Errorf("serialize stage count is zero:\n%s", grepLines(out, "serialize"))
 	}
+}
+
+// TestMetricsDeviceReadPath: bandana_device_info and /v1/stats name how the
+// file backend reads a block — through its mapping when buffered, with pread
+// under O_DIRECT (where the filesystem takes it) — and the mem backend's
+// descriptor has no read_path label.
+func TestMetricsDeviceReadPath(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the mapped read path is asserted on linux")
+	}
+	type leg struct {
+		direct   bool
+		readPath string
+	}
+	legs := []leg{{false, "mmap"}}
+	if nvm.DirectIOSupported(t.TempDir()) {
+		legs = append(legs, leg{true, "pread"})
+	} else {
+		t.Log("no file-direct leg: the filesystem rejects O_DIRECT")
+	}
+	g := table.Generate("tA", table.GenerateOptions{NumVectors: 512, Dim: 16, NumClusters: 8, Seed: 1})
+	for _, l := range legs {
+		store, err := core.Open(core.Config{
+			Tables:  []*table.Table{g.Table},
+			Seed:    1,
+			Backend: core.BackendFile,
+			DataDir: t.TempDir() + "/store",
+			Direct:  l.direct,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(New(store).Handler())
+		out := scrape(t, ts.URL)
+		var stats statsResponse
+		getJSON(t, ts.URL+"/v1/stats", &stats)
+		ts.Close()
+		store.Close()
+		want := fmt.Sprintf(`bandana_device_info{backend="file",direct_io="%v",read_path="%s"} 1`+"\n", l.direct, l.readPath)
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition lacks %s%s", want, grepLines(out, "bandana_device_info"))
+		}
+		if stats.Device.ReadPath != l.readPath {
+			t.Errorf("direct=%v: /v1/stats readPath %q, want %q", l.direct, stats.Device.ReadPath, l.readPath)
+		}
+	}
+
+	ts, _ := newObsServer(t)
+	if out := scrape(t, ts.URL); !strings.Contains(out, `bandana_device_info{backend="mem",direct_io="false"} 1`+"\n") {
+		t.Errorf("mem backend descriptor:\n%s", grepLines(out, "bandana_device_info"))
+	}
+}
+
+// scrape fetches and validates the exposition at base/metrics.
+func scrape(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := metrics.ValidateExposition(io.TeeReader(resp.Body, &buf)); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, buf.String())
+	}
+	return buf.String()
 }
 
 // TestMetricsPredictedNextToObserved trains the store and checks that the

@@ -518,11 +518,14 @@ type deviceStats struct {
 	// the journal/flush counters are non-zero for the file backend only.
 	// DirectIO reports whether the block file is open with O_DIRECT (false
 	// also when it was requested but the filesystem fell back to buffered
+	// I/O). ReadPath is how the file backend reads a block: "mmap" (a copy
+	// out of its mapping of the data region, buffered I/O) or "pread" (direct
 	// I/O). JournalBytesAppended / JournalGCRuns / RingUtilization describe
 	// the ring journal: total bytes appended, head-advancing GC watermark
 	// writes, and the live fraction of the ring region.
 	Backend              string  `json:"backend"`
 	DirectIO             bool    `json:"directIO"`
+	ReadPath             string  `json:"readPath,omitempty"`
 	JournalWrites        int64   `json:"journalWrites"`
 	JournalBytesAppended int64   `json:"journalBytesAppended"`
 	JournalGCRuns        int64   `json:"journalGCRuns"`
@@ -552,6 +555,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			CoalescedReads:       dev.CoalescedReads,
 			Backend:              dev.Store.Backend,
 			DirectIO:             dev.Store.DirectIO,
+			ReadPath:             dev.Store.ReadPath,
 			JournalWrites:        dev.Store.JournalWrites,
 			JournalBytesAppended: dev.Store.JournalBytesAppended,
 			JournalGCRuns:        dev.Store.JournalGCRuns,
