@@ -69,12 +69,13 @@
 //
 // # Admission policies
 //
-// The admission policies of §4.3 (AlwaysAdmit, ShadowAdmit, ShadowPosition,
-// ThresholdAdmit) are a single set of implementations shared by the trace
-// simulator and the live store. Train installs the tuned ThresholdAdmit
-// automatically — a prefetch threshold for a block's neighbours and a demand
-// threshold below which a requested vector is cached on probation instead of
-// at the MRU end; SetAdmissionPolicy swaps in any other policy at runtime.
+// The admission policies of §4.3 (always, shadow-cache, shadow-position and
+// threshold admission) are a single set of implementations, in
+// internal/cache, shared by the trace simulator and the live store. Train
+// installs the tuned threshold policy automatically — a prefetch threshold
+// for a block's neighbours and a demand threshold below which a requested
+// vector is cached on probation instead of at the MRU end;
+// SetAdmissionPolicy swaps in any other policy at runtime.
 //
 // The subpackages under internal/ implement the substrates (NVM device
 // model, trace generation, partitioners, cache simulation); this package
@@ -224,14 +225,6 @@ func DefaultProfiles(scale float64) []Profile { return trace.DefaultProfiles(sca
 func GenerateWorkload(profiles []Profile, numRequests int) *Workload {
 	return trace.GenerateWorkload(profiles, numRequests)
 }
-
-// GenerateTrace produces a synthetic trace for a single table profile.
-func GenerateTrace(p Profile, numQueries int) *Trace { return trace.GenerateTable(p, numQueries) }
-
-// CommunityAssignment returns the co-access community of every vector for a
-// profile; passing it to GenerateTable aligns embedding geometry with
-// co-access so that semantic (K-means) partitioning has signal.
-func CommunityAssignment(p Profile) []int32 { return trace.CommunityAssignment(p) }
 
 // Device is a simulated block-NVM device.
 type Device = nvm.Device

@@ -1,57 +1,10 @@
 package bandana_test
 
 import (
-	"io"
 	"testing"
 
 	"bandana"
-	"bandana/internal/experiments"
 )
-
-// The benchmarks below regenerate the paper's tables and figures (one bench
-// per artefact) at a reduced scale, plus ablation benches for SHP iterations,
-// the admission policy and the stack-distance estimator. Run them with:
-//
-//	go test -bench=. -benchmem
-//
-// Use cmd/bandana (`bandana run --all`) for the full-scale run.
-
-// benchRunner is shared across benchmarks so that the expensive artefacts
-// (workload generation, SHP training) are built once and reused; each bench
-// then measures its experiment's own work.
-var benchRunner = experiments.NewRunner(experiments.QuickOptions())
-
-func benchmarkExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tbl, err := benchRunner.Run(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tbl.Format(io.Discard)
-	}
-}
-
-func BenchmarkFig2NVMQueueDepth(b *testing.B)      { benchmarkExperiment(b, "fig2") }
-func BenchmarkTable1Characterization(b *testing.B) { benchmarkExperiment(b, "table1") }
-func BenchmarkFig3HitRateCurves(b *testing.B)      { benchmarkExperiment(b, "fig3") }
-func BenchmarkFig4AccessHistograms(b *testing.B)   { benchmarkExperiment(b, "fig4") }
-func BenchmarkFig5BaselineLatency(b *testing.B)    { benchmarkExperiment(b, "fig5") }
-func BenchmarkFig6KMeansClusters(b *testing.B)     { benchmarkExperiment(b, "fig6") }
-func BenchmarkFig7PartitionerRuntime(b *testing.B) { benchmarkExperiment(b, "fig7") }
-func BenchmarkFig8RecursiveKMeans(b *testing.B)    { benchmarkExperiment(b, "fig8") }
-func BenchmarkFig9SHPUnlimited(b *testing.B)       { benchmarkExperiment(b, "fig9") }
-func BenchmarkFig10NaivePrefetch(b *testing.B)     { benchmarkExperiment(b, "fig10") }
-func BenchmarkFig11AdmissionPolicies(b *testing.B) { benchmarkExperiment(b, "fig11") }
-func BenchmarkFig12AccessThreshold(b *testing.B)   { benchmarkExperiment(b, "fig12") }
-func BenchmarkTable2MiniatureCaches(b *testing.B)  { benchmarkExperiment(b, "table2") }
-func BenchmarkFig13CacheSize(b *testing.B)         { benchmarkExperiment(b, "fig13") }
-func BenchmarkFig14SamplingRate(b *testing.B)      { benchmarkExperiment(b, "fig14") }
-func BenchmarkFig15TrainingSize(b *testing.B)      { benchmarkExperiment(b, "fig15") }
-func BenchmarkFig16VectorSize(b *testing.B)        { benchmarkExperiment(b, "fig16") }
-func BenchmarkAblationSHPIterations(b *testing.B)  { benchmarkExperiment(b, "ablation-shp") }
-func BenchmarkAblationAdmission(b *testing.B)      { benchmarkExperiment(b, "ablation-admission") }
-func BenchmarkAblationStackDistance(b *testing.B)  { benchmarkExperiment(b, "ablation-mrc") }
 
 // hitPathStore builds a single-table store whose cache holds the entire
 // table, then warms it so every subsequent lookup is a cache hit. This

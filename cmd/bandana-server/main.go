@@ -2,8 +2,8 @@
 //
 // It builds synthetic embedding tables (scaled-down versions of the paper's
 // Table 1), optionally trains placement and caching from a synthetic trace,
-// and serves lookups over JSON/HTTP. It is the network-facing counterpart of
-// examples/recommender and is meant for load testing and demos.
+// and serves lookups over JSON/HTTP. It is meant for load testing and
+// demos.
 //
 // With --backend=file the tables live in a durable journaled block file
 // under --data-dir: the first run writes and trains them, and later runs

@@ -2,9 +2,8 @@
 // evaluation from the simulated substrates in this repository.
 //
 // Each experiment is a named runner that produces a Table: the same rows or
-// series the paper reports, at a configurable scale. The cmd/bandana CLI
-// prints them; bench_test.go wraps each one in a testing.B benchmark; and
-// EXPERIMENTS.md records a reference run next to the paper's numbers.
+// series the paper reports, at a configurable scale. `bandana run --all`
+// prints every one of them.
 //
 // The experiments share a lazily-built Env (synthetic workload, SHP layouts,
 // access counts) so that running the full suite does not repeat the
@@ -38,12 +37,12 @@ type Options struct {
 	// Seed drives all synthetic generation.
 	Seed int64
 	// Quick shrinks sweep ranges (fewer points, smaller cluster counts) so
-	// that a full pass fits in a benchmark iteration.
+	// that a full pass takes seconds.
 	Quick bool
 }
 
-// DefaultOptions returns the options used for the reference run recorded in
-// EXPERIMENTS.md.
+// DefaultOptions returns the options `bandana run --all` uses without
+// --quick.
 func DefaultOptions() Options {
 	return Options{
 		Scale:         0.004,
@@ -54,8 +53,8 @@ func DefaultOptions() Options {
 	}
 }
 
-// QuickOptions returns a reduced configuration for benchmarks and smoke
-// tests.
+// QuickOptions returns a reduced configuration for tests and smoke runs
+// (`bandana run --quick`).
 func QuickOptions() Options {
 	return Options{
 		Scale:         0.001,

@@ -201,7 +201,7 @@ func TestFig13EndToEndPositiveGains(t *testing.T) {
 
 func TestRemainingExperimentsRun(t *testing.T) {
 	// The remaining experiments are checked for basic shape only (they are
-	// exercised in depth by the reference run recorded in EXPERIMENTS.md).
+	// exercised in depth by `bandana run --all`).
 	for id, minRows := range map[string]int{
 		"fig4": 3, "fig6": 2, "fig7": 3, "fig8": 1, "fig10": 2, "fig11": 3,
 		"table2": 2, "fig14": 2, "fig15": 2, "fig16": 2,

@@ -345,14 +345,8 @@ func (h *Histogram) quantileFrom(counts []int64, count int64, q float64) float64
 // P50 is shorthand for Quantile(0.50).
 func (h *Histogram) P50() float64 { return h.Quantile(0.50) }
 
-// P90 is shorthand for Quantile(0.90).
-func (h *Histogram) P90() float64 { return h.Quantile(0.90) }
-
 // P99 is shorthand for Quantile(0.99).
 func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
-
-// P999 is shorthand for Quantile(0.999).
-func (h *Histogram) P999() float64 { return h.Quantile(0.999) }
 
 // Reset clears all recorded observations. Like StripedCounter.Reset it is
 // racy-tolerant: observations concurrent with the reset may be partially

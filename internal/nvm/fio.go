@@ -14,9 +14,7 @@ type FioResult struct {
 	Jobs          int
 	Ops           int64
 	MeanLatencyUS float64
-	P90LatencyUS  float64
 	P99LatencyUS  float64
-	P999LatencyUS float64
 	BandwidthGBs  float64
 }
 
@@ -79,9 +77,7 @@ func RunFio(d *Device, cfg FioConfig) FioResult {
 		Jobs:          cfg.Jobs,
 		Ops:           opsTotal.Value(),
 		MeanLatencyUS: hist.Mean(),
-		P90LatencyUS:  hist.P90(),
 		P99LatencyUS:  hist.P99(),
-		P999LatencyUS: hist.P999(),
 		BandwidthGBs:  d.Model().BandwidthGBs(qd),
 	}
 }

@@ -7,15 +7,13 @@
 // This package stores tables compactly (2 bytes per element), generates
 // synthetic tables whose geometry mirrors the co-access structure of the
 // workload generator (so that semantic K-means partitioning has signal to
-// find), and serialises tables to a simple binary format.
+// find).
 package table
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
@@ -127,8 +125,7 @@ func (t *Table) SetVector(id ID, v []float32) error {
 	return nil
 }
 
-// Dot returns the dot product of vectors a and b (decoded on the fly). It is
-// used by the recommender example's ranking stage.
+// Dot returns the dot product of vectors a and b (decoded on the fly).
 func (t *Table) Dot(a, b ID) (float32, error) {
 	ra, err := t.Raw(a)
 	if err != nil {
@@ -247,87 +244,4 @@ func Generate(name string, opts GenerateOptions) *Generated {
 		}
 	}
 	return &Generated{Table: t, Assignments: assign}
-}
-
-const fileMagic = "BNDTBL01"
-
-// WriteTo serialises the table in a simple binary format:
-// magic | name len | name | dim | numVectors | raw data.
-func (t *Table) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	var n int64
-	write := func(p []byte) error {
-		m, err := bw.Write(p)
-		n += int64(m)
-		return err
-	}
-	if err := write([]byte(fileMagic)); err != nil {
-		return n, err
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(t.Name)))
-	if err := write(hdr[:]); err != nil {
-		return n, err
-	}
-	if err := write([]byte(t.Name)); err != nil {
-		return n, err
-	}
-	var shape [8]byte
-	binary.LittleEndian.PutUint32(shape[0:], uint32(t.Dim))
-	binary.LittleEndian.PutUint32(shape[4:], uint32(t.NumVectors()))
-	if err := write(shape[:]); err != nil {
-		return n, err
-	}
-	if err := write(t.data); err != nil {
-		return n, err
-	}
-	return n, bw.Flush()
-}
-
-// ReadFrom deserialises a table written by WriteTo, replacing the receiver's
-// contents.
-func (t *Table) ReadFrom(r io.Reader) (int64, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var n int64
-	readFull := func(p []byte) error {
-		m, err := io.ReadFull(br, p)
-		n += int64(m)
-		return err
-	}
-	magic := make([]byte, len(fileMagic))
-	if err := readFull(magic); err != nil {
-		return n, err
-	}
-	if string(magic) != fileMagic {
-		return n, fmt.Errorf("table: bad magic %q", magic)
-	}
-	var hdr [4]byte
-	if err := readFull(hdr[:]); err != nil {
-		return n, err
-	}
-	nameLen := binary.LittleEndian.Uint32(hdr[:])
-	if nameLen > 1<<16 {
-		return n, fmt.Errorf("table: implausible name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if err := readFull(name); err != nil {
-		return n, err
-	}
-	var shape [8]byte
-	if err := readFull(shape[:]); err != nil {
-		return n, err
-	}
-	dim := int(binary.LittleEndian.Uint32(shape[0:]))
-	num := int(binary.LittleEndian.Uint32(shape[4:]))
-	if dim <= 0 || num < 0 {
-		return n, fmt.Errorf("table: invalid shape %d x %d", num, dim)
-	}
-	data := make([]byte, num*dim*fp16.ByteSize)
-	if err := readFull(data); err != nil {
-		return n, err
-	}
-	t.Name = string(name)
-	t.Dim = dim
-	t.data = data
-	return n, nil
 }

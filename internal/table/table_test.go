@@ -1,7 +1,6 @@
 package table
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -175,37 +174,6 @@ func TestGenerateUnclustered(t *testing.T) {
 		if a != -1 {
 			t.Fatalf("unclustered generation should assign -1, got %d", a)
 		}
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	g := Generate("mytable", GenerateOptions{NumVectors: 300, Dim: 16, NumClusters: 4, Seed: 3})
-	var buf bytes.Buffer
-	if _, err := g.Table.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back Table
-	if _, err := back.ReadFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != "mytable" || back.Dim != 16 || back.NumVectors() != 300 {
-		t.Fatalf("metadata mismatch: %q %d %d", back.Name, back.Dim, back.NumVectors())
-	}
-	for i := 0; i < 300; i += 17 {
-		a, _ := g.Table.Vector(ID(i))
-		b, _ := back.Vector(ID(i))
-		for d := range a {
-			if a[d] != b[d] {
-				t.Fatalf("vector %d differs after round trip", i)
-			}
-		}
-	}
-}
-
-func TestReadFromRejectsBadMagic(t *testing.T) {
-	var tbl Table
-	if _, err := tbl.ReadFrom(bytes.NewReader([]byte("NOTMAGIC........"))); err == nil {
-		t.Fatalf("expected error on bad magic")
 	}
 }
 

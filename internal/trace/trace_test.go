@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"bytes"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func smallProfile(seed int64) Profile {
@@ -285,79 +283,6 @@ func TestCommunityLocalityPresentInQueries(t *testing.T) {
 	ratio := float64(communities) / float64(lookups)
 	if ratio > 0.6 {
 		t.Fatalf("queries touch too many communities (ratio %.2f); locality broken", ratio)
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	tr := GenerateTable(smallProfile(17), 200)
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.TableName != tr.TableName || back.NumVectors != tr.NumVectors || len(back.Queries) != len(tr.Queries) {
-		t.Fatalf("metadata mismatch")
-	}
-	for i := range tr.Queries {
-		if len(back.Queries[i]) != len(tr.Queries[i]) {
-			t.Fatalf("query %d length mismatch", i)
-		}
-		for j := range tr.Queries[i] {
-			if back.Queries[i][j] != tr.Queries[i][j] {
-				t.Fatalf("query %d lookup %d mismatch", i, j)
-			}
-		}
-	}
-}
-
-func TestReadTraceRejectsGarbage(t *testing.T) {
-	if _, err := ReadTrace(bytes.NewReader([]byte("garbagegarbage"))); err == nil {
-		t.Fatalf("expected error")
-	}
-	if _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
-		t.Fatalf("expected error on empty input")
-	}
-}
-
-func TestPropertySerializationRoundTrip(t *testing.T) {
-	prop := func(raw [][]uint16, numVectors uint16) bool {
-		nv := int(numVectors)%1000 + 1000
-		tr := &Trace{TableName: "prop", NumVectors: nv}
-		for _, q := range raw {
-			query := make(Query, 0, len(q))
-			for _, id := range q {
-				query = append(query, uint32(int(id)%nv))
-			}
-			tr.Queries = append(tr.Queries, query)
-		}
-		var buf bytes.Buffer
-		if _, err := tr.WriteTo(&buf); err != nil {
-			return false
-		}
-		back, err := ReadTrace(&buf)
-		if err != nil {
-			return false
-		}
-		if len(back.Queries) != len(tr.Queries) {
-			return false
-		}
-		for i := range tr.Queries {
-			if len(back.Queries[i]) != len(tr.Queries[i]) {
-				return false
-			}
-			for j := range tr.Queries[i] {
-				if back.Queries[i][j] != tr.Queries[i][j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 
