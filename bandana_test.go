@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bandana"
+	"bandana/internal/cache"
 )
 
 // TestPublicAPIEndToEnd exercises the exported surface the way a downstream
@@ -82,6 +83,61 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		if got[d] != want[d] {
 			t.Fatalf("lookup mismatch at element %d", d)
 		}
+	}
+}
+
+// TestUnifiedAdmissionPolicies verifies that the policy implementations the
+// simulator evaluates can be installed directly on a live store: the same
+// shadow-cache policy object serves real lookups, and clearing it disables
+// prefetching.
+func TestUnifiedAdmissionPolicies(t *testing.T) {
+	p := bandana.DefaultProfiles(0.0005)[0]
+	p.AvgLookups = 16
+	workload := bandana.GenerateWorkload([]bandana.Profile{p}, 300)
+	g := bandana.GenerateTable(p.Name, bandana.TableGenerateOptions{
+		NumVectors:  p.NumVectors,
+		Dim:         32,
+		NumClusters: p.NumVectors / 64,
+		Seed:        1,
+		Assignments: workload.Communities[0],
+	})
+	store, err := bandana.Open(bandana.Config{
+		Tables:            []*bandana.Table{g.Table},
+		DRAMBudgetVectors: 300,
+		Seed:              1,
+		CacheShards:       4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+
+	// Install the shadow-admission policy of Figure 11b — one of the
+	// simulator's policies — on the live serving path.
+	if err := store.SetAdmissionPolicy(0, cache.NewShadowAdmit(400, 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range workload.Traces[0].Queries {
+		if _, err := store.LookupBatch(0, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := store.Stats()[0]
+	if !st.Prefetching || st.Policy != "shadow-admit" {
+		t.Fatalf("expected shadow-admit policy to be active, got %+v", st)
+	}
+	if st.PrefetchAdds == 0 {
+		t.Fatal("shadow policy admitted no prefetches over the whole trace")
+	}
+	if st.Hits+st.Misses != st.Lookups {
+		t.Fatalf("hits %d + misses %d != lookups %d", st.Hits, st.Misses, st.Lookups)
+	}
+
+	if err := store.SetAdmissionPolicy(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats()[0]; st.Prefetching {
+		t.Fatal("nil policy should disable prefetching")
 	}
 }
 
