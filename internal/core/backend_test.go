@@ -23,7 +23,7 @@ import (
 // "file" switches to the durable backend over a per-test temp dir;
 // "file-direct" additionally opens the block file with O_DIRECT (tests are
 // skipped with a notice where the filesystem rejects it).
-func testBackendConfig(t *testing.T, cfg Config) Config {
+func testBackendConfig(t testing.TB, cfg Config) Config {
 	t.Helper()
 	switch os.Getenv("BANDANA_TEST_BACKEND") {
 	case BackendFile:

@@ -182,8 +182,101 @@ func TestConcurrentColdBatchesMatchSequential(t *testing.T) {
 		got.CoalescedReads != want.CoalescedReads || got.BlockReads != rounds*2*64 {
 		t.Fatalf("concurrent %+v, sequential %+v: want the same %d block reads", got, want, rounds*2*64)
 	}
-	if ios, _ := conc.IOSchedStats(); ios.InFlight != 0 || ios.DeviceReads != got.BlockReads {
+	// Which reader served the misses follows the store's read path: a mapped
+	// store reads in place and the scheduler never sees them; under O_DIRECT
+	// the scheduler reads every block.
+	ios, _ := conc.IOSchedStats()
+	if ios.InFlight != 0 {
 		t.Fatalf("scheduler after the rounds: %+v", ios)
+	}
+	if ds := conc.DeviceStats(); ds.Store.ReadPath == "mmap" {
+		if ios.DemandReads != 0 || ds.BlocksRead != got.BlockReads {
+			t.Fatalf("mapped store: scheduler %+v, device read %d blocks, store counted %d: want no scheduled read and every block read in place",
+				ios, ds.BlocksRead, got.BlockReads)
+		}
+	} else if ios.DeviceReads != got.BlockReads {
+		t.Fatalf("%s store: scheduler read %d blocks, store counted %d", ds.Store.ReadPath, ios.DeviceReads, got.BlockReads)
+	}
+}
+
+// TestMissReaderFollowsReadPath pins which reader serves a miss on each
+// backend, and what each leaves in the device's and the scheduler's stats:
+// the mem backend and an O_DIRECT file store read through the scheduler, and
+// the device draws one modelled latency per device call; a buffered file
+// store reads its mapping in place — no scheduled read, no modelled latency,
+// one device read batch per serving batch.
+func TestMissReaderFollowsReadPath(t *testing.T) {
+	const n = 8192 // 256 blocks of 32 vectors
+	tables, _ := buildTestTables(t, 1, n, 10)
+	legs := []struct {
+		name     string
+		cfg      Config
+		readPath string
+	}{
+		{"mem", Config{}, ""},
+		{"file", Config{Backend: BackendFile}, "mmap"},
+		{"file-direct", Config{Backend: BackendFile, Direct: true}, "pread"},
+	}
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			cfg := leg.cfg
+			cfg.Tables, cfg.DRAMBudgetVectors, cfg.Seed = tables, 256, 1
+			if cfg.Backend == BackendFile {
+				cfg.DataDir = filepath.Join(t.TempDir(), "store")
+				if cfg.Direct && !nvm.DirectIOSupported(t.TempDir()) {
+					t.Skip("the filesystem rejects O_DIRECT")
+				}
+			}
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if rp := s.DeviceStats().Store.ReadPath; rp != leg.readPath {
+				t.Skipf("store reads by %q here, not %q", rp, leg.readPath)
+			}
+			// Eight cold batches, each one vector from each of 16 blocks no
+			// earlier batch touched (the layout is untrained: block = id/32).
+			const batches = 8
+			for k := 0; k < batches; k++ {
+				ids := make([]uint32, 16)
+				for i := range ids {
+					ids[i] = uint32((k*16+i)*32 + k)
+				}
+				out, err := s.LookupBatchRaw(0, ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, id := range ids {
+					if want, _ := tables[0].Raw(id); !bytes.Equal(out[i], want) {
+						t.Fatalf("vector %d: wrong bytes", id)
+					}
+				}
+			}
+			st, ds := s.Stats()[0], s.DeviceStats()
+			ios, _ := s.IOSchedStats()
+			if st.BlockReads != batches*16 || ds.BlocksRead != st.BlockReads {
+				t.Fatalf("store counted %d block reads, device %d: want %d each", st.BlockReads, ds.BlocksRead, batches*16)
+			}
+			if leg.readPath == "mmap" {
+				if ios.DemandReads != 0 || ios.Batches != 0 || ds.ReadLatency.Count != 0 || ds.ReadBatches != batches {
+					t.Fatalf("in-place reads: scheduler %+v, device %d batches and %d modelled latencies: want 0, %d and 0",
+						ios, ds.ReadBatches, ds.ReadLatency.Count, batches)
+				}
+				if st.QueueWaitLatency.Count != 0 || st.Latency.Count != batches {
+					t.Fatalf("in-place reads: %d queue-wait and %d device-service samples, want 0 and %d",
+						st.QueueWaitLatency.Count, st.Latency.Count, batches)
+				}
+				return
+			}
+			if ios.DemandReads != st.BlockReads || ios.DeviceReads != st.BlockReads {
+				t.Fatalf("scheduled reads: scheduler %+v, store counted %d block reads", ios, st.BlockReads)
+			}
+			if ds.ReadLatency.Count != ios.Batches || ds.ReadBatches != ios.Batches {
+				t.Fatalf("device drew %d modelled latencies over %d read batches, scheduler made %d device calls: want one each per call",
+					ds.ReadLatency.Count, ds.ReadBatches, ios.Batches)
+			}
+		})
 	}
 }
 

@@ -1,23 +1,32 @@
 package core
 
-import "testing"
+import (
+	"bytes"
+	"math/rand"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
 
-// newMissPathStore opens a trained single-table store over the mem backend
-// — the deployed miss path: SHP layout, threshold admission, batched reads
-// through the scheduler. The cache holds 256 of the 32,768 vectors, so a
-// batch of ids not served recently is all misses. CacheShards is pinned (to
-// what a 2-core host derives): the default grows with GOMAXPROCS, and a
-// 256-entry cache split 256 ways makes every fill an eviction with its own
-// allocations — the bounds below would then measure the host, not the code.
+// newMissPathStore opens a trained single-table store over the backend the
+// suite runs on — the deployed miss path: SHP layout, threshold admission,
+// batched reads through the scheduler (mem, file-direct) or in place (file).
+// The cache holds 256 of the 32,768 vectors, so a batch of ids not served
+// recently is all misses. CacheShards is pinned (to what a 2-core host
+// derives): the default grows with GOMAXPROCS, and a 256-entry cache split
+// 256 ways makes every fill an eviction with its own allocations — the
+// bounds below would then measure the host, not the code.
 func newMissPathStore(tb testing.TB) *Store {
 	tb.Helper()
 	tables, traces := buildTestTables(tb, 1, 32768, 300)
-	s, err := Open(Config{
+	s, err := Open(testBackendConfig(tb, Config{
 		Tables:            tables,
 		DRAMBudgetVectors: 256,
 		CacheShards:       8,
 		Seed:              1,
-	})
+	}))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -52,10 +61,11 @@ func coldBatches(s *Store, blocks int) [][]uint32 {
 }
 
 // TestMissBatchAllocBound is the miss-path allocation gate (CI runs it next
-// to the zero-alloc hit-path gates): one cold 64-id raw batch allocates per
-// batch, per scheduler call and nothing per missed vector or per block read —
-// the same 64 ids spread over twice the blocks cost what a cache fill of
-// twice the blocks costs and no more.
+// to the zero-alloc hit-path gates, on every backend): one cold 64-id raw
+// batch allocates per batch, per scheduler call where there is one, and
+// nothing per missed vector or per block read — the same 64 ids spread over
+// twice the blocks cost what a cache fill of twice the blocks costs and no
+// more.
 func TestMissBatchAllocBound(t *testing.T) {
 	s := newMissPathStore(t)
 	measure := func(blocks int) float64 {
@@ -85,9 +95,10 @@ func TestMissBatchAllocBound(t *testing.T) {
 		}
 		return allocs
 	}
-	// Measured: 6 allocs per batch — the result slice, the block list and
-	// raw-copy buffer in serveBatch, the block-member scratch, and the
-	// scheduler call's result and op slices.
+	// Measured: 6 allocs per batch through the scheduler — the result slice,
+	// the block list and raw-copy buffer in serveBatch, the block-member
+	// scratch, and the scheduler call's result and op slices — and 4 read in
+	// place, which has no scheduler call.
 	at16 := measure(16)
 	if at16 > 26 {
 		t.Fatalf("cold 64-id raw batch allocates %.1f times, want <= 26", at16)
@@ -131,6 +142,74 @@ func TestColdBatchReadsInPlaceUnderDirectIO(t *testing.T) {
 	}
 	if n := after.Store.BouncedReads - before.Store.BouncedReads; n != 0 {
 		t.Fatalf("%d of %d block reads bounced through an aligned copy", n, after.BlocksRead-before.BlocksRead)
+	}
+}
+
+// TestCloseRacesInPlaceMisses closes a file-backed store under concurrent
+// cold batches. A buffered store's misses read its mapping in place, and the
+// scheduler that Close drains never sees them: only the file store's unmap,
+// which waits for every stripe lock, keeps a visit in flight from faulting.
+// Every call returns the table's bytes or an error, and a cold batch after
+// Close fails. On the file-direct leg the same race runs through the
+// scheduler.
+func TestCloseRacesInPlaceMisses(t *testing.T) {
+	const n = 32768
+	tables, _ := buildTestTables(t, 1, n, 10)
+	s, err := Open(Config{
+		Tables:            tables,
+		DRAMBudgetVectors: 256,
+		Seed:              1,
+		Backend:           BackendFile,
+		DataDir:           filepath.Join(t.TempDir(), "store"),
+		Direct:            testDirect(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	t.Logf("read path %q", s.DeviceStats().Store.ReadPath)
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			ids := make([]uint32, 32)
+			for {
+				for i := range ids {
+					ids[i] = uint32(rng.Intn(n))
+				}
+				out, err := s.LookupBatchRaw(0, ids)
+				if err != nil {
+					return
+				}
+				for i, id := range ids {
+					if want, _ := tables[0].Raw(id); !bytes.Equal(out[i], want) {
+						t.Errorf("vector %d read back wrong while closing", id)
+						return
+					}
+				}
+				served.Add(1)
+			}
+		}(int64(g))
+	}
+	for deadline := time.Now().Add(5 * time.Second); served.Load() < 16; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the readers served no batches")
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	// More distinct ids than the cache holds: some must miss.
+	ids := make([]uint32, 512)
+	for i := range ids {
+		ids[i] = uint32(i * 61)
+	}
+	if _, err := s.LookupBatchRaw(0, ids); err == nil {
+		t.Fatal("a cold batch after Close succeeded")
 	}
 }
 
@@ -225,8 +304,8 @@ func TestTableStatsCacheSlots(t *testing.T) {
 }
 
 // BenchmarkServeBatchMiss is one cold 64-id raw batch end to end inside the
-// store: probe, grouped block reads through the scheduler, raw copies, cache
-// fill and prefetch admission.
+// store: probe, grouped block reads (through the scheduler, or in place on
+// BANDANA_TEST_BACKEND=file), raw copies, cache fill and prefetch admission.
 func BenchmarkServeBatchMiss(b *testing.B) {
 	s := newMissPathStore(b)
 	batches := coldBatches(s, 16)

@@ -515,11 +515,20 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 	// out of it and apply the usual prefetch admission to the rest. Blocks are
 	// processed in ascending order, and a block's vectors in batch order, so
 	// a batch's cache effects are deterministic: the stable sort below gives
-	// both. The whole pass holds the rewrite lock shared so the layout used
-	// for grouping and slot lookup matches the bytes on NVM. Independent
-	// misses still overlap at the device (shared mode), and a goroutine
-	// waiting on the I/O scheduler still holds its read lock, so in-flight
-	// reads drain before a rewrite's exclusive acquisition.
+	// both, and both readers hand missStep.serveBlock the blocks in that
+	// order. The whole pass holds the rewrite lock shared so the layout used
+	// for grouping and slot lookup matches the bytes on NVM; a rewrite's
+	// exclusive acquisition waits for every read in flight, scheduled or in
+	// place.
+	//
+	// Lock order: an in-place read serves each block under the file store's
+	// stripe RLock for it, and serveBlock takes the overlay's read lock and
+	// cache shard mutexes inside it. So no path may take a stripe lock —
+	// read or write a block — while holding the overlay lock or a shard
+	// mutex. None does: applyUpdate holds each of those alone, the overlay's
+	// and the cache's methods never call out to the device, and the
+	// compactor, the layout install and Close reach the stripes holding
+	// neither.
 	st.rewriteMu.RLock()
 	defer st.rewriteMu.RUnlock()
 	ts = st.loadState()
@@ -534,76 +543,147 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 		}
 	}
 
-	// One batched device read covers every missed block: the reads overlap
-	// at the device (and collapse into offset I/O on the file backend)
-	// instead of being issued one by one. The scheduler reads into this
-	// buffer directly, so it is the aligned, pooled kind direct I/O needs.
-	bufp := nvm.GetBatchBuf(len(abs))
-	defer nvm.PutBatchBuf(bufp)
-	batch := *bufp
-	epoch := st.epoch.Load()
-	lat, wait, coalesced, epoch, err := st.readBlocksMiss(abs, batch, epoch)
+	// The misses are copied off the block images into one buffer per batch,
+	// handed out as capacity-limited sub-slices.
+	copies := missCopies{raw: make([]byte, 0, len(missed)*st.vecBytes)}
+	m := missStep{st: st, ts: ts, tr: tr, views: views, missed: missed, copies: &copies}
+	if st.inPlace != nil {
+		err = m.readInPlace(abs)
+	} else {
+		err = m.readScheduled(abs)
+	}
 	if err != nil {
 		release()
 		return nil, fmt.Errorf("core: table %q: %w", st.name, err)
 	}
-	st.observeMissIO(lat, wait, tr)
-
-	// The misses are copied off the block images into one buffer per batch,
-	// handed out as capacity-limited sub-slices.
-	rawOut := make([]byte, 0, len(missed)*st.vecBytes)
-	var members []uint32
-	for bi, lo := 0, 0; lo < len(missed); bi++ {
-		block := missed[lo].block
-		hi := lo + 1
-		for hi < len(missed) && missed[hi].block == block {
-			hi++
-		}
-		refs := missed[lo:hi]
-		lo = hi
-		buf := batch[bi*nvm.BlockSize : (bi+1)*nvm.BlockSize]
-		if coalesced != nil && coalesced[bi] {
-			st.coalescedReads.Inc(uint64(block))
-		} else {
-			st.blockReads.Inc(uint64(block))
-			if tr != nil {
-				tr.BlockReads++
-			}
-		}
-
-		for _, ref := range refs {
-			// Updated between the pass-1 overlay probe and this block read:
-			// serve the overlay bytes and skip the cache fill. The image's
-			// copy is stale and the epoch guard alone cannot catch this case:
-			// an update moves the epoch without touching NVM, so a block
-			// re-read after it still returns pre-update bytes.
-			if oraw := st.overlay.get(ref.id); oraw != nil {
-				views[ref.pos] = oraw
-				continue
-			}
-			slot := ts.layout.SlotOf(ref.id)
-			off := len(rawOut)
-			rawOut = append(rawOut, buf[slot*st.vecBytes:(slot+1)*st.vecBytes]...)
-			rawCopy := rawOut[off:len(rawOut):len(rawOut)]
-			views[ref.pos] = rawCopy
-			// A requested vector is always cached; the policy only picks
-			// where it enters the queue (probation for an id training says
-			// is cold).
-			var pos float64
-			if ts.policy != nil {
-				pos = ts.policy.DemandPosition(ref.id)
-			}
-			if ts.cache.AddAtGuard(ref.id, rawCopy, pos, false, &st.epoch, epoch) && pos > 0 {
-				st.probationFills.Inc(hashID(ref.id))
-			}
-		}
-		if ts.prefetch && ts.policy != nil {
-			members = ts.layout.BlockMembers(block, members[:0])
-			st.admitBlock(ts, buf, epoch, members, refs)
-		}
-	}
 	fanOut(out, views, first)
 	return release, nil
+}
+
+// missStep is pass 2 of serveBatch once the reads are issued: it serves one
+// missed block after another, whichever reader supplied the bytes. It is a
+// value on serveBatch's stack with methods, not a closure over pass-1 locals,
+// so that nothing it points at — the views, hence the caller's result slice
+// — escapes to the heap: a cache hit must not pay for the miss path.
+type missStep struct {
+	st     *storeTable
+	ts     *tableState
+	tr     *StageTrace
+	views  [][]byte
+	missed []missRef // sorted by block
+	next   int       // missed[next] is the first ref of the next block
+	// epoch is the table epoch the blocks' bytes are consistent with, and
+	// coalesced, when non-nil, flags the blocks served by another caller's
+	// device read.
+	epoch     uint64
+	coalesced []bool
+	// copies is reached through a pointer because escape analysis does not
+	// tell one field from another: the copies are handed out, and were they
+	// fields here, views would be taken to leak with them.
+	copies *missCopies
+}
+
+// missCopies is what missStep writes that outlives a block.
+type missCopies struct {
+	raw     []byte   // the requested vectors of the batch
+	members []uint32 // scratch: the block's members, for prefetch admission
+}
+
+// readInPlace is pass 2's reader when the device's blocks are memory (a
+// buffered file store's mapping): each block is served straight from the
+// mapping while its stripe is held, with no scheduler, no modelled latency
+// and no block copy. The epoch is loaded before the first block is held, so
+// the bytes are at least that fresh. The visit's wall time — the reads and
+// the copies, fills and admissions done under them — is the device-service
+// sample; there is no queue wait.
+func (m *missStep) readInPlace(abs []int) error {
+	m.epoch = m.st.epoch.Load()
+	start := time.Now()
+	if err := m.st.inPlace.VisitBlocks(abs, m.serveBlock); err != nil {
+		return err
+	}
+	us := usSince(start)
+	m.st.lookupLatency.Observe(us)
+	if m.tr != nil {
+		m.tr.ServiceUS += us
+	}
+	return nil
+}
+
+// readScheduled is pass 2's reader for every other device (the mem backend,
+// a file store read with pread): one batched demand read through the I/O
+// scheduler covers every missed block — the reads overlap at the device
+// instead of being issued one by one, and coalesce with concurrent misses of
+// the same blocks — and the blocks are then served from the copy. The
+// scheduler reads into a pooled buffer directly, so it is the aligned kind
+// direct I/O needs.
+func (m *missStep) readScheduled(abs []int) error {
+	bufp := nvm.GetBatchBuf(len(abs))
+	defer nvm.PutBatchBuf(bufp)
+	batch := *bufp
+	lat, wait, coalesced, epoch, err := m.st.readBlocksMiss(abs, batch, m.st.epoch.Load())
+	if err != nil {
+		return err
+	}
+	m.st.observeMissIO(lat, wait, m.tr)
+	m.epoch, m.coalesced = epoch, coalesced
+	for bi := range abs {
+		m.serveBlock(bi, batch[bi*nvm.BlockSize:(bi+1)*nvm.BlockSize])
+	}
+	return nil
+}
+
+// serveBlock serves block bi of the batch (the next in ascending order) from
+// buf, its bytes: the requested vectors are copied out and cached, and the
+// block's other vectors offered to prefetch admission.
+func (m *missStep) serveBlock(bi int, buf []byte) {
+	st, ts := m.st, m.ts
+	block := m.missed[m.next].block
+	lo := m.next
+	for m.next < len(m.missed) && m.missed[m.next].block == block {
+		m.next++
+	}
+	refs := m.missed[lo:m.next]
+	if m.coalesced != nil && m.coalesced[bi] {
+		st.coalescedReads.Inc(uint64(block))
+	} else {
+		st.blockReads.Inc(uint64(block))
+		if m.tr != nil {
+			m.tr.BlockReads++
+		}
+	}
+
+	for _, ref := range refs {
+		// Updated between the pass-1 overlay probe and this block read:
+		// serve the overlay bytes and skip the cache fill. The image's copy
+		// is stale and the epoch guard alone cannot catch this case: an
+		// update moves the epoch without touching NVM, so a block re-read
+		// after it still returns pre-update bytes.
+		if oraw := st.overlay.get(ref.id); oraw != nil {
+			m.views[ref.pos] = oraw
+			continue
+		}
+		slot := ts.layout.SlotOf(ref.id)
+		c := m.copies
+		off := len(c.raw)
+		c.raw = append(c.raw, buf[slot*st.vecBytes:(slot+1)*st.vecBytes]...)
+		rawCopy := c.raw[off:len(c.raw):len(c.raw)]
+		m.views[ref.pos] = rawCopy
+		// A requested vector is always cached; the policy only picks where
+		// it enters the queue (probation for an id training says is cold).
+		var pos float64
+		if ts.policy != nil {
+			pos = ts.policy.DemandPosition(ref.id)
+		}
+		if ts.cache.AddAtGuard(ref.id, rawCopy, pos, false, &st.epoch, m.epoch) && pos > 0 {
+			st.probationFills.Inc(hashID(ref.id))
+		}
+	}
+	if ts.prefetch && ts.policy != nil {
+		c := m.copies
+		c.members = ts.layout.BlockMembers(block, c.members[:0])
+		st.admitBlock(ts, buf, m.epoch, c.members, refs)
+	}
 }
 
 // fanOut hands each unique id's result to every position of the batch that

@@ -24,13 +24,13 @@ import (
 // concurrent use and scales with GOMAXPROCS: each table's cache is sharded
 // by vector-ID hash with per-shard locks, the trained state is published
 // through an atomic pointer (reads take no lock at all), serving counters
-// are striped across cache lines, and NVM block reads happen outside any
-// lock. Returned vectors are copies the caller owns.
+// are striped across cache lines, and NVM block reads take only shared
+// locks. Returned vectors are copies the caller owns.
 type Store struct {
 	device     *nvm.Device
 	ownsDevice bool
-	// sched is the async block I/O scheduler all miss-path and background
-	// reads are submitted to.
+	// sched is the block I/O scheduler background reads, and miss-path reads
+	// of a device whose blocks are not memory, are submitted to.
 	sched  *iosched.Scheduler
 	tables []*storeTable
 	byName map[string]int
@@ -110,7 +110,8 @@ func newTableCache(capacity, shards, vecBytes int) *vcache.Cache {
 const counterStripes = 64
 
 // newStageHistogram builds the layout used by the per-stage latency
-// histograms (probe, queue wait, decode): the sub-microsecond stages need
+// histograms (probe, queue wait, device service, decode): the sub-microsecond
+// stages, an in-place block read among them, need
 // finer resolution than the device-latency layout, so buckets start at 10 ns
 // (0.01 us) and run to 1 s with the usual ~5% relative bucket error.
 func newStageHistogram() *metrics.Histogram {
@@ -185,6 +186,10 @@ type storeTable struct {
 	// sched mirrors Store.sched so the per-table serving paths can submit
 	// reads without reaching back to the store.
 	sched *iosched.Scheduler
+	// inPlace is the device when its blocks are memory (a buffered file
+	// store's mapping): serveBatch then reads missed blocks in place instead
+	// of through sched. nil otherwise. Chosen once, at Open.
+	inPlace *nvm.Device
 
 	// Serving counters, striped across cache lines so concurrent lookups
 	// on different vectors do not contend; the stripe is chosen by the
@@ -200,10 +205,13 @@ type storeTable struct {
 	prefetchHits   *metrics.StripedCounter
 	probationFills *metrics.StripedCounter
 	// lookupLatency is the device-service component of miss reads (the
-	// historical "lookup latency"); the histograms below decompose the rest
-	// of a lookup's time. probeLatency takes one sample per batch, the
-	// probe's microseconds per distinct id probed; queueWaitLatency is the scheduler's queue wait of miss reads, and
-	// decodeLatency covers requested-vector fp16 decodes.
+	// historical "lookup latency"): the device model's latency of a
+	// scheduled read, the measured wall time of an in-place one. The
+	// histograms below decompose the rest of a lookup's time. probeLatency
+	// takes one sample per batch, the probe's microseconds per distinct id
+	// probed; queueWaitLatency is the scheduler's queue wait of miss reads
+	// (in-place reads have no queue and take no sample), and decodeLatency
+	// covers requested-vector fp16 decodes.
 	lookupLatency    *metrics.Histogram
 	probeLatency     *metrics.Histogram
 	queueWaitLatency *metrics.Histogram
@@ -391,6 +399,10 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 		return nil, err
 	}
 	s.sched = sched
+	var inPlace *nvm.Device
+	if device.ReadsInPlace() {
+		inPlace = device
+	}
 	s.snapSeq.Store(initialSnapshotSeq(cfg.InitialSnapshotSeq))
 	// The log window anchors at the initial seq: the first update gets seq
 	// base+1, so a follower that bootstrapped the image at `base` can tail
@@ -428,11 +440,12 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 			prefetchAdds:     metrics.NewStripedCounter(counterStripes),
 			prefetchHits:     metrics.NewStripedCounter(counterStripes),
 			probationFills:   metrics.NewStripedCounter(counterStripes),
-			lookupLatency:    metrics.NewLatencyHistogram(),
+			lookupLatency:    newStageHistogram(),
 			probeLatency:     newStageHistogram(),
 			queueWaitLatency: newStageHistogram(),
 			decodeLatency:    newStageHistogram(),
 			sched:            s.sched,
+			inPlace:          inPlace,
 			overlay:          newDeltaOverlay(),
 		}
 		var l *layout.Layout
@@ -473,7 +486,10 @@ func (s *Store) close() error {
 	close(s.compactStop)
 	<-s.compactDone
 	// Drain before the device goes away: queued reads complete, late
-	// submitters get ErrClosed instead of racing a closed device.
+	// submitters get ErrClosed instead of racing a closed device. In-place
+	// misses never enter the scheduler: the file store's Close unmaps only
+	// under every stripe lock, so a visit in flight finishes first and a
+	// later one fails with nvm.ErrNotMapped.
 	s.sched.Close()
 	logErr := s.deltaLog.close()
 	if s.ownsDevice {

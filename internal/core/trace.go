@@ -12,10 +12,11 @@ type StageTrace struct {
 	// the delta overlay).
 	ProbeUS float64
 	// QueueWaitUS is time the request's miss reads spent waiting for an I/O
-	// scheduler issue slot.
+	// scheduler issue slot (0 when they read a mapped store in place).
 	QueueWaitUS float64
-	// ServiceUS is simulated device time of the request's miss reads (the
-	// slowest block of each scheduler call, summed over calls).
+	// ServiceUS is the device time of the request's miss reads: simulated
+	// through the scheduler (the slowest block of each call, summed over
+	// calls), measured wall time when they read a mapped store in place.
 	ServiceUS float64
 	// DecodeUS is time spent fp16-decoding requested vectors (prefetch
 	// admission decodes are not included).

@@ -33,11 +33,14 @@
 // relies on.
 //
 // A device call is what the device model is told overlaps, and concurrent
-// calls add up in its queue depth. The file backend serves one call block
-// by block — copies out of its mapped data region, or sequential preads
-// under O_DIRECT — so there the realised queue depth is the number of
-// concurrent issuers — Stats.InFlight, bounded by QueueDepth — and the
-// service latency reported here is the model's, not the wall clock's.
+// calls add up in its queue depth. An O_DIRECT file store serves one call
+// block by block with sequential preads, so there the realised queue depth
+// is the number of concurrent issuers — Stats.InFlight, bounded by
+// QueueDepth — and the service latency reported here is the model's, not the
+// wall clock's. A buffered file store's blocks are memory: the serving path
+// reads its misses in place (nvm.Device.VisitBlocks) and never comes here,
+// so on such a store only background reads (the compactor's
+// read-modify-write) move these counters.
 package iosched
 
 import (

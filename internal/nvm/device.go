@@ -175,6 +175,33 @@ func (d *Device) ReadBlocks(idxs []int, dst []byte) (latencyUS float64, err erro
 	return latencyUS, nil
 }
 
+// ReadsInPlace reports whether VisitBlocks serves this device: its store is a
+// FileStore that mapped its data region at open. It does not change while
+// the store is open.
+func (d *Device) ReadsInPlace() bool {
+	fs, ok := d.store.(*FileStore)
+	return ok && fs.readPath == "mmap"
+}
+
+// VisitBlocks is ReadBlocks with no copy, for a device whose blocks are
+// memory (ReadsInPlace): visit sees each block idxs[i] in place, in order,
+// under the terms of FileStore.VisitBlocks. The blocks count in BlocksRead
+// and the call as one of ReadBatches. No modelled latency is drawn — nobody
+// would wait for it — so ReadLatency does not move; the caller's wall clock
+// is the read's cost.
+func (d *Device) VisitBlocks(idxs []int, visit func(i int, block []byte)) error {
+	fs, ok := d.store.(*FileStore)
+	if !ok {
+		return ErrNotMapped
+	}
+	if err := fs.VisitBlocks(idxs, visit); err != nil {
+		return err
+	}
+	d.blocksRead.Add(int64(len(idxs)))
+	d.readBatches.Inc()
+	return nil
+}
+
 // batchLatencyUS is the largest latency of the n reads whose noise draws
 // start at draw first. A latency is exp(mu + sigma·z) with sigma > 0, so it
 // grows with z: the largest draw gives the largest latency, and the model is

@@ -41,15 +41,24 @@ import (
 // guarantee consistency across process crashes only.
 //
 // Writes use offset I/O (pwrite). A buffered store maps its data region
-// read-only and MAP_SHARED at open, and a block read is a copy out of that
-// mapping: the page cache is the one copy of the file, so the mapping sees
-// every pwrite once it returns, and a read costs a memmove instead of a
-// syscall. A direct store must bypass the page cache and so reads with
-// pread, as does a platform that cannot map the file (BackendStats.ReadPath
-// says which). Both paths take per-block-stripe RW locks — a read shares its
-// block's stripe, a write holds it — so a read never sees a half-written
-// block, independent blocks are accessed with no shared lock at all, and
-// concurrent reads of the same block never block each other.
+// read-only and MAP_SHARED at open: the page cache is the one copy of the
+// file, so the mapping sees every pwrite once it returns. Its blocks are then
+// memory, read two ways: ReadBlock(s) copies a block out of the mapping (a
+// memmove instead of a syscall), and VisitBlocks hands the caller a view of
+// it with no copy at all — the serving path's miss reader. A direct store
+// must bypass the page cache and so reads with pread, as does a platform
+// that cannot map the file (BackendStats.ReadPath says which); it cannot be
+// visited. Every path takes per-block-stripe RW locks — a read or a visit
+// shares its block's stripe, a write holds it — so a read never sees a
+// half-written block, independent blocks are accessed with no shared lock at
+// all, and concurrent reads of the same block never block each other.
+//
+// Lock order: a visit runs its callback under the block's stripe RLock, and
+// the serving path's callback takes a delta-overlay read lock and a cache
+// shard mutex inside it. So no path may take a stripe lock while holding
+// either of those, and no path holds two stripe locks except in ascending
+// stripe order with no other lock taken in between (WriteBlocksUnjournaled,
+// unmap).
 type FileStore struct {
 	f          *os.File
 	n          int
@@ -466,8 +475,9 @@ func (s *FileStore) mapData() {
 }
 
 // unmap drops the data mapping. It takes every stripe lock first, so a read
-// in flight finishes its copy before the pages go, and a read after it finds
-// no mapping and takes the pread path instead of faulting.
+// or visit in flight finishes with the pages before they go; a read after it
+// finds no mapping and takes the pread path, and a visit fails, instead of
+// faulting.
 func (s *FileStore) unmap() error {
 	for i := range s.locks {
 		s.locks[i].Lock()
@@ -618,6 +628,36 @@ func (s *FileStore) ReadBlocks(idxs []int, dst []byte) error {
 		if err := s.ReadBlock(idx, dst[i*BlockSize:(i+1)*BlockSize]); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// ErrNotMapped is returned by VisitBlocks on a store with no mapping of its
+// data region: a direct one, one the platform could not map, or a closed one.
+var ErrNotMapped = errors.New("nvm: block store has no mapped data region")
+
+// VisitBlocks calls visit(i, block) for each idxs[i], in order, with a
+// read-only view of the block inside the mapping of the data region: no copy
+// and no syscall. The view is valid only until visit returns, which it does
+// under the block's stripe RLock — a write of that block, and Close, wait for
+// it. visit must not write the view or keep it, and must not take a stripe
+// lock of this store (no read or write of its blocks) nor anything a holder
+// of a stripe lock may wait for (see the lock order on FileStore). A store
+// with no mapping fails with ErrNotMapped at the first block it cannot view.
+func (s *FileStore) VisitBlocks(idxs []int, visit func(i int, block []byte)) error {
+	for i, idx := range idxs {
+		if idx < 0 || idx >= s.n {
+			return fmt.Errorf("nvm: block %d out of range [0,%d)", idx, s.n)
+		}
+		lock := &s.locks[idx%blockStripes]
+		lock.RLock()
+		if s.data == nil {
+			lock.RUnlock()
+			return ErrNotMapped
+		}
+		off := idx * BlockSize
+		visit(i, s.data[off:off+BlockSize:off+BlockSize])
+		lock.RUnlock()
 	}
 	return nil
 }

@@ -56,9 +56,10 @@ type BackendStats struct {
 	// DirectIO reports whether the file backend is running O_DIRECT
 	// (page-cache-bypassing) I/O after auto-negotiation.
 	DirectIO bool
-	// ReadPath is how the file backend reads a block (file only): "mmap", a
-	// copy out of its read-only mapping of the data region (buffered I/O),
-	// or "pread" (direct I/O, or a platform that cannot map the file).
+	// ReadPath is how the file backend reads a block (file only): "mmap",
+	// in place or as a copy out of its read-only mapping of the data region
+	// (buffered I/O), or "pread" (direct I/O, or a platform that cannot map
+	// the file).
 	ReadPath string
 	// JournalWrites counts write-ahead journal records appended (file only;
 	// one per WriteBlock).

@@ -111,7 +111,7 @@ func (s *Server) buildRegistry() *metrics.Registry {
 	// Stage decomposition: per-table store stages plus the server-side
 	// serialize stage. One family; the stage label selects the component.
 	r.Register("bandana_stage_duration_us", "summary",
-		"Per-stage serving latency decomposition (microseconds): cache_probe (DRAM probe, one sample per batch: microseconds per id probed), queue_wait (I/O scheduler queue), device_service (NVM block read), decode (fp16 decode), serialize (JSON response encode).",
+		"Per-stage serving latency decomposition (microseconds): cache_probe (DRAM probe, one sample per batch: microseconds per id probed), queue_wait (I/O scheduler queue; none when a mapped file store is read in place), device_service (NVM block read: the device model's latency through the scheduler, measured wall time in place), decode (fp16 decode), serialize (JSON response encode).",
 		func() []metrics.Sample {
 			var out []metrics.Sample
 			for _, ts := range s.scrapeStore().Stats() {

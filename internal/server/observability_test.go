@@ -211,7 +211,10 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestMetricsDeviceReadPath: bandana_device_info and /v1/stats name how the
 // file backend reads a block — through its mapping when buffered, with pread
 // under O_DIRECT (where the filesystem takes it) — and the mem backend's
-// descriptor has no read_path label.
+// descriptor has no read_path label. The counters say which reader served
+// the misses: a mapped store reads in place, so the device counts its blocks
+// and the scheduler sees no demand read; the mem backend and a direct store
+// read through the scheduler.
 func TestMetricsDeviceReadPath(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("the mapped read path is asserted on linux")
@@ -226,6 +229,11 @@ func TestMetricsDeviceReadPath(t *testing.T) {
 	} else {
 		t.Log("no file-direct leg: the filesystem rejects O_DIRECT")
 	}
+	// Cold lookups: 64 ids spread over the blocks of the first 512 vectors.
+	coldBatch := batchRequest{Table: "tA"}
+	for id := uint32(0); id < 512; id += 8 {
+		coldBatch.IDs = append(coldBatch.IDs, id)
+	}
 	g := table.Generate("tA", table.GenerateOptions{NumVectors: 512, Dim: 16, NumClusters: 8, Seed: 1})
 	for _, l := range legs {
 		store, err := core.Open(core.Config{
@@ -239,6 +247,7 @@ func TestMetricsDeviceReadPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(New(store).Handler())
+		postJSON(t, ts.URL+"/v1/batch", coldBatch, nil)
 		out := scrape(t, ts.URL)
 		var stats statsResponse
 		getJSON(t, ts.URL+"/v1/stats", &stats)
@@ -251,12 +260,36 @@ func TestMetricsDeviceReadPath(t *testing.T) {
 		if stats.Device.ReadPath != l.readPath {
 			t.Errorf("direct=%v: /v1/stats readPath %q, want %q", l.direct, stats.Device.ReadPath, l.readPath)
 		}
+		blocks, demand := sampleValue(t, out, "bandana_device_blocks_read_total"), sampleValue(t, out, "bandana_iosched_demand_reads_total")
+		if scheduled := l.readPath == "pread"; blocks == 0 || (demand > 0) != scheduled {
+			t.Errorf("read path %s after cold lookups: %v blocks read, %v scheduled demand reads", l.readPath, blocks, demand)
+		}
 	}
 
 	ts, _ := newObsServer(t)
-	if out := scrape(t, ts.URL); !strings.Contains(out, `bandana_device_info{backend="mem",direct_io="false"} 1`+"\n") {
+	postJSON(t, ts.URL+"/v1/batch", coldBatch, nil)
+	out := scrape(t, ts.URL)
+	if !strings.Contains(out, `bandana_device_info{backend="mem",direct_io="false"} 1`+"\n") {
 		t.Errorf("mem backend descriptor:\n%s", grepLines(out, "bandana_device_info"))
 	}
+	if sampleValue(t, out, "bandana_device_blocks_read_total") == 0 || sampleValue(t, out, "bandana_iosched_demand_reads_total") == 0 {
+		t.Errorf("mem backend after cold lookups: misses not read through the scheduler:\n%s",
+			grepLines(out, "_reads_total"))
+	}
+}
+
+// sampleValue is the value of the unlabelled sample name in exposition out.
+func sampleValue(t *testing.T, out, name string) float64 {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("exposition has no %s", name)
+	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // scrape fetches and validates the exposition at base/metrics.

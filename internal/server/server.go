@@ -518,9 +518,10 @@ type deviceStats struct {
 	// the journal/flush counters are non-zero for the file backend only.
 	// DirectIO reports whether the block file is open with O_DIRECT (false
 	// also when it was requested but the filesystem fell back to buffered
-	// I/O). ReadPath is how the file backend reads a block: "mmap" (a copy
-	// out of its mapping of the data region, buffered I/O) or "pread" (direct
-	// I/O). JournalBytesAppended / JournalGCRuns / RingUtilization describe
+	// I/O). ReadPath is how the file backend reads a block: "mmap" (in place
+	// in its mapping of the data region — the serving path's misses — or a
+	// copy out of it, buffered I/O) or "pread" (direct I/O).
+	// JournalBytesAppended / JournalGCRuns / RingUtilization describe
 	// the ring journal: total bytes appended, head-advancing GC watermark
 	// writes, and the live fraction of the ring region.
 	Backend              string  `json:"backend"`
