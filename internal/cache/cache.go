@@ -25,11 +25,15 @@ import "bandana/internal/vcache"
 // queue position of a requested one, the fate of a prefetched one.
 //
 // The interface is the contract shared by the trace simulator
-// (internal/sim) and the real serving path (internal/core): both feed the
-// policy the application's access stream via OnAccess, ask DemandPosition for
-// every requested vector they fill and consult AdmitPrefetch for every
-// co-located prefetch candidate, so a policy tuned in simulation behaves
-// identically when installed in the store.
+// (internal/sim) and the real serving path (internal/core), so a policy tuned
+// in simulation behaves identically when installed in the store. The
+// simulator feeds the policy the application's access stream via OnAccess,
+// asks DemandPosition for every requested vector it fills and consults
+// AdmitPrefetch for every co-located prefetch candidate. The store does the
+// same for every policy but one: a ThresholdAdmit, whose verdicts depend on
+// the id alone and whose OnAccess does nothing, is asked once per vector
+// whenever the table's state is published (an install, a re-layout), and
+// its answers are served from bits in block order.
 //
 // Because the store serves lookups from many goroutines concurrently,
 // implementations must be safe for concurrent use. The stateless policies

@@ -1,0 +1,169 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"path/filepath"
+	"testing"
+
+	"bandana/internal/cache"
+	"bandana/internal/sim"
+	"bandana/internal/trace"
+)
+
+// admitBitsMismatch checks every table's published state: a ThresholdAdmit
+// policy must come with admission bits that hold, at every layout position
+// p, its AdmitPrefetch and DemandPosition verdicts for VectorAt(p); any other
+// policy must come with none. It also returns how many prefetch and
+// probation bits are set, so a caller can tell a vacuous check.
+func admitBitsMismatch(s *Store) (prefetch, probation int, err error) {
+	bit := func(words []uint64, p int) bool { return words[p/64]&(1<<(p%64)) != 0 }
+	for _, st := range s.tables {
+		ts := st.loadState()
+		ta, ok := ts.policy.(cache.ThresholdAdmit)
+		if !ok {
+			if ts.admit != nil {
+				return 0, 0, fmt.Errorf("table %q: policy %v has admission bits", st.name, ts.policy)
+			}
+			continue
+		}
+		if ts.admit == nil {
+			return 0, 0, fmt.Errorf("table %q: threshold policy published without admission bits", st.name)
+		}
+		for p := range ts.layout.NumVectors() {
+			id := ts.layout.VectorAt(p)
+			admit, at := ta.AdmitPrefetch(id)
+			cold := ta.DemandPosition(id) > 0
+			if bit(ts.admit.prefetch, p) != admit || bit(ts.admit.probation, p) != cold {
+				return 0, 0, fmt.Errorf("table %q position %d (id %d): bits say prefetch %v probation %v, the policy %v %v",
+					st.name, p, id, bit(ts.admit.prefetch, p), bit(ts.admit.probation, p), admit, cold)
+			}
+			if admit && at != ts.admit.position {
+				return 0, 0, fmt.Errorf("table %q id %d: admitted at %v, bits say %v", st.name, id, at, ts.admit.position)
+			}
+			if admit {
+				prefetch++
+			}
+			if cold {
+				probation++
+			}
+		}
+	}
+	return prefetch, probation, nil
+}
+
+// TestAdmitBitsFollowEveryPublish holds the compiled admission bits to the
+// policy they were compiled from after every way a table's state is
+// published — Train, an AdaptNow that re-lays a table out, SetAdmissionPolicy
+// with a gated ThresholdAdmit, LoadState and a reopen — and inside every
+// layout install, right after the new layout is published: a re-layout moves
+// the vectors under the bits without touching the policy.
+func TestAdmitBitsFollowEveryPublish(t *testing.T) {
+	tables, traces := buildTestTables(t, 2, 2048, 600)
+	trains := make([]*trace.Trace, len(traces))
+	evals := make([]*trace.Trace, len(traces))
+	for i, tr := range traces {
+		trains[i], evals[i] = tr.Split(0.5)
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	cfg := Config{Tables: tables, DRAMBudgetVectors: 400, Seed: 1, Backend: BackendFile, DataDir: dir, Direct: testDirect()}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+
+	var installs int
+	var installErr error
+	migrationCrashHook = func(stage string) {
+		if stage != "installed" {
+			return
+		}
+		installs++
+		if _, _, err := admitBitsMismatch(s); err != nil && installErr == nil {
+			installErr = fmt.Errorf("at install %d: %w", installs, err)
+		}
+	}
+	defer func() { migrationCrashHook = nil }()
+
+	var prefetchBits, probationBits int
+	check := func(after string) {
+		t.Helper()
+		if installErr != nil {
+			t.Fatalf("%s: %v", after, installErr)
+		}
+		pre, prob, err := admitBitsMismatch(s)
+		if err != nil {
+			t.Fatalf("after %s: %v", after, err)
+		}
+		prefetchBits += pre
+		probationBits += prob
+	}
+	check("Open")
+
+	if _, err := s.Train(trains, TrainOptions{SHPIterations: 6, MiniCacheSampling: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	check("Train")
+
+	if err := s.StartAdaptation(AdaptOptions{
+		MinQueries: 16, RelayoutEvery: 1, RelayoutMinGain: 0.01, SHPIterations: 8,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	servePhase(t, s, evals, 0, len(evals[0].Queries))
+	before := installs
+	rep, err := s.AdaptNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.StopAdaptation()
+	relaidOut := 0
+	for _, tr := range rep.Tables {
+		if tr.Relayout {
+			relaidOut++
+		}
+	}
+	if relaidOut == 0 || installs-before != relaidOut {
+		t.Fatalf("AdaptNow re-laid out %d tables over %d installs: the test exercises no re-layout", relaidOut, installs-before)
+	}
+	check("AdaptNow")
+
+	// Gate table 1 so the saved state, hence LoadState and the reopen,
+	// carries a demand threshold.
+	forceDemandThreshold(s.tables[1], 3)
+	check("a forced demand threshold")
+	var saved bytes.Buffer
+	if err := s.SaveState(&saved); err != nil {
+		t.Fatal(err)
+	}
+
+	counts := s.tables[0].loadState().counts
+	if err := s.SetAdmissionPolicy(0, cache.ThresholdAdmit{
+		Counts:          counts,
+		Threshold:       sim.AdaptiveThresholds(counts)[1],
+		DemandThreshold: sim.DemandThresholds(counts, 256)[0],
+		Position:        0.5,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("SetAdmissionPolicy")
+
+	if err := s.LoadState(bytes.NewReader(saved.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	check("LoadState")
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(Config{Backend: BackendFile, DataDir: dir, Seed: 1, Direct: testDirect()}); err != nil {
+		t.Fatal(err)
+	}
+	check("reopen")
+
+	t.Logf("%d layout installs checked; %d prefetch and %d probation bits set over every check", installs, prefetchBits, probationBits)
+	if prefetchBits == 0 || probationBits == 0 {
+		t.Fatalf("vacuous: %d prefetch and %d probation bits set over every check", prefetchBits, probationBits)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"bandana/internal/cache"
 	"bandana/internal/fp16"
 	"bandana/internal/iosched"
 	"bandana/internal/nvm"
@@ -222,35 +223,60 @@ type missRef struct {
 	block int
 }
 
-// admitBlock offers the vectors of the freshly read block to the admission
-// policy and caches the fp16 bytes of the ones it admits. requested lists the
-// block's vectors that were explicitly asked for in this operation: they are
-// cached separately and must not be double-counted as prefetches. The policy
-// verdict comes first — for the deployed ThresholdAdmit it is one array read
-// and it rejects most candidates — and an admitted candidate costs one cache
-// probe: the guarded insert itself refuses an id that is already resident.
-func (st *storeTable) admitBlock(ts *tableState, buf []byte, epoch uint64, members []uint32, requested []missRef) {
-candidates:
-	for mslot, other := range members {
-		admit, pos := ts.policy.AdmitPrefetch(other)
-		if !admit {
-			continue
-		}
-		for _, ref := range requested {
-			if ref.id == other {
-				continue candidates
+// admitBlock offers the vectors of the freshly read block to prefetch
+// admission and caches the fp16 bytes of the ones admitted, in slot order.
+// requested lists the block's vectors that were explicitly asked for in this
+// operation: they are cached separately and must not be double-counted as
+// prefetches. For the deployed ThresholdAdmit the verdicts are the compiled
+// bits of the block's range — a word or two read, and the layout consulted
+// only for the few slots admitted; any other policy is asked member by
+// member. An admitted candidate costs one cache probe: the guarded insert
+// itself refuses an id that is already resident. members is the walk's
+// scratch.
+func (st *storeTable) admitBlock(ts *tableState, buf []byte, epoch uint64, block int, members *[]uint32, requested []missRef) {
+	if b := ts.admit; b != nil {
+		bv := ts.layout.BlockVectors()
+		lo := block * bv
+		hi := min(lo+bv, ts.layout.NumVectors())
+		for p := lo; p < hi; p++ {
+			w := b.prefetch[p/64] >> (p % 64)
+			if w == 0 {
+				p |= 63 // no admitted slot left in this word
+				continue
 			}
+			p += bits.TrailingZeros64(w)
+			if p >= hi {
+				break
+			}
+			st.admitMember(ts, buf, epoch, p-lo, ts.layout.VectorAt(p), b.position, requested)
 		}
-		if st.overlay.contains(other) {
-			// The block image's copy of an overlaid vector is stale; its
-			// authoritative bytes are served from the overlay until
-			// compaction, so never cache the image's.
-			continue
+		return
+	}
+	*members = ts.layout.BlockMembers(block, (*members)[:0])
+	for mslot, other := range *members {
+		if admit, pos := ts.policy.AdmitPrefetch(other); admit {
+			st.admitMember(ts, buf, epoch, mslot, other, pos, requested)
 		}
-		raw := buf[mslot*st.vecBytes : (mslot+1)*st.vecBytes]
-		if ts.cache.AddAtGuard(other, raw, pos, true, &st.epoch, epoch) {
-			st.prefetchAdds.Inc(hashID(other))
+	}
+}
+
+// admitMember caches id, slot mslot of the block in buf, as a prefetch at
+// queue position pos, unless it was requested or the overlay holds it.
+func (st *storeTable) admitMember(ts *tableState, buf []byte, epoch uint64, mslot int, id uint32, pos float64, requested []missRef) {
+	for _, ref := range requested {
+		if ref.id == id {
+			return
 		}
+	}
+	if st.overlay.contains(id) {
+		// The block image's copy of an overlaid vector is stale; its
+		// authoritative bytes are served from the overlay until compaction,
+		// so never cache the image's.
+		return
+	}
+	raw := buf[mslot*st.vecBytes : (mslot+1)*st.vecBytes]
+	if ts.cache.AddAtGuard(id, raw, pos, true, &st.epoch, epoch) {
+		st.prefetchAdds.Inc(hashID(id))
 	}
 }
 
@@ -434,7 +460,8 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 		sc.missed = grown(sc.missed, len(uniq))
 		missed = sc.missed[:0]
 	}
-	if ts.policy != nil {
+	// A compiled policy is a ThresholdAdmit, whose OnAccess does nothing.
+	if ts.policy != nil && ts.admit == nil {
 		for _, id := range ids {
 			ts.policy.OnAccess(id)
 		}
@@ -586,7 +613,7 @@ type missStep struct {
 // missCopies is what missStep writes that outlives a block.
 type missCopies struct {
 	raw     []byte   // the requested vectors of the batch
-	members []uint32 // scratch: the block's members, for prefetch admission
+	members []uint32 // scratch: the block's members, for an uncompiled policy's admission
 }
 
 // readInPlace is pass 2's reader when the device's blocks are memory (a
@@ -672,7 +699,11 @@ func (m *missStep) serveBlock(bi int, buf []byte) {
 		// A requested vector is always cached; the policy only picks where
 		// it enters the queue (probation for an id training says is cold).
 		var pos float64
-		if ts.policy != nil {
+		if b := ts.admit; b != nil {
+			if p := block*ts.layout.BlockVectors() + slot; b.probation[p/64]&(1<<(p%64)) != 0 {
+				pos = cache.ProbationPosition
+			}
+		} else if ts.policy != nil {
 			pos = ts.policy.DemandPosition(ref.id)
 		}
 		if ts.cache.AddAtGuard(ref.id, rawCopy, pos, false, &st.epoch, m.epoch) && pos > 0 {
@@ -680,9 +711,7 @@ func (m *missStep) serveBlock(bi int, buf []byte) {
 		}
 	}
 	if ts.prefetch && ts.policy != nil {
-		c := m.copies
-		c.members = ts.layout.BlockMembers(block, c.members[:0])
-		st.admitBlock(ts, buf, m.epoch, c.members, refs)
+		st.admitBlock(ts, buf, m.epoch, block, &m.copies.members, refs)
 	}
 }
 

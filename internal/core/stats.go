@@ -94,9 +94,13 @@ type TableStats struct {
 type TableDRAM struct {
 	// Layout is the placement order and its inverse (8 B per vector).
 	Layout int64
-	// Counts is the per-vector access counts the admission policy reads
-	// (4 B per vector once trained).
+	// Counts is the per-vector access counts the threshold policy is
+	// compiled from (4 B per vector once trained).
 	Counts int64
+	// AdmitBits is the threshold policy compiled to two bits per vector in
+	// layout order, what a missed block's admission reads (0 under any other
+	// policy).
+	AdmitBits int64
 	// Overlay is the payloads and entries of updates not yet compacted.
 	Overlay int64
 	// CacheArena is the cache's slabs; CacheIndex its slot metadata and
@@ -148,6 +152,7 @@ func (s *Store) Stats() []TableStats {
 		ts.DRAM = TableDRAM{
 			Layout:     state.layout.SizeBytes(),
 			Counts:     4 * int64(len(state.counts)),
+			AdmitBits:  state.admit.sizeBytes(),
 			Overlay:    int64(ts.OverlayEntries) * int64(st.vecBytes+overlayEntryBytes),
 			CacheArena: cs.ArenaBytes,
 			CacheIndex: cs.MetaBytes + cs.IndexBytes,

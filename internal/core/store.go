@@ -132,6 +132,9 @@ type tableState struct {
 	// policy is nil when it has nothing to decide: prefetching off and no
 	// demand gate.
 	policy cache.AdmissionPolicy
+	// admit is policy compiled against layout when policy is a
+	// cache.ThresholdAdmit, nil otherwise (see publish).
+	admit *admitBits
 	// predicted is what the miniature cache that chose threshold/prefetch
 	// expects this table to serve (zero until a tuner has run); the live
 	// counterparts are hits/lookups and lookups/blockReads.
@@ -231,8 +234,60 @@ func (st *storeTable) mutateState(fn func(*tableState)) {
 	st.stateMu.Lock()
 	next := *st.state.Load()
 	fn(&next)
-	st.state.Store(&next)
+	st.publish(&next)
 	st.stateMu.Unlock()
+}
+
+// publish makes ts the table's state, compiling its admission bits against
+// its layout first. Every publish compiles, whatever it changed: a re-layout
+// moves the vectors under the bits without touching the policy.
+func (st *storeTable) publish(ts *tableState) {
+	ts.admit = compileAdmission(ts.policy, ts.layout)
+	st.state.Store(ts)
+}
+
+// admitBits is a cache.ThresholdAdmit compiled against a layout, one bit per
+// layout position, so a missed block's admission reads the words covering its
+// range instead of calling the policy for each member at a random id.
+// Immutable once published.
+type admitBits struct {
+	prefetch  []uint64 // bit p: AdmitPrefetch(VectorAt(p)) admits
+	probation []uint64 // bit p: DemandPosition(VectorAt(p)) is ProbationPosition, not 0
+	// position is where an admitted prefetch enters the queue: the policy
+	// returns the same one for every id.
+	position float64
+}
+
+// compileAdmission evaluates p at every position of l, through p's own
+// methods, when p is a cache.ThresholdAdmit; it returns nil for any other
+// policy. Those keep the per-member walk: the shadow policies' verdicts
+// change with every access, so no bit can hold them.
+func compileAdmission(p cache.AdmissionPolicy, l *layout.Layout) *admitBits {
+	ta, ok := p.(cache.ThresholdAdmit)
+	if !ok {
+		return nil
+	}
+	words := (l.NumVectors() + 63) / 64
+	b := &admitBits{prefetch: make([]uint64, words), probation: make([]uint64, words)}
+	for pos := range l.NumVectors() {
+		id := l.VectorAt(pos)
+		if admit, at := ta.AdmitPrefetch(id); admit {
+			b.prefetch[pos/64] |= 1 << (pos % 64)
+			b.position = at
+		}
+		if ta.DemandPosition(id) > 0 {
+			b.probation[pos/64] |= 1 << (pos % 64)
+		}
+	}
+	return b
+}
+
+// sizeBytes is the heap the bits hold.
+func (b *admitBits) sizeBytes() int64 {
+	if b == nil {
+		return 0
+	}
+	return 8 * int64(len(b.prefetch)+len(b.probation))
 }
 
 // tableGeom is one table's shape and block span: what the manifest records,
@@ -454,7 +509,7 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 		} else {
 			l = layout.Identity(g.numVectors, g.blockVectors)
 		}
-		st.state.Store(&tableState{
+		st.publish(&tableState{
 			layout:   l,
 			cacheCap: perTable,
 			cache:    newTableCache(perTable, shards, st.vecBytes),
@@ -561,8 +616,7 @@ func (s *Store) tableAt(i int) (*storeTable, error) {
 // threshold, prefetch and demandThreshold describe — the policy the miniature
 // caches replayed through the store's own batch algorithm (see package sim),
 // so serving behaves exactly as simulated — or no policy at all when it would
-// decide nothing, so a block read pays neither the member walk nor the
-// admission calls.
+// decide nothing, so a block read skips admission altogether.
 func (ts *tableState) setThresholdPolicy() {
 	ts.policy = nil
 	if ts.prefetch || ts.demandThreshold > 0 {
@@ -598,6 +652,6 @@ func (st *storeTable) resizeCacheLive(capacity int) int {
 	cur.cache.Resize(capacity)
 	next := *cur
 	next.cacheCap = capacity
-	st.state.Store(&next)
+	st.state.Store(&next) // layout and policy unchanged: the admission bits still hold
 	return capacity
 }

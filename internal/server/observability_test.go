@@ -169,6 +169,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		// trained, updated or recorded yet, and a cache that has filled.
 		"bandana_table_dram_bytes{table=\"tA\",component=\"layout\"} 16384\n",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"counts\"} 0\n",
+		"bandana_table_dram_bytes{table=\"tA\",component=\"admit_bits\"} 0\n",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"overlay\"} 0\n",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"cache_arena\"} ",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"cache_index\"} ",

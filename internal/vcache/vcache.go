@@ -148,6 +148,10 @@ type shard struct {
 	nextSlot  uint32
 
 	segs []segment
+
+	// touched is where GetBatch's locate pass leaves what it read of the
+	// slot records, so that the reads are not optimised away.
+	touched uint32
 }
 
 // Options configures New.
@@ -671,46 +675,61 @@ func (c *Cache) AddAtGuard(id uint32, payload []byte, pos float64, prefetched bo
 	if guard != nil && guard.Load() != want {
 		return false
 	}
-	if prefetched && s.idxFind(id) != nilIdx {
+	if !prefetched {
+		s.addAt(c, id, payload, pos, false)
+		return true
+	}
+	if s.idxFind(id) != nilIdx {
 		return false
 	}
-	s.addAt(c, id, payload, pos, prefetched)
+	s.insert(c, id, payload, pos, true)
 	return true
 }
 
-func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetched bool) (uint32, bool) {
+// checkPayload panics unless payload is exactly one slot long.
+func (c *Cache) checkPayload(payload []byte) {
 	if len(payload) != c.slotBytes {
 		panic(fmt.Sprintf("vcache: payload is %d bytes, slot size is %d", len(payload), c.slotBytes))
 	}
-	seg := segOf(pos, len(s.segs))
+}
 
-	if slot := s.idxFind(id); slot != nilIdx {
-		cur := s.payload(c, slot)
-		if !bytesEqual(cur, payload) {
-			// Never overwrite a slot a lease may be reading: relocate.
-			next := s.alloc(c)
-			copy(s.payload(c, next), payload)
-			m := &s.meta[next]
-			m.id = id
-			m.segflags = s.meta[slot].segflags // seg rewritten by pushFront below
-			s.listRemove(slot)
-			s.park(c, slot)
-			s.idxUpdate(id, next)
-			slot = next
-		} else {
-			s.listRemove(slot)
-		}
-		m := &s.meta[slot]
-		if prefetched {
-			m.segflags |= prefetchedBit
-		} else {
-			m.segflags &^= prefetchedBit
-		}
-		s.pushFront(seg, slot)
-		s.rebalance(seg)
-		return 0, false
+func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetched bool) (uint32, bool) {
+	slot := s.idxFind(id)
+	if slot == nilIdx {
+		return s.insert(c, id, payload, pos, prefetched)
 	}
+	c.checkPayload(payload)
+	seg := segOf(pos, len(s.segs))
+	if !bytesEqual(s.payload(c, slot), payload) {
+		// Never overwrite a slot a lease may be reading: relocate.
+		next := s.alloc(c)
+		copy(s.payload(c, next), payload)
+		m := &s.meta[next]
+		m.id = id
+		m.segflags = s.meta[slot].segflags // seg rewritten by pushFront below
+		s.listRemove(slot)
+		s.park(c, slot)
+		s.idxUpdate(id, next)
+		slot = next
+	} else {
+		s.listRemove(slot)
+	}
+	m := &s.meta[slot]
+	if prefetched {
+		m.segflags |= prefetchedBit
+	} else {
+		m.segflags &^= prefetchedBit
+	}
+	s.pushFront(seg, slot)
+	s.rebalance(seg)
+	return 0, false
+}
 
+// insert is addAt for an id the caller has just found absent from the index,
+// under s.mu: it skips addAt's probe.
+func (s *shard) insert(c *Cache, id uint32, payload []byte, pos float64, prefetched bool) (uint32, bool) {
+	c.checkPayload(payload)
+	seg := segOf(pos, len(s.segs))
 	slot := s.alloc(c)
 	copy(s.payload(c, slot), payload)
 	m := &s.meta[slot]
@@ -785,15 +804,25 @@ func (c *Cache) Get(id uint32) (payload []byte, wasPrefetched, ok bool) {
 // before the shard's next id is probed. miss must not call into the cache.
 // Returns how many hits were on prefetched entries. The caller must hold a
 // lease for as long as it reads the views.
+//
+// Under each shard lock the shard's ids are first located, up to
+// locateWindow at a time — every index probe and slot record read before any
+// entry moves, so their cache misses overlap instead of running one after
+// another — and then probed, promoted or filled in batch order.
 func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) (prefetchHits int) {
 	if len(ids) == 0 {
 		return 0
 	}
+	var run [locateWindow]int32
 	if len(c.shards) == 1 || len(ids) == 1 {
 		s := c.shardOf(ids[0])
 		s.mu.Lock()
-		for i := range ids {
-			prefetchHits += s.probe(c, ids, views, i, miss)
+		for lo := 0; lo < len(ids); lo += locateWindow {
+			n := min(locateWindow, len(ids)-lo)
+			for k := range n {
+				run[k] = int32(lo + k)
+			}
+			prefetchHits += s.getRun(c, ids, run[:n], views, miss)
 		}
 		s.mu.Unlock()
 		return prefetchHits
@@ -817,8 +846,13 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 		}
 		s := &c.shards[si]
 		s.mu.Lock()
-		for ; i >= 0; i = next[i] {
-			prefetchHits += s.probe(c, ids, views, int(i), miss)
+		for i >= 0 {
+			n := 0
+			for ; i >= 0 && n < locateWindow; i = next[i] {
+				run[n] = i
+				n++
+			}
+			prefetchHits += s.getRun(c, ids, run[:n], views, miss)
 		}
 		s.mu.Unlock()
 	}
@@ -827,26 +861,60 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 	return prefetchHits
 }
 
-// probe is GetBatch's step for ids[i], under s.mu; it returns 1 for a hit
-// on a prefetched entry.
-func (s *shard) probe(c *Cache, ids []uint32, views [][]byte, i int, miss func(int) []byte) int {
-	id := ids[i]
-	if slot := s.idxFind(id); slot != nilIdx {
-		pre := s.promote(slot)
+// locateWindow is how many of a shard's ids GetBatch locates at a time: the
+// run and its slots are arrays on the stack, so the pass needs no scratch.
+const locateWindow = 32
+
+// getRun is GetBatch for ids[run[0]], ids[run[1]], ... — ids of s, in batch
+// order — under s.mu: it locates every one of them before any entry moves,
+// then probes, promotes or fills them in order. It returns how many hits were
+// on prefetched entries.
+func (s *shard) getRun(c *Cache, ids []uint32, run []int32, views [][]byte, miss func(int) []byte) (prefetchHits int) {
+	var slots [locateWindow]uint32
+	var touched uint32
+	for k, i := range run {
+		slot := s.idxFind(ids[i])
+		slots[k] = slot
+		if slot != nilIdx {
+			touched |= s.meta[slot].segflags
+		}
+	}
+	s.touched = touched
+	// A located slot holds until the run's first fill: an insert can evict,
+	// and so free, the slot of a later id of the same shard.
+	located := true
+	for k, i := range run {
+		slot := slots[k]
+		if !located {
+			slot = s.idxFind(ids[i])
+		}
+		pre, filled := s.probe(c, ids, views, int(i), slot, miss)
+		prefetchHits += pre
+		located = located && !filled
+	}
+	return prefetchHits
+}
+
+// probe is GetBatch's step for ids[i], whose slot (nilIdx when absent) the
+// caller has just located, under s.mu. It returns 1 for a hit on a
+// prefetched entry, and whether a miss was filled.
+func (s *shard) probe(c *Cache, ids []uint32, views [][]byte, i int, slot uint32, miss func(int) []byte) (prefetchHit int, filled bool) {
+	if slot != nilIdx {
+		if s.promote(slot) {
+			prefetchHit = 1
+		}
 		if views != nil {
 			views[i] = s.payload(c, slot)
 		}
-		if pre {
-			return 1
-		}
-		return 0
+		return prefetchHit, false
 	}
 	if miss != nil {
 		if p := miss(i); p != nil {
-			s.addAt(c, id, p, 0, false)
+			s.insert(c, ids[i], p, 0, false)
+			return 0, true
 		}
 	}
-	return 0
+	return 0, false
 }
 
 // batchScratch is GetBatch's per-call chain scratch, pooled so a batch
