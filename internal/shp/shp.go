@@ -18,8 +18,8 @@
 package shp
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -33,7 +33,9 @@ type Options struct {
 	// Iterations is the number of swap-refinement iterations per bisection
 	// level (the paper uses 16).
 	Iterations int
-	// Seed drives the initial random split.
+	// Seed is unused: the run has no randomness (a cold start splits in
+	// first-co-access order, a warm start from InitialOrder). It is kept so
+	// existing callers compile.
 	Seed int64
 	// Workers bounds the number of buckets refined concurrently. Defaults
 	// to GOMAXPROCS.
@@ -166,16 +168,16 @@ func averageFanout(order []uint32, queries [][]uint32, blockVectors int) float64
 	for p, id := range order {
 		pos[id] = uint32(p)
 	}
+	// stamp[b] is 1 + the index of the last query that read block b.
+	stamp := make([]uint32, (len(order)+blockVectors-1)/blockVectors)
 	var total int64
-	seen := make(map[uint32]struct{}, 64)
-	for _, q := range queries {
-		for k := range seen {
-			delete(seen, k)
-		}
+	for qi, q := range queries {
 		for _, id := range q {
-			seen[pos[id]/uint32(blockVectors)] = struct{}{}
+			if b := pos[id] / uint32(blockVectors); stamp[b] != uint32(qi+1) {
+				stamp[b] = uint32(qi + 1)
+				total++
+			}
 		}
-		total += int64(len(seen))
 	}
 	return float64(total) / float64(len(queries))
 }
@@ -362,88 +364,73 @@ func (p *partitioner) bisect(b *bucket) (*bucket, *bucket) {
 				}
 			}
 		}
-		byFirst := make([]int32, n)
-		for i := range byFirst {
-			byFirst[i] = int32(i)
+		// The first half of the vertices stably sorted by firstSeen go left.
+		// The keys lie in [0, numQueries+1], so count them instead of
+		// sorting: below the key at rank half a vertex goes left, above it
+		// right, and of the vertices holding it the first ones by index fill
+		// the left side up.
+		keys := make([]int32, numQueries+2)
+		for _, k := range firstSeen {
+			keys[k]++
 		}
-		slices.SortStableFunc(byFirst, func(a, b int32) int { return cmp.Compare(firstSeen[a], firstSeen[b]) })
-		for rank, li := range byFirst {
-			if rank >= half {
-				side[li] = 1
+		cut, room := int32(0), int32(half)
+		for room >= keys[cut] {
+			room -= keys[cut]
+			cut++
+		}
+		for i, k := range firstSeen {
+			switch {
+			case k > cut:
+				side[i] = 1
+			case k == cut:
+				if room == 0 {
+					side[i] = 1
+				} else {
+					room--
+				}
 			}
 		}
 	}
 
-	// Refinement is by the smoothed move gain of movePow.
+	// Refinement is by the smoothed move gain of movePow. Each iteration
+	// accumulates every vertex's gain over the queries (one with fewer than
+	// two members here cannot affect fanout), then pairs the two sides'
+	// highest gains greedily and swaps each pair whose gains sum above
+	// 1e-12, up to maxSwaps pairs; an iteration that swaps nothing ends the
+	// refinement. The pairing is defined by a full sort of each side, but
+	// swapper.swap decides it from a selection of each side's largest gains:
+	// it sorts a side only where the last swapped gain ties with the first
+	// one left behind, since only there does the sort's order of equal gains
+	// pick the vertices.
 	gain := make([]float64, n)
-	byGain := func(a, b int32) int { // descending; gains are never NaN
-		switch ga, gb := gain[a], gain[b]; {
-		case ga > gb:
-			return -1
-		case ga < gb:
-			return 1
-		}
-		return 0
-	}
-	cand := make([]int32, n)
+	maxSwaps := max(int(p.opts.MaxSwapFraction*float64(half)), 1)
+	var sw swapper
 	for iter := 0; iter < p.opts.Iterations; iter++ {
 		clear(gain)
-		// Accumulate per-vertex move gains from each query; one with fewer
-		// than two members here cannot affect fanout.
 		for qi := 0; qi < numQueries; qi++ {
 			q := local[b.qoff[qi]:b.qoff[qi+1]]
 			if len(q) < 2 {
 				continue
 			}
-			var cnt0, cnt1 int32
+			// A query's members on one side all gain the same: count the
+			// sides, compute the two deltas once and add each member's.
+			var cnt1 int32
 			for _, li := range q {
-				if side[li] == 0 {
-					cnt0++
-				} else {
-					cnt1++
-				}
+				cnt1 += int32(side[li])
+			}
+			cnt0 := int32(len(q)) - cnt1
+			var delta [2]float64
+			if cnt0 > 0 {
+				delta[0] = powAt(cnt0-1) - powAt(cnt1)
+			}
+			if cnt1 > 0 {
+				delta[1] = powAt(cnt1-1) - powAt(cnt0)
 			}
 			for _, li := range q {
-				if side[li] == 0 {
-					gain[li] += powAt(cnt0-1) - powAt(cnt1)
-				} else {
-					gain[li] += powAt(cnt1-1) - powAt(cnt0)
-				}
+				gain[li] += delta[side[li]&1]
 			}
 		}
-		// Candidate lists sorted by descending gain: side 0 fills cand from
-		// the front, side 1 from the back.
-		n0, n1 := 0, n
-		for i := n - 1; i >= 0; i-- {
-			if side[i] != 0 {
-				n1--
-				cand[n1] = int32(i)
-			}
-		}
-		for i := 0; i < n; i++ {
-			if side[i] == 0 {
-				cand[n0] = int32(i)
-				n0++
-			}
-		}
-		cand0, cand1 := cand[:n0], cand[n1:]
-		slices.SortFunc(cand0, byGain)
-		slices.SortFunc(cand1, byGain)
-
-		maxSwaps := int(p.opts.MaxSwapFraction * float64(half))
-		if maxSwaps < 1 {
-			maxSwaps = 1
-		}
-		swaps := 0
-		for k := 0; k < len(cand0) && k < len(cand1) && swaps < maxSwaps; k++ {
-			a, bb := cand0[k], cand1[k]
-			if gain[a]+gain[bb] <= 1e-12 {
-				break
-			}
-			side[a], side[bb] = 1, 0
-			swaps++
-		}
-		if swaps == 0 {
+		if sw.swap(gain, side, maxSwaps) == 0 {
 			break
 		}
 	}
@@ -498,4 +485,175 @@ func (p *partitioner) bisect(b *bucket) (*bucket, *bucket) {
 	copy(b.vertices, moved)
 	child[0].vertices, child[1].vertices = b.vertices[:half], b.vertices[half:]
 	return child[0], child[1]
+}
+
+// swapper is one bisection's scratch for its refinement iterations.
+type swapper struct {
+	vals  [2][]float64 // each side's gains
+	top   [2]descending
+	cand  []indexedGain
+	moved []int32 // the vertices that change side
+}
+
+type indexedGain struct {
+	gain float64
+	i    int32
+}
+
+// byGainDesc orders by descending gain; gains are never NaN. pdqsort's
+// permutation depends only on the outcomes of its comparisons, so sorting
+// these pairs moves them exactly as sorting the indices by their gains would.
+func byGainDesc(a, b indexedGain) int {
+	switch {
+	case a.gain > b.gain:
+		return -1
+	case a.gain < b.gain:
+		return 1
+	}
+	return 0
+}
+
+// swap performs one refinement iteration's swaps and returns how many pairs
+// it swapped. The rule is the greedy pairing of the two sides' candidate
+// lists (each side's vertices in ascending index order, slices.SortFunc'ed by
+// descending gain): pair k swaps while gain0[k]+gain1[k] > 1e-12, up to
+// maxSwaps pairs. The iteration's outcome is which vertices change side, so
+// swap computes that set without sorting the sides:
+//
+//   - the s pairs to swap follow from each side's s+1 largest gains alone,
+//     which descending reaches rank by rank in O(n + s log s);
+//   - on a side whose s-th and (s+1)-th largest gains differ (or that swaps
+//     whole), the swapped set is every vertex with a gain at least the s-th;
+//   - only where they tie does the set depend on the order pdqsort leaves
+//     equal gains in, so that side falls back to the candidate list and sort
+//     above, and swaps its first s.
+//
+// The result is bit for bit the full sort's; TestSwapMatchesSortedPairing
+// holds the two together.
+func (w *swapper) swap(gain []float64, side []uint8, maxSwaps int) int {
+	if w.vals[0] == nil {
+		w.vals = [2][]float64{make([]float64, len(side)), make([]float64, len(side))}
+	}
+	var size [2]int
+	for i, s := range side {
+		w.vals[s][size[s]] = gain[i]
+		size[s]++
+	}
+	k := min(maxSwaps, size[0], size[1])
+	if k == 0 {
+		return 0
+	}
+	top := &w.top
+	for s := range top {
+		top[s].reset(w.vals[s][:size[s]])
+	}
+	swaps := 0
+	for swaps < k && top[0].at(swaps)+top[1].at(swaps) > 1e-12 {
+		swaps++
+	}
+	if swaps == 0 {
+		return 0
+	}
+	// cut[s] is the least gain a side-s vertex swaps at; +Inf (no gain is
+	// infinite) marks a side whose swaps the fallback already chose.
+	var cut [2]float64
+	w.moved = w.moved[:0]
+	for s := range cut {
+		cut[s] = top[s].at(swaps - 1)
+		if swaps == size[s] || top[s].at(swaps) != cut[s] {
+			continue
+		}
+		cut[s] = math.Inf(1)
+		c := w.cand[:0]
+		for i, si := range side {
+			if int(si) == s {
+				c = append(c, indexedGain{gain[i], int32(i)})
+			}
+		}
+		slices.SortFunc(c, byGainDesc)
+		for _, g := range c[:swaps] {
+			w.moved = append(w.moved, g.i)
+		}
+		w.cand = c
+	}
+	for i, s := range side {
+		if gain[i] >= cut[s] {
+			w.moved = append(w.moved, int32(i))
+		}
+	}
+	for _, i := range w.moved {
+		side[i] ^= 1
+	}
+	return swaps
+}
+
+// descending sorts v into descending order lazily, rank by rank: at(k)
+// returns the k-th largest value (from 0), and sorts no more of v than ranks
+// 0..k need. It is an incremental quicksort: each call keeps partitioning,
+// around a median-of-three pivot, the segment that holds rank k, three ways so
+// that a run of values equal to the pivot is final as soon as nothing larger
+// is left before it. Reaching rank k costs O(len(v) + k log k).
+type descending struct {
+	v      []float64
+	sorted int   // v[:sorted] is final: the largest values, in order
+	bounds []int // segment ends past sorted, nearest last: each segment's values are >= all later ones
+}
+
+func (d *descending) reset(v []float64) {
+	d.v, d.sorted, d.bounds = v, 0, append(d.bounds[:0], len(v))
+}
+
+func (d *descending) at(k int) float64 {
+	v := d.v
+	for d.sorted <= k {
+		lo, hi := d.sorted, d.bounds[len(d.bounds)-1]
+		if hi == lo {
+			d.bounds = d.bounds[:len(d.bounds)-1]
+			continue
+		}
+		if hi-lo <= 16 {
+			for i := lo + 1; i < hi; i++ {
+				for j := i; j > lo && v[j] > v[j-1]; j-- {
+					v[j], v[j-1] = v[j-1], v[j]
+				}
+			}
+			d.sorted = hi
+			continue
+		}
+		p := median3(v[lo], v[(lo+hi)/2], v[hi-1])
+		// v[lo:gt0] > p, v[gt0:lt1] == p, v[lt1:hi] < p.
+		gt0, i, lt1 := lo, lo, hi
+		for i < lt1 {
+			switch x := v[i]; {
+			case x > p:
+				v[gt0], v[i] = x, v[gt0]
+				gt0++
+				i++
+			case x < p:
+				lt1--
+				v[i], v[lt1] = v[lt1], x
+			default:
+				i++
+			}
+		}
+		if lt1 < hi {
+			d.bounds = append(d.bounds, lt1)
+		}
+		if gt0 == lo {
+			d.sorted = lt1
+		} else {
+			d.bounds = append(d.bounds, gt0)
+		}
+	}
+	return v[k]
+}
+
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	return max(a, b)
 }

@@ -239,6 +239,45 @@ func TestOrdersMatchMapBasedBisect(t *testing.T) {
 	}
 }
 
+// TestBenchmarkOrdersPinned pins SHP's orders on the four tables the
+// benchmark trains (trace.DefaultProfiles at scale 0.002, dataset seed 1, so
+// each profile's seed is offset by 100; the first 4,000 requests train): the
+// cold Partition Train runs on each, and the warm Repartition an adaptation
+// epoch runs over the next 2,000 requests. These tables are larger than
+// TestOrdersMatchMapBasedBisect's and their gains tie far more often, so they
+// hold the refinement's swap selection to the full sort on the inputs the
+// benchmark's block reads come from.
+func TestBenchmarkOrdersPinned(t *testing.T) {
+	want := []struct{ cold, warm uint64 }{
+		{0x272555b25e8ce0f9, 0x9d8b8e4a70bb1dcd},
+		{0x037df3677c6b1709, 0x2a09c0269eaadd91},
+		{0x4be6b22cd26657e5, 0x6914d7fed1856af9},
+		{0x8e6678944c406971, 0xb4c8e00b0d113279},
+	}
+	for i, p := range trace.DefaultProfiles(0.002)[:len(want)] {
+		p.Seed += 100
+		tr := trace.GenerateTable(p, 6000)
+		queries := make([][]uint32, len(tr.Queries))
+		for qi, q := range tr.Queries {
+			queries[qi] = q
+		}
+		cold, err := Partition(p.NumVectors, queries[:4000], Options{BlockVectors: 32, Iterations: 16, Seed: int64(1 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := Repartition(cold.Order, queries[4000:], Options{BlockVectors: 32, Iterations: 6, Seed: int64(1 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := orderHash(cold.Order); got != want[i].cold {
+			t.Errorf("table %d: cold order hashes to %#x, want %#x", i+1, got, want[i].cold)
+		}
+		if got := orderHash(warm.Order); got != want[i].warm {
+			t.Errorf("table %d: warm order hashes to %#x, want %#x", i+1, got, want[i].warm)
+		}
+	}
+}
+
 // TestLeavesAreBlocks drives the recursion by hand over random table and
 // block sizes: every leaf must be exactly one aligned run of BlockVectors ids
 // of the final order (the last may be short), so the blocks layout.FromOrder

@@ -389,10 +389,53 @@ func DemandThresholds(counts []uint32, cacheVectors int) []uint32 {
 // entry lives in the last sixteenth of the queue, which at 64 vectors is four
 // entries: on the benchmark dataset (caches of 492 to 3,252 vectors) a
 // 64-vector floor serves 372.6 block reads per thousand lookups, 128 serves
-// 365.0, 256 363.4 and 512 362.9, while Train takes 0.95, 1.01, 1.33 and
-// 2.5 s against 1.2 s before the demand sweep existed. 128 is the largest
-// that leaves training no slower than it was.
+// 365.0, 256 363.4 and 512 362.9. When the demand sweep was added, Train took
+// 0.95, 1.01, 1.33 and 2.5 s at those floors, against 1.2 s before it, and
+// 128 was the largest that left training no slower. Re-measured in October
+// 2026 (a 2-vCPU Xeon VM, medians of 9 Trains of the four tables), after the
+// SHP refinement kernel and this once-filtered trace: 0.73, 0.88, 1.34 and
+// 2.37 s, where the same box took 1.62 s at 128 before them.
 const minMiniCacheVectors = 128
+
+// sampleBlocks is the miniature cache's trace: tr restricted to the vectors
+// whose block under l mrc.SampleFilter(rate) selects, with the queries this
+// leaves empty dropped. The tuner samples whole *blocks* rather than
+// individual vectors, which keeps the intra-block composition — and therefore
+// the prefetch dynamics the thresholds are being tuned for — intact while
+// shrinking the lookup stream and the cache by the sampling rate.
+//
+// Replaying the result with no Filter is exactly replaying tr with the
+// equivalent per-vector Filter, so the tuner filters once, not once per
+// candidate. Pass 1 sees the same ids in the same order, and an empty query
+// does nothing there. Pass 2's filter never rejects a candidate: a block read
+// is a sampled id's block, so every member of it is sampled too.
+func sampleBlocks(tr *trace.Trace, l *layout.Layout, rate float64) *trace.Trace {
+	blockFilter := mrc.SampleFilter(rate)
+	sampled := make([]bool, l.NumBlocks())
+	for b := range sampled {
+		sampled[b] = blockFilter(uint32(b))
+	}
+	var ids []uint32
+	var ends []int
+	for _, q := range tr.Queries {
+		start := len(ids)
+		for _, id := range q {
+			if sampled[l.BlockOf(id)] {
+				ids = append(ids, id)
+			}
+		}
+		if len(ids) > start {
+			ends = append(ends, len(ids))
+		}
+	}
+	out := &trace.Trace{TableName: tr.TableName, NumVectors: tr.NumVectors, Queries: make([]trace.Query, len(ends))}
+	start := 0
+	for i, end := range ends {
+		out.Queries[i] = ids[start:end:end]
+		start = end
+	}
+	return out
+}
 
 // tuned is one replayed candidate of the tuner.
 type tuned struct {
@@ -433,35 +476,17 @@ func TuneThreshold(tr *trace.Trace, cfg TunerConfig) (ThresholdChoice, error) {
 			rate = 1
 		}
 	}
-	var filter func(uint32) bool
-	miniCache := cfg.CacheVectors
+	miniTrace, miniCache := tr, cfg.CacheVectors
 	if rate < 1 {
-		// Sample whole *blocks* rather than individual vectors: a vector is
-		// simulated iff its NVM block (under the candidate layout) is
-		// selected. This keeps the intra-block composition — and therefore
-		// the prefetch dynamics the thresholds are being tuned for — intact,
-		// while still shrinking the lookup stream and cache by the sampling
-		// rate.
-		// Every replay asks about every id it meets, so the hash is taken
-		// once per block here, not once per lookup there.
-		blockFilter := mrc.SampleFilter(rate)
-		l := cfg.Layout
-		sampled := make([]bool, l.NumBlocks())
-		for b := range sampled {
-			sampled[b] = blockFilter(uint32(b))
-		}
-		filter = func(id uint32) bool { return sampled[l.BlockOf(id)] }
-		miniCache = int(float64(cfg.CacheVectors) * rate)
-		if miniCache < 1 {
-			miniCache = 1
-		}
+		miniTrace = sampleBlocks(tr, cfg.Layout, rate)
+		miniCache = max(int(float64(cfg.CacheVectors)*rate), 1)
 	}
 	replay := func(threshold, demand uint32) tuned {
 		var policy cache.AdmissionPolicy = cache.NoPrefetch{}
 		if threshold != DisablePrefetch || demand != 0 {
 			policy = cache.ThresholdAdmit{Counts: cfg.Counts, Threshold: threshold, DemandThreshold: demand}
 		}
-		return tuned{threshold, demand, Replay(tr, Config{Layout: cfg.Layout, CacheVectors: miniCache, Policy: policy, Filter: filter})}
+		return tuned{threshold, demand, Replay(miniTrace, Config{Layout: cfg.Layout, CacheVectors: miniCache, Policy: policy})}
 	}
 
 	baseline := replay(DisablePrefetch, 0)

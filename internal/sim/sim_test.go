@@ -380,6 +380,53 @@ func TestTuneThresholdSampledTracksOracle(t *testing.T) {
 	}
 }
 
+// TestSampledTraceReplaysLikeTheFilter: the tuner replays the block-sampled
+// trace it builds once with no Filter, where it used to replay the whole trace
+// through the block filter. Every policy it replays must measure the same
+// either way, field for field: the baseline, each prefetch threshold ungated,
+// each demand threshold with prefetching off, and each pair of the two.
+func TestSampledTraceReplaysLikeTheFilter(t *testing.T) {
+	tr := testTrace(t, 8192, 1500, 0.9, 21)
+	train, eval := tr.Split(0.5)
+	l := shpLayout(t, train)
+	counts := train.AccessCounts()
+	const cacheVectors = 1200
+	var policies []cache.AdmissionPolicy
+	policies = append(policies, cache.NoPrefetch{})
+	demands := DemandThresholds(counts, cacheVectors)
+	for _, d := range demands {
+		policies = append(policies, cache.ThresholdAdmit{Counts: counts, Threshold: DisablePrefetch, DemandThreshold: d})
+	}
+	for _, th := range AdaptiveThresholds(counts) {
+		policies = append(policies, cache.ThresholdAdmit{Counts: counts, Threshold: th})
+		for _, d := range demands {
+			policies = append(policies, cache.ThresholdAdmit{Counts: counts, Threshold: th, DemandThreshold: d})
+		}
+	}
+	for _, rate := range []float64{0.05, 0.2, 1} {
+		blockFilter := mrc.SampleFilter(rate)
+		filter := func(id uint32) bool { return blockFilter(uint32(l.BlockOf(id))) }
+		mini := sampleBlocks(eval, l, rate)
+		miniCache := max(int(cacheVectors*rate), 1)
+		for _, q := range mini.Queries {
+			if len(q) == 0 {
+				t.Fatalf("rate %g: the sampled trace keeps an empty query", rate)
+			}
+		}
+		for _, p := range policies {
+			want := Replay(eval, Config{Layout: l, CacheVectors: miniCache, Policy: p, Filter: filter})
+			got := Replay(mini, Config{Layout: l, CacheVectors: miniCache, Policy: p})
+			if got != want {
+				t.Fatalf("rate %g, %+v: the sampled trace replays to\n%+v\nthe filtered one to\n%+v", rate, p, got, want)
+			}
+			if want.Lookups == 0 || want.BlockReads == 0 {
+				t.Fatalf("rate %g: the sample is empty: %+v", rate, want)
+			}
+		}
+		t.Logf("rate %g: %d of %d queries, %d policies", rate, len(mini.Queries), len(eval.Queries), len(policies))
+	}
+}
+
 // TestDemandThresholds: the candidates are one more than the training count
 // of the id ranked 0.5x, 1x and 2x the cache size, without repeats, and a
 // rank beyond the table is its coldest id.
