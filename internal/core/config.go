@@ -14,17 +14,18 @@
 //     hit-rate curves, and picks each table's prefetch-admission threshold
 //     with miniature-cache simulations.
 //  3. Lookup / LookupBatch serve embedding reads: cache hits are free,
-//     misses read one 4 KB NVM block — through the I/O scheduler, which
-//     coalesces concurrent misses of a block and lets independent ones
-//     overlap up to the device's saturation queue depth — and admit co-located
-//     vectors whose training-time access count exceeds the table's
-//     threshold.
+//     misses read one 4 KB NVM block — in place when the device's blocks are
+//     memory (the mem backend, a buffered file store's mapping), else
+//     through the I/O scheduler, which coalesces concurrent misses of a
+//     block and lets independent ones overlap up to the device's saturation
+//     queue depth — and admit co-located vectors whose training-time access
+//     count exceeds the table's threshold.
 //  4. UpdateVector appends one record to the update log and parks the new
 //     bytes in a DRAM overlay served ahead of the block image; a background
 //     compactor folds the overlay into the image (the device's write
 //     counters move then; CompactDeltas forces it) and trims the log.
 //  5. Close stops the compactor — a goroutine every store runs, so every
-//     Open needs one — and drains the I/O scheduler.
+//     Open needs one — and drains the I/O scheduler of O_DIRECT misses.
 package core
 
 import (
@@ -97,20 +98,20 @@ type Config struct {
 	// replica sets it to the seq of the snapshot it imported, so the seq it
 	// reports downstream is the primary's, not its own boot time.
 	InitialSnapshotSeq uint64
-	// IOSched tunes the block I/O scheduler (internal/iosched)
-	// every miss-path and background read goes through.
+	// IOSched tunes the block I/O scheduler (internal/iosched) the misses
+	// of an O_DIRECT file store go through.
 	IOSched IOSchedOptions
 	// UpdateLog tunes the update path (delta overlay + append-only update
 	// log, see deltalog.go).
 	UpdateLog UpdateLogOptions
 }
 
-// IOSchedOptions tunes the store's block I/O scheduler. Demand misses,
-// batched misses and background read-modify-write reads go through a
+// IOSchedOptions tunes the store's block I/O scheduler. The misses of a
+// device whose blocks are not memory (an O_DIRECT file store) go through a
 // per-device scheduler that coalesces concurrent reads of the same block
 // into one device read and lets up to QueueDepth callers — the queue depth
 // at which NVM delivers its bandwidth — issue their reads at once, granting
-// waiting demand reads a slot before background ones.
+// waiting callers a slot in arrival order.
 type IOSchedOptions struct {
 	// QueueDepth is the number of concurrent issuers and the most blocks one
 	// device call carries; 0 uses the iosched default (8, the paper's device

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-
-	"bandana/internal/iosched"
 )
 
 // This file is the delta update path and its two consumers: the background
@@ -60,7 +58,7 @@ func (s *Store) requestCompaction() {
 }
 
 // compactLoop is the background compactor goroutine (one per store); Close
-// stops it before tearing down the scheduler and device.
+// stops it before tearing down the device.
 func (s *Store) compactLoop() {
 	defer close(s.compactDone)
 	for {
@@ -142,31 +140,18 @@ func (s *Store) compactTable(st *storeTable) (int, error) {
 	}
 	sort.Ints(blocks)
 
-	minEpoch := st.epoch.Load()
 	bufp := getBlockBuf()
 	defer putBlockBuf(bufp)
 	buf := *bufp
 	for _, b := range blocks {
 		abs := st.blockBase + b
-		// Background (prefetch-class) reads: compaction must never starve
-		// foreground lookups of device bandwidth.
-		for {
-			res, err := st.sched.ReadBlock(abs, buf, iosched.Prefetch, minEpoch)
-			if err != nil {
-				return 0, fmt.Errorf("core: table %q: %w", st.name, err)
-			}
-			// Freshness: a Late read may carry bytes snapshotted before an
-			// earlier NVM write to this table; every such write bumped the
-			// epoch before minEpoch was loaded (we hold rewriteMu shared and
-			// compactions serialize on compactMu), so only a leader tag from
-			// BEFORE minEpoch can be stale. Delta updates bump the epoch
-			// without touching NVM, so the comparison is < (not !=): fresh
-			// leaders always carry tags >= minEpoch and the retry terminates
-			// under update load.
-			if res.Late && res.LeaderTag < minEpoch {
-				continue
-			}
-			break
+		// The read goes to the device directly, and its bytes are the
+		// block's current image by construction: rewriteMu held shared keeps
+		// every layout install out, compactMu every other compaction, and
+		// those are the only writers of a table's blocks. With no scheduler
+		// there is no coalescing, so no earlier reader's bytes to inherit.
+		if err := s.device.ReadBlocks([]int{abs}, buf); err != nil {
+			return 0, fmt.Errorf("core: table %q: %w", st.name, err)
 		}
 		for _, id := range byBlock[b] {
 			slot := ts.layout.SlotOf(id)

@@ -12,7 +12,7 @@ import (
 
 // newMissPathStore opens a trained single-table store over the backend the
 // suite runs on — the deployed miss path: SHP layout, threshold admission,
-// batched reads through the scheduler (mem, file-direct) or in place (file).
+// batched reads in place (mem, file) or through the scheduler (file-direct).
 // The cache holds 256 of the 32,768 vectors, so a batch of ids not served
 // recently is all misses. CacheShards is pinned (to what a 2-core host
 // derives): the default grows with GOMAXPROCS, and a 256-entry cache split
@@ -95,10 +95,10 @@ func TestMissBatchAllocBound(t *testing.T) {
 		}
 		return allocs
 	}
-	// Measured: 6 allocs per batch through the scheduler — the result slice,
-	// the block list and raw-copy buffer in serveBatch, the block-member
-	// scratch, and the scheduler call's result and op slices — and 4 read in
-	// place, which has no scheduler call.
+	// Measured: 3 allocs per batch read in place (mem, file) — the result
+	// slice, and the block list and raw-copy buffer in serveBatch — and 5
+	// through the scheduler (file-direct), whose call adds its result and op
+	// slices.
 	at16 := measure(16)
 	if at16 > 26 {
 		t.Fatalf("cold 64-id raw batch allocates %.1f times, want <= 26", at16)

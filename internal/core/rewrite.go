@@ -57,7 +57,7 @@ func (s *Store) renderImage(st *storeTable, l *layout.Layout, img []byte) (cur [
 		for i := b; i < st.numBlocks && len(idxs) < renderBatch; i++ {
 			idxs = append(idxs, st.blockBase+i)
 		}
-		if _, err := s.device.ReadBlocks(idxs, cur[b*nvm.BlockSize:]); err != nil {
+		if err := s.device.ReadBlocks(idxs, cur[b*nvm.BlockSize:]); err != nil {
 			return nil, fmt.Errorf("core: table %q: render image: %w", st.name, err)
 		}
 	}

@@ -283,10 +283,11 @@ func (st *storeTable) admitMember(ts *tableState, buf []byte, epoch uint64, mslo
 // readBlocksMiss reads a set of distinct absolute device blocks on the miss
 // path, as demand reads through the I/O scheduler (coalescing with concurrent
 // misses for the same block, batching with independent ones). It returns the
-// slowest read's service latency and queue wait and, when the scheduler
-// served any block from someone else's device read, a per-block coalesced
-// mask (nil otherwise). The caller must hold st.rewriteMu shared and must
-// have loaded epoch from st.epoch BEFORE calling.
+// caller's own queue wait — the wait of the reads it led, summed over
+// re-submits, 0 if it led none — and, when the scheduler served any block
+// from someone else's device read, a per-block coalesced mask (nil
+// otherwise). The caller must hold st.rewriteMu shared and must have loaded
+// epoch from st.epoch BEFORE calling.
 //
 // Freshness: the epoch rides along as the read's tag. A read that attached
 // to an already-issued device read (Late) may receive bytes snapshotted
@@ -298,32 +299,29 @@ func (st *storeTable) admitMember(ts *tableState, buf []byte, epoch uint64, mslo
 // the device read) and now, making the bytes current; any write in between
 // leaves leaderTag behind the current epoch and forces the whole set to be
 // re-submitted. Returns the epoch the bytes are consistent with.
-func (st *storeTable) readBlocksMiss(abs []int, dst []byte, epoch uint64) (lat, wait float64, coalesced []bool, outEpoch uint64, err error) {
+func (st *storeTable) readBlocksMiss(abs []int, dst []byte, epoch uint64) (wait float64, coalesced []bool, outEpoch uint64, err error) {
 	for {
 		results, err := st.sched.ReadBlocks(abs, dst, iosched.Demand, epoch)
 		if err != nil {
-			return 0, 0, nil, epoch, err
+			return 0, nil, epoch, err
 		}
-		stale := false
+		// A call's leaders share one wait: its own.
+		anyCoalesced, stale := false, false
+		var own float64
 		for _, r := range results {
+			if !r.Coalesced {
+				own = r.WaitUS
+				continue
+			}
+			anyCoalesced = true
 			if r.Late && r.LeaderTag != st.epoch.Load() {
 				stale = true
-				break
 			}
 		}
+		wait += own
 		if stale {
 			epoch = st.epoch.Load()
 			continue
-		}
-		var anyCoalesced bool
-		for _, r := range results {
-			if r.LatencyUS > lat {
-				lat = r.LatencyUS
-			}
-			if r.WaitUS > wait {
-				wait = r.WaitUS
-			}
-			anyCoalesced = anyCoalesced || r.Coalesced
 		}
 		if anyCoalesced {
 			coalesced = make([]bool, len(results))
@@ -331,20 +329,7 @@ func (st *storeTable) readBlocksMiss(abs []int, dst []byte, epoch uint64) (lat, 
 				coalesced[i] = r.Coalesced
 			}
 		}
-		return lat, wait, coalesced, epoch, nil
-	}
-}
-
-// observeMissIO records the wait/service decomposition of one miss-path
-// device read into the table's stage histograms and the optional trace:
-// device service time in lookupLatency, scheduler queue wait in
-// queueWaitLatency.
-func (st *storeTable) observeMissIO(lat, wait float64, tr *StageTrace) {
-	st.lookupLatency.Observe(lat)
-	st.queueWaitLatency.Observe(wait)
-	if tr != nil {
-		tr.ServiceUS += lat
-		tr.QueueWaitUS += wait
+		return wait, coalesced, epoch, nil
 	}
 }
 
@@ -548,14 +533,14 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 	// exclusive acquisition waits for every read in flight, scheduled or in
 	// place.
 	//
-	// Lock order: an in-place read serves each block under the file store's
-	// stripe RLock for it, and serveBlock takes the overlay's read lock and
-	// cache shard mutexes inside it. So no path may take a stripe lock —
-	// read or write a block — while holding the overlay lock or a shard
-	// mutex. None does: applyUpdate holds each of those alone, the overlay's
-	// and the cache's methods never call out to the device, and the
-	// compactor, the layout install and Close reach the stripes holding
-	// neither.
+	// Lock order: an in-place read serves each block under the store's read
+	// lock for it (a file store's stripe RLock, a MemStore's RWMutex), and
+	// serveBlock takes the overlay's read lock and cache shard mutexes inside
+	// it. So no path may take a block lock — read or write a block — while
+	// holding the overlay lock or a shard mutex. None does: applyUpdate holds
+	// each of those alone, the overlay's and the cache's methods never call
+	// out to the device, and the compactor, the layout install and Close
+	// reach the block locks holding neither.
 	st.rewriteMu.RLock()
 	defer st.rewriteMu.RUnlock()
 	ts = st.loadState()
@@ -616,13 +601,13 @@ type missCopies struct {
 	members []uint32 // scratch: the block's members, for an uncompiled policy's admission
 }
 
-// readInPlace is pass 2's reader when the device's blocks are memory (a
-// buffered file store's mapping): each block is served straight from the
-// mapping while its stripe is held, with no scheduler, no modelled latency
-// and no block copy. The epoch is loaded before the first block is held, so
-// the bytes are at least that fresh. The visit's wall time — the reads and
-// the copies, fills and admissions done under them — is the device-service
-// sample; there is no queue wait.
+// readInPlace is pass 2's reader when the device's blocks are memory (the
+// mem backend, a buffered file store's mapping): each block is served
+// straight from that memory under the store's read lock for it, with no
+// scheduler and no block copy. The epoch is loaded before the first block is
+// held, so the bytes are at least that fresh. The visit's wall time — the
+// reads and the copies, fills and admissions done under them — is the
+// device-service sample; there is no queue wait.
 func (m *missStep) readInPlace(abs []int) error {
 	m.epoch = m.st.epoch.Load()
 	start := time.Now()
@@ -637,22 +622,30 @@ func (m *missStep) readInPlace(abs []int) error {
 	return nil
 }
 
-// readScheduled is pass 2's reader for every other device (the mem backend,
-// a file store read with pread): one batched demand read through the I/O
-// scheduler covers every missed block — the reads overlap at the device
-// instead of being issued one by one, and coalesce with concurrent misses of
-// the same blocks — and the blocks are then served from the copy. The
-// scheduler reads into a pooled buffer directly, so it is the aligned kind
-// direct I/O needs.
+// readScheduled is pass 2's reader for every other device (a file store read
+// with pread): one batched demand read through the I/O scheduler covers every
+// missed block — the reads overlap at the device instead of being issued one
+// by one, and coalesce with concurrent misses of the same blocks — and the
+// blocks are then served from the copy. The scheduler reads into a pooled
+// buffer directly, so it is the aligned kind direct I/O needs. The read's
+// wall time splits into the two stages: the caller's own queue wait, and the
+// rest as device service.
 func (m *missStep) readScheduled(abs []int) error {
 	bufp := nvm.GetBatchBuf(len(abs))
 	defer nvm.PutBatchBuf(bufp)
 	batch := *bufp
-	lat, wait, coalesced, epoch, err := m.st.readBlocksMiss(abs, batch, m.st.epoch.Load())
+	start := time.Now()
+	wait, coalesced, epoch, err := m.st.readBlocksMiss(abs, batch, m.st.epoch.Load())
 	if err != nil {
 		return err
 	}
-	m.st.observeMissIO(lat, wait, m.tr)
+	service := usSince(start) - wait
+	m.st.lookupLatency.Observe(service)
+	m.st.queueWaitLatency.Observe(wait)
+	if m.tr != nil {
+		m.tr.ServiceUS += service
+		m.tr.QueueWaitUS += wait
+	}
 	m.epoch, m.coalesced = epoch, coalesced
 	for bi := range abs {
 		m.serveBlock(bi, batch[bi*nvm.BlockSize:(bi+1)*nvm.BlockSize])

@@ -29,8 +29,8 @@ import (
 type Store struct {
 	device     *nvm.Device
 	ownsDevice bool
-	// sched is the block I/O scheduler background reads, and miss-path reads
-	// of a device whose blocks are not memory, are submitted to.
+	// sched is the block I/O scheduler the miss-path reads of a device whose
+	// blocks are not memory (an O_DIRECT file store) are submitted to.
 	sched  *iosched.Scheduler
 	tables []*storeTable
 	byName map[string]int
@@ -189,9 +189,9 @@ type storeTable struct {
 	// sched mirrors Store.sched so the per-table serving paths can submit
 	// reads without reaching back to the store.
 	sched *iosched.Scheduler
-	// inPlace is the device when its blocks are memory (a buffered file
-	// store's mapping): serveBatch then reads missed blocks in place instead
-	// of through sched. nil otherwise. Chosen once, at Open.
+	// inPlace is the device when its blocks are memory (the mem backend, a
+	// buffered file store's mapping): serveBatch then reads missed blocks in
+	// place instead of through sched. nil otherwise. Chosen once, at Open.
 	inPlace *nvm.Device
 
 	// Serving counters, striped across cache lines so concurrent lookups
@@ -208,8 +208,8 @@ type storeTable struct {
 	prefetchHits   *metrics.StripedCounter
 	probationFills *metrics.StripedCounter
 	// lookupLatency is the device-service component of miss reads (the
-	// historical "lookup latency"): the device model's latency of a
-	// scheduled read, the measured wall time of an in-place one. The
+	// historical "lookup latency"), always wall time: an in-place read's
+	// visit, or a scheduled read's time less its own queue wait. The
 	// histograms below decompose the rest of a lookup's time. probeLatency
 	// takes one sample per batch, the probe's microseconds per distinct id
 	// probed; queueWaitLatency is the scheduler's queue wait of miss reads
@@ -536,15 +536,16 @@ func (s *Store) Close() error {
 
 func (s *Store) close() error {
 	s.StopAdaptation()
-	// The compactor uses the scheduler and the device; it must be fully
-	// stopped before either goes away.
+	// The compactor uses the device; it must be fully stopped before the
+	// device goes away.
 	close(s.compactStop)
 	<-s.compactDone
-	// Drain before the device goes away: queued reads complete, late
-	// submitters get ErrClosed instead of racing a closed device. In-place
-	// misses never enter the scheduler: the file store's Close unmaps only
-	// under every stripe lock, so a visit in flight finishes first and a
-	// later one fails with nvm.ErrNotMapped.
+	// Drain the scheduled (O_DIRECT) misses before the device goes away:
+	// queued reads complete, late submitters get ErrClosed instead of racing
+	// a closed device. In-place misses never enter the scheduler: the file
+	// store's Close unmaps only under every stripe lock, so a visit in flight
+	// finishes first and a later one fails with nvm.ErrNotMapped; a MemStore's
+	// memory outlives its Close.
 	s.sched.Close()
 	logErr := s.deltaLog.close()
 	if s.ownsDevice {

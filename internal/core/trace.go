@@ -12,11 +12,10 @@ type StageTrace struct {
 	// the delta overlay).
 	ProbeUS float64
 	// QueueWaitUS is time the request's miss reads spent waiting for an I/O
-	// scheduler issue slot (0 when they read a mapped store in place).
+	// scheduler issue slot (0 when they read the device's memory in place).
 	QueueWaitUS float64
-	// ServiceUS is the device time of the request's miss reads: simulated
-	// through the scheduler (the slowest block of each call, summed over
-	// calls), measured wall time when they read a mapped store in place.
+	// ServiceUS is the wall time of the request's miss reads less
+	// QueueWaitUS: an in-place visit, or a scheduled read after its slot.
 	ServiceUS float64
 	// DecodeUS is time spent fp16-decoding requested vectors (prefetch
 	// admission decodes are not included).

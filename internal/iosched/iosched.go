@@ -16,11 +16,8 @@
 //   - Coalescing (singleflight): concurrent requests for the same block —
 //     e.g. a miss storm on one hot vector — share a single device read whose
 //     result is fanned out to every waiter.
-//   - Priority classes: when every slot is held, waiting calls are granted
-//     slots demand first, FIFO within a class, so background maintenance
-//     traffic can never starve the serving path; a background call passed
-//     over prefetchStarvationSkips times goes next, and a demand read that
-//     joins a waiting background read promotes it.
+//   - FIFO grants: when every slot is held, waiting calls are granted slots
+//     in arrival order.
 //
 // There is no dispatcher goroutine and no batching across callers. A call
 // registers its reads under one lock — each block either leads (no read of it
@@ -32,21 +29,18 @@
 // reads drain under a per-table RWMutex before a bulk copy-into-place)
 // relies on.
 //
-// A device call is what the device model is told overlaps, and concurrent
-// calls add up in its queue depth. An O_DIRECT file store serves one call
-// block by block with sequential preads, so there the realised queue depth
-// is the number of concurrent issuers — Stats.InFlight, bounded by
-// QueueDepth — and the service latency reported here is the model's, not the
-// wall clock's. A buffered file store's blocks are memory: the serving path
-// reads its misses in place (nvm.Device.VisitBlocks) and never comes here,
-// so on such a store only background reads (the compactor's
-// read-modify-write) move these counters.
+// An O_DIRECT file store serves one device call block by block with
+// sequential preads, so the realised queue depth is the number of concurrent
+// issuers — Stats.InFlight, bounded by QueueDepth. The service time reported
+// here is each device call's wall time. A store whose blocks are memory (the
+// mem backend, a buffered file store's mapping) has its misses read in place
+// (nvm.Device.VisitBlocks), and the compactor reads the device directly, so
+// in the store only O_DIRECT demand misses come here.
 package iosched
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -56,17 +50,18 @@ import (
 	"bandana/internal/nvm"
 )
 
-// Priority classifies a read for scheduling. Lower values are more urgent.
+// Priority labels a read for accounting only: Stats counts submitted reads
+// per label, and every call is granted its slot in arrival order whatever
+// its label. The labels survive because bench/ (which this repo's PRs may
+// not edit outside a benchmark PR) compiles against Demand and reads both
+// per-label counters.
 type Priority int
 
 const (
-	// Demand is a foreground read a caller is actively waiting on (cache
-	// miss on the serving path). Waiting demand reads are granted issue slots
-	// before waiting prefetch reads.
+	// Demand labels a read a caller is waiting on (a cache miss on the
+	// serving path).
 	Demand Priority = iota
-	// Prefetch is a background read (readahead, maintenance
-	// read-modify-write): it takes the slots demand traffic leaves free and
-	// can be delayed while demand reads keep arriving.
+	// Prefetch labels a background read.
 	Prefetch
 
 	numPriorities
@@ -126,8 +121,7 @@ type op struct {
 	// tag is the leader's opaque version tag (see ReadBlocks); followers
 	// receive it as ReadResult.LeaderTag.
 	tag    uint64
-	shared *op   // the op this one follows; nil for a leader
-	call   *call // a leader's slot request while its call waits; nil otherwise
+	shared *op // the op this one follows; nil for a leader
 
 	// done and buf exist once a follower has attached (the first makes them,
 	// under Scheduler.mu, while the op is in the pending map, so the issuer
@@ -138,7 +132,6 @@ type op struct {
 	buf  *[]byte
 	refs atomic.Int32
 
-	lat    float64
 	err    error
 	waitUS float64 // submission to slot, set by the issuer
 
@@ -149,21 +142,13 @@ type op struct {
 
 // call is a ReadBlocks call waiting for an issue slot.
 type call struct {
-	pri     Priority
 	ops     []op // the call's ops; its leaders are issued when it is granted
 	leaders int
-	// skips counts grants that passed this call over while it headed the
-	// prefetch queue (anti-starvation accounting for the background class).
-	skips int
-	ready chan struct{} // closed when the call is granted a slot
+	ready   chan struct{} // closed when the call is granted a slot
 }
 
 // ReadResult describes how one submitted read was served.
 type ReadResult struct {
-	// LatencyUS is the simulated device latency of the device call that
-	// carried this read (the completion time of its slowest member) — the
-	// device service component of the read's total latency.
-	LatencyUS float64
 	// WaitUS is the wall-clock time the call that read the block spent
 	// between submission and holding an issue slot (the queue-wait
 	// component). For a coalesced read this is the leader's wait.
@@ -195,9 +180,9 @@ type Scheduler struct {
 
 	mu      sync.Mutex
 	pending map[int]*op // block -> coalescable op (waiting or in flight)
-	waiting [numPriorities][]*call
-	queued  int // leaders of waiting calls
-	free    int // slots nobody holds; > 0 only while no call waits
+	waiting []*call     // calls waiting for a slot, in arrival order
+	queued  int         // leaders of waiting calls
+	free    int         // slots nobody holds; > 0 only while no call waits
 	maxHeld int
 	closed  bool
 	idle    sync.Cond // signalled when a closed scheduler's last slot frees
@@ -210,11 +195,10 @@ type Scheduler struct {
 	coalesced     atomic.Int64
 	coalescedLate atomic.Int64
 	rejected      atomic.Int64
-	simBusyUS     atomic.Uint64 // float64 bits
 
-	// queueWait tracks wall-clock submission-to-slot time per read; service
-	// tracks simulated device time per device call. Together they say where
-	// a miss's I/O time went: a slot vs the device.
+	// queueWait tracks submission-to-slot time per read; service tracks the
+	// wall time of each device call. Together they say where a miss's I/O
+	// time went: a slot vs the device.
 	queueWait *metrics.Histogram
 	service   *metrics.Histogram
 }
@@ -223,7 +207,7 @@ type Scheduler struct {
 type Stats struct {
 	// TargetQueueDepth echoes the effective number of issue slots.
 	TargetQueueDepth int `json:"targetQueueDepth"`
-	// DemandReads / PrefetchReads count submitted reads per class
+	// DemandReads / PrefetchReads count submitted reads per Priority label
 	// (including coalesced ones).
 	DemandReads   int64 `json:"demandReads"`
 	PrefetchReads int64 `json:"prefetchReads"`
@@ -249,13 +233,10 @@ type Stats struct {
 	// depth in calls — and MaxInFlight its high-water mark.
 	InFlight    int `json:"inFlight"`
 	MaxInFlight int `json:"maxInFlight"`
-	// SimBusyUS is the accumulated simulated device busy time across all
-	// device calls — the denominator of simulated-time throughput.
-	SimBusyUS float64 `json:"simBusyUS"`
-	// QueueWait summarizes wall-clock submission-to-slot time per read
-	// (microseconds); Service summarizes simulated device time per device
-	// call (its count is Batches, not DeviceReads). QueueWait + Service
-	// decompose the total miss-path I/O latency.
+	// QueueWait summarizes submission-to-slot time per read and Service the
+	// wall time of each device call (its count is Batches, not DeviceReads),
+	// both in microseconds. QueueWait + Service decompose the total
+	// miss-path I/O latency.
 	QueueWait metrics.Snapshot `json:"queueWaitUS"`
 	Service   metrics.Snapshot `json:"serviceUS"`
 }
@@ -293,7 +274,7 @@ func (s *Scheduler) ReadBlock(block int, dst []byte, pri Priority, tag uint64) (
 	return results[0], err
 }
 
-// ReadBlocks submits len(blocks) reads at the given priority and returns when
+// ReadBlocks submits len(blocks) reads labelled pri and returns when
 // all have completed; block blocks[i] lands in dst[i*BlockSize:]. It returns
 // per-read results (aligned with blocks) and the first error, if any. The
 // reads the call leads are issued by the calling goroutine, in device calls
@@ -326,17 +307,17 @@ func (s *Scheduler) ReadBlocks(blocks []int, dst []byte, pri Priority, tag uint6
 	slot := s.free > 0
 	var c *call
 	if !slot {
-		c = &call{pri: pri, ops: ops}
+		c = &call{ops: ops}
 	}
 	leaders := 0
 	for i, b := range blocks {
 		o := &ops[i]
 		if lead, ok := s.pending[b]; ok {
 			o.shared = lead
-			results[i] = s.followLocked(lead, pri)
+			results[i] = s.followLocked(lead)
 			continue
 		}
-		o.tag, o.call, o.issued = tag, c, slot
+		o.tag, o.issued = tag, slot
 		s.pending[b] = o
 		results[i].LeaderTag = tag
 		leaders++
@@ -348,7 +329,7 @@ func (s *Scheduler) ReadBlocks(blocks []int, dst []byte, pri Priority, tag uint6
 		s.maxHeld = max(s.maxHeld, s.cfg.QueueDepth-s.free)
 	default:
 		c.leaders, c.ready = leaders, make(chan struct{})
-		s.waiting[pri] = append(s.waiting[pri], c)
+		s.waiting = append(s.waiting, c)
 		s.queued += leaders
 	}
 	s.mu.Unlock()
@@ -357,7 +338,7 @@ func (s *Scheduler) ReadBlocks(blocks []int, dst []byte, pri Priority, tag uint6
 		if !slot {
 			<-c.ready
 		}
-		wait := float64(time.Since(submitted)) / float64(time.Microsecond)
+		wait := usSince(submitted)
 		for i := range ops {
 			if ops[i].shared == nil {
 				ops[i].waitUS = wait
@@ -381,7 +362,7 @@ func (s *Scheduler) ReadBlocks(blocks []int, dst []byte, pri Priority, tag uint6
 				nvm.PutBlockBuf(lead.buf)
 			}
 		}
-		results[i].LatencyUS, results[i].WaitUS = lead.lat, lead.waitUS
+		results[i].WaitUS = lead.waitUS
 		if lead.err != nil && firstErr == nil {
 			firstErr = lead.err
 		}
@@ -391,16 +372,11 @@ func (s *Scheduler) ReadBlocks(blocks []int, dst []byte, pri Priority, tag uint6
 
 // followLocked attaches one read to the pending read of its block. Callers
 // hold s.mu.
-func (s *Scheduler) followLocked(lead *op, pri Priority) ReadResult {
+func (s *Scheduler) followLocked(lead *op) ReadResult {
 	lead.refs.Add(1)
 	if lead.done == nil {
 		lead.done = make(chan struct{})
 		lead.buf = nvm.GetBlockBuf()
-	}
-	// A demand read coalescing onto a waiting prefetch call must not inherit
-	// its low urgency: promote the call.
-	if !lead.issued && pri < lead.call.pri {
-		s.promoteLocked(lead.call, pri)
 	}
 	s.coalesced.Add(1)
 	if lead.issued {
@@ -412,51 +388,22 @@ func (s *Scheduler) followLocked(lead *op, pri Priority) ReadResult {
 	return ReadResult{Coalesced: true, Late: lead.issued, LeaderTag: lead.tag}
 }
 
-// promoteLocked moves a waiting call to a more urgent priority class. Callers
-// hold s.mu.
-func (s *Scheduler) promoteLocked(c *call, pri Priority) {
-	q := s.waiting[c.pri]
-	i := slices.Index(q, c)
-	s.waiting[c.pri] = slices.Delete(q, i, i+1)
-	c.pri = pri
-	s.waiting[pri] = append(s.waiting[pri], c)
-}
-
-// prefetchStarvationSkips bounds how many consecutive slot grants may pass
-// over a waiting background call before it is granted a slot ahead of
-// demand traffic. The bound exists because background reads can be awaited
-// under locks (UpdateVector's read-modify-write holds updateMu, which
-// snapshot export also needs), so "deferred while demand keeps arriving"
-// must mean bounded, not forever.
-const prefetchStarvationSkips = 8
-
-// release gives up the caller's slot: straight to the next waiting call —
-// demand first, unless the head of the prefetch queue has been passed over
-// prefetchStarvationSkips times — or back to the free pool.
+// release gives up the caller's slot: straight to the call that has waited
+// longest, or back to the free pool.
 func (s *Scheduler) release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	demand, prefetch := s.waiting[Demand], s.waiting[Prefetch]
-	next := Demand
-	switch {
-	case len(demand) > 0 && (len(prefetch) == 0 || prefetch[0].skips < prefetchStarvationSkips):
-		// The head blocks its whole FIFO queue, so aging it is enough.
-		if len(prefetch) > 0 {
-			prefetch[0].skips++
-		}
-	case len(prefetch) > 0:
-		next = Prefetch
-	default:
+	if len(s.waiting) == 0 {
 		s.free++
 		if s.closed && s.free == s.cfg.QueueDepth {
 			s.idle.Broadcast()
 		}
 		return
 	}
-	c := s.waiting[next][0]
+	c := s.waiting[0]
 	// Delete, not reslice: a grantee left in the array would pin the
 	// caller's buffer and ops.
-	s.waiting[next] = slices.Delete(s.waiting[next], 0, 1)
+	s.waiting = slices.Delete(s.waiting, 0, 1)
 	for i := range c.ops {
 		if c.ops[i].shared == nil {
 			c.ops[i].issued = true
@@ -489,7 +436,9 @@ func (s *Scheduler) readRun(blocks []int, dst []byte, run []op) {
 	if s.cfg.gate != nil {
 		s.cfg.gate(blocks)
 	}
-	lat, err := s.device.ReadBlocks(blocks, dst)
+	start := time.Now()
+	err := s.device.ReadBlocks(blocks, dst)
+	us := usSince(start)
 
 	// Freeze the follower set before fanning results out: once the ops leave
 	// the pending map no follower can attach, so every done channel and
@@ -511,12 +460,11 @@ func (s *Scheduler) readRun(blocks []int, dst []byte, run []op) {
 		run[0].err = err
 	default:
 		for i := range run {
-			run[i].lat = lat
 			if run[i].buf != nil {
 				copy(*run[i].buf, dst[i*nvm.BlockSize:(i+1)*nvm.BlockSize])
 			}
 		}
-		s.accountBatch(len(run), lat)
+		s.accountBatch(len(run), us)
 	}
 	for i := range run {
 		if run[i].done != nil {
@@ -530,19 +478,19 @@ func (s *Scheduler) readRun(blocks []int, dst []byte, run []op) {
 func (s *Scheduler) retrySingly(blocks []int, dst []byte, run []op) {
 	for i := range run {
 		o, own := &run[i], dst[i*nvm.BlockSize:(i+1)*nvm.BlockSize]
-		o.lat, o.err = s.device.ReadBlock(blocks[i], own)
-		if o.err == nil {
+		start := time.Now()
+		if o.err = s.device.ReadBlocks(blocks[i:i+1], own); o.err == nil {
 			if o.buf != nil {
 				copy(*o.buf, own)
 			}
-			s.accountBatch(1, o.lat)
+			s.accountBatch(1, usSince(start))
 		}
 	}
 }
 
-// accountBatch records one device call of n reads with the given simulated
-// completion latency. Several issuers record at once, hence the CAS loops.
-func (s *Scheduler) accountBatch(n int, latUS float64) {
+// accountBatch records one successful device call of n reads that took us
+// microseconds. Several issuers record at once, hence the CAS loop.
+func (s *Scheduler) accountBatch(n int, us float64) {
 	s.deviceReads.Add(int64(n))
 	s.batches.Add(1)
 	for cur := s.maxBatch.Load(); int64(n) > cur; cur = s.maxBatch.Load() {
@@ -550,13 +498,12 @@ func (s *Scheduler) accountBatch(n int, latUS float64) {
 			break
 		}
 	}
-	for {
-		old := s.simBusyUS.Load()
-		if s.simBusyUS.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+latUS)) {
-			break
-		}
-	}
-	s.service.Observe(latUS)
+	s.service.Observe(us)
+}
+
+// usSince is the time since start in microseconds.
+func usSince(start time.Time) float64 {
+	return float64(time.Since(start)) / float64(time.Microsecond)
 }
 
 // Stats returns a snapshot of the scheduler's counters.
@@ -577,7 +524,6 @@ func (s *Scheduler) Stats() Stats {
 		QueuedNow:        queued,
 		InFlight:         held,
 		MaxInFlight:      maxHeld,
-		SimBusyUS:        math.Float64frombits(s.simBusyUS.Load()),
 		QueueWait:        s.queueWait.Snapshot(),
 		Service:          s.service.Snapshot(),
 	}

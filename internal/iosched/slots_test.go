@@ -143,12 +143,10 @@ func TestMissesOverlapAcrossCallers(t *testing.T) {
 	}
 }
 
-// TestSlotsGrantDemandFirst pins the grant order with the only slot held: a
-// demand read that follows one block of a waiting two-block prefetch call
-// promotes the whole call to the head of the demand queue, waiting demand
-// calls go before a waiting prefetch call, and that prefetch call goes once
-// it has been passed over prefetchStarvationSkips times.
-func TestSlotsGrantDemandFirst(t *testing.T) {
+// TestSlotsGrantInArrivalOrder: with the only slot held, waiting calls are
+// granted it in the order they arrived, whatever their Priority label, and a
+// call that follows a block of a waiting call does not move that call.
+func TestSlotsGrantInArrivalOrder(t *testing.T) {
 	dev, _ := newTestDevice(t, 64)
 	cfg, log := holdFirstRead(Config{QueueDepth: 1})
 	s := mustNew(t, dev, cfg)
@@ -158,35 +156,21 @@ func TestSlotsGrantDemandFirst(t *testing.T) {
 	<-log.reached
 	readAsync(t, &wg, s, Prefetch, 50)
 	waitFor(t, "prefetch 50 waiting", func() bool { return s.Stats().QueuedNow == 1 })
+	readAsync(t, &wg, s, Demand, 1)
+	waitFor(t, "demand 1 waiting", func() bool { return s.Stats().QueuedNow == 2 })
 	readAsync(t, &wg, s, Prefetch, 51, 52)
-	waitFor(t, "prefetch 51, 52 waiting", func() bool { return s.Stats().QueuedNow == 3 })
-	readAsync(t, &wg, s, Demand, 51) // follows 51 and promotes its call
-	waitFor(t, "demand follower attached", func() bool { return s.Stats().Coalesced == 1 })
-	const wall = 2 * prefetchStarvationSkips
-	for b := 1; b <= wall; b++ {
-		readAsync(t, &wg, s, Demand, b)
-	}
-	waitFor(t, "demand wall waiting", func() bool { return s.Stats().QueuedNow == wall+3 })
+	waitFor(t, "prefetch 51, 52 waiting", func() bool { return s.Stats().QueuedNow == 4 })
+	readAsync(t, &wg, s, Demand, 52, 2) // follows 52, leads 2
+	waitFor(t, "demand 52, 2 waiting", func() bool { return s.Stats().QueuedNow == 5 })
 	close(log.release)
 	wg.Wait()
 
-	pos := log.positions()
-	// The promoted call reads 51 and 52 (one block per device call at depth
-	// 1) on the first grant, which passes over 50 once; seven of the wall
-	// pass over it the other seven; then 50 goes, then the rest of the wall.
-	if pos[51] != 1 || pos[52] != 2 || pos[50] != prefetchStarvationSkips+2 {
-		t.Fatalf("promoted call read at %d and %d, prefetch 50 at %d, want 1, 2 and %d: %v",
-			pos[51], pos[52], pos[50], prefetchStarvationSkips+2, log.dispatched())
+	var order []int
+	for _, blocks := range log.dispatched() {
+		order = append(order, blocks...)
 	}
-	before := 0
-	for b := 1; b <= wall; b++ {
-		if pos[b] < pos[50] {
-			before++
-		}
-	}
-	if before != prefetchStarvationSkips-1 {
-		t.Fatalf("%d demand reads granted before the aged prefetch read, want %d: %v",
-			before, prefetchStarvationSkips-1, log.dispatched())
+	if want := []int{0, 50, 1, 51, 52, 2}; !slices.Equal(order, want) {
+		t.Fatalf("issue order %v, want %v", order, want)
 	}
 }
 
@@ -269,35 +253,6 @@ func TestMixedBatchLandsInBothCallers(t *testing.T) {
 	}
 	if n := cs.readCalls.Load(); n != 3 {
 		t.Fatalf("%d device calls, want 3", n)
-	}
-}
-
-// TestPrefetchHolderServesDemandFirst: a background call keeps its slot for
-// all of its runs, then hands it to the demand calls that queued meanwhile,
-// in arrival order, before the background call that queued before them.
-func TestPrefetchHolderServesDemandFirst(t *testing.T) {
-	dev, _ := newTestDevice(t, 64)
-	cfg, log := holdFirstRead(Config{QueueDepth: 1})
-	s := mustNew(t, dev, cfg)
-
-	var wg sync.WaitGroup
-	readAsync(t, &wg, s, Prefetch, 50, 51, 52) // three one-block runs; the first parks
-	<-log.reached
-	readAsync(t, &wg, s, Prefetch, 60)
-	waitFor(t, "prefetch 60 waiting", func() bool { return s.Stats().QueuedNow == 1 })
-	readAsync(t, &wg, s, Demand, 1)
-	waitFor(t, "demand 1 waiting", func() bool { return s.Stats().QueuedNow == 2 })
-	readAsync(t, &wg, s, Demand, 2)
-	waitFor(t, "demand 2 waiting", func() bool { return s.Stats().QueuedNow == 3 })
-	close(log.release)
-	wg.Wait()
-
-	var order []int
-	for _, blocks := range log.dispatched() {
-		order = append(order, blocks...)
-	}
-	if want := []int{50, 51, 52, 1, 2, 60}; !slices.Equal(order, want) {
-		t.Fatalf("issue order %v, want %v", order, want)
 	}
 }
 

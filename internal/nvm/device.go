@@ -27,7 +27,9 @@ type DeviceConfig struct {
 }
 
 // Device is a simulated block NVM device: a block store plus a performance
-// model plus accounting. All methods are safe for concurrent use.
+// model plus accounting. Only ReadBlock and ReadBlockQD draw from the model
+// (the fio experiments and direct device drives); the serving path's reads
+// draw nothing. All methods are safe for concurrent use.
 type Device struct {
 	store BlockStore
 	model *PerformanceModel
@@ -153,48 +155,16 @@ func (d *Device) noteQueueDepth(depth int64) {
 func (d *Device) NoteCoalescedRead() { d.coalescedReads.Inc() }
 
 // ReadBlocks reads len(idxs) blocks into dst (>= len(idxs)*BlockSize bytes)
-// as one batch dispatched at queue depth len(idxs): the blocks overlap at the
-// device, so the returned latency is the completion time of the slowest read
-// in the batch rather than the sum.
-func (d *Device) ReadBlocks(idxs []int, dst []byte) (latencyUS float64, err error) {
+// as one batch of depth len(idxs). It draws no modelled latency: a caller
+// that wants the batch's cost times it by the wall clock.
+func (d *Device) ReadBlocks(idxs []int, dst []byte) error {
 	if len(idxs) == 0 {
-		return 0, nil
+		return nil
 	}
-	inflight := int(d.inflight.Add(int64(len(idxs))))
+	d.noteQueueDepth(d.inflight.Add(int64(len(idxs))))
 	defer d.inflight.Add(int64(-len(idxs)))
-	d.noteQueueDepth(int64(inflight))
 
 	if err := d.store.ReadBlocks(idxs, dst); err != nil {
-		return 0, err
-	}
-	latencyUS = d.batchLatencyUS(d.noise.take(len(idxs)), len(idxs), inflight)
-
-	d.blocksRead.Add(int64(len(idxs)))
-	d.readBatches.Inc()
-	d.readLatency.Observe(latencyUS)
-	return latencyUS, nil
-}
-
-// ReadsInPlace reports whether VisitBlocks serves this device: its store is a
-// FileStore that mapped its data region at open. It does not change while
-// the store is open.
-func (d *Device) ReadsInPlace() bool {
-	fs, ok := d.store.(*FileStore)
-	return ok && fs.readPath == "mmap"
-}
-
-// VisitBlocks is ReadBlocks with no copy, for a device whose blocks are
-// memory (ReadsInPlace): visit sees each block idxs[i] in place, in order,
-// under the terms of FileStore.VisitBlocks. The blocks count in BlocksRead
-// and the call as one of ReadBatches. No modelled latency is drawn — nobody
-// would wait for it — so ReadLatency does not move; the caller's wall clock
-// is the read's cost.
-func (d *Device) VisitBlocks(idxs []int, visit func(i int, block []byte)) error {
-	fs, ok := d.store.(*FileStore)
-	if !ok {
-		return ErrNotMapped
-	}
-	if err := fs.VisitBlocks(idxs, visit); err != nil {
 		return err
 	}
 	d.blocksRead.Add(int64(len(idxs)))
@@ -202,16 +172,42 @@ func (d *Device) VisitBlocks(idxs []int, visit func(i int, block []byte)) error 
 	return nil
 }
 
-// batchLatencyUS is the largest latency of the n reads whose noise draws
-// start at draw first. A latency is exp(mu + sigma·z) with sigma > 0, so it
-// grows with z: the largest draw gives the largest latency, and the model is
-// solved once per call instead of once per block.
-func (d *Device) batchLatencyUS(first uint64, n, inflight int) float64 {
-	z := d.noise.at(first)
-	for i := 1; i < n; i++ {
-		z = max(z, d.noise.at(first+uint64(i)))
+// ReadsInPlace reports whether VisitBlocks serves this device: its store is a
+// *MemStore, or a *FileStore that mapped its data region at open. It does not
+// change while the store is open. The test is on the concrete type, not on
+// the method: a store that embeds a MemStore to wrap its reads would inherit
+// VisitBlocks and bypass the wrapper.
+func (d *Device) ReadsInPlace() bool {
+	switch s := d.store.(type) {
+	case *MemStore:
+		return true
+	case *FileStore:
+		return s.readPath == "mmap"
 	}
-	return d.model.latencyAtUS(z, inflight)
+	return false
+}
+
+// VisitBlocks is ReadBlocks with no copy, for a device whose blocks are
+// memory (ReadsInPlace): visit sees each block idxs[i] in place, in order,
+// under the terms of MemStore.VisitBlocks or FileStore.VisitBlocks. The
+// blocks count in BlocksRead and the call as one of ReadBatches; the caller's
+// wall clock is the read's cost. Any other store fails with ErrNotMapped.
+func (d *Device) VisitBlocks(idxs []int, visit func(i int, block []byte)) error {
+	var err error
+	switch s := d.store.(type) {
+	case *MemStore:
+		err = s.VisitBlocks(idxs, visit)
+	case *FileStore:
+		err = s.VisitBlocks(idxs, visit)
+	default:
+		err = ErrNotMapped
+	}
+	if err != nil {
+		return err
+	}
+	d.blocksRead.Add(int64(len(idxs)))
+	d.readBatches.Inc()
+	return nil
 }
 
 // WriteBlock writes src as block idx.
@@ -283,7 +279,9 @@ type Stats struct {
 	BlocksWritten int64
 	BytesRead     int64
 	BytesWritten  int64
-	ReadLatency   metrics.Snapshot
+	// ReadLatency summarises the modelled latencies ReadBlock and
+	// ReadBlockQD drew; batched and in-place reads add none.
+	ReadLatency metrics.Snapshot
 	// ReadsSubmitted is the total read intents served: blocks actually
 	// read from the device plus reads coalesced onto another read's I/O.
 	ReadsSubmitted int64

@@ -617,9 +617,9 @@ func (s *FileStore) ReadBlock(idx int, dst []byte) error {
 // dst[i*BlockSize:(i+1)*BlockSize] one block after the other, each under its
 // own stripe RLock and no shared lock across blocks. A buffered store copies
 // each block out of its mapping; a direct store issues one pread per block,
-// so one call reaches the file at queue depth 1 whatever depth the device
-// model charges for it, and the file sees depth from concurrent callers —
-// the I/O scheduler lets up to its QueueDepth of them issue at once.
+// so one call reaches the file at queue depth 1, and the file sees depth
+// from concurrent callers — the I/O scheduler lets up to its QueueDepth of
+// them issue at once.
 func (s *FileStore) ReadBlocks(idxs []int, dst []byte) error {
 	if len(dst) < len(idxs)*BlockSize {
 		return fmt.Errorf("nvm: destination buffer too small for %d blocks: %d", len(idxs), len(dst))

@@ -592,19 +592,15 @@ func TestDeviceReadBlocksAndFlush(t *testing.T) {
 	}
 	idxs := []int{3, 7, 11}
 	dst := make([]byte, len(idxs)*BlockSize)
-	lat, err := d.ReadBlocks(idxs, dst)
-	if err != nil {
+	if err := d.ReadBlocks(idxs, dst); err != nil {
 		t.Fatal(err)
-	}
-	if lat <= 0 {
-		t.Fatalf("batch latency %g", lat)
 	}
 	for i, idx := range idxs {
 		if !bytes.Equal(dst[i*BlockSize:(i+1)*BlockSize], fillBlock(byte(idx))) {
 			t.Fatalf("batch read block %d mismatch", idx)
 		}
 	}
-	if _, err := d.ReadBlocks([]int{99}, make([]byte, BlockSize)); err == nil {
+	if err := d.ReadBlocks([]int{99}, make([]byte, BlockSize)); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
 	if err := d.Flush(); err != nil {
@@ -617,7 +613,8 @@ func TestDeviceReadBlocksAndFlush(t *testing.T) {
 	if s.Store.Flushes == 0 || s.Store.JournalWrites != 16 {
 		t.Fatalf("backend stats %+v", s.Store)
 	}
-	if s.BlocksRead != int64(len(idxs)) {
-		t.Fatalf("blocks read %d", s.BlocksRead)
+	if s.BlocksRead != int64(len(idxs)) || s.ReadBatches != 1 || s.ReadLatency.Count != 0 {
+		t.Fatalf("blocks read %d in %d batches with %d modelled latencies, want %d in 1 with none",
+			s.BlocksRead, s.ReadBatches, s.ReadLatency.Count, len(idxs))
 	}
 }

@@ -83,73 +83,88 @@ func TestMappedReadsSeeEveryWritePath(t *testing.T) {
 	expect("replay", []int{1, 4, 5, 6}, 0x22, 0x33, 0x66, 0x55)
 }
 
-// TestVisitBlocksInPlace: a buffered store hands each block of a visit, in
-// the order asked, as a view of its mapping — the bytes a write put there,
-// with no copy — and the device counts the blocks and one read batch with no
+// TestVisitBlocksInPlace: a store whose blocks are memory — a buffered file
+// store's mapping, or a MemStore — hands each block of a visit, in the order
+// asked, as a view of that memory — the bytes a write put there, with no
+// copy — and the device counts the blocks and one read batch with no
 // modelled latency. A store with no mapping, direct or closed, cannot be
-// visited.
+// visited, and neither can a store that merely embeds a MemStore: the device
+// picks the reader by the store's concrete type.
 func TestVisitBlocksInPlace(t *testing.T) {
 	dir := t.TempDir()
-	s, err := CreateFileStore(filepath.Join(dir, "buffered.bnd"), 8, FileStoreOptions{})
-	if err != nil {
-		t.Fatal(err)
+	type visitLeg struct {
+		name    string
+		open    func() (BlockStore, error)
+		inPlace bool
 	}
-	for idx := 0; idx < 8; idx++ {
-		if err := s.WriteBlock(idx, fillBlock(byte(0x10+idx))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d := NewDevice(DeviceConfig{Store: s})
-	if !d.ReadsInPlace() {
-		if bufferedReadPath() == "mmap" {
-			t.Fatal("a buffered store's device does not read in place")
-		}
-		t.Skip("this platform reads by pread")
-	}
-	idxs := []int{6, 2, 5}
-	var seen []int
-	err = d.VisitBlocks(idxs, func(i int, block []byte) {
-		seen = append(seen, i)
-		if !bytes.Equal(block, fillBlock(byte(0x10+idxs[i]))) {
-			t.Errorf("visit %d: block %d has the wrong bytes", i, idxs[i])
-		}
-		if len(block) != BlockSize || cap(block) != BlockSize {
-			t.Errorf("visit %d: view is %d bytes (cap %d), want exactly the block", i, len(block), cap(block))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 3 || seen[0] != 0 || seen[1] != 1 || seen[2] != 2 {
-		t.Fatalf("visited %v, want [0 1 2]", seen)
-	}
-	if st := d.Stats(); st.BlocksRead != 3 || st.ReadBatches != 1 || st.ReadLatency.Count != 0 {
-		t.Fatalf("device after one visit: %d blocks, %d batches, %d modelled latencies: want 3, 1, 0",
-			st.BlocksRead, st.ReadBatches, st.ReadLatency.Count)
-	}
-	if err := d.VisitBlocks([]int{8}, func(int, []byte) {}); err == nil {
-		t.Fatal("visiting a block past the end succeeded")
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.VisitBlocks([]int{0}, func(int, []byte) { t.Error("visited a closed store") }); !errors.Is(err, ErrNotMapped) {
-		t.Fatalf("visit after Close: %v, want ErrNotMapped", err)
-	}
-
-	if NewDevice(DeviceConfig{NumBlocks: 4}).ReadsInPlace() {
-		t.Fatal("the mem backend claims to read in place")
+	legs := []visitLeg{
+		{"buffered", func() (BlockStore, error) {
+			return CreateFileStore(filepath.Join(dir, "buffered.bnd"), 8, FileStoreOptions{})
+		}, bufferedReadPath() == "mmap"},
+		{"mem", func() (BlockStore, error) { return NewMemStore(8), nil }, true},
+		{"mem-wrapper", func() (BlockStore, error) { return struct{ *MemStore }{NewMemStore(8)}, nil }, false},
 	}
 	if DirectIOSupported(dir) {
-		ds, err := CreateFileStore(filepath.Join(dir, "direct.bnd"), 8, FileStoreOptions{Direct: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ds.Close()
-		dd := NewDevice(DeviceConfig{Store: ds})
-		if dd.ReadsInPlace() || !errors.Is(dd.VisitBlocks([]int{0}, func(int, []byte) {}), ErrNotMapped) {
-			t.Fatal("a direct store can be visited")
-		}
+		legs = append(legs, visitLeg{"direct", func() (BlockStore, error) {
+			return CreateFileStore(filepath.Join(dir, "direct.bnd"), 8, FileStoreOptions{Direct: true})
+		}, false})
+	}
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			s, err := leg.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for idx := 0; idx < 8; idx++ {
+				if err := s.WriteBlock(idx, fillBlock(byte(0x10+idx))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d := NewDevice(DeviceConfig{Store: s})
+			defer d.Close()
+			if d.ReadsInPlace() != leg.inPlace {
+				t.Fatalf("ReadsInPlace() = %v, want %v", !leg.inPlace, leg.inPlace)
+			}
+			if !leg.inPlace {
+				if err := d.VisitBlocks([]int{0}, func(int, []byte) { t.Error("visited") }); !errors.Is(err, ErrNotMapped) {
+					t.Fatalf("visit: %v, want ErrNotMapped", err)
+				}
+				return
+			}
+			idxs := []int{6, 2, 5}
+			var seen []int
+			err = d.VisitBlocks(idxs, func(i int, block []byte) {
+				seen = append(seen, i)
+				if !bytes.Equal(block, fillBlock(byte(0x10+idxs[i]))) {
+					t.Errorf("visit %d: block %d has the wrong bytes", i, idxs[i])
+				}
+				if len(block) != BlockSize || cap(block) != BlockSize {
+					t.Errorf("visit %d: view is %d bytes (cap %d), want exactly the block", i, len(block), cap(block))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(seen) != 3 || seen[0] != 0 || seen[1] != 1 || seen[2] != 2 {
+				t.Fatalf("visited %v, want [0 1 2]", seen)
+			}
+			if st := d.Stats(); st.BlocksRead != 3 || st.ReadBatches != 1 || st.ReadLatency.Count != 0 {
+				t.Fatalf("device after one visit: %d blocks, %d batches, %d modelled latencies: want 3, 1, 0",
+					st.BlocksRead, st.ReadBatches, st.ReadLatency.Count)
+			}
+			if err := d.VisitBlocks([]int{8}, func(int, []byte) {}); err == nil {
+				t.Fatal("visiting a block past the end succeeded")
+			}
+			if _, ok := s.(*FileStore); !ok {
+				return
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.VisitBlocks([]int{0}, func(int, []byte) { t.Error("visited a closed store") }); !errors.Is(err, ErrNotMapped) {
+				t.Fatalf("visit after Close: %v, want ErrNotMapped", err)
+			}
+		})
 	}
 }
 

@@ -269,7 +269,8 @@ func TestDeviceReadErrorPropagates(t *testing.T) {
 }
 
 // TestDeviceConcurrentReads: eight readers, single blocks and batches of
-// two, each drawing its modelled latencies without a shared lock.
+// two, each single read drawing its modelled latency without a shared lock;
+// a batch draws none.
 func TestDeviceConcurrentReads(t *testing.T) {
 	d := NewDevice(DeviceConfig{NumBlocks: 64, Seed: 2})
 	var wg sync.WaitGroup
@@ -282,7 +283,7 @@ func TestDeviceConcurrentReads(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				lat, err := d.ReadBlock(rng.Intn(64), buf)
 				if err == nil && i%2 == 0 {
-					lat, err = d.ReadBlocks([]int{rng.Intn(64), rng.Intn(64)}, buf)
+					err = d.ReadBlocks([]int{rng.Intn(64), rng.Intn(64)}, buf)
 				}
 				if err != nil {
 					t.Error(err)
@@ -296,17 +297,18 @@ func TestDeviceConcurrentReads(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-	if d.Stats().BlocksRead != 8*(200+2*100) {
-		t.Fatalf("blocks read = %d", d.Stats().BlocksRead)
+	if st := d.Stats(); st.BlocksRead != 8*(200+2*100) || st.ReadLatency.Count != 8*200 {
+		t.Fatalf("blocks read = %d, modelled latencies = %d: want %d and one per ReadBlock (%d)",
+			st.BlocksRead, st.ReadLatency.Count, 8*(200+2*100), 8*200)
 	}
 }
 
 // TestDeviceLatencySequenceIsSeeded: a device read by one goroutine repeats
-// its modelled latencies for a seed — through ReadBlock and ReadBlocks
-// alike — and another seed gives other ones. The draws behind them are
-// standard normal.
+// its modelled latencies for a seed, and another seed gives other ones. A
+// batched read in between takes no draw, so it does not shift the sequence.
+// The draws behind them are standard normal.
 func TestDeviceLatencySequenceIsSeeded(t *testing.T) {
-	sequence := func(seed int64) []float64 {
+	sequence := func(seed int64, batched bool) []float64 {
 		d := NewDevice(DeviceConfig{NumBlocks: 16, Seed: seed})
 		buf := make([]byte, 4*BlockSize)
 		var lats []float64
@@ -316,14 +318,19 @@ func TestDeviceLatencySequenceIsSeeded(t *testing.T) {
 				t.Fatal(err)
 			}
 			lats = append(lats, lat)
-			if lat, err = d.ReadBlocks([]int{1, 5, 9, i % 16}, buf); err != nil {
-				t.Fatal(err)
+			if batched {
+				before := d.noise.draws.Load()
+				if err := d.ReadBlocks([]int{1, 5, 9, i % 16}, buf); err != nil {
+					t.Fatal(err)
+				}
+				if d.noise.draws.Load() != before {
+					t.Fatal("a batched read took a modelled-latency draw")
+				}
 			}
-			lats = append(lats, lat)
 		}
 		return lats
 	}
-	a, b, c := sequence(7), sequence(7), sequence(8)
+	a, b, c := sequence(7, false), sequence(7, true), sequence(8, false)
 	same := 0
 	for i := range a {
 		if a[i] != b[i] {
@@ -347,38 +354,6 @@ func TestDeviceLatencySequenceIsSeeded(t *testing.T) {
 	}
 	if mean, variance := sum/n, sumSq/n-(sum/n)*(sum/n); math.Abs(mean) > 0.01 || math.Abs(variance-1) > 0.02 {
 		t.Fatalf("draws have mean %.4f, variance %.4f; want 0 and 1", mean, variance)
-	}
-}
-
-// TestBatchLatencyIsPerBlockMaximum: solving the model once, for a call's
-// largest draw, gives bit for bit the largest of its per-block latencies at
-// every seed, batch size and depth, and a call still reserves one draw per
-// block.
-func TestBatchLatencyIsPerBlockMaximum(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 3000; trial++ {
-		d := NewDevice(DeviceConfig{NumBlocks: 1, Seed: rng.Int63()})
-		n, depth, first := 1+rng.Intn(64), 1+rng.Intn(16), uint64(rng.Intn(1<<20))
-		want := 0.0
-		for i := 0; i < n; i++ {
-			want = max(want, d.model.latencyAtUS(d.noise.at(first+uint64(i)), depth))
-		}
-		if got := d.batchLatencyUS(first, n, depth); got != want {
-			t.Fatalf("seed %d, %d blocks at depth %d from draw %d: %v, per-block maximum %v",
-				d.noise.seed, n, depth, first, got, want)
-		}
-	}
-
-	d := NewDevice(DeviceConfig{NumBlocks: 8, Seed: 3})
-	buf := make([]byte, 8*BlockSize)
-	for _, n := range []int{1, 3, 8} {
-		before := d.noise.draws.Load()
-		if _, err := d.ReadBlocks([]int{0, 1, 2, 3, 4, 5, 6, 7}[:n], buf); err != nil {
-			t.Fatal(err)
-		}
-		if got := d.noise.draws.Load() - before; got != uint64(n) {
-			t.Fatalf("a call of %d blocks took %d draws", n, got)
-		}
 	}
 }
 

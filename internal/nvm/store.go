@@ -97,9 +97,11 @@ type BackendStatser interface {
 	BackendStats() BackendStats
 }
 
-// MemStore is a RAM-backed block store. It is the default backing for the
-// simulated device: the latency/bandwidth behaviour comes from the
-// PerformanceModel, not from the backing medium.
+// MemStore is a RAM-backed block store, the default backing for the
+// simulated device. Its blocks are memory, so the serving path reads them in
+// place (VisitBlocks) and what a read costs is the wall clock's; the
+// PerformanceModel prices only Device.ReadBlock and ReadBlockQD (the
+// Figure-2 fio runs and direct device drives).
 type MemStore struct {
 	mu   sync.RWMutex
 	data []byte
@@ -147,6 +149,25 @@ func (s *MemStore) ReadBlocks(idxs []int, dst []byte) error {
 		copy(dst[i*BlockSize:(i+1)*BlockSize], s.data[idx*BlockSize:])
 	}
 	s.mu.RUnlock()
+	return nil
+}
+
+// VisitBlocks calls visit(i, block) for each idxs[i], in order, with a
+// read-only view of the block in the store's memory: no copy. Each visit runs
+// under the store's read lock, taken for that block alone, so a writer waits
+// for at most one block's work. The view is valid only until visit returns;
+// visit must not write it or keep it, and must not read or write this store's
+// blocks.
+func (s *MemStore) VisitBlocks(idxs []int, visit func(i int, block []byte)) error {
+	for i, idx := range idxs {
+		if idx < 0 || idx >= s.n {
+			return fmt.Errorf("nvm: block %d out of range [0,%d)", idx, s.n)
+		}
+		off := idx * BlockSize
+		s.mu.RLock()
+		visit(i, s.data[off:off+BlockSize:off+BlockSize])
+		s.mu.RUnlock()
+	}
 	return nil
 }
 

@@ -111,7 +111,7 @@ func (s *Server) buildRegistry() *metrics.Registry {
 	// Stage decomposition: per-table store stages plus the server-side
 	// serialize stage. One family; the stage label selects the component.
 	r.Register("bandana_stage_duration_us", "summary",
-		"Per-stage serving latency decomposition (microseconds): cache_probe (DRAM probe, one sample per batch: microseconds per id probed), queue_wait (I/O scheduler queue; none when a mapped file store is read in place), device_service (NVM block read: the device model's latency through the scheduler, measured wall time in place), decode (fp16 decode), serialize (JSON response encode).",
+		"Per-stage serving latency decomposition (microseconds): cache_probe (DRAM probe, one sample per batch: microseconds per id probed), queue_wait (I/O scheduler queue; none when the blocks are memory and read in place), device_service (NVM block read: wall time, less the queue wait), decode (fp16 decode), serialize (JSON response encode).",
 		func() []metrics.Sample {
 			var out []metrics.Sample
 			for _, ts := range s.scrapeStore().Stats() {
@@ -241,11 +241,11 @@ func (s *Server) buildRegistry() *metrics.Registry {
 			return f(st)
 		}
 	}
-	r.Register("bandana_iosched_demand_reads_total", "counter", "Demand-priority reads submitted.",
+	r.Register("bandana_iosched_demand_reads_total", "counter", "Reads submitted with the demand label.",
 		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
 			return metrics.CounterSample(nil, float64(st.DemandReads))
 		}))
-	r.Register("bandana_iosched_prefetch_reads_total", "counter", "Prefetch-priority reads submitted.",
+	r.Register("bandana_iosched_prefetch_reads_total", "counter", "Reads submitted with the prefetch label.",
 		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
 			return metrics.CounterSample(nil, float64(st.PrefetchReads))
 		}))
@@ -277,7 +277,7 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
 			return metrics.SummarySamples(nil, st.QueueWait)
 		}))
-	r.Register("bandana_iosched_service_us", "summary", "Per-device-call simulated device service time (microseconds).",
+	r.Register("bandana_iosched_service_us", "summary", "Per-device-call wall time of scheduled reads (microseconds).",
 		ioschedSamples(func(st iosched.Stats) []metrics.Sample {
 			return metrics.SummarySamples(nil, st.Service)
 		}))

@@ -213,9 +213,9 @@ func TestMetricsEndpoint(t *testing.T) {
 // file backend reads a block — through its mapping when buffered, with pread
 // under O_DIRECT (where the filesystem takes it) — and the mem backend's
 // descriptor has no read_path label. The counters say which reader served
-// the misses: a mapped store reads in place, so the device counts its blocks
-// and the scheduler sees no demand read; the mem backend and a direct store
-// read through the scheduler.
+// the misses: a mapped store and the mem backend read in place, so the
+// device counts their blocks and the scheduler sees no demand read; a direct
+// store reads through the scheduler.
 func TestMetricsDeviceReadPath(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("the mapped read path is asserted on linux")
@@ -273,8 +273,8 @@ func TestMetricsDeviceReadPath(t *testing.T) {
 	if !strings.Contains(out, `bandana_device_info{backend="mem",direct_io="false"} 1`+"\n") {
 		t.Errorf("mem backend descriptor:\n%s", grepLines(out, "bandana_device_info"))
 	}
-	if sampleValue(t, out, "bandana_device_blocks_read_total") == 0 || sampleValue(t, out, "bandana_iosched_demand_reads_total") == 0 {
-		t.Errorf("mem backend after cold lookups: misses not read through the scheduler:\n%s",
+	if sampleValue(t, out, "bandana_device_blocks_read_total") == 0 || sampleValue(t, out, "bandana_iosched_demand_reads_total") != 0 {
+		t.Errorf("mem backend after cold lookups: misses not read in place:\n%s",
 			grepLines(out, "_reads_total"))
 	}
 }
