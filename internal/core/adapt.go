@@ -445,7 +445,7 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 				return
 			}
 			st.mutateState(func(ts *tableState) {
-				applyChoice(ts, analyses[i].counts, choice, opts.MinPrefetchGain)
+				st.applyChoice(ts, analyses[i].counts, choice, opts.MinPrefetchGain)
 			})
 			report.Tables[i].Threshold = choice.Threshold
 			report.Tables[i].DemandThreshold = choice.DemandThreshold

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"bandana/internal/cache"
@@ -11,16 +12,22 @@ import (
 	"bandana/internal/trace"
 )
 
-// admitBitsMismatch checks every table's published state: a ThresholdAdmit
-// policy must come with admission bits that hold, at every layout position
-// p, its AdmitPrefetch and DemandPosition verdicts for VectorAt(p); any other
-// policy must come with none. It also returns how many prefetch and
-// probation bits are set, so a caller can tell a vacuous check.
-func admitBitsMismatch(s *Store) (prefetch, probation int, err error) {
+// admitBitsMismatch checks every table's published state. A threshold policy
+// must be held as compiled verdicts (no published policy may be a
+// cache.ThresholdAdmit, which carries counts), those verdicts must be, id by
+// id, the ones of the reference cache.ThresholdAdmit over counts(st) at the
+// table's thresholds, and the admission bits must hold them in layout order:
+// at every position p, the verdicts for VectorAt(p). Any other policy must
+// come with no bits. It also returns how many prefetch and probation bits
+// are set, so a caller can tell a vacuous check.
+func admitBitsMismatch(s *Store, counts func(st *storeTable) []uint32) (prefetch, probation int, err error) {
 	bit := func(words []uint64, p int) bool { return words[p/64]&(1<<(p%64)) != 0 }
 	for _, st := range s.tables {
 		ts := st.loadState()
-		ta, ok := ts.policy.(cache.ThresholdAdmit)
+		if _, ok := ts.policy.(cache.ThresholdAdmit); ok {
+			return 0, 0, fmt.Errorf("table %q: published policy carries its counts", st.name)
+		}
+		v, ok := ts.policy.(*cache.ThresholdVerdicts)
 		if !ok {
 			if ts.admit != nil {
 				return 0, 0, fmt.Errorf("table %q: policy %v has admission bits", st.name, ts.policy)
@@ -30,16 +37,33 @@ func admitBitsMismatch(s *Store) (prefetch, probation int, err error) {
 		if ts.admit == nil {
 			return 0, 0, fmt.Errorf("table %q: threshold policy published without admission bits", st.name)
 		}
+		if th, demand := v.Thresholds(); th != ts.threshold || demand != ts.demandThreshold {
+			return 0, 0, fmt.Errorf("table %q: verdicts of thresholds %d/%d, table says %d/%d",
+				st.name, th, demand, ts.threshold, ts.demandThreshold)
+		}
+		ref := cache.ThresholdAdmit{
+			Counts: counts(st), Threshold: ts.threshold, DemandThreshold: ts.demandThreshold, Position: v.Position(),
+		}
+		if ref.Counts == nil {
+			return 0, 0, fmt.Errorf("table %q: no reference counts", st.name)
+		}
+		for id := range uint32(st.numVectors) {
+			admit, _ := ref.AdmitPrefetch(id)
+			cold := ref.DemandPosition(id) > 0
+			if v.Prefetches(id) != admit || v.OnProbation(id) != cold {
+				return 0, 0, fmt.Errorf("table %q id %d: verdicts say prefetch %v probation %v, the reference %v %v",
+					st.name, id, v.Prefetches(id), v.OnProbation(id), admit, cold)
+			}
+		}
+		if ts.admit.position != v.Position() {
+			return 0, 0, fmt.Errorf("table %q: bits admit at %v, the policy at %v", st.name, ts.admit.position, v.Position())
+		}
 		for p := range ts.layout.NumVectors() {
 			id := ts.layout.VectorAt(p)
-			admit, at := ta.AdmitPrefetch(id)
-			cold := ta.DemandPosition(id) > 0
+			admit, cold := v.Prefetches(id), v.OnProbation(id)
 			if bit(ts.admit.prefetch, p) != admit || bit(ts.admit.probation, p) != cold {
-				return 0, 0, fmt.Errorf("table %q position %d (id %d): bits say prefetch %v probation %v, the policy %v %v",
+				return 0, 0, fmt.Errorf("table %q position %d (id %d): bits say prefetch %v probation %v, the verdicts %v %v",
 					st.name, p, id, bit(ts.admit.prefetch, p), bit(ts.admit.probation, p), admit, cold)
-			}
-			if admit && at != ts.admit.position {
-				return 0, 0, fmt.Errorf("table %q id %d: admitted at %v, bits say %v", st.name, id, at, ts.admit.position)
 			}
 			if admit {
 				prefetch++
@@ -80,19 +104,20 @@ func TestAdmitBitsFollowEveryPublish(t *testing.T) {
 			return
 		}
 		installs++
-		if _, _, err := admitBitsMismatch(s); err != nil && installErr == nil {
+		if _, _, err := admitBitsMismatch(s, countsOf); err != nil && installErr == nil {
 			installErr = fmt.Errorf("at install %d: %w", installs, err)
 		}
 	}
 	defer func() { migrationCrashHook = nil }()
 
 	var prefetchBits, probationBits int
+	counts := countsOf
 	check := func(after string) {
 		t.Helper()
 		if installErr != nil {
 			t.Fatalf("%s: %v", after, installErr)
 		}
-		pre, prob, err := admitBitsMismatch(s)
+		pre, prob, err := admitBitsMismatch(s, counts)
 		if err != nil {
 			t.Fatalf("after %s: %v", after, err)
 		}
@@ -103,6 +128,12 @@ func TestAdmitBitsFollowEveryPublish(t *testing.T) {
 
 	if _, err := s.Train(trains, TrainOptions{SHPIterations: 6, MiniCacheSampling: 0.5}); err != nil {
 		t.Fatal(err)
+	}
+	// The reference policies are built from the test's own training counts.
+	for i, st := range s.tables {
+		if !slices.Equal(countsOf(st), trains[i].AccessCounts()) {
+			t.Fatalf("table %q: threshold policy compiled from counts other than its training trace's", st.name)
+		}
 	}
 	check("Train")
 
@@ -138,11 +169,11 @@ func TestAdmitBitsFollowEveryPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	counts := s.tables[0].loadState().counts
+	trained := countsOf(s.tables[0])
 	if err := s.SetAdmissionPolicy(0, cache.ThresholdAdmit{
-		Counts:          counts,
-		Threshold:       sim.AdaptiveThresholds(counts)[1],
-		DemandThreshold: sim.DemandThresholds(counts, 256)[0],
+		Counts:          trained,
+		Threshold:       sim.AdaptiveThresholds(trained)[1],
+		DemandThreshold: sim.DemandThresholds(trained, 256)[0],
 		Position:        0.5,
 	}); err != nil {
 		t.Fatal(err)
@@ -154,6 +185,12 @@ func TestAdmitBitsFollowEveryPublish(t *testing.T) {
 	}
 	check("LoadState")
 
+	// The reopened tables are new: their references are the closed ones'.
+	byName := make(map[string][]uint32)
+	for _, st := range s.tables {
+		byName[st.name] = countsOf(st)
+	}
+	counts = func(st *storeTable) []uint32 { return byName[st.name] }
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

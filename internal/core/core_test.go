@@ -3,8 +3,10 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"bandana/internal/nvm"
 	"bandana/internal/sim"
@@ -49,12 +51,38 @@ func buildTestTables(t testing.TB, numTables, vectorsPerTable, queries int) ([]*
 	return tables, traces
 }
 
+// trainedCounts holds, per live table, the access counts its threshold policy
+// was last compiled from: the counts of the training trace the test handed
+// Train (or of the window an adaptation epoch recorded). The store drops
+// them; tests rebuild reference policies from them. Keys are weak, so a
+// table the test is done with takes its counts with it.
+var trainedCounts sync.Map // weak.Pointer[storeTable] -> []uint32
+
+func init() {
+	thresholdCountsHook = func(st *storeTable, counts []uint32) {
+		key := weak.Make(st)
+		if _, seen := trainedCounts.Swap(key, counts); !seen {
+			runtime.AddCleanup(st, func(key weak.Pointer[storeTable]) { trainedCounts.Delete(key) }, key)
+		}
+	}
+}
+
+// countsOf returns the access counts st's threshold policy was last compiled
+// from (nil if it never had one).
+func countsOf(st *storeTable) []uint32 {
+	counts, _ := trainedCounts.Load(weak.Make(st))
+	c, _ := counts.([]uint32)
+	return c
+}
+
 // forceDemandThreshold sets one table's demand threshold the way a tuner
-// verdict would, for tests that need a gate whatever the tuner found.
+// verdict would — recompiling its threshold policy from the training counts
+// it was compiled from — for tests that need a gate whatever the tuner found.
 func forceDemandThreshold(st *storeTable, demand uint32) {
+	counts := countsOf(st)
 	st.mutateState(func(ts *tableState) {
 		ts.demandThreshold = demand
-		ts.setThresholdPolicy()
+		st.setThresholdPolicy(ts, counts)
 	})
 }
 

@@ -132,10 +132,16 @@ func sealedRecord(data []byte) []byte {
 	return data
 }
 
-// FuzzStateDecode does the same for the state.bnd decoder.
+// FuzzStateDecode does the same for the state.bnd decoder, seeded with a
+// version-5 state (verdict bits) and a version-4 one (access counts).
 func FuzzStateDecode(f *testing.F) {
 	_, state := trainedDirFiles(f)
 	addSealedSeeds(f, state)
+	v4, err := os.ReadFile("testdata/state_v4.bnd")
+	if err != nil {
+		f.Fatal(err)
+	}
+	addSealedSeeds(f, v4)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, raw := range [][]byte{data, sealed(data)} {
 			saved, err := decodeSavedStates(bytes.NewReader(raw))
@@ -146,9 +152,9 @@ func FuzzStateDecode(f *testing.F) {
 				t.Fatalf("%d bytes decoded to %d tables", len(raw), len(saved))
 			}
 			for _, sv := range saved {
-				if len(sv.name) > len(raw) || len(sv.order) > len(raw) || len(sv.counts) > len(sv.order) {
-					t.Fatalf("%d-byte state decoded to a %d-byte name, %d-entry order, %d counts",
-						len(raw), len(sv.name), len(sv.order), len(sv.counts))
+				if len(sv.name) > len(raw) || len(sv.order) > len(raw) || (sv.verdicts != nil && sv.verdicts.Len() != len(sv.order)) {
+					t.Fatalf("%d-byte state decoded to a %d-byte name, %d-entry order, verdicts %v",
+						len(raw), len(sv.name), len(sv.order), sv.verdicts)
 				}
 			}
 		}

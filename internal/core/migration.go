@@ -18,8 +18,8 @@
 // step 2 reopens by *redoing* steps 3-4 from the staged image — which is
 // idempotent — so the table always lands on exactly the old or exactly the
 // new layout, never a torn mix, and no reopen is ever refused. What rides
-// along with the layout in a Train or LoadState (counts, threshold, cache
-// split) reopens as the last persisted state file has it.
+// along with the layout in a Train or LoadState (threshold verdicts, thresholds,
+// cache split) reopens as the last persisted state file has it.
 package core
 
 import (

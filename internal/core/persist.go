@@ -9,33 +9,45 @@ import (
 	"io"
 	"math"
 
+	"bandana/internal/cache"
 	"bandana/internal/layout"
 	"bandana/internal/sim"
 )
 
 // Training a store (SHP partitioning + threshold tuning) is expensive and in
 // production happens offline, on a schedule decoupled from serving. SaveState
-// and LoadState persist the trained state — per-table placement order, access
-// counts, the two admission thresholds (with the tuner's prediction for them)
-// and cache allocation — so that a freshly opened store can adopt a previous
-// training run without repeating it.
+// and LoadState persist the trained state — per-table placement order, the
+// threshold policy's verdicts (two bits per vector), the two admission
+// thresholds (with the tuner's prediction for them) and cache allocation — so
+// that a freshly opened store can adopt a previous training run without
+// repeating it.
 
 const stateMagic = "BNDSTATE"
 
-// stateVersion 4 is the only one read or written: per table the placement
-// order, access counts, prefetch threshold, demand threshold, prefetch flag,
-// cache allocation and the tuner's prediction for the thresholds it chose
-// (hit ratio and lookups per block read, as float64 bits), then a CRC-32C
-// trailer over the whole payload so a corrupted-but-decodable file (e.g. bit
-// rot flipping a varint into another valid permutation) fails loudly at load
-// instead of silently serving wrong vectors after a reopen.
-const stateVersion = 4
+// stateVersion 5 is what SaveState writes: per table the placement order; a
+// flag, and when it is set the threshold policy's compiled verdicts (the
+// prefetch and the probation bitset, ⌈n/64⌉ little-endian words each, bit id
+// of word id/64) and its prefetch queue position (float64 bits); the
+// prefetch threshold, demand threshold, prefetch flag, cache allocation and
+// the tuner's prediction for the thresholds it chose (hit ratio and lookups
+// per block read, as float64 bits); then a CRC-32C trailer over the whole
+// payload so a corrupted-but-decodable file (e.g. bit rot flipping a varint
+// into another valid permutation) fails loudly at load instead of silently
+// serving wrong vectors after a reopen.
+//
+// Version 4 still decodes: it holds the per-vector access counts where 5
+// holds the verdicts (and no position), and they are compiled once, at
+// decode, and dropped. Versions 1–3 are refused.
+const (
+	stateVersion   = 5
+	stateVersionV4 = 4
+)
 
-// SaveState serialises the store's trained state (placements, access counts,
-// thresholds, cache allocations). Embedding values are not included: they
-// belong to the model checkpoint, not to Bandana. Custom admission policies
-// installed with SetAdmissionPolicy are not persisted either — only the
-// threshold policy's inputs (counts + thresholds) survive a round trip;
+// SaveState serialises the store's trained state (placements, threshold
+// verdicts, thresholds, cache allocations). Embedding values are not
+// included: they belong to the model checkpoint, not to Bandana. Custom
+// admission policies installed with SetAdmissionPolicy are not persisted
+// either — only a threshold policy's verdicts survive a round trip;
 // LoadState disables prefetching when they are absent.
 func (s *Store) SaveState(w io.Writer) error {
 	h := crc32.New(manifestCRCTable)
@@ -66,7 +78,7 @@ func (s *Store) SaveState(w io.Writer) error {
 		state := st.loadState()
 		name := st.name
 		order := state.layout.Order()
-		counts := state.counts
+		verdicts, _ := state.policy.(*cache.ThresholdVerdicts)
 		threshold := state.threshold
 		demandThreshold := state.demandThreshold
 		prefetch := state.prefetch
@@ -83,11 +95,24 @@ func (s *Store) SaveState(w io.Writer) error {
 				return err
 			}
 		}
-		if err := writeUvarint(uint64(len(counts))); err != nil {
-			return err
-		}
-		for _, c := range counts {
-			if err := writeUvarint(uint64(c)); err != nil {
+		if verdicts == nil {
+			if err := writeUvarint(0); err != nil {
+				return err
+			}
+		} else {
+			if err := writeUvarint(1); err != nil {
+				return err
+			}
+			prefetchBits, probationBits := verdicts.Words()
+			for _, words := range [][]uint64{prefetchBits, probationBits} {
+				for _, w := range words {
+					binary.LittleEndian.PutUint64(buf[:8], w)
+					if _, err := bw.Write(buf[:8]); err != nil {
+						return err
+					}
+				}
+			}
+			if err := writeUvarint(math.Float64bits(verdicts.Position())); err != nil {
 				return err
 			}
 		}
@@ -145,11 +170,12 @@ func (c *crcByteReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-// savedTable is one table's decoded trained state.
+// savedTable is one table's decoded trained state. verdicts is nil when the
+// table had no threshold policy.
 type savedTable struct {
 	name            string
 	order           []uint32
-	counts          []uint32
+	verdicts        *cache.ThresholdVerdicts
 	threshold       uint32
 	demandThreshold uint32
 	prefetch        bool
@@ -173,7 +199,7 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != stateVersion {
+	if version != stateVersion && version != stateVersionV4 {
 		return nil, fmt.Errorf("core: unsupported state version %d", version)
 	}
 	numTables, err := binary.ReadUvarint(br)
@@ -223,20 +249,37 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 			}
 			sv.order = append(sv.order, uint32(v))
 		}
-		countsLen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if countsLen > orderLen {
-			return nil, fmt.Errorf("core: table %q: implausible counts length %d", sv.name, countsLen)
-		}
-		sv.counts = make([]uint32, 0, min(countsLen, 1<<16))
-		for j := uint64(0); j < countsLen; j++ {
-			v, err := binary.ReadUvarint(br)
+		var counts []uint32 // v4
+		var prefetchBits, probationBits []uint64
+		var position float64
+		if version == stateVersionV4 {
+			if counts, err = readCounts(br, sv.name, orderLen); err != nil {
+				return nil, err
+			}
+		} else {
+			hasVerdicts, err := binary.ReadUvarint(br)
 			if err != nil {
 				return nil, err
 			}
-			sv.counts = append(sv.counts, uint32(v))
+			if hasVerdicts > 1 {
+				return nil, fmt.Errorf("core: table %q: bad verdicts flag %d", sv.name, hasVerdicts)
+			}
+			if hasVerdicts == 1 {
+				words := (orderLen + 63) / 64
+				if prefetchBits, err = readWords(br, words); err != nil {
+					return nil, err
+				}
+				if probationBits, err = readWords(br, words); err != nil {
+					return nil, err
+				}
+				bits, err := binary.ReadUvarint(br)
+				if err != nil {
+					return nil, err
+				}
+				if position = math.Float64frombits(bits); math.IsNaN(position) || math.IsInf(position, 0) || position < 0 {
+					return nil, fmt.Errorf("core: table %q: implausible prefetch position %v", sv.name, position)
+				}
+			}
 		}
 		threshold, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -268,6 +311,20 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 				return nil, fmt.Errorf("core: table %q: implausible prediction %v", sv.name, *f)
 			}
 		}
+		// The v4 rule, kept: a threshold policy only where the counts exist
+		// and the policy would decide something.
+		switch {
+		case len(counts) > 0 && (sv.prefetch || sv.demandThreshold > 0):
+			sv.verdicts = cache.CompileThreshold(cache.ThresholdAdmit{
+				Counts: counts, Threshold: sv.threshold, DemandThreshold: sv.demandThreshold,
+			}, len(sv.order))
+		case prefetchBits != nil:
+			sv.verdicts, err = cache.NewThresholdVerdicts(len(sv.order), prefetchBits, probationBits,
+				sv.threshold, sv.demandThreshold, position)
+			if err != nil {
+				return nil, fmt.Errorf("core: table %q: %w", sv.name, err)
+			}
+		}
 		saved = append(saved, sv)
 	}
 	// The payload hash must match the trailer (read past the hashed
@@ -283,27 +340,65 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 	return saved, nil
 }
 
+// readCounts reads a v4 table's per-vector access counts: a length no larger
+// than the order's, then that many varints.
+func readCounts(br io.ByteReader, name string, orderLen uint64) ([]uint32, error) {
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, err
+	}
+	if n > orderLen {
+		return nil, fmt.Errorf("core: table %q: implausible counts length %d", name, n)
+	}
+	counts := make([]uint32, 0, min(n, 1<<16))
+	for j := uint64(0); j < n; j++ {
+		v, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, err
+		}
+		counts = append(counts, uint32(v))
+	}
+	return counts, nil
+}
+
+// readWords reads n little-endian 64-bit words. Like the order's, the
+// up-front allocation is capped so a corrupt length fails at EOF first.
+func readWords(r io.Reader, n uint64) ([]uint64, error) {
+	words := make([]uint64, 0, min(n, 1<<12))
+	var b [8]byte
+	for j := uint64(0); j < n; j++ {
+		if _, err := io.ReadFull(r, b[:]); err != nil {
+			return nil, err
+		}
+		words = append(words, binary.LittleEndian.Uint64(b[:]))
+	}
+	return words, nil
+}
+
 // applySaved returns the tableState mutation that installs sv's trained
 // fields (everything but the layout, which the caller places the blocks
-// under) — for LoadState and for a reopen alike.
+// under) — for LoadState and for a reopen alike. The threshold policy is
+// installed as the saved verdicts themselves; nothing is recompiled.
 func (st *storeTable) applySaved(sv savedTable) func(*tableState) {
 	return func(ts *tableState) {
-		ts.counts = sv.counts
 		ts.threshold = sv.threshold
 		ts.demandThreshold = sv.demandThreshold
 		ts.predicted = sv.predicted
 		// Only the threshold policy is persistable (the state format stores
-		// counts + thresholds, not arbitrary policy objects). A saved state
-		// with prefetching on but no counts — e.g. a store that was running
-		// a custom policy installed via SetAdmissionPolicy — would reload as
-		// a policy that never admits anything (and a demand gate without
-		// counts would put every fill on probation), so disable both
-		// instead of installing an inert one.
-		ts.prefetch = sv.prefetch && len(sv.counts) > 0
-		if len(sv.counts) == 0 {
+		// its verdicts, not arbitrary policy objects). A saved state with
+		// prefetching on but no verdicts — e.g. a store that was running a
+		// custom policy installed via SetAdmissionPolicy — would reload as a
+		// policy that never admits anything (and a demand gate without
+		// verdicts would put every fill on probation), so no verdicts turns
+		// both off instead of installing an inert policy.
+		ts.prefetch = sv.prefetch && sv.verdicts != nil
+		if sv.verdicts == nil {
 			ts.demandThreshold = 0
 		}
-		ts.setThresholdPolicy()
+		ts.policy = nil
+		if ts.prefetch || ts.demandThreshold > 0 {
+			ts.policy = sv.verdicts
+		}
 		if sv.cacheCap > 0 {
 			st.freshCache(ts, sv.cacheCap)
 		}
@@ -312,7 +407,7 @@ func (st *storeTable) applySaved(sv savedTable) func(*tableState) {
 
 // LoadState restores state produced by SaveState into a store opened over
 // the same tables (matched by name and size). It installs the saved
-// placement (moving the vectors on NVM to it), access counts, thresholds and
+// placement (moving the vectors on NVM to it), threshold verdicts, thresholds and
 // cache allocations, and enables prefetching where the saved state had it
 // enabled. Like Train it computes first — the whole state is decoded and
 // checked against the store before anything changes — and then commits each

@@ -2,10 +2,35 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
+	"math/bits"
+	"os"
+	"slices"
 	"testing"
 
+	"bandana/internal/cache"
+	"bandana/internal/sim"
 	"bandana/internal/trace"
 )
+
+// sameVerdicts reports how got differs from want: bits, thresholds or
+// position.
+func sameVerdicts(got, want *cache.ThresholdVerdicts) error {
+	gp, gb := got.Words()
+	wp, wb := want.Words()
+	gt, gd := got.Thresholds()
+	wt, wd := want.Thresholds()
+	switch {
+	case got.Len() != want.Len() || !slices.Equal(gp, wp) || !slices.Equal(gb, wb):
+		return fmt.Errorf("verdict bits differ")
+	case gt != wt || gd != wd:
+		return fmt.Errorf("thresholds %d/%d, want %d/%d", gt, gd, wt, wd)
+	case got.Position() != want.Position():
+		return fmt.Errorf("prefetch position %v, want %v", got.Position(), want.Position())
+	}
+	return nil
+}
 
 func TestSaveLoadStateRoundTrip(t *testing.T) {
 	tables, traces := buildTestTables(t, 2, 2048, 600)
@@ -86,6 +111,35 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 
 	if st2[0].DemandThreshold != 3 || st2[0].ProbationFills == 0 {
 		t.Fatalf("table 0: demand threshold 3 restored as %d, %d probation fills", st2[0].DemandThreshold, st2[0].ProbationFills)
+	}
+
+	// The verdicts travel whole: bits, both thresholds and the prefetch
+	// position, here of a policy installed by hand with a position of its own.
+	trained := countsOf(s1.tables[1])
+	if err := s1.SetAdmissionPolicy(1, cache.ThresholdAdmit{
+		Counts: trained, Threshold: 1, DemandThreshold: 2, Position: 0.25,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := s1.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.LoadState(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for i := range s1.tables {
+		want, ok1 := s1.tables[i].loadState().policy.(*cache.ThresholdVerdicts)
+		got, ok2 := s2.tables[i].loadState().policy.(*cache.ThresholdVerdicts)
+		if !ok1 || !ok2 {
+			t.Fatalf("table %d: policies %v and %v, want threshold verdicts on both sides", i, want, got)
+		}
+		if err := sameVerdicts(got, want); err != nil {
+			t.Fatalf("table %d: %v", i, err)
+		}
+	}
+	if got := s2.tables[1].loadState().policy.(*cache.ThresholdVerdicts); got.Position() != 0.25 {
+		t.Fatalf("table 1: prefetch position 0.25 restored as %v", got.Position())
 	}
 
 	// Data integrity: restored placement still returns the right vectors.
@@ -187,6 +241,109 @@ func TestLookupBatchGroupsBlockReads(t *testing.T) {
 			if vecs[i][d] != want[d] {
 				t.Fatalf("vector %d mismatch in batch", id)
 			}
+		}
+	}
+}
+
+// bitsDigest is an FNV-1a hash of words (little-endian) and the bits they set.
+func bitsDigest(words []uint64) (uint64, int) {
+	h := fnv.New64a()
+	set := 0
+	var b [8]byte
+	for _, w := range words {
+		for i := range b {
+			b[i] = byte(w >> (8 * i))
+		}
+		h.Write(b[:])
+		set += bits.OnesCount64(w)
+	}
+	return h.Sum64(), set
+}
+
+// TestLoadStateVersion4 loads testdata/state_v4.bnd, a version-4 state (access
+// counts where version 5 has verdicts) that the version-4 encoder wrote for
+// two tables of buildTestTables(2, 1024, 300) trained on the first half of
+// their traces, table 1 with a forced demand threshold of 3. The counts
+// compile once, at decode, and go: the store must end up with the
+// layout-order admission bits, thresholds and flags the version-4 store
+// compiled from them, and serve the evaluation halves with its exact counters
+// (all recorded from that store). Saved again, as version 5, the state must
+// reload to the same verdicts.
+func TestLoadStateVersion4(t *testing.T) {
+	v4, err := os.ReadFile("testdata/state_v4.bnd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, traces := buildTestTables(t, 2, 1024, 300)
+	open := func() *Store {
+		s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 160, Seed: 2, CacheShards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	s := open()
+	if err := s.LoadState(bytes.NewReader(v4)); err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		threshold, demand      uint32
+		prefetch               bool
+		prefetchDigest         uint64
+		prefetchBits           int
+		probationDigest        uint64
+		probationBits          int
+		lookups, hits          int64
+		blockReads             int64
+		probation              int64
+		prefetchAdds, prefHits int64
+	}{
+		{5, 6, true, 0xffd804bf06fdcbef, 152, 0x3cf29c073d67220f, 872, 3029, 890, 1312, 1220, 10187, 767},
+		{sim.DisablePrefetch, 3, false, 0x8421ae126c7ced25, 0, 0xefc563bda98ea48c, 799, 2992, 1080, 1338, 881, 0, 0},
+	}
+	for i, st := range s.tables {
+		ts := st.loadState()
+		w := want[i]
+		if ts.threshold != w.threshold || ts.demandThreshold != w.demand || ts.prefetch != w.prefetch {
+			t.Fatalf("table %d: thresholds %d/%d prefetch %v, want %d/%d %v",
+				i, ts.threshold, ts.demandThreshold, ts.prefetch, w.threshold, w.demand, w.prefetch)
+		}
+		if _, ok := ts.policy.(*cache.ThresholdVerdicts); !ok || ts.admit == nil {
+			t.Fatalf("table %d: policy %v, want threshold verdicts with admission bits", i, ts.policy)
+		}
+		pd, pn := bitsDigest(ts.admit.prefetch)
+		bd, bn := bitsDigest(ts.admit.probation)
+		if pd != w.prefetchDigest || pn != w.prefetchBits || bd != w.probationDigest || bn != w.probationBits {
+			t.Fatalf("table %d: admission bits %#x (%d set) / %#x (%d set), the version-4 store's %#x (%d) / %#x (%d)",
+				i, pd, pn, bd, bn, w.prefetchDigest, w.prefetchBits, w.probationDigest, w.probationBits)
+		}
+		_, eval := traces[i].Split(0.5)
+		for _, q := range eval.Queries {
+			if _, err := s.LookupBatchRaw(i, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := s.Stats()[i]
+		if got.Lookups != w.lookups || got.Hits != w.hits || got.BlockReads != w.blockReads ||
+			got.ProbationFills != w.probation || got.PrefetchAdds != w.prefetchAdds || got.PrefetchHits != w.prefHits {
+			t.Fatalf("table %d served lookups=%d hits=%d blockReads=%d probation=%d prefetchAdds=%d prefetchHits=%d, the version-4 store %+v",
+				i, got.Lookups, got.Hits, got.BlockReads, got.ProbationFills, got.PrefetchAdds, got.PrefetchHits, w)
+		}
+	}
+
+	var v5 bytes.Buffer
+	if err := s.SaveState(&v5); err != nil {
+		t.Fatal(err)
+	}
+	again := open()
+	if err := again.LoadState(&v5); err != nil {
+		t.Fatal(err)
+	}
+	for i := range s.tables {
+		if err := sameVerdicts(again.tables[i].loadState().policy.(*cache.ThresholdVerdicts),
+			s.tables[i].loadState().policy.(*cache.ThresholdVerdicts)); err != nil {
+			t.Fatalf("table %d after a version-5 round trip: %v", i, err)
 		}
 	}
 }

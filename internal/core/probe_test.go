@@ -78,7 +78,7 @@ func TestBatchedProbeMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := s.tables[0]
-			counts := st.loadState().counts
+			counts := train.AccessCounts()
 			// Prefetching and the demand gate both on, so fills land in
 			// several segments and prefetched flags are set and cleared.
 			policy := cache.ThresholdAdmit{

@@ -227,10 +227,10 @@ type missRef struct {
 // admission and caches the fp16 bytes of the ones admitted, in slot order.
 // requested lists the block's vectors that were explicitly asked for in this
 // operation: they are cached separately and must not be double-counted as
-// prefetches. For the deployed ThresholdAdmit the verdicts are the compiled
-// bits of the block's range — a word or two read, and the layout consulted
-// only for the few slots admitted; any other policy is asked member by
-// member. An admitted candidate costs one cache probe: the guarded insert
+// prefetches. For the deployed threshold policy the verdicts are the
+// layout-order bits of the block's range — a word or two read, and the
+// layout consulted only for the few slots admitted; any other policy is
+// asked member by member. An admitted candidate costs one cache probe: the guarded insert
 // itself refuses an id that is already resident. members is the walk's
 // scratch.
 func (st *storeTable) admitBlock(ts *tableState, buf []byte, epoch uint64, block int, members *[]uint32, requested []missRef) {
@@ -445,7 +445,7 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 		sc.missed = grown(sc.missed, len(uniq))
 		missed = sc.missed[:0]
 	}
-	// A compiled policy is a ThresholdAdmit, whose OnAccess does nothing.
+	// A compiled policy is a ThresholdVerdicts, whose OnAccess does nothing.
 	if ts.policy != nil && ts.admit == nil {
 		for _, id := range ids {
 			ts.policy.OnAccess(id)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bandana/internal/cache"
 	"bandana/internal/metrics"
 	"bandana/internal/nvm"
 )
@@ -92,14 +93,14 @@ type TableStats struct {
 // TableDRAM is the heap one table keeps resident, by component, in bytes.
 // The vectors themselves are not among them: they live on the device.
 type TableDRAM struct {
-	// Layout is the placement order and its inverse (8 B per vector).
+	// Layout is the placement order and its inverse, packed at
+	// max(1, ⌈log₂ n⌉) bits per entry each (≤ 4 B per vector up to 2^16
+	// vectors).
 	Layout int64
-	// Counts is the per-vector access counts the threshold policy is
-	// compiled from (4 B per vector once trained).
-	Counts int64
-	// AdmitBits is the threshold policy compiled to two bits per vector in
-	// layout order, what a missed block's admission reads (0 under any other
-	// policy).
+	// AdmitBits is the threshold policy's verdicts, two bits per vector by id
+	// (what it serves, persists and reports) plus the same two permuted into
+	// layout order (what a missed block's admission reads): half a byte per
+	// vector, 0 under any other policy.
 	AdmitBits int64
 	// Overlay is the payloads and entries of updates not yet compacted.
 	Overlay int64
@@ -151,7 +152,6 @@ func (s *Store) Stats() []TableStats {
 		ts.OverlayEntries = st.overlay.size()
 		ts.DRAM = TableDRAM{
 			Layout:     state.layout.SizeBytes(),
-			Counts:     4 * int64(len(state.counts)),
 			AdmitBits:  state.admit.sizeBytes(),
 			Overlay:    int64(ts.OverlayEntries) * int64(st.vecBytes+overlayEntryBytes),
 			CacheArena: cs.ArenaBytes,
@@ -159,6 +159,9 @@ func (s *Store) Stats() []TableStats {
 		}
 		if r := st.recorder.Load(); r != nil {
 			ts.DRAM.Recorder = r.SizeBytes()
+		}
+		if v, ok := state.policy.(*cache.ThresholdVerdicts); ok {
+			ts.DRAM.AdmitBits += v.SizeBytes()
 		}
 		if state.policy != nil {
 			ts.Policy = state.policy.Name()

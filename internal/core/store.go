@@ -123,17 +123,18 @@ func newStageHistogram() *metrics.Histogram {
 // so the serving path reads a consistent snapshot with a single atomic load.
 type tableState struct {
 	layout    *layout.Layout
-	counts    []uint32 // per-vector access counts from the training trace
-	threshold uint32   // prefetch admission threshold (counts must exceed it)
-	prefetch  bool     // whether prefetching is enabled (set by Train)
-	// demandThreshold gates requested vectors: one whose count is below it is
-	// cached on probation instead of at the MRU end (0: no gate).
+	threshold uint32 // prefetch admission threshold (a training count must exceed it)
+	prefetch  bool   // whether prefetching is enabled (set by Train)
+	// demandThreshold gates requested vectors: one whose training count is
+	// below it is cached on probation instead of at the MRU end (0: no gate).
 	demandThreshold uint32
 	// policy is nil when it has nothing to decide: prefetching off and no
-	// demand gate.
+	// demand gate. A threshold policy is always held as its compiled
+	// verdicts (*cache.ThresholdVerdicts, two bits per id); the training
+	// counts it was compiled from are not kept.
 	policy cache.AdmissionPolicy
-	// admit is policy compiled against layout when policy is a
-	// cache.ThresholdAdmit, nil otherwise (see publish).
+	// admit is policy's verdicts permuted into layout order when policy is a
+	// *cache.ThresholdVerdicts, nil otherwise (see publish).
 	admit *admitBits
 	// predicted is what the miniature cache that chose threshold/prefetch
 	// expects this table to serve (zero until a tuner has run); the live
@@ -238,45 +239,48 @@ func (st *storeTable) mutateState(fn func(*tableState)) {
 	st.stateMu.Unlock()
 }
 
-// publish makes ts the table's state, compiling its admission bits against
-// its layout first. Every publish compiles, whatever it changed: a re-layout
-// moves the vectors under the bits without touching the policy.
+// publish makes ts the table's state, permuting its admission verdicts into
+// its layout's order first. Every publish does, whatever it changed: a
+// re-layout moves the vectors under the bits without touching the policy.
 func (st *storeTable) publish(ts *tableState) {
 	ts.admit = compileAdmission(ts.policy, ts.layout)
 	st.state.Store(ts)
 }
 
-// admitBits is a cache.ThresholdAdmit compiled against a layout, one bit per
-// layout position, so a missed block's admission reads the words covering its
-// range instead of calling the policy for each member at a random id.
-// Immutable once published.
+// admitBits is a table's *cache.ThresholdVerdicts permuted into layout order,
+// one bit per layout position, so a missed block's admission reads the words
+// covering its range instead of asking the policy for each member at a
+// random id. Immutable once published.
 type admitBits struct {
-	prefetch  []uint64 // bit p: AdmitPrefetch(VectorAt(p)) admits
-	probation []uint64 // bit p: DemandPosition(VectorAt(p)) is ProbationPosition, not 0
+	prefetch  []uint64 // bit p: VectorAt(p)'s prefetch is admitted
+	probation []uint64 // bit p: VectorAt(p) fills on probation, not at the MRU end
 	// position is where an admitted prefetch enters the queue: the policy
 	// returns the same one for every id.
 	position float64
 }
 
-// compileAdmission evaluates p at every position of l, through p's own
-// methods, when p is a cache.ThresholdAdmit; it returns nil for any other
-// policy. Those keep the per-member walk: the shadow policies' verdicts
-// change with every access, so no bit can hold them.
+// compileAdmission permutes p's verdicts into l's order when p is a
+// *cache.ThresholdVerdicts; it returns nil for any other policy. Those keep
+// the per-member walk: the shadow policies' verdicts change with every
+// access, so no bit can hold them.
 func compileAdmission(p cache.AdmissionPolicy, l *layout.Layout) *admitBits {
-	ta, ok := p.(cache.ThresholdAdmit)
+	v, ok := p.(*cache.ThresholdVerdicts)
 	if !ok {
 		return nil
 	}
 	words := (l.NumVectors() + 63) / 64
-	b := &admitBits{prefetch: make([]uint64, words), probation: make([]uint64, words)}
-	for pos := range l.NumVectors() {
-		id := l.VectorAt(pos)
-		if admit, at := ta.AdmitPrefetch(id); admit {
-			b.prefetch[pos/64] |= 1 << (pos % 64)
-			b.position = at
-		}
-		if ta.DemandPosition(id) > 0 {
-			b.probation[pos/64] |= 1 << (pos % 64)
+	b := &admitBits{prefetch: make([]uint64, words), probation: make([]uint64, words), position: v.Position()}
+	members := make([]uint32, 0, l.BlockVectors())
+	for blk := range l.NumBlocks() {
+		members = l.BlockMembers(blk, members[:0])
+		for slot, id := range members {
+			pos := blk*l.BlockVectors() + slot
+			if v.Prefetches(id) {
+				b.prefetch[pos/64] |= 1 << (pos % 64)
+			}
+			if v.OnProbation(id) {
+				b.probation[pos/64] |= 1 << (pos % 64)
+			}
 		}
 	}
 	return b
@@ -591,16 +595,29 @@ func (s *Store) TableIndex(name string) (int, error) {
 // SetAdmissionPolicy installs a prefetch-admission policy for one table and
 // enables prefetching; a nil policy disables prefetching. The same policy
 // implementations drive the trace simulator (internal/sim), so a policy
-// evaluated there behaves identically here.
+// evaluated there behaves identically here. A cache.ThresholdAdmit is
+// compiled to its verdicts over the table's ids and installed as those (its
+// Counts are not kept), with its thresholds as the table's; a
+// *cache.ThresholdVerdicts must have been compiled for the table's size.
 func (s *Store) SetAdmissionPolicy(tableIdx int, p cache.AdmissionPolicy) error {
 	st, err := s.tableAt(tableIdx)
 	if err != nil {
 		return err
 	}
+	if ta, ok := p.(cache.ThresholdAdmit); ok {
+		p = cache.CompileThreshold(ta, st.numVectors)
+	}
+	v, compiled := p.(*cache.ThresholdVerdicts)
+	if compiled && v.Len() != st.numVectors {
+		return fmt.Errorf("core: table %q: verdicts cover %d ids, table has %d", st.name, v.Len(), st.numVectors)
+	}
 	st.mutateState(func(ts *tableState) {
 		ts.policy = p
 		ts.prefetch = p != nil
-		ts.demandThreshold = 0          // the tuned gate went with the tuned policy
+		ts.demandThreshold = 0 // the tuned gate went with the tuned policy
+		if compiled {
+			ts.threshold, ts.demandThreshold = v.Thresholds()
+		}
 		ts.predicted = sim.Prediction{} // no tuner vouched for p
 	})
 	return nil
@@ -613,15 +630,26 @@ func (s *Store) tableAt(i int) (*storeTable, error) {
 	return s.tables[i], nil
 }
 
-// setThresholdPolicy installs the cache.ThresholdAdmit that ts.counts,
-// threshold, prefetch and demandThreshold describe — the policy the miniature
-// caches replayed through the store's own batch algorithm (see package sim),
-// so serving behaves exactly as simulated — or no policy at all when it would
-// decide nothing, so a block read skips admission altogether.
-func (ts *tableState) setThresholdPolicy() {
+// thresholdCountsHook, when non-nil, sees the access counts every threshold
+// policy is compiled from, just before they are dropped: tests use it to
+// rebuild the reference cache.ThresholdAdmit of a table's verdicts.
+var thresholdCountsHook func(st *storeTable, counts []uint32)
+
+// setThresholdPolicy installs, compiled to its verdicts over the table's ids,
+// the cache.ThresholdAdmit that counts and ts's threshold, prefetch and
+// demandThreshold describe — the policy the miniature caches replayed through
+// the store's own batch algorithm (see package sim), so serving behaves
+// exactly as simulated — or no policy at all when it would decide nothing, so
+// a block read skips admission altogether. counts is not kept.
+func (st *storeTable) setThresholdPolicy(ts *tableState, counts []uint32) {
+	if thresholdCountsHook != nil {
+		thresholdCountsHook(st, counts)
+	}
 	ts.policy = nil
 	if ts.prefetch || ts.demandThreshold > 0 {
-		ts.policy = cache.ThresholdAdmit{Counts: ts.counts, Threshold: ts.threshold, DemandThreshold: ts.demandThreshold}
+		ts.policy = cache.CompileThreshold(cache.ThresholdAdmit{
+			Counts: counts, Threshold: ts.threshold, DemandThreshold: ts.demandThreshold,
+		}, st.numVectors)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"bandana/internal/cache"
 	"bandana/internal/fp16"
 	"bandana/internal/table"
 	"bandana/internal/trace"
@@ -137,4 +138,95 @@ func TestStoreHoldsNoTableCopy(t *testing.T) {
 	if !bytes.Equal(got[0], want) {
 		t.Fatal("reopened store serves the wrong bytes")
 	}
+}
+
+// TestPerVectorMetadataBound is the gate on what a store keeps per vector
+// besides its cache: the packed layout (≤ 4 B per vector at 2^16 vectors) and
+// the threshold policy's verdicts (two bits per vector by id, two in layout
+// order) must stay within 4.5 B per vector after Open + Train, after an
+// adaptation re-layout, after LoadState and after a reopen — where access
+// counts alone would cost 4 B more — and no published policy may carry
+// counts.
+func TestPerVectorMetadataBound(t *testing.T) {
+	const vectors, dim = 1 << 16, 64
+	const maxBytesPerVector = 4.5
+	p := trace.Profile{Name: "big", NumVectors: vectors, AvgLookups: 20, Locality: 0.9, CommunitySize: 64, ReuseSkew: 3, Seed: 5}
+	tables := []*table.Table{table.Generate(p.Name, table.GenerateOptions{NumVectors: vectors, Dim: dim, Seed: 5}).Table}
+	cfg := Config{
+		Backend:           BackendFile,
+		DataDir:           filepath.Join(t.TempDir(), "store"),
+		Direct:            testDirect(),
+		DRAMBudgetVectors: vectors / 20,
+		CacheShards:       8,
+		Seed:              5,
+		Tables:            tables,
+	}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+
+	check := func(after string) {
+		t.Helper()
+		ts := s.tables[0].loadState()
+		if _, ok := ts.policy.(cache.ThresholdAdmit); ok {
+			t.Fatalf("after %s: the published policy carries access counts", after)
+		}
+		if _, ok := ts.policy.(*cache.ThresholdVerdicts); !ok {
+			t.Fatalf("after %s: policy %v, want a threshold policy's verdicts: the bound would go unchecked", after, ts.policy)
+		}
+		d := s.Stats()[0].DRAM
+		perVector := float64(d.Layout+d.AdmitBits) / vectors
+		t.Logf("after %s: layout %d B + admission %d B = %.3f B per vector", after, d.Layout, d.AdmitBits, perVector)
+		if perVector > maxBytesPerVector {
+			t.Fatalf("after %s: %.3f B of metadata per vector, want ≤ %.1f", after, perVector, maxBytesPerVector)
+		}
+	}
+
+	if _, err := s.Train([]*trace.Trace{trace.GenerateTable(p, 400)}, TrainOptions{SHPIterations: 2, MiniCacheSampling: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	check("Open + Train")
+
+	if err := s.StartAdaptation(AdaptOptions{MinQueries: 16, RelayoutEvery: 1, RelayoutMinGain: 0.01, SHPIterations: 4}); err != nil {
+		t.Fatal(err)
+	}
+	drifted := p
+	drifted.Seed = 6
+	for _, q := range trace.GenerateTable(drifted, 300).Queries {
+		if _, err := s.LookupBatchRaw(0, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := s.AdaptNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.StopAdaptation()
+	if !rep.Tables[0].Relayout {
+		t.Fatal("AdaptNow did not re-lay the table out: the check below would repeat the one after Train")
+	}
+	// Whatever the re-tune chose, a gate keeps a threshold policy installed
+	// through the save, load and reopen below.
+	forceDemandThreshold(s.tables[0], 2)
+	check("an AdaptNow re-layout")
+
+	var saved bytes.Buffer
+	if err := s.SaveState(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadState(&saved); err != nil {
+		t.Fatal(err)
+	}
+	check("LoadState")
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Tables = nil
+	if s, err = Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	check("reopen")
 }

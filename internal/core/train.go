@@ -55,6 +55,8 @@ func (r TableTrainReport) Thresholds() string {
 // committed: the state its install publishes.
 type trainPlan struct {
 	layout *layout.Layout
+	// counts are the training trace's access counts: the tuner's input and
+	// what the threshold policy is compiled from, dropped with the plan.
 	counts []uint32
 	hrc    *mrc.HRC
 	// cacheCap is the DRAM allocation; choice is the tuner's verdict (nil:
@@ -206,10 +208,9 @@ func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, e
 			continue
 		}
 		installs = append(installs, layoutInstall{st: st, layout: p.layout, mutate: func(ts *tableState) {
-			ts.counts = p.counts
 			st.freshCache(ts, p.cacheCap)
 			if p.choice != nil {
-				applyChoice(ts, p.counts, *p.choice, 0)
+				st.applyChoice(ts, p.counts, *p.choice, 0)
 			}
 		}})
 	}
@@ -294,9 +295,9 @@ func fanoutFloor(tr *trace.Trace, blockVectors int) float64 {
 // threshold whose prefetches earn at least minGain over the best
 // prefetch-free configuration; otherwise it goes off and the table serves
 // that configuration. Either way the demand threshold and the prediction kept
-// are the ones that go with what will serve.
-func applyChoice(ts *tableState, counts []uint32, choice sim.ThresholdChoice, minGain float64) {
-	ts.counts = counts
+// are the ones that go with what will serve. The policy is compiled from
+// counts, which ts does not keep.
+func (st *storeTable) applyChoice(ts *tableState, counts []uint32, choice sim.ThresholdChoice, minGain float64) {
 	ts.threshold = choice.Threshold
 	ts.prefetch = choice.Threshold != sim.DisablePrefetch && choice.PrefetchGain >= minGain
 	if ts.prefetch {
@@ -306,5 +307,5 @@ func applyChoice(ts *tableState, counts []uint32, choice sim.ThresholdChoice, mi
 		ts.demandThreshold = choice.NoPrefetchDemandThreshold
 		ts.predicted = choice.NoPrefetch
 	}
-	ts.setThresholdPolicy()
+	st.setThresholdPolicy(ts, counts)
 }

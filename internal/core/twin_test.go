@@ -82,7 +82,8 @@ func TestReplayIsTheStore(t *testing.T) {
 				t.Fatalf("store has %d cache shards, want 1", got)
 			}
 
-			cands := sim.AdaptiveThresholds(snap.counts)
+			counts := train.AccessCounts() // what Train computed; the store keeps only verdicts
+			cands := sim.AdaptiveThresholds(counts)
 			if len(cands) < 3 {
 				t.Fatalf("want at least 3 candidate thresholds, got %v", cands)
 			}
@@ -91,17 +92,17 @@ func TestReplayIsTheStore(t *testing.T) {
 				cache.AlwaysAdmit{Position: 0.5},
 			}
 			for _, th := range cands[:3] {
-				policies = append(policies, cache.ThresholdAdmit{Counts: snap.counts, Threshold: th})
+				policies = append(policies, cache.ThresholdAdmit{Counts: counts, Threshold: th})
 			}
 			// The demand gate, under prefetching and alone.
-			gates := sim.DemandThresholds(snap.counts, snap.cacheCap)
+			gates := sim.DemandThresholds(counts, snap.cacheCap)
 			if len(gates) < 2 {
 				t.Fatalf("want at least 2 candidate demand thresholds, got %v", gates)
 			}
 			for _, g := range gates {
 				policies = append(policies,
-					cache.ThresholdAdmit{Counts: snap.counts, Threshold: cands[1], DemandThreshold: g},
-					cache.ThresholdAdmit{Counts: snap.counts, Threshold: sim.DisablePrefetch, DemandThreshold: g})
+					cache.ThresholdAdmit{Counts: counts, Threshold: cands[1], DemandThreshold: g},
+					cache.ThresholdAdmit{Counts: counts, Threshold: sim.DisablePrefetch, DemandThreshold: g})
 			}
 
 			for _, p := range policies {

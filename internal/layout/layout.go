@@ -9,7 +9,9 @@ package layout
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // DefaultBlockVectors is the number of vectors per NVM block for 128 B
@@ -18,10 +20,48 @@ const DefaultBlockVectors = 32
 
 // Layout is an immutable placement of numVectors vectors into blocks of
 // blockVectors vectors each.
+//
+// Both directions of the permutation are packed at width = max(1,
+// ⌈log₂ numVectors⌉) bits per entry into 64-bit words, so a table of up to
+// 2^16 vectors holds at most 4 B per vector here instead of 8; an entry may
+// straddle two words. A lookup is a shift and a mask, one more load when the
+// entry straddles.
 type Layout struct {
 	blockVectors int
-	order        []uint32 // position -> vector ID
-	posOf        []uint32 // vector ID -> position
+	n            int
+	width        uint
+	mask         uint64
+	order        []uint64 // packed: position -> vector ID
+	posOf        []uint64 // packed: vector ID -> position
+}
+
+// entryWidth is the bits one entry of an n-entry permutation takes.
+func entryWidth(n int) uint {
+	if n <= 1 {
+		return 1
+	}
+	return uint(bits.Len(uint(n - 1)))
+}
+
+// get returns entry i of words packed at l.width bits.
+func (l *Layout) get(words []uint64, i int) uint32 {
+	bit := uint(i) * l.width
+	q, r := bit/64, bit%64
+	v := words[q] >> r
+	if r+l.width > 64 {
+		v |= words[q+1] << (64 - r)
+	}
+	return uint32(v & l.mask)
+}
+
+// put sets entry i of zeroed words packed at l.width bits to v.
+func (l *Layout) put(words []uint64, i int, v uint32) {
+	bit := uint(i) * l.width
+	q, r := bit/64, bit%64
+	words[q] |= uint64(v) << r
+	if r+l.width > 64 {
+		words[q+1] |= uint64(v) >> (64 - r)
+	}
 }
 
 // Identity returns the layout that stores vectors in ID order.
@@ -60,73 +100,98 @@ func FromOrder(order []uint32, blockVectors int) (*Layout, error) {
 		blockVectors = DefaultBlockVectors
 	}
 	n := len(order)
-	posOf := make([]uint32, n)
-	seen := make([]bool, n)
+	w := entryWidth(n)
+	words := (n*int(w) + 63) / 64
+	l := &Layout{
+		blockVectors: blockVectors,
+		n:            n,
+		width:        w,
+		mask:         1<<w - 1,
+		order:        make([]uint64, words),
+		posOf:        make([]uint64, words),
+	}
+	seen := make([]uint64, (n+63)/64)
 	for pos, id := range order {
 		if int(id) >= n {
 			return nil, fmt.Errorf("layout: order references vector %d outside table of %d", id, n)
 		}
-		if seen[id] {
+		if seen[id/64]&(1<<(id%64)) != 0 {
 			return nil, fmt.Errorf("layout: vector %d appears twice in order", id)
 		}
-		seen[id] = true
-		posOf[id] = uint32(pos)
+		seen[id/64] |= 1 << (id % 64)
+		l.put(l.order, pos, id)
+		l.put(l.posOf, int(id), uint32(pos))
 	}
-	return &Layout{
-		blockVectors: blockVectors,
-		order:        append([]uint32(nil), order...),
-		posOf:        posOf,
-	}, nil
+	return l, nil
 }
 
 // NumVectors returns the number of vectors placed.
-func (l *Layout) NumVectors() int { return len(l.order) }
+func (l *Layout) NumVectors() int { return l.n }
 
-// SizeBytes returns the heap the layout holds: the placement order and its
-// inverse, four bytes per vector each.
-func (l *Layout) SizeBytes() int64 { return 4 * int64(len(l.order)+len(l.posOf)) }
+// SizeBytes returns the heap the layout holds: the packed placement order and
+// its inverse, width bits per vector each.
+func (l *Layout) SizeBytes() int64 { return 8 * int64(len(l.order)+len(l.posOf)) }
 
 // BlockVectors returns the number of vectors per block.
 func (l *Layout) BlockVectors() int { return l.blockVectors }
 
 // NumBlocks returns the number of blocks needed to store all vectors.
 func (l *Layout) NumBlocks() int {
-	return (len(l.order) + l.blockVectors - 1) / l.blockVectors
+	return (l.n + l.blockVectors - 1) / l.blockVectors
 }
 
 // BlockOf returns the block index holding vector id.
 func (l *Layout) BlockOf(id uint32) int {
-	return int(l.posOf[id]) / l.blockVectors
+	return l.PositionOf(id) / l.blockVectors
 }
 
 // SlotOf returns the slot of vector id within its block.
 func (l *Layout) SlotOf(id uint32) int {
-	return int(l.posOf[id]) % l.blockVectors
+	return l.PositionOf(id) % l.blockVectors
 }
 
-// PositionOf returns the global physical position of vector id.
-func (l *Layout) PositionOf(id uint32) int { return int(l.posOf[id]) }
+// PositionOf returns the global physical position of vector id. Like an
+// index into a plain slice it panics on an id outside the table, which the
+// packing would otherwise read from a neighbour's bits.
+func (l *Layout) PositionOf(id uint32) int {
+	if int(id) >= l.n {
+		panic("layout: vector id outside the table")
+	}
+	return int(l.get(l.posOf, int(id)))
+}
 
-// VectorAt returns the vector stored at physical position pos.
-func (l *Layout) VectorAt(pos int) uint32 { return l.order[pos] }
+// VectorAt returns the vector stored at physical position pos; it panics on
+// a position outside the table.
+func (l *Layout) VectorAt(pos int) uint32 {
+	if uint(pos) >= uint(l.n) {
+		panic("layout: position outside the table")
+	}
+	return l.get(l.order, pos)
+}
 
 // BlockMembers appends the IDs stored in block b to dst and returns it. The
 // last block may hold fewer than BlockVectors vectors.
 func (l *Layout) BlockMembers(b int, dst []uint32) []uint32 {
 	start := b * l.blockVectors
-	end := start + l.blockVectors
-	if end > len(l.order) {
-		end = len(l.order)
-	}
+	end := min(start+l.blockVectors, l.n)
 	if start >= end {
 		return dst
 	}
-	return append(dst, l.order[start:end]...)
+	n := len(dst)
+	dst = slices.Grow(dst, end-start)[:n+end-start]
+	for i := range dst[n:] {
+		dst[n+i] = l.get(l.order, start+i)
+	}
+	return dst
 }
 
-// Order returns a copy of the full placement permutation.
+// Order returns the full placement permutation, unpacked.
 func (l *Layout) Order() []uint32 {
-	return append([]uint32(nil), l.order...)
+	order := make([]uint32, l.n)
+	for p := range order {
+		order[p] = l.get(l.order, p)
+	}
+	return order
 }
 
 // Fanout returns the number of distinct blocks a query's lookups touch under

@@ -1,6 +1,8 @@
 package layout
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -154,5 +156,85 @@ func TestPropertyFromOrderRoundTrips(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPackedLayoutMatchesPlainPermutation checks the packed representation
+// against a plain []uint32 permutation at every table size where the entry
+// width changes (n = 2^k−1, 2^k, 2^k+1 for k = 2…17, plus 1, 2 and 3): every
+// width from 1 to 17 bits, with entries that straddle a word boundary. Every
+// accessor must answer as the plain slices do, and SizeBytes must be the two
+// packed arrays.
+func TestPackedLayoutMatchesPlainPermutation(t *testing.T) {
+	sizes := []int{1, 2, 3}
+	for k := 2; k <= 17; k++ {
+		sizes = append(sizes, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	widths := map[uint]bool{}
+	for _, n := range sizes {
+		bv := []int{1, 3, 32}[n%3]
+		order := make([]uint32, n)
+		for i, p := range rng.Perm(n) {
+			order[i] = uint32(p)
+		}
+		posOf := make([]uint32, n)
+		for p, id := range order {
+			posOf[id] = uint32(p)
+		}
+		l, err := FromOrder(order, bv)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		w := uint(1)
+		for 1<<w < n {
+			w++
+		}
+		widths[w] = true
+		if want := 2 * 8 * int64((n*int(w)+63)/64); l.SizeBytes() != want {
+			t.Fatalf("n=%d: SizeBytes %d, want %d (two arrays at %d bits)", n, l.SizeBytes(), want, w)
+		}
+		if l.NumVectors() != n || l.NumBlocks() != (n+bv-1)/bv {
+			t.Fatalf("n=%d: %d vectors in %d blocks", n, l.NumVectors(), l.NumBlocks())
+		}
+		for p := range n {
+			if got := l.VectorAt(p); got != order[p] {
+				t.Fatalf("n=%d: VectorAt(%d) = %d, want %d", n, p, got, order[p])
+			}
+		}
+		for id := range uint32(n) {
+			pos := int(posOf[id])
+			if l.PositionOf(id) != pos || l.BlockOf(id) != pos/bv || l.SlotOf(id) != pos%bv {
+				t.Fatalf("n=%d id %d: position %d block %d slot %d, want %d %d %d",
+					n, id, l.PositionOf(id), l.BlockOf(id), l.SlotOf(id), pos, pos/bv, pos%bv)
+			}
+		}
+		var members []uint32
+		for b := range l.NumBlocks() {
+			members = l.BlockMembers(b, members[:0])
+			if !slices.Equal(members, order[b*bv:min((b+1)*bv, n)]) {
+				t.Fatalf("n=%d: BlockMembers(%d) = %v, want %v", n, b, members, order[b*bv:min((b+1)*bv, n)])
+			}
+		}
+		if !slices.Equal(l.Order(), order) {
+			t.Fatalf("n=%d: Order differs from the permutation it was built from", n)
+		}
+		// The validation still sees through the packing.
+		if n > 1 {
+			bad := slices.Clone(order)
+			bad[n-1] = uint32(n)
+			if _, err := FromOrder(bad, bv); err == nil {
+				t.Fatalf("n=%d: out-of-range id accepted", n)
+			}
+			bad[n-1] = order[0]
+			if _, err := FromOrder(bad, bv); err == nil {
+				t.Fatalf("n=%d: duplicate id accepted", n)
+			}
+		}
+	}
+	for w := uint(1); w <= 17; w++ {
+		if !widths[w] {
+			t.Fatalf("no size exercised a %d-bit width", w)
+		}
 	}
 }

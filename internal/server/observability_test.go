@@ -165,10 +165,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"bandana_table_effective_bandwidth{table=\"tA\"} ",
 		"bandana_table_predicted_hit_ratio{table=\"tA\"} 0\n",
 		"bandana_table_predicted_lookups_per_block_read{table=\"tA\"} 0\n",
-		// DRAM attribution: 2048 vectors x (order + inverse) x 4 B, nothing
-		// trained, updated or recorded yet, and a cache that has filled.
-		"bandana_table_dram_bytes{table=\"tA\",component=\"layout\"} 16384\n",
-		"bandana_table_dram_bytes{table=\"tA\",component=\"counts\"} 0\n",
+		// DRAM attribution: 2048 vectors x (order + inverse) packed at 11
+		// bits (352 words each), nothing trained, updated or recorded yet, and
+		// a cache that has filled.
+		"bandana_table_dram_bytes{table=\"tA\",component=\"layout\"} 5632\n",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"admit_bits\"} 0\n",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"overlay\"} 0\n",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"cache_arena\"} ",
@@ -182,6 +182,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	if strings.Contains(out, "component=\"counts\"") {
+		t.Error("exposition still has a counts component: the store keeps no access counts")
 	}
 	for _, component := range []string{"cache_arena", "cache_index"} {
 		if strings.Contains(out, "bandana_table_dram_bytes{table=\"tA\",component=\""+component+"\"} 0\n") {

@@ -378,8 +378,8 @@ func (s *Server) sendError(out chan<- *[]byte, reqID uint64, withCRC bool, code 
 }
 
 // framePool recycles response frame buffers: a handler encodes a frame into
-// one, and the writer returns it once the frame is copied into the
-// connection's buffered writer.
+// one, and the writer returns it once the frame is written to the
+// connection.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledFrame bounds the buffers kept for reuse, so one huge response
@@ -395,39 +395,51 @@ func putFrame(frame *[]byte) {
 }
 
 // writeLoop drains queued response frames into the connection. Frames that
-// pile up while a write is in progress are coalesced into the same flush,
-// so a burst of multiplexed responses costs one syscall, while an isolated
-// response is flushed immediately. After a write error it keeps draining
-// (discarding) so handlers never block, and closes the conn so the read
-// loop unblocks too.
+// pile up while a write is in progress go out together in the next write,
+// one writev of the pooled frames themselves (no copy into a connection
+// buffer), so a burst of multiplexed responses costs one syscall, while an
+// isolated response is written immediately. After a write error it keeps
+// draining (discarding) so handlers never block, and closes the conn so the
+// read loop unblocks too.
 func (s *Server) writeLoop(conn net.Conn, out <-chan *[]byte) {
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	var err error
+	var (
+		frames []*[]byte
+		iov    net.Buffers
+		err    error
+	)
 	for frame := range out {
+		frames = append(frames[:0], frame)
+		open := true
+	drain:
 		for {
-			if err == nil {
-				_, err = bw.Write(*frame)
-			}
-			putFrame(frame)
 			select {
 			case next, ok := <-out:
 				if !ok {
-					if err == nil {
-						bw.Flush()
-					}
-					return
+					open = false
+					break drain
 				}
-				frame = next
-				continue
+				frames = append(frames, next)
 			default:
+				break drain
 			}
-			break
 		}
 		if err == nil {
-			err = bw.Flush()
+			iov = iov[:0]
+			for _, f := range frames {
+				iov = append(iov, *f)
+			}
+			pending := iov // WriteTo consumes its receiver; iov keeps the array
+			if _, err = pending.WriteTo(conn); err != nil {
+				conn.Close()
+			}
+			clear(iov)
 		}
-		if err != nil {
-			conn.Close()
+		for i, f := range frames {
+			putFrame(f)
+			frames[i] = nil
+		}
+		if !open {
+			return
 		}
 	}
 }
