@@ -167,8 +167,8 @@ func (s *Store) StartAdaptation(opts AdaptOptions) error {
 		return ErrAdaptationRunning
 	}
 	for i, st := range s.tables {
-		a.baseLookups[i] = st.lookups.Value()
-		a.baseHits[i] = st.hits.Value()
+		a.baseLookups[i] = st.counters.Value(ctrLookups)
+		a.baseHits[i] = st.counters.Value(ctrHits)
 		a.recorders[i] = trace.NewRecorder(opts.RecorderQueries, opts.RecorderStripes, opts.SampleEvery)
 		st.recorder.Store(a.recorders[i])
 	}
@@ -470,8 +470,8 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 	// Publish epoch accounting and reset the per-epoch counter baselines.
 	a.mu.Lock()
 	for i, st := range s.tables {
-		a.baseLookups[i] = st.lookups.Value()
-		a.baseHits[i] = st.hits.Value()
+		a.baseLookups[i] = st.counters.Value(ctrLookups)
+		a.baseHits[i] = st.counters.Value(ctrHits)
 	}
 	a.mu.Unlock()
 	report.Duration = time.Since(start)
@@ -590,8 +590,8 @@ func (s *Store) AdaptationStats() AdaptationStats {
 		state := st.loadState()
 		ts := TableAdaptationStats{
 			Name:            st.name,
-			EpochLookups:    st.lookups.Value() - a.baseLookups[i],
-			EpochHits:       st.hits.Value() - a.baseHits[i],
+			EpochLookups:    st.counters.Value(ctrLookups) - a.baseLookups[i],
+			EpochHits:       st.counters.Value(ctrHits) - a.baseHits[i],
 			CacheVectors:    state.cacheCap,
 			Threshold:       state.threshold,
 			DemandThreshold: state.demandThreshold,

@@ -247,7 +247,6 @@ func newDeltaLog(opts UpdateLogOptions, baseSeq uint64, dir string, syncAlways b
 			return nil, fmt.Errorf("core: write update log header: %w", err)
 		}
 		l.f = f
-		l.w = bufio.NewWriterSize(f, updateLogBufSize)
 	}
 	return l, nil
 }
@@ -255,8 +254,18 @@ func newDeltaLog(opts UpdateLogOptions, baseSeq uint64, dir string, syncAlways b
 // updateLogBufSize is the mirror's append buffer: large enough to absorb a
 // few hundred dim-64 records between durability points, small enough that a
 // crash loses at most one buffer of non-fsynced tail (the same window the
-// periodic sync modes already accept for block writes).
+// periodic sync modes already accept for block writes). A log allocates it
+// at its first append, so a store that takes no updates holds none.
 const updateLogBufSize = 64 << 10
+
+// flushLocked writes the append buffer's contents to the mirror; a log that
+// has not appended since open has no buffer and nothing to write.
+func (l *deltaLog) flushLocked() error {
+	if l.w == nil {
+		return nil
+	}
+	return l.w.Flush()
+}
 
 func (l *deltaLog) close() error {
 	l.mu.Lock()
@@ -264,7 +273,7 @@ func (l *deltaLog) close() error {
 	if l.f == nil {
 		return nil
 	}
-	err := l.w.Flush()
+	err := l.flushLocked()
 	if serr := l.f.Sync(); err == nil {
 		err = serr
 	}
@@ -284,7 +293,7 @@ func (l *deltaLog) fsync() error {
 	if l.f == nil {
 		return nil
 	}
-	if err := l.w.Flush(); err != nil {
+	if err := l.flushLocked(); err != nil {
 		return err
 	}
 	return l.f.Sync()
@@ -331,6 +340,9 @@ func (l *deltaLog) appendLocked(rec UpdateRecord) error {
 	}
 	if l.f != nil {
 		l.scratch = EncodeUpdateRecord(l.scratch[:0], rec)
+		if l.w == nil {
+			l.w = bufio.NewWriterSize(l.f, updateLogBufSize)
+		}
 		if _, err := l.w.Write(l.scratch); err != nil {
 			return fmt.Errorf("core: append update log: %w", err)
 		}
@@ -448,7 +460,7 @@ func (l *deltaLog) truncate(through uint64) error {
 		return fmt.Errorf("core: update log watermark: %w", err)
 	}
 	if l.syncAlways {
-		if err := l.w.Flush(); err != nil {
+		if err := l.flushLocked(); err != nil {
 			return fmt.Errorf("core: update log watermark: %w", err)
 		}
 		if err := l.f.Sync(); err != nil {
@@ -505,9 +517,7 @@ func (l *deltaLog) rewriteLocked(through uint64) error {
 	}
 	// The rewrite was built from the in-memory window, so any bytes still
 	// buffered for the replaced file are stale — drop them.
-	if l.w == nil {
-		l.w = bufio.NewWriterSize(l.f, updateLogBufSize)
-	} else {
+	if l.w != nil {
 		l.w.Reset(l.f)
 	}
 	l.diskBytes = l.memBytes

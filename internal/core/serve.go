@@ -276,7 +276,7 @@ func (st *storeTable) admitMember(ts *tableState, buf []byte, epoch uint64, mslo
 	}
 	raw := buf[mslot*st.vecBytes : (mslot+1)*st.vecBytes]
 	if ts.cache.AddAtGuard(id, raw, pos, true, &st.epoch, epoch) {
-		st.prefetchAdds.Inc(hashID(id))
+		st.counters.Stripe(hashID(id))[ctrPrefetchAdds].Add(1)
 	}
 }
 
@@ -500,17 +500,17 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 		}
 	}
 	// The counters move once per batch, on the stripe of its first id.
-	h := hashID(ids[0])
-	st.lookups.Add(h, int64(len(ids)))
-	st.hits.Add(h, int64(hits))
+	c := st.counters.Stripe(hashID(ids[0]))
+	c[ctrLookups].Add(int64(len(ids)))
+	c[ctrHits].Add(int64(hits))
 	if misses := len(ids) - hits; misses > 0 {
-		st.misses.Add(h, int64(misses))
+		c[ctrMisses].Add(int64(misses))
 	}
 	if prefetchHits > 0 {
-		st.prefetchHits.Add(h, int64(prefetchHits))
+		c[ctrPrefetchHits].Add(int64(prefetchHits))
 	}
 	if deltaHits > 0 {
-		st.deltaHits.Add(h, deltaHits)
+		c[ctrDeltaHits].Add(deltaHits)
 	}
 	if tr != nil {
 		tr.Lookups += len(ids)
@@ -665,9 +665,9 @@ func (m *missStep) serveBlock(bi int, buf []byte) {
 	}
 	refs := m.missed[lo:m.next]
 	if m.coalesced != nil && m.coalesced[bi] {
-		st.coalescedReads.Inc(uint64(block))
+		st.counters.Stripe(uint64(block))[ctrCoalescedReads].Add(1)
 	} else {
-		st.blockReads.Inc(uint64(block))
+		st.counters.Stripe(uint64(block))[ctrBlockReads].Add(1)
 		if m.tr != nil {
 			m.tr.BlockReads++
 		}
@@ -700,7 +700,7 @@ func (m *missStep) serveBlock(bi int, buf []byte) {
 			pos = ts.policy.DemandPosition(ref.id)
 		}
 		if ts.cache.AddAtGuard(ref.id, rawCopy, pos, false, &st.epoch, m.epoch) && pos > 0 {
-			st.probationFills.Inc(hashID(ref.id))
+			st.counters.Stripe(hashID(ref.id))[ctrProbationFills].Add(1)
 		}
 	}
 	if ts.prefetch && ts.policy != nil {

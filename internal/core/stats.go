@@ -110,6 +110,9 @@ type TableDRAM struct {
 	CacheIndex int64
 	// Recorder is the adaptation engine's access window (0 while it is off).
 	Recorder int64
+	// Metrics is the serving counters' stripes and the four stage
+	// histograms (device service, probe, queue wait, decode).
+	Metrics int64
 }
 
 // Stats returns per-table serving statistics.
@@ -119,15 +122,15 @@ func (s *Store) Stats() []TableStats {
 		state := st.loadState()
 		ts := TableStats{
 			Name:             st.name,
-			Lookups:          st.lookups.Value(),
-			Hits:             st.hits.Value(),
-			DeltaHits:        st.deltaHits.Value(),
-			Misses:           st.misses.Value(),
-			BlockReads:       st.blockReads.Value(),
-			CoalescedReads:   st.coalescedReads.Value(),
-			PrefetchAdds:     st.prefetchAdds.Value(),
-			PrefetchHits:     st.prefetchHits.Value(),
-			ProbationFills:   st.probationFills.Value(),
+			Lookups:          st.counters.Value(ctrLookups),
+			Hits:             st.counters.Value(ctrHits),
+			DeltaHits:        st.counters.Value(ctrDeltaHits),
+			Misses:           st.counters.Value(ctrMisses),
+			BlockReads:       st.counters.Value(ctrBlockReads),
+			CoalescedReads:   st.counters.Value(ctrCoalescedReads),
+			PrefetchAdds:     st.counters.Value(ctrPrefetchAdds),
+			PrefetchHits:     st.counters.Value(ctrPrefetchHits),
+			ProbationFills:   st.counters.Value(ctrProbationFills),
 			CacheVectors:     state.cacheCap,
 			Threshold:        state.threshold,
 			DemandThreshold:  state.demandThreshold,
@@ -156,6 +159,7 @@ func (s *Store) Stats() []TableStats {
 			Overlay:    int64(ts.OverlayEntries) * int64(st.vecBytes+overlayEntryBytes),
 			CacheArena: cs.ArenaBytes,
 			CacheIndex: cs.MetaBytes + cs.IndexBytes,
+			Metrics:    st.metricsBytes(),
 		}
 		if r := st.recorder.Load(); r != nil {
 			ts.DRAM.Recorder = r.SizeBytes()
@@ -178,26 +182,38 @@ func (s *Store) Stats() []TableStats {
 	return out
 }
 
+// metricsBytes is the heap of the table's serving counters and stage
+// histograms.
+func (st *storeTable) metricsBytes() int64 {
+	return st.counters.SizeBytes() + st.lookupLatency.SizeBytes() + st.probeLatency.SizeBytes() +
+		st.queueWaitLatency.SizeBytes() + st.decodeLatency.SizeBytes()
+}
+
 // ResetStats clears all per-table counters (layouts, thresholds and cache
 // contents are preserved). Counters are atomic, so no lock is needed; a
 // reset concurrent with serving simply starts counting from the reset
 // point.
 func (s *Store) ResetStats() {
 	for _, st := range s.tables {
-		st.lookups.Reset()
-		st.hits.Reset()
-		st.deltaHits.Reset()
-		st.misses.Reset()
-		st.blockReads.Reset()
-		st.coalescedReads.Reset()
-		st.prefetchAdds.Reset()
-		st.prefetchHits.Reset()
-		st.probationFills.Reset()
+		st.counters.Reset()
 		st.lookupLatency.Reset()
 		st.probeLatency.Reset()
 		st.queueWaitLatency.Reset()
 		st.decodeLatency.Reset()
 	}
+}
+
+// StoreDRAM is the heap a store keeps resident beside its tables' (see
+// TableDRAM), by component, in bytes.
+type StoreDRAM struct {
+	// Metrics is the device's read-latency histogram and the I/O
+	// scheduler's queue-wait and service histograms.
+	Metrics int64
+}
+
+// DRAM returns the store-wide holders that no table's TableDRAM covers.
+func (s *Store) DRAM() StoreDRAM {
+	return StoreDRAM{Metrics: s.device.MetricsBytes() + s.sched.MetricsBytes()}
 }
 
 // DeviceStats returns the underlying NVM device counters.

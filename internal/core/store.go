@@ -106,8 +106,23 @@ func newTableCache(capacity, shards, vecBytes int) *vcache.Cache {
 	return vcache.New(vcache.Options{Capacity: capacity, SlotBytes: vecBytes, Shards: shards})
 }
 
-// counterStripes is the stripe count for the per-table serving counters.
+// counterStripes is the stripe count of a table's serving counters: 64
+// stripes of one two-line block holding all nine, 8 KB per table.
 const counterStripes = 64
+
+// A table's serving counters, one index each into its StripedCounters.
+const (
+	ctrLookups = iota
+	ctrHits
+	ctrDeltaHits
+	ctrMisses
+	ctrBlockReads
+	ctrCoalescedReads
+	ctrPrefetchAdds
+	ctrPrefetchHits
+	ctrProbationFills
+	numCounters
+)
 
 // newStageHistogram builds the layout used by the per-stage latency
 // histograms (probe, queue wait, device service, decode): the sub-microsecond
@@ -195,19 +210,12 @@ type storeTable struct {
 	// place instead of through sched. nil otherwise. Chosen once, at Open.
 	inPlace *nvm.Device
 
-	// Serving counters, striped across cache lines so concurrent lookups
-	// on different vectors do not contend; the stripe is chosen by the
-	// same hash that picks the cache shard (a batch's lookup, hit and miss
-	// counts move once, on the stripe of its first id).
-	lookups        *metrics.StripedCounter
-	hits           *metrics.StripedCounter
-	deltaHits      *metrics.StripedCounter
-	misses         *metrics.StripedCounter
-	blockReads     *metrics.StripedCounter
-	coalescedReads *metrics.StripedCounter
-	prefetchAdds   *metrics.StripedCounter
-	prefetchHits   *metrics.StripedCounter
-	probationFills *metrics.StripedCounter
+	// counters are the serving counters (indexed by the ctr constants),
+	// striped so concurrent lookups on different vectors do not contend;
+	// the stripe is chosen by the same hash that picks the cache shard (a
+	// batch's lookup, hit and miss counts move once, on the one block of
+	// the stripe of its first id).
+	counters *metrics.StripedCounters
 	// lookupLatency is the device-service component of miss reads (the
 	// historical "lookup latency"), always wall time: an in-place read's
 	// visit, or a scheduled read's time less its own queue wait. The
@@ -490,15 +498,7 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 			blockBase:        g.blockBase,
 			numBlocks:        g.numBlocks,
 			shards:           shards,
-			lookups:          metrics.NewStripedCounter(counterStripes),
-			hits:             metrics.NewStripedCounter(counterStripes),
-			deltaHits:        metrics.NewStripedCounter(counterStripes),
-			misses:           metrics.NewStripedCounter(counterStripes),
-			blockReads:       metrics.NewStripedCounter(counterStripes),
-			coalescedReads:   metrics.NewStripedCounter(counterStripes),
-			prefetchAdds:     metrics.NewStripedCounter(counterStripes),
-			prefetchHits:     metrics.NewStripedCounter(counterStripes),
-			probationFills:   metrics.NewStripedCounter(counterStripes),
+			counters:         metrics.NewStripedCounters(counterStripes, numCounters),
 			lookupLatency:    newStageHistogram(),
 			probeLatency:     newStageHistogram(),
 			queueWaitLatency: newStageHistogram(),

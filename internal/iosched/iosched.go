@@ -262,6 +262,10 @@ func New(device *nvm.Device, cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
+// MetricsBytes is the heap of the scheduler's queue-wait and service
+// histograms.
+func (s *Scheduler) MetricsBytes() int64 { return s.queueWait.SizeBytes() + s.service.SizeBytes() }
+
 // Config returns the scheduler's effective (normalized) configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
 

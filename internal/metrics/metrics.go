@@ -10,9 +10,11 @@ import (
 	"fmt"
 	"math"
 	randv2 "math/rand/v2"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Counter is a monotonically increasing 64-bit counter.
@@ -32,51 +34,58 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Reset sets the counter back to zero.
 func (c *Counter) Reset() { c.v.Store(0) }
 
-// StripedCounter is a counter spread across cache-line-padded slots so that
-// many goroutines incrementing concurrently do not contend on one cache
-// line. Callers supply a stripe selector (any well-distributed hash, e.g.
-// the key hash they already computed); Value sums the slots.
-type StripedCounter struct {
-	slots []paddedInt64
-	mask  uint64
+// StripedCounters is a fixed set of counters spread across stripes, each
+// stripe one cache-line-padded block holding every counter of the set, so
+// that many goroutines adding concurrently do not contend on one cache line
+// and one caller's adds to several counters touch one line. Callers supply
+// a stripe selector (any well-distributed hash, e.g. the key hash they
+// already computed); Value sums one counter over the stripes.
+type StripedCounters struct {
+	cells  []atomic.Int64 // stripe s holds counter i at s*stride+i
+	stride int            // counters per stripe, padded to whole cache lines
+	mask   uint64
 }
 
-type paddedInt64 struct {
-	v atomic.Int64
-	_ [56]byte
-}
+// cacheLineInt64s is how many int64 counters share one 64-byte cache line.
+const cacheLineInt64s = 8
 
-// NewStripedCounter creates a counter with the given number of stripes,
-// rounded up to a power of two (minimum 1).
-func NewStripedCounter(stripes int) *StripedCounter {
+// NewStripedCounters creates a set of the given number of counters over the
+// given number of stripes, rounded up to a power of two (minimum 1).
+func NewStripedCounters(stripes, counters int) *StripedCounters {
 	n := 1
 	for n < stripes {
 		n <<= 1
 	}
-	return &StripedCounter{slots: make([]paddedInt64, n), mask: uint64(n - 1)}
+	stride := (counters + cacheLineInt64s - 1) / cacheLineInt64s * cacheLineInt64s
+	return &StripedCounters{cells: make([]atomic.Int64, n*stride), stride: stride, mask: uint64(n - 1)}
 }
 
-// Inc increments the stripe selected by hash.
-func (c *StripedCounter) Inc(hash uint64) { c.slots[hash&c.mask].v.Add(1) }
+// Stripe returns the block of counters selected by hash; index it by counter.
+func (c *StripedCounters) Stripe(hash uint64) []atomic.Int64 {
+	off := int(hash&c.mask) * c.stride
+	return c.cells[off : off+c.stride]
+}
 
-// Add increments the stripe selected by hash by delta.
-func (c *StripedCounter) Add(hash uint64, delta int64) { c.slots[hash&c.mask].v.Add(delta) }
-
-// Value returns the sum of all stripes. Concurrent increments may or may
-// not be included, as with any relaxed counter read.
-func (c *StripedCounter) Value() int64 {
+// Value returns the sum of counter i over all stripes. Concurrent adds may
+// or may not be included, as with any relaxed counter read.
+func (c *StripedCounters) Value(i int) int64 {
 	var sum int64
-	for i := range c.slots {
-		sum += c.slots[i].v.Load()
+	for off := i; off < len(c.cells); off += c.stride {
+		sum += c.cells[off].Load()
 	}
 	return sum
 }
 
-// Reset zeroes every stripe.
-func (c *StripedCounter) Reset() {
-	for i := range c.slots {
-		c.slots[i].v.Store(0)
+// Reset zeroes every counter.
+func (c *StripedCounters) Reset() {
+	for i := range c.cells {
+		c.cells[i].Store(0)
 	}
+}
+
+// SizeBytes is the heap the counters hold.
+func (c *StripedCounters) SizeBytes() int64 {
+	return int64(unsafe.Sizeof(*c)) + int64(len(c.cells))*int64(unsafe.Sizeof(atomic.Int64{}))
 }
 
 // Gauge is a settable 64-bit value.
@@ -181,6 +190,7 @@ func NewHistogram(first, growth, maxBound float64) *Histogram {
 		bounds = append(bounds, b)
 	}
 	bounds = append(bounds, maxBound)
+	bounds = slices.Clone(bounds) // drop append's spare capacity: the bounds live as long as h
 	h := &Histogram{
 		bounds:  bounds,
 		stripes: make([]histStripe, histStripes),
@@ -348,7 +358,7 @@ func (h *Histogram) P50() float64 { return h.Quantile(0.50) }
 // P99 is shorthand for Quantile(0.99).
 func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
 
-// Reset clears all recorded observations. Like StripedCounter.Reset it is
+// Reset clears all recorded observations. Like StripedCounters.Reset it is
 // racy-tolerant: observations concurrent with the reset may be partially
 // retained.
 func (h *Histogram) Reset() {
@@ -360,6 +370,16 @@ func (h *Histogram) Reset() {
 	}
 	h.minBits.Store(math.Float64bits(math.Inf(1)))
 	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
+}
+
+// SizeBytes is the heap the histogram holds: its bounds and every stripe's
+// bucket counts.
+func (h *Histogram) SizeBytes() int64 {
+	n := int64(unsafe.Sizeof(*h)) + int64(cap(h.bounds))*8
+	for i := range h.stripes {
+		n += int64(unsafe.Sizeof(h.stripes[i])) + int64(len(h.stripes[i].counts))*8
+	}
+	return n
 }
 
 // Snapshot is an immutable summary of a histogram.

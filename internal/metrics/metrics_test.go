@@ -150,6 +150,19 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 	}
 }
 
+func TestHistogramSizeBytes(t *testing.T) {
+	// One more bucket costs one count in every stripe, plus whatever its
+	// bound adds to the bounds' allocation.
+	small, big := NewHistogram(1, 2, 1024), NewHistogram(1, 2, 2048)
+	bounds := int64(8 * (cap(big.bounds) - cap(small.bounds)))
+	if got, want := big.SizeBytes()-small.SizeBytes(), bounds+8*histStripes; got != want {
+		t.Fatalf("one more bucket adds %d bytes, want %d", got, want)
+	}
+	if min := int64(len(small.bounds)*8 + histStripes*(len(small.bounds)+1)*8); small.SizeBytes() <= min {
+		t.Fatalf("SizeBytes %d does not cover the %d bytes of bounds and counts", small.SizeBytes(), min)
+	}
+}
+
 func TestHistogramReset(t *testing.T) {
 	h := NewLatencyHistogram()
 	h.Observe(5)
@@ -233,43 +246,60 @@ func TestWelfordFewSamples(t *testing.T) {
 	}
 }
 
-func TestStripedCounter(t *testing.T) {
-	c := NewStripedCounter(8)
+func TestStripedCounters(t *testing.T) {
+	c := NewStripedCounters(8, 3)
 	for i := 0; i < 1000; i++ {
-		c.Inc(uint64(i) * 0x9e3779b97f4a7c15)
+		c.Stripe(uint64(i) * 0x9e3779b97f4a7c15)[0].Add(1)
 	}
-	c.Add(3, 500)
-	if got := c.Value(); got != 1500 {
-		t.Fatalf("Value = %d, want 1500", got)
+	c.Stripe(3)[0].Add(500)
+	c.Stripe(5)[2].Add(7)
+	if got := c.Value(0); got != 1500 {
+		t.Fatalf("Value(0) = %d, want 1500", got)
+	}
+	if got, want := [2]int64{c.Value(1), c.Value(2)}, [2]int64{0, 7}; got != want {
+		t.Fatalf("Value(1), Value(2) = %v, want %v: counters of one stripe leak into each other", got, want)
 	}
 	c.Reset()
-	if got := c.Value(); got != 0 {
-		t.Fatalf("Value after Reset = %d", got)
+	for i := 0; i < 3; i++ {
+		if got := c.Value(i); got != 0 {
+			t.Fatalf("Value(%d) after Reset = %d", i, got)
+		}
 	}
-	// Stripe count rounds up to a power of two, minimum 1.
-	if n := len(NewStripedCounter(0).slots); n != 1 {
-		t.Fatalf("0 stripes -> %d slots, want 1", n)
+	// Stripe count rounds up to a power of two, minimum 1, and a stripe's
+	// block is whole cache lines.
+	for _, tc := range []struct{ stripes, counters, cells int }{
+		{0, 1, 8}, {5, 1, 64}, {64, 9, 64 * 16}, {2, 8, 16},
+	} {
+		c := NewStripedCounters(tc.stripes, tc.counters)
+		if n := len(c.cells); n != tc.cells {
+			t.Fatalf("%d stripes of %d counters -> %d cells, want %d", tc.stripes, tc.counters, n, tc.cells)
+		}
+		if n := len(c.Stripe(^uint64(0))); n != c.stride || n%cacheLineInt64s != 0 {
+			t.Fatalf("%d stripes of %d counters: a stripe holds %d cells", tc.stripes, tc.counters, n)
+		}
 	}
-	if n := len(NewStripedCounter(5).slots); n != 8 {
-		t.Fatalf("5 stripes -> %d slots, want 8", n)
+	if got, want := NewStripedCounters(64, 9).SizeBytes(), int64(64*128); got < want || got > want+64 {
+		t.Fatalf("64 stripes of 9 counters hold %d bytes, want %d plus the header", got, want)
 	}
 }
 
-func TestStripedCounterConcurrent(t *testing.T) {
-	c := NewStripedCounter(16)
+func TestStripedCountersConcurrent(t *testing.T) {
+	c := NewStripedCounters(16, 2)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 10_000; i++ {
-				c.Inc(uint64(w*10_000 + i))
+				st := c.Stripe(uint64(w*10_000 + i))
+				st[0].Add(1)
+				st[1].Add(2)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := c.Value(); got != 80_000 {
-		t.Fatalf("Value = %d, want 80000", got)
+	if got0, got1 := c.Value(0), c.Value(1); got0 != 80_000 || got1 != 160_000 {
+		t.Fatalf("Value = %d, %d, want 80000, 160000", got0, got1)
 	}
 }
 

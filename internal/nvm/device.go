@@ -70,6 +70,9 @@ func NewDevice(cfg DeviceConfig) *Device {
 	}
 }
 
+// MetricsBytes is the heap of the device's read-latency histogram.
+func (d *Device) MetricsBytes() int64 { return d.readLatency.SizeBytes() }
+
 // NumBlocks returns the device capacity in blocks.
 func (d *Device) NumBlocks() int { return d.store.NumBlocks() }
 

@@ -799,14 +799,16 @@ func (s *FileStore) WriteBlocksUnjournaled(base int, src []byte) error {
 // replayJournal scans the ring record chain from the persisted watermark and
 // REDOes valid block records over the data region in sequence order.
 // Applying a record whose in-place write had already completed rewrites
-// identical bytes, so replay is idempotent.
+// identical bytes, so replay is idempotent. The ring is read once, here: the
+// applies are views into recover's copy of it, and returning drops that copy,
+// so the ring region costs heap only while the store opens.
 func (s *FileStore) replayJournal() error {
 	applies, err := s.ring.recover(s.n)
 	if err != nil {
 		return err
 	}
 	if len(applies) > 0 {
-		// Record payloads sit at +36 bytes inside the aligned ring image,
+		// Record payloads sit at +36 bytes inside the aligned ring copy,
 		// so bounce each through an aligned block buffer for the REDO.
 		bp := GetBlockBuf()
 		buf := *bp

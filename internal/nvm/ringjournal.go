@@ -38,6 +38,10 @@ import (
 // alternating BlockSize slots: a torn watermark write falls back to the
 // previous generation, whose scan is still valid because ring space freed by
 // a watermark is only reused after that watermark's pwrite returned.
+//
+// The ring lives only on disk: an append, pad or tombstone stages its bytes
+// in a pooled aligned buffer, and only recover reads the region back, into a
+// buffer of its own that the caller drops once the REDOs are applied.
 type ringJournal struct {
 	s    *FileStore
 	off  int64 // file offset of the ring region
@@ -45,10 +49,9 @@ type ringJournal struct {
 
 	mu       sync.Mutex
 	spaceCnd *sync.Cond
-	img      []byte // aligned in-memory copy of the ring region
-	head     int64  // offset of the oldest un-retired record
-	tail     int64  // next append offset
-	live     int64  // bytes between head and tail
+	head     int64 // offset of the oldest un-retired record
+	tail     int64 // next append offset
+	live     int64 // bytes between head and tail
 	nextSeq  uint64
 	gen      uint64     // watermark generation (slot = gen & 1)
 	pending  []*ringRec // FIFO of un-retired records
@@ -101,7 +104,6 @@ func newRingJournal(s *FileStore, ringBlocks int, ringOff int64) *ringJournal {
 		s:      s,
 		off:    ringOff,
 		size:   int64(ringBlocks) * BlockSize,
-		img:    alignedBytes(ringBlocks * BlockSize),
 		gcKick: make(chan struct{}, 1),
 		stopGC: make(chan struct{}),
 		gcDone: make(chan struct{}),
@@ -168,14 +170,9 @@ func (r *ringJournal) append(target uint64, data []byte) (uint64, error) {
 		seq := r.nextSeq
 		r.nextSeq++
 		off := r.tail
-		r.encodeHdr(r.img[off:], seq, padTarget, int(pad)-ringHdrBytes, 0)
 		// Only the header needs to reach disk; the rest of the pad span is
 		// never read back (a whole aligned page under O_DIRECT).
-		wlen := int64(ringHdrBytes)
-		if r.s.direct {
-			wlen = BlockSize
-		}
-		if err := r.s.writeAt(r.img[off:off+wlen], r.off+off); err != nil {
+		if err := r.writeHdr(off, seq, padTarget, int(pad)-ringHdrBytes); err != nil {
 			r.nextSeq--
 			return 0, fmt.Errorf("nvm: journal pad: %w", err)
 		}
@@ -188,8 +185,12 @@ func (r *ringJournal) append(target uint64, data []byte) (uint64, error) {
 	seq := r.nextSeq
 	r.nextSeq++
 	off := r.tail
-	r.encodeHdr(r.img[off:], seq, target, len(data), crc32.Checksum(data, castagnoli))
-	copy(r.img[off+ringHdrBytes:], data)
+	bp := GetBatchBuf(int(need / BlockSize))
+	defer PutBatchBuf(bp)
+	rec := *bp
+	r.encodeHdr(rec, seq, target, len(data), crc32.Checksum(data, castagnoli))
+	copy(rec[ringHdrBytes:], data)
+	clear(rec[ringHdrBytes+len(data) : need])
 	// Persist only header+payload: the span's tail padding is never read by
 	// the scan (its content is don't-care). O_DIRECT cannot issue sub-page
 	// writes, so direct mode lands the whole aligned span.
@@ -197,7 +198,7 @@ func (r *ringJournal) append(target uint64, data []byte) (uint64, error) {
 	if r.s.direct {
 		wlen = need
 	}
-	if err := r.s.writeAt(r.img[off:off+wlen], r.off+off); err != nil {
+	if err := r.s.writeAt(rec[:wlen], r.off+off); err != nil {
 		// The span may be torn on disk; the scan's CRC/seq checks roll it
 		// back, and the next append rewrites the same span in full.
 		r.nextSeq--
@@ -260,15 +261,26 @@ func (r *ringJournal) fail(seq uint64) {
 	r.mu.Unlock()
 }
 
-// tombstoneLocked rewrites rec's header as skipTarget in the image and on
-// disk (its header page only) and marks it retirable.
-func (r *ringJournal) tombstoneLocked(rec *ringRec) error {
-	r.encodeHdr(r.img[rec.off:], rec.seq, skipTarget, int(rec.size)-ringHdrBytes, 0)
-	wlen := int64(ringHdrBytes)
+// writeHdr lands a payload-free header (a pad or a tombstone) at ring offset
+// off: the header bytes alone, or its whole page, zero after the header,
+// under O_DIRECT.
+func (r *ringJournal) writeHdr(off int64, seq, target uint64, dataLen int) error {
+	bp := GetBlockBuf()
+	defer PutBlockBuf(bp)
+	buf := *bp
+	r.encodeHdr(buf, seq, target, dataLen, 0)
+	wlen := ringHdrBytes
 	if r.s.direct {
+		clear(buf[ringHdrBytes:])
 		wlen = BlockSize
 	}
-	if err := r.s.writeAt(r.img[rec.off:rec.off+wlen], r.off+rec.off); err != nil {
+	return r.s.writeAt(buf[:wlen], r.off+off)
+}
+
+// tombstoneLocked rewrites rec's header as skipTarget on disk (its header
+// page only) and marks it retirable.
+func (r *ringJournal) tombstoneLocked(rec *ringRec) error {
+	if err := r.writeHdr(rec.off, rec.seq, skipTarget, int(rec.size)-ringHdrBytes); err != nil {
 		return err
 	}
 	if rec.failed {
@@ -404,13 +416,14 @@ func (r *ringJournal) writeWatermark(gen uint64, headOff int64, headSeq uint64) 
 // ringApply is one REDO from recovery: a valid journaled block image.
 type ringApply struct {
 	target int
-	data   []byte // BlockSize bytes, a view into the ring image
+	data   []byte // BlockSize bytes, a view into recover's read of the ring
 }
 
-// recover loads the ring image, picks the newest valid watermark, and scans
-// the record chain from it. It returns the block records to REDO (in
-// sequence order) and leaves the journal positioned at the scan tail; the
-// caller applies the records, syncs, and calls retireAll.
+// recover reads the ring region into a buffer of its own, picks the newest
+// valid watermark, and scans the record chain from it. It returns the block
+// records to REDO (in sequence order), each a view into that buffer, and
+// leaves the journal positioned at the scan tail; the caller applies the
+// records, syncs, calls retireAll and drops them, and with them the buffer.
 func (r *ringJournal) recover(numBlocks int) ([]ringApply, error) {
 	type wm struct {
 		gen     uint64
@@ -447,7 +460,8 @@ func (r *ringJournal) recover(numBlocks int) ([]ringApply, error) {
 	if !found {
 		return nil, fmt.Errorf("%w: no valid journal watermark", ErrBadSuperblock)
 	}
-	if err := r.s.readAt(r.img, r.off); err != nil {
+	img := alignedBytes(int(r.size))
+	if err := r.s.readAt(img, r.off); err != nil {
 		return nil, fmt.Errorf("nvm: read ring journal: %w", err)
 	}
 
@@ -456,7 +470,7 @@ func (r *ringJournal) recover(numBlocks int) ([]ringApply, error) {
 	var applies []ringApply
 scan:
 	for scanned < r.size {
-		hdr := r.img[off : off+ringHdrBytes]
+		hdr := img[off : off+ringHdrBytes]
 		if string(hdr[:8]) != ringMagic {
 			break
 		}
@@ -483,7 +497,7 @@ scan:
 			if dataLen != BlockSize || target >= uint64(numBlocks) {
 				return nil, fmt.Errorf("nvm: ring journal seq %d: implausible record (target %d, %d bytes)", exp, target, dataLen)
 			}
-			data := r.img[off+ringHdrBytes : off+ringHdrBytes+int64(dataLen)]
+			data := img[off+ringHdrBytes : off+ringHdrBytes+int64(dataLen)]
 			if crc32.Checksum(data, castagnoli) != binary.LittleEndian.Uint32(hdr[28:]) {
 				break scan // torn append payload: roll back
 			}

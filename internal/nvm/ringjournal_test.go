@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -246,4 +247,95 @@ func TestRingJournalFullPinnedByFailedWrite(t *testing.T) {
 	if err := r.WriteBlock(5, fillBlock(0x5A)); err != nil {
 		t.Fatalf("write after repair: %v", err)
 	}
+}
+
+// TestRingJournalCostsNoHeap is the heap gate on the ring living only on
+// disk: a store with an 8 MiB ring, wrapped twice and crashed with records
+// live, holds no more heap after the reopen that replays them than an
+// identical store with the smallest ring does — the ring is staged in pooled
+// buffers, and the copy replay reads is dropped once the store is open.
+func TestRingJournalCostsNoHeap(t *testing.T) {
+	const bigRing, smallRing = 2048, minRingBlocks
+	const maxExtra = 256 << 10
+	for _, direct := range []bool{false, true} {
+		name := "buffered"
+		if direct {
+			name = "direct"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if direct {
+				requireDirect(t, dir)
+			}
+			small := ringStoreHeap(t, filepath.Join(dir, "small.bnd"), smallRing, direct)
+			big := ringStoreHeap(t, filepath.Join(dir, "big.bnd"), bigRing, direct)
+			t.Logf("heap after replay: %d-block ring %d B, %d-block ring %d B", bigRing, big, smallRing, small)
+			if big-small >= maxExtra {
+				t.Fatalf("a %d MiB ring costs %d B more heap than a %d-block one after replay, want < %d",
+					bigRing*BlockSize>>20, big-small, smallRing, maxExtra)
+			}
+		})
+	}
+}
+
+// ringStoreHeap creates a store at path with the given ring, journals enough
+// block writes to wrap a 2048-block ring twice, crashes it and reopens it,
+// and returns the post-GC heap growth with the reopened store alive.
+func ringStoreHeap(t *testing.T, path string, ringBlocks int, direct bool) int64 {
+	t.Helper()
+	const numBlocks = 64
+	const laps, tail = 2048 + 100, 3 // two laps of 2-block records, then a live tail
+	const writes = laps + tail
+	base := heapInuse()
+	s, err := CreateFileStore(path, numBlocks, FileStoreOptions{RingBlocks: ringBlocks, Direct: direct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < writes; i++ {
+		if i == laps {
+			// The crash below must find the tail's records live: stop the
+			// background GC before they are appended.
+			s.ring.stop()
+		}
+		if err := s.WriteBlock(i%numBlocks, fillBlock(byte(i))); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	if st := s.BackendStats(); st.JournalBytesAppended < 2*int64(ringBlocks)*BlockSize {
+		t.Fatalf("appended %d bytes, want two laps of the %d-block ring", st.JournalBytesAppended, ringBlocks)
+	}
+	// crash, with the GC already stopped.
+	s.unmap()
+	s.f.Close()
+
+	r, err := OpenFileStore(path, FileStoreOptions{Direct: direct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := r.BackendStats().RecoveredRecords; got < tail {
+		t.Fatalf("reopen replayed %d records, want the %d the crash left live", got, tail)
+	}
+	grown := heapInuse() - base
+	dst := make([]byte, BlockSize)
+	for idx := 0; idx < numBlocks; idx++ {
+		last := writes - 1 - (writes-1-idx)%numBlocks
+		if err := r.ReadBlock(idx, dst); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dst, fillBlock(byte(last))) {
+			t.Fatalf("block %d does not hold its last write after replay", idx)
+		}
+	}
+	return grown
+}
+
+// heapInuse is the heap in use once everything unreachable, pooled buffers
+// included, has been collected.
+func heapInuse() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapInuse)
 }

@@ -171,7 +171,7 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheFreeSlots) }))
 	r.Register("bandana_table_cache_limbo_slots", "gauge", "Evicted cache arena slots waiting for reader leases to end per table; steady growth means leases are not released.",
 		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheLimboSlots) }))
-	r.Register("bandana_table_dram_bytes", "gauge", "Heap a table keeps resident, by component (layout, admit_bits, overlay, cache_arena, cache_index, recorder), computed from lengths at scrape time; the vectors themselves are on the device.",
+	r.Register("bandana_table_dram_bytes", "gauge", "Heap a table keeps resident, by component (layout, admit_bits, overlay, cache_arena, cache_index, recorder, metrics), computed from lengths at scrape time; the vectors themselves are on the device.",
 		func() []metrics.Sample {
 			var out []metrics.Sample
 			for _, ts := range s.scrapeStore().Stats() {
@@ -181,11 +181,16 @@ func (s *Server) buildRegistry() *metrics.Registry {
 				}{
 					{"layout", ts.DRAM.Layout}, {"admit_bits", ts.DRAM.AdmitBits}, {"overlay", ts.DRAM.Overlay},
 					{"cache_arena", ts.DRAM.CacheArena}, {"cache_index", ts.DRAM.CacheIndex}, {"recorder", ts.DRAM.Recorder},
+					{"metrics", ts.DRAM.Metrics},
 				} {
 					out = append(out, metrics.Sample{Labels: metrics.L("table", ts.Name, "component", c.name), Value: float64(c.bytes)})
 				}
 			}
 			return out
+		})
+	r.Register("bandana_store_dram_bytes", "gauge", "Heap the store keeps resident beside its tables' bandana_table_dram_bytes, by component (metrics: the device's and the I/O scheduler's latency histograms).",
+		func() []metrics.Sample {
+			return []metrics.Sample{{Labels: metrics.L("component", "metrics"), Value: float64(s.scrapeStore().DRAM().Metrics)}}
 		})
 
 	// NVM device + block-store backend.

@@ -166,14 +166,17 @@ func TestMetricsEndpoint(t *testing.T) {
 		"bandana_table_predicted_hit_ratio{table=\"tA\"} 0\n",
 		"bandana_table_predicted_lookups_per_block_read{table=\"tA\"} 0\n",
 		// DRAM attribution: 2048 vectors x (order + inverse) packed at 11
-		// bits (352 words each), nothing trained, updated or recorded yet, and
-		// a cache that has filled.
+		// bits (352 words each), nothing trained, updated or recorded yet, a
+		// cache that has filled, and the counters and stage histograms every
+		// table holds from Open.
 		"bandana_table_dram_bytes{table=\"tA\",component=\"layout\"} 5632\n",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"admit_bits\"} 0\n",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"overlay\"} 0\n",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"cache_arena\"} ",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"cache_index\"} ",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"recorder\"} 0\n",
+		"bandana_table_dram_bytes{table=\"tA\",component=\"metrics\"} ",
+		"bandana_store_dram_bytes{component=\"metrics\"} ",
 		// No layout was installed, and this open had none to redo.
 		"bandana_layout_installs_total{table=\"tA\"} 0\n",
 		"bandana_layout_install_seconds 0\n",
@@ -186,7 +189,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if strings.Contains(out, "component=\"counts\"") {
 		t.Error("exposition still has a counts component: the store keeps no access counts")
 	}
-	for _, component := range []string{"cache_arena", "cache_index"} {
+	for _, component := range []string{"cache_arena", "cache_index", "metrics"} {
 		if strings.Contains(out, "bandana_table_dram_bytes{table=\"tA\",component=\""+component+"\"} 0\n") {
 			t.Errorf("%s bytes are zero after 512 lookups", component)
 		}

@@ -11,7 +11,6 @@
 package table
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -123,25 +122,6 @@ func (t *Table) SetVector(id ID, v []float32) error {
 	buf := fp16.EncodeSlice(make([]byte, 0, vb), v)
 	copy(t.data[int(id)*vb:], buf)
 	return nil
-}
-
-// Dot returns the dot product of vectors a and b (decoded on the fly).
-func (t *Table) Dot(a, b ID) (float32, error) {
-	ra, err := t.Raw(a)
-	if err != nil {
-		return 0, err
-	}
-	rb, err := t.Raw(b)
-	if err != nil {
-		return 0, err
-	}
-	var sum float32
-	for i := 0; i < t.Dim; i++ {
-		x := fp16.FromBits(binary.LittleEndian.Uint16(ra[2*i:])).ToFloat32()
-		y := fp16.FromBits(binary.LittleEndian.Uint16(rb[2*i:])).ToFloat32()
-		sum += x * y
-	}
-	return sum, nil
 }
 
 // GenerateOptions configures synthetic table generation.

@@ -84,22 +84,6 @@ func TestVectorInto(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	tbl := New("t", 2, 3)
-	tbl.SetVector(0, []float32{1, 2, 3})
-	tbl.SetVector(1, []float32{4, -5, 6})
-	got, err := tbl.Dot(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(got)-12) > 1e-3 {
-		t.Fatalf("dot = %g, want 12", got)
-	}
-	if _, err := tbl.Dot(0, 9); err == nil {
-		t.Fatalf("expected error for bad id")
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
 	opts := GenerateOptions{NumVectors: 200, Dim: 16, NumClusters: 8, Seed: 42}
 	a := Generate("a", opts)
