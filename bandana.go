@@ -49,7 +49,7 @@
 // A vector changes one way: UpdateVector appends one record to the update
 // log and parks the new bytes in a DRAM overlay that serving consults ahead
 // of the block image. A background compactor folds the overlay into the
-// image — one journaled block write per dirty block, however many of its
+// image — one in-place block write per dirty block, however many of its
 // vectors changed — and trims the log; the device's write counters move
 // then, not at the update (CompactDeltas forces it). Every store therefore
 // runs a goroutine, the compactor, and every Open needs a Close to stop it
@@ -146,7 +146,7 @@ type TableAdaptationStats = core.TableAdaptationStats
 // table to it and starts serving lookups with per-table LRU caches (no
 // prefetching until Train is called). The store does not retain
 // Config.Tables. With Config.Backend == BackendFile the blocks live in a
-// durable journaled file under Config.DataDir and reopening the directory
+// durable block file under Config.DataDir and reopening the directory
 // (Tables nil) serves the same vectors and trained state without retraining.
 func Open(cfg Config) (*Store, error) { return core.Open(cfg) }
 
@@ -154,7 +154,7 @@ func Open(cfg Config) (*Store, error) { return core.Open(cfg) }
 const (
 	// BackendMem keeps blocks in RAM (the default).
 	BackendMem = core.BackendMem
-	// BackendFile stores blocks in a durable journaled file under
+	// BackendFile stores blocks in a durable block file under
 	// Config.DataDir.
 	BackendFile = core.BackendFile
 )

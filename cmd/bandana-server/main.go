@@ -5,11 +5,12 @@
 // and serves lookups over JSON/HTTP. It is meant for load testing and
 // demos.
 //
-// With --backend=file the tables live in a durable journaled block file
-// under --data-dir: the first run writes and trains them, and later runs
-// reopen the directory — replaying the write journal if the previous process
-// died mid-write — and serve identical vectors without regenerating or
-// retraining anything. (`bandana init` pre-builds such a directory.)
+// With --backend=file the tables live in a durable block file under
+// --data-dir: the first run writes and trains them, and later runs reopen
+// the directory — replaying the update log's uncompacted updates, which also
+// repairs a block the previous process died writing — and serve identical
+// vectors without regenerating or retraining anything. (`bandana init`
+// pre-builds such a directory.)
 //
 // With --replica-of=URL the server is a read-only replica: it bootstraps
 // its data dir from the primary's snapshot stream (resumable and
@@ -228,8 +229,8 @@ func main() {
 	if *direct {
 		logDirectIO(store)
 	}
-	if rec := store.DeviceStats().Store.RecoveredRecords; rec > 0 {
-		log.Printf("journal recovery replayed %d block write(s) from the previous run", rec)
+	if rec := store.UpdateLogStats().RecoveredRecords; rec > 0 {
+		log.Printf("update-log recovery replayed %d update(s) from the previous run", rec)
 	}
 	if store.RecoveredMigration() {
 		log.Printf("redid the layout install of table %q interrupted by the previous process", store.RecoveredMigrationTable())
@@ -389,8 +390,8 @@ func serve(store *core.Store, addr, wireAddr string, adaptOpts *core.AdaptOption
 	}
 
 	// SIGINT/SIGTERM drain the listener and then Close the store: on the
-	// file backend a clean Close flushes and retires the write journal, so
-	// an ordinary restart reports recoveredRecords == 0.
+	// file backend a clean Close flushes the block file and the update log,
+	// so a restart replays every uncompacted update.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	drained := make(chan struct{})

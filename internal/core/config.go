@@ -41,7 +41,7 @@ const (
 	// BackendMem keeps blocks in RAM (the default); nothing survives the
 	// process.
 	BackendMem = "mem"
-	// BackendFile stores blocks in a durable journaled file under
+	// BackendFile stores blocks in a durable block file under
 	// Config.DataDir; vectors and trained state survive restarts.
 	BackendFile = "file"
 )

@@ -1,6 +1,6 @@
-// The update path, the only way a vector changes: a journaled
-// read-modify-write of the containing 4 KB block would cost three device
-// writes per updated vector, so an update instead appends one fixed-framing
+// The update path, the only way a vector changes: an in-place
+// read-modify-write of the containing 4 KB block would cost a device write
+// per updated vector, so an update instead appends one fixed-framing
 // record to an update log and parks the new bytes in an in-DRAM per-table
 // overlay. Serving merges the overlay in front of the block image; a
 // background compactor (one goroutine per store, stopped by Close) folds
@@ -14,15 +14,29 @@
 // adaptation relayouts — invalidate the log, forcing followers back onto the
 // full-snapshot bootstrap path.
 //
-// On the file backend the log is also the crash-recovery source for updates
-// not yet compacted: updates.log in the data dir holds a header recording the
-// compacted-through seq plus the framed records; reopen replays every record
-// past the watermark over the block image (see replayUpdateLog in dir.go).
+// On the file backend the log is also the only redo of the block file: the
+// block store keeps no journal, so a compaction's in-place block write torn
+// by a crash is repaired by this log alone. updates.log in the data dir holds
+// a header recording the compacted-through seq (the watermark) plus the
+// framed records; reopen replays every record past the watermark over the
+// block image (see replayUpdateLog in dir.go). Two invariants make that
+// enough:
+//
+//   - the watermark never exceeds the seq through which compaction has
+//     flushed the block image (only truncate advances it, after the flush);
+//   - compaction writes a block only once the mirror file holds a record of
+//     every overlay entry it folds into it (see covers and Store.relog).
+//
+// A compaction's write changes only its entries' slots, so a block torn at
+// any sector boundary differs from the image before it only there, and the
+// replay rewrites exactly those slots. TestCompactionCrashStates enumerates
+// the crash states.
 package core
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -202,6 +216,12 @@ type deltaLog struct {
 	scratch    []byte
 	path, dir  string
 	syncAlways bool
+	// through is the watermark in the mirror's header. relog says an append
+	// failed since the mirror last covered every overlay entry: the mirror
+	// may lack a record or end in a torn one (which hides later appends from
+	// a replay), so compaction must replace it before writing a block.
+	through uint64
+	relog   bool
 	// diskBytes counts record bytes in the mirror since its last rewrite.
 	// Truncation normally just overwrites the header watermark in place (a
 	// 20-byte pwrite — appends are never stalled behind a file rewrite);
@@ -229,6 +249,7 @@ func newDeltaLog(opts UpdateLogOptions, baseSeq uint64, dir string, syncAlways b
 	l := &deltaLog{
 		baseSeq:      baseSeq,
 		lastSeq:      baseSeq,
+		through:      baseSeq,
 		compactAfter: opts.CompactAfter,
 		retain:       opts.RetainRecords,
 		dir:          dir,
@@ -286,7 +307,7 @@ func (l *deltaLog) close() error {
 
 // fsync makes the on-disk mirror durable (no-op for memory-only logs);
 // Persist and Close call it so the periodic-sync modes get the same
-// durability points the block journal gets.
+// durability points the block file gets.
 func (l *deltaLog) fsync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -381,19 +402,51 @@ func (l *deltaLog) invalidate(cur uint64) {
 
 // appendFailed handles an update whose mirror append failed (failing or full
 // disk): the update still commits — the overlay holds and serves it — but its
-// durability degrades to the next successful compaction. The window resets at
-// cur so followers full-sync instead of tailing across the hole, and the
-// mirror is rewritten (best effort) so a torn record in its middle cannot
-// hide the records appended after it from a replay.
+// durability degrades to the next successful compaction, which re-logs every
+// overlay entry before it writes a block (Store.relog). The window resets at
+// cur so followers full-sync instead of tailing across the hole. The mirror's
+// watermark stays where it is: every record already in the mirror is still
+// the only durable copy of its update.
 func (l *deltaLog) appendFailed(cur uint64) {
 	l.fallbacks.Add(1)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.resetLocked(cur)
 	l.invalidations.Add(1)
-	if l.f != nil {
-		_ = l.rewriteLocked(cur)
+	l.relog = l.f != nil
+}
+
+// errMirrorLost aborts a compaction that found an append failed after it
+// re-logged the overlay; the next compaction re-logs again.
+var errMirrorLost = errors.New("core: update log lost an append during compaction")
+
+// covers makes the mirror file hold every record appended so far — buffered
+// appends are written out — so a compaction may write in place the overlay
+// entries it has just snapshotted: each has its record in the file. It fails
+// if an append failed since the last relog. The caller holds the updateMu of
+// the table it snapshotted, so none of that table's appends is in flight.
+func (l *deltaLog) covers() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.f == nil {
+		return nil
 	}
+	if l.relog {
+		return errMirrorLost
+	}
+	if err := l.flushLocked(); err != nil {
+		l.relog = true
+		return fmt.Errorf("core: update log: %w", err)
+	}
+	return nil
+}
+
+// needsRelog reports whether an append failed since the mirror last covered
+// every overlay entry.
+func (l *deltaLog) needsRelog() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.relog
 }
 
 func (l *deltaLog) resetLocked(cur uint64) {
@@ -452,7 +505,7 @@ func (l *deltaLog) truncate(through uint64) error {
 	// The rewrite is built from the window, so it must wait while the mirror
 	// may hold a record past through that a window reset dropped from memory.
 	if l.diskBytes > l.memBytes+logRewriteSlack && l.resetSeq <= through {
-		return l.rewriteLocked(through)
+		return l.rewriteLocked(through, l.records)
 	}
 	// In-place header update: buffered appends land past the header at f's
 	// sequential offset, so the two never collide.
@@ -467,22 +520,25 @@ func (l *deltaLog) truncate(through uint64) error {
 			return fmt.Errorf("core: sync update log: %w", err)
 		}
 	}
+	l.through = through
 	return nil
 }
 
 // rewriteLocked atomically replaces the on-disk mirror with a fresh header
-// (compacted through the given seq) plus the retained window, via temp file +
-// rename, then reopens the append handle. Crash-safe: the rename is atomic,
-// and every record present only in the old mirror is ≤ through, i.e. already
-// durable in the block image.
-func (l *deltaLog) rewriteLocked(through uint64) error {
+// (compacted through the given seq) plus recs, via temp file + rename, then
+// reopens the append handle. Crash-safe: the rename is atomic, and recs hold
+// every record of the old mirror past through that a replay would need —
+// truncate passes the retained window, which holds every record past its
+// through, and relog every overlay entry, which is every update not yet in
+// the block image.
+func (l *deltaLog) rewriteLocked(through uint64, recs []UpdateRecord) error {
 	tmp := l.path + ".tmp"
 	tf, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("core: rewrite update log: %w", err)
 	}
 	buf := encodeUpdateLogHeader(through)
-	for _, rec := range l.records {
+	for _, rec := range recs {
 		buf = EncodeUpdateRecord(buf, rec)
 	}
 	_, err = tf.Write(buf)
@@ -515,12 +571,14 @@ func (l *deltaLog) rewriteLocked(through uint64) error {
 	if _, err := l.f.Seek(0, io.SeekEnd); err != nil {
 		return fmt.Errorf("core: reopen update log: %w", err)
 	}
-	// The rewrite was built from the in-memory window, so any bytes still
-	// buffered for the replaced file are stale — drop them.
+	// The rewrite holds every record the replaced file needed, so any bytes
+	// still buffered for it are stale — drop them, and with them the error a
+	// failed append left in the writer.
 	if l.w != nil {
 		l.w.Reset(l.f)
 	}
-	l.diskBytes = l.memBytes
+	l.diskBytes = int64(len(buf) - updateLogHeaderLen)
+	l.through = through
 	return nil
 }
 

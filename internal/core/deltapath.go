@@ -74,7 +74,7 @@ func (s *Store) compactLoop() {
 }
 
 // CompactDeltas folds every table's overlay into the NVM block image
-// (amortizing all accumulated updates of a block into one journaled
+// (amortizing all accumulated updates of a block into one in-place
 // read-modify-write), makes the result durable, and trims the update log to
 // its retention tail. It runs in the background automatically; call it
 // directly to bound the overlay before e.g. measuring the device.
@@ -87,6 +87,9 @@ func (s *Store) CompactDeltas() error {
 	// after its overlay put) — or by an earlier compaction that already
 	// flushed. That is what makes the log truncation at the end safe.
 	through := s.snapSeq.Load()
+	if err := s.relog(); err != nil {
+		return err
+	}
 	dirty := false
 	for _, st := range s.tables {
 		n, err := s.compactTable(st)
@@ -107,11 +110,44 @@ func (s *Store) CompactDeltas() error {
 	return s.deltaLog.truncate(through)
 }
 
+// relog restores the update log's cover of the overlay after a failed
+// append (see deltaLog.appendFailed): with every table's updateMu held, so no
+// append is in flight and the overlays hold exactly the updates the block
+// image lacks, it replaces the mirror with the current watermark plus a
+// record of every overlay entry, in seq order. A no-op unless an append
+// failed.
+func (s *Store) relog() error {
+	if !s.deltaLog.needsRelog() {
+		return nil
+	}
+	for _, st := range s.tables {
+		st.updateMu.Lock()
+		defer st.updateMu.Unlock()
+	}
+	var recs []UpdateRecord
+	for _, st := range s.tables {
+		for id, e := range st.overlay.snapshot() {
+			recs = append(recs, UpdateRecord{Seq: e.seq, Table: uint32(st.index), ID: id, Raw: e.raw})
+		}
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
+	l := s.deltaLog
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.rewriteLocked(l.through, recs); err != nil {
+		return err
+	}
+	l.relog = false
+	return nil
+}
+
 // compactTable folds one table's overlay into its block range: group the
 // overlaid vectors by block, read-modify-write each dirty block once, then
 // drop exactly the entries that were folded (a vector updated again while
-// compaction ran keeps its newer overlay entry). Returns how many entries
-// were folded.
+// compaction ran keeps its newer overlay entry). Every folded entry has its
+// record in the update log's file before the first block write (covers):
+// that record is what repairs the block if a crash tears the write. Returns
+// how many entries were folded.
 func (s *Store) compactTable(st *storeTable) (int, error) {
 	// Lock order (updateMu -> rewriteMu) matches the rewrite layer. The
 	// snapshot happens under updateMu so it includes every update the
@@ -123,10 +159,14 @@ func (s *Store) compactTable(st *storeTable) (int, error) {
 	st.updateMu.Lock()
 	st.rewriteMu.RLock()
 	snap := st.overlay.snapshot()
+	var err error
+	if len(snap) > 0 {
+		err = s.deltaLog.covers()
+	}
 	st.updateMu.Unlock()
 	defer st.rewriteMu.RUnlock()
-	if len(snap) == 0 {
-		return 0, nil
+	if len(snap) == 0 || err != nil {
+		return 0, err
 	}
 	ts := st.loadState()
 	byBlock := make(map[int][]uint32)

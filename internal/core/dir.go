@@ -1,17 +1,17 @@
 // File-backed store lifecycle: a Config with Backend == BackendFile persists
 // the store under Config.DataDir as three files —
 //
-//	blocks.bnd    the journaled NVM block file (see nvm.FileStore)
+//	blocks.bnd    the NVM block file (see nvm.FileStore)
 //	manifest.bnd  table geometry (names, dims, sizes, block spans) + CRC
 //	state.bnd     trained state in the SaveState format
 //
 // The manifest is written last (via temp file + rename) when a directory is
 // initialized, so a half-written data dir is simply re-initialized on the
-// next Open. Reopening an initialized directory replays the block file's
-// journal and installs the manifest's geometry and the persisted layouts and
-// trained state over it without reading or rewriting a single data block
-// (only a leftover update log or migration record touches blocks) — a
-// restarted server serves identical vectors without retraining.
+// next Open. Reopening an initialized directory installs the manifest's
+// geometry and the persisted layouts and trained state over the block file
+// without reading or rewriting a single data block (only a leftover update
+// log or migration record touches blocks) — a restarted server serves
+// identical vectors without retraining.
 package core
 
 import (
@@ -30,7 +30,7 @@ import (
 )
 
 const (
-	// BlocksFileName is the journaled block file inside a data dir.
+	// BlocksFileName is the block file inside a data dir.
 	BlocksFileName = "blocks.bnd"
 	// ManifestFileName is the table-geometry manifest inside a data dir.
 	ManifestFileName = "manifest.bnd"
@@ -51,7 +51,8 @@ func DirInitialized(dir string) bool {
 }
 
 // openFileBacked opens the file backend: it initializes DataDir on first use
-// and reopens it (journal replay + state restore, no retraining) afterwards.
+// and reopens it (update-log replay + state restore, no retraining)
+// afterwards.
 func openFileBacked(cfg Config) (*Store, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("core: backend %q requires DataDir", BackendFile)
@@ -273,8 +274,10 @@ func reopenDir(cfg Config) (*Store, error) {
 // possibly overwritten by newer compacted values, so re-applying them could
 // regress vectors. Survivor records are grouped by block and patched in in
 // log (= seq) order, so later updates of the same vector win; each dirty block
-// is one journaled read-modify-write, and the device is flushed BEFORE the log
-// is removed, so a crash at any point just replays again. Returns how many
+// is one in-place read-modify-write, and the device is flushed BEFORE the log
+// is removed, so a crash at any point just replays again: a block torn by the
+// crash differs from its image before the replay only in slots the records
+// rewrite (TestCompactionCrashStates checks both levels). Returns how many
 // records were applied and the highest seq the log covered (watermark
 // included) — the reopened store's snapshot seq must not fall below it.
 func replayUpdateLog(dir string, fs *nvm.FileStore, geoms []tableGeom, layouts []*layout.Layout) (int, uint64, error) {

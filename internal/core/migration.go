@@ -239,7 +239,7 @@ func redoMigration(dir string, rec *migrationRecord, fs *nvm.FileStore, e tableG
 		return fmt.Errorf("core: staged migration image covers %d bytes, table %q spans %d blocks",
 			len(img), e.name, e.numBlocks)
 	}
-	if err := fs.WriteBlocksUnjournaled(e.blockBase, img); err != nil {
+	if err := fs.WriteBlocks(e.blockBase, img); err != nil {
 		return fmt.Errorf("core: redo migration copy: %w", err)
 	}
 	if err := fs.Flush(); err != nil {

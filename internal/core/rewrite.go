@@ -206,7 +206,7 @@ func (s *Store) installImage(st *storeTable, img, cur []byte, mutate func(*table
 	defer st.rewriteMu.Unlock()
 	st.epoch.Add(1)
 	defer st.epoch.Add(1)
-	err := s.device.WriteBlocksBulk(st.blockBase, img)
+	err := s.device.WriteBlocks(st.blockBase, img)
 	if err == nil {
 		err = s.device.Flush()
 	}
@@ -215,7 +215,7 @@ func (s *Store) installImage(st *storeTable, img, cur []byte, mutate func(*table
 		// cur carries every overlaid value too, but the overlay is left alone:
 		// its entries equal what cur holds, and on a FAILED rollback they still
 		// shadow the freshest values over the suspect bytes.
-		if rerr := s.device.WriteBlocksBulk(st.blockBase, cur); rerr != nil {
+		if rerr := s.device.WriteBlocks(st.blockBase, cur); rerr != nil {
 			return errors.Join(err, fmt.Errorf("%w: table %q: %v", errMigrationRollbackFailed, st.name, rerr))
 		}
 		return err

@@ -10,7 +10,7 @@
 // updates), so it can never observe a half-rewritten table. The manifest and
 // trained state use the exact on-disk formats of a file-backed data dir,
 // which makes the import side trivial: write the block image through the
-// journal-bypass bulk-load path, drop the state file, and commit the manifest
+// bulk-load path, drop the state file, and commit the manifest
 // last — the same protocol initDir uses.
 //
 // Exports are identified by a snapshot sequence number that advances on
@@ -151,8 +151,8 @@ func (s *Store) ExportSnapshot() (*Snapshot, error) {
 
 // ImportSnapshot materializes a snapshot as a freshly initialized
 // file-backed data dir at dir, verifying the block image against its CRC
-// first. The blocks go in through the journal-bypass bulk-load path (one
-// contiguous write, no write-ahead records) and the manifest is committed
+// first. The blocks go in through the bulk-load path (one contiguous write)
+// and the manifest is committed
 // last, so an interrupted import leaves an uninitialized dir that is simply
 // re-imported — never a torn store. The resulting dir reopens through the
 // normal Open path (usually with Config.ReadOnly for a serving replica).
@@ -203,7 +203,7 @@ func ImportSnapshot(dir string, sn *Snapshot, sync nvm.SyncMode) error {
 	if err != nil {
 		return err
 	}
-	err = fs.WriteBlocksUnjournaled(0, sn.Blocks)
+	err = fs.WriteBlocks(0, sn.Blocks)
 	if err == nil {
 		err = fs.Flush()
 	}

@@ -354,8 +354,8 @@ func placeTables(geoms []tableGeom) (int, error) {
 // image on the device (plus the overlay of not-yet-compacted updates) is the
 // only copy of a vector it holds.
 //
-// With Config.Backend == BackendFile the blocks live in a durable journaled
-// file under Config.DataDir: the first Open writes the tables to disk, and
+// With Config.Backend == BackendFile the blocks live in a durable block file
+// under Config.DataDir: the first Open writes the tables to disk, and
 // later Opens of the same directory restore geometry, placement and trained
 // state without reading, rewriting or retraining anything (see Persist).
 func Open(cfg Config) (*Store, error) {
@@ -407,8 +407,8 @@ func openMem(cfg Config) (*Store, error) {
 // identity layout buildStore publishes for a new store. It is the first of
 // the two producers of block images (renderImage is the other) and the only
 // place the store reads vectors from Config.Tables. Bulk path: the manifest
-// (file backend) or Open's return (mem) is the commit point, so the per-block
-// write-ahead journal is skipped.
+// (file backend) or Open's return (mem) is the commit point, and an
+// interrupted load is redone from scratch.
 func (s *Store) writeTables(tables []*table.Table) error {
 	bufp := getBlockBuf()
 	defer putBlockBuf(bufp)
@@ -424,7 +424,7 @@ func (s *Store) writeTables(tables []*table.Table) error {
 				}
 				copy(buf[slot*st.vecBytes:], raw)
 			}
-			if err := s.device.WriteBlockBulk(st.blockBase+b, buf); err != nil {
+			if err := s.device.WriteBlocks(st.blockBase+b, buf); err != nil {
 				return fmt.Errorf("core: table %q block %d: %w", st.name, b, err)
 			}
 		}

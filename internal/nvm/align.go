@@ -8,7 +8,7 @@ import (
 // Direct I/O requires every buffer address, file offset and transfer length
 // to be aligned to the device's logical block size. We align everything to
 // BlockSize (4 KB), which satisfies any Linux block device, and hand the same
-// aligned memory to every caller — the journaled write path, the zero-copy
+// aligned memory to every caller — the block write path, the zero-copy
 // read views, and the miss path's batch buffers — so direct mode adds no bounce
 // copies on the hot path.
 

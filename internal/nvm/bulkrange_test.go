@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestWriteBlocksBulkRoundTrip installs a contiguous range through the bulk
-// path on both backends and verifies the blocks read back identically, that
+// TestWriteBlocksBulkRoundTrip installs a contiguous range through
+// WriteBlocks on both backends and verifies the blocks read back identically, that
 // single-block writes interleave correctly, and that alignment errors are
 // rejected.
 func TestWriteBlocksBulkRoundTrip(t *testing.T) {
@@ -32,11 +32,11 @@ func TestWriteBlocksBulkRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			d := mk(t)
 			defer d.Close()
-			if err := d.WriteBlocksBulk(3, img); err != nil {
+			if err := d.WriteBlocks(3, img); err != nil {
 				t.Fatal(err)
 			}
-			// A single-block journaled write inside the range supersedes
-			// the bulk image for that block only.
+			// A single-block write inside the range supersedes the bulk
+			// image for that block only.
 			over := make([]byte, BlockSize)
 			for i := range over {
 				over[i] = 0xAB
@@ -57,10 +57,10 @@ func TestWriteBlocksBulkRoundTrip(t *testing.T) {
 					t.Fatalf("%s: block %d does not match bulk image", name, 3+b)
 				}
 			}
-			if err := d.WriteBlocksBulk(0, make([]byte, BlockSize/2)); err == nil {
+			if err := d.WriteBlocks(0, make([]byte, BlockSize/2)); err == nil {
 				t.Fatal("unaligned bulk write accepted")
 			}
-			if err := d.WriteBlocksBulk(blocks-2, make([]byte, 4*BlockSize)); err == nil {
+			if err := d.WriteBlocks(blocks-2, make([]byte, 4*BlockSize)); err == nil {
 				t.Fatal("out-of-range bulk write accepted")
 			}
 		})

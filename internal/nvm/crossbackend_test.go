@@ -32,14 +32,14 @@ func TestCrossBackendPropertyEquivalence(t *testing.T) {
 	legs := []*fileLeg{{
 		name:     "file",
 		path:     filepath.Join(dir, "nvm.bnd"),
-		opts:     FileStoreOptions{RingBlocks: minRingBlocks},
+		opts:     FileStoreOptions{},
 		readPath: bufferedReadPath(),
 	}}
 	if DirectIOSupported(dir) {
 		legs = append(legs, &fileLeg{
 			name:     "file-direct",
 			path:     filepath.Join(dir, "nvm-direct.bnd"),
-			opts:     FileStoreOptions{RingBlocks: minRingBlocks, Direct: true},
+			opts:     FileStoreOptions{Direct: true},
 			readPath: "pread",
 		})
 	} else {

@@ -222,45 +222,14 @@ func (d *Device) WriteBlock(idx int, src []byte) error {
 	return nil
 }
 
-// WriteBlockBulk writes src as block idx through the backing store's
-// bulk-load path, skipping any write-ahead journal it keeps (stores without
-// one behave exactly like WriteBlock). Use it for multi-block loads whose
-// crash-atomicity is handled by a higher-level commit point; single-block
-// updates should use WriteBlock.
-func (d *Device) WriteBlockBulk(idx int, src []byte) error {
-	bw, ok := d.store.(BulkWriter)
-	if !ok {
-		return d.WriteBlock(idx, src)
-	}
-	if err := bw.WriteBlockUnjournaled(idx, src); err != nil {
+// WriteBlocks installs len(src)/BlockSize consecutive blocks starting at
+// base in one store call (see BlockStore.WriteBlocks): the path of bulk loads
+// and layout installs, whose caller owns the commit point.
+func (d *Device) WriteBlocks(base int, src []byte) error {
+	if err := d.store.WriteBlocks(base, src); err != nil {
 		return err
 	}
-	d.blocksWritten.Inc()
-	return nil
-}
-
-// WriteBlocksBulk installs len(src)/BlockSize consecutive blocks starting
-// at base through the store's contiguous bulk path when it has one
-// (RangeBulkWriter: a single pwrite on the file backend), falling back to
-// per-block bulk writes otherwise. This is the migration copy-in path; the
-// caller owns the crash-atomicity commit point.
-func (d *Device) WriteBlocksBulk(base int, src []byte) error {
-	if len(src)%BlockSize != 0 {
-		return fmt.Errorf("nvm: bulk write of %d bytes is not block-aligned", len(src))
-	}
-	n := len(src) / BlockSize
-	if rw, ok := d.store.(RangeBulkWriter); ok {
-		if err := rw.WriteBlocksUnjournaled(base, src); err != nil {
-			return err
-		}
-		d.blocksWritten.Add(int64(n))
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		if err := d.WriteBlockBulk(base+i, src[i*BlockSize:(i+1)*BlockSize]); err != nil {
-			return err
-		}
-	}
+	d.blocksWritten.Add(int64(len(src) / BlockSize))
 	return nil
 }
 
@@ -303,7 +272,7 @@ type Stats struct {
 	DriveWrites float64
 	// EnduranceDWPD is the configured endurance budget (writes/day).
 	EnduranceDWPD float64
-	// Store describes the backing block store (backend name, journal and
+	// Store describes the backing block store (backend name, write and
 	// flush counters for the file backend).
 	Store BackendStats
 }

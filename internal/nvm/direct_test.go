@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -50,7 +49,7 @@ func requireDirect(t *testing.T, dir string) {
 // Property test for the tentpole's alignment invariant: in direct mode every
 // pread/pwrite the store hands to the kernel must have a BlockSize-aligned
 // offset, length and buffer address — across writes, reads (aligned and
-// unaligned callers), bulk loads, journal GC, create, and open/replay.
+// unaligned callers), bulk ranges, create, and open.
 func TestFileStoreDirectAlignmentInvariants(t *testing.T) {
 	dir := t.TempDir()
 	requireDirect(t, dir)
@@ -70,7 +69,7 @@ func TestFileStoreDirectAlignmentInvariants(t *testing.T) {
 	defer func() { ioCheckHook = nil }()
 
 	const numBlocks = 32
-	s, err := CreateFileStore(path, numBlocks, FileStoreOptions{Direct: true, RingBlocks: minRingBlocks})
+	s, err := CreateFileStore(path, numBlocks, FileStoreOptions{Direct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,21 +91,14 @@ func TestFileStoreDirectAlignmentInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			shadow[idx] = src
-		case 2:
-			src := make([]byte, BlockSize)
-			rng.Read(src)
-			if err := s.WriteBlockUnjournaled(idx, src); err != nil {
-				t.Fatal(err)
-			}
-			shadow[idx] = src
-		case 3: // contiguous bulk write from an unaligned caller buffer
+		case 2, 3: // contiguous bulk write from an unaligned caller buffer
 			n := 1 + rng.Intn(4)
 			if idx+n > numBlocks {
 				n = numBlocks - idx
 			}
 			src := make([]byte, n*BlockSize+1)[1:]
 			rng.Read(src)
-			if err := s.WriteBlocksUnjournaled(idx, src); err != nil {
+			if err := s.WriteBlocks(idx, src); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < n; i++ {
@@ -136,7 +128,7 @@ func TestFileStoreDirectAlignmentInvariants(t *testing.T) {
 	if got := s.BackendStats().BouncedReads; got != unalignedReads || got == 0 {
 		t.Fatalf("BouncedReads = %d after %d reads into a misaligned buffer", got, unalignedReads)
 	}
-	// Crash (no clean close) and reopen in direct mode: the replay path must
+	// Crash (no clean close) and reopen in direct mode: the open path must
 	// obey the invariant too.
 	crash(s)
 	r, err := OpenFileStore(path, FileStoreOptions{Direct: true})
@@ -163,11 +155,10 @@ func TestFileStoreDirectAlignmentInvariants(t *testing.T) {
 	}
 }
 
-// The tentpole's write-path pin: a steady-state journaled WriteBlock is
-// exactly 2 pwrites — 1 sequential ring-journal append + 1 in-place write —
+// The write-path pin: WriteBlock is exactly one pwrite, the in-place write,
 // observed at the syscall choke point and cross-checked against the
 // device-stats counters.
-func TestFileStoreWriteBlockExactlyTwoPwrites(t *testing.T) {
+func TestFileStoreWriteBlockOnePwrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nvm.bnd")
 	s, err := CreateFileStore(path, 64, FileStoreOptions{})
 	if err != nil {
@@ -181,57 +172,25 @@ func TestFileStoreWriteBlockExactlyTwoPwrites(t *testing.T) {
 			pwrites.Add(1)
 		}
 	}
-	const n = 20 // small enough that no GC watermark write or wrap pad fires
+	const n = 20
 	for i := 0; i < n; i++ {
 		if err := s.WriteBlock(i%s.NumBlocks(), fillBlock(byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.ioCheck = nil
-	if got := pwrites.Load(); got != 2*n {
-		t.Fatalf("%d journaled writes issued %d pwrites, want exactly %d (1 append + 1 in-place each)", n, got, 2*n)
+	if got := pwrites.Load(); got != n {
+		t.Fatalf("%d block writes issued %d pwrites, want exactly %d", n, got, n)
 	}
-	st := s.BackendStats()
-	if st.JournalWrites != n || st.DataWrites != n {
-		t.Fatalf("stats JournalWrites=%d DataWrites=%d, want %d each", st.JournalWrites, st.DataWrites, n)
-	}
-	if st.JournalBytesAppended < int64(n)*BlockSize {
-		t.Fatalf("JournalBytesAppended=%d implausibly small", st.JournalBytesAppended)
-	}
-}
-
-// A ring that still holds a sub-block patch record — a kind older versions
-// journaled single-vector updates with — is refused at open with an error
-// that says so: the record may be the only copy of an acknowledged update, so
-// the scan neither skips it nor takes it for the tail.
-func TestRingJournalRejectsPatchRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "nvm.bnd")
-	s, err := CreateFileStore(path, 8, FileStoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteBlock(3, fillBlock(0xAA)); err != nil {
-		t.Fatal(err)
-	}
-	// The old encoding: patchFlag | block<<12 | byte offset, payload = the
-	// patched bytes.
-	if _, err := s.ring.append(patchFlag|3<<12|1000, bytes.Repeat([]byte{0x5A}, 200)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteBlock(4, fillBlock(0xBB)); err != nil { // the chain goes on past it
-		t.Fatal(err)
-	}
-	crash(s) // the record is still live in the ring
-
-	_, err = OpenFileStore(path, FileStoreOptions{})
-	if err == nil || !strings.Contains(err.Error(), "written by an older version") {
-		t.Fatalf("open = %v, want a refusal naming the older version's patch record", err)
+	if st := s.BackendStats(); st.DataWrites != n || st.JournalWrites != 0 || st.JournalBytesAppended != 0 {
+		t.Fatalf("stats DataWrites=%d JournalWrites=%d JournalBytesAppended=%d, want %d, 0, 0",
+			st.DataWrites, st.JournalWrites, st.JournalBytesAppended, n)
 	}
 }
 
 // Exclusive open: a second opener (same or another process — flock is per
 // open file description) must fail fast with ErrStoreLocked, not interleave
-// journal writes.
+// block writes.
 func TestFileStoreExclusiveLock(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nvm.bnd")
 	s, err := CreateFileStore(path, 4, FileStoreOptions{})
@@ -294,8 +253,10 @@ func TestFileStoreDirectFallback(t *testing.T) {
 	}
 }
 
-// Direct mode must survive a crash/reopen cycle with the same guarantees as
-// buffered mode (the kill -9 suite runs at the core layer; this is the nvm
+// Direct mode must survive a crash/reopen cycle: completed writes are all
+// there, and a write that fails under O_DIRECT leaves the old block or the
+// new one — a direct pwrite tears only at block boundaries, and a one-block
+// write has none (the kill -9 suite runs at the core layer; this is the nvm
 // unit version).
 func TestFileStoreDirectCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -308,8 +269,10 @@ func TestFileStoreDirectCrashRecovery(t *testing.T) {
 	if err := s.WriteBlock(3, fillBlock(0xAA)); err != nil {
 		t.Fatal(err)
 	}
-	// Tear the in-place write: the journal record must repair it at reopen.
-	s.failAfterWrites(2)
+	if err := s.WriteBlock(4, fillBlock(0xBB)); err != nil {
+		t.Fatal(err)
+	}
+	s.failAfterWrites(1)
 	if err := s.WriteBlock(3, fillBlock(0x55)); err == nil {
 		t.Fatal("expected injected write fault")
 	}
@@ -323,14 +286,17 @@ func TestFileStoreDirectCrashRecovery(t *testing.T) {
 	if !r.DirectIO() {
 		t.Fatal("reopen lost direct mode")
 	}
-	if got := r.BackendStats().RecoveredRecords; got < 1 {
-		t.Fatalf("recovered %d records, want >= 1", got)
-	}
 	dst := make([]byte, BlockSize)
 	if err := r.ReadBlock(3, dst); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(dst, fillBlock(0x55)) {
-		t.Fatal("torn in-place write not repaired in direct mode")
+	if !bytes.Equal(dst, fillBlock(0xAA)) && !bytes.Equal(dst, fillBlock(0x55)) {
+		t.Fatal("a failed direct write left a mixed block")
+	}
+	if err := r.ReadBlock(4, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst, fillBlock(0xBB)) {
+		t.Fatal("completed direct write lost across a crash")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,23 +21,27 @@ import (
 // measured I/O is honest, and the kernel stops spending DRAM double-caching
 // a block file whose caching this system manages itself.
 //
-// On-disk layout (format v2; all regions are BlockSize-aligned):
+// On-disk layout (format v3; all regions are BlockSize-aligned):
 //
 //	block 0            superblock: magic, format version, geometry, CRC
-//	blocks 1..2        journal head watermark, two alternating slots
-//	blocks 3..3+R-1    ring journal region (R = RingBlocks)
-//	blocks 3+R..       data blocks 0 .. NumBlocks-1
+//	blocks 1..         data blocks 0 .. NumBlocks-1
 //
-// Every WriteBlock appends one checksummed record to the ring journal (a
-// single sequential pwrite), then writes the block in place — 2 pwrites per
-// block on the steady state. Records are retired lazily, in bulk, by
-// advancing the persisted head watermark once their in-place writes are
-// durable (see ringJournal). Open replays the valid record chain from the
-// watermark in sequence order, which repairs any torn in-place write; a torn
-// append fails its CRC (or breaks the sequence chain) and rolls back to the
-// previous block contents. With SyncAlways the file is opened O_SYNC so the
-// journal-before-data ordering also holds across power loss; the other modes
-// guarantee consistency across process crashes only.
+// Every write lands in place: WriteBlock is one pwrite, WriteBlocks one
+// pwrite per contiguous range. The store keeps no journal of its own, so a
+// write cut short by a crash can leave a mixed block — new bytes up to some
+// sector boundary, old bytes after it — and the caller owns the repair. In
+// this system every block write is repairable above this layer: bulk loads
+// and layout installs redo the whole range from their commit point (the
+// manifest, a migration record), and an update's read-modify-write of a block
+// re-applies the update log's records at the next open, which rewrites every
+// byte the write changed. With SyncAlways the file is opened O_SYNC, so each
+// write is durable, in order, before the call returns; the other modes make
+// writes durable at Flush (or in the background) and order them only across
+// process crashes.
+//
+// A format-v2 file (superblock, two journal watermark blocks and a ring
+// journal before the data) opens too, as long as its ring journal holds no
+// live record: see openV2.
 //
 // Writes use offset I/O (pwrite). A buffered store maps its data region
 // read-only and MAP_SHARED at open: the page cache is the one copy of the
@@ -57,15 +60,13 @@ import (
 // the serving path's callback takes a delta-overlay read lock and a cache
 // shard mutex inside it. So no path may take a stripe lock while holding
 // either of those, and no path holds two stripe locks except in ascending
-// stripe order with no other lock taken in between (WriteBlocksUnjournaled,
-// unmap).
+// stripe order with no other lock taken in between (WriteBlocks, unmap).
 type FileStore struct {
-	f          *os.File
-	n          int
-	ringBlocks int
-	dataOff    int64
-	sync       SyncMode
-	direct     bool
+	f       *os.File
+	n       int
+	dataOff int64
+	sync    SyncMode
+	direct  bool
 
 	// mapping is the read-only mapping of the data region (nil: reads use
 	// pread) and data its NumBlocks*BlockSize bytes. Close drops both under
@@ -75,13 +76,11 @@ type FileStore struct {
 	data     []byte
 	readPath string
 
-	ring  *ringJournal
 	locks [blockStripes]sync.RWMutex
 
 	dataWrites   atomic.Int64
 	flushes      atomic.Int64
 	bouncedReads atomic.Int64
-	recovered    int64
 
 	stopFlush chan struct{}
 	flushDone chan struct{}
@@ -104,26 +103,20 @@ const (
 	superMagic = "BNDNVM01"
 
 	// FormatVersion is the on-disk format version written to the superblock.
-	// v2 replaced the fixed J-slot journal with the appending ring journal
-	// (and added the watermark blocks); v1 files are not readable.
-	FormatVersion = 2
-
-	// DefaultRingBlocks sizes the ring journal region (create only). 256
-	// blocks = 1 MiB ≈ 128 in-flight block records between retirements.
-	DefaultRingBlocks = 256
-
-	// minRingBlocks keeps the ring large enough for a handful of in-flight
-	// records plus a wrap pad.
-	minRingBlocks = 8
+	// v3 dropped v2's ring journal (and its watermark blocks): the data
+	// starts at block 1. v2 files open while their ring is retired (openV2);
+	// v1 files are not readable.
+	FormatVersion = 3
 
 	// DefaultFlushInterval is the SyncPeriodic background flush cadence.
 	DefaultFlushInterval = time.Second
 
 	blockStripes = 128
 
-	superblockBytes = 32 // magic(8) version(4) blockSize(4) numBlocks(8) ringBlocks(4) crc(4)
-
-	metaBlocks = 3 // superblock + two watermark slots
+	// superblockBytes is what open reads of the superblock: v3 is
+	// magic(8) version(4) blockSize(4) numBlocks(8) crc(4), v2 had
+	// ringBlocks(4) before its crc.
+	superblockBytes = 32
 )
 
 // ErrBadSuperblock is returned by OpenFileStore when the superblock is
@@ -135,8 +128,8 @@ var ErrBadSuperblock = errors.New("nvm: invalid or corrupt superblock")
 var ErrVersionMismatch = errors.New("nvm: unsupported file store format version")
 
 // ErrStoreLocked is returned when another process (or another handle in this
-// one) holds the store file open; concurrent openers would interleave
-// journal appends and corrupt state, so the second opener fails fast.
+// one) holds the store file open; concurrent writers would interleave their
+// block writes and corrupt state, so the second opener fails fast.
 var ErrStoreLocked = errors.New("nvm: store file is locked by another process")
 
 var errInjectedFault = errors.New("nvm: injected write fault")
@@ -151,8 +144,8 @@ const (
 	SyncNone SyncMode = iota
 	// SyncPeriodic flushes in the background every FlushInterval.
 	SyncPeriodic
-	// SyncAlways opens the file O_SYNC: every journal and data write is
-	// durable (and ordered) before the call returns.
+	// SyncAlways opens the file O_SYNC: every block write is durable (and
+	// ordered) before the call returns.
 	SyncAlways
 )
 
@@ -185,10 +178,6 @@ func ParseSyncMode(s string) (SyncMode, error) {
 
 // FileStoreOptions configures CreateFileStore / OpenFileStore.
 type FileStoreOptions struct {
-	// RingBlocks is the size of the ring journal region in blocks (create
-	// only; an existing file keeps the count in its superblock). Defaults
-	// to DefaultRingBlocks.
-	RingBlocks int
 	// Sync selects the durability mode. Defaults to SyncNone.
 	Sync SyncMode
 	// FlushInterval is the SyncPeriodic flush cadence. Defaults to
@@ -202,12 +191,6 @@ type FileStoreOptions struct {
 }
 
 func (o *FileStoreOptions) defaults() {
-	if o.RingBlocks <= 0 {
-		o.RingBlocks = DefaultRingBlocks
-	}
-	if o.RingBlocks < minRingBlocks {
-		o.RingBlocks = minRingBlocks
-	}
 	if o.FlushInterval <= 0 {
 		o.FlushInterval = DefaultFlushInterval
 	}
@@ -277,8 +260,8 @@ func DirectIOSupported(dir string) bool {
 	return werr == nil
 }
 
-// CreateFileStore creates (or overwrites) a journaled file store of numBlocks
-// data blocks at path.
+// CreateFileStore creates (or overwrites) a file store of numBlocks data
+// blocks at path.
 func CreateFileStore(path string, numBlocks int, opts FileStoreOptions) (*FileStore, error) {
 	if numBlocks <= 0 {
 		return nil, fmt.Errorf("nvm: invalid block count %d", numBlocks)
@@ -288,27 +271,18 @@ func CreateFileStore(path string, numBlocks int, opts FileStoreOptions) (*FileSt
 	if err != nil {
 		return nil, fmt.Errorf("nvm: create file store: %w", err)
 	}
-	// Truncate to zero first so a recreate over an old store cannot leave
-	// stale ring records that a fresh watermark would mistake for its own
-	// chain; the regrow punches holes, which read back as zeros.
+	// Truncate to zero first so a recreate over an old store starts from
+	// zeroed blocks; the regrow punches holes, which read back as zeros.
 	if err := f.Truncate(0); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("nvm: truncate file store: %w", err)
 	}
-	totalBlocks := metaBlocks + opts.RingBlocks + numBlocks
-	if err := f.Truncate(int64(totalBlocks) * BlockSize); err != nil {
+	if err := f.Truncate(int64(1+numBlocks) * BlockSize); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("nvm: size file store: %w", err)
 	}
-	s := newFileStore(f, numBlocks, opts, direct)
+	s := newFileStore(f, numBlocks, BlockSize, opts, direct)
 	if err := s.writeSuperblock(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	// Initial watermark: generation 1, empty ring at offset 0, first seq 1.
-	s.ring.gen = 0
-	s.ring.nextSeq = 1
-	if err := s.ring.retireAll(); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -317,7 +291,6 @@ func CreateFileStore(path string, numBlocks int, opts FileStoreOptions) (*FileSt
 		return nil, fmt.Errorf("nvm: sync superblock: %w", err)
 	}
 	s.mapData()
-	s.ring.start()
 	return s, nil
 }
 
@@ -332,17 +305,15 @@ func (s *FileStore) writeSuperblock() error {
 	binary.LittleEndian.PutUint32(buf[8:], FormatVersion)
 	binary.LittleEndian.PutUint32(buf[12:], BlockSize)
 	binary.LittleEndian.PutUint64(buf[16:], uint64(s.n))
-	binary.LittleEndian.PutUint32(buf[24:], uint32(s.ringBlocks))
-	binary.LittleEndian.PutUint32(buf[28:], crc32.Checksum(buf[:28], castagnoli))
+	binary.LittleEndian.PutUint32(buf[24:], crc32.Checksum(buf[:24], castagnoli))
 	if err := s.writeAt(buf, 0); err != nil {
 		return fmt.Errorf("nvm: write superblock: %w", err)
 	}
 	return nil
 }
 
-// OpenFileStore opens an existing journaled file store, validating its
-// superblock and replaying any committed-but-not-in-place journal records
-// before returning.
+// OpenFileStore opens an existing file store, validating its superblock and
+// its geometry against the file's size.
 func OpenFileStore(path string, opts FileStoreOptions) (*FileStore, error) {
 	opts.defaults()
 	f, direct, err := openStoreFile(path, opts, false)
@@ -352,63 +323,100 @@ func OpenFileStore(path string, opts FileStoreOptions) (*FileStore, error) {
 		}
 		return nil, fmt.Errorf("nvm: open file store: %w", err)
 	}
-	// The superblock read must already obey direct-I/O alignment, so read a
-	// whole aligned block.
-	bp := GetBlockBuf()
-	sbuf := *bp
-	if _, err := f.ReadAt(sbuf, 0); err != nil {
-		PutBlockBuf(bp)
-		f.Close()
-		return nil, fmt.Errorf("%w: short superblock read: %v", ErrBadSuperblock, err)
-	}
-	sb := sbuf[:superblockBytes]
-	if string(sb[:8]) != superMagic {
-		PutBlockBuf(bp)
-		f.Close()
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadSuperblock, sb[:8])
-	}
-	if got := crc32.Checksum(sb[:28], castagnoli); got != binary.LittleEndian.Uint32(sb[28:]) {
-		PutBlockBuf(bp)
-		f.Close()
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSuperblock)
-	}
-	if v := binary.LittleEndian.Uint32(sb[8:]); v != FormatVersion {
-		PutBlockBuf(bp)
-		f.Close()
-		return nil, fmt.Errorf("%w: file has version %d, this build supports %d",
-			ErrVersionMismatch, v, FormatVersion)
-	}
-	if bs := binary.LittleEndian.Uint32(sb[12:]); bs != BlockSize {
-		PutBlockBuf(bp)
-		f.Close()
-		return nil, fmt.Errorf("%w: file has block size %d, want %d", ErrBadSuperblock, bs, BlockSize)
-	}
-	numBlocks := int(binary.LittleEndian.Uint64(sb[16:]))
-	ringBlocks := int(binary.LittleEndian.Uint32(sb[24:]))
-	PutBlockBuf(bp)
-	if numBlocks <= 0 || ringBlocks < minRingBlocks {
-		f.Close()
-		return nil, fmt.Errorf("%w: implausible geometry (%d blocks, %d ring blocks)",
-			ErrBadSuperblock, numBlocks, ringBlocks)
-	}
-	fi, err := f.Stat()
+	numBlocks, dataOff, err := readSuperblock(f)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if want := int64(metaBlocks+ringBlocks+numBlocks) * BlockSize; fi.Size() < want {
-		f.Close()
-		return nil, fmt.Errorf("%w: file is %d bytes, geometry needs %d", ErrBadSuperblock, fi.Size(), want)
-	}
-	opts.RingBlocks = ringBlocks
-	s := newFileStore(f, numBlocks, opts, direct)
-	if err := s.replayJournal(); err != nil {
-		f.Close()
-		return nil, err
-	}
+	s := newFileStore(f, numBlocks, dataOff, opts, direct)
 	s.mapData()
-	s.ring.start()
 	return s, nil
+}
+
+// readSuperblock validates block 0 (and, for a v2 file, its ring journal's
+// head) and returns the geometry: the data block count and the file offset of
+// block 0 of the data region, which the file's size must cover.
+func readSuperblock(f *os.File) (numBlocks int, dataOff int64, err error) {
+	// The reads must already obey direct-I/O alignment, so read whole
+	// aligned blocks.
+	bp := GetBlockBuf()
+	defer PutBlockBuf(bp)
+	buf := *bp
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		return 0, 0, fmt.Errorf("%w: short superblock read: %v", ErrBadSuperblock, err)
+	}
+	sb := buf[:superblockBytes]
+	if string(sb[:8]) != superMagic {
+		return 0, 0, fmt.Errorf("%w: bad magic %q", ErrBadSuperblock, sb[:8])
+	}
+	crcAt := 24
+	v := binary.LittleEndian.Uint32(sb[8:])
+	switch v {
+	case FormatVersion:
+	case 2:
+		crcAt = 28
+	default:
+		return 0, 0, fmt.Errorf("%w: file has version %d, this build supports %d (and retired v2 files)",
+			ErrVersionMismatch, v, FormatVersion)
+	}
+	if got := crc32.Checksum(sb[:crcAt], castagnoli); got != binary.LittleEndian.Uint32(sb[crcAt:]) {
+		return 0, 0, fmt.Errorf("%w: checksum mismatch", ErrBadSuperblock)
+	}
+	if bs := binary.LittleEndian.Uint32(sb[12:]); bs != BlockSize {
+		return 0, 0, fmt.Errorf("%w: file has block size %d, want %d", ErrBadSuperblock, bs, BlockSize)
+	}
+	n := binary.LittleEndian.Uint64(sb[16:])
+	dataOff = BlockSize
+	if v == 2 {
+		if dataOff, err = openV2(f, buf, binary.LittleEndian.Uint32(sb[24:])); err != nil {
+			return 0, 0, err
+		}
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	if n == 0 || fi.Size() < dataOff || n > uint64(fi.Size()-dataOff)/BlockSize {
+		return 0, 0, fmt.Errorf("%w: %d data blocks from offset %d do not fit a %d-byte file",
+			ErrBadSuperblock, n, dataOff, fi.Size())
+	}
+	return int(n), dataOff, nil
+}
+
+// openV2 admits a format-v2 file: blocks 1 and 2 hold the ring journal's
+// head watermark in two alternating slots, and ringBlocks blocks of ring
+// journal sit before the data. The ring is ignored, so the file is served
+// only if it holds no live record — the newest valid watermark's head must
+// not carry a valid record with the head seq. A v2 file closed cleanly (or
+// reopened once) by a build from before format v3 always qualifies. buf is a
+// scratch block; it returns the data region's offset.
+func openV2(f *os.File, buf []byte, ringBlocks uint32) (int64, error) {
+	ring := int64(ringBlocks) * BlockSize
+	var gen, headOff, headSeq uint64
+	found := false
+	for slot := int64(1); slot <= 2; slot++ {
+		if _, err := f.ReadAt(buf, slot*BlockSize); err != nil {
+			return 0, fmt.Errorf("%w: v2 journal watermark: %v", ErrBadSuperblock, err)
+		}
+		g, off := binary.LittleEndian.Uint64(buf[8:]), binary.LittleEndian.Uint64(buf[16:])
+		if string(buf[:8]) != "BNDWMRK1" || crc32.Checksum(buf[:32], castagnoli) != binary.LittleEndian.Uint32(buf[32:]) ||
+			off%BlockSize != 0 || off >= uint64(ring) || (found && g <= gen) {
+			continue
+		}
+		gen, headOff, headSeq, found = g, off, binary.LittleEndian.Uint64(buf[24:]), true
+	}
+	if !found {
+		return 0, fmt.Errorf("%w: v2 file has no valid journal watermark", ErrBadSuperblock)
+	}
+	if _, err := f.ReadAt(buf, 3*BlockSize+int64(headOff)); err != nil {
+		return 0, fmt.Errorf("%w: v2 journal head: %v", ErrBadSuperblock, err)
+	}
+	if string(buf[:8]) == "BNDJRNL2" && crc32.Checksum(buf[:32], castagnoli) == binary.LittleEndian.Uint32(buf[32:]) &&
+		binary.LittleEndian.Uint64(buf[8:]) == headSeq {
+		return 0, fmt.Errorf("%w: format v2 file holds live ring journal records; open and cleanly close it once with a build from before format v3",
+			ErrVersionMismatch)
+	}
+	return 3*BlockSize + ring, nil
 }
 
 // OpenOrCreateFileStore opens path if it holds a valid store and creates it
@@ -437,21 +445,19 @@ func NewFileStore(path string, numBlocks int) (*FileStore, error) {
 }
 
 // ioCheckHook, when non-nil at store construction (tests only), becomes the
-// new store's ioCheck observer — the way to watch the I/O of the create and
-// open/replay paths, which run before the caller holds the store.
+// new store's ioCheck observer — the way to watch the I/O of the create
+// path, which runs before the caller holds the store.
 var ioCheckHook func(op string, off int64, p []byte)
 
-func newFileStore(f *os.File, numBlocks int, opts FileStoreOptions, direct bool) *FileStore {
+func newFileStore(f *os.File, numBlocks int, dataOff int64, opts FileStoreOptions, direct bool) *FileStore {
 	s := &FileStore{
-		ioCheck:    ioCheckHook,
-		f:          f,
-		n:          numBlocks,
-		ringBlocks: opts.RingBlocks,
-		dataOff:    int64(metaBlocks+opts.RingBlocks) * BlockSize,
-		sync:       opts.Sync,
-		direct:     direct,
+		ioCheck: ioCheckHook,
+		f:       f,
+		n:       numBlocks,
+		dataOff: dataOff,
+		sync:    opts.Sync,
+		direct:  direct,
 	}
-	s.ring = newRingJournal(s, opts.RingBlocks, int64(metaBlocks)*BlockSize)
 	if opts.Sync == SyncPeriodic {
 		s.stopFlush = make(chan struct{})
 		s.flushDone = make(chan struct{})
@@ -525,8 +531,8 @@ func (s *FileStore) readAt(p []byte, off int64) error {
 
 // writeAt is the single pwrite choke point; crash tests inject torn writes
 // here. In direct mode an unaligned source is bounced through aligned pool
-// buffers in ring-sized chunks (only the bulk-load paths can hit this; the
-// journaled write path always writes aligned pool memory).
+// buffers in 1 MiB chunks (only WriteBlocks can hit this; WriteBlock always
+// writes aligned pool memory).
 func (s *FileStore) writeAt(p []byte, off int64) error {
 	if s.direct && !isAligned(p) {
 		const chunk = 256 * BlockSize
@@ -586,9 +592,6 @@ func (s *FileStore) failAfterWrites(n int) {
 
 // NumBlocks implements BlockStore.
 func (s *FileStore) NumBlocks() int { return s.n }
-
-// RingBlocks returns the size of the ring journal region in blocks.
-func (s *FileStore) RingBlocks() int { return s.ringBlocks }
 
 // DirectIO reports whether the store is running on O_DIRECT I/O (false when
 // the Direct option was refused by the filesystem and the store fell back
@@ -662,18 +665,10 @@ func (s *FileStore) VisitBlocks(idxs []int, visit func(i int, block []byte)) err
 	return nil
 }
 
-// WriteBlock implements BlockStore: one sequential ring-journal append, then
-// one in-place write. A crash at any point either rolls the write back (a
-// torn append fails its CRC or breaks the sequence chain) or replays it (a
-// valid record REDOes in sequence order) at the next open — the data region
-// never keeps a torn block image. Records are retired lazily by the ring
-// GC; replaying an already-in-place record rewrites identical bytes, and a
-// record made stale by a newer write of the same block is replayed before
-// that newer record, so sequence order keeps recovery exact.
+// WriteBlock implements BlockStore: one in-place pwrite of the block, zero
+// padded to BlockSize (WriteBlocks of one block). A crash (or an error)
+// mid-write can leave a mixed block; see FileStore for who repairs it.
 func (s *FileStore) WriteBlock(idx int, src []byte) error {
-	if idx < 0 || idx >= s.n {
-		return fmt.Errorf("nvm: block %d out of range [0,%d)", idx, s.n)
-	}
 	if len(src) > BlockSize {
 		return fmt.Errorf("nvm: block write of %d bytes exceeds block size", len(src))
 	}
@@ -681,158 +676,45 @@ func (s *FileStore) WriteBlock(idx int, src []byte) error {
 	defer PutBlockBuf(bufp)
 	buf := *bufp
 	copy(buf, src)
-	for i := len(src); i < BlockSize; i++ {
-		buf[i] = 0
-	}
-
-	seq, err := s.ring.append(uint64(idx), buf)
-	if err != nil {
+	clear(buf[len(src):])
+	if err := s.WriteBlocks(idx, buf); err != nil {
 		return err
-	}
-
-	lock := &s.locks[idx%blockStripes]
-	lock.Lock()
-	err = s.writeAt(buf, s.dataOff+int64(idx)*BlockSize)
-	lock.Unlock()
-	if err != nil {
-		// The failed pwrite may have torn the block, and the journal record
-		// is now the only good copy: mark it failed so it pins the GC head
-		// and survives until the next open repairs the block or a later
-		// successful write of it supersedes the record. The cost is
-		// redo-log semantics — a write whose error the caller observed can
-		// still surface after recovery.
-		s.ring.fail(seq)
-		return fmt.Errorf("nvm: block write: %w", err)
 	}
 	s.dataWrites.Add(1)
-	s.ring.complete(seq)
-
-	// The new image supersedes any failed (pinned) record for this block;
-	// tombstoning it unpins the ring GC. Sequence-ordered replay keeps
-	// recovery correct either way.
-	if err := s.ring.supersedeFailed(uint64(idx), seq); err != nil {
-		return err
-	}
 	return nil
 }
 
-// WriteBlockUnjournaled implements BulkWriter: it writes a block in place
-// with no write-ahead journal record, which makes bulk loads (initial table
-// ingest, whole-table layout rewrites) one pwrite per block instead of two.
-// Crash-safety contract: a torn write can surface a mixed block, so callers
-// must wrap the load in their own commit point and redo it entirely if
-// interrupted. Single-block updates should use WriteBlock.
-func (s *FileStore) WriteBlockUnjournaled(idx int, src []byte) error {
-	if idx < 0 || idx >= s.n {
-		return fmt.Errorf("nvm: block %d out of range [0,%d)", idx, s.n)
-	}
-	if len(src) > BlockSize {
-		return fmt.Errorf("nvm: block write of %d bytes exceeds block size", len(src))
-	}
-	bufp := GetBlockBuf()
-	defer PutBlockBuf(bufp)
-	buf := *bufp
-	copy(buf, src)
-	for i := len(src); i < BlockSize; i++ {
-		buf[i] = 0
-	}
-	// Any live journal record for this block is stale the moment the bulk
-	// bytes land; tombstone first so a crash cannot replay it over them.
-	if err := s.ring.supersedeRange(idx, 1); err != nil {
-		return err
-	}
-	lock := &s.locks[idx%blockStripes]
-	lock.Lock()
-	err := s.writeAt(buf, s.dataOff+int64(idx)*BlockSize)
-	lock.Unlock()
-	if err != nil {
-		return fmt.Errorf("nvm: block write: %w", err)
-	}
-	return nil
-}
-
-// WriteBlocksUnjournaled implements RangeBulkWriter: a contiguous run of
-// blocks lands in a single pwrite. To exclude concurrent single-block
-// writers it takes every stripe lock the range touches, always in ascending
-// stripe order (single-block writers take exactly one stripe lock, so lock
-// ordering cannot deadlock). Crash-safety contract matches
-// WriteBlockUnjournaled: the caller owns the commit point.
-func (s *FileStore) WriteBlocksUnjournaled(base int, src []byte) error {
+// WriteBlocks implements BlockStore: a contiguous run of blocks lands in a
+// single pwrite. To exclude concurrent single-block writers it takes every
+// stripe lock the range touches, in ascending stripe order (single-block
+// writers take exactly one stripe lock, so lock ordering cannot deadlock).
+func (s *FileStore) WriteBlocks(base int, src []byte) error {
 	if len(src)%BlockSize != 0 {
-		return fmt.Errorf("nvm: bulk write of %d bytes is not block-aligned", len(src))
+		return fmt.Errorf("nvm: block write of %d bytes is not block-aligned", len(src))
 	}
 	n := len(src) / BlockSize
 	if n == 0 {
 		return nil
 	}
 	if base < 0 || base+n > s.n {
-		return fmt.Errorf("nvm: bulk write [%d,%d) out of range [0,%d)", base, base+n, s.n)
+		return fmt.Errorf("nvm: block write [%d,%d) out of range [0,%d)", base, base+n, s.n)
 	}
-	// As in WriteBlockUnjournaled: stale journal records must die before
-	// the bulk bytes land. In the common bulk-load case no record targets
-	// the range and this issues no I/O.
-	if err := s.ring.supersedeRange(base, n); err != nil {
-		return err
-	}
-	stripes := n
-	if stripes > blockStripes {
-		stripes = blockStripes
-	}
-	held := make([]int, 0, stripes)
-	for i := 0; i < stripes; i++ {
-		held = append(held, (base+i)%blockStripes)
-	}
-	sort.Ints(held)
-	for _, st := range held {
-		s.locks[st].Lock()
+	// Stripe st holds a block of the range iff (st-base) mod blockStripes < n.
+	touches := func(st int) bool { return n >= blockStripes || (st-base%blockStripes+blockStripes)%blockStripes < n }
+	for st := range s.locks {
+		if touches(st) {
+			s.locks[st].Lock()
+		}
 	}
 	err := s.writeAt(src, s.dataOff+int64(base)*BlockSize)
-	for _, st := range held {
-		s.locks[st].Unlock()
-	}
-	if err != nil {
-		return fmt.Errorf("nvm: bulk write: %w", err)
-	}
-	return nil
-}
-
-// replayJournal scans the ring record chain from the persisted watermark and
-// REDOes valid block records over the data region in sequence order.
-// Applying a record whose in-place write had already completed rewrites
-// identical bytes, so replay is idempotent. The ring is read once, here: the
-// applies are views into recover's copy of it, and returning drops that copy,
-// so the ring region costs heap only while the store opens.
-func (s *FileStore) replayJournal() error {
-	applies, err := s.ring.recover(s.n)
-	if err != nil {
-		return err
-	}
-	if len(applies) > 0 {
-		// Record payloads sit at +36 bytes inside the aligned ring copy,
-		// so bounce each through an aligned block buffer for the REDO.
-		bp := GetBlockBuf()
-		buf := *bp
-		for _, a := range applies {
-			copy(buf, a.data)
-			if err := s.writeAt(buf, s.dataOff+int64(a.target)*BlockSize); err != nil {
-				PutBlockBuf(bp)
-				return fmt.Errorf("nvm: replay block %d: %w", a.target, err)
-			}
-		}
-		PutBlockBuf(bp)
-		// Make the replayed blocks durable before retiring their records,
-		// so the next open reports only genuinely recovered writes.
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("nvm: sync after replay: %w", err)
+	for st := range s.locks {
+		if touches(st) {
+			s.locks[st].Unlock()
 		}
 	}
-	if err := s.ring.retireAll(); err != nil {
-		return err
+	if err != nil {
+		return fmt.Errorf("nvm: block write: %w", err)
 	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("nvm: sync journal watermark: %w", err)
-	}
-	s.recovered = int64(len(applies))
 	return nil
 }
 
@@ -859,23 +741,16 @@ func (s *FileStore) flushLoop(interval time.Duration) {
 // BackendStats implements BackendStatser.
 func (s *FileStore) BackendStats() BackendStats {
 	return BackendStats{
-		Backend:              "file",
-		DirectIO:             s.direct,
-		ReadPath:             s.readPath,
-		JournalWrites:        s.ring.appends.Load(),
-		JournalBytesAppended: s.ring.bytesAppended.Load(),
-		JournalGCRuns:        s.ring.gcRuns.Load(),
-		RingUtilization:      s.ring.utilization(),
-		DataWrites:           s.dataWrites.Load(),
-		FailedWriteRecords:   s.ring.failedRecs.Load(),
-		Flushes:              s.flushes.Load(),
-		RecoveredRecords:     s.recovered,
-		BouncedReads:         s.bouncedReads.Load(),
+		Backend:      "file",
+		DirectIO:     s.direct,
+		ReadPath:     s.readPath,
+		DataWrites:   s.dataWrites.Load(),
+		Flushes:      s.flushes.Load(),
+		BouncedReads: s.bouncedReads.Load(),
 	}
 }
 
-// Close flushes, retires completed journal records (a clean shutdown leaves
-// nothing to recover), drops the data mapping once the reads in flight have
+// Close flushes, drops the data mapping once the reads in flight have
 // finished and closes the backing file; a read after Close fails. It is
 // idempotent.
 func (s *FileStore) Close() error {
@@ -884,14 +759,7 @@ func (s *FileStore) Close() error {
 			close(s.stopFlush)
 			<-s.flushDone
 		}
-		s.ring.stop()
-		// Retire whatever is durable; failed records deliberately survive
-		// for the next open's repair, and a GC error here only means extra
-		// (idempotent) replay work then.
-		flushErr := s.ring.gc()
-		if err := s.f.Sync(); flushErr == nil {
-			flushErr = err
-		}
+		flushErr := s.f.Sync()
 		if err := s.unmap(); flushErr == nil {
 			flushErr = err
 		}
@@ -907,7 +775,6 @@ func (s *FileStore) Close() error {
 var (
 	_ BlockStore     = (*FileStore)(nil)
 	_ Flusher        = (*FileStore)(nil)
-	_ BulkWriter     = (*FileStore)(nil)
 	_ BackendStatser = (*FileStore)(nil)
 	_ io.Closer      = (*FileStore)(nil)
 )

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,15 +23,32 @@ func fillBlock(tag byte) []byte {
 	return b
 }
 
-// crash abandons s the way a killed process would: no journal retirement,
-// no sync, no Close. What the process held goes with it — the ring's GC
-// goroutine (a watermark write in flight keeps the descriptor open), the
-// data mapping (it holds the open file) and the descriptor — so a reopen
-// can take the flock again.
+// crash abandons s the way a killed process would: no sync, no Close. What
+// the process held goes with it — the data mapping (it holds the open file)
+// and the descriptor — so a reopen can take the flock again.
 func crash(s *FileStore) {
-	s.ring.stop()
 	s.unmap()
 	s.f.Close()
+}
+
+// fixture copies testdata/name into a temp dir and returns the copy's path.
+// The v2 fixtures were written by a format-v2 build: 8 ring blocks, 4 data
+// blocks holding fillBlock(0x10+i), then
+//   - v2-retired.bnd: block 1 rewritten to fillBlock(0x21) and a clean
+//     Close, so the ring still holds the retired records of the older images;
+//   - v2-live.bnd: a record for block 2 = fillBlock(0x55) appended after the
+//     last retirement, then a crash, so the record is live.
+func fixture(t testing.TB, name string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func TestFileStorePersistsAcrossReopen(t *testing.T) {
@@ -88,58 +107,19 @@ func TestFileStoreOpenOrCreate(t *testing.T) {
 	}
 }
 
-// Torn in-place data write: the journal record is complete, so reopening
-// must roll the write forward to the NEW content.
-func TestFileStoreRecoveryReplaysTornDataWrite(t *testing.T) {
+// A torn in-place write leaves a mixed block: the store keeps no journal,
+// so the new bytes land up to the tear and the old ones stay after it. The
+// caller owns the repair (core's update log, a bulk install's commit point).
+func TestFileStoreTornWriteLeavesMixedBlock(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nvm.bnd")
 	s, err := CreateFileStore(path, 4, FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := fillBlock(0xAA)
-	if err := s.WriteBlock(2, old); err != nil {
+	if err := s.WriteBlock(2, fillBlock(0xAA)); err != nil {
 		t.Fatal(err)
 	}
-	// A write is 2 pwrites: ring-journal append, in-place data. Fail on the
-	// 2nd: the in-place image is torn but the journal record is valid.
-	s.failAfterWrites(2)
-	newData := fillBlock(0x55)
-	if err := s.WriteBlock(2, newData); err == nil {
-		t.Fatal("expected injected write fault")
-	}
-	crash(s)
-
-	r, err := OpenFileStore(path, FileStoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := r.BackendStats().RecoveredRecords; got < 1 {
-		t.Fatalf("expected at least one replayed journal record, got %d", got)
-	}
-	dst := make([]byte, BlockSize)
-	if err := r.ReadBlock(2, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, newData) {
-		t.Fatalf("torn in-place write not repaired from journal")
-	}
-}
-
-// Torn journal append: the in-place write never started, so reopening must
-// keep the OLD content intact (rollback). The torn record fails its payload
-// CRC (or breaks the sequence chain), which is where the scan stops.
-func TestFileStoreRecoveryRollsBackTornJournalWrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "nvm.bnd")
-	s, err := CreateFileStore(path, 4, FileStoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := fillBlock(0xAA)
-	if err := s.WriteBlock(2, old); err != nil {
-		t.Fatal(err)
-	}
-	s.failAfterWrites(1) // tear the ring append itself
+	s.failAfterWrites(1)
 	if err := s.WriteBlock(2, fillBlock(0x55)); err == nil {
 		t.Fatal("expected injected write fault")
 	}
@@ -149,35 +129,33 @@ func TestFileStoreRecoveryRollsBackTornJournalWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
 	dst := make([]byte, BlockSize)
 	if err := r.ReadBlock(2, dst); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(dst, old) {
-		t.Fatal("torn journal append must leave the old block intact")
+	half := BlockSize / 2
+	if !bytes.Equal(dst[:half], fillBlock(0x55)[:half]) || !bytes.Equal(dst[half:], fillBlock(0xAA)[half:]) {
+		t.Fatal("torn write did not leave the new prefix over the old suffix")
 	}
-	r.Close()
 }
 
-// Sequence-ordered replay: when an older completed write and a newer torn
-// write of the same block are both still in the ring, recovery must end at
-// the NEWER image — the older record replays first and is then overwritten.
+// Completed writes are never rolled back: with no journal there is nothing
+// to replay at open, so a crash keeps the newest completed image of every
+// block, also one written twice.
 func TestFileStoreRecoveryNeverRollsBackCompletedWrites(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nvm.bnd")
-	s, err := CreateFileStore(path, 4, FileStoreOptions{})
+	s, err := CreateFileStore(path, 4, FileStoreOptions{Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlock(1, fillBlock(0x11)); err != nil {
-		t.Fatal(err)
+	for _, tag := range []byte{0x11, 0x22} {
+		if err := s.WriteBlock(1, fillBlock(tag)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Second write to the same block: tear its in-place write (pwrite #2
-	// from here; a journaled write is append, in-place). Both records are
-	// still in the ring (no GC ran), so replay applies 0x11 then 0x22 —
-	// never ending at the older image.
-	s.failAfterWrites(2)
-	if err := s.WriteBlock(1, fillBlock(0x22)); err == nil {
-		t.Fatal("expected injected write fault")
+	if err := s.WriteBlocks(2, append(fillBlock(0x33), fillBlock(0x44)...)); err != nil {
+		t.Fatal(err)
 	}
 	crash(s)
 
@@ -185,167 +163,64 @@ func TestFileStoreRecoveryNeverRollsBackCompletedWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
 	dst := make([]byte, BlockSize)
-	if err := r.ReadBlock(1, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, fillBlock(0x22)) {
-		t.Fatalf("replay did not restore the newest write of block 1")
-	}
-	if got := r.BackendStats().RecoveredRecords; got != 2 {
-		t.Fatalf("recovered %d records, want both live records", got)
-	}
-	if r.ring.nextSeq <= 2 {
-		t.Fatalf("sequence counter must resume after replay, got %d", r.ring.nextSeq)
-	}
-	r.Close()
-}
-
-// A failed in-place write pins its journal record (the ring-journal
-// analogue of the old slot quarantine): GC must not retire it and a clean
-// Close must keep it alive, so the torn block is still repaired at the next
-// open.
-func TestFileStoreFailedWritePinsJournalRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "nvm.bnd")
-	s, err := CreateFileStore(path, 8, FileStoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteBlock(2, fillBlock(0xAA)); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the in-place write of block 2's new image, then heal the fault
-	// so later writes succeed.
-	s.failAfterWrites(2)
-	newData := fillBlock(0x55)
-	if err := s.WriteBlock(2, newData); err == nil {
-		t.Fatal("expected injected write fault")
-	}
-	s.faultArmed.Store(false)
-	if got := s.BackendStats().FailedWriteRecords; got != 1 {
-		t.Fatalf("FailedWriteRecords = %d, want 1", got)
-	}
-
-	// Later writes of other blocks must not disturb the pinned record.
-	for _, b := range []int{0, 1, 3, 4} {
-		if err := s.WriteBlock(b, fillBlock(byte(b))); err != nil {
+	for idx, tag := range map[int]byte{1: 0x22, 2: 0x33, 3: 0x44} {
+		if err := r.ReadBlock(idx, dst); err != nil {
 			t.Fatal(err)
 		}
+		if !bytes.Equal(dst, fillBlock(tag)) {
+			t.Fatalf("block %d did not keep its newest completed write", idx)
+		}
 	}
-	// Clean Close must keep the pinned record (and, behind it in the FIFO,
-	// everything newer) alive.
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	r, err := OpenFileStore(path, FileStoreOptions{})
+// A v2 file whose ring journal was retired by a clean close opens and serves
+// its data blocks in place; the retired records in its ring, older images of
+// block 1 among them, are never applied.
+func TestFileStoreOpensRetiredV2(t *testing.T) {
+	r, err := OpenFileStore(fixture(t, "v2-retired.bnd"), FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if got := r.BackendStats().RecoveredRecords; got < 1 {
-		t.Fatalf("recovered %d records, want at least the pinned one", got)
+	if r.NumBlocks() != 4 {
+		t.Fatalf("NumBlocks = %d, want 4", r.NumBlocks())
 	}
 	dst := make([]byte, BlockSize)
-	if err := r.ReadBlock(2, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, newData) {
-		t.Fatal("torn block not repaired from the pinned journal record")
-	}
-	for _, b := range []int{0, 1, 3, 4} {
-		if err := r.ReadBlock(b, dst); err != nil {
+	for idx, tag := range []byte{0x10, 0x21, 0x12, 0x13} {
+		if err := r.ReadBlock(idx, dst); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(dst, fillBlock(byte(b))) {
-			t.Fatalf("block %d content lost", b)
+		if !bytes.Equal(dst, fillBlock(tag)) {
+			t.Fatalf("v2 block %d does not serve its last written image", idx)
 		}
 	}
 }
 
-// A later successful write of a block must tombstone the failed (pinned)
-// record targeting it — otherwise the record would pin the ring GC head
-// forever — and recovery must end at the superseding bytes. Covers the
-// journaled and the bulk (unjournaled) superseding write.
-func TestFileStoreQuarantineReleasedBySupersedingWrite(t *testing.T) {
-	for _, bulk := range []bool{false, true} {
-		path := filepath.Join(t.TempDir(), "nvm.bnd")
-		s, err := CreateFileStore(path, 8, FileStoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Fail an in-place write of block 2, pinning its record.
-		s.failAfterWrites(2)
-		if err := s.WriteBlock(2, fillBlock(0x55)); err == nil {
-			t.Fatal("expected injected write fault")
-		}
-		s.faultArmed.Store(false)
-		pinned := func() int {
-			s.ring.mu.Lock()
-			defer s.ring.mu.Unlock()
-			return s.ring.nFailed
-		}
-		if got := pinned(); got != 1 {
-			t.Fatalf("bulk=%v: %d pinned records, want 1", bulk, got)
-		}
-
-		// Supersede block 2 with new content via the chosen path.
-		final := fillBlock(0x99)
-		if bulk {
-			err = s.WriteBlockUnjournaled(2, final)
-		} else {
-			err = s.WriteBlock(2, final)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := pinned(); got != 0 {
-			t.Fatalf("bulk=%v: pinned record not released by superseding write", bulk)
-		}
-		// The ring is unpinned: GC can advance past the tombstone.
-		if err := s.ring.gc(); err != nil {
-			t.Fatal(err)
-		}
-		if got := s.BackendStats().JournalGCRuns; got == 0 {
-			t.Fatalf("bulk=%v: GC did not advance past the tombstoned record", bulk)
-		}
-		if err := s.WriteBlock(0, fillBlock(1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.WriteBlock(1, fillBlock(2)); err != nil {
-			t.Fatal(err)
-		}
-		crash(s)
-
-		r, err := OpenFileStore(path, FileStoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst := make([]byte, BlockSize)
-		if err := r.ReadBlock(2, dst); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dst, final) {
-			t.Fatalf("bulk=%v: stale quarantined record replayed over the superseding write", bulk)
-		}
-		r.Close()
+// A v2 file whose ring still holds a live record is refused: the record may
+// be the only copy of an acknowledged write, and this build does not replay
+// it. The error says how to retire the ring.
+func TestFileStoreRefusesLiveV2Journal(t *testing.T) {
+	_, err := OpenFileStore(fixture(t, "v2-live.bnd"), FileStoreOptions{})
+	if !errors.Is(err, ErrVersionMismatch) || !strings.Contains(err.Error(), "build from before format v3") {
+		t.Fatalf("open = %v, want ErrVersionMismatch naming the pre-v3 build", err)
 	}
 }
 
-// The confirmed-corruption scenario from review: a journaled write followed
-// by an unjournaled bulk rewrite of the same block, then a crash. The
-// journaled write retired its record on completion, so recovery must NOT
-// replay the stale pre-rewrite image over the bulk-written bytes.
+// Writes to a retired v2 file land in its data region, in place, and a crash
+// keeps them: no stale record in the file's ring is ever replayed over a
+// newer write, single-block or bulk.
 func TestFileStoreBulkRewriteNotClobberedByStaleJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "nvm.bnd")
-	s, err := CreateFileStore(path, 4, FileStoreOptions{})
+	path := fixture(t, "v2-retired.bnd")
+	s, err := OpenFileStore(path, FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlock(2, fillBlock(0xAA)); err != nil { // journaled
+	if err := s.WriteBlocks(0, append(fillBlock(0xB0), fillBlock(0xB1)...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlockUnjournaled(2, fillBlock(0xBB)); err != nil { // bulk rewrite
+	if err := s.WriteBlock(3, fillBlock(0xB3)); err != nil {
 		t.Fatal(err)
 	}
 	crash(s)
@@ -356,14 +231,13 @@ func TestFileStoreBulkRewriteNotClobberedByStaleJournal(t *testing.T) {
 	}
 	defer r.Close()
 	dst := make([]byte, BlockSize)
-	if err := r.ReadBlock(2, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, fillBlock(0xBB)) {
-		t.Fatalf("stale journal record replayed over a newer bulk write")
-	}
-	if r.BackendStats().RecoveredRecords != 0 {
-		t.Fatalf("recovered %d records, want 0", r.BackendStats().RecoveredRecords)
+	for idx, tag := range []byte{0xB0, 0xB1, 0x12, 0xB3} {
+		if err := r.ReadBlock(idx, dst); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dst, fillBlock(tag)) {
+			t.Fatalf("block %d: a stale v2 ring record replaced a newer write", idx)
+		}
 	}
 }
 
@@ -491,8 +365,7 @@ func TestFileStoreSyncModes(t *testing.T) {
 
 func TestFileStoreConcurrentReadWrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nvm.bnd")
-	// A small ring forces wraps, pads and inline GC under concurrency.
-	s, err := CreateFileStore(path, 32, FileStoreOptions{RingBlocks: minRingBlocks})
+	s, err := CreateFileStore(path, 32, FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,50 +403,8 @@ func TestFileStoreConcurrentReadWrite(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-	if s.BackendStats().JournalWrites == 0 {
-		t.Fatal("journal write counter not advancing")
-	}
-}
-
-// Bulk (unjournaled) writes must land in the data region without consuming
-// journal slots or writing journal records.
-func TestFileStoreWriteBlockUnjournaled(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "nvm.bnd")
-	s, err := CreateFileStore(path, 4, FileStoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.WriteBlockUnjournaled(1, fillBlock(0x77)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteBlockUnjournaled(9, fillBlock(1)); err == nil {
-		t.Fatal("expected out-of-range error")
-	}
-	dst := make([]byte, BlockSize)
-	if err := s.ReadBlock(1, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dst, fillBlock(0x77)) {
-		t.Fatal("unjournaled write content mismatch")
-	}
-	if got := s.BackendStats().JournalWrites; got != 0 {
-		t.Fatalf("unjournaled write produced %d journal records", got)
-	}
-
-	// Device-level: the bulk path falls back to WriteBlock on MemStore and
-	// counts blocks written either way.
-	d := NewDevice(DeviceConfig{Store: s, Seed: 1})
-	if err := d.WriteBlockBulk(2, fillBlock(0x33)); err != nil {
-		t.Fatal(err)
-	}
-	mem := NewDevice(DeviceConfig{NumBlocks: 4, Seed: 1})
-	defer mem.Close()
-	if err := mem.WriteBlockBulk(2, fillBlock(0x33)); err != nil {
-		t.Fatal(err)
-	}
-	if d.Stats().BlocksWritten != 1 || mem.Stats().BlocksWritten != 1 {
-		t.Fatalf("bulk writes not counted: file=%d mem=%d", d.Stats().BlocksWritten, mem.Stats().BlocksWritten)
+	if s.BackendStats().DataWrites <= 32 {
+		t.Fatal("data write counter not advancing")
 	}
 }
 
@@ -610,11 +441,64 @@ func TestDeviceReadBlocksAndFlush(t *testing.T) {
 	if s.Store.Backend != "file" {
 		t.Fatalf("backend = %q", s.Store.Backend)
 	}
-	if s.Store.Flushes == 0 || s.Store.JournalWrites != 16 {
+	if s.Store.Flushes == 0 || s.Store.DataWrites != 16 {
 		t.Fatalf("backend stats %+v", s.Store)
 	}
 	if s.BlocksRead != int64(len(idxs)) || s.ReadBatches != 1 || s.ReadLatency.Count != 0 {
 		t.Fatalf("blocks read %d in %d batches with %d modelled latencies, want %d in 1 with none",
 			s.BlocksRead, s.ReadBatches, s.ReadLatency.Count, len(idxs))
 	}
+}
+
+// FuzzBlockFileHeader feeds OpenFileStore bytes it did not write: arbitrary
+// first blocks (superblock and, for v2, the two watermark slots) over a
+// 15-block file, with head copied to the start of every block a v2 ring of 8
+// would hold. Every input is refused with an error or opens with a geometry
+// the file covers — no panic, and no allocation beyond the file's size.
+func FuzzBlockFileHeader(f *testing.F) {
+	v3 := filepath.Join(f.TempDir(), "v3.bnd")
+	s, err := CreateFileStore(v3, 14, FileStoreOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.Close()
+	for _, path := range []string{v3, filepath.Join("testdata", "v2-retired.bnd"), filepath.Join("testdata", "v2-live.bnd")} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for ring := 3; ring < 11; ring++ {
+			f.Add(raw[:3*BlockSize], raw[ring*BlockSize:(ring+1)*BlockSize])
+		}
+	}
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, first, head []byte) {
+		const fileBlocks = 15
+		img := make([]byte, fileBlocks*BlockSize)
+		copy(img, first[:min(len(first), 3*BlockSize)])
+		for ring := 3; ring < 11; ring++ {
+			copy(img[ring*BlockSize:(ring+1)*BlockSize], head)
+		}
+		path := filepath.Join(dir, "fuzz.bnd")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := OpenFileStore(path, FileStoreOptions{})
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(img)) {
+			t.Fatalf("open allocated %d bytes for a %d-byte file", grew, len(img))
+		}
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		if end := s.dataOff + int64(s.NumBlocks())*BlockSize; s.NumBlocks() <= 0 || end > int64(len(img)) {
+			t.Fatalf("opened %d blocks at offset %d from a %d-byte file", s.NumBlocks(), s.dataOff, len(img))
+		}
+		if err := s.ReadBlock(s.NumBlocks()-1, make([]byte, BlockSize)); err != nil {
+			t.Fatalf("last block unreadable: %v", err)
+		}
+	})
 }

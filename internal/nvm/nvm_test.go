@@ -101,8 +101,8 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if string(dst[:9]) != "hello nvm" {
 		t.Fatalf("got %q", dst[:9])
 	}
-	// Superblock + watermark blocks + ring journal region + 4 data blocks.
-	want := int64(metaBlocks+s.RingBlocks()+4) * BlockSize
+	// Superblock + 4 data blocks.
+	want := int64(1+4) * BlockSize
 	if fi, err := os.Stat(path); err != nil || fi.Size() != want {
 		t.Fatalf("file size = %v err %v, want %d", fi, err, want)
 	}

@@ -15,8 +15,19 @@ type BlockStore interface {
 	// ReadBlocks copies block idxs[i] into dst[i*BlockSize:(i+1)*BlockSize]
 	// for every i — the batched read path used by LookupBatch misses.
 	ReadBlocks(idxs []int, dst []byte) error
-	// WriteBlock stores src (at most BlockSize bytes) as block idx.
+	// WriteBlock stores src (at most BlockSize bytes, zero padded) as block
+	// idx, in place. A durable store may tear it: a crash mid-write can leave
+	// a mixed block, part new bytes and part old, and the store keeps no
+	// journal to undo or redo it. The caller repairs it — core replays the
+	// update log's records over the block, bulk installs redo their range
+	// from their commit point.
 	WriteBlock(idx int, src []byte) error
+	// WriteBlocks stores len(src)/BlockSize consecutive blocks starting at
+	// block base (len(src) must be a multiple of BlockSize) in one operation:
+	// a single pwrite on the file backend. It is the path of bulk loads and
+	// layout installs, whose commit point makes the whole range redoable;
+	// it tears like WriteBlock.
+	WriteBlocks(base int, src []byte) error
 	// Close releases resources.
 	Close() error
 }
@@ -25,28 +36,6 @@ type BlockStore interface {
 // Flush forces them to stable storage.
 type Flusher interface {
 	Flush() error
-}
-
-// BulkWriter is implemented by block stores that offer an unjournaled
-// bulk-load write path (FileStore). Use it only when crash-atomicity is
-// provided at a higher level — a torn unjournaled write leaves a mixed
-// block, so the caller must be able to detect the interruption and redo the
-// whole load (see core's manifest / migration-record commit points).
-type BulkWriter interface {
-	WriteBlockUnjournaled(idx int, src []byte) error
-}
-
-// RangeBulkWriter is implemented by block stores that can install a
-// contiguous run of blocks in one operation (a single pwrite on the file
-// backend). It is the copy-in path of background layout migration: the
-// staged image of a whole table lands in its block range at device
-// bandwidth instead of block by block. Same crash-safety contract as
-// BulkWriter — the caller owns the commit point and must redo the whole
-// range if interrupted.
-type RangeBulkWriter interface {
-	// WriteBlocksUnjournaled writes len(src)/BlockSize consecutive blocks
-	// starting at block base. len(src) must be a multiple of BlockSize.
-	WriteBlocksUnjournaled(base int, src []byte) error
 }
 
 // BackendStats describes a block store backend for reporting.
@@ -61,30 +50,18 @@ type BackendStats struct {
 	// (buffered I/O), or "pread" (direct I/O, or a platform that cannot map
 	// the file).
 	ReadPath string
-	// JournalWrites counts write-ahead journal records appended (file only;
-	// one per WriteBlock).
-	JournalWrites int64
-	// JournalBytesAppended counts bytes appended to the ring journal,
-	// including record headers, alignment padding and wrap pads (file only).
+	// JournalWrites, JournalBytesAppended and RingUtilization are always 0:
+	// they described the block store's ring journal, which format v3
+	// removed. They remain only because the benchmark harness reads them.
+	JournalWrites        int64
 	JournalBytesAppended int64
-	// JournalGCRuns counts watermark advances that retired journal records
-	// (file only).
-	JournalGCRuns int64
-	// RingUtilization is the live fraction of the ring journal region at
-	// snapshot time — sustained values near 1.0 mean writers outrun
-	// retirement (file only).
-	RingUtilization float64
-	// DataWrites counts journaled in-place data-region writes (file only;
-	// one per successful WriteBlock — with JournalWrites
-	// this pins the 2-pwrites-per-write steady state).
+	RingUtilization      float64
+	// DataWrites counts single-block in-place writes (file only; one per
+	// successful WriteBlock — core's compaction and replay read-modify-writes;
+	// WriteBlocks installs are not counted).
 	DataWrites int64
-	// FailedWriteRecords counts journal records pinned by a failed in-place
-	// write; they replay at the next open (file only).
-	FailedWriteRecords int64
 	// Flushes counts explicit or periodic fsyncs (file only).
 	Flushes int64
-	// RecoveredRecords counts journal records replayed at open (file only).
-	RecoveredRecords int64
 	// BouncedReads counts direct-mode preads whose destination was not
 	// aligned and so went through an aligned pool buffer and a copy (file
 	// only). The serving path's buffers are aligned: it stays 0 there.
@@ -190,9 +167,8 @@ func (s *MemStore) WriteBlock(idx int, src []byte) error {
 	return nil
 }
 
-// WriteBlocksUnjournaled implements RangeBulkWriter: one copy under one
-// lock acquisition.
-func (s *MemStore) WriteBlocksUnjournaled(base int, src []byte) error {
+// WriteBlocks implements BlockStore: one copy under one lock acquisition.
+func (s *MemStore) WriteBlocks(base int, src []byte) error {
 	if len(src)%BlockSize != 0 {
 		return fmt.Errorf("nvm: bulk write of %d bytes is not block-aligned", len(src))
 	}

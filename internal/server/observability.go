@@ -223,10 +223,6 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		func(st *core.Store) float64 { return float64(st.DeviceStats().ReadBatches) })
 	deviceCounter("bandana_device_coalesced_reads_total", "Reads coalesced into another read's device I/O.",
 		func(st *core.Store) float64 { return float64(st.DeviceStats().CoalescedReads) })
-	deviceCounter("bandana_device_journal_writes_total", "Ring-journal record writes (file backend).",
-		func(st *core.Store) float64 { return float64(st.DeviceStats().Store.JournalWrites) })
-	deviceCounter("bandana_device_journal_bytes_appended_total", "Bytes appended to the ring journal.",
-		func(st *core.Store) float64 { return float64(st.DeviceStats().Store.JournalBytesAppended) })
 	deviceCounter("bandana_device_flushes_total", "Block-store flushes.",
 		func(st *core.Store) float64 { return float64(st.DeviceStats().Store.Flushes) })
 	r.Register("bandana_device_drive_writes", "gauge", "Cumulative full-drive writes (wear).", func() []metrics.Sample {
@@ -234,9 +230,6 @@ func (s *Server) buildRegistry() *metrics.Registry {
 	})
 	r.Register("bandana_device_endurance_dwpd", "gauge", "Projected drive writes per day.", func() []metrics.Sample {
 		return metrics.CounterSample(nil, s.scrapeStore().DeviceStats().EnduranceDWPD)
-	})
-	r.Register("bandana_device_ring_utilization", "gauge", "Live fraction of the ring-journal region.", func() []metrics.Sample {
-		return metrics.CounterSample(nil, s.scrapeStore().DeviceStats().Store.RingUtilization)
 	})
 
 	// I/O scheduler.

@@ -515,26 +515,18 @@ type deviceStats struct {
 	MaxQueueDepth  int64   `json:"maxQueueDepth"`
 	CoalescedReads int64   `json:"coalescedReads"`
 	// Backend names the block store behind the device ("mem" or "file");
-	// the journal/flush counters are non-zero for the file backend only.
+	// the write/flush counters are non-zero for the file backend only.
 	// DirectIO reports whether the block file is open with O_DIRECT (false
 	// also when it was requested but the filesystem fell back to buffered
 	// I/O). ReadPath is how the file backend reads a block: "mmap" (in place
 	// in its mapping of the data region — the serving path's misses — or a
-	// copy out of it, buffered I/O) or "pread" (direct I/O).
-	// JournalBytesAppended / JournalGCRuns / RingUtilization describe
-	// the ring journal: total bytes appended, head-advancing GC watermark
-	// writes, and the live fraction of the ring region.
-	Backend              string  `json:"backend"`
-	DirectIO             bool    `json:"directIO"`
-	ReadPath             string  `json:"readPath,omitempty"`
-	JournalWrites        int64   `json:"journalWrites"`
-	JournalBytesAppended int64   `json:"journalBytesAppended"`
-	JournalGCRuns        int64   `json:"journalGCRuns"`
-	RingUtilization      float64 `json:"ringUtilization"`
-	DataWrites           int64   `json:"dataWrites"`
-	FailedWriteRecords   int64   `json:"failedWriteRecords"`
-	Flushes              int64   `json:"flushes"`
-	RecoveredRecords     int64   `json:"recoveredRecords"`
+	// copy out of it, buffered I/O) or "pread" (direct I/O). DataWrites
+	// counts single-block in-place writes: compaction's read-modify-writes.
+	Backend    string `json:"backend"`
+	DirectIO   bool   `json:"directIO"`
+	ReadPath   string `json:"readPath,omitempty"`
+	DataWrites int64  `json:"dataWrites"`
+	Flushes    int64  `json:"flushes"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -544,27 +536,21 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, statsResponse{
 		Tables: store.Stats(),
 		Device: deviceStats{
-			BlocksRead:           dev.BlocksRead,
-			BlocksWritten:        dev.BlocksWritten,
-			BytesRead:            dev.BytesRead,
-			DriveWrites:          dev.DriveWrites,
-			EnduranceDWPD:        dev.EnduranceDWPD,
-			ReadsSubmitted:       dev.ReadsSubmitted,
-			ReadBatches:          dev.ReadBatches,
-			AvgReadBatch:         dev.AvgReadBatch,
-			MaxQueueDepth:        dev.MaxQueueDepth,
-			CoalescedReads:       dev.CoalescedReads,
-			Backend:              dev.Store.Backend,
-			DirectIO:             dev.Store.DirectIO,
-			ReadPath:             dev.Store.ReadPath,
-			JournalWrites:        dev.Store.JournalWrites,
-			JournalBytesAppended: dev.Store.JournalBytesAppended,
-			JournalGCRuns:        dev.Store.JournalGCRuns,
-			RingUtilization:      dev.Store.RingUtilization,
-			DataWrites:           dev.Store.DataWrites,
-			FailedWriteRecords:   dev.Store.FailedWriteRecords,
-			Flushes:              dev.Store.Flushes,
-			RecoveredRecords:     dev.Store.RecoveredRecords,
+			BlocksRead:     dev.BlocksRead,
+			BlocksWritten:  dev.BlocksWritten,
+			BytesRead:      dev.BytesRead,
+			DriveWrites:    dev.DriveWrites,
+			EnduranceDWPD:  dev.EnduranceDWPD,
+			ReadsSubmitted: dev.ReadsSubmitted,
+			ReadBatches:    dev.ReadBatches,
+			AvgReadBatch:   dev.AvgReadBatch,
+			MaxQueueDepth:  dev.MaxQueueDepth,
+			CoalescedReads: dev.CoalescedReads,
+			Backend:        dev.Store.Backend,
+			DirectIO:       dev.Store.DirectIO,
+			ReadPath:       dev.Store.ReadPath,
+			DataWrites:     dev.Store.DataWrites,
+			Flushes:        dev.Store.Flushes,
 		},
 		IOSched: sched,
 		Wire:    s.renderWireStats(),

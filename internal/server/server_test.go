@@ -164,7 +164,7 @@ func TestBatchEndpoint(t *testing.T) {
 }
 
 // TestStatsFileBackend serves a file-backed store and checks that /v1/stats
-// reports the backend name and its journal/flush counters.
+// reports the backend name and its write/flush counters.
 func TestStatsFileBackend(t *testing.T) {
 	g := table.Generate("tA", table.GenerateOptions{NumVectors: 512, Dim: 16, NumClusters: 8, Seed: 1})
 	store, err := core.Open(core.Config{
@@ -180,8 +180,8 @@ func TestStatsFileBackend(t *testing.T) {
 	ts := httptest.NewServer(New(store).Handler())
 	t.Cleanup(ts.Close)
 
-	// Bulk ingest bypasses the journal, and so does an update until it is
-	// compacted: it is one update-log append, served from the overlay.
+	// Bulk ingest is no single-block write, and an update is none until it
+	// is compacted: it is one update-log append, served from the overlay.
 	updateAndLookup(t, store, ts.URL, 1)
 	var out statsResponse
 	if code := getJSON(t, ts.URL+"/v1/stats", &out); code != http.StatusOK {
@@ -193,11 +193,11 @@ func TestStatsFileBackend(t *testing.T) {
 	if out.Tables[0].DeltaHits != 1 || out.UpdateLog.OverlayEntries != 1 || out.UpdateLog.Appends != 1 {
 		t.Fatalf("update not served from the overlay: deltaHits=%d %+v", out.Tables[0].DeltaHits, out.UpdateLog)
 	}
-	if out.Device.JournalWrites != 0 {
-		t.Fatalf("update reached the block journal before compaction: %+v", out.Device)
+	if out.Device.DataWrites != 0 {
+		t.Fatalf("update reached the block file before compaction: %+v", out.Device)
 	}
 
-	// Compaction is the journaled path: one block read-modify-write.
+	// Compaction is the in-place path: one block read-modify-write.
 	if err := store.CompactDeltas(); err != nil {
 		t.Fatal(err)
 	}
@@ -207,14 +207,8 @@ func TestStatsFileBackend(t *testing.T) {
 	if out.UpdateLog.OverlayEntries != 0 {
 		t.Fatalf("overlay not drained by compaction: %+v", out.UpdateLog)
 	}
-	if out.Device.JournalWrites == 0 {
-		t.Fatalf("journal writes not reported: %+v", out.Device)
-	}
-	if out.Device.JournalBytesAppended == 0 || out.Device.DataWrites == 0 {
-		t.Fatalf("ring journal counters not reported: %+v", out.Device)
-	}
-	if out.Device.RingUtilization < 0 || out.Device.RingUtilization > 1 {
-		t.Fatalf("ring utilization out of range: %+v", out.Device)
+	if out.Device.DataWrites == 0 {
+		t.Fatalf("data writes not reported: %+v", out.Device)
 	}
 	if out.Device.Flushes == 0 {
 		t.Fatalf("flushes not reported (Persist flushes at init): %+v", out.Device)
