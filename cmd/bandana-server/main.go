@@ -81,7 +81,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		stateOut = flag.String("save-state", "", "write the trained state to this file before serving")
 		shards   = flag.Int("shards", 0, "cache lock shards per table (0 = auto from GOMAXPROCS)")
-		backend  = flag.String("backend", core.BackendMem, "block store backend: mem or file")
+		backend  = flag.String("backend", core.BackendMem, "block store backend: mem (every block in DRAM, in the Go heap; nothing survives a restart) or file (blocks in a durable file under --data-dir; DRAM holds the caches and metadata)")
 		dataDir  = flag.String("data-dir", "", "data directory for the file backend (reused across runs)")
 		syncStr  = flag.String("sync", "periodic", "file backend durability: none, periodic or always")
 		direct   = flag.Bool("direct", false, "open the file backend's block file with O_DIRECT (honest NVM I/O, bypassing the page cache); falls back to buffered I/O where the filesystem rejects it")

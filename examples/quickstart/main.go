@@ -102,7 +102,7 @@ func main() {
 
 func printStats(stats []bandana.TableStats) {
 	for _, st := range stats {
-		fmt.Printf("  %-8s lookups=%-7d hitRate=%.2f blockReads=%-7d effBW=%.1f%% p99Latency=%.0fus\n",
-			st.Name, st.Lookups, st.HitRate, st.BlockReads, st.EffectiveBandwidth*100, st.Latency.P99)
+		fmt.Printf("  %-8s lookups=%-7d hitRate=%.2f blockReads=%-7d effBW=%.1f%% meanReadLatency=%.1fus\n",
+			st.Name, st.Lookups, st.HitRate, st.BlockReads, st.EffectiveBandwidth*100, st.Latency.Mean)
 	}
 }

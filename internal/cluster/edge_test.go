@@ -326,6 +326,8 @@ func TestRouterMetricsExposition(t *testing.T) {
 		`bandana_router_stage_duration_us{stage="serialize",quantile="0.5"} `,
 		`bandana_node_wire_requests_total{node="node-a"} 2` + "\n",
 		`bandana_node_wire_fallbacks_total{node="node-a"} 0` + "\n",
+		// One open connection to the node: its 12 KiB read buffer.
+		`bandana_wire_buffer_bytes 12288` + "\n",
 	} {
 		if !bytes.Contains(text, []byte(want)) {
 			t.Errorf("exposition missing %q", want)

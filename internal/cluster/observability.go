@@ -78,6 +78,19 @@ func (rt *Router) metricsRegistry() *metrics.Registry {
 		perNode(func(nc *nodeClient) float64 { return float64(nc.wireRequests.Value()) }))
 	r.Register("bandana_node_wire_fallbacks_total", "counter", "Wire transport failures degraded to HTTP per node.",
 		perNode(func(nc *nodeClient) float64 { return float64(nc.wireFallbacks.Value()) }))
+	r.Register("bandana_wire_buffer_bytes", "gauge", "Heap the router's open bwp connections to its nodes hold in buffers: one 12 KiB read buffer each; requests are written from their own frames.", func() []metrics.Sample {
+		rt.clientsMu.Lock()
+		defer rt.clientsMu.Unlock()
+		var n int64
+		for _, nc := range rt.clients {
+			nc.wireMu.Lock()
+			if nc.wireC != nil {
+				n += nc.wireC.BufferBytes()
+			}
+			nc.wireMu.Unlock()
+		}
+		return metrics.CounterSample(nil, float64(n))
+	})
 
 	// Process runtime.
 	r.Register("bandana_router_runtime_goroutines", "gauge", "Live goroutines.", func() []metrics.Sample {

@@ -167,7 +167,7 @@ func (s *Store) StartAdaptation(opts AdaptOptions) error {
 		return ErrAdaptationRunning
 	}
 	for i, st := range s.tables {
-		a.baseLookups[i] = st.counters.Value(ctrLookups)
+		a.baseLookups[i] = st.lookups()
 		a.baseHits[i] = st.counters.Value(ctrHits)
 		a.recorders[i] = trace.NewRecorder(opts.RecorderQueries, opts.RecorderStripes, opts.SampleEvery)
 		st.recorder.Store(a.recorders[i])
@@ -470,7 +470,7 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 	// Publish epoch accounting and reset the per-epoch counter baselines.
 	a.mu.Lock()
 	for i, st := range s.tables {
-		a.baseLookups[i] = st.counters.Value(ctrLookups)
+		a.baseLookups[i] = st.lookups()
 		a.baseHits[i] = st.counters.Value(ctrHits)
 	}
 	a.mu.Unlock()
@@ -590,7 +590,7 @@ func (s *Store) AdaptationStats() AdaptationStats {
 		state := st.loadState()
 		ts := TableAdaptationStats{
 			Name:            st.name,
-			EpochLookups:    st.counters.Value(ctrLookups) - a.baseLookups[i],
+			EpochLookups:    st.lookups() - a.baseLookups[i],
 			EpochHits:       st.counters.Value(ctrHits) - a.baseHits[i],
 			CacheVectors:    state.cacheCap,
 			Threshold:       state.threshold,

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"weak"
 
+	"bandana/internal/metrics"
 	"bandana/internal/nvm"
 	"bandana/internal/sim"
 	"bandana/internal/table"
@@ -512,6 +513,83 @@ func TestStatsAndReset(t *testing.T) {
 	s.ResetStats()
 	if s.Stats()[0].Lookups != 0 {
 		t.Fatal("reset failed")
+	}
+}
+
+// TestStageStatsPerTable pins how a table's stage snapshots relate to the
+// store's histograms: Count and Mean are the table's own, so Count×Mean sums
+// over tables to the store's total, while the quantiles are the store's.
+// Untraced single-id probes are sampled one in probeSampleEvery, each sample
+// standing for that many, so the probe Count still tracks the batch count.
+func TestStageStatsPerTable(t *testing.T) {
+	tables, traces := buildTestTables(t, 2, 1024, 50)
+	s, err := Open(Config{Tables: tables, Seed: 8, DRAMBudgetVectors: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, q := range traces[0].Queries {
+		if _, err := s.LookupBatch(0, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const singles = 100 * probeSampleEvery
+	for i := range singles {
+		if _, err := s.Lookup(1, uint32(i%1024)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, stages := s.Stats(), s.StageLatency()
+	for i, ts := range st {
+		if ts.Lookups != ts.Hits+ts.Misses {
+			t.Fatalf("table %d: %d lookups, %d hits + %d misses", i, ts.Lookups, ts.Hits, ts.Misses)
+		}
+	}
+	if got, want := st[0].ProbeLatency.Count, int64(len(traces[0].Queries)); got != want {
+		t.Fatalf("table 0 probe count %d, want one per batch: %d", got, want)
+	}
+	if n := st[1].ProbeLatency.Count; n%probeSampleEvery != 0 || n < singles*2/5 || n > singles*8/5 {
+		t.Fatalf("table 1 probe count %d after %d single-id lookups, want a multiple of %d near %d", n, singles, probeSampleEvery, singles)
+	}
+	if st[1].DecodeLatency.Count != 0 || st[0].DecodeLatency.Count != int64(len(traces[0].Queries)) {
+		t.Fatalf("decode counts %d / %d: untraced single lookups are not timed, batches are",
+			st[0].DecodeLatency.Count, st[1].DecodeLatency.Count)
+	}
+	for _, c := range []struct {
+		name  string
+		store metrics.Snapshot
+		table func(TableStats) metrics.Snapshot
+	}{
+		{"service", stages.Service, func(ts TableStats) metrics.Snapshot { return ts.Latency }},
+		{"decode", stages.Decode, func(ts TableStats) metrics.Snapshot { return ts.DecodeLatency }},
+	} {
+		var count int64
+		var sum float64
+		for _, ts := range st {
+			snap := c.table(ts)
+			count += snap.Count
+			sum += snap.Mean * float64(snap.Count)
+			if snap.P50 != c.store.P50 || snap.P99 != c.store.P99 || snap.Max != c.store.Max {
+				t.Fatalf("%s: a table's quantiles %+v are not the store's %+v", c.name, snap, c.store)
+			}
+		}
+		// The tables keep whole nanoseconds: half of one per sample at most.
+		storeSum := c.store.Mean * float64(c.store.Count)
+		if count != c.store.Count || math.Abs(sum-storeSum) > 0.5e-3*float64(count)+1e-9*storeSum {
+			t.Fatalf("%s: tables sum to %d samples, %.3f us; the store has %d, %.3f us", c.name, count, sum, c.store.Count, storeSum)
+		}
+	}
+
+	var tr StageTrace
+	if _, err := s.LookupTraced(1, 7, &tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.ProbeUS <= 0 {
+		t.Fatal("a traced single-id lookup did not time its probe")
+	}
+	s.ResetStats()
+	if st, stages := s.Stats()[0], s.StageLatency(); st.ProbeLatency.Count != 0 || stages.Probe.Count != 0 {
+		t.Fatalf("after ResetStats: table probe count %d, store's %d", st.ProbeLatency.Count, stages.Probe.Count)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/bits"
+	randv2 "math/rand/v2"
 	"slices"
 	"sync"
 	"time"
@@ -24,6 +25,10 @@ import (
 // by linear scan; larger batches use an open-addressing table in the pooled
 // batch scratch. Neither allocates.
 const dedupeScanThreshold = 32
+
+// probeSampleEvery is how many untraced single-id probes share one timed
+// sample.
+const probeSampleEvery = 64
 
 // Lookup returns the embedding vector id of table tableIdx, decoded into a
 // slice the caller owns.
@@ -333,11 +338,12 @@ func (st *storeTable) readBlocksMiss(abs []int, dst []byte, epoch uint64) (wait 
 	}
 }
 
-// decodeViews decodes the fp16 views of one operation into a single backing
-// array (vector i at [i*dim, (i+1)*dim)). When timed, the whole decode is one
-// sample of the decode stage. The caller still holds the lease the views
-// were served under.
-func (st *storeTable) decodeViews(views [][]byte, timed bool, tr *StageTrace) []float32 {
+// decodeViews decodes the fp16 views of one operation, whose first id is
+// first, into a single backing array (vector i at [i*dim, (i+1)*dim)). When
+// timed, the whole decode is one sample of the decode stage, counted on
+// first's stripe. The caller still holds the lease the views were served
+// under.
+func (st *storeTable) decodeViews(views [][]byte, first uint32, timed bool, tr *StageTrace) []float32 {
 	var start time.Time
 	if timed {
 		start = time.Now()
@@ -348,7 +354,7 @@ func (st *storeTable) decodeViews(views [][]byte, timed bool, tr *StageTrace) []
 	}
 	if timed {
 		d := usSince(start)
-		st.decodeLatency.Observe(d)
+		st.observe(st.counters.Stripe(hashID(first)), stageDecode, d, 1)
 		if tr != nil {
 			tr.DecodeUS += d
 		}
@@ -367,7 +373,7 @@ func (st *storeTable) lookup(id uint32, tr *StageTrace) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	vec := st.decodeViews(view[:], tr != nil, tr)
+	vec := st.decodeViews(view[:], id, tr != nil, tr)
 	release()
 	return vec, nil
 }
@@ -380,7 +386,7 @@ func (st *storeTable) lookupBatch(ids []uint32, tr *StageTrace) ([][]float32, er
 	if err != nil {
 		return nil, err
 	}
-	flat := st.decodeViews(views, true, tr)
+	flat := st.decodeViews(views, ids[0], true, tr)
 	release()
 	out := make([][]float32, len(ids))
 	for i := range out {
@@ -453,9 +459,20 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 	}
 	// The probe takes each cache shard's lock once for all of the batch's
 	// ids in that shard, and is timed once per batch: a clock read per id
-	// would be a measurable tax on the all-DRAM hit path.
+	// would be a measurable tax on the all-DRAM hit path. An untraced probe
+	// of one id, where the two clock reads and the sample would cost as much
+	// as the probe itself, is timed once in probeSampleEvery, and its sample
+	// stands for that many, so the table's probe Mean stays the mean over
+	// all batches rather than leaning to the larger ones.
 	var deltaHits int64
-	probeStart := time.Now()
+	timeProbe, probeWeight := true, int64(1)
+	if len(uniq) == 1 && tr == nil {
+		timeProbe, probeWeight = randv2.Uint32()%probeSampleEvery == 0, probeSampleEvery
+	}
+	var probeStart time.Time
+	if timeProbe {
+		probeStart = time.Now()
+	}
 	prefetchHits := ts.cache.GetBatch(uniq, views, func(u int) []byte {
 		// A miss probes the delta overlay, under the shard lock, before the
 		// miss path: an updated vector's authoritative bytes live here until
@@ -480,8 +497,13 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 		}
 		return raw
 	})
-	probeUS := usSince(probeStart)
-	st.probeLatency.Observe(probeUS / float64(len(uniq)))
+	// The counters move once per batch, on the stripe of its first id.
+	c := st.counters.Stripe(hashID(ids[0]))
+	var probeUS float64
+	if timeProbe {
+		probeUS = usSince(probeStart)
+		st.observe(c, stageProbe, probeUS/float64(len(uniq)), probeWeight)
+	}
 	for u, v := range views {
 		if v == nil {
 			if missed == nil {
@@ -499,9 +521,6 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 			}
 		}
 	}
-	// The counters move once per batch, on the stripe of its first id.
-	c := st.counters.Stripe(hashID(ids[0]))
-	c[ctrLookups].Add(int64(len(ids)))
 	c[ctrHits].Add(int64(hits))
 	if misses := len(ids) - hits; misses > 0 {
 		c[ctrMisses].Add(int64(misses))
@@ -615,7 +634,7 @@ func (m *missStep) readInPlace(abs []int) error {
 		return err
 	}
 	us := usSince(start)
-	m.st.lookupLatency.Observe(us)
+	m.st.observe(m.st.counters.Stripe(uint64(abs[0])), stageService, us, 1)
 	if m.tr != nil {
 		m.tr.ServiceUS += us
 	}
@@ -640,8 +659,9 @@ func (m *missStep) readScheduled(abs []int) error {
 		return err
 	}
 	service := usSince(start) - wait
-	m.st.lookupLatency.Observe(service)
-	m.st.queueWaitLatency.Observe(wait)
+	c := m.st.counters.Stripe(uint64(abs[0]))
+	m.st.observe(c, stageService, service, 1)
+	m.st.observe(c, stageQueueWait, wait, 1)
 	if m.tr != nil {
 		m.tr.ServiceUS += service
 		m.tr.QueueWaitUS += wait

@@ -81,10 +81,17 @@ type TableStats struct {
 	Latency metrics.Snapshot
 	// Stage latency decomposition (all microseconds). ProbeLatency is the
 	// DRAM cache/overlay probe, timed once per batch and observed as
-	// microseconds per distinct id probed. QueueWaitLatency is time miss
-	// reads spent waiting for an I/O scheduler issue slot.
-	// DecodeLatency is requested-vector fp16 decode time (prefetch
-	// admission decodes excluded).
+	// microseconds per distinct id probed; an untraced batch of one id is
+	// timed one time in 64, and its sample counts 64 times in Count and Mean.
+	// QueueWaitLatency is time miss reads spent waiting for an I/O scheduler
+	// issue slot. DecodeLatency is requested-vector fp16 decode time
+	// (prefetch admission decodes excluded).
+	//
+	// In these four snapshots and Latency, Count and Mean are this table's
+	// own (a sum and count it keeps per stage), so Count×Mean sums over
+	// tables to the store's total; P50–P999, Min and Max are the store's,
+	// over every table's samples (see Store.StageLatency). The histograms
+	// are per store so that what a table costs does not include them.
 	ProbeLatency     metrics.Snapshot
 	QueueWaitLatency metrics.Snapshot
 	DecodeLatency    metrics.Snapshot
@@ -110,19 +117,20 @@ type TableDRAM struct {
 	CacheIndex int64
 	// Recorder is the adaptation engine's access window (0 while it is off).
 	Recorder int64
-	// Metrics is the serving counters' stripes and the four stage
-	// histograms (device service, probe, queue wait, decode).
+	// Metrics is the serving counters' stripes, which hold the table's sum
+	// and count of each stage too; the stage histograms are the store's
+	// (StoreDRAM.Metrics).
 	Metrics int64
 }
 
 // Stats returns per-table serving statistics.
 func (s *Store) Stats() []TableStats {
 	out := make([]TableStats, len(s.tables))
+	stages := s.StageLatency()
 	for i, st := range s.tables {
 		state := st.loadState()
 		ts := TableStats{
 			Name:             st.name,
-			Lookups:          st.counters.Value(ctrLookups),
 			Hits:             st.counters.Value(ctrHits),
 			DeltaHits:        st.counters.Value(ctrDeltaHits),
 			Misses:           st.counters.Value(ctrMisses),
@@ -136,11 +144,12 @@ func (s *Store) Stats() []TableStats {
 			DemandThreshold:  state.demandThreshold,
 			Prefetching:      state.prefetch,
 			LayoutInstalls:   st.layoutInstalls.Load(),
-			Latency:          st.lookupLatency.Snapshot(),
-			ProbeLatency:     st.probeLatency.Snapshot(),
-			QueueWaitLatency: st.queueWaitLatency.Snapshot(),
-			DecodeLatency:    st.decodeLatency.Snapshot(),
+			Latency:          st.stageSnapshot(stageService, stages.Service),
+			ProbeLatency:     st.stageSnapshot(stageProbe, stages.Probe),
+			QueueWaitLatency: st.stageSnapshot(stageQueueWait, stages.QueueWait),
+			DecodeLatency:    st.stageSnapshot(stageDecode, stages.Decode),
 		}
+		ts.Lookups = ts.Hits + ts.Misses
 		ts.PredictedHitRate = state.predicted.HitRate
 		ts.PredictedLookupsPerBlockRead = state.predicted.LookupsPerBlockRead
 		cs := state.cache.Stats()
@@ -159,7 +168,7 @@ func (s *Store) Stats() []TableStats {
 			Overlay:    int64(ts.OverlayEntries) * int64(st.vecBytes+overlayEntryBytes),
 			CacheArena: cs.ArenaBytes,
 			CacheIndex: cs.MetaBytes + cs.IndexBytes,
-			Metrics:    st.metricsBytes(),
+			Metrics:    st.counters.SizeBytes(),
 		}
 		if r := st.recorder.Load(); r != nil {
 			ts.DRAM.Recorder = r.SizeBytes()
@@ -182,11 +191,30 @@ func (s *Store) Stats() []TableStats {
 	return out
 }
 
-// metricsBytes is the heap of the table's serving counters and stage
-// histograms.
-func (st *storeTable) metricsBytes() int64 {
-	return st.counters.SizeBytes() + st.lookupLatency.SizeBytes() + st.probeLatency.SizeBytes() +
-		st.queueWaitLatency.SizeBytes() + st.decodeLatency.SizeBytes()
+// stageSnapshot is the table's view of stage s: the store's snapshot of it,
+// with the table's own sample count and mean.
+func (st *storeTable) stageSnapshot(s stage, store metrics.Snapshot) metrics.Snapshot {
+	store.Count, store.Mean = st.counters.Value(stageSum[s]+1), 0
+	if store.Count > 0 {
+		store.Mean = float64(st.counters.Value(stageSum[s])) / 1e3 / float64(store.Count)
+	}
+	return store
+}
+
+// StageStats is a store's stage latency decomposition over all its tables,
+// in microseconds (see TableStats for what each stage times).
+type StageStats struct {
+	Service, Probe, QueueWait, Decode metrics.Snapshot
+}
+
+// StageLatency returns the store's stage latency histograms' snapshots.
+func (s *Store) StageLatency() StageStats {
+	return StageStats{
+		Service:   s.stages[stageService].Snapshot(),
+		Probe:     s.stages[stageProbe].Snapshot(),
+		QueueWait: s.stages[stageQueueWait].Snapshot(),
+		Decode:    s.stages[stageDecode].Snapshot(),
+	}
 }
 
 // ResetStats clears all per-table counters (layouts, thresholds and cache
@@ -196,24 +224,32 @@ func (st *storeTable) metricsBytes() int64 {
 func (s *Store) ResetStats() {
 	for _, st := range s.tables {
 		st.counters.Reset()
-		st.lookupLatency.Reset()
-		st.probeLatency.Reset()
-		st.queueWaitLatency.Reset()
-		st.decodeLatency.Reset()
+	}
+	for _, h := range s.stages {
+		h.Reset()
 	}
 }
 
 // StoreDRAM is the heap a store keeps resident beside its tables' (see
 // TableDRAM), by component, in bytes.
 type StoreDRAM struct {
-	// Metrics is the device's read-latency histogram and the I/O
-	// scheduler's queue-wait and service histograms.
+	// Metrics is the four stage histograms every table records into, the
+	// device's read-latency histogram and the I/O scheduler's queue-wait and
+	// service histograms.
 	Metrics int64
+	// Blocks is the device's blocks when they are heap memory: every block
+	// of a mem-backend device, 4 KiB each (the data itself, tables and all);
+	// 0 on the file backend, whose blocks are on disk (or in the page cache,
+	// outside the heap).
+	Blocks int64
 }
 
 // DRAM returns the store-wide holders that no table's TableDRAM covers.
 func (s *Store) DRAM() StoreDRAM {
-	return StoreDRAM{Metrics: s.device.MetricsBytes() + s.sched.MetricsBytes()}
+	return StoreDRAM{
+		Metrics: s.stages.sizeBytes() + s.device.MetricsBytes() + s.sched.MetricsBytes(),
+		Blocks:  s.device.HeapBlockBytes(),
+	}
 }
 
 // DeviceStats returns the underlying NVM device counters.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +32,9 @@ type Store struct {
 	ownsDevice bool
 	// sched is the block I/O scheduler the miss-path reads of a device whose
 	// blocks are not memory (an O_DIRECT file store) are submitted to.
-	sched  *iosched.Scheduler
+	sched *iosched.Scheduler
+	// stages are the stage latency histograms of every table's lookups.
+	stages *stageHistograms
 	tables []*storeTable
 	byName map[string]int
 	seed   int64
@@ -107,30 +110,87 @@ func newTableCache(capacity, shards, vecBytes int) *vcache.Cache {
 }
 
 // counterStripes is the stripe count of a table's serving counters: 64
-// stripes of one two-line block holding all nine, 8 KB per table.
+// stripes of one two-line block holding all sixteen, 8 KB per table.
 const counterStripes = 64
 
-// A table's serving counters, one index each into its StripedCounters.
+// A table's serving counters, one index each into its StripedCounters. The
+// first cache line of a stripe holds what a cache-hit batch moves, the second
+// what the miss path does. A table's lookups are its hits plus its misses
+// (storeTable.lookups), so they take no counter of their own. Each stage keeps the
+// table's share of its time as a pair: the sum of its samples in
+// nanoseconds, then their count (stageSum).
 const (
-	ctrLookups = iota
-	ctrHits
+	ctrHits = iota
 	ctrDeltaHits
 	ctrMisses
+	ctrPrefetchHits
+	ctrProbeNS
+	ctrProbeSamples
+	ctrDecodeNS
+	ctrDecodeSamples
 	ctrBlockReads
 	ctrCoalescedReads
 	ctrPrefetchAdds
-	ctrPrefetchHits
 	ctrProbationFills
+	ctrServiceNS
+	ctrServiceSamples
+	ctrQueueWaitNS
+	ctrQueueWaitSamples
 	numCounters
 )
 
-// newStageHistogram builds the layout used by the per-stage latency
-// histograms (probe, queue wait, device service, decode): the sub-microsecond
-// stages, an in-place block read among them, need
-// finer resolution than the device-latency layout, so buckets start at 10 ns
-// (0.01 us) and run to 1 s with the usual ~5% relative bucket error.
-func newStageHistogram() *metrics.Histogram {
-	return metrics.NewHistogram(0.01, 1.05, 1e6)
+// stage names a component of a lookup's time.
+type stage int
+
+const (
+	// stageService is the device-service component of miss reads (the
+	// historical "lookup latency"), always wall time: an in-place read's
+	// visit, or a scheduled read's time less its own queue wait.
+	stageService stage = iota
+	// stageProbe is the DRAM cache/overlay probe: one sample per batch, the
+	// probe's microseconds per distinct id probed.
+	stageProbe
+	// stageQueueWait is the scheduler's queue wait of miss reads (in-place
+	// reads have no queue and take no sample).
+	stageQueueWait
+	// stageDecode covers requested-vector fp16 decodes.
+	stageDecode
+	numStages
+)
+
+// stageSum is the counter holding a stage's nanosecond sum; its sample count
+// is the counter after it.
+var stageSum = [numStages]int{
+	stageService:   ctrServiceNS,
+	stageProbe:     ctrProbeNS,
+	stageQueueWait: ctrQueueWaitNS,
+	stageDecode:    ctrDecodeNS,
+}
+
+// stageHistograms are a store's stage latency distributions, one per stage,
+// shared by its tables: a table keeps only its sum and count of each (in its
+// counters), so what it costs does not grow with the number of tables.
+type stageHistograms [numStages]*metrics.Histogram
+
+// newStageHistograms builds the layout used by the per-stage latency
+// histograms: the sub-microsecond stages, an in-place block read among them,
+// need finer resolution than the device-latency layout, so buckets start at
+// 10 ns (0.01 us) and run to 1 s with the usual ~5% relative bucket error.
+func newStageHistograms() *stageHistograms {
+	var h stageHistograms
+	for i := range h {
+		h[i] = metrics.NewHistogram(0.01, 1.05, 1e6)
+	}
+	return &h
+}
+
+// sizeBytes is the heap the histograms hold.
+func (h *stageHistograms) sizeBytes() int64 {
+	var n int64
+	for _, x := range h {
+		n += x.SizeBytes()
+	}
+	return n
 }
 
 // tableState is the trained state of one table. It is immutable once
@@ -213,21 +273,12 @@ type storeTable struct {
 	// counters are the serving counters (indexed by the ctr constants),
 	// striped so concurrent lookups on different vectors do not contend;
 	// the stripe is chosen by the same hash that picks the cache shard (a
-	// batch's lookup, hit and miss counts move once, on the one block of
-	// the stripe of its first id).
+	// batch's hit and miss counts move once, on the one block of the stripe
+	// of its first id).
 	counters *metrics.StripedCounters
-	// lookupLatency is the device-service component of miss reads (the
-	// historical "lookup latency"), always wall time: an in-place read's
-	// visit, or a scheduled read's time less its own queue wait. The
-	// histograms below decompose the rest of a lookup's time. probeLatency
-	// takes one sample per batch, the probe's microseconds per distinct id
-	// probed; queueWaitLatency is the scheduler's queue wait of miss reads
-	// (in-place reads have no queue and take no sample), and decodeLatency
-	// covers requested-vector fp16 decodes.
-	lookupLatency    *metrics.Histogram
-	probeLatency     *metrics.Histogram
-	queueWaitLatency *metrics.Histogram
-	decodeLatency    *metrics.Histogram
+	// stages mirrors Store.stages: a stage sample goes to the store's
+	// histogram for the stage and to the table's sum and count (observe).
+	stages *stageHistograms
 
 	// layoutInstalls counts completed installLayout calls.
 	layoutInstalls atomic.Int64
@@ -235,6 +286,20 @@ type storeTable struct {
 
 // loadState returns the current trained-state snapshot.
 func (st *storeTable) loadState() *tableState { return st.state.Load() }
+
+// observe records a sample of stage s, us microseconds: once in the store's
+// histogram for the stage, and weight times in the table's sum and count on
+// counter stripe c (a sample that stands for weight samples not taken).
+func (st *storeTable) observe(c []atomic.Int64, s stage, us float64, weight int64) {
+	st.stages[s].Observe(us)
+	c[stageSum[s]].Add(weight * int64(math.Round(us*1e3)))
+	c[stageSum[s]+1].Add(weight)
+}
+
+// lookups is the table's lookup count: every lookup is a hit or a miss.
+func (st *storeTable) lookups() int64 {
+	return st.counters.Value(ctrHits) + st.counters.Value(ctrMisses)
+}
 
 // mutateState applies fn to a copy of the current state and atomically
 // publishes the result. In-flight serving operations keep using the
@@ -460,6 +525,7 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 		seed:       cfg.Seed,
 		dataDir:    cfg.DataDir,
 		readOnly:   cfg.ReadOnly,
+		stages:     newStageHistograms(),
 	}
 	sched, err := iosched.New(device, iosched.Config{QueueDepth: cfg.IOSched.QueueDepth})
 	if err != nil {
@@ -489,23 +555,20 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 	}
 	for i, g := range geoms {
 		st := &storeTable{
-			index:            i,
-			name:             g.name,
-			numVectors:       g.numVectors,
-			dim:              g.dim,
-			vecBytes:         g.vecBytes(),
-			blockVectors:     g.blockVectors,
-			blockBase:        g.blockBase,
-			numBlocks:        g.numBlocks,
-			shards:           shards,
-			counters:         metrics.NewStripedCounters(counterStripes, numCounters),
-			lookupLatency:    newStageHistogram(),
-			probeLatency:     newStageHistogram(),
-			queueWaitLatency: newStageHistogram(),
-			decodeLatency:    newStageHistogram(),
-			sched:            s.sched,
-			inPlace:          inPlace,
-			overlay:          newDeltaOverlay(),
+			index:        i,
+			name:         g.name,
+			numVectors:   g.numVectors,
+			dim:          g.dim,
+			vecBytes:     g.vecBytes(),
+			blockVectors: g.blockVectors,
+			blockBase:    g.blockBase,
+			numBlocks:    g.numBlocks,
+			shards:       shards,
+			counters:     metrics.NewStripedCounters(counterStripes, numCounters),
+			stages:       s.stages,
+			sched:        s.sched,
+			inPlace:      inPlace,
+			overlay:      newDeltaOverlay(),
 		}
 		var l *layout.Layout
 		if layouts != nil {

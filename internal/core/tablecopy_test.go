@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -204,6 +205,64 @@ func TestStoreHeapIsAttributed(t *testing.T) {
 		grown, grownInuse, attributed, d.Layout, d.AdmitBits, d.Overlay, d.CacheArena, d.CacheIndex, d.Recorder, d.Metrics, sd.Metrics, share, float64(attributed)/float64(grownInuse))
 	if share < minShare {
 		t.Fatalf("DRAM() and Stats().DRAM name %.3f of the store's %d B of heap growth, want ≥ %.1f", share, grown, minShare)
+	}
+}
+
+// TestPerTableOverheadBound is the gate on what a store holds per table
+// besides its per-vector metadata and its cache: production models have many
+// tables, most of them small, so that fixed cost must stay small beside the
+// data. Over 256 tables of 1,024 64-dim vectors (128 KiB each) after Open +
+// Train, the live heap grown per table less its layout, admission bits and
+// cache arena must stay within 16 KB, and all the store's DRAM but the cache
+// arenas within 0.15 B per stored byte.
+func TestPerTableOverheadBound(t *testing.T) {
+	const tables, vectors, dim = 256, 1024, 64
+	const maxFixedPerTable, maxPerStoredByte = 16 << 10, 0.15
+	const storedBytes = tables * vectors * dim * fp16.ByteSize
+	// The store drops a threshold policy's counts once compiled; the test
+	// hook that keeps them would read as a per-table holder.
+	defer func(hook func(*storeTable, []uint32)) { thresholdCountsHook = hook }(thresholdCountsHook)
+	thresholdCountsHook = nil
+	base := heapLive()
+
+	cfg := Config{
+		Backend:     BackendFile,
+		DataDir:     filepath.Join(t.TempDir(), "store"),
+		Direct:      testDirect(),
+		CacheShards: 8,
+		Seed:        5,
+	}
+	traces := make([]*trace.Trace, tables)
+	for i := range tables {
+		p := trace.Profile{Name: fmt.Sprintf("t%03d", i), NumVectors: vectors, AvgLookups: 20, Locality: 0.9, CommunitySize: 64, ReuseSkew: 3, Seed: int64(i)}
+		cfg.Tables = append(cfg.Tables, table.Generate(p.Name, table.GenerateOptions{NumVectors: vectors, Dim: dim, Seed: int64(i)}).Table)
+		traces[i] = trace.GenerateTable(p, 100)
+	}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	if _, err := s.Train(traces, TrainOptions{SHPIterations: 2, MiniCacheSampling: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	traces, cfg.Tables = nil, nil
+
+	grown := heapLive() - base
+	var perVector, arena int64
+	for _, ts := range s.Stats() {
+		perVector += ts.DRAM.Layout + ts.DRAM.AdmitBits
+		arena += ts.DRAM.CacheArena
+	}
+	fixed := float64(grown-perVector-arena) / tables
+	perStored := float64(grown-arena) / storedBytes
+	t.Logf("live heap grew %d B over %d tables: layout + admission %d B, cache arenas %d B, the rest %.0f B per table; %.3f B of DRAM per stored byte besides the arenas",
+		grown, tables, perVector, arena, fixed, perStored)
+	if fixed > maxFixedPerTable {
+		t.Fatalf("%.0f B of heap per table besides layout, admission bits and cache arena, want ≤ %d", fixed, maxFixedPerTable)
+	}
+	if perStored > maxPerStoredByte {
+		t.Fatalf("%.3f B of DRAM per stored byte besides the cache arenas, want ≤ %.2f", perStored, maxPerStoredByte)
 	}
 }
 

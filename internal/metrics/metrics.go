@@ -12,6 +12,7 @@ import (
 	randv2 "math/rand/v2"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -157,7 +158,7 @@ func (r *Ratio) Reset() {
 // (Count, Quantile, Snapshot, ...) sum the stripes; like any relaxed
 // counter they may miss concurrent in-flight observations.
 type Histogram struct {
-	bounds  []float64 // upper bounds, ascending; immutable after construction
+	bounds  []float64 // upper bounds, ascending; immutable, shared by every histogram of the layout
 	stripes []histStripe
 	mask    uint32
 	minBits atomic.Uint64 // float64 bits of the smallest observation
@@ -174,8 +175,11 @@ type histStripe struct {
 }
 
 // histStripes is the number of stripes per histogram. Four stripes cut
-// same-bucket contention enough for the hit path while keeping the memory
-// cost of the ~330-bucket latency layout around 10 KB per histogram.
+// same-bucket contention enough for the hit path while keeping the counts of
+// the two layouts in use small: the latency layout (NewLatencyHistogram) has
+// 333 buckets, 10,656 B of counts per histogram, and the 10 ns stage layout
+// (0.01 to 1e6) 380 buckets, 12,160 B. Their bounds, 2,656 B and 3,032 B,
+// are shared (see layoutBounds).
 const histStripes = 4
 
 // NewHistogram creates a histogram with geometric bucket bounds
@@ -185,12 +189,7 @@ func NewHistogram(first, growth, maxBound float64) *Histogram {
 	if first <= 0 || growth <= 1 || maxBound <= first {
 		panic("metrics: invalid histogram parameters")
 	}
-	var bounds []float64
-	for b := first; b < maxBound; b *= growth {
-		bounds = append(bounds, b)
-	}
-	bounds = append(bounds, maxBound)
-	bounds = slices.Clone(bounds) // drop append's spare capacity: the bounds live as long as h
+	bounds := layoutBounds(first, growth, maxBound)
 	h := &Histogram{
 		bounds:  bounds,
 		stripes: make([]histStripe, histStripes),
@@ -202,6 +201,31 @@ func NewHistogram(first, growth, maxBound float64) *Histogram {
 	h.minBits.Store(math.Float64bits(math.Inf(1)))
 	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
 	return h
+}
+
+// layoutKey names a bucket layout by NewHistogram's parameters.
+type layoutKey struct{ first, growth, maxBound float64 }
+
+// layouts holds one bounds slice per bucket layout ever built, shared by
+// every histogram of that layout: the bounds are immutable, and a copy per
+// histogram would cost each one a quarter as much again as its counts. A
+// process uses a handful of layouts, so the map stays that small.
+var layouts sync.Map // layoutKey -> []float64
+
+// layoutBounds returns the shared bounds of a layout, building them on first
+// use.
+func layoutBounds(first, growth, maxBound float64) []float64 {
+	k := layoutKey{first, growth, maxBound}
+	if b, ok := layouts.Load(k); ok {
+		return b.([]float64)
+	}
+	var bounds []float64
+	for b := first; b < maxBound; b *= growth {
+		bounds = append(bounds, b)
+	}
+	bounds = append(bounds, maxBound)
+	b, _ := layouts.LoadOrStore(k, slices.Clone(bounds)) // drop append's spare capacity: the bounds live as long as the process
+	return b.([]float64)
 }
 
 // NewLatencyHistogram returns a histogram suitable for microsecond latencies
@@ -297,9 +321,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum() / float64(count)
 }
 
-// Sum returns the total of all observed values (0 if empty).
-func (h *Histogram) Sum() float64 { return h.sum() }
-
 // Min returns the smallest observation (0 if empty).
 func (h *Histogram) Min() float64 {
 	m := math.Float64frombits(h.minBits.Load())
@@ -372,10 +393,11 @@ func (h *Histogram) Reset() {
 	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
 }
 
-// SizeBytes is the heap the histogram holds: its bounds and every stripe's
-// bucket counts.
+// SizeBytes is the heap the histogram holds: every stripe's bucket counts.
+// The bounds are its layout's, shared with every histogram of that layout,
+// and not counted.
 func (h *Histogram) SizeBytes() int64 {
-	n := int64(unsafe.Sizeof(*h)) + int64(cap(h.bounds))*8
+	n := int64(unsafe.Sizeof(*h))
 	for i := range h.stripes {
 		n += int64(unsafe.Sizeof(h.stripes[i])) + int64(len(h.stripes[i].counts))*8
 	}

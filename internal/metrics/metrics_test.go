@@ -151,15 +151,17 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 }
 
 func TestHistogramSizeBytes(t *testing.T) {
-	// One more bucket costs one count in every stripe, plus whatever its
-	// bound adds to the bounds' allocation.
+	// One more bucket costs one count in every stripe; the bounds are the
+	// layout's, shared, and cost a histogram nothing.
 	small, big := NewHistogram(1, 2, 1024), NewHistogram(1, 2, 2048)
-	bounds := int64(8 * (cap(big.bounds) - cap(small.bounds)))
-	if got, want := big.SizeBytes()-small.SizeBytes(), bounds+8*histStripes; got != want {
+	if got, want := big.SizeBytes()-small.SizeBytes(), int64(8*histStripes); got != want {
 		t.Fatalf("one more bucket adds %d bytes, want %d", got, want)
 	}
-	if min := int64(len(small.bounds)*8 + histStripes*(len(small.bounds)+1)*8); small.SizeBytes() <= min {
-		t.Fatalf("SizeBytes %d does not cover the %d bytes of bounds and counts", small.SizeBytes(), min)
+	if min := int64(histStripes * (len(small.bounds) + 1) * 8); small.SizeBytes() <= min {
+		t.Fatalf("SizeBytes %d does not cover the %d bytes of counts", small.SizeBytes(), min)
+	}
+	if again := NewHistogram(1, 2, 1024); &again.bounds[0] != &small.bounds[0] {
+		t.Fatal("two histograms of one layout hold two copies of its bounds")
 	}
 }
 

@@ -73,6 +73,16 @@ func NewDevice(cfg DeviceConfig) *Device {
 // MetricsBytes is the heap of the device's read-latency histogram.
 func (d *Device) MetricsBytes() int64 { return d.readLatency.SizeBytes() }
 
+// HeapBlockBytes is the heap the device's blocks take: all of them when its
+// store is a MemStore (or embeds one), 0 for a file store, whose blocks are
+// on disk or in the page cache.
+func (d *Device) HeapBlockBytes() int64 {
+	if m, ok := d.store.(interface{ heapBytes() int64 }); ok {
+		return m.heapBytes()
+	}
+	return 0
+}
+
 // NumBlocks returns the device capacity in blocks.
 func (d *Device) NumBlocks() int { return d.store.NumBlocks() }
 

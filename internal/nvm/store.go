@@ -96,6 +96,9 @@ func NewMemStore(numBlocks int) *MemStore {
 // NumBlocks implements BlockStore.
 func (s *MemStore) NumBlocks() int { return s.n }
 
+// heapBytes is the heap the blocks take (Device.HeapBlockBytes).
+func (s *MemStore) heapBytes() int64 { return int64(len(s.data)) }
+
 // ReadBlock implements BlockStore.
 func (s *MemStore) ReadBlock(idx int, dst []byte) error {
 	if idx < 0 || idx >= s.n {

@@ -108,18 +108,18 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		return metrics.SummarySamples(nil, s.latency.Snapshot())
 	})
 
-	// Stage decomposition: per-table store stages plus the server-side
-	// serialize stage. One family; the stage label selects the component.
+	// Stage decomposition: the store's stages, over all its tables, plus
+	// the server-side serialize stage. One family; the stage label selects
+	// the component.
 	r.Register("bandana_stage_duration_us", "summary",
-		"Per-stage serving latency decomposition (microseconds): cache_probe (DRAM probe, one sample per batch: microseconds per id probed), queue_wait (I/O scheduler queue; none when the blocks are memory and read in place), device_service (NVM block read: wall time, less the queue wait), decode (fp16 decode), serialize (JSON response encode).",
+		"Per-stage serving latency decomposition over all tables (microseconds): cache_probe (DRAM probe, one sample per batch: microseconds per id probed; a batch of one id is sampled 1 in 64), queue_wait (I/O scheduler queue; none when the blocks are memory and read in place), device_service (NVM block read: wall time, less the queue wait), decode (fp16 decode), serialize (JSON response encode).",
 		func() []metrics.Sample {
+			st := s.scrapeStore().StageLatency()
 			var out []metrics.Sample
-			for _, ts := range s.scrapeStore().Stats() {
-				out = append(out, metrics.SummarySamples(metrics.L("table", ts.Name, "stage", "cache_probe"), ts.ProbeLatency)...)
-				out = append(out, metrics.SummarySamples(metrics.L("table", ts.Name, "stage", "queue_wait"), ts.QueueWaitLatency)...)
-				out = append(out, metrics.SummarySamples(metrics.L("table", ts.Name, "stage", "device_service"), ts.Latency)...)
-				out = append(out, metrics.SummarySamples(metrics.L("table", ts.Name, "stage", "decode"), ts.DecodeLatency)...)
-			}
+			out = append(out, metrics.SummarySamples(metrics.L("stage", "cache_probe"), st.Probe)...)
+			out = append(out, metrics.SummarySamples(metrics.L("stage", "queue_wait"), st.QueueWait)...)
+			out = append(out, metrics.SummarySamples(metrics.L("stage", "device_service"), st.Service)...)
+			out = append(out, metrics.SummarySamples(metrics.L("stage", "decode"), st.Decode)...)
 			out = append(out, metrics.SummarySamples(metrics.L("stage", "serialize"), s.serialize.Snapshot())...)
 			return out
 		})
@@ -188,9 +188,13 @@ func (s *Server) buildRegistry() *metrics.Registry {
 			}
 			return out
 		})
-	r.Register("bandana_store_dram_bytes", "gauge", "Heap the store keeps resident beside its tables' bandana_table_dram_bytes, by component (metrics: the device's and the I/O scheduler's latency histograms).",
+	r.Register("bandana_store_dram_bytes", "gauge", "Heap the store keeps resident beside its tables' bandana_table_dram_bytes, by component (metrics: the stage, device and I/O scheduler latency histograms; blocks: the data itself when the backend is mem, which keeps every block in the heap, 0 on file).",
 		func() []metrics.Sample {
-			return []metrics.Sample{{Labels: metrics.L("component", "metrics"), Value: float64(s.scrapeStore().DRAM().Metrics)}}
+			d := s.scrapeStore().DRAM()
+			return []metrics.Sample{
+				{Labels: metrics.L("component", "metrics"), Value: float64(d.Metrics)},
+				{Labels: metrics.L("component", "blocks"), Value: float64(d.Blocks)},
+			}
 		})
 
 	// NVM device + block-store backend.
@@ -313,6 +317,9 @@ func (s *Server) buildRegistry() *metrics.Registry {
 	})
 	r.Register("bandana_wire_conns_active", "gauge", "bwp connections currently open.", func() []metrics.Sample {
 		return metrics.CounterSample(nil, float64(s.wire.Stats().ConnsActive))
+	})
+	r.Register("bandana_wire_buffer_bytes", "gauge", "Heap the open bwp connections hold in buffers: one 4 KiB read buffer each; responses are written from their own frames.", func() []metrics.Sample {
+		return metrics.CounterSample(nil, float64(s.wire.Stats().BufferBytes))
 	})
 	r.Register("bandana_wire_handlers", "gauge", "bwp request handler goroutines alive, idle ones included: each connection keeps the handlers it starts until it closes.", func() []metrics.Sample {
 		return metrics.CounterSample(nil, float64(s.wire.Stats().Handlers))

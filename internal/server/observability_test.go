@@ -152,7 +152,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"bandana_stage_duration_us_count{table=\"tA\",stage=\"device_service\"}",
+		"bandana_stage_duration_us_count{stage=\"device_service\"}",
 		"bandana_table_lookups_total{table=\"tA\"} 522",
 		"bandana_http_requests_total",
 		"bandana_device_blocks_read_total",
@@ -167,8 +167,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"bandana_table_predicted_lookups_per_block_read{table=\"tA\"} 0\n",
 		// DRAM attribution: 2048 vectors x (order + inverse) packed at 11
 		// bits (352 words each), nothing trained, updated or recorded yet, a
-		// cache that has filled, and the counters and stage histograms every
-		// table holds from Open.
+		// cache that has filled, and the counters every table holds from
+		// Open. The stage histograms are the store's, and so are the blocks:
+		// every one in the heap on mem, none on file.
 		"bandana_table_dram_bytes{table=\"tA\",component=\"layout\"} 5632\n",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"admit_bits\"} 0\n",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"overlay\"} 0\n",
@@ -177,6 +178,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"bandana_table_dram_bytes{table=\"tA\",component=\"recorder\"} 0\n",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"metrics\"} ",
 		"bandana_store_dram_bytes{component=\"metrics\"} ",
+		"bandana_store_dram_bytes{component=\"blocks\"} 65536\n", // the device's 16 blocks
 		// No layout was installed, and this open had none to redo.
 		"bandana_layout_installs_total{table=\"tA\"} 0\n",
 		"bandana_layout_install_seconds 0\n",
@@ -194,7 +196,10 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("%s bytes are zero after 512 lookups", component)
 		}
 	}
-	if strings.Contains(out, "bandana_stage_duration_us_count{table=\"tA\",stage=\"device_service\"} 0\n") {
+	if strings.Contains(out, "table=\"tA\",stage=") {
+		t.Errorf("the stage histograms carry a table label: they are the store's:\n%s", grepLines(out, "bandana_stage_duration_us"))
+	}
+	if strings.Contains(out, "bandana_stage_duration_us_count{stage=\"device_service\"} 0\n") {
 		t.Errorf("device_service stage count is zero after misses:\n%s", grepLines(out, "device_service"))
 	}
 	if m := regexp.MustCompile(`(?m)^bandana_iosched_inflight_max (\d+)$`).FindStringSubmatch(out); m == nil {
@@ -207,7 +212,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("exposition still carries %s", gone)
 		}
 	}
-	if strings.Contains(out, "bandana_stage_duration_us_count{table=\"tA\",stage=\"cache_probe\"} 0\n") {
+	if strings.Contains(out, "bandana_stage_duration_us_count{stage=\"cache_probe\"} 0\n") {
 		t.Errorf("cache_probe stage count is zero after 512 lookups:\n%s", grepLines(out, "cache_probe"))
 	}
 	if strings.Contains(out, "bandana_stage_duration_us_count{stage=\"serialize\"} 0\n") {
@@ -401,7 +406,7 @@ func TestMetricsEndpointWirePath(t *testing.T) {
 	}
 	out := buf.String()
 	for _, stage := range []string{"device_service", "cache_probe"} {
-		zero := `bandana_stage_duration_us_count{table="tA",stage="` + stage + `"} 0` + "\n"
+		zero := `bandana_stage_duration_us_count{stage="` + stage + `"} 0` + "\n"
 		if strings.Contains(out, zero) {
 			t.Errorf("%s stage count is zero after wire-only traffic:\n%s", stage, grepLines(out, stage))
 		}
@@ -411,6 +416,9 @@ func TestMetricsEndpointWirePath(t *testing.T) {
 	}
 	if !strings.Contains(out, "bandana_wire_enabled 1") {
 		t.Errorf("bandana_wire_enabled not 1:\n%s", grepLines(out, "wire_enabled"))
+	}
+	if !strings.Contains(out, "bandana_wire_buffer_bytes 4096\n") {
+		t.Errorf("bandana_wire_buffer_bytes is not one connection's 4 KiB read buffer:\n%s", grepLines(out, "wire_buffer"))
 	}
 	// One client waiting on each response in turn: its open connection keeps
 	// the one or two handlers it started.

@@ -25,9 +25,14 @@ type Options struct {
 	CRC bool
 }
 
+// clientReadBuffer is the size of a client's read buffer: a typical lookup
+// response (up to ~90 64-dim fp16 vectors, 128 B each) fits whole, and a
+// frame larger than the buffer is read straight into its payload.
+const clientReadBuffer = 12 << 10
+
 // Client is a bwp/1 client over one persistent connection. Calls from any
-// number of goroutines are multiplexed by request id: writes from
-// concurrent callers coalesce into shared flushes, and a single reader
+// number of goroutines are multiplexed by request id: frames from
+// concurrent callers coalesce into shared writes, and a single reader
 // goroutine routes responses back by id, so slow requests never block fast
 // ones. After a transport error the client is dead (Err reports why) and
 // every pending and future call fails; the caller reconnects with Dial.
@@ -35,10 +40,17 @@ type Client struct {
 	conn net.Conn
 	crc  bool
 
-	wmu  sync.Mutex // guards bw, werr
-	bw   *bufio.Writer
-	werr error
-	wq   atomic.Int32 // senders queued for wmu (flush coalescing)
+	// Frames to send queue in queued; the sender holding wmu writes every
+	// frame queued by then in one writev (iov), so a burst of concurrent
+	// calls costs one syscall and the client keeps no write buffer.
+	qmu    sync.Mutex // guards queued
+	queued net.Buffers
+	wmu    sync.Mutex // guards iov, werr
+	iov    net.Buffers
+	werr   error
+
+	// bufBytes is the reader's buffer while the reader runs (BufferBytes).
+	bufBytes atomic.Int64
 
 	mu      sync.Mutex
 	pending map[uint64]chan delivered
@@ -70,7 +82,6 @@ func NewClient(conn net.Conn, opts Options) *Client {
 	c := &Client{
 		conn:    conn,
 		crc:     opts.CRC,
-		bw:      bufio.NewWriterSize(conn, 64<<10),
 		pending: make(map[uint64]chan delivered),
 	}
 	c.readerWG.Add(1)
@@ -87,6 +98,10 @@ func (c *Client) Close() error {
 	c.readerWG.Wait()
 	return nil
 }
+
+// BufferBytes is the heap the client's connection buffers hold: its read
+// buffer while the connection is open, 0 once it is closed.
+func (c *Client) BufferBytes() int64 { return c.bufBytes.Load() }
 
 // Err returns the error that killed the client, or nil while it is usable.
 func (c *Client) Err() error {
@@ -114,7 +129,9 @@ func (c *Client) fail(cause error) {
 }
 
 func (c *Client) readLoop() {
-	br := bufio.NewReaderSize(c.conn, 64<<10)
+	br := bufio.NewReaderSize(c.conn, clientReadBuffer)
+	c.bufBytes.Store(int64(br.Size()))
+	defer c.bufBytes.Store(0)
 	var hdr [HeaderLen]byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -155,23 +172,30 @@ func (c *Client) readLoop() {
 	}
 }
 
-// send writes one frame. Concurrent senders coalesce: a sender skips the
-// flush when another sender is already queued for the lock, because that
-// sender is committed to writing and will flush (or defer to yet another).
-// The last writer in a burst always flushes, so nothing sits in the buffer
-// while the line is idle.
+// send writes one frame, which the caller must not touch again. Concurrent
+// senders coalesce: each queues its frame, then waits for the write lock, and
+// whoever takes it writes every frame queued by then in one writev. A sender
+// whose frame an earlier holder already wrote has nothing left to do, so a
+// frame is on the wire by the time its send returns, and nothing waits in a
+// buffer while the line is idle.
 func (c *Client) send(frame []byte) error {
-	c.wq.Add(1)
+	c.qmu.Lock()
+	c.queued = append(c.queued, frame)
+	c.qmu.Unlock()
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if c.werr != nil {
-		c.wq.Add(-1)
 		return c.werr
 	}
-	_, err := c.bw.Write(frame)
-	if c.wq.Add(-1) == 0 && err == nil {
-		err = c.bw.Flush()
+	c.qmu.Lock()
+	c.iov, c.queued = c.queued, c.iov[:0]
+	c.qmu.Unlock()
+	if len(c.iov) == 0 {
+		return nil
 	}
+	pending := c.iov // WriteTo consumes its receiver; iov keeps the array
+	_, err := pending.WriteTo(c.conn)
+	clear(c.iov)
 	if err != nil {
 		c.werr = err
 		c.fail(err)

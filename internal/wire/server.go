@@ -43,6 +43,10 @@ type ServerStats struct {
 	// load.
 	Handlers    int64 `json:"handlers"`
 	HandlersMax int64 `json:"handlers_max"`
+	// BufferBytes is the heap the open connections' read buffers hold,
+	// serverReadBuffer each. Responses are written from their frames, with
+	// no buffer of the connection's.
+	BufferBytes int64 `json:"buffer_bytes"`
 	// Ops breaks requests down by opcode; only opcodes that have been seen
 	// appear. Latency covers the full handle time of one request frame
 	// (parse, backend call, response encode) in microseconds.
@@ -105,6 +109,7 @@ type Server struct {
 	errorFrames atomic.Int64
 	handlers    atomic.Int64
 	handlersMax atomic.Int64
+	bufBytes    atomic.Int64
 
 	// Per-opcode metrics are built lazily because Server is constructed as a
 	// zero value (&Server{Backend: ...}); opsOnce gives every goroutine a
@@ -134,6 +139,7 @@ func (s *Server) Stats() ServerStats {
 		Errors:      s.errorFrames.Load(),
 		Handlers:    s.handlers.Load(),
 		HandlersMax: s.handlersMax.Load(),
+		BufferBytes: s.bufBytes.Load(),
 	}
 	ops := s.opsTable()
 	for i := range ops {
@@ -204,6 +210,12 @@ func (s *Server) ServeConn(conn net.Conn) {
 	writerWG.Wait()
 }
 
+// serverReadBuffer is the size of a connection's read buffer: it holds a
+// typical lookup request (tens of ids, a few hundred bytes) several times
+// over, so pipelined requests share a read, and a frame larger than the
+// buffer is read straight into its payload.
+const serverReadBuffer = 4 << 10
+
 // request is one well-framed request frame, handed from the read loop to a
 // handler.
 type request struct {
@@ -222,7 +234,9 @@ type request struct {
 func (s *Server) readLoop(conn net.Conn, out chan<- *[]byte, handlers *sync.WaitGroup) {
 	work := make(chan request)
 	defer close(work)
-	br := bufio.NewReaderSize(conn, 64<<10)
+	br := bufio.NewReaderSize(conn, serverReadBuffer)
+	s.bufBytes.Add(int64(br.Size()))
+	defer s.bufBytes.Add(-int64(br.Size()))
 	var hdr [HeaderLen]byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
