@@ -74,7 +74,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Single lookup matches the source table.
-	got, err := store.LookupByName(tables[0].Name, 3)
+	idx, err := store.TableIndex(tables[0].Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.Lookup(idx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

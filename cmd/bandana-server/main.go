@@ -27,7 +27,8 @@
 //	bandana-server --addr :8081 --replica-of http://primary:8080 --data-dir /var/lib/bandana-replica
 //	curl 'localhost:8080/v1/lookup?table=table1&id=42'
 //	curl -d '{"table":"table2","ids":[1,2,3]}' localhost:8080/v1/batch
-//	curl localhost:8080/v1/stats
+//	curl localhost:8080/metrics    # Prometheus text exposition
+//	curl localhost:8080/v1/stats   # the same registry as JSON: series -> label set -> value
 package main
 
 import (

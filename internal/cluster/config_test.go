@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -20,44 +24,47 @@ func twoNodeConfig() *Config {
 	}
 }
 
+// configCases are the memberships TestConfigValidation checks, as mutations
+// of twoNodeConfig; FuzzClusterConfig starts from them too.
+var configCases = []struct {
+	name    string
+	mutate  func(*Config)
+	wantErr string
+}{
+	{"valid", func(c *Config) {}, ""},
+	{"no nodes", func(c *Config) { c.Nodes = nil }, "no nodes"},
+	{"duplicate id", func(c *Config) { c.Nodes[1].ID = "a" }, "duplicate node id"},
+	{"missing id", func(c *Config) { c.Nodes[0].ID = "" }, "no id"},
+	{"bad addr", func(c *Config) { c.Nodes[0].Addr = "127.0.0.1:8080" }, "invalid addr"},
+	{"bad role", func(c *Config) { c.Nodes[0].Role = "standby" }, "unknown role"},
+	{"no primaries", func(c *Config) {
+		c.Nodes[0].Role, c.Nodes[0].ReplicaOf = RoleReplica, "b"
+		c.Nodes[1].Role, c.Nodes[1].ReplicaOf = RoleReplica, "a"
+	}, "no primary"},
+	{"replica chain", func(c *Config) {
+		c.Nodes = append(c.Nodes, Node{ID: "c", Addr: "http://127.0.0.1:3", Role: RoleReplica, ReplicaOf: "d"},
+			Node{ID: "d", Addr: "http://127.0.0.1:4", Role: RoleReplica, ReplicaOf: "a"})
+	}, "not a primary"},
+	{"replica without target", func(c *Config) { c.Nodes[1].Role = RoleReplica }, "must set replicaOf"},
+	{"replica of unknown", func(c *Config) {
+		c.Nodes[1].Role, c.Nodes[1].ReplicaOf = RoleReplica, "ghost"
+	}, "unknown node"},
+	{"primary with replicaOf", func(c *Config) { c.Nodes[0].ReplicaOf = "b" }, "must not set replicaOf"},
+	{"replica pins partitions", func(c *Config) {
+		c.Nodes[1].Role, c.Nodes[1].ReplicaOf = RoleReplica, "a"
+		c.Nodes[1].Partitions = map[string][]int{"t": {0}}
+	}, "must not pin"},
+	{"double pin", func(c *Config) {
+		c.Nodes[0].Partitions = map[string][]int{"t": {3}}
+		c.Nodes[1].Partitions = map[string][]int{"t": {3}}
+	}, "pinned to both"},
+	{"negative pin", func(c *Config) {
+		c.Nodes[0].Partitions = map[string][]int{"t": {-1}}
+	}, "negative partition"},
+}
+
 func TestConfigValidation(t *testing.T) {
-	cases := []struct {
-		name    string
-		mutate  func(*Config)
-		wantErr string
-	}{
-		{"valid", func(c *Config) {}, ""},
-		{"no nodes", func(c *Config) { c.Nodes = nil }, "no nodes"},
-		{"duplicate id", func(c *Config) { c.Nodes[1].ID = "a" }, "duplicate node id"},
-		{"missing id", func(c *Config) { c.Nodes[0].ID = "" }, "no id"},
-		{"bad addr", func(c *Config) { c.Nodes[0].Addr = "127.0.0.1:8080" }, "invalid addr"},
-		{"bad role", func(c *Config) { c.Nodes[0].Role = "standby" }, "unknown role"},
-		{"no primaries", func(c *Config) {
-			c.Nodes[0].Role, c.Nodes[0].ReplicaOf = RoleReplica, "b"
-			c.Nodes[1].Role, c.Nodes[1].ReplicaOf = RoleReplica, "a"
-		}, "no primary"},
-		{"replica chain", func(c *Config) {
-			c.Nodes = append(c.Nodes, Node{ID: "c", Addr: "http://127.0.0.1:3", Role: RoleReplica, ReplicaOf: "d"},
-				Node{ID: "d", Addr: "http://127.0.0.1:4", Role: RoleReplica, ReplicaOf: "a"})
-		}, "not a primary"},
-		{"replica without target", func(c *Config) { c.Nodes[1].Role = RoleReplica }, "must set replicaOf"},
-		{"replica of unknown", func(c *Config) {
-			c.Nodes[1].Role, c.Nodes[1].ReplicaOf = RoleReplica, "ghost"
-		}, "unknown node"},
-		{"primary with replicaOf", func(c *Config) { c.Nodes[0].ReplicaOf = "b" }, "must not set replicaOf"},
-		{"replica pins partitions", func(c *Config) {
-			c.Nodes[1].Role, c.Nodes[1].ReplicaOf = RoleReplica, "a"
-			c.Nodes[1].Partitions = map[string][]int{"t": {0}}
-		}, "must not pin"},
-		{"double pin", func(c *Config) {
-			c.Nodes[0].Partitions = map[string][]int{"t": {3}}
-			c.Nodes[1].Partitions = map[string][]int{"t": {3}}
-		}, "pinned to both"},
-		{"negative pin", func(c *Config) {
-			c.Nodes[0].Partitions = map[string][]int{"t": {-1}}
-		}, "negative partition"},
-	}
-	for _, tc := range cases {
+	for _, tc := range configCases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := twoNodeConfig()
 			tc.mutate(cfg)
@@ -175,4 +182,69 @@ func ExampleConfig_PartitionOf() {
 	cfg := &Config{IDRangeSize: 1024}
 	fmt.Println(cfg.PartitionOf(5000))
 	// Output: 4
+}
+
+// FuzzClusterConfig: whatever bytes a membership file holds, LoadConfig
+// either rejects them or returns a config the router can route with — it
+// validates again, builds a routing state, and resolves every id of every
+// table it names to a primary. Seeds are the memberships the cluster tests
+// check, written as files, and the torn file the router's SIGHUP test
+// writes.
+func FuzzClusterConfig(f *testing.F) {
+	seeds := []*Config{{
+		IDRangeSize: 64,
+		Nodes: []Node{
+			{ID: "p", Addr: "http://127.0.0.1:1", WireAddr: "127.0.0.1:11", Role: RolePrimary, Partitions: map[string][]int{"t": {0, 2}}},
+			{ID: "q", Addr: "http://127.0.0.1:2", Role: RolePrimary},
+			{ID: "r", Addr: "http://127.0.0.1:3", WireAddr: "127.0.0.1:13", Role: RoleReplica, ReplicaOf: "p"},
+		},
+	}}
+	for _, tc := range configCases {
+		cfg := twoNodeConfig()
+		tc.mutate(cfg)
+		seeds = append(seeds, cfg)
+	}
+	for _, cfg := range seeds {
+		raw, err := json.Marshal(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw, uint32(130))
+	}
+	f.Add([]byte(`{"nodes": [`), uint32(0))
+
+	f.Fuzz(func(t *testing.T, raw []byte, id uint32) {
+		path := filepath.Join(t.TempDir(), "cluster.json")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := LoadConfig(path)
+		if err != nil {
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("LoadConfig returned a config Validate rejects: %v", err)
+		}
+		st, err := newRoutingState(cfg)
+		if err != nil {
+			t.Fatalf("LoadConfig returned a config the router cannot route with: %v", err)
+		}
+		tables := []string{"t"}
+		for _, n := range cfg.Nodes {
+			for table := range n.Partitions {
+				tables = append(tables, table)
+			}
+		}
+		for _, table := range tables {
+			for _, id := range []uint32{0, id, math.MaxUint32} {
+				owner, err := cfg.Owner(table, id)
+				if err != nil {
+					t.Fatalf("Owner(%q, %d): %v", table, id, err)
+				}
+				if n := st.byID[owner]; n == nil || n.Role != RolePrimary {
+					t.Fatalf("Owner(%q, %d) = %q, not a primary of the membership", table, id, owner)
+				}
+			}
+		}
+	})
 }

@@ -338,3 +338,62 @@ func TestRouterMetricsExposition(t *testing.T) {
 		t.Fatalf("router.stagesUS after two batches: gather %+v serialize %+v", g, s)
 	}
 }
+
+// TestRouterStatsProbesNodes: the router's /v1/stats reads each node's
+// health, lookups, hit ratio, read-only flag and snapshot seq from the
+// node's own /v1/stats (the JSON view of its registry), and marks a node it
+// cannot reach not alive.
+func TestRouterStatsProbesNodes(t *testing.T) {
+	primary := buildClusterStore(t, 13)
+	nodeA := newCountingNode(t, primary, 0)
+	_, replicaStore := bootstrapReplica(t, nodeA.srv.URL)
+	defer replicaStore.Close()
+	nodeB := newCountingNode(t, replicaStore, 0)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	cfg := &Config{IDRangeSize: 64, Nodes: []Node{
+		{ID: "node-a", Addr: nodeA.srv.URL, Role: RolePrimary},
+		{ID: "node-b", Addr: nodeB.srv.URL, Role: RoleReplica, ReplicaOf: "node-a"},
+		{ID: "node-c", Addr: dead.URL, Role: RoleReplica, ReplicaOf: "node-a"},
+	}}
+	rt, err := NewRouter(cfg, RouterOptions{HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routerSrv := httptest.NewServer(rt.Handler())
+	defer routerSrv.Close()
+	postRouterBatch(t, routerSrv.URL, "t0", []uint32{1, 2, 3, 100, 900})
+	postRouterBatch(t, routerSrv.URL, "t0", []uint32{1, 2, 7})
+
+	stats := getRouterStats(t, routerSrv.URL)
+	for _, n := range stats.Nodes {
+		var store *core.Store
+		switch n.ID {
+		case "node-a":
+			store = primary
+		case "node-b":
+			store = replicaStore
+		default:
+			if n.Alive || n.ProbeError == "" {
+				t.Errorf("%s is down, yet probes alive=%v, error %q", n.ID, n.Alive, n.ProbeError)
+			}
+			continue
+		}
+		var lookups, hits int64
+		for _, ts := range store.Stats() {
+			lookups, hits = lookups+ts.Lookups, hits+ts.Hits
+		}
+		var hitRate float64
+		if lookups > 0 {
+			hitRate = float64(hits) / float64(lookups)
+		}
+		if !n.Alive || n.ProbeError != "" || n.Lookups != lookups || n.HitRate != hitRate ||
+			n.ReadOnly != store.ReadOnly() || n.SnapshotSeq != store.SnapshotSeq() {
+			t.Errorf("%s probes %+v, want alive with %d lookups, hit rate %v, read-only %v, seq %d",
+				n.ID, n, lookups, hitRate, store.ReadOnly(), store.SnapshotSeq())
+		}
+	}
+	if stats.Nodes[0].Lookups == 0 || !stats.Nodes[1].ReadOnly {
+		t.Fatalf("the probe saw no traffic on the primary or no replica: %+v", stats.Nodes)
+	}
+}

@@ -169,7 +169,7 @@ func NewRouter(cfg *Config, opts RouterOptions) (*Router, error) {
 	rt.mux.HandleFunc("GET /v1/lookup", rt.handleLookup)
 	rt.mux.HandleFunc("POST /v1/batch", rt.handleBatch)
 	rt.mux.HandleFunc("GET /v1/stats", rt.handleStats)
-	rt.mux.Handle("GET /metrics", rt.metricsRegistry().Handler())
+	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	return rt, nil
 }
 

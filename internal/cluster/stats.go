@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
@@ -68,20 +67,6 @@ type RouterStats struct {
 	Nodes   []NodeStats          `json:"nodes"`
 }
 
-// nodeStatsProbe is the subset of a node's /v1/stats the router reads.
-// core.TableStats marshals with Go field names (no tags), hence the
-// capitalised fields.
-type nodeStatsProbe struct {
-	Tables []struct {
-		Lookups int64
-		Hits    int64
-	} `json:"tables"`
-	Store struct {
-		ReadOnly    bool   `json:"readOnly"`
-		SnapshotSeq uint64 `json:"snapshotSeq"`
-	} `json:"store"`
-}
-
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := rt.state.Load()
 	var out RouterStats
@@ -127,7 +112,8 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 // probeTimeout bounds one node's health/stats probe under /v1/stats.
 const probeTimeout = time.Second
 
-// probeNode fills the live fields of one node's stats row.
+// probeNode fills the live fields of one node's stats row from the node's
+// /v1/stats, the JSON view of its /metrics registry.
 func (rt *Router) probeNode(ctx context.Context, n *Node, ns *NodeStats) {
 	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
@@ -146,21 +132,21 @@ func (rt *Router) probeNode(ctx context.Context, n *Node, ns *NodeStats) {
 		ns.ProbeError = resp.Status
 		return
 	}
-	var probe nodeStatsProbe
-	if err := json.NewDecoder(resp.Body).Decode(&probe); err != nil {
+	view, err := metrics.ParseJSON(resp.Body)
+	if err != nil {
 		ns.ProbeError = err.Error()
 		return
 	}
 	ns.Alive = true
-	ns.ReadOnly = probe.Store.ReadOnly
-	ns.SnapshotSeq = probe.Store.SnapshotSeq
-	var lookups, hits int64
-	for _, t := range probe.Tables {
-		lookups += t.Lookups
-		hits += t.Hits
+	ns.ReadOnly = view["bandana_store_read_only"][""] == 1
+	ns.SnapshotSeq = uint64(view["bandana_store_snapshot_seq"][""])
+	var lookups, hits float64
+	for table, count := range view["bandana_table_lookups_total"] {
+		lookups += count
+		hits += view["bandana_table_hits_total"][table]
 	}
-	ns.Lookups = lookups
+	ns.Lookups = int64(lookups)
 	if lookups > 0 {
-		ns.HitRate = float64(hits) / float64(lookups)
+		ns.HitRate = hits / lookups
 	}
 }

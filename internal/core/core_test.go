@@ -160,13 +160,14 @@ func TestLookupErrors(t *testing.T) {
 	if _, err := s.Lookup(0, 99999); err == nil {
 		t.Fatal("bad vector id should error")
 	}
-	if _, err := s.LookupByName("nosuch", 0); err == nil {
-		t.Fatal("bad table name should error")
-	}
 	if _, err := s.TableIndex("nosuch"); err == nil {
 		t.Fatal("bad table name should error")
 	}
-	if _, err := s.LookupByName(tables[0].Name, 1); err != nil {
+	idx, err := s.TableIndex(tables[0].Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Lookup(idx, 1); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -91,7 +91,7 @@ func TestLookupBatchRawCountsAndCacheSharing(t *testing.T) {
 	if _, err := s.LookupBatchRaw(0, []uint32{9999}); err == nil {
 		t.Fatal("out-of-range id should error")
 	}
-	if _, err := s.LookupBatchRawByName("no-such-table", ids); err == nil {
+	if _, err := s.TableIndex("no-such-table"); err == nil {
 		t.Fatal("unknown table should error")
 	}
 }

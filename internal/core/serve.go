@@ -40,15 +40,6 @@ func (s *Store) Lookup(tableIdx int, id uint32) ([]float32, error) {
 	return st.lookup(id, nil)
 }
 
-// LookupByName is Lookup with a table name.
-func (s *Store) LookupByName(name string, id uint32) ([]float32, error) {
-	i, err := s.TableIndex(name)
-	if err != nil {
-		return nil, err
-	}
-	return s.Lookup(i, id)
-}
-
 // LookupBatch returns the embeddings of every id in ids from table tableIdx.
 // Lookups that miss the cache are grouped by NVM block, so a batch that hits
 // k distinct blocks issues exactly k block reads regardless of how many of
@@ -117,15 +108,6 @@ func copyRawViews(out [][]byte) {
 		buf = append(buf, v...)
 		out[i] = buf[off:len(buf):len(buf)]
 	}
-}
-
-// LookupBatchRawByName is LookupBatchRaw with a table name.
-func (s *Store) LookupBatchRawByName(name string, ids []uint32) ([][]byte, error) {
-	i, err := s.TableIndex(name)
-	if err != nil {
-		return nil, err
-	}
-	return s.LookupBatchRaw(i, ids)
 }
 
 // TableDim returns the per-vector element count of table tableIdx.

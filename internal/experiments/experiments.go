@@ -223,19 +223,6 @@ func (r *Runner) Run(id string) (*Table, error) {
 	return nil, fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(known, ", "))
 }
 
-// RunAll executes every registered experiment in order.
-func (r *Runner) RunAll() ([]*Table, error) {
-	out := make([]*Table, 0, len(registry))
-	for _, e := range registry {
-		tbl, err := r.Run(e.id)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
-}
-
 // pct formats a ratio as a signed percentage.
 func pct(x float64) string { return fmt.Sprintf("%+.1f%%", x*100) }
 

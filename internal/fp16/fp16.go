@@ -36,9 +36,6 @@ const (
 // PositiveInfinity is the Float16 encoding of +Inf.
 const PositiveInfinity Float16 = 0x7C00
 
-// NegativeInfinity is the Float16 encoding of -Inf.
-const NegativeInfinity Float16 = 0xFC00
-
 // FromFloat32 converts a float32 to Float16 using round-to-nearest-even.
 // Values whose magnitude exceeds the binary16 range become infinities;
 // subnormal results are rounded to the nearest representable subnormal.

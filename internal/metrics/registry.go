@@ -1,14 +1,15 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Label is one name=value pair attached to a Sample.
@@ -39,37 +40,40 @@ type Sample struct {
 	Value  float64
 }
 
-// GatherFunc produces a family's current samples at scrape time. Gather
-// functions run on every scrape, so they should read live counters rather
-// than cache values.
-type GatherFunc func() []Sample
-
 type family struct {
-	name   string
-	typ    string // counter | gauge | summary | untyped
-	help   string
-	gather GatherFunc
+	name    string
+	typ     string // counter | gauge | summary | untyped
+	help    string
+	samples []Sample
 }
 
-// Registry collects metric families and renders them in the Prometheus text
-// exposition format (version 0.0.4) without any external dependency.
-// Families render in registration order; samples render in the order the
-// gather function returns them.
+// Registry holds one scrape: metric families with their samples, rendered in
+// the Prometheus text exposition format (version 0.0.4, WriteText) or as a
+// JSON View (WriteJSON) without any external dependency. Families render in
+// registration order, samples in the order they were registered. A registry
+// is built per scrape from one read of each source, so its families agree
+// with each other and both renderings of it carry the same samples.
 type Registry struct {
-	mu       sync.Mutex
 	families []family
 	byName   map[string]bool
 }
+
+// View is a scrape keyed by series — family name plus sample suffix — and
+// then by the sample's canonical label string: its labels sorted by name,
+// written as in the text format (`quantile="0.5",table="t0"`; "" when it has
+// none). It is what WriteJSON renders, and what ParseExposition and
+// ParseJSON read back.
+type View map[string]map[string]float64
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]bool)}
 }
 
-// Register adds a metric family. typ must be one of "counter", "gauge",
-// "summary", or "untyped". It panics on an invalid or duplicate name so
-// wiring mistakes surface at startup, not at scrape time.
-func (r *Registry) Register(name, typ, help string, gather GatherFunc) {
+// Register adds a metric family and its samples. typ must be one of
+// "counter", "gauge", "summary", or "untyped". It panics on an invalid or
+// duplicate name: those are wiring mistakes, not scrape-time conditions.
+func (r *Registry) Register(name, typ, help string, samples []Sample) {
 	if !validMetricName(name) {
 		panic("metrics: invalid metric name " + name)
 	}
@@ -78,25 +82,19 @@ func (r *Registry) Register(name, typ, help string, gather GatherFunc) {
 	default:
 		panic("metrics: invalid metric type " + typ)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.byName[name] {
 		panic("metrics: duplicate metric name " + name)
 	}
 	r.byName[name] = true
-	r.families = append(r.families, family{name: name, typ: typ, help: help, gather: gather})
+	r.families = append(r.families, family{name: name, typ: typ, help: help, samples: samples})
 }
 
 // WriteText renders every family to w in the text exposition format.
+// Families without samples are left out.
 func (r *Registry) WriteText(w io.Writer) error {
-	r.mu.Lock()
-	families := append([]family(nil), r.families...)
-	r.mu.Unlock()
-
 	var b strings.Builder
-	for _, f := range families {
-		samples := f.gather()
-		if len(samples) == 0 {
+	for _, f := range r.families {
+		if len(f.samples) == 0 {
 			continue
 		}
 		b.Reset()
@@ -109,7 +107,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 		b.WriteByte(' ')
 		b.WriteString(f.typ)
 		b.WriteByte('\n')
-		for _, s := range samples {
+		for _, s := range f.samples {
 			b.WriteString(f.name)
 			b.WriteString(s.Suffix)
 			if len(s.Labels) > 0 {
@@ -136,6 +134,80 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return nil
 }
 
+// WriteJSON renders the registry to w as a JSON View: an object per series,
+// in registration order, mapping canonical label strings to values. Values
+// JSON numbers cannot hold are the strings the text format writes: "NaN",
+// "+Inf" and "-Inf". Families without samples are left out, as in WriteText.
+func (r *Registry) WriteJSON(w io.Writer) error {
+	b := []byte{'{'}
+	for _, f := range r.families {
+		var suffixes []string
+		for _, s := range f.samples {
+			if !slices.Contains(suffixes, s.Suffix) {
+				suffixes = append(suffixes, s.Suffix)
+			}
+		}
+		for _, suffix := range suffixes {
+			if len(b) > 1 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(append(b, '\n'), f.name+suffix)
+			b = append(b, ":{"...)
+			first := true
+			for _, s := range f.samples {
+				if s.Suffix != suffix {
+					continue
+				}
+				if !first {
+					b = append(b, ',')
+				}
+				first = false
+				b = append(appendJSONString(b, canonicalLabels(s.Labels)), ':')
+				if math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
+					b = appendJSONString(b, formatValue(s.Value))
+				} else {
+					b = strconv.AppendFloat(b, s.Value, 'g', -1, 64)
+				}
+			}
+			b = append(b, '}')
+		}
+	}
+	_, err := w.Write(append(b, "\n}\n"...))
+	return err
+}
+
+func appendJSONString(b []byte, s string) []byte {
+	q, _ := json.Marshal(s) // a string always marshals
+	return append(b, q...)
+}
+
+// ParseJSON reads a WriteJSON rendering back into a View.
+func ParseJSON(r io.Reader) (View, error) {
+	var raw map[string]map[string]any
+	if err := json.NewDecoder(r).Decode(&raw); err != nil {
+		return nil, err
+	}
+	v := make(View, len(raw))
+	for name, series := range raw {
+		v[name] = make(map[string]float64, len(series))
+		for labels, x := range series {
+			switch x := x.(type) {
+			case float64:
+				v[name][labels] = x
+			case string:
+				f, err := strconv.ParseFloat(x, 64)
+				if err != nil {
+					return nil, fmt.Errorf("%s{%s}: bad value %q", name, labels, x)
+				}
+				v[name][labels] = f
+			default:
+				return nil, fmt.Errorf("%s{%s}: value %v is neither a number nor a string", name, labels, x)
+			}
+		}
+	}
+	return v, nil
+}
+
 // Handler returns an http.Handler serving the registry as a Prometheus
 // scrape target.
 func (r *Registry) Handler() http.Handler {
@@ -156,9 +228,10 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // SummarySamples renders a histogram Snapshot as Prometheus summary samples:
-// quantile series for p50/p90/p99/p999 plus _sum and _count. The quantile
-// values carry the histogram's one-bucket overestimate, which is the
-// documented accuracy of the underlying layout.
+// quantile series for p50/p90/p99/p999 plus _sum and _count, and the minimum
+// and maximum as quantiles 0 and 1. The p50–p999 values carry the
+// histogram's one-bucket overestimate, which is the documented accuracy of
+// the underlying layout.
 func SummarySamples(labels []Label, s Snapshot) []Sample {
 	quantile := func(q string, v float64) Sample {
 		ql := make([]Label, 0, len(labels)+1)
@@ -167,10 +240,12 @@ func SummarySamples(labels []Label, s Snapshot) []Sample {
 		return Sample{Labels: ql, Value: v}
 	}
 	return []Sample{
+		quantile("0", s.Min),
 		quantile("0.5", s.P50),
 		quantile("0.9", s.P90),
 		quantile("0.99", s.P99),
 		quantile("0.999", s.P999),
+		quantile("1", s.Max),
 		{Suffix: "_sum", Labels: labels, Value: s.Mean * float64(s.Count)},
 		{Suffix: "_count", Labels: labels, Value: float64(s.Count)},
 	}
@@ -240,19 +315,30 @@ func escapeLabelValue(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// ValidateExposition parses a Prometheus text-format exposition and returns
-// the number of sample lines, or an error describing the first violation.
-// It checks line syntax, metric/label name validity, label-value escaping,
-// value parseability, TYPE declarations, and duplicate series. It is used by
-// the registry tests and by cmd/promcheck in CI.
+// ValidateExposition parses a Prometheus text-format exposition (see
+// ParseExposition) and returns the number of sample lines, or an error
+// describing the first violation. It is used by the registry tests and by
+// cmd/promcheck in CI.
 func ValidateExposition(r io.Reader) (int, error) {
+	v, err := ParseExposition(r)
+	n := 0
+	for _, series := range v {
+		n += len(series)
+	}
+	return n, err
+}
+
+// ParseExposition parses a Prometheus text-format exposition into a View,
+// checking line syntax, metric/label name validity, label-value escaping,
+// value parseability, TYPE declarations, and duplicate series. On a
+// violation it returns the samples before it and an error describing it.
+func ParseExposition(r io.Reader) (View, error) {
+	samples := make(View)
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return 0, err
+		return samples, err
 	}
 	types := make(map[string]string)
-	seen := make(map[string]bool)
-	samples := 0
 	for ln, line := range strings.Split(string(data), "\n") {
 		lineNo := ln + 1
 		if strings.TrimSpace(line) == "" {
@@ -298,34 +384,30 @@ func ValidateExposition(r io.Reader) (int, error) {
 				return samples, fmt.Errorf("line %d: bad timestamp %q", lineNo, ts)
 			}
 		}
-		if !parseableValue(valueStr) {
+		value, err := strconv.ParseFloat(valueStr, 64)
+		if err != nil {
 			return samples, fmt.Errorf("line %d: bad value %q", lineNo, valueStr)
 		}
-		key := name + "|" + canonicalLabels(labels)
-		if seen[key] {
-			return samples, fmt.Errorf("line %d: duplicate series %s{%s}", lineNo, name, canonicalLabels(labels))
+		key := canonicalLabels(labels)
+		if _, dup := samples[name][key]; dup {
+			return samples, fmt.Errorf("line %d: duplicate series %s{%s}", lineNo, name, key)
 		}
-		seen[key] = true
-		samples++
+		if samples[name] == nil {
+			samples[name] = make(map[string]float64)
+		}
+		samples[name][key] = value
 	}
 	return samples, nil
 }
 
-func parseableValue(s string) bool {
-	switch s {
-	case "+Inf", "-Inf", "Inf", "NaN":
-		return true
-	}
-	_, err := strconv.ParseFloat(s, 64)
-	return err == nil
-}
-
+// canonicalLabels is a View's key for a label set: the labels sorted by
+// name, in the text format's syntax.
 func canonicalLabels(labels []Label) string {
 	cp := append([]Label(nil), labels...)
 	sort.Slice(cp, func(i, j int) bool { return cp[i].Key < cp[j].Key })
 	parts := make([]string, len(cp))
 	for i, l := range cp {
-		parts[i] = l.Key + "=" + l.Value
+		parts[i] = l.Key + `="` + escapeLabelValue(l.Value) + `"`
 	}
 	return strings.Join(parts, ",")
 }

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -8,17 +10,13 @@ import (
 
 func TestRegistryWriteText(t *testing.T) {
 	r := NewRegistry()
-	r.Register("test_requests_total", "counter", "Total requests.", func() []Sample {
-		return CounterSample(L("path", "/v1/lookup"), 42)
-	})
-	r.Register("test_latency_us", "summary", "Request latency.", func() []Sample {
-		h := NewLatencyHistogram()
-		for i := 1; i <= 100; i++ {
-			h.Observe(float64(i))
-		}
-		return SummarySamples(L("table", "t0"), h.Snapshot())
-	})
-	r.Register("test_empty", "gauge", "Never has samples.", func() []Sample { return nil })
+	r.Register("test_requests_total", "counter", "Total requests.", CounterSample(L("path", "/v1/lookup"), 42))
+	h := NewLatencyHistogram()
+	for i := 1; i <= 100; i++ {
+		h.Observe(float64(i))
+	}
+	r.Register("test_latency_us", "summary", "Request latency.", SummarySamples(L("table", "t0"), h.Snapshot()))
+	r.Register("test_empty", "gauge", "Never has samples.", nil)
 
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
@@ -30,8 +28,10 @@ func TestRegistryWriteText(t *testing.T) {
 		"# TYPE test_requests_total counter",
 		`test_requests_total{path="/v1/lookup"} 42`,
 		"# TYPE test_latency_us summary",
+		`test_latency_us{table="t0",quantile="0"} 1` + "\n",
 		`test_latency_us{table="t0",quantile="0.5"}`,
 		`test_latency_us{table="t0",quantile="0.999"}`,
+		`test_latency_us{table="t0",quantile="1"} 100` + "\n",
 		`test_latency_us_sum{table="t0"} 5050`,
 		`test_latency_us_count{table="t0"} 100`,
 	} {
@@ -46,16 +46,14 @@ func TestRegistryWriteText(t *testing.T) {
 	if err != nil {
 		t.Fatalf("own exposition does not validate: %v\n%s", err, out)
 	}
-	if n != 7 {
-		t.Fatalf("sample count = %d, want 7", n)
+	if n != 9 {
+		t.Fatalf("sample count = %d, want 9", n)
 	}
 }
 
 func TestRegistryEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Register("test_escape", "gauge", "help with \\ and\nnewline", func() []Sample {
-		return CounterSample(L("k", "a\"b\\c\nd"), 1)
-	})
+	r.Register("test_escape", "gauge", "help with \\ and\nnewline", CounterSample(L("k", "a\"b\\c\nd"), 1))
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
 		t.Fatalf("WriteText: %v", err)
@@ -81,15 +79,13 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 	}
 	mustPanic("bad name", func() { r.Register("9bad", "counter", "", nil) })
 	mustPanic("bad type", func() { r.Register("ok_name", "exotic", "", nil) })
-	r.Register("dup_name", "counter", "", func() []Sample { return nil })
+	r.Register("dup_name", "counter", "", nil)
 	mustPanic("dup", func() { r.Register("dup_name", "counter", "", nil) })
 }
 
 func TestRegistryHandler(t *testing.T) {
 	r := NewRegistry()
-	r.Register("test_up", "gauge", "Always one.", func() []Sample {
-		return CounterSample(nil, 1)
-	})
+	r.Register("test_up", "gauge", "Always one.", CounterSample(nil, 1))
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
@@ -131,5 +127,70 @@ func TestValidateExpositionRejects(t *testing.T) {
 	}
 	if n != 3 {
 		t.Fatalf("sample count = %d, want 3", n)
+	}
+}
+
+// TestRegistryWriteJSON: the JSON view carries what the text exposition
+// does, keyed the same way, including values JSON numbers cannot hold
+// (written as the text format's strings) and a label value that needs
+// escaping in both formats.
+func TestRegistryWriteJSON(t *testing.T) {
+	r := NewRegistry()
+	r.Register("test_values", "gauge", "Odd values.", []Sample{
+		{Labels: L("v", "nan"), Value: math.NaN()},
+		{Labels: L("v", "pinf"), Value: math.Inf(1)},
+		{Labels: L("v", "ninf"), Value: math.Inf(-1)},
+		{Labels: L("v", "big"), Value: 1e21},
+		{Labels: L("v", "a\"b\\c\nd,e=f"), Value: -0.25},
+	})
+	r.Register("test_up", "gauge", "Unlabelled.", CounterSample(nil, 1))
+	h := NewLatencyHistogram()
+	h.Observe(3)
+	r.Register("test_latency_us", "summary", "Latency.", SummarySamples(L("table", "t0"), h.Snapshot()))
+	r.Register("test_empty", "gauge", "Never has samples.", nil)
+
+	var js, text strings.Builder
+	if err := r.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"v=\"nan\"":"NaN"`, `"v=\"pinf\"":"+Inf"`, `"v=\"ninf\"":"-Inf"`, `"v=\"big\"":1e+21`,
+		`"test_up":{"":1}`, `"test_latency_us_count":{"table=\"t0\"":1}`} {
+		if !strings.Contains(js.String(), want) {
+			t.Errorf("JSON view missing %s:\n%s", want, js.String())
+		}
+	}
+	if !json.Valid([]byte(js.String())) {
+		t.Fatalf("WriteJSON is not JSON:\n%s", js.String())
+	}
+	fromJSON, err := ParseJSON(strings.NewReader(js.String()))
+	if err != nil {
+		t.Fatalf("ParseJSON: %v\n%s", err, js.String())
+	}
+	fromText, err := ParseExposition(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatalf("ParseExposition: %v\n%s", err, text.String())
+	}
+	if got := fromJSON["test_values"][`v="a\"b\\c\nd,e=f"`]; got != -0.25 {
+		t.Errorf("escaped label value reads %v from the JSON view, want -0.25", got)
+	}
+	if _, ok := fromJSON["test_empty"]; ok {
+		t.Error("family with no samples should be omitted")
+	}
+	if len(fromJSON) != len(fromText) {
+		t.Fatalf("JSON view has %d series, text %d", len(fromJSON), len(fromText))
+	}
+	for name, series := range fromText {
+		if len(fromJSON[name]) != len(series) {
+			t.Errorf("%s: JSON view has %d samples, text %d", name, len(fromJSON[name]), len(series))
+		}
+		for labels, want := range series {
+			got, ok := fromJSON[name][labels]
+			if !ok || !(got == want || math.IsNaN(got) && math.IsNaN(want)) {
+				t.Errorf("%s{%s}: JSON view %v (present %v), text %v", name, labels, got, ok, want)
+			}
+		}
 	}
 }

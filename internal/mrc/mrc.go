@@ -183,16 +183,6 @@ func (h *HRC) MaxHitRate() float64 {
 	return h.cumHits[len(h.cumHits)-1] / h.total
 }
 
-// Points samples the curve at the given cache sizes, returning one hit rate
-// per size. Used to print Figure 3.
-func (h *HRC) Points(sizes []int) []float64 {
-	out := make([]float64, len(sizes))
-	for i, s := range sizes {
-		out[i] = h.HitRate(s)
-	}
-	return out
-}
-
 // MarginalHits returns the expected additional hits obtained by growing the
 // cache from size a to size b (b > a). The DRAM allocator uses this to
 // greedily distribute memory across tables.

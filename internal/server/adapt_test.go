@@ -3,10 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 func postAdapt(t *testing.T, url string, body string) (*http.Response, map[string]any) {
@@ -27,21 +27,7 @@ func TestAdaptEndpoint(t *testing.T) {
 	ts, tables := newTestServer(t)
 
 	// Stats before start: adaptation disabled.
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats struct {
-		Adaptation struct {
-			Enabled         bool `json:"enabled"`
-			EpochsCompleted int  `json:"epochsCompleted"`
-		} `json:"adaptation"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.Adaptation.Enabled {
+	if getStats(t, ts.URL).get("bandana_adaptation_enabled") != 0 {
 		t.Fatal("adaptation should be disabled before start")
 	}
 
@@ -61,8 +47,12 @@ func TestAdaptEndpoint(t *testing.T) {
 
 	// Start in manual mode (no interval).
 	resp2, body := postAdapt(t, ts.URL, `{"action":"start","minQueries":8}`)
-	if resp2.StatusCode != http.StatusOK || body["enabled"] != true {
+	if resp2.StatusCode != http.StatusOK || body["Enabled"] != true {
 		t.Fatalf("start: %d %v", resp2.StatusCode, body)
+	}
+	// The answer is core.AdaptationStats as it is: one entry per table.
+	if rows, _ := body["Tables"].([]any); len(rows) != len(tables) {
+		t.Fatalf("start answer covers %d tables, want %d: %v", len(rows), len(tables), body)
 	}
 	// Double start conflicts.
 	if resp, _ := postAdapt(t, ts.URL, `{"action":"start"}`); resp.StatusCode != http.StatusConflict {
@@ -98,40 +88,22 @@ func TestAdaptEndpoint(t *testing.T) {
 		t.Fatalf("epoch report: %v", rep)
 	}
 
-	// Stats now expose the adaptation section with per-table entries.
-	resp4, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	// Stats now count the epoch, and every table keeps a cache allocation.
+	stats := getStats(t, ts.URL)
+	if stats.get("bandana_adaptation_enabled") != 1 || stats.get("bandana_adaptation_epochs_total") != 1 {
+		t.Fatalf("adaptation stats after epoch: %v", stats.View)
 	}
-	var full struct {
-		Adaptation struct {
-			Enabled         bool `json:"enabled"`
-			EpochsCompleted int  `json:"epochsCompleted"`
-			Tables          []struct {
-				Name         string  `json:"name"`
-				EpochHitRate float64 `json:"epochHitRate"`
-				CacheVectors int     `json:"cacheVectors"`
-			} `json:"tables"`
-		} `json:"adaptation"`
+	if n := len(stats.View["bandana_table_cache_vectors"]); n != len(tables) {
+		t.Fatalf("stats cover %d tables, want %d", n, len(tables))
 	}
-	if err := json.NewDecoder(resp4.Body).Decode(&full); err != nil {
-		t.Fatal(err)
-	}
-	resp4.Body.Close()
-	if !full.Adaptation.Enabled || full.Adaptation.EpochsCompleted != 1 {
-		t.Fatalf("adaptation stats after epoch: %+v", full.Adaptation)
-	}
-	if len(full.Adaptation.Tables) != len(tables) {
-		t.Fatalf("adaptation stats cover %d tables, want %d", len(full.Adaptation.Tables), len(tables))
-	}
-	for _, ts := range full.Adaptation.Tables {
-		if ts.CacheVectors <= 0 {
-			t.Fatalf("table %s: no cache allocation in stats", ts.Name)
+	for _, tbl := range tables {
+		if stats.get("bandana_table_cache_vectors", tbl.Name) <= 0 {
+			t.Fatalf("table %s: no cache allocation in stats", tbl.Name)
 		}
 	}
 
 	// Stop; epoch now fails again.
-	if resp, body := postAdapt(t, ts.URL, `{"action":"stop"}`); resp.StatusCode != http.StatusOK || body["enabled"] != false {
+	if resp, body := postAdapt(t, ts.URL, `{"action":"stop"}`); resp.StatusCode != http.StatusOK || body["Enabled"] != false {
 		t.Fatalf("stop: %d %v", resp.StatusCode, body)
 	}
 	if resp, _ := postAdapt(t, ts.URL, `{"action":"epoch"}`); resp.StatusCode != http.StatusConflict {
@@ -145,11 +117,11 @@ func TestAdaptEndpointBackgroundStart(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("start: %d %v", resp.StatusCode, body)
 	}
-	if body["background"] != true {
+	if body["Background"] != true {
 		t.Fatalf("background not running: %v", body)
 	}
-	if fmt.Sprintf("%v", body["intervalMS"]) != "50" {
-		t.Fatalf("intervalMS = %v", body["intervalMS"])
+	if body["Interval"] != float64(50*time.Millisecond) {
+		t.Fatalf("Interval = %v, want 50ms", body["Interval"])
 	}
 	if resp, _ := postAdapt(t, ts.URL, `{"action":"stop"}`); resp.StatusCode != http.StatusOK {
 		t.Fatal("stop failed")

@@ -98,29 +98,15 @@ func TestHandlerErrorPaths(t *testing.T) {
 	}
 }
 
-// TestStatsRuntimeSection pins the new runtime and store sections of
-// /v1/stats.
+// TestStatsRuntimeSection pins the runtime and store families of /v1/stats.
 func TestStatsRuntimeSection(t *testing.T) {
 	ts, _ := newTestServer(t)
-	var out struct {
-		Runtime struct {
-			Goroutines    int     `json:"goroutines"`
-			HeapBytes     uint64  `json:"heapBytes"`
-			UptimeSeconds float64 `json:"uptimeSeconds"`
-		} `json:"runtime"`
-		Store struct {
-			ReadOnly    bool   `json:"readOnly"`
-			SnapshotSeq uint64 `json:"snapshotSeq"`
-		} `json:"store"`
+	out := getStats(t, ts.URL)
+	if out.get("bandana_runtime_goroutines") <= 0 || out.get("bandana_runtime_heap_bytes") == 0 || out.get("bandana_runtime_heap_objects") == 0 {
+		t.Fatal("runtime families not populated")
 	}
-	if code := getJSON(t, ts.URL+"/v1/stats", &out); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if out.Runtime.Goroutines <= 0 || out.Runtime.HeapBytes == 0 {
-		t.Fatalf("runtime section not populated: %+v", out.Runtime)
-	}
-	if out.Store.SnapshotSeq == 0 {
-		t.Fatalf("store section not populated: %+v", out.Store)
+	if out.get("bandana_store_snapshot_seq") == 0 || out.get("bandana_store_read_only") != 0 {
+		t.Fatal("store families not populated")
 	}
 }
 
@@ -251,15 +237,7 @@ func TestSwapStoreDrainsInFlightRequests(t *testing.T) {
 		t.Fatalf("%d requests failed across store swaps", failures)
 	}
 
-	var stats struct {
-		Store struct {
-			Swaps int64 `json:"swaps"`
-		} `json:"store"`
-	}
-	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
-	}
-	if stats.Store.Swaps != 5 {
-		t.Fatalf("swap counter = %d, want 5", stats.Store.Swaps)
+	if n := getStats(t, ts.URL).get("bandana_store_swaps_total"); n != 5 {
+		t.Fatalf("swap counter = %v, want 5", n)
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // TestStatsIOSchedSection: a store reports its I/O scheduler's effective
-// configuration and counters under the "iosched" stats section, and the
-// device section carries the batching counters. On the mem backend nothing
+// configuration and counters as the bandana_iosched_* families, and the
+// bandana_device_* families carry the batching counters. On the mem backend nothing
 // is scheduled: misses read the store's memory in place and compaction reads
 // the device directly, so only the device counters move — and an update
 // reaches the device only when compaction folds it in.
@@ -38,34 +38,32 @@ func TestStatsIOSchedSection(t *testing.T) {
 		}
 	}
 
-	var out statsResponse
-	if code := getJSON(t, ts.URL+"/v1/stats", &out); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
+	out := getStats(t, ts.URL)
+	if v := out.get("bandana_iosched_queue_depth"); v != 16 {
+		t.Fatalf("iosched queue depth %v, want 16", v)
 	}
-	io := out.IOSched
-	if io.TargetQueueDepth != 16 {
-		t.Fatalf("iosched config not echoed: %+v", io)
+	for _, name := range []string{"bandana_iosched_demand_reads_total", "bandana_iosched_prefetch_reads_total",
+		"bandana_iosched_device_reads_total", "bandana_iosched_batches_total", "bandana_iosched_inflight_max"} {
+		if v := out.get(name); v != 0 {
+			t.Fatalf("%s = %v, want nothing scheduled", name, v)
+		}
 	}
-	if io.DemandReads != 0 || io.PrefetchReads != 0 || io.DeviceReads != 0 || io.Batches != 0 || io.MaxInFlight != 0 {
-		t.Fatalf("iosched counters: %+v, want nothing scheduled", io)
-	}
-	if d := out.Device; d.BlocksRead != 3 || d.ReadBatches != 3 || d.ReadsSubmitted != d.BlocksRead || d.AvgReadBatch != 1 {
-		t.Fatalf("device batching counters: %+v, want 3 one-block batches", d)
+	read, batches := out.get("bandana_device_blocks_read_total"), out.get("bandana_device_read_batches_total")
+	if read != 3 || batches != 3 || out.get("bandana_device_reads_submitted_total") != read {
+		t.Fatalf("device batching counters: %v blocks in %v batches, want 3 one-block batches", read, batches)
 	}
 
 	// An update is a log append plus DRAM work: the overlay serves it, and
 	// the device's counters do not move until compaction folds it into the
 	// block image.
-	read, written := out.Device.BlocksRead, out.Device.BlocksWritten
+	written := out.get("bandana_device_blocks_written_total")
 	updateAndLookup(t, store, ts.URL, 9)
-	if code := getJSON(t, ts.URL+"/v1/stats", &out); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
+	out = getStats(t, ts.URL)
+	if d, o := out.get("bandana_table_delta_hits_total", "tA"), out.get("bandana_updatelog_overlay_entries"); d != 1 || o != 1 {
+		t.Fatalf("update not served from the overlay: %v delta hits, %v overlay entries", d, o)
 	}
-	if out.Tables[0].DeltaHits != 1 || out.UpdateLog.OverlayEntries != 1 {
-		t.Fatalf("update not served from the overlay: deltaHits=%d %+v", out.Tables[0].DeltaHits, out.UpdateLog)
-	}
-	if out.Device.BlocksRead != read || out.Device.BlocksWritten != written {
-		t.Fatalf("update touched the device before compaction: %+v", out.Device)
+	if r, w := out.get("bandana_device_blocks_read_total"), out.get("bandana_device_blocks_written_total"); r != read || w != written {
+		t.Fatalf("update touched the device before compaction: %v blocks read, %v written", r, w)
 	}
 
 	// Compaction read-modify-writes the one dirty block, straight on the
@@ -73,18 +71,16 @@ func TestStatsIOSchedSection(t *testing.T) {
 	if err := store.CompactDeltas(); err != nil {
 		t.Fatal(err)
 	}
-	if code := getJSON(t, ts.URL+"/v1/stats", &out); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
+	out = getStats(t, ts.URL)
+	if p, d := out.get("bandana_iosched_prefetch_reads_total"), out.get("bandana_iosched_demand_reads_total"); p != 0 || d != 0 {
+		t.Fatalf("compaction read through the scheduler: %v prefetch, %v demand reads", p, d)
 	}
-	if out.IOSched.PrefetchReads != 0 || out.IOSched.DemandReads != 0 {
-		t.Fatalf("compaction read through the scheduler: %+v", out.IOSched)
+	r, w, depth := out.get("bandana_device_blocks_read_total"), out.get("bandana_device_blocks_written_total"), out.get("bandana_device_queue_depth_max")
+	if r != read+1 || w != written+1 || depth != 1 {
+		t.Fatalf("compaction read %v and wrote %v blocks at depth %v, want 1, 1 and 1", r-read, w-written, depth)
 	}
-	if out.Device.BlocksRead != read+1 || out.Device.BlocksWritten != written+1 || out.Device.MaxQueueDepth != 1 {
-		t.Fatalf("compaction read %d and wrote %d blocks at depth %d, want 1, 1 and 1: %+v",
-			out.Device.BlocksRead-read, out.Device.BlocksWritten-written, out.Device.MaxQueueDepth, out.Device)
-	}
-	if out.UpdateLog.OverlayEntries != 0 || out.UpdateLog.Compactions != 1 {
-		t.Fatalf("overlay not drained by compaction: %+v", out.UpdateLog)
+	if o, c := out.get("bandana_updatelog_overlay_entries"), out.get("bandana_updatelog_compactions_total"); o != 0 || c != 1 {
+		t.Fatalf("overlay not drained by compaction: %v overlay entries after %v compactions", o, c)
 	}
 }
 

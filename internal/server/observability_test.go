@@ -196,7 +196,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("%s bytes are zero after 512 lookups", component)
 		}
 	}
-	if strings.Contains(out, "table=\"tA\",stage=") {
+	if regexp.MustCompile(`(?m)^bandana_stage_duration_us(_sum|_count)?\{[^}]*table=`).MatchString(out) {
 		t.Errorf("the stage histograms carry a table label: they are the store's:\n%s", grepLines(out, "bandana_stage_duration_us"))
 	}
 	if strings.Contains(out, "bandana_stage_duration_us_count{stage=\"device_service\"} 0\n") {
@@ -261,16 +261,16 @@ func TestMetricsDeviceReadPath(t *testing.T) {
 		ts := httptest.NewServer(New(store).Handler())
 		postJSON(t, ts.URL+"/v1/batch", coldBatch, nil)
 		out := scrape(t, ts.URL)
-		var stats statsResponse
-		getJSON(t, ts.URL+"/v1/stats", &stats)
+		stats := getStats(t, ts.URL)
 		ts.Close()
 		store.Close()
 		want := fmt.Sprintf(`bandana_device_info{backend="file",direct_io="%v",read_path="%s"} 1`+"\n", l.direct, l.readPath)
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition lacks %s%s", want, grepLines(out, "bandana_device_info"))
 		}
-		if stats.Device.ReadPath != l.readPath {
-			t.Errorf("direct=%v: /v1/stats readPath %q, want %q", l.direct, stats.Device.ReadPath, l.readPath)
+		labels := fmt.Sprintf(`backend="file",direct_io="%v",read_path="%s"`, l.direct, l.readPath)
+		if _, ok := stats.View["bandana_device_info"][labels]; !ok {
+			t.Errorf("/v1/stats device info %v, want %s", stats.View["bandana_device_info"], labels)
 		}
 		blocks, demand := sampleValue(t, out, "bandana_device_blocks_read_total"), sampleValue(t, out, "bandana_iosched_demand_reads_total")
 		if scheduled := l.readPath == "pread"; blocks == 0 || (demand > 0) != scheduled {
@@ -362,17 +362,17 @@ func TestMetricsPredictedNextToObserved(t *testing.T) {
 		t.Errorf("layout install series wrong after one Train:\n%s", grepLines(out, "bandana_layout_install"))
 	}
 
-	var stats struct {
-		Tables []core.TableStats `json:"tables"`
+	stats := getStats(t, ts.URL)
+	if n := len(stats.View["bandana_table_lookups_total"]); n != 1 {
+		t.Fatalf("stats has %d tables", n)
 	}
-	getJSON(t, ts.URL+"/v1/stats", &stats)
-	if len(stats.Tables) != 1 {
-		t.Fatalf("stats has %d tables", len(stats.Tables))
+	hit, perRead := stats.get("bandana_table_predicted_hit_ratio", "tA"), stats.get("bandana_table_predicted_lookups_per_block_read", "tA")
+	adds, bw := stats.get("bandana_table_prefetch_adds_total", "tA"), stats.get("bandana_table_effective_bandwidth", "tA")
+	if hit <= 0 || perRead < 1 || adds == 0 || bw <= 0 {
+		t.Errorf("/v1/stats: predicted %.3f / %.3f, prefetch adds %v, effective bandwidth %.3f", hit, perRead, adds, bw)
 	}
-	got := stats.Tables[0]
-	if got.PredictedHitRate <= 0 || got.PredictedLookupsPerBlockRead < 1 || got.PrefetchAdds == 0 || got.EffectiveBandwidth <= 0 {
-		t.Errorf("/v1/stats: predicted %.3f / %.3f, prefetchAdds %d, effective bandwidth %.3f",
-			got.PredictedHitRate, got.PredictedLookupsPerBlockRead, got.PrefetchAdds, got.EffectiveBandwidth)
+	if _, ok := stats.View["bandana_table_policy_info"][`policy="threshold-admit",table="tA"`]; !ok {
+		t.Errorf("/v1/stats policy after Train: %v, want threshold-admit", stats.View["bandana_table_policy_info"])
 	}
 }
 
@@ -516,4 +516,98 @@ func grepLines(s, substr string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestStatsViewMatchesExposition: /v1/stats is the /metrics registry as
+// JSON. A scrape of each, with no lookups between them, carries the same
+// series with the same label sets, and the same value for every table,
+// device and store sample. And every scrape of either, taken while lookups
+// run, reads hits + misses == lookups for every table: a scrape renders one
+// read of the store, however many families show it.
+func TestStatsViewMatchesExposition(t *testing.T) {
+	var tables []*table.Table
+	for i, name := range []string{"tA", "tB"} {
+		tables = append(tables, table.Generate(name, table.GenerateOptions{NumVectors: 2048, Dim: 16, NumClusters: 32, Seed: int64(i)}).Table)
+	}
+	store, err := core.Open(core.Config{Tables: tables, DRAMBudgetVectors: 256, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	ts := httptest.NewServer(New(store).Handler())
+	t.Cleanup(ts.Close)
+	for id := uint32(0); id < 256; id += 3 {
+		postJSON(t, ts.URL+"/v1/batch", batchRequest{Table: "tA", IDs: []uint32{id, id + 700}}, nil)
+		getJSON(t, fmt.Sprintf("%s/v1/lookup?table=tB&id=%d", ts.URL, id), nil)
+	}
+
+	text, err := metrics.ParseExposition(strings.NewReader(scrape(t, ts.URL)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := getStats(t, ts.URL).View
+	for name, series := range text {
+		if _, ok := view[name]; !ok {
+			t.Errorf("/v1/stats lacks %s", name)
+			continue
+		}
+		exact := strings.HasPrefix(name, "bandana_table_") || strings.HasPrefix(name, "bandana_device_") || strings.HasPrefix(name, "bandana_store_")
+		for labels, want := range series {
+			got, ok := view[name][labels]
+			switch {
+			case !ok:
+				t.Errorf("/v1/stats lacks %s{%s}", name, labels)
+			case exact && got != want:
+				t.Errorf("%s{%s}: /v1/stats %v, /metrics %v", name, labels, got, want)
+			}
+		}
+		if len(view[name]) != len(series) {
+			t.Errorf("%s: /v1/stats has %d samples, /metrics %d", name, len(view[name]), len(series))
+		}
+	}
+	if len(view) != len(text) {
+		t.Errorf("/v1/stats has %d series, /metrics %d", len(view), len(text))
+	}
+	if view["bandana_table_lookups_total"][`table="tA"`] == 0 || view["bandana_table_lookups_total"][`table="tB"`] == 0 {
+		t.Fatalf("lookups not counted: %v", view["bandana_table_lookups_total"])
+	}
+
+	// Eight goroutines look up while both endpoints are scraped.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint32(g); ; i += 8 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := store.LookupBatch(int(i%2), []uint32{i * 37 % 2048, i * 101 % 2048}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 10; i++ {
+		text, err := metrics.ParseExposition(strings.NewReader(scrape(t, ts.URL)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for where, v := range map[string]metrics.View{"/metrics": text, "/v1/stats": getStats(t, ts.URL).View} {
+			for labels, lookups := range v["bandana_table_lookups_total"] {
+				hits, misses := v["bandana_table_hits_total"][labels], v["bandana_table_misses_total"][labels]
+				if hits+misses != lookups {
+					t.Fatalf("scrape %d of %s, %s: hits %v + misses %v != lookups %v", i, where, labels, hits, misses, lookups)
+				}
+			}
+		}
+	}
 }

@@ -11,7 +11,8 @@
 //	POST /v1/batch                       {"table": "...", "ids": [...]}
 //	POST /v1/request                     {"lookups": [[...], [...], ...]} (one ID list per table)
 //	POST /v1/update                      {"table": "...", "id": N, "vector": [...]} single-vector update
-//	GET  /v1/stats                       per-table serving stats + NVM device stats + server stats + runtime + adaptation stats
+//	GET  /metrics                        Prometheus text exposition of the node's metric registry
+//	GET  /v1/stats                       the same registry as JSON: series name -> label set -> value
 //	POST /v1/adapt                       {"action": "start"|"stop"|"epoch", ...} adaptation control
 //	GET  /v1/replica/seq                 snapshot sequence number (replica polling)
 //	GET  /v1/replica/snapshot            chunked, CRC'd snapshot stream (replica bootstrap)
@@ -21,7 +22,7 @@
 // caches let those goroutines proceed in parallel, so the service scales
 // with GOMAXPROCS instead of serializing lookups behind a per-table lock.
 // The server tracks request count, error count, in-flight requests and
-// request latency, reported under "server" in /v1/stats.
+// request latency, exported as the bandana_http_* families.
 //
 // The served store can be replaced at runtime with SwapStore (how a replica
 // follows its primary across re-syncs): each request pins the store it
@@ -42,7 +43,6 @@ import (
 	"time"
 
 	"bandana/internal/core"
-	"bandana/internal/iosched"
 	"bandana/internal/metrics"
 	"bandana/internal/wire"
 )
@@ -72,10 +72,6 @@ type Server struct {
 	// serialize times JSON response encoding on the serving handlers (the
 	// "serialize" stage of the latency decomposition).
 	serialize *metrics.Histogram
-
-	// registry renders GET /metrics (built lazily on first scrape).
-	registryOnce sync.Once
-	registry     *metrics.Registry
 
 	// Slow-request logging (see SetSlowRequestThreshold). slowNS == 0 means
 	// disabled; emission is token-bucket limited so an overloaded server
@@ -404,175 +400,6 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 	s.writeServingJSON(w, rt, http.StatusOK, rankingResponse{Tables: out})
 }
 
-// statsResponse bundles per-table, device, I/O scheduler, server, store,
-// runtime and adaptation statistics.
-type statsResponse struct {
-	Tables     []core.TableStats    `json:"tables"`
-	Device     deviceStats          `json:"device"`
-	IOSched    iosched.Stats        `json:"iosched"`
-	Wire       wireStats            `json:"wire"`
-	Server     serverStats          `json:"server"`
-	Store      storeStats           `json:"store"`
-	UpdateLog  core.UpdateLogStats  `json:"updateLog"`
-	Runtime    metrics.RuntimeStats `json:"runtime"`
-	Adaptation adaptationStats      `json:"adaptation"`
-}
-
-// storeStats describes the served store itself (as opposed to its tables or
-// device): replication observability lives here.
-type storeStats struct {
-	// ReadOnly is true on a replica serving a bootstrapped snapshot.
-	ReadOnly bool `json:"readOnly"`
-	// SnapshotSeq identifies the servable image; replicas re-sync when the
-	// primary's value passes theirs.
-	SnapshotSeq uint64 `json:"snapshotSeq"`
-	// Swaps counts SwapStore calls (replica re-syncs) since the server
-	// started.
-	Swaps int64 `json:"swaps"`
-	// DataDir is the persistence directory ("" for the mem backend).
-	DataDir string `json:"dataDir,omitempty"`
-}
-
-// adaptationStats is the JSON rendering of core.AdaptationStats (documented
-// in the README's /v1/stats schema).
-type adaptationStats struct {
-	Enabled             bool                   `json:"enabled"`
-	Background          bool                   `json:"background"`
-	IntervalMS          int64                  `json:"intervalMS"`
-	EpochsCompleted     int64                  `json:"epochsCompleted"`
-	Relayouts           int64                  `json:"relayouts"`
-	LastEpochDurationMS float64                `json:"lastEpochDurationMS"`
-	LastRelayoutMS      float64                `json:"lastRelayoutDurationMS"`
-	LastError           string                 `json:"lastError,omitempty"`
-	Tables              []tableAdaptationStats `json:"tables,omitempty"`
-}
-
-type tableAdaptationStats struct {
-	Name            string  `json:"name"`
-	EpochLookups    int64   `json:"epochLookups"`
-	EpochHits       int64   `json:"epochHits"`
-	EpochHitRate    float64 `json:"epochHitRate"`
-	CacheVectors    int     `json:"cacheVectors"`
-	Threshold       uint32  `json:"threshold"`
-	DemandThreshold uint32  `json:"demandThreshold"`
-	Prefetching     bool    `json:"prefetching"`
-	RecordedQueries int     `json:"recordedQueries"`
-	Relayouts       int64   `json:"relayouts"`
-}
-
-func renderAdaptationStats(st core.AdaptationStats) adaptationStats {
-	out := adaptationStats{
-		Enabled:             st.Enabled,
-		Background:          st.Background,
-		IntervalMS:          st.Interval.Milliseconds(),
-		EpochsCompleted:     st.EpochsCompleted,
-		Relayouts:           st.Relayouts,
-		LastEpochDurationMS: float64(st.LastEpochDuration) / 1e6,
-		LastRelayoutMS:      float64(st.LastRelayoutDuration) / 1e6,
-		LastError:           st.LastError,
-	}
-	for _, ts := range st.Tables {
-		out.Tables = append(out.Tables, tableAdaptationStats{
-			Name:            ts.Name,
-			EpochLookups:    ts.EpochLookups,
-			EpochHits:       ts.EpochHits,
-			EpochHitRate:    ts.EpochHitRate,
-			CacheVectors:    ts.CacheVectors,
-			Threshold:       ts.Threshold,
-			DemandThreshold: ts.DemandThreshold,
-			Prefetching:     ts.Prefetching,
-			RecordedQueries: ts.RecordedQueries,
-			Relayouts:       ts.Relayouts,
-		})
-	}
-	return out
-}
-
-// serverStats reports the HTTP layer's own counters. Serialize is the
-// response-encoding stage of the serving handlers (lookup/batch/request),
-// in microseconds.
-type serverStats struct {
-	Requests  int64            `json:"requests"`
-	Errors    int64            `json:"errors"`
-	InFlight  int64            `json:"inFlight"`
-	Latency   metrics.Snapshot `json:"latencyUS"`
-	Serialize metrics.Snapshot `json:"serializeUS"`
-}
-
-type deviceStats struct {
-	BlocksRead    int64   `json:"blocksRead"`
-	BlocksWritten int64   `json:"blocksWritten"`
-	BytesRead     int64   `json:"bytesRead"`
-	DriveWrites   float64 `json:"driveWrites"`
-	EnduranceDWPD float64 `json:"enduranceDWPD"`
-	// ReadsSubmitted/ReadBatches/AvgReadBatch/MaxQueueDepth/CoalescedReads
-	// describe the read path's batching: how many read intents were served,
-	// in how many device dispatches, at what realized queue depth, and how
-	// many reads the I/O scheduler coalesced away entirely.
-	ReadsSubmitted int64   `json:"readsSubmitted"`
-	ReadBatches    int64   `json:"readBatches"`
-	AvgReadBatch   float64 `json:"avgReadBatch"`
-	MaxQueueDepth  int64   `json:"maxQueueDepth"`
-	CoalescedReads int64   `json:"coalescedReads"`
-	// Backend names the block store behind the device ("mem" or "file");
-	// the write/flush counters are non-zero for the file backend only.
-	// DirectIO reports whether the block file is open with O_DIRECT (false
-	// also when it was requested but the filesystem fell back to buffered
-	// I/O). ReadPath is how the file backend reads a block: "mmap" (in place
-	// in its mapping of the data region — the serving path's misses — or a
-	// copy out of it, buffered I/O) or "pread" (direct I/O). DataWrites
-	// counts single-block in-place writes: compaction's read-modify-writes.
-	Backend    string `json:"backend"`
-	DirectIO   bool   `json:"directIO"`
-	ReadPath   string `json:"readPath,omitempty"`
-	DataWrites int64  `json:"dataWrites"`
-	Flushes    int64  `json:"flushes"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	store := s.store(r)
-	dev := store.DeviceStats()
-	sched, _ := store.IOSchedStats()
-	writeJSON(w, http.StatusOK, statsResponse{
-		Tables: store.Stats(),
-		Device: deviceStats{
-			BlocksRead:     dev.BlocksRead,
-			BlocksWritten:  dev.BlocksWritten,
-			BytesRead:      dev.BytesRead,
-			DriveWrites:    dev.DriveWrites,
-			EnduranceDWPD:  dev.EnduranceDWPD,
-			ReadsSubmitted: dev.ReadsSubmitted,
-			ReadBatches:    dev.ReadBatches,
-			AvgReadBatch:   dev.AvgReadBatch,
-			MaxQueueDepth:  dev.MaxQueueDepth,
-			CoalescedReads: dev.CoalescedReads,
-			Backend:        dev.Store.Backend,
-			DirectIO:       dev.Store.DirectIO,
-			ReadPath:       dev.Store.ReadPath,
-			DataWrites:     dev.Store.DataWrites,
-			Flushes:        dev.Store.Flushes,
-		},
-		IOSched: sched,
-		Wire:    s.renderWireStats(),
-		Server: serverStats{
-			Requests:  s.requests.Value(),
-			Errors:    s.errors.Value(),
-			InFlight:  s.inflight.Value(),
-			Latency:   s.latency.Snapshot(),
-			Serialize: s.serialize.Snapshot(),
-		},
-		Store: storeStats{
-			ReadOnly:    store.ReadOnly(),
-			SnapshotSeq: store.SnapshotSeq(),
-			Swaps:       s.swaps.Value(),
-			DataDir:     store.DataDir(),
-		},
-		UpdateLog:  store.UpdateLogStats(),
-		Runtime:    metrics.ReadRuntime(s.start),
-		Adaptation: renderAdaptationStats(store.AdaptationStats()),
-	})
-}
-
 // adaptRequest controls the adaptation engine.
 type adaptRequest struct {
 	// Action: "start" (install recorders and, with IntervalMS > 0, the
@@ -618,10 +445,10 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 			writeError(w, status, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, renderAdaptationStats(store.AdaptationStats()))
+		writeJSON(w, http.StatusOK, store.AdaptationStats())
 	case "stop":
 		store.StopAdaptation()
-		writeJSON(w, http.StatusOK, renderAdaptationStats(store.AdaptationStats()))
+		writeJSON(w, http.StatusOK, store.AdaptationStats())
 	case "epoch":
 		rep, err := store.AdaptNow()
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"bandana/internal/core"
+	"bandana/internal/metrics"
 	"bandana/internal/table"
 	"bandana/internal/trace"
 )
@@ -36,6 +37,45 @@ func newTestServer(t *testing.T) (*httptest.Server, []*table.Table) {
 	ts := httptest.NewServer(New(store).Handler())
 	t.Cleanup(ts.Close)
 	return ts, tables
+}
+
+// statsView is a /v1/stats scrape.
+type statsView struct {
+	metrics.View
+	t *testing.T
+}
+
+// getStats scrapes the server's /v1/stats, the JSON view of its registry.
+func getStats(t *testing.T, url string) statsView {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/stats status %d", resp.StatusCode)
+	}
+	v, err := metrics.ParseJSON(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return statsView{v, t}
+}
+
+// get returns a series' value: the unlabelled sample, or with a table name
+// the table's sample. A missing sample fails the test.
+func (v statsView) get(series string, table ...string) float64 {
+	labels := ""
+	if len(table) == 1 {
+		labels = `table="` + table[0] + `"`
+	}
+	x, ok := v.View[series][labels]
+	if !ok {
+		v.t.Helper()
+		v.t.Fatalf("/v1/stats has no %s{%s}", series, labels)
+	}
+	return x
 }
 
 func getJSON(t *testing.T, url string, out any) int {
@@ -164,7 +204,7 @@ func TestBatchEndpoint(t *testing.T) {
 }
 
 // TestStatsFileBackend serves a file-backed store and checks that /v1/stats
-// reports the backend name and its write/flush counters.
+// reports the backend name, the data directory and the write/flush counters.
 func TestStatsFileBackend(t *testing.T) {
 	g := table.Generate("tA", table.GenerateOptions{NumVectors: 512, Dim: 16, NumClusters: 8, Seed: 1})
 	store, err := core.Open(core.Config{
@@ -183,35 +223,34 @@ func TestStatsFileBackend(t *testing.T) {
 	// Bulk ingest is no single-block write, and an update is none until it
 	// is compacted: it is one update-log append, served from the overlay.
 	updateAndLookup(t, store, ts.URL, 1)
-	var out statsResponse
-	if code := getJSON(t, ts.URL+"/v1/stats", &out); code != http.StatusOK {
-		t.Fatalf("status %d", code)
+	out := getStats(t, ts.URL)
+	if _, ok := out.View["bandana_device_info"][`backend="file",direct_io="false",read_path="mmap"`]; !ok {
+		t.Fatalf("device info %v, want the buffered file backend", out.View["bandana_device_info"])
 	}
-	if out.Device.Backend != "file" {
-		t.Fatalf("backend = %q, want file", out.Device.Backend)
+	if _, ok := out.View["bandana_store_info"][`data_dir="`+store.DataDir()+`"`]; !ok {
+		t.Fatalf("store info %v, want data_dir %q", out.View["bandana_store_info"], store.DataDir())
 	}
-	if out.Tables[0].DeltaHits != 1 || out.UpdateLog.OverlayEntries != 1 || out.UpdateLog.Appends != 1 {
-		t.Fatalf("update not served from the overlay: deltaHits=%d %+v", out.Tables[0].DeltaHits, out.UpdateLog)
+	d, o, a := out.get("bandana_table_delta_hits_total", "tA"), out.get("bandana_updatelog_overlay_entries"), out.get("bandana_updatelog_appends_total")
+	if d != 1 || o != 1 || a != 1 {
+		t.Fatalf("update not served from the overlay: %v delta hits, %v overlay entries, %v appends", d, o, a)
 	}
-	if out.Device.DataWrites != 0 {
-		t.Fatalf("update reached the block file before compaction: %+v", out.Device)
+	if w := out.get("bandana_device_data_writes_total"); w != 0 {
+		t.Fatalf("update reached the block file before compaction: %v data writes", w)
 	}
 
 	// Compaction is the in-place path: one block read-modify-write.
 	if err := store.CompactDeltas(); err != nil {
 		t.Fatal(err)
 	}
-	if code := getJSON(t, ts.URL+"/v1/stats", &out); code != http.StatusOK {
-		t.Fatalf("status %d", code)
+	out = getStats(t, ts.URL)
+	if o := out.get("bandana_updatelog_overlay_entries"); o != 0 {
+		t.Fatalf("overlay not drained by compaction: %v entries", o)
 	}
-	if out.UpdateLog.OverlayEntries != 0 {
-		t.Fatalf("overlay not drained by compaction: %+v", out.UpdateLog)
+	if out.get("bandana_device_data_writes_total") == 0 {
+		t.Fatal("data writes not reported")
 	}
-	if out.Device.DataWrites == 0 {
-		t.Fatalf("data writes not reported: %+v", out.Device)
-	}
-	if out.Device.Flushes == 0 {
-		t.Fatalf("flushes not reported (Persist flushes at init): %+v", out.Device)
+	if out.get("bandana_device_flushes_total") == 0 {
+		t.Fatal("flushes not reported (Persist flushes at init)")
 	}
 }
 
@@ -235,32 +274,32 @@ func TestStatsEndpoint(t *testing.T) {
 	// Generate some traffic first.
 	getJSON(t, ts.URL+"/v1/lookup?table=tA&id=1", nil)
 	getJSON(t, ts.URL+"/v1/lookup?table=tA&id=1", nil)
-	var out statsResponse
-	if code := getJSON(t, ts.URL+"/v1/stats", &out); code != http.StatusOK {
-		t.Fatalf("status %d", code)
+	out := getStats(t, ts.URL)
+	if n := len(out.View["bandana_table_lookups_total"]); n != 2 {
+		t.Fatalf("stats cover %d tables", n)
 	}
-	if len(out.Tables) != 2 {
-		t.Fatalf("stats cover %d tables", len(out.Tables))
+	if l, h := out.get("bandana_table_lookups_total", "tA"), out.get("bandana_table_hits_total", "tA"); l != 2 || h != 1 {
+		t.Fatalf("stats not tracking traffic: %v lookups, %v hits", l, h)
 	}
-	if out.Tables[0].Lookups != 2 || out.Tables[0].Hits != 1 {
-		t.Fatalf("stats not tracking traffic: %+v", out.Tables[0])
-	}
-	if out.Device.BlocksRead == 0 {
+	if out.get("bandana_device_blocks_read_total") == 0 {
 		t.Fatalf("device stats missing")
 	}
-	if out.Device.EnduranceDWPD <= 0 {
+	if out.get("bandana_device_endurance_dwpd") <= 0 {
 		t.Fatalf("endurance budget missing")
 	}
-	if out.Device.Backend != "mem" {
-		t.Fatalf("backend = %q, want mem", out.Device.Backend)
+	if _, ok := out.View["bandana_device_info"][`backend="mem",direct_io="false"`]; !ok {
+		t.Fatalf("device info %v, want the mem backend", out.View["bandana_device_info"])
+	}
+	if _, ok := out.View["bandana_store_info"]; ok {
+		t.Fatalf("a mem store reports a data directory: %v", out.View["bandana_store_info"])
 	}
 	// The instrumentation middleware must have counted the traffic above
 	// (2 lookups + this stats request).
-	if out.Server.Requests < 3 {
-		t.Fatalf("server requests = %d, want >= 3", out.Server.Requests)
+	if n := out.get("bandana_http_requests_total"); n < 3 {
+		t.Fatalf("server requests = %v, want >= 3", n)
 	}
-	if out.Server.Errors != 0 {
-		t.Fatalf("server errors = %d, want 0", out.Server.Errors)
+	if n := out.get("bandana_http_errors_total"); n != 0 {
+		t.Fatalf("server errors = %v, want 0", n)
 	}
 }
 
@@ -268,12 +307,8 @@ func TestServerErrorCounting(t *testing.T) {
 	ts, _ := newTestServer(t)
 	getJSON(t, ts.URL+"/v1/lookup?table=nosuch&id=1", nil)
 	getJSON(t, ts.URL+"/v1/lookup?table=tA", nil)
-	var out statsResponse
-	if code := getJSON(t, ts.URL+"/v1/stats", &out); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if out.Server.Errors != 2 {
-		t.Fatalf("server errors = %d, want 2", out.Server.Errors)
+	if n := getStats(t, ts.URL).get("bandana_http_errors_total"); n != 2 {
+		t.Fatalf("server errors = %v, want 2", n)
 	}
 }
 
@@ -307,21 +342,18 @@ func TestConcurrentRequests(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	var out statsResponse
-	if code := getJSON(t, ts.URL+"/v1/stats", &out); code != http.StatusOK {
-		t.Fatalf("status %d", code)
+	out := getStats(t, ts.URL)
+	lookups, hits, misses := out.get("bandana_table_lookups_total", "tA"), out.get("bandana_table_hits_total", "tA"), out.get("bandana_table_misses_total", "tA")
+	if lookups != workers*perWorker {
+		t.Fatalf("table lookups = %v, want %d", lookups, workers*perWorker)
 	}
-	tbl := out.Tables[0]
-	if tbl.Lookups != workers*perWorker {
-		t.Fatalf("table lookups = %d, want %d", tbl.Lookups, workers*perWorker)
+	if hits+misses != lookups {
+		t.Fatalf("hits %v + misses %v != lookups %v", hits, misses, lookups)
 	}
-	if tbl.Hits+tbl.Misses != tbl.Lookups {
-		t.Fatalf("hits %d + misses %d != lookups %d", tbl.Hits, tbl.Misses, tbl.Lookups)
+	if n := out.get("bandana_http_requests_total"); n < workers*perWorker {
+		t.Fatalf("server requests = %v, want >= %d", n, workers*perWorker)
 	}
-	if out.Server.Requests < workers*perWorker {
-		t.Fatalf("server requests = %d, want >= %d", out.Server.Requests, workers*perWorker)
-	}
-	if out.Server.InFlight != 1 { // just this stats request
-		t.Fatalf("in-flight = %d, want 1", out.Server.InFlight)
+	if n := out.get("bandana_http_inflight_requests"); n != 1 { // just this stats request
+		t.Fatalf("in-flight = %v, want 1", n)
 	}
 }

@@ -68,33 +68,3 @@ func (b wireBackend) UpdateRaw(table string, id uint32, raw []byte) error {
 	}
 	return nil
 }
-
-// wireStats is the JSON rendering of the wire listener's counters under
-// "wire" in /v1/stats. Enabled is false until ServeWire is called. Handlers
-// and HandlersMax count request handler goroutines (see wire.ServerStats).
-// Ops holds the per-opcode breakdown (requests, error frames, handle
-// latency) for each opcode the listener has seen.
-type wireStats struct {
-	Enabled     bool                    `json:"enabled"`
-	ConnsTotal  int64                   `json:"connsTotal"`
-	ConnsActive int64                   `json:"connsActive"`
-	Requests    int64                   `json:"requests"`
-	Errors      int64                   `json:"errors"`
-	Handlers    int64                   `json:"handlers"`
-	HandlersMax int64                   `json:"handlersMax"`
-	Ops         map[string]wire.OpStats `json:"ops,omitempty"`
-}
-
-func (s *Server) renderWireStats() wireStats {
-	st := s.wire.Stats()
-	return wireStats{
-		Enabled:     s.wireEnabled.Load(),
-		ConnsTotal:  st.ConnsTotal,
-		ConnsActive: st.ConnsActive,
-		Requests:    st.Requests,
-		Errors:      st.Errors,
-		Handlers:    st.Handlers,
-		HandlersMax: st.HandlersMax,
-		Ops:         st.Ops,
-	}
-}
