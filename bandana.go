@@ -32,12 +32,14 @@
 //   - Lookup, LookupBatch and ServeRequest are safe to call from any number
 //     of goroutines. Each table's DRAM cache is split into lock shards by
 //     vector-ID hash, so lookups of different vectors rarely contend.
-//   - The trained state (placement, admission policy, cache allocation) is
-//     published through an atomic pointer: readers take no lock, and Train,
-//     LoadState or SetAdmissionPolicy can run while the store serves.
+//   - The trained state (placement, admission thresholds, cache allocation)
+//     is published through an atomic pointer: readers take no lock, and
+//     Train, LoadState or an adaptation epoch can run while the store serves.
 //   - Serving counters are striped across cache lines and aggregated on
-//     Stats; NVM block reads are issued outside all locks, through an I/O
-//     scheduler that coalesces concurrent misses of one block and lets up
+//     Stats. A miss on the mem backend or a buffered file store reads its
+//     block in place, from memory or the file's mapping, under a read lock;
+//     only an O_DIRECT file store reads through the I/O
+//     scheduler, which coalesces concurrent misses of one block and lets up
 //     to the device's saturation queue depth of callers read at once.
 //   - Returned vectors are copies the caller owns; the cache keeps fp16
 //     payloads in pointer-free arenas and decodes on the way out.
@@ -70,12 +72,14 @@
 // # Admission policies
 //
 // The admission policies of §4.3 (always, shadow-cache, shadow-position and
-// threshold admission) are a single set of implementations, in
-// internal/cache, shared by the trace simulator and the live store. Train
-// installs the tuned threshold policy automatically — a prefetch threshold
-// for a block's neighbours and a demand threshold below which a requested
-// vector is cached on probation instead of at the MRU end;
-// SetAdmissionPolicy swaps in any other policy at runtime.
+// threshold admission) are implemented once, in internal/cache, and compared
+// by the trace simulator. The store serves the one the paper deploys,
+// threshold admission, with thresholds Train (and the adaptation engine)
+// tunes per table by replaying the store's own batch algorithm in miniature
+// caches: a prefetch threshold for a block's neighbours and a demand
+// threshold below which a requested vector is cached on probation instead of
+// at the MRU end. The store keeps the policy's verdicts, two bits per
+// vector, not the training counts.
 //
 // The subpackages under internal/ implement the substrates (NVM device
 // model, trace generation, partitioners, cache simulation); this package
@@ -103,9 +107,10 @@ type Store = core.Store
 // Config configures Open.
 type Config = core.Config
 
-// IOSchedOptions tunes the block I/O scheduler (Config.IOSched): miss-path
-// reads are coalesced per block and up to QueueDepth callers issue theirs at
-// once, with waiting demand reads granted a slot before background ones.
+// IOSchedOptions tunes the block I/O scheduler (Config.IOSched), which an
+// O_DIRECT file store's misses read through: reads are coalesced per block,
+// up to QueueDepth callers issue theirs at once, and the rest wait for a
+// slot in one FIFO.
 type IOSchedOptions = core.IOSchedOptions
 
 // TrainOptions configures Store.Train.

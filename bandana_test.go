@@ -90,10 +90,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestUnifiedAdmissionPolicies verifies that the policy implementations the
-// simulator evaluates can be installed directly on a live store: the same
-// shadow-cache policy object serves real lookups, and clearing it disables
-// prefetching.
+// TestUnifiedAdmissionPolicies verifies that the threshold policy the
+// simulator evaluates is the one a trained store serves. With full-size
+// miniature caches (MiniCacheSampling 1) the tuner's prediction is a replay
+// of the training trace at the chosen thresholds through cache.ThresholdAdmit;
+// a one-shard store serving that trace after Train must land on it exactly,
+// and report the policy it serves by the simulator's name.
 func TestUnifiedAdmissionPolicies(t *testing.T) {
 	p := bandana.DefaultProfiles(0.0005)[0]
 	p.AvgLookups = 16
@@ -107,18 +109,17 @@ func TestUnifiedAdmissionPolicies(t *testing.T) {
 	})
 	store, err := bandana.Open(bandana.Config{
 		Tables:            []*bandana.Table{g.Table},
-		DRAMBudgetVectors: 300,
+		DRAMBudgetVectors: 200,
 		Seed:              1,
-		CacheShards:       4,
+		CacheShards:       1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 
-	// Install the shadow-admission policy of Figure 11b — one of the
-	// simulator's policies — on the live serving path.
-	if err := store.SetAdmissionPolicy(0, cache.NewShadowAdmit(400, 0.5)); err != nil {
+	rep, err := store.Train(workload.Traces, bandana.TrainOptions{MiniCacheSampling: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range workload.Traces[0].Queries {
@@ -127,21 +128,21 @@ func TestUnifiedAdmissionPolicies(t *testing.T) {
 		}
 	}
 	st := store.Stats()[0]
-	if !st.Prefetching || st.Policy != "shadow-admit" {
-		t.Fatalf("expected shadow-admit policy to be active, got %+v", st)
+	if st.Policy != (cache.ThresholdAdmit{}).Name() || st.Threshold != rep.Tables[0].Threshold ||
+		st.DemandThreshold != rep.Tables[0].DemandThreshold {
+		t.Fatalf("store serves %q at %d/%d, the tuner chose threshold-admit at %d/%d",
+			st.Policy, st.Threshold, st.DemandThreshold, rep.Tables[0].Threshold, rep.Tables[0].DemandThreshold)
 	}
-	if st.PrefetchAdds == 0 {
-		t.Fatal("shadow policy admitted no prefetches over the whole trace")
+	if !st.Prefetching || st.PrefetchAdds == 0 || st.ProbationFills == 0 {
+		t.Fatalf("prefetching %v with %d admissions, %d probation fills: half the policy goes unchecked",
+			st.Prefetching, st.PrefetchAdds, st.ProbationFills)
 	}
-	if st.Hits+st.Misses != st.Lookups {
-		t.Fatalf("hits %d + misses %d != lookups %d", st.Hits, st.Misses, st.Lookups)
+	if st.Hits+st.Misses != st.Lookups || st.BlockReads == 0 {
+		t.Fatalf("hits %d + misses %d != lookups %d, or no block reads (%d)", st.Hits, st.Misses, st.Lookups, st.BlockReads)
 	}
-
-	if err := store.SetAdmissionPolicy(0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if st := store.Stats()[0]; st.Prefetching {
-		t.Fatal("nil policy should disable prefetching")
+	if perRead := float64(st.Lookups) / float64(st.BlockReads); st.HitRate != st.PredictedHitRate || perRead != st.PredictedLookupsPerBlockRead {
+		t.Fatalf("store served hit rate %v and %v lookups per block read, the simulator predicted %v and %v",
+			st.HitRate, perRead, st.PredictedHitRate, st.PredictedLookupsPerBlockRead)
 	}
 }
 

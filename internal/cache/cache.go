@@ -19,31 +19,23 @@
 //     the SHP training run (Figure 12) — the policy Bandana adopts.
 package cache
 
-import (
-	"fmt"
-
-	"bandana/internal/vcache"
-)
+import "bandana/internal/vcache"
 
 // AdmissionPolicy decides where a vector read from NVM enters the cache: the
 // queue position of a requested one, the fate of a prefetched one.
 //
-// The interface is the contract shared by the trace simulator
-// (internal/sim) and the real serving path (internal/core), so a policy tuned
-// in simulation behaves identically when installed in the store. The
-// simulator feeds the policy the application's access stream via OnAccess,
-// asks DemandPosition for every requested vector it fills and consults
-// AdmitPrefetch for every co-located prefetch candidate. The store does the
-// same for every policy but one: a ThresholdAdmit, whose verdicts depend on
-// the id alone and whose OnAccess does nothing, is compiled once into its
-// verdicts (ThresholdVerdicts, two bits per id), and the store serves those
-// from bits in block order, rebuilt whenever the table's state is published
-// (an install, a re-layout).
+// The trace simulator (internal/sim) feeds the policy the application's
+// access stream via OnAccess, asks DemandPosition for every requested vector
+// it fills and consults AdmitPrefetch for every co-located prefetch
+// candidate. The store (internal/core) serves one policy, the one Bandana
+// deploys: a ThresholdAdmit, whose verdicts depend on the id alone and whose
+// OnAccess does nothing. It asks Prefetches and OnProbation — the two
+// verdicts AdmitPrefetch and DemandPosition return — once per vector when
+// the thresholds are set, and holds the answers as two bits per vector in
+// layout order, so a threshold tuned in simulation is served exactly.
 //
-// Because the store serves lookups from many goroutines concurrently,
-// implementations must be safe for concurrent use. The stateless policies
-// (NoPrefetch, AlwaysAdmit, ThresholdAdmit, ThresholdVerdicts) are trivially
-// safe; the
+// Implementations must be safe for concurrent use. The stateless policies
+// (NoPrefetch, AlwaysAdmit, ThresholdAdmit) are trivially safe; the
 // shadow-cache policies' queue is a vcache, which locks internally.
 type AdmissionPolicy interface {
 	// OnAccess is invoked for every application-requested lookup (hit or
@@ -192,14 +184,26 @@ type ThresholdAdmit struct {
 // OnAccess implements AdmissionPolicy.
 func (ThresholdAdmit) OnAccess(uint32) {}
 
-// DemandPosition implements AdmissionPolicy. An id beyond Counts was never
-// seen in training.
-func (p ThresholdAdmit) DemandPosition(id uint32) float64 {
+// OnProbation reports whether a requested id fills at ProbationPosition:
+// training saw it fewer than DemandThreshold times. An id beyond Counts was
+// never seen in training.
+func (p ThresholdAdmit) OnProbation(id uint32) bool {
 	var count uint32
 	if int(id) < len(p.Counts) {
 		count = p.Counts[id]
 	}
-	if count < p.DemandThreshold {
+	return count < p.DemandThreshold
+}
+
+// Prefetches reports whether a prefetched id is admitted: training saw it
+// more than Threshold times.
+func (p ThresholdAdmit) Prefetches(id uint32) bool {
+	return int(id) < len(p.Counts) && p.Counts[id] > p.Threshold
+}
+
+// DemandPosition implements AdmissionPolicy.
+func (p ThresholdAdmit) DemandPosition(id uint32) float64 {
+	if p.OnProbation(id) {
 		return ProbationPosition
 	}
 	return 0
@@ -207,120 +211,8 @@ func (p ThresholdAdmit) DemandPosition(id uint32) float64 {
 
 // AdmitPrefetch implements AdmissionPolicy.
 func (p ThresholdAdmit) AdmitPrefetch(id uint32) (bool, float64) {
-	if int(id) >= len(p.Counts) {
-		return false, 0
-	}
-	return p.Counts[id] > p.Threshold, p.Position
+	return p.Prefetches(id), p.Position
 }
 
 // Name implements AdmissionPolicy.
 func (p ThresholdAdmit) Name() string { return "threshold-admit" }
-
-// ThresholdVerdicts is a ThresholdAdmit compiled to its verdicts: for every id
-// below n, one bit "admits a prefetch" and one bit "fills on probation",
-// instead of a 32-bit access count. It answers exactly as the ThresholdAdmit
-// it was compiled from for every id; an id at or beyond n was never seen in
-// training and is treated as a ThresholdAdmit treats an id beyond its Counts.
-// The thresholds and Position are kept for reporting and persistence.
-// Immutable, so safe for concurrent use.
-type ThresholdVerdicts struct {
-	n               int
-	prefetch        []uint64 // bit id: AdmitPrefetch(id) admits
-	probation       []uint64 // bit id: DemandPosition(id) is ProbationPosition
-	threshold       uint32
-	demandThreshold uint32
-	position        float64
-}
-
-// CompileThreshold evaluates p, through its own AdmitPrefetch and
-// DemandPosition, at every id below n.
-func CompileThreshold(p ThresholdAdmit, n int) *ThresholdVerdicts {
-	words := (n + 63) / 64
-	v := &ThresholdVerdicts{
-		n:               n,
-		prefetch:        make([]uint64, words),
-		probation:       make([]uint64, words),
-		threshold:       p.Threshold,
-		demandThreshold: p.DemandThreshold,
-		position:        p.Position,
-	}
-	for id := range uint32(n) {
-		if admit, _ := p.AdmitPrefetch(id); admit {
-			v.prefetch[id/64] |= 1 << (id % 64)
-		}
-		if p.DemandPosition(id) > 0 {
-			v.probation[id/64] |= 1 << (id % 64)
-		}
-	}
-	return v
-}
-
-// NewThresholdVerdicts rebuilds compiled verdicts from the words Words
-// returned for n ids and the policy's thresholds and position. Each bitset
-// must hold exactly ⌈n/64⌉ words with no bit set at or beyond n. The words
-// are kept, not copied.
-func NewThresholdVerdicts(n int, prefetch, probation []uint64, threshold, demandThreshold uint32, position float64) (*ThresholdVerdicts, error) {
-	words := (n + 63) / 64
-	for _, set := range [][]uint64{prefetch, probation} {
-		if len(set) != words {
-			return nil, fmt.Errorf("cache: %d verdict words for %d ids, want %d", len(set), n, words)
-		}
-		if n%64 != 0 && set[words-1]>>(n%64) != 0 {
-			return nil, fmt.Errorf("cache: verdict bits set beyond id %d", n-1)
-		}
-	}
-	return &ThresholdVerdicts{
-		n: n, prefetch: prefetch, probation: probation,
-		threshold: threshold, demandThreshold: demandThreshold, position: position,
-	}, nil
-}
-
-// Len is the number of ids the verdicts were compiled for.
-func (v *ThresholdVerdicts) Len() int { return v.n }
-
-// Words returns the two bitsets, bit id of word id/64: the prefetch and the
-// probation verdicts. Callers must not modify them.
-func (v *ThresholdVerdicts) Words() (prefetch, probation []uint64) { return v.prefetch, v.probation }
-
-// Thresholds returns the compiled policy's prefetch and demand thresholds.
-func (v *ThresholdVerdicts) Thresholds() (threshold, demandThreshold uint32) {
-	return v.threshold, v.demandThreshold
-}
-
-// Position is where an admitted prefetch enters the queue.
-func (v *ThresholdVerdicts) Position() float64 { return v.position }
-
-// SizeBytes is the heap the bitsets hold: a quarter byte per id.
-func (v *ThresholdVerdicts) SizeBytes() int64 { return 8 * int64(len(v.prefetch)+len(v.probation)) }
-
-// Prefetches reports whether a prefetched id is admitted.
-func (v *ThresholdVerdicts) Prefetches(id uint32) bool {
-	return int(id) < v.n && v.prefetch[id/64]&(1<<(id%64)) != 0
-}
-
-// OnProbation reports whether a requested id fills at ProbationPosition.
-func (v *ThresholdVerdicts) OnProbation(id uint32) bool {
-	if int(id) >= v.n {
-		return v.demandThreshold > 0
-	}
-	return v.probation[id/64]&(1<<(id%64)) != 0
-}
-
-// OnAccess implements AdmissionPolicy.
-func (*ThresholdVerdicts) OnAccess(uint32) {}
-
-// DemandPosition implements AdmissionPolicy.
-func (v *ThresholdVerdicts) DemandPosition(id uint32) float64 {
-	if v.OnProbation(id) {
-		return ProbationPosition
-	}
-	return 0
-}
-
-// AdmitPrefetch implements AdmissionPolicy.
-func (v *ThresholdVerdicts) AdmitPrefetch(id uint32) (bool, float64) {
-	return v.Prefetches(id), v.position
-}
-
-// Name implements AdmissionPolicy: the policy it was compiled from.
-func (*ThresholdVerdicts) Name() string { return "threshold-admit" }

@@ -12,57 +12,35 @@ import (
 	"bandana/internal/trace"
 )
 
-// admitBitsMismatch checks every table's published state. A threshold policy
-// must be held as compiled verdicts (no published policy may be a
-// cache.ThresholdAdmit, which carries counts), those verdicts must be, id by
-// id, the ones of the reference cache.ThresholdAdmit over counts(st) at the
-// table's thresholds, and the admission bits must hold them in layout order:
-// at every position p, the verdicts for VectorAt(p). Any other policy must
-// come with no bits. It also returns how many prefetch and probation bits
-// are set, so a caller can tell a vacuous check.
+// admitBitsMismatch checks every table's published state. A table with
+// prefetching on or a demand gate must hold admission bits, and they must
+// be, at every layout position p, the verdicts of the reference
+// cache.ThresholdAdmit over counts(st) at the table's thresholds for
+// VectorAt(p); a table with neither must hold none. It also returns how many
+// prefetch and probation bits are set, so a caller can tell a vacuous check.
 func admitBitsMismatch(s *Store, counts func(st *storeTable) []uint32) (prefetch, probation int, err error) {
 	bit := func(words []uint64, p int) bool { return words[p/64]&(1<<(p%64)) != 0 }
 	for _, st := range s.tables {
 		ts := st.loadState()
-		if _, ok := ts.policy.(cache.ThresholdAdmit); ok {
-			return 0, 0, fmt.Errorf("table %q: published policy carries its counts", st.name)
-		}
-		v, ok := ts.policy.(*cache.ThresholdVerdicts)
-		if !ok {
-			if ts.admit != nil {
-				return 0, 0, fmt.Errorf("table %q: policy %v has admission bits", st.name, ts.policy)
-			}
-			continue
+		if decides := ts.prefetch || ts.demandThreshold > 0; decides != (ts.admit != nil) {
+			return 0, 0, fmt.Errorf("table %q: prefetch %v, demand threshold %d, admission bits %v",
+				st.name, ts.prefetch, ts.demandThreshold, ts.admit != nil)
 		}
 		if ts.admit == nil {
-			return 0, 0, fmt.Errorf("table %q: threshold policy published without admission bits", st.name)
-		}
-		if th, demand := v.Thresholds(); th != ts.threshold || demand != ts.demandThreshold {
-			return 0, 0, fmt.Errorf("table %q: verdicts of thresholds %d/%d, table says %d/%d",
-				st.name, th, demand, ts.threshold, ts.demandThreshold)
+			continue
 		}
 		ref := cache.ThresholdAdmit{
-			Counts: counts(st), Threshold: ts.threshold, DemandThreshold: ts.demandThreshold, Position: v.Position(),
+			Counts: counts(st), Threshold: ts.threshold, DemandThreshold: ts.demandThreshold, Position: ts.admit.position,
 		}
 		if ref.Counts == nil {
 			return 0, 0, fmt.Errorf("table %q: no reference counts", st.name)
 		}
-		for id := range uint32(st.numVectors) {
-			admit, _ := ref.AdmitPrefetch(id)
-			cold := ref.DemandPosition(id) > 0
-			if v.Prefetches(id) != admit || v.OnProbation(id) != cold {
-				return 0, 0, fmt.Errorf("table %q id %d: verdicts say prefetch %v probation %v, the reference %v %v",
-					st.name, id, v.Prefetches(id), v.OnProbation(id), admit, cold)
-			}
-		}
-		if ts.admit.position != v.Position() {
-			return 0, 0, fmt.Errorf("table %q: bits admit at %v, the policy at %v", st.name, ts.admit.position, v.Position())
-		}
 		for p := range ts.layout.NumVectors() {
 			id := ts.layout.VectorAt(p)
-			admit, cold := v.Prefetches(id), v.OnProbation(id)
+			admit, _ := ref.AdmitPrefetch(id)
+			cold := ref.DemandPosition(id) > 0
 			if bit(ts.admit.prefetch, p) != admit || bit(ts.admit.probation, p) != cold {
-				return 0, 0, fmt.Errorf("table %q position %d (id %d): bits say prefetch %v probation %v, the verdicts %v %v",
+				return 0, 0, fmt.Errorf("table %q position %d (id %d): bits say prefetch %v probation %v, the reference %v %v",
 					st.name, p, id, bit(ts.admit.prefetch, p), bit(ts.admit.probation, p), admit, cold)
 			}
 			if admit {
@@ -78,10 +56,10 @@ func admitBitsMismatch(s *Store, counts func(st *storeTable) []uint32) (prefetch
 
 // TestAdmitBitsFollowEveryPublish holds the compiled admission bits to the
 // policy they were compiled from after every way a table's state is
-// published — Train, an AdaptNow that re-lays a table out, SetAdmissionPolicy
-// with a gated ThresholdAdmit, LoadState and a reopen — and inside every
-// layout install, right after the new layout is published: a re-layout moves
-// the vectors under the bits without touching the policy.
+// published — Train, an AdaptNow that re-lays a table out, a forced demand
+// threshold, an installed gated ThresholdAdmit, LoadState and a reopen — and
+// inside every layout install, right after the new layout is published: a
+// re-layout moves the bits with their vectors and keeps the policy.
 func TestAdmitBitsFollowEveryPublish(t *testing.T) {
 	tables, traces := buildTestTables(t, 2, 2048, 600)
 	trains := make([]*trace.Trace, len(traces))
@@ -170,15 +148,13 @@ func TestAdmitBitsFollowEveryPublish(t *testing.T) {
 	}
 
 	trained := countsOf(s.tables[0])
-	if err := s.SetAdmissionPolicy(0, cache.ThresholdAdmit{
+	installThreshold(s.tables[0], cache.ThresholdAdmit{
 		Counts:          trained,
 		Threshold:       sim.AdaptiveThresholds(trained)[1],
 		DemandThreshold: sim.DemandThresholds(trained, 256)[0],
 		Position:        0.5,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	check("SetAdmissionPolicy")
+	})
+	check("an installed gated policy")
 
 	if err := s.LoadState(bytes.NewReader(saved.Bytes())); err != nil {
 		t.Fatal(err)

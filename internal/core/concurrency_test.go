@@ -261,22 +261,3 @@ func TestOpenZeroTables(t *testing.T) {
 		t.Fatal("Open with empty table slice succeeded, want error")
 	}
 }
-
-// TestSetAdmissionPolicy verifies that installing and clearing a policy
-// toggles prefetching.
-func TestSetAdmissionPolicy(t *testing.T) {
-	s, _ := stressStore(t)
-	st := s.Stats()[0]
-	if !st.Prefetching || st.Policy == "" {
-		t.Fatalf("trained table should be prefetching with a named policy, got %+v", st)
-	}
-	if err := s.SetAdmissionPolicy(0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats()[0]; st.Prefetching || st.Policy != "" {
-		t.Fatalf("clearing the policy should disable prefetching, got %+v", st)
-	}
-	if err := s.SetAdmissionPolicy(99, nil); err == nil {
-		t.Fatal("SetAdmissionPolicy on bad index succeeded, want error")
-	}
-}

@@ -165,9 +165,6 @@ type TrainOptions struct {
 	// SHPIterations is the number of refinement iterations per bisection
 	// level (the paper uses 16).
 	SHPIterations int
-	// BlockVectors overrides the number of vectors per block; by default it
-	// is derived from the vector size (nvm.BlockSize / vectorBytes).
-	BlockVectors int
 	// Thresholds are the candidate prefetch-admission thresholds evaluated
 	// by the miniature caches. Nil derives them per table from the training
 	// trace's access counts (sim.AdaptiveThresholds: 0 and the 50th, 75th,
@@ -177,12 +174,6 @@ type TrainOptions struct {
 	// uses 0.001 at production scale; the default here is 0.01 which suits
 	// the scaled-down tables used in tests and examples.
 	MiniCacheSampling float64
-	// SkipPartitioning keeps the existing (identity) layout and only tunes
-	// caching. Used by ablation experiments.
-	SkipPartitioning bool
-	// SkipThresholdTuning keeps the default threshold (admit nothing) and
-	// only re-partitions.
-	SkipThresholdTuning bool
 }
 
 func (o *TrainOptions) defaults() {

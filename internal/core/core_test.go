@@ -8,6 +8,7 @@ import (
 	"testing"
 	"weak"
 
+	"bandana/internal/cache"
 	"bandana/internal/metrics"
 	"bandana/internal/nvm"
 	"bandana/internal/sim"
@@ -84,6 +85,23 @@ func forceDemandThreshold(st *storeTable, demand uint32) {
 	st.mutateState(func(ts *tableState) {
 		ts.demandThreshold = demand
 		st.setThresholdPolicy(ts, counts)
+	})
+}
+
+// installThreshold makes st serve the threshold policy p the way a tuner
+// verdict would — prefetching on unless p.Threshold is sim.DisablePrefetch,
+// both thresholds p's, the bits compiled from p.Counts — but with p's
+// prefetch position and no prediction, for tests that hold the store to a
+// policy of their choosing.
+func installThreshold(st *storeTable, p cache.ThresholdAdmit) {
+	st.mutateState(func(ts *tableState) {
+		ts.threshold, ts.demandThreshold = p.Threshold, p.DemandThreshold
+		ts.prefetch = p.Threshold != sim.DisablePrefetch
+		ts.predicted = sim.Prediction{}
+		st.setThresholdPolicy(ts, p.Counts)
+		if ts.admit != nil {
+			ts.admit.position = p.Position
+		}
 	})
 }
 
@@ -312,26 +330,6 @@ func TestTrainValidation(t *testing.T) {
 	_ = traces
 }
 
-func TestTrainSkipOptions(t *testing.T) {
-	tables, traces := buildTestTables(t, 1, 2048, 400)
-	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 200, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	rep, err := s.Train(traces, TrainOptions{SkipPartitioning: true, SkipThresholdTuning: true, MiniCacheSampling: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Tables[0].FinalFanout != 0 {
-		t.Fatalf("partitioning should have been skipped")
-	}
-	st := s.Stats()[0]
-	if st.Prefetching {
-		t.Fatalf("threshold tuning skipped, prefetching should stay off")
-	}
-}
-
 // TestTrainTurnsPrefetchingOffWhenTunerSaysOff: when every candidate
 // threshold loses to no-prefetch, Train must serve prefetch-free exactly as
 // AdaptNow does — Prefetching false, so no block read walks its members —
@@ -339,19 +337,18 @@ func TestTrainSkipOptions(t *testing.T) {
 // one-touch scan is also the demand threshold's textbook case, so the policy
 // that stays installed is the gate alone.
 func TestTrainTurnsPrefetchingOffWhenTunerSaysOff(t *testing.T) {
-	// One hot vector per block (identity layout, partitioning skipped) plus
-	// a scan that touches every other vector once: each block read offers 31
-	// once-accessed neighbours, and admitting them (count > 0) flushes the
-	// hot set out of the small cache.
+	// Each query names one of 64 hot vectors (the multiples of 32) and two
+	// of a scan that touches every other vector once. No two hot vectors are
+	// asked for together, so no layout SHP finds packs them into a few
+	// blocks: a block read offers mostly once-accessed neighbours, and
+	// admitting them (count > 0) flushes the hot set out of the small cache.
 	const vectors, hot = 2048, 64
 	tables, _ := buildTestTables(t, 1, vectors, 1)
 	tr := &trace.Trace{TableName: tables[0].Name, NumVectors: vectors}
 	rng := rand.New(rand.NewSource(1))
 	cold := uint32(0)
 	for q := 0; q < 900; q++ {
-		query := trace.Query{
-			uint32(rng.Intn(hot)) * 32, uint32(rng.Intn(hot)) * 32, uint32(rng.Intn(hot)) * 32,
-		}
+		query := trace.Query{uint32(rng.Intn(hot)) * 32}
 		for k := 0; k < 2; k++ {
 			cold++
 			if cold%32 == 0 {
@@ -367,9 +364,7 @@ func TestTrainTurnsPrefetchingOffWhenTunerSaysOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	rep, err := s.Train([]*trace.Trace{tr}, TrainOptions{
-		SkipPartitioning: true, MiniCacheSampling: 1, Thresholds: []uint32{0},
-	})
+	rep, err := s.Train([]*trace.Trace{tr}, TrainOptions{MiniCacheSampling: 1, Thresholds: []uint32{0}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -394,8 +394,7 @@ func syncDir(dir string) error {
 // Persist writes the store's trained state to its data dir (atomically, via
 // temp file + rename) and flushes the block file. Every layout install
 // (Train, LoadState, re-layout) and adaptation epoch calls it on a
-// file-backed store; call it manually after SetAdmissionPolicy changes that
-// should survive a restart.
+// file-backed store.
 func (s *Store) Persist() error {
 	if err := s.checkWritable(); err != nil {
 		return err

@@ -133,15 +133,20 @@ func sealedRecord(data []byte) []byte {
 }
 
 // FuzzStateDecode does the same for the state.bnd decoder, seeded with a
-// version-5 state (verdict bits) and a version-4 one (access counts).
+// trained data dir's version-5 state, testdata/state_v5.bnd (verdict bits,
+// one table prefetching with a demand gate, one gated without prefetching)
+// and testdata/state_v4.bnd (access counts). Decoded verdicts must cover
+// exactly the table's ids.
 func FuzzStateDecode(f *testing.F) {
 	_, state := trainedDirFiles(f)
 	addSealedSeeds(f, state)
-	v4, err := os.ReadFile("testdata/state_v4.bnd")
-	if err != nil {
-		f.Fatal(err)
+	for _, name := range []string{"testdata/state_v5.bnd", "testdata/state_v4.bnd"} {
+		seed, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		addSealedSeeds(f, seed)
 	}
-	addSealedSeeds(f, v4)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, raw := range [][]byte{data, sealed(data)} {
 			saved, err := decodeSavedStates(bytes.NewReader(raw))
@@ -152,9 +157,16 @@ func FuzzStateDecode(f *testing.F) {
 				t.Fatalf("%d bytes decoded to %d tables", len(raw), len(saved))
 			}
 			for _, sv := range saved {
-				if len(sv.name) > len(raw) || len(sv.order) > len(raw) || (sv.verdicts != nil && sv.verdicts.Len() != len(sv.order)) {
-					t.Fatalf("%d-byte state decoded to a %d-byte name, %d-entry order, verdicts %v",
-						len(raw), len(sv.name), len(sv.order), sv.verdicts)
+				if len(sv.name) > len(raw) || len(sv.order) > len(raw) || len(sv.counts) > len(sv.order) {
+					t.Fatalf("%d-byte state decoded to a %d-byte name, %d-entry order, %d counts",
+						len(raw), len(sv.name), len(sv.order), len(sv.counts))
+				}
+				if v := sv.verdicts; v != nil {
+					words := (len(sv.order) + 63) / 64
+					if len(v.prefetch) != words || len(v.probation) != words ||
+						(len(sv.order)%64 != 0 && (v.prefetch[words-1]|v.probation[words-1])>>(len(sv.order)%64) != 0) {
+						t.Fatalf("%d-entry order decoded with %d/%d verdict words or bits beyond it", len(sv.order), len(v.prefetch), len(v.probation))
+					}
 				}
 			}
 		}

@@ -25,9 +25,10 @@ import (
 const stateMagic = "BNDSTATE"
 
 // stateVersion 5 is what SaveState writes: per table the placement order; a
-// flag, and when it is set the threshold policy's compiled verdicts (the
-// prefetch and the probation bitset, ⌈n/64⌉ little-endian words each, bit id
-// of word id/64) and its prefetch queue position (float64 bits); the
+// flag, and when it is set the threshold policy's verdicts (the prefetch and
+// the probation bitset, ⌈n/64⌉ little-endian words each, bit id of word id/64
+// — id order, whatever the layout) and its prefetch queue position (float64
+// bits); the
 // prefetch threshold, demand threshold, prefetch flag, cache allocation and
 // the tuner's prediction for the thresholds it chose (hit ratio and lookups
 // per block read, as float64 bits); then a CRC-32C trailer over the whole
@@ -36,8 +37,8 @@ const stateMagic = "BNDSTATE"
 // serving wrong vectors after a reopen.
 //
 // Version 4 still decodes: it holds the per-vector access counts where 5
-// holds the verdicts (and no position), and they are compiled once, at
-// decode, and dropped. Versions 1–3 are refused.
+// holds the verdicts (and no position); they are compiled once, into the
+// installed layout's order, and dropped. Versions 1–3 are refused.
 const (
 	stateVersion   = 5
 	stateVersionV4 = 4
@@ -45,10 +46,9 @@ const (
 
 // SaveState serialises the store's trained state (placements, threshold
 // verdicts, thresholds, cache allocations). Embedding values are not
-// included: they belong to the model checkpoint, not to Bandana. Custom
-// admission policies installed with SetAdmissionPolicy are not persisted
-// either — only a threshold policy's verdicts survive a round trip;
-// LoadState disables prefetching when they are absent.
+// included: they belong to the model checkpoint, not to Bandana. The
+// verdicts are written in id order, read off the layout-order bits the table
+// serves from.
 func (s *Store) SaveState(w io.Writer) error {
 	h := crc32.New(manifestCRCTable)
 	bw := bufio.NewWriterSize(io.MultiWriter(w, h), 1<<20)
@@ -78,7 +78,8 @@ func (s *Store) SaveState(w io.Writer) error {
 		state := st.loadState()
 		name := st.name
 		order := state.layout.Order()
-		verdicts, _ := state.policy.(*cache.ThresholdVerdicts)
+		l := state.layout
+		verdicts := state.admit.permuted(len(order), func(id int) int { return l.PositionOf(uint32(id)) })
 		threshold := state.threshold
 		demandThreshold := state.demandThreshold
 		prefetch := state.prefetch
@@ -103,8 +104,7 @@ func (s *Store) SaveState(w io.Writer) error {
 			if err := writeUvarint(1); err != nil {
 				return err
 			}
-			prefetchBits, probationBits := verdicts.Words()
-			for _, words := range [][]uint64{prefetchBits, probationBits} {
+			for _, words := range [][]uint64{verdicts.prefetch, verdicts.probation} {
 				for _, w := range words {
 					binary.LittleEndian.PutUint64(buf[:8], w)
 					if _, err := bw.Write(buf[:8]); err != nil {
@@ -112,7 +112,7 @@ func (s *Store) SaveState(w io.Writer) error {
 					}
 				}
 			}
-			if err := writeUvarint(math.Float64bits(verdicts.Position())); err != nil {
+			if err := writeUvarint(math.Float64bits(verdicts.position)); err != nil {
 				return err
 			}
 		}
@@ -170,12 +170,14 @@ func (c *crcByteReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-// savedTable is one table's decoded trained state. verdicts is nil when the
-// table had no threshold policy.
+// savedTable is one table's decoded trained state. Its threshold policy is
+// verdicts, in id order (version 5), or the counts to compile it from
+// (version 4); both are nil when the table had none.
 type savedTable struct {
 	name            string
 	order           []uint32
-	verdicts        *cache.ThresholdVerdicts
+	verdicts        *admitBits
+	counts          []uint32
 	threshold       uint32
 	demandThreshold uint32
 	prefetch        bool
@@ -250,8 +252,6 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 			sv.order = append(sv.order, uint32(v))
 		}
 		var counts []uint32 // v4
-		var prefetchBits, probationBits []uint64
-		var position float64
 		if version == stateVersionV4 {
 			if counts, err = readCounts(br, sv.name, orderLen); err != nil {
 				return nil, err
@@ -265,19 +265,8 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 				return nil, fmt.Errorf("core: table %q: bad verdicts flag %d", sv.name, hasVerdicts)
 			}
 			if hasVerdicts == 1 {
-				words := (orderLen + 63) / 64
-				if prefetchBits, err = readWords(br, words); err != nil {
+				if sv.verdicts, err = readVerdicts(br, sv.name, orderLen); err != nil {
 					return nil, err
-				}
-				if probationBits, err = readWords(br, words); err != nil {
-					return nil, err
-				}
-				bits, err := binary.ReadUvarint(br)
-				if err != nil {
-					return nil, err
-				}
-				if position = math.Float64frombits(bits); math.IsNaN(position) || math.IsInf(position, 0) || position < 0 {
-					return nil, fmt.Errorf("core: table %q: implausible prefetch position %v", sv.name, position)
 				}
 			}
 		}
@@ -313,17 +302,8 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 		}
 		// The v4 rule, kept: a threshold policy only where the counts exist
 		// and the policy would decide something.
-		switch {
-		case len(counts) > 0 && (sv.prefetch || sv.demandThreshold > 0):
-			sv.verdicts = cache.CompileThreshold(cache.ThresholdAdmit{
-				Counts: counts, Threshold: sv.threshold, DemandThreshold: sv.demandThreshold,
-			}, len(sv.order))
-		case prefetchBits != nil:
-			sv.verdicts, err = cache.NewThresholdVerdicts(len(sv.order), prefetchBits, probationBits,
-				sv.threshold, sv.demandThreshold, position)
-			if err != nil {
-				return nil, fmt.Errorf("core: table %q: %w", sv.name, err)
-			}
+		if len(counts) > 0 && (sv.prefetch || sv.demandThreshold > 0) {
+			sv.counts = counts
 		}
 		saved = append(saved, sv)
 	}
@@ -361,6 +341,31 @@ func readCounts(br io.ByteReader, name string, orderLen uint64) ([]uint32, error
 	return counts, nil
 }
 
+// readVerdicts reads a v5 table's verdicts for n ids, in id order: the
+// prefetch and the probation bitset, ⌈n/64⌉ words each (a shorter stream
+// fails at EOF) with no bit set at or beyond n, and the prefetch position.
+func readVerdicts(br *crcByteReader, name string, n uint64) (*admitBits, error) {
+	words := (n + 63) / 64
+	v := &admitBits{}
+	var err error
+	for _, set := range []*[]uint64{&v.prefetch, &v.probation} {
+		if *set, err = readWords(br, words); err != nil {
+			return nil, err
+		}
+		if n%64 != 0 && (*set)[words-1]>>(n%64) != 0 {
+			return nil, fmt.Errorf("core: table %q: verdict bits set beyond id %d", name, n-1)
+		}
+	}
+	bits, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, err
+	}
+	if v.position = math.Float64frombits(bits); math.IsNaN(v.position) || math.IsInf(v.position, 0) || v.position < 0 {
+		return nil, fmt.Errorf("core: table %q: implausible prefetch position %v", name, v.position)
+	}
+	return v, nil
+}
+
 // readWords reads n little-endian 64-bit words. Like the order's, the
 // up-front allocation is capped so a corrupt length fails at EOF first.
 func readWords(r io.Reader, n uint64) ([]uint64, error) {
@@ -378,26 +383,31 @@ func readWords(r io.Reader, n uint64) ([]uint64, error) {
 // applySaved returns the tableState mutation that installs sv's trained
 // fields (everything but the layout, which the caller places the blocks
 // under) — for LoadState and for a reopen alike. The threshold policy is
-// installed as the saved verdicts themselves; nothing is recompiled.
+// laid out in the order of the layout it is published with: the saved
+// verdicts permuted, or a version-4 file's counts compiled.
 func (st *storeTable) applySaved(sv savedTable) func(*tableState) {
 	return func(ts *tableState) {
 		ts.threshold = sv.threshold
 		ts.demandThreshold = sv.demandThreshold
 		ts.predicted = sv.predicted
-		// Only the threshold policy is persistable (the state format stores
-		// its verdicts, not arbitrary policy objects). A saved state with
-		// prefetching on but no verdicts — e.g. a store that was running a
-		// custom policy installed via SetAdmissionPolicy — would reload as a
-		// policy that never admits anything (and a demand gate without
+		// A saved state with prefetching on but no verdicts would reload as
+		// a policy that never admits anything (and a demand gate without
 		// verdicts would put every fill on probation), so no verdicts turns
 		// both off instead of installing an inert policy.
-		ts.prefetch = sv.prefetch && sv.verdicts != nil
-		if sv.verdicts == nil {
+		has := sv.verdicts != nil || sv.counts != nil
+		ts.prefetch = sv.prefetch && has
+		if !has {
 			ts.demandThreshold = 0
 		}
-		ts.policy = nil
-		if ts.prefetch || ts.demandThreshold > 0 {
-			ts.policy = sv.verdicts
+		ts.admit = nil
+		if l := ts.layout; ts.prefetch || ts.demandThreshold > 0 {
+			if sv.counts != nil {
+				ts.admit = compileAdmission(cache.ThresholdAdmit{
+					Counts: sv.counts, Threshold: sv.threshold, DemandThreshold: sv.demandThreshold,
+				}, l)
+			} else {
+				ts.admit = sv.verdicts.permuted(l.NumVectors(), func(p int) int { return int(l.VectorAt(p)) })
+			}
 		}
 		if sv.cacheCap > 0 {
 			st.freshCache(ts, sv.cacheCap)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
@@ -14,20 +15,20 @@ import (
 	"bandana/internal/trace"
 )
 
-// sameVerdicts reports how got differs from want: bits, thresholds or
-// position.
-func sameVerdicts(got, want *cache.ThresholdVerdicts) error {
-	gp, gb := got.Words()
-	wp, wb := want.Words()
-	gt, gd := got.Thresholds()
-	wt, wd := want.Thresholds()
-	switch {
-	case got.Len() != want.Len() || !slices.Equal(gp, wp) || !slices.Equal(gb, wb):
+// sameVerdicts reports how got's threshold policy differs from want's:
+// presence, layout, bits, thresholds or position.
+func sameVerdicts(got, want *tableState) error {
+	switch g, w := got.admit, want.admit; {
+	case g == nil || w == nil:
+		return fmt.Errorf("admission bits %v, want %v: both sides should have a threshold policy", g, w)
+	case !slices.Equal(got.layout.Order(), want.layout.Order()):
+		return fmt.Errorf("layouts differ")
+	case !slices.Equal(g.prefetch, w.prefetch) || !slices.Equal(g.probation, w.probation):
 		return fmt.Errorf("verdict bits differ")
-	case gt != wt || gd != wd:
-		return fmt.Errorf("thresholds %d/%d, want %d/%d", gt, gd, wt, wd)
-	case got.Position() != want.Position():
-		return fmt.Errorf("prefetch position %v, want %v", got.Position(), want.Position())
+	case got.threshold != want.threshold || got.demandThreshold != want.demandThreshold:
+		return fmt.Errorf("thresholds %d/%d, want %d/%d", got.threshold, got.demandThreshold, want.threshold, want.demandThreshold)
+	case g.position != w.position:
+		return fmt.Errorf("prefetch position %v, want %v", g.position, w.position)
 	}
 	return nil
 }
@@ -115,12 +116,9 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 
 	// The verdicts travel whole: bits, both thresholds and the prefetch
 	// position, here of a policy installed by hand with a position of its own.
-	trained := countsOf(s1.tables[1])
-	if err := s1.SetAdmissionPolicy(1, cache.ThresholdAdmit{
-		Counts: trained, Threshold: 1, DemandThreshold: 2, Position: 0.25,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	installThreshold(s1.tables[1], cache.ThresholdAdmit{
+		Counts: countsOf(s1.tables[1]), Threshold: 1, DemandThreshold: 2, Position: 0.25,
+	})
 	buf.Reset()
 	if err := s1.SaveState(&buf); err != nil {
 		t.Fatal(err)
@@ -129,17 +127,12 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range s1.tables {
-		want, ok1 := s1.tables[i].loadState().policy.(*cache.ThresholdVerdicts)
-		got, ok2 := s2.tables[i].loadState().policy.(*cache.ThresholdVerdicts)
-		if !ok1 || !ok2 {
-			t.Fatalf("table %d: policies %v and %v, want threshold verdicts on both sides", i, want, got)
-		}
-		if err := sameVerdicts(got, want); err != nil {
+		if err := sameVerdicts(s2.tables[i].loadState(), s1.tables[i].loadState()); err != nil {
 			t.Fatalf("table %d: %v", i, err)
 		}
 	}
-	if got := s2.tables[1].loadState().policy.(*cache.ThresholdVerdicts); got.Position() != 0.25 {
-		t.Fatalf("table 1: prefetch position 0.25 restored as %v", got.Position())
+	if got := s2.tables[1].loadState().admit.position; got != 0.25 {
+		t.Fatalf("table 1: prefetch position 0.25 restored as %v", got)
 	}
 
 	// Data integrity: restored placement still returns the right vectors.
@@ -185,6 +178,41 @@ func TestLoadStateValidation(t *testing.T) {
 	}
 	if err := s.LoadState(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("state with a different table count should be rejected")
+	}
+
+	// A verdict bit at an id the table does not have must be refused, not
+	// dropped: 1000 ids leave 24 spare bits in the last word of each set.
+	odd, oddTraces := buildTestTables(t, 1, 1000, 100)
+	gated, err := Open(Config{Tables: odd, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gated.Close()
+	if _, err := gated.Train(oddTraces, TrainOptions{SHPIterations: 2}); err != nil {
+		t.Fatal(err)
+	}
+	forceDemandThreshold(gated.tables[0], 3)
+	buf.Reset()
+	if err := gated.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	payload := buf.Bytes()[:buf.Len()-4]
+	words := len(stateMagic) + 3 + len(gated.tables[0].name) + binary.PutUvarint(make([]byte, binary.MaxVarintLen64), 1000)
+	for _, id := range gated.tables[0].loadState().layout.Order() {
+		words += binary.PutUvarint(make([]byte, binary.MaxVarintLen64), uint64(id))
+	}
+	words++ // the verdicts flag
+	if payload[words-1] != 1 {
+		t.Fatalf("no verdicts flag at byte %d", words-1)
+	}
+	lastPrefetch := words + 8*(1000/64)
+	bad := bytes.Clone(payload)
+	bad[lastPrefetch+7] |= 0x80 // bit 63 of the last word: id 1023
+	if err := gated.LoadState(bytes.NewReader(sealed(bad))); err == nil {
+		t.Fatal("a verdict bit beyond the table's ids should be rejected")
+	}
+	if err := gated.LoadState(bytes.NewReader(sealed(payload))); err != nil {
+		t.Fatalf("the untouched state, resealed, should load: %v", err)
 	}
 }
 
@@ -309,8 +337,8 @@ func TestLoadStateVersion4(t *testing.T) {
 			t.Fatalf("table %d: thresholds %d/%d prefetch %v, want %d/%d %v",
 				i, ts.threshold, ts.demandThreshold, ts.prefetch, w.threshold, w.demand, w.prefetch)
 		}
-		if _, ok := ts.policy.(*cache.ThresholdVerdicts); !ok || ts.admit == nil {
-			t.Fatalf("table %d: policy %v, want threshold verdicts with admission bits", i, ts.policy)
+		if ts.admit == nil {
+			t.Fatalf("table %d: no admission bits, want the threshold policy's", i)
 		}
 		pd, pn := bitsDigest(ts.admit.prefetch)
 		bd, bn := bitsDigest(ts.admit.probation)
@@ -341,9 +369,85 @@ func TestLoadStateVersion4(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range s.tables {
-		if err := sameVerdicts(again.tables[i].loadState().policy.(*cache.ThresholdVerdicts),
-			s.tables[i].loadState().policy.(*cache.ThresholdVerdicts)); err != nil {
+		if err := sameVerdicts(again.tables[i].loadState(), s.tables[i].loadState()); err != nil {
 			t.Fatalf("table %d after a version-5 round trip: %v", i, err)
+		}
+	}
+}
+
+// goldenV5Store is the store testdata/state_v5.bnd was saved from: two tables
+// of buildTestTables(2, 1024, 300) trained on the first half of their traces,
+// table 1 with a forced demand threshold of 3. The tuner leaves table 0
+// prefetching with a demand gate of its own and table 1 prefetch-free. It
+// returns the training traces too.
+func goldenV5Store(t *testing.T) (*Store, []*trace.Trace) {
+	tables, traces := buildTestTables(t, 2, 1024, 300)
+	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 160, Seed: 2, CacheShards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	trains := make([]*trace.Trace, len(traces))
+	for i, tr := range traces {
+		trains[i], _ = tr.Split(0.5)
+	}
+	if _, err := s.Train(trains, TrainOptions{SHPIterations: 6, MiniCacheSampling: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	forceDemandThreshold(s.tables[1], 3)
+	return s, trains
+}
+
+// TestStateVersion5Golden pins the version-5 state format to
+// testdata/state_v5.bnd, written by an encoder that kept the verdicts in id
+// order: SaveState of the same store, whose verdicts are held in layout
+// order, must reproduce it byte for byte, and LoadState of it must publish,
+// at every layout position, the verdicts of the reference
+// cache.ThresholdAdmit over the training counts.
+func TestStateVersion5Golden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/state_v5.bnd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, trains := goldenV5Store(t)
+	ts0 := s.tables[0].loadState()
+	if !ts0.prefetch || ts0.demandThreshold == 0 {
+		t.Fatalf("table 0: prefetch %v, demand threshold %d: the file would pin no gated prefetching table", ts0.prefetch, ts0.demandThreshold)
+	}
+	var saved bytes.Buffer
+	if err := s.SaveState(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), golden) {
+		t.Fatalf("SaveState wrote %d bytes that differ from the %d of testdata/state_v5.bnd", saved.Len(), len(golden))
+	}
+
+	loaded, _ := goldenV5Store(t)
+	if err := loaded.LoadState(bytes.NewReader(golden)); err != nil {
+		t.Fatal(err)
+	}
+	bit := func(words []uint64, p int) bool { return words[p/64]&(1<<(p%64)) != 0 }
+	for i, st := range loaded.tables {
+		ts := st.loadState()
+		if err := sameVerdicts(ts, s.tables[i].loadState()); err != nil {
+			t.Fatalf("table %d: %v", i, err)
+		}
+		ref := cache.ThresholdAdmit{Counts: trains[i].AccessCounts(), Threshold: ts.threshold, DemandThreshold: ts.demandThreshold}
+		set := 0
+		for p := range ts.layout.NumVectors() {
+			id := ts.layout.VectorAt(p)
+			admit, _ := ref.AdmitPrefetch(id)
+			cold := ref.DemandPosition(id) > 0
+			if bit(ts.admit.prefetch, p) != admit || bit(ts.admit.probation, p) != cold {
+				t.Fatalf("table %d position %d (id %d): bits prefetch %v probation %v, the reference %v %v",
+					i, p, id, bit(ts.admit.prefetch, p), bit(ts.admit.probation, p), admit, cold)
+			}
+			if admit || cold {
+				set++
+			}
+		}
+		if set == 0 {
+			t.Fatalf("table %d: no verdict set: the comparison is vacuous", i)
 		}
 	}
 }

@@ -17,10 +17,10 @@ import (
 // ran before the probe was batched by shard: each unique id, in batch order,
 // is probed with a Get and, on a miss the overlay holds, filled at the MRU
 // end; then per missed block, in ascending order, the block's requested ids
-// fill at the policy's demand position in batch order and its other members
-// are offered to the policy as prefetches. ref is a keys-only cache of the
-// store cache's capacity and shard count.
-func serveSequential(ref *vcache.Cache, st *storeTable, ts *tableState, ids []uint32) {
+// fill at p's demand position in batch order and its other members are
+// offered to p as prefetches. ref is a keys-only cache of the store cache's
+// capacity and shard count; p is the policy the store serves.
+func serveSequential(ref *vcache.Cache, st *storeTable, ts *tableState, p cache.AdmissionPolicy, ids []uint32) {
 	var uniq []uint32
 	var missed []missRef
 	for _, id := range ids {
@@ -41,10 +41,10 @@ func serveSequential(ref *vcache.Cache, st *storeTable, ts *tableState, ids []ui
 	for lo, hi := 0, 0; lo < len(missed); lo = hi {
 		block := missed[lo].block
 		for hi = lo; hi < len(missed) && missed[hi].block == block; hi++ {
-			ref.AddAt(missed[hi].id, nil, ts.policy.DemandPosition(missed[hi].id), false)
+			ref.AddAt(missed[hi].id, nil, p.DemandPosition(missed[hi].id), false)
 		}
 		for _, other := range ts.layout.BlockMembers(block, nil) {
-			admit, pos := ts.policy.AdmitPrefetch(other)
+			admit, pos := p.AdmitPrefetch(other)
 			requested := slices.ContainsFunc(missed[lo:hi], func(r missRef) bool { return r.id == other })
 			if admit && !requested && !st.overlay.contains(other) {
 				ref.AddAtGuard(other, nil, pos, true, nil, 0)
@@ -74,7 +74,7 @@ func TestBatchedProbeMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			if _, err := s.Train([]*trace.Trace{train}, TrainOptions{SkipThresholdTuning: true}); err != nil {
+			if _, err := s.Train([]*trace.Trace{train}, TrainOptions{}); err != nil {
 				t.Fatal(err)
 			}
 			st := s.tables[0]
@@ -86,9 +86,7 @@ func TestBatchedProbeMatchesSequential(t *testing.T) {
 				Threshold:       sim.AdaptiveThresholds(counts)[1],
 				DemandThreshold: sim.DemandThresholds(counts, 256)[0],
 			}
-			if err := s.SetAdmissionPolicy(0, policy); err != nil {
-				t.Fatal(err)
-			}
+			installThreshold(st, policy)
 			st.mutateState(func(ts *tableState) { st.freshCache(ts, ts.cacheCap) })
 			ts := st.loadState()
 			ref := vcache.New(vcache.Options{Capacity: ts.cacheCap, Shards: shards})
@@ -128,7 +126,7 @@ func TestBatchedProbeMatchesSequential(t *testing.T) {
 				}
 				rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 
-				serveSequential(ref, st, ts, ids)
+				serveSequential(ref, st, ts, policy, ids)
 				if len(ids) == 1 {
 					_, err = s.Lookup(0, ids[0])
 				} else {

@@ -110,7 +110,9 @@ func (s *Store) installLayouts(installs []layoutInstall) error {
 //     and it is one contiguous bulk write;
 //   - cache hits are never blocked at any point, and cached vectors stay
 //     valid across the swap (the cache is keyed by vector ID, which a
-//     layout change does not alter).
+//     layout change does not alter);
+//   - the admission bits move with their vectors into l's order, so a
+//     re-layout keeps the policy; a mutate that sets one replaces them.
 //
 // Vector updates are excluded for the whole install (updateMu) so the staged
 // image cannot go stale. Callers must hold s.mutateMu: the staging protocol
@@ -142,6 +144,8 @@ func (s *Store) installLayout(st *storeTable, l *layout.Layout, mutate func(*tab
 		migrationStage("staged")
 	}
 	err = s.installImage(st, img, cur, func(ts *tableState) {
+		from := ts.layout
+		ts.admit = ts.admit.permuted(l.NumVectors(), func(p int) int { return from.PositionOf(l.VectorAt(p)) })
 		ts.layout = l
 		if mutate != nil {
 			mutate(ts)

@@ -214,36 +214,26 @@ type missRef struct {
 // admission and caches the fp16 bytes of the ones admitted, in slot order.
 // requested lists the block's vectors that were explicitly asked for in this
 // operation: they are cached separately and must not be double-counted as
-// prefetches. For the deployed threshold policy the verdicts are the
-// layout-order bits of the block's range — a word or two read, and the
-// layout consulted only for the few slots admitted; any other policy is
-// asked member by member. An admitted candidate costs one cache probe: the guarded insert
-// itself refuses an id that is already resident. members is the walk's
-// scratch.
-func (st *storeTable) admitBlock(ts *tableState, buf []byte, epoch uint64, block int, members *[]uint32, requested []missRef) {
-	if b := ts.admit; b != nil {
-		bv := ts.layout.BlockVectors()
-		lo := block * bv
-		hi := min(lo+bv, ts.layout.NumVectors())
-		for p := lo; p < hi; p++ {
-			w := b.prefetch[p/64] >> (p % 64)
-			if w == 0 {
-				p |= 63 // no admitted slot left in this word
-				continue
-			}
-			p += bits.TrailingZeros64(w)
-			if p >= hi {
-				break
-			}
-			st.admitMember(ts, buf, epoch, p-lo, ts.layout.VectorAt(p), b.position, requested)
+// prefetches. The verdicts are the layout-order bits of the block's range —
+// a word or two read, and the layout consulted only for the few slots
+// admitted. An admitted candidate costs one cache probe: the guarded insert
+// itself refuses an id that is already resident.
+func (st *storeTable) admitBlock(ts *tableState, buf []byte, epoch uint64, block int, requested []missRef) {
+	b := ts.admit
+	bv := ts.layout.BlockVectors()
+	lo := block * bv
+	hi := min(lo+bv, ts.layout.NumVectors())
+	for p := lo; p < hi; p++ {
+		w := b.prefetch[p/64] >> (p % 64)
+		if w == 0 {
+			p |= 63 // no admitted slot left in this word
+			continue
 		}
-		return
-	}
-	*members = ts.layout.BlockMembers(block, (*members)[:0])
-	for mslot, other := range *members {
-		if admit, pos := ts.policy.AdmitPrefetch(other); admit {
-			st.admitMember(ts, buf, epoch, mslot, other, pos, requested)
+		p += bits.TrailingZeros64(w)
+		if p >= hi {
+			break
 		}
+		st.admitMember(ts, buf, epoch, p-lo, ts.layout.VectorAt(p), b.position, requested)
 	}
 }
 
@@ -433,12 +423,6 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 		sc.missed = grown(sc.missed, len(uniq))
 		missed = sc.missed[:0]
 	}
-	// A compiled policy is a ThresholdVerdicts, whose OnAccess does nothing.
-	if ts.policy != nil && ts.admit == nil {
-		for _, id := range ids {
-			ts.policy.OnAccess(id)
-		}
-	}
 	// The probe takes each cache shard's lock once for all of the batch's
 	// ids in that shard, and is timed once per batch: a clock read per id
 	// would be a measurable tax on the all-DRAM hit path. An untraced probe
@@ -598,8 +582,7 @@ type missStep struct {
 
 // missCopies is what missStep writes that outlives a block.
 type missCopies struct {
-	raw     []byte   // the requested vectors of the batch
-	members []uint32 // scratch: the block's members, for an uncompiled policy's admission
+	raw []byte // the requested vectors of the batch
 }
 
 // readInPlace is pass 2's reader when the device's blocks are memory (the
@@ -698,15 +681,13 @@ func (m *missStep) serveBlock(bi int, buf []byte) {
 			if p := block*ts.layout.BlockVectors() + slot; b.probation[p/64]&(1<<(p%64)) != 0 {
 				pos = cache.ProbationPosition
 			}
-		} else if ts.policy != nil {
-			pos = ts.policy.DemandPosition(ref.id)
 		}
 		if ts.cache.AddAtGuard(ref.id, rawCopy, pos, false, &st.epoch, m.epoch) && pos > 0 {
 			st.counters.Stripe(hashID(ref.id))[ctrProbationFills].Add(1)
 		}
 	}
-	if ts.prefetch && ts.policy != nil {
-		st.admitBlock(ts, buf, m.epoch, block, &m.copies.members, refs)
+	if ts.prefetch {
+		st.admitBlock(ts, buf, m.epoch, block, refs)
 	}
 }
 

@@ -60,9 +60,8 @@ type TableStats struct {
 	LayoutInstalls int64
 	// PredictedHitRate and PredictedLookupsPerBlockRead are what the
 	// miniature cache that chose Threshold/DemandThreshold/Prefetching
-	// expected of exactly that configuration (0 until a tuner has run, or
-	// after SetAdmissionPolicy). The tuner replays the store's own batch
-	// algorithm, so a gap to the observed HitRate and Lookups/BlockReads
+	// expected of exactly that configuration (0 until a tuner has run). The
+	// tuner replays the store's own batch algorithm, so a gap to the observed HitRate and Lookups/BlockReads
 	// means the workload drifted from the tuning trace (or, below a few
 	// hundred cached vectors, miniature-cache noise), not that the model
 	// differs from the store.
@@ -104,10 +103,9 @@ type TableDRAM struct {
 	// max(1, ⌈log₂ n⌉) bits per entry each (≤ 4 B per vector up to 2^16
 	// vectors).
 	Layout int64
-	// AdmitBits is the threshold policy's verdicts, two bits per vector by id
-	// (what it serves, persists and reports) plus the same two permuted into
-	// layout order (what a missed block's admission reads): half a byte per
-	// vector, 0 under any other policy.
+	// AdmitBits is the threshold policy's verdicts, two bits per vector in
+	// layout order: a quarter byte per vector, 0 when the table has no
+	// policy (prefetching off, no demand gate).
 	AdmitBits int64
 	// Overlay is the payloads and entries of updates not yet compacted.
 	Overlay int64
@@ -173,11 +171,8 @@ func (s *Store) Stats() []TableStats {
 		if r := st.recorder.Load(); r != nil {
 			ts.DRAM.Recorder = r.SizeBytes()
 		}
-		if v, ok := state.policy.(*cache.ThresholdVerdicts); ok {
-			ts.DRAM.AdmitBits += v.SizeBytes()
-		}
-		if state.policy != nil {
-			ts.Policy = state.policy.Name()
+		if state.admit != nil {
+			ts.Policy = cache.ThresholdAdmit{}.Name()
 		}
 		if ts.Lookups > 0 {
 			ts.HitRate = float64(ts.Hits) / float64(ts.Lookups)

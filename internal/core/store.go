@@ -203,13 +203,11 @@ type tableState struct {
 	// demandThreshold gates requested vectors: one whose training count is
 	// below it is cached on probation instead of at the MRU end (0: no gate).
 	demandThreshold uint32
-	// policy is nil when it has nothing to decide: prefetching off and no
-	// demand gate. A threshold policy is always held as its compiled
-	// verdicts (*cache.ThresholdVerdicts, two bits per id); the training
-	// counts it was compiled from are not kept.
-	policy cache.AdmissionPolicy
-	// admit is policy's verdicts permuted into layout order when policy is a
-	// *cache.ThresholdVerdicts, nil otherwise (see publish).
+	// admit is the table's admission policy: the cache.ThresholdAdmit of
+	// the training counts and the two thresholds above, held as its
+	// verdicts in layout order (see compileAdmission); the counts are not
+	// kept. nil when it has nothing to decide: prefetching off and no
+	// demand gate.
 	admit *admitBits
 	// predicted is what the miniature cache that chose threshold/prefetch
 	// expects this table to serve (zero until a tuner has run); the live
@@ -234,7 +232,7 @@ type storeTable struct {
 
 	// state is the published trained state; the serving path loads it once
 	// per operation. stateMu serializes mutators (installImage,
-	// resizeCacheLive, SetAdmissionPolicy), never readers.
+	// resizeCacheLive, a tuner verdict), never readers.
 	state   atomic.Pointer[tableState]
 	stateMu sync.Mutex
 
@@ -308,20 +306,12 @@ func (st *storeTable) mutateState(fn func(*tableState)) {
 	st.stateMu.Lock()
 	next := *st.state.Load()
 	fn(&next)
-	st.publish(&next)
+	st.state.Store(&next)
 	st.stateMu.Unlock()
 }
 
-// publish makes ts the table's state, permuting its admission verdicts into
-// its layout's order first. Every publish does, whatever it changed: a
-// re-layout moves the vectors under the bits without touching the policy.
-func (st *storeTable) publish(ts *tableState) {
-	ts.admit = compileAdmission(ts.policy, ts.layout)
-	st.state.Store(ts)
-}
-
-// admitBits is a table's *cache.ThresholdVerdicts permuted into layout order,
-// one bit per layout position, so a missed block's admission reads the words
+// admitBits is a table's threshold policy compiled to its verdicts, one bit
+// each per layout position, so a missed block's admission reads the words
 // covering its range instead of asking the policy for each member at a
 // random id. Immutable once published.
 type admitBits struct {
@@ -332,31 +322,42 @@ type admitBits struct {
 	position float64
 }
 
-// compileAdmission permutes p's verdicts into l's order when p is a
-// *cache.ThresholdVerdicts; it returns nil for any other policy. Those keep
-// the per-member walk: the shadow policies' verdicts change with every
-// access, so no bit can hold them.
-func compileAdmission(p cache.AdmissionPolicy, l *layout.Layout) *admitBits {
-	v, ok := p.(*cache.ThresholdVerdicts)
-	if !ok {
-		return nil
-	}
-	words := (l.NumVectors() + 63) / 64
-	b := &admitBits{prefetch: make([]uint64, words), probation: make([]uint64, words), position: v.Position()}
-	members := make([]uint32, 0, l.BlockVectors())
-	for blk := range l.NumBlocks() {
-		members = l.BlockMembers(blk, members[:0])
-		for slot, id := range members {
-			pos := blk*l.BlockVectors() + slot
-			if v.Prefetches(id) {
-				b.prefetch[pos/64] |= 1 << (pos % 64)
-			}
-			if v.OnProbation(id) {
-				b.probation[pos/64] |= 1 << (pos % 64)
-			}
+// compileAdmission evaluates p, through its own Prefetches and OnProbation,
+// at the vector of every position of l: the one way a table's admission bits
+// are made from training counts (Train, adaptation, a version-4 state file).
+// The verdicts sim.Replay asks of the policy are those two.
+func compileAdmission(p cache.ThresholdAdmit, l *layout.Layout) *admitBits {
+	n := l.NumVectors()
+	b := &admitBits{prefetch: make([]uint64, (n+63)/64), probation: make([]uint64, (n+63)/64), position: p.Position}
+	for pos := range n {
+		id := l.VectorAt(pos)
+		if p.Prefetches(id) {
+			b.prefetch[pos/64] |= 1 << (pos % 64)
+		}
+		if p.OnProbation(id) {
+			b.probation[pos/64] |= 1 << (pos % 64)
 		}
 	}
 	return b
+}
+
+// permuted returns b's bits rearranged over n positions: bit i of the result
+// is bit src(i) of b. It moves the verdicts under a re-layout and between
+// layout order and the id order of the state file; nil stays nil.
+func (b *admitBits) permuted(n int, src func(i int) int) *admitBits {
+	if b == nil {
+		return nil
+	}
+	perm := func(words []uint64) []uint64 {
+		out := make([]uint64, (n+63)/64)
+		for i := range n {
+			if j := src(i); words[j/64]&(1<<(j%64)) != 0 {
+				out[i/64] |= 1 << (i % 64)
+			}
+		}
+		return out
+	}
+	return &admitBits{prefetch: perm(b.prefetch), probation: perm(b.probation), position: b.position}
 }
 
 // sizeBytes is the heap the bits hold.
@@ -576,7 +577,7 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 		} else {
 			l = layout.Identity(g.numVectors, g.blockVectors)
 		}
-		st.publish(&tableState{
+		st.state.Store(&tableState{
 			layout:   l,
 			cacheCap: perTable,
 			cache:    newTableCache(perTable, shards, st.vecBytes),
@@ -655,37 +656,6 @@ func (s *Store) TableIndex(name string) (int, error) {
 	return i, nil
 }
 
-// SetAdmissionPolicy installs a prefetch-admission policy for one table and
-// enables prefetching; a nil policy disables prefetching. The same policy
-// implementations drive the trace simulator (internal/sim), so a policy
-// evaluated there behaves identically here. A cache.ThresholdAdmit is
-// compiled to its verdicts over the table's ids and installed as those (its
-// Counts are not kept), with its thresholds as the table's; a
-// *cache.ThresholdVerdicts must have been compiled for the table's size.
-func (s *Store) SetAdmissionPolicy(tableIdx int, p cache.AdmissionPolicy) error {
-	st, err := s.tableAt(tableIdx)
-	if err != nil {
-		return err
-	}
-	if ta, ok := p.(cache.ThresholdAdmit); ok {
-		p = cache.CompileThreshold(ta, st.numVectors)
-	}
-	v, compiled := p.(*cache.ThresholdVerdicts)
-	if compiled && v.Len() != st.numVectors {
-		return fmt.Errorf("core: table %q: verdicts cover %d ids, table has %d", st.name, v.Len(), st.numVectors)
-	}
-	st.mutateState(func(ts *tableState) {
-		ts.policy = p
-		ts.prefetch = p != nil
-		ts.demandThreshold = 0 // the tuned gate went with the tuned policy
-		if compiled {
-			ts.threshold, ts.demandThreshold = v.Thresholds()
-		}
-		ts.predicted = sim.Prediction{} // no tuner vouched for p
-	})
-	return nil
-}
-
 func (s *Store) tableAt(i int) (*storeTable, error) {
 	if i < 0 || i >= len(s.tables) {
 		return nil, fmt.Errorf("core: table index %d out of range [0,%d)", i, len(s.tables))
@@ -695,24 +665,24 @@ func (s *Store) tableAt(i int) (*storeTable, error) {
 
 // thresholdCountsHook, when non-nil, sees the access counts every threshold
 // policy is compiled from, just before they are dropped: tests use it to
-// rebuild the reference cache.ThresholdAdmit of a table's verdicts.
+// rebuild the reference cache.ThresholdAdmit of a table's bits.
 var thresholdCountsHook func(st *storeTable, counts []uint32)
 
-// setThresholdPolicy installs, compiled to its verdicts over the table's ids,
-// the cache.ThresholdAdmit that counts and ts's threshold, prefetch and
-// demandThreshold describe — the policy the miniature caches replayed through
-// the store's own batch algorithm (see package sim), so serving behaves
-// exactly as simulated — or no policy at all when it would decide nothing, so
-// a block read skips admission altogether. counts is not kept.
+// setThresholdPolicy compiles into ts's layout order the cache.ThresholdAdmit
+// that counts and ts's threshold and demandThreshold describe — the policy
+// the miniature caches replayed through the store's own batch algorithm (see
+// package sim), so serving behaves exactly as simulated — or clears it when
+// it would decide nothing (prefetching off, no demand gate), so a block read
+// skips admission altogether. counts is not kept.
 func (st *storeTable) setThresholdPolicy(ts *tableState, counts []uint32) {
 	if thresholdCountsHook != nil {
 		thresholdCountsHook(st, counts)
 	}
-	ts.policy = nil
+	ts.admit = nil
 	if ts.prefetch || ts.demandThreshold > 0 {
-		ts.policy = cache.CompileThreshold(cache.ThresholdAdmit{
+		ts.admit = compileAdmission(cache.ThresholdAdmit{
 			Counts: counts, Threshold: ts.threshold, DemandThreshold: ts.demandThreshold,
-		}, st.numVectors)
+		}, ts.layout)
 	}
 }
 
@@ -744,6 +714,6 @@ func (st *storeTable) resizeCacheLive(capacity int) int {
 	cur.cache.Resize(capacity)
 	next := *cur
 	next.cacheCap = capacity
-	st.state.Store(&next) // layout and policy unchanged: the admission bits still hold
+	st.state.Store(&next) // layout unchanged: the admission bits still hold
 	return capacity
 }

@@ -59,10 +59,9 @@ type trainPlan struct {
 	// what the threshold policy is compiled from, dropped with the plan.
 	counts []uint32
 	hrc    *mrc.HRC
-	// cacheCap is the DRAM allocation; choice is the tuner's verdict (nil:
-	// tuning was skipped, threshold and policy stay as they are).
+	// cacheCap is the DRAM allocation; choice is the tuner's verdict.
 	cacheCap int
-	choice   *sim.ThresholdChoice
+	choice   sim.ThresholdChoice
 }
 
 // Train partitions, allocates and tunes the store using per-table training
@@ -170,32 +169,30 @@ func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, e
 	// Phase 3 (parallel): tune the admission thresholds per table
 	// with miniature caches over the computed layout, at the allocated cache
 	// size.
-	if !opts.SkipThresholdTuning {
-		err := forEachTrained(func(i int) error {
-			p := plans[i]
-			choice, err := sim.TuneThreshold(traces[i], sim.TunerConfig{
-				Layout:       p.layout,
-				Counts:       p.counts,
-				CacheVectors: p.cacheCap,
-				SamplingRate: opts.MiniCacheSampling,
-				Thresholds:   opts.Thresholds,
-			})
-			if err != nil {
-				return fmt.Errorf("core: table %q: %w", s.tables[i].name, err)
-			}
-			p.choice = &choice
-			rep := &report.Tables[i]
-			rep.Threshold = choice.Threshold
-			rep.DemandThreshold = choice.DemandThreshold
-			rep.MiniatureGain = choice.MiniatureGain
-			if rep.CacheVectors == 0 {
-				rep.CacheVectors = p.cacheCap
-			}
-			return nil
+	err = forEachTrained(func(i int) error {
+		p := plans[i]
+		var err error
+		p.choice, err = sim.TuneThreshold(traces[i], sim.TunerConfig{
+			Layout:       p.layout,
+			Counts:       p.counts,
+			CacheVectors: p.cacheCap,
+			SamplingRate: opts.MiniCacheSampling,
+			Thresholds:   opts.Thresholds,
 		})
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("core: table %q: %w", s.tables[i].name, err)
 		}
+		rep := &report.Tables[i]
+		rep.Threshold = p.choice.Threshold
+		rep.DemandThreshold = p.choice.DemandThreshold
+		rep.MiniatureGain = p.choice.MiniatureGain
+		if rep.CacheVectors == 0 {
+			rep.CacheVectors = p.cacheCap
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Phase 4 (serial): commit. Each install also persists the state file on
@@ -209,9 +206,7 @@ func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, e
 		}
 		installs = append(installs, layoutInstall{st: st, layout: p.layout, mutate: func(ts *tableState) {
 			st.freshCache(ts, p.cacheCap)
-			if p.choice != nil {
-				st.applyChoice(ts, p.counts, *p.choice, 0)
-			}
+			st.applyChoice(ts, p.counts, p.choice, 0)
 		}})
 	}
 	if err := s.installLayouts(installs); err != nil {
@@ -229,32 +224,24 @@ func (s *Store) planTable(i int, tr *trace.Trace, opts TrainOptions, rep *TableT
 	rep.TrainingQueries = len(tr.Queries)
 	rep.TrainingLookups = tr.Lookups()
 
-	blockVectors := st.blockVectors
-	if opts.BlockVectors > 0 {
-		blockVectors = opts.BlockVectors
-	}
-
 	rep.FanoutFloor = fanoutFloor(tr, st.blockVectors)
-	p := &trainPlan{layout: st.loadState().layout, counts: tr.AccessCounts()}
-	if !opts.SkipPartitioning {
-		queries := make([][]uint32, len(tr.Queries))
-		for qi, q := range tr.Queries {
-			queries[qi] = q
-		}
-		res, err := shp.Partition(st.numVectors, queries, shp.Options{
-			BlockVectors: blockVectors,
-			Iterations:   opts.SHPIterations,
-			Seed:         s.seed + int64(i),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: table %q: %w", st.name, err)
-		}
-		rep.InitialFanout = res.InitialFanout
-		rep.FinalFanout = res.FinalFanout
-		p.layout, err = layout.FromOrder(res.Order, st.blockVectors)
-		if err != nil {
-			return nil, fmt.Errorf("core: table %q: %w", st.name, err)
-		}
+	queries := make([][]uint32, len(tr.Queries))
+	for qi, q := range tr.Queries {
+		queries[qi] = q
+	}
+	res, err := shp.Partition(st.numVectors, queries, shp.Options{
+		BlockVectors: st.blockVectors,
+		Iterations:   opts.SHPIterations,
+		Seed:         s.seed + int64(i),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: table %q: %w", st.name, err)
+	}
+	rep.InitialFanout = res.InitialFanout
+	rep.FinalFanout = res.FinalFanout
+	p := &trainPlan{counts: tr.AccessCounts()}
+	if p.layout, err = layout.FromOrder(res.Order, st.blockVectors); err != nil {
+		return nil, fmt.Errorf("core: table %q: %w", st.name, err)
 	}
 
 	// Hit-rate curve for the DRAM allocator, from (sampled) stack

@@ -13,9 +13,11 @@ import (
 // trace replayed through the simulator at full size and served by a store
 // with one cache shard must produce EQUAL block reads, hits, misses,
 // probation fills, prefetch admissions and prefetch hits, through every read
-// API and under every kind of admission policy, the demand gate on and off. The miniature caches tune the threshold on this
-// replay, so any drift between the two programs is a tuning error; this test
-// is what keeps "serving behaves exactly as simulated" true.
+// API, with prefetching off and under threshold policies of several
+// thresholds, the demand gate on and off. The miniature caches tune the
+// threshold on this replay, so any drift between the two programs is a
+// tuning error; this test is what keeps "serving behaves exactly as
+// simulated" true.
 func TestReplayIsTheStore(t *testing.T) {
 	const vectors = 4096
 	tables, traces := buildTestTables(t, 1, vectors, 900)
@@ -71,9 +73,9 @@ func TestReplayIsTheStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			// SHP layout and access counts, no tuned policy: the policies
-			// under test are installed explicitly below.
-			if _, err := s.Train([]*trace.Trace{train}, TrainOptions{SkipThresholdTuning: true}); err != nil {
+			// SHP layout and access counts; the policies under test replace
+			// the tuned one below.
+			if _, err := s.Train([]*trace.Trace{train}, TrainOptions{}); err != nil {
 				t.Fatal(err)
 			}
 			st := s.tables[0]
@@ -87,10 +89,9 @@ func TestReplayIsTheStore(t *testing.T) {
 			if len(cands) < 3 {
 				t.Fatalf("want at least 3 candidate thresholds, got %v", cands)
 			}
-			policies := []cache.AdmissionPolicy{
-				cache.NoPrefetch{},
-				cache.AlwaysAdmit{Position: 0.5},
-			}
+			// The store serves no prefetching as a threshold policy that
+			// admits nothing and gates nothing.
+			policies := []cache.AdmissionPolicy{cache.NoPrefetch{}}
 			for _, th := range cands[:3] {
 				policies = append(policies, cache.ThresholdAdmit{Counts: counts, Threshold: th})
 			}
@@ -106,16 +107,14 @@ func TestReplayIsTheStore(t *testing.T) {
 			}
 
 			for _, p := range policies {
-				name := p.Name()
-				prefetching := name != "no-prefetch"
-				if ta, ok := p.(cache.ThresholdAdmit); ok {
-					name = fmt.Sprintf("%s/%d/%d", name, ta.Threshold, ta.DemandThreshold)
-					prefetching = ta.Threshold != sim.DisablePrefetch
+				ta, ok := p.(cache.ThresholdAdmit)
+				if !ok {
+					ta = cache.ThresholdAdmit{Counts: counts, Threshold: sim.DisablePrefetch}
 				}
+				name := fmt.Sprintf("%s/%d/%d", p.Name(), ta.Threshold, ta.DemandThreshold)
+				prefetching := ta.Threshold != sim.DisablePrefetch
 				st.mutateState(func(ts *tableState) { st.freshCache(ts, snap.cacheCap) }) // empty cache
-				if err := s.SetAdmissionPolicy(0, p); err != nil {
-					t.Fatal(err)
-				}
+				installThreshold(st, ta)
 				s.ResetStats()
 				for _, q := range serve.Queries {
 					if err := d.serve(s, q); err != nil {
@@ -124,10 +123,7 @@ func TestReplayIsTheStore(t *testing.T) {
 				}
 				got := s.Stats()[0]
 				want := sim.Replay(serve, sim.Config{Layout: snap.layout, CacheVectors: snap.cacheCap, Policy: p})
-				gated := false
-				if ta, ok := p.(cache.ThresholdAdmit); ok {
-					gated = ta.DemandThreshold > 0
-				}
+				gated := ta.DemandThreshold > 0
 				if want.BlockReads == 0 || want.Hits == 0 || (prefetching && want.PrefetchHits == 0) ||
 					gated != (want.ProbationFills > 0) || (gated && want.ProbationFills == want.Misses) {
 					t.Fatalf("%s: degenerate replay %+v", name, want)

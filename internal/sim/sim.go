@@ -198,9 +198,9 @@ func Replay(tr *trace.Trace, cfg Config) Result {
 	return res
 }
 
-// ReplayBaseline replays with prefetching off — the store before
-// SetAdmissionPolicy/Train, and what a tuner verdict of DisablePrefetch must
-// be compared with — at the same layout, cache size and filter. Its Misses
+// ReplayBaseline replays with prefetching off — the store before Train, and
+// what a tuner verdict of DisablePrefetch must be compared with — at the
+// same layout, cache size and filter. Its Misses
 // is the paper's baseline: one block read per missed vector.
 func ReplayBaseline(tr *trace.Trace, l *layout.Layout, cacheVectors int, filter func(uint32) bool) Result {
 	return Replay(tr, Config{Layout: l, CacheVectors: cacheVectors, Policy: cache.NoPrefetch{}, Filter: filter})
