@@ -282,8 +282,7 @@ func openAndMaybeTrain(cfg core.Config, workload *trace.Workload, train bool, re
 			return nil, err
 		}
 		for _, tr := range report.Tables {
-			log.Printf("  %-10s fanout %.1f -> %.1f (floor %.1f), cache %d vectors, %s",
-				tr.Name, tr.InitialFanout, tr.FinalFanout, tr.FanoutFloor, tr.CacheVectors, tr.Thresholds())
+			log.Printf("  %s", tr)
 		}
 		log.Printf("training finished in %s", time.Since(start).Round(time.Millisecond))
 		if dir := store.DataDir(); dir != "" {

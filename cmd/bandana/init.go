@@ -83,8 +83,7 @@ func initCmd(args []string) error {
 			return err
 		}
 		for _, tr := range report.Tables {
-			fmt.Printf("  %-10s fanout %.1f -> %.1f (floor %.1f), cache %d vectors, %s\n",
-				tr.Name, tr.InitialFanout, tr.FinalFanout, tr.FanoutFloor, tr.CacheVectors, tr.Thresholds())
+			fmt.Printf("  %s\n", tr)
 		}
 	}
 	// The final Close performs the flush that makes the ingest durable —

@@ -81,8 +81,7 @@ func main() {
 	}
 	fmt.Println("\n== training decisions ==")
 	for _, tr := range report.Tables {
-		fmt.Printf("  %-8s fanout %.1f -> %.1f (floor %.1f), cache %d vectors, %s\n",
-			tr.Name, tr.InitialFanout, tr.FinalFanout, tr.FanoutFloor, tr.CacheVectors, tr.Thresholds())
+		fmt.Printf("  %s\n", tr)
 	}
 
 	fmt.Println("\n== after training ==")

@@ -19,8 +19,9 @@ import (
 // eviction order), not policy regressions.
 //
 // Golden values (seed 1, scale 0.001): baseline 0.54/0.48, trained
-// 0.64/0.59 at 5099/13389 block reads. What the paper optimises is block
-// reads, so they are pinned per table beside the hit ratios. At these
+// 0.64/0.59 at 5134/13397 block reads (5099/13389 before SHP set untrained
+// ids aside, below). What the paper optimises is block reads, so they are
+// pinned per table beside the hit ratios. At these
 // 600-vector caches the tuner picks prefetch threshold 10 with demand
 // threshold 12 on table 1 and, on table 2, no prefetching at all with demand
 // threshold 34: keeping the ids training saw often resident is worth more
@@ -36,6 +37,13 @@ import (
 //     0.64/0.30 at 5104/14641 (table 1 gated, none found for table 2);
 //   - the miniature floor at 128 vectors, where the tuner finds table 2's
 //     gate and drops its prefetching: 0.64/0.59 at 5099/13389.
+//
+// Moved on purpose when SHP began bisecting only the ids training named
+// (1,281 and 1,646 of each table's 10,000) and giving the rest blocks of their
+// own: 0.64/0.59 at 5134/13397 (+0.7%/+0.1% reads on this small held-out
+// suffix; a variant without padding to whole blocks read 5088 on table 1),
+// thresholds unchanged. The checks below keep their 2% windows around
+// 5099/13389, which hold both.
 //
 // The goldens must hold bit-for-bit on both backends.
 func TestGoldenQuickstartHitRatios(t *testing.T) {

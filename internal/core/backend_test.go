@@ -158,9 +158,11 @@ func TestFileBackendReopenServesWithoutRetraining(t *testing.T) {
 	tables, traces := buildTestTables(t, 2, 2048, 150)
 	dir := filepath.Join(t.TempDir(), "store")
 
+	// The budget is one the tuner turns prefetching on at for both tables
+	// (checked before the close below), so the reopen shows it survives.
 	s, err := Open(Config{
 		Tables:            tables,
-		DRAMBudgetVectors: 256,
+		DRAMBudgetVectors: 384,
 		Seed:              3,
 		Backend:           BackendFile,
 		DataDir:           dir,
@@ -199,6 +201,11 @@ func TestFileBackendReopenServesWithoutRetraining(t *testing.T) {
 		want[i] = append([]float32(nil), vec...)
 	}
 	wantStats := s.Stats()
+	for _, st := range wantStats {
+		if !st.Prefetching {
+			t.Fatalf("table %s trained prefetch-free: the reopen could not show prefetching survives", st.Name)
+		}
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -376,13 +376,14 @@ func TestLoadStateVersion4(t *testing.T) {
 }
 
 // goldenV5Store is the store testdata/state_v5.bnd was saved from: two tables
-// of buildTestTables(2, 1024, 300) trained on the first half of their traces,
-// table 1 with a forced demand threshold of 3. The tuner leaves table 0
-// prefetching with a demand gate of its own and table 1 prefetch-free. It
-// returns the training traces too.
+// of buildTestTables(2, 320, 600) trained on the first half of their traces,
+// table 1 with a forced demand threshold of 3. Those halves name every id, so
+// the layouts do not depend on where a cold partition puts untrained ids. The
+// tuner leaves table 0 prefetching with a demand gate of its own and table 1
+// prefetch-free. It returns the training traces too.
 func goldenV5Store(t *testing.T) (*Store, []*trace.Trace) {
-	tables, traces := buildTestTables(t, 2, 1024, 300)
-	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 160, Seed: 2, CacheShards: 4})
+	tables, traces := buildTestTables(t, 2, 320, 600)
+	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 128, Seed: 2, CacheShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,9 +411,17 @@ func TestStateVersion5Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, trains := goldenV5Store(t)
+	for i, tr := range trains {
+		if id := slices.Index(tr.AccessCounts(), 0); id >= 0 {
+			t.Fatalf("table %d: vector %d is untrained: the layout would depend on where untrained ids go", i, id)
+		}
+	}
 	ts0 := s.tables[0].loadState()
 	if !ts0.prefetch || ts0.demandThreshold == 0 {
 		t.Fatalf("table 0: prefetch %v, demand threshold %d: the file would pin no gated prefetching table", ts0.prefetch, ts0.demandThreshold)
+	}
+	if ts1 := s.tables[1].loadState(); ts1.prefetch || ts1.demandThreshold == 0 {
+		t.Fatalf("table 1: prefetch %v, demand threshold %d: the file would pin no gated prefetch-free table", ts1.prefetch, ts1.demandThreshold)
 	}
 	var saved bytes.Buffer
 	if err := s.SaveState(&saved); err != nil {

@@ -23,6 +23,11 @@ type TableTrainReport struct {
 	// TrainingQueries and TrainingLookups describe the training trace.
 	TrainingQueries int
 	TrainingLookups int64
+	// Vectors is the table's size and TrainedVectors how many distinct ids
+	// of it the training trace named: SHP bisects those, and the rest
+	// follow in blocks of their own.
+	Vectors        int
+	TrainedVectors int
 	// InitialFanout / FinalFanout are SHP's average query fanout before and
 	// after partitioning.
 	InitialFanout float64
@@ -43,12 +48,14 @@ type TableTrainReport struct {
 	MiniatureGain float64
 }
 
-// Thresholds renders the two admission thresholds for a log line.
-func (r TableTrainReport) Thresholds() string {
-	if r.Threshold == sim.DisablePrefetch {
-		return fmt.Sprintf("prefetch off, demand threshold %d", r.DemandThreshold)
+// String renders the report as one log line.
+func (r TableTrainReport) String() string {
+	prefetch := "prefetch off"
+	if r.Threshold != sim.DisablePrefetch {
+		prefetch = fmt.Sprintf("prefetch threshold %d", r.Threshold)
 	}
-	return fmt.Sprintf("prefetch threshold %d, demand threshold %d", r.Threshold, r.DemandThreshold)
+	return fmt.Sprintf("%-10s trained on %d of %d vectors, fanout %.1f -> %.1f (floor %.1f), cache %d vectors, %s, demand threshold %d",
+		r.Name, r.TrainedVectors, r.Vectors, r.InitialFanout, r.FinalFanout, r.FanoutFloor, r.CacheVectors, prefetch, r.DemandThreshold)
 }
 
 // trainPlan is what Train computed for one table before anything is
@@ -240,6 +247,12 @@ func (s *Store) planTable(i int, tr *trace.Trace, opts TrainOptions, rep *TableT
 	rep.InitialFanout = res.InitialFanout
 	rep.FinalFanout = res.FinalFanout
 	p := &trainPlan{counts: tr.AccessCounts()}
+	rep.Vectors = st.numVectors
+	for _, c := range p.counts {
+		if c > 0 {
+			rep.TrainedVectors++
+		}
+	}
 	if p.layout, err = layout.FromOrder(res.Order, st.blockVectors); err != nil {
 		return nil, fmt.Errorf("core: table %q: %w", st.name, err)
 	}

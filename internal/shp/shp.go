@@ -8,13 +8,17 @@
 // of distinct blocks a query has to read (Equation 3 of the Bandana paper).
 //
 // The algorithm is recursive balanced bisection: starting from one bucket
-// holding every vector, each bucket is repeatedly split into two halves of
-// whole blocks. A split is refined with a configurable number of swap
+// holding the vectors the training queries name (padded with untrained ones
+// to whole blocks), each bucket is repeatedly split into two halves of whole
+// blocks. A split is refined with a configurable number of swap
 // iterations: each iteration computes, for every vertex, the fanout gain of
 // moving it to the other side, and then swaps the highest-gain pairs so the
 // two sides stay balanced. Recursion stops when buckets reach the target
 // block size (32 vectors for 128 B vectors in 4 KB blocks), so the leaves are
-// the blocks. Sibling buckets are refined in parallel.
+// the blocks. Sibling buckets are refined in parallel. The vectors no query
+// names carry no co-access signal, so they are not bisected: they follow in
+// ascending id order, in blocks of their own, and a block the training
+// traffic reads holds no untrained vector beyond the padding.
 package shp
 
 import (
@@ -82,9 +86,11 @@ type Result struct {
 	FinalFanout   float64
 }
 
-// Partition partitions numVectors vectors using the training queries.
-// Vectors that never appear in a query are appended at arbitrary positions
-// in blocks with free space, as in the paper (§4.3.2).
+// Partition partitions numVectors vectors using the training queries. A cold
+// start (no InitialOrder) bisects the vectors the queries name, padded with
+// the lowest-numbered untrained vectors to whole blocks, so the trained
+// vectors fill ceil(trained/BlockVectors) blocks; the other untrained vectors
+// follow in ascending id order. A warm start refines the whole InitialOrder.
 func Partition(numVectors int, queries [][]uint32, opts Options) (*Result, error) {
 	if numVectors <= 0 {
 		return nil, fmt.Errorf("shp: no vectors to partition")
@@ -205,35 +211,35 @@ type bucket struct {
 	depth    int
 }
 
-// root builds the bucket holding every vector.
-func (p *partitioner) root() *bucket {
-	var all []uint32
+// root returns the run's working order, which becomes the placement, and the
+// bucket the bisections start from, a prefix of it. A warm start bisects the
+// whole incoming placement. A cold start bisects only the ids the queries
+// name, in id order, padded with the lowest-numbered untrained ids to whole
+// blocks; every other id follows in ascending id order, in blocks of its own,
+// so the trained ids fill ceil(trained/BlockVectors) blocks.
+func (p *partitioner) root() ([]uint32, *bucket) {
+	var order []uint32
+	bisected := p.n
 	if p.opts.InitialOrder != nil {
-		// Warm start: begin from the existing placement so refinement is
-		// incremental (the swap iterations only move vectors whose
-		// co-access changed).
-		all = make([]uint32, p.n)
-		copy(all, p.opts.InitialOrder)
+		order = slices.Clone(p.opts.InitialOrder)
 	} else {
-		// Start with all vectors in one bucket. Vectors that appear in
-		// queries come first (they carry signal); untouched vectors are
-		// appended at the end so they fill whatever blocks remain — the
-		// paper notes SHP places rarely-accessed vectors arbitrarily.
-		appears := make([]bool, p.n)
+		named := make([]bool, p.n)
 		for _, q := range p.queries {
 			for _, id := range q {
-				appears[id] = true
+				named[id] = true
 			}
 		}
-		all = make([]uint32, 0, p.n)
-		for id := 0; id < p.n; id++ {
-			if appears[id] {
-				all = append(all, uint32(id))
+		order = make([]uint32, 0, p.n)
+		for id, ok := range named {
+			if ok {
+				order = append(order, uint32(id))
 			}
 		}
-		for id := 0; id < p.n; id++ {
-			if !appears[id] {
-				all = append(all, uint32(id))
+		bv := p.opts.BlockVectors
+		bisected = min((len(order)+bv-1)/bv*bv, p.n)
+		for id, ok := range named {
+			if !ok {
+				order = append(order, uint32(id))
 			}
 		}
 	}
@@ -241,17 +247,17 @@ func (p *partitioner) root() *bucket {
 	for _, q := range p.queries {
 		lookups += len(q)
 	}
-	b := &bucket{vertices: all, qids: make([]uint32, 0, lookups), qoff: make([]int32, 1, len(p.queries)+1)}
+	b := &bucket{vertices: order[:bisected], qids: make([]uint32, 0, lookups), qoff: make([]int32, 1, len(p.queries)+1)}
 	for _, q := range p.queries {
 		b.qids = append(b.qids, q...)
 		b.qoff = append(b.qoff, int32(len(b.qids)))
 	}
-	return b
+	return order, b
 }
 
 func (p *partitioner) run() []uint32 {
 	p.localOf = make([]int32, p.n)
-	root := p.root()
+	order, root := p.root()
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, p.opts.Workers)
 	var maxDepth int
@@ -286,7 +292,7 @@ func (p *partitioner) run() []uint32 {
 	recurse(root)
 	wg.Wait()
 	p.levels = maxDepth + 1
-	return root.vertices
+	return order
 }
 
 // movePow[k] is 0.5^k. Refinement uses the Social Hash Partitioner's smoothed
@@ -345,8 +351,10 @@ func (p *partitioner) bisect(b *bucket) (*bucket, *bucket) {
 	// layout's block grouping is the seed at every level and refinement
 	// perturbs it only where the new queries disagree. A cold start orders
 	// vertices by the first query (hyperedge) they appear in, so that
-	// vertices co-accessed by the same queries start on the same side. The
-	// swap refinement below polishes either seed.
+	// vertices co-accessed by the same queries start on the same side; a
+	// vertex no query here names (root's padding, or a trained id whose
+	// queries this bucket dropped) takes key numQueries. The swap refinement
+	// below polishes either seed.
 	side := make([]uint8, n)
 	if p.opts.InitialOrder != nil {
 		for i := half; i < n; i++ {
@@ -355,21 +363,21 @@ func (p *partitioner) bisect(b *bucket) (*bucket, *bucket) {
 	} else {
 		firstSeen := make([]int32, n)
 		for i := range firstSeen {
-			firstSeen[i] = int32(numQueries) + int32(i%2) // unseen vertices alternate sides
+			firstSeen[i] = int32(numQueries)
 		}
 		for qi := 0; qi < numQueries; qi++ {
 			for _, li := range local[b.qoff[qi]:b.qoff[qi+1]] {
-				if firstSeen[li] >= int32(numQueries) {
+				if firstSeen[li] == int32(numQueries) {
 					firstSeen[li] = int32(qi)
 				}
 			}
 		}
 		// The first half of the vertices stably sorted by firstSeen go left.
-		// The keys lie in [0, numQueries+1], so count them instead of
+		// The keys lie in [0, numQueries], so count them instead of
 		// sorting: below the key at rank half a vertex goes left, above it
 		// right, and of the vertices holding it the first ones by index fill
 		// the left side up.
-		keys := make([]int32, numQueries+2)
+		keys := make([]int32, numQueries+1)
 		for _, k := range firstSeen {
 			keys[k]++
 		}

@@ -116,17 +116,89 @@ func TestPartitionHandlesUntouchedVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := make([]bool, 1000)
-	for _, id := range res.Order {
-		if seen[id] {
-			t.Fatalf("duplicate id %d", id)
+	checkUntrainedTail(t, res.Order, 1000, 32, queries)
+}
+
+// checkUntrainedTail checks a cold Partition's placement: it is a permutation
+// of [0, n), exactly ceil(trained/blockVectors) blocks hold an id the queries
+// name, and after those blocks come the untrained ids their padding did not
+// take, in ascending id order.
+func checkUntrainedTail(t *testing.T, order []uint32, n, blockVectors int, queries [][]uint32) {
+	t.Helper()
+	named := make([]bool, n)
+	trained := 0
+	for _, q := range queries {
+		for _, id := range q {
+			if !named[id] {
+				named[id] = true
+				trained++
+			}
+		}
+	}
+	if len(order) != n {
+		t.Fatalf("n=%d B=%d: order length %d", n, blockVectors, len(order))
+	}
+	seen := make([]bool, n)
+	for _, id := range order {
+		if int(id) >= n || seen[id] {
+			t.Fatalf("n=%d B=%d: order is not a permutation (id %d)", n, blockVectors, id)
 		}
 		seen[id] = true
 	}
-	for id, ok := range seen {
-		if !ok {
-			t.Fatalf("vector %d missing from order", id)
+	blocks := 0
+	for lo := 0; lo < n; lo += blockVectors {
+		if slices.ContainsFunc(order[lo:min(lo+blockVectors, n)], func(id uint32) bool { return named[id] }) {
+			blocks++
 		}
+	}
+	want := (trained + blockVectors - 1) / blockVectors
+	if blocks != want {
+		t.Fatalf("n=%d B=%d: %d trained ids fill %d blocks, want %d", n, blockVectors, trained, blocks, want)
+	}
+	var untrained []uint32
+	for id, ok := range named {
+		if !ok {
+			untrained = append(untrained, uint32(id))
+		}
+	}
+	head := min(want*blockVectors, n)
+	if !slices.Equal(order[head:], untrained[head-trained:]) {
+		t.Fatalf("n=%d B=%d: the %d ids after the trained blocks are not the untrained ids %d.. in id order",
+			n, blockVectors, n-head, head-trained)
+	}
+}
+
+// TestUntrainedIDsGetTheirOwnBlocks runs cold partitions over random table
+// sizes, block sizes and query sets — none, a generated trace that leaves
+// part of the table untouched, and queries over a random subset of ids
+// scattered across the table — and checks each placement with
+// checkUntrainedTail: no block the trained ids fill holds more untrained ids
+// than padding to whole blocks needs.
+func TestUntrainedIDsGetTheirOwnBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 60; trial++ {
+		blockVectors := 2 + rng.Intn(40)
+		n := 1 + rng.Intn(3000)
+		var queries [][]uint32
+		switch trial % 3 {
+		case 1:
+			queries = generatedQueries(n, rng.Intn(200), int64(trial))
+		case 2:
+			pool := rng.Perm(n)[:1+rng.Intn(n)]
+			queries = make([][]uint32, rng.Intn(300))
+			for qi := range queries {
+				q := make([]uint32, 1+rng.Intn(12))
+				for j := range q {
+					q[j] = uint32(pool[rng.Intn(len(pool))])
+				}
+				queries[qi] = q
+			}
+		}
+		res, err := Partition(n, queries, Options{BlockVectors: blockVectors, Iterations: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkUntrainedTail(t, res.Order, n, blockVectors, queries)
 	}
 }
 
@@ -206,19 +278,24 @@ func orderHash(order []uint32) uint64 {
 	return h.Sum64()
 }
 
-// TestOrdersMatchMapBasedBisect pins the placement to what the partitioner
-// produced while bisect still indexed its vertices through a per-bucket map,
-// projected every query into its own slice and sorted candidates with
-// sort.Slice: the hashes below were taken from that implementation. 4,096 =
-// 32 x 2^7 vectors, so every n/2 cut is already a block boundary and
-// splitAt's alignment changes nothing here; on sizes where it does (5,000 and
-// 20,000 vectors, same seeds) the two implementations were compared with the
-// cut left at n/2 and agreed on every order, cold and warm.
+// TestOrdersMatchMapBasedBisect pins the placement of a bisect that indexes
+// its vertices through one run-wide array, projects the queries into one
+// backing array per child and selects swaps without a full sort. The hashes
+// were first taken from an implementation that indexed through a per-bucket
+// map, projected every query into its own slice and sorted candidates with
+// sort.Slice; 4,096 = 32 x 2^7 vectors, so every n/2 cut is already a block
+// boundary and splitAt's alignment changed nothing here, and on sizes where it
+// does (5,000 and 20,000 vectors, same seeds) the two implementations were
+// compared with the cut left at n/2 and agreed on every order, cold and warm.
+// They were re-taken when the cold start stopped bisecting the ids no training
+// query names (these traces leave part of the table untouched, so both orders
+// moved); TestEveryIDTrainedOrdersPinned holds the bisection itself to the
+// earlier code.
 func TestOrdersMatchMapBasedBisect(t *testing.T) {
 	want := []struct{ cold, warm uint64 }{
-		{0x56442e13e1d916bd, 0x297cd42842c7e0d9},
-		{0x6324917afa5ef779, 0x42bf9b3413f077a5},
-		{0xabe7b911e33bb5d5, 0xa03736da492041c1},
+		{0x47d4e86fc83551d1, 0x0b9108ddf12d2b0d},
+		{0x0cb7042c6dbe35e1, 0xc5de4af06b96b3c9},
+		{0x2120b96d5de3949d, 0x8820763997e7fc1d},
 	}
 	for i, w := range want {
 		seed := int64(i + 1)
@@ -246,13 +323,15 @@ func TestOrdersMatchMapBasedBisect(t *testing.T) {
 // epoch runs over the next 2,000 requests. These tables are larger than
 // TestOrdersMatchMapBasedBisect's and their gains tie far more often, so they
 // hold the refinement's swap selection to the full sort on the inputs the
-// benchmark's block reads come from.
+// benchmark's block reads come from. The hashes were re-taken when the cold
+// start stopped bisecting the ids no training query names: every table leaves
+// ids untrained, so both orders moved.
 func TestBenchmarkOrdersPinned(t *testing.T) {
 	want := []struct{ cold, warm uint64 }{
-		{0x272555b25e8ce0f9, 0x9d8b8e4a70bb1dcd},
-		{0x037df3677c6b1709, 0x2a09c0269eaadd91},
-		{0x4be6b22cd26657e5, 0x6914d7fed1856af9},
-		{0x8e6678944c406971, 0xb4c8e00b0d113279},
+		{0xcf67fab22f073009, 0x26602345cfe40ce9},
+		{0x13b9b41fdf0054ad, 0xfe349800771b1591},
+		{0x3b8aacfe7af1694d, 0x0dc1942722ac7671},
+		{0x897653877870906d, 0x22178dd7f655ab69},
 	}
 	for i, p := range trace.DefaultProfiles(0.002)[:len(want)] {
 		p.Seed += 100
@@ -278,11 +357,44 @@ func TestBenchmarkOrdersPinned(t *testing.T) {
 	}
 }
 
+// TestEveryIDTrainedOrdersPinned pins the cold and warm orders of a
+// 1,000-vector table whose training queries name every id, to hashes taken
+// before the cold start stopped bisecting untrained ids: with none to set
+// aside, the root bucket is the whole table in id order as before, and the
+// bisection must place it bit for bit as it did.
+func TestEveryIDTrainedOrdersPinned(t *testing.T) {
+	queries := generatedQueries(1000, 3000, 4)
+	named := make([]bool, 1000)
+	for _, q := range queries {
+		for _, id := range q {
+			named[id] = true
+		}
+	}
+	if i := slices.Index(named, false); i >= 0 {
+		t.Fatalf("vector %d is untrained: the pin would not cover a fully trained table", i)
+	}
+	cold, err := Partition(1000, queries, Options{BlockVectors: 32, Iterations: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := orderHash(cold.Order), uint64(0x191a4b848486f6a5); got != want {
+		t.Errorf("cold order hashes to %#x, want %#x", got, want)
+	}
+	warm, err := Repartition(cold.Order, generatedQueries(1000, 1000, 14), Options{BlockVectors: 32, Iterations: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := orderHash(warm.Order), uint64(0x4671bb9581c56f6d); got != want {
+		t.Errorf("warm order hashes to %#x, want %#x", got, want)
+	}
+}
+
 // TestLeavesAreBlocks drives the recursion by hand over random table and
-// block sizes: every leaf must be exactly one aligned run of BlockVectors ids
-// of the final order (the last may be short), so the blocks layout.FromOrder
-// cuts are the buckets the bisections optimised, and FinalFanout is the
-// fanout of the layout a store installs.
+// block sizes: every leaf, and every block of the untrained tail that follows
+// the bisected ids, must be exactly one aligned run of BlockVectors ids of the
+// final order (the last may be short), so the blocks layout.FromOrder cuts are
+// the buckets the bisections optimised, and FinalFanout is the fanout of the
+// layout a store installs.
 func TestLeavesAreBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
@@ -304,7 +416,11 @@ func TestLeavesAreBlocks(t *testing.T) {
 			recurse(left)
 			recurse(right)
 		}
-		recurse(p.root())
+		order, root := p.root()
+		recurse(root)
+		for lo := len(root.vertices); lo < n; lo += blockVectors {
+			leaves = append(leaves, order[lo:min(lo+blockVectors, n)])
+		}
 
 		res, err := Partition(n, queries, opts)
 		if err != nil {
