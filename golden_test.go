@@ -19,13 +19,13 @@ import (
 // eviction order), not policy regressions.
 //
 // Golden values (seed 1, scale 0.001): baseline 0.54/0.48, trained
-// 0.64/0.59 at 5134/13397 block reads (5099/13389 before SHP set untrained
-// ids aside, below). What the paper optimises is block reads, so they are
-// pinned per table beside the hit ratios. At these
-// 600-vector caches the tuner picks prefetch threshold 10 with demand
-// threshold 12 on table 1 and, on table 2, no prefetching at all with demand
-// threshold 34: keeping the ids training saw often resident is worth more
-// there than anything a block's neighbours bring.
+// 0.44/0.70 at 7328/10679 block reads (see the last move below). What the
+// paper optimises is block reads, so they are pinned per table beside the hit
+// ratios. The allocator gives table 1 340 vectors and table 2 860, and the
+// tuner picks prefetch threshold 10 with demand threshold 22 on table 1 and
+// prefetch threshold 22 with demand threshold 22 on table 2. Table 1 reads
+// fewer blocks than untrained but hits less: it gave table 2 DRAM, which
+// saves more reads there than table 1 loses.
 //
 // Moved on purpose by ISSUE 24, from 0.46/0.29 at 6387/14972 (prefetch
 // threshold 0 on both tables, which admitted so much of every block read
@@ -42,8 +42,15 @@ import (
 // (1,281 and 1,646 of each table's 10,000) and giving the rest blocks of their
 // own: 0.64/0.59 at 5134/13397 (+0.7%/+0.1% reads on this small held-out
 // suffix; a variant without padding to whole blocks read 5088 on table 1),
-// thresholds unchanged. The checks below keep their 2% windows around
-// 5099/13389, which hold both.
+// thresholds unchanged. The checks kept their 2% windows around
+// 5099/13389, which held both.
+//
+// Moved on purpose when admitted prefetches began entering the queue
+// mid-queue (cache.PrefetchPosition) and Train began splitting DRAM with
+// adaptation's lookahead: 0.44/0.70 at 7328/10679, 18007 reads in all
+// (−2.8% from 18531). The lookahead moves 260 vectors of DRAM from table 1 to
+// table 2. The position alone, at the old 600/600 split, read 5119/14388
+// (table 2 +7.4%), so the two ship together.
 //
 // The goldens must hold bit-for-bit on both backends.
 func TestGoldenQuickstartHitRatios(t *testing.T) {
@@ -113,12 +120,12 @@ func runGoldenQuickstart(t *testing.T, backend string) {
 		t.Fatal(err)
 	}
 	trained := serve()
-	checkHitRate("trained", trained, []float64{0.64, 0.59})
+	checkHitRate("trained", trained, []float64{0.44, 0.70})
 
 	// Training must actually pay off: fewer NVM block reads for the same
 	// workload on every table (the paper's effective-bandwidth win), and the
 	// count itself is a golden (same 2% slack as the hit ratios).
-	for i, want := range []int64{5099, 13389} {
+	for i, want := range []int64{7328, 10679} {
 		if got := trained[i].BlockReads; math.Abs(float64(got-want)) > tol*float64(want) {
 			t.Errorf("trained %s block reads = %d, want %d±%.0f%%", trained[i].Name, got, want, 100*tol)
 		}

@@ -17,6 +17,11 @@
 //   - a combination of the two (Figure 11c), and
 //   - thresholding on the number of times the vector was accessed during
 //     the SHP training run (Figure 12) — the policy Bandana adopts.
+//
+// The deployed policy combines the first and the last: NewThresholdAdmit
+// admits a prefetch by its training count and enters it mid-queue, at
+// PrefetchPosition, so a speculative fill that nobody asks for is evicted
+// after half the cache's insertions instead of all of them.
 package cache
 
 import "bandana/internal/vcache"
@@ -61,6 +66,16 @@ type AdmissionPolicy interface {
 // (§4.3.1's insertion-position idea applied to demand fills). It outlives
 // about a sixteenth of the cache's insertions there instead of all of them.
 const ProbationPosition = 1.0
+
+// PrefetchPosition is where a prefetch the deployed ThresholdAdmit admits
+// enters the queue: the queue's midpoint, the head of segment 8 of segments
+// 0–15 (§4.3.1, Figure 11a). It outlives about half the cache's insertions
+// there, and a hit promotes it to the MRU end like any other entry. It is a
+// constant, not a tuned value: a tuner choosing the position on the trace it
+// replays picks the MRU end every time, because every prefetch that trace
+// admits is one it goes on to hit, while on traffic the tuner did not see
+// the midpoint reads fewer blocks.
+const PrefetchPosition = 0.5
 
 // demandAtMRU is the demand half of every policy that only rules on
 // prefetches: a requested vector enters at the MRU end.
@@ -178,7 +193,18 @@ type ThresholdAdmit struct {
 	Counts          []uint32
 	Threshold       uint32
 	DemandThreshold uint32
-	Position        float64
+	// Position is where an admitted prefetch enters the queue:
+	// PrefetchPosition in the deployed policy (NewThresholdAdmit), the MRU
+	// end (0) in the paper's Figure 12 sweep.
+	Position float64
+}
+
+// NewThresholdAdmit returns the ThresholdAdmit Bandana deploys over counts
+// with the two thresholds: its admitted prefetches enter at
+// PrefetchPosition. The tuner replays this policy, the store compiles it and
+// the experiments serve it, so all three mean the same thing by a threshold.
+func NewThresholdAdmit(counts []uint32, threshold, demandThreshold uint32) ThresholdAdmit {
+	return ThresholdAdmit{Counts: counts, Threshold: threshold, DemandThreshold: demandThreshold, Position: PrefetchPosition}
 }
 
 // OnAccess implements AdmissionPolicy.

@@ -376,15 +376,12 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 		demandIdx = append(demandIdx, i)
 	}
 	if len(demands) > 0 && budget > 0 {
-		// The lookahead makes the greedy scoring see across the plateaus of
-		// the sampled hit-rate curves; without it the allocation degenerates
-		// to a tie-broken even split (see alloc.Options.LookaheadVectors).
-		allocRes, err := alloc.Allocate(demands, alloc.Options{TotalVectors: budget, LookaheadVectors: budget / 16})
+		vectors, err := splitDRAM(demands, budget)
 		if err != nil {
 			return nil, fmt.Errorf("core: adaptation allocation: %w", err)
 		}
 		for di, ti := range demandIdx {
-			actual := s.tables[ti].resizeCacheLive(allocRes.Vectors[di])
+			actual := s.tables[ti].resizeCacheLive(vectors[di])
 			report.Tables[ti].CacheVectors = actual
 		}
 	}

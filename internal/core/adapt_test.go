@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"bandana/internal/alloc"
 	"bandana/internal/nvm"
 	"bandana/internal/table"
 	"bandana/internal/trace"
@@ -261,6 +263,82 @@ func TestBackgroundAdaptationLoop(t *testing.T) {
 	s.StopAdaptation()
 	if got := s.AdaptationStats(); got.Enabled {
 		t.Fatalf("adaptation still enabled after stop: %+v", got)
+	}
+}
+
+// TestTrainAndAdaptationSplitDRAMAlike holds Train and an adaptation epoch
+// to one DRAM allocation rule: each divides its budget through splitDRAM, and
+// each installs, per table, what alloc.Allocate with the lookahead returns
+// for the demands it passed. The fixture is one where the split without the
+// lookahead differs, so a Train that allocated without it fails here either
+// way: by not calling splitDRAM, or by a split that is not the lookahead's.
+func TestTrainAndAdaptationSplitDRAMAlike(t *testing.T) {
+	type split struct {
+		demands []alloc.TableDemand
+		budget  int
+	}
+	var splits []split
+	splitDRAMHook = func(demands []alloc.TableDemand, budget int) {
+		splits = append(splits, split{slices.Clone(demands), budget})
+	}
+	defer func() { splitDRAMHook = nil }()
+	// The split each call of splitDRAM must have made, after checking that
+	// the lookahead matters to it.
+	lookahead := func(phase string) []int {
+		t.Helper()
+		if len(splits) != 1 {
+			t.Fatalf("%s split DRAM through splitDRAM %d times, want once", phase, len(splits))
+		}
+		sp := splits[0]
+		splits = nil
+		with, err := alloc.Allocate(sp.demands, alloc.Options{TotalVectors: sp.budget, LookaheadVectors: sp.budget / 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		without, err := alloc.Allocate(sp.demands, alloc.Options{TotalVectors: sp.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if phase == "Train" && slices.Equal(with.Vectors, without.Vectors) {
+			t.Fatalf("%s: the split is %v with and without the lookahead: the fixture cannot tell them apart", phase, with.Vectors)
+		}
+		return with.Vectors
+	}
+
+	tables, traces := driftTestTables(400, 0)
+	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 600, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	train := make([]*trace.Trace, len(traces))
+	for i, tr := range traces {
+		train[i] = &trace.Trace{TableName: tr.TableName, NumVectors: tr.NumVectors, Queries: tr.Queries[:200]}
+	}
+	rep, err := s.Train(train, TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := lookahead("Train")
+	for i, tr := range rep.Tables {
+		if tr.CacheVectors != want[i] {
+			t.Fatalf("Train gave table %s %d vectors, the lookahead split %v", tr.Name, tr.CacheVectors, want)
+		}
+	}
+
+	if err := s.StartAdaptation(AdaptOptions{MinQueries: 32}); err != nil {
+		t.Fatal(err)
+	}
+	servePhase(t, s, traces, 200, 400)
+	arep, err := s.AdaptNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = lookahead("AdaptNow")
+	for i, tr := range arep.Tables {
+		if tr.CacheVectors != max(want[i], 1) {
+			t.Fatalf("AdaptNow gave table %s %d vectors, the lookahead split %v", tr.Name, tr.CacheVectors, want)
+		}
 	}
 }
 

@@ -160,9 +160,11 @@ func TestFileBackendReopenServesWithoutRetraining(t *testing.T) {
 
 	// The budget is one the tuner turns prefetching on at for both tables
 	// (checked before the close below), so the reopen shows it survives.
+	// At 384 the allocator gives table tB 100 vectors and the tuner turns its
+	// prefetching off.
 	s, err := Open(Config{
 		Tables:            tables,
-		DRAMBudgetVectors: 384,
+		DRAMBudgetVectors: 512,
 		Seed:              3,
 		Backend:           BackendFile,
 		DataDir:           dir,

@@ -402,6 +402,8 @@ func (st *storeTable) applySaved(sv savedTable) func(*tableState) {
 		ts.admit = nil
 		if l := ts.layout; ts.prefetch || ts.demandThreshold > 0 {
 			if sv.counts != nil {
+				// Position 0: version-4 stores entered admitted prefetches
+				// at the MRU end, and the file holds no position.
 				ts.admit = compileAdmission(cache.ThresholdAdmit{
 					Counts: sv.counts, Threshold: sv.threshold, DemandThreshold: sv.demandThreshold,
 				}, l)

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math/bits"
 	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -41,8 +42,10 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 		trains[i], evals[i] = tr.Split(0.5)
 	}
 
-	// Train one store and snapshot its state.
-	s1, err := Open(Config{Tables: tables, DRAMBudgetVectors: 400, Seed: 1})
+	// Train one store and snapshot its state. At this budget the tuner turns
+	// prefetching on for both tables (at 400 table 1 trains prefetch-free),
+	// so the round trip has prefetching to restore.
+	s1, err := Open(Config{Tables: tables, DRAMBudgetVectors: 500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 	}
 
 	// Open a fresh store over the same tables and load the state.
-	s2, err := Open(Config{Tables: tables, DRAMBudgetVectors: 400, Seed: 2})
+	s2, err := Open(Config{Tables: tables, DRAMBudgetVectors: 500, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,12 +381,13 @@ func TestLoadStateVersion4(t *testing.T) {
 // goldenV5Store is the store testdata/state_v5.bnd was saved from: two tables
 // of buildTestTables(2, 320, 600) trained on the first half of their traces,
 // table 1 with a forced demand threshold of 3. Those halves name every id, so
-// the layouts do not depend on where a cold partition puts untrained ids. The
-// tuner leaves table 0 prefetching with a demand gate of its own and table 1
-// prefetch-free. It returns the training traces too.
+// the layouts do not depend on where a cold partition puts untrained ids. At
+// budget 160 the tuner leaves table 0 prefetching with a demand gate of its
+// own and table 1 prefetch-free (at 144 neither table prefetches).
+// It returns the training traces too.
 func goldenV5Store(t *testing.T) (*Store, []*trace.Trace) {
 	tables, traces := buildTestTables(t, 2, 320, 600)
-	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 128, Seed: 2, CacheShards: 4})
+	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 160, Seed: 2, CacheShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,11 +404,15 @@ func goldenV5Store(t *testing.T) (*Store, []*trace.Trace) {
 }
 
 // TestStateVersion5Golden pins the version-5 state format to
-// testdata/state_v5.bnd, written by an encoder that kept the verdicts in id
-// order: SaveState of the same store, whose verdicts are held in layout
-// order, must reproduce it byte for byte, and LoadState of it must publish,
-// at every layout position, the verdicts of the reference
-// cache.ThresholdAdmit over the training counts.
+// testdata/state_v5.bnd: SaveState of the same store, whose verdicts are held
+// in layout order, must reproduce it byte for byte, and LoadState of it must
+// publish, at every layout position, the verdicts of the reference
+// cache.ThresholdAdmit over the training counts. The file was first written
+// by an encoder that kept the verdicts in id order. It was retaken, by the
+// unchanged encoder, when admitted prefetches moved to
+// cache.PrefetchPosition and Train's DRAM split took the lookahead, which
+// changed what goldenV5Store trains; the store before that change re-encodes
+// the retaken file byte for byte.
 func TestStateVersion5Golden(t *testing.T) {
 	golden, err := os.ReadFile("testdata/state_v5.bnd")
 	if err != nil {
@@ -458,5 +466,82 @@ func TestStateVersion5Golden(t *testing.T) {
 		if set == 0 {
 			t.Fatalf("table %d: no verdict set: the comparison is vacuous", i)
 		}
+	}
+}
+
+// TestPersistedPrefetchPositionIsData holds the prefetch position a state
+// file carries to be data, not cache.PrefetchPosition: a file saved from a
+// table that serves admitted prefetches at the MRU end (position 0) loads,
+// persists and reopens at 0, and the reopened store serves exactly as
+// sim.Replay does at 0. Only retraining installs the deployed position.
+func TestPersistedPrefetchPositionIsData(t *testing.T) {
+	tables, traces := buildTestTables(t, 1, 4096, 900)
+	train, eval := traces[0].Split(0.5)
+	cfg := Config{Tables: tables, DRAMBudgetVectors: 300, Seed: 7, CacheShards: 1}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Train([]*trace.Trace{train}, TrainOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	st := s.tables[0]
+	ts := st.loadState()
+	if !ts.prefetch || ts.admit.position != cache.PrefetchPosition {
+		t.Fatalf("Train left prefetching %v at position %v, want on at %v", ts.prefetch, ts.admit.position, cache.PrefetchPosition)
+	}
+	atMRU := cache.NewThresholdAdmit(countsOf(st), ts.threshold, ts.demandThreshold)
+	atMRU.Position = 0
+	installThreshold(st, atMRU)
+	var saved bytes.Buffer
+	if err := s.SaveState(&saved); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Backend, cfg.DataDir = BackendFile, filepath.Join(t.TempDir(), "store")
+	f, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.LoadState(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(Config{Backend: BackendFile, DataDir: cfg.DataDir, Seed: 7, CacheShards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rts := r.tables[0].loadState()
+	if !rts.prefetch || rts.admit.position != 0 {
+		t.Fatalf("reopened with prefetching %v at position %v, the file's 0", rts.prefetch, rts.admit.position)
+	}
+	for _, q := range eval.Queries {
+		if _, err := r.LookupBatchRaw(0, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := r.Stats()[0]
+	replay := func(p cache.ThresholdAdmit) sim.Result {
+		return sim.Replay(eval, sim.Config{Layout: rts.layout, CacheVectors: rts.cacheCap, Policy: p})
+	}
+	want, mid := replay(atMRU), replay(cache.NewThresholdAdmit(atMRU.Counts, atMRU.Threshold, atMRU.DemandThreshold))
+	if want.BlockReads == mid.BlockReads && want.PrefetchHits == mid.PrefetchHits {
+		t.Fatalf("positions 0 and %v read alike (%d blocks): the fixture cannot tell them apart", cache.PrefetchPosition, want.BlockReads)
+	}
+	if got.BlockReads != want.BlockReads || got.Hits != want.Hits || got.PrefetchAdds != want.PrefetchesAdmitted || got.PrefetchHits != want.PrefetchHits {
+		t.Fatalf("reopened store read %d blocks, %d hits, %d/%d prefetch adds/hits; the replay at position 0 %d, %d, %d/%d (at %v: %d blocks)",
+			got.BlockReads, got.Hits, got.PrefetchAdds, got.PrefetchHits,
+			want.BlockReads, want.Hits, want.PrefetchesAdmitted, want.PrefetchHits, cache.PrefetchPosition, mid.BlockReads)
+	}
+
+	if _, err := r.Train([]*trace.Trace{train}, TrainOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if rts := r.tables[0].loadState(); rts.admit == nil || rts.admit.position != cache.PrefetchPosition {
+		t.Fatalf("retraining installed admission %+v, want position %v", rts.admit, cache.PrefetchPosition)
 	}
 }

@@ -668,21 +668,20 @@ func (s *Store) tableAt(i int) (*storeTable, error) {
 // rebuild the reference cache.ThresholdAdmit of a table's bits.
 var thresholdCountsHook func(st *storeTable, counts []uint32)
 
-// setThresholdPolicy compiles into ts's layout order the cache.ThresholdAdmit
-// that counts and ts's threshold and demandThreshold describe — the policy
-// the miniature caches replayed through the store's own batch algorithm (see
-// package sim), so serving behaves exactly as simulated — or clears it when
-// it would decide nothing (prefetching off, no demand gate), so a block read
-// skips admission altogether. counts is not kept.
+// setThresholdPolicy compiles into ts's layout order the deployed
+// cache.ThresholdAdmit (cache.NewThresholdAdmit) that counts and ts's
+// threshold and demandThreshold describe — the policy the miniature caches
+// replayed through the store's own batch algorithm (see package sim), so
+// serving behaves exactly as simulated — or clears it when it would decide
+// nothing (prefetching off, no demand gate), so a block read skips admission
+// altogether. counts is not kept.
 func (st *storeTable) setThresholdPolicy(ts *tableState, counts []uint32) {
 	if thresholdCountsHook != nil {
 		thresholdCountsHook(st, counts)
 	}
 	ts.admit = nil
 	if ts.prefetch || ts.demandThreshold > 0 {
-		ts.admit = compileAdmission(cache.ThresholdAdmit{
-			Counts: counts, Threshold: ts.threshold, DemandThreshold: ts.demandThreshold,
-		}, ts.layout)
+		ts.admit = compileAdmission(cache.NewThresholdAdmit(counts, ts.threshold, ts.demandThreshold), ts.layout)
 	}
 }
 

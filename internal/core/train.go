@@ -163,13 +163,13 @@ func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, e
 		demandIdx = append(demandIdx, i)
 	}
 	if len(demands) > 0 { // every cache holds at least one vector, so budget > 0
-		allocRes, err := alloc.Allocate(demands, alloc.Options{TotalVectors: budget})
+		vectors, err := splitDRAM(demands, budget)
 		if err != nil {
 			return nil, fmt.Errorf("core: DRAM allocation: %w", err)
 		}
 		for di, ti := range demandIdx {
-			plans[ti].cacheCap = max(allocRes.Vectors[di], 1)
-			report.Tables[ti].CacheVectors = allocRes.Vectors[di]
+			plans[ti].cacheCap = max(vectors[di], 1)
+			report.Tables[ti].CacheVectors = vectors[di]
 		}
 	}
 
@@ -220,6 +220,26 @@ func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, e
 		return nil, err
 	}
 	return report, nil
+}
+
+// splitDRAMHook, when non-nil, sees every DRAM split before it is made:
+// tests use it to check that Train and adaptation split alike.
+var splitDRAMHook func(demands []alloc.TableDemand, budget int)
+
+// splitDRAM divides budget vectors of DRAM across the tables of demands from
+// their hit-rate curves: the one allocation rule of Train and adaptation. The
+// lookahead makes the greedy scoring see across the plateaus of the sampled
+// curves; without it the split degenerates to a tie-broken even one (see
+// alloc.Options.LookaheadVectors).
+func splitDRAM(demands []alloc.TableDemand, budget int) ([]int, error) {
+	if splitDRAMHook != nil {
+		splitDRAMHook(demands, budget)
+	}
+	res, err := alloc.Allocate(demands, alloc.Options{TotalVectors: budget, LookaheadVectors: budget / 16})
+	if err != nil {
+		return nil, err
+	}
+	return res.Vectors, nil
 }
 
 // planTable runs SHP for one table and computes its access statistics,

@@ -139,3 +139,64 @@ func TestReplayIsTheStore(t *testing.T) {
 		})
 	}
 }
+
+// TestTrainedPolicyReplayIsTheStore holds the policy Train installs to the
+// one the tuner replays, prefetch position included: a store trained at a
+// budget that evicts, with prefetching on, must serve held-out traffic on
+// exactly the counters sim.Replay gives the deployed cache.NewThresholdAdmit
+// of the tuned thresholds. The fixture is one where entering admitted
+// prefetches at the MRU end instead gives different counters, so a store
+// that compiled its verdicts at another position than the tuner's replays
+// fails here.
+func TestTrainedPolicyReplayIsTheStore(t *testing.T) {
+	tables, traces := buildTestTables(t, 1, 4096, 900)
+	train, eval := traces[0].Split(0.5)
+	s, err := Open(testBackendConfig(t, Config{
+		Tables:            tables,
+		DRAMBudgetVectors: 300,
+		Seed:              7,
+		CacheShards:       1,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Train([]*trace.Trace{train}, TrainOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	st := s.tables[0]
+	ts := st.loadState()
+	if !ts.prefetch {
+		t.Fatalf("tuner turned prefetching off: no admitted prefetch to place")
+	}
+	for _, q := range eval.Queries {
+		if _, err := s.LookupBatchRaw(0, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := s.Stats()[0]
+
+	deployed := cache.NewThresholdAdmit(countsOf(st), ts.threshold, ts.demandThreshold)
+	replay := func(p cache.ThresholdAdmit) sim.Result {
+		return sim.Replay(eval, sim.Config{Layout: ts.layout, CacheVectors: ts.cacheCap, Policy: p})
+	}
+	want := replay(deployed)
+	atMRU := deployed
+	atMRU.Position = 0
+	mru := replay(atMRU)
+	if want.PrefetchesAdmitted == 0 || want.Misses+want.PrefetchesAdmitted <= int64(ts.cacheCap) {
+		t.Fatalf("degenerate replay %+v: no admitted prefetch, or nothing evicted from a %d-vector cache", want, ts.cacheCap)
+	}
+	if mru.BlockReads == want.BlockReads && mru.PrefetchHits == want.PrefetchHits && mru.Hits == want.Hits {
+		t.Fatalf("MRU and mid-queue entry read alike (%d blocks, %d prefetch hits): the fixture cannot tell the positions apart",
+			want.BlockReads, want.PrefetchHits)
+	}
+	if got.Lookups != want.Lookups || got.Hits != want.Hits || got.Misses != want.Misses ||
+		got.BlockReads != want.BlockReads || got.ProbationFills != want.ProbationFills ||
+		got.PrefetchAdds != want.PrefetchesAdmitted || got.PrefetchHits != want.PrefetchHits {
+		t.Errorf("store and the deployed policy's replay diverge\n store:  lookups=%d hits=%d misses=%d blockReads=%d probationFills=%d prefetchAdds=%d prefetchHits=%d\n replay: lookups=%d hits=%d misses=%d blockReads=%d probationFills=%d prefetchAdds=%d prefetchHits=%d\n at MRU: blockReads=%d prefetchHits=%d",
+			got.Lookups, got.Hits, got.Misses, got.BlockReads, got.ProbationFills, got.PrefetchAdds, got.PrefetchHits,
+			want.Lookups, want.Hits, want.Misses, want.BlockReads, want.ProbationFills, want.PrefetchesAdmitted, want.PrefetchHits,
+			mru.BlockReads, mru.PrefetchHits)
+	}
+}

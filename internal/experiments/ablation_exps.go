@@ -79,7 +79,7 @@ func (r *Runner) runAblationAdmission() (*Table, error) {
 		cache.AlwaysAdmit{Position: 0.7},
 		cache.NewShadowAdmit(size*3/2, 0),
 		cache.NewShadowPosition(size*3/2, 0.7),
-		cache.ThresholdAdmit{Counts: counts, Threshold: choice.Threshold, DemandThreshold: choice.DemandThreshold},
+		cache.NewThresholdAdmit(counts, choice.Threshold, choice.DemandThreshold),
 	}
 	labels := []string{
 		"no prefetch (batch reads only)",

@@ -131,7 +131,7 @@ func (r *Runner) runFig12() (*Table, error) {
 	}
 	t := &Table{
 		Columns: cols,
-		Notes:   "smaller caches favour higher (more selective) thresholds; larger caches favour lower thresholds (§4.3.2)",
+		Notes:   "smaller caches favour higher (more selective) thresholds; larger caches favour lower thresholds (§4.3.2); admitted prefetches enter at the MRU end, as in the paper's sweep (the deployed policy enters them mid-queue)",
 	}
 	baselines := make([]sim.Result, len(sizes))
 	for i, size := range sizes {
@@ -196,7 +196,7 @@ func (r *Runner) runTable2() (*Table, error) {
 			}
 			full := sim.Replay(eval, sim.Config{
 				Layout: shpL, CacheVectors: size,
-				Policy: cache.ThresholdAdmit{Counts: counts, Threshold: choice.Threshold, DemandThreshold: choice.DemandThreshold},
+				Policy: cache.NewThresholdAdmit(counts, choice.Threshold, choice.DemandThreshold),
 			})
 			gain := paperGain(full, baseline)
 			thLabel := itoa(int(choice.Threshold))

@@ -93,7 +93,7 @@ func (r *Runner) endToEndGains(cfg endToEndConfig) ([]float64, []int, error) {
 
 		bandanaRes := sim.Replay(eval, sim.Config{
 			Layout: shpL, CacheVectors: cacheSize,
-			Policy: cache.ThresholdAdmit{Counts: counts, Threshold: choice.Threshold, DemandThreshold: choice.DemandThreshold},
+			Policy: cache.NewThresholdAdmit(counts, choice.Threshold, choice.DemandThreshold),
 		})
 		baseline := sim.ReplayBaseline(eval, idL, cacheSize, nil)
 		gains[i] = paperGain(bandanaRes, baseline)

@@ -387,14 +387,14 @@ func DemandThresholds(counts []uint32, cacheVectors int) []uint32 {
 // simulate; below this the simulation is too small to rank thresholds, so
 // the sampling rate is raised (up to running the full cache). A probation
 // entry lives in the last sixteenth of the queue, which at 64 vectors is four
-// entries: on the benchmark dataset (caches of 492 to 3,252 vectors) a
-// 64-vector floor serves 372.6 block reads per thousand lookups, 128 serves
-// 365.0, 256 363.4 and 512 362.9. When the demand sweep was added, Train took
-// 0.95, 1.01, 1.33 and 2.5 s at those floors, against 1.2 s before it, and
-// 128 was the largest that left training no slower. Re-measured in October
-// 2026 (a 2-vCPU Xeon VM, medians of 9 Trains of the four tables), after the
-// SHP refinement kernel and this once-filtered trace: 0.73, 0.88, 1.34 and
-// 2.37 s, where the same box took 1.62 s at 128 before them.
+// entries. 128 reads the fewest blocks on the benchmark's held-out cold_bwp
+// traffic, with admitted prefetches entering mid-queue: at seeds 1 and
+// 501–504 a 64-vector floor reads 0.17–0.39% more per thousand lookups than
+// 128, 256 reads 1.65–1.98% more and 512 0.90–1.35% more (seed 1: 363.32,
+// 362.33, 368.32 and 365.61), so a larger floor buys no reads. It also costs
+// Train time: in October 2026 (a 2-vCPU Xeon VM, medians of 9 Trains of the
+// four tables) Train took 0.73, 0.88, 1.34 and 2.37 s at floors 64, 128, 256
+// and 512.
 const minMiniCacheVectors = 128
 
 // sampleBlocks is the miniature cache's trace: tr restricted to the vectors
@@ -443,15 +443,17 @@ type tuned struct {
 	res               Result
 }
 
-// TuneThreshold picks the two thresholds of a cache.ThresholdAdmit by
-// miniature-cache simulation, in two steps. First one replay per candidate
-// prefetch threshold, ungated: the one with the highest effective bandwidth
-// increase wins, or DisablePrefetch if every candidate loses to the
-// no-prefetch baseline. Then one replay per candidate demand threshold
-// (DemandThresholds) at that winner and one with prefetching off; a gate is
-// kept only where it reads strictly fewer blocks than no gate, so a table it
-// does not help is tuned exactly as if the gate did not exist. A cache that
-// holds the whole table evicts nothing and skips the second step.
+// TuneThreshold picks the two thresholds of the deployed cache.ThresholdAdmit
+// (cache.NewThresholdAdmit: admitted prefetches enter at
+// cache.PrefetchPosition) by miniature-cache simulation, in two steps. First
+// one replay per candidate prefetch threshold, ungated: the one with the
+// highest effective bandwidth increase wins, or DisablePrefetch if every
+// candidate loses to the no-prefetch baseline. Then one replay per candidate
+// demand threshold (DemandThresholds) at that winner and one with prefetching
+// off; a gate is kept only where it reads strictly fewer blocks than no gate,
+// so a table it does not help is tuned exactly as if the gate did not exist.
+// A cache that holds the whole table evicts nothing and skips the second
+// step.
 func TuneThreshold(tr *trace.Trace, cfg TunerConfig) (ThresholdChoice, error) {
 	if cfg.Layout == nil {
 		return ThresholdChoice{}, fmt.Errorf("sim: tuner requires a layout")
@@ -484,7 +486,7 @@ func TuneThreshold(tr *trace.Trace, cfg TunerConfig) (ThresholdChoice, error) {
 	replay := func(threshold, demand uint32) tuned {
 		var policy cache.AdmissionPolicy = cache.NoPrefetch{}
 		if threshold != DisablePrefetch || demand != 0 {
-			policy = cache.ThresholdAdmit{Counts: cfg.Counts, Threshold: threshold, DemandThreshold: demand}
+			policy = cache.NewThresholdAdmit(cfg.Counts, threshold, demand)
 		}
 		return tuned{threshold, demand, Replay(miniTrace, Config{Layout: cfg.Layout, CacheVectors: miniCache, Policy: policy})}
 	}
