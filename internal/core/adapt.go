@@ -1,13 +1,13 @@
 // The adaptation layer: a background engine that closes the paper's tuning
-// loops at runtime. Train (train.go) runs the loops once, offline, from a
-// trace file; this file runs the same loops — hit-rate curves via sampled
-// stack distances, greedy DRAM allocation, miniature-cache threshold
-// tuning, SHP re-partitioning — continuously, from a bounded window of the
-// *live* access stream captured by per-table recorders on the serving path. Every decision is published through the same atomic state
-// pointer serving already reads, caches are resized in place (incremental
-// eviction, no cold restart), and layout changes go through the same
-// crash-recoverable install Train uses (rewrite.go / migration.go), so the
-// store tunes itself under load without ever blocking its readers.
+// loops at runtime. Each epoch is Train's plan (plan.go) from a warm start —
+// hit-rate curves via sampled stack distances, greedy DRAM allocation, SHP
+// re-partitioning from the serving layout, miniature-cache threshold tuning —
+// over a bounded window of the *live* access stream that per-table recorders
+// capture on the serving path. Every decision is published through the same
+// atomic state pointer serving already reads, caches are resized in place
+// (incremental eviction, no cold restart), and layout changes go through the
+// same crash-recoverable install Train uses (rewrite.go / migration.go), so
+// the store tunes itself under load without ever blocking its readers.
 package core
 
 import (
@@ -17,9 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bandana/internal/alloc"
 	"bandana/internal/layout"
-	"bandana/internal/mrc"
 	"bandana/internal/shp"
 	"bandana/internal/sim"
 	"bandana/internal/trace"
@@ -53,9 +51,6 @@ type AdaptOptions struct {
 	// is reserved, so a warming table is never starved by the optimiser).
 	// Defaults to 64.
 	MinQueries int
-	// MiniCacheSampling is the miniature-cache sampling rate for threshold
-	// tuning. Defaults to 0.01.
-	MiniCacheSampling float64
 	// Thresholds are the candidate admission thresholds; nil derives them
 	// from the recorded access counts (sim.AdaptiveThresholds).
 	Thresholds []uint32
@@ -98,9 +93,6 @@ func (o *AdaptOptions) defaults() {
 	if o.MinQueries <= 0 {
 		o.MinQueries = 64
 	}
-	if o.MiniCacheSampling <= 0 {
-		o.MiniCacheSampling = 0.01
-	}
 	if o.RelayoutMinGain <= 0 {
 		o.RelayoutMinGain = 0.05
 	}
@@ -123,18 +115,18 @@ type adapter struct {
 	running  atomic.Bool
 
 	epochs         atomic.Int64
-	relayouts      atomic.Int64
 	lastEpochNS    atomic.Int64
 	lastRelayoutNS atomic.Int64
 	lastErr        atomic.Pointer[string]
+	// tableRelayouts counts each table's committed re-layouts.
+	tableRelayouts []atomic.Int64
 
 	// Per-table counter baselines from the end of the previous epoch, so
 	// stats can report hit ratios *since the last adaptation*, not
 	// since-boot averages that drown out drift.
-	mu             sync.Mutex
-	baseLookups    []int64
-	baseHits       []int64
-	tableRelayouts []int64
+	mu          sync.Mutex
+	baseLookups []int64
+	baseHits    []int64
 	// recorders are the exact recorder instances this adapter installed, so
 	// StopAdaptation can remove its own recorders without clobbering those
 	// of a successor engine.
@@ -157,7 +149,7 @@ func (s *Store) StartAdaptation(opts AdaptOptions) error {
 		opts:           opts,
 		baseLookups:    make([]int64, len(s.tables)),
 		baseHits:       make([]int64, len(s.tables)),
-		tableRelayouts: make([]int64, len(s.tables)),
+		tableRelayouts: make([]atomic.Int64, len(s.tables)),
 		recorders:      make([]*trace.Recorder, len(s.tables)),
 	}
 	// Win the engine slot before touching any serving state, so a losing
@@ -254,18 +246,17 @@ type TableAdaptReport struct {
 	RelayoutDuration time.Duration
 }
 
-// AdaptNow runs one adaptation epoch synchronously: snapshot the recorded
-// windows, rebuild hit-rate curves, rebalance the DRAM budget across tables
-// (live, in-place cache resizes), optionally re-partition-and-migrate
-// drifted tables, and re-tune every adapted table's prefetch-admission
-// threshold with miniature caches. Serving continues throughout; the only
-// serving-visible pauses are the per-table bulk copy of a migration.
+// AdaptNow runs one adaptation epoch synchronously: the plan's warm start
+// (plan.go) over each table's recorded window. SHP refines the serving layout
+// every RelayoutEvery epochs, caches are resized in place, and prefetching
+// needs a predicted gain of MinPrefetchGain. Serving continues throughout;
+// the only serving-visible pauses are the per-table bulk copy of a migration.
 func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 	a := s.adapt.Load()
 	if a == nil {
 		return nil, ErrAdaptationNotStarted
 	}
-	start := time.Now()
+	began := time.Now()
 	// One epoch at a time, and never concurrent with Train/LoadState: they
 	// share the cache/threshold state and the migration protocol supports a
 	// single in-flight migration.
@@ -278,42 +269,21 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 		return nil, ErrAdaptationNotStarted
 	}
 
-	// An epoch can change cache allocations, thresholds and (via re-layout)
-	// the physical placement — all part of the image a replica streams, so
-	// the snapshot seq moves once per committed epoch and the update-log
-	// window resets (no stream of vector records can express a re-layout).
-	// A re-layout commits table by table, so an epoch that fails after one
-	// did change the image and must say so too.
-	mutated := false
-	defer func() {
-		if mutated {
-			s.noteStructuralMutation()
-		}
-	}()
-
 	opts := a.opts
 	epoch := a.epochs.Load() + 1
 	report := &AdaptEpochReport{Epoch: epoch, Tables: make([]TableAdaptReport, len(s.tables))}
 
-	// Phase 1 (parallel): snapshot each table's recorded window and derive
-	// access counts + hit-rate curve. Counts for the admission policy come
-	// from the window's *training prefix* only, and thresholds are later
-	// evaluated on the held-out suffix: tuning on the very stream the
-	// counts were measured from systematically overstates prefetch gains
-	// (the counts are that replay's future), and under drift that
-	// overfitting turns into live cache pollution.
-	type analysis struct {
-		tr     *trace.Trace // full window: allocation HRC + re-layout
-		tuneTr *trace.Trace // held-out suffix: threshold evaluation
-		counts []uint32     // training-prefix access counts
-		hrc    *mrc.HRC
-	}
-	analyses := make([]analysis, len(s.tables))
-	sem := make(chan struct{}, adaptParallelism)
-	var wg sync.WaitGroup
+	// Snapshot each table's recorded window. Counts for the admission policy
+	// come from the window's *training prefix* only, and thresholds are
+	// tuned on the held-out suffix: tuning on the very stream the counts
+	// were measured from systematically overstates prefetch gains (the
+	// counts are that replay's future), and under drift that overfitting
+	// turns into live cache pollution.
+	var plans []*tablePlan
 	for i, st := range s.tables {
 		rep := &report.Tables[i]
 		rep.Name = st.name
+		rep.CacheVectors = st.loadState().cacheCap
 		r := st.recorder.Load()
 		if r == nil {
 			continue
@@ -330,130 +300,36 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 		}
 		r.Reset()
 		rep.Adapted = true
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			flat := make([]uint32, 0, tr.Lookups())
-			for _, q := range tr.Queries {
-				flat = append(flat, q...)
-			}
-			trainTr, evalTr := tr.Split(0.6)
-			if len(evalTr.Queries) == 0 { // degenerate tiny window
-				trainTr, evalTr = tr, tr
-			}
-			analyses[i] = analysis{
-				tr:     tr,
-				tuneTr: evalTr,
-				counts: trainTr.AccessCounts(),
-				hrc:    mrc.SampledStackDistances(flat, hrcSampling).HitRateCurve(),
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	// Phase 2: rebalance the DRAM budget across the adapted tables with the
-	// fresh hit-rate curves. Cold tables keep their current share reserved
-	// (no starvation of a warming table), and resizes are live — the
-	// surviving working set keeps serving hits.
-	budget := 0
-	var demands []alloc.TableDemand
-	var demandIdx []int
-	for i, st := range s.tables {
-		cacheCap := st.loadState().cacheCap
-		report.Tables[i].CacheVectors = cacheCap
-		if analyses[i].hrc == nil {
-			continue
+		countsTr, tuneTr := tr.Split(0.6)
+		if len(tuneTr.Queries) == 0 { // degenerate tiny window
+			countsTr, tuneTr = tr, tr
 		}
-		budget += cacheCap
-		demands = append(demands, alloc.TableDemand{
-			Name:       st.name,
-			HRC:        analyses[i].hrc,
-			MaxVectors: st.numVectors,
-			MinVectors: st.blockVectors,
-		})
-		demandIdx = append(demandIdx, i)
-	}
-	if len(demands) > 0 && budget > 0 {
-		vectors, err := splitDRAM(demands, budget)
-		if err != nil {
-			return nil, fmt.Errorf("core: adaptation allocation: %w", err)
-		}
-		for di, ti := range demandIdx {
-			actual := s.tables[ti].resizeCacheLive(vectors[di])
-			report.Tables[ti].CacheVectors = actual
-		}
+		plans = append(plans, &tablePlan{st: st, tr: tr, countsTr: countsTr, tuneTr: tuneTr})
 	}
 
-	// Phase 3: background re-layout of drifted tables (every RelayoutEvery
-	// epochs, within the block budget), before threshold tuning so the
-	// thresholds are tuned for the layout that will serve them.
+	warm := start{layout: keepLayout, cache: (*storeTable).resizeCache, minGain: opts.MinPrefetchGain}
 	if opts.RelayoutEvery > 0 && epoch%int64(opts.RelayoutEvery) == 0 {
-		blocksLeft := opts.RelayoutBlockBudget
-		for i, st := range s.tables {
-			if analyses[i].tr == nil {
-				continue
-			}
-			if opts.RelayoutBlockBudget > 0 && blocksLeft < st.numBlocks {
-				continue // over budget this epoch; a later epoch picks it up
-			}
-			migrated, before, after, err := s.maybeRelayout(st, analyses[i].tr, opts)
-			if err != nil {
-				return nil, err
-			}
-			rep := &report.Tables[i]
-			rep.FanoutBefore, rep.FanoutAfter = before, after
-			if migrated {
-				mutated = true
-				rep.Relayout = true
-				blocksLeft -= st.numBlocks
-				a.relayouts.Add(1)
-				a.mu.Lock()
-				a.tableRelayouts[i]++
-				a.mu.Unlock()
-			}
-		}
+		warm.layout = s.repartition(opts.SHPIterations, opts.RelayoutMinGain)
+		warm.blockBudget = opts.RelayoutBlockBudget
 	}
-
-	// Phase 4 (parallel): re-tune each adapted table's prefetch-admission
-	// threshold with miniature caches over the recorded window, at the new
-	// cache size and layout.
-	errs := make([]error, len(s.tables))
-	for i, st := range s.tables {
-		if analyses[i].tr == nil {
-			continue
+	// The commit moves the snapshot seq — cache allocations, thresholds and
+	// layouts are all part of the image a replica streams — also when it
+	// fails after an earlier table committed.
+	err := s.plan(plans, warm, sim.TunerConfig{SamplingRate: miniCacheSampling, Thresholds: opts.Thresholds})
+	for _, p := range plans {
+		if p.moves && p.st.loadState().layout == p.layout { // committed
+			a.tableRelayouts[p.st.index].Add(1)
+			a.lastRelayoutNS.Store(s.lastInstallNS.Load())
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, st *storeTable) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			snap := st.loadState()
-			choice, err := sim.TuneThreshold(analyses[i].tuneTr, sim.TunerConfig{
-				Layout:       snap.layout,
-				Counts:       analyses[i].counts,
-				CacheVectors: snap.cacheCap,
-				SamplingRate: opts.MiniCacheSampling,
-				Thresholds:   opts.Thresholds,
-			})
-			if err != nil {
-				errs[i] = fmt.Errorf("core: table %q: %w", st.name, err)
-				return
-			}
-			st.mutateState(func(ts *tableState) {
-				st.applyChoice(ts, analyses[i].counts, choice, opts.MinPrefetchGain)
-			})
-			report.Tables[i].Threshold = choice.Threshold
-			report.Tables[i].DemandThreshold = choice.DemandThreshold
-			report.Tables[i].MiniatureGain = choice.MiniatureGain
-		}(i, st)
+		rep := &report.Tables[p.st.index]
+		rep.CacheVectors = p.cacheCap
+		rep.Threshold = p.choice.Threshold
+		rep.DemandThreshold = p.choice.DemandThreshold
+		rep.MiniatureGain = p.choice.MiniatureGain
+		rep.Relayout, rep.FanoutBefore, rep.FanoutAfter = p.moves, p.before, p.after
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	// Persist the adapted state so a restart resumes from the latest
@@ -471,52 +347,37 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 		a.baseHits[i] = st.counters.Value(ctrHits)
 	}
 	a.mu.Unlock()
-	report.Duration = time.Since(start)
+	report.Duration = time.Since(began)
 	a.lastEpochNS.Store(int64(report.Duration))
 	a.epochs.Store(epoch)
 	a.lastErr.Store(nil) // a completed epoch supersedes any earlier failure
-	mutated = true
 	return report, nil
 }
 
-// maybeRelayout evaluates a candidate layout for one table against the
-// recorded queries and migrates to it when the predicted fanout gain
-// clears the threshold. Returns whether a migration ran plus the measured
-// fanouts.
-func (s *Store) maybeRelayout(st *storeTable, tr *trace.Trace, opts AdaptOptions) (bool, float64, float64, error) {
-	queries := make([][]uint32, len(tr.Queries))
-	for i, q := range tr.Queries {
-		queries[i] = q
-	}
-	cur := st.loadState().layout
+// keepLayout is the layout step of an epoch without re-layout.
+func keepLayout(p *tablePlan, _ [][]uint32) error {
+	p.layout = p.st.loadState().layout
+	return nil
+}
 
-	res, err := shp.Repartition(cur.Order(), queries, shp.Options{
-		BlockVectors: st.blockVectors,
-		Iterations:   opts.SHPIterations,
-		Seed:         s.seed + int64(st.index),
-	})
-	if err != nil {
-		return false, 0, 0, fmt.Errorf("core: table %q: %w", st.name, err)
+// repartition is the warm start's layout step: SHP re-partitions the recorded
+// co-access hypergraph warm-started from the serving layout (§4.3.2), and the
+// candidate replaces it only when it cuts the fanout on the recorded queries
+// by minGain — below that the migration is not worth the layout delta.
+func (s *Store) repartition(iterations int, minGain float64) layoutStep {
+	return func(p *tablePlan, queries [][]uint32) error {
+		p.layout = p.st.loadState().layout
+		res, err := shp.Repartition(p.layout.Order(), queries, s.shpOptions(p.st, iterations))
+		if err != nil {
+			return err
+		}
+		p.before, p.after = res.InitialFanout, res.FinalFanout
+		if p.before <= 0 || (p.before-p.after)/p.before < minGain {
+			return nil
+		}
+		p.layout, err = layout.FromOrder(res.Order, p.st.blockVectors)
+		return err
 	}
-	candidate, err := layout.FromOrder(res.Order, st.blockVectors)
-	if err != nil {
-		return false, 0, 0, fmt.Errorf("core: table %q: %w", st.name, err)
-	}
-
-	before := cur.AverageFanout(queries)
-	after := candidate.AverageFanout(queries)
-	if before <= 0 || (before-after)/before < opts.RelayoutMinGain {
-		return false, before, after, nil
-	}
-	a := s.adapt.Load()
-	migStart := time.Now()
-	if err := s.installLayout(st, candidate, nil); err != nil {
-		return false, before, after, err
-	}
-	if a != nil {
-		a.lastRelayoutNS.Store(int64(time.Since(migStart)))
-	}
-	return true, before, after, nil
 }
 
 // AdaptationStats is a snapshot of the adaptation engine for observability.
@@ -573,7 +434,6 @@ func (s *Store) AdaptationStats() AdaptationStats {
 		Background:           a.running.Load(),
 		Interval:             a.opts.Interval,
 		EpochsCompleted:      a.epochs.Load(),
-		Relayouts:            a.relayouts.Load(),
 		LastEpochDuration:    time.Duration(a.lastEpochNS.Load()),
 		LastRelayoutDuration: time.Duration(a.lastRelayoutNS.Load()),
 		Tables:               make([]TableAdaptationStats, len(s.tables)),
@@ -593,8 +453,9 @@ func (s *Store) AdaptationStats() AdaptationStats {
 			Threshold:       state.threshold,
 			DemandThreshold: state.demandThreshold,
 			Prefetching:     state.prefetch,
-			Relayouts:       a.tableRelayouts[i],
+			Relayouts:       a.tableRelayouts[i].Load(),
 		}
+		out.Relayouts += ts.Relayouts
 		if r := st.recorder.Load(); r != nil {
 			ts.RecordedQueries = r.Len()
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -428,27 +429,45 @@ func TestFloatHitAllocs(t *testing.T) {
 // changed the image. The snapshot seq must move and the update-log window
 // reset exactly as after a completed epoch — a follower tailing vector
 // records across the re-layout would otherwise keep an image the primary no
-// longer has — and both tables keep serving every vector.
+// longer has — and both tables keep serving every vector. No table is left
+// half-adapted: the first serves its new layout with the cache size and the
+// policy the epoch tuned for it (those a twin store, alike but for the
+// failure, publishes), and the second keeps its pre-epoch layout, cache size
+// and policy.
 func TestFailedEpochAfterRelayoutMovesSeq(t *testing.T) {
 	tables, traces := buildTestTables(t, 2, 1024, 120)
+	twinTables, _ := buildTestTables(t, 2, 1024, 120)
 	blocks := 0
 	for _, tbl := range tables {
 		blocks += tbl.SizeBytes() / nvm.BlockSize
 	}
+	open := func(tables []*table.Table, fs *readFailStore) *Store {
+		s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 128, Seed: 1,
+			Device: nvm.NewDevice(nvm.DeviceConfig{Store: fs})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		if err := s.StartAdaptation(AdaptOptions{
+			MinQueries: 16, RelayoutEvery: 1, RelayoutMinGain: 0.01, SHPIterations: 8,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		servePhase(t, s, traces, 0, 120)
+		return s
+	}
 	fs := &readFailStore{MemStore: nvm.NewMemStore(blocks)}
-	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 128, Seed: 1,
-		Device: nvm.NewDevice(nvm.DeviceConfig{Store: fs})})
+	s := open(tables, fs)
+	twin := open(twinTables, &readFailStore{MemStore: nvm.NewMemStore(blocks)})
+	rep, err := twin.AdaptNow()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if err := s.StartAdaptation(AdaptOptions{
-		MinQueries: 16, RelayoutEvery: 1, RelayoutMinGain: 0.01, SHPIterations: 8,
-	}); err != nil {
-		t.Fatal(err)
+	if !rep.Tables[0].Relayout || !rep.Tables[1].Relayout {
+		t.Fatalf("the twin's epoch re-laid out %v/%v, want both tables", rep.Tables[0].Relayout, rep.Tables[1].Relayout)
 	}
-	servePhase(t, s, traces, 0, 120)
 	oldLayout := s.tables[0].loadState().layout
+	pre := *s.tables[1].loadState()
 	oldSeq := s.SnapshotSeq()
 	if _, _, ok := s.UpdatesSince(oldSeq, 0, 0); !ok {
 		t.Fatal("the update-log window does not reach the current seq before the epoch")
@@ -468,6 +487,20 @@ func TestFailedEpochAfterRelayoutMovesSeq(t *testing.T) {
 	}
 	if _, _, ok := s.UpdatesSince(oldSeq, 0, 0); ok {
 		t.Fatal("the update-log window still spans a committed re-layout")
+	}
+	got, want := s.tables[0].loadState(), twin.tables[0].loadState()
+	if !slices.Equal(got.layout.Order(), want.layout.Order()) || got.cacheCap != want.cacheCap ||
+		got.threshold != want.threshold || got.demandThreshold != want.demandThreshold ||
+		got.prefetch != want.prefetch || !reflect.DeepEqual(got.admit, want.admit) {
+		t.Fatalf("table 0 serves cache %d, threshold %d, demand threshold %d, prefetch %v; the epoch tuned %d, %d, %d, %v for its new layout",
+			got.cacheCap, got.threshold, got.demandThreshold, got.prefetch,
+			want.cacheCap, want.threshold, want.demandThreshold, want.prefetch)
+	}
+	if post := s.tables[1].loadState(); post.layout != pre.layout || post.cacheCap != pre.cacheCap ||
+		post.threshold != pre.threshold || post.demandThreshold != pre.demandThreshold ||
+		post.prefetch != pre.prefetch || post.admit != pre.admit {
+		t.Fatalf("table 1's install failed but it serves cache %d, threshold %d, demand threshold %d (before the epoch: %d, %d, %d)",
+			post.cacheCap, post.threshold, post.demandThreshold, pre.cacheCap, pre.threshold, pre.demandThreshold)
 	}
 	verifyStoreMatchesTables(t, s, tables)
 }

@@ -153,12 +153,13 @@ func (c *Config) geometry() ([]tableGeom, int, error) {
 // loop use when estimating a table's hit-rate curve for DRAM allocation.
 const hrcSampling = 0.1
 
-// trainParallelism and adaptParallelism bound how many tables Train and an
-// adaptation epoch analyse and tune concurrently.
-const (
-	trainParallelism = 8
-	adaptParallelism = 4
-)
+// planParallelism bounds how many tables a plan (Train, an adaptation epoch)
+// analyses and tunes concurrently.
+const planParallelism = 8
+
+// miniCacheSampling is the default miniature-cache sampling rate of Train
+// and the rate adaptation epochs tune at.
+const miniCacheSampling = 0.01
 
 // TrainOptions configures Store.Train.
 type TrainOptions struct {
@@ -181,6 +182,6 @@ func (o *TrainOptions) defaults() {
 		o.SHPIterations = 16
 	}
 	if o.MiniCacheSampling <= 0 {
-		o.MiniCacheSampling = 0.01
+		o.MiniCacheSampling = miniCacheSampling
 	}
 }

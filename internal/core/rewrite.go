@@ -73,7 +73,7 @@ func (s *Store) renderImage(st *storeTable, l *layout.Layout, img []byte) (cur [
 	return cur, nil
 }
 
-// layoutInstall is one table's computed layout change, ready to commit: the
+// layoutInstall is one table's computed state change, ready to commit: the
 // layout its blocks move to and the rest of the trained state published with
 // it (nil when only the layout changes).
 type layoutInstall struct {
@@ -82,11 +82,17 @@ type layoutInstall struct {
 	mutate func(*tableState)
 }
 
-// installLayouts commits computed layout changes one table at a time. A
-// failure leaves the tables before it on their new layout and the rest on
-// their old one — each install is atomic on its own. Callers hold s.mutateMu.
+// installLayouts commits computed state changes one table at a time: a table
+// whose layout changes moves through installLayout, and one that keeps the
+// published layout only publishes mutate's changes. A failure leaves the
+// tables before it with their new state and the rest with their old one —
+// each install is atomic on its own. Callers hold s.mutateMu.
 func (s *Store) installLayouts(installs []layoutInstall) error {
 	for i, in := range installs {
+		if in.layout == in.st.loadState().layout {
+			in.st.mutateState(in.mutate)
+			continue
+		}
 		if err := s.installLayout(in.st, in.layout, in.mutate); err != nil {
 			if i > 0 {
 				s.noteStructuralMutation() // the earlier tables did change

@@ -231,8 +231,8 @@ type storeTable struct {
 	shards       int
 
 	// state is the published trained state; the serving path loads it once
-	// per operation. stateMu serializes mutators (installImage,
-	// resizeCacheLive, a tuner verdict), never readers.
+	// per operation. stateMu serializes mutators (installImage, a committed
+	// plan), never readers.
 	state   atomic.Pointer[tableState]
 	stateMu sync.Mutex
 
@@ -691,28 +691,17 @@ func (st *storeTable) freshCache(ts *tableState, capacity int) {
 	ts.cache = newTableCache(capacity, st.shards, st.vecBytes)
 }
 
-// resizeCacheLive changes the table's cache capacity in place with
-// incremental per-shard eviction: the working set survives the resize, so
-// the adaptation engine can rebalance DRAM across tables without the hit
-// ratio collapsing to zero and re-warming. The shared cache object is
-// mutated (not swapped), so in-flight operations holding an older state
-// snapshot keep hitting the same cache.
+// resizeCache changes ts's cache capacity in place with incremental
+// per-shard eviction: the working set survives the resize, so adaptation can
+// rebalance DRAM across tables without the hit ratio collapsing to zero and
+// re-warming. The shared cache object is mutated (not swapped), so in-flight
+// operations holding an older state snapshot keep hitting the same cache.
 //
-// The recorded cacheCap is the *requested* capacity, even though the
-// sharded cache clamps its real capacity to one item per shard: the
-// adaptation engine re-derives each epoch's budget from the cacheCap sum,
-// and accounting the clamped value would compound the clamp slack into
-// unbounded budget growth across epochs. Returns the recorded capacity.
-func (st *storeTable) resizeCacheLive(capacity int) int {
-	if capacity < 1 {
-		capacity = 1
-	}
-	st.stateMu.Lock()
-	defer st.stateMu.Unlock()
-	cur := st.state.Load()
-	cur.cache.Resize(capacity)
-	next := *cur
-	next.cacheCap = capacity
-	st.state.Store(&next) // layout unchanged: the admission bits still hold
-	return capacity
+// The recorded cacheCap is the *requested* capacity, even though the sharded
+// cache clamps its real capacity to one item per shard: each plan re-derives
+// its budget from the cacheCap sum, and accounting the clamped value would
+// compound the clamp slack into unbounded budget growth across epochs.
+func (st *storeTable) resizeCache(ts *tableState, capacity int) {
+	ts.cache.Resize(capacity)
+	ts.cacheCap = capacity
 }
