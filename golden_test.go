@@ -19,13 +19,12 @@ import (
 // eviction order), not policy regressions.
 //
 // Golden values (seed 1, scale 0.001): baseline 0.54/0.48, trained
-// 0.44/0.70 at 7328/10679 block reads (see the last move below). What the
+// 0.50/0.71 at 6667/10158 block reads (see the last move below). What the
 // paper optimises is block reads, so they are pinned per table beside the hit
 // ratios. The allocator gives table 1 340 vectors and table 2 860, and the
-// tuner picks prefetch threshold 10 with demand threshold 22 on table 1 and
-// prefetch threshold 22 with demand threshold 22 on table 2. Table 1 reads
-// fewer blocks than untrained but hits less: it gave table 2 DRAM, which
-// saves more reads there than table 1 loses.
+// tuner pins each table's hottest training ids, the whole cache's worth.
+// Table 1 reads fewer blocks than untrained but hits less: it gave table 2
+// DRAM, which saves more reads there than table 1 loses.
 //
 // Moved on purpose by ISSUE 24, from 0.46/0.29 at 6387/14972 (prefetch
 // threshold 0 on both tables, which admitted so much of every block read
@@ -50,7 +49,15 @@ import (
 // adaptation's lookahead: 0.44/0.70 at 7328/10679, 18007 reads in all
 // (−2.8% from 18531). The lookahead moves 260 vectors of DRAM from table 1 to
 // table 2. The position alone, at the old 600/600 split, read 5119/14388
-// (table 2 +7.4%), so the two ship together.
+// (table 2 +7.4%), so the two ship together. The tuner then chose prefetch
+// threshold 10 with demand threshold 22 on table 1 and prefetch threshold 22
+// with demand threshold 22 on table 2.
+//
+// Moved on purpose when the miniature caches began choosing the pin verdict
+// (each table caches exactly its hottest training ids, and every other id
+// bypasses the cache), which both tables take: 0.50/0.71 at 6667/10158,
+// 16825 reads in all (−6.6% from 18007). The split is unchanged. The checks
+// keep their windows.
 //
 // The goldens must hold bit-for-bit on both backends.
 func TestGoldenQuickstartHitRatios(t *testing.T) {
@@ -120,12 +127,12 @@ func runGoldenQuickstart(t *testing.T, backend string) {
 		t.Fatal(err)
 	}
 	trained := serve()
-	checkHitRate("trained", trained, []float64{0.44, 0.70})
+	checkHitRate("trained", trained, []float64{0.50, 0.71})
 
 	// Training must actually pay off: fewer NVM block reads for the same
 	// workload on every table (the paper's effective-bandwidth win), and the
 	// count itself is a golden (same 2% slack as the hit ratios).
-	for i, want := range []int64{7328, 10679} {
+	for i, want := range []int64{6667, 10158} {
 		if got := trained[i].BlockReads; math.Abs(float64(got-want)) > tol*float64(want) {
 			t.Errorf("trained %s block reads = %d, want %d±%.0f%%", trained[i].Name, got, want, 100*tol)
 		}

@@ -22,9 +22,22 @@
 // admits a prefetch by its training count and enters it mid-queue, at
 // PrefetchPosition, so a speculative fill that nobody asks for is evicted
 // after half the cache's insertions instead of all of them.
+//
+// The same training counts give the deployed policy a third verdict, the
+// frequency bound of a cache of C vectors: NewPinnedAdmit pins the C ids
+// training saw most often (HottestIDs). A pinned id is cached from any block
+// read that brings it in, requested or co-located, and every other id
+// bypasses the cache (demand position Bypass), so the cache holds a static
+// hot set and never evicts. The miniature caches choose it per table, where
+// it reads fewer blocks than the tuned thresholds.
 package cache
 
-import "bandana/internal/vcache"
+import (
+	"cmp"
+	"slices"
+
+	"bandana/internal/vcache"
+)
 
 // AdmissionPolicy decides where a vector read from NVM enters the cache: the
 // queue position of a requested one, the fate of a prefetched one.
@@ -37,7 +50,9 @@ import "bandana/internal/vcache"
 // OnAccess does nothing. It asks Prefetches and OnProbation — the two
 // verdicts AdmitPrefetch and DemandPosition return — once per vector when
 // the thresholds are set, and holds the answers as two bits per vector in
-// layout order, so a threshold tuned in simulation is served exactly.
+// layout order, so a threshold tuned in simulation is served exactly. A pin
+// verdict needs one: Prefetches is its hot set, and a requested id outside it
+// bypasses the cache.
 //
 // Implementations must be safe for concurrent use. The stateless policies
 // (NoPrefetch, AlwaysAdmit, ThresholdAdmit) are trivially safe; the
@@ -46,9 +61,9 @@ type AdmissionPolicy interface {
 	// OnAccess is invoked for every application-requested lookup (hit or
 	// miss), allowing stateful policies to observe the true access stream.
 	OnAccess(id uint32)
-	// DemandPosition is invoked for every requested vector that missed and
-	// is about to be cached: the queue position it enters at (0 = MRU end).
-	// A requested vector is always cached and always evicts if the cache is
+	// DemandPosition is invoked for every requested vector that missed: the
+	// queue position it enters at (0 = MRU end), or Bypass when it is served
+	// without being cached. A cached requested vector evicts if the cache is
 	// full; the position only decides how soon it is evicted in turn if
 	// nobody asks for it again (a hit promotes it to MRU like any other).
 	DemandPosition(id uint32) float64
@@ -76,6 +91,10 @@ const ProbationPosition = 1.0
 // admits is one it goes on to hit, while on traffic the tuner did not see
 // the midpoint reads fewer blocks.
 const PrefetchPosition = 0.5
+
+// Bypass is the demand position of a requested vector that is served but not
+// cached: every id a pinned ThresholdAdmit does not pin.
+const Bypass = -1.0
 
 // demandAtMRU is the demand half of every policy that only rules on
 // prefetches: a requested vector enters at the MRU end.
@@ -188,6 +207,11 @@ func (p *ShadowPosition) Name() string { return "shadow-position" }
 // DemandThreshold times enters at ProbationPosition instead of the MRU end,
 // so an id training never or hardly saw cannot push out, on one touch, ids it
 // saw dozens of times; the zero DemandThreshold gates nothing.
+//
+// Its third verdict, pin (NewPinnedAdmit), replaces both thresholds by the
+// set of ids training saw most often: a pinned id is admitted from every
+// block read, requested or prefetched, and every other id bypasses the
+// cache. A cache as large as the set never evicts.
 type ThresholdAdmit struct {
 	// Counts[id] is the number of training queries that contained id.
 	Counts          []uint32
@@ -197,6 +221,9 @@ type ThresholdAdmit struct {
 	// PrefetchPosition in the deployed policy (NewThresholdAdmit), the MRU
 	// end (0) in the paper's Figure 12 sweep.
 	Position float64
+	// Pinned, when non-nil, is the pin verdict: Pinned[id] reports whether
+	// id is in the hot set, and the thresholds are not consulted.
+	Pinned []bool
 }
 
 // NewThresholdAdmit returns the ThresholdAdmit Bandana deploys over counts
@@ -207,13 +234,55 @@ func NewThresholdAdmit(counts []uint32, threshold, demandThreshold uint32) Thres
 	return ThresholdAdmit{Counts: counts, Threshold: threshold, DemandThreshold: demandThreshold, Position: PrefetchPosition}
 }
 
+// NewPinnedAdmit returns the deployed policy's pin verdict over counts: the
+// table caches exactly the ids of pinned (HottestIDs) and no other. Its
+// prefetches enter at PrefetchPosition like NewThresholdAdmit's, though in a
+// cache that never evicts the position moves nothing.
+func NewPinnedAdmit(counts []uint32, pinned []uint32) ThresholdAdmit {
+	set := make([]bool, len(counts))
+	for _, id := range pinned {
+		set[id] = true
+	}
+	return ThresholdAdmit{Counts: counts, Position: PrefetchPosition, Pinned: set}
+}
+
+// HottestIDs returns, in ascending id order, the k ids of counts with the
+// highest counts among those eligible accepts (every id when eligible is
+// nil); ties go to the lower id. Fewer than k come back only when fewer are
+// eligible.
+func HottestIDs(counts []uint32, k int, eligible func(id uint32) bool) []uint32 {
+	ids := make([]uint32, 0, len(counts))
+	for id := range counts {
+		if eligible == nil || eligible(uint32(id)) {
+			ids = append(ids, uint32(id))
+		}
+	}
+	if k < len(ids) {
+		// ids is in ascending order, so a stable sort by descending count
+		// breaks ties towards the lower id.
+		slices.SortStableFunc(ids, func(a, b uint32) int { return cmp.Compare(counts[b], counts[a]) })
+		ids = ids[:max(k, 0)]
+		slices.Sort(ids)
+	}
+	return ids
+}
+
 // OnAccess implements AdmissionPolicy.
 func (ThresholdAdmit) OnAccess(uint32) {}
 
+// Pins reports whether id is in the pin verdict's hot set (false for every
+// id of a threshold verdict).
+func (p ThresholdAdmit) Pins(id uint32) bool {
+	return int(id) < len(p.Pinned) && p.Pinned[id]
+}
+
 // OnProbation reports whether a requested id fills at ProbationPosition:
 // training saw it fewer than DemandThreshold times. An id beyond Counts was
-// never seen in training.
+// never seen in training. The pin verdict puts nothing on probation.
 func (p ThresholdAdmit) OnProbation(id uint32) bool {
+	if p.Pinned != nil {
+		return false
+	}
 	var count uint32
 	if int(id) < len(p.Counts) {
 		count = p.Counts[id]
@@ -222,13 +291,19 @@ func (p ThresholdAdmit) OnProbation(id uint32) bool {
 }
 
 // Prefetches reports whether a prefetched id is admitted: training saw it
-// more than Threshold times.
+// more than Threshold times, or the pin verdict pins it.
 func (p ThresholdAdmit) Prefetches(id uint32) bool {
+	if p.Pinned != nil {
+		return p.Pins(id)
+	}
 	return int(id) < len(p.Counts) && p.Counts[id] > p.Threshold
 }
 
 // DemandPosition implements AdmissionPolicy.
 func (p ThresholdAdmit) DemandPosition(id uint32) float64 {
+	if p.Pinned != nil && !p.Pins(id) {
+		return Bypass
+	}
 	if p.OnProbation(id) {
 		return ProbationPosition
 	}

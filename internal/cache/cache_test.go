@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"bandana/internal/vcache"
@@ -208,5 +209,51 @@ func TestCacheInsertPositionAffectsEviction(t *testing.T) {
 	}
 	if c.Contains(1000) || !c.Contains(2000) {
 		t.Fatalf("after 30 MRU fills: position 0.9 resident %v, position 0 resident %v", c.Contains(1000), c.Contains(2000))
+	}
+}
+
+// TestHottestIDs: the k highest counts among the eligible ids, ties to the
+// lower id, returned in id order; fewer only when fewer are eligible.
+func TestHottestIDs(t *testing.T) {
+	counts := []uint32{5, 9, 0, 9, 3, 7, 1, 7}
+	for _, tc := range []struct {
+		k        int
+		eligible func(uint32) bool
+		want     []uint32
+	}{
+		{3, nil, []uint32{1, 3, 5}},
+		{4, nil, []uint32{1, 3, 5, 7}},
+		{5, nil, []uint32{0, 1, 3, 5, 7}},
+		{0, nil, []uint32{}},
+		{20, nil, []uint32{0, 1, 2, 3, 4, 5, 6, 7}},
+		{2, func(id uint32) bool { return id%2 == 0 }, []uint32{0, 4}},
+		{3, func(id uint32) bool { return id >= 6 }, []uint32{6, 7}},
+	} {
+		if got := HottestIDs(counts, tc.k, tc.eligible); !slices.Equal(got, tc.want) {
+			t.Errorf("k %d: %v, want %v", tc.k, got, tc.want)
+		}
+	}
+}
+
+// TestPinnedAdmitVerdicts: the pin verdict admits exactly its hot set, as
+// prefetches and as requested fills, sends every other requested id past
+// the cache, gates nothing, and ignores the thresholds.
+func TestPinnedAdmitVerdicts(t *testing.T) {
+	counts := []uint32{5, 9, 0, 9, 3}
+	p := NewPinnedAdmit(counts, HottestIDs(counts, 2, nil))
+	p.Threshold = 100
+	for id := uint32(0); id < 6; id++ {
+		pinned := id == 1 || id == 3
+		admit, pos := p.AdmitPrefetch(id)
+		if admit != pinned || pos != PrefetchPosition || p.Pins(id) != pinned || p.Prefetches(id) != pinned || p.OnProbation(id) {
+			t.Fatalf("id %d: admit %v at %v, pins %v, prefetches %v, probation %v; pinned %v",
+				id, admit, pos, p.Pins(id), p.Prefetches(id), p.OnProbation(id), pinned)
+		}
+		if want := map[bool]float64{true: 0, false: Bypass}[pinned]; p.DemandPosition(id) != want {
+			t.Fatalf("id %d: demand position %v, want %v", id, p.DemandPosition(id), want)
+		}
+	}
+	if (ThresholdAdmit{Counts: counts}).Pins(1) {
+		t.Fatal("a threshold verdict pins")
 	}
 }

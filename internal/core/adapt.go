@@ -234,9 +234,11 @@ type TableAdaptReport struct {
 	Adapted bool
 	// CacheVectors is the DRAM allocation after this epoch.
 	CacheVectors int
-	// Threshold, DemandThreshold and MiniatureGain mirror TableTrainReport.
+	// Threshold, DemandThreshold, PinnedVectors and MiniatureGain mirror
+	// TableTrainReport.
 	Threshold       uint32
 	DemandThreshold uint32
+	PinnedVectors   int
 	MiniatureGain   float64
 	// Relayout reports whether the table's blocks were migrated this epoch;
 	// FanoutBefore/FanoutAfter are measured on the recorded queries.
@@ -244,6 +246,19 @@ type TableAdaptReport struct {
 	FanoutBefore     float64
 	FanoutAfter      float64
 	RelayoutDuration time.Duration
+}
+
+// String renders the report as one log line.
+func (r TableAdaptReport) String() string {
+	if !r.Adapted {
+		return fmt.Sprintf("%-10s kept its configuration (%d recorded queries)", r.Name, r.RecordedQueries)
+	}
+	relayout := ""
+	if r.Relayout {
+		relayout = fmt.Sprintf(", re-laid out (fanout %.1f -> %.1f)", r.FanoutBefore, r.FanoutAfter)
+	}
+	return fmt.Sprintf("%-10s adapted on %d queries, cache %d vectors, %s%s",
+		r.Name, r.RecordedQueries, r.CacheVectors, verdictString(r.Threshold, r.DemandThreshold, r.PinnedVectors), relayout)
 }
 
 // AdaptNow runs one adaptation epoch synchronously: the plan's warm start
@@ -325,6 +340,7 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 		rep.CacheVectors = p.cacheCap
 		rep.Threshold = p.choice.Threshold
 		rep.DemandThreshold = p.choice.DemandThreshold
+		rep.PinnedVectors = len(p.pinned)
 		rep.MiniatureGain = p.choice.MiniatureGain
 		rep.Relayout, rep.FanoutBefore, rep.FanoutAfter = p.moves, p.before, p.after
 	}

@@ -433,7 +433,8 @@ func TestFloatHitAllocs(t *testing.T) {
 // half-adapted: the first serves its new layout with the cache size and the
 // policy the epoch tuned for it (those a twin store, alike but for the
 // failure, publishes), and the second keeps its pre-epoch layout, cache size
-// and policy.
+// and policy. The two cache sizes then no longer sum to the configured
+// budget; the next epoch splits the budget itself again, not that sum.
 func TestFailedEpochAfterRelayoutMovesSeq(t *testing.T) {
 	tables, traces := buildTestTables(t, 2, 1024, 120)
 	twinTables, _ := buildTestTables(t, 2, 1024, 120)
@@ -503,6 +504,18 @@ func TestFailedEpochAfterRelayoutMovesSeq(t *testing.T) {
 			post.cacheCap, post.threshold, post.demandThreshold, pre.cacheCap, pre.threshold, pre.demandThreshold)
 	}
 	verifyStoreMatchesTables(t, s, tables)
+
+	caps := func() int { return s.tables[0].loadState().cacheCap + s.tables[1].loadState().cacheCap }
+	if caps() == 128 {
+		t.Fatal("the failed epoch left the cache sizes summing to the budget: the test exercises no shift")
+	}
+	servePhase(t, s, traces, 0, 120)
+	if _, err := s.AdaptNow(); err != nil {
+		t.Fatal(err)
+	}
+	if got := caps(); got != 128 {
+		t.Fatalf("the epoch after the failed one split %d vectors of DRAM, the configured budget is 128", got)
+	}
 }
 
 // TestDemandGateUnderDrift bounds what the demand threshold costs when the
@@ -540,9 +553,13 @@ func TestDemandGateUnderDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { s.Close() })
-		if _, err := s.Train(trains, TrainOptions{}); err != nil {
+		rep, err := s.Train(trains, TrainOptions{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		// Phase 0 alone shows no drift, so the tuner pins both tables' hot
+		// sets; the gate is what this test bounds.
+		servePair(s, rep)
 		if err := s.StartAdaptation(AdaptOptions{MinQueries: 32}); err != nil {
 			t.Fatal(err)
 		}

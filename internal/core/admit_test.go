@@ -15,11 +15,11 @@ import (
 // admitBitsMismatch checks every table's published state. A table with
 // prefetching on or a demand gate must hold admission bits, and they must
 // be, at every layout position p, the verdicts of the reference
-// cache.ThresholdAdmit over counts(st) at the table's thresholds for
-// VectorAt(p); a table with neither must hold none. It also returns how many
+// cache.ThresholdAdmit over counts(st) at the table's thresholds — or its pin
+// verdict over the cache's worth of the hottest ids — for VectorAt(p); a
+// table with neither must hold none. It also returns how many
 // prefetch and probation bits are set, so a caller can tell a vacuous check.
 func admitBitsMismatch(s *Store, counts func(st *storeTable) []uint32) (prefetch, probation int, err error) {
-	bit := func(words []uint64, p int) bool { return words[p/64]&(1<<(p%64)) != 0 }
 	for _, st := range s.tables {
 		ts := st.loadState()
 		if decides := ts.prefetch || ts.demandThreshold > 0; decides != (ts.admit != nil) {
@@ -35,13 +35,24 @@ func admitBitsMismatch(s *Store, counts func(st *storeTable) []uint32) (prefetch
 		if ref.Counts == nil {
 			return 0, 0, fmt.Errorf("table %q: no reference counts", st.name)
 		}
+		probationBit := func(p int) bool { return bit(ts.admit.probation, p) }
+		if ts.admit.pinned {
+			// The pin verdict: the cache's worth of the hottest ids, no gate,
+			// no probation bits.
+			ref = cache.NewPinnedAdmit(ref.Counts, cache.HottestIDs(ref.Counts, ts.cacheCap, nil))
+			if !ts.prefetch || ts.demandThreshold != 0 || ts.admit.probation != nil {
+				return 0, 0, fmt.Errorf("table %q: pinned with prefetch %v, demand threshold %d, %d probation words",
+					st.name, ts.prefetch, ts.demandThreshold, len(ts.admit.probation))
+			}
+			probationBit = func(int) bool { return false }
+		}
 		for p := range ts.layout.NumVectors() {
 			id := ts.layout.VectorAt(p)
 			admit, _ := ref.AdmitPrefetch(id)
 			cold := ref.DemandPosition(id) > 0
-			if bit(ts.admit.prefetch, p) != admit || bit(ts.admit.probation, p) != cold {
+			if bit(ts.admit.prefetch, p) != admit || probationBit(p) != cold {
 				return 0, 0, fmt.Errorf("table %q position %d (id %d): bits say prefetch %v probation %v, the reference %v %v",
-					st.name, p, id, bit(ts.admit.prefetch, p), bit(ts.admit.probation, p), admit, cold)
+					st.name, p, id, bit(ts.admit.prefetch, p), probationBit(p), admit, cold)
 			}
 			if admit {
 				prefetch++

@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"bandana/internal/nvm"
 )
 
 // trainedDirFiles trains a small file-backed store in a temp dir and returns
@@ -133,14 +136,16 @@ func sealedRecord(data []byte) []byte {
 }
 
 // FuzzStateDecode does the same for the state.bnd decoder, seeded with a
-// trained data dir's version-5 state, testdata/state_v5.bnd (verdict bits,
-// one table prefetching with a demand gate, one gated without prefetching)
-// and testdata/state_v4.bnd (access counts). Decoded verdicts must cover
-// exactly the table's ids.
+// trained data dir's version-6 state, testdata/state_v6.bnd (a pinned table's
+// pinned ids, and a gated table's verdict bits), testdata/state_v5.bnd
+// (verdict bits, one table prefetching with a demand gate, one gated without
+// prefetching) and testdata/state_v4.bnd (access counts). Decoded verdicts
+// must cover exactly the table's ids, and a pin verdict must hold no
+// probation bits and exactly its table's cache allocation of ids.
 func FuzzStateDecode(f *testing.F) {
 	_, state := trainedDirFiles(f)
 	addSealedSeeds(f, state)
-	for _, name := range []string{"testdata/state_v5.bnd", "testdata/state_v4.bnd"} {
+	for _, name := range []string{"testdata/state_v6.bnd", "testdata/state_v5.bnd", "testdata/state_v4.bnd"} {
 		seed, err := os.ReadFile(name)
 		if err != nil {
 			f.Fatal(err)
@@ -163,9 +168,17 @@ func FuzzStateDecode(f *testing.F) {
 				}
 				if v := sv.verdicts; v != nil {
 					words := (len(sv.order) + 63) / 64
-					if len(v.prefetch) != words || len(v.probation) != words ||
-						(len(sv.order)%64 != 0 && (v.prefetch[words-1]|v.probation[words-1])>>(len(sv.order)%64) != 0) {
-						t.Fatalf("%d-entry order decoded with %d/%d verdict words or bits beyond it", len(sv.order), len(v.prefetch), len(v.probation))
+					probation := v.probation
+					if v.pinned {
+						if probation != nil || v.pinnedVectors() != sv.cacheCap || v.pinnedVectors() == 0 {
+							t.Fatalf("a pin verdict of %d ids with %d probation words for a %d-vector cache",
+								v.pinnedVectors(), len(probation), sv.cacheCap)
+						}
+						probation = make([]uint64, words)
+					}
+					if len(v.prefetch) != words || len(probation) != words ||
+						(len(sv.order)%64 != 0 && (v.prefetch[words-1]|probation[words-1])>>(len(sv.order)%64) != 0) {
+						t.Fatalf("%d-entry order decoded with %d/%d verdict words or bits beyond it", len(sv.order), len(v.prefetch), len(probation))
 					}
 				}
 			}
@@ -245,6 +258,60 @@ func FuzzManifest(f *testing.F) {
 					t.Fatalf("table %q spans blocks [%d,+%d) for %d vectors of a %d-block device",
 						g.name, g.blockBase, g.numBlocks, g.numVectors, total)
 				}
+			}
+		}
+	})
+}
+
+// FuzzSnapshotImport throws arbitrary snapshot streams — the manifest, state
+// and block parts a replica downloads chunk by chunk, each as it is and
+// re-sealed (the parts' CRC trailers made valid, the block image's CRC taken
+// over whatever bytes arrive) — at ImportSnapshot, and opens what it accepts
+// read-only. Seeds are the parts ExportSnapshot writes for a trained store,
+// one of whose tables is pinned, whole and truncated. An import must fail or
+// leave a data dir that opens (or fails to open) and serves every table's
+// first and last vector without panicking.
+func FuzzSnapshotImport(f *testing.F) {
+	tables, traces := buildTestTables(f, 2, 96, 60)
+	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 80, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Train(traces, TrainOptions{SHPIterations: 2, MiniCacheSampling: 1}); err != nil {
+		f.Fatal(err)
+	}
+	if s.Stats()[0].PinnedVectors == 0 && s.Stats()[1].PinnedVectors == 0 {
+		f.Fatal("no table pinned: the seeds carry no pin verdict")
+	}
+	snap, err := s.ExportSnapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap.Manifest, snap.State, snap.Blocks)
+	f.Add(snap.Manifest[:len(snap.Manifest)-4], snap.State[:len(snap.State)-4], snap.Blocks)
+	f.Add(snap.Manifest, snap.State[:len(snap.State)/2], snap.Blocks[:len(snap.Blocks)/2])
+	f.Add(snap.Manifest, snap.State, snap.Blocks[:nvm.BlockSize])
+	f.Fuzz(func(t *testing.T, manifest, state, blocks []byte) {
+		for i, parts := range [][2][]byte{{manifest, state}, {sealed(manifest), sealed(state)}} {
+			dir := filepath.Join(t.TempDir(), fmt.Sprint(i))
+			sn := &Snapshot{Manifest: parts[0], State: parts[1], Blocks: blocks, BlocksCRC: crc32.Checksum(blocks, manifestCRCTable)}
+			if err := ImportSnapshot(dir, sn, nvm.SyncNone); err != nil {
+				continue
+			}
+			r, err := Open(Config{Backend: BackendFile, DataDir: dir, ReadOnly: true})
+			if err != nil {
+				continue
+			}
+			for ti, st := range r.tables {
+				for _, id := range []uint32{0, uint32(st.numVectors - 1)} {
+					if _, err := r.Lookup(ti, id); err != nil {
+						t.Fatalf("table %q id %d: %v", st.name, id, err)
+					}
+				}
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

@@ -31,9 +31,13 @@ func newMissPathStore(tb testing.TB) *Store {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { s.Close() })
-	if _, err := s.Train(traces, TrainOptions{SHPIterations: 4, MiniCacheSampling: 0.25}); err != nil {
+	rep, err := s.Train(traces, TrainOptions{SHPIterations: 4, MiniCacheSampling: 0.25})
+	if err != nil {
 		tb.Fatal(err)
 	}
+	// The tuner pins the table's hottest ids here; the miss path under test
+	// is the one that evicts.
+	servePair(s, rep)
 	if st := s.Stats()[0]; !st.Prefetching {
 		tb.Fatal("trained store does not prefetch: the miss path under test would skip admission")
 	}

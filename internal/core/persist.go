@@ -17,31 +17,43 @@ import (
 // Training a store (SHP partitioning + threshold tuning) is expensive and in
 // production happens offline, on a schedule decoupled from serving. SaveState
 // and LoadState persist the trained state — per-table placement order, the
-// threshold policy's verdicts (two bits per vector), the two admission
-// thresholds (with the tuner's prediction for them) and cache allocation — so
+// threshold policy's verdicts (two bits per vector, or one for a pinned
+// table), the two admission thresholds (with the tuner's prediction for them)
+// and cache allocation — so
 // that a freshly opened store can adopt a previous training run without
 // repeating it.
 
 const stateMagic = "BNDSTATE"
 
-// stateVersion 5 is what SaveState writes: per table the placement order; a
-// flag, and when it is set the threshold policy's verdicts (the prefetch and
+// stateVersion 6 is what SaveState writes: per table the placement order; a
+// verdicts flag — 0 none, 1 the threshold policy's verdicts (the prefetch and
 // the probation bitset, ⌈n/64⌉ little-endian words each, bit id of word id/64
-// — id order, whatever the layout) and its prefetch queue position (float64
-// bits); the
-// prefetch threshold, demand threshold, prefetch flag, cache allocation and
-// the tuner's prediction for the thresholds it chose (hit ratio and lookups
-// per block read, as float64 bits); then a CRC-32C trailer over the whole
-// payload so a corrupted-but-decodable file (e.g. bit rot flipping a varint
-// into another valid permutation) fails loudly at load instead of silently
-// serving wrong vectors after a reopen.
+// — id order, whatever the layout), 2 its pin verdict (the pinned ids as the
+// prefetch bitset alone) — and with verdicts their prefetch queue position
+// (float64 bits); the prefetch threshold, demand threshold, prefetch flag,
+// cache allocation and the tuner's prediction for the verdict it chose (hit
+// ratio and lookups per block read, as float64 bits); then a CRC-32C trailer
+// over the whole payload so a corrupted-but-decodable file (e.g. bit rot
+// flipping a varint into another valid permutation) fails loudly at load
+// instead of silently serving wrong vectors after a reopen. A pinned table
+// prefetches, gates nothing, and pins exactly its cache allocation's worth of
+// ids.
 //
-// Version 4 still decodes: it holds the per-vector access counts where 5
+// Version 5 is version 6 without the pin verdict, so it still decodes, as
+// unpinned. Version 4 does too: it holds the per-vector access counts where 5
 // holds the verdicts (and no position); they are compiled once, into the
 // installed layout's order, and dropped. Versions 1–3 are refused.
 const (
-	stateVersion   = 5
+	stateVersion   = 6
+	stateVersionV5 = 5
 	stateVersionV4 = 4
+)
+
+// The verdicts flag of a version-5 or -6 table.
+const (
+	noVerdicts        = 0
+	thresholdVerdicts = 1
+	pinVerdict        = 2 // version 6 only
 )
 
 // SaveState serialises the store's trained state (placements, threshold
@@ -97,13 +109,18 @@ func (s *Store) SaveState(w io.Writer) error {
 			}
 		}
 		if verdicts == nil {
-			if err := writeUvarint(0); err != nil {
+			if err := writeUvarint(noVerdicts); err != nil {
 				return err
 			}
 		} else {
-			if err := writeUvarint(1); err != nil {
+			flag := uint64(thresholdVerdicts)
+			if verdicts.pinned {
+				flag = pinVerdict
+			}
+			if err := writeUvarint(flag); err != nil {
 				return err
 			}
+			// A pin verdict's probation is nil: it writes no words.
 			for _, words := range [][]uint64{verdicts.prefetch, verdicts.probation} {
 				for _, w := range words {
 					binary.LittleEndian.PutUint64(buf[:8], w)
@@ -171,7 +188,7 @@ func (c *crcByteReader) ReadByte() (byte, error) {
 }
 
 // savedTable is one table's decoded trained state. Its threshold policy is
-// verdicts, in id order (version 5), or the counts to compile it from
+// verdicts, in id order (versions 5 and 6), or the counts to compile it from
 // (version 4); both are nil when the table had none.
 type savedTable struct {
 	name            string
@@ -201,7 +218,7 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != stateVersion && version != stateVersionV4 {
+	if version != stateVersion && version != stateVersionV5 && version != stateVersionV4 {
 		return nil, fmt.Errorf("core: unsupported state version %d", version)
 	}
 	numTables, err := binary.ReadUvarint(br)
@@ -257,15 +274,15 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 				return nil, err
 			}
 		} else {
-			hasVerdicts, err := binary.ReadUvarint(br)
+			flag, err := binary.ReadUvarint(br)
 			if err != nil {
 				return nil, err
 			}
-			if hasVerdicts > 1 {
-				return nil, fmt.Errorf("core: table %q: bad verdicts flag %d", sv.name, hasVerdicts)
+			if flag > pinVerdict || (flag == pinVerdict && version == stateVersionV5) {
+				return nil, fmt.Errorf("core: table %q: bad verdicts flag %d", sv.name, flag)
 			}
-			if hasVerdicts == 1 {
-				if sv.verdicts, err = readVerdicts(br, sv.name, orderLen); err != nil {
+			if flag != noVerdicts {
+				if sv.verdicts, err = readVerdicts(br, sv.name, orderLen, flag == pinVerdict); err != nil {
 					return nil, err
 				}
 			}
@@ -298,6 +315,12 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 			*f = math.Float64frombits(bits)
 			if math.IsNaN(*f) || math.IsInf(*f, 0) || *f < 0 {
 				return nil, fmt.Errorf("core: table %q: implausible prediction %v", sv.name, *f)
+			}
+		}
+		if v := sv.verdicts; v != nil && v.pinned {
+			if n := v.pinnedVectors(); !sv.prefetch || sv.demandThreshold != 0 || n == 0 || n != sv.cacheCap {
+				return nil, fmt.Errorf("core: table %q: a pin verdict of %d ids with prefetch %v, demand threshold %d and a %d-vector cache",
+					sv.name, n, sv.prefetch, sv.demandThreshold, sv.cacheCap)
 			}
 		}
 		// The v4 rule, kept: a threshold policy only where the counts exist
@@ -341,14 +364,19 @@ func readCounts(br io.ByteReader, name string, orderLen uint64) ([]uint32, error
 	return counts, nil
 }
 
-// readVerdicts reads a v5 table's verdicts for n ids, in id order: the
-// prefetch and the probation bitset, ⌈n/64⌉ words each (a shorter stream
-// fails at EOF) with no bit set at or beyond n, and the prefetch position.
-func readVerdicts(br *crcByteReader, name string, n uint64) (*admitBits, error) {
+// readVerdicts reads a table's verdicts for n ids, in id order: the prefetch
+// and the probation bitset (the prefetch bitset alone for a pin verdict),
+// ⌈n/64⌉ words each (a shorter stream fails at EOF) with no bit set at or
+// beyond n, and the prefetch position.
+func readVerdicts(br *crcByteReader, name string, n uint64, pinned bool) (*admitBits, error) {
 	words := (n + 63) / 64
-	v := &admitBits{}
+	v := &admitBits{pinned: pinned}
+	sets := []*[]uint64{&v.prefetch, &v.probation}
+	if pinned {
+		sets = sets[:1]
+	}
 	var err error
-	for _, set := range []*[]uint64{&v.prefetch, &v.probation} {
+	for _, set := range sets {
 		if *set, err = readWords(br, words); err != nil {
 			return nil, err
 		}
@@ -411,8 +439,10 @@ func (st *storeTable) applySaved(sv savedTable) func(*tableState) {
 				ts.admit = sv.verdicts.permuted(l.NumVectors(), func(p int) int { return int(l.VectorAt(p)) })
 			}
 		}
+		// No cache holds more vectors than its table has, and an allocation
+		// read from the file must not size the cache's index beyond that.
 		if sv.cacheCap > 0 {
-			st.freshCache(ts, sv.cacheCap)
+			st.freshCache(ts, min(sv.cacheCap, st.numVectors), ts.admit.pinnedIDs(ts.layout))
 		}
 	}
 }

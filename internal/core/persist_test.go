@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"bandana/internal/cache"
@@ -17,14 +18,14 @@ import (
 )
 
 // sameVerdicts reports how got's threshold policy differs from want's:
-// presence, layout, bits, thresholds or position.
+// presence, layout, bits (pinned or not), thresholds or position.
 func sameVerdicts(got, want *tableState) error {
 	switch g, w := got.admit, want.admit; {
 	case g == nil || w == nil:
 		return fmt.Errorf("admission bits %v, want %v: both sides should have a threshold policy", g, w)
 	case !slices.Equal(got.layout.Order(), want.layout.Order()):
 		return fmt.Errorf("layouts differ")
-	case !slices.Equal(g.prefetch, w.prefetch) || !slices.Equal(g.probation, w.probation):
+	case !slices.Equal(g.prefetch, w.prefetch) || !slices.Equal(g.probation, w.probation) || g.pinned != w.pinned:
 		return fmt.Errorf("verdict bits differ")
 	case got.threshold != want.threshold || got.demandThreshold != want.demandThreshold:
 		return fmt.Errorf("thresholds %d/%d, want %d/%d", got.threshold, got.demandThreshold, want.threshold, want.demandThreshold)
@@ -383,9 +384,21 @@ func TestLoadStateVersion4(t *testing.T) {
 // table 1 with a forced demand threshold of 3. Those halves name every id, so
 // the layouts do not depend on where a cold partition puts untrained ids. At
 // budget 160 the tuner leaves table 0 prefetching with a demand gate of its
-// own and table 1 prefetch-free (at 144 neither table prefetches).
-// It returns the training traces too.
+// own and table 1 prefetch-free (at 144 neither table prefetches). Train
+// pins both tables' hottest ids; the file holds the threshold pairs the tuner
+// tuned beside the pins, so the tables serve those (servePair). It returns
+// the training traces too.
 func goldenV5Store(t *testing.T) (*Store, []*trace.Trace) {
+	s, trains, rep := goldenStore(t)
+	servePair(s, rep)
+	forceDemandThreshold(s.tables[1], 3)
+	return s, trains
+}
+
+// goldenStore trains the tables of both state goldens: buildTestTables(2,
+// 320, 600) on the first half of their traces, at budget 160 and 4 cache
+// shards. It returns the training traces and Train's report too.
+func goldenStore(t *testing.T) (*Store, []*trace.Trace, *TrainReport) {
 	tables, traces := buildTestTables(t, 2, 320, 600)
 	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 160, Seed: 2, CacheShards: 4})
 	if err != nil {
@@ -396,23 +409,65 @@ func goldenV5Store(t *testing.T) (*Store, []*trace.Trace) {
 	for i, tr := range traces {
 		trains[i], _ = tr.Split(0.5)
 	}
-	if _, err := s.Train(trains, TrainOptions{SHPIterations: 6, MiniCacheSampling: 0.5}); err != nil {
+	rep, err := s.Train(trains, TrainOptions{SHPIterations: 6, MiniCacheSampling: 0.5})
+	if err != nil {
 		t.Fatal(err)
 	}
+	return s, trains, rep
+}
+
+// goldenV6Store is the store testdata/state_v6.bnd was saved from:
+// goldenStore as Train leaves it, table 0 pinned, and table 1 with a forced
+// demand threshold of 3 (which puts it on the tuner's threshold pair).
+func goldenV6Store(t *testing.T) (*Store, []*trace.Trace) {
+	s, trains, _ := goldenStore(t)
 	forceDemandThreshold(s.tables[1], 3)
 	return s, trains
 }
 
-// TestStateVersion5Golden pins the version-5 state format to
-// testdata/state_v5.bnd: SaveState of the same store, whose verdicts are held
-// in layout order, must reproduce it byte for byte, and LoadState of it must
-// publish, at every layout position, the verdicts of the reference
-// cache.ThresholdAdmit over the training counts. The file was first written
-// by an encoder that kept the verdicts in id order. It was retaken, by the
-// unchanged encoder, when admitted prefetches moved to
+// checkReferenceVerdicts holds every table's loaded verdicts, at every layout
+// position, to the reference cache.ThresholdAdmit over the training counts:
+// the thresholds the table serves, or a pin verdict over the cache's worth of
+// the hottest ids.
+func checkReferenceVerdicts(t *testing.T, s *Store, trains []*trace.Trace) {
+	t.Helper()
+	for i, st := range s.tables {
+		ts := st.loadState()
+		counts := trains[i].AccessCounts()
+		ref := cache.ThresholdAdmit{Counts: counts, Threshold: ts.threshold, DemandThreshold: ts.demandThreshold}
+		if ts.admit.pinned {
+			ref = cache.NewPinnedAdmit(counts, cache.HottestIDs(counts, ts.cacheCap, nil))
+		}
+		set := 0
+		for p := range ts.layout.NumVectors() {
+			id := ts.layout.VectorAt(p)
+			admit, _ := ref.AdmitPrefetch(id)
+			cold := ref.DemandPosition(id) > 0
+			probation := ts.admit.probation != nil && bit(ts.admit.probation, p)
+			if bit(ts.admit.prefetch, p) != admit || probation != cold {
+				t.Fatalf("table %d position %d (id %d): bits prefetch %v probation %v, the reference %v %v",
+					i, p, id, bit(ts.admit.prefetch, p), probation, admit, cold)
+			}
+			if admit || cold {
+				set++
+			}
+		}
+		if set == 0 {
+			t.Fatalf("table %d: no verdict set: the comparison is vacuous", i)
+		}
+	}
+}
+
+// TestStateVersion5Golden: testdata/state_v5.bnd, written by the version-5
+// encoder, still loads — as unpinned tables — and publishes, at every layout
+// position, the verdicts of the reference cache.ThresholdAdmit over the
+// training counts, which are those of the store it was saved from. The file
+// was first written by an encoder that kept the verdicts in id order. It was
+// retaken, by the unchanged encoder, when admitted prefetches moved to
 // cache.PrefetchPosition and Train's DRAM split took the lookahead, which
 // changed what goldenV5Store trains; the store before that change re-encodes
-// the retaken file byte for byte.
+// the retaken file byte for byte. The writer golden is version 6's
+// (TestStateVersion6Golden).
 func TestStateVersion5Golden(t *testing.T) {
 	golden, err := os.ReadFile("testdata/state_v5.bnd")
 	if err != nil {
@@ -431,41 +486,65 @@ func TestStateVersion5Golden(t *testing.T) {
 	if ts1 := s.tables[1].loadState(); ts1.prefetch || ts1.demandThreshold == 0 {
 		t.Fatalf("table 1: prefetch %v, demand threshold %d: the file would pin no gated prefetch-free table", ts1.prefetch, ts1.demandThreshold)
 	}
-	var saved bytes.Buffer
-	if err := s.SaveState(&saved); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(saved.Bytes(), golden) {
-		t.Fatalf("SaveState wrote %d bytes that differ from the %d of testdata/state_v5.bnd", saved.Len(), len(golden))
-	}
 
 	loaded, _ := goldenV5Store(t)
 	if err := loaded.LoadState(bytes.NewReader(golden)); err != nil {
 		t.Fatal(err)
 	}
-	bit := func(words []uint64, p int) bool { return words[p/64]&(1<<(p%64)) != 0 }
 	for i, st := range loaded.tables {
 		ts := st.loadState()
+		if ts.admit.pinned || ts.admit.pinnedVectors() != 0 {
+			t.Fatalf("table %d: a version-5 file loaded pinned", i)
+		}
 		if err := sameVerdicts(ts, s.tables[i].loadState()); err != nil {
 			t.Fatalf("table %d: %v", i, err)
 		}
-		ref := cache.ThresholdAdmit{Counts: trains[i].AccessCounts(), Threshold: ts.threshold, DemandThreshold: ts.demandThreshold}
-		set := 0
-		for p := range ts.layout.NumVectors() {
-			id := ts.layout.VectorAt(p)
-			admit, _ := ref.AdmitPrefetch(id)
-			cold := ref.DemandPosition(id) > 0
-			if bit(ts.admit.prefetch, p) != admit || bit(ts.admit.probation, p) != cold {
-				t.Fatalf("table %d position %d (id %d): bits prefetch %v probation %v, the reference %v %v",
-					i, p, id, bit(ts.admit.prefetch, p), bit(ts.admit.probation, p), admit, cold)
-			}
-			if admit || cold {
-				set++
-			}
+	}
+	checkReferenceVerdicts(t, loaded, trains)
+}
+
+// TestStateVersion6Golden pins the version-6 state format to
+// testdata/state_v6.bnd: SaveState of goldenV6Store, whose verdicts are held
+// in layout order, must reproduce it byte for byte — a pinned table and a
+// gated one — and LoadState of it must publish the store's verdicts, the
+// reference ones at every layout position, and a pinned table's cache shaped
+// to its pinned ids shard by shard.
+func TestStateVersion6Golden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/state_v6.bnd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, trains := goldenV6Store(t)
+	if ts0 := s.tables[0].loadState(); !ts0.admit.pinned {
+		t.Fatal("table 0 is not pinned: the file would pin no pin verdict")
+	}
+	if ts1 := s.tables[1].loadState(); ts1.admit.pinned || ts1.demandThreshold != 3 {
+		t.Fatalf("table 1: pinned %v, demand threshold %d: the file would pin no gated table", ts1.admit.pinned, ts1.demandThreshold)
+	}
+	var saved bytes.Buffer
+	if err := s.SaveState(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), golden) {
+		t.Fatalf("SaveState wrote %d bytes that differ from the %d of testdata/state_v6.bnd", saved.Len(), len(golden))
+	}
+
+	loaded, _ := goldenV6Store(t)
+	if err := loaded.LoadState(bytes.NewReader(golden)); err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range loaded.tables {
+		ts, want := st.loadState(), s.tables[i].loadState()
+		if err := sameVerdicts(ts, want); err != nil {
+			t.Fatalf("table %d: %v", i, err)
 		}
-		if set == 0 {
-			t.Fatalf("table %d: no verdict set: the comparison is vacuous", i)
+		if ts.cacheCap != want.cacheCap || ts.predicted != want.predicted {
+			t.Fatalf("table %d: cache %d and prediction %+v, saved %d and %+v", i, ts.cacheCap, ts.predicted, want.cacheCap, want.predicted)
 		}
+	}
+	checkReferenceVerdicts(t, loaded, trains)
+	if err := pinnedShardsHold(loaded.tables[0]); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -543,5 +622,35 @@ func TestPersistedPrefetchPositionIsData(t *testing.T) {
 	}
 	if rts := r.tables[0].loadState(); rts.admit == nil || rts.admit.position != cache.PrefetchPosition {
 		t.Fatalf("retraining installed admission %+v, want position %v", rts.admit, cache.PrefetchPosition)
+	}
+}
+
+// TestPinVerdictValidation: a state file's pin verdict must be what a store
+// can serve — in a version-6 file, and for exactly its table's cache
+// allocation of ids. A version-5 file claiming one, or a pin verdict whose id
+// count and allocation disagree, is refused before anything changes.
+func TestPinVerdictValidation(t *testing.T) {
+	golden, err := os.ReadFile("testdata/state_v6.bnd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := goldenV6Store(t)
+	payload := bytes.Clone(golden[:len(golden)-4])
+	if payload[len(stateMagic)] != stateVersion {
+		t.Fatalf("version byte %d, want %d", payload[len(stateMagic)], stateVersion)
+	}
+	payload[len(stateMagic)] = stateVersionV5
+	if err := s.LoadState(bytes.NewReader(sealed(payload))); err == nil || !strings.Contains(err.Error(), "bad verdicts flag 2") {
+		t.Fatalf("a version-5 file with a pin verdict loaded: %v", err)
+	}
+
+	st := s.tables[0]
+	st.mutateState(func(ts *tableState) { ts.cacheCap++ })
+	var buf bytes.Buffer
+	if err := s.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadState(&buf); err == nil || !strings.Contains(err.Error(), "pin verdict") {
+		t.Fatalf("a pin verdict one id short of its allocation loaded: %v", err)
 	}
 }

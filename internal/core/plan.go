@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"bandana/internal/alloc"
+	"bandana/internal/cache"
 	"bandana/internal/layout"
 	"bandana/internal/mrc"
 	"bandana/internal/shp"
@@ -29,9 +30,12 @@ type tablePlan struct {
 	layout        *layout.Layout
 	moves         bool
 	before, after float64
-	// cacheCap is the DRAM allocation; choice is the tuner's verdict.
+	// cacheCap is the DRAM allocation; choice is the tuner's verdict, and
+	// pinned the ids it pins, when it pins and the verdict is taken (nil
+	// otherwise).
 	cacheCap int
 	choice   sim.ThresholdChoice
+	pinned   []uint32
 }
 
 // layoutStep sets p's layout for the queries of its trace, and the fanouts on
@@ -46,8 +50,9 @@ type start struct {
 	// blockBudget caps the NVM blocks the plan's layout changes rewrite,
 	// taken in table order; a table beyond it keeps its layout. 0: no cap.
 	blockBudget int
-	// cache gives ts a cache of capacity vectors.
-	cache   func(st *storeTable, ts *tableState, capacity int)
+	// cache gives ts a cache of capacity vectors, shaped to hold exactly
+	// pinned when it is non-nil.
+	cache   func(st *storeTable, ts *tableState, capacity int, pinned []uint32)
 	minGain float64 // the prefetch gain that turns prefetching on (applyChoice)
 }
 
@@ -78,7 +83,7 @@ func (s *Store) plan(plans []*tablePlan, from start, tuner sim.TunerConfig) erro
 		return err
 	}
 
-	if err := splitDRAM(plans); err != nil {
+	if err := s.splitDRAM(plans); err != nil {
 		return err
 	}
 	blocksLeft := from.blockBudget
@@ -94,13 +99,19 @@ func (s *Store) plan(plans []*tablePlan, from start, tuner sim.TunerConfig) erro
 	}
 
 	// Tune the admission thresholds with miniature caches over the layout
-	// and at the cache size that will serve them.
+	// and at the cache size that will serve them. A pin verdict that earns
+	// the prefetch margin pins the cache's worth of the hottest ids.
 	err = forEachPlan(plans, func(p *tablePlan) error {
 		cfg := tuner
 		cfg.Layout, cfg.Counts, cfg.CacheVectors = p.layout, p.counts, p.cacheCap
 		var err error
-		p.choice, err = sim.TuneThreshold(p.tuneTr, cfg)
-		return err
+		if p.choice, err = sim.TuneThreshold(p.tuneTr, cfg); err != nil {
+			return err
+		}
+		if p.choice.Pinned && p.choice.PrefetchGain >= from.minGain {
+			p.pinned = cache.HottestIDs(p.counts, p.cacheCap, nil)
+		}
+		return nil
 	})
 	if err != nil {
 		return err
@@ -109,8 +120,8 @@ func (s *Store) plan(plans []*tablePlan, from start, tuner sim.TunerConfig) erro
 	installs := make([]layoutInstall, len(plans))
 	for i, p := range plans {
 		installs[i] = layoutInstall{st: p.st, layout: p.layout, mutate: func(ts *tableState) {
-			from.cache(p.st, ts, p.cacheCap)
-			p.st.applyChoice(ts, p.counts, p.choice, from.minGain)
+			from.cache(p.st, ts, p.cacheCap, p.pinned)
+			p.st.applyChoice(ts, p.counts, p.choice, from.minGain, p.pinned)
 		}}
 	}
 	return s.installLayouts(installs)
@@ -154,19 +165,30 @@ var splitDRAMHook func(demands []alloc.TableDemand, budget int)
 // splitDRAM divides the planned tables' DRAM among them by their hit-rate
 // curves: the one allocation rule of Train and adaptation. Tables outside the
 // plan keep their allocation and are excluded from the optimisation, so a
-// warming table is never starved. The lookahead makes the greedy scoring see
-// across the plateaus of the sampled curves; without it the split
-// degenerates to a tie-broken even one (see alloc.Options.LookaheadVectors).
-func splitDRAM(plans []*tablePlan) error {
+// warming table is never starved. The planned tables share the store's
+// budget less those allocations — taken from the configured total, not from
+// the planned tables' current sizes, so an epoch whose commit failed partway
+// cannot shift what the next one splits. The lookahead makes the greedy
+// scoring see across the plateaus of the sampled curves; without it the
+// split degenerates to a tie-broken even one (see
+// alloc.Options.LookaheadVectors).
+func (s *Store) splitDRAM(plans []*tablePlan) error {
 	if len(plans) == 0 {
 		return nil
 	}
-	budget := 0 // every cache holds at least one vector, so budget > 0
+	budget := s.dramBudget
+	planned := make(map[*storeTable]bool, len(plans))
 	demands := make([]alloc.TableDemand, len(plans))
 	for i, p := range plans {
-		budget += p.st.loadState().cacheCap
+		planned[p.st] = true
 		demands[i] = alloc.TableDemand{Name: p.st.name, HRC: p.hrc, MaxVectors: p.st.numVectors, MinVectors: p.st.blockVectors}
 	}
+	for _, st := range s.tables {
+		if !planned[st] {
+			budget -= st.loadState().cacheCap
+		}
+	}
+	budget = max(budget, len(plans)) // every cache holds at least one vector
 	if splitDRAMHook != nil {
 		splitDRAMHook(demands, budget)
 	}
@@ -181,21 +203,26 @@ func splitDRAM(plans []*tablePlan) error {
 }
 
 // applyChoice writes a tuner verdict for one table into ts, for Train and the
-// adaptation loop alike. Prefetching goes on when the tuner found a
-// threshold whose prefetches earn at least minGain over the best
-// prefetch-free configuration; otherwise it goes off and the table serves
-// that configuration. Either way the demand threshold and the prediction kept
-// are the ones that go with what will serve. The policy is compiled from
-// counts, which ts does not keep.
-func (st *storeTable) applyChoice(ts *tableState, counts []uint32, choice sim.ThresholdChoice, minGain float64) {
+// adaptation loop alike. Prefetching goes on when the tuner found a verdict
+// whose prefetches earn at least minGain over the best prefetch-free
+// configuration: the pin verdict over pinned (the plan took it: non-nil), or
+// the thresholds. Otherwise it goes off and the table serves that
+// configuration. Either way the demand threshold and the prediction kept are
+// the ones that go with what will serve; a pinned table gates nothing. The
+// policy is compiled from counts, which ts does not keep.
+func (st *storeTable) applyChoice(ts *tableState, counts []uint32, choice sim.ThresholdChoice, minGain float64, pinned []uint32) {
 	ts.threshold = choice.Threshold
-	ts.prefetch = choice.Threshold != sim.DisablePrefetch && choice.PrefetchGain >= minGain
-	if ts.prefetch {
+	ts.prefetch = pinned != nil || (choice.Threshold != sim.DisablePrefetch && choice.PrefetchGain >= minGain)
+	switch {
+	case pinned != nil:
+		ts.demandThreshold = 0
+		ts.predicted = choice.Predicted
+	case ts.prefetch:
 		ts.demandThreshold = choice.DemandThreshold
 		ts.predicted = choice.Predicted
-	} else {
+	default:
 		ts.demandThreshold = choice.NoPrefetchDemandThreshold
 		ts.predicted = choice.NoPrefetch
 	}
-	st.setThresholdPolicy(ts, counts)
+	st.setThresholdPolicy(ts, counts, pinned)
 }

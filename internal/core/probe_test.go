@@ -87,7 +87,7 @@ func TestBatchedProbeMatchesSequential(t *testing.T) {
 				DemandThreshold: sim.DemandThresholds(counts, 256)[0],
 			}
 			installThreshold(st, policy)
-			st.mutateState(func(ts *tableState) { st.freshCache(ts, ts.cacheCap) })
+			st.mutateState(func(ts *tableState) { st.freshCache(ts, ts.cacheCap, nil) })
 			ts := st.loadState()
 			ref := vcache.New(vcache.Options{Capacity: ts.cacheCap, Shards: shards})
 			if ts.cache.NumShards() != shards || ref.NumShards() != shards {

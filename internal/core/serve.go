@@ -450,7 +450,8 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 		// the check is followed by that update's removal, which waits for
 		// this shard lock. (applyUpdate takes the overlay lock and a shard
 		// lock one after the other, never nested, so taking the overlay's
-		// read lock here cannot deadlock.)
+		// read lock here cannot deadlock.) An id a pinned table does not pin
+		// is served and not cached, as on a block read.
 		epoch := st.epoch.Load()
 		raw := st.overlay.get(uniq[u])
 		if raw == nil {
@@ -458,7 +459,7 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 		}
 		views[u] = raw
 		deltaHits++
-		if st.epoch.Load() != epoch {
+		if st.epoch.Load() != epoch || ts.admit.bypasses(ts.layout, uniq[u]) {
 			return nil
 		}
 		return raw
@@ -674,11 +675,17 @@ func (m *missStep) serveBlock(bi int, buf []byte) {
 		c.raw = append(c.raw, buf[slot*st.vecBytes:(slot+1)*st.vecBytes]...)
 		rawCopy := c.raw[off:len(c.raw):len(c.raw)]
 		m.views[ref.pos] = rawCopy
-		// A requested vector is always cached; the policy only picks where
-		// it enters the queue (probation for an id training says is cold).
+		// The policy picks where a requested vector enters the queue
+		// (probation for an id training says is cold) — or, pinned, that
+		// only a pinned id enters it at all.
 		var pos float64
 		if b := ts.admit; b != nil {
-			if p := block*ts.layout.BlockVectors() + slot; b.probation[p/64]&(1<<(p%64)) != 0 {
+			p := block*ts.layout.BlockVectors() + slot
+			if b.pinned {
+				if !bit(b.prefetch, p) {
+					continue // served, not cached
+				}
+			} else if bit(b.probation, p) {
 				pos = cache.ProbationPosition
 			}
 		}

@@ -55,6 +55,11 @@ type TableStats struct {
 	Threshold       uint32
 	DemandThreshold uint32
 	Prefetching     bool
+	// PinnedVectors is the number of ids the table's pin verdict holds: it
+	// caches exactly those, from every block read, and serves every other id
+	// without caching it (0 when the table is not pinned; see
+	// cache.NewPinnedAdmit).
+	PinnedVectors int
 	// LayoutInstalls counts the layout installs this table completed (one
 	// per Train or LoadState that covered it, one per adaptation re-layout).
 	LayoutInstalls int64
@@ -141,6 +146,7 @@ func (s *Store) Stats() []TableStats {
 			Threshold:        state.threshold,
 			DemandThreshold:  state.demandThreshold,
 			Prefetching:      state.prefetch,
+			PinnedVectors:    state.admit.pinnedVectors(),
 			LayoutInstalls:   st.layoutInstalls.Load(),
 			Latency:          st.stageSnapshot(stageService, stages.Service),
 			ProbeLatency:     st.stageSnapshot(stageProbe, stages.Probe),

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,6 +39,10 @@ type Store struct {
 	tables []*storeTable
 	byName map[string]int
 	seed   int64
+	// dramBudget is the DRAM budget in vectors every table's cache shares
+	// (Config.DRAMBudgetVectors, or its default), resolved once at open: a
+	// plan splits it less the caches of the tables it leaves alone.
+	dramBudget int
 	// dataDir is the persistence directory of a file-backed store ("" for
 	// the mem backend); Persist writes the trained state there.
 	dataDir string
@@ -204,10 +209,10 @@ type tableState struct {
 	// below it is cached on probation instead of at the MRU end (0: no gate).
 	demandThreshold uint32
 	// admit is the table's admission policy: the cache.ThresholdAdmit of
-	// the training counts and the two thresholds above, held as its
-	// verdicts in layout order (see compileAdmission); the counts are not
-	// kept. nil when it has nothing to decide: prefetching off and no
-	// demand gate.
+	// the training counts and the two thresholds above, or its pin verdict,
+	// held as its verdicts in layout order (see compileAdmission); the
+	// counts are not kept. nil when it has nothing to decide: prefetching
+	// off and no demand gate.
 	admit *admitBits
 	// predicted is what the miniature cache that chose threshold/prefetch
 	// expects this table to serve (zero until a tuner has run); the live
@@ -320,25 +325,69 @@ type admitBits struct {
 	// position is where an admitted prefetch enters the queue: the policy
 	// returns the same one for every id.
 	position float64
+	// pinned marks the pin verdict: prefetch holds the pinned ids, which
+	// fill from any block read, every other id bypasses the cache, and
+	// probation is nil.
+	pinned bool
 }
+
+// bit reports whether bit p of words is set.
+func bit(words []uint64, p int) bool { return words[p/64]&(1<<(p%64)) != 0 }
 
 // compileAdmission evaluates p, through its own Prefetches and OnProbation,
 // at the vector of every position of l: the one way a table's admission bits
 // are made from training counts (Train, adaptation, a version-4 state file).
-// The verdicts sim.Replay asks of the policy are those two.
+// The verdicts sim.Replay asks of the policy are those two; a pin verdict
+// needs only the first.
 func compileAdmission(p cache.ThresholdAdmit, l *layout.Layout) *admitBits {
 	n := l.NumVectors()
-	b := &admitBits{prefetch: make([]uint64, (n+63)/64), probation: make([]uint64, (n+63)/64), position: p.Position}
+	b := &admitBits{prefetch: make([]uint64, (n+63)/64), position: p.Position, pinned: p.Pinned != nil}
+	if !b.pinned {
+		b.probation = make([]uint64, (n+63)/64)
+	}
 	for pos := range n {
 		id := l.VectorAt(pos)
 		if p.Prefetches(id) {
 			b.prefetch[pos/64] |= 1 << (pos % 64)
 		}
-		if p.OnProbation(id) {
+		if !b.pinned && p.OnProbation(id) {
 			b.probation[pos/64] |= 1 << (pos % 64)
 		}
 	}
 	return b
+}
+
+// bypasses reports whether a requested id is served without being cached:
+// b is a pin verdict that does not pin it. l is the layout b is in.
+func (b *admitBits) bypasses(l *layout.Layout, id uint32) bool {
+	return b != nil && b.pinned && !bit(b.prefetch, l.PositionOf(id))
+}
+
+// pinnedIDs returns, in ascending id order, the ids a pin verdict in layout
+// l's order holds; nil when b is not one.
+func (b *admitBits) pinnedIDs(l *layout.Layout) []uint32 {
+	if b == nil || !b.pinned {
+		return nil
+	}
+	var ids []uint32
+	for id := range l.NumVectors() {
+		if bit(b.prefetch, l.PositionOf(uint32(id))) {
+			ids = append(ids, uint32(id))
+		}
+	}
+	return ids
+}
+
+// pinnedVectors is how many ids a pin verdict holds, 0 for any other policy.
+func (b *admitBits) pinnedVectors() int {
+	if b == nil || !b.pinned {
+		return 0
+	}
+	n := 0
+	for _, w := range b.prefetch {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // permuted returns b's bits rearranged over n positions: bit i of the result
@@ -349,15 +398,18 @@ func (b *admitBits) permuted(n int, src func(i int) int) *admitBits {
 		return nil
 	}
 	perm := func(words []uint64) []uint64 {
+		if words == nil {
+			return nil
+		}
 		out := make([]uint64, (n+63)/64)
 		for i := range n {
-			if j := src(i); words[j/64]&(1<<(j%64)) != 0 {
+			if bit(words, src(i)) {
 				out[i/64] |= 1 << (i % 64)
 			}
 		}
 		return out
 	}
-	return &admitBits{prefetch: perm(b.prefetch), probation: perm(b.probation), position: b.position}
+	return &admitBits{prefetch: perm(b.prefetch), probation: perm(b.probation), position: b.position, pinned: b.pinned}
 }
 
 // sizeBytes is the heap the bits hold.
@@ -524,6 +576,7 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 		ownsDevice: owns,
 		byName:     make(map[string]int, len(geoms)),
 		seed:       cfg.Seed,
+		dramBudget: budget,
 		dataDir:    cfg.DataDir,
 		readOnly:   cfg.ReadOnly,
 		stages:     newStageHistograms(),
@@ -669,26 +722,34 @@ func (s *Store) tableAt(i int) (*storeTable, error) {
 var thresholdCountsHook func(st *storeTable, counts []uint32)
 
 // setThresholdPolicy compiles into ts's layout order the deployed
-// cache.ThresholdAdmit (cache.NewThresholdAdmit) that counts and ts's
-// threshold and demandThreshold describe — the policy the miniature caches
-// replayed through the store's own batch algorithm (see package sim), so
-// serving behaves exactly as simulated — or clears it when it would decide
-// nothing (prefetching off, no demand gate), so a block read skips admission
-// altogether. counts is not kept.
-func (st *storeTable) setThresholdPolicy(ts *tableState, counts []uint32) {
+// cache.ThresholdAdmit — the pin verdict over pinned (cache.NewPinnedAdmit)
+// when pinned is non-nil, else the thresholds (cache.NewThresholdAdmit) that
+// counts and ts's threshold and demandThreshold describe — the policy the
+// miniature caches replayed through the store's own batch algorithm (see
+// package sim), so serving behaves exactly as simulated. It clears the policy
+// when it would decide nothing (prefetching off, no demand gate), so a block
+// read skips admission altogether. counts is not kept.
+func (st *storeTable) setThresholdPolicy(ts *tableState, counts []uint32, pinned []uint32) {
 	if thresholdCountsHook != nil {
 		thresholdCountsHook(st, counts)
 	}
 	ts.admit = nil
-	if ts.prefetch || ts.demandThreshold > 0 {
+	switch {
+	case pinned != nil:
+		ts.admit = compileAdmission(cache.NewPinnedAdmit(counts, pinned), ts.layout)
+	case ts.prefetch || ts.demandThreshold > 0:
 		ts.admit = compileAdmission(cache.NewThresholdAdmit(counts, ts.threshold, ts.demandThreshold), ts.layout)
 	}
 }
 
-// freshCache gives ts a new, empty cache of the given capacity.
-func (st *storeTable) freshCache(ts *tableState, capacity int) {
+// freshCache gives ts a new, empty cache of the given capacity, shaped to
+// hold exactly pinned (see resizeCache) when it is non-nil.
+func (st *storeTable) freshCache(ts *tableState, capacity int, pinned []uint32) {
 	ts.cacheCap = capacity
 	ts.cache = newTableCache(capacity, st.shards, st.vecBytes)
+	if pinned != nil {
+		ts.cache.Retain(pinned)
+	}
 }
 
 // resizeCache changes ts's cache capacity in place with incremental
@@ -698,10 +759,19 @@ func (st *storeTable) freshCache(ts *tableState, capacity int) {
 // operations holding an older state snapshot keep hitting the same cache.
 //
 // The recorded cacheCap is the *requested* capacity, even though the sharded
-// cache clamps its real capacity to one item per shard: each plan re-derives
-// its budget from the cacheCap sum, and accounting the clamped value would
-// compound the clamp slack into unbounded budget growth across epochs.
-func (st *storeTable) resizeCache(ts *tableState, capacity int) {
-	ts.cache.Resize(capacity)
+// cache clamps its real capacity to one item per shard: each plan subtracts
+// the caches of the tables it leaves alone from the cacheCap sum, and
+// accounting the clamped value would shift the budget it splits.
+//
+// A pinned table's cache is re-pinned in place instead (vcache.Retain): it
+// keeps only ids of pinned, and each shard's capacity is the number of them
+// that hash to it. The sum is capacity, so the table's DRAM is its share, and
+// the cache never evicts one pinned id for another.
+func (st *storeTable) resizeCache(ts *tableState, capacity int, pinned []uint32) {
+	if pinned != nil {
+		ts.cache.Retain(pinned)
+	} else {
+		ts.cache.Resize(capacity)
+	}
 	ts.cacheCap = capacity
 }

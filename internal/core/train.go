@@ -40,19 +40,32 @@ type TableTrainReport struct {
 	// DemandThreshold the demand threshold chosen with it (0: no gate).
 	Threshold       uint32
 	DemandThreshold uint32
+	// PinnedVectors is how many of the table's hottest training ids the
+	// miniature caches pinned instead (0: the thresholds serve). A pinned
+	// table serves neither threshold; they stay the tuner's pair.
+	PinnedVectors int
 	// MiniatureGain is the effective bandwidth increase predicted by the
-	// miniature cache at the chosen thresholds.
+	// miniature cache at the chosen verdict.
 	MiniatureGain float64
 }
 
 // String renders the report as one log line.
 func (r TableTrainReport) String() string {
-	prefetch := "prefetch off"
-	if r.Threshold != sim.DisablePrefetch {
-		prefetch = fmt.Sprintf("prefetch threshold %d", r.Threshold)
+	return fmt.Sprintf("%-10s trained on %d of %d vectors, fanout %.1f -> %.1f (floor %.1f), cache %d vectors, %s",
+		r.Name, r.TrainedVectors, r.Vectors, r.InitialFanout, r.FinalFanout, r.FanoutFloor, r.CacheVectors,
+		verdictString(r.Threshold, r.DemandThreshold, r.PinnedVectors))
+}
+
+// verdictString renders a table's admission verdict for a report line.
+func verdictString(threshold, demandThreshold uint32, pinned int) string {
+	if pinned > 0 {
+		return fmt.Sprintf("pinned hottest %d", pinned)
 	}
-	return fmt.Sprintf("%-10s trained on %d of %d vectors, fanout %.1f -> %.1f (floor %.1f), cache %d vectors, %s, demand threshold %d",
-		r.Name, r.TrainedVectors, r.Vectors, r.InitialFanout, r.FinalFanout, r.FanoutFloor, r.CacheVectors, prefetch, r.DemandThreshold)
+	prefetch := "prefetch off"
+	if threshold != sim.DisablePrefetch {
+		prefetch = fmt.Sprintf("prefetch threshold %d", threshold)
+	}
+	return fmt.Sprintf("%s, demand threshold %d", prefetch, demandThreshold)
 }
 
 // Train partitions, allocates and tunes the store using per-table training
@@ -108,6 +121,7 @@ func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, e
 			CacheVectors:    p.cacheCap,
 			Threshold:       p.choice.Threshold,
 			DemandThreshold: p.choice.DemandThreshold,
+			PinnedVectors:   len(p.pinned),
 			MiniatureGain:   p.choice.MiniatureGain,
 		}
 	}

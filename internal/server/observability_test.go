@@ -165,6 +165,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"bandana_table_effective_bandwidth{table=\"tA\"} ",
 		"bandana_table_predicted_hit_ratio{table=\"tA\"} 0\n",
 		"bandana_table_predicted_lookups_per_block_read{table=\"tA\"} 0\n",
+		"bandana_table_pinned_vectors{table=\"tA\"} 0\n",
 		// DRAM attribution: 2048 vectors x (order + inverse) packed at 11
 		// bits (352 words each), nothing trained, updated or recorded yet, a
 		// cache that has filled, and the counters every table holds from
@@ -373,6 +374,11 @@ func TestMetricsPredictedNextToObserved(t *testing.T) {
 	}
 	if _, ok := stats.View["bandana_table_policy_info"][`policy="threshold-admit",table="tA"`]; !ok {
 		t.Errorf("/v1/stats policy after Train: %v, want threshold-admit", stats.View["bandana_table_policy_info"])
+	}
+	// What the miniature caches chose: a pinned table exports its hot set's
+	// size, 0 otherwise.
+	if got, want := stats.get("bandana_table_pinned_vectors", "tA"), float64(srv.CurrentStore().Stats()[0].PinnedVectors); got != want {
+		t.Errorf("/v1/stats: %v pinned vectors, the store %v", got, want)
 	}
 }
 

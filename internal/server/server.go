@@ -273,6 +273,7 @@ type tableInfo struct {
 	Prefetching     bool   `json:"prefetching"`
 	Threshold       uint32 `json:"threshold"`
 	DemandThreshold uint32 `json:"demandThreshold"`
+	PinnedVectors   int    `json:"pinnedVectors"`
 }
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
@@ -286,6 +287,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 			Prefetching:     st.Prefetching,
 			Threshold:       st.Threshold,
 			DemandThreshold: st.DemandThreshold,
+			PinnedVectors:   st.PinnedVectors,
 		}
 	}
 	writeJSON(w, http.StatusOK, out)

@@ -15,9 +15,11 @@
 //     distinct block — same-batch co-location is free with or without
 //     prefetching. Per block, in ascending block order: the requested ids
 //     enter in batch order at the policy's demand position (the MRU end
-//     unless the policy gates cold ids to probation), then the block's other
-//     members, in slot order, are offered to the admission policy and the
-//     admitted non-resident ones enter at the policy's position.
+//     unless the policy gates cold ids to probation; none at cache.Bypass,
+//     which a pinned policy gives every id it does not pin), then the
+//     block's other members, in slot order, are offered to the admission
+//     policy and the admitted non-resident ones enter at the policy's
+//     position.
 //   - The cache is the store's own: a one-shard vcache without payloads,
 //     driven by the three calls serveBatch makes — GetBatch for the probe of
 //     the query's unique ids (a hit promotes and reports a first hit on a
@@ -169,6 +171,9 @@ func Replay(tr *trace.Trace, cfg Config) Result {
 			res.BlockReads++
 			for ; lo < len(missed) && missed[lo].block == block; lo++ {
 				pos := policy.DemandPosition(missed[lo].id)
+				if pos < 0 {
+					continue // served, not cached
+				}
 				if pos > 0 {
 					res.ProbationFills++
 				}
@@ -297,11 +302,17 @@ type ThresholdChoice struct {
 	// to go with it (0: no gate beat filling every requested vector at MRU).
 	Threshold       uint32
 	DemandThreshold uint32
+	// Pinned is the third verdict: caching exactly the table's hottest ids
+	// (cache.NewPinnedAdmit over cache.HottestIDs at the cache's size) read
+	// strictly fewer blocks in the miniature than the pair above. The pair
+	// is still reported; it is what serves where pinning is not taken.
+	Pinned bool
 	// MiniatureGain is the effective bandwidth increase observed in the
-	// miniature simulation at the chosen pair, over the plain replay: no
-	// prefetching, every fill at the MRU end. PrefetchGain is the share of
-	// it prefetching earns — the chosen pair over the best prefetch-free one
-	// (NoPrefetch below); the two are equal when no gate helps.
+	// miniature simulation at the chosen verdict (the pinned one, or the
+	// pair), over the plain replay: no prefetching, every fill at the MRU
+	// end. PrefetchGain is the share of it prefetching earns — the chosen
+	// verdict over the best prefetch-free one (NoPrefetch below); the two
+	// are equal when no gate helps.
 	MiniatureGain float64
 	PrefetchGain  float64
 	// PerThreshold records the miniature gain of every candidate prefetch
@@ -309,7 +320,7 @@ type ThresholdChoice struct {
 	PerThreshold map[uint32]float64
 	// SampledLookups is the number of lookups that survived sampling.
 	SampledLookups int64
-	// Predicted is the miniature simulation's outcome at the chosen pair.
+	// Predicted is the miniature simulation's outcome at the chosen verdict.
 	// NoPrefetch is its outcome with prefetching off and the demand
 	// threshold that serves best then, NoPrefetchDemandThreshold (the two
 	// predictions are equal when Threshold is DisablePrefetch). A caller that
@@ -397,9 +408,20 @@ func DemandThresholds(counts []uint32, cacheVectors int) []uint32 {
 // and 512.
 const minMiniCacheVectors = 128
 
+// sampledBlocks reports, per block of l, whether mrc.SampleFilter(rate)
+// selects it for the miniature cache.
+func sampledBlocks(l *layout.Layout, rate float64) []bool {
+	blockFilter := mrc.SampleFilter(rate)
+	sampled := make([]bool, l.NumBlocks())
+	for b := range sampled {
+		sampled[b] = blockFilter(uint32(b))
+	}
+	return sampled
+}
+
 // sampleBlocks is the miniature cache's trace: tr restricted to the vectors
-// whose block under l mrc.SampleFilter(rate) selects, with the queries this
-// leaves empty dropped. The tuner samples whole *blocks* rather than
+// whose block under l is sampled, with the queries this leaves empty
+// dropped. The tuner samples whole *blocks* rather than
 // individual vectors, which keeps the intra-block composition — and therefore
 // the prefetch dynamics the thresholds are being tuned for — intact while
 // shrinking the lookup stream and the cache by the sampling rate.
@@ -409,12 +431,7 @@ const minMiniCacheVectors = 128
 // candidate. Pass 1 sees the same ids in the same order, and an empty query
 // does nothing there. Pass 2's filter never rejects a candidate: a block read
 // is a sampled id's block, so every member of it is sampled too.
-func sampleBlocks(tr *trace.Trace, l *layout.Layout, rate float64) *trace.Trace {
-	blockFilter := mrc.SampleFilter(rate)
-	sampled := make([]bool, l.NumBlocks())
-	for b := range sampled {
-		sampled[b] = blockFilter(uint32(b))
-	}
+func sampleBlocks(tr *trace.Trace, l *layout.Layout, sampled []bool) *trace.Trace {
 	var ids []uint32
 	var ends []int
 	for _, q := range tr.Queries {
@@ -452,8 +469,11 @@ type tuned struct {
 // demand threshold (DemandThresholds) at that winner and one with prefetching
 // off; a gate is kept only where it reads strictly fewer blocks than no gate,
 // so a table it does not help is tuned exactly as if the gate did not exist.
-// A cache that holds the whole table evicts nothing and skips the second
-// step.
+// Last, one replay of the pin verdict: the miniature cache holds exactly its
+// capacity's worth of the hottest sampled ids, filled from any block read,
+// and every other id bypasses it. It is kept only where it reads strictly
+// fewer blocks than the pair the first two steps chose. A cache that holds
+// the whole table evicts nothing and skips the last two steps.
 func TuneThreshold(tr *trace.Trace, cfg TunerConfig) (ThresholdChoice, error) {
 	if cfg.Layout == nil {
 		return ThresholdChoice{}, fmt.Errorf("sim: tuner requires a layout")
@@ -479,16 +499,22 @@ func TuneThreshold(tr *trace.Trace, cfg TunerConfig) (ThresholdChoice, error) {
 		}
 	}
 	miniTrace, miniCache := tr, cfg.CacheVectors
+	var inMiniature func(id uint32) bool // nil: every id
 	if rate < 1 {
-		miniTrace = sampleBlocks(tr, cfg.Layout, rate)
+		sampled := sampledBlocks(cfg.Layout, rate)
+		miniTrace = sampleBlocks(tr, cfg.Layout, sampled)
 		miniCache = max(int(float64(cfg.CacheVectors)*rate), 1)
+		inMiniature = func(id uint32) bool { return sampled[cfg.Layout.BlockOf(id)] }
+	}
+	replayPolicy := func(policy cache.AdmissionPolicy) Result {
+		return Replay(miniTrace, Config{Layout: cfg.Layout, CacheVectors: miniCache, Policy: policy})
 	}
 	replay := func(threshold, demand uint32) tuned {
 		var policy cache.AdmissionPolicy = cache.NoPrefetch{}
 		if threshold != DisablePrefetch || demand != 0 {
 			policy = cache.NewThresholdAdmit(cfg.Counts, threshold, demand)
 		}
-		return tuned{threshold, demand, Replay(miniTrace, Config{Layout: cfg.Layout, CacheVectors: miniCache, Policy: policy})}
+		return tuned{threshold, demand, replayPolicy(policy)}
 	}
 
 	baseline := replay(DisablePrefetch, 0)
@@ -507,7 +533,8 @@ func TuneThreshold(tr *trace.Trace, cfg TunerConfig) (ThresholdChoice, error) {
 	if on.res.BlockReads > off.res.BlockReads {
 		on = off
 	}
-	if cfg.CacheVectors < cfg.Layout.NumVectors() {
+	partial := cfg.CacheVectors < cfg.Layout.NumVectors()
+	if partial {
 		for _, d := range DemandThresholds(cfg.Counts, cfg.CacheVectors) {
 			if cand := replay(DisablePrefetch, d); cand.res.BlockReads < off.res.BlockReads {
 				off = cand
@@ -524,9 +551,16 @@ func TuneThreshold(tr *trace.Trace, cfg TunerConfig) (ThresholdChoice, error) {
 		on = off
 	}
 	choice.Threshold, choice.DemandThreshold = on.threshold, on.demand
-	choice.MiniatureGain = EffectiveBandwidthIncrease(on.res, baseline.res)
-	choice.PrefetchGain = EffectiveBandwidthIncrease(on.res, off.res)
-	choice.Predicted = predictionOf(on.res)
+	chosen := on.res
+	if partial {
+		pinned := cache.HottestIDs(cfg.Counts, miniCache, inMiniature)
+		if pin := replayPolicy(cache.NewPinnedAdmit(cfg.Counts, pinned)); pin.BlockReads < chosen.BlockReads {
+			choice.Pinned, chosen = true, pin
+		}
+	}
+	choice.MiniatureGain = EffectiveBandwidthIncrease(chosen, baseline.res)
+	choice.PrefetchGain = EffectiveBandwidthIncrease(chosen, off.res)
+	choice.Predicted = predictionOf(chosen)
 	choice.NoPrefetch, choice.NoPrefetchDemandThreshold = predictionOf(off.res), off.demand
 	return choice, nil
 }

@@ -403,10 +403,11 @@ func TestSampledTraceReplaysLikeTheFilter(t *testing.T) {
 			policies = append(policies, cache.ThresholdAdmit{Counts: counts, Threshold: th, DemandThreshold: d})
 		}
 	}
+	policies = append(policies, cache.NewPinnedAdmit(counts, cache.HottestIDs(counts, cacheVectors, nil)))
 	for _, rate := range []float64{0.05, 0.2, 1} {
 		blockFilter := mrc.SampleFilter(rate)
 		filter := func(id uint32) bool { return blockFilter(uint32(l.BlockOf(id))) }
-		mini := sampleBlocks(eval, l, rate)
+		mini := sampleBlocks(eval, l, sampledBlocks(l, rate))
 		miniCache := max(int(cacheVectors*rate), 1)
 		for _, q := range mini.Queries {
 			if len(q) == 0 {
@@ -472,9 +473,11 @@ func scanTrace(vectors, hot, queries int, seed int64) *trace.Trace {
 }
 
 // TestTuneThresholdFindsTheDemandGate: on a hot set under a one-touch scan
-// the tuner turns prefetching off and the gate on, predicts exactly what a
-// replay of that pair measures, and reports the gate's share of the gain —
-// all of it, prefetching earning none.
+// the tuner's pair turns prefetching off and the gate on, with a prediction
+// exactly what a replay of that pair measures — the gate earns all of the
+// pair's gain, prefetching none. Pinning the cache's hottest ids keeps the
+// whole hot set and reads fewer blocks still, so the verdict is pinned, and
+// its prediction and gains are what a replay of the pinned policy measures.
 func TestTuneThresholdFindsTheDemandGate(t *testing.T) {
 	tr := scanTrace(2048, 64, 900, 1)
 	l := layout.Identity(tr.NumVectors, 32)
@@ -486,20 +489,27 @@ func TestTuneThresholdFindsTheDemandGate(t *testing.T) {
 	if choice.Threshold != DisablePrefetch || choice.DemandThreshold == 0 {
 		t.Fatalf("chose prefetch threshold %d, demand threshold %d; want prefetching off and a gate", choice.Threshold, choice.DemandThreshold)
 	}
-	if choice.NoPrefetchDemandThreshold != choice.DemandThreshold || choice.NoPrefetch != choice.Predicted {
+	if choice.NoPrefetchDemandThreshold != choice.DemandThreshold {
 		t.Fatalf("with prefetching off the chosen pair is the prefetch-free one: %+v", choice)
 	}
-	if choice.MiniatureGain <= 0.2 || choice.PrefetchGain != 0 {
-		t.Fatalf("gain %.3f, of which prefetching %.3f; want the gate to earn over 20%% and prefetching nothing", choice.MiniatureGain, choice.PrefetchGain)
-	}
-	full := Replay(tr, Config{Layout: l, CacheVectors: 96,
+	pair := Replay(tr, Config{Layout: l, CacheVectors: 96,
 		Policy: cache.ThresholdAdmit{Counts: counts, Threshold: choice.Threshold, DemandThreshold: choice.DemandThreshold}})
-	if got := predictionOf(full); got != choice.Predicted {
-		t.Fatalf("predicted %+v, the pair replays to %+v", choice.Predicted, got)
+	if got := predictionOf(pair); got != choice.NoPrefetch {
+		t.Fatalf("predicted %+v for the pair, which replays to %+v", choice.NoPrefetch, got)
 	}
 	plain := ReplayBaseline(tr, l, 96, nil)
-	if got := EffectiveBandwidthIncrease(full, plain); got != choice.MiniatureGain {
-		t.Fatalf("MiniatureGain %.4f, the pair's gain over the plain replay %.4f", choice.MiniatureGain, got)
+	if g := EffectiveBandwidthIncrease(pair, plain); g <= 0.2 {
+		t.Fatalf("the gate earns %.3f; want over 20%%", g)
+	}
+	pinned := Replay(tr, Config{Layout: l, CacheVectors: 96, Policy: cache.NewPinnedAdmit(counts, cache.HottestIDs(counts, 96, nil))})
+	if !choice.Pinned || pinned.BlockReads >= pair.BlockReads {
+		t.Fatalf("pinned %v: the pinned replay reads %d blocks, the pair %d", choice.Pinned, pinned.BlockReads, pair.BlockReads)
+	}
+	if got := predictionOf(pinned); got != choice.Predicted {
+		t.Fatalf("predicted %+v, the pinned policy replays to %+v", choice.Predicted, got)
+	}
+	if g, p := EffectiveBandwidthIncrease(pinned, plain), EffectiveBandwidthIncrease(pinned, pair); g != choice.MiniatureGain || p != choice.PrefetchGain {
+		t.Fatalf("gains %.4f/%.4f, the pinned replay's over the plain one and the pair %.4f/%.4f", choice.MiniatureGain, choice.PrefetchGain, g, p)
 	}
 }
 
@@ -538,6 +548,9 @@ func TestTuneThresholdKeepsNoGateWhereItDoesNotHelp(t *testing.T) {
 		}
 		if choice.DemandThreshold != 0 || choice.NoPrefetchDemandThreshold != 0 {
 			t.Fatalf("cache of %d: demand thresholds %d/%d, want none", cacheVectors, choice.DemandThreshold, choice.NoPrefetchDemandThreshold)
+		}
+		if choice.Pinned {
+			t.Fatalf("cache of %d: pinned ids every one of which training saw equally often", cacheVectors)
 		}
 		base := ReplayBaseline(tr, l, cacheVectors, nil)
 		best, bestGain := DisablePrefetch, 0.0
@@ -612,5 +625,36 @@ func BenchmarkReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Replay(tr, Config{Layout: l, CacheVectors: 1000, Policy: cache.AlwaysAdmit{}})
+	}
+}
+
+// TestReplayBypassesUnpinnedIDs: under the pin verdict only pinned ids enter
+// the cache, requested or co-located, so a cache as large as the pinned set
+// never evicts: the second pass over the same queries hits every pinned id
+// and misses every other, and a full-table cache is never offered the pin.
+func TestReplayBypassesUnpinnedIDs(t *testing.T) {
+	tr := benchTrace().Prefix(400)
+	l := layout.Identity(tr.NumVectors, 32)
+	counts := tr.AccessCounts()
+	pinned := cache.HottestIDs(counts, 500, nil)
+	twice := &trace.Trace{TableName: tr.TableName, NumVectors: tr.NumVectors, Queries: append(slices.Clone(tr.Queries), tr.Queries...)}
+	p := cache.NewPinnedAdmit(counts, pinned)
+	once := Replay(tr, Config{Layout: l, CacheVectors: 500, Policy: p})
+	both := Replay(twice, Config{Layout: l, CacheVectors: 500, Policy: p})
+	var pinnedLookups int64
+	for _, q := range tr.Queries {
+		for _, id := range q {
+			if p.Pins(id) {
+				pinnedLookups++
+			}
+		}
+	}
+	if hits := both.Hits - once.Hits; hits != pinnedLookups || once.ProbationFills != 0 || once.PrefetchesAdmitted == 0 {
+		t.Fatalf("second pass hit %d times, want the %d lookups of pinned ids; %d probation fills, %d prefetches admitted",
+			hits, pinnedLookups, once.ProbationFills, once.PrefetchesAdmitted)
+	}
+	choice, err := TuneThreshold(tr, TunerConfig{Layout: l, Counts: counts, CacheVectors: tr.NumVectors, SamplingRate: 1})
+	if err != nil || choice.Pinned {
+		t.Fatalf("a full-table cache was pinned (err %v)", err)
 	}
 }

@@ -16,7 +16,8 @@
 // sees no per-entry pointers at all.
 //
 // The cache is sharded (hash-routed, power-of-two shard count, exact
-// capacity split) and each shard is a segmented LRU. Its eviction queue is
+// capacity split — or, after Retain, each shard sized to the ids of a fixed
+// set that hash to it) and each shard is a segmented LRU. Its eviction queue is
 // cut into Segments runs (fewer if the shard holds fewer entries), and every
 // run but the last holds at most ceil(capacity/segments) entries. Inserting
 // at queue position pos in [0,1] puts an entry at the head of segment
@@ -997,6 +998,42 @@ func (c *Cache) Resize(capacity int) int {
 	return capacity
 }
 
+// Retain shapes the cache to hold exactly ids, which must be distinct: every
+// entry whose id is not among them is evicted, and each shard's capacity
+// becomes the number of ids that hash to it, so all of ids fit at once and
+// inserting only them never evicts. A shard no id hashes to holds nothing.
+// Like Resize it works in place, shard by shard, keeping the entries it
+// retains. The total capacity becomes len(ids).
+func (c *Cache) Retain(ids []uint32) {
+	caps := make([]int, len(c.shards))
+	keep := make(map[uint32]struct{}, len(ids))
+	for _, id := range ids {
+		caps[Hash(id)&c.shardMask]++
+		keep[id] = struct{}{}
+	}
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for slot := s.listHead(); slot != nilIdx; {
+			m := s.meta[slot]
+			if _, ok := keep[m.id]; !ok {
+				s.listRemove(slot)
+				s.idxDelete(m.id)
+				s.park(c, slot)
+				s.used--
+			}
+			slot = m.next
+		}
+		s.growIndex(caps[i])
+		s.capacity = caps[i]
+		for seg := range s.segs {
+			s.rebalance(seg)
+		}
+		s.mu.Unlock()
+	}
+	c.capacity.Store(int64(len(ids)))
+}
+
 // Stats is a point-in-time byte-accounting snapshot.
 type Stats struct {
 	Entries  int
@@ -1046,6 +1083,19 @@ func (c *Cache) Stats() Stats {
 		st.Utilization = float64(st.BytesResident) / float64(st.ArenaBytes)
 	}
 	return st
+}
+
+// ShardCapacities returns each shard's capacity, in shard order (a shard's
+// index is Hash(id) modulo NumShards). Intended for tests and diagnostics.
+func (c *Cache) ShardCapacities() []int {
+	caps := make([]int, len(c.shards))
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		caps[i] = s.capacity
+		s.mu.Unlock()
+	}
+	return caps
 }
 
 // ShardKeys returns shard i's keys ordered MRU→LRU, segment by segment, and

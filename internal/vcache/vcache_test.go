@@ -226,6 +226,58 @@ func TestResizeShrinkGrow(t *testing.T) {
 	}
 }
 
+// TestRetainHoldsExactlyTheSet: Retain evicts every entry outside the set,
+// keeps the members already cached, and sizes each shard to its members'
+// share, so inserting every member evicts none. A later Resize splits
+// evenly again.
+func TestRetainHoldsExactlyTheSet(t *testing.T) {
+	c := newTestCache(64, 8)
+	for id := uint32(0); id < 64; id++ {
+		c.Add(id, payloadFor(id, 0), false)
+	}
+	var set []uint32
+	for id := uint32(32); id < 132; id += 2 { // 50 ids, 16 of them cached
+		set = append(set, id)
+	}
+	c.Retain(set)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Cap() != len(set) || c.Len() != 16 {
+		t.Fatalf("capacity %d holding %d, want %d holding the 16 members cached", c.Cap(), c.Len(), len(set))
+	}
+	want := make([]int, c.NumShards())
+	for _, id := range set {
+		want[vcache.Hash(id)%uint64(c.NumShards())]++
+	}
+	if got := c.ShardCapacities(); !slices.Equal(got, want) {
+		t.Fatalf("shard capacities %v, the members' shares %v", got, want)
+	}
+	for id := uint32(0); id < 64; id++ {
+		if c.Contains(id) != slices.Contains(set, id) {
+			t.Fatalf("id %d: cached %v, member %v", id, c.Contains(id), slices.Contains(set, id))
+		}
+	}
+	for _, id := range set {
+		if _, evicted := c.Add(id, payloadFor(id, 1), true); evicted {
+			t.Fatalf("inserting member %d evicted another", id)
+		}
+	}
+	if c.Len() != len(set) {
+		t.Fatalf("holding %d of the %d members", c.Len(), len(set))
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	c.Resize(64)
+	if got := c.ShardCapacities(); !slices.Equal(got, []int{8, 8, 8, 8, 8, 8, 8, 8}) {
+		t.Fatalf("shard capacities %v after Resize(64), want an even split", got)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPayloadFreeCache: with SlotBytes 0 the cache keeps keys only — no slab
 // is minted however many entries churn through it and views are empty — and
 // the prefetched flag, AddAtGuard's resident check and the invariants work as
