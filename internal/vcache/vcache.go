@@ -617,15 +617,20 @@ func (s *shard) evictOne(c *Cache) (uint32, bool) {
 		if sg.tail == nilIdx {
 			continue
 		}
-		victim := sg.tail
-		id := s.meta[victim].id
-		s.listRemove(victim)
-		s.idxDelete(id)
-		s.park(c, victim)
-		s.used--
+		id := s.meta[sg.tail].id
+		s.drop(c, sg.tail, id)
 		return id, true
 	}
 	return 0, false
+}
+
+// drop removes id, resident in slot, from the list and the index, and
+// retires the slot.
+func (s *shard) drop(c *Cache, slot, id uint32) {
+	s.listRemove(slot)
+	s.idxDelete(id)
+	s.park(c, slot)
+	s.used--
 }
 
 // ---- public operations ----
@@ -959,10 +964,7 @@ func (c *Cache) Remove(id uint32) bool {
 	if slot == nilIdx {
 		return false
 	}
-	s.listRemove(slot)
-	s.idxDelete(id)
-	s.park(c, slot)
-	s.used--
+	s.drop(c, slot, id)
 	return true
 }
 
@@ -1017,10 +1019,7 @@ func (c *Cache) Retain(ids []uint32) {
 		for slot := s.listHead(); slot != nilIdx; {
 			m := s.meta[slot]
 			if _, ok := keep[m.id]; !ok {
-				s.listRemove(slot)
-				s.idxDelete(m.id)
-				s.park(c, slot)
-				s.used--
+				s.drop(c, slot, m.id)
 			}
 			slot = m.next
 		}
