@@ -23,13 +23,14 @@
 // PrefetchPosition, so a speculative fill that nobody asks for is evicted
 // after half the cache's insertions instead of all of them.
 //
-// The same training counts give the deployed policy a third verdict, the
-// frequency bound of a cache of C vectors: NewPinnedAdmit pins the C ids
-// training saw most often (HottestIDs). A pinned id is cached from any block
-// read that brings it in, requested or co-located, and every other id
-// bypasses the cache (demand position Bypass), so the cache holds a static
-// hot set and never evicts. The miniature caches choose it per table, where
-// it reads fewer blocks than the tuned thresholds.
+// The same training counts give the deployed policy a third verdict, after
+// the frequency bound of a cache of C vectors: PinnedAdmit pins the C ids
+// training saw most often (HottestIDs) into a cache that never evicts them
+// (vcache's Pin). The thresholds still decide what enters; once in, a pinned
+// id stays, and the room the pinned set has not yet filled serves every
+// other id as the thresholds' segmented LRU, the first to go when a pinned
+// id needs it. The miniature caches choose it per table, where it reads
+// fewer blocks than the thresholds alone.
 package cache
 
 import (
@@ -50,20 +51,20 @@ import (
 // OnAccess does nothing. It asks Prefetches and OnProbation — the two
 // verdicts AdmitPrefetch and DemandPosition return — once per vector when
 // the thresholds are set, and holds the answers as two bits per vector in
-// layout order, so a threshold tuned in simulation is served exactly. A pin
-// verdict needs one: Prefetches is its hot set, and a requested id outside it
-// bypasses the cache.
+// layout order, so a threshold tuned in simulation is served exactly. Its pin
+// verdict, a PinnedAdmit, answers the same two questions, and the store holds
+// its pinned set as a third bit per vector.
 //
 // Implementations must be safe for concurrent use. The stateless policies
-// (NoPrefetch, AlwaysAdmit, ThresholdAdmit) are trivially safe; the
+// (NoPrefetch, AlwaysAdmit, ThresholdAdmit, PinnedAdmit) are trivially safe; the
 // shadow-cache policies' queue is a vcache, which locks internally.
 type AdmissionPolicy interface {
 	// OnAccess is invoked for every application-requested lookup (hit or
 	// miss), allowing stateful policies to observe the true access stream.
 	OnAccess(id uint32)
-	// DemandPosition is invoked for every requested vector that missed: the
-	// queue position it enters at (0 = MRU end), or Bypass when it is served
-	// without being cached. A cached requested vector evicts if the cache is
+	// DemandPosition is invoked for every requested vector that missed and
+	// is about to be cached: the queue position it enters at (0 = MRU end).
+	// A requested vector is always cached and always evicts if the cache is
 	// full; the position only decides how soon it is evicted in turn if
 	// nobody asks for it again (a hit promotes it to MRU like any other).
 	DemandPosition(id uint32) float64
@@ -91,10 +92,6 @@ const ProbationPosition = 1.0
 // admits is one it goes on to hit, while on traffic the tuner did not see
 // the midpoint reads fewer blocks.
 const PrefetchPosition = 0.5
-
-// Bypass is the demand position of a requested vector that is served but not
-// cached: every id a pinned ThresholdAdmit does not pin.
-const Bypass = -1.0
 
 // demandAtMRU is the demand half of every policy that only rules on
 // prefetches: a requested vector enters at the MRU end.
@@ -208,10 +205,9 @@ func (p *ShadowPosition) Name() string { return "shadow-position" }
 // so an id training never or hardly saw cannot push out, on one touch, ids it
 // saw dozens of times; the zero DemandThreshold gates nothing.
 //
-// Its third verdict, pin (NewPinnedAdmit), replaces both thresholds by the
-// set of ids training saw most often: a pinned id is admitted from every
-// block read, requested or prefetched, and every other id bypasses the
-// cache. A cache as large as the set never evicts.
+// Where a table's cache is smaller than the table, the miniature caches also
+// weigh pinning the ids training saw most often on top of the thresholds:
+// that verdict is a PinnedAdmit.
 type ThresholdAdmit struct {
 	// Counts[id] is the number of training queries that contained id.
 	Counts          []uint32
@@ -221,9 +217,6 @@ type ThresholdAdmit struct {
 	// PrefetchPosition in the deployed policy (NewThresholdAdmit), the MRU
 	// end (0) in the paper's Figure 12 sweep.
 	Position float64
-	// Pinned, when non-nil, is the pin verdict: Pinned[id] reports whether
-	// id is in the hot set, and the thresholds are not consulted.
-	Pinned []bool
 }
 
 // NewThresholdAdmit returns the ThresholdAdmit Bandana deploys over counts
@@ -234,16 +227,69 @@ func NewThresholdAdmit(counts []uint32, threshold, demandThreshold uint32) Thres
 	return ThresholdAdmit{Counts: counts, Threshold: threshold, DemandThreshold: demandThreshold, Position: PrefetchPosition}
 }
 
-// NewPinnedAdmit returns the deployed policy's pin verdict over counts: the
-// table caches exactly the ids of pinned (HottestIDs) and no other. Its
-// prefetches enter at PrefetchPosition like NewThresholdAdmit's, though in a
-// cache that never evicts the position moves nothing.
-func NewPinnedAdmit(counts []uint32, pinned []uint32) ThresholdAdmit {
-	set := make([]bool, len(counts))
-	for _, id := range pinned {
-		set[id] = true
+// OnAccess implements AdmissionPolicy.
+func (ThresholdAdmit) OnAccess(uint32) {}
+
+// OnProbation reports whether a requested id fills at ProbationPosition:
+// training saw it fewer than DemandThreshold times. An id beyond Counts was
+// never seen in training.
+func (p ThresholdAdmit) OnProbation(id uint32) bool {
+	var count uint32
+	if int(id) < len(p.Counts) {
+		count = p.Counts[id]
 	}
-	return ThresholdAdmit{Counts: counts, Position: PrefetchPosition, Pinned: set}
+	return count < p.DemandThreshold
+}
+
+// Prefetches reports whether a prefetched id is admitted: training saw it
+// more than Threshold times.
+func (p ThresholdAdmit) Prefetches(id uint32) bool {
+	return int(id) < len(p.Counts) && p.Counts[id] > p.Threshold
+}
+
+// DemandPosition implements AdmissionPolicy.
+func (p ThresholdAdmit) DemandPosition(id uint32) float64 {
+	if p.OnProbation(id) {
+		return ProbationPosition
+	}
+	return 0
+}
+
+// AdmitPrefetch implements AdmissionPolicy.
+func (p ThresholdAdmit) AdmitPrefetch(id uint32) (bool, float64) {
+	return p.Prefetches(id), p.Position
+}
+
+// Name implements AdmissionPolicy.
+func (p ThresholdAdmit) Name() string { return "threshold-admit" }
+
+// PinnedAdmit is the pin verdict of the deployed policy: a ThresholdAdmit
+// (Pair) whose cache never evicts the ids training saw most often
+// (HottestIDs at the cache's size). Pair decides what enters, as it would
+// without the pin; a pinned id that enters is filed off the cache's recency
+// list for good, and every other id lives in the room the pinned set has not
+// yet filled, the first to go when a pinned id needs that room. A pinned id
+// is never put on probation. The cache itself must hold the set
+// (vcache.Cache.Pin with Set): the policy only rules on admission.
+type PinnedAdmit struct {
+	Pair ThresholdAdmit
+	// Set is the pinned set as a bitset over ids (bit id%64 of word id/64),
+	// as vcache's Pin takes it; at least ⌈len(Pair.Counts)/64⌉ words.
+	Set []uint64
+}
+
+// NewPinnedAdmit returns the pin verdict over ids (distinct; see
+// HottestIDs) on top of pair.
+func NewPinnedAdmit(pair ThresholdAdmit, ids []uint32) PinnedAdmit {
+	n := len(pair.Counts)
+	for _, id := range ids {
+		n = max(n, int(id)+1)
+	}
+	set := make([]uint64, (n+63)/64)
+	for _, id := range ids {
+		set[id/64] |= 1 << (id % 64)
+	}
+	return PinnedAdmit{Pair: pair, Set: set}
 }
 
 // HottestIDs returns, in ascending id order, the k ids of counts with the
@@ -268,42 +314,22 @@ func HottestIDs(counts []uint32, k int, eligible func(id uint32) bool) []uint32 
 }
 
 // OnAccess implements AdmissionPolicy.
-func (ThresholdAdmit) OnAccess(uint32) {}
+func (PinnedAdmit) OnAccess(uint32) {}
 
-// Pins reports whether id is in the pin verdict's hot set (false for every
-// id of a threshold verdict).
-func (p ThresholdAdmit) Pins(id uint32) bool {
-	return int(id) < len(p.Pinned) && p.Pinned[id]
+// Pins reports whether id is in the pinned set.
+func (p PinnedAdmit) Pins(id uint32) bool {
+	return int(id/64) < len(p.Set) && p.Set[id/64]&(1<<(id%64)) != 0
 }
 
-// OnProbation reports whether a requested id fills at ProbationPosition:
-// training saw it fewer than DemandThreshold times. An id beyond Counts was
-// never seen in training. The pin verdict puts nothing on probation.
-func (p ThresholdAdmit) OnProbation(id uint32) bool {
-	if p.Pinned != nil {
-		return false
-	}
-	var count uint32
-	if int(id) < len(p.Counts) {
-		count = p.Counts[id]
-	}
-	return count < p.DemandThreshold
-}
+// Prefetches is Pair's: the pin decides what stays, not what enters.
+func (p PinnedAdmit) Prefetches(id uint32) bool { return p.Pair.Prefetches(id) }
 
-// Prefetches reports whether a prefetched id is admitted: training saw it
-// more than Threshold times, or the pin verdict pins it.
-func (p ThresholdAdmit) Prefetches(id uint32) bool {
-	if p.Pinned != nil {
-		return p.Pins(id)
-	}
-	return int(id) < len(p.Counts) && p.Counts[id] > p.Threshold
-}
+// OnProbation is Pair's for an id outside the set: where it enters the room.
+// A pinned id is never on probation (the cache files it off its queue).
+func (p PinnedAdmit) OnProbation(id uint32) bool { return !p.Pins(id) && p.Pair.OnProbation(id) }
 
 // DemandPosition implements AdmissionPolicy.
-func (p ThresholdAdmit) DemandPosition(id uint32) float64 {
-	if p.Pinned != nil && !p.Pins(id) {
-		return Bypass
-	}
+func (p PinnedAdmit) DemandPosition(id uint32) float64 {
 	if p.OnProbation(id) {
 		return ProbationPosition
 	}
@@ -311,9 +337,9 @@ func (p ThresholdAdmit) DemandPosition(id uint32) float64 {
 }
 
 // AdmitPrefetch implements AdmissionPolicy.
-func (p ThresholdAdmit) AdmitPrefetch(id uint32) (bool, float64) {
-	return p.Prefetches(id), p.Position
+func (p PinnedAdmit) AdmitPrefetch(id uint32) (bool, float64) {
+	return p.Prefetches(id), p.Pair.Position
 }
 
 // Name implements AdmissionPolicy.
-func (p ThresholdAdmit) Name() string { return "threshold-admit" }
+func (PinnedAdmit) Name() string { return "pinned" }

@@ -235,25 +235,25 @@ func TestHottestIDs(t *testing.T) {
 	}
 }
 
-// TestPinnedAdmitVerdicts: the pin verdict admits exactly its hot set, as
-// prefetches and as requested fills, sends every other requested id past
-// the cache, gates nothing, and ignores the thresholds.
+// TestPinnedAdmitVerdicts: the pin verdict admits what its thresholds admit,
+// at their positions, and puts no pinned id on probation.
 func TestPinnedAdmitVerdicts(t *testing.T) {
-	counts := []uint32{5, 9, 0, 9, 3}
-	p := NewPinnedAdmit(counts, HottestIDs(counts, 2, nil))
-	p.Threshold = 100
-	for id := uint32(0); id < 6; id++ {
-		pinned := id == 1 || id == 3
-		admit, pos := p.AdmitPrefetch(id)
-		if admit != pinned || pos != PrefetchPosition || p.Pins(id) != pinned || p.Prefetches(id) != pinned || p.OnProbation(id) {
-			t.Fatalf("id %d: admit %v at %v, pins %v, prefetches %v, probation %v; pinned %v",
-				id, admit, pos, p.Pins(id), p.Prefetches(id), p.OnProbation(id), pinned)
-		}
-		if want := map[bool]float64{true: 0, false: Bypass}[pinned]; p.DemandPosition(id) != want {
-			t.Fatalf("id %d: demand position %v, want %v", id, p.DemandPosition(id), want)
-		}
+	counts := []uint32{5, 9, 0, 9, 3, 1}
+	pair := NewThresholdAdmit(counts, 4, 6)
+	if got := HottestIDs(counts, 2, nil); !slices.Equal(got, []uint32{1, 3}) {
+		t.Fatalf("hottest %v, want [1 3]", got)
 	}
-	if (ThresholdAdmit{Counts: counts}).Pins(1) {
-		t.Fatal("a threshold verdict pins")
+	p2 := NewPinnedAdmit(pair, []uint32{2, 4})
+	for id := uint32(0); id < 7; id++ {
+		admit, pos := p2.AdmitPrefetch(id)
+		wantAdmit, wantPos := pair.AdmitPrefetch(id)
+		pinned := id == 2 || id == 4
+		if admit != wantAdmit || pos != wantPos || p2.Prefetches(id) != pair.Prefetches(id) || p2.Pins(id) != pinned {
+			t.Fatalf("id %d: admit %v at %v, pins %v; the thresholds admit %v at %v", id, admit, pos, p2.Pins(id), wantAdmit, wantPos)
+		}
+		if probation := pair.OnProbation(id) && !pinned; p2.OnProbation(id) != probation ||
+			p2.DemandPosition(id) != map[bool]float64{true: ProbationPosition, false: 0}[probation] {
+			t.Fatalf("id %d: probation %v at %v, want %v", id, p2.OnProbation(id), p2.DemandPosition(id), probation)
+		}
 	}
 }

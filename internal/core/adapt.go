@@ -248,19 +248,6 @@ type TableAdaptReport struct {
 	RelayoutDuration time.Duration
 }
 
-// String renders the report as one log line.
-func (r TableAdaptReport) String() string {
-	if !r.Adapted {
-		return fmt.Sprintf("%-10s kept its configuration (%d recorded queries)", r.Name, r.RecordedQueries)
-	}
-	relayout := ""
-	if r.Relayout {
-		relayout = fmt.Sprintf(", re-laid out (fanout %.1f -> %.1f)", r.FanoutBefore, r.FanoutAfter)
-	}
-	return fmt.Sprintf("%-10s adapted on %d queries, cache %d vectors, %s%s",
-		r.Name, r.RecordedQueries, r.CacheVectors, verdictString(r.Threshold, r.DemandThreshold, r.PinnedVectors), relayout)
-}
-
 // AdaptNow runs one adaptation epoch synchronously: the plan's warm start
 // (plan.go) over each table's recorded window. SHP refines the serving layout
 // every RelayoutEvery epochs, caches are resized in place, and prefetching

@@ -553,13 +553,9 @@ func TestDemandGateUnderDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { s.Close() })
-		rep, err := s.Train(trains, TrainOptions{})
-		if err != nil {
+		if _, err := s.Train(trains, TrainOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		// Phase 0 alone shows no drift, so the tuner pins both tables' hot
-		// sets; the gate is what this test bounds.
-		servePair(s, rep)
 		if err := s.StartAdaptation(AdaptOptions{MinQueries: 32}); err != nil {
 			t.Fatal(err)
 		}

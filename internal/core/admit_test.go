@@ -29,22 +29,23 @@ func admitBitsMismatch(s *Store, counts func(st *storeTable) []uint32) (prefetch
 		if ts.admit == nil {
 			continue
 		}
-		ref := cache.ThresholdAdmit{
-			Counts: counts(st), Threshold: ts.threshold, DemandThreshold: ts.demandThreshold, Position: ts.admit.position,
-		}
-		if ref.Counts == nil {
+		c := counts(st)
+		if c == nil {
 			return 0, 0, fmt.Errorf("table %q: no reference counts", st.name)
 		}
+		var ref cache.AdmissionPolicy = cache.ThresholdAdmit{
+			Counts: c, Threshold: ts.threshold, DemandThreshold: ts.demandThreshold, Position: ts.admit.position,
+		}
 		probationBit := func(p int) bool { return bit(ts.admit.probation, p) }
-		if ts.admit.pinned {
-			// The pin verdict: the cache's worth of the hottest ids, no gate,
-			// no probation bits.
-			ref = cache.NewPinnedAdmit(ref.Counts, cache.HottestIDs(ref.Counts, ts.cacheCap, nil))
-			if !ts.prefetch || ts.demandThreshold != 0 || ts.admit.probation != nil {
-				return 0, 0, fmt.Errorf("table %q: pinned with prefetch %v, demand threshold %d, %d probation words",
-					st.name, ts.prefetch, ts.demandThreshold, len(ts.admit.probation))
+		if ts.admit.pinned != nil {
+			// The pin verdict: the cache's worth of the hottest ids, over the
+			// thresholds.
+			hottest := cache.HottestIDs(c, ts.cacheCap, nil)
+			pin := cache.NewPinnedAdmit(ref.(cache.ThresholdAdmit), hottest)
+			if !slices.Equal(ts.admit.pinnedIDs(), hottest) {
+				return 0, 0, fmt.Errorf("table %q: pinned, not the cache's worth of the hottest ids", st.name)
 			}
-			probationBit = func(int) bool { return false }
+			ref = pin
 		}
 		for p := range ts.layout.NumVectors() {
 			id := ts.layout.VectorAt(p)

@@ -244,14 +244,8 @@ func TestFileBackendReopenServesWithoutRetraining(t *testing.T) {
 		if rs[i].Policy != "threshold-admit" {
 			t.Fatalf("table %s: policy %q after reopen", rs[i].Name, rs[i].Policy)
 		}
-		// A pinned table serves no gate; the report keeps the tuner's pair.
-		wantDemand := report.Tables[i].DemandThreshold
-		if report.Tables[i].PinnedVectors > 0 {
-			wantDemand = 0
-		}
-		if rs[i].Threshold != report.Tables[i].Threshold || rs[i].DemandThreshold != wantDemand ||
-			rs[i].PinnedVectors != report.Tables[i].PinnedVectors {
-			t.Fatalf("table %s: reopened verdict differs from training report", rs[i].Name)
+		if rs[i].Threshold != report.Tables[i].Threshold || rs[i].DemandThreshold != report.Tables[i].DemandThreshold {
+			t.Fatalf("table %s: reopened thresholds differ from training report", rs[i].Name)
 		}
 	}
 	if got := r.DeviceStats().Store.Backend; got != "file" {

@@ -78,66 +78,43 @@ func countsOf(st *storeTable) []uint32 {
 }
 
 // forceDemandThreshold sets one table's demand threshold the way a tuner
-// verdict would — recompiling its threshold policy from the training counts
-// it was compiled from — for tests that need a gate whatever the tuner found.
-// A pinned table serves the tuner's thresholds instead, its cache split
-// evenly again.
+// verdict would — recompiling its policy, a pinned one over the same pinned
+// ids, from the training counts it was compiled from — for tests that need a
+// gate whatever the tuner found.
 func forceDemandThreshold(st *storeTable, demand uint32) {
 	counts := countsOf(st)
 	st.mutateState(func(ts *tableState) {
-		unpin(st, ts)
 		ts.demandThreshold = demand
-		st.setThresholdPolicy(ts, counts, nil)
+		st.setThresholdPolicy(ts, counts, ts.admit.pinnedIDs())
 	})
 }
 
-// unpin splits a pinned table's cache evenly across its shards again, for a
-// threshold policy to replace the pin verdict.
-func unpin(st *storeTable, ts *tableState) {
-	if ts.admit.pinnedVectors() > 0 {
-		st.resizeCache(ts, ts.cacheCap, nil)
-	}
-}
-
-// servePair makes every table the tuner pinned serve the threshold pair it
-// tuned beside the pin (rep's), its cache split evenly again: for fixtures
-// whose subject is the thresholds' segmented LRU, not the hot set.
-func servePair(s *Store, rep *TrainReport) {
-	for i, tr := range rep.Tables {
-		if tr.PinnedVectors > 0 {
-			st := s.tables[i]
-			installThreshold(st, cache.NewThresholdAdmit(countsOf(st), tr.Threshold, tr.DemandThreshold))
-		}
-	}
-}
-
-// installThreshold makes st serve the threshold policy p the way a tuner
-// verdict would — prefetching on unless p.Threshold is sim.DisablePrefetch,
-// both thresholds p's, the bits compiled from p.Counts — but with p's
+// installThreshold makes st serve p — a cache.ThresholdAdmit, or a
+// cache.PinnedAdmit over one — the way a tuner verdict would: prefetching on
+// unless p pins nothing and its threshold is sim.DisablePrefetch, both
+// thresholds p's, the bits compiled from its counts, the cache pinned to p's
+// set in place (or split evenly again when p pins nothing) — but with p's
 // prefetch position and no prediction, for tests that hold the store to a
 // policy of their choosing.
-func installThreshold(st *storeTable, p cache.ThresholdAdmit) {
+func installThreshold(st *storeTable, p cache.AdmissionPolicy) {
+	ta, _ := p.(cache.ThresholdAdmit)
+	var pinned []uint32
+	if pa, ok := p.(cache.PinnedAdmit); ok {
+		ta = pa.Pair
+		pinned = (&admitBits{pinned: pa.Set}).pinnedIDs()
+	}
 	st.mutateState(func(ts *tableState) {
-		unpin(st, ts)
-		ts.threshold, ts.demandThreshold = p.Threshold, p.DemandThreshold
-		ts.prefetch = p.Threshold != sim.DisablePrefetch
+		was := ts.admit.pinnedSet() != nil
+		ts.threshold, ts.demandThreshold = ta.Threshold, ta.DemandThreshold
+		ts.prefetch = pinned != nil || ta.Threshold != sim.DisablePrefetch
 		ts.predicted = sim.Prediction{}
-		st.setThresholdPolicy(ts, p.Counts, nil)
+		st.setThresholdPolicy(ts, ta.Counts, pinned)
 		if ts.admit != nil {
-			ts.admit.position = p.Position
+			ts.admit.position = ta.Position
 		}
-	})
-}
-
-// installPinned makes st serve the pin verdict over pinned the way a tuner
-// verdict would: its cache re-pinned in place to hold exactly those ids (its
-// allocation their number), prefetching on, no gate and no prediction.
-func installPinned(st *storeTable, counts []uint32, pinned []uint32) {
-	st.mutateState(func(ts *tableState) {
-		ts.threshold, ts.demandThreshold, ts.prefetch = sim.DisablePrefetch, 0, true
-		ts.predicted = sim.Prediction{}
-		st.resizeCache(ts, len(pinned), pinned)
-		st.setThresholdPolicy(ts, counts, pinned)
+		if was || pinned != nil {
+			st.resizeCache(ts, ts.cacheCap, ts.admit.pinnedSet())
+		}
 	})
 }
 
@@ -371,9 +348,7 @@ func TestTrainValidation(t *testing.T) {
 // AdaptNow does — Prefetching false, so no block read walks its members —
 // instead of an admit-nothing policy that still does. A hot set under a
 // one-touch scan is also the demand threshold's textbook case, so the policy
-// that stays installed is the gate alone. (Pinning the 96 hottest ids — the
-// hot set and the scan's first — reads fewer blocks still, so the tuner pins;
-// the test then has applyChoice take the tuner's verdict without the pin.)
+// that stays installed is the gate alone.
 func TestTrainTurnsPrefetchingOffWhenTunerSaysOff(t *testing.T) {
 	// Each query names one of 64 hot vectors (the multiples of 32) and two
 	// of a scan that touches every other vector once. No two hot vectors are
@@ -406,21 +381,6 @@ func TestTrainTurnsPrefetchingOffWhenTunerSaysOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Tables[0].PinnedVectors != 96 {
-		t.Fatalf("pinned %d vectors, want the whole 96-vector cache", rep.Tables[0].PinnedVectors)
-	}
-	st0 := s.tables[0]
-	ts0 := st0.loadState()
-	choice, err := sim.TuneThreshold(tr, sim.TunerConfig{Layout: ts0.layout, Counts: countsOf(st0), CacheVectors: ts0.cacheCap,
-		SamplingRate: 1, Thresholds: []uint32{0}})
-	if err != nil || !choice.Pinned {
-		t.Fatalf("the tuner's verdict is not the pin Train took (err %v)", err)
-	}
-	choice.Pinned = false
-	st0.mutateState(func(ts *tableState) {
-		unpin(st0, ts)
-		st0.applyChoice(ts, countsOf(st0), choice, 0, nil)
-	})
 	if rep.Tables[0].Threshold != sim.DisablePrefetch {
 		t.Fatalf("tuner chose threshold %d (gain %.3f); the trace was built so prefetching loses",
 			rep.Tables[0].Threshold, rep.Tables[0].MiniatureGain)

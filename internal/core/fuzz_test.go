@@ -168,17 +168,17 @@ func FuzzStateDecode(f *testing.F) {
 				}
 				if v := sv.verdicts; v != nil {
 					words := (len(sv.order) + 63) / 64
-					probation := v.probation
-					if v.pinned {
-						if probation != nil || v.pinnedVectors() != sv.cacheCap || v.pinnedVectors() == 0 {
-							t.Fatalf("a pin verdict of %d ids with %d probation words for a %d-vector cache",
-								v.pinnedVectors(), len(probation), sv.cacheCap)
+					pinned := v.pinned
+					if pinned != nil {
+						if n := v.pinnedVectors(); n != sv.cacheCap || n == 0 {
+							t.Fatalf("a pin verdict of %d ids for a %d-vector cache", n, sv.cacheCap)
 						}
-						probation = make([]uint64, words)
+					} else {
+						pinned = make([]uint64, words)
 					}
-					if len(v.prefetch) != words || len(probation) != words ||
-						(len(sv.order)%64 != 0 && (v.prefetch[words-1]|probation[words-1])>>(len(sv.order)%64) != 0) {
-						t.Fatalf("%d-entry order decoded with %d/%d verdict words or bits beyond it", len(sv.order), len(v.prefetch), len(probation))
+					if len(v.prefetch) != words || len(v.probation) != words || len(pinned) != words ||
+						(len(sv.order)%64 != 0 && (v.prefetch[words-1]|v.probation[words-1]|pinned[words-1])>>(len(sv.order)%64) != 0) {
+						t.Fatalf("%d-entry order decoded with %d/%d/%d verdict words or bits beyond it", len(sv.order), len(v.prefetch), len(v.probation), len(pinned))
 					}
 				}
 			}

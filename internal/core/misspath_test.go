@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,13 +32,9 @@ func newMissPathStore(tb testing.TB) *Store {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { s.Close() })
-	rep, err := s.Train(traces, TrainOptions{SHPIterations: 4, MiniCacheSampling: 0.25})
-	if err != nil {
+	if _, err := s.Train(traces, TrainOptions{SHPIterations: 4, MiniCacheSampling: 0.25}); err != nil {
 		tb.Fatal(err)
 	}
-	// The tuner pins the table's hottest ids here; the miss path under test
-	// is the one that evicts.
-	servePair(s, rep)
 	if st := s.Stats()[0]; !st.Prefetching {
 		tb.Fatal("trained store does not prefetch: the miss path under test would skip admission")
 	}
@@ -293,11 +290,19 @@ func TestTableStatsCacheSlots(t *testing.T) {
 		release()
 	}
 	// With no lease anywhere, a slot that leaves the cache is free at once:
-	// updating a cached vector invalidates its entry.
-	id := batches[15][63]
-	vec, err := s.Lookup(0, id)
-	if err != nil {
-		t.Fatal(err)
+	// updating a cached vector invalidates its entry. (A pinned table whose
+	// pinned ids fill its cache caches no other id, so the vector is one the
+	// cache holds.)
+	var id uint32
+	var vec []float32
+	for _, cand := range slices.Concat(batches...) {
+		var err error
+		if vec, err = s.Lookup(0, cand); err != nil {
+			t.Fatal(err)
+		}
+		if id = cand; s.tables[0].loadState().cache.Contains(id) {
+			break
+		}
 	}
 	if err := s.UpdateVector(0, id, vec); err != nil {
 		t.Fatal(err)

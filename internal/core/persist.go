@@ -17,8 +17,8 @@ import (
 // Training a store (SHP partitioning + threshold tuning) is expensive and in
 // production happens offline, on a schedule decoupled from serving. SaveState
 // and LoadState persist the trained state — per-table placement order, the
-// threshold policy's verdicts (two bits per vector, or one for a pinned
-// table), the two admission thresholds (with the tuner's prediction for them)
+// threshold policy's verdicts (two bits per vector, and a third for a
+// pinned table), the two admission thresholds (with the tuner's prediction for them)
 // and cache allocation — so
 // that a freshly opened store can adopt a previous training run without
 // repeating it.
@@ -28,16 +28,15 @@ const stateMagic = "BNDSTATE"
 // stateVersion 6 is what SaveState writes: per table the placement order; a
 // verdicts flag — 0 none, 1 the threshold policy's verdicts (the prefetch and
 // the probation bitset, ⌈n/64⌉ little-endian words each, bit id of word id/64
-// — id order, whatever the layout), 2 its pin verdict (the pinned ids as the
-// prefetch bitset alone) — and with verdicts their prefetch queue position
-// (float64 bits); the prefetch threshold, demand threshold, prefetch flag,
-// cache allocation and the tuner's prediction for the verdict it chose (hit
-// ratio and lookups per block read, as float64 bits); then a CRC-32C trailer
-// over the whole payload so a corrupted-but-decodable file (e.g. bit rot
-// flipping a varint into another valid permutation) fails loudly at load
-// instead of silently serving wrong vectors after a reopen. A pinned table
-// prefetches, gates nothing, and pins exactly its cache allocation's worth of
-// ids.
+// — id order, whatever the layout), 2 a pin verdict (those two and the pinned
+// bitset) — and with verdicts their prefetch queue position (float64 bits);
+// the prefetch threshold, demand threshold, prefetch flag, cache allocation
+// and the tuner's prediction for the verdict it chose (hit ratio and lookups
+// per block read, as float64 bits); then a CRC-32C trailer over the whole
+// payload so a corrupted-but-decodable file (e.g. bit rot flipping a varint
+// into another valid permutation) fails loudly at load instead of silently
+// serving wrong vectors after a reopen. A pinned table pins exactly its
+// cache allocation's worth of ids.
 //
 // Version 5 is version 6 without the pin verdict, so it still decodes, as
 // unpinned. Version 4 does too: it holds the per-vector access counts where 5
@@ -114,14 +113,14 @@ func (s *Store) SaveState(w io.Writer) error {
 			}
 		} else {
 			flag := uint64(thresholdVerdicts)
-			if verdicts.pinned {
+			if verdicts.pinned != nil {
 				flag = pinVerdict
 			}
 			if err := writeUvarint(flag); err != nil {
 				return err
 			}
-			// A pin verdict's probation is nil: it writes no words.
-			for _, words := range [][]uint64{verdicts.prefetch, verdicts.probation} {
+			// A threshold verdict's pinned set is nil: it writes no words.
+			for _, words := range [][]uint64{verdicts.prefetch, verdicts.probation, verdicts.pinned} {
 				for _, w := range words {
 					binary.LittleEndian.PutUint64(buf[:8], w)
 					if _, err := bw.Write(buf[:8]); err != nil {
@@ -317,10 +316,9 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 				return nil, fmt.Errorf("core: table %q: implausible prediction %v", sv.name, *f)
 			}
 		}
-		if v := sv.verdicts; v != nil && v.pinned {
-			if n := v.pinnedVectors(); !sv.prefetch || sv.demandThreshold != 0 || n == 0 || n != sv.cacheCap {
-				return nil, fmt.Errorf("core: table %q: a pin verdict of %d ids with prefetch %v, demand threshold %d and a %d-vector cache",
-					sv.name, n, sv.prefetch, sv.demandThreshold, sv.cacheCap)
+		if v := sv.verdicts; v != nil && v.pinned != nil {
+			if n := v.pinnedVectors(); n == 0 || n != sv.cacheCap {
+				return nil, fmt.Errorf("core: table %q: a pin verdict of %d ids for a %d-vector cache", sv.name, n, sv.cacheCap)
 			}
 		}
 		// The v4 rule, kept: a threshold policy only where the counts exist
@@ -365,15 +363,15 @@ func readCounts(br io.ByteReader, name string, orderLen uint64) ([]uint32, error
 }
 
 // readVerdicts reads a table's verdicts for n ids, in id order: the prefetch
-// and the probation bitset (the prefetch bitset alone for a pin verdict),
-// ⌈n/64⌉ words each (a shorter stream fails at EOF) with no bit set at or
-// beyond n, and the prefetch position.
+// and the probation bitset, and the pinned one of a pin verdict, ⌈n/64⌉
+// words each (a shorter stream fails at EOF) with no bit set at or beyond n,
+// and the prefetch position.
 func readVerdicts(br *crcByteReader, name string, n uint64, pinned bool) (*admitBits, error) {
 	words := (n + 63) / 64
-	v := &admitBits{pinned: pinned}
-	sets := []*[]uint64{&v.prefetch, &v.probation}
-	if pinned {
-		sets = sets[:1]
+	v := &admitBits{}
+	sets := []*[]uint64{&v.prefetch, &v.probation, &v.pinned}
+	if !pinned {
+		sets = sets[:2]
 	}
 	var err error
 	for _, set := range sets {
@@ -442,7 +440,7 @@ func (st *storeTable) applySaved(sv savedTable) func(*tableState) {
 		// No cache holds more vectors than its table has, and an allocation
 		// read from the file must not size the cache's index beyond that.
 		if sv.cacheCap > 0 {
-			st.freshCache(ts, min(sv.cacheCap, st.numVectors), ts.admit.pinnedIDs(ts.layout))
+			st.freshCache(ts, min(sv.cacheCap, st.numVectors), ts.admit.pinnedSet())
 		}
 	}
 }

@@ -25,7 +25,7 @@ func sameVerdicts(got, want *tableState) error {
 		return fmt.Errorf("admission bits %v, want %v: both sides should have a threshold policy", g, w)
 	case !slices.Equal(got.layout.Order(), want.layout.Order()):
 		return fmt.Errorf("layouts differ")
-	case !slices.Equal(g.prefetch, w.prefetch) || !slices.Equal(g.probation, w.probation) || g.pinned != w.pinned:
+	case !slices.Equal(g.prefetch, w.prefetch) || !slices.Equal(g.probation, w.probation) || !slices.Equal(g.pinned, w.pinned):
 		return fmt.Errorf("verdict bits differ")
 	case got.threshold != want.threshold || got.demandThreshold != want.demandThreshold:
 		return fmt.Errorf("thresholds %d/%d, want %d/%d", got.threshold, got.demandThreshold, want.threshold, want.demandThreshold)
@@ -206,14 +206,21 @@ func TestLoadStateValidation(t *testing.T) {
 		words += binary.PutUvarint(make([]byte, binary.MaxVarintLen64), uint64(id))
 	}
 	words++ // the verdicts flag
-	if payload[words-1] != 1 {
+	flag := payload[words-1]
+	if flag != thresholdVerdicts && flag != pinVerdict {
 		t.Fatalf("no verdicts flag at byte %d", words-1)
 	}
-	lastPrefetch := words + 8*(1000/64)
-	bad := bytes.Clone(payload)
-	bad[lastPrefetch+7] |= 0x80 // bit 63 of the last word: id 1023
-	if err := gated.LoadState(bytes.NewReader(sealed(bad))); err == nil {
-		t.Fatal("a verdict bit beyond the table's ids should be rejected")
+	sets := 2 // prefetch, probation and, pinned, the pinned set
+	if flag == pinVerdict {
+		sets = 3
+	}
+	for set := range sets {
+		last := words + 8*(set*16+1000/64)
+		bad := bytes.Clone(payload)
+		bad[last+7] |= 0x80 // bit 63 of the set's last word: id 1023
+		if err := gated.LoadState(bytes.NewReader(sealed(bad))); err == nil {
+			t.Fatalf("a verdict bit beyond the table's ids in set %d should be rejected", set)
+		}
 	}
 	if err := gated.LoadState(bytes.NewReader(sealed(payload))); err != nil {
 		t.Fatalf("the untouched state, resealed, should load: %v", err)
@@ -379,26 +386,11 @@ func TestLoadStateVersion4(t *testing.T) {
 	}
 }
 
-// goldenV5Store is the store testdata/state_v5.bnd was saved from: two tables
-// of buildTestTables(2, 320, 600) trained on the first half of their traces,
-// table 1 with a forced demand threshold of 3. Those halves name every id, so
-// the layouts do not depend on where a cold partition puts untrained ids. At
-// budget 160 the tuner leaves table 0 prefetching with a demand gate of its
-// own and table 1 prefetch-free (at 144 neither table prefetches). Train
-// pins both tables' hottest ids; the file holds the threshold pairs the tuner
-// tuned beside the pins, so the tables serve those (servePair). It returns
-// the training traces too.
-func goldenV5Store(t *testing.T) (*Store, []*trace.Trace) {
-	s, trains, rep := goldenStore(t)
-	servePair(s, rep)
-	forceDemandThreshold(s.tables[1], 3)
-	return s, trains
-}
-
 // goldenStore trains the tables of both state goldens: buildTestTables(2,
 // 320, 600) on the first half of their traces, at budget 160 and 4 cache
-// shards. It returns the training traces and Train's report too.
-func goldenStore(t *testing.T) (*Store, []*trace.Trace, *TrainReport) {
+// shards. Those halves name every id, so the layouts do not depend on where a
+// cold partition puts untrained ids. It returns the training traces too.
+func goldenStore(t *testing.T) (*Store, []*trace.Trace) {
 	tables, traces := buildTestTables(t, 2, 320, 600)
 	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 160, Seed: 2, CacheShards: 4})
 	if err != nil {
@@ -409,19 +401,19 @@ func goldenStore(t *testing.T) (*Store, []*trace.Trace, *TrainReport) {
 	for i, tr := range traces {
 		trains[i], _ = tr.Split(0.5)
 	}
-	rep, err := s.Train(trains, TrainOptions{SHPIterations: 6, MiniCacheSampling: 0.5})
-	if err != nil {
+	if _, err := s.Train(trains, TrainOptions{SHPIterations: 6, MiniCacheSampling: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	return s, trains, rep
+	return s, trains
 }
 
 // goldenV6Store is the store testdata/state_v6.bnd was saved from:
-// goldenStore as Train leaves it, table 0 pinned, and table 1 with a forced
-// demand threshold of 3 (which puts it on the tuner's threshold pair).
+// goldenStore as Train leaves it, table 0 pinned, and table 1 unpinned,
+// serving its tuned prefetch threshold with a demand threshold of 3.
 func goldenV6Store(t *testing.T) (*Store, []*trace.Trace) {
-	s, trains, _ := goldenStore(t)
-	forceDemandThreshold(s.tables[1], 3)
+	s, trains := goldenStore(t)
+	st := s.tables[1]
+	installThreshold(st, cache.NewThresholdAdmit(countsOf(st), st.loadState().threshold, 3))
 	return s, trains
 }
 
@@ -434,9 +426,9 @@ func checkReferenceVerdicts(t *testing.T, s *Store, trains []*trace.Trace) {
 	for i, st := range s.tables {
 		ts := st.loadState()
 		counts := trains[i].AccessCounts()
-		ref := cache.ThresholdAdmit{Counts: counts, Threshold: ts.threshold, DemandThreshold: ts.demandThreshold}
-		if ts.admit.pinned {
-			ref = cache.NewPinnedAdmit(counts, cache.HottestIDs(counts, ts.cacheCap, nil))
+		var ref cache.AdmissionPolicy = cache.ThresholdAdmit{Counts: counts, Threshold: ts.threshold, DemandThreshold: ts.demandThreshold}
+		if ts.admit.pinned != nil {
+			ref = cache.NewPinnedAdmit(cache.ThresholdAdmit{Counts: counts, Threshold: ts.threshold, DemandThreshold: ts.demandThreshold}, cache.HottestIDs(counts, ts.cacheCap, nil))
 		}
 		set := 0
 		for p := range ts.layout.NumVectors() {
@@ -459,45 +451,44 @@ func checkReferenceVerdicts(t *testing.T, s *Store, trains []*trace.Trace) {
 }
 
 // TestStateVersion5Golden: testdata/state_v5.bnd, written by the version-5
-// encoder, still loads — as unpinned tables — and publishes, at every layout
-// position, the verdicts of the reference cache.ThresholdAdmit over the
-// training counts, which are those of the store it was saved from. The file
-// was first written by an encoder that kept the verdicts in id order. It was
-// retaken, by the unchanged encoder, when admitted prefetches moved to
-// cache.PrefetchPosition and Train's DRAM split took the lookahead, which
-// changed what goldenV5Store trains; the store before that change re-encodes
-// the retaken file byte for byte. The writer golden is version 6's
-// (TestStateVersion6Golden).
+// encoder from goldenStore's tables as a tuner of that format trained them
+// (table 0 prefetching at threshold 22 with a demand gate of 35, table 1
+// prefetch-free with a forced gate of 3), still loads: as unpinned tables
+// with those thresholds, allocations and predictions, publishing at every
+// layout position the verdicts of the reference cache.ThresholdAdmit over the
+// training counts. The file was first written by an encoder that kept the
+// verdicts in id order, and retaken, by the unchanged encoder, when admitted
+// prefetches moved to cache.PrefetchPosition. The writer golden is version
+// 6's (TestStateVersion6Golden).
 func TestStateVersion5Golden(t *testing.T) {
 	golden, err := os.ReadFile("testdata/state_v5.bnd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, trains := goldenV5Store(t)
+	loaded, trains := goldenStore(t)
 	for i, tr := range trains {
 		if id := slices.Index(tr.AccessCounts(), 0); id >= 0 {
 			t.Fatalf("table %d: vector %d is untrained: the layout would depend on where untrained ids go", i, id)
 		}
 	}
-	ts0 := s.tables[0].loadState()
-	if !ts0.prefetch || ts0.demandThreshold == 0 {
-		t.Fatalf("table 0: prefetch %v, demand threshold %d: the file would pin no gated prefetching table", ts0.prefetch, ts0.demandThreshold)
-	}
-	if ts1 := s.tables[1].loadState(); ts1.prefetch || ts1.demandThreshold == 0 {
-		t.Fatalf("table 1: prefetch %v, demand threshold %d: the file would pin no gated prefetch-free table", ts1.prefetch, ts1.demandThreshold)
-	}
-
-	loaded, _ := goldenV5Store(t)
 	if err := loaded.LoadState(bytes.NewReader(golden)); err != nil {
 		t.Fatal(err)
 	}
+	want := []struct {
+		threshold, demand uint32
+		prefetch          bool
+		cacheCap          int
+		hitRate           float64
+	}{
+		{22, 35, true, 90, 0.6655098330854404},
+		{sim.DisablePrefetch, 3, false, 70, 0.5958813838550248},
+	}
 	for i, st := range loaded.tables {
-		ts := st.loadState()
-		if ts.admit.pinned || ts.admit.pinnedVectors() != 0 {
-			t.Fatalf("table %d: a version-5 file loaded pinned", i)
-		}
-		if err := sameVerdicts(ts, s.tables[i].loadState()); err != nil {
-			t.Fatalf("table %d: %v", i, err)
+		ts, w := st.loadState(), want[i]
+		if ts.admit == nil || ts.admit.pinned != nil || ts.threshold != w.threshold || ts.demandThreshold != w.demand ||
+			ts.prefetch != w.prefetch || ts.cacheCap != w.cacheCap || ts.cache.Cap() != w.cacheCap || ts.predicted.HitRate != w.hitRate {
+			t.Fatalf("table %d loaded thresholds %d/%d, prefetch %v, cache %d (capacity %d), predicted hit rate %v; the file holds %+v",
+				i, ts.threshold, ts.demandThreshold, ts.prefetch, ts.cacheCap, ts.cache.Cap(), ts.predicted.HitRate, w)
 		}
 	}
 	checkReferenceVerdicts(t, loaded, trains)
@@ -515,11 +506,11 @@ func TestStateVersion6Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, trains := goldenV6Store(t)
-	if ts0 := s.tables[0].loadState(); !ts0.admit.pinned {
+	if ts0 := s.tables[0].loadState(); ts0.admit.pinned == nil {
 		t.Fatal("table 0 is not pinned: the file would pin no pin verdict")
 	}
-	if ts1 := s.tables[1].loadState(); ts1.admit.pinned || ts1.demandThreshold != 3 {
-		t.Fatalf("table 1: pinned %v, demand threshold %d: the file would pin no gated table", ts1.admit.pinned, ts1.demandThreshold)
+	if ts1 := s.tables[1].loadState(); ts1.admit.pinned != nil || ts1.demandThreshold != 3 {
+		t.Fatalf("table 1: pinned %v, demand threshold %d: the file would pin no gated table", ts1.admit.pinned != nil, ts1.demandThreshold)
 	}
 	var saved bytes.Buffer
 	if err := s.SaveState(&saved); err != nil {
@@ -543,7 +534,7 @@ func TestStateVersion6Golden(t *testing.T) {
 		}
 	}
 	checkReferenceVerdicts(t, loaded, trains)
-	if err := pinnedShardsHold(loaded.tables[0]); err != nil {
+	if err := pinnedShardsHold(loaded.tables[0], nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,31 +13,47 @@ import (
 )
 
 // pinnedShardsHold checks a pinned table's cache against its pin verdict:
-// every shard's capacity is the number of pinned ids that hash to it (they
-// sum to the table's allocation), and every resident entry is pinned.
-func pinnedShardsHold(st *storeTable) error {
+// the cache's capacity is the table's allocation, the number of pinned ids,
+// and every pinned id of requested is resident — once read, a pinned id is
+// never evicted (see vcache's Pin).
+func pinnedShardsHold(st *storeTable, requested []trace.Query) error {
 	ts := st.loadState()
-	ids := ts.admit.pinnedIDs(ts.layout)
-	if len(ids) == 0 || len(ids) != ts.cacheCap || ts.cache.Cap() != ts.cacheCap {
-		return fmt.Errorf("table %q: %d pinned ids, allocation %d, cache capacity %d", st.name, len(ids), ts.cacheCap, ts.cache.Cap())
+	ids := ts.admit.pinnedIDs()
+	if len(ids) == 0 || len(ids) != ts.cacheCap || ts.cache.Cap() != ts.cacheCap || ts.cache.Len() > ts.cacheCap {
+		return fmt.Errorf("table %q: %d pinned ids, allocation %d, cache capacity %d holding %d",
+			st.name, len(ids), ts.cacheCap, ts.cache.Cap(), ts.cache.Len())
 	}
-	caps := ts.cache.ShardCapacities()
-	want := make([]int, len(caps))
-	for _, id := range ids {
-		want[vcache.Hash(id)%uint64(len(caps))]++
-	}
-	if !slices.Equal(caps, want) {
-		return fmt.Errorf("table %q: shard capacities %v, the pinned ids' shares %v", st.name, caps, want)
-	}
-	for i := range caps {
-		keys, _ := ts.cache.ShardKeys(i)
-		for _, id := range keys {
-			if _, ok := slices.BinarySearch(ids, id); !ok {
-				return fmt.Errorf("table %q: shard %d holds id %d, which is not pinned", st.name, i, id)
+	for _, q := range requested {
+		for _, id := range q {
+			if _, pinned := slices.BinarySearch(ids, id); pinned && !ts.cache.Contains(id) {
+				return fmt.Errorf("table %q: pinned id %d was read and is not cached", st.name, id)
 			}
 		}
 	}
 	return nil
+}
+
+// serveConcurrently serves every query of queries from several goroutines at once,
+// whose fills compete for each shard's room, and returns the first error.
+func serveConcurrently(s *Store, queries []trace.Query) error {
+	workers := max(runtime.GOMAXPROCS(0), 2)
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for qi := w; qi < len(queries); qi += workers {
+				if _, err := s.LookupBatchRaw(0, queries[qi]); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	return <-errs
 }
 
 // pinnedStore trains a one-table store whose tuner pins its hottest ids.
@@ -57,19 +73,19 @@ func pinnedStore(t *testing.T, shards int) (*Store, *trace.Trace) {
 	if rep.Tables[0].PinnedVectors != 300 {
 		t.Fatalf("Train pinned %d vectors, want the whole 300-vector cache", rep.Tables[0].PinnedVectors)
 	}
-	if err := pinnedShardsHold(s.tables[0]); err != nil {
+	if err := pinnedShardsHold(s.tables[0], nil); err != nil {
 		t.Fatal(err)
 	}
 	return s, eval
 }
 
 // TestPinnedShardsKeepEveryPinnedID: a pinned table's cache gives each shard
-// exactly its pinned ids' share, so a pinned id, once read, is never evicted
-// — by another pinned id or by anything else — however the hash spreads the
-// set over 8 or 64 shards. The held-out traffic is served by several
-// goroutines at once, whose fills compete for each shard's exact capacity;
-// served again, every lookup of a pinned id hits and every other misses. An
-// even split of the allocation across the shards fails this.
+// its pinned ids' share of the allocation, so a pinned id, once read, is
+// never evicted — by another pinned id or by anything else — however the
+// hash spreads the set over 8 or 64 shards. The held-out traffic is served by
+// several goroutines at once, whose fills compete for each shard's room;
+// served again, every lookup of a pinned id hits, and the misses are all of
+// other ids. An even split of the allocation across the shards fails this.
 func TestPinnedShardsKeepEveryPinnedID(t *testing.T) {
 	for _, shards := range []int{8, 64} {
 		t.Run(fmt.Sprint(shards), func(t *testing.T) {
@@ -78,38 +94,22 @@ func TestPinnedShardsKeepEveryPinnedID(t *testing.T) {
 			if got := st.loadState().cache.NumShards(); got != shards {
 				t.Fatalf("cache has %d shards, want %d", got, shards)
 			}
-			workers := max(runtime.GOMAXPROCS(0), 2)
-			var wg sync.WaitGroup
-			errs := make(chan error, workers)
-			for w := range workers {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for qi := w; qi < len(eval.Queries); qi += workers {
-						if _, err := s.LookupBatchRaw(0, eval.Queries[qi]); err != nil {
-							errs <- err
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
+			if err := serveConcurrently(s, eval.Queries); err != nil {
 				t.Fatal(err)
 			}
-			if err := pinnedShardsHold(st); err != nil {
+			if err := pinnedShardsHold(st, eval.Queries); err != nil {
 				t.Fatal(err)
 			}
 
 			ts := st.loadState()
+			pinned := ts.admit.pinnedIDs()
 			var pinnedLookups, otherLookups int64
 			for _, q := range eval.Queries {
 				for _, id := range q {
-					if ts.admit.bypasses(ts.layout, id) {
-						otherLookups++
-					} else {
+					if _, ok := slices.BinarySearch(pinned, id); ok {
 						pinnedLookups++
+					} else {
+						otherLookups++
 					}
 				}
 			}
@@ -120,11 +120,11 @@ func TestPinnedShardsKeepEveryPinnedID(t *testing.T) {
 				}
 			}
 			got := s.Stats()[0]
-			if got.Hits != pinnedLookups || got.Misses != otherLookups {
-				t.Fatalf("served again: %d hits and %d misses, want a hit on each of the %d lookups of pinned ids and a miss on the %d others",
+			if got.Hits < pinnedLookups || got.Misses > otherLookups || pinnedLookups == 0 || otherLookups == 0 {
+				t.Fatalf("served again: %d hits and %d misses, want a hit on each of the %d lookups of pinned ids, misses only among the %d others",
 					got.Hits, got.Misses, pinnedLookups, otherLookups)
 			}
-			if got.PinnedVectors != ts.cacheCap || got.CacheUsed > got.PinnedVectors || got.ProbationFills != 0 {
+			if got.PinnedVectors != ts.cacheCap || got.CacheUsed > ts.cacheCap || got.ProbationFills != 0 {
 				t.Fatalf("%d pinned vectors, %d cached, %d probation fills, for a %d-vector allocation",
 					got.PinnedVectors, got.CacheUsed, got.ProbationFills, ts.cacheCap)
 			}
@@ -134,9 +134,9 @@ func TestPinnedShardsKeepEveryPinnedID(t *testing.T) {
 
 // TestUpdatedPinnedIDIsCachedPinnedAgain: an update invalidates a pinned
 // id's cached copy like any other; the next lookup serves the new bytes from
-// the overlay and caches them again, as pinned, and after compaction the
-// entry still serves them. An updated id the table does not pin is served
-// fresh and stays uncached.
+// the overlay and caches them again, as pinned (off the recency list), and
+// after compaction the entry still serves them. An updated id the table does
+// not pin is served fresh too.
 func TestUpdatedPinnedIDIsCachedPinnedAgain(t *testing.T) {
 	s, eval := pinnedStore(t, 8)
 	st := s.tables[0]
@@ -146,22 +146,27 @@ func TestUpdatedPinnedIDIsCachedPinnedAgain(t *testing.T) {
 		}
 	}
 	ts := st.loadState()
+	ids := ts.admit.pinnedIDs()
 	var pinned, other uint32
 	found := 0
-	for _, id := range ts.admit.pinnedIDs(ts.layout) {
+	for _, id := range ids {
 		if ts.cache.Contains(id) {
 			pinned, found = id, found+1
 			break
 		}
 	}
 	for id := uint32(0); int(id) < st.numVectors; id++ {
-		if ts.admit.bypasses(ts.layout, id) {
+		if _, ok := slices.BinarySearch(ids, id); !ok {
 			other, found = id, found+1
 			break
 		}
 	}
 	if found != 2 {
 		t.Fatal("no cached pinned id or no unpinned id to update")
+	}
+	onList := func(id uint32) bool {
+		keys, _ := ts.cache.ShardKeys(int(vcache.Hash(id) % uint64(ts.cache.NumShards())))
+		return slices.Contains(keys, id)
 	}
 	for i, id := range []uint32{pinned, other} {
 		vec := testVec(st.dim, uint32(1000+i))
@@ -179,8 +184,8 @@ func TestUpdatedPinnedIDIsCachedPinnedAgain(t *testing.T) {
 			if !vecsEqual(got, vec) {
 				t.Fatalf("id %d pass %d: served stale bytes after the update", id, pass)
 			}
-			if cached := ts.cache.Contains(id); cached != (id == pinned) {
-				t.Fatalf("id %d (pinned %v) pass %d: cached %v", id, id == pinned, pass, cached)
+			if id == pinned && (!ts.cache.Contains(id) || onList(id)) {
+				t.Fatalf("pinned id %d pass %d: cached %v, on the recency list %v", id, pass, ts.cache.Contains(id), onList(id))
 			}
 			if pass == 0 {
 				if err := s.CompactDeltas(); err != nil {
@@ -189,20 +194,21 @@ func TestUpdatedPinnedIDIsCachedPinnedAgain(t *testing.T) {
 			}
 		}
 	}
-	if err := pinnedShardsHold(st); err != nil {
+	if err := pinnedShardsHold(st, eval.Queries); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestAdaptationRepinsInPlace: an epoch whose verdict pins again re-pins the
-// live cache in place: the ids of the new hot set that were cached stay
-// cached, every other entry goes, and each shard's capacity becomes its
-// share of the new set.
+// live cache in place, while several goroutines serve: the ids of the new
+// set that were cached stay cached, and afterwards every pinned id read is
+// resident, whatever the requests still serving the older verdict filled.
 func TestAdaptationRepinsInPlace(t *testing.T) {
 	s, eval := pinnedStore(t, 8)
 	st := s.tables[0]
-	// A small margin: the pin's prefetch gain in the window's miniature is
-	// below the default 0.15 here.
+	// A small margin: the pair's prefetch gain in the window's miniature is
+	// below the default 0.15 here, and the pin is taken only where the pair
+	// serves as tuned.
 	if err := s.StartAdaptation(AdaptOptions{MinQueries: 16, MinPrefetchGain: 0.01}); err != nil {
 		t.Fatal(err)
 	}
@@ -212,41 +218,47 @@ func TestAdaptationRepinsInPlace(t *testing.T) {
 		}
 	}
 	before := st.loadState()
-	cached := make(map[uint32]bool)
-	for i := range before.cache.NumShards() {
-		keys, _ := before.cache.ShardKeys(i)
-		for _, id := range keys {
-			cached[id] = true
+	oldSet := before.admit.pinnedIDs()
+	var cached []uint32
+	for _, id := range oldSet {
+		if before.cache.Contains(id) {
+			cached = append(cached, id)
 		}
 	}
+	done := make(chan error, 1)
+	go func() { done <- serveConcurrently(s, eval.Queries) }()
 	rep, err := s.AdaptNow()
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := st.loadState()
-	if rep.Tables[0].PinnedVectors == 0 || after.cache != before.cache {
-		t.Fatalf("the epoch did not re-pin in place: %s", rep.Tables[0])
-	}
-	if err := pinnedShardsHold(st); err != nil {
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	newSet := after.admit.pinnedIDs(after.layout)
-	kept, dropped := 0, 0
-	for id := range cached {
-		_, pinned := slices.BinarySearch(newSet, id)
-		if after.cache.Contains(id) != pinned {
-			t.Fatalf("id %d: pinned %v after the epoch, cached %v", id, pinned, after.cache.Contains(id))
-		}
-		if pinned {
-			kept++
-		} else {
-			dropped++
-		}
+	after := st.loadState()
+	if rep.Tables[0].PinnedVectors == 0 || after.cache != before.cache {
+		t.Fatalf("the epoch did not re-pin in place: %+v", rep.Tables[0])
 	}
-	if kept == 0 || dropped == 0 {
-		t.Fatalf("the epoch kept %d and dropped %d cached ids: the re-pin moves nothing", kept, dropped)
+	newSet := after.admit.pinnedIDs()
+	kept, moved := 0, 0
+	for _, id := range cached {
+		if _, ok := slices.BinarySearch(newSet, id); !ok {
+			moved++
+			continue
+		}
+		if !after.cache.Contains(id) {
+			t.Fatalf("id %d: cached and pinned before the epoch and after it, and evicted", id)
+		}
+		kept++
 	}
-	t.Logf("%s; kept %d cached ids, dropped %d", rep.Tables[0], kept, dropped)
+	if kept == 0 || moved == 0 {
+		t.Fatalf("of %d cached pinned ids the epoch kept %d pinned and unpinned %d: the re-pin moves nothing", len(cached), kept, moved)
+	}
+	if err := serveConcurrently(s, eval.Queries); err != nil {
+		t.Fatal(err)
+	}
+	if err := pinnedShardsHold(st, eval.Queries); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestHottestIDsArePinned: the store's pin verdict is cache.HottestIDs of the
@@ -255,7 +267,7 @@ func TestHottestIDsArePinned(t *testing.T) {
 	s, _ := pinnedStore(t, 4)
 	st := s.tables[0]
 	ts := st.loadState()
-	if want := cache.HottestIDs(countsOf(st), ts.cacheCap, nil); !slices.Equal(ts.admit.pinnedIDs(ts.layout), want) {
+	if want := cache.HottestIDs(countsOf(st), ts.cacheCap, nil); !slices.Equal(ts.admit.pinnedIDs(), want) {
 		t.Fatal("the pinned ids are not the allocation's worth of the hottest training ids")
 	}
 }

@@ -50,9 +50,9 @@ type start struct {
 	// blockBudget caps the NVM blocks the plan's layout changes rewrite,
 	// taken in table order; a table beyond it keeps its layout. 0: no cap.
 	blockBudget int
-	// cache gives ts a cache of capacity vectors, shaped to hold exactly
-	// pinned when it is non-nil.
-	cache   func(st *storeTable, ts *tableState, capacity int, pinned []uint32)
+	// cache gives ts a cache of capacity vectors, holding pinned (a bitset
+	// over ids) as its pinned set when it is non-nil.
+	cache   func(st *storeTable, ts *tableState, capacity int, pinned []uint64)
 	minGain float64 // the prefetch gain that turns prefetching on (applyChoice)
 }
 
@@ -99,8 +99,9 @@ func (s *Store) plan(plans []*tablePlan, from start, tuner sim.TunerConfig) erro
 	}
 
 	// Tune the admission thresholds with miniature caches over the layout
-	// and at the cache size that will serve them. A pin verdict that earns
-	// the prefetch margin pins the cache's worth of the hottest ids.
+	// and at the cache size that will serve them. A pin verdict pins the
+	// cache's worth of the hottest ids, where the pair it was tuned over is
+	// what serves (applyChoice).
 	err = forEachPlan(plans, func(p *tablePlan) error {
 		cfg := tuner
 		cfg.Layout, cfg.Counts, cfg.CacheVectors = p.layout, p.counts, p.cacheCap
@@ -108,7 +109,7 @@ func (s *Store) plan(plans []*tablePlan, from start, tuner sim.TunerConfig) erro
 		if p.choice, err = sim.TuneThreshold(p.tuneTr, cfg); err != nil {
 			return err
 		}
-		if p.choice.Pinned && p.choice.PrefetchGain >= from.minGain {
+		if p.choice.Pinned && (p.choice.Threshold == sim.DisablePrefetch || p.choice.PrefetchGain >= from.minGain) {
 			p.pinned = cache.HottestIDs(p.counts, p.cacheCap, nil)
 		}
 		return nil
@@ -120,8 +121,8 @@ func (s *Store) plan(plans []*tablePlan, from start, tuner sim.TunerConfig) erro
 	installs := make([]layoutInstall, len(plans))
 	for i, p := range plans {
 		installs[i] = layoutInstall{st: p.st, layout: p.layout, mutate: func(ts *tableState) {
-			from.cache(p.st, ts, p.cacheCap, p.pinned)
 			p.st.applyChoice(ts, p.counts, p.choice, from.minGain, p.pinned)
+			from.cache(p.st, ts, p.cacheCap, ts.admit.pinnedSet())
 		}}
 	}
 	return s.installLayouts(installs)
@@ -203,24 +204,20 @@ func (s *Store) splitDRAM(plans []*tablePlan) error {
 }
 
 // applyChoice writes a tuner verdict for one table into ts, for Train and the
-// adaptation loop alike. Prefetching goes on when the tuner found a verdict
+// adaptation loop alike. Prefetching goes on when the tuner found a threshold
 // whose prefetches earn at least minGain over the best prefetch-free
-// configuration: the pin verdict over pinned (the plan took it: non-nil), or
-// the thresholds. Otherwise it goes off and the table serves that
+// configuration; otherwise it goes off and the table serves that
 // configuration. Either way the demand threshold and the prediction kept are
-// the ones that go with what will serve; a pinned table gates nothing. The
+// the ones that go with what will serve. pinned, when the plan took the pin
+// verdict (non-nil; only where the tuned pair serves), is pinned on top. The
 // policy is compiled from counts, which ts does not keep.
 func (st *storeTable) applyChoice(ts *tableState, counts []uint32, choice sim.ThresholdChoice, minGain float64, pinned []uint32) {
 	ts.threshold = choice.Threshold
-	ts.prefetch = pinned != nil || (choice.Threshold != sim.DisablePrefetch && choice.PrefetchGain >= minGain)
-	switch {
-	case pinned != nil:
-		ts.demandThreshold = 0
-		ts.predicted = choice.Predicted
-	case ts.prefetch:
+	ts.prefetch = choice.Threshold != sim.DisablePrefetch && choice.PrefetchGain >= minGain
+	if ts.prefetch || choice.Threshold == sim.DisablePrefetch {
 		ts.demandThreshold = choice.DemandThreshold
 		ts.predicted = choice.Predicted
-	default:
+	} else {
 		ts.demandThreshold = choice.NoPrefetchDemandThreshold
 		ts.predicted = choice.NoPrefetch
 	}

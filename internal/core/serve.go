@@ -450,8 +450,7 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 		// the check is followed by that update's removal, which waits for
 		// this shard lock. (applyUpdate takes the overlay lock and a shard
 		// lock one after the other, never nested, so taking the overlay's
-		// read lock here cannot deadlock.) An id a pinned table does not pin
-		// is served and not cached, as on a block read.
+		// read lock here cannot deadlock.)
 		epoch := st.epoch.Load()
 		raw := st.overlay.get(uniq[u])
 		if raw == nil {
@@ -459,7 +458,7 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 		}
 		views[u] = raw
 		deltaHits++
-		if st.epoch.Load() != epoch || ts.admit.bypasses(ts.layout, uniq[u]) {
+		if st.epoch.Load() != epoch {
 			return nil
 		}
 		return raw
@@ -675,17 +674,13 @@ func (m *missStep) serveBlock(bi int, buf []byte) {
 		c.raw = append(c.raw, buf[slot*st.vecBytes:(slot+1)*st.vecBytes]...)
 		rawCopy := c.raw[off:len(c.raw):len(c.raw)]
 		m.views[ref.pos] = rawCopy
-		// The policy picks where a requested vector enters the queue
-		// (probation for an id training says is cold) — or, pinned, that
-		// only a pinned id enters it at all.
+		// A requested vector is always offered to the cache; the policy
+		// only picks where it enters the queue (probation for an id training
+		// says is cold). A pinned table's cache files a pinned id off the
+		// queue, and takes another only into room the pinned set leaves.
 		var pos float64
-		if b := ts.admit; b != nil {
-			p := block*ts.layout.BlockVectors() + slot
-			if b.pinned {
-				if !bit(b.prefetch, p) {
-					continue // served, not cached
-				}
-			} else if bit(b.probation, p) {
+		if b := ts.admit; b != nil && b.probation != nil {
+			if p := block*ts.layout.BlockVectors() + slot; bit(b.probation, p) {
 				pos = cache.ProbationPosition
 			}
 		}

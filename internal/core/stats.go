@@ -55,10 +55,10 @@ type TableStats struct {
 	Threshold       uint32
 	DemandThreshold uint32
 	Prefetching     bool
-	// PinnedVectors is the number of ids the table's pin verdict holds: it
-	// caches exactly those, from every block read, and serves every other id
-	// without caching it (0 when the table is not pinned; see
-	// cache.NewPinnedAdmit).
+	// PinnedVectors is the number of ids the table's pin verdict holds: the
+	// cache never evicts one of them, and the thresholds above serve every
+	// other id in the room they leave (0 when the table is not pinned; see
+	// cache.PinnedAdmit).
 	PinnedVectors int
 	// LayoutInstalls counts the layout installs this table completed (one
 	// per Train or LoadState that covered it, one per adaptation re-layout).

@@ -325,66 +325,81 @@ type admitBits struct {
 	// position is where an admitted prefetch enters the queue: the policy
 	// returns the same one for every id.
 	position float64
-	// pinned marks the pin verdict: prefetch holds the pinned ids, which
-	// fill from any block read, every other id bypasses the cache, and
-	// probation is nil.
-	pinned bool
+	// pinned is set for the pin verdict (cache.PinnedAdmit), nil otherwise:
+	// the pinned set in id order, bit id of word id/64 — the very words the
+	// table's cache holds as its pinned set (see vcache's Pin), so neither
+	// may write them. The two bitsets above hold the verdicts of the
+	// thresholds the pin is over, no pinned id on probation.
+	pinned []uint64
 }
 
 // bit reports whether bit p of words is set.
 func bit(words []uint64, p int) bool { return words[p/64]&(1<<(p%64)) != 0 }
 
+// verdicts is what compileAdmission asks of a policy: a cache.ThresholdAdmit
+// or a cache.PinnedAdmit.
+type verdicts interface {
+	Prefetches(id uint32) bool
+	OnProbation(id uint32) bool
+	AdmitPrefetch(id uint32) (bool, float64)
+}
+
 // compileAdmission evaluates p, through its own Prefetches and OnProbation,
 // at the vector of every position of l: the one way a table's admission bits
-// are made from training counts (Train, adaptation, a version-4 state file).
-// The verdicts sim.Replay asks of the policy are those two; a pin verdict
-// needs only the first.
-func compileAdmission(p cache.ThresholdAdmit, l *layout.Layout) *admitBits {
+// are made (Train, adaptation, a version-4 state file). The verdicts
+// sim.Replay asks of the policy are those two; a pin verdict needs only the
+// first.
+func compileAdmission(p verdicts, l *layout.Layout) *admitBits {
 	n := l.NumVectors()
-	b := &admitBits{prefetch: make([]uint64, (n+63)/64), position: p.Position, pinned: p.Pinned != nil}
-	if !b.pinned {
-		b.probation = make([]uint64, (n+63)/64)
+	_, position := p.AdmitPrefetch(0)
+	words := (n + 63) / 64
+	b := &admitBits{prefetch: make([]uint64, words), probation: make([]uint64, words), position: position}
+	if pa, ok := p.(cache.PinnedAdmit); ok {
+		b.pinned = pa.Set[:words]
 	}
 	for pos := range n {
 		id := l.VectorAt(pos)
 		if p.Prefetches(id) {
 			b.prefetch[pos/64] |= 1 << (pos % 64)
 		}
-		if !b.pinned && p.OnProbation(id) {
+		if p.OnProbation(id) {
 			b.probation[pos/64] |= 1 << (pos % 64)
 		}
 	}
 	return b
 }
 
-// bypasses reports whether a requested id is served without being cached:
-// b is a pin verdict that does not pin it. l is the layout b is in.
-func (b *admitBits) bypasses(l *layout.Layout, id uint32) bool {
-	return b != nil && b.pinned && !bit(b.prefetch, l.PositionOf(id))
-}
-
-// pinnedIDs returns, in ascending id order, the ids a pin verdict in layout
-// l's order holds; nil when b is not one.
-func (b *admitBits) pinnedIDs(l *layout.Layout) []uint32 {
-	if b == nil || !b.pinned {
+// pinnedIDs returns, in ascending order, the ids a pin verdict holds; nil
+// when b is not one.
+func (b *admitBits) pinnedIDs() []uint32 {
+	if b == nil || b.pinned == nil {
 		return nil
 	}
 	var ids []uint32
-	for id := range l.NumVectors() {
-		if bit(b.prefetch, l.PositionOf(uint32(id))) {
-			ids = append(ids, uint32(id))
+	for w, word := range b.pinned {
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, uint32(w*64+bits.TrailingZeros64(word)))
 		}
 	}
 	return ids
 }
 
+// pinnedSet is the pinned set a table's cache holds under b: nil when b is
+// not a pin verdict.
+func (b *admitBits) pinnedSet() []uint64 {
+	if b == nil {
+		return nil
+	}
+	return b.pinned
+}
+
 // pinnedVectors is how many ids a pin verdict holds, 0 for any other policy.
 func (b *admitBits) pinnedVectors() int {
-	if b == nil || !b.pinned {
+	if b == nil {
 		return 0
 	}
 	n := 0
-	for _, w := range b.prefetch {
+	for _, w := range b.pinned {
 		n += bits.OnesCount64(w)
 	}
 	return n
@@ -392,15 +407,13 @@ func (b *admitBits) pinnedVectors() int {
 
 // permuted returns b's bits rearranged over n positions: bit i of the result
 // is bit src(i) of b. It moves the verdicts under a re-layout and between
-// layout order and the id order of the state file; nil stays nil.
+// layout order and the id order of the state file; nil stays nil. The
+// pinned set is in id order already and is kept as it is.
 func (b *admitBits) permuted(n int, src func(i int) int) *admitBits {
 	if b == nil {
 		return nil
 	}
 	perm := func(words []uint64) []uint64 {
-		if words == nil {
-			return nil
-		}
 		out := make([]uint64, (n+63)/64)
 		for i := range n {
 			if bit(words, src(i)) {
@@ -417,7 +430,7 @@ func (b *admitBits) sizeBytes() int64 {
 	if b == nil {
 		return 0
 	}
-	return 8 * int64(len(b.prefetch)+len(b.probation))
+	return 8 * int64(len(b.prefetch)+len(b.probation)+len(b.pinned))
 }
 
 // tableGeom is one table's shape and block span: what the manifest records,
@@ -721,10 +734,10 @@ func (s *Store) tableAt(i int) (*storeTable, error) {
 // rebuild the reference cache.ThresholdAdmit of a table's bits.
 var thresholdCountsHook func(st *storeTable, counts []uint32)
 
-// setThresholdPolicy compiles into ts's layout order the deployed
-// cache.ThresholdAdmit — the pin verdict over pinned (cache.NewPinnedAdmit)
-// when pinned is non-nil, else the thresholds (cache.NewThresholdAdmit) that
-// counts and ts's threshold and demandThreshold describe — the policy the
+// setThresholdPolicy compiles into ts's layout order the deployed policy —
+// the pin verdict over pinned (cache.PinnedAdmit) when pinned is non-nil,
+// else the cache.ThresholdAdmit (cache.NewThresholdAdmit) that counts and
+// ts's threshold and demandThreshold describe — the policy the
 // miniature caches replayed through the store's own batch algorithm (see
 // package sim), so serving behaves exactly as simulated. It clears the policy
 // when it would decide nothing (prefetching off, no demand gate), so a block
@@ -736,19 +749,20 @@ func (st *storeTable) setThresholdPolicy(ts *tableState, counts []uint32, pinned
 	ts.admit = nil
 	switch {
 	case pinned != nil:
-		ts.admit = compileAdmission(cache.NewPinnedAdmit(counts, pinned), ts.layout)
+		ts.admit = compileAdmission(cache.NewPinnedAdmit(cache.NewThresholdAdmit(counts, ts.threshold, ts.demandThreshold), pinned), ts.layout)
 	case ts.prefetch || ts.demandThreshold > 0:
 		ts.admit = compileAdmission(cache.NewThresholdAdmit(counts, ts.threshold, ts.demandThreshold), ts.layout)
 	}
 }
 
-// freshCache gives ts a new, empty cache of the given capacity, shaped to
-// hold exactly pinned (see resizeCache) when it is non-nil.
-func (st *storeTable) freshCache(ts *tableState, capacity int, pinned []uint32) {
+// freshCache gives ts a new, empty cache of the given capacity, holding
+// pinned (a bitset over ids, ts.admit's) as its pinned set (see resizeCache)
+// when it is non-nil.
+func (st *storeTable) freshCache(ts *tableState, capacity int, pinned []uint64) {
 	ts.cacheCap = capacity
 	ts.cache = newTableCache(capacity, st.shards, st.vecBytes)
 	if pinned != nil {
-		ts.cache.Retain(pinned)
+		ts.cache.Pin(pinned)
 	}
 }
 
@@ -763,13 +777,15 @@ func (st *storeTable) freshCache(ts *tableState, capacity int, pinned []uint32) 
 // the caches of the tables it leaves alone from the cacheCap sum, and
 // accounting the clamped value would shift the budget it splits.
 //
-// A pinned table's cache is re-pinned in place instead (vcache.Retain): it
-// keeps only ids of pinned, and each shard's capacity is the number of them
-// that hash to it. The sum is capacity, so the table's DRAM is its share, and
-// the cache never evicts one pinned id for another.
-func (st *storeTable) resizeCache(ts *tableState, capacity int, pinned []uint32) {
+// A pinned table's cache is re-pinned in place instead (vcache's Pin): each
+// shard's capacity becomes the number of pinned ids that hash to it, the sum
+// capacity, so the table's DRAM is its share and the cache never evicts a
+// pinned id; the entries it holds outside the set stay in the room the set
+// has not filled. The pinned set is the cache's own, so a request still
+// serving an older verdict cannot displace a pinned id.
+func (st *storeTable) resizeCache(ts *tableState, capacity int, pinned []uint64) {
 	if pinned != nil {
-		ts.cache.Retain(pinned)
+		ts.cache.Pin(pinned)
 	} else {
 		ts.cache.Resize(capacity)
 	}

@@ -41,8 +41,9 @@ type TableTrainReport struct {
 	Threshold       uint32
 	DemandThreshold uint32
 	// PinnedVectors is how many of the table's hottest training ids the
-	// miniature caches pinned instead (0: the thresholds serve). A pinned
-	// table serves neither threshold; they stay the tuner's pair.
+	// miniature caches pinned on top of the thresholds (0: none): the cache
+	// never evicts a pinned id, and the thresholds rule in the room the
+	// pinned ids leave.
 	PinnedVectors int
 	// MiniatureGain is the effective bandwidth increase predicted by the
 	// miniature cache at the chosen verdict.
@@ -51,21 +52,15 @@ type TableTrainReport struct {
 
 // String renders the report as one log line.
 func (r TableTrainReport) String() string {
-	return fmt.Sprintf("%-10s trained on %d of %d vectors, fanout %.1f -> %.1f (floor %.1f), cache %d vectors, %s",
-		r.Name, r.TrainedVectors, r.Vectors, r.InitialFanout, r.FinalFanout, r.FanoutFloor, r.CacheVectors,
-		verdictString(r.Threshold, r.DemandThreshold, r.PinnedVectors))
-}
-
-// verdictString renders a table's admission verdict for a report line.
-func verdictString(threshold, demandThreshold uint32, pinned int) string {
-	if pinned > 0 {
-		return fmt.Sprintf("pinned hottest %d", pinned)
+	verdict := "prefetch off"
+	if r.Threshold != sim.DisablePrefetch {
+		verdict = fmt.Sprintf("prefetch threshold %d", r.Threshold)
 	}
-	prefetch := "prefetch off"
-	if threshold != sim.DisablePrefetch {
-		prefetch = fmt.Sprintf("prefetch threshold %d", threshold)
+	if r.PinnedVectors > 0 {
+		verdict = fmt.Sprintf("pinned hottest %d, %s", r.PinnedVectors, verdict)
 	}
-	return fmt.Sprintf("%s, demand threshold %d", prefetch, demandThreshold)
+	return fmt.Sprintf("%-10s trained on %d of %d vectors, fanout %.1f -> %.1f (floor %.1f), cache %d vectors, %s, demand threshold %d",
+		r.Name, r.TrainedVectors, r.Vectors, r.InitialFanout, r.FinalFanout, r.FanoutFloor, r.CacheVectors, verdict, r.DemandThreshold)
 }
 
 // Train partitions, allocates and tunes the store using per-table training

@@ -105,21 +105,24 @@ func TestReplayIsTheStore(t *testing.T) {
 					cache.ThresholdAdmit{Counts: counts, Threshold: cands[1], DemandThreshold: g},
 					cache.ThresholdAdmit{Counts: counts, Threshold: sim.DisablePrefetch, DemandThreshold: g})
 			}
-			// The cache's worth of the hottest ids, pinned.
-			pinned := cache.HottestIDs(counts, snap.cacheCap, nil)
-			policies = append(policies, cache.NewPinnedAdmit(counts, pinned))
+			// The cache's worth of the hottest ids, pinned over a gated pair.
+			policies = append(policies, cache.NewPinnedAdmit(cache.NewThresholdAdmit(counts, cands[1], gates[0]),
+				cache.HottestIDs(counts, snap.cacheCap, nil)))
 
 			for _, p := range policies {
 				ta, ok := p.(cache.ThresholdAdmit)
 				if !ok {
 					ta = cache.ThresholdAdmit{Counts: counts, Threshold: sim.DisablePrefetch}
 				}
+				pa, pinned := p.(cache.PinnedAdmit)
+				if pinned {
+					ta = pa.Pair
+				}
 				name := fmt.Sprintf("%s/%d/%d", p.Name(), ta.Threshold, ta.DemandThreshold)
-				prefetching := ta.Threshold != sim.DisablePrefetch
+				prefetching := pinned || ta.Threshold != sim.DisablePrefetch
 				st.mutateState(func(ts *tableState) { st.freshCache(ts, snap.cacheCap, nil) }) // empty cache
-				if ta.Pinned != nil {
-					name = "pinned"
-					installPinned(st, counts, pinned)
+				if pinned {
+					installThreshold(st, pa)
 				} else {
 					installThreshold(st, ta)
 				}
@@ -151,20 +154,19 @@ func TestReplayIsTheStore(t *testing.T) {
 // TestTrainedPolicyReplayIsTheStore holds the policy Train installs to the
 // one the tuner replays, prefetch position included: a store trained at a
 // budget that evicts, with prefetching on, must serve held-out traffic on
-// exactly the counters sim.Replay gives the deployed policy. Here that is
-// first the pin verdict the tuner takes (cache.NewPinnedAdmit over the
-// cache's worth of the hottest training ids), then — the same tuning with the
-// pin left out, committed through applyChoice onto a fresh cache — the
-// deployed cache.NewThresholdAdmit of the tuned thresholds. The fixture is
-// one where entering admitted prefetches at the MRU end instead gives
-// different counters, so a store that compiled its verdicts at another
-// position than the tuner's replays fails here.
+// exactly the counters sim.Replay gives the deployed cache.NewThresholdAdmit
+// of the tuned thresholds (pinned, had Train pinned). The fixture is one
+// where entering admitted prefetches at the MRU end instead gives different
+// counters, so a store that compiled its verdicts at another position than
+// the tuner's replays fails here. Its budget is 900 vectors: at 300, and at
+// every budget up to 600, Train pins the cache's worth of the hottest ids,
+// and the pinned ids it fills leave the positions nothing to tell apart.
 func TestTrainedPolicyReplayIsTheStore(t *testing.T) {
 	tables, traces := buildTestTables(t, 1, 4096, 900)
 	train, eval := traces[0].Split(0.5)
 	s, err := Open(testBackendConfig(t, Config{
 		Tables:            tables,
-		DRAMBudgetVectors: 300,
+		DRAMBudgetVectors: 900,
 		Seed:              7,
 		CacheShards:       1,
 	}))
@@ -180,46 +182,24 @@ func TestTrainedPolicyReplayIsTheStore(t *testing.T) {
 	if !ts.prefetch {
 		t.Fatalf("tuner turned prefetching off: no admitted prefetch to place")
 	}
+	for _, q := range eval.Queries {
+		if _, err := s.LookupBatchRaw(0, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := s.Stats()[0]
+
+	// The deployed policy is the tuned thresholds, pinned to the cache's
+	// worth of the hottest training ids where Train took the pin verdict.
 	counts := countsOf(st)
-	replay := func(p cache.ThresholdAdmit) sim.Result {
-		return sim.Replay(eval, sim.Config{Layout: ts.layout, CacheVectors: ts.cacheCap, Policy: p})
-	}
-	serve := func(name string, want sim.Result) {
-		t.Helper()
-		s.ResetStats()
-		for _, q := range eval.Queries {
-			if _, err := s.LookupBatchRaw(0, q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := s.Stats()[0]; got.Lookups != want.Lookups || got.Hits != want.Hits || got.Misses != want.Misses ||
-			got.BlockReads != want.BlockReads || got.ProbationFills != want.ProbationFills ||
-			got.PrefetchAdds != want.PrefetchesAdmitted || got.PrefetchHits != want.PrefetchHits {
-			t.Errorf("%s: store and the deployed policy's replay diverge\n store:  lookups=%d hits=%d misses=%d blockReads=%d probationFills=%d prefetchAdds=%d prefetchHits=%d\n replay: lookups=%d hits=%d misses=%d blockReads=%d probationFills=%d prefetchAdds=%d prefetchHits=%d",
-				name, got.Lookups, got.Hits, got.Misses, got.BlockReads, got.ProbationFills, got.PrefetchAdds, got.PrefetchHits,
-				want.Lookups, want.Hits, want.Misses, want.BlockReads, want.ProbationFills, want.PrefetchesAdmitted, want.PrefetchHits)
-		}
-	}
-
-	if !ts.admit.pinned || ts.admit.pinnedVectors() != ts.cacheCap {
-		t.Fatalf("Train pinned %d of a %d-vector cache: the pin verdict goes unchecked", ts.admit.pinnedVectors(), ts.cacheCap)
-	}
-	serve("pinned", replay(cache.NewPinnedAdmit(counts, cache.HottestIDs(counts, ts.cacheCap, nil))))
-
-	choice, err := sim.TuneThreshold(train, sim.TunerConfig{Layout: ts.layout, Counts: counts, CacheVectors: ts.cacheCap, SamplingRate: miniCacheSampling})
-	if err != nil || !choice.Pinned {
-		t.Fatalf("the tuner's verdict is not the pin Train took (err %v)", err)
-	}
-	choice.Pinned = false
-	st.mutateState(func(ts *tableState) {
-		st.freshCache(ts, ts.cacheCap, nil)
-		st.applyChoice(ts, counts, choice, 0, nil)
-	})
-	ts = st.loadState()
-	if !ts.prefetch {
-		t.Fatalf("the tuned thresholds turn prefetching off: no admitted prefetch to place")
-	}
 	deployed := cache.NewThresholdAdmit(counts, ts.threshold, ts.demandThreshold)
+	replay := func(p cache.ThresholdAdmit) sim.Result {
+		var policy cache.AdmissionPolicy = p
+		if ts.admit.pinned != nil {
+			policy = cache.NewPinnedAdmit(p, cache.HottestIDs(counts, ts.cacheCap, nil))
+		}
+		return sim.Replay(eval, sim.Config{Layout: ts.layout, CacheVectors: ts.cacheCap, Policy: policy})
+	}
 	want := replay(deployed)
 	atMRU := deployed
 	atMRU.Position = 0
@@ -231,5 +211,12 @@ func TestTrainedPolicyReplayIsTheStore(t *testing.T) {
 		t.Fatalf("MRU and mid-queue entry read alike (%d blocks, %d prefetch hits): the fixture cannot tell the positions apart",
 			want.BlockReads, want.PrefetchHits)
 	}
-	serve("thresholds", want)
+	if got.Lookups != want.Lookups || got.Hits != want.Hits || got.Misses != want.Misses ||
+		got.BlockReads != want.BlockReads || got.ProbationFills != want.ProbationFills ||
+		got.PrefetchAdds != want.PrefetchesAdmitted || got.PrefetchHits != want.PrefetchHits {
+		t.Errorf("store and the deployed policy's replay diverge\n store:  lookups=%d hits=%d misses=%d blockReads=%d probationFills=%d prefetchAdds=%d prefetchHits=%d\n replay: lookups=%d hits=%d misses=%d blockReads=%d probationFills=%d prefetchAdds=%d prefetchHits=%d\n at MRU: blockReads=%d prefetchHits=%d",
+			got.Lookups, got.Hits, got.Misses, got.BlockReads, got.ProbationFills, got.PrefetchAdds, got.PrefetchHits,
+			want.Lookups, want.Hits, want.Misses, want.BlockReads, want.ProbationFills, want.PrefetchesAdmitted, want.PrefetchHits,
+			mru.BlockReads, mru.PrefetchHits)
+	}
 }

@@ -182,7 +182,7 @@ func (s *Server) registry(store *core.Store) *metrics.Registry {
 		func(ts core.TableStats) float64 { return ts.PredictedHitRate })
 	perTable("bandana_table_predicted_lookups_per_block_read", "gauge", "Lookups per NVM block read the miniature cache predicted for the installed admission thresholds per table (0 before any tuning); compare with lookups_total/block_reads_total.",
 		func(ts core.TableStats) float64 { return ts.PredictedLookupsPerBlockRead })
-	perTable("bandana_table_pinned_vectors", "gauge", "Vectors the miniature caches pinned per table: the cache holds exactly the table's hottest training ids and serves every other id uncached (0 when the table is not pinned).",
+	perTable("bandana_table_pinned_vectors", "gauge", "Vectors the miniature caches pinned per table: the cache never evicts the table's hottest training ids, and the thresholds serve every other id in the room they leave (0 when the table is not pinned).",
 		func(ts core.TableStats) float64 { return float64(ts.PinnedVectors) })
 	var policies []metrics.Sample
 	for _, ts := range tables {

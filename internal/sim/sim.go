@@ -15,16 +15,16 @@
 //     distinct block — same-batch co-location is free with or without
 //     prefetching. Per block, in ascending block order: the requested ids
 //     enter in batch order at the policy's demand position (the MRU end
-//     unless the policy gates cold ids to probation; none at cache.Bypass,
-//     which a pinned policy gives every id it does not pin), then the
-//     block's other members, in slot order, are offered to the admission
-//     policy and the admitted non-resident ones enter at the policy's
-//     position.
+//     unless the policy gates cold ids to probation), then the block's other
+//     members, in slot order, are offered to the admission policy and the
+//     admitted non-resident ones enter at the policy's position.
 //   - The cache is the store's own: a one-shard vcache without payloads,
 //     driven by the three calls serveBatch makes — GetBatch for the probe of
 //     the query's unique ids (a hit promotes and reports a first hit on a
-//     prefetched entry), AddAt for a demand fill and AddAtGuard for a
-//     prefetch fill, which refuses an id already resident.
+//     prefetched entry) and AddAtGuard for a demand fill and for a prefetch
+//     fill, which refuses an id already resident. Under a
+//     cache.PinnedAdmit the cache holds its set as the store's does
+//     (vcache's Pin), at a capacity of the set's size.
 //   - Against a store with one cache shard (Config.CacheShards: 1) serving
 //     the same queries one at a time, BlockReads, Hits, Misses,
 //     ProbationFills, PrefetchesAdmitted and PrefetchHits are equal through
@@ -114,6 +114,9 @@ func Replay(tr *trace.Trace, cfg Config) Result {
 		capacity = l.NumVectors()
 	}
 	c := vcache.New(vcache.Options{Capacity: capacity})
+	if p, ok := policy.(cache.PinnedAdmit); ok {
+		c.Pin(p.Set)
+	}
 	res := Result{Policy: policy.Name()}
 
 	// Per-id state, indexed by id so a query costs no map or set allocation.
@@ -171,13 +174,9 @@ func Replay(tr *trace.Trace, cfg Config) Result {
 			res.BlockReads++
 			for ; lo < len(missed) && missed[lo].block == block; lo++ {
 				pos := policy.DemandPosition(missed[lo].id)
-				if pos < 0 {
-					continue // served, not cached
-				}
-				if pos > 0 {
+				if c.AddAtGuard(missed[lo].id, nil, pos, false, nil, 0) && pos > 0 {
 					res.ProbationFills++
 				}
-				c.AddAt(missed[lo].id, nil, pos, false)
 			}
 			members = l.BlockMembers(block, members[:0])
 			for _, other := range members {
@@ -302,17 +301,17 @@ type ThresholdChoice struct {
 	// to go with it (0: no gate beat filling every requested vector at MRU).
 	Threshold       uint32
 	DemandThreshold uint32
-	// Pinned is the third verdict: caching exactly the table's hottest ids
-	// (cache.NewPinnedAdmit over cache.HottestIDs at the cache's size) read
-	// strictly fewer blocks in the miniature than the pair above. The pair
-	// is still reported; it is what serves where pinning is not taken.
+	// Pinned is the third verdict: pinning the table's hottest ids on top
+	// of the pair above (cache.PinnedAdmit over cache.HottestIDs at the
+	// cache's size) read strictly fewer blocks in the miniature than the
+	// pair alone.
 	Pinned bool
 	// MiniatureGain is the effective bandwidth increase observed in the
-	// miniature simulation at the chosen verdict (the pinned one, or the
-	// pair), over the plain replay: no prefetching, every fill at the MRU
-	// end. PrefetchGain is the share of it prefetching earns — the chosen
-	// verdict over the best prefetch-free one (NoPrefetch below); the two
-	// are equal when no gate helps.
+	// miniature simulation at the chosen verdict (the pair, pinned or not),
+	// over the plain replay: no prefetching, every fill at the MRU end.
+	// PrefetchGain is the share of the pair's gain prefetching earns — the
+	// pair over the best prefetch-free one (NoPrefetch below); 0 when the
+	// pair does not prefetch.
 	MiniatureGain float64
 	PrefetchGain  float64
 	// PerThreshold records the miniature gain of every candidate prefetch
@@ -469,11 +468,11 @@ type tuned struct {
 // demand threshold (DemandThresholds) at that winner and one with prefetching
 // off; a gate is kept only where it reads strictly fewer blocks than no gate,
 // so a table it does not help is tuned exactly as if the gate did not exist.
-// Last, one replay of the pin verdict: the miniature cache holds exactly its
-// capacity's worth of the hottest sampled ids, filled from any block read,
-// and every other id bypasses it. It is kept only where it reads strictly
-// fewer blocks than the pair the first two steps chose. A cache that holds
-// the whole table evicts nothing and skips the last two steps.
+// Last, one replay of the pin verdict: the chosen pair, in a miniature cache
+// that never evicts its capacity's worth of the hottest sampled ids. It is
+// kept only where it reads strictly fewer blocks than the pair alone. A
+// cache that holds the whole table evicts nothing and skips the last two
+// steps.
 func TuneThreshold(tr *trace.Trace, cfg TunerConfig) (ThresholdChoice, error) {
 	if cfg.Layout == nil {
 		return ThresholdChoice{}, fmt.Errorf("sim: tuner requires a layout")
@@ -554,12 +553,12 @@ func TuneThreshold(tr *trace.Trace, cfg TunerConfig) (ThresholdChoice, error) {
 	chosen := on.res
 	if partial {
 		pinned := cache.HottestIDs(cfg.Counts, miniCache, inMiniature)
-		if pin := replayPolicy(cache.NewPinnedAdmit(cfg.Counts, pinned)); pin.BlockReads < chosen.BlockReads {
+		if pin := replayPolicy(cache.NewPinnedAdmit(cache.NewThresholdAdmit(cfg.Counts, on.threshold, on.demand), pinned)); pin.BlockReads < chosen.BlockReads {
 			choice.Pinned, chosen = true, pin
 		}
 	}
 	choice.MiniatureGain = EffectiveBandwidthIncrease(chosen, baseline.res)
-	choice.PrefetchGain = EffectiveBandwidthIncrease(chosen, off.res)
+	choice.PrefetchGain = EffectiveBandwidthIncrease(on.res, off.res)
 	choice.Predicted = predictionOf(chosen)
 	choice.NoPrefetch, choice.NoPrefetchDemandThreshold = predictionOf(off.res), off.demand
 	return choice, nil

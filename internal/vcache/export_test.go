@@ -41,3 +41,16 @@ func (c *Cache) MintedSlots() int {
 	}
 	return n
 }
+
+// ShardCapacities returns each shard's capacity, in shard order (a shard's
+// index is Hash(id) modulo NumShards).
+func (c *Cache) ShardCapacities() []int {
+	caps := make([]int, len(c.shards))
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		caps[i] = s.capacity
+		s.mu.Unlock()
+	}
+	return caps
+}

@@ -16,7 +16,7 @@
 // sees no per-entry pointers at all.
 //
 // The cache is sharded (hash-routed, power-of-two shard count, exact
-// capacity split — or, after Retain, each shard sized to the ids of a fixed
+// capacity split — or, after Pin, each shard sized to the ids of a pinned
 // set that hash to it) and each shard is a segmented LRU. Its eviction queue is
 // cut into Segments runs (fewer if the shard holds fewer entries), and every
 // run but the last holds at most ceil(capacity/segments) entries. Inserting
@@ -27,6 +27,20 @@
 // therefore outlives about (1-pos)*capacity insertions (§4.3.1's insertion
 // position), and a cache whose every insert and hit lands at 0 is an exact
 // LRU whatever its segment count.
+//
+// # Pinned set
+//
+// Pin gives the cache a set of ids it never evicts once asked for. A pinned
+// id inserted or hit as a requested entry is kept off the recency list, so a
+// hit on it moves nothing and no eviction can reach it; every other entry —
+// a pinned id a neighbour's read brought in included, until its first hit —
+// is on the list and is evicted as above. Each
+// shard's capacity becomes the number of pinned ids that hash to it, so the
+// pinned ids fit at once, and the capacity they have not yet filled is lent
+// to the list: inserting a pinned id into a full shard evicts the list's
+// tail, and a full shard whose every entry is pinned refuses anything else.
+// Which ids are pinned is the cache's own state, read under the shard lock,
+// so a caller acting on an older verdict cannot displace a pinned id.
 //
 // It is the one segmented LRU in the product: the store serves from it, and
 // with SlotBytes 0 (keys only) sim.Replay, the shadow-cache admission
@@ -90,9 +104,11 @@ const targetSlabBytes = 256 << 10
 
 // prefetchedBit marks an entry inserted by prefetch admission and not yet
 // requested, packed above the segment number in slotMeta.segflags.
+// pinnedBit marks an entry of the pinned set, which is off the recency list.
 const (
 	segMask       = 0xFFFF
 	prefetchedBit = 1 << 16
+	pinnedBit     = 1 << 17
 )
 
 // slotMeta is the per-slot bookkeeping: the entry's key, its intrusive
@@ -126,6 +142,12 @@ type shard struct {
 	mu       sync.Mutex
 	capacity int
 	used     int
+
+	// pins is the pinned set as a bitset over ids (shared by every shard,
+	// never written; nil: no pinned set) and pinned the number of resident
+	// entries in it, which used counts too.
+	pins   []uint64
+	pinned int
 
 	// Open-addressing index with linear probing and backward-shift deletion.
 	// Each word packs slot<<32 | id; a word with slot == nilIdx is empty.
@@ -624,13 +646,42 @@ func (s *shard) evictOne(c *Cache) (uint32, bool) {
 	return 0, false
 }
 
-// drop removes id, resident in slot, from the list and the index, and
-// retires the slot.
+// drop removes id, resident in slot, from the list (or the pinned entries)
+// and the index, and retires the slot.
 func (s *shard) drop(c *Cache, slot, id uint32) {
-	s.listRemove(slot)
+	s.unlink(slot)
 	s.idxDelete(id)
 	s.park(c, slot)
 	s.used--
+}
+
+// unlink takes slot off the recency list, or out of the pinned entries.
+func (s *shard) unlink(slot uint32) {
+	if s.meta[slot].segflags&pinnedBit != 0 {
+		s.pinned--
+		s.meta[slot].segflags &^= pinnedBit
+		return
+	}
+	s.listRemove(slot)
+}
+
+// link files slot, holding id, as a pinned entry when id is pinned and has
+// been asked for (its prefetched flag is clear), and at the head of segment
+// seg otherwise.
+func (s *shard) link(slot, id uint32, seg int) {
+	if s.isPinned(id) && s.meta[slot].segflags&prefetchedBit == 0 {
+		s.meta[slot].segflags |= pinnedBit
+		s.pinned++
+		return
+	}
+	s.pushFront(seg, slot)
+	s.rebalance(seg)
+}
+
+// isPinned reports whether id is in the shard's pinned set.
+func (s *shard) isPinned(id uint32) bool {
+	w := int(id / 64)
+	return w < len(s.pins) && s.pins[w]&(1<<(id%64)) != 0
 }
 
 // ---- public operations ----
@@ -661,19 +712,23 @@ func (c *Cache) Add(id uint32, payload []byte, prefetched bool) (uint32, bool) {
 // SlotBytes long. If id is already cached its value is replaced (relocating
 // the slot if the bytes differ, so leased views of the old value stay
 // intact) and it moves to the requested position. Returns the evicted id
-// and true if the insertion evicted an entry.
+// and true if the insertion evicted an entry. A pinned id is held off the
+// recency list whatever pos says, and a full shard holding only pinned ids
+// refuses an id outside the set (see Pin).
 func (c *Cache) AddAt(id uint32, payload []byte, pos float64, prefetched bool) (uint32, bool) {
 	s := c.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.addAt(c, id, payload, pos, prefetched)
+	victim, evicted, _ := s.addAt(c, id, payload, pos, prefetched)
+	return victim, evicted
 }
 
 // AddAtGuard is AddAt fused with the serving path's insert guards, all under
 // the shard lock: it aborts (returning false) when guard's value no longer
 // equals want — the table was mutated since the caller decoded — or when
 // prefetched is set and id is already cached (a concurrent lookup cached it
-// as a requested entry; do not demote it).
+// as a requested entry; do not demote it), and reports false too when the
+// shard refuses id (see AddAt).
 func (c *Cache) AddAtGuard(id uint32, payload []byte, pos float64, prefetched bool, guard *atomic.Uint64, want uint64) bool {
 	s := c.shardOf(id)
 	s.mu.Lock()
@@ -682,14 +737,14 @@ func (c *Cache) AddAtGuard(id uint32, payload []byte, pos float64, prefetched bo
 		return false
 	}
 	if !prefetched {
-		s.addAt(c, id, payload, pos, false)
-		return true
+		_, _, ok := s.addAt(c, id, payload, pos, false)
+		return ok
 	}
 	if s.idxFind(id) != nilIdx {
 		return false
 	}
-	s.insert(c, id, payload, pos, true)
-	return true
+	_, _, ok := s.insert(c, id, payload, pos, true)
+	return ok
 }
 
 // checkPayload panics unless payload is exactly one slot long.
@@ -699,43 +754,41 @@ func (c *Cache) checkPayload(payload []byte) {
 	}
 }
 
-func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetched bool) (uint32, bool) {
+// addAt is AddAt under s.mu. It returns the evicted id and true when the
+// insert evicted one, and ok false when the shard refused id.
+func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetched bool) (victim uint32, evicted, ok bool) {
 	slot := s.idxFind(id)
 	if slot == nilIdx {
 		return s.insert(c, id, payload, pos, prefetched)
 	}
 	c.checkPayload(payload)
-	seg := segOf(pos, len(s.segs))
+	s.unlink(slot)
 	if !bytesEqual(s.payload(c, slot), payload) {
 		// Never overwrite a slot a lease may be reading: relocate.
 		next := s.alloc(c)
 		copy(s.payload(c, next), payload)
-		m := &s.meta[next]
-		m.id = id
-		m.segflags = s.meta[slot].segflags // seg rewritten by pushFront below
-		s.listRemove(slot)
+		s.meta[next].id = id
 		s.park(c, slot)
 		s.idxUpdate(id, next)
 		slot = next
-	} else {
-		s.listRemove(slot)
 	}
 	m := &s.meta[slot]
+	m.segflags = 0
 	if prefetched {
-		m.segflags |= prefetchedBit
-	} else {
-		m.segflags &^= prefetchedBit
+		m.segflags = prefetchedBit
 	}
-	s.pushFront(seg, slot)
-	s.rebalance(seg)
-	return 0, false
+	s.link(slot, id, segOf(pos, len(s.segs)))
+	return 0, false, true
 }
 
 // insert is addAt for an id the caller has just found absent from the index,
-// under s.mu: it skips addAt's probe.
-func (s *shard) insert(c *Cache, id uint32, payload []byte, pos float64, prefetched bool) (uint32, bool) {
+// under s.mu: it skips addAt's probe. A full shard makes room by evicting
+// the tail of its list; one with nothing on its list refuses id.
+func (s *shard) insert(c *Cache, id uint32, payload []byte, pos float64, prefetched bool) (victim uint32, evicted, ok bool) {
+	if s.used >= s.capacity && s.used == s.pinned {
+		return 0, false, false
+	}
 	c.checkPayload(payload)
-	seg := segOf(pos, len(s.segs))
 	slot := s.alloc(c)
 	copy(s.payload(c, slot), payload)
 	m := &s.meta[slot]
@@ -745,16 +798,13 @@ func (s *shard) insert(c *Cache, id uint32, payload []byte, pos float64, prefetc
 		m.segflags = prefetchedBit
 	}
 	s.idxInsert(id, slot)
-	s.pushFront(seg, slot)
 	s.used++
-
+	s.link(slot, id, segOf(pos, len(s.segs)))
 	if s.used > s.capacity {
-		victim, _ := s.evictOne(c)
-		s.rebalance(seg)
-		return victim, true
+		victim, _ = s.evictOne(c)
+		return victim, true, true
 	}
-	s.rebalance(seg)
-	return 0, false
+	return 0, false, true
 }
 
 func bytesEqual(a, b []byte) bool {
@@ -769,13 +819,23 @@ func bytesEqual(a, b []byte) bool {
 	return true
 }
 
-// promote is a hit: it moves slot to the head of segment 0 and clears the
-// entry's prefetched flag, reporting whether the flag was set.
+// promote is a hit: it moves slot to the head of segment 0 (a pinned entry
+// stays where it is) and clears the entry's prefetched flag, reporting
+// whether the flag was set.
 func (s *shard) promote(slot uint32) (wasPrefetched bool) {
 	m := &s.meta[slot]
 	wasPrefetched = m.segflags&prefetchedBit != 0
 	m.segflags &^= prefetchedBit
+	if m.segflags&pinnedBit != 0 {
+		return wasPrefetched
+	}
 	s.listRemove(slot)
+	if s.isPinned(m.id) {
+		// A pinned id brought in by a neighbour's read, asked for at last.
+		m.segflags |= pinnedBit
+		s.pinned++
+		return wasPrefetched
+	}
 	s.pushFront(0, slot)
 	s.rebalance(0)
 	return wasPrefetched
@@ -916,8 +976,8 @@ func (s *shard) probe(c *Cache, ids []uint32, views [][]byte, i int, slot uint32
 	}
 	if miss != nil {
 		if p := miss(i); p != nil {
-			s.insert(c, ids[i], p, 0, false)
-			return 0, true
+			_, _, filled = s.insert(c, ids[i], p, 0, false)
+			return 0, filled
 		}
 	}
 	return 0, false
@@ -971,8 +1031,9 @@ func (c *Cache) Remove(id uint32) bool {
 // Resize changes the total capacity in place with the same exact split as
 // New and incremental per-shard eviction: entries outside the evicted
 // overflow survive, so a live cache rebalances without losing its working
-// set. Capacity is clamped to one entry per shard; returns the recorded
-// capacity.
+// set. It ends a pinned set (see Pin): its resident ids join the head of the
+// recency list, in no particular order. Capacity is clamped to one entry per
+// shard; returns the recorded capacity.
 func (c *Cache) Resize(capacity int) int {
 	n := len(c.shards)
 	if capacity < n {
@@ -986,51 +1047,72 @@ func (c *Cache) Resize(capacity int) int {
 		}
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.growIndex(sc)
-		s.capacity = sc
-		for s.used > s.capacity {
-			s.evictOne(c)
-		}
-		for seg := range s.segs {
-			s.rebalance(seg)
-		}
+		s.repin(c, nil, sc)
 		s.mu.Unlock()
 	}
 	c.capacity.Store(int64(capacity))
 	return capacity
 }
 
-// Retain shapes the cache to hold exactly ids, which must be distinct: every
-// entry whose id is not among them is evicted, and each shard's capacity
-// becomes the number of ids that hash to it, so all of ids fit at once and
-// inserting only them never evicts. A shard no id hashes to holds nothing.
-// Like Resize it works in place, shard by shard, keeping the entries it
-// retains. The total capacity becomes len(ids).
-func (c *Cache) Retain(ids []uint32) {
+// Pin gives the cache the pinned set in place: set is a bitset over ids (bit
+// id%64 of word id/64), which the cache keeps and never writes, so the
+// caller must not write it either. Each shard's capacity becomes the number
+// of set ids that hash to it (the total is the set's size; a shard no id
+// hashes to holds nothing), a resident id of the set
+// that has been asked for leaves the recency list for good, and a resident
+// entry outside it joins the list's LRU end, the list's overflow evicted from
+// there. From then on a pinned id is never evicted once asked for, and the
+// capacity the set has not filled holds other ids, as an LRU (see the
+// package comment). A later Pin replaces the set; Resize ends it.
+func (c *Cache) Pin(set []uint64) {
 	caps := make([]int, len(c.shards))
-	keep := make(map[uint32]struct{}, len(ids))
-	for _, id := range ids {
-		caps[Hash(id)&c.shardMask]++
-		keep[id] = struct{}{}
+	total := 0
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			caps[Hash(uint32(w*64+bits.TrailingZeros64(word)))&c.shardMask]++
+			total++
+		}
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for slot := s.listHead(); slot != nilIdx; {
-			m := s.meta[slot]
-			if _, ok := keep[m.id]; !ok {
-				s.drop(c, slot, m.id)
-			}
-			slot = m.next
-		}
-		s.growIndex(caps[i])
-		s.capacity = caps[i]
-		for seg := range s.segs {
-			s.rebalance(seg)
-		}
+		s.repin(c, set, caps[i])
 		s.mu.Unlock()
 	}
-	c.capacity.Store(int64(len(ids)))
+	c.capacity.Store(int64(total))
+}
+
+// repin installs pins and capacity in s, under s.mu: every resident entry is
+// filed anew (a pinned one off the list, any other at the head of the last
+// segment when it was pinned before — Resize passes no set, so those go to
+// segment 0 — and where it was otherwise), then the list's overflow is
+// evicted.
+func (s *shard) repin(c *Cache, pins []uint64, capacity int) {
+	s.growIndex(capacity)
+	s.pins, s.capacity = pins, capacity
+	last := len(s.segs) - 1
+	if pins == nil {
+		last = 0
+	}
+	for _, e := range s.idx {
+		slot := uint32(e >> 32)
+		if slot == nilIdx {
+			continue
+		}
+		id, m := uint32(e), &s.meta[slot]
+		if was := m.segflags&pinnedBit != 0; was != (s.isPinned(id) && m.segflags&prefetchedBit == 0) {
+			s.unlink(slot)
+			s.link(slot, id, last)
+		}
+	}
+	for s.used > s.capacity {
+		if _, ok := s.evictOne(c); !ok {
+			break
+		}
+	}
+	for seg := range s.segs {
+		s.rebalance(seg)
+	}
 }
 
 // Stats is a point-in-time byte-accounting snapshot.
@@ -1084,22 +1166,10 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// ShardCapacities returns each shard's capacity, in shard order (a shard's
-// index is Hash(id) modulo NumShards). Intended for tests and diagnostics.
-func (c *Cache) ShardCapacities() []int {
-	caps := make([]int, len(c.shards))
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		caps[i] = s.capacity
-		s.mu.Unlock()
-	}
-	return caps
-}
-
-// ShardKeys returns shard i's keys ordered MRU→LRU, segment by segment, and
-// each key's prefetched flag, without promoting any. Intended for tests and
-// diagnostics; O(n).
+// ShardKeys returns the keys on shard i's recency list ordered MRU→LRU,
+// segment by segment, and each key's prefetched flag, without promoting any;
+// pinned entries are not on the list. Intended for tests and diagnostics;
+// O(n).
 func (c *Cache) ShardKeys(i int) (keys []uint32, prefetched []bool) {
 	s := &c.shards[i]
 	s.mu.Lock()
@@ -1184,27 +1254,38 @@ func (s *shard) checkInvariants(si int) error {
 	if slot != nilIdx {
 		return fmt.Errorf("shard %d: list continues at slot %d past the last segment", si, slot)
 	}
-	if total != s.used {
-		return fmt.Errorf("shard %d: segments hold %d entries, used records %d", si, total, s.used)
+	if total+s.pinned != s.used {
+		return fmt.Errorf("shard %d: segments hold %d entries and %d are pinned, used records %d", si, total, s.pinned, s.used)
 	}
-	if total > s.capacity {
-		return fmt.Errorf("shard %d over capacity: %d > %d", si, total, s.capacity)
+	if s.used > s.capacity {
+		return fmt.Errorf("shard %d over capacity: %d > %d", si, s.used, s.capacity)
 	}
-	// Index population must match exactly.
-	live := 0
+	// Index population must match exactly, and an entry is off the list
+	// exactly when its id is pinned.
+	live, pinned := 0, 0
 	for _, e := range s.idx {
-		if uint32(e>>32) != nilIdx {
-			live++
+		slot := uint32(e >> 32)
+		if slot == nilIdx {
+			continue
+		}
+		live++
+		flags := s.meta[slot].segflags
+		flagged := flags&pinnedBit != 0
+		if flagged != (s.isPinned(uint32(e)) && flags&prefetchedBit == 0) || flagged == seen[uint32(e)] {
+			return fmt.Errorf("shard %d: id %d pinned %v, flagged %v, listed %v", si, uint32(e), s.isPinned(uint32(e)), flagged, seen[uint32(e)])
+		}
+		if flagged {
+			pinned++
 		}
 	}
-	if live != s.used {
-		return fmt.Errorf("shard %d: index holds %d entries, used records %d", si, live, s.used)
+	if live != s.used || pinned != s.pinned {
+		return fmt.Errorf("shard %d: index holds %d entries (%d pinned), used records %d (%d pinned)", si, live, pinned, s.used, s.pinned)
 	}
-	// Every slot is accounted for exactly once: listed, free, limbo or
+	// Every slot is accounted for exactly once: resident, free, limbo or
 	// unminted.
-	accounted := total + len(s.free) + (len(s.limbo) - s.limboHead)
+	accounted := s.used + len(s.free) + (len(s.limbo) - s.limboHead)
 	if accounted != int(s.nextSlot) {
-		return fmt.Errorf("shard %d: %d slots minted, %d accounted (listed+free+limbo)", si, s.nextSlot, accounted)
+		return fmt.Errorf("shard %d: %d slots minted, %d accounted (resident+free+limbo)", si, s.nextSlot, accounted)
 	}
 	return nil
 }

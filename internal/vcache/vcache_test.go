@@ -24,6 +24,18 @@ func payloadFor(id uint32, gen byte) []byte {
 	return p
 }
 
+// bitset is ids as the bitset Pin takes.
+func bitset(ids []uint32) []uint64 {
+	var set []uint64
+	for _, id := range ids {
+		for int(id/64) >= len(set) {
+			set = append(set, 0)
+		}
+		set[id/64] |= 1 << (id % 64)
+	}
+	return set
+}
+
 func newTestCache(capacity, shards int) *vcache.Cache {
 	return vcache.New(vcache.Options{Capacity: capacity, SlotBytes: testSlot, Shards: shards})
 }
@@ -226,11 +238,13 @@ func TestResizeShrinkGrow(t *testing.T) {
 	}
 }
 
-// TestRetainHoldsExactlyTheSet: Retain evicts every entry outside the set,
-// keeps the members already cached, and sizes each shard to its members'
-// share, so inserting every member evicts none. A later Resize splits
-// evenly again.
-func TestRetainHoldsExactlyTheSet(t *testing.T) {
+// TestPinKeepsEveryPinnedID: Pin sizes each shard to its members' share and
+// keeps the members already cached. The capacity the members have not filled
+// holds other ids as an LRU, and each member inserted takes a place from them,
+// never from another member; once every member is resident the cache refuses
+// anything else. A member a prefetch brought in is an ordinary entry until
+// its first hit. A later Resize splits evenly again and ends the set.
+func TestPinKeepsEveryPinnedID(t *testing.T) {
 	c := newTestCache(64, 8)
 	for id := uint32(0); id < 64; id++ {
 		c.Add(id, payloadFor(id, 0), false)
@@ -239,32 +253,63 @@ func TestRetainHoldsExactlyTheSet(t *testing.T) {
 	for id := uint32(32); id < 132; id += 2 { // 50 ids, 16 of them cached
 		set = append(set, id)
 	}
-	c.Retain(set)
+	c.Pin(bitset(set))
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-	if c.Cap() != len(set) || c.Len() != 16 {
-		t.Fatalf("capacity %d holding %d, want %d holding the 16 members cached", c.Cap(), c.Len(), len(set))
 	}
 	want := make([]int, c.NumShards())
 	for _, id := range set {
 		want[vcache.Hash(id)%uint64(c.NumShards())]++
 	}
-	if got := c.ShardCapacities(); !slices.Equal(got, want) {
-		t.Fatalf("shard capacities %v, the members' shares %v", got, want)
+	if got := c.ShardCapacities(); c.Cap() != len(set) || !slices.Equal(got, want) {
+		t.Fatalf("capacity %d, shard capacities %v; want %d, the members' shares %v", c.Cap(), got, len(set), want)
 	}
+	for id := uint32(32); id < 64; id += 2 {
+		if !c.Contains(id) {
+			t.Fatalf("Pin dropped member %d, which was cached", id)
+		}
+	}
+	before := make([]int, c.NumShards()) // what each shard held before Pin
 	for id := uint32(0); id < 64; id++ {
+		si := vcache.Hash(id) % uint64(c.NumShards())
+		before[si] = min(before[si]+1, 8)
+	}
+	kept := 0
+	for i, n := range want {
+		kept += min(n, before[i])
+	}
+	if c.Len() != kept {
+		t.Fatalf("holding %d entries after Pin, want %d: each shard keeps what fits", c.Len(), kept)
+	}
+	for _, id := range set {
+		c.Add(id, payloadFor(id, 1), false)
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := uint32(0); id < 200; id++ {
 		if c.Contains(id) != slices.Contains(set, id) {
 			t.Fatalf("id %d: cached %v, member %v", id, c.Contains(id), slices.Contains(set, id))
 		}
 	}
-	for _, id := range set {
-		if _, evicted := c.Add(id, payloadFor(id, 1), true); evicted {
-			t.Fatalf("inserting member %d evicted another", id)
+	for id := uint32(1000); id < 1100; id++ {
+		if c.Add(id, payloadFor(id, 0), false); c.Contains(id) {
+			t.Fatalf("non-member %d was cached in a cache full of members", id)
 		}
 	}
 	if c.Len() != len(set) {
-		t.Fatalf("holding %d of the %d members", c.Len(), len(set))
+		t.Fatalf("holding %d entries, want the %d members", c.Len(), len(set))
+	}
+	// A prefetched member is evictable until asked for, then kept.
+	c.Pin(bitset([]uint32{2000, 2001}))
+	c.Add(2000, payloadFor(2000, 0), true)
+	c.Add(2001, payloadFor(2001, 0), true)
+	c.Get(2001)
+	for id := uint32(3000); id < 3100; id++ {
+		c.Add(id, payloadFor(id, 0), false)
+	}
+	if c.Contains(2000) || !c.Contains(2001) {
+		t.Fatalf("after 100 inserts: prefetched member cached %v, the one hit since cached %v", c.Contains(2000), c.Contains(2001))
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -272,6 +317,71 @@ func TestRetainHoldsExactlyTheSet(t *testing.T) {
 	c.Resize(64)
 	if got := c.ShardCapacities(); !slices.Equal(got, []int{8, 8, 8, 8, 8, 8, 8, 8}) {
 		t.Fatalf("shard capacities %v after Resize(64), want an even split", got)
+	}
+	for id := uint32(1000); id < 1100; id++ {
+		c.Add(id, payloadFor(id, 0), false)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range set {
+		if c.Contains(id) {
+			t.Fatalf("member %d survived 100 inserts after Resize ended the set", id)
+		}
+	}
+}
+
+// TestPinnedIDSurvivesRandomTraffic: under random inserts at random positions,
+// hits, removals and re-pins, no pinned id that was asked for (inserted as a
+// requested entry, or hit) leaves the cache except by Remove or a Pin that
+// drops it from the set.
+func TestPinnedIDSurvivesRandomTraffic(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	c := newTestCache(48, 4)
+	var set []uint32
+	pinSet := func() {
+		set = set[:0]
+		for id := uint32(0); id < 200; id++ {
+			if rng.Intn(5) == 0 && len(set) < 48 {
+				set = append(set, id)
+			}
+		}
+		c.Pin(bitset(set))
+	}
+	pinSet()
+	resident := map[uint32]bool{}
+	for op := 0; op < 20000; op++ {
+		id := uint32(rng.Intn(200))
+		asked := false
+		switch r := rng.Intn(100); {
+		case r < 60:
+			prefetched := rng.Intn(2) == 0
+			c.AddAt(id, payloadFor(id, byte(op)), rng.Float64(), prefetched)
+			asked = !prefetched
+			if prefetched {
+				delete(resident, id) // a re-insert as a prefetch files it anew
+			}
+		case r < 90:
+			_, _, asked = c.Get(id)
+		case r < 99:
+			c.Remove(id)
+			delete(resident, id)
+		default:
+			pinSet()
+			for k := range resident {
+				if !slices.Contains(set, k) {
+					delete(resident, k)
+				}
+			}
+		}
+		if asked && slices.Contains(set, id) && c.Contains(id) {
+			resident[id] = true
+		}
+		for k := range resident {
+			if !c.Contains(k) {
+				t.Fatalf("op %d: pinned id %d was evicted", op, k)
+			}
+		}
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
