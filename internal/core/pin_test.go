@@ -33,6 +33,12 @@ func pinnedShardsHold(st *storeTable, requested []trace.Query) error {
 	return nil
 }
 
+// onList reports whether id is on its shard's recency list in c.
+func onList(c *vcache.Cache, id uint32) bool {
+	keys, _ := c.ShardKeys(int(vcache.Hash(id) % uint64(c.NumShards())))
+	return slices.Contains(keys, id)
+}
+
 // serveConcurrently serves every query of queries from several goroutines at once,
 // whose fills compete for each shard's room, and returns the first error.
 func serveConcurrently(s *Store, queries []trace.Query) error {
@@ -164,10 +170,6 @@ func TestUpdatedPinnedIDIsCachedPinnedAgain(t *testing.T) {
 	if found != 2 {
 		t.Fatal("no cached pinned id or no unpinned id to update")
 	}
-	onList := func(id uint32) bool {
-		keys, _ := ts.cache.ShardKeys(int(vcache.Hash(id) % uint64(ts.cache.NumShards())))
-		return slices.Contains(keys, id)
-	}
 	for i, id := range []uint32{pinned, other} {
 		vec := testVec(st.dim, uint32(1000+i))
 		if err := s.UpdateVector(0, id, vec); err != nil {
@@ -184,8 +186,8 @@ func TestUpdatedPinnedIDIsCachedPinnedAgain(t *testing.T) {
 			if !vecsEqual(got, vec) {
 				t.Fatalf("id %d pass %d: served stale bytes after the update", id, pass)
 			}
-			if id == pinned && (!ts.cache.Contains(id) || onList(id)) {
-				t.Fatalf("pinned id %d pass %d: cached %v, on the recency list %v", id, pass, ts.cache.Contains(id), onList(id))
+			if id == pinned && (!ts.cache.Contains(id) || onList(ts.cache, id)) {
+				t.Fatalf("pinned id %d pass %d: cached %v, on the recency list %v", id, pass, ts.cache.Contains(id), onList(ts.cache, id))
 			}
 			if pass == 0 {
 				if err := s.CompactDeltas(); err != nil {

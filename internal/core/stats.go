@@ -58,7 +58,9 @@ type TableStats struct {
 	// PinnedVectors is the number of ids the table's pin verdict holds: the
 	// cache never evicts one of them, and the thresholds above serve every
 	// other id in the room they leave (0 when the table is not pinned; see
-	// cache.PinnedAdmit).
+	// cache.PinnedAdmit). A cache that covers its table is pinned whole
+	// without a verdict: it shows here as 0, and as CacheVectors ≥ the
+	// table's vectors.
 	PinnedVectors int
 	// LayoutInstalls counts the layout installs this table completed (one
 	// per Train or LoadState that covered it, one per adaptation re-layout).
@@ -115,7 +117,8 @@ type TableDRAM struct {
 	// Overlay is the payloads and entries of updates not yet compacted.
 	Overlay int64
 	// CacheArena is the cache's slabs; CacheIndex its slot metadata and
-	// probe tables.
+	// probe tables, and the whole-table set of a cache pinned whole (one
+	// bit per vector; a pin verdict's set is AdmitBits').
 	CacheArena int64
 	CacheIndex int64
 	// Recorder is the adaptation engine's access window (0 while it is off).
@@ -173,6 +176,9 @@ func (s *Store) Stats() []TableStats {
 			CacheArena: cs.ArenaBytes,
 			CacheIndex: cs.MetaBytes + cs.IndexBytes,
 			Metrics:    st.counters.SizeBytes(),
+		}
+		if st.pinsWhole(state.cacheCap, state.admit.pinnedSet()) {
+			ts.DRAM.CacheIndex += 8 * int64(wholeSetWords(st.numVectors))
 		}
 		if r := st.recorder.Load(); r != nil {
 			ts.DRAM.Recorder = r.SizeBytes()

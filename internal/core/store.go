@@ -643,11 +643,9 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 		} else {
 			l = layout.Identity(g.numVectors, g.blockVectors)
 		}
-		st.state.Store(&tableState{
-			layout:   l,
-			cacheCap: perTable,
-			cache:    newTableCache(perTable, shards, st.vecBytes),
-		})
+		ts := &tableState{layout: l}
+		st.freshCache(ts, perTable, nil)
+		st.state.Store(ts)
 		s.tables = append(s.tables, st)
 		s.byName[g.name] = i
 	}
@@ -756,13 +754,14 @@ func (st *storeTable) setThresholdPolicy(ts *tableState, counts []uint32, pinned
 }
 
 // freshCache gives ts a new, empty cache of the given capacity, holding
-// pinned (a bitset over ids, ts.admit's) as its pinned set (see resizeCache)
-// when it is non-nil.
+// pinned (a bitset over ids, ts.admit's) as its pinned set when it is
+// non-nil, and pinned whole when it is nil and capacity covers the table
+// (see cachePins).
 func (st *storeTable) freshCache(ts *tableState, capacity int, pinned []uint64) {
 	ts.cacheCap = capacity
 	ts.cache = newTableCache(capacity, st.shards, st.vecBytes)
-	if pinned != nil {
-		ts.cache.Pin(pinned)
+	if pins := st.cachePins(capacity, pinned); pins != nil {
+		ts.cache.Pin(pins)
 	}
 }
 
@@ -782,12 +781,48 @@ func (st *storeTable) freshCache(ts *tableState, capacity int, pinned []uint64) 
 // capacity, so the table's DRAM is its share and the cache never evicts a
 // pinned id; the entries it holds outside the set stay in the room the set
 // has not filled. The pinned set is the cache's own, so a request still
-// serving an older verdict cannot displace a pinned id.
+// serving an older verdict cannot displace a pinned id. So is a cache grown
+// to cover its table, pinned whole (see cachePins), keeping every entry it
+// holds; one shrunk below its table is resized, which ends the whole-table
+// set, and is an even-split LRU again.
 func (st *storeTable) resizeCache(ts *tableState, capacity int, pinned []uint64) {
-	if pinned != nil {
-		ts.cache.Pin(pinned)
+	if pins := st.cachePins(capacity, pinned); pins != nil {
+		ts.cache.Pin(pins)
 	} else {
 		ts.cache.Resize(capacity)
 	}
 	ts.cacheCap = capacity
 }
+
+// pinsWhole reports whether a cache of the given capacity, under verdict (a
+// pin verdict's set; nil for any other policy), is pinned whole: it holds no
+// pin verdict and covers the table.
+func (st *storeTable) pinsWhole(capacity int, verdict []uint64) bool {
+	return verdict == nil && capacity >= st.numVectors
+}
+
+// cachePins is the pinned set a table's cache of the given capacity holds:
+// the pin verdict's when verdict is non-nil, every id of the table when the
+// cache covers it (pinsWhole), and nil otherwise. A cache that covers its
+// table can never evict, so its recency list orders nothing; pinned whole,
+// each shard's capacity is exactly the ids that hash to it, a requested
+// entry is filed off the list, and a hit on it moves nothing. The
+// whole-table set is derived from the capacity here, never persisted: a
+// one-shard replay of a cache that covers its table evicts nothing pinned or
+// not, so the miniature caches predict it unchanged.
+func (st *storeTable) cachePins(capacity int, verdict []uint64) []uint64 {
+	if !st.pinsWhole(capacity, verdict) {
+		return verdict
+	}
+	set := make([]uint64, wholeSetWords(st.numVectors))
+	for w := range set {
+		set[w] = ^uint64(0)
+	}
+	if r := st.numVectors % 64; r != 0 {
+		set[len(set)-1] = 1<<r - 1
+	}
+	return set
+}
+
+// wholeSetWords is the length in words of a whole-table set over n ids.
+func wholeSetWords(n int) int { return (n + 63) / 64 }

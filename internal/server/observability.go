@@ -182,7 +182,7 @@ func (s *Server) registry(store *core.Store) *metrics.Registry {
 		func(ts core.TableStats) float64 { return ts.PredictedHitRate })
 	perTable("bandana_table_predicted_lookups_per_block_read", "gauge", "Lookups per NVM block read the miniature cache predicted for the installed admission thresholds per table (0 before any tuning); compare with lookups_total/block_reads_total.",
 		func(ts core.TableStats) float64 { return ts.PredictedLookupsPerBlockRead })
-	perTable("bandana_table_pinned_vectors", "gauge", "Vectors the miniature caches pinned per table: the cache never evicts the table's hottest training ids, and the thresholds serve every other id in the room they leave (0 when the table is not pinned).",
+	perTable("bandana_table_pinned_vectors", "gauge", "Vectors the miniature caches pinned per table: the cache never evicts the table's hottest training ids, and the thresholds serve every other id in the room they leave (0 when the table is not pinned). This counts the pin verdict only: a cache that covers its table is pinned whole without one, shows 0 here, and bandana_table_cache_vectors at least the table's vectors.",
 		func(ts core.TableStats) float64 { return float64(ts.PinnedVectors) })
 	var policies []metrics.Sample
 	for _, ts := range tables {
@@ -224,7 +224,7 @@ func (s *Server) registry(store *core.Store) *metrics.Registry {
 			tableDRAM = append(tableDRAM, metrics.Sample{Labels: metrics.L("table", ts.Name, "component", c.name), Value: float64(c.bytes)})
 		}
 	}
-	r.Register("bandana_table_dram_bytes", "gauge", "Heap a table keeps resident, by component (layout, admit_bits, overlay, cache_arena, cache_index, recorder, metrics), computed from lengths at scrape time; the vectors themselves are on the device.", tableDRAM)
+	r.Register("bandana_table_dram_bytes", "gauge", "Heap a table keeps resident, by component (layout, admit_bits, overlay, cache_arena, cache_index — with a cache pinned whole, its one-bit-per-vector set —, recorder, metrics), computed from lengths at scrape time; the vectors themselves are on the device.", tableDRAM)
 	r.Register("bandana_store_dram_bytes", "gauge", "Heap the store keeps resident beside its tables' bandana_table_dram_bytes, by component (metrics: the stage, device and I/O scheduler latency histograms; blocks: the data itself when the backend is mem, which keeps every block in the heap, 0 on file).",
 		[]metrics.Sample{
 			{Labels: metrics.L("component", "metrics"), Value: float64(dram.Metrics)},

@@ -42,6 +42,12 @@
 // Which ids are pinned is the cache's own state, read under the shard lock,
 // so a caller acting on an older verdict cannot displace a pinned id.
 //
+// A cache that holds its whole table can never evict, so its recency list
+// orders nothing; the store pins such a cache whole (every id of the table)
+// unless a pin verdict gives it a set. Each shard's capacity is then exactly
+// the ids that hash to it, every requested entry is off the list, and a hit
+// is an index probe and a flag test: no unlink, relink or boundary cascade.
+//
 // It is the one segmented LRU in the product: the store serves from it, and
 // with SlotBytes 0 (keys only) sim.Replay, the shadow-cache admission
 // policies and mrc's ground truth run on it too, so what the miniature

@@ -1072,6 +1072,32 @@ func BenchmarkAddAtFull(b *testing.B) {
 // unlink, relink at the MRU end and cascade one boundary per segment crossed.
 func BenchmarkGetPromote(b *testing.B) {
 	c, keys := benchCache(b)
+	benchGets(b, c, keys)
+}
+
+// BenchmarkGetPinned is BenchmarkGetPromote's hit on a cache of the same
+// size and shards pinned whole: every entry is off the recency list, so the
+// hit moves nothing.
+func BenchmarkGetPinned(b *testing.B) {
+	const n = 1 << 16
+	c := vcache.New(vcache.Options{Capacity: n, SlotBytes: 128, Shards: 8})
+	set := make([]uint64, n/64)
+	for w := range set {
+		set[w] = ^uint64(0)
+	}
+	c.Pin(set)
+	p := make([]byte, 128)
+	keys := make([]uint32, n)
+	for id := range keys {
+		keys[id] = uint32(id)
+		c.Add(uint32(id), p, false)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	benchGets(b, c, keys)
+}
+
+// benchGets times a Get of each of keys in turn, every one a hit.
+func benchGets(b *testing.B, c *vcache.Cache, keys []uint32) {
 	release := c.Lease()
 	defer release()
 	b.ReportAllocs()
