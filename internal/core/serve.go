@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math/bits"
@@ -90,23 +91,16 @@ func (s *Store) LookupBatchRawLeased(tableIdx int, ids []uint32) ([][]byte, func
 }
 
 // copyRawViews rewrites every view in out into one freshly allocated buffer,
-// so the results survive the lease release.
+// so the results survive the lease release. bytes.Join allocates the buffer
+// without zeroing it first, which a make of it would do for bytes the copy
+// overwrites at once.
 func copyRawViews(out [][]byte) {
-	n := 0
-	for _, v := range out {
-		n += len(v)
-	}
-	if n == 0 {
-		return
-	}
-	buf := make([]byte, 0, n)
+	buf := bytes.Join(out, nil)
 	for i, v := range out {
 		if v == nil {
 			continue
 		}
-		off := len(buf)
-		buf = append(buf, v...)
-		out[i] = buf[off:len(buf):len(buf)]
+		out[i], buf = buf[:len(v):len(v)], buf[len(v):]
 	}
 }
 

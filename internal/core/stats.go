@@ -116,9 +116,10 @@ type TableDRAM struct {
 	AdmitBits int64
 	// Overlay is the payloads and entries of updates not yet compacted.
 	Overlay int64
-	// CacheArena is the cache's slabs; CacheIndex its slot metadata and
-	// probe tables, and the whole-table set of a cache pinned whole (one
-	// bit per vector; a pin verdict's set is AdmitBits').
+	// CacheArena is the cache's slabs; CacheIndex its slot records and
+	// probe tables, or, for a cache in its whole-table form, its slot words
+	// and prefetched-flag bitset (4⅛ B per vector of the table; a pin
+	// verdict's set is AdmitBits').
 	CacheArena int64
 	CacheIndex int64
 	// Recorder is the adaptation engine's access window (0 while it is off).
@@ -176,9 +177,6 @@ func (s *Store) Stats() []TableStats {
 			CacheArena: cs.ArenaBytes,
 			CacheIndex: cs.MetaBytes + cs.IndexBytes,
 			Metrics:    st.counters.SizeBytes(),
-		}
-		if st.pinsWhole(state.cacheCap, state.admit.pinnedSet()) {
-			ts.DRAM.CacheIndex += 8 * int64(wholeSetWords(st.numVectors))
 		}
 		if r := st.recorder.Load(); r != nil {
 			ts.DRAM.Recorder = r.SizeBytes()

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -614,12 +616,7 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 		sched.Close()
 		return nil, err
 	}
-	// placeTables rejected an empty table list, so the split cannot divide
-	// by zero.
-	perTable := budget / len(geoms)
-	if perTable < 1 {
-		perTable = 1
-	}
+	shares := initialShares(geoms, budget)
 	for i, g := range geoms {
 		st := &storeTable{
 			index:        i,
@@ -644,7 +641,7 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 			l = layout.Identity(g.numVectors, g.blockVectors)
 		}
 		ts := &tableState{layout: l}
-		st.freshCache(ts, perTable, nil)
+		st.freshCache(ts, shares[i], nil)
 		st.state.Store(ts)
 		s.tables = append(s.tables, st)
 		s.byName[g.name] = i
@@ -654,6 +651,31 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 	s.compactDone = make(chan struct{})
 	go s.compactLoop()
 	return s, nil
+}
+
+// initialShares splits budget evenly over the tables before any training,
+// capping each table's share at its size and sharing what a small table
+// leaves among the others, so that no budget is stranded in a cache larger
+// than its table (a later splitDRAM subtracts the whole allocation of a table
+// it leaves alone). Every share is at least one vector. placeTables rejected
+// an empty table list, so the split cannot divide by zero.
+func initialShares(geoms []tableGeom, budget int) []int {
+	order := make([]int, len(geoms))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(geoms[a].numVectors, geoms[b].numVectors) })
+	shares := make([]int, len(geoms))
+	left, k := budget, len(order)
+	for ; k > 0 && geoms[order[len(order)-k]].numVectors < left/k; k-- {
+		i := order[len(order)-k]
+		shares[i] = geoms[i].numVectors
+		left -= shares[i]
+	}
+	for _, i := range order[len(order)-k:] {
+		shares[i] = max(left/k, 1)
+	}
+	return shares
 }
 
 // Close stops the adaptation engine (if running) and the background
@@ -755,13 +777,16 @@ func (st *storeTable) setThresholdPolicy(ts *tableState, counts []uint32, pinned
 
 // freshCache gives ts a new, empty cache of the given capacity, holding
 // pinned (a bitset over ids, ts.admit's) as its pinned set when it is
-// non-nil, and pinned whole when it is nil and capacity covers the table
-// (see cachePins).
+// non-nil, and in its whole-table form when it is nil and capacity covers
+// the table (see pinsWhole).
 func (st *storeTable) freshCache(ts *tableState, capacity int, pinned []uint64) {
 	ts.cacheCap = capacity
 	ts.cache = newTableCache(capacity, st.shards, st.vecBytes)
-	if pins := st.cachePins(capacity, pinned); pins != nil {
-		ts.cache.Pin(pins)
+	switch {
+	case st.pinsWhole(capacity, pinned):
+		ts.cache.PinWhole(st.numVectors)
+	case pinned != nil:
+		ts.cache.Pin(pinned)
 	}
 }
 
@@ -781,48 +806,29 @@ func (st *storeTable) freshCache(ts *tableState, capacity int, pinned []uint64) 
 // capacity, so the table's DRAM is its share and the cache never evicts a
 // pinned id; the entries it holds outside the set stay in the room the set
 // has not filled. The pinned set is the cache's own, so a request still
-// serving an older verdict cannot displace a pinned id. So is a cache grown
-// to cover its table, pinned whole (see cachePins), keeping every entry it
-// holds; one shrunk below its table is resized, which ends the whole-table
-// set, and is an even-split LRU again.
+// serving an older verdict cannot displace a pinned id. A cache grown to
+// cover its table takes its whole-table form in place (see pinsWhole),
+// keeping every entry it holds; one shrunk below its table is resized, which
+// ends that form, and is an even-split LRU again.
 func (st *storeTable) resizeCache(ts *tableState, capacity int, pinned []uint64) {
-	if pins := st.cachePins(capacity, pinned); pins != nil {
-		ts.cache.Pin(pins)
-	} else {
+	switch {
+	case st.pinsWhole(capacity, pinned):
+		ts.cache.PinWhole(st.numVectors)
+	case pinned != nil:
+		ts.cache.Pin(pinned)
+	default:
 		ts.cache.Resize(capacity)
 	}
 	ts.cacheCap = capacity
 }
 
 // pinsWhole reports whether a cache of the given capacity, under verdict (a
-// pin verdict's set; nil for any other policy), is pinned whole: it holds no
-// pin verdict and covers the table.
+// pin verdict's set; nil for any other policy), takes its whole-table form
+// (vcache's PinWhole): it holds no pin verdict and covers the table. Such a
+// cache can never evict, so it keeps no recency and no hash index, only a
+// slot word per id, and a hit takes no lock. The form follows from the
+// capacity here, never persisted: a one-shard replay of a cache that covers
+// its table evicts nothing, so the miniature caches predict it unchanged.
 func (st *storeTable) pinsWhole(capacity int, verdict []uint64) bool {
 	return verdict == nil && capacity >= st.numVectors
 }
-
-// cachePins is the pinned set a table's cache of the given capacity holds:
-// the pin verdict's when verdict is non-nil, every id of the table when the
-// cache covers it (pinsWhole), and nil otherwise. A cache that covers its
-// table can never evict, so its recency list orders nothing; pinned whole,
-// each shard's capacity is exactly the ids that hash to it, a requested
-// entry is filed off the list, and a hit on it moves nothing. The
-// whole-table set is derived from the capacity here, never persisted: a
-// one-shard replay of a cache that covers its table evicts nothing pinned or
-// not, so the miniature caches predict it unchanged.
-func (st *storeTable) cachePins(capacity int, verdict []uint64) []uint64 {
-	if !st.pinsWhole(capacity, verdict) {
-		return verdict
-	}
-	set := make([]uint64, wholeSetWords(st.numVectors))
-	for w := range set {
-		set[w] = ^uint64(0)
-	}
-	if r := st.numVectors % 64; r != 0 {
-		set[len(set)-1] = 1<<r - 1
-	}
-	return set
-}
-
-// wholeSetWords is the length in words of a whole-table set over n ids.
-func wholeSetWords(n int) int { return (n + 63) / 64 }

@@ -3,12 +3,18 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bandana/internal/cache"
+	"bandana/internal/fp16"
 	"bandana/internal/sim"
+	"bandana/internal/table"
 	"bandana/internal/trace"
 )
 
@@ -17,24 +23,31 @@ const wholeVectors = 4096
 
 // wholePinned checks that st's cache is pinned whole: no pin verdict, an
 // allocation that covers the table, a capacity of exactly the table's
-// vectors, and on the recency lists only entries a neighbour's read brought
-// in that no request has asked for yet.
+// vectors, the whole-table form — a slot word per vector and a prefetched
+// flag bitset for its index, no slot records — and nothing on the recency
+// lists.
 func wholePinned(st *storeTable) error {
 	ts := st.loadState()
 	if ts.admit.pinnedSet() != nil || ts.cacheCap < st.numVectors || ts.cache.Cap() != st.numVectors {
 		return fmt.Errorf("table %q: pin verdict %v, allocation %d, cache capacity %d, for %d vectors",
 			st.name, ts.admit.pinnedSet() != nil, ts.cacheCap, ts.cache.Cap(), st.numVectors)
 	}
+	cs := ts.cache.Stats()
+	if want := wholeIndexBytes(st.numVectors); !ts.cache.Whole() || cs.MetaBytes != 0 || cs.IndexBytes != want {
+		return fmt.Errorf("table %q: whole form %v, %d B of slot records and %d B of index, want none and %d B",
+			st.name, ts.cache.Whole(), cs.MetaBytes, cs.IndexBytes, want)
+	}
 	for i := range ts.cache.NumShards() {
-		keys, prefetched := ts.cache.ShardKeys(i)
-		for k, p := range prefetched {
-			if !p {
-				return fmt.Errorf("table %q: requested id %d is on shard %d's recency list", st.name, keys[k], i)
-			}
+		if keys, _ := ts.cache.ShardKeys(i); len(keys) != 0 {
+			return fmt.Errorf("table %q: ids %v are on shard %d's recency list", st.name, keys, i)
 		}
 	}
 	return nil
 }
+
+// wholeIndexBytes is the index of a whole-table cache over n vectors: a
+// 4-byte slot word per vector and a bit per vector, in whole words.
+func wholeIndexBytes(n int) int64 { return 4*int64(n) + 8*int64((n+63)/64) }
 
 // everyID is one query per run of 64 ids, covering ids 0..n-1.
 func everyID(n int) []trace.Query {
@@ -98,8 +111,8 @@ func trainWhole(t *testing.T, s *Store, train *trace.Trace) {
 // served from several goroutines at once stays cached, every requested entry
 // is off the recency list, and served again every lookup hits. An even split
 // of the table's size across the shards overflows the shards more ids hash
-// to, and fails this. The whole-table set is counted in the cache's index
-// bytes.
+// to, and fails this. The slot words and the flag bitset are the whole of
+// the cache's index bytes.
 func TestWholeTableCacheIsPinned(t *testing.T) {
 	for _, shards := range []int{8, 64} {
 		t.Run(fmt.Sprint(shards), func(t *testing.T) {
@@ -122,10 +135,8 @@ func TestWholeTableCacheIsPinned(t *testing.T) {
 				t.Fatalf("served again: %d hits, %d misses, %d verdict-pinned vectors; want %d hits only",
 					got.Hits, got.Misses, got.PinnedVectors, wholeVectors)
 			}
-			cs := st.loadState().cache.Stats()
-			if set := got.DRAM.CacheIndex - cs.MetaBytes - cs.IndexBytes; set != wholeVectors/8 {
-				t.Fatalf("cache_index counts %d bytes beside the slot records and probe tables, want the %d-byte whole-table set",
-					set, wholeVectors/8)
+			if want := wholeIndexBytes(wholeVectors); got.DRAM.CacheIndex != want {
+				t.Fatalf("cache_index counts %d bytes, want the %d bytes of slot words and flag bitset", got.DRAM.CacheIndex, want)
 			}
 		})
 	}
@@ -344,6 +355,228 @@ func TestWholeTableReplayIsTheStore(t *testing.T) {
 			want.Lookups, want.Hits, want.Misses, want.BlockReads, want.ProbationFills, want.PrefetchesAdmitted, want.PrefetchHits)
 	}
 	if err := wholePinned(st); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInitialSplitCapsSmallTables: Open caps a table's share of the budget
+// at its size and shares the rest among the others, so a budget of 9,216
+// over tables of 1,024 and 8,192 vectors covers both. Training the large
+// table alone then leaves its cache covering it, in the whole-table form:
+// the small table's allocation, which the split subtracts, is its size and
+// not half the budget.
+func TestInitialSplitCapsSmallTables(t *testing.T) {
+	const small, large = 1024, 8192
+	p := trace.Profile{Name: "large", NumVectors: large, AvgLookups: 20, Locality: 0.9, CommunitySize: 64, ReuseSkew: 3, Seed: 3}
+	tables := []*table.Table{
+		table.Generate("small", table.GenerateOptions{NumVectors: small, Dim: 16, Seed: 1}).Table,
+		table.Generate(p.Name, table.GenerateOptions{NumVectors: large, Dim: 16, Seed: 2}).Table,
+	}
+	s, err := Open(testBackendConfig(t, Config{Tables: tables, DRAMBudgetVectors: small + large, Seed: 7, CacheShards: 8}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i, want := range []int{small, large} {
+		if got := s.tables[i].loadState().cacheCap; got != want {
+			t.Fatalf("table %d opens with %d cache vectors, want its %d", i, got, want)
+		}
+	}
+	rep, err := s.Train([]*trace.Trace{nil, trace.GenerateTable(p, 400)}, TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Tables[1].CacheVectors; got != large {
+		t.Fatalf("Train gave the large table %d cache vectors, want its %d", got, large)
+	}
+	for _, st := range s.tables {
+		if err := wholePinned(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// rawOf is the fp16 encoding of vec, as LookupBatchRaw serves it.
+func rawOf(vec []float32) []byte { return fp16.EncodeSlice(nil, vec) }
+
+// TestWholeFormServesUpdatesUnderRace is the whole-table form's -race test
+// of the serving path: lookups served by lock-free hits run against
+// UpdateVector (which removes the cached copy, so the next lookup refills
+// it from the overlay) and CompactDeltas. Each update's tag is counted
+// started before UpdateVector and acknowledged after it returns; a lookup
+// must serve an id's vector of a tag at least the one acknowledged before
+// it began and at most the one started when it ended.
+func TestWholeFormServesUpdatesUnderRace(t *testing.T) {
+	s, train, _ := wholeStore(t, wholeVectors, 8)
+	trainWhole(t, s, train)
+	st := s.tables[0]
+	const hot, tags = 16, 400
+	var acked, started [hot]atomic.Int32
+	raw := make([][]byte, tags+1)
+	for tag := 1; tag <= tags; tag++ {
+		raw[tag] = rawOf(testVec(st.dim, uint32(tag)))
+	}
+	for id := range uint32(hot) {
+		if err := s.UpdateVector(0, id, testVec(st.dim, 1)); err != nil {
+			t.Fatal(err)
+		}
+		acked[id].Store(1)
+		started[id].Store(1)
+	}
+	if err := serveConcurrently(s, everyID(wholeVectors)); err != nil {
+		t.Fatal(err)
+	}
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for r := range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for !done.Load() {
+				ids := make([]uint32, 0, 24)
+				for _, v := range rng.Perm(wholeVectors)[:16] {
+					ids = append(ids, uint32(v))
+				}
+				for _, v := range rng.Perm(hot)[:8] {
+					if !slices.Contains(ids, uint32(v)) {
+						ids = append(ids, uint32(v))
+					}
+				}
+				var lo [hot]int32
+				for id := range lo {
+					lo[id] = acked[id].Load()
+				}
+				got, err := s.LookupBatchRaw(0, ids)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i, id := range ids {
+					if id >= hot {
+						continue
+					}
+					hi := started[id].Load()
+					ok := false
+					for tag := lo[id]; tag <= hi && !ok; tag++ {
+						ok = bytes.Equal(got[i], raw[tag])
+					}
+					if !ok {
+						errs <- fmt.Errorf("id %d served a vector of none of tags %d..%d", id, lo[id], hi)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !done.Load() {
+			if err := s.CompactDeltas(); err != nil {
+				errs <- err
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	for tag := int32(2); tag <= tags; tag++ {
+		id := uint32(tag) % hot
+		started[id].Store(tag)
+		if err := s.UpdateVector(0, id, testVec(st.dim, uint32(tag))); err != nil {
+			t.Fatal(err)
+		}
+		acked[id].Store(tag)
+		if tag%16 == 0 {
+			runtime.Gosched()
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := holdsWholeTable(s); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWholeFormConvertsUnderLookups: shrinking a whole-table cache below
+// its table and growing it back converts the one cache object in place, in
+// and out of the whole-table form, while lookups run against it; every
+// lookup serves the table's bytes, and the cache ends whole holding every
+// id again.
+func TestWholeFormConvertsUnderLookups(t *testing.T) {
+	s, train, _ := wholeStore(t, wholeVectors, 8)
+	trainWhole(t, s, train)
+	st := s.tables[0]
+	want := make([][]byte, 0, wholeVectors)
+	for _, q := range everyID(wholeVectors) {
+		got, err := s.LookupBatchRaw(0, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, got...)
+	}
+	c := st.loadState().cache
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	for r := range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for !done.Load() {
+				ids := make([]uint32, 32)
+				for i, v := range rng.Perm(wholeVectors)[:len(ids)] {
+					ids[i] = uint32(v)
+				}
+				got, err := s.LookupBatchRaw(0, ids)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i, id := range ids {
+					if !bytes.Equal(got[i], want[id]) {
+						errs <- fmt.Errorf("id %d served bytes that are not its own", id)
+						return
+					}
+				}
+			}
+		}()
+	}
+	resize := func(capacity int) {
+		s.mutateMu.Lock()
+		st.mutateState(func(ts *tableState) { st.resizeCache(ts, capacity, nil) })
+		s.mutateMu.Unlock()
+	}
+	for round := range 20 {
+		resize(wholeVectors / 4)
+		if c.Whole() || c.Cap() != wholeVectors/4 {
+			t.Fatalf("round %d: shrunk to a quarter, whole form %v, capacity %d", round, c.Whole(), c.Cap())
+		}
+		runtime.Gosched()
+		resize(wholeVectors)
+		if err := wholePinned(st); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		runtime.Gosched()
+	}
+	done.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st.loadState().cache != c {
+		t.Fatal("the conversions replaced the cache object")
+	}
+	if err := holdsWholeTable(s); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -42,11 +42,23 @@
 // Which ids are pinned is the cache's own state, read under the shard lock,
 // so a caller acting on an older verdict cannot displace a pinned id.
 //
-// A cache that holds its whole table can never evict, so its recency list
-// orders nothing; the store pins such a cache whole (every id of the table)
-// unless a pin verdict gives it a set. Each shard's capacity is then exactly
-// the ids that hash to it, every requested entry is off the list, and a hit
-// is an index probe and a flag test: no unlink, relink or boundary cascade.
+// # Whole-table form
+//
+// A cache that holds its whole table can never evict, so it needs neither
+// recency nor a hash index: PinWhole(n) gives it a form of its own, which
+// the store takes whenever a cache covers its table and no pin verdict gives
+// it a set. The shards' probe tables, slot records and recency lists give
+// way to one atomic slot word per id of [0, n) (slot+1, 0 when absent) and
+// a prefetched-flag bitset: 4⅛ B per vector of the table in place of ~27 B
+// per resident vector. Slabs, free lists and limbo stay per shard. A hit
+// (Get, GetBatch) is one atomic load of the slot word, with no shard lock,
+// no probe and no slot record, and the first request of a prefetched entry
+// clears its flag with an atomic compare-and-swap; a miss, a fill, GetBatch's
+// miss callback and Remove take the shard lock as in the other form, and
+// the lease rule below is unchanged: a fill publishes the slot word after
+// the payload, and Remove clears it before it parks the slot. Resize and
+// Pin convert the cache back in place, keeping every entry they have room
+// for, and PinWhole converts it again.
 //
 // It is the one segmented LRU in the product: the store serves from it, and
 // with SlotBytes 0 (keys only) sim.Replay, the shadow-cache admission
@@ -67,7 +79,7 @@
 // # View lifetime and leases
 //
 // Get returns read-only views directly into the arenas (the store's zero-copy
-// serving path). A slot freed by eviction is eventually reused, so a
+// serving path). A slot freed by eviction or removal is eventually reused, so a
 // view must not outlive its request. Readers bracket a request with
 // release := c.Lease(); ... release(), and reclamation is epoch-based: an
 // evicted slot is parked in a limbo list stamped with the current lease
@@ -163,9 +175,12 @@ type shard struct {
 	idxMask  uint32
 	idxShift uint
 
-	// Payload arenas: slabs of slotsPerSlab fixed-size slots each, allocated
-	// lazily. meta is indexed by slot and grows as slots are minted.
-	slabs [][]byte
+	// Payload arenas: slabs of 1<<slabShift fixed-size slots each, allocated
+	// lazily. The directory is replaced, never written in place, when a slab
+	// is added, so a whole-table hit reads it without the lock. meta is
+	// indexed by slot and grows as slots are minted; a whole-table cache
+	// keeps none (nor idx, nor recency list).
+	slabs atomic.Pointer[[][]byte]
 	meta  []slotMeta
 
 	// free holds immediately reusable slots; limbo[limboHead:] holds evicted
@@ -203,6 +218,11 @@ type Cache struct {
 	slabShift uint
 	shardMask uint64
 	capacity  atomic.Int64
+
+	// whole is the index of the whole-table form (see PinWhole), nil in the
+	// partial form. It changes only under every shard lock, so a holder of
+	// any shard lock sees it fixed.
+	whole atomic.Pointer[wholeIndex]
 
 	// Lease epoch machinery. cnt[e&1] counts live leases acquired during
 	// epoch e; the epoch may advance from e to e+1 only while cnt[(e+1)&1]
@@ -261,20 +281,17 @@ func New(opts Options) *Cache {
 	c.releases[1] = func() { c.cnt[1].n.Add(-1) }
 
 	// Slots per slab: a power of two targeting ~targetSlabBytes, but no
-	// larger than the (rounded-up) shard capacity so small caches do not
-	// allocate megabytes they can never fill.
+	// more than about an eighth of a shard's share (at least 8 slots), so a
+	// small cache's arena grows in steps of an eighth of what it can fill.
 	per := 1
 	for opts.SlotBytes > 0 && per*2*opts.SlotBytes <= targetSlabBytes {
 		per <<= 1
 	}
-	maxShardCap := opts.Capacity/n + 1
-	capPow := 1
-	for capPow < maxShardCap {
-		capPow <<= 1
+	share := 8
+	for share*8 < opts.Capacity/n+1 {
+		share <<= 1
 	}
-	if per > capPow {
-		per = capPow
-	}
+	per = min(per, share)
 	shift := uint(0)
 	for 1<<shift < per {
 		shift++
@@ -349,6 +366,9 @@ func (c *Cache) Contains(id uint32) bool {
 	s := c.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if w := c.whole.Load(); w != nil {
+		return w.find(id) != nilIdx
+	}
 	return s.idxFind(id) != nilIdx
 }
 
@@ -385,7 +405,7 @@ func (s *shard) payload(c *Cache, slot uint32) []byte {
 	if c.slotBytes == 0 {
 		return nil
 	}
-	slab := s.slabs[slot>>c.slabShift]
+	slab := (*s.slabs.Load())[slot>>c.slabShift]
 	off := int(slot&(1<<c.slabShift-1)) * c.slotBytes
 	return slab[off : off+c.slotBytes : off+c.slotBytes]
 }
@@ -605,11 +625,28 @@ func (s *shard) alloc(c *Cache) uint32 {
 	}
 	slot := s.nextSlot
 	s.nextSlot++
-	if c.slotBytes > 0 && int(slot)>>c.slabShift == len(s.slabs) {
-		s.slabs = append(s.slabs, make([]byte, (1<<c.slabShift)*c.slotBytes))
+	if c.slotBytes > 0 && int(slot)>>c.slabShift == len(s.slabDir()) {
+		s.addSlab(c)
 	}
-	s.meta = append(s.meta, slotMeta{prev: nilIdx, next: nilIdx})
+	if s.idx != nil {
+		s.meta = append(s.meta, slotMeta{prev: nilIdx, next: nilIdx})
+	}
 	return slot
+}
+
+// addSlab appends a slab to the shard's directory, in a copy of it.
+func (s *shard) addSlab(c *Cache) {
+	dir := s.slabDir()
+	dir = append(dir[:len(dir):len(dir)], make([]byte, (1<<c.slabShift)*c.slotBytes))
+	s.slabs.Store(&dir)
+}
+
+// slabDir returns the shard's slabs.
+func (s *shard) slabDir() [][]byte {
+	if p := s.slabs.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // park retires a slot that is no longer reachable through the index. If no
@@ -746,6 +783,9 @@ func (c *Cache) AddAtGuard(id uint32, payload []byte, pos float64, prefetched bo
 		_, _, ok := s.addAt(c, id, payload, pos, false)
 		return ok
 	}
+	if w := c.whole.Load(); w != nil {
+		return w.find(id) == nilIdx && s.addWhole(c, w, id, payload, true)
+	}
 	if s.idxFind(id) != nilIdx {
 		return false
 	}
@@ -763,6 +803,9 @@ func (c *Cache) checkPayload(payload []byte) {
 // addAt is AddAt under s.mu. It returns the evicted id and true when the
 // insert evicted one, and ok false when the shard refused id.
 func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetched bool) (victim uint32, evicted, ok bool) {
+	if w := c.whole.Load(); w != nil {
+		return 0, false, s.addWhole(c, w, id, payload, prefetched)
+	}
 	slot := s.idxFind(id)
 	if slot == nilIdx {
 		return s.insert(c, id, payload, pos, prefetched)
@@ -787,9 +830,10 @@ func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetch
 	return 0, false, true
 }
 
-// insert is addAt for an id the caller has just found absent from the index,
-// under s.mu: it skips addAt's probe. A full shard makes room by evicting
-// the tail of its list; one with nothing on its list refuses id.
+// insert is addAt for an id the caller has just found absent from the index
+// of a partial cache, under s.mu: it skips addAt's probe. A full shard makes
+// room by evicting the tail of its list; one with nothing on its list
+// refuses id.
 func (s *shard) insert(c *Cache, id uint32, payload []byte, pos float64, prefetched bool) (victim uint32, evicted, ok bool) {
 	if s.used >= s.capacity && s.used == s.pinned {
 		return 0, false, false
@@ -853,7 +897,18 @@ func (s *shard) promote(slot uint32) (wasPrefetched bool) {
 // it reads the view. Allocation-free.
 func (c *Cache) Get(id uint32) (payload []byte, wasPrefetched, ok bool) {
 	s := c.shardOf(id)
+	if w := c.whole.Load(); w != nil {
+		slot := w.find(id)
+		if slot == nilIdx {
+			return nil, false, false
+		}
+		return s.payload(c, slot), w.request(id), true
+	}
 	s.mu.Lock()
+	if c.whole.Load() != nil {
+		s.mu.Unlock()
+		return c.Get(id)
+	}
 	slot := s.idxFind(id)
 	if slot == nilIdx {
 		s.mu.Unlock()
@@ -884,6 +939,9 @@ func (c *Cache) Get(id uint32) (payload []byte, wasPrefetched, ok bool) {
 func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) (prefetchHits int) {
 	if len(ids) == 0 {
 		return 0
+	}
+	if w := c.whole.Load(); w != nil {
+		return c.getWhole(w, ids, views, miss)
 	}
 	var run [locateWindow]int32
 	if len(c.shards) == 1 || len(ids) == 1 {
@@ -942,6 +1000,13 @@ const locateWindow = 32
 // then probes, promotes or fills them in order. It returns how many hits were
 // on prefetched entries.
 func (s *shard) getRun(c *Cache, ids []uint32, run []int32, views [][]byte, miss func(int) []byte) (prefetchHits int) {
+	if s.idx == nil {
+		// The cache took its whole-table form since GetBatch looked.
+		for _, i := range run {
+			prefetchHits += s.step(c, ids, views, int(i), miss)
+		}
+		return prefetchHits
+	}
 	var slots [locateWindow]uint32
 	var touched uint32
 	for k, i := range run {
@@ -1010,6 +1075,14 @@ func grow(b []int32, n int) []int32 {
 func (c *Cache) GetFunc(id uint32, fn func(payload []byte, wasPrefetched bool)) bool {
 	s := c.shardOf(id)
 	s.mu.Lock()
+	if w := c.whole.Load(); w != nil {
+		slot := w.find(id)
+		if slot != nilIdx {
+			fn(s.payload(c, slot), w.request(id))
+		}
+		s.mu.Unlock()
+		return slot != nilIdx
+	}
 	slot := s.idxFind(id)
 	if slot == nilIdx {
 		s.mu.Unlock()
@@ -1026,6 +1099,9 @@ func (c *Cache) Remove(id uint32) bool {
 	s := c.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if w := c.whole.Load(); w != nil {
+		return s.removeWhole(c, w, id)
+	}
 	slot := s.idxFind(id)
 	if slot == nilIdx {
 		return false
@@ -1038,9 +1114,11 @@ func (c *Cache) Remove(id uint32) bool {
 // New and incremental per-shard eviction: entries outside the evicted
 // overflow survive, so a live cache rebalances without losing its working
 // set. It ends a pinned set (see Pin): its resident ids join the head of the
-// recency list, in no particular order. Capacity is clamped to one entry per
-// shard; returns the recorded capacity.
+// recency list, in no particular order. It ends the whole-table form (see
+// PinWhole) the same way, its prefetched entries behind the requested ones.
+// Capacity is clamped to one entry per shard; returns the recorded capacity.
 func (c *Cache) Resize(capacity int) int {
+	c.leaveWhole()
 	n := len(c.shards)
 	if capacity < n {
 		capacity = n
@@ -1069,8 +1147,10 @@ func (c *Cache) Resize(capacity int) int {
 // entry outside it joins the list's LRU end, the list's overflow evicted from
 // there. From then on a pinned id is never evicted once asked for, and the
 // capacity the set has not filled holds other ids, as an LRU (see the
-// package comment). A later Pin replaces the set; Resize ends it.
+// package comment). A later Pin replaces the set; Resize ends it. Pin ends
+// the whole-table form as Resize does.
 func (c *Cache) Pin(set []uint64) {
+	c.leaveWhole()
 	caps := make([]int, len(c.shards))
 	total := 0
 	for w, word := range set {
@@ -1133,7 +1213,8 @@ type Stats struct {
 	// ArenaBytes is the total allocated slab bytes (resident payloads plus
 	// free/limbo slots and slab tails not yet minted).
 	ArenaBytes int64
-	// MetaBytes is the slot-metadata footprint; IndexBytes the probe tables.
+	// MetaBytes is the slot-metadata footprint; IndexBytes the probe tables,
+	// or a whole-table cache's slot words and prefetched-flag bitset.
 	MetaBytes  int64
 	IndexBytes int64
 	// Utilization is BytesResident / ArenaBytes (0 with no slabs).
@@ -1151,12 +1232,15 @@ func (c *Cache) Stats() Stats {
 		Shards:   len(c.shards),
 		Epoch:    c.epoch.Load(),
 	}
+	if w := c.whole.Load(); w != nil {
+		st.IndexBytes += w.sizeBytes()
+	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		st.Entries += s.used
-		st.Slabs += len(s.slabs)
-		for _, slab := range s.slabs {
+		st.Slabs += len(s.slabDir())
+		for _, slab := range s.slabDir() {
 			st.ArenaBytes += int64(len(slab))
 		}
 		st.MetaBytes += int64(len(s.meta)) * 16
@@ -1203,6 +1287,11 @@ func (s *shard) listHead() uint32 {
 // checkInvariants validates internal consistency; exposed to tests via
 // export_test.go.
 func (c *Cache) checkInvariants() error {
+	if c.whole.Load() != nil {
+		c.lockAll()
+		defer c.unlockAll()
+		return c.checkWhole()
+	}
 	for si := range c.shards {
 		s := &c.shards[si]
 		s.mu.Lock()

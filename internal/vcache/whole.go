@@ -1,0 +1,324 @@
+package vcache
+
+import (
+	"fmt"
+	"sync/atomic"
+)
+
+// wholeIndex is the index of a cache in its whole-table form (see PinWhole):
+// one slot word per id of the table and a prefetched flag per id, shared by
+// every shard. A slot is shard-local, and the shard is the id's, as in the
+// partial form.
+type wholeIndex struct {
+	// slots[id] is id's slot+1, 0 when id is not resident. Written under
+	// the id's shard lock, read with or without it.
+	slots []atomic.Uint32
+	// prefetched is a bitset over ids: bit id%64 of word id/64 marks an
+	// entry inserted by prefetch admission and not yet requested.
+	prefetched []atomic.Uint64
+}
+
+func newWholeIndex(n int) *wholeIndex {
+	return &wholeIndex{slots: make([]atomic.Uint32, n), prefetched: make([]atomic.Uint64, (n+63)/64)}
+}
+
+// find returns id's slot, or nilIdx when id is not resident or outside the
+// table.
+func (w *wholeIndex) find(id uint32) uint32 {
+	if int(id) >= len(w.slots) {
+		return nilIdx
+	}
+	return w.slots[id].Load() - 1
+}
+
+// request clears id's prefetched flag, reporting whether it was set: of
+// several concurrent requests of a prefetched entry exactly one sees it.
+func (w *wholeIndex) request(id uint32) bool {
+	return w.setPrefetched(id, false)
+}
+
+func (w *wholeIndex) isPrefetched(id uint32) bool {
+	return w.prefetched[id/64].Load()&(1<<(id%64)) != 0
+}
+
+// setPrefetched sets or clears id's prefetched flag, reporting whether it
+// was set. It is a compare-and-swap loop rather than atomic.Uint64's Or and
+// And: Go 1.24.0's amd64 compiler clobbers a live register in the loop it
+// emits for an And whose result is used.
+func (w *wholeIndex) setPrefetched(id uint32, prefetched bool) (was bool) {
+	word, bit := &w.prefetched[id/64], uint64(1)<<(id%64)
+	for {
+		old := word.Load()
+		next := old &^ bit
+		if prefetched {
+			next = old | bit
+		}
+		if old == next || word.CompareAndSwap(old, next) {
+			return old&bit != 0
+		}
+	}
+}
+
+// sizeBytes is the index's footprint: 4 B per id and a bit per id.
+func (w *wholeIndex) sizeBytes() int64 {
+	return int64(len(w.slots))*4 + int64(len(w.prefetched))*8
+}
+
+// PinWhole gives the cache its whole-table form in place: it pins every id
+// in [0, n), keeping every resident entry of them and dropping any other.
+// The shards' probe tables, slot records and recency lists give way to one
+// slot word per id and a prefetched-flag bitset, so a hit (Get, GetBatch) is
+// an atomic load under the caller's lease, with no shard lock; a miss, a
+// fill and Remove take the shard lock as before, and a removed slot waits
+// out the same lease grace. Nothing is ever evicted: each shard's capacity
+// is the number of ids of [0, n) that hash to it, and Cap is n. An id
+// outside [0, n) is refused. Resize and Pin end the form (see leaveWhole);
+// PinWhole on a cache already whole over n ids changes nothing.
+func (c *Cache) PinWhole(n int) {
+	c.lockAll()
+	defer c.unlockAll()
+	if w := c.whole.Load(); w != nil {
+		if len(w.slots) == n {
+			return
+		}
+		c.toPartial(w)
+	}
+	caps := make([]int, len(c.shards))
+	for id := range uint32(n) {
+		caps[Hash(id)&c.shardMask]++
+	}
+	w := newWholeIndex(n)
+	for i := range c.shards {
+		s := &c.shards[i]
+		for _, e := range s.idx {
+			slot, id := uint32(e>>32), uint32(e)
+			if slot == nilIdx {
+				continue
+			}
+			if int(id) >= n {
+				s.park(c, slot)
+				s.used--
+				continue
+			}
+			w.slots[id].Store(slot + 1)
+			w.setPrefetched(id, s.meta[slot].segflags&prefetchedBit != 0)
+		}
+		s.idx, s.meta, s.pins, s.pinned = nil, nil, nil, 0
+		for k := range s.segs {
+			s.segs[k] = segment{head: nilIdx, tail: nilIdx}
+		}
+		s.capacity = caps[i]
+	}
+	c.whole.Store(w)
+	c.capacity.Store(int64(n))
+}
+
+// Whole reports whether the cache has its whole-table form (see PinWhole).
+func (c *Cache) Whole() bool { return c.whole.Load() != nil }
+
+// leaveWhole turns a whole-table cache back into the partial form, keeping
+// every entry: each shard gets a probe table and slot records, its requested
+// entries are filed as pinned entries of an empty set and its prefetched
+// ones at the head of its last segment, so the Resize or Pin that follows
+// files them as it files the entries of any pinned set it ends. A no-op on
+// a partial cache.
+func (c *Cache) leaveWhole() {
+	if c.whole.Load() == nil {
+		return
+	}
+	c.lockAll()
+	defer c.unlockAll()
+	if w := c.whole.Load(); w != nil {
+		c.toPartial(w)
+	}
+}
+
+// toPartial is leaveWhole for w, the cache's whole index, under every shard
+// lock.
+func (c *Cache) toPartial(w *wholeIndex) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.idx = newIndex(s.capacity) // used <= capacity, and inserts keep it so
+		s.idxMask, s.idxShift = uint32(len(s.idx)-1), indexShift(s.idx)
+		s.meta = make([]slotMeta, s.nextSlot)
+		for k := range s.meta {
+			s.meta[k] = slotMeta{prev: nilIdx, next: nilIdx}
+		}
+	}
+	for id := range uint32(len(w.slots)) {
+		slot := w.find(id)
+		if slot == nilIdx {
+			continue
+		}
+		s := c.shardOf(id)
+		s.idxInsert(id, slot)
+		m := &s.meta[slot]
+		m.id = id
+		if w.isPrefetched(id) {
+			m.segflags = prefetchedBit
+			last := len(s.segs) - 1
+			s.pushFront(last, slot)
+			s.rebalance(last)
+		} else {
+			m.segflags = pinnedBit
+			s.pinned++
+		}
+	}
+	c.whole.Store(nil)
+}
+
+func (c *Cache) lockAll() {
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+	}
+}
+
+func (c *Cache) unlockAll() {
+	for i := range c.shards {
+		c.shards[i].mu.Unlock()
+	}
+}
+
+// getWhole is GetBatch on a whole-table cache: a hit is a load of the id's
+// slot word, with no lock; a miss takes the id's shard lock and runs step,
+// which finds the id again in whatever form the cache has by then.
+func (c *Cache) getWhole(w *wholeIndex, ids []uint32, views [][]byte, miss func(int) []byte) (prefetchHits int) {
+	for i, id := range ids {
+		s := c.shardOf(id)
+		slot := w.find(id)
+		if slot == nilIdx {
+			s.mu.Lock()
+			prefetchHits += s.step(c, ids, views, i, miss)
+			s.mu.Unlock()
+			continue
+		}
+		if w.request(id) {
+			prefetchHits++
+		}
+		if views != nil {
+			views[i] = s.payload(c, slot)
+		}
+	}
+	return prefetchHits
+}
+
+// step is GetBatch's step for ids[i] under s.mu, in the form the cache has:
+// a hit sets views[i], a miss runs miss(i) and inserts its non-nil result as
+// a requested entry. It returns 1 for a hit on a prefetched entry.
+func (s *shard) step(c *Cache, ids []uint32, views [][]byte, i int, miss func(int) []byte) int {
+	w := c.whole.Load()
+	if w == nil {
+		pre, _ := s.probe(c, ids, views, i, s.idxFind(ids[i]), miss)
+		return pre
+	}
+	id := ids[i]
+	if slot := w.find(id); slot != nilIdx {
+		if views != nil {
+			views[i] = s.payload(c, slot)
+		}
+		if w.request(id) {
+			return 1
+		}
+		return 0
+	}
+	if miss != nil {
+		if p := miss(i); p != nil {
+			s.addWhole(c, w, id, p, false)
+		}
+	}
+	return 0
+}
+
+// addWhole is addAt on a whole-table cache, under s.mu: it stores payload
+// for id in a fresh slot (or keeps the resident one when the bytes are
+// equal) and sets id's prefetched flag, before it publishes the slot word,
+// so a lock-free reader that sees the word sees both. It reports false when
+// id is outside the table.
+func (s *shard) addWhole(c *Cache, w *wholeIndex, id uint32, payload []byte, prefetched bool) bool {
+	if int(id) >= len(w.slots) {
+		return false
+	}
+	c.checkPayload(payload)
+	old := w.find(id)
+	if old != nilIdx && bytesEqual(s.payload(c, old), payload) {
+		w.setPrefetched(id, prefetched)
+		return true
+	}
+	slot := s.alloc(c)
+	copy(s.payload(c, slot), payload)
+	w.setPrefetched(id, prefetched)
+	w.slots[id].Store(slot + 1)
+	if old == nilIdx {
+		s.used++
+	} else {
+		s.park(c, old)
+	}
+	return true
+}
+
+// removeWhole is Remove on a whole-table cache, under s.mu: the slot word
+// is cleared before the slot is parked, so the lease rule holds as in the
+// partial form.
+func (s *shard) removeWhole(c *Cache, w *wholeIndex, id uint32) bool {
+	slot := w.find(id)
+	if slot == nilIdx {
+		return false
+	}
+	w.slots[id].Store(0)
+	w.setPrefetched(id, false)
+	s.park(c, slot)
+	s.used--
+	return true
+}
+
+// checkWhole validates a whole-table cache under every shard lock: no shard
+// keeps a probe table, slot records or a listed entry; every resident id's
+// slot is its shard's, minted and held by no other id or free or limbo
+// entry; a prefetched flag is set only on a resident id; and each shard's
+// entries, free and limbo slots account for every slot it minted.
+func (c *Cache) checkWhole() error {
+	w := c.whole.Load()
+	if c.Cap() != len(w.slots) {
+		return fmt.Errorf("whole cache over %d ids has capacity %d", len(w.slots), c.Cap())
+	}
+	held := make([]map[uint32]bool, len(c.shards))
+	for si := range c.shards {
+		s := &c.shards[si]
+		if s.idx != nil || s.meta != nil || s.pins != nil || s.pinned != 0 || s.listHead() != nilIdx {
+			return fmt.Errorf("shard %d of a whole cache keeps partial-form state", si)
+		}
+		held[si] = make(map[uint32]bool)
+		for _, slot := range s.free {
+			held[si][slot] = true
+		}
+		for _, ls := range s.limbo[s.limboHead:] {
+			held[si][ls.slot] = true
+		}
+	}
+	used := make([]int, len(c.shards))
+	for id := range uint32(len(w.slots)) {
+		slot := w.find(id)
+		if slot == nilIdx {
+			if w.isPrefetched(id) {
+				return fmt.Errorf("id %d is flagged prefetched and not resident", id)
+			}
+			continue
+		}
+		si := Hash(id) & c.shardMask
+		if slot >= c.shards[si].nextSlot || held[si][slot] {
+			return fmt.Errorf("id %d holds slot %d of shard %d, unminted or held twice", id, slot, si)
+		}
+		held[si][slot] = true
+		used[si]++
+	}
+	for si := range c.shards {
+		s := &c.shards[si]
+		if used[si] != s.used || s.used > s.capacity {
+			return fmt.Errorf("shard %d: %d ids resident, used records %d of capacity %d", si, used[si], s.used, s.capacity)
+		}
+		if len(held[si]) != int(s.nextSlot) {
+			return fmt.Errorf("shard %d: %d slots minted, %d accounted (resident+free+limbo)", si, s.nextSlot, len(held[si]))
+		}
+	}
+	return nil
+}
