@@ -9,11 +9,12 @@
 //
 // vcache stores the fp16 payloads themselves in large slab arenas (one slot
 // class per table, slot size = the table's vector size), indexes them with
-// an open-addressing hash table of packed (id, slot) words, and tracks
-// recency with an intrusive prev/next uint32 list packed into 16-byte slot
-// metadata. The only heap objects are a handful of flat slices per shard;
-// per-entry overhead is ~16 B of metadata plus ~11 B of index, and the GC
-// sees no per-entry pointers at all.
+// an open-addressing hash table of packed (id, record) words, and tracks
+// recency with an intrusive prev/next uint32 list packed into 20-byte slot
+// records. The only heap objects are a handful of flat slices per shard; a
+// listed entry costs ~20 B of record plus ~11 B of index, a held pinned
+// entry (see Pin) a 4-byte slot word, and the GC sees no per-entry pointers
+// at all.
 //
 // The cache is sharded (hash-routed, power-of-two shard count, exact
 // capacity split — or, after Pin, each shard sized to the ids of a pinned
@@ -31,16 +32,25 @@
 // # Pinned set
 //
 // Pin gives the cache a set of ids it never evicts once asked for. A pinned
-// id inserted or hit as a requested entry is kept off the recency list, so a
-// hit on it moves nothing and no eviction can reach it; every other entry —
-// a pinned id a neighbour's read brought in included, until its first hit —
-// is on the list and is evicted as above. Each
-// shard's capacity becomes the number of pinned ids that hash to it, so the
-// pinned ids fit at once, and the capacity they have not yet filled is lent
-// to the list: inserting a pinned id into a full shard evicts the list's
-// tail, and a full shard whose every entry is pinned refuses anything else.
-// Which ids are pinned is the cache's own state, read under the shard lock,
-// so a caller acting on an older verdict cannot displace a pinned id.
+// id inserted or hit as a requested entry is held off the recency list: it
+// keeps no record and no probe entry, only a slot word (slot+1, 0 when
+// absent) addressed by its rank in the set — a bit test, a popcount over
+// one word and a rank directory of one cumulative count per 64 ids —, so a
+// hit on it (Get, GetBatch) is one atomic load under the caller's lease,
+// with no shard lock, and moves nothing. Every other entry — a pinned id a
+// neighbour's read brought in included, until its first hit — is listed
+// and evicted as above; the lists' records and probe tables are sized to the
+// room the pinned entries leave them, so they shrink as the set fills in.
+// Each shard's capacity becomes the number of pinned ids that hash to it,
+// so the pinned ids fit at once, and the capacity they have not yet filled
+// is lent to the list: inserting a pinned id into a full shard evicts the
+// list's tail, and a full shard whose every entry is pinned refuses
+// anything else, without taking its lock. Which ids are pinned is the
+// cache's own state, read under the shard lock, so a caller acting on an
+// older verdict cannot displace a pinned id. A fill publishes the slot word
+// after the payload and Remove clears it before parking the slot, as in the
+// whole-table form below; Resize, Pin and PinWhole convert the cache in
+// place under every shard lock, clearing the words of the index they retire.
 //
 // # Whole-table form
 //
@@ -49,8 +59,8 @@
 // the store takes whenever a cache covers its table and no pin verdict gives
 // it a set. The shards' probe tables, slot records and recency lists give
 // way to one atomic slot word per id of [0, n) (slot+1, 0 when absent) and
-// a prefetched-flag bitset: 4⅛ B per vector of the table in place of ~27 B
-// per resident vector. Slabs, free lists and limbo stay per shard. A hit
+// a prefetched-flag bitset: 4⅛ B per vector of the table in place of ~31 B
+// per listed vector. Slabs, free lists and limbo stay per shard. A hit
 // (Get, GetBatch) is one atomic load of the slot word, with no shard lock,
 // no probe and no slot record, and the first request of a prefetched entry
 // clears its flag with an atomic compare-and-swap; a miss, a fill, GetBatch's
@@ -106,6 +116,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // nilIdx is the nil slot index (list terminator, empty index entry marker).
@@ -121,23 +132,28 @@ const Segments = 16
 const targetSlabBytes = 256 << 10
 
 // prefetchedBit marks an entry inserted by prefetch admission and not yet
-// requested, packed above the segment number in slotMeta.segflags.
-// pinnedBit marks an entry of the pinned set, which is off the recency list.
+// requested, packed above the segment number in slotMeta.segflags. holeBit
+// marks a record on the shard's chain of free records.
 const (
 	segMask       = 0xFFFF
 	prefetchedBit = 1 << 16
-	pinnedBit     = 1 << 17
+	holeBit       = 1 << 17
 )
 
-// slotMeta is the per-slot bookkeeping: the entry's key, its intrusive
-// recency-list links (slot indices, not pointers) and its segment/flag word.
-// 16 bytes, no pointers — the GC never visits it.
+// slotMeta is a listed entry's record: its key, its payload slot, its
+// intrusive recency-list links (record numbers, not pointers) and its
+// segment/flag word. 20 bytes, no pointers — the GC never visits it. An
+// entry held off the list (pinned, or in a whole-table cache) has none.
 type slotMeta struct {
 	id       uint32
+	slot     uint32
 	prev     uint32
 	next     uint32
 	segflags uint32
 }
+
+// recordBytes is the size of one slot record.
+const recordBytes = int64(unsafe.Sizeof(slotMeta{}))
 
 // limboSlot is an evicted slot awaiting lease-grace reclamation.
 type limboSlot struct {
@@ -146,42 +162,53 @@ type limboSlot struct {
 }
 
 // segment is one region of a shard's eviction queue, ordered MRU→LRU.
-// head/tail are slot indices into the shard's meta array.
+// head/tail are record numbers into the shard's meta array.
 type segment struct {
 	head uint32
 	tail uint32
 	size int
 }
 
-// shard is one independently locked slice of the cache. All fields are
-// guarded by mu. The struct is comfortably larger than a cache line, so
-// neighbouring shard locks do not false-share.
+// shard is one independently locked slice of the cache. All fields but
+// slabs and sealed are guarded by mu. The struct is comfortably larger than
+// a cache line, so neighbouring shard locks do not false-share.
 type shard struct {
 	mu       sync.Mutex
 	capacity int
 	used     int
 
-	// pins is the pinned set as a bitset over ids (shared by every shard,
-	// never written; nil: no pinned set) and pinned the number of resident
-	// entries in it, which used counts too.
-	pins   []uint64
+	// pin is the cache's pinned index (see Pin; nil: no pinned set) and
+	// pinned the number of resident entries its slot words hold, which used
+	// counts too. Every other entry is listed: on the recency list, with a
+	// record and a probe-table entry.
+	pin    *pinIndex
 	pinned int
+	// sealed is pin while the shard holds only requested pinned ids and is
+	// full, so it refuses every id outside the set; nil otherwise. It is
+	// read without the lock (see refuses).
+	sealed atomic.Pointer[pinIndex]
 
-	// Open-addressing index with linear probing and backward-shift deletion.
-	// Each word packs slot<<32 | id; a word with slot == nilIdx is empty.
-	// idxMask wraps a probe position, idxShift maps an id to its home (see
-	// home); both follow len(idx), a power of two.
+	// Open-addressing index of the listed entries, with linear probing and
+	// backward-shift deletion. Each word packs record<<32 | id; a word with
+	// record == nilIdx is empty. idxMask wraps a probe position, idxShift
+	// maps an id to its home (see home); both follow len(idx), a power of
+	// two. A whole-table cache keeps none.
 	idx      []uint64
 	idxMask  uint32
 	idxShift uint
 
 	// Payload arenas: slabs of 1<<slabShift fixed-size slots each, allocated
 	// lazily. The directory is replaced, never written in place, when a slab
-	// is added, so a whole-table hit reads it without the lock. meta is
-	// indexed by slot and grows as slots are minted; a whole-table cache
-	// keeps none (nor idx, nor recency list).
+	// is added, so a lock-free hit reads it without the lock.
 	slabs atomic.Pointer[[][]byte]
-	meta  []slotMeta
+
+	// meta holds one record per listed entry, by record number. A record
+	// freed by an entry leaving the list joins the chain that starts at
+	// freeRec (linked through next; holes counts it) and is reused first.
+	// fit keeps meta and idx sized to the room the list has (see room).
+	meta    []slotMeta
+	freeRec uint32
+	holes   int
 
 	// free holds immediately reusable slots; limbo[limboHead:] holds evicted
 	// slots waiting out the lease grace period, oldest first (park compacts
@@ -194,7 +221,7 @@ type shard struct {
 	segs []segment
 
 	// touched is where GetBatch's locate pass leaves what it read of the
-	// slot records, so that the reads are not optimised away.
+	// records, so that the reads are not optimised away.
 	touched uint32
 }
 
@@ -220,9 +247,11 @@ type Cache struct {
 	capacity  atomic.Int64
 
 	// whole is the index of the whole-table form (see PinWhole), nil in the
-	// partial form. It changes only under every shard lock, so a holder of
-	// any shard lock sees it fixed.
+	// partial form, and pin the pinned form's (see Pin), nil without a
+	// pinned set; at most one is set. They change only under every shard
+	// lock, so a holder of any shard lock sees them fixed.
 	whole atomic.Pointer[wholeIndex]
+	pin   atomic.Pointer[pinIndex]
 
 	// Lease epoch machinery. cnt[e&1] counts live leases acquired during
 	// epoch e; the epoch may advance from e to e+1 only while cnt[(e+1)&1]
@@ -311,21 +340,24 @@ func New(opts Options) *Cache {
 
 func (s *shard) init(capacity int) {
 	s.capacity = capacity
+	s.freeRec = nilIdx
 	s.segs = make([]segment, min(Segments, capacity))
 	for i := range s.segs {
 		s.segs[i] = segment{head: nilIdx, tail: nilIdx}
 	}
-	s.idx = newIndex(capacity)
+	s.idx = newIndex(indexLen(capacity))
 	s.idxMask, s.idxShift = uint32(len(s.idx)-1), indexShift(s.idx)
 }
 
-// newIndex allocates an empty probe table sized for capacity entries at
-// <= 0.75 load (power of two, minimum 8).
-func newIndex(capacity int) []uint64 {
-	n := 8
-	for n*3 < (capacity+1)*4 {
-		n <<= 1
-	}
+// indexLen is the probe-table length for n entries: a power of two, at
+// least 8, that holds n+1 entries at <= 0.75 load.
+func indexLen(n int) int {
+	want := max(8, (4*(n+1)+2)/3)
+	return 1 << bits.Len(uint(want-1))
+}
+
+// newIndex allocates an empty probe table of n words.
+func newIndex(n int) []uint64 {
 	idx := make([]uint64, n)
 	for i := range idx {
 		idx[i] = uint64(nilIdx) << 32
@@ -369,7 +401,7 @@ func (c *Cache) Contains(id uint32) bool {
 	if w := c.whole.Load(); w != nil {
 		return w.find(id) != nilIdx
 	}
-	return s.idxFind(id) != nilIdx
+	return s.pin.find(id) != nilIdx || s.idxFind(id) != nilIdx
 }
 
 // Lease marks the start of a request that will hold arena views (Get
@@ -486,24 +518,106 @@ func (s *shard) idxDelete(id uint32) {
 	s.idx[i] = uint64(nilIdx) << 32
 }
 
-// growIndex rebuilds the probe table for a larger capacity.
-func (s *shard) growIndex(capacity int) {
-	next := newIndex(capacity)
-	if len(next) <= len(s.idx) {
-		return
-	}
-	mask, shift := uint32(len(next)-1), indexShift(next)
-	for _, e := range s.idx {
-		if uint32(e>>32) == nilIdx {
+// rehash rebuilds the probe table at n words over the listed records.
+func (s *shard) rehash(n int) {
+	idx := newIndex(n)
+	mask, shift := uint32(n-1), indexShift(idx)
+	for r, m := range s.meta {
+		if m.segflags&holeBit != 0 {
 			continue
 		}
-		i := home(uint32(e), shift)
-		for uint32(next[i]>>32) != nilIdx {
+		i := home(m.id, shift)
+		for uint32(idx[i]>>32) != nilIdx {
 			i = (i + 1) & mask
 		}
-		next[i] = e
+		idx[i] = uint64(r)<<32 | uint64(m.id)
 	}
-	s.idx, s.idxMask, s.idxShift = next, mask, shift
+	s.idx, s.idxMask, s.idxShift = idx, mask, shift
+}
+
+// ---- records ----
+
+// room is how many entries the recency list may hold: the capacity the
+// pinned entries have not filled.
+func (s *shard) room() int { return s.capacity - s.pinned }
+
+// newRecord files a record for id in slot, reusing a freed one first. A
+// full meta grows by doubling, but not past room+1 records (an insert
+// into a full shard lists its entry before it evicts) while that leaves
+// room to grow.
+func (s *shard) newRecord(id, slot, flags uint32) uint32 {
+	m := slotMeta{id: id, slot: slot, prev: nilIdx, next: nilIdx, segflags: flags}
+	if r := s.freeRec; r != nilIdx {
+		s.freeRec = s.meta[r].next
+		s.holes--
+		s.meta[r] = m
+		return r
+	}
+	if len(s.meta) == cap(s.meta) {
+		n := max(8, 2*cap(s.meta))
+		if most := s.room() + 1; most > len(s.meta) {
+			n = min(n, most)
+		}
+		grown := make([]slotMeta, len(s.meta), n)
+		copy(grown, s.meta)
+		s.meta = grown
+	}
+	s.meta = append(s.meta, m)
+	return uint32(len(s.meta) - 1)
+}
+
+// freeRecord chains record r, whose entry has left the list and the index,
+// onto the free records.
+func (s *shard) freeRecord(r uint32) {
+	s.meta[r] = slotMeta{prev: nilIdx, next: s.freeRec, segflags: holeBit}
+	s.freeRec = r
+	s.holes++
+}
+
+// fit keeps the probe table and the records sized to the list's room after
+// it changed: the table grows as soon as the room needs it, and the table
+// and the records are rebuilt to fit (see compact) once either holds more
+// than twice what the room needs, so a pinned shard's list shrinks as its
+// pinned ids fill in, without a rebuild per step.
+func (s *shard) fit() {
+	want := indexLen(s.room())
+	switch {
+	case len(s.idx) < want:
+		s.rehash(want)
+	case len(s.idx) > 2*want || cap(s.meta) > 2*(s.room()+1):
+		s.compact()
+	}
+}
+
+// compact renumbers the listed records in list order into a meta of
+// exactly their number, with no free ones, and rebuilds the probe table at
+// the room's size.
+func (s *shard) compact() {
+	meta := make([]slotMeta, 0, s.used-s.pinned)
+	prev := nilIdx
+	for i := range s.segs {
+		sg := &s.segs[i]
+		r := sg.head
+		for k := range sg.size {
+			m := s.meta[r]
+			r = m.next
+			nr := uint32(len(meta))
+			if k == 0 {
+				sg.head = nr
+			}
+			if k == sg.size-1 {
+				sg.tail = nr
+			}
+			if prev != nilIdx {
+				meta[prev].next = nr
+			}
+			m.prev, m.next = prev, nilIdx
+			meta = append(meta, m)
+			prev = nr
+		}
+	}
+	s.meta, s.freeRec, s.holes = meta, nilIdx, 0
+	s.rehash(indexLen(s.room()))
 }
 
 // ---- intrusive segmented recency list ----
@@ -512,8 +626,8 @@ func (s *shard) growIndex(capacity int) {
 // package comment), so prev/next links cross segment boundaries: the prev of
 // a segment's head is the tail of the nearest non-empty segment before it.
 
-// pushFront links slot in as the new head of segment seg.
-func (s *shard) pushFront(seg int, slot uint32) {
+// pushFront links record r in as the new head of segment seg.
+func (s *shard) pushFront(seg int, r uint32) {
 	sg := &s.segs[seg]
 	prev, next := nilIdx, sg.head
 	if next != nilIdx {
@@ -527,31 +641,31 @@ func (s *shard) pushFront(seg int, slot uint32) {
 		for i := seg + 1; i < len(s.segs) && next == nilIdx; i++ {
 			next = s.segs[i].head
 		}
-		sg.tail = slot
+		sg.tail = r
 	}
-	m := &s.meta[slot]
+	m := &s.meta[r]
 	m.segflags = m.segflags&^segMask | uint32(seg)
 	m.prev, m.next = prev, next
 	if prev != nilIdx {
-		s.meta[prev].next = slot
+		s.meta[prev].next = r
 	}
 	if next != nilIdx {
-		s.meta[next].prev = slot
+		s.meta[next].prev = r
 	}
-	sg.head = slot
+	sg.head = r
 	sg.size++
 }
 
-// listRemove unlinks slot and fixes its segment's cursors.
-func (s *shard) listRemove(slot uint32) {
-	m := &s.meta[slot]
+// listRemove unlinks record r and fixes its segment's cursors.
+func (s *shard) listRemove(r uint32) {
+	m := &s.meta[r]
 	sg := &s.segs[m.segflags&segMask]
 	sg.size--
 	if sg.size == 0 {
 		sg.head, sg.tail = nilIdx, nilIdx
-	} else if sg.head == slot {
+	} else if sg.head == r {
 		sg.head = m.next
-	} else if sg.tail == slot {
+	} else if sg.tail == r {
 		sg.tail = m.prev
 	}
 	if m.prev != nilIdx {
@@ -628,9 +742,6 @@ func (s *shard) alloc(c *Cache) uint32 {
 	if c.slotBytes > 0 && int(slot)>>c.slabShift == len(s.slabDir()) {
 		s.addSlab(c)
 	}
-	if s.idx != nil {
-		s.meta = append(s.meta, slotMeta{prev: nilIdx, next: nilIdx})
-	}
 	return slot
 }
 
@@ -678,53 +789,63 @@ func (s *shard) park(c *Cache, slot uint32) {
 // its id.
 func (s *shard) evictOne(c *Cache) (uint32, bool) {
 	for i := len(s.segs) - 1; i >= 0; i-- {
-		sg := &s.segs[i]
-		if sg.tail == nilIdx {
-			continue
+		if r := s.segs[i].tail; r != nilIdx {
+			id := s.meta[r].id
+			s.drop(c, r)
+			return id, true
 		}
-		id := s.meta[sg.tail].id
-		s.drop(c, sg.tail, id)
-		return id, true
 	}
 	return 0, false
 }
 
-// drop removes id, resident in slot, from the list (or the pinned entries)
-// and the index, and retires the slot.
-func (s *shard) drop(c *Cache, slot, id uint32) {
-	s.unlink(slot)
-	s.idxDelete(id)
-	s.park(c, slot)
+// drop removes the listed entry of record r from the list and the index,
+// and retires its record and slot.
+func (s *shard) drop(c *Cache, r uint32) {
+	m := s.meta[r]
+	s.listRemove(r)
+	s.idxDelete(m.id)
+	s.freeRecord(r)
+	s.park(c, m.slot)
 	s.used--
 }
 
-// unlink takes slot off the recency list, or out of the pinned entries.
-func (s *shard) unlink(slot uint32) {
-	if s.meta[slot].segflags&pinnedBit != 0 {
-		s.pinned--
-		s.meta[slot].segflags &^= pinnedBit
-		return
+// list files record r, just unlinked or new, at the head of segment seg,
+// or holds it in its pinned slot word when its id is pinned and has been
+// asked for (its prefetched flag is clear).
+func (s *shard) list(r uint32, seg int) {
+	if m := &s.meta[r]; m.segflags&prefetchedBit == 0 {
+		if k := s.pin.rank(m.id); k >= 0 {
+			s.hold(r, k)
+			return
+		}
 	}
-	s.listRemove(slot)
-}
-
-// link files slot, holding id, as a pinned entry when id is pinned and has
-// been asked for (its prefetched flag is clear), and at the head of segment
-// seg otherwise.
-func (s *shard) link(slot, id uint32, seg int) {
-	if s.isPinned(id) && s.meta[slot].segflags&prefetchedBit == 0 {
-		s.meta[slot].segflags |= pinnedBit
-		s.pinned++
-		return
-	}
-	s.pushFront(seg, slot)
+	s.pushFront(seg, r)
 	s.rebalance(seg)
 }
 
-// isPinned reports whether id is in the shard's pinned set.
-func (s *shard) isPinned(id uint32) bool {
-	w := int(id / 64)
-	return w < len(s.pins) && s.pins[w]&(1<<(id%64)) != 0
+// hold moves the entry of record r, unlinked from the list, to the slot
+// word of pin rank k: its probe entry and record go, and the word is
+// published last.
+func (s *shard) hold(r uint32, k int) {
+	m := s.meta[r]
+	s.idxDelete(m.id)
+	s.freeRecord(r)
+	s.pin.slots[k].Store(m.slot + 1)
+	s.pinned++
+	s.fit()
+	s.reseal()
+}
+
+// reseal records whether the shard is sealed: pinned, full, and holding
+// only requested pinned ids, so that it refuses any other id.
+func (s *shard) reseal() {
+	var p *pinIndex
+	if s.used >= s.capacity && s.used == s.pinned {
+		p = s.pin
+	}
+	if s.sealed.Load() != p {
+		s.sealed.Store(p)
+	}
 }
 
 // ---- public operations ----
@@ -757,9 +878,12 @@ func (c *Cache) Add(id uint32, payload []byte, prefetched bool) (uint32, bool) {
 // intact) and it moves to the requested position. Returns the evicted id
 // and true if the insertion evicted an entry. A pinned id is held off the
 // recency list whatever pos says, and a full shard holding only pinned ids
-// refuses an id outside the set (see Pin).
+// refuses an id outside the set (see Pin), without taking its lock.
 func (c *Cache) AddAt(id uint32, payload []byte, pos float64, prefetched bool) (uint32, bool) {
 	s := c.shardOf(id)
+	if s.refuses(id) {
+		return 0, false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	victim, evicted, _ := s.addAt(c, id, payload, pos, prefetched)
@@ -774,6 +898,9 @@ func (c *Cache) AddAt(id uint32, payload []byte, pos float64, prefetched bool) (
 // shard refuses id (see AddAt).
 func (c *Cache) AddAtGuard(id uint32, payload []byte, pos float64, prefetched bool, guard *atomic.Uint64, want uint64) bool {
 	s := c.shardOf(id)
+	if s.refuses(id) {
+		return false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if guard != nil && guard.Load() != want {
@@ -786,11 +913,20 @@ func (c *Cache) AddAtGuard(id uint32, payload []byte, pos float64, prefetched bo
 	if w := c.whole.Load(); w != nil {
 		return w.find(id) == nilIdx && s.addWhole(c, w, id, payload, true)
 	}
-	if s.idxFind(id) != nilIdx {
+	if s.pin.find(id) != nilIdx || s.idxFind(id) != nilIdx {
 		return false
 	}
 	_, _, ok := s.insert(c, id, payload, pos, true)
 	return ok
+}
+
+// refuses reports, without the lock, that s is sealed (see reseal) and id
+// is outside its pinned set: the locked path would refuse id from the same
+// state. The seal names the index it was taken under, so a conversion
+// since cannot pair one form's seal with another's set.
+func (s *shard) refuses(id uint32) bool {
+	p := s.sealed.Load()
+	return p != nil && p.rank(id) < 0
 }
 
 // checkPayload panics unless payload is exactly one slot long.
@@ -806,34 +942,67 @@ func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetch
 	if w := c.whole.Load(); w != nil {
 		return 0, false, s.addWhole(c, w, id, payload, prefetched)
 	}
-	slot := s.idxFind(id)
-	if slot == nilIdx {
+	seg := segOf(pos, len(s.segs))
+	if k := s.pin.rank(id); k >= 0 {
+		if slot := s.pin.slots[k].Load() - 1; slot != nilIdx {
+			s.replaceHeld(c, id, k, slot, payload, seg, prefetched)
+			return 0, false, true
+		}
+	}
+	r := s.idxFind(id)
+	if r == nilIdx {
 		return s.insert(c, id, payload, pos, prefetched)
 	}
 	c.checkPayload(payload)
-	s.unlink(slot)
-	if !bytesEqual(s.payload(c, slot), payload) {
+	s.listRemove(r)
+	m := &s.meta[r]
+	if !bytesEqual(s.payload(c, m.slot), payload) {
 		// Never overwrite a slot a lease may be reading: relocate.
 		next := s.alloc(c)
 		copy(s.payload(c, next), payload)
-		s.meta[next].id = id
-		s.park(c, slot)
-		s.idxUpdate(id, next)
-		slot = next
+		s.park(c, m.slot)
+		m.slot = next
 	}
-	m := &s.meta[slot]
 	m.segflags = 0
 	if prefetched {
 		m.segflags = prefetchedBit
 	}
-	s.link(slot, id, segOf(pos, len(s.segs)))
+	s.list(r, seg)
 	return 0, false, true
 }
 
-// insert is addAt for an id the caller has just found absent from the index
-// of a partial cache, under s.mu: it skips addAt's probe. A full shard makes
-// room by evicting the tail of its list; one with nothing on its list
-// refuses id.
+// replaceHeld is addAt for id, held in slot by pin rank k. A requested
+// entry stays held, its word moved to a fresh slot when the bytes differ; a
+// prefetched one leaves the word for the head of segment seg, evictable
+// until it is asked for again.
+func (s *shard) replaceHeld(c *Cache, id uint32, k int, slot uint32, payload []byte, seg int, prefetched bool) {
+	c.checkPayload(payload)
+	if prefetched {
+		s.pin.slots[k].Store(0)
+		s.pinned--
+	}
+	if !bytesEqual(s.payload(c, slot), payload) {
+		next := s.alloc(c)
+		copy(s.payload(c, next), payload)
+		if !prefetched {
+			s.pin.slots[k].Store(next + 1)
+		}
+		s.park(c, slot)
+		slot = next
+	}
+	if prefetched {
+		r := s.newRecord(id, slot, prefetchedBit)
+		s.idxInsert(id, r)
+		s.pushFront(seg, r)
+		s.rebalance(seg)
+		s.fit()
+		s.reseal()
+	}
+}
+
+// insert is addAt for an id the caller has just found absent, under s.mu:
+// it skips addAt's probe. A full shard makes room by evicting the tail of
+// its list; one with nothing on its list refuses id.
 func (s *shard) insert(c *Cache, id uint32, payload []byte, pos float64, prefetched bool) (victim uint32, evicted, ok bool) {
 	if s.used >= s.capacity && s.used == s.pinned {
 		return 0, false, false
@@ -841,20 +1010,34 @@ func (s *shard) insert(c *Cache, id uint32, payload []byte, pos float64, prefetc
 	c.checkPayload(payload)
 	slot := s.alloc(c)
 	copy(s.payload(c, slot), payload)
-	m := &s.meta[slot]
-	m.id = id
-	m.segflags = 0
-	if prefetched {
-		m.segflags = prefetchedBit
-	}
-	s.idxInsert(id, slot)
 	s.used++
-	s.link(slot, id, segOf(pos, len(s.segs)))
+	k := -1
+	if !prefetched {
+		k = s.pin.rank(id)
+	}
+	if k >= 0 {
+		s.pin.slots[k].Store(slot + 1)
+		s.pinned++
+	} else {
+		var flags uint32
+		if prefetched {
+			flags = prefetchedBit
+		}
+		r := s.newRecord(id, slot, flags)
+		s.idxInsert(id, r)
+		seg := segOf(pos, len(s.segs))
+		s.pushFront(seg, r)
+		s.rebalance(seg)
+	}
 	if s.used > s.capacity {
 		victim, _ = s.evictOne(c)
-		return victim, true, true
+		evicted = true
 	}
-	return 0, false, true
+	if k >= 0 {
+		s.fit()
+	}
+	s.reseal()
+	return victim, evicted, true
 }
 
 func bytesEqual(a, b []byte) bool {
@@ -869,32 +1052,46 @@ func bytesEqual(a, b []byte) bool {
 	return true
 }
 
-// promote is a hit: it moves slot to the head of segment 0 (a pinned entry
-// stays where it is) and clears the entry's prefetched flag, reporting
-// whether the flag was set.
-func (s *shard) promote(slot uint32) (wasPrefetched bool) {
-	m := &s.meta[slot]
+// promote is a hit on the listed entry of record r: it moves the entry to
+// the head of segment 0, or to its slot word when its id is pinned, and
+// clears its prefetched flag. It returns the entry's slot, whether the flag
+// was set, and whether the entry left the list (which may renumber the
+// shard's records).
+func (s *shard) promote(r uint32) (slot uint32, wasPrefetched, held bool) {
+	m := &s.meta[r]
+	slot = m.slot
 	wasPrefetched = m.segflags&prefetchedBit != 0
 	m.segflags &^= prefetchedBit
-	if m.segflags&pinnedBit != 0 {
-		return wasPrefetched
-	}
-	s.listRemove(slot)
-	if s.isPinned(m.id) {
+	s.listRemove(r)
+	if k := s.pin.rank(m.id); k >= 0 {
 		// A pinned id brought in by a neighbour's read, asked for at last.
-		m.segflags |= pinnedBit
-		s.pinned++
-		return wasPrefetched
+		s.hold(r, k)
+		return slot, wasPrefetched, true
 	}
-	s.pushFront(0, slot)
+	s.pushFront(0, r)
 	s.rebalance(0)
-	return wasPrefetched
+	return slot, wasPrefetched, false
+}
+
+// get is a hit or a miss on id under s.mu in the partial form: a held
+// pinned entry is served as it is, a listed one is promoted.
+func (s *shard) get(id uint32) (slot uint32, wasPrefetched, ok bool) {
+	if slot := s.pin.find(id); slot != nilIdx {
+		return slot, false, true
+	}
+	r := s.idxFind(id)
+	if r == nilIdx {
+		return nilIdx, false, false
+	}
+	slot, wasPrefetched, _ = s.promote(r)
+	return slot, wasPrefetched, true
 }
 
 // Get returns a read-only arena view of id's payload, promotes the entry to
 // its shard's MRU position and clears the prefetched flag, reporting whether
 // the flag was set. The caller must hold a lease (see Lease) for as long as
-// it reads the view. Allocation-free.
+// it reads the view. Allocation-free. A hit on a whole-table cache, or on
+// a held pinned id, takes no lock.
 func (c *Cache) Get(id uint32) (payload []byte, wasPrefetched, ok bool) {
 	s := c.shardOf(id)
 	if w := c.whole.Load(); w != nil {
@@ -904,20 +1101,20 @@ func (c *Cache) Get(id uint32) (payload []byte, wasPrefetched, ok bool) {
 		}
 		return s.payload(c, slot), w.request(id), true
 	}
+	if slot := c.pin.Load().find(id); slot != nilIdx {
+		return s.payload(c, slot), false, true
+	}
 	s.mu.Lock()
 	if c.whole.Load() != nil {
 		s.mu.Unlock()
 		return c.Get(id)
 	}
-	slot := s.idxFind(id)
-	if slot == nilIdx {
-		s.mu.Unlock()
-		return nil, false, false
+	slot, wasPrefetched, ok := s.get(id)
+	if ok {
+		payload = s.payload(c, slot)
 	}
-	wasPrefetched = s.promote(slot)
-	payload = s.payload(c, slot)
 	s.mu.Unlock()
-	return payload, wasPrefetched, true
+	return payload, wasPrefetched, ok
 }
 
 // GetBatch is Get for every id of ids, which must be distinct, taking each
@@ -932,8 +1129,10 @@ func (c *Cache) Get(id uint32) (payload []byte, wasPrefetched, ok bool) {
 // Returns how many hits were on prefetched entries. The caller must hold a
 // lease for as long as it reads the views.
 //
-// Under each shard lock the shard's ids are first located, up to
-// locateWindow at a time — every index probe and slot record read before any
+// A hit on a held pinned id is served first, without the lock (it moves
+// nothing, so no order sees it), and only the other ids are chained to
+// their shards. Under each shard lock the shard's ids are first located, up
+// to locateWindow at a time — every index probe and record read before any
 // entry moves, so their cache misses overlap instead of running one after
 // another — and then probed, promoted or filled in batch order.
 func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) (prefetchHits int) {
@@ -943,32 +1142,71 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 	if w := c.whole.Load(); w != nil {
 		return c.getWhole(w, ids, views, miss)
 	}
+	p := c.pin.Load()
 	var run [locateWindow]int32
 	if len(c.shards) == 1 || len(ids) == 1 {
 		s := c.shardOf(ids[0])
-		s.mu.Lock()
-		for lo := 0; lo < len(ids); lo += locateWindow {
-			n := min(locateWindow, len(ids)-lo)
-			for k := range n {
-				run[k] = int32(lo + k)
+		locked := false
+		for lo := 0; lo < len(ids); {
+			n := 0
+			for ; lo < len(ids) && n < locateWindow; lo++ {
+				if !s.heldHit(c, p, ids, views, lo) {
+					run[n] = int32(lo)
+					n++
+				}
+			}
+			if n == 0 {
+				continue
+			}
+			if !locked {
+				s.mu.Lock()
+				locked = true
 			}
 			prefetchHits += s.getRun(c, ids, run[:n], views, miss)
 		}
-		s.mu.Unlock()
+		if locked {
+			s.mu.Unlock()
+		}
 		return prefetchHits
 	}
 	// Chain each shard's ids in batch order: heads[s] is its first,
-	// next[i] the one after i (-1 ends a chain).
-	sc := batchScratchPool.Get().(*batchScratch)
-	heads := grow(sc.heads, len(c.shards))
-	next := grow(sc.next, len(ids))
-	for i := range heads {
-		heads[i] = -1
+	// next[i] the one after i (-1 ends a chain). The scratch is taken at the
+	// first id that needs a lock. The held-id test is pinIndex.find written
+	// out, over the index's slices loaded once per batch.
+	var set []uint64
+	var ranks []uint32
+	var words []atomic.Uint32
+	if p != nil {
+		set, ranks, words = p.set, p.ranks, p.slots
 	}
+	var sc *batchScratch
+	var heads, next []int32
 	for i := len(ids) - 1; i >= 0; i-- {
-		si := Hash(ids[i]) & c.shardMask
+		id := ids[i]
+		si := Hash(id) & c.shardMask
+		if w := id / 64; int(w) < len(set) {
+			word, bit := set[w], uint64(1)<<(id%64)
+			if word&bit != 0 {
+				if slot := words[int(ranks[w])+bits.OnesCount64(word&(bit-1))].Load() - 1; slot != nilIdx {
+					if views != nil {
+						views[i] = c.shards[si].payload(c, slot)
+					}
+					continue
+				}
+			}
+		}
+		if sc == nil {
+			sc = batchScratchPool.Get().(*batchScratch)
+			heads, next = grow(sc.heads, len(c.shards)), grow(sc.next, len(ids))
+			for k := range heads {
+				heads[k] = -1
+			}
+		}
 		next[i] = heads[si]
 		heads[si] = int32(i)
+	}
+	if sc == nil {
+		return 0
 	}
 	for si, i := range heads {
 		if i < 0 {
@@ -991,14 +1229,31 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 	return prefetchHits
 }
 
+// heldHit serves ids[i], an id of s, without the lock when p (the pinned
+// index GetBatch loaded, nil for none) holds it, and reports whether it
+// did.
+func (s *shard) heldHit(c *Cache, p *pinIndex, ids []uint32, views [][]byte, i int) bool {
+	slot := p.find(ids[i])
+	if slot == nilIdx {
+		return false
+	}
+	if views != nil {
+		views[i] = s.payload(c, slot)
+	}
+	return true
+}
+
 // locateWindow is how many of a shard's ids GetBatch locates at a time: the
-// run and its slots are arrays on the stack, so the pass needs no scratch.
+// run and its records are arrays on the stack, so the pass needs no scratch.
 const locateWindow = 32
 
+// served marks an id getRun's locate pass has already served.
+const served = nilIdx - 1
+
 // getRun is GetBatch for ids[run[0]], ids[run[1]], ... — ids of s, in batch
-// order — under s.mu: it locates every one of them before any entry moves,
-// then probes, promotes or fills them in order. It returns how many hits were
-// on prefetched entries.
+// order — under s.mu: it serves the held pinned ids and locates every other
+// one before any entry moves, then probes, promotes or fills them in order.
+// It returns how many hits were on prefetched entries.
 func (s *shard) getRun(c *Cache, ids []uint32, run []int32, views [][]byte, miss func(int) []byte) (prefetchHits int) {
 	if s.idx == nil {
 		// The cache took its whole-table form since GetBatch looked.
@@ -1007,47 +1262,60 @@ func (s *shard) getRun(c *Cache, ids []uint32, run []int32, views [][]byte, miss
 		}
 		return prefetchHits
 	}
-	var slots [locateWindow]uint32
+	var recs [locateWindow]uint32
 	var touched uint32
 	for k, i := range run {
-		slot := s.idxFind(ids[i])
-		slots[k] = slot
-		if slot != nilIdx {
-			touched |= s.meta[slot].segflags
+		if slot := s.pin.find(ids[i]); slot != nilIdx {
+			// Held since GetBatch looked: a hit that moves nothing.
+			if views != nil {
+				views[i] = s.payload(c, slot)
+			}
+			recs[k] = served
+			continue
+		}
+		r := s.idxFind(ids[i])
+		recs[k] = r
+		if r != nilIdx {
+			touched |= s.meta[r].segflags
 		}
 	}
 	s.touched = touched
-	// A located slot holds until the run's first fill: an insert can evict,
-	// and so free, the slot of a later id of the same shard.
+	// A located record holds until the run's first fill or pinned
+	// promotion: an insert can evict, and so free, the record of a later id
+	// of the same shard, and either can renumber the records.
 	located := true
 	for k, i := range run {
-		slot := slots[k]
-		if !located {
-			slot = s.idxFind(ids[i])
+		r := recs[k]
+		if r == served {
+			continue
 		}
-		pre, filled := s.probe(c, ids, views, int(i), slot, miss)
+		if !located {
+			r = s.idxFind(ids[i])
+		}
+		pre, moved := s.probe(c, ids, views, int(i), r, miss)
 		prefetchHits += pre
-		located = located && !filled
+		located = located && !moved
 	}
 	return prefetchHits
 }
 
-// probe is GetBatch's step for ids[i], whose slot (nilIdx when absent) the
-// caller has just located, under s.mu. It returns 1 for a hit on a
-// prefetched entry, and whether a miss was filled.
-func (s *shard) probe(c *Cache, ids []uint32, views [][]byte, i int, slot uint32, miss func(int) []byte) (prefetchHit int, filled bool) {
-	if slot != nilIdx {
-		if s.promote(slot) {
+// probe is GetBatch's step for ids[i], not held, whose record (nilIdx when
+// absent) the caller has just located, under s.mu. It returns 1 for a hit
+// on a prefetched entry, and whether the records may have moved.
+func (s *shard) probe(c *Cache, ids []uint32, views [][]byte, i int, r uint32, miss func(int) []byte) (prefetchHit int, moved bool) {
+	if r != nilIdx {
+		slot, pre, held := s.promote(r)
+		if pre {
 			prefetchHit = 1
 		}
 		if views != nil {
 			views[i] = s.payload(c, slot)
 		}
-		return prefetchHit, false
+		return prefetchHit, held
 	}
 	if miss != nil {
 		if p := miss(i); p != nil {
-			_, _, filled = s.insert(c, ids[i], p, 0, false)
+			_, _, filled := s.insert(c, ids[i], p, 0, false)
 			return 0, filled
 		}
 	}
@@ -1075,26 +1343,23 @@ func grow(b []int32, n int) []int32 {
 func (c *Cache) GetFunc(id uint32, fn func(payload []byte, wasPrefetched bool)) bool {
 	s := c.shardOf(id)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if w := c.whole.Load(); w != nil {
 		slot := w.find(id)
 		if slot != nilIdx {
 			fn(s.payload(c, slot), w.request(id))
 		}
-		s.mu.Unlock()
 		return slot != nilIdx
 	}
-	slot := s.idxFind(id)
-	if slot == nilIdx {
-		s.mu.Unlock()
-		return false
+	slot, wasPrefetched, ok := s.get(id)
+	if ok {
+		fn(s.payload(c, slot), wasPrefetched)
 	}
-	wasPrefetched := s.promote(slot)
-	fn(s.payload(c, slot), wasPrefetched)
-	s.mu.Unlock()
-	return true
+	return ok
 }
 
-// Remove deletes id and reports whether it was present.
+// Remove deletes id and reports whether it was present. A held pinned id's
+// slot word is cleared before its slot is parked.
 func (c *Cache) Remove(id uint32) bool {
 	s := c.shardOf(id)
 	s.mu.Lock()
@@ -1102,103 +1367,24 @@ func (c *Cache) Remove(id uint32) bool {
 	if w := c.whole.Load(); w != nil {
 		return s.removeWhole(c, w, id)
 	}
-	slot := s.idxFind(id)
-	if slot == nilIdx {
+	if k := s.pin.rank(id); k >= 0 {
+		if slot := s.pin.slots[k].Load() - 1; slot != nilIdx {
+			s.pin.slots[k].Store(0)
+			s.park(c, slot)
+			s.used--
+			s.pinned--
+			s.fit()
+			s.reseal()
+			return true
+		}
+	}
+	r := s.idxFind(id)
+	if r == nilIdx {
 		return false
 	}
-	s.drop(c, slot, id)
+	s.drop(c, r)
+	s.reseal()
 	return true
-}
-
-// Resize changes the total capacity in place with the same exact split as
-// New and incremental per-shard eviction: entries outside the evicted
-// overflow survive, so a live cache rebalances without losing its working
-// set. It ends a pinned set (see Pin): its resident ids join the head of the
-// recency list, in no particular order. It ends the whole-table form (see
-// PinWhole) the same way, its prefetched entries behind the requested ones.
-// Capacity is clamped to one entry per shard; returns the recorded capacity.
-func (c *Cache) Resize(capacity int) int {
-	c.leaveWhole()
-	n := len(c.shards)
-	if capacity < n {
-		capacity = n
-	}
-	base, rem := capacity/n, capacity%n
-	for i := range c.shards {
-		sc := base
-		if i < rem {
-			sc++
-		}
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.repin(c, nil, sc)
-		s.mu.Unlock()
-	}
-	c.capacity.Store(int64(capacity))
-	return capacity
-}
-
-// Pin gives the cache the pinned set in place: set is a bitset over ids (bit
-// id%64 of word id/64), which the cache keeps and never writes, so the
-// caller must not write it either. Each shard's capacity becomes the number
-// of set ids that hash to it (the total is the set's size; a shard no id
-// hashes to holds nothing), a resident id of the set
-// that has been asked for leaves the recency list for good, and a resident
-// entry outside it joins the list's LRU end, the list's overflow evicted from
-// there. From then on a pinned id is never evicted once asked for, and the
-// capacity the set has not filled holds other ids, as an LRU (see the
-// package comment). A later Pin replaces the set; Resize ends it. Pin ends
-// the whole-table form as Resize does.
-func (c *Cache) Pin(set []uint64) {
-	c.leaveWhole()
-	caps := make([]int, len(c.shards))
-	total := 0
-	for w, word := range set {
-		for ; word != 0; word &= word - 1 {
-			caps[Hash(uint32(w*64+bits.TrailingZeros64(word)))&c.shardMask]++
-			total++
-		}
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.repin(c, set, caps[i])
-		s.mu.Unlock()
-	}
-	c.capacity.Store(int64(total))
-}
-
-// repin installs pins and capacity in s, under s.mu: every resident entry is
-// filed anew (a pinned one off the list, any other at the head of the last
-// segment when it was pinned before — Resize passes no set, so those go to
-// segment 0 — and where it was otherwise), then the list's overflow is
-// evicted.
-func (s *shard) repin(c *Cache, pins []uint64, capacity int) {
-	s.growIndex(capacity)
-	s.pins, s.capacity = pins, capacity
-	last := len(s.segs) - 1
-	if pins == nil {
-		last = 0
-	}
-	for _, e := range s.idx {
-		slot := uint32(e >> 32)
-		if slot == nilIdx {
-			continue
-		}
-		id, m := uint32(e), &s.meta[slot]
-		if was := m.segflags&pinnedBit != 0; was != (s.isPinned(id) && m.segflags&prefetchedBit == 0) {
-			s.unlink(slot)
-			s.link(slot, id, last)
-		}
-	}
-	for s.used > s.capacity {
-		if _, ok := s.evictOne(c); !ok {
-			break
-		}
-	}
-	for seg := range s.segs {
-		s.rebalance(seg)
-	}
 }
 
 // Stats is a point-in-time byte-accounting snapshot.
@@ -1213,10 +1399,19 @@ type Stats struct {
 	// ArenaBytes is the total allocated slab bytes (resident payloads plus
 	// free/limbo slots and slab tails not yet minted).
 	ArenaBytes int64
-	// MetaBytes is the slot-metadata footprint; IndexBytes the probe tables,
-	// or a whole-table cache's slot words and prefetched-flag bitset.
+	// MetaBytes is the recency lists' slot records, as allocated (the
+	// capacity of each shard's records, not only the ones in use);
+	// IndexBytes their probe tables plus a pinned cache's slot words and
+	// rank directory, or a whole-table cache's slot words and
+	// prefetched-flag bitset.
 	MetaBytes  int64
 	IndexBytes int64
+	// ListEntries is how many entries are on the recency lists (the rest
+	// are held off them: pinned, or in a whole-table cache), and ListBytes
+	// the lists' records and probe tables, the part of MetaBytes +
+	// IndexBytes that follows them.
+	ListEntries int
+	ListBytes   int64
 	// Utilization is BytesResident / ArenaBytes (0 with no slabs).
 	Utilization float64
 	Slabs       int
@@ -1232,22 +1427,30 @@ func (c *Cache) Stats() Stats {
 		Shards:   len(c.shards),
 		Epoch:    c.epoch.Load(),
 	}
+	c.lockAll()
+	defer c.unlockAll()
 	if w := c.whole.Load(); w != nil {
 		st.IndexBytes += w.sizeBytes()
 	}
+	if p := c.pin.Load(); p != nil {
+		st.IndexBytes += p.sizeBytes()
+	}
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.Lock()
 		st.Entries += s.used
 		st.Slabs += len(s.slabDir())
 		for _, slab := range s.slabDir() {
 			st.ArenaBytes += int64(len(slab))
 		}
-		st.MetaBytes += int64(len(s.meta)) * 16
-		st.IndexBytes += int64(len(s.idx)) * 8
+		records, probes := int64(cap(s.meta))*recordBytes, int64(len(s.idx))*8
+		st.MetaBytes += records
+		st.IndexBytes += probes
+		st.ListBytes += records + probes
+		if s.idx != nil {
+			st.ListEntries += s.used - s.pinned
+		}
 		st.FreeSlots += len(s.free)
 		st.LimboSlots += len(s.limbo) - s.limboHead
-		s.mu.Unlock()
 	}
 	st.BytesResident = int64(st.Entries) * int64(c.slotBytes)
 	if st.ArenaBytes > 0 {
@@ -1266,14 +1469,14 @@ func (c *Cache) ShardKeys(i int) (keys []uint32, prefetched []bool) {
 	defer s.mu.Unlock()
 	keys = make([]uint32, 0, s.used)
 	prefetched = make([]bool, 0, s.used)
-	for slot := s.listHead(); slot != nilIdx; slot = s.meta[slot].next {
-		keys = append(keys, s.meta[slot].id)
-		prefetched = append(prefetched, s.meta[slot].segflags&prefetchedBit != 0)
+	for r := s.listHead(); r != nilIdx; r = s.meta[r].next {
+		keys = append(keys, s.meta[r].id)
+		prefetched = append(prefetched, s.meta[r].segflags&prefetchedBit != 0)
 	}
 	return keys, prefetched
 }
 
-// listHead returns the shard's MRU slot: the head of the first non-empty
+// listHead returns the shard's MRU record: the head of the first non-empty
 // segment.
 func (s *shard) listHead() uint32 {
 	for i := range s.segs {
@@ -1287,29 +1490,56 @@ func (s *shard) listHead() uint32 {
 // checkInvariants validates internal consistency; exposed to tests via
 // export_test.go.
 func (c *Cache) checkInvariants() error {
+	c.lockAll()
+	defer c.unlockAll()
 	if c.whole.Load() != nil {
-		c.lockAll()
-		defer c.unlockAll()
 		return c.checkWhole()
 	}
+	p := c.pin.Load()
+	// held[si] is the ids shard si holds in slot words.
+	held := make([]map[uint32]uint32, len(c.shards))
 	for si := range c.shards {
-		s := &c.shards[si]
-		s.mu.Lock()
-		err := s.checkInvariants(si)
-		s.mu.Unlock()
-		if err != nil {
+		held[si] = make(map[uint32]uint32)
+		if c.shards[si].pin != p {
+			return fmt.Errorf("shard %d keeps a pinned index the cache does not", si)
+		}
+	}
+	if p != nil {
+		for w, word := range p.set {
+			for ; word != 0; word &= word - 1 {
+				id := uint32(w*64 + bits.TrailingZeros64(word))
+				if slot := p.find(id); slot != nilIdx {
+					held[Hash(id)&c.shardMask][id] = slot
+				}
+			}
+		}
+		total := 0
+		for w, word := range p.set {
+			if int(p.ranks[w]) != total {
+				return fmt.Errorf("rank directory word %d reads %d, %d ids precede it", w, p.ranks[w], total)
+			}
+			total += bits.OnesCount64(word)
+		}
+		if total != len(p.slots) {
+			return fmt.Errorf("pinned index has %d slot words for %d ids", len(p.slots), total)
+		}
+	}
+	for si := range c.shards {
+		if err := c.shards[si].checkInvariants(si, held[si]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (s *shard) checkInvariants(si int) error {
+// checkInvariants checks shard si of a partial cache, which holds the ids
+// of held (id → slot) in slot words, under every shard lock.
+func (s *shard) checkInvariants(si int, held map[uint32]uint32) error {
 	total := 0
 	seen := make(map[uint32]bool)
 	// Walk the one list segment by segment: each segment's run starts where
 	// the previous non-empty segment's run ended.
-	prev, slot := nilIdx, s.listHead()
+	prev, r := nilIdx, s.listHead()
 	for i := range s.segs {
 		sg := &s.segs[i]
 		if sg.size == 0 {
@@ -1318,69 +1548,97 @@ func (s *shard) checkInvariants(si int) error {
 			}
 			continue
 		}
-		if sg.head != slot {
-			return fmt.Errorf("shard %d: segment %d head is slot %d, list continues at slot %d", si, i, sg.head, slot)
+		if sg.head != r {
+			return fmt.Errorf("shard %d: segment %d head is record %d, list continues at record %d", si, i, sg.head, r)
 		}
 		for n := 0; n < sg.size; n++ {
-			if slot == nilIdx {
+			if r == nilIdx {
 				return fmt.Errorf("shard %d: list ends %d entries into segment %d of size %d", si, n, i, sg.size)
 			}
-			m := &s.meta[slot]
-			if int(m.segflags&segMask) != i {
-				return fmt.Errorf("shard %d: slot %d records segment %d but lives in %d", si, slot, m.segflags&segMask, i)
+			m := &s.meta[r]
+			if m.segflags&holeBit != 0 || int(m.segflags&segMask) != i {
+				return fmt.Errorf("shard %d: record %d (flags %#x) listed in segment %d", si, r, m.segflags, i)
 			}
 			if m.prev != prev {
-				return fmt.Errorf("shard %d: slot %d prev link is %d, want %d", si, slot, m.prev, prev)
+				return fmt.Errorf("shard %d: record %d prev link is %d, want %d", si, r, m.prev, prev)
 			}
-			if got := s.idxFind(m.id); got != slot {
-				return fmt.Errorf("shard %d: id %d indexed to slot %d, listed in slot %d", si, m.id, got, slot)
+			if got := s.idxFind(m.id); got != r {
+				return fmt.Errorf("shard %d: id %d indexed to record %d, listed in record %d", si, m.id, got, r)
 			}
 			if seen[m.id] {
 				return fmt.Errorf("shard %d: id %d listed twice", si, m.id)
 			}
+			if s.pin.rank(m.id) >= 0 && m.segflags&prefetchedBit == 0 {
+				return fmt.Errorf("shard %d: pinned id %d is listed but was asked for", si, m.id)
+			}
+			if _, ok := held[m.id]; ok {
+				return fmt.Errorf("shard %d: id %d is both listed and held", si, m.id)
+			}
 			seen[m.id] = true
-			prev, slot = slot, m.next
+			prev, r = r, m.next
 		}
 		if prev != sg.tail {
-			return fmt.Errorf("shard %d: segment %d tail is slot %d, run ends at slot %d", si, i, sg.tail, prev)
+			return fmt.Errorf("shard %d: segment %d tail is record %d, run ends at record %d", si, i, sg.tail, prev)
 		}
 		total += sg.size
 	}
-	if slot != nilIdx {
-		return fmt.Errorf("shard %d: list continues at slot %d past the last segment", si, slot)
+	if r != nilIdx {
+		return fmt.Errorf("shard %d: list continues at record %d past the last segment", si, r)
 	}
-	if total+s.pinned != s.used {
-		return fmt.Errorf("shard %d: segments hold %d entries and %d are pinned, used records %d", si, total, s.pinned, s.used)
+	if len(held) != s.pinned || total+s.pinned != s.used {
+		return fmt.Errorf("shard %d: segments hold %d entries and %d are held (%d counted), used records %d", si, total, len(held), s.pinned, s.used)
 	}
 	if s.used > s.capacity {
 		return fmt.Errorf("shard %d over capacity: %d > %d", si, s.used, s.capacity)
 	}
-	// Index population must match exactly, and an entry is off the list
-	// exactly when its id is pinned.
-	live, pinned := 0, 0
+	var sealed *pinIndex
+	if s.used >= s.capacity && s.used == s.pinned {
+		sealed = s.pin
+	}
+	if s.sealed.Load() != sealed {
+		return fmt.Errorf("shard %d: seal %v, want %v (used %d of %d, %d held)", si, s.sealed.Load() != nil, sealed != nil, s.used, s.capacity, s.pinned)
+	}
+	// The records are the listed ones and the free chain; the probe table
+	// holds exactly the listed ids, at <= 0.75 load for the room.
+	holes := 0
+	for f := s.freeRec; f != nilIdx; f = s.meta[f].next {
+		if s.meta[f].segflags&holeBit == 0 || holes > len(s.meta) {
+			return fmt.Errorf("shard %d: free chain reaches live record %d", si, f)
+		}
+		holes++
+	}
+	if holes != s.holes || total+holes != len(s.meta) {
+		return fmt.Errorf("shard %d: %d records for %d listed and %d free (%d counted)", si, len(s.meta), total, holes, s.holes)
+	}
+	live := 0
 	for _, e := range s.idx {
-		slot := uint32(e >> 32)
-		if slot == nilIdx {
-			continue
-		}
-		live++
-		flags := s.meta[slot].segflags
-		flagged := flags&pinnedBit != 0
-		if flagged != (s.isPinned(uint32(e)) && flags&prefetchedBit == 0) || flagged == seen[uint32(e)] {
-			return fmt.Errorf("shard %d: id %d pinned %v, flagged %v, listed %v", si, uint32(e), s.isPinned(uint32(e)), flagged, seen[uint32(e)])
-		}
-		if flagged {
-			pinned++
+		if uint32(e>>32) != nilIdx {
+			live++
 		}
 	}
-	if live != s.used || pinned != s.pinned {
-		return fmt.Errorf("shard %d: index holds %d entries (%d pinned), used records %d (%d pinned)", si, live, pinned, s.used, s.pinned)
+	if live != total || len(s.idx) < indexLen(s.room()) {
+		return fmt.Errorf("shard %d: probe table of %d words holds %d ids, %d listed, room %d", si, len(s.idx), live, total, s.room())
 	}
 	// Every slot is accounted for exactly once: resident, free, limbo or
 	// unminted.
+	slots := make(map[uint32]bool)
+	for _, slot := range held {
+		slots[slot] = true
+	}
+	for k := range s.meta {
+		if s.meta[k].segflags&holeBit == 0 {
+			slots[s.meta[k].slot] = true
+		}
+	}
+	for _, slot := range s.free {
+		slots[slot] = true
+	}
+	for _, ls := range s.limbo[s.limboHead:] {
+		slots[ls.slot] = true
+	}
 	accounted := s.used + len(s.free) + (len(s.limbo) - s.limboHead)
-	if accounted != int(s.nextSlot) {
-		return fmt.Errorf("shard %d: %d slots minted, %d accounted (resident+free+limbo)", si, s.nextSlot, accounted)
+	if accounted != int(s.nextSlot) || len(slots) != accounted {
+		return fmt.Errorf("shard %d: %d slots minted, %d accounted (resident+free+limbo), %d distinct", si, s.nextSlot, accounted, len(slots))
 	}
 	return nil
 }

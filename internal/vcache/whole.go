@@ -66,106 +66,71 @@ func (w *wholeIndex) sizeBytes() int64 {
 
 // PinWhole gives the cache its whole-table form in place: it pins every id
 // in [0, n), keeping every resident entry of them and dropping any other.
-// The shards' probe tables, slot records and recency lists give way to one
-// slot word per id and a prefetched-flag bitset, so a hit (Get, GetBatch) is
-// an atomic load under the caller's lease, with no shard lock; a miss, a
-// fill and Remove take the shard lock as before, and a removed slot waits
-// out the same lease grace. Nothing is ever evicted: each shard's capacity
-// is the number of ids of [0, n) that hash to it, and Cap is n. An id
-// outside [0, n) is refused. Resize and Pin end the form (see leaveWhole);
-// PinWhole on a cache already whole over n ids changes nothing.
+// The shards' probe tables, records, recency lists and any pinned index
+// give way to one slot word per id and a prefetched-flag bitset, so a hit
+// (Get, GetBatch) is an atomic load under the caller's lease, with no shard
+// lock; a miss, a fill and Remove take the shard lock as before, and a
+// removed slot waits out the same lease grace. Nothing is ever evicted:
+// each shard's capacity is the number of ids of [0, n) that hash to it, and
+// Cap is n. An id outside [0, n) is refused. Resize and Pin end the form
+// (see reform); PinWhole on a cache already whole over n ids changes
+// nothing.
 func (c *Cache) PinWhole(n int) {
 	c.lockAll()
 	defer c.unlockAll()
-	if w := c.whole.Load(); w != nil {
-		if len(w.slots) == n {
-			return
-		}
-		c.toPartial(w)
+	old := c.whole.Load()
+	if old != nil && len(old.slots) == n {
+		return
 	}
 	caps := make([]int, len(c.shards))
 	for id := range uint32(n) {
 		caps[Hash(id)&c.shardMask]++
 	}
 	w := newWholeIndex(n)
+	keep := func(s *shard, id, slot uint32, prefetched bool) {
+		if int(id) >= n {
+			s.park(c, slot)
+			s.used--
+			return
+		}
+		w.slots[id].Store(slot + 1)
+		w.setPrefetched(id, prefetched)
+	}
+	if old != nil {
+		for id := range uint32(len(old.slots)) {
+			if slot := old.find(id); slot != nilIdx {
+				keep(c.shardOf(id), id, slot, old.isPrefetched(id))
+			}
+		}
+	}
+	if p := c.pin.Load(); p != nil {
+		p.each(func(id, slot uint32) { keep(c.shardOf(id), id, slot, false) })
+		for k := range p.slots {
+			p.slots[k].Store(0)
+		}
+	}
 	for i := range c.shards {
 		s := &c.shards[i]
-		for _, e := range s.idx {
-			slot, id := uint32(e>>32), uint32(e)
-			if slot == nilIdx {
-				continue
+		for _, m := range s.meta {
+			if m.segflags&holeBit == 0 {
+				keep(s, m.id, m.slot, m.segflags&prefetchedBit != 0)
 			}
-			if int(id) >= n {
-				s.park(c, slot)
-				s.used--
-				continue
-			}
-			w.slots[id].Store(slot + 1)
-			w.setPrefetched(id, s.meta[slot].segflags&prefetchedBit != 0)
 		}
-		s.idx, s.meta, s.pins, s.pinned = nil, nil, nil, 0
+		s.idx, s.meta, s.freeRec, s.holes = nil, nil, nilIdx, 0
+		s.pin, s.pinned = nil, 0
+		s.sealed.Store(nil)
 		for k := range s.segs {
 			s.segs[k] = segment{head: nilIdx, tail: nilIdx}
 		}
 		s.capacity = caps[i]
 	}
+	c.pin.Store(nil)
 	c.whole.Store(w)
 	c.capacity.Store(int64(n))
 }
 
 // Whole reports whether the cache has its whole-table form (see PinWhole).
 func (c *Cache) Whole() bool { return c.whole.Load() != nil }
-
-// leaveWhole turns a whole-table cache back into the partial form, keeping
-// every entry: each shard gets a probe table and slot records, its requested
-// entries are filed as pinned entries of an empty set and its prefetched
-// ones at the head of its last segment, so the Resize or Pin that follows
-// files them as it files the entries of any pinned set it ends. A no-op on
-// a partial cache.
-func (c *Cache) leaveWhole() {
-	if c.whole.Load() == nil {
-		return
-	}
-	c.lockAll()
-	defer c.unlockAll()
-	if w := c.whole.Load(); w != nil {
-		c.toPartial(w)
-	}
-}
-
-// toPartial is leaveWhole for w, the cache's whole index, under every shard
-// lock.
-func (c *Cache) toPartial(w *wholeIndex) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.idx = newIndex(s.capacity) // used <= capacity, and inserts keep it so
-		s.idxMask, s.idxShift = uint32(len(s.idx)-1), indexShift(s.idx)
-		s.meta = make([]slotMeta, s.nextSlot)
-		for k := range s.meta {
-			s.meta[k] = slotMeta{prev: nilIdx, next: nilIdx}
-		}
-	}
-	for id := range uint32(len(w.slots)) {
-		slot := w.find(id)
-		if slot == nilIdx {
-			continue
-		}
-		s := c.shardOf(id)
-		s.idxInsert(id, slot)
-		m := &s.meta[slot]
-		m.id = id
-		if w.isPrefetched(id) {
-			m.segflags = prefetchedBit
-			last := len(s.segs) - 1
-			s.pushFront(last, slot)
-			s.rebalance(last)
-		} else {
-			m.segflags = pinnedBit
-			s.pinned++
-		}
-	}
-	c.whole.Store(nil)
-}
 
 func (c *Cache) lockAll() {
 	for i := range c.shards {
@@ -208,6 +173,9 @@ func (c *Cache) getWhole(w *wholeIndex, ids []uint32, views [][]byte, miss func(
 func (s *shard) step(c *Cache, ids []uint32, views [][]byte, i int, miss func(int) []byte) int {
 	w := c.whole.Load()
 	if w == nil {
+		if s.heldHit(c, s.pin, ids, views, i) {
+			return 0
+		}
 		pre, _ := s.probe(c, ids, views, i, s.idxFind(ids[i]), miss)
 		return pre
 	}
@@ -272,7 +240,7 @@ func (s *shard) removeWhole(c *Cache, w *wholeIndex, id uint32) bool {
 }
 
 // checkWhole validates a whole-table cache under every shard lock: no shard
-// keeps a probe table, slot records or a listed entry; every resident id's
+// keeps a probe table, records, a pinned index or a listed entry; every resident id's
 // slot is its shard's, minted and held by no other id or free or limbo
 // entry; a prefetched flag is set only on a resident id; and each shard's
 // entries, free and limbo slots account for every slot it minted.
@@ -284,7 +252,7 @@ func (c *Cache) checkWhole() error {
 	held := make([]map[uint32]bool, len(c.shards))
 	for si := range c.shards {
 		s := &c.shards[si]
-		if s.idx != nil || s.meta != nil || s.pins != nil || s.pinned != 0 || s.listHead() != nilIdx {
+		if s.idx != nil || s.meta != nil || s.pin != nil || s.pinned != 0 || s.sealed.Load() != nil || s.listHead() != nilIdx || c.pin.Load() != nil {
 			return fmt.Errorf("shard %d of a whole cache keeps partial-form state", si)
 		}
 		held[si] = make(map[uint32]bool)
