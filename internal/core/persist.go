@@ -434,7 +434,8 @@ func (st *storeTable) applySaved(sv savedTable) func(*tableState) {
 					Counts: sv.counts, Threshold: sv.threshold, DemandThreshold: sv.demandThreshold,
 				}, l)
 			} else {
-				ts.admit = sv.verdicts.permuted(l.NumVectors(), func(p int) int { return int(l.VectorAt(p)) })
+				c := l.Cursor()
+				ts.admit = sv.verdicts.permuted(l.NumVectors(), func(p int) int { return int(c.At(p)) })
 			}
 		}
 		// No cache holds more vectors than its table has, and an allocation

@@ -150,8 +150,8 @@ func (s *Store) installLayout(st *storeTable, l *layout.Layout, mutate func(*tab
 		migrationStage("staged")
 	}
 	err = s.installImage(st, img, cur, func(ts *tableState) {
-		from := ts.layout
-		ts.admit = ts.admit.permuted(l.NumVectors(), func(p int) int { return from.PositionOf(l.VectorAt(p)) })
+		from, c := ts.layout, l.Cursor()
+		ts.admit = ts.admit.permuted(l.NumVectors(), func(p int) int { return from.PositionOf(c.At(p)) })
 		ts.layout = l
 		if mutate != nil {
 			mutate(ts)

@@ -210,13 +210,15 @@ type missRef struct {
 // operation: they are cached separately and must not be double-counted as
 // prefetches. The verdicts are the layout-order bits of the block's range —
 // a word or two read, and the layout consulted only for the few slots
-// admitted. An admitted candidate costs one cache probe: the guarded insert
-// itself refuses an id that is already resident.
+// admitted, through one cursor (in an implied tail, one select for the
+// block and a walk of its bits). An admitted candidate costs one cache
+// probe: the guarded insert itself refuses an id that is already resident.
 func (st *storeTable) admitBlock(ts *tableState, buf []byte, epoch uint64, block int, requested []missRef) {
 	b := ts.admit
 	bv := ts.layout.BlockVectors()
 	lo := block * bv
 	hi := min(lo+bv, ts.layout.NumVectors())
+	c := ts.layout.Cursor()
 	for p := lo; p < hi; p++ {
 		w := b.prefetch[p/64] >> (p % 64)
 		if w == 0 {
@@ -227,7 +229,7 @@ func (st *storeTable) admitBlock(ts *tableState, buf []byte, epoch uint64, block
 		if p >= hi {
 			break
 		}
-		st.admitMember(ts, buf, epoch, p-lo, ts.layout.VectorAt(p), b.position, requested)
+		st.admitMember(ts, buf, epoch, p-lo, c.At(p), b.position, requested)
 	}
 }
 

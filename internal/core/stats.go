@@ -106,9 +106,12 @@ type TableStats struct {
 // TableDRAM is the heap one table keeps resident, by component, in bytes.
 // The vectors themselves are not among them: they live on the device.
 type TableDRAM struct {
-	// Layout is the placement order and its inverse, packed at
-	// max(1, ⌈log₂ n⌉) bits per entry each (≤ 4 B per vector up to 2^16
-	// vectors).
+	// Layout is the placement: the order and its inverse for the positions
+	// training placed (the head), packed at ⌈log₂ n⌉ and ⌈log₂ head⌉ bits per
+	// entry, and for the untrained tail after them, whose ids ascend, a bit
+	// per vector and a 4 B rank per 64 vectors (1.5 bits per vector). A
+	// layout whose tail is too short to pay for that stores both directions
+	// whole: ≤ 4 B per vector up to 2^16 vectors.
 	Layout int64
 	// AdmitBits is the threshold policy's verdicts, two bits per vector in
 	// layout order: a quarter byte per vector, 0 when the table has no

@@ -359,8 +359,9 @@ func compileAdmission(p verdicts, l *layout.Layout) *admitBits {
 	if pa, ok := p.(cache.PinnedAdmit); ok {
 		b.pinned = pa.Set[:words]
 	}
+	c := l.Cursor()
 	for pos := range n {
-		id := l.VectorAt(pos)
+		id := c.At(pos)
 		if p.Prefetches(id) {
 			b.prefetch[pos/64] |= 1 << (pos % 64)
 		}

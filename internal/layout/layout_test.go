@@ -159,12 +159,95 @@ func TestPropertyFromOrderRoundTrips(t *testing.T) {
 	}
 }
 
-// TestPackedLayoutMatchesPlainPermutation checks the packed representation
-// against a plain []uint32 permutation at every table size where the entry
-// width changes (n = 2^k−1, 2^k, 2^k+1 for k = 2…17, plus 1, 2 and 3): every
-// width from 1 to 17 bits, with entries that straddle a word boundary. Every
-// accessor must answer as the plain slices do, and SizeBytes must be the two
-// packed arrays.
+// orderWithTail returns a permutation of n ids whose trailing ascending run
+// is exactly t long for 1 ≤ t ≤ n: the tail is id 0 and t−1 other ids in
+// ascending order, after the other ids shuffled (each above the tail's
+// first). t = 0 is a plain shuffle.
+func orderWithTail(rng *rand.Rand, n, t int) []uint32 {
+	order := make([]uint32, n)
+	for i, p := range rng.Perm(n) {
+		order[i] = uint32(p)
+	}
+	if t == 0 {
+		return order
+	}
+	// Put id 0 among the last t, then sort them.
+	i := slices.Index(order, 0)
+	j := n - t + rng.Intn(t)
+	order[i], order[j] = order[j], order[i]
+	slices.Sort(order[n-t:])
+	return order
+}
+
+// headOf is the number of positions before order's trailing ascending run.
+func headOf(order []uint32) int {
+	h := len(order)
+	for h > 0 && (h == len(order) || order[h-1] < order[h]) {
+		h--
+	}
+	return h
+}
+
+// breakEven is the shortest tail an n-vector layout implies.
+func breakEven(n int) int {
+	for t := 1; t <= n; t++ {
+		if impliedBytes(n, n-t) < plainBytes(n) {
+			return t
+		}
+	}
+	return n + 1
+}
+
+// checkMatchesPlain fails t unless every accessor of l answers as the plain
+// permutation order does, and l holds the bytes of the smaller of its two
+// forms.
+func checkMatchesPlain(t testing.TB, l *Layout, order []uint32, bv int) {
+	t.Helper()
+	n := len(order)
+	head := headOf(order)
+	if want := min(plainBytes(n), impliedBytes(n, head)); l.SizeBytes() != want {
+		t.Fatalf("n=%d head=%d: SizeBytes %d, want %d (plain %d, implied %d)",
+			n, head, l.SizeBytes(), want, plainBytes(n), impliedBytes(n, head))
+	}
+	if l.NumVectors() != n || l.NumBlocks() != (n+bv-1)/bv {
+		t.Fatalf("n=%d: %d vectors in %d blocks", n, l.NumVectors(), l.NumBlocks())
+	}
+	for p, id := range order {
+		if got := l.VectorAt(p); got != id {
+			t.Fatalf("n=%d head=%d: VectorAt(%d) = %d, want %d", n, head, p, got, id)
+		}
+		if l.PositionOf(id) != p || l.BlockOf(id) != p/bv || l.SlotOf(id) != p%bv {
+			t.Fatalf("n=%d head=%d id %d: position %d block %d slot %d, want %d %d %d",
+				n, head, id, l.PositionOf(id), l.BlockOf(id), l.SlotOf(id), p, p/bv, p%bv)
+		}
+	}
+	var members []uint32
+	for b := range l.NumBlocks() {
+		members = l.BlockMembers(b, members[:0])
+		if want := order[b*bv : min((b+1)*bv, n)]; !slices.Equal(members, want) {
+			t.Fatalf("n=%d head=%d: BlockMembers(%d) = %v, want %v", n, head, b, members, want)
+		}
+	}
+	if !slices.Equal(l.Order(), order) {
+		t.Fatalf("n=%d head=%d: Order differs from the permutation it was built from", n, head)
+	}
+	// A cursor read backwards selects again at every position.
+	c := l.Cursor()
+	for p := n - 1; p >= 0; p-- {
+		if got := c.At(p); got != order[p] {
+			t.Fatalf("n=%d head=%d: At(%d) read backwards = %d, want %d", n, head, p, got, order[p])
+		}
+	}
+}
+
+// TestPackedLayoutMatchesPlainPermutation checks the layout against a plain
+// []uint32 permutation at every table size where the entry width changes
+// (n = 2^k−1, 2^k, 2^k+1 for k = 2…17, plus 1, 2 and 3): every width from 1
+// to 17 bits, with entries that straddle a word boundary. At each size the
+// order ends in an ascending run of 0 (a plain shuffle), 1, the break-even
+// length ±1, n−1 and n (the identity) ids. Every accessor must answer as the
+// plain slices do, the layout must imply its tail exactly from the
+// break-even length on, and SizeBytes must be the smaller form's bytes.
 func TestPackedLayoutMatchesPlainPermutation(t *testing.T) {
 	sizes := []int{1, 2, 3}
 	for k := 2; k <= 17; k++ {
@@ -172,63 +255,41 @@ func TestPackedLayoutMatchesPlainPermutation(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	widths := map[uint]bool{}
+	implied := 0
 	for _, n := range sizes {
 		bv := []int{1, 3, 32}[n%3]
-		order := make([]uint32, n)
-		for i, p := range rng.Perm(n) {
-			order[i] = uint32(p)
-		}
-		posOf := make([]uint32, n)
-		for p, id := range order {
-			posOf[id] = uint32(p)
-		}
-		l, err := FromOrder(order, bv)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		w := uint(1)
-		for 1<<w < n {
-			w++
-		}
-		widths[w] = true
-		if want := 2 * 8 * int64((n*int(w)+63)/64); l.SizeBytes() != want {
-			t.Fatalf("n=%d: SizeBytes %d, want %d (two arrays at %d bits)", n, l.SizeBytes(), want, w)
-		}
-		if l.NumVectors() != n || l.NumBlocks() != (n+bv-1)/bv {
-			t.Fatalf("n=%d: %d vectors in %d blocks", n, l.NumVectors(), l.NumBlocks())
-		}
-		for p := range n {
-			if got := l.VectorAt(p); got != order[p] {
-				t.Fatalf("n=%d: VectorAt(%d) = %d, want %d", n, p, got, order[p])
+		even := breakEven(n)
+		for _, tail := range []int{0, 1, even - 1, even, even + 1, n - 1, n} {
+			if tail < 0 || tail > n {
+				continue
 			}
-		}
-		for id := range uint32(n) {
-			pos := int(posOf[id])
-			if l.PositionOf(id) != pos || l.BlockOf(id) != pos/bv || l.SlotOf(id) != pos%bv {
-				t.Fatalf("n=%d id %d: position %d block %d slot %d, want %d %d %d",
-					n, id, l.PositionOf(id), l.BlockOf(id), l.SlotOf(id), pos, pos/bv, pos%bv)
+			order := orderWithTail(rng, n, tail)
+			if tail > 0 && headOf(order) != n-tail {
+				t.Fatalf("n=%d: built a tail of %d, want %d", n, n-headOf(order), tail)
 			}
-		}
-		var members []uint32
-		for b := range l.NumBlocks() {
-			members = l.BlockMembers(b, members[:0])
-			if !slices.Equal(members, order[b*bv:min((b+1)*bv, n)]) {
-				t.Fatalf("n=%d: BlockMembers(%d) = %v, want %v", n, b, members, order[b*bv:min((b+1)*bv, n)])
+			l, err := FromOrder(order, bv)
+			if err != nil {
+				t.Fatalf("n=%d tail=%d: %v", n, tail, err)
 			}
-		}
-		if !slices.Equal(l.Order(), order) {
-			t.Fatalf("n=%d: Order differs from the permutation it was built from", n)
-		}
-		// The validation still sees through the packing.
-		if n > 1 {
-			bad := slices.Clone(order)
-			bad[n-1] = uint32(n)
-			if _, err := FromOrder(bad, bv); err == nil {
-				t.Fatalf("n=%d: out-of-range id accepted", n)
+			if tail > 0 && (l.tail != nil) != (tail >= even) {
+				t.Fatalf("n=%d: a tail of %d implied = %v, break-even %d", n, tail, l.tail != nil, even)
 			}
-			bad[n-1] = order[0]
-			if _, err := FromOrder(bad, bv); err == nil {
-				t.Fatalf("n=%d: duplicate id accepted", n)
+			if l.tail != nil {
+				implied++
+			}
+			widths[l.orderWidth] = true
+			checkMatchesPlain(t, l, order, bv)
+			// The validation still sees through the packing.
+			if n > 1 {
+				bad := slices.Clone(order)
+				bad[n-1] = uint32(n)
+				if _, err := FromOrder(bad, bv); err == nil {
+					t.Fatalf("n=%d: out-of-range id accepted", n)
+				}
+				bad[n-1] = order[0]
+				if _, err := FromOrder(bad, bv); err == nil {
+					t.Fatalf("n=%d: duplicate id accepted", n)
+				}
 			}
 		}
 	}
@@ -237,4 +298,74 @@ func TestPackedLayoutMatchesPlainPermutation(t *testing.T) {
 			t.Fatalf("no size exercised a %d-bit width", w)
 		}
 	}
+	if implied == 0 {
+		t.Fatal("no layout implied its tail")
+	}
+}
+
+// FuzzLayoutFromOrder maps bytes to an order and checks the layout built
+// from it against the plain permutation. The bytes give n (12 bits of two),
+// the block size (one), the tail length (two), a mode (one) and the choices
+// of a shuffle of the head (the rest, cycled): a mode of 1 mod 4 puts an id
+// outside the table into the order and 2 mod 4 repeats one, and FromOrder
+// must reject either.
+func FuzzLayoutFromOrder(f *testing.F) {
+	// A one-id head above the tail's first id: n = 5, tail 4, the shuffle
+	// puts id 3 first.
+	f.Add([]byte{5, 0, 2, 4, 0, 0, 0, 3})
+	f.Add([]byte{0, 0, 0, 0, 0, 0})
+	f.Add([]byte{65, 0, 32, 30, 0, 0, 7, 1, 9})
+	f.Add([]byte{0, 4, 3, 0, 2, 0, 200, 17})
+	f.Add([]byte{0, 4, 3, 0, 2, 1, 200, 17})
+	f.Add([]byte{0, 4, 3, 0, 2, 2, 200, 17})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		n := int(data[0]) | int(data[1]&0x0f)<<8
+		bv := int(data[2]) % 41 // 0 asks for DefaultBlockVectors
+		tail := (int(data[3]) | int(data[4])<<8) % (n + 1)
+		mode, rest := data[5], data[6:]
+		choice := func(i int) int {
+			c := uint32(i) * 2654435761
+			if len(rest) > 0 {
+				c ^= uint32(rest[i%len(rest)])<<8 | uint32(rest[(i+1)%len(rest)])
+			}
+			return int(c)
+		}
+		order := make([]uint32, n)
+		for i := range order {
+			order[i] = uint32(i)
+		}
+		for i := range n - tail {
+			j := i + choice(i)%(n-i)
+			order[i], order[j] = order[j], order[i]
+		}
+		slices.Sort(order[n-tail:])
+		outside, repeat := n > 0 && mode%4 == 1, n > 1 && mode%4 == 2
+		if outside {
+			order[choice(n)%n] = uint32(n + choice(n+1)%3)
+		}
+		if repeat {
+			i, j := choice(n)%n, choice(n+1)%(n-1)
+			if j >= i {
+				j++
+			}
+			order[i] = order[j]
+		}
+		l, err := FromOrder(order, bv)
+		if outside || repeat {
+			if err == nil {
+				t.Fatalf("invalid order %v accepted", order)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bv == 0 {
+			bv = DefaultBlockVectors
+		}
+		checkMatchesPlain(t, l, order, bv)
+	})
 }

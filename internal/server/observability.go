@@ -224,7 +224,7 @@ func (s *Server) registry(store *core.Store) *metrics.Registry {
 			tableDRAM = append(tableDRAM, metrics.Sample{Labels: metrics.L("table", ts.Name, "component", c.name), Value: float64(c.bytes)})
 		}
 	}
-	r.Register("bandana_table_dram_bytes", "gauge", "Heap a table keeps resident, by component (layout, admit_bits, overlay, cache_arena, cache_index — the recency lists' records and probe tables, plus a pinned cache's slot word per pinned id and rank directory or a whole-table cache's slot words and flag bitset —, recorder, metrics), computed from lengths at scrape time; the vectors themselves are on the device.", tableDRAM)
+	r.Register("bandana_table_dram_bytes", "gauge", "Heap a table keeps resident, by component (layout — the placement order and its inverse for the trained head, and a bitset with a rank per 64 ids implying the untrained tail —, admit_bits, overlay, cache_arena, cache_index — the recency lists' records and probe tables, plus a pinned cache's slot word per pinned id and rank directory or a whole-table cache's slot words and flag bitset —, recorder, metrics), computed from lengths at scrape time; the vectors themselves are on the device.", tableDRAM)
 	r.Register("bandana_store_dram_bytes", "gauge", "Heap the store keeps resident beside its tables' bandana_table_dram_bytes, by component (metrics: the stage, device and I/O scheduler latency histograms; blocks: the data itself when the backend is mem, which keeps every block in the heap, 0 on file).",
 		[]metrics.Sample{
 			{Labels: metrics.L("component", "metrics"), Value: float64(dram.Metrics)},

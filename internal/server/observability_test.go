@@ -166,12 +166,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		"bandana_table_predicted_hit_ratio{table=\"tA\"} 0\n",
 		"bandana_table_predicted_lookups_per_block_read{table=\"tA\"} 0\n",
 		"bandana_table_pinned_vectors{table=\"tA\"} 0\n",
-		// DRAM attribution: 2048 vectors x (order + inverse) packed at 11
-		// bits (352 words each), nothing trained, updated or recorded yet, a
-		// cache that has filled, and the counters every table holds from
-		// Open. The stage histograms are the store's, and so are the blocks:
-		// every one in the heap on mem, none on file.
-		"bandana_table_dram_bytes{table=\"tA\",component=\"layout\"} 5632\n",
+		// DRAM attribution: 2048 vectors in the untrained identity layout,
+		// all of it an implied tail (a 32-word bitset and 32 ranks, where
+		// the order and its inverse would take 352 words each at 11 bits),
+		// nothing trained, updated or recorded yet, a cache that has
+		// filled, and the counters every table holds from Open. The stage
+		// histograms are the store's, and so are the blocks: every one in
+		// the heap on mem, none on file.
+		"bandana_table_dram_bytes{table=\"tA\",component=\"layout\"} 384\n",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"admit_bits\"} 0\n",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"overlay\"} 0\n",
 		"bandana_table_dram_bytes{table=\"tA\",component=\"cache_arena\"} ",
