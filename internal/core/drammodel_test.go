@@ -181,3 +181,75 @@ func TestRelayoutShortensImpliedTail(t *testing.T) {
 		t.Fatalf("reopen left a head of %d, want %d", head, adapted)
 	}
 }
+
+// modelSlabSlots is how many vectors one slab of a cache's arena holds,
+// from first principles: the fewest, a power of two, whose slab is at least
+// 8 KiB (the smallest Go size class of one object per span, so the slab
+// owns its span), or, for a cache whose whole capacity is smaller, its
+// capacity rounded up to a power of two.
+func modelSlabSlots(capacity, vecBytes int) int {
+	per := 1
+	for per*vecBytes < 8<<10 && per < capacity {
+		per <<= 1
+	}
+	return per
+}
+
+// modelCacheArena is what a cache's arena holds: the slabs its minted slots
+// start. The shards mint from one frontier, so a cache leaves at most one
+// slab partly minted, and every minted slot is resident, free or in limbo.
+func modelCacheArena(ts TableStats, vecBytes int) (arena, slab int64) {
+	per := modelSlabSlots(ts.CacheVectors, vecBytes)
+	minted := ts.CacheUsed + ts.CacheFreeSlots + ts.CacheLimboSlots
+	slab = int64(per * vecBytes)
+	return int64((minted+per-1)/per) * slab, slab
+}
+
+// TestCacheArenaModel: on the benchmark's cold shape (see coldShapeStore)
+// and its hot shape (see hotShapeStore) every table's TableDRAM.CacheArena
+// is the model's bytes to the byte, and exceeds the resident payload by at
+// most its free and limbo slots and one slab. Summed over the four tables
+// the arenas hold at most 860,000 B on the cold shape (897,024 when each
+// shard minted from slabs of its own) and at most 32 KiB more than the
+// resident payload on the hot shape (1.39 MB more before).
+func TestCacheArenaModel(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("trains and serves two four-table stores (≈ 60 s under -race); CI's heap-gate step runs it without -race")
+	}
+	for _, shape := range []struct {
+		name  string
+		store func(testing.TB) *Store
+		gate  func(arena, resident int64) bool
+		want  string
+	}{
+		{"cold", coldShapeStore, func(arena, _ int64) bool { return arena <= 860_000 }, "≤ 860,000 B"},
+		{"hot", hotShapeStore, func(arena, resident int64) bool { return arena <= resident+32<<10 }, "≤ resident + 32 KiB"},
+	} {
+		s := shape.store(t)
+		var arena, resident, parked int64
+		for ti, ts := range s.Stats() {
+			vb := s.tables[ti].vecBytes
+			want, slab := modelCacheArena(ts, vb)
+			got := ts.DRAM.CacheArena
+			if got != want {
+				t.Errorf("%s shape, table %d: cache arena %d B, the model says %d (%d resident, %d free, %d in limbo, %d B slabs)",
+					shape.name, ti, got, want, ts.CacheUsed, ts.CacheFreeSlots, ts.CacheLimboSlots, slab)
+			}
+			idle := int64(ts.CacheFreeSlots+ts.CacheLimboSlots) * int64(vb)
+			if over := got - ts.CacheBytesResident; over > idle+slab {
+				t.Errorf("%s shape, table %d: arena %d B over its %d B resident, want ≤ %d B of free and limbo slots + a %d B slab",
+					shape.name, ti, over, ts.CacheBytesResident, idle, slab)
+			}
+			t.Logf("%s shape, table %d: %d of %d vectors cached, arena %d B for %d B resident, %d free and %d limbo slots, %d B slabs",
+				shape.name, ti, ts.CacheUsed, ts.CacheVectors, got, ts.CacheBytesResident, ts.CacheFreeSlots, ts.CacheLimboSlots, slab)
+			arena += got
+			resident += ts.CacheBytesResident
+			parked += idle
+		}
+		s.Close()
+		t.Logf("%s shape: arenas %d B for %d B resident (%d B of free and limbo slots)", shape.name, arena, resident, parked)
+		if !shape.gate(arena, resident) {
+			t.Errorf("%s shape: the arenas hold %d B for %d B resident, want %s", shape.name, arena, resident, shape.want)
+		}
+	}
+}

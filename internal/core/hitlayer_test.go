@@ -14,9 +14,18 @@ import (
 // shape: four synthetic tables (scale 0.002, seed 1), a 6,000-vector budget
 // over 8 shards, trained on the first 4,000 requests and served the other
 // 8,000 in order, so that every table's cache holds its pinned ids.
-func coldShapeStore(tb testing.TB) *Store {
+func coldShapeStore(tb testing.TB) *Store { return benchShapeStore(tb, 6000) }
+
+// hotShapeStore is the benchmark's hot shape: coldShapeStore with a budget
+// of every vector (120,000), so every table's cache covers its table and is
+// pinned whole.
+func hotShapeStore(tb testing.TB) *Store { return benchShapeStore(tb, 120_000) }
+
+// benchShapeStore is the benchmark's four tables under a budget of the
+// given vectors, trained and served as coldShapeStore says.
+func benchShapeStore(tb testing.TB, budget int) *Store {
 	tb.Helper()
-	const budget, trainRequests, requests = 6000, 4000, 12000
+	const trainRequests, requests = 4000, 12000
 	tables, w := synth.BuildWorkload(synth.Options{Scale: 0.002, NumTables: 4, Seed: 1, Requests: requests})
 	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: budget, Seed: 1, CacheShards: 8})
 	if err != nil {

@@ -119,12 +119,16 @@ type TableDRAM struct {
 	AdmitBits int64
 	// Overlay is the payloads and entries of updates not yet compacted.
 	Overlay int64
-	// CacheArena is the cache's slabs; CacheIndex the rest of the cache, as
-	// allocated: the recency lists' slot records and probe tables, sized to
-	// the room they have, plus, for a pinned cache, a slot word per pinned
-	// id and a rank per 64 ids of the table (a pin verdict's set is
-	// AdmitBits'), or, for a cache in its whole-table form, its slot words
-	// and prefetched-flag bitset (4⅛ B per vector of the table).
+	// CacheArena is the cache's slabs: its shards mint slots from one
+	// frontier into slabs of at least 8 KiB (or of a smaller cache's whole
+	// capacity), so it is the slabs the minted slots start, and exceeds the
+	// resident payload by the free and limbo slots and less than one slab.
+	// CacheIndex is the rest of the cache, as allocated: the recency lists'
+	// slot records and probe tables, sized to the room they have, plus, for
+	// a pinned cache, a slot word per pinned id and a rank per 64 ids of the
+	// table (a pin verdict's set is AdmitBits'), or, for a cache in its
+	// whole-table form, its slot words and prefetched-flag bitset (4⅛ B per
+	// vector of the table).
 	CacheArena int64
 	CacheIndex int64
 	// Recorder is the adaptation engine's access window (0 while it is off).

@@ -29,18 +29,16 @@ func (c *Cache) LimboCap() int {
 	return n
 }
 
-// MintedSlots returns the total number of payload slots ever created, for
-// bounding transient overshoot in tests.
+// MintedSlots returns the number of payload slots the cache's arena ever
+// minted, for bounding transient overshoot in tests.
 func (c *Cache) MintedSlots() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += int(s.nextSlot)
-		s.mu.Unlock()
-	}
-	return n
+	c.arenaMu.Lock()
+	defer c.arenaMu.Unlock()
+	return int(c.nextSlot)
 }
+
+// SlabSlots returns the slots per slab of the cache's arena.
+func (c *Cache) SlabSlots() int { return 1 << c.slabShift }
 
 // ShardCapacities returns each shard's capacity, in shard order (a shard's
 // index is Hash(id) modulo NumShards).

@@ -7,7 +7,8 @@ import (
 
 // pinIndex is the index of a pinned cache's held entries (see Pin): one
 // slot word per id of the pinned set, addressed by the id's rank in the set,
-// shared by every shard. A slot is shard-local, and the shard is the id's.
+// shared by every shard. A slot is of the cache's arena, and the id's shard
+// owns it while the id holds it.
 type pinIndex struct {
 	// set is the pinned set, a bitset over ids (the caller's, never
 	// written); ranks[w] is how many of its ids precede word w.

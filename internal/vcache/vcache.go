@@ -7,11 +7,14 @@
 // millions of cached vectors that scan time dominates GC pauses and steals
 // CPU from the ~120 ns hit path.
 //
-// vcache stores the fp16 payloads themselves in large slab arenas (one slot
-// class per table, slot size = the table's vector size), indexes them with
-// an open-addressing hash table of packed (id, record) words, and tracks
-// recency with an intrusive prev/next uint32 list packed into 20-byte slot
-// records. The only heap objects are a handful of flat slices per shard; a
+// vcache stores the fp16 payloads themselves in one slab arena per cache
+// (one slot class per table, slot size = the table's vector size), indexes
+// them with an open-addressing hash table of packed (id, record) words, and
+// tracks recency with an intrusive prev/next uint32 list packed into 20-byte
+// slot records. The shards share the arena: slots are minted in order from
+// one frontier, so the arena holds the slots the cache has minted to within
+// one slab, and a slab owns its allocator span (see slabSlots). The only
+// heap objects are the slabs and a handful of flat slices per shard; a
 // listed entry costs ~20 B of record plus ~11 B of index, a held pinned
 // entry (see Pin) a 4-byte slot word, and the GC sees no per-entry pointers
 // at all.
@@ -60,11 +63,12 @@
 // it a set. The shards' probe tables, slot records and recency lists give
 // way to one atomic slot word per id of [0, n) (slot+1, 0 when absent) and
 // a prefetched-flag bitset: 4⅛ B per vector of the table in place of ~31 B
-// per listed vector. Slabs, free lists and limbo stay per shard. A hit
-// (Get, GetBatch) is one atomic load of the slot word, with no shard lock,
-// no probe and no slot record, and the first request of a prefetched entry
-// clears its flag with an atomic compare-and-swap; a miss, a fill, GetBatch's
-// miss callback and Remove take the shard lock as in the other form, and
+// per listed vector. The arena stays the cache's, and free lists and limbo
+// stay per shard. A hit (Get, GetBatch) is one atomic load of the slot
+// word, with no shard lock, no probe and no slot record, and the first
+// request of a prefetched entry clears its flag with an atomic
+// compare-and-swap; a miss, a fill, GetBatch's miss callback and Remove
+// take the shard lock as in the other form, and
 // the lease rule below is unchanged: a fill publishes the slot word after
 // the payload, and Remove clears it before it parks the slot. Resize and
 // Pin convert the cache back in place, keeping every entry they have room
@@ -126,10 +130,12 @@ const nilIdx = ^uint32(0)
 // the shard's capacity).
 const Segments = 16
 
-// targetSlabBytes is the preferred payload slab size. Slabs are allocated
-// lazily as shards grow, so a small cache never pays for a full slab, and a
-// big one amortizes allocator and GC bookkeeping over thousands of slots.
-const targetSlabBytes = 256 << 10
+// minSlabBytes is the smallest slab of a cache that holds at least that
+// much: 8 KiB is the smallest Go size class whose span holds a single
+// object, so such a slab owns its span and no transient allocation shares
+// it (see slabSlots). Slabs are minted lazily from the cache's one
+// frontier, so the arena exceeds the slots minted by less than one slab.
+const minSlabBytes = 8 << 10
 
 // prefetchedBit marks an entry inserted by prefetch admission and not yet
 // requested, packed above the segment number in slotMeta.segflags. holeBit
@@ -170,7 +176,7 @@ type segment struct {
 }
 
 // shard is one independently locked slice of the cache. All fields but
-// slabs and sealed are guarded by mu. The struct is comfortably larger than
+// sealed are guarded by mu. The struct is comfortably larger than
 // a cache line, so neighbouring shard locks do not false-share.
 type shard struct {
 	mu       sync.Mutex
@@ -197,11 +203,6 @@ type shard struct {
 	idxMask  uint32
 	idxShift uint
 
-	// Payload arenas: slabs of 1<<slabShift fixed-size slots each, allocated
-	// lazily. The directory is replaced, never written in place, when a slab
-	// is added, so a lock-free hit reads it without the lock.
-	slabs atomic.Pointer[[][]byte]
-
 	// meta holds one record per listed entry, by record number. A record
 	// freed by an entry leaving the list joins the chain that starts at
 	// freeRec (linked through next; holes counts it) and is reused first.
@@ -210,13 +211,13 @@ type shard struct {
 	freeRec uint32
 	holes   int
 
-	// free holds immediately reusable slots; limbo[limboHead:] holds evicted
-	// slots waiting out the lease grace period, oldest first (park compacts
-	// the consumed prefix away).
+	// free holds immediately reusable slots of the cache's arena that this
+	// shard retired; limbo[limboHead:] holds the slots it evicted that are
+	// waiting out the lease grace period, oldest first (park compacts the
+	// consumed prefix away).
 	free      []uint32
 	limbo     []limboSlot
 	limboHead int
-	nextSlot  uint32
 
 	segs []segment
 
@@ -252,6 +253,17 @@ type Cache struct {
 	// lock, so a holder of any shard lock sees them fixed.
 	whole atomic.Pointer[wholeIndex]
 	pin   atomic.Pointer[pinIndex]
+
+	// The payload arena, shared by every shard: slabs of 1<<slabShift slots
+	// each, minted in slot order from nextSlot under arenaMu. A shard mints
+	// (see alloc) only when its free list and limbo have nothing to give,
+	// and arenaMu is a leaf taken under the minting shard's lock. A slot,
+	// once minted, is the cache's: the shard whose id holds it, frees it or
+	// parks it in limbo owns it until it hands it out again. slabs is the
+	// slab directory, read without a lock by every hit (see payload).
+	arenaMu  sync.Mutex
+	nextSlot uint32
+	slabs    atomic.Pointer[[][]byte]
 
 	// Lease epoch machinery. cnt[e&1] counts live leases acquired during
 	// epoch e; the epoch may advance from e to e+1 only while cnt[(e+1)&1]
@@ -309,23 +321,7 @@ func New(opts Options) *Cache {
 	c.releases[0] = func() { c.cnt[0].n.Add(-1) }
 	c.releases[1] = func() { c.cnt[1].n.Add(-1) }
 
-	// Slots per slab: a power of two targeting ~targetSlabBytes, but no
-	// more than about an eighth of a shard's share (at least 8 slots), so a
-	// small cache's arena grows in steps of an eighth of what it can fill.
-	per := 1
-	for opts.SlotBytes > 0 && per*2*opts.SlotBytes <= targetSlabBytes {
-		per <<= 1
-	}
-	share := 8
-	for share*8 < opts.Capacity/n+1 {
-		share <<= 1
-	}
-	per = min(per, share)
-	shift := uint(0)
-	for 1<<shift < per {
-		shift++
-	}
-	c.slabShift = shift
+	c.slabShift = uint(bits.TrailingZeros(uint(slabSlots(opts.Capacity, opts.SlotBytes))))
 
 	base, rem := opts.Capacity/n, opts.Capacity%n
 	for i := range c.shards {
@@ -336,6 +332,23 @@ func New(opts Options) *Cache {
 		c.shards[i].init(sc)
 	}
 	return c
+}
+
+// slabSlots is how many slots a slab of a cache of capacity slots of
+// slotBytes each holds, a power of two: the fewest whose slab is at least
+// minSlabBytes, or, in a cache whose whole capacity is smaller than that,
+// its capacity rounded up to a power of two. With a power-of-two slot size
+// a slab of the first kind is a power of two of at least 8 KiB, a Go size
+// class of one object per span, so it owns its span. A smaller power of two
+// does not: a 4 KiB slab shares its 8 KiB span with whatever else is
+// allocated at that size, and the span stays in use while either lives. A
+// keys-only cache (slotBytes 0) allocates no slab.
+func slabSlots(capacity, slotBytes int) int {
+	per := 1
+	for slotBytes > 0 && per*slotBytes < minSlabBytes && per < capacity {
+		per <<= 1
+	}
+	return per
 }
 
 func (s *shard) init(capacity int) {
@@ -433,11 +446,11 @@ func (c *Cache) tryAdvance() {
 
 // payload returns slot's arena bytes (read-write; callers hand out read-only
 // subslices), nil in a keys-only cache.
-func (s *shard) payload(c *Cache, slot uint32) []byte {
+func (c *Cache) payload(slot uint32) []byte {
 	if c.slotBytes == 0 {
 		return nil
 	}
-	slab := (*s.slabs.Load())[slot>>c.slabShift]
+	slab := (*c.slabs.Load())[slot>>c.slabShift]
 	off := int(slot&(1<<c.slabShift-1)) * c.slotBytes
 	return slab[off : off+c.slotBytes : off+c.slotBytes]
 }
@@ -714,11 +727,11 @@ func (s *shard) rebalance(from int) {
 
 // ---- slot allocation / reclamation ----
 
-// alloc returns a payload slot: from the free list, from limbo once the
-// lease grace has passed, or freshly minted (growing a slab if needed).
-// Minting while evicted slots sit in limbo transiently overshoots the
-// arena's slot budget by at most the number of evictions inside concurrent
-// lease windows.
+// alloc returns a payload slot: from the shard's free list, from its limbo
+// once the lease grace has passed, or freshly minted from the cache's arena
+// (see mint). Minting while evicted slots sit in limbo transiently
+// overshoots the arena's slot budget by at most the number of evictions
+// inside concurrent lease windows.
 func (s *shard) alloc(c *Cache) uint32 {
 	if n := len(s.free); n > 0 {
 		slot := s.free[n-1]
@@ -737,24 +750,33 @@ func (s *shard) alloc(c *Cache) uint32 {
 			return ls.slot
 		}
 	}
-	slot := s.nextSlot
-	s.nextSlot++
-	if c.slotBytes > 0 && int(slot)>>c.slabShift == len(s.slabDir()) {
-		s.addSlab(c)
+	return c.mint()
+}
+
+// mint returns the cache's next unminted slot, adding a slab when the slot
+// starts one. The caller holds a shard lock; arenaMu is taken under it.
+func (c *Cache) mint() uint32 {
+	c.arenaMu.Lock()
+	defer c.arenaMu.Unlock()
+	slot := c.nextSlot
+	c.nextSlot++
+	if c.slotBytes > 0 && int(slot)>>c.slabShift == len(c.slabDir()) {
+		// A published directory's entries are never rewritten: the new slab
+		// goes past every published length (append grows the backing array
+		// geometrically, so minting stays amortized O(1) per slab), and the
+		// header naming it is published after it is written.
+		dir := append(c.slabDir(), make([]byte, c.slabBytes()))
+		c.slabs.Store(&dir)
 	}
 	return slot
 }
 
-// addSlab appends a slab to the shard's directory, in a copy of it.
-func (s *shard) addSlab(c *Cache) {
-	dir := s.slabDir()
-	dir = append(dir[:len(dir):len(dir)], make([]byte, (1<<c.slabShift)*c.slotBytes))
-	s.slabs.Store(&dir)
-}
+// slabBytes is the size of one slab.
+func (c *Cache) slabBytes() int { return c.slotBytes << c.slabShift }
 
-// slabDir returns the shard's slabs.
-func (s *shard) slabDir() [][]byte {
-	if p := s.slabs.Load(); p != nil {
+// slabDir returns the cache's slabs.
+func (c *Cache) slabDir() [][]byte {
+	if p := c.slabs.Load(); p != nil {
 		return *p
 	}
 	return nil
@@ -956,10 +978,10 @@ func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetch
 	c.checkPayload(payload)
 	s.listRemove(r)
 	m := &s.meta[r]
-	if !bytesEqual(s.payload(c, m.slot), payload) {
+	if !bytesEqual(c.payload(m.slot), payload) {
 		// Never overwrite a slot a lease may be reading: relocate.
 		next := s.alloc(c)
-		copy(s.payload(c, next), payload)
+		copy(c.payload(next), payload)
 		s.park(c, m.slot)
 		m.slot = next
 	}
@@ -981,9 +1003,9 @@ func (s *shard) replaceHeld(c *Cache, id uint32, k int, slot uint32, payload []b
 		s.pin.slots[k].Store(0)
 		s.pinned--
 	}
-	if !bytesEqual(s.payload(c, slot), payload) {
+	if !bytesEqual(c.payload(slot), payload) {
 		next := s.alloc(c)
-		copy(s.payload(c, next), payload)
+		copy(c.payload(next), payload)
 		if !prefetched {
 			s.pin.slots[k].Store(next + 1)
 		}
@@ -1009,7 +1031,7 @@ func (s *shard) insert(c *Cache, id uint32, payload []byte, pos float64, prefetc
 	}
 	c.checkPayload(payload)
 	slot := s.alloc(c)
-	copy(s.payload(c, slot), payload)
+	copy(c.payload(slot), payload)
 	s.used++
 	k := -1
 	if !prefetched {
@@ -1093,17 +1115,17 @@ func (s *shard) get(id uint32) (slot uint32, wasPrefetched, ok bool) {
 // it reads the view. Allocation-free. A hit on a whole-table cache, or on
 // a held pinned id, takes no lock.
 func (c *Cache) Get(id uint32) (payload []byte, wasPrefetched, ok bool) {
-	s := c.shardOf(id)
 	if w := c.whole.Load(); w != nil {
 		slot := w.find(id)
 		if slot == nilIdx {
 			return nil, false, false
 		}
-		return s.payload(c, slot), w.request(id), true
+		return c.payload(slot), w.request(id), true
 	}
 	if slot := c.pin.Load().find(id); slot != nilIdx {
-		return s.payload(c, slot), false, true
+		return c.payload(slot), false, true
 	}
+	s := c.shardOf(id)
 	s.mu.Lock()
 	if c.whole.Load() != nil {
 		s.mu.Unlock()
@@ -1111,7 +1133,7 @@ func (c *Cache) Get(id uint32) (payload []byte, wasPrefetched, ok bool) {
 	}
 	slot, wasPrefetched, ok := s.get(id)
 	if ok {
-		payload = s.payload(c, slot)
+		payload = c.payload(slot)
 	}
 	s.mu.Unlock()
 	return payload, wasPrefetched, ok
@@ -1150,7 +1172,7 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 		for lo := 0; lo < len(ids); {
 			n := 0
 			for ; lo < len(ids) && n < locateWindow; lo++ {
-				if !s.heldHit(c, p, ids, views, lo) {
+				if !c.heldHit(p, ids, views, lo) {
 					run[n] = int32(lo)
 					n++
 				}
@@ -1183,13 +1205,12 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 	var heads, next []int32
 	for i := len(ids) - 1; i >= 0; i-- {
 		id := ids[i]
-		si := Hash(id) & c.shardMask
 		if w := id / 64; int(w) < len(set) {
 			word, bit := set[w], uint64(1)<<(id%64)
 			if word&bit != 0 {
 				if slot := words[int(ranks[w])+bits.OnesCount64(word&(bit-1))].Load() - 1; slot != nilIdx {
 					if views != nil {
-						views[i] = c.shards[si].payload(c, slot)
+						views[i] = c.payload(slot)
 					}
 					continue
 				}
@@ -1202,6 +1223,7 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 				heads[k] = -1
 			}
 		}
+		si := Hash(id) & c.shardMask
 		next[i] = heads[si]
 		heads[si] = int32(i)
 	}
@@ -1229,16 +1251,15 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 	return prefetchHits
 }
 
-// heldHit serves ids[i], an id of s, without the lock when p (the pinned
-// index GetBatch loaded, nil for none) holds it, and reports whether it
-// did.
-func (s *shard) heldHit(c *Cache, p *pinIndex, ids []uint32, views [][]byte, i int) bool {
+// heldHit serves ids[i] without its shard lock when p (the pinned index
+// GetBatch loaded, nil for none) holds it, and reports whether it did.
+func (c *Cache) heldHit(p *pinIndex, ids []uint32, views [][]byte, i int) bool {
 	slot := p.find(ids[i])
 	if slot == nilIdx {
 		return false
 	}
 	if views != nil {
-		views[i] = s.payload(c, slot)
+		views[i] = c.payload(slot)
 	}
 	return true
 }
@@ -1268,7 +1289,7 @@ func (s *shard) getRun(c *Cache, ids []uint32, run []int32, views [][]byte, miss
 		if slot := s.pin.find(ids[i]); slot != nilIdx {
 			// Held since GetBatch looked: a hit that moves nothing.
 			if views != nil {
-				views[i] = s.payload(c, slot)
+				views[i] = c.payload(slot)
 			}
 			recs[k] = served
 			continue
@@ -1309,7 +1330,7 @@ func (s *shard) probe(c *Cache, ids []uint32, views [][]byte, i int, r uint32, m
 			prefetchHit = 1
 		}
 		if views != nil {
-			views[i] = s.payload(c, slot)
+			views[i] = c.payload(slot)
 		}
 		return prefetchHit, held
 	}
@@ -1347,13 +1368,13 @@ func (c *Cache) GetFunc(id uint32, fn func(payload []byte, wasPrefetched bool)) 
 	if w := c.whole.Load(); w != nil {
 		slot := w.find(id)
 		if slot != nilIdx {
-			fn(s.payload(c, slot), w.request(id))
+			fn(c.payload(slot), w.request(id))
 		}
 		return slot != nilIdx
 	}
 	slot, wasPrefetched, ok := s.get(id)
 	if ok {
-		fn(s.payload(c, slot), wasPrefetched)
+		fn(c.payload(slot), wasPrefetched)
 	}
 	return ok
 }
@@ -1396,8 +1417,9 @@ type Stats struct {
 	// (Entries * SlotBytes) — what the cache is actually holding for
 	// serving.
 	BytesResident int64
-	// ArenaBytes is the total allocated slab bytes (resident payloads plus
-	// free/limbo slots and slab tails not yet minted).
+	// ArenaBytes is the cache's allocated slab bytes: resident payloads,
+	// free and limbo slots, and the tail of the last slab not yet minted,
+	// which is less than one slab.
 	ArenaBytes int64
 	// MetaBytes is the recency lists' slot records, as allocated (the
 	// capacity of each shard's records, not only the ones in use);
@@ -1435,13 +1457,11 @@ func (c *Cache) Stats() Stats {
 	if p := c.pin.Load(); p != nil {
 		st.IndexBytes += p.sizeBytes()
 	}
+	st.Slabs = len(c.slabDir())
+	st.ArenaBytes = int64(st.Slabs) * int64(c.slabBytes())
 	for i := range c.shards {
 		s := &c.shards[i]
 		st.Entries += s.used
-		st.Slabs += len(s.slabDir())
-		for _, slab := range s.slabDir() {
-			st.ArenaBytes += int64(len(slab))
-		}
 		records, probes := int64(cap(s.meta))*recordBytes, int64(len(s.idx))*8
 		st.MetaBytes += records
 		st.IndexBytes += probes
@@ -1524,8 +1544,68 @@ func (c *Cache) checkInvariants() error {
 			return fmt.Errorf("pinned index has %d slot words for %d ids", len(p.slots), total)
 		}
 	}
+	slots := make(map[uint32]int)
 	for si := range c.shards {
-		if err := c.shards[si].checkInvariants(si, held[si]); err != nil {
+		if err := c.shards[si].checkInvariants(si, held[si], slots); err != nil {
+			return err
+		}
+	}
+	return c.checkArena(slots)
+}
+
+// checkArena checks the cache's arena under every shard lock, given the
+// shard that accounts for each slot (see shard.accountSlots): every slot
+// the cache minted is resident, free or in limbo in exactly one shard, no
+// unminted slot is, and the directory holds exactly the slabs the minted
+// slots start, each a slab long.
+func (c *Cache) checkArena(slots map[uint32]int) error {
+	if len(slots) != int(c.nextSlot) {
+		return fmt.Errorf("%d slots minted, %d accounted (resident+free+limbo)", c.nextSlot, len(slots))
+	}
+	for slot, si := range slots {
+		if slot >= c.nextSlot {
+			return fmt.Errorf("shard %d accounts for slot %d, %d minted", si, slot, c.nextSlot)
+		}
+	}
+	want := 0
+	if c.slotBytes > 0 {
+		want = (int(c.nextSlot) + 1<<c.slabShift - 1) >> c.slabShift
+	}
+	dir := c.slabDir()
+	if len(dir) != want {
+		return fmt.Errorf("%d slabs for %d slots minted, %d per slab", len(dir), c.nextSlot, 1<<c.slabShift)
+	}
+	for i, slab := range dir {
+		if len(slab) != c.slabBytes() {
+			return fmt.Errorf("slab %d is %d B, want %d", i, len(slab), c.slabBytes())
+		}
+	}
+	return nil
+}
+
+// accountSlots records in slots (slot → shard) that shard si accounts for
+// each slot of resident, its free list and its limbo, and fails when a
+// slot is accounted for twice, here or by another shard.
+func (s *shard) accountSlots(si int, resident []uint32, slots map[uint32]int) error {
+	account := func(slot uint32) error {
+		if other, ok := slots[slot]; ok {
+			return fmt.Errorf("shard %d: slot %d is accounted for twice (also by shard %d)", si, slot, other)
+		}
+		slots[slot] = si
+		return nil
+	}
+	for _, slot := range resident {
+		if err := account(slot); err != nil {
+			return err
+		}
+	}
+	for _, slot := range s.free {
+		if err := account(slot); err != nil {
+			return err
+		}
+	}
+	for _, ls := range s.limbo[s.limboHead:] {
+		if err := account(ls.slot); err != nil {
 			return err
 		}
 	}
@@ -1533,8 +1613,9 @@ func (c *Cache) checkInvariants() error {
 }
 
 // checkInvariants checks shard si of a partial cache, which holds the ids
-// of held (id → slot) in slot words, under every shard lock.
-func (s *shard) checkInvariants(si int, held map[uint32]uint32) error {
+// of held (id → slot) in slot words, under every shard lock, and adds the
+// slots it accounts for to slots (see accountSlots).
+func (s *shard) checkInvariants(si int, held map[uint32]uint32, slots map[uint32]int) error {
 	total := 0
 	seen := make(map[uint32]bool)
 	// Walk the one list segment by segment: each segment's run starts where
@@ -1619,26 +1700,16 @@ func (s *shard) checkInvariants(si int, held map[uint32]uint32) error {
 	if live != total || len(s.idx) < indexLen(s.room()) {
 		return fmt.Errorf("shard %d: probe table of %d words holds %d ids, %d listed, room %d", si, len(s.idx), live, total, s.room())
 	}
-	// Every slot is accounted for exactly once: resident, free, limbo or
-	// unminted.
-	slots := make(map[uint32]bool)
+	// Every slot the shard accounts for is its own: resident, free or in
+	// limbo here and nowhere else.
+	resident := make([]uint32, 0, s.used)
 	for _, slot := range held {
-		slots[slot] = true
+		resident = append(resident, slot)
 	}
 	for k := range s.meta {
 		if s.meta[k].segflags&holeBit == 0 {
-			slots[s.meta[k].slot] = true
+			resident = append(resident, s.meta[k].slot)
 		}
 	}
-	for _, slot := range s.free {
-		slots[slot] = true
-	}
-	for _, ls := range s.limbo[s.limboHead:] {
-		slots[ls.slot] = true
-	}
-	accounted := s.used + len(s.free) + (len(s.limbo) - s.limboHead)
-	if accounted != int(s.nextSlot) || len(slots) != accounted {
-		return fmt.Errorf("shard %d: %d slots minted, %d accounted (resident+free+limbo), %d distinct", si, s.nextSlot, accounted, len(slots))
-	}
-	return nil
+	return s.accountSlots(si, resident, slots)
 }

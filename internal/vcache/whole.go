@@ -7,8 +7,8 @@ import (
 
 // wholeIndex is the index of a cache in its whole-table form (see PinWhole):
 // one slot word per id of the table and a prefetched flag per id, shared by
-// every shard. A slot is shard-local, and the shard is the id's, as in the
-// partial form.
+// every shard. A slot is of the cache's arena, and the id's shard owns it
+// while the id holds it, as in the partial form.
 type wholeIndex struct {
 	// slots[id] is id's slot+1, 0 when id is not resident. Written under
 	// the id's shard lock, read with or without it.
@@ -149,9 +149,9 @@ func (c *Cache) unlockAll() {
 // which finds the id again in whatever form the cache has by then.
 func (c *Cache) getWhole(w *wholeIndex, ids []uint32, views [][]byte, miss func(int) []byte) (prefetchHits int) {
 	for i, id := range ids {
-		s := c.shardOf(id)
 		slot := w.find(id)
 		if slot == nilIdx {
+			s := c.shardOf(id)
 			s.mu.Lock()
 			prefetchHits += s.step(c, ids, views, i, miss)
 			s.mu.Unlock()
@@ -161,7 +161,7 @@ func (c *Cache) getWhole(w *wholeIndex, ids []uint32, views [][]byte, miss func(
 			prefetchHits++
 		}
 		if views != nil {
-			views[i] = s.payload(c, slot)
+			views[i] = c.payload(slot)
 		}
 	}
 	return prefetchHits
@@ -173,7 +173,7 @@ func (c *Cache) getWhole(w *wholeIndex, ids []uint32, views [][]byte, miss func(
 func (s *shard) step(c *Cache, ids []uint32, views [][]byte, i int, miss func(int) []byte) int {
 	w := c.whole.Load()
 	if w == nil {
-		if s.heldHit(c, s.pin, ids, views, i) {
+		if c.heldHit(s.pin, ids, views, i) {
 			return 0
 		}
 		pre, _ := s.probe(c, ids, views, i, s.idxFind(ids[i]), miss)
@@ -182,7 +182,7 @@ func (s *shard) step(c *Cache, ids []uint32, views [][]byte, i int, miss func(in
 	id := ids[i]
 	if slot := w.find(id); slot != nilIdx {
 		if views != nil {
-			views[i] = s.payload(c, slot)
+			views[i] = c.payload(slot)
 		}
 		if w.request(id) {
 			return 1
@@ -208,12 +208,12 @@ func (s *shard) addWhole(c *Cache, w *wholeIndex, id uint32, payload []byte, pre
 	}
 	c.checkPayload(payload)
 	old := w.find(id)
-	if old != nilIdx && bytesEqual(s.payload(c, old), payload) {
+	if old != nilIdx && bytesEqual(c.payload(old), payload) {
 		w.setPrefetched(id, prefetched)
 		return true
 	}
 	slot := s.alloc(c)
-	copy(s.payload(c, slot), payload)
+	copy(c.payload(slot), payload)
 	w.setPrefetched(id, prefetched)
 	w.slots[id].Store(slot + 1)
 	if old == nilIdx {
@@ -240,30 +240,22 @@ func (s *shard) removeWhole(c *Cache, w *wholeIndex, id uint32) bool {
 }
 
 // checkWhole validates a whole-table cache under every shard lock: no shard
-// keeps a probe table, records, a pinned index or a listed entry; every resident id's
-// slot is its shard's, minted and held by no other id or free or limbo
-// entry; a prefetched flag is set only on a resident id; and each shard's
-// entries, free and limbo slots account for every slot it minted.
+// keeps a probe table, records, a pinned index or a listed entry; each
+// shard holds as many entries as it counts; a prefetched flag is set only
+// on a resident id; and every slot the cache minted is resident, free or in
+// limbo in exactly one shard (see checkArena).
 func (c *Cache) checkWhole() error {
 	w := c.whole.Load()
 	if c.Cap() != len(w.slots) {
 		return fmt.Errorf("whole cache over %d ids has capacity %d", len(w.slots), c.Cap())
 	}
-	held := make([]map[uint32]bool, len(c.shards))
 	for si := range c.shards {
 		s := &c.shards[si]
 		if s.idx != nil || s.meta != nil || s.pin != nil || s.pinned != 0 || s.sealed.Load() != nil || s.listHead() != nilIdx || c.pin.Load() != nil {
 			return fmt.Errorf("shard %d of a whole cache keeps partial-form state", si)
 		}
-		held[si] = make(map[uint32]bool)
-		for _, slot := range s.free {
-			held[si][slot] = true
-		}
-		for _, ls := range s.limbo[s.limboHead:] {
-			held[si][ls.slot] = true
-		}
 	}
-	used := make([]int, len(c.shards))
+	resident := make([][]uint32, len(c.shards))
 	for id := range uint32(len(w.slots)) {
 		slot := w.find(id)
 		if slot == nilIdx {
@@ -273,20 +265,17 @@ func (c *Cache) checkWhole() error {
 			continue
 		}
 		si := Hash(id) & c.shardMask
-		if slot >= c.shards[si].nextSlot || held[si][slot] {
-			return fmt.Errorf("id %d holds slot %d of shard %d, unminted or held twice", id, slot, si)
-		}
-		held[si][slot] = true
-		used[si]++
+		resident[si] = append(resident[si], slot)
 	}
+	slots := make(map[uint32]int)
 	for si := range c.shards {
 		s := &c.shards[si]
-		if used[si] != s.used || s.used > s.capacity {
-			return fmt.Errorf("shard %d: %d ids resident, used records %d of capacity %d", si, used[si], s.used, s.capacity)
+		if len(resident[si]) != s.used || s.used > s.capacity {
+			return fmt.Errorf("shard %d: %d ids resident, used records %d of capacity %d", si, len(resident[si]), s.used, s.capacity)
 		}
-		if len(held[si]) != int(s.nextSlot) {
-			return fmt.Errorf("shard %d: %d slots minted, %d accounted (resident+free+limbo)", si, s.nextSlot, len(held[si]))
+		if err := s.accountSlots(si, resident[si], slots); err != nil {
+			return err
 		}
 	}
-	return nil
+	return c.checkArena(slots)
 }
