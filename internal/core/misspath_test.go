@@ -62,11 +62,11 @@ func coldBatches(s *Store, blocks int) [][]uint32 {
 }
 
 // TestMissBatchAllocBound is the miss-path allocation gate (CI runs it next
-// to the zero-alloc hit-path gates, on every backend): one cold 64-id raw
-// batch allocates per batch, per scheduler call where there is one, and
-// nothing per missed vector or per block read — the same 64 ids spread over
-// twice the blocks cost what a cache fill of twice the blocks costs and no
-// more.
+// to the zero-alloc hit-path gates, on every backend): one cold 64-id leased
+// raw batch allocates nothing when its blocks are read in place (mem, file),
+// only the scheduler call's own slices when they are read through it
+// (file-direct), and nothing per missed vector or per block read — the same
+// 64 ids spread over twice the blocks cost no more.
 func TestMissBatchAllocBound(t *testing.T) {
 	s := newMissPathStore(t)
 	measure := func(blocks int) float64 {
@@ -96,15 +96,25 @@ func TestMissBatchAllocBound(t *testing.T) {
 		}
 		return allocs
 	}
-	// Measured: 3 allocs per batch read in place (mem, file) — the result
-	// slice, and the block list and raw-copy buffer in serveBatch — and 5
-	// through the scheduler (file-direct), whose call adds its result and op
-	// slices.
-	at16 := measure(16)
-	if at16 > 26 {
-		t.Fatalf("cold 64-id raw batch allocates %.1f times, want <= 26", at16)
+	// Measured: 0 allocs per batch read in place (mem, file): the result
+	// slice and the miss copies are the lease's, the keys, misses and block
+	// list the pooled batch scratch's. 2 through the scheduler
+	// (file-direct): its call's result and op slices.
+	// Under -race, whose runtime drops a share of sync.Pool puts on purpose,
+	// the pooled buffers are reallocated at random, so there the gate keeps
+	// the bounds it had before they were pooled.
+	bound, slack, leg := 0.0, 0.0, "read in place"
+	if s.tables[0].inPlace == nil {
+		bound, leg = 2, "scheduled"
 	}
-	if at32 := measure(32); at32 > at16+6 {
+	if raceEnabled {
+		bound, slack = 26, 6
+	}
+	at16 := measure(16)
+	if at16 > bound {
+		t.Fatalf("cold 64-id raw batch (%s) allocates %.1f times, want <= %.0f", leg, at16, bound)
+	}
+	if at32 := measure(32); at32 > at16+slack {
 		t.Fatalf("64 ids over 32 blocks allocate %.1f times, over 16 blocks %.1f: allocations grow with the blocks read", at32, at16)
 	}
 }
@@ -258,9 +268,16 @@ func TestOverlayHitRawBatchAllocBound(t *testing.T) {
 	if got, want := after.DeltaHits-before.DeltaHits, int64((runs+1)*len(ids)); got != want {
 		t.Fatalf("%d of %d lookups were overlay hits: not the path under test", got, want)
 	}
-	// The result slice, plus the cache's amortized limbo growth.
-	if allocs > 2 {
-		t.Fatalf("raw batch of %d overlay-resident ids allocates %.1f times, want <= 2", len(ids), allocs)
+	// The result slice is the lease's; what is left is the cache's
+	// amortized limbo growth, which reads 0. Under -race, which drops a
+	// share of sync.Pool puts, the lease is reallocated at random, so there
+	// the gate keeps the bound it had before the lease was pooled.
+	bound := 1.0
+	if raceEnabled {
+		bound = 2
+	}
+	if allocs > bound {
+		t.Fatalf("raw batch of %d overlay-resident ids allocates %.1f times, want <= %.0f", len(ids), allocs, bound)
 	}
 }
 

@@ -169,3 +169,42 @@ func TestPinnedCacheIndexBound(t *testing.T) {
 		t.Fatalf("cache_index is %.2f B per pinned id, want <= 8", perID)
 	}
 }
+
+// TestColdShapeCachesSeal: on the benchmark's cold shape every table's
+// cache ends the replay sealed — full of requested pinned ids, refusing
+// every other id — so its misses make no fill and no prefetch offer: a cold
+// batch of ids the cache does not hold is served, and the cache's entries
+// and the table's prefetch adds stay where they were.
+func TestColdShapeCachesSeal(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("trains and serves a four-table store (≈ 30 s under -race)")
+	}
+	s := coldShapeStore(t)
+	defer s.Close()
+	for ti, st := range s.tables {
+		c := st.loadState().cache
+		if !c.Sealed() {
+			t.Fatalf("table %d: the cache is not sealed after the replay", ti)
+		}
+		var ids []uint32
+		for id := uint32(0); int(id) < st.numVectors && len(ids) < 64; id += 7 {
+			if !c.Contains(id) {
+				ids = append(ids, id)
+			}
+		}
+		before, entries := s.Stats()[ti], c.Len()
+		out, err := s.LookupBatchRaw(ti, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := s.Stats()[ti]
+		for i, v := range out {
+			if len(v) != st.vecBytes {
+				t.Fatalf("table %d: id %d served %d bytes", ti, ids[i], len(v))
+			}
+		}
+		if misses := after.Misses - before.Misses; misses != int64(len(ids)) || c.Len() != entries || after.PrefetchAdds != before.PrefetchAdds {
+			t.Fatalf("table %d: %d misses of %d ids, cache entries %d -> %d, prefetch adds %d -> %d", ti, misses, len(ids), entries, c.Len(), before.PrefetchAdds, after.PrefetchAdds)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"math/bits"
 	randv2 "math/rand/v2"
@@ -59,11 +58,16 @@ func (s *Store) LookupBatch(tableIdx int, ids []uint32) ([][]float32, error) {
 // the vector's fp16 encoding, byte-identical to the cached copy or the block
 // image — the read path of the binary wire protocol. Float and raw lookups
 // are the same serving routine (counters, admission, prefetch, cache fill),
-// so each warms the cache for the other. Returned slices are owned by the
-// caller (copied out of the cache arenas before return); servers on the hot
-// path use LookupBatchRawLeased to skip the copy.
+// so each warms the cache for the other. The result and its bytes are owned
+// by the caller (copied out of the cache arenas before return); servers on
+// the hot path use LookupBatchRawLeased to skip the copy.
 func (s *Store) LookupBatchRaw(tableIdx int, ids []uint32) ([][]byte, error) {
-	out, release, err := s.LookupBatchRawLeased(tableIdx, ids)
+	st, err := s.tableAt(tableIdx)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]byte, len(ids))
+	release, err := st.serveBatch(ids, out, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -73,21 +77,70 @@ func (s *Store) LookupBatchRaw(tableIdx int, ids []uint32) ([][]byte, error) {
 }
 
 // LookupBatchRawLeased is LookupBatchRaw returning arena views directly:
-// zero copies on the wire protocol's read path. The returned slices are
-// valid until release is called, which the caller must do exactly once,
-// after it has finished reading (or serializing) them. release is non-nil
-// iff err is nil.
+// zero copies on the wire protocol's read path. The returned slice itself,
+// not only the bytes its views point at, is valid until release is called,
+// which the caller must do exactly once, after it has finished reading (or
+// serializing) them: the slice and the buffer the batch's misses are copied
+// into are pooled, and the release recycles them, so a leased batch
+// allocates nothing. release is non-nil iff err is nil.
 func (s *Store) LookupBatchRawLeased(tableIdx int, ids []uint32) ([][]byte, func(), error) {
 	st, err := s.tableAt(tableIdx)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([][]byte, len(ids))
-	release, err := st.serveBatch(ids, out, nil)
-	if err != nil {
+	l := rawLeasePool.Get().(*rawLease)
+	l.views = grown(l.views, len(ids))
+	if l.end, err = st.serveBatch(ids, l.views, &l.raw, nil); err != nil {
+		l.recycle()
 		return nil, nil, err
 	}
-	return out, release, nil
+	return l.views, l.release, nil
+}
+
+// rawLease is one LookupBatchRawLeased result: the views it hands out, the
+// buffer its misses were copied into and the cache lease the views are read
+// under. release is l.done, bound once when the pool makes l, so handing it
+// out allocates nothing.
+type rawLease struct {
+	views   [][]byte
+	raw     []byte
+	end     func()
+	release func()
+}
+
+// maxPooledLeaseIDs and maxPooledLeaseBytes bound the view slice and the
+// miss-copy buffer a pooled lease keeps, so one huge batch does not pin its
+// buffers for the life of the process.
+const (
+	maxPooledLeaseIDs   = 8192
+	maxPooledLeaseBytes = 256 << 10
+)
+
+// rawLeasePool's New is set in init: done puts back into the pool, so the
+// pool's initializer cannot refer to it.
+var rawLeasePool sync.Pool
+
+func init() {
+	rawLeasePool.New = func() any {
+		l := new(rawLease)
+		l.release = l.done
+		return l
+	}
+}
+
+// done ends the cache lease and recycles l.
+func (l *rawLease) done() {
+	l.end()
+	l.end = nil
+	l.recycle()
+}
+
+// recycle returns l to the pool, dropping its references to served bytes.
+func (l *rawLease) recycle() {
+	clear(l.views)
+	if cap(l.views) <= maxPooledLeaseIDs && cap(l.raw) <= maxPooledLeaseBytes {
+		rawLeasePool.Put(l)
+	}
 }
 
 // copyRawViews rewrites every view in out into one freshly allocated buffer,
@@ -337,7 +390,7 @@ func (st *storeTable) decodeViews(views [][]byte, first uint32, timed bool, tr *
 func (st *storeTable) lookup(id uint32, tr *StageTrace) ([]float32, error) {
 	ids := [1]uint32{id}
 	var view [1][]byte
-	release, err := st.serveBatch(ids[:], view[:], tr)
+	release, err := st.serveBatch(ids[:], view[:], nil, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +403,7 @@ func (st *storeTable) lookup(id uint32, tr *StageTrace) ([]float32, error) {
 // returned vector is a capacity-limited window of one backing array.
 func (st *storeTable) lookupBatch(ids []uint32, tr *StageTrace) ([][]float32, error) {
 	views := make([][]byte, len(ids))
-	release, err := st.serveBatch(ids, views, tr)
+	release, err := st.serveBatch(ids, views, nil, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -367,16 +420,17 @@ func (st *storeTable) lookupBatch(ids []uint32, tr *StageTrace) ([][]float32, er
 // entries, all nil on entry — with the fp16 encoding of each id, grouping
 // cache misses by NVM block so that each distinct block is read only once
 // per batch, and runs the full serving machinery: counters, dedupe,
-// admission, prefetch, cache fill. tr, when non-nil, accumulates the
-// per-stage latency breakdown.
+// admission, prefetch, cache fill. The misses are copied into *raw, grown
+// as needed, when raw is non-nil, and into a fresh buffer otherwise. tr,
+// when non-nil, accumulates the per-stage latency breakdown.
 //
 // Cache hits are handed out as views into the cache's arenas, valid only
 // under the lease serveBatch takes before its first probe: on success the
 // caller must invoke the returned release once it no longer reads out (it is
 // nil on error). Only pass-1 cache hits hand out leased views (overlay bytes
-// are heap-stable and pass-2 results are fresh copies), so that one lease
-// covers everything.
-func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (release func(), err error) {
+// are heap-stable and pass-2 results are copies the caller's buffer or the
+// batch owns), so that one lease covers everything.
+func (st *storeTable) serveBatch(ids []uint32, out [][]byte, raw *[]byte, tr *StageTrace) (release func(), err error) {
 	for _, id := range ids {
 		if err := st.checkID(id); err != nil {
 			return nil, err
@@ -404,20 +458,23 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 	// fanned back out to every position at the end. Every instance still
 	// counts as a lookup and inherits its unique id's hit/miss
 	// classification. Without repeats, uniq and views are ids and out. A
-	// batch of at most dedupeScanThreshold distinct ids needs no scratch.
+	// batch of at most dedupeScanThreshold distinct ids that all hit needs
+	// no scratch.
 	uniq, views, first := ids, out, []int32(nil)
-	var missed []missRef
+	var sc *batchScratch
+	defer func() {
+		if sc != nil {
+			sc.put()
+		}
+	}()
 	if len(ids) > dedupeScanThreshold || hasRepeat(ids) {
-		sc := batchScratchPool.Get().(*batchScratch)
-		defer sc.put()
+		sc = batchScratchPool.Get().(*batchScratch)
 		if u, f := sc.dedupe(ids); f != nil {
 			uniq, first = u, f
 			sc.views = grown(sc.views, len(u))
 			clear(sc.views)
 			views = sc.views
 		}
-		sc.missed = grown(sc.missed, len(uniq))
-		missed = sc.missed[:0]
 	}
 	// The probe takes each cache shard's lock once for all of the batch's
 	// ids in that shard, and is timed once per batch: a clock read per id
@@ -466,15 +523,21 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 		probeUS = usSince(probeStart)
 		st.observe(c, stageProbe, probeUS/float64(len(uniq)), probeWeight)
 	}
+	// keys lists the misses, each as its index in uniq; pass 2 adds the
+	// block above it.
+	var keys []uint64
 	for u, v := range views {
 		if v == nil {
-			if missed == nil {
-				missed = make([]missRef, 0, len(views)-u)
+			if keys == nil {
+				if sc == nil {
+					sc = batchScratchPool.Get().(*batchScratch)
+				}
+				keys = grown(sc.keys, len(views)-u)[:0]
 			}
-			missed = append(missed, missRef{pos: u, id: uniq[u]})
+			keys = append(keys, uint64(u))
 		}
 	}
-	hits := len(ids) - len(missed)
+	hits := len(ids) - len(keys)
 	if first != nil {
 		hits = 0
 		for _, u := range first {
@@ -499,20 +562,21 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 		tr.Misses += len(ids) - hits
 		tr.ProbeUS += probeUS
 	}
-	if len(missed) == 0 {
+	if len(keys) == 0 {
 		fanOut(out, views, first)
 		return release, nil
 	}
+	sc.keys = keys
 
 	// Pass 2: one NVM read per distinct block; copy all requested vectors
 	// out of it and apply the usual prefetch admission to the rest. Blocks are
 	// processed in ascending order, and a block's vectors in batch order, so
-	// a batch's cache effects are deterministic: the stable sort below gives
-	// both, and both readers hand missStep.serveBlock the blocks in that
-	// order. The whole pass holds the rewrite lock shared so the layout used
-	// for grouping and slot lookup matches the bytes on NVM; a rewrite's
-	// exclusive acquisition waits for every read in flight, scheduled or in
-	// place.
+	// a batch's cache effects are deterministic: sorting the keys, block <<
+	// 32 | index in uniq, gives both, and both readers hand
+	// missStep.serveBlock the blocks in that order. The whole pass holds the
+	// rewrite lock shared so the layout used for grouping and slot lookup
+	// matches the bytes on NVM; a rewrite's exclusive acquisition waits for
+	// every read in flight, scheduled or in place.
 	//
 	// Lock order: an in-place read serves each block under the store's read
 	// lock for it (a file store's stripe RLock, a MemStore's RWMutex), and
@@ -525,21 +589,34 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, tr *StageTrace) (re
 	st.rewriteMu.RLock()
 	defer st.rewriteMu.RUnlock()
 	ts = st.loadState()
-	for i := range missed {
-		missed[i].block = ts.layout.BlockOf(missed[i].id)
+	for i, k := range keys {
+		keys[i] = uint64(ts.layout.BlockOf(uniq[k]))<<32 | k
 	}
-	slices.SortStableFunc(missed, func(a, b missRef) int { return cmp.Compare(a.block, b.block) })
-	abs := make([]int, 0, len(missed))
-	for i, ref := range missed {
-		if i == 0 || ref.block != missed[i-1].block {
-			abs = append(abs, st.blockBase+ref.block)
+	slices.Sort(keys)
+	missed := grown(sc.missed, len(keys))
+	abs := grown(sc.abs, len(keys))[:0]
+	for i, k := range keys {
+		u := uint32(k)
+		missed[i] = missRef{pos: int(u), id: uniq[u], block: int(k >> 32)}
+		if i == 0 || missed[i].block != missed[i-1].block {
+			abs = append(abs, st.blockBase+missed[i].block)
 		}
 	}
+	sc.missed, sc.abs = missed, abs
 
-	// The misses are copied off the block images into one buffer per batch,
-	// handed out as capacity-limited sub-slices.
-	copies := missCopies{raw: make([]byte, 0, len(missed)*st.vecBytes)}
-	m := missStep{st: st, ts: ts, tr: tr, views: views, missed: missed, copies: &copies}
+	// The misses are copied off the block images into one buffer per batch
+	// (*raw when the caller lends one), handed out as capacity-limited
+	// sub-slices; it is sized up front, so no append moves it.
+	copies := missCopies{}
+	if raw != nil {
+		*raw = slices.Grow((*raw)[:0], len(missed)*st.vecBytes)
+		copies.raw = *raw
+	} else {
+		copies.raw = make([]byte, 0, len(missed)*st.vecBytes)
+	}
+	// A sealed cache refuses every id it does not hold (vcache.Cache.Sealed),
+	// so no fill or prefetch offer can change it: the batch makes none.
+	m := missStep{st: st, ts: ts, tr: tr, views: views, missed: missed, sealed: ts.cache.Sealed(), copies: &copies}
 	if st.inPlace != nil {
 		err = m.readInPlace(abs)
 	} else {
@@ -565,6 +642,9 @@ type missStep struct {
 	views  [][]byte
 	missed []missRef // sorted by block
 	next   int       // missed[next] is the first ref of the next block
+	// sealed says the cache refused every id it did not hold when the
+	// batch began its reads, so serveBlock neither fills nor admits.
+	sealed bool
 	// epoch is the table epoch the blocks' bytes are consistent with, and
 	// coalesced, when non-nil, flags the blocks served by another caller's
 	// device read.
@@ -670,6 +750,9 @@ func (m *missStep) serveBlock(bi int, buf []byte) {
 		c.raw = append(c.raw, buf[slot*st.vecBytes:(slot+1)*st.vecBytes]...)
 		rawCopy := c.raw[off:len(c.raw):len(c.raw)]
 		m.views[ref.pos] = rawCopy
+		if m.sealed {
+			continue
+		}
 		// A requested vector is always offered to the cache; the policy
 		// only picks where it enters the queue (probation for an id training
 		// says is cold). A pinned table's cache files a pinned id off the
@@ -684,7 +767,7 @@ func (m *missStep) serveBlock(bi int, buf []byte) {
 			st.counters.Stripe(hashID(ref.id))[ctrProbationFills].Add(1)
 		}
 	}
-	if ts.prefetch {
+	if ts.prefetch && !m.sealed {
 		st.admitBlock(ts, buf, m.epoch, block, refs)
 	}
 }
@@ -709,17 +792,21 @@ func hasRepeat(ids []uint32) bool {
 	return false
 }
 
-// batchScratch is serveBatch's working memory for a batch that repeats ids
-// or is too large to check by scan, pooled so that the hit path allocates
-// none of it.
+// batchScratch is serveBatch's working memory for a batch that repeats ids,
+// is too large to check by scan or misses, pooled so that neither path
+// allocates any of it.
 type batchScratch struct {
 	uniq  []uint32 // the batch's distinct ids, in first-occurrence order
 	first []int32  // first[i] is the index in uniq of ids[i]
 	views [][]byte // one result per distinct id, when ids repeat
 	// table is dedupe's open-addressing table for batches of more than
 	// dedupeScanThreshold ids: id<<32 | (index in uniq + 1), 0 when empty.
-	table  []uint64
+	table []uint64
+	// keys, missed and abs are pass 2's: the misses' sort keys, the misses
+	// in block order and the distinct blocks they read.
+	keys   []uint64
 	missed []missRef
+	abs    []int
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}

@@ -52,3 +52,15 @@ func (c *Cache) ShardCapacities() []int {
 	}
 	return caps
 }
+
+// ShardUnlocked reports whether id's shard lock is free at the moment of
+// the call (it takes and drops it when it is), for tests of the lock-free
+// paths.
+func (c *Cache) ShardUnlocked(id uint32) bool {
+	s := c.shardOf(id)
+	if !s.mu.TryLock() {
+		return false
+	}
+	s.mu.Unlock()
+	return true
+}

@@ -134,9 +134,11 @@ func (c *Cache) Pin(set []uint64) {
 // it and is requested, and otherwise joins the head of the last segment
 // (the first without a set), in id order. Then each shard evicts its
 // list's overflow from the LRU end, rebalances its segments, and sizes its
-// records and probe table to its room. The retired pinned index's words are
-// cleared, so a lock-free reader still holding it takes the lock and finds
-// the new form.
+// records and probe table to its room. The retired pinned or whole-table
+// index's words are cleared before that, so a lock-free reader still
+// holding it takes the lock and finds the new form, and never reads a slot
+// an eviction parks: a slot parked with no lease active goes straight back
+// to the free list (see park).
 func (c *Cache) reform(p *pinIndex, caps []int) {
 	whole, old := c.whole.Load(), c.pin.Load()
 	for i := range c.shards {
@@ -197,6 +199,9 @@ func (c *Cache) reform(p *pinIndex, caps []int) {
 		}
 		for _, id := range requested {
 			relist(id, whole.find(id), 0, seg)
+		}
+		for id := range whole.slots {
+			whole.slots[id].Store(0)
 		}
 	}
 	if old != nil {

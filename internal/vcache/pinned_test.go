@@ -580,6 +580,190 @@ func TestPinnedUnderConcurrentServing(t *testing.T) {
 	}
 }
 
+// TestSealedMissTakesNoLock: once every shard holds all of its pinned ids,
+// the cache is sealed, and GetBatch answers an id outside the set as a miss
+// without its shard's lock, on the single-shard path and the chained one
+// alike: the miss callback runs with the lock free, and the payload it
+// returns is not filled. A Remove unseals the removed id's shard, whose
+// misses take the lock and fill again.
+func TestSealedMissTakesNoLock(t *testing.T) {
+	const n = 1024
+	c := newTestCache(n, 8)
+	var pinned, outside []uint32
+	for id := range uint32(n) {
+		if id%4 == 0 {
+			pinned = append(pinned, id)
+		} else {
+			outside = append(outside, id)
+		}
+	}
+	c.Pin(bitset(pinned))
+	for _, id := range pinned {
+		c.Add(id, payloadFor(id, 1), false)
+	}
+	if !c.Sealed() {
+		t.Fatal("a cache holding every pinned id is not sealed")
+	}
+	release := c.Lease()
+	defer release()
+	for _, ids := range [][]uint32{outside[:1], {outside[1], pinned[1], outside[2], pinned[2]}, outside[3:67]} {
+		views := make([][]byte, len(ids))
+		calls, locked := 0, 0
+		c.GetBatch(ids, views, func(i int) []byte {
+			calls++
+			if !c.ShardUnlocked(ids[i]) {
+				locked++
+			}
+			return payloadFor(ids[i], 2)
+		})
+		want := 0
+		for i, id := range ids {
+			if id%4 == 0 {
+				if views[i] == nil || idOf(views[i]) != id {
+					t.Fatalf("held id %d not served", id)
+				}
+			} else {
+				want++
+				if views[i] != nil || c.Contains(id) {
+					t.Fatalf("id %d outside the set was served or filled by a sealed cache", id)
+				}
+			}
+		}
+		if calls != want || locked != 0 {
+			t.Fatalf("batch of %d ids: %d miss calls, %d under the shard lock; want %d, none locked", len(ids), calls, locked, want)
+		}
+	}
+	if c.Len() != len(pinned) {
+		t.Fatalf("sealed cache holds %d entries after its misses, want %d", c.Len(), len(pinned))
+	}
+
+	c.Remove(pinned[0])
+	if c.Sealed() {
+		t.Fatal("cache still sealed after a pinned id was removed")
+	}
+	var id uint32
+	for _, o := range outside {
+		if vcache.Hash(o)&7 == vcache.Hash(pinned[0])&7 {
+			id = o
+			break
+		}
+	}
+	ids, views := []uint32{id}, make([][]byte, 1)
+	locked := false
+	c.GetBatch(ids, views, func(int) []byte {
+		locked = !c.ShardUnlocked(id)
+		return payloadFor(id, 3)
+	})
+	if !locked || !c.Contains(id) {
+		t.Fatalf("miss on the unsealed shard: under its lock %v, filled %v; want both", locked, c.Contains(id))
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSealedMissUnderConcurrentServing races GetBatch misses of ids outside
+// the pinned set on a sealed cache, whose miss callback offers a payload,
+// against what unseals it: Remove of pinned ids and their refills (which
+// seal the shard again), and Pin, Resize and PinWhole conversions, each
+// followed by a Pin of the set and refills. A lock-free miss that filled
+// would write the shard without its lock; run under -race, that is a data
+// race, and CheckInvariants then holds every shard to its form.
+func TestSealedMissUnderConcurrentServing(t *testing.T) {
+	const n = 512
+	c := newTestCache(n, 8)
+	var pinned, outside []uint32
+	for id := range uint32(n) {
+		if id%4 == 0 {
+			pinned = append(pinned, id)
+		} else {
+			outside = append(outside, id)
+		}
+	}
+	set := bitset(pinned)
+	refill := func() {
+		for _, id := range pinned {
+			c.Add(id, payloadFor(id, 1), false)
+		}
+	}
+	c.Pin(set)
+	refill()
+	if !c.Sealed() {
+		t.Fatal("a cache holding every pinned id is not sealed")
+	}
+	var stop atomic.Bool
+	var sealedBatches atomic.Int64
+	var wg sync.WaitGroup
+	for r := range 3 {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for !stop.Load() {
+				k := 1 + rng.Intn(32)
+				ids, views := make([]uint32, k), make([][]byte, k)
+				for i, v := range rng.Perm(len(outside))[:k] {
+					ids[i] = outside[v]
+				}
+				if k > 1 {
+					ids[0] = pinned[rng.Intn(len(pinned))]
+				}
+				if c.Sealed() {
+					sealedBatches.Add(1)
+				}
+				release := c.Lease()
+				c.GetBatch(ids, views, func(i int) []byte { return payloadFor(ids[i], 2) })
+				for i, v := range views {
+					if v != nil && idOf(v) != ids[i] {
+						panic(fmt.Sprintf("view for id %d holds id %d", ids[i], idOf(v)))
+					}
+				}
+				release()
+				runtime.Gosched()
+			}
+		}(int64(r))
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(99))
+		for !stop.Load() {
+			id := pinned[rng.Intn(len(pinned))]
+			c.Remove(id)
+			runtime.Gosched()
+			c.Add(id, payloadFor(id, 1), false)
+			runtime.Gosched()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := range 30 {
+			switch i % 3 {
+			case 0:
+				c.Pin(bitset(pinned[:len(pinned)/2]))
+			case 1:
+				c.Resize(n / 2)
+			case 2:
+				c.PinWhole(n)
+			}
+			runtime.Gosched()
+			c.Pin(set)
+			refill()
+			for range 8 {
+				runtime.Gosched()
+			}
+		}
+		stop.Store(true)
+	}()
+	wg.Wait()
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if sealedBatches.Load() == 0 {
+		t.Fatal("no batch ran on a sealed cache: the lock-free miss was never raced")
+	}
+}
+
 // TestPinnedHitPathZeroAlloc: Get and GetBatch on held pinned ids, and a
 // GetBatch mixing them with listed ids, allocate nothing.
 func TestPinnedHitPathZeroAlloc(t *testing.T) {

@@ -47,13 +47,17 @@
 // Each shard's capacity becomes the number of pinned ids that hash to it,
 // so the pinned ids fit at once, and the capacity they have not yet filled
 // is lent to the list: inserting a pinned id into a full shard evicts the
-// list's tail, and a full shard whose every entry is pinned refuses
-// anything else, without taking its lock. Which ids are pinned is the
-// cache's own state, read under the shard lock, so a caller acting on an
-// older verdict cannot displace a pinned id. A fill publishes the slot word
-// after the payload and Remove clears it before parking the slot, as in the
-// whole-table form below; Resize, Pin and PinWhole convert the cache in
-// place under every shard lock, clearing the words of the index they retire.
+// list's tail, and a full shard whose every entry is pinned is sealed: it
+// refuses anything else without taking its lock, and GetBatch answers such
+// an id as a miss without the lock too, running the miss callback
+// lock-free and never filling (Sealed reports a cache whose every shard is
+// sealed). Which ids are pinned is the cache's own state, read under the
+// shard lock, so a caller acting on an older verdict cannot displace a
+// pinned id. A fill publishes the slot word after the payload and Remove
+// clears it before parking the slot, as in the whole-table form below;
+// Resize, Pin and PinWhole convert the cache in place under every shard
+// lock, clearing the words of the index they retire before they park any
+// slot.
 //
 // # Whole-table form
 //
@@ -942,6 +946,24 @@ func (c *Cache) AddAtGuard(id uint32, payload []byte, pos float64, prefetched bo
 	return ok
 }
 
+// Sealed reports whether every shard is sealed under the cache's pinned
+// index (see reseal): the cache holds only requested pinned ids, all of
+// them, and refuses every other id, so no fill or prefetch offer can change
+// it. It takes no lock, so its answer is a snapshot: a Remove or a
+// conversion may unseal a shard the moment after.
+func (c *Cache) Sealed() bool {
+	p := c.pin.Load()
+	if p == nil {
+		return false
+	}
+	for i := range c.shards {
+		if c.shards[i].sealed.Load() != p {
+			return false
+		}
+	}
+	return true
+}
+
 // refuses reports, without the lock, that s is sealed (see reseal) and id
 // is outside its pinned set: the locked path would refuse id from the same
 // state. The seal names the index it was taken under, so a conversion
@@ -1147,13 +1169,17 @@ func (c *Cache) Get(id uint32) (payload []byte, wasPrefetched, ok bool) {
 // views[i] is left alone and, when miss is non-nil, miss(i) runs under the
 // shard's lock. A non-nil result of miss is inserted for ids[i] at the MRU
 // position as a requested entry, as AddAt(ids[i], result, 0, false) would,
-// before the shard's next id is probed. miss must not call into the cache.
-// Returns how many hits were on prefetched entries. The caller must hold a
-// lease for as long as it reads the views.
+// before the shard's next id is probed. miss must not call into the cache,
+// and must not depend on the order the ids' calls run in. Returns how many
+// hits were on prefetched entries. The caller must hold a lease for as long
+// as it reads the views.
 //
 // A hit on a held pinned id is served first, without the lock (it moves
-// nothing, so no order sees it), and only the other ids are chained to
-// their shards. Under each shard lock the shard's ids are first located, up
+// nothing, so no order sees it), and so is a miss on an id outside the
+// pinned set whose shard is sealed under the pinned index GetBatch loaded:
+// the shard refuses the id (see AddAt), so miss(i) runs without the lock
+// and its result is not inserted. Only the other ids are chained to their
+// shards. Under each shard lock the shard's ids are first located, up
 // to locateWindow at a time — every index probe and record read before any
 // entry moves, so their cache misses overlap instead of running one after
 // another — and then probed, promoted or filled in batch order.
@@ -1172,7 +1198,7 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 		for lo := 0; lo < len(ids); {
 			n := 0
 			for ; lo < len(ids) && n < locateWindow; lo++ {
-				if !c.heldHit(p, ids, views, lo) {
+				if !c.lockFree(p, s, ids, views, lo, miss) {
 					run[n] = int32(lo)
 					n++
 				}
@@ -1193,7 +1219,7 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 	}
 	// Chain each shard's ids in batch order: heads[s] is its first,
 	// next[i] the one after i (-1 ends a chain). The scratch is taken at the
-	// first id that needs a lock. The held-id test is pinIndex.find written
+	// first id that needs a lock. The lock-free tests are lockFree written
 	// out, over the index's slices loaded once per batch.
 	var set []uint64
 	var ranks []uint32
@@ -1205,8 +1231,12 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 	var heads, next []int32
 	for i := len(ids) - 1; i >= 0; i-- {
 		id := ids[i]
-		if w := id / 64; int(w) < len(set) {
-			word, bit := set[w], uint64(1)<<(id%64)
+		if p != nil {
+			var word uint64
+			w, bit := id/64, uint64(1)<<(id%64)
+			if int(w) < len(set) {
+				word = set[w]
+			}
 			if word&bit != 0 {
 				if slot := words[int(ranks[w])+bits.OnesCount64(word&(bit-1))].Load() - 1; slot != nilIdx {
 					if views != nil {
@@ -1214,6 +1244,11 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 					}
 					continue
 				}
+			} else if c.shards[Hash(id)&c.shardMask].sealed.Load() == p {
+				if miss != nil {
+					miss(i)
+				}
+				continue
 			}
 		}
 		if sc == nil {
@@ -1251,15 +1286,29 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 	return prefetchHits
 }
 
-// heldHit serves ids[i] without its shard lock when p (the pinned index
-// GetBatch loaded, nil for none) holds it, and reports whether it did.
-func (c *Cache) heldHit(p *pinIndex, ids []uint32, views [][]byte, i int) bool {
-	slot := p.find(ids[i])
-	if slot == nilIdx {
+// lockFree serves ids[i], whose shard is s, when p (the pinned index
+// GetBatch loaded, nil for none) settles it without the shard's lock, and
+// reports whether it did: a hit when p holds the id, and a miss when the
+// id is outside p's set and s is sealed under p. A sealed shard refuses
+// such an id (see refuses), so it holds none and a fill could not add one:
+// miss(i) runs, and its result is dropped.
+func (c *Cache) lockFree(p *pinIndex, s *shard, ids []uint32, views [][]byte, i int, miss func(int) []byte) bool {
+	k := p.rank(ids[i])
+	if k >= 0 {
+		slot := p.slots[k].Load() - 1
+		if slot == nilIdx {
+			return false
+		}
+		if views != nil {
+			views[i] = c.payload(slot)
+		}
+		return true
+	}
+	if p == nil || s.sealed.Load() != p {
 		return false
 	}
-	if views != nil {
-		views[i] = c.payload(slot)
+	if miss != nil {
+		miss(i)
 	}
 	return true
 }

@@ -87,6 +87,8 @@ func (c *Cache) PinWhole(n int) {
 		caps[Hash(id)&c.shardMask]++
 	}
 	w := newWholeIndex(n)
+	// The retired index's word for an entry is cleared before the entry's
+	// slot can be parked, as in reform.
 	keep := func(s *shard, id, slot uint32, prefetched bool) {
 		if int(id) >= n {
 			s.park(c, slot)
@@ -99,15 +101,16 @@ func (c *Cache) PinWhole(n int) {
 	if old != nil {
 		for id := range uint32(len(old.slots)) {
 			if slot := old.find(id); slot != nilIdx {
+				old.slots[id].Store(0)
 				keep(c.shardOf(id), id, slot, old.isPrefetched(id))
 			}
 		}
 	}
 	if p := c.pin.Load(); p != nil {
-		p.each(func(id, slot uint32) { keep(c.shardOf(id), id, slot, false) })
-		for k := range p.slots {
-			p.slots[k].Store(0)
-		}
+		p.each(func(id, slot uint32) {
+			p.slots[p.rank(id)].Store(0)
+			keep(c.shardOf(id), id, slot, false)
+		})
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -169,11 +172,12 @@ func (c *Cache) getWhole(w *wholeIndex, ids []uint32, views [][]byte, miss func(
 
 // step is GetBatch's step for ids[i] under s.mu, in the form the cache has:
 // a hit sets views[i], a miss runs miss(i) and inserts its non-nil result as
-// a requested entry. It returns 1 for a hit on a prefetched entry.
+// a requested entry unless the shard refuses the id. It returns 1 for a hit
+// on a prefetched entry.
 func (s *shard) step(c *Cache, ids []uint32, views [][]byte, i int, miss func(int) []byte) int {
 	w := c.whole.Load()
 	if w == nil {
-		if c.heldHit(s.pin, ids, views, i) {
+		if c.lockFree(s.pin, s, ids, views, i, miss) {
 			return 0
 		}
 		pre, _ := s.probe(c, ids, views, i, s.idxFind(ids[i]), miss)

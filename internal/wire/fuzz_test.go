@@ -32,7 +32,7 @@ func FuzzWireRequest(f *testing.F) {
 			return // the stream ended inside the payload
 		}
 		payload := frame[HeaderLen : HeaderLen+int(h.Len) : HeaderLen+int(h.Len)]
-		if table, ids, err := parseLookupRequest(payload); err == nil {
+		if table, ids, err := parseLookupRequest(payload, nil); err == nil {
 			if len(table) > MaxTableName || 2+len(table)+4+4*len(ids) != len(payload) {
 				t.Fatalf("%d-byte lookup payload parsed to a %d-byte table name and %d ids", len(payload), len(table), len(ids))
 			}

@@ -16,6 +16,11 @@ import (
 // Backend serves bwp requests. Implementations return raw fp16 vector bytes
 // (the store's canonical encoding) so the wire path never widens to float.
 //
+// The ids and raw a call is given are the server's, valid only during the
+// call: the server parses ids into a slice of the handler's and raw aliases
+// the request's pooled payload, both reused for the next frame. A Backend
+// that keeps either past its return must copy it.
+//
 // A Backend may return *Error to pick the error code sent to the client;
 // any other error is reported as CodeInternal.
 type Backend interface {
@@ -217,10 +222,18 @@ func (s *Server) ServeConn(conn net.Conn) {
 const serverReadBuffer = 4 << 10
 
 // request is one well-framed request frame, handed from the read loop to a
-// handler.
+// handler, which returns its pooled payload (see getFrame) once served.
 type request struct {
 	h       Header
-	payload []byte
+	payload *[]byte
+}
+
+// handlerScratch is what one handler reuses from frame to frame: the ids
+// of the lookup it serves, and the table name its last lookup named, so
+// that a run of lookups of one table converts the name to a string once.
+type handlerScratch struct {
+	ids   []uint32
+	table string
 }
 
 // readLoop reads request frames and hands each to an idle handler of the
@@ -253,28 +266,39 @@ func (s *Server) readLoop(conn net.Conn, out chan<- *[]byte, handlers *sync.Wait
 			}
 			return
 		}
-		payload := make([]byte, h.Len)
+		// The payload is read into a pooled buffer, which the handler
+		// returns once it has served the frame.
+		buf := getFrame()
+		if cap(*buf) < int(h.Len) {
+			*buf = make([]byte, h.Len)
+		}
+		payload := (*buf)[:h.Len]
+		*buf = payload
 		if _, err := io.ReadFull(br, payload); err != nil {
+			putFrame(buf)
 			return
 		}
 		if h.Flags&FlagCRC != 0 {
 			var tr [4]byte
 			if _, err := io.ReadFull(br, tr[:]); err != nil {
+				putFrame(buf)
 				return
 			}
 			if binary.LittleEndian.Uint32(tr[:]) != Checksum(payload) {
 				// Corruption in transit: nothing later on this stream can
 				// be trusted either.
+				putFrame(buf)
 				s.sendError(out, h.ReqID, false, CodeBadRequest, ErrBadCRC.Error())
 				return
 			}
 		}
 		if h.Flags&^knownFlags != 0 || h.Flags&FlagError != 0 {
+			putFrame(buf)
 			s.sendError(out, h.ReqID, h.Flags&FlagCRC != 0, CodeBadRequest, "unsupported flags")
 			continue
 		}
 		s.requests.Add(1)
-		req := request{h: h, payload: payload}
+		req := request{h: h, payload: buf}
 		select {
 		case work <- req:
 		default:
@@ -296,16 +320,21 @@ func (s *Server) handlerLoop(req request, work <-chan request, out chan<- *[]byt
 			break
 		}
 	}
-	s.handle(req.h, req.payload, out)
+	var sc handlerScratch
+	s.handle(req.h, *req.payload, out, &sc)
+	putFrame(req.payload)
 	for req := range work {
-		s.handle(req.h, req.payload, out)
+		s.handle(req.h, *req.payload, out, &sc)
+		putFrame(req.payload)
 	}
 }
 
 // handle services one request frame and queues the response, recording the
 // opcode's request count, error count, and full handle latency (parse +
-// backend call + response encode).
-func (s *Server) handle(h Header, payload []byte, out chan<- *[]byte) {
+// backend call + response encode). Nothing it hands the backend outlives
+// the call: payload goes back to the pool after it, and sc is the calling
+// handler's, reused for its next frame.
+func (s *Server) handle(h Header, payload []byte, out chan<- *[]byte, sc *handlerScratch) {
 	om := &s.opsTable()[opIndex(h.Opcode)]
 	om.requests.Add(1)
 	start := time.Now()
@@ -328,16 +357,20 @@ func (s *Server) handle(h Header, payload []byte, out chan<- *[]byte) {
 	}
 	switch h.Opcode {
 	case OpLookup:
-		table, ids, err := parseLookupRequest(payload)
+		name, ids, err := parseLookupRequest(payload, sc.ids[:0])
 		if err != nil {
 			fail(CodeBadRequest, err.Error())
 			return
 		}
+		sc.ids = ids
 		if len(ids) > s.maxBatch() {
 			fail(CodeTooLarge, "batch exceeds server limit")
 			return
 		}
-		dim, vecs, release, err := s.Backend.LookupBatchRaw(table, ids)
+		if string(name) != sc.table {
+			sc.table = string(name)
+		}
+		dim, vecs, release, err := s.Backend.LookupBatchRaw(sc.table, ids)
 		if err != nil {
 			failBackend(err)
 			return
@@ -391,9 +424,10 @@ func (s *Server) sendError(out chan<- *[]byte, reqID uint64, withCRC bool, code 
 	out <- frame
 }
 
-// framePool recycles response frame buffers: a handler encodes a frame into
-// one, and the writer returns it once the frame is written to the
-// connection.
+// framePool recycles frame buffers: the read loop reads a request's payload
+// into one, which its handler returns once it has served the request, and a
+// handler encodes a response frame into one, which the writer returns once
+// the frame is written to the connection.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledFrame bounds the buffers kept for reuse, so one huge response
@@ -416,10 +450,13 @@ func putFrame(frame *[]byte) {
 // draining (discarding) so handlers never block, and closes the conn so the
 // read loop unblocks too.
 func (s *Server) writeLoop(conn net.Conn, out <-chan *[]byte) {
+	// pending is what WriteTo consumes: it escapes to the heap through the
+	// connection's interface, so it is declared once, not per write.
 	var (
-		frames []*[]byte
-		iov    net.Buffers
-		err    error
+		frames  []*[]byte
+		iov     net.Buffers
+		pending net.Buffers
+		err     error
 	)
 	for frame := range out {
 		frames = append(frames[:0], frame)
@@ -442,7 +479,7 @@ func (s *Server) writeLoop(conn net.Conn, out <-chan *[]byte) {
 			for _, f := range frames {
 				iov = append(iov, *f)
 			}
-			pending := iov // WriteTo consumes its receiver; iov keeps the array
+			pending = iov // WriteTo consumes its receiver; iov keeps the array
 			if _, err = pending.WriteTo(conn); err != nil {
 				conn.Close()
 			}

@@ -231,26 +231,26 @@ func appendLookupRequest(dst []byte, table string, ids []uint32) []byte {
 	return dst
 }
 
-// parseLookupRequest decodes an OpLookup request payload. The returned ids
-// alias the payload buffer's lifetime only through the copy made here.
-func parseLookupRequest(payload []byte) (table string, ids []uint32, err error) {
+// parseLookupRequest decodes an OpLookup request payload, appending the ids
+// to dst. The table name aliases payload; the ids are copied out of it.
+func parseLookupRequest(payload []byte, dst []uint32) (table []byte, ids []uint32, err error) {
 	if len(payload) < 2 {
-		return "", nil, errors.New("lookup request truncated")
+		return nil, dst, errors.New("lookup request truncated")
 	}
 	nameLen := int(binary.LittleEndian.Uint16(payload[0:]))
 	if nameLen > MaxTableName || len(payload) < 2+nameLen+4 {
-		return "", nil, errors.New("lookup request truncated")
+		return nil, dst, errors.New("lookup request truncated")
 	}
-	table = string(payload[2 : 2+nameLen])
+	table = payload[2 : 2+nameLen]
 	p := payload[2+nameLen:]
 	count := int(binary.LittleEndian.Uint32(p[0:]))
 	p = p[4:]
 	if len(p) != 4*count {
-		return "", nil, fmt.Errorf("lookup request: %d ids declared, %d bytes of ids", count, len(p))
+		return nil, dst, fmt.Errorf("lookup request: %d ids declared, %d bytes of ids", count, len(p))
 	}
-	ids = make([]uint32, count)
-	for i := range ids {
-		ids[i] = binary.LittleEndian.Uint32(p[4*i:])
+	ids = slices.Grow(dst, count)
+	for i := range count {
+		ids = append(ids, binary.LittleEndian.Uint32(p[4*i:]))
 	}
 	return table, ids, nil
 }

@@ -19,7 +19,8 @@ import (
 
 // memBackend is a deterministic in-memory Backend: id i in any known table
 // resolves to the fp16 encoding of [i*31+0, i*31+1, ...] unless overwritten
-// through UpdateRaw.
+// through UpdateRaw. As the Backend contract requires, it keeps neither the
+// ids nor the raw bytes it is handed past the call: UpdateRaw stores a copy.
 type memBackend struct {
 	dim    int
 	tables map[string]bool
