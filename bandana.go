@@ -29,7 +29,7 @@
 //
 // The serving path is built to scale with GOMAXPROCS:
 //
-//   - Lookup, LookupBatch and ServeRequest are safe to call from any number
+//   - Lookup and the LookupBatch calls are safe to call from any number
 //     of goroutines. Each table's DRAM cache is split into lock shards by
 //     vector-ID hash, so lookups of different vectors rarely contend.
 //   - The trained state (placement, admission thresholds, cache allocation)
@@ -124,9 +124,6 @@ type TableTrainReport = core.TableTrainReport
 
 // TableStats is a snapshot of one table's serving counters.
 type TableStats = core.TableStats
-
-// Request is one recommendation request: vector IDs to look up per table.
-type Request = core.Request
 
 // AdaptOptions configures the online adaptation engine
 // (Store.StartAdaptation): runtime trace recording, periodic DRAM

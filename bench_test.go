@@ -92,9 +92,10 @@ func BenchmarkLookupBatchParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreServeRequest measures the end-to-end request path of the
-// public Store API (cache hit + miss mix with prefetching enabled).
-func BenchmarkStoreServeRequest(b *testing.B) {
+// BenchmarkStoreRequest measures the end-to-end request path of the public
+// Store API — one LookupBatch per table, as a recommendation request makes
+// them (cache hit + miss mix with prefetching enabled).
+func BenchmarkStoreRequest(b *testing.B) {
 	profiles := bandana.DefaultProfiles(0.0005)[:2]
 	workload := bandana.GenerateWorkload(profiles, 600)
 	tables := make([]*bandana.Table, len(profiles))
@@ -123,13 +124,11 @@ func BenchmarkStoreServeRequest(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := make(bandana.Request, len(evals))
 		for ti := range evals {
 			q := evals[ti].Queries[i%len(evals[ti].Queries)]
-			req[ti] = q
-		}
-		if _, err := store.ServeRequest(req); err != nil {
-			b.Fatal(err)
+			if _, err := store.LookupBatch(ti, q); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -203,7 +204,7 @@ func TestLookupErrors(t *testing.T) {
 	}
 }
 
-func TestLookupBatchAndServeRequest(t *testing.T) {
+func TestLookupBatch(t *testing.T) {
 	tables, _ := buildTestTables(t, 2, 1024, 5)
 	s, err := Open(testBackendConfig(t, Config{Tables: tables, Seed: 2}))
 	if err != nil {
@@ -217,18 +218,63 @@ func TestLookupBatchAndServeRequest(t *testing.T) {
 	if len(vecs) != 3 || len(vecs[0]) != 64 {
 		t.Fatalf("batch result shape wrong")
 	}
-	out, err := s.ServeRequest(Request{{1, 2}, {7}})
+	if _, err := s.LookupBatch(0, []uint32{99999}); err == nil {
+		t.Fatal("bad id in batch should error")
+	}
+}
+
+// TestEmptyBatch: every batch call serves a batch of no ids, nil or not, as
+// an empty result and no error, and moves no counter, stage histogram or
+// trace. (Lookup takes exactly one id, so it has no empty form.)
+func TestEmptyBatch(t *testing.T) {
+	tables, _ := buildTestTables(t, 1, 1024, 5)
+	s, err := Open(testBackendConfig(t, Config{Tables: tables, Seed: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 || len(out[0]) != 2 || len(out[1]) != 1 {
-		t.Fatalf("request result shape wrong")
+	defer s.Close()
+	if _, err := s.LookupBatch(0, []uint32{1, 2, 3}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.ServeRequest(Request{{1}, {1}, {1}}); err == nil {
-		t.Fatal("request with too many tables should error")
+	var tr StageTrace
+	calls := []struct {
+		name string
+		call func(ids []uint32) (int, error)
+	}{
+		{"LookupBatch", func(ids []uint32) (int, error) {
+			out, err := s.LookupBatch(0, ids)
+			return len(out), err
+		}},
+		{"LookupBatchTraced", func(ids []uint32) (int, error) {
+			out, err := s.LookupBatchTraced(0, ids, &tr)
+			return len(out), err
+		}},
+		{"LookupBatchRaw", func(ids []uint32) (int, error) {
+			out, err := s.LookupBatchRaw(0, ids)
+			return len(out), err
+		}},
+		{"LookupBatchRawLeased", func(ids []uint32) (int, error) {
+			out, release, err := s.LookupBatchRawLeased(0, ids)
+			if err == nil {
+				release()
+			}
+			return len(out), err
+		}},
 	}
-	if _, err := s.LookupBatch(0, []uint32{99999}); err == nil {
-		t.Fatal("bad id in batch should error")
+	for _, c := range calls {
+		for _, ids := range [][]uint32{nil, {}} {
+			stats, stages := s.Stats(), s.StageLatency()
+			n, err := c.call(ids)
+			if err != nil || n != 0 {
+				t.Fatalf("%s(%v): %d results, err %v; want none and no error", c.name, ids, n, err)
+			}
+			if !reflect.DeepEqual(s.Stats(), stats) || !reflect.DeepEqual(s.StageLatency(), stages) {
+				t.Fatalf("%s(%v) moved the store's counters", c.name, ids)
+			}
+		}
+	}
+	if tr != (StageTrace{}) {
+		t.Fatalf("an empty traced batch traced %+v", tr)
 	}
 }
 
@@ -590,7 +636,7 @@ func TestStageStatsPerTable(t *testing.T) {
 	}
 
 	var tr StageTrace
-	if _, err := s.LookupTraced(1, 7, &tr); err != nil {
+	if _, err := s.LookupBatchTraced(1, []uint32{7}, &tr); err != nil {
 		t.Fatal(err)
 	}
 	if tr.ProbeUS <= 0 {

@@ -22,8 +22,8 @@ import (
 // through the atomic state pointer, so serving never blocks on them.
 
 // dedupeScanThreshold is the batch size up to which duplicate ids are found
-// by linear scan; larger batches use an open-addressing table in the pooled
-// batch scratch. Neither allocates.
+// by linear scan; larger batches use an open-addressing table in the
+// lease's scratch. Neither allocates.
 const dedupeScanThreshold = 32
 
 // probeSampleEvery is how many untraced single-id probes share one timed
@@ -31,13 +31,22 @@ const dedupeScanThreshold = 32
 const probeSampleEvery = 64
 
 // Lookup returns the embedding vector id of table tableIdx, decoded into a
-// slice the caller owns.
+// slice the caller owns: a batch of one, so a cache hit allocates only the
+// vector it returns. Its decode is not timed: two clock reads and a
+// histogram update would cost half as much again as the hit itself.
 func (s *Store) Lookup(tableIdx int, id uint32) ([]float32, error) {
 	st, err := s.tableAt(tableIdx)
 	if err != nil {
 		return nil, err
 	}
-	return st.lookup(id, nil)
+	ids := [1]uint32{id}
+	l, err := st.serve(ids[:], nil)
+	if err != nil {
+		return nil, err
+	}
+	vec := st.decodeViews(l.views, id, false, nil)
+	l.release()
+	return vec, nil
 }
 
 // LookupBatch returns the embeddings of every id in ids from table tableIdx.
@@ -47,11 +56,29 @@ func (s *Store) Lookup(tableIdx int, id uint32) ([]float32, error) {
 // prefetching. The returned vectors are caller-owned and share one backing
 // array per batch.
 func (s *Store) LookupBatch(tableIdx int, ids []uint32) ([][]float32, error) {
+	return s.LookupBatchTraced(tableIdx, ids, nil)
+}
+
+// LookupBatchTraced is LookupBatch with a per-stage latency breakdown
+// accumulated into tr; a nil tr is the untraced LookupBatch.
+func (s *Store) LookupBatchTraced(tableIdx int, ids []uint32, tr *StageTrace) ([][]float32, error) {
 	st, err := s.tableAt(tableIdx)
 	if err != nil {
 		return nil, err
 	}
-	return st.lookupBatch(ids, nil)
+	l, err := st.serve(ids, tr)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]float32, len(ids))
+	if len(ids) > 0 {
+		flat := st.decodeViews(l.views, ids[0], true, tr)
+		for i := range out {
+			out[i] = flat[i*st.dim : (i+1)*st.dim : (i+1)*st.dim]
+		}
+	}
+	l.release()
+	return out, nil
 }
 
 // LookupBatchRaw is LookupBatch without the decode: each returned slice is
@@ -59,102 +86,122 @@ func (s *Store) LookupBatch(tableIdx int, ids []uint32) ([][]float32, error) {
 // image — the read path of the binary wire protocol. Float and raw lookups
 // are the same serving routine (counters, admission, prefetch, cache fill),
 // so each warms the cache for the other. The result and its bytes are owned
-// by the caller (copied out of the cache arenas before return); servers on
-// the hot path use LookupBatchRawLeased to skip the copy.
+// by the caller (copied out of the lease before return); servers on the hot
+// path use LookupBatchRawLeased to skip the copy.
 func (s *Store) LookupBatchRaw(tableIdx int, ids []uint32) ([][]byte, error) {
 	st, err := s.tableAt(tableIdx)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]byte, len(ids))
-	release, err := st.serveBatch(ids, out, nil, nil)
+	l, err := st.serve(ids, nil)
 	if err != nil {
 		return nil, err
 	}
-	copyRawViews(out)
-	release()
+	out := copyRawViews(l.views)
+	l.release()
 	return out, nil
 }
 
-// LookupBatchRawLeased is LookupBatchRaw returning arena views directly:
-// zero copies on the wire protocol's read path. The returned slice itself,
-// not only the bytes its views point at, is valid until release is called,
-// which the caller must do exactly once, after it has finished reading (or
-// serializing) them: the slice and the buffer the batch's misses are copied
-// into are pooled, and the release recycles them, so a leased batch
-// allocates nothing. release is non-nil iff err is nil.
+// LookupBatchRawLeased is LookupBatchRaw returning the lease's views
+// directly: zero copies on the wire protocol's read path. The returned slice
+// itself, not only the bytes its views point at, is valid until release is
+// called, which the caller must do exactly once, after it has finished
+// reading (or serializing) them: the release recycles the lease, so a leased
+// batch allocates nothing. release is non-nil iff err is nil.
 func (s *Store) LookupBatchRawLeased(tableIdx int, ids []uint32) ([][]byte, func(), error) {
 	st, err := s.tableAt(tableIdx)
 	if err != nil {
 		return nil, nil, err
 	}
-	l := rawLeasePool.Get().(*rawLease)
-	l.views = grown(l.views, len(ids))
-	if l.end, err = st.serveBatch(ids, l.views, &l.raw, nil); err != nil {
-		l.recycle()
+	l, err := st.serve(ids, nil)
+	if err != nil {
 		return nil, nil, err
 	}
 	return l.views, l.release, nil
 }
 
-// rawLease is one LookupBatchRawLeased result: the views it hands out, the
-// buffer its misses were copied into and the cache lease the views are read
-// under. release is l.done, bound once when the pool makes l, so handing it
-// out allocates nothing.
-type rawLease struct {
-	views   [][]byte
-	raw     []byte
-	end     func()
+// serve runs one batch through serveBatch on a pooled lease. On success the
+// caller reads l.views and then calls l.release exactly once.
+func (st *storeTable) serve(ids []uint32, tr *StageTrace) (*lease, error) {
+	l := leasePool.Get().(*lease)
+	l.views = grown(l.views, len(ids))
+	if err := st.serveBatch(ids, l, tr); err != nil {
+		l.done()
+		return nil, err
+	}
+	return l, nil
+}
+
+// lease is one batch's pooled working set: the views it hands out, the
+// buffer its misses are copied into, the cache lease the views are read
+// under and serveBatch's scratch. release is l.done, bound once when the
+// pool makes l, so handing it out allocates nothing.
+type lease struct {
+	views   [][]byte // one result per requested id
+	raw     []byte   // the copies of the batch's misses
+	end     func()   // ends the cache lease; nil when none is held
 	release func()
+
+	uniq   []uint32 // the batch's distinct ids, in first-occurrence order
+	first  []int32  // first[i] is the index in uniq of ids[i]
+	uviews [][]byte // one result per distinct id, when ids repeat
+	// table is dedupe's open-addressing table for batches of more than
+	// dedupeScanThreshold ids: id<<32 | (index in uniq + 1), 0 when empty.
+	table []uint64
+	// keys, missed and abs are pass 2's: the misses' sort keys, the misses
+	// in block order and the distinct blocks they read.
+	keys   []uint64
+	missed []missRef
+	abs    []int
 }
 
 // maxPooledLeaseIDs and maxPooledLeaseBytes bound the view slice and the
-// miss-copy buffer a pooled lease keeps, so one huge batch does not pin its
-// buffers for the life of the process.
+// miss-copy buffer a pooled lease keeps (its scratch is sized by the same
+// batches as its views), so one huge batch does not pin its buffers for the
+// life of the process.
 const (
 	maxPooledLeaseIDs   = 8192
 	maxPooledLeaseBytes = 256 << 10
 )
 
-// rawLeasePool's New is set in init: done puts back into the pool, so the
+// leasePool's New is set in init: done puts back into the pool, so the
 // pool's initializer cannot refer to it.
-var rawLeasePool sync.Pool
+var leasePool sync.Pool
 
 func init() {
-	rawLeasePool.New = func() any {
-		l := new(rawLease)
+	leasePool.New = func() any {
+		l := new(lease)
 		l.release = l.done
 		return l
 	}
 }
 
-// done ends the cache lease and recycles l.
-func (l *rawLease) done() {
-	l.end()
-	l.end = nil
-	l.recycle()
-}
-
-// recycle returns l to the pool, dropping its references to served bytes.
-func (l *rawLease) recycle() {
+// done ends the cache lease, if one is held, and returns l to the pool,
+// dropping its references to served bytes.
+func (l *lease) done() {
+	if l.end != nil {
+		l.end()
+		l.end = nil
+	}
 	clear(l.views)
+	clear(l.uviews)
+	l.uviews = l.uviews[:0]
 	if cap(l.views) <= maxPooledLeaseIDs && cap(l.raw) <= maxPooledLeaseBytes {
-		rawLeasePool.Put(l)
+		leasePool.Put(l)
 	}
 }
 
-// copyRawViews rewrites every view in out into one freshly allocated buffer,
-// so the results survive the lease release. bytes.Join allocates the buffer
-// without zeroing it first, which a make of it would do for bytes the copy
-// overwrites at once.
-func copyRawViews(out [][]byte) {
-	buf := bytes.Join(out, nil)
-	for i, v := range out {
-		if v == nil {
-			continue
-		}
+// copyRawViews copies every view into one freshly allocated buffer and
+// returns a fresh slice of windows of it, so the results survive the lease's
+// release. bytes.Join allocates the buffer without zeroing it first, which a
+// make of it would do for bytes the copy overwrites at once.
+func copyRawViews(views [][]byte) [][]byte {
+	out := make([][]byte, len(views))
+	buf := bytes.Join(views, nil)
+	for i, v := range views {
 		out[i], buf = buf[:len(v):len(v)], buf[len(v):]
 	}
+	return out
 }
 
 // TableDim returns the per-vector element count of table tableIdx.
@@ -164,34 +211,6 @@ func (s *Store) TableDim(tableIdx int) (int, error) {
 		return 0, err
 	}
 	return st.dim, nil
-}
-
-// Request is one recommendation request: for each table (by index), the
-// vector IDs to look up.
-type Request [][]uint32
-
-// ServeRequest resolves every lookup of a request, returning the embeddings
-// grouped by table.
-func (s *Store) ServeRequest(req Request) ([][][]float32, error) {
-	return s.serveRequest(req, nil)
-}
-
-func (s *Store) serveRequest(req Request, tr *StageTrace) ([][][]float32, error) {
-	if len(req) > len(s.tables) {
-		return nil, fmt.Errorf("core: request has %d tables, store has %d", len(req), len(s.tables))
-	}
-	out := make([][][]float32, len(req))
-	for ti, ids := range req {
-		if len(ids) == 0 {
-			continue
-		}
-		vecs, err := s.tables[ti].lookupBatch(ids, tr)
-		if err != nil {
-			return nil, err
-		}
-		out[ti] = vecs
-	}
-	return out, nil
 }
 
 // UpdateVector overwrites the embedding of vector id in table tableIdx
@@ -383,72 +402,38 @@ func (st *storeTable) decodeViews(views [][]byte, first uint32, timed bool, tr *
 	return flat
 }
 
-// lookup serves one vector read: a batch of one, decoded. The one-element
-// arrays stay on the stack, so a cache hit allocates only the vector it
-// returns. The decode stage is timed only under a trace: two clock reads and
-// a histogram update would cost half as much again as the hit itself.
-func (st *storeTable) lookup(id uint32, tr *StageTrace) ([]float32, error) {
-	ids := [1]uint32{id}
-	var view [1][]byte
-	release, err := st.serveBatch(ids[:], view[:], nil, tr)
-	if err != nil {
-		return nil, err
-	}
-	vec := st.decodeViews(view[:], id, tr != nil, tr)
-	release()
-	return vec, nil
-}
-
-// lookupBatch serves a batch of vector reads decoded to float32: each
-// returned vector is a capacity-limited window of one backing array.
-func (st *storeTable) lookupBatch(ids []uint32, tr *StageTrace) ([][]float32, error) {
-	views := make([][]byte, len(ids))
-	release, err := st.serveBatch(ids, views, nil, tr)
-	if err != nil {
-		return nil, err
-	}
-	flat := st.decodeViews(views, ids[0], true, tr)
-	release()
-	out := make([][]float32, len(ids))
-	for i := range out {
-		out[i] = flat[i*st.dim : (i+1)*st.dim : (i+1)*st.dim]
-	}
-	return out, nil
-}
-
-// serveBatch is the store's one read routine. It fills out — len(ids)
+// serveBatch is the store's one read routine. It fills l.views — len(ids)
 // entries, all nil on entry — with the fp16 encoding of each id, grouping
 // cache misses by NVM block so that each distinct block is read only once
 // per batch, and runs the full serving machinery: counters, dedupe,
-// admission, prefetch, cache fill. The misses are copied into *raw, grown
-// as needed, when raw is non-nil, and into a fresh buffer otherwise. tr,
-// when non-nil, accumulates the per-stage latency breakdown.
+// admission, prefetch, cache fill. The misses are copied into l.raw, and
+// every other buffer it needs is the lease's scratch. tr, when non-nil,
+// accumulates the per-stage latency breakdown.
 //
 // Cache hits are handed out as views into the cache's arenas, valid only
-// under the lease serveBatch takes before its first probe: on success the
-// caller must invoke the returned release once it no longer reads out (it is
-// nil on error). Only pass-1 cache hits hand out leased views (overlay bytes
-// are heap-stable and pass-2 results are copies the caller's buffer or the
-// batch owns), so that one lease covers everything.
-func (st *storeTable) serveBatch(ids []uint32, out [][]byte, raw *[]byte, tr *StageTrace) (release func(), err error) {
+// under the cache lease serveBatch takes before its first probe and leaves
+// in l.end, for l.done to end, on success or error. Only pass-1
+// cache hits hand out leased views (overlay bytes are heap-stable and pass-2
+// results are copies in l.raw), so that one cache lease covers everything.
+func (st *storeTable) serveBatch(ids []uint32, l *lease, tr *StageTrace) error {
 	for _, id := range ids {
 		if err := st.checkID(id); err != nil {
-			return nil, err
+			return err
 		}
+	}
+	if len(ids) == 0 {
+		return nil
 	}
 	ts := st.loadState()
 	// Pass 2 may reload the state snapshot, but a swapped-in cache never
 	// contributes views to this operation's output (pass 2 only inserts), so
 	// leasing the pass-1 cache is sufficient.
-	release = ts.cache.Lease()
+	l.end = ts.cache.Lease()
 	// One batch is one co-access set ("query" in the paper's terms): record
 	// it whole so the adaptation engine sees the hypergraph SHP needs, not
 	// just a flat ID stream.
 	if r := st.recorder.Load(); r != nil {
 		r.Record(ids)
-	}
-	if len(ids) == 0 {
-		return release, nil
 	}
 
 	// Pass 1: serve cache hits and collect misses. Real batches are
@@ -457,23 +442,14 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, raw *[]byte, tr *St
 	// (cache probe, block read) exactly once, into views, and the result is
 	// fanned back out to every position at the end. Every instance still
 	// counts as a lookup and inherits its unique id's hit/miss
-	// classification. Without repeats, uniq and views are ids and out. A
-	// batch of at most dedupeScanThreshold distinct ids that all hit needs
-	// no scratch.
+	// classification. Without repeats, uniq and views are ids and l.views.
+	out := l.views
 	uniq, views, first := ids, out, []int32(nil)
-	var sc *batchScratch
-	defer func() {
-		if sc != nil {
-			sc.put()
-		}
-	}()
 	if len(ids) > dedupeScanThreshold || hasRepeat(ids) {
-		sc = batchScratchPool.Get().(*batchScratch)
-		if u, f := sc.dedupe(ids); f != nil {
+		if u, f := l.dedupe(ids); f != nil {
 			uniq, first = u, f
-			sc.views = grown(sc.views, len(u))
-			clear(sc.views)
-			views = sc.views
+			l.uviews = grown(l.uviews, len(u))
+			views = l.uviews
 		}
 	}
 	// The probe takes each cache shard's lock once for all of the batch's
@@ -525,18 +501,13 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, raw *[]byte, tr *St
 	}
 	// keys lists the misses, each as its index in uniq; pass 2 adds the
 	// block above it.
-	var keys []uint64
+	keys := grown(l.keys, len(views))[:0]
 	for u, v := range views {
 		if v == nil {
-			if keys == nil {
-				if sc == nil {
-					sc = batchScratchPool.Get().(*batchScratch)
-				}
-				keys = grown(sc.keys, len(views)-u)[:0]
-			}
 			keys = append(keys, uint64(u))
 		}
 	}
+	l.keys = keys
 	hits := len(ids) - len(keys)
 	if first != nil {
 		hits = 0
@@ -564,9 +535,8 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, raw *[]byte, tr *St
 	}
 	if len(keys) == 0 {
 		fanOut(out, views, first)
-		return release, nil
+		return nil
 	}
-	sc.keys = keys
 
 	// Pass 2: one NVM read per distinct block; copy all requested vectors
 	// out of it and apply the usual prefetch admission to the rest. Blocks are
@@ -593,8 +563,8 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, raw *[]byte, tr *St
 		keys[i] = uint64(ts.layout.BlockOf(uniq[k]))<<32 | k
 	}
 	slices.Sort(keys)
-	missed := grown(sc.missed, len(keys))
-	abs := grown(sc.abs, len(keys))[:0]
+	missed := grown(l.missed, len(keys))
+	abs := grown(l.abs, len(keys))[:0]
 	for i, k := range keys {
 		u := uint32(k)
 		missed[i] = missRef{pos: int(u), id: uniq[u], block: int(k >> 32)}
@@ -602,43 +572,37 @@ func (st *storeTable) serveBatch(ids []uint32, out [][]byte, raw *[]byte, tr *St
 			abs = append(abs, st.blockBase+missed[i].block)
 		}
 	}
-	sc.missed, sc.abs = missed, abs
+	l.missed, l.abs = missed, abs
 
-	// The misses are copied off the block images into one buffer per batch
-	// (*raw when the caller lends one), handed out as capacity-limited
-	// sub-slices; it is sized up front, so no append moves it.
-	copies := missCopies{}
-	if raw != nil {
-		*raw = slices.Grow((*raw)[:0], len(missed)*st.vecBytes)
-		copies.raw = *raw
-	} else {
-		copies.raw = make([]byte, 0, len(missed)*st.vecBytes)
-	}
+	// The misses are copied off the block images into l.raw, handed out as
+	// capacity-limited sub-slices; it is sized up front, so no append moves
+	// it.
+	l.raw = slices.Grow(l.raw[:0], len(missed)*st.vecBytes)
 	// A sealed cache refuses every id it does not hold (vcache.Cache.Sealed),
 	// so no fill or prefetch offer can change it: the batch makes none.
-	m := missStep{st: st, ts: ts, tr: tr, views: views, missed: missed, sealed: ts.cache.Sealed(), copies: &copies}
+	m := missStep{st: st, ts: ts, tr: tr, l: l, views: views, missed: missed, sealed: ts.cache.Sealed()}
+	var err error
 	if st.inPlace != nil {
 		err = m.readInPlace(abs)
 	} else {
 		err = m.readScheduled(abs)
 	}
 	if err != nil {
-		release()
-		return nil, fmt.Errorf("core: table %q: %w", st.name, err)
+		return fmt.Errorf("core: table %q: %w", st.name, err)
 	}
 	fanOut(out, views, first)
-	return release, nil
+	return nil
 }
 
 // missStep is pass 2 of serveBatch once the reads are issued: it serves one
 // missed block after another, whichever reader supplied the bytes. It is a
 // value on serveBatch's stack with methods, not a closure over pass-1 locals,
-// so that nothing it points at — the views, hence the caller's result slice
-// — escapes to the heap: a cache hit must not pay for the miss path.
+// so that a miss batch allocates no closure.
 type missStep struct {
 	st     *storeTable
 	ts     *tableState
 	tr     *StageTrace
+	l      *lease // its raw takes the copies of the requested vectors
 	views  [][]byte
 	missed []missRef // sorted by block
 	next   int       // missed[next] is the first ref of the next block
@@ -650,15 +614,6 @@ type missStep struct {
 	// device read.
 	epoch     uint64
 	coalesced []bool
-	// copies is reached through a pointer because escape analysis does not
-	// tell one field from another: the copies are handed out, and were they
-	// fields here, views would be taken to leak with them.
-	copies *missCopies
-}
-
-// missCopies is what missStep writes that outlives a block.
-type missCopies struct {
-	raw []byte // the requested vectors of the batch
 }
 
 // readInPlace is pass 2's reader when the device's blocks are memory (the
@@ -745,10 +700,10 @@ func (m *missStep) serveBlock(bi int, buf []byte) {
 			continue
 		}
 		slot := ts.layout.SlotOf(ref.id)
-		c := m.copies
-		off := len(c.raw)
-		c.raw = append(c.raw, buf[slot*st.vecBytes:(slot+1)*st.vecBytes]...)
-		rawCopy := c.raw[off:len(c.raw):len(c.raw)]
+		l := m.l
+		off := len(l.raw)
+		l.raw = append(l.raw, buf[slot*st.vecBytes:(slot+1)*st.vecBytes]...)
+		rawCopy := l.raw[off:len(l.raw):len(l.raw)]
 		m.views[ref.pos] = rawCopy
 		if m.sealed {
 			continue
@@ -792,31 +747,6 @@ func hasRepeat(ids []uint32) bool {
 	return false
 }
 
-// batchScratch is serveBatch's working memory for a batch that repeats ids,
-// is too large to check by scan or misses, pooled so that neither path
-// allocates any of it.
-type batchScratch struct {
-	uniq  []uint32 // the batch's distinct ids, in first-occurrence order
-	first []int32  // first[i] is the index in uniq of ids[i]
-	views [][]byte // one result per distinct id, when ids repeat
-	// table is dedupe's open-addressing table for batches of more than
-	// dedupeScanThreshold ids: id<<32 | (index in uniq + 1), 0 when empty.
-	table []uint64
-	// keys, missed and abs are pass 2's: the misses' sort keys, the misses
-	// in block order and the distinct blocks they read.
-	keys   []uint64
-	missed []missRef
-	abs    []int
-}
-
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// put returns sc to the pool, dropping its references to served bytes.
-func (sc *batchScratch) put() {
-	clear(sc.views)
-	batchScratchPool.Put(sc)
-}
-
 // grown returns s resized to n, reallocating only when its capacity is short.
 func grown[T any](s []T, n int) []T {
 	if cap(s) < n {
@@ -828,8 +758,8 @@ func grown[T any](s []T, n int) []T {
 // dedupe finds the distinct ids of ids in first-occurrence order and, for
 // each position, the index of its id among them. Both are nil when no id
 // repeats.
-func (sc *batchScratch) dedupe(ids []uint32) (uniq []uint32, first []int32) {
-	uniq, first = sc.uniq[:0], grown(sc.first, len(ids))
+func (l *lease) dedupe(ids []uint32) (uniq []uint32, first []int32) {
+	uniq, first = l.uniq[:0], grown(l.first, len(ids))
 	repeats := false
 	if len(ids) <= dedupeScanThreshold {
 		for i, id := range ids {
@@ -846,14 +776,14 @@ func (sc *batchScratch) dedupe(ids []uint32) (uniq []uint32, first []int32) {
 		// At most half full, so probe chains stay short.
 		shift := 32 - bits.Len(uint(2*len(ids)-1))
 		mask := uint32(1)<<(32-shift) - 1
-		sc.table = grown(sc.table, int(mask)+1)
-		clear(sc.table)
+		l.table = grown(l.table, int(mask)+1)
+		clear(l.table)
 		for i, id := range ids {
 			p := (id * 0x9E3779B1) >> shift
 			for {
-				e := sc.table[p]
+				e := l.table[p]
 				if e == 0 {
-					sc.table[p] = uint64(id)<<32 | uint64(len(uniq)+1)
+					l.table[p] = uint64(id)<<32 | uint64(len(uniq)+1)
 					first[i] = int32(len(uniq))
 					uniq = append(uniq, id)
 					break
@@ -867,7 +797,7 @@ func (sc *batchScratch) dedupe(ids []uint32) (uniq []uint32, first []int32) {
 			}
 		}
 	}
-	sc.uniq, sc.first = uniq, first
+	l.uniq, l.first = uniq, first
 	if !repeats {
 		return nil, nil
 	}

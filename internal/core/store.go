@@ -24,7 +24,7 @@ import (
 
 // Store is a Bandana embedding store: NVM-resident tables with DRAM caches.
 //
-// The serving path (Lookup, LookupBatch, ServeRequest) is safe for
+// The serving path (Lookup and the LookupBatch calls) is safe for
 // concurrent use and scales with GOMAXPROCS: each table's cache is sharded
 // by vector-ID hash with per-shard locks, the trained state is published
 // through an atomic pointer (reads take no lock at all), serving counters

@@ -4,8 +4,8 @@ import "time"
 
 // StageTrace accumulates the per-stage latency decomposition of one serving
 // operation (all times in microseconds). A caller that wants a per-request
-// breakdown — the server's slow-request log — passes a zero StageTrace to a
-// *Traced lookup variant. The struct is plain data with no synchronization:
+// breakdown — the server's slow-request log — passes a zero StageTrace to
+// LookupBatchTraced. The struct is plain data with no synchronization:
 // one trace belongs to one request.
 type StageTrace struct {
 	// ProbeUS is time spent probing the DRAM cache (and, for ids it misses,
@@ -31,31 +31,4 @@ type StageTrace struct {
 // usSince converts the elapsed time since start to microseconds.
 func usSince(start time.Time) float64 {
 	return float64(time.Since(start)) / float64(time.Microsecond)
-}
-
-// LookupTraced is Lookup with a per-stage latency breakdown accumulated into
-// tr; a nil tr is the untraced Lookup.
-func (s *Store) LookupTraced(tableIdx int, id uint32, tr *StageTrace) ([]float32, error) {
-	st, err := s.tableAt(tableIdx)
-	if err != nil {
-		return nil, err
-	}
-	return st.lookup(id, tr)
-}
-
-// LookupBatchTraced is LookupBatch with a per-stage latency breakdown
-// accumulated into tr; a nil tr is the untraced LookupBatch.
-func (s *Store) LookupBatchTraced(tableIdx int, ids []uint32, tr *StageTrace) ([][]float32, error) {
-	st, err := s.tableAt(tableIdx)
-	if err != nil {
-		return nil, err
-	}
-	return st.lookupBatch(ids, tr)
-}
-
-// ServeRequestTraced is ServeRequest with a per-stage latency breakdown
-// accumulated into tr across all tables; a nil tr is the untraced
-// ServeRequest.
-func (s *Store) ServeRequestTraced(req Request, tr *StageTrace) ([][][]float32, error) {
-	return s.serveRequest(req, tr)
 }

@@ -319,12 +319,12 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt := s.reqTrace(r)
-	vec, err := store.LookupTraced(idx, uint32(id), stageTrace(rt))
+	vecs, err := store.LookupBatchTraced(idx, []uint32{uint32(id)}, stageTrace(rt))
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	s.writeServingJSON(w, rt, http.StatusOK, lookupResponse{Table: tableName, ID: uint32(id), Vector: vec})
+	s.writeServingJSON(w, rt, http.StatusOK, lookupResponse{Table: tableName, ID: uint32(id), Vector: vecs[0]})
 }
 
 // batchRequest asks for several vectors from one table.
@@ -393,11 +393,24 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "request with %d lookups exceeds the limit of %d (split the request)", total, MaxBatchIDs)
 		return
 	}
-	rt := s.reqTrace(r)
-	out, err := s.store(r).ServeRequestTraced(core.Request(req.Lookups), stageTrace(rt))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	store := s.store(r)
+	if n := store.NumTables(); len(req.Lookups) > n {
+		writeError(w, http.StatusBadRequest, "core: request has %d tables, store has %d", len(req.Lookups), n)
 		return
+	}
+	rt := s.reqTrace(r)
+	tr := stageTrace(rt)
+	out := make([][][]float32, len(req.Lookups))
+	for ti, ids := range req.Lookups {
+		if len(ids) == 0 {
+			continue // an empty table's entry stays null
+		}
+		vecs, err := store.LookupBatchTraced(ti, ids, tr)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		out[ti] = vecs
 	}
 	s.writeServingJSON(w, rt, http.StatusOK, rankingResponse{Tables: out})
 }

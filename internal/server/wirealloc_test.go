@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/binary"
 	"io"
 	"net"
@@ -128,5 +129,57 @@ func TestWireLookupAllocsPerFrame(t *testing.T) {
 	}
 	if hits > 0 || misses > 0 {
 		t.Fatalf("a 64-id lookup frame allocates %.1f times all-hit and %.1f cold on the server, want 0", hits, misses)
+	}
+}
+
+// TestClientLookupAllocsPerCall is the bwp call's allocation gate, client
+// and server together: an all-hit 64-id wire.Client.LookupBatchRaw over a
+// real connection to ServeWire. The server side allocates nothing
+// (TestWireLookupAllocsPerFrame), so every allocation counted is the
+// client's. A memory profile names six: the request frame (one buffer, its
+// payload encoded behind the reserved header), the reply channel and its
+// buffer, the writev's buffer list, the response payload and the view slice
+// over it. CI's alloc-gate step runs it without -race.
+func TestClientLookupAllocsPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under -race")
+	}
+	const vectors, dim, batch = 4096, 64, 64
+	store, err := core.Open(core.Config{
+		Tables:            []*table.Table{table.New("emb", vectors, dim)},
+		DRAMBudgetVectors: 1024,
+		CacheShards:       8,
+		Seed:              1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	c, err := wire.Dial(startWire(t, New(store)), wire.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	ids := make([]uint32, batch)
+	for i := range ids {
+		ids[i] = uint32(3 * i)
+	}
+	ctx := context.Background()
+	call := func() {
+		if _, vecs, err := c.LookupBatchRaw(ctx, "emb", ids); err != nil || len(vecs) != batch {
+			t.Fatalf("%d vectors, err %v", len(vecs), err)
+		}
+	}
+	for i := 0; i < 8; i++ { // the cache, the handlers and the pools exist after these
+		call()
+	}
+	before := store.Stats()[0]
+	allocs := testing.AllocsPerRun(200, call)
+	if after := store.Stats()[0]; after.Misses != before.Misses {
+		t.Fatalf("%d misses over the all-hit calls", after.Misses-before.Misses)
+	}
+	t.Logf("%.1f allocations per all-hit 64-id bwp call, client and server", allocs)
+	if allocs > 6 {
+		t.Fatalf("an all-hit 64-id bwp call allocates %.1f times, want <= 6", allocs)
 	}
 }

@@ -203,8 +203,16 @@ func (c *Client) send(frame []byte) error {
 	return err
 }
 
-// roundTrip sends one request and waits for its response payload.
-func (c *Client) roundTrip(ctx context.Context, opcode byte, payload []byte) ([]byte, error) {
+// newRequest returns a request frame's one buffer: its header reserved, and
+// room behind it for a payload of n bytes and the CRC trailer. The caller
+// appends the payload and roundTrip seals the frame in place.
+func newRequest(n int) []byte {
+	return make([]byte, HeaderLen, HeaderLen+n+4)
+}
+
+// roundTrip seals frame — a newRequest buffer with its payload appended —
+// as one request, sends it and waits for the response payload.
+func (c *Client) roundTrip(ctx context.Context, opcode byte, frame []byte) ([]byte, error) {
 	id := c.nextID.Add(1)
 	ch := make(chan delivered, 1)
 	c.mu.Lock()
@@ -220,8 +228,7 @@ func (c *Client) roundTrip(ctx context.Context, opcode byte, payload []byte) ([]
 	if c.crc {
 		h.Flags = FlagCRC
 	}
-	frame := appendFrame(make([]byte, 0, HeaderLen+len(payload)+4), h, payload)
-	if err := c.send(frame); err != nil {
+	if err := c.send(sealFrame(frame, 0, h)); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
@@ -248,7 +255,7 @@ func (c *Client) roundTrip(ctx context.Context, opcode byte, payload []byte) ([]
 // LookupBatchRaw resolves ids to their fp16 encodings. The returned views
 // share one contiguous response buffer owned by the caller.
 func (c *Client) LookupBatchRaw(ctx context.Context, table string, ids []uint32) (dim int, vecs [][]byte, err error) {
-	req := appendLookupRequest(make([]byte, 0, 2+len(table)+4+4*len(ids)), table, ids)
+	req := appendLookupRequest(newRequest(2+len(table)+4+4*len(ids)), table, ids)
 	resp, err := c.roundTrip(ctx, OpLookup, req)
 	if err != nil {
 		return 0, nil, err
@@ -260,7 +267,7 @@ func (c *Client) LookupBatchRaw(ctx context.Context, table string, ids []uint32)
 // All vectors share one backing array, decoded with a single bulk
 // fp16.DecodeSlice pass over the contiguous response payload.
 func (c *Client) LookupBatchF32(ctx context.Context, table string, ids []uint32) ([][]float32, error) {
-	req := appendLookupRequest(make([]byte, 0, 2+len(table)+4+4*len(ids)), table, ids)
+	req := appendLookupRequest(newRequest(2+len(table)+4+4*len(ids)), table, ids)
 	resp, err := c.roundTrip(ctx, OpLookup, req)
 	if err != nil {
 		return nil, err
@@ -280,7 +287,7 @@ func (c *Client) LookupBatchF32(ctx context.Context, table string, ids []uint32)
 
 // Update overwrites id in table with raw fp16 bytes.
 func (c *Client) Update(ctx context.Context, table string, id uint32, raw []byte) error {
-	req := appendUpdateRequest(make([]byte, 0, 2+len(table)+4+len(raw)), table, id, raw)
+	req := appendUpdateRequest(newRequest(2+len(table)+4+len(raw)), table, id, raw)
 	_, err := c.roundTrip(ctx, OpUpdate, req)
 	return err
 }
@@ -292,6 +299,6 @@ func (c *Client) UpdateF32(ctx context.Context, table string, id uint32, vec []f
 
 // Ping round-trips an empty frame, verifying liveness and protocol accord.
 func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.roundTrip(ctx, OpPing, nil)
+	_, err := c.roundTrip(ctx, OpPing, newRequest(0))
 	return err
 }
