@@ -126,9 +126,8 @@ type TableDRAM struct {
 	// CacheIndex is the rest of the cache, as allocated: the recency lists'
 	// slot records and probe tables, sized to the room they have, plus, for
 	// a pinned cache, a slot word per pinned id and a rank per 64 ids of the
-	// table (a pin verdict's set is AdmitBits'), or, for a cache in its
-	// whole-table form, its slot words and prefetched-flag bitset (4⅛ B per
-	// vector of the table).
+	// table (a pin verdict's set is AdmitBits'), or, for a cache pinned
+	// whole, a slot word per vector of the table (4 B) and nothing else.
 	CacheArena int64
 	CacheIndex int64
 	// Recorder is the adaptation engine's access window (0 while it is off).

@@ -778,8 +778,8 @@ func (st *storeTable) setThresholdPolicy(ts *tableState, counts []uint32, pinned
 
 // freshCache gives ts a new, empty cache of the given capacity, holding
 // pinned (a bitset over ids, ts.admit's) as its pinned set when it is
-// non-nil, and in its whole-table form when it is nil and capacity covers
-// the table (see pinsWhole).
+// non-nil, and pinned whole, its set implied, when it is nil and capacity
+// covers the table (see pinsWhole).
 func (st *storeTable) freshCache(ts *tableState, capacity int, pinned []uint64) {
 	ts.cacheCap = capacity
 	ts.cache = newTableCache(capacity, st.shards, st.vecBytes)
@@ -808,9 +808,9 @@ func (st *storeTable) freshCache(ts *tableState, capacity int, pinned []uint64) 
 // pinned id; the entries it holds outside the set stay in the room the set
 // has not filled. The pinned set is the cache's own, so a request still
 // serving an older verdict cannot displace a pinned id. A cache grown to
-// cover its table takes its whole-table form in place (see pinsWhole),
-// keeping every entry it holds; one shrunk below its table is resized, which
-// ends that form, and is an even-split LRU again.
+// cover its table is pinned whole in place (see pinsWhole), keeping every
+// entry it holds; one shrunk below its table is resized, which ends the
+// implied set, and is an even-split LRU again.
 func (st *storeTable) resizeCache(ts *tableState, capacity int, pinned []uint64) {
 	switch {
 	case st.pinsWhole(capacity, pinned):
@@ -824,10 +824,11 @@ func (st *storeTable) resizeCache(ts *tableState, capacity int, pinned []uint64)
 }
 
 // pinsWhole reports whether a cache of the given capacity, under verdict (a
-// pin verdict's set; nil for any other policy), takes its whole-table form
-// (vcache's PinWhole): it holds no pin verdict and covers the table. Such a
-// cache can never evict, so it keeps no recency and no hash index, only a
-// slot word per id, and a hit takes no lock. The form follows from the
+// pin verdict's set; nil for any other policy), is pinned whole (vcache's
+// PinWhole: the pinned set implied, every id of the table): it holds no pin
+// verdict and covers the table. Such a cache can never evict, so it keeps no
+// recency and no hash index, only a slot word per id, and a hit takes no
+// lock. The form follows from the
 // capacity here, never persisted: a one-shard replay of a cache that covers
 // its table evicts nothing, so the miniature caches predict it unchanged.
 func (st *storeTable) pinsWhole(capacity int, verdict []uint64) bool {

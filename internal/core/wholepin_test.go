@@ -23,9 +23,8 @@ const wholeVectors = 4096
 
 // wholePinned checks that st's cache is pinned whole: no pin verdict, an
 // allocation that covers the table, a capacity of exactly the table's
-// vectors, the whole-table form — a slot word per vector and a prefetched
-// flag bitset for its index, no slot records — and nothing on the recency
-// lists.
+// vectors, the whole-table form — a slot word per vector for its index, no
+// slot records — and nothing on the recency lists.
 func wholePinned(st *storeTable) error {
 	ts := st.loadState()
 	if ts.admit.pinnedSet() != nil || ts.cacheCap < st.numVectors || ts.cache.Cap() != st.numVectors {
@@ -46,8 +45,8 @@ func wholePinned(st *storeTable) error {
 }
 
 // wholeIndexBytes is the index of a whole-table cache over n vectors: a
-// 4-byte slot word per vector and a bit per vector, in whole words.
-func wholeIndexBytes(n int) int64 { return 4*int64(n) + 8*int64((n+63)/64) }
+// 4-byte slot word per vector.
+func wholeIndexBytes(n int) int64 { return 4 * int64(n) }
 
 // everyID is one query per run of 64 ids, covering ids 0..n-1.
 func everyID(n int) []trace.Query {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bandana/internal/vcache"
 )
@@ -666,7 +667,10 @@ func TestSealedMissTakesNoLock(t *testing.T) {
 // the pinned set on a sealed cache, whose miss callback offers a payload,
 // against what unseals it: Remove of pinned ids and their refills (which
 // seal the shard again), and Pin, Resize and PinWhole conversions, each
-// followed by a Pin of the set and refills. A lock-free miss that filled
+// followed by a Pin of the set, refills, and a wait (of at most a second)
+// until a reader has counted a batch on the sealed cache, so that the final
+// count does not hang on how briefly the cache stays sealed between
+// conversions. A lock-free miss that filled
 // would write the shard without its lock; run under -race, that is a data
 // race, and CheckInvariants then holds every shard to its form.
 func TestSealedMissUnderConcurrentServing(t *testing.T) {
@@ -749,7 +753,12 @@ func TestSealedMissUnderConcurrentServing(t *testing.T) {
 			runtime.Gosched()
 			c.Pin(set)
 			refill()
-			for range 8 {
+			// Let a reader count a batch on the sealed cache before the next
+			// conversion unseals it, but wait no more than a second: the
+			// remover unseals it too, and a reader only counts a batch that
+			// begins while it is sealed.
+			seen := sealedBatches.Load()
+			for deadline := time.Now().Add(time.Second); sealedBatches.Load() == seen && time.Now().Before(deadline); {
 				runtime.Gosched()
 			}
 		}

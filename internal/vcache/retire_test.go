@@ -3,7 +3,7 @@ package vcache
 import "testing"
 
 // TestConversionsClearRetiredIndexes: a conversion clears every word of the
-// index it retires, whole-table or pinned, so a lock-free reader still
+// index it retires, an implied set's or an explicit one's, so a lock-free reader still
 // holding that index finds no slot in it. Otherwise a slot the conversion
 // parks while no lease is active goes straight back to the free list while
 // the retired index still names it, and a reader that loads the index after
@@ -24,7 +24,7 @@ func TestConversionsClearRetiredIndexes(t *testing.T) {
 	for id := range uint32(256) {
 		c.Add(id, payload(id), false)
 	}
-	w := c.whole.Load()
+	w := c.pin.Load()
 	set := make([]uint64, 4)
 	set[0] = ^uint64(0) // ids 0..63: the other 192 entries are listed and evicted
 	c.Pin(set)
@@ -34,7 +34,7 @@ func TestConversionsClearRetiredIndexes(t *testing.T) {
 	c.PinWhole(32) // parks the held ids 32..63
 	cleared("PinWhole of a pinned cache", len(p.slots), func(k int) uint32 { return p.slots[k].Load() })
 
-	w = c.whole.Load()
+	w = c.pin.Load()
 	c.PinWhole(16) // parks ids 16..31
 	cleared("PinWhole of a whole cache", len(w.slots), func(k int) uint32 { return w.slots[k].Load() })
 	if err := c.CheckInvariants(); err != nil {

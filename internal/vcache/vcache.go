@@ -53,30 +53,25 @@
 // lock-free and never filling (Sealed reports a cache whose every shard is
 // sealed). Which ids are pinned is the cache's own state, read under the
 // shard lock, so a caller acting on an older verdict cannot displace a
-// pinned id. A fill publishes the slot word after the payload and Remove
-// clears it before parking the slot, as in the whole-table form below;
-// Resize, Pin and PinWhole convert the cache in place under every shard
-// lock, clearing the words of the index they retire before they park any
-// slot.
-//
-// # Whole-table form
+// pinned id.
 //
 // A cache that holds its whole table can never evict, so it needs neither
-// recency nor a hash index: PinWhole(n) gives it a form of its own, which
-// the store takes whenever a cache covers its table and no pin verdict gives
-// it a set. The shards' probe tables, slot records and recency lists give
-// way to one atomic slot word per id of [0, n) (slot+1, 0 when absent) and
-// a prefetched-flag bitset: 4⅛ B per vector of the table in place of ~31 B
-// per listed vector. The arena stays the cache's, and free lists and limbo
-// stay per shard. A hit (Get, GetBatch) is one atomic load of the slot
-// word, with no shard lock, no probe and no slot record, and the first
-// request of a prefetched entry clears its flag with an atomic
-// compare-and-swap; a miss, a fill, GetBatch's miss callback and Remove
-// take the shard lock as in the other form, and
-// the lease rule below is unchanged: a fill publishes the slot word after
-// the payload, and Remove clears it before it parks the slot. Resize and
-// Pin convert the cache back in place, keeping every entry they have room
-// for, and PinWhole converts it again.
+// recency nor a hash index: PinWhole(n) pins the implied set of every id
+// of [0, n), which the store takes whenever a cache covers its table and no
+// pin verdict gives it a set. Its rank is the id itself, so it keeps no
+// bitset and no rank directory, and it lends no room: an entry of it that
+// prefetch admission inserted is held in its slot word too, marked by the
+// word's top bit until the first request clears it with an atomic
+// compare-and-swap. The shards keep no probe tables, records or recency
+// lists: 4 B per vector of the table in place of ~31 B per listed vector.
+//
+// A hit on a held entry moves nothing; a miss, a fill, GetBatch's miss
+// callback (but a sealed shard's) and Remove take the shard lock, and the
+// lease rule below holds for slot words as for records: a fill publishes
+// the slot word after the payload, and Remove clears it before parking the
+// slot. Resize, Pin and PinWhole convert the cache in place under every
+// shard lock, keeping every entry they have room for and clearing the words
+// of the index they retire before they park any slot.
 //
 // It is the one segmented LRU in the product: the store serves from it, and
 // with SlotBytes 0 (keys only) sim.Replay, the shadow-cache admission
@@ -153,7 +148,7 @@ const (
 // slotMeta is a listed entry's record: its key, its payload slot, its
 // intrusive recency-list links (record numbers, not pointers) and its
 // segment/flag word. 20 bytes, no pointers — the GC never visits it. An
-// entry held off the list (pinned, or in a whole-table cache) has none.
+// entry held off the list in a pinned slot word has none.
 type slotMeta struct {
 	id       uint32
 	slot     uint32
@@ -202,7 +197,7 @@ type shard struct {
 	// backward-shift deletion. Each word packs record<<32 | id; a word with
 	// record == nilIdx is empty. idxMask wraps a probe position, idxShift
 	// maps an id to its home (see home); both follow len(idx), a power of
-	// two. A whole-table cache keeps none.
+	// two. A shard of an implied pinned set (see PinWhole) keeps none.
 	idx      []uint64
 	idxMask  uint32
 	idxShift uint
@@ -251,12 +246,10 @@ type Cache struct {
 	shardMask uint64
 	capacity  atomic.Int64
 
-	// whole is the index of the whole-table form (see PinWhole), nil in the
-	// partial form, and pin the pinned form's (see Pin), nil without a
-	// pinned set; at most one is set. They change only under every shard
-	// lock, so a holder of any shard lock sees them fixed.
-	whole atomic.Pointer[wholeIndex]
-	pin   atomic.Pointer[pinIndex]
+	// pin is the pinned index (see Pin and PinWhole), nil without a pinned
+	// set. It changes only under every shard lock, so a holder of any shard
+	// lock sees it fixed.
+	pin atomic.Pointer[pinIndex]
 
 	// The payload arena, shared by every shard: slabs of 1<<slabShift slots
 	// each, minted in slot order from nextSlot under arenaMu. A shard mints
@@ -415,9 +408,6 @@ func (c *Cache) Contains(id uint32) bool {
 	s := c.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if w := c.whole.Load(); w != nil {
-		return w.find(id) != nilIdx
-	}
 	return s.pin.find(id) != nilIdx || s.idxFind(id) != nilIdx
 }
 
@@ -471,6 +461,9 @@ func home(id uint32, shift uint) uint32 { return (id * 0x9E3779B1) >> shift }
 
 // idxFind returns the slot stored for id, or nilIdx.
 func (s *shard) idxFind(id uint32) uint32 {
+	if len(s.idx) == 0 {
+		return nilIdx
+	}
 	i := home(id, s.idxShift)
 	for {
 		e := s.idx[i]
@@ -535,7 +528,8 @@ func (s *shard) idxDelete(id uint32) {
 	s.idx[i] = uint64(nilIdx) << 32
 }
 
-// rehash rebuilds the probe table at n words over the listed records.
+// rehash rebuilds the probe table at n words (0: none) over the listed
+// records.
 func (s *shard) rehash(n int) {
 	idx := newIndex(n)
 	mask, shift := uint32(n-1), indexShift(idx)
@@ -555,8 +549,22 @@ func (s *shard) rehash(n int) {
 // ---- records ----
 
 // room is how many entries the recency list may hold: the capacity the
-// pinned entries have not filled.
-func (s *shard) room() int { return s.capacity - s.pinned }
+// pinned entries have not filled, or none where the pinned set lends none.
+func (s *shard) room() int {
+	if !s.pin.lends() {
+		return 0
+	}
+	return s.capacity - s.pinned
+}
+
+// indexWords is the probe-table length the list's room needs: none when
+// the pinned set lends no room.
+func (s *shard) indexWords() int {
+	if !s.pin.lends() {
+		return 0
+	}
+	return indexLen(s.room())
+}
 
 // newRecord files a record for id in slot, reusing a freed one first. A
 // full meta grows by doubling, but not past room+1 records (an insert
@@ -597,7 +605,7 @@ func (s *shard) freeRecord(r uint32) {
 // than twice what the room needs, so a pinned shard's list shrinks as its
 // pinned ids fill in, without a rebuild per step.
 func (s *shard) fit() {
-	want := indexLen(s.room())
+	want := s.indexWords()
 	switch {
 	case len(s.idx) < want:
 		s.rehash(want)
@@ -634,7 +642,7 @@ func (s *shard) compact() {
 		}
 	}
 	s.meta, s.freeRec, s.holes = meta, nilIdx, 0
-	s.rehash(indexLen(s.room()))
+	s.rehash(s.indexWords())
 }
 
 // ---- intrusive segmented recency list ----
@@ -936,9 +944,6 @@ func (c *Cache) AddAtGuard(id uint32, payload []byte, pos float64, prefetched bo
 		_, _, ok := s.addAt(c, id, payload, pos, false)
 		return ok
 	}
-	if w := c.whole.Load(); w != nil {
-		return w.find(id) == nilIdx && s.addWhole(c, w, id, payload, true)
-	}
 	if s.pin.find(id) != nilIdx || s.idxFind(id) != nilIdx {
 		return false
 	}
@@ -983,12 +988,9 @@ func (c *Cache) checkPayload(payload []byte) {
 // addAt is AddAt under s.mu. It returns the evicted id and true when the
 // insert evicted one, and ok false when the shard refused id.
 func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetched bool) (victim uint32, evicted, ok bool) {
-	if w := c.whole.Load(); w != nil {
-		return 0, false, s.addWhole(c, w, id, payload, prefetched)
-	}
 	seg := segOf(pos, len(s.segs))
 	if k := s.pin.rank(id); k >= 0 {
-		if slot := s.pin.slots[k].Load() - 1; slot != nilIdx {
+		if slot := slotOf(s.pin.slots[k].Load()); slot != nilIdx {
 			s.replaceHeld(c, id, k, slot, payload, seg, prefetched)
 			return 0, false, true
 		}
@@ -1015,26 +1017,28 @@ func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetch
 	return 0, false, true
 }
 
-// replaceHeld is addAt for id, held in slot by pin rank k. A requested
-// entry stays held, its word moved to a fresh slot when the bytes differ; a
-// prefetched one leaves the word for the head of segment seg, evictable
-// until it is asked for again.
+// replaceHeld is addAt for id, held in slot by pin rank k. An entry the
+// index holds as inserted stays held, its word moved to a fresh slot when
+// the bytes differ and its prefetched bit set as inserted; a prefetched one
+// of a set that lends room leaves the word for the head of segment seg,
+// evictable until it is asked for again.
 func (s *shard) replaceHeld(c *Cache, id uint32, k int, slot uint32, payload []byte, seg int, prefetched bool) {
 	c.checkPayload(payload)
-	if prefetched {
+	held, old := s.pin.holds(id, prefetched) >= 0, slot
+	if !bytesEqual(c.payload(slot), payload) {
+		slot = s.alloc(c)
+		copy(c.payload(slot), payload)
+	}
+	if held {
+		s.pin.slots[k].Store(heldWord(slot, prefetched))
+	} else {
 		s.pin.slots[k].Store(0)
 		s.pinned--
 	}
-	if !bytesEqual(c.payload(slot), payload) {
-		next := s.alloc(c)
-		copy(c.payload(next), payload)
-		if !prefetched {
-			s.pin.slots[k].Store(next + 1)
-		}
-		s.park(c, slot)
-		slot = next
+	if slot != old {
+		s.park(c, old)
 	}
-	if prefetched {
+	if !held {
 		r := s.newRecord(id, slot, prefetchedBit)
 		s.idxInsert(id, r)
 		s.pushFront(seg, r)
@@ -1045,22 +1049,21 @@ func (s *shard) replaceHeld(c *Cache, id uint32, k int, slot uint32, payload []b
 }
 
 // insert is addAt for an id the caller has just found absent, under s.mu:
-// it skips addAt's probe. A full shard makes room by evicting the tail of
-// its list; one with nothing on its list refuses id.
+// it skips addAt's probe. An entry the pinned index holds (see
+// pinIndex.holds) goes to its slot word; any other is listed, and a full
+// shard makes room by evicting the tail of its list, but a shard whose list
+// has no room refuses it.
 func (s *shard) insert(c *Cache, id uint32, payload []byte, pos float64, prefetched bool) (victim uint32, evicted, ok bool) {
-	if s.used >= s.capacity && s.used == s.pinned {
+	k := s.pin.holds(id, prefetched)
+	if k < 0 && s.room() == 0 {
 		return 0, false, false
 	}
 	c.checkPayload(payload)
 	slot := s.alloc(c)
 	copy(c.payload(slot), payload)
 	s.used++
-	k := -1
-	if !prefetched {
-		k = s.pin.rank(id)
-	}
 	if k >= 0 {
-		s.pin.slots[k].Store(slot + 1)
+		s.pin.slots[k].Store(heldWord(slot, prefetched))
 		s.pinned++
 	} else {
 		var flags uint32
@@ -1117,11 +1120,11 @@ func (s *shard) promote(r uint32) (slot uint32, wasPrefetched, held bool) {
 	return slot, wasPrefetched, false
 }
 
-// get is a hit or a miss on id under s.mu in the partial form: a held
-// pinned entry is served as it is, a listed one is promoted.
+// get is a hit or a miss on id under s.mu: a held pinned entry is served
+// as it is, a listed one is promoted.
 func (s *shard) get(id uint32) (slot uint32, wasPrefetched, ok bool) {
-	if slot := s.pin.find(id); slot != nilIdx {
-		return slot, false, true
+	if slot, pre := s.pin.request(id); slot != nilIdx {
+		return slot, pre, true
 	}
 	r := s.idxFind(id)
 	if r == nilIdx {
@@ -1134,25 +1137,14 @@ func (s *shard) get(id uint32) (slot uint32, wasPrefetched, ok bool) {
 // Get returns a read-only arena view of id's payload, promotes the entry to
 // its shard's MRU position and clears the prefetched flag, reporting whether
 // the flag was set. The caller must hold a lease (see Lease) for as long as
-// it reads the view. Allocation-free. A hit on a whole-table cache, or on
-// a held pinned id, takes no lock.
+// it reads the view. Allocation-free. A hit on a held pinned id takes no
+// lock.
 func (c *Cache) Get(id uint32) (payload []byte, wasPrefetched, ok bool) {
-	if w := c.whole.Load(); w != nil {
-		slot := w.find(id)
-		if slot == nilIdx {
-			return nil, false, false
-		}
-		return c.payload(slot), w.request(id), true
-	}
-	if slot := c.pin.Load().find(id); slot != nilIdx {
-		return c.payload(slot), false, true
+	if slot, pre := c.pin.Load().request(id); slot != nilIdx {
+		return c.payload(slot), pre, true
 	}
 	s := c.shardOf(id)
 	s.mu.Lock()
-	if c.whole.Load() != nil {
-		s.mu.Unlock()
-		return c.Get(id)
-	}
 	slot, wasPrefetched, ok := s.get(id)
 	if ok {
 		payload = c.payload(slot)
@@ -1187,9 +1179,6 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 	if len(ids) == 0 {
 		return 0
 	}
-	if w := c.whole.Load(); w != nil {
-		return c.getWhole(w, ids, views, miss)
-	}
 	p := c.pin.Load()
 	var run [locateWindow]int32
 	if len(c.shards) == 1 || len(ids) == 1 {
@@ -1198,9 +1187,11 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 		for lo := 0; lo < len(ids); {
 			n := 0
 			for ; lo < len(ids) && n < locateWindow; lo++ {
-				if !c.lockFree(p, s, ids, views, lo, miss) {
+				if ok, pre := c.lockFree(p, s, ids, views, lo, miss); !ok {
 					run[n] = int32(lo)
 					n++
+				} else if pre {
+					prefetchHits++
 				}
 			}
 			if n == 0 {
@@ -1220,7 +1211,7 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 	// Chain each shard's ids in batch order: heads[s] is its first,
 	// next[i] the one after i (-1 ends a chain). The scratch is taken at the
 	// first id that needs a lock. The lock-free tests are lockFree written
-	// out, over the index's slices loaded once per batch.
+	// out, over the index's slices loaded once per batch (none without p).
 	var set []uint64
 	var ranks []uint32
 	var words []atomic.Uint32
@@ -1231,25 +1222,29 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 	var heads, next []int32
 	for i := len(ids) - 1; i >= 0; i-- {
 		id := ids[i]
-		if p != nil {
-			var word uint64
-			w, bit := id/64, uint64(1)<<(id%64)
-			if int(w) < len(set) {
-				word = set[w]
+		k := -1
+		if set == nil {
+			if int(id) < len(words) {
+				k = int(id)
 			}
-			if word&bit != 0 {
-				if slot := words[int(ranks[w])+bits.OnesCount64(word&(bit-1))].Load() - 1; slot != nilIdx {
-					if views != nil {
-						views[i] = c.payload(slot)
-					}
-					continue
+		} else if w, bit := id/64, uint64(1)<<(id%64); int(w) < len(set) && set[w]&bit != 0 {
+			k = int(ranks[w]) + bits.OnesCount64(set[w]&(bit-1))
+		}
+		if k >= 0 {
+			if word := words[k].Load(); word != 0 {
+				if word&wordPrefetched != 0 && words[k].CompareAndSwap(word, word&^wordPrefetched) {
+					prefetchHits++
 				}
-			} else if c.shards[Hash(id)&c.shardMask].sealed.Load() == p {
-				if miss != nil {
-					miss(i)
+				if views != nil {
+					views[i] = c.payload(slotOf(word))
 				}
 				continue
 			}
+		} else if p != nil && c.shards[Hash(id)&c.shardMask].sealed.Load() == p {
+			if miss != nil {
+				miss(i)
+			}
+			continue
 		}
 		if sc == nil {
 			sc = batchScratchPool.Get().(*batchScratch)
@@ -1263,7 +1258,7 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 		heads[si] = int32(i)
 	}
 	if sc == nil {
-		return 0
+		return prefetchHits
 	}
 	for si, i := range heads {
 		if i < 0 {
@@ -1288,29 +1283,30 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 
 // lockFree serves ids[i], whose shard is s, when p (the pinned index
 // GetBatch loaded, nil for none) settles it without the shard's lock, and
-// reports whether it did: a hit when p holds the id, and a miss when the
-// id is outside p's set and s is sealed under p. A sealed shard refuses
-// such an id (see refuses), so it holds none and a fill could not add one:
-// miss(i) runs, and its result is dropped.
-func (c *Cache) lockFree(p *pinIndex, s *shard, ids []uint32, views [][]byte, i int, miss func(int) []byte) bool {
+// reports whether it did, and whether it served a hit on a prefetched
+// entry: a hit when p holds the id, and a miss when the id is outside p's
+// set and s is sealed under p. A sealed shard refuses such an id (see
+// refuses), so it holds none and a fill could not add one: miss(i) runs,
+// and its result is dropped.
+func (c *Cache) lockFree(p *pinIndex, s *shard, ids []uint32, views [][]byte, i int, miss func(int) []byte) (ok, wasPrefetched bool) {
 	k := p.rank(ids[i])
 	if k >= 0 {
-		slot := p.slots[k].Load() - 1
+		slot, pre := p.hit(k)
 		if slot == nilIdx {
-			return false
+			return false, false
 		}
 		if views != nil {
 			views[i] = c.payload(slot)
 		}
-		return true
+		return true, pre
 	}
 	if p == nil || s.sealed.Load() != p {
-		return false
+		return false, false
 	}
 	if miss != nil {
 		miss(i)
 	}
-	return true
+	return true, false
 }
 
 // locateWindow is how many of a shard's ids GetBatch locates at a time: the
@@ -1325,18 +1321,14 @@ const served = nilIdx - 1
 // one before any entry moves, then probes, promotes or fills them in order.
 // It returns how many hits were on prefetched entries.
 func (s *shard) getRun(c *Cache, ids []uint32, run []int32, views [][]byte, miss func(int) []byte) (prefetchHits int) {
-	if s.idx == nil {
-		// The cache took its whole-table form since GetBatch looked.
-		for _, i := range run {
-			prefetchHits += s.step(c, ids, views, int(i), miss)
-		}
-		return prefetchHits
-	}
 	var recs [locateWindow]uint32
 	var touched uint32
 	for k, i := range run {
-		if slot := s.pin.find(ids[i]); slot != nilIdx {
+		if slot, pre := s.pin.request(ids[i]); slot != nilIdx {
 			// Held since GetBatch looked: a hit that moves nothing.
+			if pre {
+				prefetchHits++
+			}
 			if views != nil {
 				views[i] = c.payload(slot)
 			}
@@ -1414,13 +1406,6 @@ func (c *Cache) GetFunc(id uint32, fn func(payload []byte, wasPrefetched bool)) 
 	s := c.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if w := c.whole.Load(); w != nil {
-		slot := w.find(id)
-		if slot != nilIdx {
-			fn(c.payload(slot), w.request(id))
-		}
-		return slot != nilIdx
-	}
 	slot, wasPrefetched, ok := s.get(id)
 	if ok {
 		fn(c.payload(slot), wasPrefetched)
@@ -1434,11 +1419,8 @@ func (c *Cache) Remove(id uint32) bool {
 	s := c.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if w := c.whole.Load(); w != nil {
-		return s.removeWhole(c, w, id)
-	}
 	if k := s.pin.rank(id); k >= 0 {
-		if slot := s.pin.slots[k].Load() - 1; slot != nilIdx {
+		if slot := slotOf(s.pin.slots[k].Load()); slot != nilIdx {
 			s.pin.slots[k].Store(0)
 			s.park(c, slot)
 			s.used--
@@ -1472,15 +1454,14 @@ type Stats struct {
 	ArenaBytes int64
 	// MetaBytes is the recency lists' slot records, as allocated (the
 	// capacity of each shard's records, not only the ones in use);
-	// IndexBytes their probe tables plus a pinned cache's slot words and
-	// rank directory, or a whole-table cache's slot words and
-	// prefetched-flag bitset.
+	// IndexBytes their probe tables plus a pinned cache's slot words and,
+	// for an explicit set, its rank directory.
 	MetaBytes  int64
 	IndexBytes int64
 	// ListEntries is how many entries are on the recency lists (the rest
-	// are held off them: pinned, or in a whole-table cache), and ListBytes
-	// the lists' records and probe tables, the part of MetaBytes +
-	// IndexBytes that follows them.
+	// are held off them in pinned slot words), and ListBytes the lists'
+	// records and probe tables, the part of MetaBytes + IndexBytes that
+	// follows them.
 	ListEntries int
 	ListBytes   int64
 	// Utilization is BytesResident / ArenaBytes (0 with no slabs).
@@ -1500,9 +1481,6 @@ func (c *Cache) Stats() Stats {
 	}
 	c.lockAll()
 	defer c.unlockAll()
-	if w := c.whole.Load(); w != nil {
-		st.IndexBytes += w.sizeBytes()
-	}
 	if p := c.pin.Load(); p != nil {
 		st.IndexBytes += p.sizeBytes()
 	}
@@ -1515,9 +1493,7 @@ func (c *Cache) Stats() Stats {
 		st.MetaBytes += records
 		st.IndexBytes += probes
 		st.ListBytes += records + probes
-		if s.idx != nil {
-			st.ListEntries += s.used - s.pinned
-		}
+		st.ListEntries += s.used - s.pinned
 		st.FreeSlots += len(s.free)
 		st.LimboSlots += len(s.limbo) - s.limboHead
 	}
@@ -1561,26 +1537,33 @@ func (s *shard) listHead() uint32 {
 func (c *Cache) checkInvariants() error {
 	c.lockAll()
 	defer c.unlockAll()
-	if c.whole.Load() != nil {
-		return c.checkWhole()
-	}
 	p := c.pin.Load()
 	// held[si] is the ids shard si holds in slot words.
 	held := make([]map[uint32]uint32, len(c.shards))
+	capacity := 0
 	for si := range c.shards {
 		held[si] = make(map[uint32]uint32)
 		if c.shards[si].pin != p {
 			return fmt.Errorf("shard %d keeps a pinned index the cache does not", si)
 		}
+		capacity += c.shards[si].capacity
+	}
+	if capacity != c.Cap() {
+		return fmt.Errorf("shard capacities sum to %d, the cache's is %d", capacity, c.Cap())
 	}
 	if p != nil {
-		for w, word := range p.set {
-			for ; word != 0; word &= word - 1 {
-				id := uint32(w*64 + bits.TrailingZeros64(word))
-				if slot := p.find(id); slot != nilIdx {
-					held[Hash(id)&c.shardMask][id] = slot
-				}
+		var err error
+		p.each(func(id uint32, k int) {
+			w := p.slots[k].Load()
+			if w&wordPrefetched != 0 && (p.lends() || w == wordPrefetched) {
+				err = fmt.Errorf("slot word of id %d reads %#x: flagged prefetched, and not held in an implied set", id, w)
 			}
+			if slot := slotOf(w); slot != nilIdx {
+				held[Hash(id)&c.shardMask][id] = slot
+			}
+		})
+		if err != nil {
+			return err
 		}
 		total := 0
 		for w, word := range p.set {
@@ -1589,7 +1572,7 @@ func (c *Cache) checkInvariants() error {
 			}
 			total += bits.OnesCount64(word)
 		}
-		if total != len(p.slots) {
+		if p.lends() && total != len(p.slots) {
 			return fmt.Errorf("pinned index has %d slot words for %d ids", len(p.slots), total)
 		}
 	}
@@ -1698,8 +1681,8 @@ func (s *shard) checkInvariants(si int, held map[uint32]uint32, slots map[uint32
 			if seen[m.id] {
 				return fmt.Errorf("shard %d: id %d listed twice", si, m.id)
 			}
-			if s.pin.rank(m.id) >= 0 && m.segflags&prefetchedBit == 0 {
-				return fmt.Errorf("shard %d: pinned id %d is listed but was asked for", si, m.id)
+			if s.pin.holds(m.id, m.segflags&prefetchedBit != 0) >= 0 {
+				return fmt.Errorf("shard %d: pinned id %d is listed, not held (flags %#x)", si, m.id, m.segflags)
 			}
 			if _, ok := held[m.id]; ok {
 				return fmt.Errorf("shard %d: id %d is both listed and held", si, m.id)
@@ -1746,7 +1729,7 @@ func (s *shard) checkInvariants(si int, held map[uint32]uint32, slots map[uint32
 			live++
 		}
 	}
-	if live != total || len(s.idx) < indexLen(s.room()) {
+	if want := s.indexWords(); live != total || len(s.idx) < want || want == 0 && len(s.idx) != 0 {
 		return fmt.Errorf("shard %d: probe table of %d words holds %d ids, %d listed, room %d", si, len(s.idx), live, total, s.room())
 	}
 	// Every slot the shard accounts for is its own: resident, free or in

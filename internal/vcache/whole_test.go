@@ -18,10 +18,9 @@ func idOf(p []byte) uint32 {
 }
 
 // TestPinWholeForm: a cache pinned whole keeps the entries it held, holds a
-// slot word per id and a flag bit per id for its index and no slot records,
-// sizes each shard to the ids that hash to it, refuses ids outside the
-// table, and serves, fills, flags and removes like a cache that never
-// evicts.
+// slot word per id for its index and no slot records, sizes each shard to
+// the ids that hash to it, refuses ids outside the table, and serves,
+// fills, flags and removes like a cache that never evicts.
 func TestPinWholeForm(t *testing.T) {
 	const n = 1000
 	c := newTestCache(n/2, 8)
@@ -43,8 +42,8 @@ func TestPinWholeForm(t *testing.T) {
 	if got := c.ShardCapacities(); !slices.Equal(got, want) {
 		t.Fatalf("shard capacities %v, want the ids that hash to each: %v", got, want)
 	}
-	if st := c.Stats(); st.MetaBytes != 0 || st.IndexBytes != 4*n+8*((n+63)/64) {
-		t.Fatalf("whole cache keeps %d B of slot records and %d B of index, want none and %d B", st.MetaBytes, st.IndexBytes, 4*n+8*((n+63)/64))
+	if st := c.Stats(); st.MetaBytes != 0 || st.IndexBytes != 4*n {
+		t.Fatalf("whole cache keeps %d B of slot records and %d B of index, want none and %d B", st.MetaBytes, st.IndexBytes, 4*n)
 	}
 	if c.AddAtGuard(n, payloadFor(n, 1), 0, false, nil, 0) {
 		t.Fatalf("id %d outside the table was admitted", n)
@@ -62,6 +61,7 @@ func TestPinWholeForm(t *testing.T) {
 		}
 		return nil
 	})
+	slices.Sort(missed) // GetBatch runs a batch's misses shard by shard
 	if pre != 1 || !slices.Equal(missed, []int{2, 3}) || idOf(views[0]) != 3 || idOf(views[1]) != 4 || views[2] != nil || views[3] != nil {
 		t.Fatalf("GetBatch: %d prefetch hits, misses at %v, views %v", pre, missed, views)
 	}
@@ -307,6 +307,65 @@ func TestWholeUnderConcurrentServing(t *testing.T) {
 		stop.Store(true)
 	}()
 	wg.Wait()
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWholePrefetchedReportedOnce: of several concurrent requests of one
+// prefetch-admitted entry of a whole cache, Gets and one-id GetBatches,
+// exactly one reports it prefetched (Get's wasPrefetched, GetBatch's
+// prefetch hits), and the entry stays held as a requested one. The readers
+// start together and request every id in the same order, so they contend
+// on each slot word in turn.
+func TestWholePrefetchedReportedOnce(t *testing.T) {
+	const n, readers, rounds = 256, 4, 40
+	c := newTestCache(n, 4)
+	c.PinWhole(n)
+	for round := range rounds {
+		for id := range uint32(n) {
+			c.Remove(id)
+			if !c.AddAtGuard(id, payloadFor(id, byte(round)), 0.5, true, nil, 0) {
+				t.Fatalf("round %d: prefetch admission of %d refused", round, id)
+			}
+		}
+		var reports atomic.Int64
+		var ready atomic.Int32
+		var done sync.WaitGroup
+		for r := range readers {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				for ready.Add(1); ready.Load() < readers; {
+					runtime.Gosched()
+				}
+				release := c.Lease()
+				defer release()
+				batch := make([]uint32, 1)
+				for id := range uint32(n) {
+					if (r+int(id))%2 == 0 {
+						if _, wasPrefetched, ok := c.Get(id); !ok {
+							panic(fmt.Sprintf("Get(%d) missed a held entry", id))
+						} else if wasPrefetched {
+							reports.Add(1)
+						}
+						continue
+					}
+					batch[0] = id
+					reports.Add(int64(c.GetBatch(batch, nil, nil)))
+				}
+			}()
+		}
+		done.Wait()
+		if got := reports.Load(); got != n {
+			t.Fatalf("round %d: %d readers requesting %d prefetched ids reported %d prefetch hits, want each id once", round, readers, n, got)
+		}
+		for id := range uint32(n) {
+			if _, wasPrefetched, ok := c.Get(id); !ok || wasPrefetched {
+				t.Fatalf("round %d: after the requests, id %d: hit %v, prefetched %v", round, id, ok, wasPrefetched)
+			}
+		}
+	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -42,11 +42,14 @@ type Client struct {
 
 	// Frames to send queue in queued; the sender holding wmu writes every
 	// frame queued by then in one writev (iov), so a burst of concurrent
-	// calls costs one syscall and the client keeps no write buffer.
+	// calls costs one syscall and the client keeps no write buffer. out is
+	// the writev's copy of iov, which WriteTo consumes: a field, because a
+	// local the pointer-receiver WriteTo is called on escapes to the heap.
 	qmu    sync.Mutex // guards queued
 	queued net.Buffers
-	wmu    sync.Mutex // guards iov, werr
+	wmu    sync.Mutex // guards iov, out, werr
 	iov    net.Buffers
+	out    net.Buffers
 	werr   error
 
 	// bufBytes is the reader's buffer while the reader runs (BufferBytes).
@@ -193,8 +196,8 @@ func (c *Client) send(frame []byte) error {
 	if len(c.iov) == 0 {
 		return nil
 	}
-	pending := c.iov // WriteTo consumes its receiver; iov keeps the array
-	_, err := pending.WriteTo(c.conn)
+	c.out = c.iov // WriteTo consumes its receiver; iov keeps the array
+	_, err := c.out.WriteTo(c.conn)
 	clear(c.iov)
 	if err != nil {
 		c.werr = err
