@@ -672,16 +672,42 @@ func (s *Store) UpdateLogStats() UpdateLogStats {
 // seq that wrote them (so compaction can tell "unchanged since I snapshotted"
 // from "updated again meanwhile"). Entries' byte slices are immutable.
 //
-// n mirrors len(m), written under mu: the serving path probes the overlay
-// for every missed id and every prefetch candidate, and between compactions
-// of a table nobody updates the overlay is empty, so get and contains answer
-// "absent" from one atomic load without touching the lock. A reader that
-// loads 0 while a put is in flight is ordered before that put, exactly as if
-// it had won the lock first.
+// The serving path probes the overlay for every missed id and every prefetch
+// candidate, while at most a compaction's worth of a table's ids are
+// overlaid. So a probe first asks filter, a bitset over id mod
+// overlayFilterBits allocated at the table's first put, and answers "absent"
+// from one atomic load when the id's bit is clear; only a set bit takes the
+// read lock. Writers hold mu, and a bit is never clear while an id of it is
+// in m: put sets the bit before it inserts, and a delete recomputes the
+// filter from what is left, writing each word old → new, where both hold the
+// bit of every remaining id. A stale set bit costs only a locked probe.
+//
+// A reader that loads a clear bit while a put is in flight is ordered before
+// that put, exactly as if it had won the lock first: the update's epoch bump
+// and cache Remove, which follow its put, keep the block image's stale bytes
+// out of the cache (see applyUpdate and serveBatch). A reader that loads a
+// bit compaction cleared finds the folded value in the block image, written
+// before the entry was deleted.
 type deltaOverlay struct {
-	mu sync.RWMutex
-	m  map[uint32]overlayEntry
-	n  atomic.Int64
+	mu     sync.RWMutex
+	m      map[uint32]overlayEntry
+	n      atomic.Int64 // len(m), written under mu
+	filter atomic.Pointer[overlayFilter]
+}
+
+// overlayFilterBits is the overlay filter's size: 512 B per table that has
+// taken an update. Against the ≤ CompactAfter ids overlaid between
+// compactions, most bits stay clear.
+const overlayFilterBits = 4096
+
+// overlayFilter has bit id % overlayFilterBits set for every overlaid id.
+// Writers hold the overlay's mu and update a word with Load + Store: they
+// are serialised, so no read-modify-write instruction is needed.
+type overlayFilter [overlayFilterBits / 64]atomic.Uint64
+
+func filterBit(id uint32) (word int, bit uint64) {
+	i := id % overlayFilterBits
+	return int(i / 64), 1 << (i % 64)
 }
 
 type overlayEntry struct {
@@ -693,9 +719,20 @@ func newDeltaOverlay() *deltaOverlay {
 	return &deltaOverlay{m: make(map[uint32]overlayEntry)}
 }
 
+// mayHold reports whether id's filter bit is set: false means id is not
+// overlaid, true that it may be.
+func (o *deltaOverlay) mayHold(id uint32) bool {
+	f := o.filter.Load()
+	if f == nil {
+		return false
+	}
+	w, b := filterBit(id)
+	return f[w].Load()&b != 0
+}
+
 // get returns the overlaid bytes for id, or nil.
 func (o *deltaOverlay) get(id uint32) []byte {
-	if o.n.Load() == 0 {
+	if !o.mayHold(id) {
 		return nil
 	}
 	o.mu.RLock()
@@ -709,7 +746,7 @@ func (o *deltaOverlay) get(id uint32) []byte {
 
 // contains reports whether id is overlaid (the block image's copy is stale).
 func (o *deltaOverlay) contains(id uint32) bool {
-	if o.n.Load() == 0 {
+	if !o.mayHold(id) {
 		return false
 	}
 	o.mu.RLock()
@@ -720,6 +757,15 @@ func (o *deltaOverlay) contains(id uint32) bool {
 
 func (o *deltaOverlay) put(id uint32, raw []byte, seq uint64) {
 	o.mu.Lock()
+	f := o.filter.Load()
+	if f == nil {
+		f = new(overlayFilter)
+		o.filter.Store(f)
+	}
+	w, b := filterBit(id)
+	if v := f[w].Load(); v&b == 0 {
+		f[w].Store(v | b)
+	}
 	o.m[id] = overlayEntry{raw: raw, seq: seq}
 	o.n.Store(int64(len(o.m)))
 	o.mu.Unlock()
@@ -730,6 +776,16 @@ func (o *deltaOverlay) size() int { return int(o.n.Load()) }
 // overlayEntryBytes is what one overlay entry holds besides its payload: the
 // map key and the entry struct (the map's bucket slack is not counted).
 const overlayEntryBytes = 4 + 24 + 8
+
+// sizeBytes is the overlay's DRAM for vectors of vecBytes each: its entries
+// and payloads, and the filter once the table has taken an update.
+func (o *deltaOverlay) sizeBytes(vecBytes int) int64 {
+	b := int64(o.size()) * int64(vecBytes+overlayEntryBytes)
+	if o.filter.Load() != nil {
+		b += overlayFilterBits / 8
+	}
+	return b
+}
 
 // snapshot copies the overlay map (entry slices are shared, immutable).
 func (o *deltaOverlay) snapshot() map[uint32]overlayEntry {
@@ -742,16 +798,33 @@ func (o *deltaOverlay) snapshot() map[uint32]overlayEntry {
 	return out
 }
 
-// deleteIfSeq removes id only if its entry still carries seq — an entry
-// re-written since the caller snapshotted it must survive (its newer bytes
-// are not in the image yet).
-func (o *deltaOverlay) deleteIfSeq(id uint32, seq uint64) {
+// deleteFolded removes every entry of folded that still carries the seq
+// folded holds for it — an entry re-written since the caller snapshotted it
+// must survive (its newer bytes are not in the image yet) — and recomputes
+// the filter from the entries left.
+func (o *deltaOverlay) deleteFolded(folded map[uint32]overlayEntry) {
 	o.mu.Lock()
-	if e, ok := o.m[id]; ok && e.seq == seq {
-		delete(o.m, id)
-		o.n.Store(int64(len(o.m)))
+	defer o.mu.Unlock()
+	for id, e := range folded {
+		if cur, ok := o.m[id]; ok && cur.seq == e.seq {
+			delete(o.m, id)
+		}
 	}
-	o.mu.Unlock()
+	o.n.Store(int64(len(o.m)))
+	f := o.filter.Load()
+	if f == nil {
+		return
+	}
+	var next [overlayFilterBits / 64]uint64
+	for id := range o.m {
+		w, b := filterBit(id)
+		next[w] |= b
+	}
+	for w := range next {
+		if f[w].Load() != next[w] {
+			f[w].Store(next[w])
+		}
+	}
 }
 
 // clear empties the overlay. Callers guarantee the block image already holds
@@ -761,5 +834,10 @@ func (o *deltaOverlay) clear() {
 	o.mu.Lock()
 	clear(o.m)
 	o.n.Store(0)
+	if f := o.filter.Load(); f != nil {
+		for w := range f {
+			f[w].Store(0)
+		}
+	}
 	o.mu.Unlock()
 }

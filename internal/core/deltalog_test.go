@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sync"
@@ -659,5 +660,88 @@ func TestUpdateCatchUpTransferSize(t *testing.T) {
 	image := s.device.NumBlocks() * nvm.BlockSize
 	if transfer >= image/100 {
 		t.Fatalf("catch-up moved %d bytes, want < 1%% of the %d-byte image", transfer, image)
+	}
+}
+
+// TestOverlayFilterNeverHidesAnEntry drives one overlay through random puts,
+// batch deletes of folded snapshots (some entries re-put in between, so
+// their newer seq survives) and clears, over ids that collide in the filter
+// (equal mod overlayFilterBits, or sharing a word). After every operation
+// get and contains must agree with a model map for every id, and after a
+// delete or a clear the filter must hold exactly the remaining ids' bits. A
+// delete that clears a deleted id's bit while another overlaid id shares it
+// hides that id.
+func TestOverlayFilterNeverHidesAnEntry(t *testing.T) {
+	var ids []uint32
+	for _, b := range []uint32{0, 1, 63, 64, 4095} {
+		for k := uint32(0); k < 4; k++ {
+			ids = append(ids, b+k*overlayFilterBits)
+		}
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		o := newDeltaOverlay()
+		model := map[uint32]overlayEntry{}
+		var seq uint64
+		put := func(id uint32) {
+			seq++
+			raw := []byte{byte(seq), byte(seq >> 8)}
+			o.put(id, raw, seq)
+			model[id] = overlayEntry{raw: raw, seq: seq}
+		}
+		for op := 0; op < 2000; op++ {
+			exact := false
+			switch r := rng.IntN(100); {
+			case r < 55:
+				put(ids[rng.IntN(len(ids))])
+			case r < 95:
+				folded := o.snapshot()
+				for id := range folded {
+					if rng.IntN(3) == 0 {
+						delete(folded, id) // not folded this time
+					}
+				}
+				for id := range folded {
+					if rng.IntN(4) == 0 {
+						put(id) // updated again while compaction ran
+					}
+				}
+				o.deleteFolded(folded)
+				for id, e := range folded {
+					if model[id].seq == e.seq {
+						delete(model, id)
+					}
+				}
+				exact = true
+			default:
+				o.clear()
+				clear(model)
+				exact = true
+			}
+			for _, id := range ids {
+				want, ok := model[id]
+				if got := o.get(id); ok != (got != nil) || ok && !bytes.Equal(got, want.raw) {
+					t.Fatalf("seed %d op %d: get(%d) = %v, model holds %v (%v)", seed, op, id, got, want.raw, ok)
+				}
+				if got := o.contains(id); got != ok {
+					t.Fatalf("seed %d op %d: contains(%d) = %v, model %v", seed, op, id, got, ok)
+				}
+			}
+			if o.size() != len(model) {
+				t.Fatalf("seed %d op %d: size %d, model %d", seed, op, o.size(), len(model))
+			}
+			if f := o.filter.Load(); exact && f != nil {
+				var want overlayFilter
+				for id := range model {
+					w, b := filterBit(id)
+					want[w].Store(want[w].Load() | b)
+				}
+				for w := range f {
+					if f[w].Load() != want[w].Load() {
+						t.Fatalf("seed %d op %d: filter word %d is %#x, the remaining ids' bits are %#x", seed, op, w, f[w].Load(), want[w].Load())
+					}
+				}
+			}
+		}
 	}
 }

@@ -205,9 +205,7 @@ func (s *Store) compactTable(st *storeTable) (int, error) {
 	// overlay entries so a miss that read a pre-compaction block cannot
 	// cache stale bytes once the overlay stops shadowing them.
 	st.epoch.Add(1)
-	for id, e := range snap {
-		st.overlay.deleteIfSeq(id, e.seq)
-	}
+	st.overlay.deleteFolded(snap)
 	return len(snap), nil
 }
 

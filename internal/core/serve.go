@@ -469,17 +469,28 @@ func (st *storeTable) serveBatch(ids []uint32, l *lease, tr *StageTrace) error {
 		probeStart = time.Now()
 	}
 	prefetchHits := ts.cache.GetBatch(uniq, views, func(u int) []byte {
-		// A miss probes the delta overlay, under the shard lock, before the
-		// miss path: an updated vector's authoritative bytes live here until
-		// compaction folds them into the block image (whose copy is stale).
-		// The epoch is loaded BEFORE the overlay read so a concurrent newer
-		// update — overlay put, then epoch bump, then cache invalidate — can
-		// never let these older bytes be cached past their invalidation: a
-		// bump since means serve them but do not cache them, and a bump after
-		// the check is followed by that update's removal, which waits for
-		// this shard lock. (applyUpdate takes the overlay lock and a shard
-		// lock one after the other, never nested, so taking the overlay's
-		// read lock here cannot deadlock.)
+		// A miss probes the delta overlay before the miss path: an updated
+		// vector's authoritative bytes live there until compaction folds
+		// them into the block image (whose copy is stale). The overlay's
+		// filter answers first, with no lock and no epoch load: an id whose
+		// bit is clear is not overlaid, or its put is still in flight and
+		// this probe is ordered before it (pass 2 probes again per block).
+		//
+		// On a shard that can fill, this runs under the shard lock and a
+		// non-nil result is cached. The epoch is loaded BEFORE the overlay
+		// read so a concurrent newer update — overlay put, then epoch bump,
+		// then cache invalidate — can never let these older bytes be cached
+		// past their invalidation: a bump since means serve them but do not
+		// cache them, and a bump after the check is followed by that
+		// update's removal, which waits for this shard lock. On a sealed
+		// shard of a pinned cache it runs without the shard lock and its
+		// result is never cached, so the bytes are only served, as of this
+		// read. (applyUpdate takes the overlay lock and a shard lock one
+		// after the other, never nested, so taking the overlay's read lock
+		// here cannot deadlock.)
+		if !st.overlay.mayHold(uniq[u]) {
+			return nil
+		}
 		epoch := st.epoch.Load()
 		raw := st.overlay.get(uniq[u])
 		if raw == nil {

@@ -117,7 +117,8 @@ type TableDRAM struct {
 	// layout order: a quarter byte per vector, 0 when the table has no
 	// policy (prefetching off, no demand gate).
 	AdmitBits int64
-	// Overlay is the payloads and entries of updates not yet compacted.
+	// Overlay is the payloads and entries of updates not yet compacted, and
+	// the overlay's 512 B membership filter once the table took an update.
 	Overlay int64
 	// CacheArena is the cache's slabs: its shards mint slots from one
 	// frontier into slabs of at least 8 KiB (or of a smaller cache's whole
@@ -181,7 +182,7 @@ func (s *Store) Stats() []TableStats {
 		ts.DRAM = TableDRAM{
 			Layout:     state.layout.SizeBytes(),
 			AdmitBits:  state.admit.sizeBytes(),
-			Overlay:    int64(ts.OverlayEntries) * int64(st.vecBytes+overlayEntryBytes),
+			Overlay:    st.overlay.sizeBytes(st.vecBytes),
 			CacheArena: cs.ArenaBytes,
 			CacheIndex: cs.MetaBytes + cs.IndexBytes,
 			Metrics:    st.counters.SizeBytes(),

@@ -56,7 +56,7 @@ type Client struct {
 	bufBytes atomic.Int64
 
 	mu      sync.Mutex
-	pending map[uint64]chan delivered
+	pending map[uint64]*call
 	closed  bool
 	err     error
 
@@ -68,6 +68,19 @@ type delivered struct {
 	flags   byte
 	payload []byte
 }
+
+// call is one round trip's record: the channel the reader delivers its
+// response on (buffered, cap 1, so the reader never blocks). Records are
+// pooled with their channels, so a call allocates neither. A record goes
+// back to callPool only while no one else can touch its channel: after its
+// caller received the one delivery, or after its caller removed its own
+// pending entry (the reader had not taken it, so will never send). A record
+// whose channel fail closed, or whose entry the reader took, is dropped.
+type call struct {
+	reply chan delivered
+}
+
+var callPool = sync.Pool{New: func() any { return &call{reply: make(chan delivered, 1)} }}
 
 // Dial connects to a bwp server.
 func Dial(addr string, opts Options) (*Client, error) {
@@ -85,7 +98,7 @@ func NewClient(conn net.Conn, opts Options) *Client {
 	c := &Client{
 		conn:    conn,
 		crc:     opts.CRC,
-		pending: make(map[uint64]chan delivered),
+		pending: make(map[uint64]*call),
 	}
 	c.readerWG.Add(1)
 	go func() {
@@ -123,8 +136,8 @@ func (c *Client) fail(cause error) {
 	}
 	c.closed = true
 	c.err = cause
-	for id, ch := range c.pending {
-		close(ch)
+	for id, cl := range c.pending {
+		close(cl.reply)
 		delete(c.pending, id)
 	}
 	c.mu.Unlock()
@@ -163,12 +176,12 @@ func (c *Client) readLoop() {
 			}
 		}
 		c.mu.Lock()
-		ch := c.pending[h.ReqID]
+		cl := c.pending[h.ReqID]
 		delete(c.pending, h.ReqID)
 		c.mu.Unlock()
-		if ch != nil {
+		if cl != nil {
 			// Buffered (cap 1) and delivered at most once: never blocks.
-			ch <- delivered{flags: h.Flags, payload: payload}
+			cl.reply <- delivered{flags: h.Flags, payload: payload}
 		}
 		// Unknown request id: a response to a call the caller abandoned
 		// (context cancelled). Dropped on the floor by design.
@@ -206,59 +219,96 @@ func (c *Client) send(frame []byte) error {
 	return err
 }
 
-// newRequest returns a request frame's one buffer: its header reserved, and
-// room behind it for a payload of n bytes and the CRC trailer. The caller
-// appends the payload and roundTrip seals the frame in place.
-func newRequest(n int) []byte {
-	return make([]byte, HeaderLen, HeaderLen+n+4)
+// requestPool recycles request frame buffers. It is not the server's
+// framePool: a process that runs both would trade its small request buffers
+// for the server's large response buffers, which would then be regrown.
+var requestPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// newRequest returns a pooled request frame buffer: its header reserved,
+// and room behind it for a payload of n bytes and the CRC trailer. The
+// caller appends the payload and roundTrip seals the frame in place and
+// recycles the buffer once it is on the wire (putRequest).
+func newRequest(n int) *[]byte {
+	frame := requestPool.Get().(*[]byte)
+	if cap(*frame) < HeaderLen+n+4 {
+		*frame = make([]byte, HeaderLen, HeaderLen+n+4)
+	}
+	*frame = (*frame)[:HeaderLen]
+	return frame
+}
+
+func putRequest(frame *[]byte) {
+	if cap(*frame) <= maxPooledFrame {
+		requestPool.Put(frame)
+	}
 }
 
 // roundTrip seals frame — a newRequest buffer with its payload appended —
 // as one request, sends it and waits for the response payload.
-func (c *Client) roundTrip(ctx context.Context, opcode byte, frame []byte) ([]byte, error) {
+func (c *Client) roundTrip(ctx context.Context, opcode byte, frame *[]byte) ([]byte, error) {
 	id := c.nextID.Add(1)
-	ch := make(chan delivered, 1)
+	cl := callPool.Get().(*call)
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
 		c.mu.Unlock()
+		callPool.Put(cl)
+		putRequest(frame)
 		return nil, err
 	}
-	c.pending[id] = ch
+	c.pending[id] = cl
 	c.mu.Unlock()
 
 	h := Header{Opcode: opcode, ReqID: id}
 	if c.crc {
 		h.Flags = FlagCRC
 	}
-	if err := c.send(sealFrame(frame, 0, h)); err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+	*frame = sealFrame(*frame, 0, h)
+	if err := c.send(*frame); err != nil {
+		// The frame may still be queued, so it is not recycled.
+		c.abandon(id, cl)
 		return nil, err
 	}
+	// send came back, so the frame is on the wire.
+	putRequest(frame)
 
 	select {
-	case d, ok := <-ch:
+	case d, ok := <-cl.reply:
 		if !ok {
 			return nil, c.Err()
 		}
+		callPool.Put(cl)
 		if d.flags&FlagError != 0 {
 			return nil, parseError(d.payload)
 		}
 		return d.payload, nil
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		c.abandon(id, cl)
 		return nil, ctx.Err()
+	}
+}
+
+// abandon withdraws call id, which will not wait for its response. Its
+// record is recycled only if its pending entry was still there to remove:
+// otherwise the reader took it and still owns the send, or fail closed the
+// channel.
+func (c *Client) abandon(id uint64, cl *call) {
+	c.mu.Lock()
+	mine := c.pending[id] == cl
+	if mine {
+		delete(c.pending, id)
+	}
+	c.mu.Unlock()
+	if mine {
+		callPool.Put(cl)
 	}
 }
 
 // LookupBatchRaw resolves ids to their fp16 encodings. The returned views
 // share one contiguous response buffer owned by the caller.
 func (c *Client) LookupBatchRaw(ctx context.Context, table string, ids []uint32) (dim int, vecs [][]byte, err error) {
-	req := appendLookupRequest(newRequest(2+len(table)+4+4*len(ids)), table, ids)
+	req := newRequest(2 + len(table) + 4 + 4*len(ids))
+	*req = appendLookupRequest(*req, table, ids)
 	resp, err := c.roundTrip(ctx, OpLookup, req)
 	if err != nil {
 		return 0, nil, err
@@ -270,7 +320,8 @@ func (c *Client) LookupBatchRaw(ctx context.Context, table string, ids []uint32)
 // All vectors share one backing array, decoded with a single bulk
 // fp16.DecodeSlice pass over the contiguous response payload.
 func (c *Client) LookupBatchF32(ctx context.Context, table string, ids []uint32) ([][]float32, error) {
-	req := appendLookupRequest(newRequest(2+len(table)+4+4*len(ids)), table, ids)
+	req := newRequest(2 + len(table) + 4 + 4*len(ids))
+	*req = appendLookupRequest(*req, table, ids)
 	resp, err := c.roundTrip(ctx, OpLookup, req)
 	if err != nil {
 		return nil, err
@@ -290,7 +341,8 @@ func (c *Client) LookupBatchF32(ctx context.Context, table string, ids []uint32)
 
 // Update overwrites id in table with raw fp16 bytes.
 func (c *Client) Update(ctx context.Context, table string, id uint32, raw []byte) error {
-	req := appendUpdateRequest(newRequest(2+len(table)+4+len(raw)), table, id, raw)
+	req := newRequest(2 + len(table) + 4 + len(raw))
+	*req = appendUpdateRequest(*req, table, id, raw)
 	_, err := c.roundTrip(ctx, OpUpdate, req)
 	return err
 }

@@ -617,6 +617,56 @@ func TestClientAbandonsOnContext(t *testing.T) {
 	}
 }
 
+// TestClientCallsSurviveAbandonment runs concurrent calls of which every
+// third gives up after a few microseconds, so abandonments race their own
+// responses. Call records are pooled: one recycled while the reader still
+// owned its send would hand a later call someone else's response, which
+// carries other ids or another count of them.
+func TestClientCallsSurviveAbandonment(t *testing.T) {
+	be := newMemBackend(4, "emb")
+	c := dialTest(t, startServer(t, &Server{Backend: be}), Options{})
+	const callers, calls = 4, 1000
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				ids := make([]uint32, 1+(g+i)%5)
+				for j := range ids {
+					ids[j] = uint32(g*1000 + i*7 + j)
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				if i%3 == 0 {
+					cancel()
+					ctx, cancel = context.WithTimeout(context.Background(), time.Duration(i%40)*time.Microsecond)
+				}
+				_, vecs, err := c.LookupBatchRaw(ctx, "emb", ids)
+				cancel()
+				if err != nil {
+					if i%3 == 0 && errors.Is(err, context.DeadlineExceeded) {
+						continue
+					}
+					errs <- fmt.Errorf("caller %d call %d: %v", g, i, err)
+					return
+				}
+				for j, id := range ids {
+					if !bytes.Equal(vecs[j], be.vector("emb", id)) {
+						errs <- fmt.Errorf("caller %d call %d: id %d got another id's vector", g, i, id)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
 // TestClientRejectsTruncatedResponse points a client at a server that sends
 // half a response and disconnects.
 func TestClientRejectsTruncatedResponse(t *testing.T) {
