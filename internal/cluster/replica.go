@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"bandana/internal/core"
+	"bandana/internal/datadir"
 	"bandana/internal/metrics"
 	"bandana/internal/nvm"
 	"bandana/internal/server"
@@ -452,7 +453,7 @@ const (
 
 // updateBatch is one decoded /v1/replica/updates response.
 type updateBatch struct {
-	recs []core.UpdateRecord
+	recs []datadir.UpdateRecord
 	upTo uint64 // seq of the last record (== since when empty)
 	live uint64 // primary's live seq when the batch was cut
 }
@@ -507,7 +508,7 @@ func (r *Replica) fetchUpdates(since uint64) (*updateBatch, error) {
 		}
 	}
 	for rest := data; len(rest) > 0; {
-		rec, n, err := core.DecodeUpdateRecord(rest)
+		rec, n, err := datadir.DecodeUpdateRecord(rest)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: fetch updates: %w", err)
 		}

@@ -6,7 +6,7 @@
 // capture on the serving path. Every decision is published through the same
 // atomic state pointer serving already reads, caches are resized in place
 // (incremental eviction, no cold restart), and layout changes go through the
-// same crash-recoverable install Train uses (rewrite.go / migration.go), so
+// same crash-recoverable install Train uses (rewrite.go, package datadir), so
 // the store tunes itself under load without ever blocking its readers.
 package core
 

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"go/build"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"bandana/internal/datadir"
 	"bandana/internal/layout"
 	"bandana/internal/nvm"
 	"bandana/internal/trace"
@@ -334,7 +337,7 @@ func TestFileBackendRejectsCorruptManifest(t *testing.T) {
 	}
 	s.Close()
 
-	path := filepath.Join(dir, ManifestFileName)
+	path := filepath.Join(dir, datadir.ManifestFileName)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +367,7 @@ func TestFileBackendInterruptedRewriteDetected(t *testing.T) {
 	if _, err := s.Train(traces, TrainOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{MigrationManifestName, MigrationImageName} {
+	for _, name := range []string{datadir.MigrationManifestName, datadir.MigrationImageName} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Fatalf("%s present after a completed Train: %v", name, err)
 		}
@@ -506,7 +509,7 @@ func TestFileBackendRejectsCorruptState(t *testing.T) {
 	}
 	s.Close()
 
-	path := filepath.Join(dir, StateFileName)
+	path := filepath.Join(dir, datadir.StateFileName)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -542,7 +545,7 @@ func TestOlderStateVersionsRejected(t *testing.T) {
 		// magic; re-seal so only the version is wrong.
 		old := append([]byte(nil), buf.Bytes()[:buf.Len()-4]...)
 		old[len(stateMagic)] = version
-		old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(old, manifestCRCTable))
+		old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(old, datadir.Castagnoli))
 		_, err := decodeSavedStates(bytes.NewReader(old))
 		if err == nil || !strings.Contains(err.Error(), "unsupported state version") {
 			t.Fatalf("version %d: decode = %v, want unsupported state version", version, err)
@@ -594,5 +597,18 @@ func TestCloseTwice(t *testing.T) {
 				t.Fatalf("second Close returned %v, first returned %v", again, first)
 			}
 		})
+	}
+}
+
+// TestCoreImportsNoOS: core reaches a data dir only through package datadir,
+// whose file system a test can substitute (dataFS), so none of its non-test
+// files may import os.
+func TestCoreImportsNoOS(t *testing.T) {
+	pkg, err := build.ImportDir(".", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(pkg.Imports, "os") {
+		t.Fatalf("internal/core imports os at %v", pkg.ImportPos["os"])
 	}
 }

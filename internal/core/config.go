@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"bandana/internal/datadir"
 	"bandana/internal/nvm"
 	"bandana/internal/table"
 )
@@ -136,16 +137,16 @@ func DefaultCacheShards() int {
 }
 
 // geometry validates Config.Tables and returns their shapes placed on the
-// device (see placeTables) plus the device size in blocks.
-func (c *Config) geometry() ([]tableGeom, int, error) {
-	geoms := make([]tableGeom, len(c.Tables))
+// device (see datadir.PlaceTables) plus the device size in blocks.
+func (c *Config) geometry() ([]datadir.TableGeom, int, error) {
+	geoms := make([]datadir.TableGeom, len(c.Tables))
 	for i, t := range c.Tables {
 		if t == nil {
 			return nil, 0, fmt.Errorf("core: table %d is nil", i)
 		}
-		geoms[i] = tableGeom{name: t.Name, dim: t.Dim, numVectors: t.NumVectors()}
+		geoms[i] = datadir.TableGeom{Name: t.Name, Dim: t.Dim, NumVectors: t.NumVectors()}
 	}
-	total, err := placeTables(geoms)
+	total, err := datadir.PlaceTables(geoms)
 	return geoms, total, err
 }
 

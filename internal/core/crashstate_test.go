@@ -3,11 +3,16 @@ package core
 import (
 	"bytes"
 	"fmt"
+	iofs "io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 
+	"bandana/internal/datadir"
 	"bandana/internal/nvm"
 	"bandana/internal/table"
 )
@@ -126,8 +131,65 @@ type crashStore struct {
 	t    *testing.T
 	dir  string
 	s    *Store
+	fs   *fullDiskFS
 	want [][]byte // per vector ID: its last acknowledged raw value
 	rng  *rand.Rand
+}
+
+// failLog makes the store's open update log fail every write and sync with
+// ENOSPC, as a full disk does; the file a rewrite opens next is healthy.
+func (c *crashStore) failLog() { c.fs.fill(filepath.Join(c.dir, datadir.UpdateLogFileName)) }
+
+// fullDiskFS is the OS file system, except that fill makes the file last
+// opened at a path fail with ENOSPC.
+type fullDiskFS struct {
+	datadir.FS
+	mu   sync.Mutex
+	last map[string]*fullDiskFile
+}
+
+func (fs *fullDiskFS) OpenFile(name string, flag int, perm iofs.FileMode) (datadir.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	ff := &fullDiskFile{File: f}
+	fs.mu.Lock()
+	fs.last[name] = ff
+	fs.mu.Unlock()
+	return ff, nil
+}
+
+func (fs *fullDiskFS) fill(name string) {
+	fs.mu.Lock()
+	fs.last[name].full.Store(true)
+	fs.mu.Unlock()
+}
+
+type fullDiskFile struct {
+	datadir.File
+	full atomic.Bool
+}
+
+func (f *fullDiskFile) Write(p []byte) (int, error) {
+	if f.full.Load() {
+		return 0, syscall.ENOSPC
+	}
+	return f.File.Write(p)
+}
+
+func (f *fullDiskFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.full.Load() {
+		return 0, syscall.ENOSPC
+	}
+	return f.File.WriteAt(p, off)
+}
+
+func (f *fullDiskFile) Sync() error {
+	if f.full.Load() {
+		return syscall.ENOSPC
+	}
+	return f.File.Sync()
 }
 
 func crashConfig(dir string) Config {
@@ -149,6 +211,9 @@ func newCrashStore(t *testing.T) *crashStore {
 		t.Skipf("skipping: filesystem at %s rejects O_DIRECT", root)
 	}
 	c := &crashStore{t: t, dir: filepath.Join(root, "store"), rng: rand.New(rand.NewSource(41))}
+	c.fs = &fullDiskFS{FS: dataFS, last: map[string]*fullDiskFile{}}
+	dataFS = c.fs
+	t.Cleanup(func() { dataFS = c.fs.FS })
 	tbl := table.New("crash", crashVectors, crashDim)
 	for id := range crashVectors {
 		raw := make([]byte, crashDim*2)
@@ -217,13 +282,13 @@ func (c *crashStore) crashCompaction() (compactStates, replayStates int) {
 	if err := c.s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	preLog, postLog := pre[UpdateLogFileName], post[UpdateLogFileName]
+	preLog, postLog := pre[datadir.UpdateLogFileName], post[datadir.UpdateLogFileName]
 	// The log as the block writes found it: the compaction's relog (if any)
 	// done, its watermark not yet advanced.
-	midLog := append(append([]byte(nil), preLog[:updateLogHeaderLen]...), postLog[updateLogHeaderLen:]...)
+	midLog := append(append([]byte(nil), preLog[:datadir.UpdateLogHeaderLen]...), postLog[datadir.UpdateLogHeaderLen:]...)
 
 	n := 0
-	dirty := eachCrashImage(pre[BlocksFileName], post[BlocksFileName], func([]byte, bool) { n++ })
+	dirty := eachCrashImage(pre[datadir.BlocksFileName], post[datadir.BlocksFileName], func([]byte, bool) { n++ })
 	if dirty == 0 || dirty > 6 {
 		t.Fatalf("compaction changed %d blocks, want 1..6", dirty)
 	}
@@ -234,26 +299,26 @@ func (c *crashStore) crashCompaction() (compactStates, replayStates int) {
 	type replay struct{ files, replayed crashFiles }
 	var sample []replay
 	scratch := filepath.Join(t.TempDir(), "state")
-	eachCrashImage(pre[BlocksFileName], post[BlocksFileName], func(img []byte, full bool) {
+	eachCrashImage(pre[datadir.BlocksFileName], post[datadir.BlocksFileName], func(img []byte, full bool) {
 		log := midLog
 		if full {
 			log = postLog
 		}
-		files := pre.with(UpdateLogFileName, log).with(BlocksFileName, img)
+		files := pre.with(datadir.UpdateLogFileName, log).with(datadir.BlocksFileName, img)
 		files.write(t, scratch)
 		if err := verifyCrashState(scratch, c.want); err != nil {
 			t.Fatalf("compaction crash state %d: %v", compactStates, err)
 		}
 		if pick[compactStates] {
 			// The reopen above ran this state's replay; keep both sides.
-			files = files.with(BlocksFileName, append([]byte(nil), img...))
+			files = files.with(datadir.BlocksFileName, append([]byte(nil), img...))
 			sample = append(sample, replay{files, readCrashFiles(t, scratch)})
 		}
 		compactStates++
 	})
 	for _, r := range sample {
-		eachCrashImage(r.files[BlocksFileName], r.replayed[BlocksFileName], func(img []byte, _ bool) {
-			r.files.with(BlocksFileName, img).write(t, scratch)
+		eachCrashImage(r.files[datadir.BlocksFileName], r.replayed[datadir.BlocksFileName], func(img []byte, _ bool) {
+			r.files.with(datadir.BlocksFileName, img).write(t, scratch)
 			if err := verifyCrashState(scratch, c.want); err != nil {
 				t.Fatalf("replay crash state %d: %v", replayStates, err)
 			}
@@ -295,7 +360,7 @@ func TestCompactionCrashStates(t *testing.T) {
 			c.update(22)
 			// The log file fails: the next appends fall back to the overlay
 			// alone, and the compaction must re-log them before writing.
-			c.s.deltaLog.f.Close()
+			c.failLog()
 			for _, id := range []uint32{45, 2, 66} {
 				c.update(id)
 			}
@@ -321,12 +386,12 @@ func TestCompactionCrashStates(t *testing.T) {
 func TestFailedAppendKeepsEarlierUpdates(t *testing.T) {
 	c := newCrashStore(t)
 	c.update(7)
-	c.s.deltaLog.f.Close()
+	c.failLog()
 	c.update(190)
 	if got := c.s.UpdateLogStats().FallbackWrites; got != 1 {
 		t.Fatalf("FallbackWrites = %d, want 1", got)
 	}
-	c.s.Close() // fails: the log's file is already closed
+	c.s.Close() // fails: the log's file is full
 	s, err := Open(crashConfig(c.dir))
 	if err != nil {
 		t.Fatal(err)

@@ -34,20 +34,13 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
-)
 
-// UpdateLogFileName is the append-only update log inside a data dir.
-const UpdateLogFileName = "updates.log"
+	"bandana/internal/datadir"
+)
 
 // UpdateLogOptions tunes the update log's compaction and retention.
 type UpdateLogOptions struct {
@@ -74,121 +67,6 @@ func (o *UpdateLogOptions) defaults() {
 	}
 }
 
-// UpdateRecord is one logged vector update: the fp16 payload written to
-// (Table, ID) by the update that advanced the snapshot seq to Seq. Raw is
-// immutable once the record exists; receivers may retain it.
-type UpdateRecord struct {
-	Seq   uint64
-	Table uint32
-	ID    uint32
-	Raw   []byte
-}
-
-// Update-record framing (little-endian):
-//
-//	u32 payloadLen | u64 seq | u32 table | u32 id | payload | u32 crc
-//
-// crc is CRC-32C (Castagnoli) over the 20 header bytes plus the payload, so
-// a torn tail or a flipped bit is detected before a record is applied.
-const (
-	updateRecordHeaderLen = 4 + 8 + 4 + 4
-	updateRecordOverhead  = updateRecordHeaderLen + 4
-	// maxUpdatePayload bounds a decoded record's payload; vectors are at
-	// most one block.
-	maxUpdatePayload = 1 << 16
-)
-
-// EncodedUpdateLen returns the framed size of a record with payloadLen bytes.
-func EncodedUpdateLen(payloadLen int) int { return updateRecordOverhead + payloadLen }
-
-// EncodeUpdateRecord appends the framed encoding of rec to dst.
-func EncodeUpdateRecord(dst []byte, rec UpdateRecord) []byte {
-	start := len(dst)
-	var hdr [updateRecordHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(rec.Raw)))
-	binary.LittleEndian.PutUint64(hdr[4:], rec.Seq)
-	binary.LittleEndian.PutUint32(hdr[12:], rec.Table)
-	binary.LittleEndian.PutUint32(hdr[16:], rec.ID)
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, rec.Raw...)
-	crc := crc32.Checksum(dst[start:], manifestCRCTable)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	return append(dst, tail[:]...)
-}
-
-// DecodeUpdateRecord decodes one framed record from the front of b, returning
-// the record and the number of bytes consumed. The returned Raw aliases b.
-func DecodeUpdateRecord(b []byte) (UpdateRecord, int, error) {
-	if len(b) < updateRecordOverhead {
-		return UpdateRecord{}, 0, fmt.Errorf("core: update record truncated (%d bytes)", len(b))
-	}
-	payloadLen := int(binary.LittleEndian.Uint32(b[0:]))
-	if payloadLen > maxUpdatePayload {
-		return UpdateRecord{}, 0, fmt.Errorf("core: implausible update payload length %d", payloadLen)
-	}
-	total := updateRecordOverhead + payloadLen
-	if len(b) < total {
-		return UpdateRecord{}, 0, fmt.Errorf("core: update record truncated (%d of %d bytes)", len(b), total)
-	}
-	body := b[:updateRecordHeaderLen+payloadLen]
-	want := binary.LittleEndian.Uint32(b[updateRecordHeaderLen+payloadLen:])
-	if got := crc32.Checksum(body, manifestCRCTable); got != want {
-		return UpdateRecord{}, 0, fmt.Errorf("core: update record checksum mismatch (got %08x want %08x)", got, want)
-	}
-	return UpdateRecord{
-		Seq:   binary.LittleEndian.Uint64(b[4:]),
-		Table: binary.LittleEndian.Uint32(b[12:]),
-		ID:    binary.LittleEndian.Uint32(b[16:]),
-		Raw:   b[updateRecordHeaderLen : updateRecordHeaderLen+payloadLen],
-	}, total, nil
-}
-
-// Update-log file header: magic, the compacted-through seq (records at or
-// below it are retained only for replica catch-up and must NOT be replayed —
-// their effects are already durable in the block image, possibly overwritten
-// by newer compacted updates), and a CRC over both.
-const (
-	updateLogMagic     = "BNDULOG1"
-	updateLogHeaderLen = 8 + 8 + 4
-)
-
-func encodeUpdateLogHeader(through uint64) []byte {
-	buf := make([]byte, updateLogHeaderLen)
-	copy(buf, updateLogMagic)
-	binary.LittleEndian.PutUint64(buf[8:], through)
-	binary.LittleEndian.PutUint32(buf[16:], crc32.Checksum(buf[:16], manifestCRCTable))
-	return buf
-}
-
-// parseUpdateLog decodes an update-log image: the header's compacted-through
-// watermark plus every intact record, stopping silently at a torn tail (the
-// crash-recovery contract: a record is applied only if it is whole).
-func parseUpdateLog(raw []byte) (through uint64, recs []UpdateRecord, err error) {
-	if len(raw) < updateLogHeaderLen {
-		// Created-but-unwritten (crash between create and header write):
-		// an empty log, not corruption.
-		return 0, nil, nil
-	}
-	if string(raw[:8]) != updateLogMagic {
-		return 0, nil, fmt.Errorf("core: bad update log magic %q", raw[:8])
-	}
-	if got := crc32.Checksum(raw[:16], manifestCRCTable); got != binary.LittleEndian.Uint32(raw[16:]) {
-		return 0, nil, fmt.Errorf("core: update log header checksum mismatch")
-	}
-	through = binary.LittleEndian.Uint64(raw[8:])
-	rest := raw[updateLogHeaderLen:]
-	for len(rest) > 0 {
-		rec, n, derr := DecodeUpdateRecord(rest)
-		if derr != nil {
-			break // torn tail: everything before it is good
-		}
-		recs = append(recs, rec)
-		rest = rest[n:]
-	}
-	return through, recs, nil
-}
-
 // deltaLog is the in-memory update log: an ordered, seq-contiguous window of
 // the most recent updates, optionally mirrored to an on-disk file. All
 // methods are safe for concurrent use.
@@ -197,7 +75,7 @@ type deltaLog struct {
 	// records[i].Seq == baseSeq + 1 + uint64(i): the window is contiguous,
 	// so UpdatesSince can serve any follower whose seq lies in
 	// [baseSeq, lastSeq] by index. Structural mutations reset the window.
-	records []UpdateRecord
+	records []datadir.UpdateRecord
 	baseSeq uint64
 	lastSeq uint64
 	// resetSeq is the seq the window was last reset at (see truncate).
@@ -205,29 +83,13 @@ type deltaLog struct {
 	// memBytes is the framed size of the retained records (observability).
 	memBytes int64
 
-	// f is the on-disk mirror (nil for the mem backend); path/dir locate it
-	// for the truncate rewrite. Appends land in w (buffered — the mirror
-	// write syscall stays off the per-update critical path) and reach f at
-	// the durability points: fsync, truncate, rewrite, close. syncAlways
-	// flushes and fsyncs per append. scratch is the reusable encode buffer;
-	// both are guarded by mu.
-	f          *os.File
-	w          *bufio.Writer
-	scratch    []byte
-	path, dir  string
-	syncAlways bool
-	// through is the watermark in the mirror's header. relog says an append
-	// failed since the mirror last covered every overlay entry: the mirror
-	// may lack a record or end in a torn one (which hides later appends from
-	// a replay), so compaction must replace it before writing a block.
-	through uint64
-	relog   bool
-	// diskBytes counts record bytes in the mirror since its last rewrite.
-	// Truncation normally just overwrites the header watermark in place (a
-	// 20-byte pwrite — appends are never stalled behind a file rewrite);
-	// the full rewrite runs only when the mirror has grown well past the
-	// retained window (see logRewriteSlack).
-	diskBytes int64
+	// file is the on-disk mirror (nil for the mem backend), guarded by mu.
+	// relog says an append failed since the mirror last covered every
+	// overlay entry: the mirror may lack a record or end in a torn one (which
+	// hides later appends from a replay), so compaction must replace it
+	// before writing a block.
+	file  *datadir.Log
+	relog bool
 
 	compactAfter int
 	retain       int
@@ -241,67 +103,35 @@ type deltaLog struct {
 	recovered       int64
 }
 
-// newDeltaLog creates the log with its window anchored at baseSeq. dir is ""
-// for memory-only logs; otherwise the on-disk mirror is (re)created with a
-// fresh header (reopen replays and removes any previous log first).
-func newDeltaLog(opts UpdateLogOptions, baseSeq uint64, dir string, syncAlways bool) (*deltaLog, error) {
+// newDeltaLog creates the log with its window anchored at baseSeq. A dir
+// with no Path makes a memory-only log; otherwise the on-disk mirror is
+// (re)created with a fresh header (reopen replays and removes any previous
+// log first).
+func newDeltaLog(opts UpdateLogOptions, baseSeq uint64, dir datadir.Dir, syncAlways bool) (*deltaLog, error) {
 	opts.defaults()
 	l := &deltaLog{
 		baseSeq:      baseSeq,
 		lastSeq:      baseSeq,
-		through:      baseSeq,
 		compactAfter: opts.CompactAfter,
 		retain:       opts.RetainRecords,
-		dir:          dir,
-		syncAlways:   syncAlways,
 	}
-	if dir != "" {
-		l.path = filepath.Join(dir, UpdateLogFileName)
-		f, err := os.OpenFile(l.path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("core: create update log: %w", err)
+	if dir.Path != "" {
+		var err error
+		if l.file, err = dir.CreateUpdateLog(baseSeq, syncAlways); err != nil {
+			return nil, err
 		}
-		if _, err := f.Write(encodeUpdateLogHeader(baseSeq)); err == nil {
-			err = f.Sync()
-		} else {
-			f.Close()
-			return nil, fmt.Errorf("core: write update log header: %w", err)
-		}
-		l.f = f
 	}
 	return l, nil
-}
-
-// updateLogBufSize is the mirror's append buffer: large enough to absorb a
-// few hundred dim-64 records between durability points, small enough that a
-// crash loses at most one buffer of non-fsynced tail (the same window the
-// periodic sync modes already accept for block writes). A log allocates it
-// at its first append, so a store that takes no updates holds none.
-const updateLogBufSize = 64 << 10
-
-// flushLocked writes the append buffer's contents to the mirror; a log that
-// has not appended since open has no buffer and nothing to write.
-func (l *deltaLog) flushLocked() error {
-	if l.w == nil {
-		return nil
-	}
-	return l.w.Flush()
 }
 
 func (l *deltaLog) close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.file == nil {
 		return nil
 	}
-	err := l.flushLocked()
-	if serr := l.f.Sync(); err == nil {
-		err = serr
-	}
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f, l.w = nil, nil
+	err := l.file.Close()
+	l.file = nil
 	return err
 }
 
@@ -311,13 +141,10 @@ func (l *deltaLog) close() error {
 func (l *deltaLog) fsync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.file == nil {
 		return nil
 	}
-	if err := l.flushLocked(); err != nil {
-		return err
-	}
-	return l.f.Sync()
+	return l.file.Sync()
 }
 
 // append assigns the update its seq (advancing snapSeq under the log lock, so
@@ -329,7 +156,7 @@ func (l *deltaLog) append(snapSeq *atomic.Uint64, tableIdx, id uint32, raw []byt
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	seq = snapSeq.Add(1)
-	rec := UpdateRecord{Seq: seq, Table: tableIdx, ID: id, Raw: raw}
+	rec := datadir.UpdateRecord{Seq: seq, Table: tableIdx, ID: id, Raw: raw}
 	if err := l.appendLocked(rec); err != nil {
 		return seq, false, err
 	}
@@ -338,7 +165,7 @@ func (l *deltaLog) append(snapSeq *atomic.Uint64, tableIdx, id uint32, raw []byt
 
 // appendRecord appends a record that already carries its seq (the replica
 // apply path: the primary assigned it). Returns whether compaction is due.
-func (l *deltaLog) appendRecord(rec UpdateRecord) (bool, error) {
+func (l *deltaLog) appendRecord(rec datadir.UpdateRecord) (bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.appendLocked(rec); err != nil {
@@ -351,7 +178,7 @@ func (l *deltaLog) needCompactLocked() bool {
 	return len(l.records) >= l.retain+l.compactAfter
 }
 
-func (l *deltaLog) appendLocked(rec UpdateRecord) error {
+func (l *deltaLog) appendLocked(rec datadir.UpdateRecord) error {
 	if rec.Seq != l.lastSeq+1 {
 		// The seq moved without going through the log (a structural mutator
 		// that forgot to invalidate, or a replica batch across a gap). The
@@ -359,29 +186,16 @@ func (l *deltaLog) appendLocked(rec UpdateRecord) error {
 		// so reset it rather than serve a follower a stream with a hole.
 		l.resetLocked(rec.Seq - 1)
 	}
-	if l.f != nil {
-		l.scratch = EncodeUpdateRecord(l.scratch[:0], rec)
-		if l.w == nil {
-			l.w = bufio.NewWriterSize(l.f, updateLogBufSize)
-		}
-		if _, err := l.w.Write(l.scratch); err != nil {
+	if l.file != nil {
+		if err := l.file.Append(rec); err != nil {
 			return fmt.Errorf("core: append update log: %w", err)
 		}
-		if l.syncAlways {
-			if err := l.w.Flush(); err != nil {
-				return fmt.Errorf("core: append update log: %w", err)
-			}
-			if err := l.f.Sync(); err != nil {
-				return fmt.Errorf("core: sync update log: %w", err)
-			}
-		}
-		l.diskBytes += int64(EncodedUpdateLen(len(rec.Raw)))
 	}
 	l.records = append(l.records, rec)
 	l.lastSeq = rec.Seq
-	l.memBytes += int64(EncodedUpdateLen(len(rec.Raw)))
+	l.memBytes += int64(datadir.EncodedUpdateLen(len(rec.Raw)))
 	l.appends.Add(1)
-	l.bytesAppended.Add(int64(EncodedUpdateLen(len(rec.Raw))))
+	l.bytesAppended.Add(int64(datadir.EncodedUpdateLen(len(rec.Raw))))
 	return nil
 }
 
@@ -413,7 +227,7 @@ func (l *deltaLog) appendFailed(cur uint64) {
 	defer l.mu.Unlock()
 	l.resetLocked(cur)
 	l.invalidations.Add(1)
-	l.relog = l.f != nil
+	l.relog = l.file != nil
 }
 
 // errMirrorLost aborts a compaction that found an append failed after it
@@ -428,13 +242,13 @@ var errMirrorLost = errors.New("core: update log lost an append during compactio
 func (l *deltaLog) covers() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.file == nil {
 		return nil
 	}
 	if l.relog {
 		return errMirrorLost
 	}
-	if err := l.flushLocked(); err != nil {
+	if err := l.file.Flush(); err != nil {
 		l.relog = true
 		return fmt.Errorf("core: update log: %w", err)
 	}
@@ -485,7 +299,7 @@ func (l *deltaLog) truncate(through uint64) error {
 	if cut > 0 {
 		l.baseSeq = l.records[cut-1].Seq
 		for _, r := range l.records[:cut] {
-			l.memBytes -= int64(EncodedUpdateLen(len(r.Raw)))
+			l.memBytes -= int64(datadir.EncodedUpdateLen(len(r.Raw)))
 		}
 		// Re-slice rather than copy: a copy of the retained window (tens of
 		// thousands of records) under l.mu stalls every concurrent append.
@@ -493,92 +307,23 @@ func (l *deltaLog) truncate(through uint64) error {
 		// enough accumulates to make a compacting copy worth the pause.
 		l.records = l.records[cut:]
 		if len(l.records)*2 < cap(l.records) {
-			kept := make([]UpdateRecord, len(l.records))
+			kept := make([]datadir.UpdateRecord, len(l.records))
 			copy(kept, l.records)
 			l.records = kept
 		}
 	}
 	l.compactions.Add(1)
-	if l.f == nil {
+	if l.file == nil {
 		return nil
 	}
 	// The rewrite is built from the window, so it must wait while the mirror
 	// may hold a record past through that a window reset dropped from memory.
-	if l.diskBytes > l.memBytes+logRewriteSlack && l.resetSeq <= through {
-		return l.rewriteLocked(through, l.records)
+	if l.file.RecordBytes() > l.memBytes+logRewriteSlack && l.resetSeq <= through {
+		return l.file.Rewrite(through, l.records)
 	}
-	// In-place header update: buffered appends land past the header at f's
-	// sequential offset, so the two never collide.
-	if _, err := l.f.WriteAt(encodeUpdateLogHeader(through), 0); err != nil {
+	if err := l.file.SetWatermark(through); err != nil {
 		return fmt.Errorf("core: update log watermark: %w", err)
 	}
-	if l.syncAlways {
-		if err := l.flushLocked(); err != nil {
-			return fmt.Errorf("core: update log watermark: %w", err)
-		}
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("core: sync update log: %w", err)
-		}
-	}
-	l.through = through
-	return nil
-}
-
-// rewriteLocked atomically replaces the on-disk mirror with a fresh header
-// (compacted through the given seq) plus recs, via temp file + rename, then
-// reopens the append handle. Crash-safe: the rename is atomic, and recs hold
-// every record of the old mirror past through that a replay would need —
-// truncate passes the retained window, which holds every record past its
-// through, and relog every overlay entry, which is every update not yet in
-// the block image.
-func (l *deltaLog) rewriteLocked(through uint64, recs []UpdateRecord) error {
-	tmp := l.path + ".tmp"
-	tf, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("core: rewrite update log: %w", err)
-	}
-	buf := encodeUpdateLogHeader(through)
-	for _, rec := range recs {
-		buf = EncodeUpdateRecord(buf, rec)
-	}
-	_, err = tf.Write(buf)
-	if err == nil {
-		err = tf.Sync()
-	}
-	if cerr := tf.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, l.path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: rewrite update log: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
-		return fmt.Errorf("core: rewrite update log: %w", err)
-	}
-	if l.f != nil {
-		l.f.Close()
-	}
-	// Plain O_WRONLY, not O_APPEND: truncate's in-place watermark update
-	// needs WriteAt, which Go refuses on append-mode files. Appends go
-	// through the explicit end-seek position.
-	l.f, err = os.OpenFile(l.path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("core: reopen update log: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("core: reopen update log: %w", err)
-	}
-	// The rewrite holds every record the replaced file needed, so any bytes
-	// still buffered for it are stale — drop them, and with them the error a
-	// failed append left in the writer.
-	if l.w != nil {
-		l.w.Reset(l.f)
-	}
-	l.diskBytes = int64(len(buf) - updateLogHeaderLen)
-	l.through = through
 	return nil
 }
 
@@ -587,7 +332,7 @@ func (l *deltaLog) rewriteLocked(through uint64, recs []UpdateRecord) error {
 // the retained window [baseSeq, lastSeq] — the caller must fall back to a
 // full snapshot sync. upTo is the seq of the last returned record (== since
 // when the follower is already caught up).
-func (l *deltaLog) since(since uint64, maxRecords, maxBytes int) (recs []UpdateRecord, upTo uint64, ok bool) {
+func (l *deltaLog) since(since uint64, maxRecords, maxBytes int) (recs []datadir.UpdateRecord, upTo uint64, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if since < l.baseSeq || since > l.lastSeq {
@@ -601,7 +346,7 @@ func (l *deltaLog) since(since uint64, maxRecords, maxBytes int) (recs []UpdateR
 			break
 		}
 		rec := l.records[i]
-		sz := EncodedUpdateLen(len(rec.Raw))
+		sz := datadir.EncodedUpdateLen(len(rec.Raw))
 		if len(recs) > 0 && bytes+sz > maxBytes {
 			break
 		}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"bandana/internal/datadir"
 	"bandana/internal/fp16"
 	"bandana/internal/nvm"
 )
@@ -23,12 +24,12 @@ func testVec(dim int, tag uint32) []float32 {
 }
 
 func TestUpdateRecordRoundTrip(t *testing.T) {
-	rec := UpdateRecord{Seq: 42, Table: 3, ID: 12345, Raw: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
-	buf := EncodeUpdateRecord(nil, rec)
-	if len(buf) != EncodedUpdateLen(len(rec.Raw)) {
-		t.Fatalf("encoded length %d, want %d", len(buf), EncodedUpdateLen(len(rec.Raw)))
+	rec := datadir.UpdateRecord{Seq: 42, Table: 3, ID: 12345, Raw: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
+	buf := datadir.EncodeUpdateRecord(nil, rec)
+	if len(buf) != datadir.EncodedUpdateLen(len(rec.Raw)) {
+		t.Fatalf("encoded length %d, want %d", len(buf), datadir.EncodedUpdateLen(len(rec.Raw)))
 	}
-	got, n, err := DecodeUpdateRecord(buf)
+	got, n, err := datadir.DecodeUpdateRecord(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,24 +40,24 @@ func TestUpdateRecordRoundTrip(t *testing.T) {
 		t.Fatalf("decode mismatch: %+v != %+v", got, rec)
 	}
 	// Concatenated records decode in sequence.
-	rec2 := UpdateRecord{Seq: 43, Table: 0, ID: 7, Raw: []byte{9, 9}}
-	stream := EncodeUpdateRecord(buf, rec2)
-	first, n1, err := DecodeUpdateRecord(stream)
+	rec2 := datadir.UpdateRecord{Seq: 43, Table: 0, ID: 7, Raw: []byte{9, 9}}
+	stream := datadir.EncodeUpdateRecord(buf, rec2)
+	first, n1, err := datadir.DecodeUpdateRecord(stream)
 	if err != nil || first.Seq != 42 {
 		t.Fatalf("first record: %+v, %v", first, err)
 	}
-	second, _, err := DecodeUpdateRecord(stream[n1:])
+	second, _, err := datadir.DecodeUpdateRecord(stream[n1:])
 	if err != nil || second.Seq != 43 || !bytes.Equal(second.Raw, rec2.Raw) {
 		t.Fatalf("second record: %+v, %v", second, err)
 	}
 	// A flipped payload bit must fail the record CRC.
 	bad := append([]byte(nil), buf...)
 	bad[len(bad)-6] ^= 0x40
-	if _, _, err := DecodeUpdateRecord(bad); err == nil {
+	if _, _, err := datadir.DecodeUpdateRecord(bad); err == nil {
 		t.Fatal("corrupt record should fail CRC")
 	}
 	// A truncated buffer must error, not panic.
-	if _, _, err := DecodeUpdateRecord(buf[:len(buf)-1]); err == nil {
+	if _, _, err := datadir.DecodeUpdateRecord(buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated record should error")
 	}
 }
@@ -290,7 +291,7 @@ func TestUpdateLogCrashReplay(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, UpdateLogFileName)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, datadir.UpdateLogFileName)); err != nil {
 		t.Fatalf("update log should survive close: %v", err)
 	}
 	s2, err := Open(Config{Backend: BackendFile, DataDir: dir})
@@ -311,11 +312,11 @@ func TestUpdateLogCrashReplay(t *testing.T) {
 		}
 	}
 	// Replay consumed the log; a fresh one took its place.
-	raw, err := os.ReadFile(filepath.Join(dir, UpdateLogFileName))
+	raw, err := os.ReadFile(filepath.Join(dir, datadir.UpdateLogFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if through, recs, err := parseUpdateLog(raw); err != nil || len(recs) != 0 {
+	if through, recs, err := datadir.ParseUpdateLog(raw); err != nil || len(recs) != 0 {
 		t.Fatalf("fresh log after replay: through=%d recs=%d err=%v", through, len(recs), err)
 	}
 }
@@ -450,7 +451,7 @@ func TestReplicaReopenInheritsSeq(t *testing.T) {
 	if got := rep.SnapshotSeq(); got != primarySeq {
 		t.Fatalf("replica opened at seq %d, want inherited primary seq %d", got, primarySeq)
 	}
-	recs := []UpdateRecord{
+	recs := []datadir.UpdateRecord{
 		{Seq: primarySeq + 1, Table: 0, ID: 3, Raw: fp16.EncodeSlice(nil, testVec(dim, 1001))},
 		{Seq: primarySeq + 2, Table: 0, ID: 4, Raw: fp16.EncodeSlice(nil, testVec(dim, 1002))},
 	}
@@ -479,7 +480,7 @@ func TestReplicaReopenInheritsSeq(t *testing.T) {
 	if !vecsEqual(got, testVec(dim, 1001)) {
 		t.Fatal("reopened replica does not serve the replicated bytes")
 	}
-	if err := rep.ApplyReplicatedUpdates([]UpdateRecord{
+	if err := rep.ApplyReplicatedUpdates([]datadir.UpdateRecord{
 		{Seq: primarySeq + 3, Table: 0, ID: 5, Raw: fp16.EncodeSlice(nil, testVec(dim, 1003))},
 	}); err != nil {
 		t.Fatal(err)
@@ -655,7 +656,7 @@ func TestUpdateCatchUpTransferSize(t *testing.T) {
 	}
 	transfer := 0
 	for _, rec := range recs {
-		transfer += EncodedUpdateLen(len(rec.Raw))
+		transfer += datadir.EncodedUpdateLen(len(rec.Raw))
 	}
 	image := s.device.NumBlocks() * nvm.BlockSize
 	if transfer >= image/100 {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
+
+	"bandana/internal/datadir"
 )
 
 // This file is the delta update path and its two consumers: the background
@@ -124,17 +126,17 @@ func (s *Store) relog() error {
 		st.updateMu.Lock()
 		defer st.updateMu.Unlock()
 	}
-	var recs []UpdateRecord
+	var recs []datadir.UpdateRecord
 	for _, st := range s.tables {
 		for id, e := range st.overlay.snapshot() {
-			recs = append(recs, UpdateRecord{Seq: e.seq, Table: uint32(st.index), ID: id, Raw: e.raw})
+			recs = append(recs, datadir.UpdateRecord{Seq: e.seq, Table: uint32(st.index), ID: id, Raw: e.raw})
 		}
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 	l := s.deltaLog
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.rewriteLocked(l.through, recs); err != nil {
+	if err := l.file.Rewrite(l.file.Watermark(), recs); err != nil {
 		return err
 	}
 	l.relog = false
@@ -215,7 +217,7 @@ func (s *Store) compactTable(st *storeTable) (int, error) {
 // batch has exactly the primary's image at upTo. ok is false when since lies
 // outside the retained window (compacted away, or from a different history):
 // the follower must full-sync.
-func (s *Store) UpdatesSince(since uint64, maxRecords, maxBytes int) (recs []UpdateRecord, upTo uint64, ok bool) {
+func (s *Store) UpdatesSince(since uint64, maxRecords, maxBytes int) (recs []datadir.UpdateRecord, upTo uint64, ok bool) {
 	if maxRecords <= 0 {
 		maxRecords = 1 << 16
 	}
@@ -247,7 +249,7 @@ func advanceSeq(seq *atomic.Uint64, to uint64) {
 // mutations cannot diverge a replica from its primary, and replicated
 // records ARE the primary's mutations. It refuses writable stores: those
 // take updates through UpdateVector.
-func (s *Store) ApplyReplicatedUpdates(recs []UpdateRecord) error {
+func (s *Store) ApplyReplicatedUpdates(recs []datadir.UpdateRecord) error {
 	if !s.readOnly {
 		return fmt.Errorf("core: ApplyReplicatedUpdates is the replication apply path; this store is writable (use UpdateVector)")
 	}
@@ -270,7 +272,7 @@ func (s *Store) ApplyReplicatedUpdates(recs []UpdateRecord) error {
 	return nil
 }
 
-func (s *Store) applyReplicatedOne(st *storeTable, rec UpdateRecord) {
+func (s *Store) applyReplicatedOne(st *storeTable, rec datadir.UpdateRecord) {
 	st.updateMu.Lock()
 	defer st.updateMu.Unlock()
 	// Re-log the record with the primary's seq: this replica's own log then

@@ -1,54 +1,28 @@
 // File-backed store lifecycle: a Config with Backend == BackendFile persists
-// the store under Config.DataDir as three files —
-//
-//	blocks.bnd    the NVM block file (see nvm.FileStore)
-//	manifest.bnd  table geometry (names, dims, sizes, block spans) + CRC
-//	state.bnd     trained state in the SaveState format
-//
-// The manifest is written last (via temp file + rename) when a directory is
-// initialized, so a half-written data dir is simply re-initialized on the
-// next Open. Reopening an initialized directory installs the manifest's
-// geometry and the persisted layouts and trained state over the block file
-// without reading or rewriting a single data block (only a leftover update
-// log or migration record touches blocks) — a restarted server serves
-// identical vectors without retraining.
+// the store under Config.DataDir, in the files package datadir writes, and a
+// restarted server serves identical vectors without retraining.
 package core
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
-	"slices"
 
+	"bandana/internal/datadir"
 	"bandana/internal/layout"
 	"bandana/internal/nvm"
 )
 
-const (
-	// BlocksFileName is the block file inside a data dir.
-	BlocksFileName = "blocks.bnd"
-	// ManifestFileName is the table-geometry manifest inside a data dir.
-	ManifestFileName = "manifest.bnd"
-	// StateFileName is the trained-state file inside a data dir.
-	StateFileName = "state.bnd"
+// dataFS is the file system data dirs are reached through. A test may swap
+// in one that records or fails calls while none of its stores is open.
+var dataFS = datadir.OS
 
-	manifestMagic   = "BNDMANI1"
-	manifestVersion = 1
-)
+func dirAt(path string) datadir.Dir { return datadir.Dir{FS: dataFS, Path: path} }
 
-var manifestCRCTable = crc32.MakeTable(crc32.Castagnoli)
+// dir is the store's data dir (its Path is "" for the mem backend).
+func (s *Store) dir() datadir.Dir { return dirAt(s.dataDir) }
 
-// DirInitialized reports whether dir holds an initialized file-backed store
-// (i.e. a committed manifest).
-func DirInitialized(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, ManifestFileName))
-	return err == nil
-}
+// DirInitialized reports whether dir holds an initialized file-backed store.
+func DirInitialized(dir string) bool { return dirAt(dir).Initialized() }
 
 // openFileBacked opens the file backend: it initializes DataDir on first use
 // and reopens it (update-log replay + state restore, no retraining)
@@ -76,11 +50,8 @@ func initDir(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
-		return nil, fmt.Errorf("core: create data dir: %w", err)
-	}
-	fs, err := nvm.CreateFileStore(filepath.Join(cfg.DataDir, BlocksFileName), totalBlocks,
-		nvm.FileStoreOptions{Sync: cfg.Sync, Direct: cfg.Direct})
+	d := dirAt(cfg.DataDir)
+	fs, err := d.CreateBlocks(totalBlocks, nvm.FileStoreOptions{Sync: cfg.Sync, Direct: cfg.Direct})
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +66,7 @@ func initDir(cfg Config) (*Store, error) {
 		err = s.Persist() // baseline state: identity layout, no prefetching
 	}
 	if err == nil {
-		err = writeManifest(cfg.DataDir, s, totalBlocks)
+		err = d.WriteManifest(datadir.EncodeManifest(geoms, totalBlocks))
 	}
 	if err != nil {
 		s.Close() // stops the I/O scheduler and closes the owned device
@@ -111,12 +82,12 @@ func reopenDir(cfg Config) (*Store, error) {
 	if cfg.Tables != nil {
 		return nil, fmt.Errorf("core: data dir %q is already initialized; reopen with Tables == nil (vectors are restored from disk)", cfg.DataDir)
 	}
-	geoms, totalBlocks, err := readManifest(cfg.DataDir)
+	d := dirAt(cfg.DataDir)
+	geoms, totalBlocks, err := d.ReadManifest()
 	if err != nil {
 		return nil, err
 	}
-	fs, err := nvm.OpenFileStore(filepath.Join(cfg.DataDir, BlocksFileName),
-		nvm.FileStoreOptions{Sync: cfg.Sync, Direct: cfg.Direct})
+	fs, err := d.OpenBlocks(nvm.FileStoreOptions{Sync: cfg.Sync, Direct: cfg.Direct})
 	if err != nil {
 		return nil, err
 	}
@@ -135,71 +106,63 @@ func reopenDir(cfg Config) (*Store, error) {
 	// before the update log is replayed: the staged image is bulk-copied
 	// into the table's block range, and the recorded placement overrides
 	// whatever the state file says for that table. This never refuses the
-	// reopen — the staged image makes the redo exact (see migration.go).
-	mig, err := readMigrationRecord(cfg.DataDir)
+	// reopen — the staged image makes the redo exact (see package datadir).
+	mig, err := d.ReadMigration(geoms)
 	if err != nil {
 		return nil, err
 	}
-	migOrder := map[string][]uint32{}
 	if mig == nil {
 		// A crash between staging the image and committing the record
-		// leaves an orphan image; the migration never happened, so drop it.
-		_ = os.Remove(filepath.Join(cfg.DataDir, MigrationImageName))
-	}
-	if mig != nil {
-		var entry *tableGeom
-		for i := range geoms {
-			if geoms[i].name == mig.table {
-				entry = &geoms[i]
-				break
-			}
+		// leaves an orphan image; the migration never happened, so drop it
+		// (best effort: the next install's StageMigration drops it too).
+		_ = d.RemoveMigration()
+	} else {
+		// The copy is idempotent: a crash inside it redoes it at the next
+		// open. The recorded layout is installed and persisted below.
+		err := fs.WriteBlocks(mig.Table.BlockBase, mig.Image)
+		if err == nil {
+			err = fs.Flush()
 		}
-		if entry == nil {
-			return nil, fmt.Errorf("core: migration record references unknown table %q", mig.table)
+		if err != nil {
+			return nil, fmt.Errorf("core: redo migration copy: %w", err)
 		}
-		if len(mig.order) != entry.numVectors {
-			return nil, fmt.Errorf("core: migration record covers %d vectors, table %q has %d",
-				len(mig.order), mig.table, entry.numVectors)
-		}
-		if err := redoMigration(cfg.DataDir, mig, fs, *entry); err != nil {
-			return nil, err
-		}
-		migOrder[mig.table] = mig.order
+		mig.Image = nil // copied: not held while the store is built
 	}
 
 	// Trained state (absent on a dir that was initialized but never trained
 	// nor persisted — fall back to identity layouts).
 	saved := make(map[string]savedTable)
-	if f, err := os.Open(filepath.Join(cfg.DataDir, StateFileName)); err == nil {
-		entriesSaved, derr := decodeSavedStates(bufio.NewReader(f))
-		f.Close()
-		if derr != nil {
-			return nil, fmt.Errorf("core: read %s: %w", StateFileName, derr)
+	raw, ok, err := d.ReadState()
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		entriesSaved, err := decodeSavedStates(bytes.NewReader(raw))
+		if err != nil {
+			return nil, fmt.Errorf("core: read %s: %w", datadir.StateFileName, err)
 		}
 		for _, sv := range entriesSaved {
 			saved[sv.name] = sv
 		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
 	}
 
 	// The persisted layouts (block slot -> vector ID) the block image is
 	// placed under; a table never trained is in ID order.
 	layouts := make([]*layout.Layout, len(geoms))
 	for i, g := range geoms {
-		order := saved[g.name].order
-		if ord, ok := migOrder[g.name]; ok {
+		order := saved[g.Name].order
+		if mig != nil && mig.Table.Name == g.Name {
 			// The redone migration's placement wins over the (possibly
 			// stale) state file for this table.
-			order = ord
-		} else if len(order) > 0 && len(order) != g.numVectors {
+			order = mig.Order
+		} else if len(order) > 0 && len(order) != g.NumVectors {
 			return nil, fmt.Errorf("core: table %q: state covers %d vectors, manifest says %d",
-				g.name, len(order), g.numVectors)
+				g.Name, len(order), g.NumVectors)
 		}
 		if len(order) == 0 {
-			layouts[i] = layout.Identity(g.numVectors, g.blockVectors)
-		} else if layouts[i], err = layout.FromOrder(order, g.blockVectors); err != nil {
-			return nil, fmt.Errorf("core: table %q: %w", g.name, err)
+			layouts[i] = layout.Identity(g.NumVectors, g.BlockVectors)
+		} else if layouts[i], err = layout.FromOrder(order, g.BlockVectors); err != nil {
+			return nil, fmt.Errorf("core: table %q: %w", g.Name, err)
 		}
 	}
 
@@ -210,7 +173,7 @@ func reopenDir(cfg Config) (*Store, error) {
 	// (their blocks are already durable, possibly with newer compacted
 	// values). The log file is consumed here and recreated fresh by
 	// buildStore.
-	replayed, logSeq, err := replayUpdateLog(cfg.DataDir, fs, geoms, layouts)
+	replayed, logSeq, err := replayUpdateLog(d, fs, geoms, layouts)
 	if err != nil {
 		return nil, err
 	}
@@ -259,11 +222,11 @@ func reopenDir(cfg Config) (*Store, error) {
 			s.Close()
 			return nil, fmt.Errorf("core: persist recovered migration: %w", err)
 		}
-		if err := removeMigrationFiles(cfg.DataDir); err != nil {
+		if err := d.RemoveMigration(); err != nil {
 			s.Close()
 			return nil, err
 		}
-		s.recoveredMigration = mig.table
+		s.recoveredMigration = mig.Table.Name
 	}
 	return s, nil
 }
@@ -280,48 +243,17 @@ func reopenDir(cfg Config) (*Store, error) {
 // rewrite (TestCompactionCrashStates checks both levels). Returns how many
 // records were applied and the highest seq the log covered (watermark
 // included) — the reopened store's snapshot seq must not fall below it.
-func replayUpdateLog(dir string, fs *nvm.FileStore, geoms []tableGeom, layouts []*layout.Layout) (int, uint64, error) {
-	path := filepath.Join(dir, UpdateLogFileName)
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("core: read update log: %w", err)
-	}
-	through, recs, err := parseUpdateLog(raw)
+func replayUpdateLog(d datadir.Dir, fs *nvm.FileStore, geoms []datadir.TableGeom, layouts []*layout.Layout) (int, uint64, error) {
+	recs, maxSeq, err := d.ReadUpdateLog(geoms)
 	if err != nil {
 		return 0, 0, err
 	}
-	maxSeq := through
+	dirty := make(map[int][]datadir.UpdateRecord) // device block -> its survivors, in log order
 	for _, rec := range recs {
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
-	}
-	dirty := make(map[int][]UpdateRecord) // device block -> its survivors, in log order
-	applied := 0
-	for _, rec := range recs {
-		if rec.Seq <= through {
-			continue
-		}
-		if int(rec.Table) >= len(geoms) {
-			return 0, 0, fmt.Errorf("core: update log references table %d, manifest has %d", rec.Table, len(geoms))
-		}
-		g := geoms[rec.Table]
-		if len(rec.Raw) != g.vecBytes() {
-			return 0, 0, fmt.Errorf("core: update log: table %q record carries %d bytes, want %d",
-				g.name, len(rec.Raw), g.vecBytes())
-		}
-		if int(rec.ID) >= g.numVectors {
-			return 0, 0, fmt.Errorf("core: update log: table %q record targets vector %d of %d",
-				g.name, rec.ID, g.numVectors)
-		}
-		abs := g.blockBase + layouts[rec.Table].BlockOf(rec.ID)
+		abs := geoms[rec.Table].BlockBase + layouts[rec.Table].BlockOf(rec.ID)
 		dirty[abs] = append(dirty[abs], rec)
-		applied++
 	}
-	if applied > 0 {
+	if len(recs) > 0 {
 		buf := make([]byte, nvm.BlockSize)
 		for abs, patches := range dirty {
 			if err := fs.ReadBlock(abs, buf); err != nil {
@@ -338,57 +270,10 @@ func replayUpdateLog(dir string, fs *nvm.FileStore, geoms []tableGeom, layouts [
 			return 0, 0, fmt.Errorf("core: update log: %w", err)
 		}
 	}
-	if err := os.Remove(path); err != nil {
-		return 0, 0, fmt.Errorf("core: remove replayed update log: %w", err)
+	if err := d.RemoveUpdateLog(); err != nil {
+		return 0, 0, err
 	}
-	if err := syncDir(dir); err != nil {
-		return 0, 0, fmt.Errorf("core: remove replayed update log: %w", err)
-	}
-	return applied, maxSeq, nil
-}
-
-// atomicWriteFile durably replaces dir/name: the payload is written to a
-// temp file (via the write callback), fsynced, renamed over the target, and
-// the directory entry fsynced — so readers always observe either the old or
-// the complete new file, never a partial one. Shared by the manifest, state
-// and migration commit points.
-func atomicWriteFile(dir, name string, write func(io.Writer) error) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(dir, name))
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so entry mutations (create/rename/remove) are
-// durable and ordered with respect to later ones — without it, power loss
-// can reorder a state-file rename against the migration record's removal and
-// reopen a dir whose blocks and persisted layout disagree.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return len(recs), maxSeq, nil
 }
 
 // Persist writes the store's trained state to its data dir (atomically, via
@@ -402,7 +287,7 @@ func (s *Store) Persist() error {
 	if s.dataDir == "" {
 		return fmt.Errorf("core: store was not opened with a data dir")
 	}
-	if err := atomicWriteFile(s.dataDir, StateFileName, s.SaveState); err != nil {
+	if err := s.dir().WriteState(s.SaveState); err != nil {
 		return fmt.Errorf("core: persist state: %w", err)
 	}
 	if err := s.device.Flush(); err != nil {
@@ -416,132 +301,3 @@ func (s *Store) Persist() error {
 // DataDir returns the persistence directory of a file-backed store ("" for
 // the mem backend).
 func (s *Store) DataDir() string { return s.dataDir }
-
-// manifestBytes renders the store's table geometry in the manifest.bnd
-// format (payload + CRC-32C trailer). Shared by the data-dir commit path and
-// the snapshot export, so a streamed snapshot's manifest is byte-identical
-// to what initDir would have written.
-func manifestBytes(s *Store, totalBlocks int) []byte {
-	var payload bytes.Buffer
-	payload.WriteString(manifestMagic)
-	varint := make([]byte, binary.MaxVarintLen64)
-	writeUvarint := func(v uint64) {
-		n := binary.PutUvarint(varint, v)
-		payload.Write(varint[:n])
-	}
-	writeUvarint(manifestVersion)
-	writeUvarint(uint64(len(s.tables)))
-	for _, st := range s.tables {
-		writeUvarint(uint64(len(st.name)))
-		payload.WriteString(st.name)
-		writeUvarint(uint64(st.dim))
-		writeUvarint(uint64(st.numVectors))
-		writeUvarint(uint64(st.blockVectors))
-		writeUvarint(uint64(st.numBlocks))
-		writeUvarint(uint64(st.blockBase))
-	}
-	writeUvarint(uint64(totalBlocks))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload.Bytes(), manifestCRCTable))
-	payload.Write(crc[:])
-	return payload.Bytes()
-}
-
-// writeManifest commits the data dir: geometry of every table plus a CRC,
-// written via temp file + rename so the manifest is all-or-nothing.
-func writeManifest(dir string, s *Store, totalBlocks int) error {
-	raw := manifestBytes(s, totalBlocks)
-	err := atomicWriteFile(dir, ManifestFileName, func(w io.Writer) error {
-		_, werr := w.Write(raw)
-		return werr
-	})
-	if err != nil {
-		return fmt.Errorf("core: write manifest: %w", err)
-	}
-	return nil
-}
-
-// readManifest loads and verifies a data dir's manifest.
-func readManifest(dir string) ([]tableGeom, int, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestFileName))
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: read manifest: %w", err)
-	}
-	return parseManifest(raw)
-}
-
-// parseManifest decodes and verifies a manifest.bnd payload. Block spans are
-// a pure function of the table shapes (placeTables) and every offset a
-// reader derives comes from them, so a manifest whose spans or device size
-// disagree with the shapes it lists is rejected.
-func parseManifest(raw []byte) ([]tableGeom, int, error) {
-	if len(raw) < len(manifestMagic)+4 {
-		return nil, 0, fmt.Errorf("core: manifest too short (%d bytes)", len(raw))
-	}
-	payload, crc := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if crc32.Checksum(payload, manifestCRCTable) != crc {
-		return nil, 0, fmt.Errorf("core: manifest checksum mismatch")
-	}
-	if string(payload[:len(manifestMagic)]) != manifestMagic {
-		return nil, 0, fmt.Errorf("core: bad manifest magic %q", payload[:len(manifestMagic)])
-	}
-	br := bytes.NewReader(payload[len(manifestMagic):])
-	readUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
-	version, err := readUvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	if version != manifestVersion {
-		return nil, 0, fmt.Errorf("core: unsupported manifest version %d", version)
-	}
-	numTables, err := readUvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	if numTables == 0 || numTables > 1<<16 {
-		return nil, 0, fmt.Errorf("core: implausible manifest table count %d", numTables)
-	}
-	entries := make([]tableGeom, 0, min(numTables, uint64(br.Len())))
-	for i := uint64(0); i < numTables; i++ {
-		var e tableGeom
-		nameLen, err := readUvarint()
-		if err != nil {
-			return nil, 0, err
-		}
-		if nameLen > 1<<16 || nameLen > uint64(br.Len()) {
-			return nil, 0, fmt.Errorf("core: implausible manifest name length %d", nameLen)
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, 0, err
-		}
-		e.name = string(name)
-		for _, dst := range []*int{&e.dim, &e.numVectors, &e.blockVectors, &e.numBlocks, &e.blockBase} {
-			v, err := readUvarint()
-			if err != nil {
-				return nil, 0, err
-			}
-			if v > 1<<40 {
-				return nil, 0, fmt.Errorf("core: implausible manifest field %d for table %q", v, e.name)
-			}
-			*dst = int(v)
-		}
-		entries = append(entries, e)
-	}
-	totalBlocks, err := readUvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	placed := make([]tableGeom, len(entries))
-	for i, e := range entries {
-		placed[i] = tableGeom{name: e.name, dim: e.dim, numVectors: e.numVectors}
-	}
-	total, err := placeTables(placed)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: manifest: %w", err)
-	}
-	if !slices.Equal(placed, entries) || totalBlocks != uint64(total) {
-		return nil, 0, fmt.Errorf("core: manifest block spans do not match its table shapes")
-	}
-	return entries, total, nil
-}

@@ -9,14 +9,14 @@ import (
 	"path/filepath"
 	"testing"
 
+	"bandana/internal/datadir"
 	"bandana/internal/nvm"
 )
 
-// trainedDirFiles trains a small file-backed store in a temp dir and returns
-// the migration.bnd its last install committed and the state.bnd it ended on,
-// persisted once more with a demand threshold set on every table: real bytes
-// for the two decoders every Train's crash recovery depends on.
-func trainedDirFiles(f *testing.F) (migration, state []byte) {
+// trainedStateFile trains a small file-backed store in a temp dir and returns
+// the state.bnd it ended on, persisted once more with a demand threshold set
+// on every table: real bytes for the decoder every reopen depends on.
+func trainedStateFile(f *testing.F) []byte {
 	tables, traces := buildTestTables(f, 2, 256, 20)
 	dir := filepath.Join(f.TempDir(), "store")
 	s, err := Open(Config{Tables: tables, Backend: BackendFile, DataDir: dir, Seed: 1})
@@ -24,14 +24,6 @@ func trainedDirFiles(f *testing.F) (migration, state []byte) {
 		f.Fatal(err)
 	}
 	defer s.Close()
-	migrationCrashHook = func(stage string) {
-		if stage == "staged" {
-			if migration, err = os.ReadFile(filepath.Join(dir, MigrationManifestName)); err != nil {
-				f.Error(err)
-			}
-		}
-	}
-	defer func() { migrationCrashHook = nil }()
 	if _, err := s.Train(traces, TrainOptions{SHPIterations: 2, MiniCacheSampling: 0.5}); err != nil {
 		f.Fatal(err)
 	}
@@ -41,10 +33,11 @@ func trainedDirFiles(f *testing.F) (migration, state []byte) {
 	if err := s.Persist(); err != nil {
 		f.Fatal(err)
 	}
-	if state, err = os.ReadFile(filepath.Join(dir, StateFileName)); err != nil {
+	state, err := os.ReadFile(filepath.Join(dir, datadir.StateFileName))
+	if err != nil {
 		f.Fatal(err)
 	}
-	return migration, state
+	return state
 }
 
 // addSealedSeeds seeds f with a CRC-trailed file, its payload alone (which
@@ -57,85 +50,15 @@ func addSealedSeeds(f *testing.F, file []byte) {
 	}
 }
 
-// sealed returns data followed by the CRC-32C trailer both formats end in.
+// sealed returns data followed by the CRC-32C trailer the state and the
+// manifest end in.
 func sealed(data []byte) []byte {
-	return binary.LittleEndian.AppendUint32(bytes.Clone(data), crc32.Checksum(data, manifestCRCTable))
+	return binary.LittleEndian.AppendUint32(bytes.Clone(data), crc32.Checksum(data, datadir.Castagnoli))
 }
 
-// FuzzMigrationRecord throws arbitrary bytes, as they are and re-sealed with a
-// valid checksum, at the migration.bnd decoder. It must return an error or a
-// record whose lengths fit the bytes it was given — never panic, never size
-// an allocation by a length it has not checked against them.
-func FuzzMigrationRecord(f *testing.F) {
-	migration, _ := trainedDirFiles(f)
-	addSealedSeeds(f, migration)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, raw := range [][]byte{data, sealed(data)} {
-			rec, err := decodeMigrationRecord(raw)
-			if err != nil {
-				continue
-			}
-			if len(rec.table) > len(raw) || len(rec.order) > len(raw) || rec.imageLen < 0 {
-				t.Fatalf("%d-byte record decoded to a %d-byte name, %d-entry order, image length %d",
-					len(raw), len(rec.table), len(rec.order), rec.imageLen)
-			}
-		}
-	})
-}
-
-// updateLogFile returns the updates.log a file-backed store leaves behind
-// after a few updates and a Close: the header and every record, uncompacted.
-func updateLogFile(f *testing.F) []byte {
-	tables, _ := buildTestTables(f, 2, 256, 10)
-	dir := filepath.Join(f.TempDir(), "store")
-	s, err := Open(Config{Tables: tables, Backend: BackendFile, DataDir: dir, Seed: 1})
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i := uint32(0); i < 6; i++ {
-		if err := s.UpdateVector(int(i%2), i*7, testVec(64, i)); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		f.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, UpdateLogFileName))
-	if err != nil {
-		f.Fatal(err)
-	}
-	if _, recs, err := parseUpdateLog(raw); err != nil || len(recs) != 6 {
-		f.Fatalf("the seed log holds %d records (err %v), want the 6 updates", len(recs), err)
-	}
-	return raw
-}
-
-// sealedLogHeader returns data with its update-log header CRC made valid.
-func sealedLogHeader(data []byte) []byte {
-	if len(data) < updateLogHeaderLen {
-		return data
-	}
-	data = bytes.Clone(data)
-	binary.LittleEndian.PutUint32(data[16:], crc32.Checksum(data[:16], manifestCRCTable))
-	return data
-}
-
-// sealedRecord returns data with the CRC of the update record at its front
-// made valid, where the declared payload fits.
-func sealedRecord(data []byte) []byte {
-	if len(data) < updateRecordOverhead {
-		return data
-	}
-	body := updateRecordHeaderLen + int(binary.LittleEndian.Uint32(data))
-	if body-updateRecordHeaderLen > maxUpdatePayload || body+4 > len(data) {
-		return data
-	}
-	data = bytes.Clone(data)
-	binary.LittleEndian.PutUint32(data[body:], crc32.Checksum(data[:body], manifestCRCTable))
-	return data
-}
-
-// FuzzStateDecode does the same for the state.bnd decoder, seeded with a
+// FuzzStateDecode throws arbitrary bytes, as they are and re-sealed with a
+// valid checksum, at the state.bnd decoder. It must return an error or
+// tables whose lengths fit the bytes it was given. Seeds are a
 // trained data dir's version-6 state, testdata/state_v6.bnd (a pinned table's
 // pinned ids, and a gated table's verdict bits), testdata/state_v5.bnd
 // (verdict bits, one table prefetching with a demand gate, one gated without
@@ -143,7 +66,7 @@ func sealedRecord(data []byte) []byte {
 // must cover exactly the table's ids, and a pin verdict must hold no
 // probation bits and exactly its table's cache allocation of ids.
 func FuzzStateDecode(f *testing.F) {
-	_, state := trainedDirFiles(f)
+	state := trainedStateFile(f)
 	addSealedSeeds(f, state)
 	for _, name := range []string{"testdata/state_v6.bnd", "testdata/state_v5.bnd", "testdata/state_v4.bnd"} {
 		seed, err := os.ReadFile(name)
@@ -186,83 +109,6 @@ func FuzzStateDecode(f *testing.F) {
 	})
 }
 
-// FuzzUpdateLog throws arbitrary bytes, as they are and re-sealed, at the two
-// readers of update records: parseUpdateLog, which replays updates.log on
-// reopen, and the DecodeUpdateRecord loop a replica runs over a fetched
-// stream. Every record must be a frame of the bytes it came from, in order,
-// and every decoded frame must advance.
-func FuzzUpdateLog(f *testing.F) {
-	log := updateLogFile(f)
-	records := log[updateLogHeaderLen:]
-	for _, b := range [][]byte{log, log[:len(log)-3], log[:updateLogHeaderLen], records, records[:EncodedUpdateLen(128)], nil} {
-		f.Add(b)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, raw := range [][]byte{data, sealedLogHeader(data)} {
-			_, recs, err := parseUpdateLog(raw)
-			if err != nil {
-				continue
-			}
-			off := updateLogHeaderLen
-			for i, rec := range recs {
-				n := EncodedUpdateLen(len(rec.Raw))
-				if off+n > len(raw) || (len(rec.Raw) > 0 && &rec.Raw[0] != &raw[off+updateRecordHeaderLen]) {
-					t.Fatalf("record %d of a %d-byte log (%d payload bytes at offset %d) is not the log's next frame", i, len(raw), len(rec.Raw), off)
-				}
-				off += n
-			}
-		}
-		for _, raw := range [][]byte{data, sealedRecord(data)} {
-			for rest := raw; len(rest) > 0; {
-				rec, n, err := DecodeUpdateRecord(rest)
-				if err != nil {
-					break
-				}
-				if n <= 0 || n > len(rest) || n != EncodedUpdateLen(len(rec.Raw)) {
-					t.Fatalf("a %d-byte stream decoded a %d-byte payload consuming %d bytes", len(rest), len(rec.Raw), n)
-				}
-				rest = rest[n:]
-			}
-		}
-	})
-}
-
-// FuzzManifest throws arbitrary bytes, as they are and re-sealed with a valid
-// checksum, at the manifest.bnd decoder a reopen and a snapshot import trust
-// for every block offset. It must return an error or a geometry of 1–65,536
-// tables whose names fit the bytes given and whose block ranges lie inside
-// the device.
-func FuzzManifest(f *testing.F) {
-	tables, _ := buildTestTables(f, 4, 256, 5)
-	s, err := Open(Config{Tables: tables, Seed: 1})
-	if err != nil {
-		f.Fatal(err)
-	}
-	defer s.Close()
-	addSealedSeeds(f, manifestBytes(s, s.device.NumBlocks()))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, raw := range [][]byte{data, sealed(data)} {
-			geoms, total, err := parseManifest(raw)
-			if err != nil {
-				continue
-			}
-			if len(geoms) < 1 || len(geoms) > 1<<16 {
-				t.Fatalf("accepted %d tables", len(geoms))
-			}
-			for _, g := range geoms {
-				if len(g.name) > len(raw) {
-					t.Fatalf("%d-byte manifest decoded a %d-byte name", len(raw), len(g.name))
-				}
-				if g.blockBase < 0 || g.numBlocks < 1 || g.blockBase+g.numBlocks > total ||
-					g.numBlocks*g.blockVectors < g.numVectors {
-					t.Fatalf("table %q spans blocks [%d,+%d) for %d vectors of a %d-block device",
-						g.name, g.blockBase, g.numBlocks, g.numVectors, total)
-				}
-			}
-		}
-	})
-}
-
 // FuzzSnapshotImport throws arbitrary snapshot streams — the manifest, state
 // and block parts a replica downloads chunk by chunk, each as it is and
 // re-sealed (the parts' CRC trailers made valid, the block image's CRC taken
@@ -295,7 +141,7 @@ func FuzzSnapshotImport(f *testing.F) {
 	f.Fuzz(func(t *testing.T, manifest, state, blocks []byte) {
 		for i, parts := range [][2][]byte{{manifest, state}, {sealed(manifest), sealed(state)}} {
 			dir := filepath.Join(t.TempDir(), fmt.Sprint(i))
-			sn := &Snapshot{Manifest: parts[0], State: parts[1], Blocks: blocks, BlocksCRC: crc32.Checksum(blocks, manifestCRCTable)}
+			sn := &Snapshot{Manifest: parts[0], State: parts[1], Blocks: blocks, BlocksCRC: crc32.Checksum(blocks, datadir.Castagnoli)}
 			if err := ImportSnapshot(dir, sn, nvm.SyncNone); err != nil {
 				continue
 			}

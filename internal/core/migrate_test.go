@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"bandana/internal/datadir"
 	"bandana/internal/nvm"
 	"bandana/internal/table"
 	"bandana/internal/trace"
@@ -418,10 +419,10 @@ func TestMigrationKill9Recovery(t *testing.T) {
 		}
 
 		// The migration files must be gone and a second reopen clean.
-		if _, err := os.Stat(filepath.Join(dir, MigrationManifestName)); !os.IsNotExist(err) {
+		if _, err := os.Stat(filepath.Join(dir, datadir.MigrationManifestName)); !os.IsNotExist(err) {
 			t.Fatalf("migration record still present after recovery: %v", err)
 		}
-		if _, err := os.Stat(filepath.Join(dir, MigrationImageName)); !os.IsNotExist(err) {
+		if _, err := os.Stat(filepath.Join(dir, datadir.MigrationImageName)); !os.IsNotExist(err) {
 			t.Fatalf("migration image still present after recovery: %v", err)
 		}
 		reopened.Close()
@@ -459,11 +460,11 @@ func TestMigrationRecoveryIdempotent(t *testing.T) {
 	migrationCrashHook = func(s string) {
 		if s == "installed" {
 			var err error
-			savedMani, err = os.ReadFile(filepath.Join(dir, MigrationManifestName))
+			savedMani, err = os.ReadFile(filepath.Join(dir, datadir.MigrationManifestName))
 			if err != nil {
 				t.Errorf("snapshot manifest: %v", err)
 			}
-			savedImg, err = os.ReadFile(filepath.Join(dir, MigrationImageName))
+			savedImg, err = os.ReadFile(filepath.Join(dir, datadir.MigrationImageName))
 			if err != nil {
 				t.Errorf("snapshot image: %v", err)
 			}
@@ -485,10 +486,10 @@ func TestMigrationRecoveryIdempotent(t *testing.T) {
 	// Re-inject the migration record twice; each reopen must redo it to the
 	// same consistent result.
 	for round := 0; round < 2; round++ {
-		if err := os.WriteFile(filepath.Join(dir, MigrationImageName), savedImg, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, datadir.MigrationImageName), savedImg, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, MigrationManifestName), savedMani, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, datadir.MigrationManifestName), savedMani, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		re, err := Open(Config{Backend: BackendFile, DataDir: dir, Seed: 3, Direct: testDirect()})

@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"bandana/internal/cache"
+	"bandana/internal/datadir"
 	"bandana/internal/layout"
 	"bandana/internal/sim"
 )
@@ -61,7 +62,7 @@ const (
 // verdicts are written in id order, read off the layout-order bits the table
 // serves from.
 func (s *Store) SaveState(w io.Writer) error {
-	h := crc32.New(manifestCRCTable)
+	h := crc32.New(datadir.Castagnoli)
 	bw := bufio.NewWriterSize(io.MultiWriter(w, h), 1<<20)
 	buf := make([]byte, binary.MaxVarintLen64)
 	writeUvarint := func(v uint64) error {
@@ -205,7 +206,7 @@ type savedTable struct {
 // reference to any live store (the caller validates geometry).
 func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 	raw := bufio.NewReaderSize(r, 1<<20)
-	br := &crcByteReader{br: raw, h: crc32.New(manifestCRCTable)}
+	br := &crcByteReader{br: raw, h: crc32.New(datadir.Castagnoli)}
 	magic := make([]byte, len(stateMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("core: read state header: %w", err)

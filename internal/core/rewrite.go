@@ -15,9 +15,23 @@ import (
 // overlay laid over them, rearranged under a layout), one installer
 // (installImage: copy into place, publish, roll back on failure) and one
 // commit protocol around them (installLayout: stage the image and a redo
-// record first, see migration.go), so a crash at any instant reopens to
+// record first, see package datadir), so a crash at any instant reopens to
 // exactly the old or the new layout. Serving continues until the
 // copy-into-place.
+
+// migrationCrashHook, when non-nil, is invoked between migration stages so
+// crash-injection tests can kill the process at a precise point:
+// "image-staged" (image durable, no record), "staged" (image + record
+// durable, blocks untouched), "installed" (new image copied in, state file
+// not yet persisted), "persisted" (state durable, migration record not yet
+// removed).
+var migrationCrashHook func(stage string)
+
+func migrationStage(stage string) {
+	if migrationCrashHook != nil {
+		migrationCrashHook(stage)
+	}
+}
 
 // renderBatch is how many blocks renderImage reads per device dispatch.
 const renderBatch = 64
@@ -110,7 +124,7 @@ func (s *Store) installLayouts(installs []layoutInstall) error {
 // all compute first and commit here — and it survives a crash at any instant:
 //
 //   - the new image is rendered (and, on the file backend, staged durably
-//     with a committed migration record — see migration.go) WITHOUT the
+//     with a committed migration record — see package datadir) WITHOUT the
 //     rewrite lock, so concurrent misses keep reading blocks throughout;
 //   - only the final copy-into-place holds the rewrite lock exclusively,
 //     and it is one contiguous bulk write;
@@ -144,7 +158,13 @@ func (s *Store) installLayout(st *storeTable, l *layout.Layout, mutate func(*tab
 	}
 	start := time.Now()
 	if s.dataDir != "" {
-		if err := s.stageMigration(st, l, img); err != nil {
+		// After the record commits, the install completes even if the
+		// process dies at once: reopen redoes the copy from the staged image.
+		if err := s.dir().StageMigration(img); err != nil {
+			return err
+		}
+		migrationStage("image-staged")
+		if err := s.dir().CommitMigration(st.name, l.Order(), img); err != nil {
 			return err
 		}
 		migrationStage("staged")
@@ -164,7 +184,7 @@ func (s *Store) installLayout(st *storeTable, l *layout.Layout, mutate func(*tab
 				// record (the next open redoes the copy exactly) and refuse
 				// further installs in this process.
 				s.migrationPoisoned.Store(true)
-			} else if cerr := s.clearMigration(); cerr != nil {
+			} else if cerr := s.dir().RemoveMigration(); cerr != nil {
 				// Rollback restored the old bytes, so the record must not
 				// survive to re-apply an abandoned layout at the next open.
 				err = errors.Join(err, cerr)
@@ -182,7 +202,7 @@ func (s *Store) installLayout(st *storeTable, l *layout.Layout, mutate func(*tab
 			return fmt.Errorf("core: table %q: persist installed layout: %w", st.name, err)
 		}
 		migrationStage("persisted")
-		if err := s.clearMigration(); err != nil {
+		if err := s.dir().RemoveMigration(); err != nil {
 			return err
 		}
 	}

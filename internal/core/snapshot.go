@@ -24,11 +24,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"time"
 
+	"bandana/internal/datadir"
 	"bandana/internal/nvm"
 )
 
@@ -125,8 +123,11 @@ func (s *Store) ExportSnapshot() (*Snapshot, error) {
 	}
 
 	totalBlocks := 0
-	for _, st := range s.tables {
+	geoms := make([]datadir.TableGeom, len(s.tables))
+	for i, st := range s.tables {
 		totalBlocks += st.numBlocks
+		geoms[i] = datadir.TableGeom{Name: st.name, Dim: st.dim, NumVectors: st.numVectors,
+			BlockVectors: st.blockVectors, NumBlocks: st.numBlocks, BlockBase: st.blockBase}
 	}
 	blocks := make([]byte, totalBlocks*nvm.BlockSize)
 	for _, st := range s.tables {
@@ -142,31 +143,20 @@ func (s *Store) ExportSnapshot() (*Snapshot, error) {
 	}
 	return &Snapshot{
 		Seq:       s.snapSeq.Load(),
-		Manifest:  manifestBytes(s, totalBlocks),
+		Manifest:  datadir.EncodeManifest(geoms, totalBlocks),
 		State:     state.Bytes(),
 		Blocks:    blocks,
-		BlocksCRC: crc32.Checksum(blocks, manifestCRCTable),
+		BlocksCRC: crc32.Checksum(blocks, datadir.Castagnoli),
 	}, nil
 }
 
 // ImportSnapshot materializes a snapshot as a freshly initialized
-// file-backed data dir at dir, verifying the block image against its CRC
-// first. The blocks go in through the bulk-load path (one contiguous write)
-// and the manifest is committed
-// last, so an interrupted import leaves an uninitialized dir that is simply
-// re-imported — never a torn store. The resulting dir reopens through the
-// normal Open path (usually with Config.ReadOnly for a serving replica).
+// file-backed data dir at dir. Its manifest and state are verified here and
+// its block image by datadir.Dir.Import, all before any file is written. The
+// resulting dir reopens through the normal Open path (usually with
+// Config.ReadOnly for a serving replica).
 func ImportSnapshot(dir string, sn *Snapshot, sync nvm.SyncMode) error {
-	if DirInitialized(dir) {
-		return fmt.Errorf("core: %s already holds an initialized store", dir)
-	}
-	if len(sn.Blocks) == 0 || len(sn.Blocks)%nvm.BlockSize != 0 {
-		return fmt.Errorf("core: snapshot block image of %d bytes is not block-aligned", len(sn.Blocks))
-	}
-	if crc := crc32.Checksum(sn.Blocks, manifestCRCTable); crc != sn.BlocksCRC {
-		return fmt.Errorf("core: snapshot block image checksum mismatch (got %08x, want %08x)", crc, sn.BlocksCRC)
-	}
-	entries, totalBlocks, err := parseManifest(sn.Manifest)
+	entries, totalBlocks, err := datadir.DecodeManifest(sn.Manifest)
 	if err != nil {
 		return err
 	}
@@ -182,7 +172,7 @@ func ImportSnapshot(dir string, sn *Snapshot, sync nvm.SyncMode) error {
 	}
 	names := make(map[string]int, len(entries))
 	for _, e := range entries {
-		names[e.name] = e.numVectors
+		names[e.Name] = e.NumVectors
 	}
 	for _, sv := range saved {
 		nv, ok := names[sv.name]
@@ -195,36 +185,5 @@ func ImportSnapshot(dir string, sn *Snapshot, sync nvm.SyncMode) error {
 		}
 	}
 
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("core: create snapshot dir: %w", err)
-	}
-	fs, err := nvm.CreateFileStore(filepath.Join(dir, BlocksFileName), totalBlocks,
-		nvm.FileStoreOptions{Sync: sync})
-	if err != nil {
-		return err
-	}
-	err = fs.WriteBlocks(0, sn.Blocks)
-	if err == nil {
-		err = fs.Flush()
-	}
-	if cerr := fs.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("core: import snapshot blocks: %w", err)
-	}
-	if err := atomicWriteFile(dir, StateFileName, func(w io.Writer) error {
-		_, werr := w.Write(sn.State)
-		return werr
-	}); err != nil {
-		return fmt.Errorf("core: import snapshot state: %w", err)
-	}
-	// The manifest rename is the commit point, exactly as in initDir.
-	if err := atomicWriteFile(dir, ManifestFileName, func(w io.Writer) error {
-		_, werr := w.Write(sn.Manifest)
-		return werr
-	}); err != nil {
-		return fmt.Errorf("core: import snapshot manifest: %w", err)
-	}
-	return nil
+	return dirAt(dir).Import(sn.Manifest, sn.State, sn.Blocks, sn.BlocksCRC, sync)
 }

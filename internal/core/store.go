@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"bandana/internal/cache"
-	"bandana/internal/fp16"
+	"bandana/internal/datadir"
 	"bandana/internal/iosched"
 	"bandana/internal/layout"
 	"bandana/internal/metrics"
@@ -436,51 +436,6 @@ func (b *admitBits) sizeBytes() int64 {
 	return 8 * int64(len(b.prefetch)+len(b.probation)+len(b.pinned))
 }
 
-// tableGeom is one table's shape and block span: what the manifest records,
-// and all a store keeps of a table besides its blocks on the device.
-type tableGeom struct {
-	name         string
-	dim          int
-	numVectors   int
-	blockVectors int
-	numBlocks    int
-	blockBase    int
-}
-
-func (g tableGeom) vecBytes() int { return g.dim * fp16.ByteSize }
-
-// placeTables validates the tables' shapes (name, dim, numVectors) and lays
-// them out as contiguous block ranges, filling in each span; it returns the
-// total device size in blocks. The placement is a pure function of the
-// shapes, so a reopened file-backed store derives identical spans from its
-// manifest.
-func placeTables(geoms []tableGeom) (int, error) {
-	if len(geoms) == 0 {
-		return 0, fmt.Errorf("core: no tables configured")
-	}
-	seen := make(map[string]bool, len(geoms))
-	next := 0
-	for i := range geoms {
-		g := &geoms[i]
-		if g.numVectors <= 0 || g.dim <= 0 {
-			return 0, fmt.Errorf("core: table %q is empty", g.name)
-		}
-		if g.vecBytes() > nvm.BlockSize {
-			return 0, fmt.Errorf("core: table %q vector size %d exceeds NVM block size %d",
-				g.name, g.vecBytes(), nvm.BlockSize)
-		}
-		if seen[g.name] {
-			return 0, fmt.Errorf("core: duplicate table name %q", g.name)
-		}
-		seen[g.name] = true
-		g.blockVectors = nvm.BlockSize / g.vecBytes()
-		g.numBlocks = (g.numVectors + g.blockVectors - 1) / g.blockVectors
-		g.blockBase = next
-		next += g.numBlocks
-	}
-	return next, nil
-}
-
 // Open creates a Store, sizes (or adopts) the NVM device, writes every table
 // to NVM in its original order and sets up per-table caches with an even
 // split of the DRAM budget. Prefetching is disabled until Train is called.
@@ -570,10 +525,10 @@ func (s *Store) writeTables(tables []*table.Table) error {
 // counters) over an existing device without touching the device contents.
 // layouts[i] is the placement table i's blocks already hold; nil means every
 // table is in ID order (a new store).
-func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, layouts []*layout.Layout) (*Store, error) {
+func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []datadir.TableGeom, layouts []*layout.Layout) (*Store, error) {
 	totalVectors := 0
 	for _, g := range geoms {
-		totalVectors += g.numVectors
+		totalVectors += g.NumVectors
 	}
 	budget := cfg.DRAMBudgetVectors
 	if budget <= 0 {
@@ -612,7 +567,7 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 	// from there. A file-backed store mirrors the log on disk for crash
 	// recovery (reopen replays and removes any previous log before reaching
 	// this point).
-	s.deltaLog, err = newDeltaLog(cfg.UpdateLog, s.snapSeq.Load(), cfg.DataDir, cfg.Sync == nvm.SyncAlways)
+	s.deltaLog, err = newDeltaLog(cfg.UpdateLog, s.snapSeq.Load(), s.dir(), cfg.Sync == nvm.SyncAlways)
 	if err != nil {
 		sched.Close()
 		return nil, err
@@ -621,13 +576,13 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 	for i, g := range geoms {
 		st := &storeTable{
 			index:        i,
-			name:         g.name,
-			numVectors:   g.numVectors,
-			dim:          g.dim,
-			vecBytes:     g.vecBytes(),
-			blockVectors: g.blockVectors,
-			blockBase:    g.blockBase,
-			numBlocks:    g.numBlocks,
+			name:         g.Name,
+			numVectors:   g.NumVectors,
+			dim:          g.Dim,
+			vecBytes:     g.VecBytes(),
+			blockVectors: g.BlockVectors,
+			blockBase:    g.BlockBase,
+			numBlocks:    g.NumBlocks,
 			shards:       shards,
 			counters:     metrics.NewStripedCounters(counterStripes, numCounters),
 			stages:       s.stages,
@@ -639,13 +594,13 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 		if layouts != nil {
 			l = layouts[i]
 		} else {
-			l = layout.Identity(g.numVectors, g.blockVectors)
+			l = layout.Identity(g.NumVectors, g.BlockVectors)
 		}
 		ts := &tableState{layout: l}
 		st.freshCache(ts, shares[i], nil)
 		st.state.Store(ts)
 		s.tables = append(s.tables, st)
-		s.byName[g.name] = i
+		s.byName[g.Name] = i
 	}
 	s.compactCh = make(chan struct{}, 1)
 	s.compactStop = make(chan struct{})
@@ -658,19 +613,19 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, geoms []tableGeom, la
 // capping each table's share at its size and sharing what a small table
 // leaves among the others, so that no budget is stranded in a cache larger
 // than its table (a later splitDRAM subtracts the whole allocation of a table
-// it leaves alone). Every share is at least one vector. placeTables rejected
+// it leaves alone). Every share is at least one vector. PlaceTables rejected
 // an empty table list, so the split cannot divide by zero.
-func initialShares(geoms []tableGeom, budget int) []int {
+func initialShares(geoms []datadir.TableGeom, budget int) []int {
 	order := make([]int, len(geoms))
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(geoms[a].numVectors, geoms[b].numVectors) })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(geoms[a].NumVectors, geoms[b].NumVectors) })
 	shares := make([]int, len(geoms))
 	left, k := budget, len(order)
-	for ; k > 0 && geoms[order[len(order)-k]].numVectors < left/k; k-- {
+	for ; k > 0 && geoms[order[len(order)-k]].NumVectors < left/k; k-- {
 		i := order[len(order)-k]
-		shares[i] = geoms[i].numVectors
+		shares[i] = geoms[i].NumVectors
 		left -= shares[i]
 	}
 	for _, i := range order[len(order)-k:] {

@@ -2,7 +2,7 @@
 //
 //	GET /v1/replica/updates?since=N
 //	    application/octet-stream of concatenated update-log records (the
-//	    framing of core.EncodeUpdateRecord) with Seq > N, oldest first, with
+//	    framing of datadir.EncodeUpdateRecord) with Seq > N, oldest first, with
 //	    headers
 //	        X-Bandana-Seq          the node's live snapshot seq
 //	        X-Bandana-From         the seq the stream resumes after (echo of ?since)
@@ -29,6 +29,7 @@ import (
 	"strconv"
 
 	"bandana/internal/core"
+	"bandana/internal/datadir"
 )
 
 // Incremental-update header names (canonical form).
@@ -69,7 +70,7 @@ func (s *Server) handleReplicaUpdates(w http.ResponseWriter, r *http.Request) {
 	}
 	var payload []byte
 	for _, rec := range recs {
-		payload = core.EncodeUpdateRecord(payload, rec)
+		payload = datadir.EncodeUpdateRecord(payload, rec)
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
