@@ -35,6 +35,7 @@ package cache
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"bandana/internal/vcache"
@@ -290,6 +291,27 @@ func NewPinnedAdmit(pair ThresholdAdmit, ids []uint32) PinnedAdmit {
 		set[id/64] |= 1 << (id % 64)
 	}
 	return PinnedAdmit{Pair: pair, Set: set}
+}
+
+// WarmOrder returns the pinned ids in the order a layout install fills them
+// into the cache ahead of their requests: ascending training count (Pair's
+// Counts), ties in id order, so the coldest is the first to leave the cache
+// while nothing has asked for it.
+func (p PinnedAdmit) WarmOrder() []uint32 {
+	var ids []uint32
+	for w, word := range p.Set {
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, uint32(w*64+bits.TrailingZeros64(word)))
+		}
+	}
+	count := func(id uint32) uint32 {
+		if int(id) < len(p.Pair.Counts) {
+			return p.Pair.Counts[id]
+		}
+		return 0
+	}
+	slices.SortStableFunc(ids, func(a, b uint32) int { return cmp.Compare(count(a), count(b)) })
+	return ids
 }
 
 // HottestIDs returns, in ascending id order, the k ids of counts with the

@@ -19,7 +19,7 @@ import (
 // slice was freshly allocated for this call and may be retained (UpdateVector
 // encodes into one); a caller-owned slice is copied before the overlay and
 // the log capture it. An update costs one log append plus DRAM work (overlay
-// put, cache invalidation); the block image — and the device's write
+// put, cache refresh); the block image — and the device's write
 // counters — catch up when compaction folds the overlay in. Returns the
 // snapshot seq this update committed at.
 func (s *Store) applyUpdate(st *storeTable, id uint32, raw []byte, owned bool) (uint64, error) {
@@ -39,11 +39,12 @@ func (s *Store) applyUpdate(st *storeTable, id uint32, raw []byte, owned bool) (
 		s.deltaLog.appendFailed(s.snapSeq.Load())
 	}
 	st.overlay.put(id, cp, seq)
-	// Epoch before the cache removal: a miss that decoded the (now stale)
-	// block image before this update cannot re-cache its bytes after the
-	// removal.
+	// Epoch before the cache refresh: a miss that decoded the (now stale)
+	// block image before this update cannot re-cache its bytes after it.
+	// A held pinned id keeps its slot word, moved to the new bytes, so a
+	// sealed cache stays sealed; any other cached copy is removed.
 	st.epoch.Add(1)
-	st.loadState().cache.Remove(id)
+	st.loadState().cache.Refresh(id, cp)
 	if needCompact || st.overlay.size() >= s.deltaLog.compactAfter {
 		s.requestCompaction()
 	}
@@ -239,7 +240,7 @@ func advanceSeq(seq *atomic.Uint64, to uint64) {
 
 // ApplyReplicatedUpdates applies update records streamed from a primary to a
 // read-only replica store, in order: each record's bytes go to this store's
-// own log and the DRAM overlay, the cached copy is invalidated, and the
+// own log and the DRAM overlay, the cached copy is refreshed, and the
 // store's snapshot seq advances to the record's — published only after the
 // record is applied and logged, so a downstream follower that observes the
 // seq can always fetch through it. Records' payloads are retained; callers
@@ -284,7 +285,7 @@ func (s *Store) applyReplicatedOne(st *storeTable, rec datadir.UpdateRecord) {
 	}
 	st.overlay.put(rec.ID, rec.Raw, rec.Seq)
 	st.epoch.Add(1)
-	st.loadState().cache.Remove(rec.ID)
+	st.loadState().cache.Refresh(rec.ID, rec.Raw)
 	if needCompact || st.overlay.size() >= s.deltaLog.compactAfter {
 		s.requestCompaction()
 	}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"bandana/internal/datadir"
@@ -59,16 +60,18 @@ func sealed(data []byte) []byte {
 // FuzzStateDecode throws arbitrary bytes, as they are and re-sealed with a
 // valid checksum, at the state.bnd decoder. It must return an error or
 // tables whose lengths fit the bytes it was given. Seeds are a
-// trained data dir's version-6 state, testdata/state_v6.bnd (a pinned table's
-// pinned ids, and a gated table's verdict bits), testdata/state_v5.bnd
+// trained data dir's version-7 state, testdata/state_v7.bnd and
+// testdata/state_v6.bnd (a pinned table's pinned ids, with and without their
+// warm order, and a gated table's verdict bits), testdata/state_v5.bnd
 // (verdict bits, one table prefetching with a demand gate, one gated without
 // prefetching) and testdata/state_v4.bnd (access counts). Decoded verdicts
 // must cover exactly the table's ids, and a pin verdict must hold no
-// probation bits and exactly its table's cache allocation of ids.
+// probation bits and exactly its table's cache allocation of ids, each once
+// in its warm order.
 func FuzzStateDecode(f *testing.F) {
 	state := trainedStateFile(f)
 	addSealedSeeds(f, state)
-	for _, name := range []string{"testdata/state_v6.bnd", "testdata/state_v5.bnd", "testdata/state_v4.bnd"} {
+	for _, name := range []string{"testdata/state_v6.bnd", "testdata/state_v5.bnd", "testdata/state_v4.bnd", "testdata/state_v7.bnd"} {
 		seed, err := os.ReadFile(name)
 		if err != nil {
 			f.Fatal(err)
@@ -95,6 +98,9 @@ func FuzzStateDecode(f *testing.F) {
 					if pinned != nil {
 						if n := v.pinnedVectors(); n != sv.cacheCap || n == 0 {
 							t.Fatalf("a pin verdict of %d ids for a %d-vector cache", n, sv.cacheCap)
+						}
+						if warm := slices.Sorted(slices.Values(v.warm)); !slices.Equal(warm, v.pinnedIDs()) {
+							t.Fatalf("a warm order of %d ids for %d pinned ids, or not each once", len(v.warm), v.pinnedVectors())
 						}
 					} else {
 						pinned = make([]uint64, words)

@@ -25,22 +25,9 @@ func hotShapeStore(tb testing.TB) *Store { return benchShapeStore(tb, 120_000) }
 // given vectors, trained and served as coldShapeStore says.
 func benchShapeStore(tb testing.TB, budget int) *Store {
 	tb.Helper()
-	const trainRequests, requests = 4000, 12000
-	tables, w := synth.BuildWorkload(synth.Options{Scale: 0.002, NumTables: 4, Seed: 1, Requests: requests})
-	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: budget, Seed: 1, CacheShards: 8})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var train []*trace.Trace
-	for _, tr := range w.Traces {
-		train = append(train, tr.Prefix(trainRequests))
-	}
-	if _, err := s.Train(train, TrainOptions{}); err != nil {
-		s.Close()
-		tb.Fatal(err)
-	}
-	for r := trainRequests; r < requests; r++ {
-		for ti, tr := range w.Traces {
+	s, traces := trainedShapeStore(tb, budget)
+	for r := shapeTrainRequests; r < shapeRequests; r++ {
+		for ti, tr := range traces {
 			if r < len(tr.Queries) && len(tr.Queries[r]) > 0 {
 				if _, err := s.LookupBatchRaw(ti, tr.Queries[r]); err != nil {
 					s.Close()
@@ -50,6 +37,30 @@ func benchShapeStore(tb testing.TB, budget int) *Store {
 		}
 	}
 	return s
+}
+
+// The benchmark shape's trace: the first shapeTrainRequests requests train,
+// the rest up to shapeRequests are served.
+const shapeTrainRequests, shapeRequests = 4000, 12000
+
+// trainedShapeStore is benchShapeStore before it serves anything: the store
+// as Train leaves it, and its tables' whole traces.
+func trainedShapeStore(tb testing.TB, budget int) (*Store, []*trace.Trace) {
+	tb.Helper()
+	tables, w := synth.BuildWorkload(synth.Options{Scale: 0.002, NumTables: 4, Seed: 1, Requests: shapeRequests})
+	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: budget, Seed: 1, CacheShards: 8})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var train []*trace.Trace
+	for _, tr := range w.Traces {
+		train = append(train, tr.Prefix(shapeTrainRequests))
+	}
+	if _, err := s.Train(train, TrainOptions{}); err != nil {
+		s.Close()
+		tb.Fatal(err)
+	}
+	return s, w.Traces
 }
 
 // BenchmarkHitLayer measures the hit path as a layer against its

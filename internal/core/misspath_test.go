@@ -282,8 +282,9 @@ func TestOverlayHitRawBatchAllocBound(t *testing.T) {
 }
 
 // TestTableStatsCacheSlots checks the arena's accounting reaches TableStats:
-// resident bytes inside allocated slab bytes, evictions under outstanding
-// leases parked in limbo, and evictions with no lease anywhere freed at once.
+// resident bytes inside allocated slab bytes, slots a hit handed out that
+// leave the cache under outstanding leases parked in limbo, and slots that
+// leave with no lease anywhere freed at once.
 func TestTableStatsCacheSlots(t *testing.T) {
 	s := newMissPathStore(t)
 	batches := coldBatches(s, 16)
@@ -295,9 +296,28 @@ func TestTableStatsCacheSlots(t *testing.T) {
 		}
 		releases = append(releases, release)
 	}
+	// A leased read of the listed entries hands them out, and updates move
+	// them out while every lease is outstanding.
+	c := s.tables[0].loadState().cache
+	var listed []uint32
+	for _, id := range slices.Concat(batches...) {
+		if onList(c, id) {
+			listed = append(listed, id)
+		}
+	}
+	_, release, err := s.LookupBatchRawLeased(0, listed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	releases = append(releases, release)
+	for _, id := range listed {
+		if err := s.UpdateVector(0, id, testVec(s.tables[0].dim, id)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	st := s.Stats()[0]
 	if st.CacheLimboSlots == 0 {
-		t.Fatalf("no limbo slots reported with 16 leases outstanding over %d evicting misses", st.Misses)
+		t.Fatalf("no limbo slots reported with 17 leases outstanding over %d misses and %d updates of listed entries read", st.Misses, len(listed))
 	}
 	if st.CacheBytesResident != int64(st.CacheUsed*s.tables[0].vecBytes) || st.CacheArenaBytes < st.CacheBytesResident || st.CacheSlabs == 0 {
 		t.Fatalf("arena byte accounting inconsistent: used %d, resident %d B, arena %d B, %d slabs",
@@ -307,7 +327,8 @@ func TestTableStatsCacheSlots(t *testing.T) {
 		release()
 	}
 	// With no lease anywhere, a slot that leaves the cache is free at once:
-	// updating a cached vector invalidates its entry. (A pinned table whose
+	// updating a cached vector removes its entry, or moves a held one to a
+	// fresh slot. (A pinned table whose
 	// pinned ids fill its cache caches no other id, so the vector is one the
 	// cache holds.)
 	var id uint32

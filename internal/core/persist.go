@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"bandana/internal/cache"
 	"bandana/internal/datadir"
@@ -26,11 +27,13 @@ import (
 
 const stateMagic = "BNDSTATE"
 
-// stateVersion 6 is what SaveState writes: per table the placement order; a
+// stateVersion 7 is what SaveState writes: per table the placement order; a
 // verdicts flag — 0 none, 1 the threshold policy's verdicts (the prefetch and
 // the probation bitset, ⌈n/64⌉ little-endian words each, bit id of word id/64
-// — id order, whatever the layout), 2 a pin verdict (those two and the pinned
-// bitset) — and with verdicts their prefetch queue position (float64 bits);
+// — id order, whatever the layout), 2 a pin verdict (those two, the pinned
+// bitset, and its ids once each as varints in warm order: the order an
+// install fills them into the cache) — and with verdicts their prefetch
+// queue position (float64 bits);
 // the prefetch threshold, demand threshold, prefetch flag, cache allocation
 // and the tuner's prediction for the verdict it chose (hit ratio and lookups
 // per block read, as float64 bits); then a CRC-32C trailer over the whole
@@ -39,21 +42,24 @@ const stateMagic = "BNDSTATE"
 // serving wrong vectors after a reopen. A pinned table pins exactly its
 // cache allocation's worth of ids.
 //
-// Version 5 is version 6 without the pin verdict, so it still decodes, as
-// unpinned. Version 4 does too: it holds the per-vector access counts where 5
-// holds the verdicts (and no position); they are compiled once, into the
-// installed layout's order, and dropped. Versions 1–3 are refused.
+// Version 6 is version 7 without the warm order, so it still decodes, a pin
+// verdict warming in id order. Version 5 is version 6 without the pin
+// verdict, so it decodes as unpinned. Version 4 does too: it holds the
+// per-vector access counts where 5 holds the verdicts (and no position);
+// they are compiled once, into the installed layout's order, and dropped.
+// Versions 1–3 are refused.
 const (
-	stateVersion   = 6
+	stateVersion   = 7
+	stateVersionV6 = 6
 	stateVersionV5 = 5
 	stateVersionV4 = 4
 )
 
-// The verdicts flag of a version-5 or -6 table.
+// The verdicts flag of a version-5, -6 or -7 table.
 const (
 	noVerdicts        = 0
 	thresholdVerdicts = 1
-	pinVerdict        = 2 // version 6 only
+	pinVerdict        = 2 // version 6 on
 )
 
 // SaveState serialises the store's trained state (placements, threshold
@@ -120,13 +126,19 @@ func (s *Store) SaveState(w io.Writer) error {
 			if err := writeUvarint(flag); err != nil {
 				return err
 			}
-			// A threshold verdict's pinned set is nil: it writes no words.
+			// A threshold verdict's pinned set and warm order are nil: it
+			// writes neither.
 			for _, words := range [][]uint64{verdicts.prefetch, verdicts.probation, verdicts.pinned} {
 				for _, w := range words {
 					binary.LittleEndian.PutUint64(buf[:8], w)
 					if _, err := bw.Write(buf[:8]); err != nil {
 						return err
 					}
+				}
+			}
+			for _, id := range verdicts.warm {
+				if err := writeUvarint(uint64(id)); err != nil {
+					return err
 				}
 			}
 			if err := writeUvarint(math.Float64bits(verdicts.position)); err != nil {
@@ -218,7 +230,7 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != stateVersion && version != stateVersionV5 && version != stateVersionV4 {
+	if version < stateVersionV4 || version > stateVersion {
 		return nil, fmt.Errorf("core: unsupported state version %d", version)
 	}
 	numTables, err := binary.ReadUvarint(br)
@@ -282,7 +294,7 @@ func decodeSavedStates(r io.Reader) ([]savedTable, error) {
 				return nil, fmt.Errorf("core: table %q: bad verdicts flag %d", sv.name, flag)
 			}
 			if flag != noVerdicts {
-				if sv.verdicts, err = readVerdicts(br, sv.name, orderLen, flag == pinVerdict); err != nil {
+				if sv.verdicts, err = readVerdicts(br, sv.name, orderLen, flag == pinVerdict, version >= stateVersion); err != nil {
 					return nil, err
 				}
 			}
@@ -366,8 +378,9 @@ func readCounts(br io.ByteReader, name string, orderLen uint64) ([]uint32, error
 // readVerdicts reads a table's verdicts for n ids, in id order: the prefetch
 // and the probation bitset, and the pinned one of a pin verdict, ⌈n/64⌉
 // words each (a shorter stream fails at EOF) with no bit set at or beyond n,
-// and the prefetch position.
-func readVerdicts(br *crcByteReader, name string, n uint64, pinned bool) (*admitBits, error) {
+// then a pin verdict's warm order when the file holds one (ordered: each
+// pinned id once; without one, id order), and the prefetch position.
+func readVerdicts(br *crcByteReader, name string, n uint64, pinned, ordered bool) (*admitBits, error) {
 	words := (n + 63) / 64
 	v := &admitBits{}
 	sets := []*[]uint64{&v.prefetch, &v.probation, &v.pinned}
@@ -381,6 +394,23 @@ func readVerdicts(br *crcByteReader, name string, n uint64, pinned bool) (*admit
 		}
 		if n%64 != 0 && (*set)[words-1]>>(n%64) != 0 {
 			return nil, fmt.Errorf("core: table %q: verdict bits set beyond id %d", name, n-1)
+		}
+	}
+	if pinned {
+		v.warm = v.pinnedIDs()
+	}
+	if pinned && ordered {
+		left := slices.Clone(v.pinned)
+		for i := range v.warm {
+			id, err := binary.ReadUvarint(br)
+			if err != nil {
+				return nil, err
+			}
+			if id >= n || left[id/64]&(1<<(id%64)) == 0 {
+				return nil, fmt.Errorf("core: table %q: warm order names id %d, not a pinned id or named before", name, id)
+			}
+			left[id/64] &^= 1 << (id % 64)
+			v.warm[i] = uint32(id)
 		}
 	}
 	bits, err := binary.ReadUvarint(br)

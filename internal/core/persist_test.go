@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -407,7 +408,8 @@ func goldenStore(t *testing.T) (*Store, []*trace.Trace) {
 	return s, trains
 }
 
-// goldenV6Store is the store testdata/state_v6.bnd was saved from:
+// goldenV6Store is the store testdata/state_v6.bnd and state_v7.bnd were
+// saved from:
 // goldenStore as Train leaves it, table 0 pinned, and table 1 unpinned,
 // serving its tuned prefetch threshold with a demand threshold of 3.
 func goldenV6Store(t *testing.T) (*Store, []*trace.Trace) {
@@ -494,14 +496,30 @@ func TestStateVersion5Golden(t *testing.T) {
 	checkReferenceVerdicts(t, loaded, trains)
 }
 
-// TestStateVersion6Golden pins the version-6 state format to
-// testdata/state_v6.bnd: SaveState of goldenV6Store, whose verdicts are held
-// in layout order, must reproduce it byte for byte — a pinned table and a
-// gated one — and LoadState of it must publish the store's verdicts, the
-// reference ones at every layout position, and a pinned table's cache shaped
-// to its pinned ids shard by shard.
+// TestStateVersion6Golden: testdata/state_v6.bnd, SaveState of
+// goldenV6Store as the version-6 encoder wrote it, still loads: LoadState of
+// it publishes the store's verdicts, the file's predictions (taken before a
+// pinned table's forecast started warm), the reference verdicts at every
+// layout position, and a pinned table's cache shaped to its pinned ids
+// shard by shard, and the pin verdict, which the file gives no warm order,
+// warms in id order. The writer golden is version 7's
+// (TestStateVersion7Golden).
 func TestStateVersion6Golden(t *testing.T) {
-	golden, err := os.ReadFile("testdata/state_v6.bnd")
+	loaded := loadStateGolden(t, "testdata/state_v6.bnd")
+	if ts := loaded.tables[0].loadState(); !slices.Equal(ts.admit.warm, ts.admit.pinnedIDs()) {
+		t.Fatal("a version-6 pin verdict does not warm in id order")
+	}
+}
+
+// TestStateVersion7Golden pins the version-7 state format to
+// testdata/state_v7.bnd: SaveState of goldenV6Store, whose verdicts are held
+// in layout order, must reproduce it byte for byte — a pinned table, with its
+// warm order, and a gated one — and LoadState of it must publish the store's
+// verdicts, the reference ones at every layout position, a pinned table's
+// cache shaped to its pinned ids shard by shard, and the store's warm order:
+// the pinned ids in ascending training count.
+func TestStateVersion7Golden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/state_v7.bnd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,14 +530,41 @@ func TestStateVersion6Golden(t *testing.T) {
 	if ts1 := s.tables[1].loadState(); ts1.admit.pinned != nil || ts1.demandThreshold != 3 {
 		t.Fatalf("table 1: pinned %v, demand threshold %d: the file would pin no gated table", ts1.admit.pinned != nil, ts1.demandThreshold)
 	}
+	counts := trains[0].AccessCounts()
+	warm := s.tables[0].loadState().admit.warm
+	if slices.Equal(warm, s.tables[0].loadState().admit.pinnedIDs()) ||
+		!slices.IsSortedFunc(warm, func(a, b uint32) int { return cmp.Compare(counts[a], counts[b]) }) {
+		t.Fatal("the trained warm order is id order, or not ascending training count: the file would pin no order")
+	}
 	var saved bytes.Buffer
 	if err := s.SaveState(&saved); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(saved.Bytes(), golden) {
-		t.Fatalf("SaveState wrote %d bytes that differ from the %d of testdata/state_v6.bnd", saved.Len(), len(golden))
+		t.Fatalf("SaveState wrote %d bytes that differ from the %d of testdata/state_v7.bnd", saved.Len(), len(golden))
 	}
+	loaded := loadStateGolden(t, "testdata/state_v7.bnd")
+	if !slices.Equal(loaded.tables[0].loadState().admit.warm, warm) {
+		t.Fatal("the loaded warm order is not the saved one")
+	}
+}
 
+// loadStateGolden loads the state file name into a goldenV6Store, holds the
+// published state to the store's own (verdicts, allocations) and to the
+// file's predictions, and to the reference verdicts, checks that the pinned
+// table's cache is shaped to its pinned ids shard by shard, and returns the
+// loaded store.
+func loadStateGolden(t *testing.T, name string) *Store {
+	t.Helper()
+	golden, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, err := decodeSavedStates(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, trains := goldenV6Store(t)
 	loaded, _ := goldenV6Store(t)
 	if err := loaded.LoadState(bytes.NewReader(golden)); err != nil {
 		t.Fatal(err)
@@ -529,14 +574,15 @@ func TestStateVersion6Golden(t *testing.T) {
 		if err := sameVerdicts(ts, want); err != nil {
 			t.Fatalf("table %d: %v", i, err)
 		}
-		if ts.cacheCap != want.cacheCap || ts.predicted != want.predicted {
-			t.Fatalf("table %d: cache %d and prediction %+v, saved %d and %+v", i, ts.cacheCap, ts.predicted, want.cacheCap, want.predicted)
+		if ts.cacheCap != want.cacheCap || ts.predicted != saved[i].predicted {
+			t.Fatalf("table %d: cache %d and prediction %+v, want %d and the file's %+v", i, ts.cacheCap, ts.predicted, want.cacheCap, saved[i].predicted)
 		}
 	}
 	checkReferenceVerdicts(t, loaded, trains)
 	if err := pinnedShardsHold(loaded.tables[0], nil); err != nil {
 		t.Fatal(err)
 	}
+	return loaded
 }
 
 // TestPersistedPrefetchPositionIsData holds the prefetch position a state
@@ -617,11 +663,12 @@ func TestPersistedPrefetchPositionIsData(t *testing.T) {
 }
 
 // TestPinVerdictValidation: a state file's pin verdict must be what a store
-// can serve — in a version-6 file, and for exactly its table's cache
-// allocation of ids. A version-5 file claiming one, or a pin verdict whose id
-// count and allocation disagree, is refused before anything changes.
+// can serve — in a version-6 or later file, and for exactly its table's
+// cache allocation of ids. A version-5 file claiming one, or a pin verdict
+// whose id count and allocation disagree, is refused before anything
+// changes.
 func TestPinVerdictValidation(t *testing.T) {
-	golden, err := os.ReadFile("testdata/state_v6.bnd")
+	golden, err := os.ReadFile("testdata/state_v7.bnd")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"slices"
@@ -138,11 +139,12 @@ func TestPinnedShardsKeepEveryPinnedID(t *testing.T) {
 	}
 }
 
-// TestUpdatedPinnedIDIsCachedPinnedAgain: an update invalidates a pinned
-// id's cached copy like any other; the next lookup serves the new bytes from
-// the overlay and caches them again, as pinned (off the recency list), and
-// after compaction the entry still serves them. An updated id the table does
-// not pin is served fresh too.
+// TestUpdatedPinnedIDIsCachedPinnedAgain: an update of a held pinned id
+// moves its slot word to the new bytes, so the id stays cached, pinned (off
+// the recency list), and its cached copy equals the update; lookups serve
+// the new bytes, and after compaction the entry still serves them. An
+// updated id the table does not pin leaves the cache and is served fresh
+// too.
 func TestUpdatedPinnedIDIsCachedPinnedAgain(t *testing.T) {
 	s, eval := pinnedStore(t, 8)
 	st := s.tables[0]
@@ -156,7 +158,7 @@ func TestUpdatedPinnedIDIsCachedPinnedAgain(t *testing.T) {
 	var pinned, other uint32
 	found := 0
 	for _, id := range ids {
-		if ts.cache.Contains(id) {
+		if ts.cache.Contains(id) && !onList(ts.cache, id) {
 			pinned, found = id, found+1
 			break
 		}
@@ -175,8 +177,10 @@ func TestUpdatedPinnedIDIsCachedPinnedAgain(t *testing.T) {
 		if err := s.UpdateVector(0, id, vec); err != nil {
 			t.Fatal(err)
 		}
-		if ts.cache.Contains(id) {
-			t.Fatalf("id %d: the update left its stale copy cached", id)
+		var cached []byte
+		ts.cache.GetFunc(id, func(p []byte, _ bool) { cached = append(cached, p...) })
+		if (id == pinned) != (cached != nil) || cached != nil && !bytes.Equal(cached, rawOf(vec)) {
+			t.Fatalf("id %d (pinned %v): the update left a cached copy of %d bytes that is not the update's", id, id == pinned, len(cached))
 		}
 		for pass := range 2 {
 			got, err := s.Lookup(0, id)

@@ -117,8 +117,7 @@ func TestPinnedFormServesUpdatesUnderRace(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// The last updates invalidated their ids; read once more, they are
-	// cached pinned again.
+	// The updated ids stayed held; read once more, they are cached pinned.
 	if _, err := s.LookupBatchRaw(0, hotIDs); err != nil {
 		t.Fatal(err)
 	}

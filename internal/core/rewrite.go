@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"bandana/internal/cache"
 	"bandana/internal/layout"
 	"bandana/internal/nvm"
 )
@@ -132,7 +133,9 @@ func (s *Store) installLayouts(installs []layoutInstall) error {
 //     valid across the swap (the cache is keyed by vector ID, which a
 //     layout change does not alter);
 //   - the admission bits move with their vectors into l's order, so a
-//     re-layout keeps the policy; a mutate that sets one replaces them.
+//     re-layout keeps the policy; a mutate that sets one replaces them;
+//   - the pinned set the published state names is filled from the image
+//     (see warmPinned), so its ids cost no block read on first request.
 //
 // Vector updates are excluded for the whole install (updateMu) so the staged
 // image cannot go stale. Callers must hold s.mutateMu: the staging protocol
@@ -192,6 +195,7 @@ func (s *Store) installLayout(st *storeTable, l *layout.Layout, mutate func(*tab
 		}
 		return err
 	}
+	st.warmPinned(l, img)
 	migrationStage("installed")
 	if s.dataDir != "" {
 		if err := s.Persist(); err != nil {
@@ -209,6 +213,27 @@ func (s *Store) installLayout(st *storeTable, l *layout.Layout, mutate func(*tab
 	st.layoutInstalls.Add(1)
 	s.lastInstallNS.Store(int64(time.Since(start)))
 	return nil
+}
+
+// warmPinned fills the cache of st's published state, laid out under l,
+// with every id of its explicit pin verdict that the cache does not hold,
+// copied from img, the table's image under l: unrequested entries at
+// cache.ProbationPosition (see vcache's Warm), in the verdict's warm order
+// (ascending training count), so the hottest is the last to leave and a
+// routed node's pinned ids it never serves leave first. It takes only room
+// the cache has free and reads no block. An implied set (a cache that
+// covers its table) stays on demand. The caller holds st.updateMu and has
+// just installed img, so img is the table's current content and the epoch
+// guard holds until the caller lets updates in.
+func (st *storeTable) warmPinned(l *layout.Layout, img []byte) {
+	ts := st.loadState()
+	if ts.admit == nil || ts.admit.warm == nil {
+		return
+	}
+	ts.cache.Warm(ts.admit.warm, func(id uint32) []byte {
+		off := st.slotOffset(l, id)
+		return img[off : off+st.vecBytes]
+	}, cache.ProbationPosition, &st.epoch, st.epoch.Load())
 }
 
 // errMigrationRollbackFailed marks an install whose copy AND rollback both

@@ -115,7 +115,8 @@ type TableDRAM struct {
 	Layout int64
 	// AdmitBits is the threshold policy's verdicts, two bits per vector in
 	// layout order: a quarter byte per vector, 0 when the table has no
-	// policy (prefetching off, no demand gate).
+	// policy (prefetching off, no demand gate). A pin verdict adds its
+	// pinned set, a bit per vector, and its warm order, 4 B per pinned id.
 	AdmitBits int64
 	// Overlay is the payloads and entries of updates not yet compacted, and
 	// the overlay's 512 B membership filter once the table took an update.

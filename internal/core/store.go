@@ -333,6 +333,11 @@ type admitBits struct {
 	// may write them. The two bitsets above hold the verdicts of the
 	// thresholds the pin is over, no pinned id on probation.
 	pinned []uint64
+	// warm is a pin verdict's ids in the order an install fills them into
+	// the cache (see warmPinned): ascending training count, ties in id
+	// order — id order alone for a verdict from a state file older than
+	// version 7. nil for any other policy.
+	warm []uint32
 }
 
 // bit reports whether bit p of words is set.
@@ -358,6 +363,7 @@ func compileAdmission(p verdicts, l *layout.Layout) *admitBits {
 	b := &admitBits{prefetch: make([]uint64, words), probation: make([]uint64, words), position: position}
 	if pa, ok := p.(cache.PinnedAdmit); ok {
 		b.pinned = pa.Set[:words]
+		b.warm = pa.WarmOrder()
 	}
 	c := l.Cursor()
 	for pos := range n {
@@ -411,7 +417,8 @@ func (b *admitBits) pinnedVectors() int {
 // permuted returns b's bits rearranged over n positions: bit i of the result
 // is bit src(i) of b. It moves the verdicts under a re-layout and between
 // layout order and the id order of the state file; nil stays nil. The
-// pinned set is in id order already and is kept as it is.
+// pinned set is in id order already and is kept as it is, and so is its
+// warm order.
 func (b *admitBits) permuted(n int, src func(i int) int) *admitBits {
 	if b == nil {
 		return nil
@@ -425,15 +432,15 @@ func (b *admitBits) permuted(n int, src func(i int) int) *admitBits {
 		}
 		return out
 	}
-	return &admitBits{prefetch: perm(b.prefetch), probation: perm(b.probation), position: b.position, pinned: b.pinned}
+	return &admitBits{prefetch: perm(b.prefetch), probation: perm(b.probation), position: b.position, pinned: b.pinned, warm: b.warm}
 }
 
-// sizeBytes is the heap the bits hold.
+// sizeBytes is the heap the bits and a pin verdict's warm order hold.
 func (b *admitBits) sizeBytes() int64 {
 	if b == nil {
 		return 0
 	}
-	return 8 * int64(len(b.prefetch)+len(b.probation)+len(b.pinned))
+	return 8*int64(len(b.prefetch)+len(b.probation)+len(b.pinned)) + 4*int64(len(b.warm))
 }
 
 // Open creates a Store, sizes (or adopts) the NVM device, writes every table

@@ -274,10 +274,11 @@ func TestWholeTablePinSurvivesLoadStateAndReopen(t *testing.T) {
 	}
 }
 
-// TestUpdatedIDIsCachedPinnedInWholeTable: an update invalidates the cached
-// copy of an id in a whole-table cache; the next lookup serves the new bytes
-// from the overlay and caches them again off the recency list, and after
-// compaction the entry still serves them.
+// TestUpdatedIDIsCachedPinnedInWholeTable: an update of an id held in a
+// whole-table cache moves its slot word to the new bytes, so the id stays
+// cached off the recency list and its cached copy equals the update;
+// lookups serve the new bytes, and after compaction the entry still serves
+// them.
 func TestUpdatedIDIsCachedPinnedInWholeTable(t *testing.T) {
 	s, train, eval := wholeStore(t, wholeVectors, 8)
 	trainWhole(t, s, train)
@@ -294,8 +295,10 @@ func TestUpdatedIDIsCachedPinnedInWholeTable(t *testing.T) {
 	if err := s.UpdateVector(0, id, vec); err != nil {
 		t.Fatal(err)
 	}
-	if c.Contains(id) {
-		t.Fatalf("id %d: the update left its stale copy cached", id)
+	var cached []byte
+	c.GetFunc(id, func(p []byte, _ bool) { cached = append(cached, p...) })
+	if !bytes.Equal(cached, rawOf(vec)) {
+		t.Fatalf("id %d: the update left a cached copy of %d bytes that is not the update's", id, len(cached))
 	}
 	for pass := range 2 {
 		got, err := s.Lookup(0, id)
@@ -400,8 +403,8 @@ func rawOf(vec []float32) []byte { return fp16.EncodeSlice(nil, vec) }
 
 // TestWholeFormServesUpdatesUnderRace is the whole-table form's -race test
 // of the serving path: lookups served by lock-free hits run against
-// UpdateVector (which removes the cached copy, so the next lookup refills
-// it from the overlay) and CompactDeltas. Each update's tag is counted
+// UpdateVector (which moves a held id's slot word to the new bytes) and
+// CompactDeltas. Each update's tag is counted
 // started before UpdateVector and acknowledged after it returns; a lookup
 // must serve an id's vector of a tag at least the one acknowledged before
 // it began and at most the one started when it ended.

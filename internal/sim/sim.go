@@ -25,13 +25,18 @@
 //     fill, which refuses an id already resident. Under a
 //     cache.PinnedAdmit the cache holds its set as the store's does
 //     (vcache's Pin), at a capacity of the set's size.
-//   - Against a store with one cache shard (Config.CacheShards: 1) serving
-//     the same queries one at a time, BlockReads, Hits, Misses,
-//     ProbationFills, PrefetchesAdmitted and PrefetchHits are equal through
-//     every read API (core's TestReplayIsTheStore holds the two together). A
-//     store with more shards splits the capacity into per-shard LRU queues;
-//     that split is the only remaining difference between simulated and
-//     served counters.
+//   - A replay starts from an empty cache. A store starts warm after a
+//     layout install: the install fills a pin verdict's ids from the image
+//     it wrote, unrequested at the cold end of the list (core's
+//     warmPinned), so its first request of each is a hit where the replay
+//     reads a block. Against a store with one cache shard (Config.CacheShards:
+//     1) whose cache starts empty too, serving the same queries one at a
+//     time, BlockReads, Hits, Misses, ProbationFills, PrefetchesAdmitted and
+//     PrefetchHits are equal through every read API (core's
+//     TestReplayIsTheStore holds the two together); a warm store reads no
+//     more blocks (TestRoutedHalfReadsNoMoreThanReplay). A store with more
+//     shards splits the capacity into per-shard LRU queues; that split is
+//     the only other difference between simulated and served counters.
 //
 // The paper's own baseline — one block read per missed vector, no
 // prefetching — is the no-prefetch replay's Misses (see ReplayBaseline).
@@ -70,6 +75,11 @@ type Config struct {
 	// unsampled vectors are skipped entirely and prefetch candidates that
 	// are not sampled are ignored.
 	Filter func(id uint32) bool
+	// Warm, when non-nil, is filled into the cache before the first query,
+	// in order, as a layout install fills a store's pinned set: each id
+	// unrequested at cache.ProbationPosition, into room the cache has free
+	// (vcache's Warm). nil: the replay starts from an empty cache.
+	Warm []uint32
 }
 
 // Result summarises one simulation run.
@@ -117,6 +127,7 @@ func Replay(tr *trace.Trace, cfg Config) Result {
 	if p, ok := policy.(cache.PinnedAdmit); ok {
 		c.Pin(p.Set)
 	}
+	c.Warm(cfg.Warm, func(uint32) []byte { return nil }, cache.ProbationPosition, nil, 0)
 	res := Result{Policy: policy.Name()}
 
 	// Per-id state, indexed by id so a query costs no map or set allocation.
@@ -307,8 +318,9 @@ type ThresholdChoice struct {
 	// pair alone.
 	Pinned bool
 	// MiniatureGain is the effective bandwidth increase observed in the
-	// miniature simulation at the chosen verdict (the pair, pinned or not),
-	// over the plain replay: no prefetching, every fill at the MRU end.
+	// miniature simulation at the chosen verdict (the pair, or the pinned
+	// pair from a warm cache), over the plain replay: no prefetching, every
+	// fill at the MRU end.
 	// PrefetchGain is the share of the pair's gain prefetching earns — the
 	// pair over the best prefetch-free one (NoPrefetch below); 0 when the
 	// pair does not prefetch.
@@ -470,9 +482,11 @@ type tuned struct {
 // so a table it does not help is tuned exactly as if the gate did not exist.
 // Last, one replay of the pin verdict: the chosen pair, in a miniature cache
 // that never evicts its capacity's worth of the hottest sampled ids. It is
-// kept only where it reads strictly fewer blocks than the pair alone. A
-// cache that holds the whole table evicts nothing and skips the last two
-// steps.
+// kept only where it reads strictly fewer blocks than the pair alone, and
+// then replayed once more from the cache the store serves it from, its
+// pinned ids filled in warm order (Config.Warm), for the forecast
+// (Predicted, MiniatureGain). A cache that holds the whole table evicts
+// nothing and skips the last two steps.
 func TuneThreshold(tr *trace.Trace, cfg TunerConfig) (ThresholdChoice, error) {
 	if cfg.Layout == nil {
 		return ThresholdChoice{}, fmt.Errorf("sim: tuner requires a layout")
@@ -552,9 +566,13 @@ func TuneThreshold(tr *trace.Trace, cfg TunerConfig) (ThresholdChoice, error) {
 	choice.Threshold, choice.DemandThreshold = on.threshold, on.demand
 	chosen := on.res
 	if partial {
-		pinned := cache.HottestIDs(cfg.Counts, miniCache, inMiniature)
-		if pin := replayPolicy(cache.NewPinnedAdmit(cache.NewThresholdAdmit(cfg.Counts, on.threshold, on.demand), pinned)); pin.BlockReads < chosen.BlockReads {
-			choice.Pinned, chosen = true, pin
+		p := cache.NewPinnedAdmit(cache.NewThresholdAdmit(cfg.Counts, on.threshold, on.demand), cache.HottestIDs(cfg.Counts, miniCache, inMiniature))
+		if pin := replayPolicy(p); pin.BlockReads < chosen.BlockReads {
+			// The verdict is taken from an empty cache, like every other
+			// step, but the store serves it warm: the install that
+			// publishes it fills the pinned set first.
+			choice.Pinned = true
+			chosen = Replay(miniTrace, Config{Layout: cfg.Layout, CacheVectors: miniCache, Policy: p, Warm: p.WarmOrder()})
 		}
 	}
 	choice.MiniatureGain = EffectiveBandwidthIncrease(chosen, baseline.res)

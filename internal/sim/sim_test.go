@@ -653,7 +653,8 @@ func TestReplayKeepsThePinnedIDs(t *testing.T) {
 // TestTuneThresholdPinsWhereItReadsFewer: on a skewed trace with a small
 // cache the tuner pins the hottest ids on top of its pair, because that
 // replays to fewer block reads than the pair alone, and its prediction and
-// gain are the pinned pair's replay.
+// gain are the pinned pair's replay from the cache the store serves it
+// from: warm, its pinned ids filled in warm order, which reads no more.
 func TestTuneThresholdPinsWhereItReadsFewer(t *testing.T) {
 	tr := benchTrace().Prefix(400)
 	l := layout.Identity(tr.NumVectors, 32)
@@ -664,14 +665,19 @@ func TestTuneThresholdPinsWhereItReadsFewer(t *testing.T) {
 	}
 	pairPolicy := cache.NewThresholdAdmit(counts, choice.Threshold, choice.DemandThreshold)
 	pair := Replay(tr, Config{Layout: l, CacheVectors: 300, Policy: pairPolicy})
-	pinned := Replay(tr, Config{Layout: l, CacheVectors: 300, Policy: cache.NewPinnedAdmit(pairPolicy, cache.HottestIDs(counts, 300, nil))})
+	pinPolicy := cache.NewPinnedAdmit(pairPolicy, cache.HottestIDs(counts, 300, nil))
+	pinned := Replay(tr, Config{Layout: l, CacheVectors: 300, Policy: pinPolicy})
 	if !choice.Pinned || pinned.BlockReads >= pair.BlockReads {
 		t.Fatalf("pinned %v: the pinned pair reads %d blocks, the pair %d", choice.Pinned, pinned.BlockReads, pair.BlockReads)
 	}
-	if got := predictionOf(pinned); got != choice.Predicted {
-		t.Fatalf("predicted %+v, the pinned pair replays to %+v", choice.Predicted, got)
+	warm := Replay(tr, Config{Layout: l, CacheVectors: 300, Policy: pinPolicy, Warm: pinPolicy.WarmOrder()})
+	if warm.BlockReads > pinned.BlockReads {
+		t.Fatalf("the warm pinned pair reads %d blocks, from an empty cache %d", warm.BlockReads, pinned.BlockReads)
 	}
-	if g := EffectiveBandwidthIncrease(pinned, ReplayBaseline(tr, l, 300, nil)); g != choice.MiniatureGain {
+	if got := predictionOf(warm); got != choice.Predicted {
+		t.Fatalf("predicted %+v, the warm pinned pair replays to %+v", choice.Predicted, got)
+	}
+	if g := EffectiveBandwidthIncrease(warm, ReplayBaseline(tr, l, 300, nil)); g != choice.MiniatureGain {
 		t.Fatalf("MiniatureGain %.4f, the pinned pair's gain over the plain replay %.4f", choice.MiniatureGain, g)
 	}
 }

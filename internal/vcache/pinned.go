@@ -262,7 +262,7 @@ func (c *Cache) reform(p *pinIndex, caps []int) {
 				continue
 			}
 			prefetched := m.segflags&prefetchedBit != 0
-			if k := p.holds(m.id, prefetched); k >= 0 {
+			if k := p.holds(m.id, m.segflags&unrequested != 0); k >= 0 {
 				s.listRemove(uint32(r))
 				s.idxDelete(m.id)
 				s.freeRecord(uint32(r))
@@ -280,9 +280,10 @@ func (c *Cache) reform(p *pinIndex, caps []int) {
 			s.pinned++
 			return
 		}
-		var flags uint32
+		// A lock-free hit may have handed the held slot out.
+		flags := uint32(seenBit)
 		if prefetched {
-			flags = prefetchedBit
+			flags |= prefetchedBit
 		}
 		if seg < 0 {
 			seg = len(s.segs) - 1

@@ -94,11 +94,45 @@ func (s *pinShard) resident(id uint32) (specEntry, bool) {
 
 // file lists or holds e, new or just unlinked, at queue position pos.
 func (m *pinModel) file(s *pinShard, e specEntry, pos float64) {
-	if m.set[e.id] && !e.pre {
+	if m.set[e.id] && !e.pre && !e.warm {
 		s.held[e.id] = e
 		return
 	}
-	s.push(e, min(int(min(max(pos, 0), 1)*float64(len(s.segs))), len(s.segs)-1))
+	s.push(e, s.segAt(pos))
+}
+
+// segAt is the segment queue position pos lands in.
+func (s *pinShard) segAt(pos float64) int {
+	return min(int(min(max(pos, 0), 1)*float64(len(s.segs))), len(s.segs)-1)
+}
+
+// warm is Warm: each id of ids, in order, that is not resident and whose
+// shard has room free is listed unrequested at pos, with gen(id).
+func (m *pinModel) warm(ids []uint32, gen func(uint32) byte, pos float64) (filled int) {
+	if m.whole > 0 {
+		return 0
+	}
+	for _, id := range ids {
+		s := m.of(id)
+		if _, ok := s.resident(id); ok || s.len()+len(s.held) >= s.capacity {
+			continue
+		}
+		s.push(specEntry{id: id, gen: gen(id), warm: true}, s.segAt(pos))
+		filled++
+	}
+	return filled
+}
+
+// refresh is Refresh: a held entry takes gen as a requested one, a listed
+// one leaves.
+func (m *pinModel) refresh(id uint32, gen byte) bool {
+	s := m.of(id)
+	if _, ok := s.held[id]; ok {
+		s.held[id] = specEntry{id: id, gen: gen}
+		return true
+	}
+	s.take(id)
+	return false
 }
 
 // addAt is AddAt: it returns the eviction and whether id was taken.
@@ -185,7 +219,7 @@ func (m *pinModel) reform(set map[uint32]bool, caps []int) {
 		}
 		for k := range s.segs {
 			s.segs[k] = slices.DeleteFunc(s.segs[k], func(e specEntry) bool {
-				if set[e.id] && !e.pre {
+				if set[e.id] && !e.pre && !e.warm {
 					s.held[e.id] = e
 					return true
 				}
@@ -225,6 +259,7 @@ func (m *pinModel) pinWhole(n int, caps []int) {
 		s.capacity = caps[i]
 		for _, seg := range s.segs {
 			for _, e := range seg {
+				e.warm = false
 				s.held[e.id] = e
 			}
 		}
@@ -279,8 +314,9 @@ func comparePinned(t *testing.T, step int, vc *vcache.Cache, m *pinModel) {
 
 // TestPinnedFormMatchesModel drives the pinned form and pinModel with one
 // random op stream — inserts at every position, prefetched pinned ids that
-// stay on the list until asked for, hits through Get and GetBatch (with
-// fills), prefetch admissions, removals, and conversions Pin→Pin,
+// stay on the list until asked for, warm fills, hits through Get and
+// GetBatch (with fills), prefetch admissions, removals, refreshes, and
+// conversions Pin→Pin,
 // Pin→Resize, Pin↔PinWhole and Resize→Pin, with sets that leave many shards
 // fewer ids than segments or none — and compares every result, every
 // shard's list in order with its flags, the capacities and the invariants
@@ -417,6 +453,26 @@ func TestPinnedFormMatchesModel(t *testing.T) {
 					}
 					vc.PinWhole(len(ids))
 					m.pinWhole(len(ids), capsOf(ids, n))
+				case op == 39 && rng.Intn(2) == 0: // Warm
+					ids := []uint32{id}
+					for k := rng.Intn(12); k > 0; k-- {
+						if next := rng.Uint32() % keySpace; !slices.Contains(ids, next) {
+							ids = append(ids, next)
+						}
+					}
+					pos := rng.Float64()
+					for _, id := range ids {
+						gens[id]++
+					}
+					got := vc.Warm(ids, func(id uint32) []byte { return payloadFor(id, gens[id]) }, pos, nil, 0)
+					if want := m.warm(ids, func(id uint32) byte { return gens[id] }, pos); got != want {
+						t.Fatalf("step %d: Warm %v at %.2f filled %d, model %d", step, ids, pos, got, want)
+					}
+				case op == 39: // Refresh
+					gens[id]++
+					if got, want := vc.Refresh(id, payloadFor(id, gens[id])), m.refresh(id, gens[id]); got != want {
+						t.Fatalf("step %d: Refresh(%d) = %v, model %v", step, id, got, want)
+					}
 				}
 				comparePinned(t, step, vc, m)
 			}

@@ -65,6 +65,14 @@
 // compare-and-swap. The shards keep no probe tables, records or recency
 // lists: 4 B per vector of the table in place of ~31 B per listed vector.
 //
+// Warm fills a pinned cache ahead of its requests: each id it is given that
+// the cache does not hold is copied into room the shard has free, never
+// evicting, and listed unrequested at the position given, where the store
+// puts it at the cold end. Like a prefetched entry it stays listed until
+// its first request, which holds it in its slot word; unlike one, that
+// request counts as a plain hit. A warm entry nothing asked for is evicted
+// before whatever was listed after it, and its slot skips limbo.
+//
 // A hit on a held entry moves nothing; a miss, a fill, GetBatch's miss
 // callback (but a sealed shard's) and Remove take the shard lock, and the
 // lease rule below holds for slot words as for records: a fill publishes
@@ -98,7 +106,12 @@
 // evicted slot is parked in a limbo list stamped with the current lease
 // epoch, and reused only once the epoch has advanced twice — which requires
 // every lease that could have observed the slot to have been released. Slots
-// parked while no lease is active anywhere skip limbo entirely. Payloads are
+// parked while no lease is active anywhere skip limbo entirely, and so does
+// the slot of a listed entry that no hit has handed out: a lease can hold a
+// view only of a slot a hit gave it, so a listed record is marked when a hit
+// hands out its view (a held slot word, which a lock-free hit reads, counts
+// as handed out, and so does a held entry relisted), and dropping or
+// replacing an unmarked record frees its slot at once. Payloads are
 // never overwritten in place: replacing a live entry's value relocates it to
 // a fresh slot and parks the old one, so a leased view is immutable for the
 // lease's lifetime.
@@ -137,12 +150,19 @@ const Segments = 16
 const minSlabBytes = 8 << 10
 
 // prefetchedBit marks an entry inserted by prefetch admission and not yet
-// requested, packed above the segment number in slotMeta.segflags. holeBit
-// marks a record on the shard's chain of free records.
+// requested, packed above the segment number in slotMeta.segflags, and
+// warmBit one a warm fill listed (see Warm) and no request has asked for
+// yet; unrequested is either. holeBit marks a record on the shard's chain
+// of free records. seenBit marks a record whose slot a hit has handed out
+// as a view: only such a slot can be under a lease, so only it waits out
+// the lease grace when the entry leaves (see park).
 const (
 	segMask       = 0xFFFF
 	prefetchedBit = 1 << 16
 	holeBit       = 1 << 17
+	warmBit       = 1 << 18
+	seenBit       = 1 << 19
+	unrequested   = prefetchedBit | warmBit
 )
 
 // slotMeta is a listed entry's record: its key, its payload slot, its
@@ -795,13 +815,14 @@ func (c *Cache) slabDir() [][]byte {
 }
 
 // park retires a slot that is no longer reachable through the index. If no
-// lease is active anywhere it goes straight back to the free list;
-// otherwise it waits out the epoch grace period in limbo. The caller must have removed the slot from
-// the index before calling (under this shard's lock), which is what makes
-// the counters-both-zero fast path sound: any lease acquired after the
-// check starts cannot find the slot anymore.
-func (s *shard) park(c *Cache, slot uint32) {
-	if c.cnt[0].n.Load() == 0 && c.cnt[1].n.Load() == 0 {
+// hit has handed it out as a view (seen false) or no lease is active
+// anywhere it goes straight back to the free list; otherwise it waits out
+// the epoch grace period in limbo. The caller must have removed the slot
+// from the index before calling (under this shard's lock), which is what
+// makes both fast paths sound: no lease holds a view of an unseen slot, and
+// any lease acquired after the check starts cannot find the slot anymore.
+func (s *shard) park(c *Cache, slot uint32, seen bool) {
+	if !seen || c.cnt[0].n.Load() == 0 && c.cnt[1].n.Load() == 0 {
 		s.free = append(s.free, slot)
 		return
 	}
@@ -839,15 +860,15 @@ func (s *shard) drop(c *Cache, r uint32) {
 	s.listRemove(r)
 	s.idxDelete(m.id)
 	s.freeRecord(r)
-	s.park(c, m.slot)
+	s.park(c, m.slot, m.segflags&seenBit != 0)
 	s.used--
 }
 
 // list files record r, just unlinked or new, at the head of segment seg,
 // or holds it in its pinned slot word when its id is pinned and has been
-// asked for (its prefetched flag is clear).
+// asked for (neither unrequested flag is set).
 func (s *shard) list(r uint32, seg int) {
-	if m := &s.meta[r]; m.segflags&prefetchedBit == 0 {
+	if m := &s.meta[r]; m.segflags&unrequested == 0 {
 		if k := s.pin.rank(m.id); k >= 0 {
 			s.hold(r, k)
 			return
@@ -947,8 +968,32 @@ func (c *Cache) AddAtGuard(id uint32, payload []byte, pos float64, prefetched bo
 	if s.pin.find(id) != nilIdx || s.idxFind(id) != nilIdx {
 		return false
 	}
-	_, _, ok := s.insert(c, id, payload, pos, true)
+	_, _, ok := s.insert(c, id, payload, pos, prefetchedBit)
 	return ok
+}
+
+// Warm fills the cache ahead of its requests: each id of ids, in order,
+// that the cache neither holds nor lists is copied from payload(id) into a
+// fresh slot and listed at queue position pos as an unrequested entry (see
+// the package comment), while its shard has room free. It never evicts,
+// so an id whose shard is full is skipped, and it stops at the first id
+// whose shard finds guard's value no longer equal to want, as AddAtGuard
+// does. It returns how many ids it filled.
+func (c *Cache) Warm(ids []uint32, payload func(id uint32) []byte, pos float64, guard *atomic.Uint64, want uint64) (filled int) {
+	for _, id := range ids {
+		s := c.shardOf(id)
+		s.mu.Lock()
+		if guard != nil && guard.Load() != want {
+			s.mu.Unlock()
+			break
+		}
+		if s.used < s.capacity && s.room() > 0 && s.pin.find(id) == nilIdx && s.idxFind(id) == nilIdx {
+			s.insert(c, id, payload(id), pos, warmBit)
+			filled++
+		}
+		s.mu.Unlock()
+	}
+	return filled
 }
 
 // Sealed reports whether every shard is sealed under the cache's pinned
@@ -997,21 +1042,26 @@ func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetch
 	}
 	r := s.idxFind(id)
 	if r == nilIdx {
-		return s.insert(c, id, payload, pos, prefetched)
+		var flags uint32
+		if prefetched {
+			flags = prefetchedBit
+		}
+		return s.insert(c, id, payload, pos, flags)
 	}
 	c.checkPayload(payload)
 	s.listRemove(r)
 	m := &s.meta[r]
+	seen := m.segflags & seenBit
 	if !bytesEqual(c.payload(m.slot), payload) {
 		// Never overwrite a slot a lease may be reading: relocate.
 		next := s.alloc(c)
 		copy(c.payload(next), payload)
-		s.park(c, m.slot)
-		m.slot = next
+		s.park(c, m.slot, seen != 0)
+		m.slot, seen = next, 0
 	}
-	m.segflags = 0
+	m.segflags = seen
 	if prefetched {
-		m.segflags = prefetchedBit
+		m.segflags |= prefetchedBit
 	}
 	s.list(r, seg)
 	return 0, false, true
@@ -1036,10 +1086,15 @@ func (s *shard) replaceHeld(c *Cache, id uint32, k int, slot uint32, payload []b
 		s.pinned--
 	}
 	if slot != old {
-		s.park(c, old)
+		s.park(c, old, true)
 	}
 	if !held {
-		r := s.newRecord(id, slot, prefetchedBit)
+		// The slot word may have handed the slot out.
+		flags := uint32(prefetchedBit)
+		if slot == old {
+			flags |= seenBit
+		}
+		r := s.newRecord(id, slot, flags)
 		s.idxInsert(id, r)
 		s.pushFront(seg, r)
 		s.rebalance(seg)
@@ -1049,12 +1104,13 @@ func (s *shard) replaceHeld(c *Cache, id uint32, k int, slot uint32, payload []b
 }
 
 // insert is addAt for an id the caller has just found absent, under s.mu:
-// it skips addAt's probe. An entry the pinned index holds (see
+// it skips addAt's probe. flags is the entry's unrequested flag, if any
+// (prefetchedBit or warmBit). An entry the pinned index holds (see
 // pinIndex.holds) goes to its slot word; any other is listed, and a full
 // shard makes room by evicting the tail of its list, but a shard whose list
 // has no room refuses it.
-func (s *shard) insert(c *Cache, id uint32, payload []byte, pos float64, prefetched bool) (victim uint32, evicted, ok bool) {
-	k := s.pin.holds(id, prefetched)
+func (s *shard) insert(c *Cache, id uint32, payload []byte, pos float64, flags uint32) (victim uint32, evicted, ok bool) {
+	k := s.pin.holds(id, flags&unrequested != 0)
 	if k < 0 && s.room() == 0 {
 		return 0, false, false
 	}
@@ -1063,13 +1119,9 @@ func (s *shard) insert(c *Cache, id uint32, payload []byte, pos float64, prefetc
 	copy(c.payload(slot), payload)
 	s.used++
 	if k >= 0 {
-		s.pin.slots[k].Store(heldWord(slot, prefetched))
+		s.pin.slots[k].Store(heldWord(slot, flags&prefetchedBit != 0))
 		s.pinned++
 	} else {
-		var flags uint32
-		if prefetched {
-			flags = prefetchedBit
-		}
 		r := s.newRecord(id, slot, flags)
 		s.idxInsert(id, r)
 		seg := segOf(pos, len(s.segs))
@@ -1108,7 +1160,7 @@ func (s *shard) promote(r uint32) (slot uint32, wasPrefetched, held bool) {
 	m := &s.meta[r]
 	slot = m.slot
 	wasPrefetched = m.segflags&prefetchedBit != 0
-	m.segflags &^= prefetchedBit
+	m.segflags = m.segflags&^unrequested | seenBit
 	s.listRemove(r)
 	if k := s.pin.rank(m.id); k >= 0 {
 		// A pinned id brought in by a neighbour's read, asked for at last.
@@ -1377,7 +1429,7 @@ func (s *shard) probe(c *Cache, ids []uint32, views [][]byte, i int, r uint32, m
 	}
 	if miss != nil {
 		if p := miss(i); p != nil {
-			_, _, filled := s.insert(c, ids[i], p, 0, false)
+			_, _, filled := s.insert(c, ids[i], p, 0, 0)
 			return 0, filled
 		}
 	}
@@ -1422,7 +1474,7 @@ func (c *Cache) Remove(id uint32) bool {
 	if k := s.pin.rank(id); k >= 0 {
 		if slot := slotOf(s.pin.slots[k].Load()); slot != nilIdx {
 			s.pin.slots[k].Store(0)
-			s.park(c, slot)
+			s.park(c, slot, true)
 			s.used--
 			s.pinned--
 			s.fit()
@@ -1437,6 +1489,30 @@ func (c *Cache) Remove(id uint32) bool {
 	s.drop(c, r)
 	s.reseal()
 	return true
+}
+
+// Refresh gives id new bytes where the cache holds it in a slot word, as
+// AddAt of a requested entry does: the word moves to a fresh slot holding
+// payload, published after the payload, and the old slot is parked, so the
+// entry stays held and a sealed shard stays sealed (a prefetched entry of
+// an implied set is one no longer: its bytes are the caller's). Any other
+// entry of id is removed, as Remove does. It reports whether id stayed
+// cached.
+func (c *Cache) Refresh(id uint32, payload []byte) bool {
+	s := c.shardOf(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if k := s.pin.rank(id); k >= 0 {
+		if slot := slotOf(s.pin.slots[k].Load()); slot != nilIdx {
+			s.replaceHeld(c, id, k, slot, payload, 0, false)
+			return true
+		}
+	}
+	if r := s.idxFind(id); r != nilIdx {
+		s.drop(c, r)
+		s.reseal()
+	}
+	return false
 }
 
 // Stats is a point-in-time byte-accounting snapshot.
@@ -1681,7 +1757,7 @@ func (s *shard) checkInvariants(si int, held map[uint32]uint32, slots map[uint32
 			if seen[m.id] {
 				return fmt.Errorf("shard %d: id %d listed twice", si, m.id)
 			}
-			if s.pin.holds(m.id, m.segflags&prefetchedBit != 0) >= 0 {
+			if s.pin.holds(m.id, m.segflags&unrequested != 0) >= 0 {
 				return fmt.Errorf("shard %d: pinned id %d is listed, not held (flags %#x)", si, m.id, m.segflags)
 			}
 			if _, ok := held[m.id]; ok {

@@ -157,6 +157,9 @@ func TestLimboReclaim(t *testing.T) {
 	c.Add(1, payloadFor(1, 0), false)
 	c.Add(2, payloadFor(2, 0), false)
 	release := c.Lease()
+	// The lease takes views of both entries, so either slot may be read.
+	c.Get(1)
+	c.Get(2)
 	// Evict 1 while a lease is active: its slot must park in limbo.
 	c.Add(3, payloadFor(3, 0), false)
 	if n := c.LimboLen(); n != 1 {
@@ -486,9 +489,10 @@ type spec struct {
 // specEntry is one cached id with the payload generation and the prefetched
 // flag vcache keeps for it.
 type specEntry struct {
-	id  uint32
-	gen byte
-	pre bool
+	id   uint32
+	gen  byte
+	pre  bool
+	warm bool // listed by a warm fill, not yet requested
 }
 
 func newSpec(capacity int) *spec {
@@ -851,7 +855,8 @@ func TestLimboBounded(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	// Every iteration takes the next lease before releasing the previous
-	// one, then evicts 64 entries inside the overlap.
+	// one, then evicts 64 entries inside the overlap. Each entry is read
+	// once, so its slot may be under a lease when it is evicted.
 	evict := func(n int) {
 		release := c.Lease()
 		for i := 0; i < n; i += 64 {
@@ -860,6 +865,7 @@ func TestLimboBounded(t *testing.T) {
 			release = next
 			for j := 0; j < 64; j++ {
 				c.Add(id, payload, false)
+				c.Get(id)
 				id++
 			}
 		}
