@@ -206,8 +206,7 @@ func DecodeAppend(dst []float32, src []byte) []float32 {
 }
 
 // Quantize rounds every element of v through binary16 and back, in place,
-// and returns v. It is used by the synthetic table generator so that
-// generated values are exactly representable.
+// and returns v: the values a table stores once v is encoded.
 func Quantize(v []float32) []float32 {
 	for i, f := range v {
 		v[i] = FromFloat32(f).ToFloat32()

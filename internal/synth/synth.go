@@ -1,8 +1,17 @@
 // Package synth builds the synthetic embedding tables + workload used by
-// the demo binaries (bandana-server, bandana init). It exists so the two
-// binaries generate bit-identical tables for identical flags — `bandana
-// init --data-dir X` followed by `bandana-server --backend file --data-dir
-// X` must serve exactly the vectors that were ingested.
+// the demo binaries (bandana-server, bandana init) and by the benchmark
+// harness (bench/), which stands up every set-up from it. It exists so that
+// all of them generate bit-identical tables for identical options —
+// `bandana init --data-dir X` followed by `bandana-server --backend file
+// --data-dir X` must serve exactly the vectors that were ingested. The
+// experiments (internal/experiments) draw their workload from the same
+// generator, trace.GenerateWorkload, and build their tables lazily.
+//
+// Tables are built in parallel: each table's trace and then its vectors are
+// one job, with at most runtime.GOMAXPROCS(0) jobs at once. Every table and
+// every trace profile has its own seeded source, so the output is
+// bit-identical per seed whatever the number of cores
+// (TestBuildWorkloadGolden pins it).
 package synth
 
 import (
@@ -50,17 +59,16 @@ func BuildWorkload(opts Options) ([]*table.Table, *trace.Workload) {
 	for i := range profiles {
 		profiles[i].Seed += seed * 100
 	}
-	workload := trace.GenerateWorkload(profiles, requests)
 	tables := make([]*table.Table, len(profiles))
-	for i, p := range profiles {
-		g := table.Generate(p.Name, table.GenerateOptions{
+	workload := trace.GenerateWorkloadThen(profiles, requests, func(w *trace.Workload, i int) {
+		p := profiles[i]
+		tables[i] = table.Generate(p.Name, table.GenerateOptions{
 			NumVectors:  p.NumVectors,
 			Dim:         64,
 			NumClusters: p.NumVectors / trace.DefaultCommunitySize,
 			Seed:        seed + int64(i),
-			Assignments: workload.Communities[i],
-		})
-		tables[i] = g.Table
-	}
+			Assignments: w.Communities[i],
+		}).Table
+	})
 	return tables, workload
 }

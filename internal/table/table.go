@@ -119,8 +119,8 @@ func (t *Table) SetVector(id ID, v []float32) error {
 		return fmt.Errorf("table: vector has %d elements, table dim is %d", len(v), t.Dim)
 	}
 	vb := t.VectorBytes()
-	buf := fp16.EncodeSlice(make([]byte, 0, vb), v)
-	copy(t.data[int(id)*vb:], buf)
+	off := int(id) * vb
+	fp16.EncodeSlice(t.data[off:off:off+vb], v)
 	return nil
 }
 
@@ -218,7 +218,8 @@ func Generate(name string, opts GenerateOptions) *Generated {
 				vec[d] = noise * 4
 			}
 		}
-		fp16.Quantize(vec)
+		// Encoding is the quantisation: the stored fp16 bits are what
+		// fp16.Quantize would round vec to.
 		if err := t.SetVector(ID(i), vec); err != nil {
 			panic(err)
 		}

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // Profile describes the statistical shape of one user embedding table's
@@ -130,6 +133,12 @@ type generator struct {
 	// with the phase advancing every HotSetRotation queries.
 	queryCount int
 	rotStride  int
+	// stamp[v] == queryStamp marks v as already in the query being built:
+	// nextQuery's duplicate test without a per-query set.
+	stamp      []uint32
+	queryStamp uint32
+	// themes is nextQuery's reused buffer of the request's communities.
+	themes []int
 }
 
 func newGenerator(p Profile) *generator {
@@ -158,6 +167,7 @@ func newGenerator(p Profile) *generator {
 		nextFresh:      make([]int, numCommunities),
 		touched:        make([][]uint32, numCommunities),
 		communityOf:    make([]int32, p.NumVectors),
+		stamp:          make([]uint32, p.NumVectors),
 	}
 	// Random partition of the ID space into communities.
 	perm := rng.Perm(p.NumVectors)
@@ -250,12 +260,19 @@ func (g *generator) nextQuery() Query {
 	}
 	// The request concentrates on a handful of communities ("themes").
 	numThemes := 1 + n/16
-	themes := make([]int, numThemes)
-	for i := range themes {
-		themes[i] = g.rotatedCommunity(g.communityZipf.Uint64())
+	themes := g.themes[:0]
+	for i := 0; i < numThemes; i++ {
+		themes = append(themes, g.rotatedCommunity(g.communityZipf.Uint64()))
 	}
+	g.themes = themes
 
-	seen := make(map[uint32]struct{}, n)
+	g.queryStamp++
+	if g.queryStamp == 0 {
+		// Wrapped: clear the stamps so none can read as this query's.
+		clear(g.stamp)
+		g.queryStamp = 1
+	}
+	stamp := g.queryStamp
 	q := make(Query, 0, n)
 	attempts := 0
 	for len(q) < n && attempts < 20*n {
@@ -296,11 +313,11 @@ func (g *generator) nextQuery() Query {
 			// Table exhausted (tiny tables in tests): fall back to uniform.
 			id = uint32(g.rng.Intn(g.p.NumVectors))
 		}
-		if _, dup := seen[id]; dup {
+		if g.stamp[id] == stamp {
 			// Avoid duplicate lookups within one request; retry a bounded
 			// number of times by drawing uniformly from the touched set.
 			if alt, okAlt := g.pickReuse(g.globalTouched); okAlt {
-				if _, dup2 := seen[alt]; !dup2 {
+				if g.stamp[alt] != stamp {
 					id = alt
 				} else {
 					continue
@@ -309,20 +326,29 @@ func (g *generator) nextQuery() Query {
 				continue
 			}
 		}
-		seen[id] = struct{}{}
+		g.stamp[id] = stamp
 		q = append(q, id)
 	}
 	return q
 }
 
-// GenerateTable produces a synthetic trace of numQueries requests for a
-// single table profile.
-func GenerateTable(p Profile, numQueries int) *Trace {
+// generate runs profile p's generator for numQueries requests and returns
+// its trace and the community of every vector. It is the one generation
+// loop: GenerateTable, GenerateWorkload (one call per profile, in
+// parallel) and CommunityAssignment (numQueries 0) all run it.
+func generate(p Profile, numQueries int) (*Trace, []int32) {
 	g := newGenerator(p)
 	tr := &Trace{TableName: p.Name, NumVectors: p.NumVectors, Queries: make([]Query, 0, numQueries)}
 	for i := 0; i < numQueries; i++ {
 		tr.Queries = append(tr.Queries, g.nextQuery())
 	}
+	return tr, g.communityOf
+}
+
+// GenerateTable produces a synthetic trace of numQueries requests for a
+// single table profile.
+func GenerateTable(p Profile, numQueries int) *Trace {
+	tr, _ := generate(p, numQueries)
 	return tr
 }
 
@@ -331,19 +357,68 @@ func GenerateTable(p Profile, numQueries int) *Trace {
 // records the community assignment of each table so embedding generation can
 // be aligned with co-access.
 func GenerateWorkload(profiles []Profile, numRequests int) *Workload {
+	return GenerateWorkloadThen(profiles, numRequests, nil)
+}
+
+// GenerateWorkloadThen is GenerateWorkload with a per-table step: then(w, i)
+// runs in profile i's job as soon as w.Traces[i] and w.Communities[i] are
+// set, so work derived from one table's trace (synth's vectors) is built in
+// the same parallel pass. then may be nil; it must touch only table i's
+// share of w and of its own state.
+//
+// Each profile is one job, and at most runtime.GOMAXPROCS(0) jobs run at
+// once. Every generator draws from its own profile-seeded source, so the
+// result is bit-identical to a serial run whatever the schedule. A panic in
+// any job reaches the caller, as it would in a serial run.
+func GenerateWorkloadThen(profiles []Profile, numRequests int, then func(w *Workload, i int)) *Workload {
 	w := &Workload{
 		Profiles:    profiles,
 		Traces:      make([]*Trace, len(profiles)),
 		Communities: make([][]int32, len(profiles)),
 	}
-	for i, p := range profiles {
-		g := newGenerator(p)
-		tr := &Trace{TableName: p.Name, NumVectors: p.NumVectors, Queries: make([]Query, 0, numRequests)}
-		for r := 0; r < numRequests; r++ {
-			tr.Queries = append(tr.Queries, g.nextQuery())
+	var (
+		next     atomic.Int64
+		mu       sync.Mutex
+		panicked any
+	)
+	// run takes jobs until none are left. A panic in a job (a bad profile,
+	// a panicking then) stops every worker from taking more and is raised
+	// again on the caller's goroutine once all of them have returned.
+	run := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				next.Store(int64(len(profiles)))
+				mu.Lock()
+				if panicked == nil {
+					panicked = r
+				}
+				mu.Unlock()
+			}
+		}()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(profiles) {
+				return
+			}
+			w.Traces[i], w.Communities[i] = generate(profiles[i], numRequests)
+			if then != nil {
+				then(w, i)
+			}
 		}
-		w.Traces[i] = tr
-		w.Communities[i] = g.communityOf
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(profiles))
+	var wg sync.WaitGroup
+	for range workers - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
 	}
 	return w
 }
@@ -352,6 +427,6 @@ func GenerateWorkload(profiles []Profile, numRequests int) *Workload {
 // profile, without generating any queries. It is deterministic in the
 // profile's seed and matches what GenerateWorkload records.
 func CommunityAssignment(p Profile) []int32 {
-	g := newGenerator(p)
-	return g.communityOf
+	_, communityOf := generate(p, 0)
+	return communityOf
 }

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 )
 
 func smallProfile(seed int64) Profile {
@@ -316,4 +319,95 @@ func BenchmarkGenerateTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		GenerateTable(p, 100)
 	}
+}
+
+// TestGenerateWorkloadMatchesSerial checks that the parallel build is the
+// serial one: every trace is GenerateTable's and every assignment is
+// CommunityAssignment's, whatever GOMAXPROCS is.
+func TestGenerateWorkloadMatchesSerial(t *testing.T) {
+	profiles := []Profile{smallProfile(21), smallProfile(22), smallProfile(23), smallProfile(24), smallProfile(25)}
+	profiles[1].AvgLookups = 90
+	profiles[3].HotSetRotation = 50
+	w := GenerateWorkload(profiles, 300)
+	for i, p := range profiles {
+		want := GenerateTable(p, 300)
+		if len(w.Traces[i].Queries) != len(want.Queries) {
+			t.Fatalf("profile %d: %d queries, want %d", i, len(w.Traces[i].Queries), len(want.Queries))
+		}
+		for r, q := range want.Queries {
+			got := w.Traces[i].Queries[r]
+			if len(got) != len(q) {
+				t.Fatalf("profile %d query %d: %d lookups, want %d", i, r, len(got), len(q))
+			}
+			for k := range q {
+				if got[k] != q[k] {
+					t.Fatalf("profile %d query %d lookup %d = %d, want %d", i, r, k, got[k], q[k])
+				}
+			}
+		}
+		for v, c := range CommunityAssignment(p) {
+			if w.Communities[i][v] != c {
+				t.Fatalf("profile %d vector %d: community %d, want %d", i, v, w.Communities[i][v], c)
+			}
+		}
+	}
+}
+
+// TestGenerateWorkloadThenBoundsJobs checks that the per-table step runs
+// once per profile, after that profile's trace is in place, with at most
+// GOMAXPROCS jobs at once.
+func TestGenerateWorkloadThenBoundsJobs(t *testing.T) {
+	profiles := make([]Profile, 9)
+	for i := range profiles {
+		profiles[i] = smallProfile(int64(30 + i))
+	}
+	var mu sync.Mutex
+	running, peak := 0, 0
+	calls := make([]int, len(profiles))
+	w := GenerateWorkloadThen(profiles, 50, func(w *Workload, i int) {
+		mu.Lock()
+		running++
+		peak = max(peak, running)
+		calls[i]++
+		mu.Unlock()
+		if len(w.Traces[i].Queries) != 50 || len(w.Communities[i]) != profiles[i].NumVectors {
+			t.Errorf("profile %d: step ran before its trace was in place", i)
+		}
+		time.Sleep(2 * time.Millisecond)
+		mu.Lock()
+		running--
+		mu.Unlock()
+	})
+	if len(w.Traces) != len(profiles) {
+		t.Fatalf("%d traces, want %d", len(w.Traces), len(profiles))
+	}
+	for i, n := range calls {
+		if n != 1 {
+			t.Errorf("profile %d: step ran %d times", i, n)
+		}
+	}
+	if procs := runtime.GOMAXPROCS(0); peak > procs {
+		t.Errorf("%d jobs ran at once, GOMAXPROCS is %d", peak, procs)
+	}
+}
+
+// TestGenerateWorkloadThenPanicReachesCaller checks that a panic in one
+// table's job, on whichever worker runs it, is raised on the caller's
+// goroutine where a recover can catch it.
+func TestGenerateWorkloadThenPanicReachesCaller(t *testing.T) {
+	profiles := make([]Profile, 6)
+	for i := range profiles {
+		profiles[i] = smallProfile(int64(40 + i))
+	}
+	defer func() {
+		if r := recover(); r != "table 4" {
+			t.Fatalf("recovered %v, want the job's panic", r)
+		}
+	}()
+	GenerateWorkloadThen(profiles, 20, func(_ *Workload, i int) {
+		if i == 4 {
+			panic("table 4")
+		}
+	})
+	t.Fatal("GenerateWorkloadThen returned after a job panicked")
 }
