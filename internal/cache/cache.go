@@ -26,7 +26,7 @@
 // The same training counts give the deployed policy a third verdict, after
 // the frequency bound of a cache of C vectors: PinnedAdmit pins the C ids
 // training saw most often (HottestIDs) into a cache that never evicts them
-// (vcache's Pin). The thresholds still decide what enters; once in, a pinned
+// (vcache's Options.Pinned). The thresholds still decide what enters; once in, a pinned
 // id stays, and the room the pinned set has not yet filled serves every
 // other id as the thresholds' segmented LRU, the first to go when a pinned
 // id needs it. The miniature caches choose it per table, where it reads
@@ -271,11 +271,11 @@ func (p ThresholdAdmit) Name() string { return "threshold-admit" }
 // list for good, and every other id lives in the room the pinned set has not
 // yet filled, the first to go when a pinned id needs that room. A pinned id
 // is never put on probation. The cache itself must hold the set
-// (vcache.Cache.Pin with Set): the policy only rules on admission.
+// (vcache.Options.Pinned, Set): the policy only rules on admission.
 type PinnedAdmit struct {
 	Pair ThresholdAdmit
 	// Set is the pinned set as a bitset over ids (bit id%64 of word id/64),
-	// as vcache's Pin takes it; at least ⌈len(Pair.Counts)/64⌉ words.
+	// as vcache's Options.Pinned takes it; at least ⌈len(Pair.Counts)/64⌉ words.
 	Set []uint64
 }
 

@@ -4,8 +4,8 @@
 // re-partitioning from the serving layout, miniature-cache threshold tuning —
 // over a bounded window of the *live* access stream that per-table recorders
 // capture on the serving path. Every decision is published through the same
-// atomic state pointer serving already reads, caches are resized in place
-// (incremental eviction, no cold restart), and layout changes go through the
+// atomic state pointer serving already reads, a resized cache is swapped for
+// one filled from it (no cold restart), and layout changes go through the
 // same crash-recoverable install Train uses (rewrite.go, package datadir), so
 // the store tunes itself under load without ever blocking its readers.
 package core
@@ -250,7 +250,8 @@ type TableAdaptReport struct {
 
 // AdaptNow runs one adaptation epoch synchronously: the plan's warm start
 // (plan.go) over each table's recorded window. SHP refines the serving layout
-// every RelayoutEvery epochs, caches are resized in place, and prefetching
+// every RelayoutEvery epochs, caches are swapped for ones of their new size
+// filled from the old (see resizeCache), and prefetching
 // needs a predicted gain of MinPrefetchGain. Serving continues throughout;
 // the only serving-visible pauses are the per-table bulk copy of a migration.
 func (s *Store) AdaptNow() (*AdaptEpochReport, error) {

@@ -16,7 +16,7 @@ import (
 // pinnedShardsHold checks a pinned table's cache against its pin verdict:
 // the cache's capacity is the table's allocation, the number of pinned ids,
 // and every pinned id of requested is resident — once read, a pinned id is
-// never evicted (see vcache's Pin).
+// never evicted (see vcache's Options.Pinned).
 func pinnedShardsHold(st *storeTable, requested []trace.Query) error {
 	ts := st.loadState()
 	ids := ts.admit.pinnedIDs()
@@ -205,11 +205,12 @@ func TestUpdatedPinnedIDIsCachedPinnedAgain(t *testing.T) {
 	}
 }
 
-// TestAdaptationRepinsInPlace: an epoch whose verdict pins again re-pins the
-// live cache in place, while several goroutines serve: the ids of the new
-// set that were cached stay cached, and afterwards every pinned id read is
-// resident, whatever the requests still serving the older verdict filled.
-func TestAdaptationRepinsInPlace(t *testing.T) {
+// TestAdaptationRepinsBySwap: an epoch whose verdict pins again swaps in a
+// cache pinned to the new set, filled from the live one, while several
+// goroutines serve: the ids of the new set that were cached stay cached,
+// and afterwards every pinned id read is resident, whatever the requests
+// still serving the older verdict filled.
+func TestAdaptationRepinsBySwap(t *testing.T) {
 	s, eval := pinnedStore(t, 8)
 	st := s.tables[0]
 	// A small margin: the pair's prefetch gain in the window's miniature is
@@ -241,8 +242,8 @@ func TestAdaptationRepinsInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := st.loadState()
-	if rep.Tables[0].PinnedVectors == 0 || after.cache != before.cache {
-		t.Fatalf("the epoch did not re-pin in place: %+v", rep.Tables[0])
+	if rep.Tables[0].PinnedVectors == 0 {
+		t.Fatalf("the epoch did not re-pin: %+v", rep.Tables[0])
 	}
 	newSet := after.admit.pinnedIDs()
 	kept, moved := 0, 0

@@ -43,15 +43,17 @@ type tablePlan struct {
 type layoutStep func(p *tablePlan, queries [][]uint32) error
 
 // start is what a plan starts from. Train's cold start partitions from
-// scratch and gives each table a new cache; an adaptation epoch's warm start
-// refines the layout that serves and resizes the cache in place.
+// scratch and gives each table a new, empty cache; an adaptation epoch's
+// warm start refines the layout that serves and swaps the cache for one of
+// the new size, filled from the old one (see resizeCache).
 type start struct {
 	layout layoutStep
 	// blockBudget caps the NVM blocks the plan's layout changes rewrite,
 	// taken in table order; a table beyond it keeps its layout. 0: no cap.
 	blockBudget int
 	// cache gives ts a cache of capacity vectors, holding pinned (a bitset
-	// over ids) as its pinned set when it is non-nil.
+	// over ids) as its pinned set when it is non-nil. It runs under the
+	// table's updateMu, before ts is published.
 	cache   func(st *storeTable, ts *tableState, capacity int, pinned []uint64)
 	minGain float64 // the prefetch gain that turns prefetching on (applyChoice)
 }

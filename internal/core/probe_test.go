@@ -107,7 +107,7 @@ func TestBatchedProbeMatchesSequential(t *testing.T) {
 					if err := s.UpdateVector(0, id, vec); err != nil {
 						t.Fatal(err)
 					}
-					ref.Remove(id)
+					ref.Refresh(id, nil)
 					overlaid++
 					continue
 				case r == 1: // empty batch

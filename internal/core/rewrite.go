@@ -105,7 +105,11 @@ type layoutInstall struct {
 func (s *Store) installLayouts(installs []layoutInstall) error {
 	for i, in := range installs {
 		if in.layout == in.st.loadState().layout {
+			// Under updateMu, as installLayout's mutation, so that a cache
+			// it swaps (see resizeCache) is filled with no update between.
+			in.st.updateMu.Lock()
 			in.st.mutateState(in.mutate)
+			in.st.updateMu.Unlock()
 			continue
 		}
 		if err := s.installLayout(in.st, in.layout, in.mutate); err != nil {

@@ -110,10 +110,20 @@ func putBlockBuf(b *[]byte) { nvm.PutBlockBuf(b) }
 // it picks the lookup's counter stripe too.
 func hashID(id uint32) uint64 { return vcache.Hash(id) }
 
-// newTableCache builds one table's DRAM cache: capacity fp16 vectors of
-// vecBytes each.
-func newTableCache(capacity, shards, vecBytes int) *vcache.Cache {
-	return vcache.New(vcache.Options{Capacity: capacity, SlotBytes: vecBytes, Shards: shards})
+// newTableCache builds an empty DRAM cache for st of capacity fp16
+// vectors, in its final form: holding pinned (a bitset over ids, the pin
+// verdict's) as its pinned set when it is non-nil, pinned whole, its set
+// implied, when it is nil and capacity covers the table (see pinsWhole),
+// and an even-split LRU otherwise.
+func (st *storeTable) newTableCache(capacity int, pinned []uint64) *vcache.Cache {
+	opts := vcache.Options{Capacity: capacity, SlotBytes: st.vecBytes, Shards: st.shards}
+	switch {
+	case st.pinsWhole(capacity, pinned):
+		opts.Whole = st.numVectors
+	case pinned != nil:
+		opts.Pinned = pinned
+	}
+	return vcache.New(opts)
 }
 
 // counterStripes is the stripe count of a table's serving counters: 64
@@ -329,9 +339,9 @@ type admitBits struct {
 	position float64
 	// pinned is set for the pin verdict (cache.PinnedAdmit), nil otherwise:
 	// the pinned set in id order, bit id of word id/64 — the very words the
-	// table's cache holds as its pinned set (see vcache's Pin), so neither
-	// may write them. The two bitsets above hold the verdicts of the
-	// thresholds the pin is over, no pinned id on probation.
+	// table's cache holds as its pinned set (see vcache's Options.Pinned),
+	// so neither may write them. The two bitsets above hold the verdicts of
+	// the thresholds the pin is over, no pinned id on probation.
 	pinned []uint64
 	// warm is a pin verdict's ids in the order an install fills them into
 	// the cache (see warmPinned): ascending training count, ties in id
@@ -738,61 +748,50 @@ func (st *storeTable) setThresholdPolicy(ts *tableState, counts []uint32, pinned
 	}
 }
 
-// freshCache gives ts a new, empty cache of the given capacity, holding
-// pinned (a bitset over ids, ts.admit's) as its pinned set when it is
-// non-nil, and pinned whole, its set implied, when it is nil and capacity
-// covers the table (see pinsWhole).
+// freshCache gives ts a new, empty cache of the given capacity in the form
+// pinned chooses (see newTableCache).
 func (st *storeTable) freshCache(ts *tableState, capacity int, pinned []uint64) {
 	ts.cacheCap = capacity
-	ts.cache = newTableCache(capacity, st.shards, st.vecBytes)
-	switch {
-	case st.pinsWhole(capacity, pinned):
-		ts.cache.PinWhole(st.numVectors)
-	case pinned != nil:
-		ts.cache.Pin(pinned)
-	}
+	ts.cache = st.newTableCache(capacity, pinned)
 }
 
-// resizeCache changes ts's cache capacity in place with incremental
-// per-shard eviction: the working set survives the resize, so adaptation can
-// rebalance DRAM across tables without the hit ratio collapsing to zero and
-// re-warming. The shared cache object is mutated (not swapped), so in-flight
-// operations holding an older state snapshot keep hitting the same cache.
+// resizeCache swaps ts's cache for a new one of the given capacity in the
+// form pinned chooses (see newTableCache), filled from the cache it replaces
+// so the working set survives: adaptation rebalances DRAM across tables
+// without the hit ratio collapsing to zero and re-warming. Every entry the
+// old cache holds is added again (see vcache's Entries), least recent first
+// and the new pinned set's ids last, so the new cache keeps, as far as its
+// room allows, the pinned ids first and then the most recent, listed in
+// the order they were; a pinned id that was asked for is held again.
 //
-// The recorded cacheCap is the *requested* capacity, even though the sharded
-// cache clamps its real capacity to one item per shard: each plan subtracts
-// the caches of the tables it leaves alone from the cacheCap sum, and
-// accounting the clamped value would shift the budget it splits.
-//
-// A pinned table's cache is re-pinned in place instead (vcache's Pin): each
-// shard's capacity becomes the number of pinned ids that hash to it, the sum
-// capacity, so the table's DRAM is its share and the cache never evicts a
-// pinned id; the entries it holds outside the set stay in the room the set
-// has not filled. The pinned set is the cache's own, so a request still
-// serving an older verdict cannot displace a pinned id. A cache grown to
-// cover its table is pinned whole in place (see pinsWhole), keeping every
-// entry it holds; one shrunk below its table is resized, which ends the
-// implied set, and is an even-split LRU again.
+// The caller holds st.updateMu and publishes ts after the fill, so no
+// update is acknowledged between the copy and the publish: every update
+// before it refreshed the old cache's copy, and every one after it finds
+// the new cache. The fill is guarded by st.epoch as a miss's fill is, and
+// stops where a compaction's write moves it. A request still serving the
+// older state finishes on the old cache; what it fills there is lost,
+// which costs at most a re-read.
 func (st *storeTable) resizeCache(ts *tableState, capacity int, pinned []uint64) {
-	switch {
-	case st.pinsWhole(capacity, pinned):
-		ts.cache.PinWhole(st.numVectors)
-	case pinned != nil:
-		ts.cache.Pin(pinned)
-	default:
-		ts.cache.Resize(capacity)
+	old := ts.cache
+	st.freshCache(ts, capacity, pinned)
+	set, want := cache.PinnedAdmit{Set: pinned}, st.epoch.Load()
+	for _, inSet := range []bool{false, true} {
+		old.Entries(func(id uint32, payload []byte, unrequested bool) {
+			if set.Pins(id) == inSet {
+				ts.cache.AddAtGuard(id, payload, 0, unrequested, &st.epoch, want)
+			}
+		})
 	}
-	ts.cacheCap = capacity
 }
 
 // pinsWhole reports whether a cache of the given capacity, under verdict (a
 // pin verdict's set; nil for any other policy), is pinned whole (vcache's
-// PinWhole: the pinned set implied, every id of the table): it holds no pin
-// verdict and covers the table. Such a cache can never evict, so it keeps no
-// recency and no hash index, only a slot word per id, and a hit takes no
-// lock. The form follows from the
-// capacity here, never persisted: a one-shard replay of a cache that covers
-// its table evicts nothing, so the miniature caches predict it unchanged.
+// Options.Whole: the pinned set implied, every id of the table): it holds no
+// pin verdict and covers the table. Such a cache can never evict, so it keeps
+// no recency and no hash index, only a slot word per id, and a hit takes no
+// lock. The form follows from the capacity here, never persisted: a
+// one-shard replay of a cache that covers its table evicts nothing, so the
+// miniature caches predict it unchanged.
 func (st *storeTable) pinsWhole(capacity int, verdict []uint64) bool {
 	return verdict == nil && capacity >= st.numVectors
 }

@@ -23,8 +23,8 @@
 //     the query's unique ids (a hit promotes and reports a first hit on a
 //     prefetched entry) and AddAtGuard for a demand fill and for a prefetch
 //     fill, which refuses an id already resident. Under a
-//     cache.PinnedAdmit the cache holds its set as the store's does
-//     (vcache's Pin), at a capacity of the set's size.
+//     cache.PinnedAdmit the cache is built holding its set as the
+//     store's is (vcache's Options.Pinned), at a capacity of the set's size.
 //   - A replay starts from an empty cache. A store starts warm after a
 //     layout install: the install fills a pin verdict's ids from the image
 //     it wrote, unrequested at the cold end of the list (core's
@@ -123,10 +123,11 @@ func Replay(tr *trace.Trace, cfg Config) Result {
 	if capacity <= 0 {
 		capacity = l.NumVectors()
 	}
-	c := vcache.New(vcache.Options{Capacity: capacity})
+	opts := vcache.Options{Capacity: capacity}
 	if p, ok := policy.(cache.PinnedAdmit); ok {
-		c.Pin(p.Set)
+		opts.Pinned = p.Set
 	}
+	c := vcache.New(opts)
 	c.Warm(cfg.Warm, func(uint32) []byte { return nil }, cache.ProbationPosition, nil, 0)
 	res := Result{Policy: policy.Name()}
 

@@ -93,8 +93,7 @@ func TestConcurrentMintsShareTheArena(t *testing.T) {
 	const slot, shards, perShard = 128, 8, 600
 	for _, form := range []string{"partial", "whole"} {
 		t.Run(form, func(t *testing.T) {
-			capacity := shards * perShard / 2
-			c := vcache.New(vcache.Options{Capacity: capacity, SlotBytes: slot, Shards: shards})
+			opts := vcache.Options{Capacity: shards * perShard / 2, SlotBytes: slot, Shards: shards}
 			// ids[s] are ids that hash to shard s.
 			ids := make([][]uint32, shards)
 			for id := uint32(0); !full(ids, perShard); id++ {
@@ -103,12 +102,11 @@ func TestConcurrentMintsShareTheArena(t *testing.T) {
 				}
 			}
 			if form == "whole" {
-				n := 0
 				for _, own := range ids {
-					n = max(n, int(slices.Max(own))+1)
+					opts.Whole = max(opts.Whole, int(slices.Max(own))+1)
 				}
-				c.PinWhole(n)
 			}
+			c := vcache.New(opts)
 			var wg sync.WaitGroup
 			for s := range shards {
 				wg.Add(1)
@@ -128,7 +126,7 @@ func TestConcurrentMintsShareTheArena(t *testing.T) {
 								panic(fmt.Sprintf("batch view for id %d holds id %d", id, binary.LittleEndian.Uint32(v)))
 							}
 							if k%7 == 0 {
-								c.Remove(own[k/3])
+								c.Refresh(own[k/3], arenaPayload(own[k/3], gen+1))
 							}
 							release()
 						}

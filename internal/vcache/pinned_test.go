@@ -30,10 +30,33 @@ type pinModel struct {
 	whole  int
 }
 
-func newPinModel(capacity, shards int) *pinModel {
-	m := &pinModel{}
-	for _, s := range newSpecShards(capacity, shards) {
-		m.shards = append(m.shards, &pinShard{spec: s, held: map[uint32]specEntry{}})
+// newPinModel is the model of the cache New builds with opts, over its
+// keySpace ids: an even split of the capacity, the pinned set of ids, or
+// the whole set over [0, whole).
+func newPinModel(opts vcache.Options, ids []uint32) *pinModel {
+	m := &pinModel{whole: opts.Whole}
+	var caps []int
+	switch {
+	case opts.Pinned != nil:
+		m.set = map[uint32]bool{}
+		for _, id := range ids {
+			m.set[id] = true
+		}
+		caps = capsOf(ids, shardCount(len(ids), opts.Shards))
+	case opts.Whole > 0:
+		all := make([]uint32, opts.Whole)
+		for id := range all {
+			all[id] = uint32(id)
+		}
+		caps = capsOf(all, shardCount(opts.Whole, opts.Shards))
+	default:
+		n := shardCount(opts.Capacity, opts.Shards)
+		for i := range n {
+			caps = append(caps, shardCap(opts.Capacity, n, i))
+		}
+	}
+	for _, c := range caps {
+		m.shards = append(m.shards, &pinShard{spec: newSpec(c), held: map[uint32]specEntry{}})
 	}
 	return m
 }
@@ -182,99 +205,6 @@ func (m *pinModel) get(id uint32) (specEntry, bool) {
 	return e, ok
 }
 
-func (m *pinModel) remove(id uint32) bool {
-	s := m.of(id)
-	if _, ok := s.held[id]; ok {
-		delete(s.held, id)
-		return true
-	}
-	_, ok := s.take(id)
-	return ok
-}
-
-// reform is Pin (set non-nil) or Resize (set nil) with shard capacities
-// caps: a listed requested entry the set pins is held; an entry held before
-// (whole-form prefetched ones first, then the rest in id order) stays held
-// when the set pins it and it is requested, and otherwise joins the head of
-// the last segment (the first without a set); then the overflow goes and
-// every segment is rebalanced.
-func (m *pinModel) reform(set map[uint32]bool, caps []int) {
-	seg := func(s *pinShard) int {
-		if set == nil {
-			return 0
-		}
-		return len(s.segs) - 1
-	}
-	m.set = set
-	type heldEntry struct {
-		s *pinShard
-		e specEntry
-	}
-	var before []heldEntry
-	for i, s := range m.shards {
-		s.capacity = caps[i]
-		for id, e := range s.held {
-			before = append(before, heldEntry{s, e})
-			delete(s.held, id)
-		}
-		for k := range s.segs {
-			s.segs[k] = slices.DeleteFunc(s.segs[k], func(e specEntry) bool {
-				if set[e.id] && !e.pre && !e.warm {
-					s.held[e.id] = e
-					return true
-				}
-				return false
-			})
-		}
-	}
-	slices.SortFunc(before, func(a, b heldEntry) int { return int(a.e.id) - int(b.e.id) })
-	if m.whole > 0 {
-		for _, h := range before {
-			if h.e.pre {
-				h.s.push(h.e, len(h.s.segs)-1)
-			}
-		}
-	}
-	for _, h := range before {
-		if !h.e.pre {
-			if set[h.e.id] {
-				h.s.held[h.e.id] = h.e
-			} else {
-				h.s.push(h.e, seg(h.s))
-			}
-		}
-	}
-	m.whole = 0
-	for _, s := range m.shards {
-		s.evictOver()
-		for k := range s.segs {
-			s.cascadeFrom(k)
-		}
-	}
-}
-
-// pinWhole is PinWhole(n): every entry of [0, n) is held with its flag.
-func (m *pinModel) pinWhole(n int, caps []int) {
-	for i, s := range m.shards {
-		s.capacity = caps[i]
-		for _, seg := range s.segs {
-			for _, e := range seg {
-				e.warm = false
-				s.held[e.id] = e
-			}
-		}
-		for k := range s.segs {
-			s.segs[k] = nil
-		}
-		for id := range s.held {
-			if int(id) >= n {
-				delete(s.held, id)
-			}
-		}
-	}
-	m.set, m.whole = nil, n
-}
-
 // caps returns the number of ids of ids that hash to each of n shards.
 func capsOf(ids []uint32, n int) []int {
 	caps := make([]int, n)
@@ -312,15 +242,13 @@ func comparePinned(t *testing.T, step int, vc *vcache.Cache, m *pinModel) {
 	}
 }
 
-// TestPinnedFormMatchesModel drives the pinned form and pinModel with one
-// random op stream — inserts at every position, prefetched pinned ids that
-// stay on the list until asked for, warm fills, hits through Get and
-// GetBatch (with fills), prefetch admissions, removals, refreshes, and
-// conversions Pin→Pin,
-// Pin→Resize, Pin↔PinWhole and Resize→Pin, with sets that leave many shards
-// fewer ids than segments or none — and compares every result, every
-// shard's list in order with its flags, the capacities and the invariants
-// after each op.
+// TestPinnedFormMatchesModel drives each form of the cache, as New builds
+// it, and pinModel with one random op stream — inserts at every position,
+// prefetched pinned ids that stay on the list until asked for, warm fills,
+// hits through Get and GetBatch (with fills), prefetch admissions and
+// refreshes, with pinned sets that leave many shards fewer ids than
+// segments or none — and compares every result, every shard's list in
+// order with its flags, the capacities and the invariants after each op.
 func TestPinnedFormMatchesModel(t *testing.T) {
 	for _, cfg := range []struct {
 		capacity, shards int
@@ -328,155 +256,132 @@ func TestPinnedFormMatchesModel(t *testing.T) {
 		{16, 1}, {64, 1}, {64, 4}, {200, 8},
 	} {
 		t.Run(fmt.Sprintf("cap%d_shards%d", cfg.capacity, cfg.shards), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(cfg.capacity)*7 + int64(cfg.shards)))
-			vc := newTestCache(cfg.capacity, cfg.shards)
-			m := newPinModel(cfg.capacity, cfg.shards)
-			n := vc.NumShards()
-			keySpace := uint32(cfg.capacity * 3)
-			pin := func(step int) {
-				var ids []uint32
-				for id := range keySpace {
-					if rng.Intn(4) == 0 && len(ids) < cfg.capacity {
-						ids = append(ids, id)
-					}
-				}
-				if rng.Intn(3) == 0 {
-					ids = ids[:len(ids)/4] // few ids: shards below the segment count
-				}
-				set := map[uint32]bool{}
-				for _, id := range ids {
-					set[id] = true
-				}
-				vc.Pin(bitset(ids))
-				m.reform(set, capsOf(ids, n))
-				if vc.Cap() != len(ids) {
-					t.Fatalf("step %d: Pin of %d ids: capacity %d", step, len(ids), vc.Cap())
-				}
-			}
-			pin(-1)
-			gens := map[uint32]byte{}
-			for step := range 8000 {
-				id := rng.Uint32() % keySpace
-				if _, want := m.of(id).resident(id); vc.Contains(id) != want {
-					t.Fatalf("step %d: Contains(%d) = %v, model %v", step, id, !want, want)
-				}
-				switch op := rng.Intn(40); {
-				case op < 12: // AddAt, a quarter as prefetches
-					pos := rng.Float64()
-					pre := rng.Intn(4) == 0
-					gens[id]++
-					victim, evicted := vc.AddAt(id, payloadFor(id, gens[id]), pos, pre)
-					wantVictim, wantEvicted, _ := m.addAt(specEntry{id: id, gen: gens[id], pre: pre}, pos)
-					checkAdd(t, step, id, victim, evicted, wantVictim, wantEvicted)
-				case op < 15: // prefetch admission
-					gens[id]++
-					got := vc.AddAtGuard(id, payloadFor(id, gens[id]), 0.5, true, nil, 0)
-					want := false
-					if _, ok := m.of(id).resident(id); !ok {
-						_, _, want = m.addAt(specEntry{id: id, gen: gens[id], pre: true}, 0.5)
-					}
-					if got != want {
-						t.Fatalf("step %d: prefetch admission of %d = %v, model %v", step, id, got, want)
-					}
-				case op < 22: // Get
-					var vGen byte
-					var vPre bool
-					vOK := vc.GetFunc(id, func(p []byte, pre bool) { vGen, vPre = p[4], pre })
-					e, ok := m.get(id)
-					if vOK != ok || ok && (vGen != e.gen || vPre != e.pre) {
-						t.Fatalf("step %d: Get(%d) = (%v, gen %d, pre %v), model (%v, gen %d, pre %v)", step, id, vOK, vGen, vPre, ok, e.gen, e.pre)
-					}
-				case op < 32: // GetBatch with fills
-					ids := []uint32{id}
-					for k := rng.Intn(12); k > 0; k-- {
-						if next := rng.Uint32() % keySpace; !slices.Contains(ids, next) {
-							ids = append(ids, next)
-						}
-					}
-					fill := make([]bool, len(ids))
-					for i, id := range ids {
-						if fill[i] = rng.Intn(2) == 0; fill[i] {
-							gens[id]++
-						}
-					}
-					views := make([][]byte, len(ids))
-					release := vc.Lease()
-					gotPre := vc.GetBatch(ids, views, func(i int) []byte {
-						if !fill[i] {
-							return nil
-						}
-						return payloadFor(ids[i], gens[ids[i]])
-					})
-					wantPre := 0
-					for i, id := range ids {
-						e, hit := m.get(id)
-						switch {
-						case hit && (views[i] == nil || views[i][4] != e.gen):
-							t.Fatalf("step %d: GetBatch %v: id %d hit in the model (gen %d), view %v", step, ids, id, e.gen, views[i])
-						case !hit && views[i] != nil:
-							t.Fatalf("step %d: GetBatch %v: id %d missed in the model, got a view", step, ids, id)
-						case hit && e.pre:
-							wantPre++
-						case !hit && fill[i]:
-							m.addAt(specEntry{id: id, gen: gens[id]}, 0)
-						}
-					}
-					release()
-					if gotPre != wantPre {
-						t.Fatalf("step %d: GetBatch %v: %d prefetched hits, model %d", step, ids, gotPre, wantPre)
-					}
-				case op < 36: // Remove
-					if got, want := vc.Remove(id), m.remove(id); got != want {
-						t.Fatalf("step %d: Remove(%d) = %v, model %v", step, id, got, want)
-					}
-				case op == 36 && step%5 == 0:
-					pin(step)
-				case op == 37 && step%5 == 0:
-					target := 1 + rng.Intn(cfg.capacity*2)
-					got := vc.Resize(target)
-					target = max(target, n)
-					caps := make([]int, n)
-					for i := range caps {
-						caps[i] = target / n
-						if i < target%n {
-							caps[i]++
-						}
-					}
-					m.reform(nil, caps)
-					if got != target {
-						t.Fatalf("step %d: Resize = %d, want %d", step, got, target)
-					}
-				case op == 38 && step%5 == 0:
-					ids := make([]uint32, keySpace/2)
-					for i := range ids {
-						ids[i] = uint32(i)
-					}
-					vc.PinWhole(len(ids))
-					m.pinWhole(len(ids), capsOf(ids, n))
-				case op == 39 && rng.Intn(2) == 0: // Warm
-					ids := []uint32{id}
-					for k := rng.Intn(12); k > 0; k-- {
-						if next := rng.Uint32() % keySpace; !slices.Contains(ids, next) {
-							ids = append(ids, next)
-						}
-					}
-					pos := rng.Float64()
-					for _, id := range ids {
-						gens[id]++
-					}
-					got := vc.Warm(ids, func(id uint32) []byte { return payloadFor(id, gens[id]) }, pos, nil, 0)
-					if want := m.warm(ids, func(id uint32) byte { return gens[id] }, pos); got != want {
-						t.Fatalf("step %d: Warm %v at %.2f filled %d, model %d", step, ids, pos, got, want)
-					}
-				case op == 39: // Refresh
-					gens[id]++
-					if got, want := vc.Refresh(id, payloadFor(id, gens[id])), m.refresh(id, gens[id]); got != want {
-						t.Fatalf("step %d: Refresh(%d) = %v, model %v", step, id, got, want)
-					}
-				}
-				comparePinned(t, step, vc, m)
+			for _, form := range []string{"even", "pinned", "pinned_few", "whole"} {
+				t.Run(form, func(t *testing.T) { matchPinModel(t, cfg.capacity, cfg.shards, form) })
 			}
 		})
+	}
+}
+
+// matchPinModel is TestPinnedFormMatchesModel for one form of a cache of
+// the given capacity and shards.
+func matchPinModel(t *testing.T, capacity, shards int, form string) {
+	rng := rand.New(rand.NewSource(int64(capacity)*7 + int64(shards)))
+	keySpace := uint32(capacity * 3)
+	opts := vcache.Options{Capacity: capacity, SlotBytes: testSlot, Shards: shards}
+	var ids []uint32
+	switch form {
+	case "pinned", "pinned_few":
+		for id := range keySpace {
+			if rng.Intn(4) == 0 && len(ids) < capacity {
+				ids = append(ids, id)
+			}
+		}
+		if form == "pinned_few" {
+			ids = ids[:max(len(ids)/4, 1)] // shards below the segment count
+		}
+		opts.Pinned = bitset(ids)
+	case "whole":
+		opts.Whole = int(keySpace / 2)
+	}
+	vc := vcache.New(opts)
+	m := newPinModel(opts, ids)
+	if form != "even" && vc.Cap() != len(ids)+opts.Whole {
+		t.Fatalf("%d ids pinned %s: capacity %d", len(ids)+opts.Whole, form, vc.Cap())
+	}
+	gens := map[uint32]byte{}
+	for step := range 4000 {
+		id := rng.Uint32() % keySpace
+		if _, want := m.of(id).resident(id); vc.Contains(id) != want {
+			t.Fatalf("step %d: Contains(%d) = %v, model %v", step, id, !want, want)
+		}
+		switch op := rng.Intn(37); {
+		case op < 12: // AddAt, a quarter as prefetches
+			pos := rng.Float64()
+			pre := rng.Intn(4) == 0
+			gens[id]++
+			victim, evicted := vc.AddAt(id, payloadFor(id, gens[id]), pos, pre)
+			wantVictim, wantEvicted, _ := m.addAt(specEntry{id: id, gen: gens[id], pre: pre}, pos)
+			checkAdd(t, step, id, victim, evicted, wantVictim, wantEvicted)
+		case op < 15: // prefetch admission
+			gens[id]++
+			got := vc.AddAtGuard(id, payloadFor(id, gens[id]), 0.5, true, nil, 0)
+			want := false
+			if _, ok := m.of(id).resident(id); !ok {
+				_, _, want = m.addAt(specEntry{id: id, gen: gens[id], pre: true}, 0.5)
+			}
+			if got != want {
+				t.Fatalf("step %d: prefetch admission of %d = %v, model %v", step, id, got, want)
+			}
+		case op < 22: // Get
+			var vGen byte
+			var vPre bool
+			vOK := vc.GetFunc(id, func(p []byte, pre bool) { vGen, vPre = p[4], pre })
+			e, ok := m.get(id)
+			if vOK != ok || ok && (vGen != e.gen || vPre != e.pre) {
+				t.Fatalf("step %d: Get(%d) = (%v, gen %d, pre %v), model (%v, gen %d, pre %v)", step, id, vOK, vGen, vPre, ok, e.gen, e.pre)
+			}
+		case op < 32: // GetBatch with fills
+			ids := []uint32{id}
+			for k := rng.Intn(12); k > 0; k-- {
+				if next := rng.Uint32() % keySpace; !slices.Contains(ids, next) {
+					ids = append(ids, next)
+				}
+			}
+			fill := make([]bool, len(ids))
+			for i, id := range ids {
+				if fill[i] = rng.Intn(2) == 0; fill[i] {
+					gens[id]++
+				}
+			}
+			views := make([][]byte, len(ids))
+			release := vc.Lease()
+			gotPre := vc.GetBatch(ids, views, func(i int) []byte {
+				if !fill[i] {
+					return nil
+				}
+				return payloadFor(ids[i], gens[ids[i]])
+			})
+			wantPre := 0
+			for i, id := range ids {
+				e, hit := m.get(id)
+				switch {
+				case hit && (views[i] == nil || views[i][4] != e.gen):
+					t.Fatalf("step %d: GetBatch %v: id %d hit in the model (gen %d), view %v", step, ids, id, e.gen, views[i])
+				case !hit && views[i] != nil:
+					t.Fatalf("step %d: GetBatch %v: id %d missed in the model, got a view", step, ids, id)
+				case hit && e.pre:
+					wantPre++
+				case !hit && fill[i]:
+					m.addAt(specEntry{id: id, gen: gens[id]}, 0)
+				}
+			}
+			release()
+			if gotPre != wantPre {
+				t.Fatalf("step %d: GetBatch %v: %d prefetched hits, model %d", step, ids, gotPre, wantPre)
+			}
+		case op < 36: // Refresh
+			gens[id]++
+			if got, want := vc.Refresh(id, payloadFor(id, gens[id])), m.refresh(id, gens[id]); got != want {
+				t.Fatalf("step %d: Refresh(%d) = %v, model %v", step, id, got, want)
+			}
+		default: // Warm
+			ids := []uint32{id}
+			for k := rng.Intn(12); k > 0; k-- {
+				if next := rng.Uint32() % keySpace; !slices.Contains(ids, next) {
+					ids = append(ids, next)
+				}
+			}
+			pos := rng.Float64()
+			for _, id := range ids {
+				gens[id]++
+			}
+			got := vc.Warm(ids, func(id uint32) []byte { return payloadFor(id, gens[id]) }, pos, nil, 0)
+			if want := m.warm(ids, func(id uint32) byte { return gens[id] }, pos); got != want {
+				t.Fatalf("step %d: Warm %v at %.2f filled %d, model %d", step, ids, pos, got, want)
+			}
+		}
+		comparePinned(t, step, vc, m)
 	}
 }
 
@@ -486,13 +391,12 @@ func TestPinnedFormMatchesModel(t *testing.T) {
 // table.
 func TestPinnedHitsTakeNoRecord(t *testing.T) {
 	const pinned = 4096
-	c := newTestCache(pinned, 8)
 	ids := make([]uint32, pinned)
 	for i := range ids {
 		ids[i] = uint32(3 * i)
 	}
 	set := bitset(ids)
-	c.Pin(set)
+	c := newPinnedCache(ids, 8)
 	for _, id := range ids {
 		c.Add(id, payloadFor(id, 0), false)
 	}
@@ -511,52 +415,18 @@ func TestPinnedHitsTakeNoRecord(t *testing.T) {
 	}
 }
 
-// TestResizeShrinksIndexAndRecords: a 4,096-id, 8-shard cache made whole and
-// then resized to 1,024 holds no more probe-table and record bytes than a
-// fresh 1,024-entry cache filled to the brim.
-func TestResizeShrinksIndexAndRecords(t *testing.T) {
-	const n, small = 4096, 1024
-	c := newTestCache(n, 8)
-	c.PinWhole(n)
-	for id := range uint32(n) {
-		c.Add(id, payloadFor(id, 0), false)
-	}
-	c.Resize(small)
-	fresh := newTestCache(small, 8)
-	for id := range uint32(n) {
-		fresh.Add(id, payloadFor(id, 0), false)
-	}
-	got, want := c.Stats(), fresh.Stats()
-	if got.Entries != small || want.Entries != small {
-		t.Fatalf("resized cache holds %d, fresh %d; want %d each", got.Entries, want.Entries, small)
-	}
-	if got.MetaBytes+got.IndexBytes > want.MetaBytes+want.IndexBytes {
-		t.Fatalf("resized cache keeps %d B of records and %d B of probe tables, a fresh one %d B and %d B", got.MetaBytes, got.IndexBytes, want.MetaBytes, want.IndexBytes)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPinnedUnderConcurrentServing is the pinned form's -race stress test:
 // readers serve lock-free hits on held ids and locked hits and fills on the
 // rest under leases, checking that every view holds its id and stays intact
 // until release, while a writer replaces (as requested entries and as
-// prefetches) and removes entries and a converter re-pins, resizes and pins
-// the cache whole and back.
+// prefetches) and refreshes entries.
 func TestPinnedUnderConcurrentServing(t *testing.T) {
 	const n = 2048
-	c := newTestCache(n, 8)
-	var even, odd []uint32
-	for id := range uint32(n) {
-		if id%2 == 0 {
-			even = append(even, id)
-		} else {
-			odd = append(odd, id)
-		}
+	var even []uint32
+	for id := uint32(0); id < n; id += 2 {
+		even = append(even, id)
 	}
-	sets := [][]uint64{bitset(even), bitset(odd), bitset(even[:n/8])}
-	c.Pin(sets[0])
+	c := newPinnedCache(even, 8)
 	for _, id := range even {
 		c.Add(id, payloadFor(id, 1), false)
 	}
@@ -598,38 +468,25 @@ func TestPinnedUnderConcurrentServing(t *testing.T) {
 			}
 		}(int64(r))
 	}
-	wg.Add(2)
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer stop.Store(true)
 		rng := rand.New(rand.NewSource(99))
-		for gen := byte(0); !stop.Load(); gen++ {
-			id := uint32(rng.Intn(n))
+		for op := range 20000 {
+			id, gen := uint32(rng.Intn(n)), byte(op)
 			switch rng.Intn(4) {
 			case 0:
-				c.Remove(id)
+				c.Refresh(id, payloadFor(id, gen))
 			case 1:
 				c.AddAtGuard(id, payloadFor(id, gen), 0.5, true, nil, 0)
 			default:
 				c.AddAt(id, payloadFor(id, gen), rng.Float64(), rng.Intn(4) == 0)
 			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := range 120 {
-			switch i % 4 {
-			case 0:
-				c.Pin(sets[i%3])
-			case 1:
-				c.Resize(n / 2)
-				c.Pin(sets[(i+1)%3])
-			case 2:
-				c.PinWhole(n)
-				c.Pin(sets[i%3])
+			if op%200 == 0 {
+				runtime.Gosched()
 			}
-			runtime.Gosched()
 		}
-		stop.Store(true)
 	}()
 	wg.Wait()
 	if err := c.CheckInvariants(); err != nil {
@@ -641,11 +498,11 @@ func TestPinnedUnderConcurrentServing(t *testing.T) {
 // the cache is sealed, and GetBatch answers an id outside the set as a miss
 // without its shard's lock, on the single-shard path and the chained one
 // alike: the miss callback runs with the lock free, and the payload it
-// returns is not filled. A Remove unseals the removed id's shard, whose
-// misses take the lock and fill again.
+// returns is not filled. A refresh of a held id keeps the cache sealed; a
+// shard still missing one of its pinned ids is not sealed, and its misses
+// take the lock and fill.
 func TestSealedMissTakesNoLock(t *testing.T) {
 	const n = 1024
-	c := newTestCache(n, 8)
 	var pinned, outside []uint32
 	for id := range uint32(n) {
 		if id%4 == 0 {
@@ -654,7 +511,7 @@ func TestSealedMissTakesNoLock(t *testing.T) {
 			outside = append(outside, id)
 		}
 	}
-	c.Pin(bitset(pinned))
+	c := newPinnedCache(pinned, 8)
 	for _, id := range pinned {
 		c.Add(id, payloadFor(id, 1), false)
 	}
@@ -694,9 +551,15 @@ func TestSealedMissTakesNoLock(t *testing.T) {
 		t.Fatalf("sealed cache holds %d entries after its misses, want %d", c.Len(), len(pinned))
 	}
 
-	c.Remove(pinned[0])
+	if !c.Refresh(pinned[0], payloadFor(pinned[0], 2)) || !c.Sealed() {
+		t.Fatal("a refresh of a held id unsealed the cache")
+	}
+	c = newPinnedCache(pinned, 8)
+	for _, id := range pinned[1:] {
+		c.Add(id, payloadFor(id, 1), false)
+	}
 	if c.Sealed() {
-		t.Fatal("cache still sealed after a pinned id was removed")
+		t.Fatalf("sealed while pinned id %d is not held", pinned[0])
 	}
 	var id uint32
 	for _, o := range outside {
@@ -720,18 +583,15 @@ func TestSealedMissTakesNoLock(t *testing.T) {
 }
 
 // TestSealedMissUnderConcurrentServing races GetBatch misses of ids outside
-// the pinned set on a sealed cache, whose miss callback offers a payload,
-// against what unseals it: Remove of pinned ids and their refills (which
-// seal the shard again), and Pin, Resize and PinWhole conversions, each
-// followed by a Pin of the set, refills, and a wait (of at most a second)
-// until a reader has counted a batch on the sealed cache, so that the final
-// count does not hang on how briefly the cache stays sealed between
-// conversions. A lock-free miss that filled
-// would write the shard without its lock; run under -race, that is a data
-// race, and CheckInvariants then holds every shard to its form.
+// the pinned set, whose miss callback offers a payload, against the fills
+// that seal the cache shard by shard and the refreshes of its held ids
+// after, until readers have counted batches on the sealed cache (or a
+// second has passed). A lock-free miss that filled would write the shard
+// without its lock; run under -race, that is a data race with the locked
+// fills and refreshes, and CheckInvariants and the entry count then hold
+// every shard to its form.
 func TestSealedMissUnderConcurrentServing(t *testing.T) {
 	const n = 512
-	c := newTestCache(n, 8)
 	var pinned, outside []uint32
 	for id := range uint32(n) {
 		if id%4 == 0 {
@@ -740,17 +600,7 @@ func TestSealedMissUnderConcurrentServing(t *testing.T) {
 			outside = append(outside, id)
 		}
 	}
-	set := bitset(pinned)
-	refill := func() {
-		for _, id := range pinned {
-			c.Add(id, payloadFor(id, 1), false)
-		}
-	}
-	c.Pin(set)
-	refill()
-	if !c.Sealed() {
-		t.Fatal("a cache holding every pinned id is not sealed")
-	}
+	c := newPinnedCache(pinned, 8)
 	var stop atomic.Bool
 	var sealedBatches atomic.Int64
 	var wg sync.WaitGroup
@@ -783,46 +633,27 @@ func TestSealedMissUnderConcurrentServing(t *testing.T) {
 			}
 		}(int64(r))
 	}
-	wg.Add(2)
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer stop.Store(true)
 		rng := rand.New(rand.NewSource(99))
-		for !stop.Load() {
+		for _, k := range rng.Perm(len(pinned)) {
+			c.Add(pinned[k], payloadFor(pinned[k], 1), false)
+			runtime.Gosched()
+		}
+		for deadline := time.Now().Add(time.Second); sealedBatches.Load() < 100 && time.Now().Before(deadline); {
 			id := pinned[rng.Intn(len(pinned))]
-			c.Remove(id)
-			runtime.Gosched()
-			c.Add(id, payloadFor(id, 1), false)
+			c.Refresh(id, payloadFor(id, 3))
 			runtime.Gosched()
 		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := range 30 {
-			switch i % 3 {
-			case 0:
-				c.Pin(bitset(pinned[:len(pinned)/2]))
-			case 1:
-				c.Resize(n / 2)
-			case 2:
-				c.PinWhole(n)
-			}
-			runtime.Gosched()
-			c.Pin(set)
-			refill()
-			// Let a reader count a batch on the sealed cache before the next
-			// conversion unseals it, but wait no more than a second: the
-			// remover unseals it too, and a reader only counts a batch that
-			// begins while it is sealed.
-			seen := sealedBatches.Load()
-			for deadline := time.Now().Add(time.Second); sealedBatches.Load() == seen && time.Now().Before(deadline); {
-				runtime.Gosched()
-			}
-		}
-		stop.Store(true)
 	}()
 	wg.Wait()
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if c.Len() != len(pinned) {
+		t.Fatalf("the cache holds %d entries, want its %d pinned ids: a miss outside the set was filled", c.Len(), len(pinned))
 	}
 	if sealedBatches.Load() == 0 {
 		t.Fatal("no batch ran on a sealed cache: the lock-free miss was never raced")
@@ -832,12 +663,11 @@ func TestSealedMissUnderConcurrentServing(t *testing.T) {
 // TestPinnedHitPathZeroAlloc: Get and GetBatch on held pinned ids, and a
 // GetBatch mixing them with listed ids, allocate nothing.
 func TestPinnedHitPathZeroAlloc(t *testing.T) {
-	c := newTestCache(1024, 8)
 	ids := make([]uint32, 64)
 	for i := range ids {
 		ids[i] = uint32(i * 13)
 	}
-	c.Pin(bitset(ids[:48]))
+	c := newPinnedCache(ids[:48], 8)
 	for _, id := range ids {
 		c.Add(id, payloadFor(id, 0), false)
 	}
@@ -867,8 +697,7 @@ func BenchmarkGetBatchPinned(b *testing.B) {
 	for i, v := range rng.Perm(n)[:pinned] {
 		ids[i] = uint32(v)
 	}
-	c := vcache.New(vcache.Options{Capacity: pinned, SlotBytes: slot, Shards: 8})
-	c.Pin(bitset(ids))
+	c := vcache.New(vcache.Options{Pinned: bitset(ids), SlotBytes: slot, Shards: 8})
 	p := make([]byte, slot)
 	for _, id := range ids {
 		c.Add(id, p, false)

@@ -16,11 +16,11 @@
 // one slab, and a slab owns its allocator span (see slabSlots). The only
 // heap objects are the slabs and a handful of flat slices per shard; a
 // listed entry costs ~20 B of record plus ~11 B of index, a held pinned
-// entry (see Pin) a 4-byte slot word, and the GC sees no per-entry pointers
-// at all.
+// entry (see Pinned set) a 4-byte slot word, and the GC sees no per-entry
+// pointers at all.
 //
 // The cache is sharded (hash-routed, power-of-two shard count, exact
-// capacity split — or, after Pin, each shard sized to the ids of a pinned
+// capacity split — or, with a pinned set, each shard sized to the ids of the
 // set that hash to it) and each shard is a segmented LRU. Its eviction queue is
 // cut into Segments runs (fewer if the shard holds fewer entries), and every
 // run but the last holds at most ceil(capacity/segments) entries. Inserting
@@ -34,8 +34,9 @@
 //
 // # Pinned set
 //
-// Pin gives the cache a set of ids it never evicts once asked for. A pinned
-// id inserted or hit as a requested entry is held off the recency list: it
+// Options.Pinned gives the cache a set of ids it never evicts once asked
+// for. A pinned id inserted or hit as a requested entry is held off the
+// recency list: it
 // keeps no record and no probe entry, only a slot word (slot+1, 0 when
 // absent) addressed by its rank in the set — a bit test, a popcount over
 // one word and a rank directory of one cumulative count per 64 ids —, so a
@@ -44,21 +45,20 @@
 // neighbour's read brought in included, until its first hit — is listed
 // and evicted as above; the lists' records and probe tables are sized to the
 // room the pinned entries leave them, so they shrink as the set fills in.
-// Each shard's capacity becomes the number of pinned ids that hash to it,
+// Each shard's capacity is the number of pinned ids that hash to it,
 // so the pinned ids fit at once, and the capacity they have not yet filled
 // is lent to the list: inserting a pinned id into a full shard evicts the
 // list's tail, and a full shard whose every entry is pinned is sealed: it
 // refuses anything else without taking its lock, and GetBatch answers such
 // an id as a miss without the lock too, running the miss callback
 // lock-free and never filling (Sealed reports a cache whose every shard is
-// sealed). Which ids are pinned is the cache's own state, read under the
-// shard lock, so a caller acting on an older verdict cannot displace a
-// pinned id.
+// sealed). The pinned set is the cache's own, so a caller acting on an
+// older verdict cannot displace a pinned id.
 //
 // A cache that holds its whole table can never evict, so it needs neither
-// recency nor a hash index: PinWhole(n) pins the implied set of every id
-// of [0, n), which the store takes whenever a cache covers its table and no
-// pin verdict gives it a set. Its rank is the id itself, so it keeps no
+// recency nor a hash index: Options.Whole = n pins the implied set of every
+// id of [0, n), which the store takes whenever a cache covers its table and
+// no pin verdict gives it a set. Its rank is the id itself, so it keeps no
 // bitset and no rank directory, and it lends no room: an entry of it that
 // prefetch admission inserted is held in its slot word too, marked by the
 // word's top bit until the first request clears it with an atomic
@@ -74,12 +74,14 @@
 // before whatever was listed after it, and its slot skips limbo.
 //
 // A hit on a held entry moves nothing; a miss, a fill, GetBatch's miss
-// callback (but a sealed shard's) and Remove take the shard lock, and the
+// callback (but a sealed shard's) and Refresh take the shard lock, and the
 // lease rule below holds for slot words as for records: a fill publishes
-// the slot word after the payload, and Remove clears it before parking the
-// slot. Resize, Pin and PinWhole convert the cache in place under every
-// shard lock, keeping every entry they have room for and clearing the words
-// of the index they retire before they park any slot.
+// the slot word after the payload, and Refresh moves it to the new slot
+// before it parks the old one.
+//
+// A cache's form — an even split, a pinned set or an implied whole set — is
+// fixed by New. A store re-sizing a table's DRAM builds a new cache and
+// fills it from the old one (see Entries).
 //
 // It is the one segmented LRU in the product: the store serves from it, and
 // with SlotBytes 0 (keys only) sim.Replay, the shadow-cache admission
@@ -128,6 +130,7 @@
 package vcache
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -202,22 +205,21 @@ type shard struct {
 	capacity int
 	used     int
 
-	// pin is the cache's pinned index (see Pin; nil: no pinned set) and
-	// pinned the number of resident entries its slot words hold, which used
-	// counts too. Every other entry is listed: on the recency list, with a
-	// record and a probe-table entry.
-	pin    *pinIndex
+	// pinned is the number of resident entries the cache's pinned slot
+	// words hold for this shard, which used counts too. Every other entry
+	// is listed: on the recency list, with a record and a probe-table
+	// entry.
 	pinned int
-	// sealed is pin while the shard holds only requested pinned ids and is
-	// full, so it refuses every id outside the set; nil otherwise. It is
-	// read without the lock (see refuses).
-	sealed atomic.Pointer[pinIndex]
+	// sealed is set while the shard holds only requested pinned ids and is
+	// full, so it refuses every id outside the set. It is read without the
+	// lock (see refuses).
+	sealed atomic.Bool
 
 	// Open-addressing index of the listed entries, with linear probing and
 	// backward-shift deletion. Each word packs record<<32 | id; a word with
 	// record == nilIdx is empty. idxMask wraps a probe position, idxShift
 	// maps an id to its home (see home); both follow len(idx), a power of
-	// two. A shard of an implied pinned set (see PinWhole) keeps none.
+	// two. A shard of an implied pinned set (see Options.Whole) keeps none.
 	idx      []uint64
 	idxMask  uint32
 	idxShift uint
@@ -245,17 +247,28 @@ type shard struct {
 	touched uint32
 }
 
-// Options configures New.
+// Options configures New, and with it the cache's form, which never
+// changes: an even split of Capacity, or a pinned set (Pinned or Whole).
 type Options struct {
-	// Capacity is the total entry budget across all shards. Must be > 0.
+	// Capacity is the total entry budget across all shards of a cache with
+	// no pinned set. Must be > 0 unless Pinned or Whole sets the form.
 	Capacity int
+	// Pinned, when non-nil, gives the cache a pinned set (see the package
+	// comment): a bitset over ids (bit id%64 of word id/64) that neither
+	// the cache nor the caller may write. Each shard's capacity is the
+	// number of set ids that hash to it, and the cache's the set's size.
+	Pinned []uint64
+	// Whole, when positive and Pinned is nil, pins the implied set of every
+	// id of [0, Whole) (see the package comment), refusing any other id;
+	// the capacity is Whole.
+	Whole int
 	// SlotBytes is the fixed payload size of every entry (the table's
 	// fp16 vector size). 0 makes a keys-only cache: no slab is ever
 	// allocated and every view is empty. Must not be negative.
 	SlotBytes int
 	// Shards is the requested shard count, rounded up to a power of two and
-	// halved until it does not exceed Capacity (every shard holds at least
-	// one entry); <= 0 selects one shard.
+	// halved until it does not exceed the cache's capacity (every shard of
+	// an even split holds at least one entry); <= 0 selects one shard.
 	Shards int
 }
 
@@ -264,12 +277,11 @@ type Cache struct {
 	slotBytes int
 	slabShift uint
 	shardMask uint64
-	capacity  atomic.Int64
+	capacity  int
 
-	// pin is the pinned index (see Pin and PinWhole), nil without a pinned
-	// set. It changes only under every shard lock, so a holder of any shard
-	// lock sees it fixed.
-	pin atomic.Pointer[pinIndex]
+	// pin is the pinned index (see Options.Pinned and Options.Whole); a
+	// cache with no pinned set has an empty explicit one.
+	pin *pinIndex
 
 	// The payload arena, shared by every shard: slabs of 1<<slabShift slots
 	// each, minted in slot order from nextSlot under arenaMu. A shard mints
@@ -309,44 +321,53 @@ func Hash(id uint32) uint64 {
 	return x ^ (x >> 31)
 }
 
-// New builds a Cache. Capacity must be positive and SlotBytes not negative.
+// New builds a Cache in the form opts gives it. Capacity must be positive
+// when neither Pinned nor Whole is set, and SlotBytes not negative.
 func New(opts Options) *Cache {
-	if opts.Capacity <= 0 {
+	c := &Cache{slotBytes: opts.SlotBytes, capacity: opts.Capacity, pin: newPinIndex(opts.Pinned)}
+	switch {
+	case opts.Pinned != nil:
+		c.capacity = len(c.pin.slots)
+	case opts.Whole > 0:
+		c.pin = &pinIndex{slots: make([]atomic.Uint32, opts.Whole)}
+		c.capacity = opts.Whole
+	case opts.Capacity <= 0:
 		panic(fmt.Sprintf("vcache: capacity must be positive, got %d", opts.Capacity))
 	}
 	if opts.SlotBytes < 0 {
 		panic(fmt.Sprintf("vcache: slot size must not be negative, got %d", opts.SlotBytes))
 	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	n := 1
-	for n < shards {
+	for n < opts.Shards {
 		n <<= 1
 	}
-	for n > opts.Capacity {
+	for n > max(c.capacity, 1) {
 		n >>= 1
 	}
-
-	c := &Cache{
-		slotBytes: opts.SlotBytes,
-		shardMask: uint64(n - 1),
-		shards:    make([]shard, n),
-	}
-	c.capacity.Store(int64(opts.Capacity))
+	c.shardMask = uint64(n - 1)
+	c.shards = make([]shard, n)
 	c.releases[0] = func() { c.cnt[0].n.Add(-1) }
 	c.releases[1] = func() { c.cnt[1].n.Add(-1) }
+	c.slabShift = uint(bits.TrailingZeros(uint(slabSlots(c.capacity, opts.SlotBytes))))
 
-	c.slabShift = uint(bits.TrailingZeros(uint(slabSlots(opts.Capacity, opts.SlotBytes))))
-
-	base, rem := opts.Capacity/n, opts.Capacity%n
-	for i := range c.shards {
-		sc := base
-		if i < rem {
-			sc++
+	caps := make([]int, n)
+	if opts.Pinned == nil && opts.Whole <= 0 {
+		for i := range caps {
+			caps[i] = c.capacity / n
+			if i < c.capacity%n {
+				caps[i]++
+			}
 		}
-		c.shards[i].init(sc)
+	}
+	c.pin.each(func(id uint32, _ int) { caps[Hash(id)&c.shardMask]++ })
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.capacity, s.freeRec = caps[i], nilIdx
+		s.segs = make([]segment, min(Segments, caps[i]))
+		for k := range s.segs {
+			s.segs[k] = segment{head: nilIdx, tail: nilIdx}
+		}
+		s.rehash(s.indexWords(c.pin))
 	}
 	return c
 }
@@ -366,17 +387,6 @@ func slabSlots(capacity, slotBytes int) int {
 		per <<= 1
 	}
 	return per
-}
-
-func (s *shard) init(capacity int) {
-	s.capacity = capacity
-	s.freeRec = nilIdx
-	s.segs = make([]segment, min(Segments, capacity))
-	for i := range s.segs {
-		s.segs[i] = segment{head: nilIdx, tail: nilIdx}
-	}
-	s.idx = newIndex(indexLen(capacity))
-	s.idxMask, s.idxShift = uint32(len(s.idx)-1), indexShift(s.idx)
 }
 
 // indexLen is the probe-table length for n entries: a power of two, at
@@ -402,10 +412,7 @@ func indexShift(idx []uint64) uint { return uint(33 - bits.Len32(uint32(len(idx)
 func (c *Cache) NumShards() int { return len(c.shards) }
 
 // Cap returns the total configured capacity.
-func (c *Cache) Cap() int { return int(c.capacity.Load()) }
-
-// SlotBytes returns the fixed per-entry payload size.
-func (c *Cache) SlotBytes() int { return c.slotBytes }
+func (c *Cache) Cap() int { return c.capacity }
 
 // Len returns the number of cached entries across all shards.
 func (c *Cache) Len() int {
@@ -428,7 +435,7 @@ func (c *Cache) Contains(id uint32) bool {
 	s := c.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pin.find(id) != nilIdx || s.idxFind(id) != nilIdx
+	return c.pin.find(id) != nilIdx || s.idxFind(id) != nilIdx
 }
 
 // Lease marks the start of a request that will hold arena views (Get
@@ -506,15 +513,6 @@ func (s *shard) idxInsert(id, slot uint32) {
 	s.idx[i] = uint64(slot)<<32 | uint64(id)
 }
 
-// idxUpdate rewrites id's slot in place (relocation on value replace).
-func (s *shard) idxUpdate(id, slot uint32) {
-	i := home(id, s.idxShift)
-	for uint32(s.idx[i]) != id || uint32(s.idx[i]>>32) == nilIdx {
-		i = (i + 1) & s.idxMask
-	}
-	s.idx[i] = uint64(slot)<<32 | uint64(id)
-}
-
 // idxDelete removes id using backward-shift deletion, which keeps probe
 // chains dense (no tombstones, no periodic rebuilds).
 func (s *shard) idxDelete(id uint32) {
@@ -568,10 +566,11 @@ func (s *shard) rehash(n int) {
 
 // ---- records ----
 
-// room is how many entries the recency list may hold: the capacity the
-// pinned entries have not filled, or none where the pinned set lends none.
-func (s *shard) room() int {
-	if !s.pin.lends() {
+// room is how many entries the recency list may hold under the cache's
+// pinned index p: the capacity the pinned entries have not filled, or none
+// where the pinned set lends none.
+func (s *shard) room(p *pinIndex) int {
+	if !p.lends() {
 		return 0
 	}
 	return s.capacity - s.pinned
@@ -579,18 +578,18 @@ func (s *shard) room() int {
 
 // indexWords is the probe-table length the list's room needs: none when
 // the pinned set lends no room.
-func (s *shard) indexWords() int {
-	if !s.pin.lends() {
+func (s *shard) indexWords(p *pinIndex) int {
+	if !p.lends() {
 		return 0
 	}
-	return indexLen(s.room())
+	return indexLen(s.room(p))
 }
 
 // newRecord files a record for id in slot, reusing a freed one first. A
 // full meta grows by doubling, but not past room+1 records (an insert
 // into a full shard lists its entry before it evicts) while that leaves
 // room to grow.
-func (s *shard) newRecord(id, slot, flags uint32) uint32 {
+func (s *shard) newRecord(p *pinIndex, id, slot, flags uint32) uint32 {
 	m := slotMeta{id: id, slot: slot, prev: nilIdx, next: nilIdx, segflags: flags}
 	if r := s.freeRec; r != nilIdx {
 		s.freeRec = s.meta[r].next
@@ -600,7 +599,7 @@ func (s *shard) newRecord(id, slot, flags uint32) uint32 {
 	}
 	if len(s.meta) == cap(s.meta) {
 		n := max(8, 2*cap(s.meta))
-		if most := s.room() + 1; most > len(s.meta) {
+		if most := s.room(p) + 1; most > len(s.meta) {
 			n = min(n, most)
 		}
 		grown := make([]slotMeta, len(s.meta), n)
@@ -624,20 +623,20 @@ func (s *shard) freeRecord(r uint32) {
 // and the records are rebuilt to fit (see compact) once either holds more
 // than twice what the room needs, so a pinned shard's list shrinks as its
 // pinned ids fill in, without a rebuild per step.
-func (s *shard) fit() {
-	want := s.indexWords()
+func (s *shard) fit(p *pinIndex) {
+	want := s.indexWords(p)
 	switch {
 	case len(s.idx) < want:
 		s.rehash(want)
-	case len(s.idx) > 2*want || cap(s.meta) > 2*(s.room()+1):
-		s.compact()
+	case len(s.idx) > 2*want || cap(s.meta) > 2*(s.room(p)+1):
+		s.compact(p)
 	}
 }
 
 // compact renumbers the listed records in list order into a meta of
 // exactly their number, with no free ones, and rebuilds the probe table at
 // the room's size.
-func (s *shard) compact() {
+func (s *shard) compact(p *pinIndex) {
 	meta := make([]slotMeta, 0, s.used-s.pinned)
 	prev := nilIdx
 	for i := range s.segs {
@@ -662,7 +661,7 @@ func (s *shard) compact() {
 		}
 	}
 	s.meta, s.freeRec, s.holes = meta, nilIdx, 0
-	s.rehash(s.indexWords())
+	s.rehash(s.indexWords(p))
 }
 
 // ---- intrusive segmented recency list ----
@@ -733,7 +732,7 @@ func (s *shard) listRemove(r uint32) {
 // insert or a promotion grows only the segment it lands in, so the cascade
 // starts there and stops at the first segment it leaves within bound: the
 // segments before and after are exactly what a walk over all of them would
-// leave. Resize, which moves the bound itself, walks them all.
+// leave.
 func (s *shard) rebalance(from int) {
 	target := (s.capacity + len(s.segs) - 1) / len(s.segs)
 	for i := from; i < len(s.segs)-1; i++ {
@@ -867,10 +866,10 @@ func (s *shard) drop(c *Cache, r uint32) {
 // list files record r, just unlinked or new, at the head of segment seg,
 // or holds it in its pinned slot word when its id is pinned and has been
 // asked for (neither unrequested flag is set).
-func (s *shard) list(r uint32, seg int) {
+func (s *shard) list(p *pinIndex, r uint32, seg int) {
 	if m := &s.meta[r]; m.segflags&unrequested == 0 {
-		if k := s.pin.rank(m.id); k >= 0 {
-			s.hold(r, k)
+		if k := p.rank(m.id); k >= 0 {
+			s.hold(p, r, k)
 			return
 		}
 	}
@@ -879,27 +878,24 @@ func (s *shard) list(r uint32, seg int) {
 }
 
 // hold moves the entry of record r, unlinked from the list, to the slot
-// word of pin rank k: its probe entry and record go, and the word is
+// word of p's rank k: its probe entry and record go, and the word is
 // published last.
-func (s *shard) hold(r uint32, k int) {
+func (s *shard) hold(p *pinIndex, r uint32, k int) {
 	m := s.meta[r]
 	s.idxDelete(m.id)
 	s.freeRecord(r)
-	s.pin.slots[k].Store(m.slot + 1)
+	p.slots[k].Store(m.slot + 1)
 	s.pinned++
-	s.fit()
-	s.reseal()
+	s.fit(p)
+	s.reseal(p)
 }
 
-// reseal records whether the shard is sealed: pinned, full, and holding
-// only requested pinned ids, so that it refuses any other id.
-func (s *shard) reseal() {
-	var p *pinIndex
-	if s.used >= s.capacity && s.used == s.pinned {
-		p = s.pin
-	}
-	if s.sealed.Load() != p {
-		s.sealed.Store(p)
+// reseal records whether the shard is sealed under the cache's pinned
+// index p: full, and holding only requested pinned ids, so that it refuses
+// any other id.
+func (s *shard) reseal(p *pinIndex) {
+	if sealed := s.used >= s.capacity && s.used == s.pinned; s.sealed.Load() != sealed {
+		s.sealed.Store(sealed)
 	}
 }
 
@@ -936,7 +932,7 @@ func (c *Cache) Add(id uint32, payload []byte, prefetched bool) (uint32, bool) {
 // refuses an id outside the set (see Pin), without taking its lock.
 func (c *Cache) AddAt(id uint32, payload []byte, pos float64, prefetched bool) (uint32, bool) {
 	s := c.shardOf(id)
-	if s.refuses(id) {
+	if s.refuses(c.pin, id) {
 		return 0, false
 	}
 	s.mu.Lock()
@@ -953,7 +949,7 @@ func (c *Cache) AddAt(id uint32, payload []byte, pos float64, prefetched bool) (
 // shard refuses id (see AddAt).
 func (c *Cache) AddAtGuard(id uint32, payload []byte, pos float64, prefetched bool, guard *atomic.Uint64, want uint64) bool {
 	s := c.shardOf(id)
-	if s.refuses(id) {
+	if s.refuses(c.pin, id) {
 		return false
 	}
 	s.mu.Lock()
@@ -965,7 +961,7 @@ func (c *Cache) AddAtGuard(id uint32, payload []byte, pos float64, prefetched bo
 		_, _, ok := s.addAt(c, id, payload, pos, false)
 		return ok
 	}
-	if s.pin.find(id) != nilIdx || s.idxFind(id) != nilIdx {
+	if c.pin.find(id) != nilIdx || s.idxFind(id) != nilIdx {
 		return false
 	}
 	_, _, ok := s.insert(c, id, payload, pos, prefetchedBit)
@@ -987,7 +983,7 @@ func (c *Cache) Warm(ids []uint32, payload func(id uint32) []byte, pos float64, 
 			s.mu.Unlock()
 			break
 		}
-		if s.used < s.capacity && s.room() > 0 && s.pin.find(id) == nilIdx && s.idxFind(id) == nilIdx {
+		if s.used < s.capacity && s.room(c.pin) > 0 && c.pin.find(id) == nilIdx && s.idxFind(id) == nilIdx {
 			s.insert(c, id, payload(id), pos, warmBit)
 			filled++
 		}
@@ -996,18 +992,13 @@ func (c *Cache) Warm(ids []uint32, payload func(id uint32) []byte, pos float64, 
 	return filled
 }
 
-// Sealed reports whether every shard is sealed under the cache's pinned
-// index (see reseal): the cache holds only requested pinned ids, all of
-// them, and refuses every other id, so no fill or prefetch offer can change
-// it. It takes no lock, so its answer is a snapshot: a Remove or a
-// conversion may unseal a shard the moment after.
+// Sealed reports whether every shard is sealed (see reseal): the cache
+// holds only requested pinned ids, all of them, and refuses every other
+// id, so no fill or prefetch offer can change it. It takes no lock, so its
+// answer is a snapshot.
 func (c *Cache) Sealed() bool {
-	p := c.pin.Load()
-	if p == nil {
-		return false
-	}
 	for i := range c.shards {
-		if c.shards[i].sealed.Load() != p {
+		if !c.shards[i].sealed.Load() {
 			return false
 		}
 	}
@@ -1015,12 +1006,10 @@ func (c *Cache) Sealed() bool {
 }
 
 // refuses reports, without the lock, that s is sealed (see reseal) and id
-// is outside its pinned set: the locked path would refuse id from the same
-// state. The seal names the index it was taken under, so a conversion
-// since cannot pair one form's seal with another's set.
-func (s *shard) refuses(id uint32) bool {
-	p := s.sealed.Load()
-	return p != nil && p.rank(id) < 0
+// is outside p, the cache's pinned set: the locked path would refuse id
+// from the same state.
+func (s *shard) refuses(p *pinIndex, id uint32) bool {
+	return s.sealed.Load() && p.rank(id) < 0
 }
 
 // checkPayload panics unless payload is exactly one slot long.
@@ -1034,8 +1023,8 @@ func (c *Cache) checkPayload(payload []byte) {
 // insert evicted one, and ok false when the shard refused id.
 func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetched bool) (victim uint32, evicted, ok bool) {
 	seg := segOf(pos, len(s.segs))
-	if k := s.pin.rank(id); k >= 0 {
-		if slot := slotOf(s.pin.slots[k].Load()); slot != nilIdx {
+	if k := c.pin.rank(id); k >= 0 {
+		if slot := slotOf(c.pin.slots[k].Load()); slot != nilIdx {
 			s.replaceHeld(c, id, k, slot, payload, seg, prefetched)
 			return 0, false, true
 		}
@@ -1052,7 +1041,7 @@ func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetch
 	s.listRemove(r)
 	m := &s.meta[r]
 	seen := m.segflags & seenBit
-	if !bytesEqual(c.payload(m.slot), payload) {
+	if !bytes.Equal(c.payload(m.slot), payload) {
 		// Never overwrite a slot a lease may be reading: relocate.
 		next := s.alloc(c)
 		copy(c.payload(next), payload)
@@ -1063,7 +1052,7 @@ func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetch
 	if prefetched {
 		m.segflags |= prefetchedBit
 	}
-	s.list(r, seg)
+	s.list(c.pin, r, seg)
 	return 0, false, true
 }
 
@@ -1074,15 +1063,15 @@ func (s *shard) addAt(c *Cache, id uint32, payload []byte, pos float64, prefetch
 // evictable until it is asked for again.
 func (s *shard) replaceHeld(c *Cache, id uint32, k int, slot uint32, payload []byte, seg int, prefetched bool) {
 	c.checkPayload(payload)
-	held, old := s.pin.holds(id, prefetched) >= 0, slot
-	if !bytesEqual(c.payload(slot), payload) {
+	held, old := c.pin.holds(id, prefetched) >= 0, slot
+	if !bytes.Equal(c.payload(slot), payload) {
 		slot = s.alloc(c)
 		copy(c.payload(slot), payload)
 	}
 	if held {
-		s.pin.slots[k].Store(heldWord(slot, prefetched))
+		c.pin.slots[k].Store(heldWord(slot, prefetched))
 	} else {
-		s.pin.slots[k].Store(0)
+		c.pin.slots[k].Store(0)
 		s.pinned--
 	}
 	if slot != old {
@@ -1094,12 +1083,12 @@ func (s *shard) replaceHeld(c *Cache, id uint32, k int, slot uint32, payload []b
 		if slot == old {
 			flags |= seenBit
 		}
-		r := s.newRecord(id, slot, flags)
+		r := s.newRecord(c.pin, id, slot, flags)
 		s.idxInsert(id, r)
 		s.pushFront(seg, r)
 		s.rebalance(seg)
-		s.fit()
-		s.reseal()
+		s.fit(c.pin)
+		s.reseal(c.pin)
 	}
 }
 
@@ -1110,8 +1099,8 @@ func (s *shard) replaceHeld(c *Cache, id uint32, k int, slot uint32, payload []b
 // shard makes room by evicting the tail of its list, but a shard whose list
 // has no room refuses it.
 func (s *shard) insert(c *Cache, id uint32, payload []byte, pos float64, flags uint32) (victim uint32, evicted, ok bool) {
-	k := s.pin.holds(id, flags&unrequested != 0)
-	if k < 0 && s.room() == 0 {
+	k := c.pin.holds(id, flags&unrequested != 0)
+	if k < 0 && s.room(c.pin) == 0 {
 		return 0, false, false
 	}
 	c.checkPayload(payload)
@@ -1119,10 +1108,10 @@ func (s *shard) insert(c *Cache, id uint32, payload []byte, pos float64, flags u
 	copy(c.payload(slot), payload)
 	s.used++
 	if k >= 0 {
-		s.pin.slots[k].Store(heldWord(slot, flags&prefetchedBit != 0))
+		c.pin.slots[k].Store(heldWord(slot, flags&prefetchedBit != 0))
 		s.pinned++
 	} else {
-		r := s.newRecord(id, slot, flags)
+		r := s.newRecord(c.pin, id, slot, flags)
 		s.idxInsert(id, r)
 		seg := segOf(pos, len(s.segs))
 		s.pushFront(seg, r)
@@ -1133,22 +1122,10 @@ func (s *shard) insert(c *Cache, id uint32, payload []byte, pos float64, flags u
 		evicted = true
 	}
 	if k >= 0 {
-		s.fit()
+		s.fit(c.pin)
 	}
-	s.reseal()
+	s.reseal(c.pin)
 	return victim, evicted, true
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // promote is a hit on the listed entry of record r: it moves the entry to
@@ -1156,15 +1133,15 @@ func bytesEqual(a, b []byte) bool {
 // clears its prefetched flag. It returns the entry's slot, whether the flag
 // was set, and whether the entry left the list (which may renumber the
 // shard's records).
-func (s *shard) promote(r uint32) (slot uint32, wasPrefetched, held bool) {
+func (s *shard) promote(p *pinIndex, r uint32) (slot uint32, wasPrefetched, held bool) {
 	m := &s.meta[r]
 	slot = m.slot
 	wasPrefetched = m.segflags&prefetchedBit != 0
 	m.segflags = m.segflags&^unrequested | seenBit
 	s.listRemove(r)
-	if k := s.pin.rank(m.id); k >= 0 {
+	if k := p.rank(m.id); k >= 0 {
 		// A pinned id brought in by a neighbour's read, asked for at last.
-		s.hold(r, k)
+		s.hold(p, r, k)
 		return slot, wasPrefetched, true
 	}
 	s.pushFront(0, r)
@@ -1172,17 +1149,17 @@ func (s *shard) promote(r uint32) (slot uint32, wasPrefetched, held bool) {
 	return slot, wasPrefetched, false
 }
 
-// get is a hit or a miss on id under s.mu: a held pinned entry is served
-// as it is, a listed one is promoted.
-func (s *shard) get(id uint32) (slot uint32, wasPrefetched, ok bool) {
-	if slot, pre := s.pin.request(id); slot != nilIdx {
+// get is a hit or a miss on id under s.mu, p the cache's pinned index: a
+// held pinned entry is served as it is, a listed one is promoted.
+func (s *shard) get(p *pinIndex, id uint32) (slot uint32, wasPrefetched, ok bool) {
+	if slot, pre := p.request(id); slot != nilIdx {
 		return slot, pre, true
 	}
 	r := s.idxFind(id)
 	if r == nilIdx {
 		return nilIdx, false, false
 	}
-	slot, wasPrefetched, _ = s.promote(r)
+	slot, wasPrefetched, _ = s.promote(p, r)
 	return slot, wasPrefetched, true
 }
 
@@ -1192,12 +1169,12 @@ func (s *shard) get(id uint32) (slot uint32, wasPrefetched, ok bool) {
 // it reads the view. Allocation-free. A hit on a held pinned id takes no
 // lock.
 func (c *Cache) Get(id uint32) (payload []byte, wasPrefetched, ok bool) {
-	if slot, pre := c.pin.Load().request(id); slot != nilIdx {
+	if slot, pre := c.pin.request(id); slot != nilIdx {
 		return c.payload(slot), pre, true
 	}
 	s := c.shardOf(id)
 	s.mu.Lock()
-	slot, wasPrefetched, ok := s.get(id)
+	slot, wasPrefetched, ok := s.get(c.pin, id)
 	if ok {
 		payload = c.payload(slot)
 	}
@@ -1220,9 +1197,8 @@ func (c *Cache) Get(id uint32) (payload []byte, wasPrefetched, ok bool) {
 //
 // A hit on a held pinned id is served first, without the lock (it moves
 // nothing, so no order sees it), and so is a miss on an id outside the
-// pinned set whose shard is sealed under the pinned index GetBatch loaded:
-// the shard refuses the id (see AddAt), so miss(i) runs without the lock
-// and its result is not inserted. Only the other ids are chained to their
+// pinned set whose shard is sealed: the shard refuses the id (see AddAt),
+// so miss(i) runs without the lock and its result is not inserted. Only the other ids are chained to their
 // shards. Under each shard lock the shard's ids are first located, up
 // to locateWindow at a time — every index probe and record read before any
 // entry moves, so their cache misses overlap instead of running one after
@@ -1231,7 +1207,6 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 	if len(ids) == 0 {
 		return 0
 	}
-	p := c.pin.Load()
 	var run [locateWindow]int32
 	if len(c.shards) == 1 || len(ids) == 1 {
 		s := c.shardOf(ids[0])
@@ -1239,7 +1214,7 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 		for lo := 0; lo < len(ids); {
 			n := 0
 			for ; lo < len(ids) && n < locateWindow; lo++ {
-				if ok, pre := c.lockFree(p, s, ids, views, lo, miss); !ok {
+				if ok, pre := c.lockFree(s, ids, views, lo, miss); !ok {
 					run[n] = int32(lo)
 					n++
 				} else if pre {
@@ -1263,13 +1238,8 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 	// Chain each shard's ids in batch order: heads[s] is its first,
 	// next[i] the one after i (-1 ends a chain). The scratch is taken at the
 	// first id that needs a lock. The lock-free tests are lockFree written
-	// out, over the index's slices loaded once per batch (none without p).
-	var set []uint64
-	var ranks []uint32
-	var words []atomic.Uint32
-	if p != nil {
-		set, ranks, words = p.set, p.ranks, p.slots
-	}
+	// out, over the index's slices loaded once per batch.
+	set, ranks, words := c.pin.set, c.pin.ranks, c.pin.slots
 	var sc *batchScratch
 	var heads, next []int32
 	for i := len(ids) - 1; i >= 0; i-- {
@@ -1292,7 +1262,7 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 				}
 				continue
 			}
-		} else if p != nil && c.shards[Hash(id)&c.shardMask].sealed.Load() == p {
+		} else if c.shards[Hash(id)&c.shardMask].sealed.Load() {
 			if miss != nil {
 				miss(i)
 			}
@@ -1333,17 +1303,16 @@ func (c *Cache) GetBatch(ids []uint32, views [][]byte, miss func(i int) []byte) 
 	return prefetchHits
 }
 
-// lockFree serves ids[i], whose shard is s, when p (the pinned index
-// GetBatch loaded, nil for none) settles it without the shard's lock, and
-// reports whether it did, and whether it served a hit on a prefetched
-// entry: a hit when p holds the id, and a miss when the id is outside p's
-// set and s is sealed under p. A sealed shard refuses such an id (see
-// refuses), so it holds none and a fill could not add one: miss(i) runs,
-// and its result is dropped.
-func (c *Cache) lockFree(p *pinIndex, s *shard, ids []uint32, views [][]byte, i int, miss func(int) []byte) (ok, wasPrefetched bool) {
-	k := p.rank(ids[i])
+// lockFree serves ids[i], whose shard is s, when the cache's pinned index
+// settles it without the shard's lock, and reports whether it did, and
+// whether it served a hit on a prefetched entry: a hit when the index holds
+// the id, and a miss when the id is outside the pinned set and s is sealed.
+// A sealed shard refuses such an id (see refuses), so it holds none and a
+// fill could not add one: miss(i) runs, and its result is dropped.
+func (c *Cache) lockFree(s *shard, ids []uint32, views [][]byte, i int, miss func(int) []byte) (ok, wasPrefetched bool) {
+	k := c.pin.rank(ids[i])
 	if k >= 0 {
-		slot, pre := p.hit(k)
+		slot, pre := c.pin.hit(k)
 		if slot == nilIdx {
 			return false, false
 		}
@@ -1352,7 +1321,7 @@ func (c *Cache) lockFree(p *pinIndex, s *shard, ids []uint32, views [][]byte, i 
 		}
 		return true, pre
 	}
-	if p == nil || s.sealed.Load() != p {
+	if !s.sealed.Load() {
 		return false, false
 	}
 	if miss != nil {
@@ -1376,7 +1345,7 @@ func (s *shard) getRun(c *Cache, ids []uint32, run []int32, views [][]byte, miss
 	var recs [locateWindow]uint32
 	var touched uint32
 	for k, i := range run {
-		if slot, pre := s.pin.request(ids[i]); slot != nilIdx {
+		if slot, pre := c.pin.request(ids[i]); slot != nilIdx {
 			// Held since GetBatch looked: a hit that moves nothing.
 			if pre {
 				prefetchHits++
@@ -1418,7 +1387,7 @@ func (s *shard) getRun(c *Cache, ids []uint32, run []int32, views [][]byte, miss
 // on a prefetched entry, and whether the records may have moved.
 func (s *shard) probe(c *Cache, ids []uint32, views [][]byte, i int, r uint32, miss func(int) []byte) (prefetchHit int, moved bool) {
 	if r != nilIdx {
-		slot, pre, held := s.promote(r)
+		slot, pre, held := s.promote(c.pin, r)
 		if pre {
 			prefetchHit = 1
 		}
@@ -1458,37 +1427,11 @@ func (c *Cache) GetFunc(id uint32, fn func(payload []byte, wasPrefetched bool)) 
 	s := c.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	slot, wasPrefetched, ok := s.get(id)
+	slot, wasPrefetched, ok := s.get(c.pin, id)
 	if ok {
 		fn(c.payload(slot), wasPrefetched)
 	}
 	return ok
-}
-
-// Remove deletes id and reports whether it was present. A held pinned id's
-// slot word is cleared before its slot is parked.
-func (c *Cache) Remove(id uint32) bool {
-	s := c.shardOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if k := s.pin.rank(id); k >= 0 {
-		if slot := slotOf(s.pin.slots[k].Load()); slot != nilIdx {
-			s.pin.slots[k].Store(0)
-			s.park(c, slot, true)
-			s.used--
-			s.pinned--
-			s.fit()
-			s.reseal()
-			return true
-		}
-	}
-	r := s.idxFind(id)
-	if r == nilIdx {
-		return false
-	}
-	s.drop(c, r)
-	s.reseal()
-	return true
 }
 
 // Refresh gives id new bytes where the cache holds it in a slot word, as
@@ -1496,23 +1439,50 @@ func (c *Cache) Remove(id uint32) bool {
 // payload, published after the payload, and the old slot is parked, so the
 // entry stays held and a sealed shard stays sealed (a prefetched entry of
 // an implied set is one no longer: its bytes are the caller's). Any other
-// entry of id is removed, as Remove does. It reports whether id stayed
+// entry of id is removed: it leaves the list and the index, and its slot is
+// parked. It is the cache's one removal, and reports whether id stayed
 // cached.
 func (c *Cache) Refresh(id uint32, payload []byte) bool {
 	s := c.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if k := s.pin.rank(id); k >= 0 {
-		if slot := slotOf(s.pin.slots[k].Load()); slot != nilIdx {
+	if k := c.pin.rank(id); k >= 0 {
+		if slot := slotOf(c.pin.slots[k].Load()); slot != nilIdx {
 			s.replaceHeld(c, id, k, slot, payload, 0, false)
 			return true
 		}
 	}
 	if r := s.idxFind(id); r != nilIdx {
 		s.drop(c, r)
-		s.reseal()
+		s.reseal(c.pin)
 	}
 	return false
+}
+
+// Entries calls fn for every entry the cache holds, under every shard
+// lock, with a read-only view of its payload that is valid only during the
+// call and whether the entry has not been asked for yet (inserted by
+// prefetch admission or Warm): each shard's listed entries least recent
+// first, then the held ones in id order. Added again in that order at
+// queue position 0, they are listed as they were, and a cache with less
+// room keeps the later ones. fn must not call into the cache.
+func (c *Cache) Entries(fn func(id uint32, payload []byte, unrequested bool)) {
+	c.lockAll()
+	defer c.unlockAll()
+	for i := range c.shards {
+		s, r := &c.shards[i], nilIdx
+		for seg := len(s.segs) - 1; seg >= 0 && r == nilIdx; seg-- {
+			r = s.segs[seg].tail
+		}
+		for ; r != nilIdx; r = s.meta[r].prev {
+			fn(s.meta[r].id, c.payload(s.meta[r].slot), s.meta[r].segflags&unrequested != 0)
+		}
+	}
+	c.pin.each(func(id uint32, k int) {
+		if w := c.pin.slots[k].Load(); w != 0 {
+			fn(id, c.payload(slotOf(w)), w&wordPrefetched != 0)
+		}
+	})
 }
 
 // Stats is a point-in-time byte-accounting snapshot.
@@ -1548,6 +1518,18 @@ type Stats struct {
 	Epoch       uint64
 }
 
+func (c *Cache) lockAll() {
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+	}
+}
+
+func (c *Cache) unlockAll() {
+	for i := range c.shards {
+		c.shards[i].mu.Unlock()
+	}
+}
+
 // Stats gathers byte accounting across all shards.
 func (c *Cache) Stats() Stats {
 	st := Stats{
@@ -1557,9 +1539,7 @@ func (c *Cache) Stats() Stats {
 	}
 	c.lockAll()
 	defer c.unlockAll()
-	if p := c.pin.Load(); p != nil {
-		st.IndexBytes += p.sizeBytes()
-	}
+	st.IndexBytes += c.pin.sizeBytes()
 	st.Slabs = len(c.slabDir())
 	st.ArenaBytes = int64(st.Slabs) * int64(c.slabBytes())
 	for i := range c.shards {
@@ -1613,48 +1593,43 @@ func (s *shard) listHead() uint32 {
 func (c *Cache) checkInvariants() error {
 	c.lockAll()
 	defer c.unlockAll()
-	p := c.pin.Load()
+	p := c.pin
 	// held[si] is the ids shard si holds in slot words.
 	held := make([]map[uint32]uint32, len(c.shards))
 	capacity := 0
 	for si := range c.shards {
 		held[si] = make(map[uint32]uint32)
-		if c.shards[si].pin != p {
-			return fmt.Errorf("shard %d keeps a pinned index the cache does not", si)
-		}
 		capacity += c.shards[si].capacity
 	}
 	if capacity != c.Cap() {
 		return fmt.Errorf("shard capacities sum to %d, the cache's is %d", capacity, c.Cap())
 	}
-	if p != nil {
-		var err error
-		p.each(func(id uint32, k int) {
-			w := p.slots[k].Load()
-			if w&wordPrefetched != 0 && (p.lends() || w == wordPrefetched) {
-				err = fmt.Errorf("slot word of id %d reads %#x: flagged prefetched, and not held in an implied set", id, w)
-			}
-			if slot := slotOf(w); slot != nilIdx {
-				held[Hash(id)&c.shardMask][id] = slot
-			}
-		})
-		if err != nil {
-			return err
+	var err error
+	p.each(func(id uint32, k int) {
+		w := p.slots[k].Load()
+		if w&wordPrefetched != 0 && (p.lends() || w == wordPrefetched) {
+			err = fmt.Errorf("slot word of id %d reads %#x: flagged prefetched, and not held in an implied set", id, w)
 		}
-		total := 0
-		for w, word := range p.set {
-			if int(p.ranks[w]) != total {
-				return fmt.Errorf("rank directory word %d reads %d, %d ids precede it", w, p.ranks[w], total)
-			}
-			total += bits.OnesCount64(word)
+		if slot := slotOf(w); slot != nilIdx {
+			held[Hash(id)&c.shardMask][id] = slot
 		}
-		if p.lends() && total != len(p.slots) {
-			return fmt.Errorf("pinned index has %d slot words for %d ids", len(p.slots), total)
+	})
+	if err != nil {
+		return err
+	}
+	total := 0
+	for w, word := range p.set {
+		if int(p.ranks[w]) != total {
+			return fmt.Errorf("rank directory word %d reads %d, %d ids precede it", w, p.ranks[w], total)
 		}
+		total += bits.OnesCount64(word)
+	}
+	if p.lends() && total != len(p.slots) {
+		return fmt.Errorf("pinned index has %d slot words for %d ids", len(p.slots), total)
 	}
 	slots := make(map[uint32]int)
 	for si := range c.shards {
-		if err := c.shards[si].checkInvariants(si, held[si], slots); err != nil {
+		if err := c.shards[si].checkInvariants(p, si, held[si], slots); err != nil {
 			return err
 		}
 	}
@@ -1723,7 +1698,7 @@ func (s *shard) accountSlots(si int, resident []uint32, slots map[uint32]int) er
 // checkInvariants checks shard si of a partial cache, which holds the ids
 // of held (id → slot) in slot words, under every shard lock, and adds the
 // slots it accounts for to slots (see accountSlots).
-func (s *shard) checkInvariants(si int, held map[uint32]uint32, slots map[uint32]int) error {
+func (s *shard) checkInvariants(p *pinIndex, si int, held map[uint32]uint32, slots map[uint32]int) error {
 	total := 0
 	seen := make(map[uint32]bool)
 	// Walk the one list segment by segment: each segment's run starts where
@@ -1757,7 +1732,7 @@ func (s *shard) checkInvariants(si int, held map[uint32]uint32, slots map[uint32
 			if seen[m.id] {
 				return fmt.Errorf("shard %d: id %d listed twice", si, m.id)
 			}
-			if s.pin.holds(m.id, m.segflags&unrequested != 0) >= 0 {
+			if p.holds(m.id, m.segflags&unrequested != 0) >= 0 {
 				return fmt.Errorf("shard %d: pinned id %d is listed, not held (flags %#x)", si, m.id, m.segflags)
 			}
 			if _, ok := held[m.id]; ok {
@@ -1780,12 +1755,8 @@ func (s *shard) checkInvariants(si int, held map[uint32]uint32, slots map[uint32
 	if s.used > s.capacity {
 		return fmt.Errorf("shard %d over capacity: %d > %d", si, s.used, s.capacity)
 	}
-	var sealed *pinIndex
-	if s.used >= s.capacity && s.used == s.pinned {
-		sealed = s.pin
-	}
-	if s.sealed.Load() != sealed {
-		return fmt.Errorf("shard %d: seal %v, want %v (used %d of %d, %d held)", si, s.sealed.Load() != nil, sealed != nil, s.used, s.capacity, s.pinned)
+	if sealed := s.used >= s.capacity && s.used == s.pinned; s.sealed.Load() != sealed {
+		return fmt.Errorf("shard %d: seal %v, want %v (used %d of %d, %d held)", si, s.sealed.Load(), sealed, s.used, s.capacity, s.pinned)
 	}
 	// The records are the listed ones and the free chain; the probe table
 	// holds exactly the listed ids, at <= 0.75 load for the room.
@@ -1805,8 +1776,8 @@ func (s *shard) checkInvariants(si int, held map[uint32]uint32, slots map[uint32
 			live++
 		}
 	}
-	if want := s.indexWords(); live != total || len(s.idx) < want || want == 0 && len(s.idx) != 0 {
-		return fmt.Errorf("shard %d: probe table of %d words holds %d ids, %d listed, room %d", si, len(s.idx), live, total, s.room())
+	if want := s.indexWords(p); live != total || len(s.idx) < want || want == 0 && len(s.idx) != 0 {
+		return fmt.Errorf("shard %d: probe table of %d words holds %d ids, %d listed, room %d", si, len(s.idx), live, total, s.room(p))
 	}
 	// Every slot the shard accounts for is its own: resident, free or in
 	// limbo here and nowhere else.

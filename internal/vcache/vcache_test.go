@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -24,7 +23,7 @@ func payloadFor(id uint32, gen byte) []byte {
 	return p
 }
 
-// bitset is ids as the bitset Pin takes.
+// bitset is ids as the bitset Options.Pinned takes.
 func bitset(ids []uint32) []uint64 {
 	var set []uint64
 	for _, id := range ids {
@@ -38,6 +37,11 @@ func bitset(ids []uint32) []uint64 {
 
 func newTestCache(capacity, shards int) *vcache.Cache {
 	return vcache.New(vcache.Options{Capacity: capacity, SlotBytes: testSlot, Shards: shards})
+}
+
+// newPinnedCache is a cache of testSlot payloads built pinned to ids.
+func newPinnedCache(ids []uint32, shards int) *vcache.Cache {
+	return vcache.New(vcache.Options{Pinned: bitset(ids), SlotBytes: testSlot, Shards: shards})
 }
 
 func TestBasicAddGet(t *testing.T) {
@@ -203,60 +207,17 @@ func TestAddAtGuard(t *testing.T) {
 	}
 }
 
-func TestResizeShrinkGrow(t *testing.T) {
-	c := newTestCache(64, 4)
-	for id := uint32(0); id < 64; id++ {
-		c.Add(id, payloadFor(id, 0), false)
-	}
-	if got := c.Resize(16); got != 16 {
-		t.Fatalf("Resize(16) = %d", got)
-	}
-	if c.Len() != 16 {
-		t.Fatalf("Len after shrink = %d, want 16", c.Len())
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Resize(128); got != 128 {
-		t.Fatalf("Resize(128) = %d", got)
-	}
-	if c.Len() != 16 {
-		t.Fatalf("grow evicted entries: Len = %d", c.Len())
-	}
-	for id := uint32(100); id < 212; id++ {
-		c.Add(id, payloadFor(id, 0), false)
-	}
-	// Hash routing is uneven, so some shards evict before others fill; the
-	// total just must never exceed capacity (the exact per-shard order is
-	// pinned by TestEquivalenceRandomized).
-	if c.Len() > 128 || c.Len() < 100 {
-		t.Fatalf("Len after refill = %d, want (100, 128]", c.Len())
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Clamp: capacity below shard count.
-	if got := c.Resize(1); got != c.NumShards() {
-		t.Fatalf("Resize(1) = %d, want shard count %d", got, c.NumShards())
-	}
-}
-
-// TestPinKeepsEveryPinnedID: Pin sizes each shard to its members' share and
-// keeps the members already cached. The capacity the members have not filled
-// holds other ids as an LRU, and each member inserted takes a place from them,
-// never from another member; once every member is resident the cache refuses
-// anything else. A member a prefetch brought in is an ordinary entry until
-// its first hit. A later Resize splits evenly again and ends the set.
+// TestPinKeepsEveryPinnedID: a pinned set sizes each shard to its members'
+// share. The capacity the members have not filled holds other ids as an
+// LRU, and each member inserted takes a place from them, never from another
+// member; once every member is resident the cache refuses anything else. A
+// member a prefetch brought in is an ordinary entry until its first hit.
 func TestPinKeepsEveryPinnedID(t *testing.T) {
-	c := newTestCache(64, 8)
-	for id := uint32(0); id < 64; id++ {
-		c.Add(id, payloadFor(id, 0), false)
-	}
 	var set []uint32
-	for id := uint32(32); id < 132; id += 2 { // 50 ids, 16 of them cached
+	for id := uint32(32); id < 132; id += 2 { // 50 ids
 		set = append(set, id)
 	}
-	c.Pin(bitset(set))
+	c := newPinnedCache(set, 8)
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -267,22 +228,13 @@ func TestPinKeepsEveryPinnedID(t *testing.T) {
 	if got := c.ShardCapacities(); c.Cap() != len(set) || !slices.Equal(got, want) {
 		t.Fatalf("capacity %d, shard capacities %v; want %d, the members' shares %v", c.Cap(), got, len(set), want)
 	}
-	for id := uint32(32); id < 64; id += 2 {
-		if !c.Contains(id) {
-			t.Fatalf("Pin dropped member %d, which was cached", id)
+	for id := uint32(200); id < 500; id++ { // no member among them
+		c.Add(id, payloadFor(id, 0), false)
+	}
+	for i := range c.NumShards() {
+		if keys, _ := c.ShardKeys(i); len(keys) != want[i] {
+			t.Fatalf("shard %d lists %v, want its %d members' room full of the latest ids", i, keys, want[i])
 		}
-	}
-	before := make([]int, c.NumShards()) // what each shard held before Pin
-	for id := uint32(0); id < 64; id++ {
-		si := vcache.Hash(id) % uint64(c.NumShards())
-		before[si] = min(before[si]+1, 8)
-	}
-	kept := 0
-	for i, n := range want {
-		kept += min(n, before[i])
-	}
-	if c.Len() != kept {
-		t.Fatalf("holding %d entries after Pin, want %d: each shard keeps what fits", c.Len(), kept)
 	}
 	for _, id := range set {
 		c.Add(id, payloadFor(id, 1), false)
@@ -304,7 +256,7 @@ func TestPinKeepsEveryPinnedID(t *testing.T) {
 		t.Fatalf("holding %d entries, want the %d members", c.Len(), len(set))
 	}
 	// A prefetched member is evictable until asked for, then kept.
-	c.Pin(bitset([]uint32{2000, 2001}))
+	c = newPinnedCache([]uint32{2000, 2001}, 8)
 	c.Add(2000, payloadFor(2000, 0), true)
 	c.Add(2001, payloadFor(2001, 0), true)
 	c.Get(2001)
@@ -317,41 +269,21 @@ func TestPinKeepsEveryPinnedID(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	c.Resize(64)
-	if got := c.ShardCapacities(); !slices.Equal(got, []int{8, 8, 8, 8, 8, 8, 8, 8}) {
-		t.Fatalf("shard capacities %v after Resize(64), want an even split", got)
-	}
-	for id := uint32(1000); id < 1100; id++ {
-		c.Add(id, payloadFor(id, 0), false)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range set {
-		if c.Contains(id) {
-			t.Fatalf("member %d survived 100 inserts after Resize ended the set", id)
-		}
-	}
 }
 
 // TestPinnedIDSurvivesRandomTraffic: under random inserts at random positions,
-// hits, removals and re-pins, no pinned id that was asked for (inserted as a
-// requested entry, or hit) leaves the cache except by Remove or a Pin that
-// drops it from the set.
+// hits and refreshes, no pinned id that was asked for (inserted as a
+// requested entry, or hit) leaves the cache, except by an insert as a
+// prefetch, which files it anew.
 func TestPinnedIDSurvivesRandomTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := newTestCache(48, 4)
 	var set []uint32
-	pinSet := func() {
-		set = set[:0]
-		for id := uint32(0); id < 200; id++ {
-			if rng.Intn(5) == 0 && len(set) < 48 {
-				set = append(set, id)
-			}
+	for id := uint32(0); id < 200; id++ {
+		if rng.Intn(5) == 0 && len(set) < 48 {
+			set = append(set, id)
 		}
-		c.Pin(bitset(set))
 	}
-	pinSet()
+	c := newPinnedCache(set, 4)
 	resident := map[uint32]bool{}
 	for op := 0; op < 20000; op++ {
 		id := uint32(rng.Intn(200))
@@ -366,15 +298,9 @@ func TestPinnedIDSurvivesRandomTraffic(t *testing.T) {
 			}
 		case r < 90:
 			_, _, asked = c.Get(id)
-		case r < 99:
-			c.Remove(id)
-			delete(resident, id)
 		default:
-			pinSet()
-			for k := range resident {
-				if !slices.Contains(set, k) {
-					delete(resident, k)
-				}
+			if c.Refresh(id, payloadFor(id, byte(op))) != resident[id] {
+				t.Fatalf("op %d: Refresh(%d) kept it %v, held %v", op, id, !resident[id], resident[id])
 			}
 		}
 		if asked && slices.Contains(set, id) && c.Contains(id) {
@@ -581,18 +507,25 @@ func (s *spec) keys() ([]uint32, []bool) {
 type specShards []*spec
 
 func newSpecShards(capacity, shards int) specShards {
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	for n > capacity {
-		n >>= 1
-	}
+	n := shardCount(capacity, shards)
 	r := make(specShards, n)
 	for i := range r {
 		r[i] = newSpec(shardCap(capacity, n, i))
 	}
 	return r
+}
+
+// shardCount is the shard count of a cache of the given capacity with
+// shards requested: a power of two, clamped to the capacity (at least 1).
+func shardCount(capacity, shards int) int {
+	n := 1
+	for n < shards {
+		n <<= 1
+	}
+	for n > max(capacity, 1) {
+		n >>= 1
+	}
+	return n
 }
 
 // shardCap is shard i's share of capacity split over n shards.
@@ -606,15 +539,6 @@ func shardCap(capacity, n, i int) int {
 
 func (r specShards) of(id uint32) *spec { return r[vcache.Hash(id)&uint64(len(r)-1)] }
 
-func (r specShards) resize(capacity int) int {
-	capacity = max(capacity, len(r))
-	for i, s := range r {
-		s.capacity = shardCap(capacity, len(r), i)
-		s.settle()
-	}
-	return capacity
-}
-
 // checkAdd compares the eviction an AddAt reported with the spec's.
 func checkAdd(t *testing.T, step int, id, victim uint32, evicted bool, wantVictim uint32, wantEvicted bool) {
 	t.Helper()
@@ -624,7 +548,7 @@ func checkAdd(t *testing.T, step int, id, victim uint32, evicted bool, wantVicti
 }
 
 // TestEquivalenceRandomized drives vcache and the per-shard spec with
-// identical randomized op streams (Add/AddAt/Get/Remove/Resize) and asserts
+// identical randomized op streams (Add/AddAt/Get/Refresh) and asserts
 // identical evictions, contents, sizes and exact per-shard MRU->LRU key
 // order after every operation batch. sim.Replay tunes admission on this
 // cache, so this is the contract that keeps it meaning what the package
@@ -670,15 +594,11 @@ func TestEquivalenceRandomized(t *testing.T) {
 					if vOK && vGen != e.gen {
 						t.Fatalf("step %d: Get(%d) value mismatch: gen %d vs %d", step, id, vGen, e.gen)
 					}
-				case op == 9 && step%97 == 0: // occasional Resize
-					target := 1 + rng.Intn(cfg.capacity*2)
-					if got, want := vc.Resize(target), ref.resize(target); got != want {
-						t.Fatalf("step %d: Resize(%d) = %d vs %d", step, target, got, want)
-					}
-				default: // Remove
-					_, want := ref.of(id).take(id)
-					if got := vc.Remove(id); got != want {
-						t.Fatalf("step %d: Remove(%d) = %v vs %v", step, id, got, want)
+				default: // Refresh: with no pinned set, a removal
+					ref.of(id).take(id)
+					gens[id]++
+					if vc.Refresh(id, payloadFor(id, gens[id])) {
+						t.Fatalf("step %d: Refresh(%d) kept an entry of a cache with no pinned set", step, id)
 					}
 				}
 
@@ -708,10 +628,9 @@ func compareOrder(t *testing.T, step int, vc *vcache.Cache, ref specShards) {
 
 // TestOrderEquivalenceEveryOp is TestEquivalenceRandomized aimed at the
 // single-list/boundary-cursor structure: inserts land at the head of every
-// segment, promotions come from Get and GetBatch, capacities drop below the
-// segment count and grow back, and sparse phases (a handful of keys in a
-// large, mostly empty shard) leave runs of empty segments between occupied
-// ones. A GetBatch is held to a Get per id in batch order, with its miss
+// segment, promotions come from Get and GetBatch, capacities sit below the
+// segment count, and sparse phases (a handful of keys in an emptied shard)
+// leave runs of empty segments between occupied ones. A GetBatch is held to a Get per id in batch order, with its miss
 // fills inserted at the MRU end in between. Before every operation Contains
 // is probed, which must not promote; after it the exact per-shard MRU→LRU
 // order and prefetched flags against the spec and the structural invariants
@@ -727,30 +646,21 @@ func TestOrderEquivalenceEveryOp(t *testing.T) {
 			vc := newTestCache(cfg.capacity, cfg.shards)
 			ref := newSpecShards(cfg.capacity, cfg.shards)
 			gens := make(map[uint32]byte)
-			capacity := cfg.capacity
-
-			resize := func(step, target int) {
-				got, want := vc.Resize(target), ref.resize(target)
-				if got != want {
-					t.Fatalf("step %d: Resize(%d) = %d vs %d", step, target, got, want)
-				}
-				capacity = got
-			}
 			denseKeys := uint32(cfg.capacity * 3)
 			keySpace := denseKeys
 			for step := 0; step < 6000; step++ {
 				if step%500 == 0 {
 					// Alternate dense phases (key space 3x capacity: every
-					// segment full, constant eviction) with sparse ones: shrink
-					// to two entries per shard at most, grow well past the
-					// original capacity and touch only a few keys, so most
-					// segments between the occupied ones stay empty.
+					// segment full, constant eviction) with sparse ones: empty
+					// the cache and touch only a few keys, so most segments
+					// between the occupied ones stay empty.
 					if step/500%2 == 1 {
-						resize(step, 2*vc.NumShards())
-						resize(step, cfg.capacity*4)
+						for id := range denseKeys {
+							ref.of(id).take(id)
+							vc.Refresh(id, payloadFor(id, gens[id]))
+						}
 						keySpace = uint32(vc.NumShards()*3 + 1)
 					} else {
-						resize(step, cfg.capacity)
 						keySpace = denseKeys
 					}
 				}
@@ -817,15 +727,12 @@ func TestOrderEquivalenceEveryOp(t *testing.T) {
 					if rOK && (vGen != e.gen || vPre != e.pre) {
 						t.Fatalf("step %d: Get(%d) = (gen %d, pre %v), spec (gen %d, pre %v)", step, id, vGen, vPre, e.gen, e.pre)
 					}
-				case op < 14: // Remove
-					_, want := ref.of(id).take(id)
-					if got := vc.Remove(id); got != want {
-						t.Fatalf("step %d: Remove(%d) = %v vs %v", step, id, got, want)
+				case op < 14: // Refresh: with no pinned set, a removal
+					ref.of(id).take(id)
+					gens[id]++
+					if vc.Refresh(id, payloadFor(id, gens[id])) {
+						t.Fatalf("step %d: Refresh(%d) kept an entry of a cache with no pinned set", step, id)
 					}
-				case op == 14 && step%7 == 0: // Resize down, often below the segment count
-					resize(step, 1+rng.Intn(capacity))
-				case op == 15 && step%7 == 0: // Resize up
-					resize(step, capacity+1+rng.Intn(cfg.capacity*2))
 				}
 				compareOrder(t, step, vc, ref)
 				if err := vc.CheckInvariants(); err != nil {
@@ -887,81 +794,6 @@ func TestLimboBounded(t *testing.T) {
 	if after > before+256<<10 {
 		t.Fatalf("post-GC heap grew %d bytes over 900k evictions", after-before)
 	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestResizeUnderConcurrentServing is the -race stress test: readers hold
-// leases and serve views, writers insert, one goroutine resizes up and down
-// continuously. Run with -race.
-func TestResizeUnderConcurrentServing(t *testing.T) {
-	const capacity = 2048
-	c := newTestCache(capacity, 8)
-	for id := uint32(0); id < capacity; id++ {
-		c.Add(id, payloadFor(id, 1), false)
-	}
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-
-	// Readers: lease, read views, verify self-consistency of payloads.
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for !stop.Load() {
-				release := c.Lease()
-				for i := 0; i < 64; i++ {
-					id := rng.Uint32() % (capacity * 2)
-					if p, _, ok := c.Get(id); ok {
-						if got := uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24; got != id {
-							panic(fmt.Sprintf("view for id %d holds id %d: slot reused under lease", id, got))
-						}
-					}
-				}
-				release()
-			}
-		}(int64(r))
-	}
-
-	// Writer: inserts (some updates with new generations) and removes.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(99))
-		gen := byte(2)
-		for !stop.Load() {
-			id := rng.Uint32() % (capacity * 2)
-			switch rng.Intn(4) {
-			case 0:
-				c.Remove(id)
-			default:
-				c.AddAt(id, payloadFor(id, gen), rng.Float64(), rng.Intn(8) == 0)
-				gen++
-			}
-		}
-	}()
-
-	// Resizer: continuous live grow/shrink.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sizes := []int{capacity / 4, capacity / 2, capacity, capacity * 2}
-		for i := 0; !stop.Load(); i++ {
-			c.Resize(sizes[i%len(sizes)])
-		}
-	}()
-
-	// Let it run briefly; -race makes this plenty of interleavings.
-	for i := 0; i < 200; i++ {
-		c.Len()
-	}
-	stop.Store(true)
-	wg.Wait()
-
-	c.Resize(capacity)
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -1086,12 +918,11 @@ func BenchmarkGetPromote(b *testing.B) {
 // hit moves nothing.
 func BenchmarkGetPinned(b *testing.B) {
 	const n = 1 << 16
-	c := vcache.New(vcache.Options{Capacity: n, SlotBytes: 128, Shards: 8})
 	set := make([]uint64, n/64)
 	for w := range set {
 		set[w] = ^uint64(0)
 	}
-	c.Pin(set)
+	c := vcache.New(vcache.Options{Pinned: set, SlotBytes: 128, Shards: 8})
 	p := make([]byte, 128)
 	keys := make([]uint32, n)
 	for id := range keys {

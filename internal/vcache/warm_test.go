@@ -21,8 +21,7 @@ func TestWarmNeverEvicts(t *testing.T) {
 	for id := uint32(0); id < 128; id += 2 {
 		pinned = append(pinned, id)
 	}
-	c := newTestCache(len(pinned), shards)
-	c.Pin(bitset(pinned))
+	c := newPinnedCache(pinned, shards)
 	// Requested ids before the fill: unpinned ones listed, pinned ones held.
 	var before []uint32
 	for i := uint32(1); i < 40; i += 2 {
@@ -84,8 +83,7 @@ func TestWarmNeverEvicts(t *testing.T) {
 func TestWarmEntriesLeaveFirst(t *testing.T) {
 	const n = 16
 	order := []uint32{7, 3, 12, 0, 15, 9, 4, 1, 14, 6, 11, 2, 8, 13, 5, 10} // e.g. ascending training count
-	c := newTestCache(n, 1)
-	c.Pin(bitset(order))
+	c := newPinnedCache(order, 1)
 	if got := c.Warm(order, warmPayload, 1, nil, 0); got != n {
 		t.Fatalf("filled %d of %d pinned ids into an empty cache", got, n)
 	}
@@ -142,8 +140,7 @@ func TestWarmEntriesLeaveFirst(t *testing.T) {
 
 // TestWarmGuard: a fill whose guard moved fills nothing.
 func TestWarmGuard(t *testing.T) {
-	c := newTestCache(8, 1)
-	c.Pin(bitset([]uint32{0, 1, 2, 3, 4, 5, 6, 7}))
+	c := newPinnedCache([]uint32{0, 1, 2, 3, 4, 5, 6, 7}, 1)
 	var g atomic.Uint64
 	g.Store(3)
 	if got := c.Warm([]uint32{0, 1}, warmPayload, 1, &g, 2); got != 0 || c.Len() != 0 {
@@ -159,8 +156,7 @@ func TestWarmGuard(t *testing.T) {
 // word; once every warm entry is requested the shard is sealed.
 func TestWarmHitIsPlainHit(t *testing.T) {
 	ids := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
-	c := newTestCache(len(ids), 1)
-	c.Pin(bitset(ids))
+	c := newPinnedCache(ids, 1)
 	c.Warm(ids, warmPayload, 1, nil, 0)
 	if c.Sealed() {
 		t.Fatal("sealed before any warm entry was requested")
@@ -196,8 +192,7 @@ func TestWarmHitIsPlainHit(t *testing.T) {
 // listed entry.
 func TestRefreshKeepsHeld(t *testing.T) {
 	ids := []uint32{0, 1, 2, 3, 4, 5, 6, 7}
-	c := newTestCache(len(ids), 2)
-	c.Pin(bitset(ids))
+	c := newPinnedCache(ids, 2)
 	for _, id := range ids {
 		c.Add(id, payloadFor(id, 0), false)
 	}

@@ -17,22 +17,26 @@ func idOf(p []byte) uint32 {
 	return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
 }
 
-// TestPinWholeForm: a cache pinned whole keeps the entries it held, holds a
-// slot word per id for its index and no slot records, sizes each shard to
-// the ids that hash to it, refuses ids outside the table, and serves,
-// fills, flags and removes like a cache that never evicts.
+// newWholeCache is a cache of testSlot payloads pinned whole over [0, n).
+func newWholeCache(n, shards int) *vcache.Cache {
+	return vcache.New(vcache.Options{Whole: n, SlotBytes: testSlot, Shards: shards})
+}
+
+// TestPinWholeForm: a cache pinned whole holds a slot word per id for its
+// index and no slot records, sizes each shard to the ids that hash to it,
+// refuses ids outside the table, and serves, fills, flags and refreshes
+// like a cache that never evicts.
 func TestPinWholeForm(t *testing.T) {
 	const n = 1000
-	c := newTestCache(n/2, 8)
+	c := newWholeCache(n, 8)
 	c.Add(3, payloadFor(3, 1), false)
 	c.Add(4, payloadFor(4, 1), true)
 	c.Add(n+5, payloadFor(n+5, 1), false)
-	c.PinWhole(n)
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Whole() || c.Cap() != n || c.Len() != 2 || !c.Contains(3) || !c.Contains(4) || c.Contains(n+5) {
-		t.Fatalf("after PinWhole: whole %v, cap %d, len %d, holds 3 %v, 4 %v, %d %v",
+		t.Fatalf("whole %v, cap %d, len %d, holds 3 %v, 4 %v, %d %v",
 			c.Whole(), c.Cap(), c.Len(), c.Contains(3), c.Contains(4), n+5, c.Contains(n+5))
 	}
 	want := make([]int, c.NumShards())
@@ -81,40 +85,39 @@ func TestPinWholeForm(t *testing.T) {
 	}) {
 		t.Fatal("GetFunc(9) missed")
 	}
-	if !c.Remove(3) || c.Remove(3) || c.Contains(3) {
-		t.Fatal("Remove(3) did not remove it exactly once")
+	if !c.Refresh(3, payloadFor(3, 2)) || c.Refresh(5, payloadFor(5, 2)) || c.Contains(5) {
+		t.Fatal("Refresh: want 3 kept held, and 5, absent, left absent")
+	}
+	if p, _, ok := c.Get(3); !ok || p[4] != 2 {
+		t.Fatal("Refresh(3) did not give the held entry its new bytes")
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if c.PinWhole(n); !c.Whole() || c.Len() != 3 {
-		t.Fatalf("PinWhole again over the same ids: whole %v, len %d, want 3 kept", c.Whole(), c.Len())
-	}
 }
 
-// TestWholeRemoveWaitsOutLease: in the whole form, a removed or replaced
-// entry's slot is not reused while a lease that could have read it is held,
-// and is reused once the lease epoch has moved on.
-func TestWholeRemoveWaitsOutLease(t *testing.T) {
-	c := newTestCache(64, 1)
-	c.PinWhole(64)
+// TestWholeRefreshWaitsOutLease: in the whole form, the slot a refreshed or
+// replaced entry leaves is not reused while a lease that could have read it
+// is held, and is reused once the lease epoch has moved on.
+func TestWholeRefreshWaitsOutLease(t *testing.T) {
+	c := newWholeCache(64, 1)
 	c.Add(1, payloadFor(1, 1), false)
 	release := c.Lease()
 	view, _, _ := c.Get(1)
-	c.Remove(1)
+	c.Refresh(1, payloadFor(1, 2))
 	c.Add(2, payloadFor(2, 1), false)
 	c.Add(2, payloadFor(2, 2), false)
 	if idOf(view) != 1 || view[4] != 1 {
 		t.Fatalf("leased view of 1 now holds id %d gen %d", idOf(view), view[4])
 	}
 	if n := c.LimboLen(); n != 2 {
-		t.Fatalf("limbo holds %d slots under the lease, want removed 1's and replaced 2's", n)
+		t.Fatalf("limbo holds %d slots under the lease, want refreshed 1's and replaced 2's", n)
 	}
 	release()
 	for id := uint32(10); id < 20; id++ {
 		c.Add(id, payloadFor(id, 0), false)
 	}
-	if n, m := c.LimboLen(), c.MintedSlots(); n != 0 || m != 11 {
+	if n, m := c.LimboLen(), c.MintedSlots(); n != 0 || m != 12 {
 		t.Fatalf("after release: %d slots in limbo, %d minted; want the parked slots reused", n, m)
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -122,68 +125,14 @@ func TestWholeRemoveWaitsOutLease(t *testing.T) {
 	}
 }
 
-// TestWholeConversionKeepsEntries: Resize and Pin end the whole form in
-// place keeping every entry they have room for, requested entries ahead of
-// prefetched ones; PinWhole brings it back keeping every entry and flag.
-func TestWholeConversionKeepsEntries(t *testing.T) {
-	const n = 512
-	c := newTestCache(n, 4)
-	c.PinWhole(n)
-	for id := range uint32(n) {
-		c.Add(id, payloadFor(id, 1), id%4 == 0)
-	}
-	c.Resize(2 * n)
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Whole() || c.Len() != n {
-		t.Fatalf("Resize(%d): whole %v, holds %d of %d", 2*n, c.Whole(), c.Len(), n)
-	}
-	for i := range c.NumShards() {
-		keys, prefetched := c.ShardKeys(i)
-		for k := range keys {
-			if prefetched[k] != (keys[k]%4 == 0) {
-				t.Fatalf("id %d lost its prefetched flag %v", keys[k], keys[k]%4 == 0)
-			}
-			if k > 0 && prefetched[k-1] && !prefetched[k] {
-				t.Fatalf("shard %d lists requested id %d behind a prefetched one", i, keys[k])
-			}
-		}
-	}
-	c.Resize(n / 2)
-	for id := range uint32(n) {
-		if id%4 == 0 && c.Contains(id) {
-			t.Fatalf("shrunk to half: prefetched id %d kept while requested ids were evicted", id)
-		}
-	}
-	kept := c.Len()
-	c.PinWhole(n)
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Whole() || c.Len() != kept {
-		t.Fatalf("PinWhole after the shrink: whole %v, holds %d of %d", c.Whole(), c.Len(), kept)
-	}
-	c.Add(0, payloadFor(0, 1), true)
-	c.Add(1, payloadFor(1, 1), false)
-	c.Add(2, payloadFor(2, 1), false)
-	c.Pin(bitset([]uint32{0, 1, 2}))
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Whole() || c.Cap() != 3 || !c.Contains(1) || !c.Contains(2) {
-		t.Fatalf("Pin after the whole form: whole %v, cap %d, holds 1 %v, 2 %v", c.Whole(), c.Cap(), c.Contains(1), c.Contains(2))
-	}
-}
-
 // TestWholeMatchesPartial: a whole cache and a partial cache of the table's
 // size (which never evicts) take the same random adds, prefetch admissions,
-// batches with fills and removals, and agree on every hit, view, prefetch
+// batches with fills and refreshes (the partial cache's as the requested
+// add a held entry's refresh is), and agree on every hit, view, prefetch
 // hit and admission.
 func TestWholeMatchesPartial(t *testing.T) {
 	const n = 300
-	whole, part := newTestCache(n, 4), newTestCache(n, 1)
-	whole.PinWhole(n)
+	whole, part := newWholeCache(n, 4), newTestCache(n, 1)
 	rng := rand.New(rand.NewSource(1))
 	for step := range 20000 {
 		id := uint32(rng.Intn(n))
@@ -199,8 +148,10 @@ func TestWholeMatchesPartial(t *testing.T) {
 				t.Fatalf("step %d: prefetch admission of %d: whole %v, partial %v", step, id, a, b)
 			}
 		case op < 5:
-			if a, b := whole.Remove(id), part.Remove(id); a != b {
-				t.Fatalf("step %d: Remove(%d): whole %v, partial %v", step, id, a, b)
+			if a, b := whole.Refresh(id, payloadFor(id, gen)), part.Contains(id); a != b {
+				t.Fatalf("step %d: Refresh(%d) kept it %v, the partial cache holds it %v", step, id, a, b)
+			} else if b {
+				part.Add(id, payloadFor(id, gen), false)
 			}
 		default:
 			ids := rand.New(rand.NewSource(int64(step))).Perm(n)[:1+rng.Intn(16)]
@@ -235,12 +186,11 @@ func TestWholeMatchesPartial(t *testing.T) {
 
 // TestWholeUnderConcurrentServing is the whole form's -race stress test:
 // readers serve lock-free hits under leases and check every view holds its
-// id and stays intact until release, while a writer replaces and removes
-// entries and a converter takes the cache out of the whole form and back.
+// id and stays intact until release, while a writer replaces and refreshes
+// entries.
 func TestWholeUnderConcurrentServing(t *testing.T) {
 	const n = 2048
-	c := newTestCache(n, 8)
-	c.PinWhole(n)
+	c := newWholeCache(n, 8)
 	for id := range uint32(n) {
 		c.Add(id, payloadFor(id, 1), false)
 	}
@@ -279,32 +229,22 @@ func TestWholeUnderConcurrentServing(t *testing.T) {
 			}
 		}(int64(r))
 	}
-	wg.Add(2)
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer stop.Store(true)
 		rng := rand.New(rand.NewSource(99))
-		for gen := byte(0); !stop.Load(); gen++ {
-			id := uint32(rng.Intn(n))
+		for op := range 20000 {
+			id, gen := uint32(rng.Intn(n)), byte(op)
 			if rng.Intn(3) == 0 {
-				c.Remove(id)
+				c.Refresh(id, payloadFor(id, gen))
 			} else {
 				c.AddAt(id, payloadFor(id, gen), 0, rng.Intn(4) == 0)
 			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := range 90 {
-			switch i % 3 {
-			case 0:
-				c.Resize(n / 2)
-			case 1:
-				c.Pin(bitset([]uint32{1, 2, 3}))
+			if op%200 == 0 {
+				runtime.Gosched()
 			}
-			c.PinWhole(n)
-			runtime.Gosched()
 		}
-		stop.Store(true)
 	}()
 	wg.Wait()
 	if err := c.CheckInvariants(); err != nil {
@@ -320,11 +260,9 @@ func TestWholeUnderConcurrentServing(t *testing.T) {
 // on each slot word in turn.
 func TestWholePrefetchedReportedOnce(t *testing.T) {
 	const n, readers, rounds = 256, 4, 40
-	c := newTestCache(n, 4)
-	c.PinWhole(n)
 	for round := range rounds {
+		c := newWholeCache(n, 4)
 		for id := range uint32(n) {
-			c.Remove(id)
 			if !c.AddAtGuard(id, payloadFor(id, byte(round)), 0.5, true, nil, 0) {
 				t.Fatalf("round %d: prefetch admission of %d refused", round, id)
 			}
@@ -365,17 +303,16 @@ func TestWholePrefetchedReportedOnce(t *testing.T) {
 				t.Fatalf("round %d: after the requests, id %d: hit %v, prefetched %v", round, id, ok, wasPrefetched)
 			}
 		}
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 // TestWholeHitPathZeroAlloc: a whole cache's Get and GetBatch allocate
 // nothing.
 func TestWholeHitPathZeroAlloc(t *testing.T) {
-	c := newTestCache(1024, 8)
-	c.PinWhole(1024)
+	c := newWholeCache(1024, 8)
 	ids := make([]uint32, 64)
 	for i := range ids {
 		ids[i] = uint32(i * 13)
@@ -398,8 +335,7 @@ func TestWholeHitPathZeroAlloc(t *testing.T) {
 // copying reads do.
 func BenchmarkGetBatchWhole(b *testing.B) {
 	const n, batch, slot = 120_000, 64, 128
-	c := vcache.New(vcache.Options{Capacity: n, SlotBytes: slot, Shards: 8})
-	c.PinWhole(n)
+	c := vcache.New(vcache.Options{Whole: n, SlotBytes: slot, Shards: 8})
 	p := make([]byte, slot)
 	for id := range uint32(n) {
 		c.Add(id, p, false)

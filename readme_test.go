@@ -1,6 +1,7 @@
 package bandana_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -22,6 +23,8 @@ var (
 // -run/-fuzz/-bench selector in a `go test` line matches a function in each
 // package the line names, every bandana_* metric it mentions is registered,
 // it describes the system in the present tense, and it stays at 500 lines.
+// The `go test` lines of CI's workflow are held to the same selector check:
+// a -run pattern that matches nothing passes silently.
 func TestReadmeCommandsExist(t *testing.T) {
 	raw, err := os.ReadFile("README.md")
 	if err != nil {
@@ -49,6 +52,41 @@ func TestReadmeCommandsExist(t *testing.T) {
 		}
 	}
 
+	fenced := false
+	for i, line := range strings.Split(readme, "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+			continue
+		}
+		if !fenced {
+			continue
+		}
+		for _, p := range readmePathRE.FindAllString(line, -1) {
+			if st, err := os.Stat(p); err != nil || !st.IsDir() {
+				t.Errorf("README.md:%d: %s is not a directory of this repository", i+1, p)
+			}
+		}
+		checkSelectors(t, fmt.Sprintf("README.md:%d", i+1), line)
+	}
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(ci), "\n") {
+		checkSelectors(t, fmt.Sprintf("ci.yml:%d", i+1), line)
+	}
+}
+
+// checkSelectors checks, when line is a `go test` command, that each of
+// its -run/-fuzz/-bench selectors matches a function in each package the
+// line names, and that each alternative of the selector's test pattern
+// matches one in some package of the line, so that no name in it is stale.
+// where is the line's place, for errors.
+func checkSelectors(t *testing.T, where, line string) {
+	t.Helper()
+	if !strings.Contains(line, "go test") {
+		return
+	}
 	// funcs returns the Test/Fuzz/Benchmark function names of a package dir.
 	funcs := func(dir string) []string {
 		files, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
@@ -66,50 +104,47 @@ func TestReadmeCommandsExist(t *testing.T) {
 	}
 	prefix := map[string]string{"run": "Test", "fuzz": "Fuzz", "bench": "Benchmark"}
 
-	fenced := false
-	for i, line := range strings.Split(readme, "\n") {
-		if strings.HasPrefix(line, "```") {
-			fenced = !fenced
+	var pkgs []string
+	for _, field := range strings.Fields(line) {
+		if readmePkgRE.MatchString(field) {
+			pkgs = append(pkgs, field)
+		}
+	}
+	// matches reports whether pattern matches a function of kind in pkg.
+	matches := func(kind, pattern, pkg string) bool {
+		re, err := regexp.Compile(pattern)
+		if err != nil {
+			t.Errorf("%s: -%s %q: %v", where, kind, pattern, err)
+			return true
+		}
+		for _, name := range funcs(pkg) {
+			if strings.HasPrefix(name, prefix[kind]) && re.MatchString(name) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, sel := range readmeSelectRE.FindAllStringSubmatch(line, -1) {
+		kind, pattern := sel[1], sel[2]
+		if pattern == "^$" { // the "no tests, only fuzz/bench" idiom
 			continue
 		}
-		if !fenced {
-			continue
+		if len(pkgs) == 0 {
+			t.Errorf("%s: -%s %q names no package", where, kind, pattern)
 		}
-		for _, p := range readmePathRE.FindAllString(line, -1) {
-			if st, err := os.Stat(p); err != nil || !st.IsDir() {
-				t.Errorf("README.md:%d: %s is not a directory of this repository", i+1, p)
-			}
-		}
-		if !strings.Contains(line, "go test") {
-			continue
-		}
-		var pkgs []string
-		for _, field := range strings.Fields(line) {
-			if readmePkgRE.MatchString(field) {
-				pkgs = append(pkgs, field)
+		for _, pkg := range pkgs {
+			if !matches(kind, pattern, pkg) {
+				t.Errorf("%s: -%s %q matches nothing in %s", where, kind, pattern, pkg)
 			}
 		}
-		for _, sel := range readmeSelectRE.FindAllStringSubmatch(line, -1) {
-			kind, pattern := sel[1], sel[2]
-			if pattern == "^$" { // the "no tests, only fuzz/bench" idiom
-				continue
-			}
-			re, err := regexp.Compile(pattern)
-			if err != nil {
-				t.Errorf("README.md:%d: -%s %q: %v", i+1, kind, pattern, err)
-				continue
-			}
-			if len(pkgs) == 0 {
-				t.Errorf("README.md:%d: -%s %q names no package", i+1, kind, pattern)
-			}
+		// The top-level test pattern is the part before the first slash.
+		for _, alt := range strings.Split(strings.Split(pattern, "/")[0], "|") {
+			found := false
 			for _, pkg := range pkgs {
-				matched := false
-				for _, name := range funcs(pkg) {
-					matched = matched || (strings.HasPrefix(name, prefix[kind]) && re.MatchString(name))
-				}
-				if !matched {
-					t.Errorf("README.md:%d: -%s %q matches nothing in %s", i+1, kind, pattern, pkg)
-				}
+				found = found || matches(kind, alt, pkg)
+			}
+			if !found && len(pkgs) > 0 {
+				t.Errorf("%s: -%s %q: %q matches nothing in %v", where, kind, pattern, alt, pkgs)
 			}
 		}
 	}
